@@ -1,23 +1,33 @@
 //! Pager benchmark: what out-of-core costs and what compression buys.
 //!
-//! Three questions, one JSON. First, cold fault latency: decoding a
+//! Four questions, one JSON. First, cold fault latency: decoding a
 //! 64Ki-row page from the mapped snapshot into hot codes, measured both
 //! as a scan median and as the pager's own `fault_nanos / faults`
 //! average. Second, residency under a byte budget: a dataset four times
 //! the configured budget is scanned repeatedly, and the peak resident
 //! gauge must stay at or under the budget while evictions churn. Third,
 //! the RLE/palette ratio: demoted cold pages of skewed low-support data
-//! should compress well below the half-plain-bytes admission threshold.
+//! should compress well below the half-plain-bytes admission threshold,
+//! and an eviction should cost about what the refault it saves does
+//! (`evict_ns_avg`). Fourth, the read the adaptive loops actually do: a
+//! *shuffled* sample gathered block by block from every column, warm
+//! paged vs heap (`gather_paged_over_heap`) — the sequential scans above
+//! cannot see a per-row page-switch cost, which is how one hid here.
 //! Results persist to `results/BENCH_pager.json`; the CI pager-smoke
-//! step runs this with `SWOPE_MICRO_MS=1` and validates the fields and
-//! the budget/ratio invariants, not the wall-clock numbers.
+//! step runs this with `SWOPE_MICRO_MS=1` and validates the fields,
+//! the budget/ratio invariants and the (machine-independent) gather
+//! ratio, not the wall-clock numbers.
 
 use std::sync::Arc;
 
 use swope_bench::micro::{black_box, Group};
 use swope_bench::rss_bytes;
-use swope_columnar::{snapshot, stats, Dataset, PageCache};
+use swope_columnar::{
+    for_packed, gather, snapshot, stats, CodeBuf, CodeRepr, ColumnStorage, Dataset, PageCache,
+};
+use swope_core::state::INGEST_BLOCK_ROWS;
 use swope_obs::json::ObjectWriter;
+use swope_sampling::{PrefixShuffle, Sampler};
 
 /// Four full 64Ki-row pages per column — no partial tail, so every page
 /// has identical plain bytes and the compression ratio is exact.
@@ -34,6 +44,35 @@ fn scan_all(ds: &Dataset) {
     for attr in 0..ds.num_attrs() {
         black_box(ds.column(attr).value_counts());
     }
+}
+
+/// Rows in the shuffled sample: several ingest blocks, every page hit.
+const SAMPLE: usize = 40_000;
+
+/// Columns of the dataset the shuffled gather runs over.
+const GATHER_COLS: usize = 16;
+
+/// Gathers `rows` from every column block by block, the way an
+/// iteration of an adaptive loop does: the list is page-grouped once
+/// (the identity on a heap dataset) and shared by all columns.
+fn gather_all(ds: &Dataset, rows: &[u32], buf: &mut CodeBuf) {
+    let mut grouper = ds.page_grouper();
+    let rows = grouper.group(rows);
+    for attr in 0..ds.num_attrs() {
+        for block in rows.chunks(INGEST_BLOCK_ROWS) {
+            match ds.column(attr).storage() {
+                ColumnStorage::Heap(packed) => {
+                    for_packed!(packed.codes(), |codes| { gather_block(codes, block, buf) })
+                }
+                ColumnStorage::Paged(paged) => paged.gather(block, buf).expect("warm page"),
+            }
+            black_box(buf.len());
+        }
+    }
+}
+
+fn gather_block<R: CodeRepr>(codes: &[R], block: &[u32], buf: &mut CodeBuf) {
+    gather(codes, block, R::buf(buf));
 }
 
 fn main() {
@@ -70,7 +109,25 @@ fn main() {
         scan_all(&warm);
         black_box(())
     });
+
     drop(warm);
+
+    // The sampled read: the same shuffled rows out of heap and warm
+    // paged columns. Machine-independent as a ratio. A query gathers an
+    // iteration's rows from every live column and groups them once, so
+    // this runs over a dataset of a (modest) realistic width.
+    let wide = swope_datagen::generate(&swope_datagen::corpus::tiny(ROWS, GATHER_COLS), 0x7A6F);
+    let wide_path = path.with_extension("wide.swop");
+    snapshot::write_file(&wide, &wide_path).expect("writing gather snapshot");
+    let (warm, _) = snapshot::open_paged(&wide_path, Arc::new(PageCache::unbounded())).unwrap();
+    scan_all(&warm);
+    let sample = PrefixShuffle::new(ROWS, 0x5A3F).grow_to(SAMPLE).to_vec();
+    let mut buf = CodeBuf::new();
+    let gather_heap_ns = g.bench("gather_shuffled_heap", || gather_all(&wide, &sample, &mut buf));
+    let gather_paged_ns =
+        g.bench("gather_shuffled_warm_paged", || gather_all(&warm, &sample, &mut buf));
+    drop(warm);
+    std::fs::remove_file(&wide_path).ok();
 
     // Instrumented cold pass for the pager's own per-fault average and
     // the paged resident footprint vs the eager heap load.
@@ -110,6 +167,7 @@ fn main() {
         "peak resident {} exceeded budget {budget}",
         snap.peak_resident_bytes
     );
+    let evict_ns_avg = snap.evict_nanos as f64 / snap.evictions as f64;
     let rle_ratio = if snap.compressed_pages > 0 {
         (snap.compressed_bytes as f64 / snap.compressed_pages as f64) / PAGE_PLAIN_BYTES
     } else {
@@ -127,6 +185,13 @@ fn main() {
         .f64_field("heap_scan_ns", heap_scan_ns)
         .f64_field("budget_scan_ns", budget_scan_ns)
         .f64_field("fault_ns_avg", fault_ns)
+        .usize_field("gather_cols", GATHER_COLS)
+        .usize_field("gather_rows", SAMPLE)
+        .f64_field("gather_heap_ns", gather_heap_ns)
+        .f64_field("gather_paged_ns", gather_paged_ns)
+        .f64_field("gather_paged_over_heap", gather_paged_ns / gather_heap_ns)
+        .f64_field("evict_ns_avg", evict_ns_avg)
+        .u64_field("budget_compressions", snap.compressions)
         .u64_field("cold_faults", cold.faults)
         .u64_field("cold_crc_validations", cold.crc_validations)
         .u64_field("budget_faults", snap.faults)

@@ -32,10 +32,11 @@
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use swope_columnar::{CodeRepr, ColumnStorage, Dataset};
-use swope_core::{AttrMeta, CountState, PairCountState, ShardCounts};
+use swope_columnar::Dataset;
+use swope_core::{
+    count_candidate, count_target, AttrMeta, CountState, PairCountState, ShardCounts,
+};
 use swope_sampling::{PrefixShuffle, Sampler};
-use swope_store::for_packed;
 
 use crate::frame::{
     read_frame, write_frame, CountMergeFrame, ErrorFrame, Frame, FrameError, GrowDelta, Hello,
@@ -192,6 +193,8 @@ fn serve_query<S: Read + Write>(
 ) -> Result<(), QueryEnd> {
     let mut shuffle = PrefixShuffle::new(spec.population as usize, spec.seed);
     let mut rows: Vec<u32> = Vec::new();
+    // Rows of one page adjacent, so paged gathers pin each page once.
+    let mut grouper = ds.page_grouper();
     loop {
         let grow = match recv(io, stats) {
             Ok(Frame::GrowDelta(g)) => g,
@@ -216,7 +219,7 @@ fn serve_query<S: Read + Write>(
                 rows.push((union_row - spec.shard_start) as u32);
             }
         }
-        let mut counts = count_rows(ds, &rows, &grow);
+        let mut counts = count_rows(ds, grouper.group(&rows), &grow);
         let frame = Frame::CountMerge(CountMergeFrame::from_counts(&mut counts));
         if let Err(e) = send(io, stats, &frame) {
             stats.record_peer_error();
@@ -227,29 +230,12 @@ fn serve_query<S: Read + Write>(
 
 /// Counts one delta's rows: target marginal first (gathering its codes),
 /// then each live attribute's marginal and, for MI, its joint with the
-/// target. Identical per-row logic to `LocalShardSource`, single shard.
+/// target — `LocalShardSource`'s own counting bodies, single shard.
 fn count_rows(ds: &Dataset, rows: &[u32], grow: &GrowDelta) -> ShardCounts {
     let mut tcodes = Vec::new();
     let target = grow.target.map(|t| {
         let mut counts = CountState::new(ds.support(t as usize));
-        tcodes.reserve(rows.len());
-        match ds.column(t as usize).storage() {
-            ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |codes| {
-                for &r in rows {
-                    let c = codes[r as usize].widen();
-                    counts.add(c);
-                    tcodes.push(c);
-                }
-            }),
-            ColumnStorage::Paged(paged) => {
-                let mut cur = paged.cursor();
-                for &r in rows {
-                    let c = cur.code(r as usize);
-                    counts.add(c);
-                    tcodes.push(c);
-                }
-            }
-        }
+        count_target(ds.column(t as usize), rows, &mut counts, &mut tcodes);
         counts
     });
     let mut attrs = Vec::with_capacity(grow.live.len());
@@ -257,35 +243,8 @@ fn count_rows(ds: &Dataset, rows: &[u32], grow: &GrowDelta) -> ShardCounts {
     for &attr in &grow.live {
         let mut out = CountState::new(ds.support(attr as usize));
         let mut pairs = PairCountState::new();
-        match ds.column(attr as usize).storage() {
-            ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |codes| {
-                if grow.target.is_some() {
-                    for (&r, &tc) in rows.iter().zip(&tcodes) {
-                        let c = codes[r as usize].widen();
-                        out.add(c);
-                        pairs.add(tc, c);
-                    }
-                } else {
-                    for &r in rows {
-                        out.add(codes[r as usize].widen());
-                    }
-                }
-            }),
-            ColumnStorage::Paged(paged) => {
-                let mut cur = paged.cursor();
-                if grow.target.is_some() {
-                    for (&r, &tc) in rows.iter().zip(&tcodes) {
-                        let c = cur.code(r as usize);
-                        out.add(c);
-                        pairs.add(tc, c);
-                    }
-                } else {
-                    for &r in rows {
-                        out.add(cur.code(r as usize));
-                    }
-                }
-            }
-        }
+        let tcodes = grow.target.map(|_| tcodes.as_slice());
+        count_candidate(ds.column(attr as usize), rows, tcodes, &mut out, &mut pairs);
         attrs.push(out);
         joints.push(pairs);
     }

@@ -1,4 +1,4 @@
-use crate::{AttrIndex, Code, Column, ColumnarError, Schema};
+use crate::{AttrIndex, Code, Column, ColumnarError, PageGrouper, Schema};
 
 /// An immutable columnar dataset: `N` rows by `h` categorical attributes.
 ///
@@ -108,6 +108,15 @@ impl Dataset {
         self.columns
             .get(attr)
             .ok_or(ColumnarError::AttrOutOfRange { index: attr, num_attrs: self.columns.len() })
+    }
+
+    /// A row-list grouper matched to this dataset's page geometry, for
+    /// loops that gather the same sampled rows from many columns: group
+    /// an iteration's rows once, and every paged column's gather pins
+    /// each page it touches exactly once. All columns of a snapshot
+    /// share one page size; a heap dataset gets the identity grouper.
+    pub fn page_grouper(&self) -> PageGrouper {
+        PageGrouper::new(self.columns.iter().find_map(|c| c.paged().map(|p| p.page_rows())))
     }
 
     /// The support size `u_alpha` of attribute `attr`.

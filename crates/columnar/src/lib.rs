@@ -57,9 +57,10 @@ pub use dataset::Dataset;
 pub use dictionary::Dictionary;
 pub use error::ColumnarError;
 pub use schema::{Field, Schema};
-// Storage-layer types callers of this crate routinely need: the width a
-// column is packed at and the packed storage the hot loops scan.
-pub use swope_store::{CodeBuf, CodeRepr, PackedCodes, PackedColumn, Width};
+// Storage-layer items callers of this crate routinely need: the width a
+// column is packed at, the packed storage the hot loops scan, and the
+// width dispatch + gather those loops are built from.
+pub use swope_store::{for_packed, gather, CodeBuf, CodeRepr, PackedCodes, PackedColumn, Width};
 // The partition sketch a snapshot carries alongside its columns; scoped
 // queries in `swope-core` consume it.
 pub use swope_sketch::{ColumnSketch, DatasetSketch, SketchKind};
@@ -70,9 +71,10 @@ pub use swope_sketch::{ColumnSketch, DatasetSketch, SketchKind};
 pub use swope_store::page::PAGE_ROWS;
 
 // The pager types callers need to open datasets out-of-core: the page
-// cache a budget is configured on (plus its metrics snapshot) and the
-// pager-backed column hot loops dispatch to via [`ColumnStorage`].
-pub use swope_pager::{PageCache, PagedColumn, PagerSnapshot};
+// cache a budget is configured on (plus its metrics snapshot), the
+// pager-backed column hot loops dispatch to via [`ColumnStorage`], and
+// the row-list grouper [`Dataset::page_grouper`] hands those loops.
+pub use swope_pager::{PageCache, PageGrouper, PagedColumn, PagerSnapshot};
 
 /// Index of an attribute (column) within a dataset. Always in `0..h`.
 pub type AttrIndex = usize;

@@ -200,6 +200,10 @@ pub fn mi_top_k_batch_exec<O: QueryObserver>(
         observer.iteration(iter, m, live, lam);
 
         let span = phase_start(observed);
+        // Blocks stay in draw order, unlike the other loops' page-grouped
+        // deltas: the counters below take codes row by row, and their
+        // running `x·log2(x)` sums are float accumulations whose bits
+        // depend on that order.
         for block in delta.chunks(INGEST_BLOCK_ROWS) {
             for (attr, buf) in gathered.iter_mut().enumerate() {
                 // Widen at gather: these buffers are shared by every query
@@ -208,7 +212,9 @@ pub fn mi_top_k_batch_exec<O: QueryObserver>(
                 // only the column's packed width through the cache.
                 match dataset.column(attr).storage() {
                     ColumnStorage::Heap(packed) => packed.codes().gather_widen(block, buf),
-                    ColumnStorage::Paged(paged) => paged.gather_widen(block, buf),
+                    ColumnStorage::Paged(paged) => {
+                        paged.gather_widen(block, buf).unwrap_or_else(|e| panic!("{e}"))
+                    }
                 }
             }
             for (attr, counter) in marginals.iter_mut().enumerate() {

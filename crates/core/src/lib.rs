@@ -92,13 +92,13 @@ pub use scope::{
     mi_top_k_scoped_exec, CoveredDist, Scope,
 };
 pub use shard::{
-    entropy_filter_sharded, entropy_filter_sharded_exec, entropy_filter_transport,
-    entropy_profile_sharded, entropy_profile_sharded_exec, entropy_profile_transport,
-    entropy_top_k_sharded, entropy_top_k_sharded_exec, entropy_top_k_transport, mi_filter_sharded,
-    mi_filter_sharded_exec, mi_filter_transport, mi_profile_sharded, mi_profile_sharded_exec,
-    mi_profile_transport, mi_top_k_sharded, mi_top_k_sharded_exec, mi_top_k_transport, AttrMeta,
-    CountRequest, CountState, LocalShardSource, PairCountState, ShardCounts, ShardPlan,
-    ShardTransport,
+    count_candidate, count_target, entropy_filter_sharded, entropy_filter_sharded_exec,
+    entropy_filter_transport, entropy_profile_sharded, entropy_profile_sharded_exec,
+    entropy_profile_transport, entropy_top_k_sharded, entropy_top_k_sharded_exec,
+    entropy_top_k_transport, mi_filter_sharded, mi_filter_sharded_exec, mi_filter_transport,
+    mi_profile_sharded, mi_profile_sharded_exec, mi_profile_transport, mi_top_k_sharded,
+    mi_top_k_sharded_exec, mi_top_k_transport, AttrMeta, CountRequest, CountState,
+    LocalShardSource, PairCountState, ShardCounts, ShardPlan, ShardTransport,
 };
 pub use topk::{entropy_top_k, entropy_top_k_exec, entropy_top_k_observed};
 

@@ -82,7 +82,15 @@ pub fn mi_filter_exec<O: QueryObserver>(
     if h < 2 {
         return Err(SwopeError::NoCandidates);
     }
-    mi_filter_run(dataset, target, eta, config, observer, exec, Population::unscoped(n, config))
+    mi_filter_run(
+        dataset,
+        target,
+        eta,
+        config,
+        observer,
+        exec,
+        Population::unscoped(dataset, config),
+    )
 }
 
 /// The adaptive loop body, generic over the sampled population (see
@@ -121,10 +129,10 @@ pub(crate) fn mi_filter_run<O: QueryObserver>(
     while !states.is_empty() {
         it.begin_iteration();
         let span = it.phase_start();
-        let (delta_range, _covered) = pop.grow(m_target);
+        let grown = pop.grow(m_target);
         it.phase_end(Phase::SampleGrow, span);
-        let m = pop.sampled();
-        let delta = &pop.rows()[delta_range];
+        let m = grown.sampled;
+        let delta = grown.delta;
         let live = states.len();
         it.iteration(m, live, swope_estimate::bounds::lambda(m as u64, n as u64, p_prime));
         it.record_work(delta.len(), live, WorkKind::MiPerTarget);

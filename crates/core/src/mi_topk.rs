@@ -116,7 +116,7 @@ pub fn mi_top_k_exec<O: QueryObserver>(
     if k == 0 || k > candidates {
         return Err(SwopeError::InvalidK { k, candidates });
     }
-    mi_top_k_run(dataset, target, k, config, observer, exec, Population::unscoped(n, config))
+    mi_top_k_run(dataset, target, k, config, observer, exec, Population::unscoped(dataset, config))
 }
 
 /// The adaptive loop body, generic over the sampled population (see
@@ -154,10 +154,10 @@ pub(crate) fn mi_top_k_run<O: QueryObserver>(
     loop {
         it.begin_iteration();
         let span = it.phase_start();
-        let (delta_range, _covered) = pop.grow(m_target);
+        let grown = pop.grow(m_target);
         it.phase_end(Phase::SampleGrow, span);
-        let m = pop.sampled();
-        let delta = &pop.rows()[delta_range];
+        let m = grown.sampled;
+        let delta = grown.delta;
         let lam = lambda(m as u64, n as u64, p_prime);
         let live = states.len();
         it.iteration(m, live, lam);

@@ -80,7 +80,14 @@ pub fn entropy_profile_exec<O: QueryObserver>(
     if h == 0 || n == 0 {
         return Err(SwopeError::EmptyDataset);
     }
-    entropy_profile_run(dataset, floor, config, observer, exec, Population::unscoped(n, config))
+    entropy_profile_run(
+        dataset,
+        floor,
+        config,
+        observer,
+        exec,
+        Population::unscoped(dataset, config),
+    )
 }
 
 /// The adaptive loop body, generic over the sampled population (see
@@ -114,17 +121,17 @@ pub(crate) fn entropy_profile_run<O: QueryObserver>(
     while !states.is_empty() {
         it.begin_iteration();
         let span = it.phase_start();
-        let (delta_range, covered_k) = pop.grow(m_target);
+        let grown = pop.grow(m_target);
         it.phase_end(Phase::SampleGrow, span);
-        let m = pop.sampled();
-        let delta = &pop.rows()[delta_range];
+        let m = grown.sampled;
+        let delta = grown.delta;
         let live = states.len();
         it.iteration(m, live, swope_estimate::bounds::lambda(m as u64, n as u64, p_prime));
         it.record_work(delta.len(), live, WorkKind::EntropyMarginals);
 
         let span = it.phase_start();
         exec.for_each2(&mut states, scratch.slots(live), |st, buf| {
-            st.ingest_covered(covered_k);
+            st.ingest_covered(grown.covered_k);
             st.ingest_staged(dataset.column(st.attr), delta, buf);
         });
         it.phase_end(Phase::Ingest, span);
@@ -213,7 +220,15 @@ pub fn mi_profile_exec<O: QueryObserver>(
     if h < 2 {
         return Err(SwopeError::NoCandidates);
     }
-    mi_profile_run(dataset, target, floor, config, observer, exec, Population::unscoped(n, config))
+    mi_profile_run(
+        dataset,
+        target,
+        floor,
+        config,
+        observer,
+        exec,
+        Population::unscoped(dataset, config),
+    )
 }
 
 /// The adaptive loop body, generic over the sampled population (see
@@ -252,10 +267,10 @@ pub(crate) fn mi_profile_run<O: QueryObserver>(
     while !states.is_empty() {
         it.begin_iteration();
         let span = it.phase_start();
-        let (delta_range, _covered) = pop.grow(m_target);
+        let grown = pop.grow(m_target);
         it.phase_end(Phase::SampleGrow, span);
-        let m = pop.sampled();
-        let delta = &pop.rows()[delta_range];
+        let m = grown.sampled;
+        let delta = grown.delta;
         let live = states.len();
         it.iteration(m, live, swope_estimate::bounds::lambda(m as u64, n as u64, p_prime));
         it.record_work(delta.len(), live, WorkKind::MiPerTarget);

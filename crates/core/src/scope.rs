@@ -59,7 +59,9 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use swope_columnar::{AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch};
+use swope_columnar::{
+    AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch, PageGrouper,
+};
 use swope_estimate::entropy::EntropyCounter;
 use swope_obs::{QueryKind, QueryObserver};
 use swope_sampling::rng::Xoshiro256pp;
@@ -205,47 +207,43 @@ fn scan_predicate(
     let mut scanned = 0u64;
     let first_page = range.start / PAGE_ROWS;
     let last_page = range.end.div_ceil(PAGE_ROWS);
-    match column.storage() {
-        ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |codes| {
-            for page in first_page..last_page {
-                if let Some(sk) = sketch {
-                    if sk.column(attr).is_some_and(|c| c.page_count(page, code) == 0) {
-                        continue;
-                    }
-                }
-                let lo = range.start.max(page * PAGE_ROWS);
-                let hi = range.end.min((page + 1) * PAGE_ROWS);
-                scanned += (hi - lo) as u64;
-                for (off, c) in codes[lo..hi].iter().enumerate() {
-                    if c.widen() == code {
-                        rows.push((lo + off) as u32);
-                    }
-                }
+    for page in first_page..last_page {
+        if let Some(sk) = sketch {
+            if sk.column(attr).is_some_and(|c| c.page_count(page, code) == 0) {
+                continue;
             }
-        }),
-        // A paged column scans through a cursor, so sketch-skipped pages
-        // are never faulted (and never CRC-checked) — a predicate scan
-        // touches exactly the pages that can hold matches.
-        ColumnStorage::Paged(paged) => {
-            let mut cur = paged.cursor();
-            for page in first_page..last_page {
-                if let Some(sk) = sketch {
-                    if sk.column(attr).is_some_and(|c| c.page_count(page, code) == 0) {
-                        continue;
-                    }
-                }
-                let lo = range.start.max(page * PAGE_ROWS);
-                let hi = range.end.min((page + 1) * PAGE_ROWS);
-                scanned += (hi - lo) as u64;
-                for r in lo..hi {
-                    if cur.code(r) == code {
-                        rows.push(r as u32);
-                    }
-                }
-            }
+        }
+        let lo = range.start.max(page * PAGE_ROWS);
+        let hi = range.end.min((page + 1) * PAGE_ROWS);
+        scanned += (hi - lo) as u64;
+        match column.storage() {
+            ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |codes| {
+                push_matches(&codes[lo..hi], lo, code, &mut rows)
+            }),
+            // One pinned page at a time, and only pages that can hold
+            // matches: a sketch-skipped page is never faulted (nor
+            // CRC-checked).
+            ColumnStorage::Paged(paged) => paged
+                .try_for_each_page(lo..hi, |first, decoded| {
+                    let from = lo.max(first);
+                    let to = hi.min(first + decoded.len());
+                    for_packed!(decoded, |codes| {
+                        push_matches(&codes[from - first..to - first], from, code, &mut rows)
+                    })
+                })
+                .unwrap_or_else(|e| panic!("{e}")),
         }
     }
     (rows, scanned)
+}
+
+/// Appends `first_row + i` for every `codes[i] == code`.
+fn push_matches<R: CodeRepr>(codes: &[R], first_row: usize, code: Code, rows: &mut Vec<u32>) {
+    for (off, c) in codes.iter().enumerate() {
+        if c.widen() == code {
+            rows.push((first_row + off) as u32);
+        }
+    }
 }
 
 /// WOR sampler over a multiset of codes: the covered region's remaining
@@ -428,11 +426,26 @@ pub(crate) struct Population {
     setup_rows: u64,
     setup_nanos: Option<u64>,
     kind: PopKind,
+    /// Reorders each delta so paged gathers pin every page once.
+    grouper: PageGrouper,
+}
+
+/// One [`Population::grow`] step.
+pub(crate) struct Growth<'a> {
+    /// The new physical rows, rows of one page adjacent (draw order on
+    /// a heap dataset). Every loop drains a delta into integer count
+    /// histograms, so its order never reaches an answer.
+    pub delta: &'a [u32],
+    /// Covered-region draws this step (0 for physical populations).
+    pub covered_k: u64,
+    /// Total draws so far (physical + covered).
+    pub sampled: usize,
 }
 
 impl Population {
     /// The whole dataset, sampled exactly as the pre-scope code did.
-    pub(crate) fn unscoped(num_rows: usize, config: &SwopeConfig) -> Self {
+    pub(crate) fn unscoped(dataset: &Dataset, config: &SwopeConfig) -> Self {
+        let num_rows = dataset.num_rows();
         Self {
             n: num_rows,
             setup_rows: 0,
@@ -442,6 +455,7 @@ impl Population {
                 map: RowMap::Identity,
                 rows: Vec::new(),
             },
+            grouper: dataset.page_grouper(),
         }
     }
 
@@ -508,7 +522,13 @@ impl Population {
                 rows: Vec::new(),
             },
         };
-        Self { n: setup.n, setup_rows: setup.setup_rows, setup_nanos: None, kind }
+        Self {
+            n: setup.n,
+            setup_rows: setup.setup_rows,
+            setup_nanos: None,
+            kind,
+            grouper: dataset.page_grouper(),
+        }
     }
 
     /// Stamps the scope-resolution wall-clock span (observer-enabled
@@ -523,22 +543,14 @@ impl Population {
         self.n
     }
 
-    /// Total draws so far (physical + covered).
-    pub(crate) fn sampled(&self) -> usize {
-        match &self.kind {
-            PopKind::Physical { sampler, .. } => sampler.sampled(),
-            PopKind::Hybrid(hp) => hp.drawn,
-        }
-    }
-
-    /// Grows the sample to `target` draws. Returns the new physical
-    /// rows as a range into [`Population::rows`], plus the number of
-    /// covered-region draws this growth step (0 for physical
-    /// populations).
-    pub(crate) fn grow(&mut self, target: usize) -> (Range<usize>, u64) {
-        match &mut self.kind {
+    /// Grows the sample to `target` draws and hands back the new
+    /// physical rows, page-grouped — the one place a loop's delta is
+    /// produced, so no loop can forget the grouping or see draw order.
+    pub(crate) fn grow(&mut self, target: usize) -> Growth<'_> {
+        let (delta, covered_k, sampled): (&[u32], u64, usize) = match &mut self.kind {
             PopKind::Physical { sampler, map: RowMap::Identity, .. } => {
-                (sampler.grow_delta(target), 0)
+                let delta_range = sampler.grow_delta(target);
+                (&sampler.rows()[delta_range], 0, sampler.sampled())
             }
             PopKind::Physical { sampler, map, rows } => {
                 let before = rows.len();
@@ -549,19 +561,14 @@ impl Population {
                     RowMap::Offset(off) => rows.extend(delta.iter().map(|&r| r + *off)),
                     RowMap::List(list) => rows.extend(delta.iter().map(|&r| list[r as usize])),
                 }
-                (before..rows.len(), 0)
+                (&rows[before..], 0, sampler.sampled())
             }
-            PopKind::Hybrid(hp) => hp.grow(target),
-        }
-    }
-
-    /// All physical rows drawn so far, in draw order.
-    pub(crate) fn rows(&self) -> &[u32] {
-        match &self.kind {
-            PopKind::Physical { sampler, map: RowMap::Identity, .. } => sampler.rows(),
-            PopKind::Physical { rows, .. } => rows,
-            PopKind::Hybrid(hp) => &hp.rows,
-        }
+            PopKind::Hybrid(hp) => {
+                let (delta_range, covered_k) = hp.grow(target);
+                (&hp.rows[delta_range], covered_k, hp.drawn)
+            }
+        };
+        Growth { delta: self.grouper.group(delta), covered_k, sampled }
     }
 
     /// Physical rows examined while resolving the scope.

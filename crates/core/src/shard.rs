@@ -41,20 +41,22 @@
 //! * `*_sharded` / `*_sharded_exec` — entry points mirroring the
 //!   unsharded API, answering from `shards` in-process row shards.
 
-use swope_columnar::{AttrIndex, Code, CodeRepr, Column, ColumnStorage, Dataset};
+use swope_columnar::{
+    AttrIndex, Code, CodeBuf, CodeRepr, Column, ColumnStorage, Dataset, PageGrouper, PagedColumn,
+};
 use swope_estimate::bounds::lambda;
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::freq::{pack_pair, unpack_pair};
 use swope_estimate::joint::JointEntropyCounter;
 use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver};
 use swope_sampling::{DoublingSchedule, PrefixShuffle, Sampler};
-use swope_store::for_packed;
+use swope_store::{for_buf, for_packed};
 
 use crate::exec::Executor;
 use crate::observe::Instrumented;
 use crate::profile::ProfileResult;
 use crate::report::{AttrScore, FilterResult, TopKResult, WorkKind};
-use crate::state::{EntropyState, MiState, TargetState};
+use crate::state::{EntropyState, MiState, TargetState, INGEST_BLOCK_ROWS};
 use crate::topk::top_k_indices;
 use crate::{SamplingStrategy, SwopeConfig, SwopeError};
 
@@ -390,6 +392,7 @@ pub struct LocalShardSource<'a> {
     plan: ShardPlan,
     meta: Vec<AttrMeta>,
     sampler: PrefixShuffle,
+    grouper: PageGrouper,
     shard_rows: Vec<Vec<u32>>,
     shard_tcodes: Vec<Vec<Code>>,
 }
@@ -417,6 +420,7 @@ impl<'a> LocalShardSource<'a> {
             exec,
             meta: dataset_meta(dataset),
             sampler: PrefixShuffle::new(n, seed),
+            grouper: dataset.page_grouper(),
             shard_rows: vec![Vec::new(); s],
             shard_tcodes: vec![Vec::new(); s],
             plan,
@@ -426,6 +430,122 @@ impl<'a> LocalShardSource<'a> {
     /// The shard plan in use.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
+    }
+}
+
+/// Counts the target column's codes at `rows` into `counts` and leaves
+/// them, widened, in `tcodes` (replacing its contents): `tcodes[i]` is
+/// the code at `rows[i]`, which is what [`count_candidate`] pairs
+/// against. One body for the in-process shards and the cluster peers.
+pub fn count_target(
+    column: &Column,
+    rows: &[u32],
+    counts: &mut CountState,
+    tcodes: &mut Vec<Code>,
+) {
+    match column.storage() {
+        ColumnStorage::Heap(packed) => {
+            tcodes.clear();
+            tcodes.reserve(rows.len());
+            for_packed!(packed.codes(), |codes| {
+                for &r in rows {
+                    let c = codes[r as usize].widen();
+                    counts.add(c);
+                    tcodes.push(c);
+                }
+            })
+        }
+        ColumnStorage::Paged(paged) => {
+            paged.gather_widen(rows, tcodes).unwrap_or_else(|e| panic!("{e}"));
+            for &c in tcodes.iter() {
+                counts.add(c);
+            }
+        }
+    }
+}
+
+/// Counts a candidate column's codes at `rows` into `out` and, when
+/// `tcodes` carries the target's codes at the same rows, each row's
+/// `(target, candidate)` pair into `pairs`.
+pub fn count_candidate(
+    column: &Column,
+    rows: &[u32],
+    tcodes: Option<&[Code]>,
+    out: &mut CountState,
+    pairs: &mut PairCountState,
+) {
+    match column.storage() {
+        ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |codes| match tcodes {
+            Some(tcodes) => {
+                for (&r, &tc) in rows.iter().zip(tcodes) {
+                    let c = codes[r as usize].widen();
+                    out.add(c);
+                    pairs.add(tc, c);
+                }
+            }
+            None => {
+                for &r in rows {
+                    out.add(codes[r as usize].widen());
+                }
+            }
+        }),
+        ColumnStorage::Paged(paged) => match tcodes {
+            Some(tcodes) => count_paged_pairs(paged, rows, tcodes, out, pairs, &mut CodeBuf::new()),
+            None => count_paged(paged, rows, out, &mut CodeBuf::new()),
+        },
+    }
+}
+
+/// Stages one block of a paged column's codes. A corrupt page panics
+/// with the store's one-line `page N: checksum mismatch` message, which
+/// the executor (or the server's dispatch guard) turns back into a
+/// query error — the loops have no error channel of their own.
+fn gather_paged(paged: &PagedColumn, block: &[u32], buf: &mut CodeBuf) {
+    paged.gather(block, buf).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// The paged gather → count block loop: stages `rows` block by block
+/// through `buf` at the column's width and adds every code to `out`.
+/// Out of line, so the heap arms beside its callers compile exactly as
+/// they did without it.
+#[inline(never)]
+pub(crate) fn count_paged(
+    paged: &PagedColumn,
+    rows: &[u32],
+    out: &mut CountState,
+    buf: &mut CodeBuf,
+) {
+    for block in rows.chunks(INGEST_BLOCK_ROWS) {
+        gather_paged(paged, block, buf);
+        for_buf!(&*buf, |codes| {
+            for &c in codes.iter() {
+                out.add(c.widen());
+            }
+        });
+    }
+}
+
+/// [`count_paged`] for MI: also adds each row's `(target, candidate)`
+/// pair to `pairs`; `tcodes[i]` is the target's code at `rows[i]`.
+#[inline(never)]
+pub(crate) fn count_paged_pairs(
+    paged: &PagedColumn,
+    rows: &[u32],
+    tcodes: &[Code],
+    out: &mut CountState,
+    pairs: &mut PairCountState,
+    buf: &mut CodeBuf,
+) {
+    debug_assert_eq!(tcodes.len(), rows.len());
+    for (block, tcs) in rows.chunks(INGEST_BLOCK_ROWS).zip(tcodes.chunks(INGEST_BLOCK_ROWS)) {
+        gather_paged(paged, block, buf);
+        for_buf!(&*buf, |codes| {
+            for (&c, &tc) in codes.iter().zip(tcs) {
+                let c = c.widen();
+                out.add(c);
+                pairs.add(tc, c);
+            }
+        });
     }
 }
 
@@ -458,7 +578,9 @@ impl ShardTransport for LocalShardSource<'_> {
         for rows in &mut self.shard_rows {
             rows.clear();
         }
-        let delta = self.sampler.grow_to(m_target);
+        // Grouped by page before the split (which keeps each shard's
+        // list in delta order), so paged gathers pin each page once.
+        let delta = self.grouper.group(self.sampler.grow_to(m_target));
         for &r in delta {
             self.shard_rows[self.plan.shard_of(r)].push(r);
         }
@@ -471,28 +593,13 @@ impl ShardTransport for LocalShardSource<'_> {
             let support = self.meta[t].support;
             let column = self.dataset.column(t);
             for (s_i, target) in targets.iter_mut().enumerate() {
-                let rows = &self.shard_rows[s_i];
-                let tcodes = &mut self.shard_tcodes[s_i];
-                tcodes.clear();
-                tcodes.reserve(rows.len());
                 let mut counts = CountState::new(support);
-                match column.storage() {
-                    ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |codes| {
-                        for &r in rows {
-                            let c = codes[r as usize].widen();
-                            counts.add(c);
-                            tcodes.push(c);
-                        }
-                    }),
-                    ColumnStorage::Paged(paged) => {
-                        let mut cur = paged.cursor();
-                        for &r in rows {
-                            let c = cur.code(r as usize);
-                            counts.add(c);
-                            tcodes.push(c);
-                        }
-                    }
-                }
+                count_target(
+                    column,
+                    &self.shard_rows[s_i],
+                    &mut counts,
+                    &mut self.shard_tcodes[s_i],
+                );
                 *target = Some(counts);
             }
         }
@@ -510,40 +617,8 @@ impl ShardTransport for LocalShardSource<'_> {
                 });
             }
         }
-        self.exec.for_each_mut(&mut jobs, |job| match job.column.storage() {
-            ColumnStorage::Heap(packed) => {
-                for_packed!(packed.codes(), |codes| match job.tcodes {
-                    Some(tcodes) => {
-                        for (&r, &tc) in job.rows.iter().zip(tcodes) {
-                            let c = codes[r as usize].widen();
-                            job.out.add(c);
-                            job.pairs.add(tc, c);
-                        }
-                    }
-                    None => {
-                        for &r in job.rows {
-                            job.out.add(codes[r as usize].widen());
-                        }
-                    }
-                })
-            }
-            ColumnStorage::Paged(paged) => {
-                let mut cur = paged.cursor();
-                match job.tcodes {
-                    Some(tcodes) => {
-                        for (&r, &tc) in job.rows.iter().zip(tcodes) {
-                            let c = cur.code(r as usize);
-                            job.out.add(c);
-                            job.pairs.add(tc, c);
-                        }
-                    }
-                    None => {
-                        for &r in job.rows {
-                            job.out.add(cur.code(r as usize));
-                        }
-                    }
-                }
-            }
+        self.exec.for_each_mut(&mut jobs, |job| {
+            count_candidate(job.column, job.rows, job.tcodes, &mut job.out, &mut job.pairs)
         });
 
         let mut out = Vec::with_capacity(num_shards);

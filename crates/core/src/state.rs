@@ -21,6 +21,15 @@
 //! stays at the column's width too: a `u8` column moves a quarter of the
 //! bytes an unpacked gather would.
 //!
+//! Paged (out-of-core) columns run the same gather → count block loop
+//! (`shard::count_paged`, shared with the shard engine):
+//! [`swope_columnar::PagedColumn::gather`] stages a block at the
+//! column's width, pinning one page at a time. The rows every ingest of
+//! an iteration sees are already grouped by page (by
+//! `scope::Population::grow`, which produces them), so each touched page
+//! is pinned once per block; the order-independence described next is
+//! what makes that reordering invisible in the answers.
+//!
 //! Every ingest is also **canonically applied**: an ingest call first
 //! accumulates its rows into a pure-integer delta histogram
 //! ([`crate::shard::CountState`]; joint occurrences into a
@@ -40,7 +49,7 @@ use swope_sampling::{PageShuffle, PrefixShuffle, Sampler};
 use swope_store::{for_packed, gather};
 
 use crate::scope::CoveredDist;
-use crate::shard::{CountState, PairCountState};
+use crate::shard::{count_paged, count_paged_pairs, CountState, PairCountState};
 use crate::SamplingStrategy;
 
 /// Row-block granularity of the gather-staged ingest path.
@@ -180,8 +189,8 @@ impl EntropyState {
 
     /// Ingests newly sampled rows (O(Δrows)), applied canonically: the
     /// counter update depends only on the row multiset, not its order.
-    /// Paged columns read through a page cursor — same codes in the same
-    /// order, so the delta (and thus the counter) is bitwise identical.
+    /// Paged columns have no slab to index, so they take the staged
+    /// path through a throwaway buffer — same multiset, same counter.
     #[inline]
     pub fn ingest(&mut self, column: &Column, new_rows: &[u32]) {
         match column.storage() {
@@ -189,10 +198,7 @@ impl EntropyState {
                 for_packed!(packed.codes(), |codes| self.ingest_repr(codes, new_rows))
             }
             ColumnStorage::Paged(paged) => {
-                let mut cur = paged.cursor();
-                for &r in new_rows {
-                    self.delta.add(cur.code(r as usize));
-                }
+                count_paged(paged, new_rows, &mut self.delta, &mut CodeBuf::new())
             }
         }
         self.delta.apply_to(&mut self.counter);
@@ -217,14 +223,7 @@ impl EntropyState {
             ColumnStorage::Heap(packed) => {
                 for_packed!(packed.codes(), |codes| self.ingest_staged_repr(codes, new_rows, buf))
             }
-            ColumnStorage::Paged(paged) => {
-                // Paged columns have no in-memory slab to gather from;
-                // the cursor path produces the identical add sequence.
-                let mut cur = paged.cursor();
-                for &r in new_rows {
-                    self.delta.add(cur.code(r as usize));
-                }
-            }
+            ColumnStorage::Paged(paged) => count_paged(paged, new_rows, &mut self.delta, buf),
         }
         self.delta.apply_to(&mut self.counter);
     }
@@ -325,15 +324,14 @@ impl MiState {
                     self.ingest_repr(codes, target_codes, new_rows)
                 })
             }
-            ColumnStorage::Paged(paged) => {
-                debug_assert_eq!(target_codes.len(), new_rows.len());
-                let mut cur = paged.cursor();
-                for (&r, &tc) in new_rows.iter().zip(target_codes) {
-                    let c = cur.code(r as usize);
-                    self.delta.add(c);
-                    self.jdelta.add(tc, c);
-                }
-            }
+            ColumnStorage::Paged(paged) => count_paged_pairs(
+                paged,
+                new_rows,
+                target_codes,
+                &mut self.delta,
+                &mut self.jdelta,
+                &mut CodeBuf::new(),
+            ),
         }
         self.delta.apply_to(&mut self.counter);
         self.jdelta.apply_to(&mut self.joint);
@@ -368,15 +366,14 @@ impl MiState {
                     self.ingest_staged_repr(codes, target_codes, new_rows, buf)
                 })
             }
-            ColumnStorage::Paged(paged) => {
-                debug_assert_eq!(target_codes.len(), new_rows.len());
-                let mut cur = paged.cursor();
-                for (&r, &tc) in new_rows.iter().zip(target_codes) {
-                    let c = cur.code(r as usize);
-                    self.delta.add(c);
-                    self.jdelta.add(tc, c);
-                }
-            }
+            ColumnStorage::Paged(paged) => count_paged_pairs(
+                paged,
+                new_rows,
+                target_codes,
+                &mut self.delta,
+                &mut self.jdelta,
+                buf,
+            ),
         }
         self.delta.apply_to(&mut self.counter);
         self.jdelta.apply_to(&mut self.joint);
@@ -491,13 +488,9 @@ impl TargetState {
                 for_packed!(packed.codes(), |codes| self.ingest_into_repr(codes, new_rows, out))
             }
             ColumnStorage::Paged(paged) => {
-                out.clear();
-                out.reserve(new_rows.len());
-                let mut cur = paged.cursor();
-                for &r in new_rows {
-                    let c = cur.code(r as usize);
+                paged.gather_widen(new_rows, out).unwrap_or_else(|e| panic!("{e}"));
+                for &c in out.iter() {
                     self.delta.add(c);
-                    out.push(c);
                 }
             }
         }

@@ -78,7 +78,7 @@ pub fn entropy_top_k_exec<O: QueryObserver>(
     if k == 0 || k > h {
         return Err(SwopeError::InvalidK { k, candidates: h });
     }
-    entropy_top_k_run(dataset, k, config, observer, exec, Population::unscoped(n, config))
+    entropy_top_k_run(dataset, k, config, observer, exec, Population::unscoped(dataset, config))
 }
 
 /// The adaptive loop body, generic over the sampled population. Unscoped
@@ -114,10 +114,10 @@ pub(crate) fn entropy_top_k_run<O: QueryObserver>(
     loop {
         it.begin_iteration();
         let span = it.phase_start();
-        let (delta_range, covered_k) = pop.grow(m_target);
+        let grown = pop.grow(m_target);
         it.phase_end(Phase::SampleGrow, span);
-        let m = pop.sampled();
-        let delta = &pop.rows()[delta_range];
+        let m = grown.sampled;
+        let delta = grown.delta;
         let lam = lambda(m as u64, n as u64, p_prime);
         let live = states.len();
         it.iteration(m, live, lam);
@@ -125,7 +125,7 @@ pub(crate) fn entropy_top_k_run<O: QueryObserver>(
 
         let span = it.phase_start();
         exec.for_each2(&mut states, scratch.slots(live), |st, buf| {
-            st.ingest_covered(covered_k);
+            st.ingest_covered(grown.covered_k);
             st.ingest_staged(dataset.column(st.attr), delta, buf);
         });
         it.phase_end(Phase::Ingest, span);

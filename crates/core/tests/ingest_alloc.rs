@@ -4,6 +4,8 @@
 //! reach their high-water mark, iterating allocates nothing: block
 //! buffers are capped at [`swope_core::state::INGEST_BLOCK_ROWS`] and
 //! reused, and the MI target buffer only regrows past its largest delta.
+//! The same holds over paged columns, whose gather adds a page grouper
+//! and page pins but no allocation once the pages are resident.
 //! This binary installs a counting global allocator and asserts exactly
 //! that. It holds a single test on purpose: the harness is per-process,
 //! and a concurrently running neighbour test would count its own
@@ -11,8 +13,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use swope_columnar::{Column, Dataset, Field, Schema};
+use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Schema};
 use swope_core::state::{EntropyState, GatherScratch, MiState, TargetState};
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -48,7 +51,8 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 #[test]
 fn staged_ingest_allocates_nothing_in_steady_state() {
-    let n = 65_536usize;
+    // Three 64Ki-row pages, so the paged case crosses page boundaries.
+    let n = 3 * 65_536usize;
     let mut r = Xoshiro256pp::seed_from_u64(0x5170);
     let make = |support: u32, r: &mut Xoshiro256pp| -> Vec<u32> {
         (0..n).map(|_| r.next_below(support as u64) as u32).collect()
@@ -66,19 +70,35 @@ fn staged_ingest_allocates_nothing_in_steady_state() {
         }
         rows
     };
+    audit("heap", &ds, &rows);
 
+    // The same columns out-of-core: the page-grouped gather, its
+    // grouper and the pins it takes must be just as allocation-free once
+    // every page is resident (an unbounded cache never evicts, so no
+    // steady-state delta faults).
+    let path = std::env::temp_dir().join(format!("swope-ingest-alloc-{}.swop", std::process::id()));
+    snapshot::write_file(&ds, &path).unwrap();
+    let (paged, _) = snapshot::open_paged(&path, Arc::new(PageCache::unbounded())).unwrap();
+    assert!(paged.column(0).is_paged());
+    audit("paged", &paged, &rows);
+    let _ = std::fs::remove_file(path);
+}
+
+fn audit(label: &str, ds: &Dataset, rows: &[u32]) {
     let cand = ds.column(0);
     let target = ds.column(1);
-    let mut entropy = EntropyState::new(&ds, 0);
-    let mut target_state = TargetState::new(&ds, 1);
+    let mut entropy = EntropyState::new(ds, 0);
+    let mut target_state = TargetState::new(ds, 1);
     let mut mi = MiState::new(0, target_state.support, ds.support(0));
     let mut scratch = GatherScratch::new(2);
+    let mut grouper = ds.page_grouper();
 
     // Warm-up: the first delta grows every buffer to its high-water mark
-    // (block buffers cap at INGEST_BLOCK_ROWS; the target buffer sizes to
-    // the largest delta) and observes every (target, cand) pair so the
-    // counters' structures are fully built.
-    let warm = &rows[..20_000];
+    // (block buffers cap at INGEST_BLOCK_ROWS; the target buffer and the
+    // grouper size to the largest delta), touches every page, and
+    // observes every (target, cand) pair so the counters' structures are
+    // fully built.
+    let warm = grouper.group(&rows[..20_000]);
     entropy.ingest_staged(cand, warm, &mut scratch.slots(2)[0]);
     let (t_buf, slots) = scratch.target_and_slots(2);
     target_state.ingest_into(target, warm, t_buf);
@@ -88,11 +108,12 @@ fn staged_ingest_allocates_nothing_in_steady_state() {
     // land both on and off block boundaries) must not allocate at all.
     let before = ALLOCS.load(Ordering::Relaxed);
     for delta in rows[20_000..].chunks(7_321) {
+        let delta = grouper.group(delta);
         entropy.ingest_staged(cand, delta, &mut scratch.slots(2)[0]);
         let (t_buf, slots) = scratch.target_and_slots(2);
         target_state.ingest_into(target, delta, t_buf);
         mi.ingest_staged(cand, t_buf, delta, &mut slots[1]);
     }
     let after = ALLOCS.load(Ordering::Relaxed);
-    assert_eq!(after - before, 0, "steady-state ingest performed {} allocations", after - before);
+    assert_eq!(after - before, 0, "{label}: steady-state ingest performed allocations");
 }

@@ -4,13 +4,17 @@
 //! budget small enough to force continuous eviction.
 //!
 //! The pager changes only where code bytes live between touches. Every
-//! paged read path (cursor ingest, `gather_widen`, per-page predicate
-//! scans) produces the exact same code sequence the heap's packed slices
-//! do, so the `(counter, joint)` update order — and therefore every
-//! float — is identical. This is the acceptance bar for `swope-pager`:
-//! heap / mmap / budget-evicting modes × widths {u8,u16,u32} × exec
-//! threads {1,8}, across all six loops plus the scoped and sharded
-//! entry points.
+//! paged read path (page-grouped gather, `gather_widen`, per-page
+//! predicate scans) reads the exact same codes the heap's packed slices
+//! hold. The six loops' gathers see an iteration's rows regrouped by
+//! page, but every one of their ingests drains an order-independent
+//! integer histogram, so the `(counter, joint)` update sequence — and
+//! therefore every float — is identical. The batch engine feeds its
+//! counters row by row, which is order-dependent, so it gathers in draw
+//! order and is held to the same bar here. This is the acceptance bar
+//! for `swope-pager`: heap / mmap / budget-evicting modes × widths
+//! {u8,u16,u32} × exec threads {1,8}, across all six loops, the batch
+//! engine, and the scoped and sharded entry points.
 
 use std::sync::Arc;
 
@@ -20,7 +24,8 @@ use swope_core::{
     entropy_profile_scoped_exec, entropy_profile_sharded_exec, entropy_top_k,
     entropy_top_k_scoped_exec, entropy_top_k_sharded_exec, mi_filter, mi_filter_scoped_exec,
     mi_filter_sharded_exec, mi_profile, mi_profile_scoped_exec, mi_profile_sharded_exec, mi_top_k,
-    mi_top_k_scoped_exec, mi_top_k_sharded_exec, Executor, NoopObserver, Scope, SwopeConfig,
+    mi_top_k_batch, mi_top_k_scoped_exec, mi_top_k_sharded_exec, Executor, NoopObserver, Scope,
+    SwopeConfig,
 };
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -165,6 +170,11 @@ fn mi_top_k_is_pager_invariant() {
 }
 
 #[test]
+fn mi_top_k_batch_is_pager_invariant() {
+    assert_pager_invariant(37, |m, cfg| mi_top_k_batch(&m.dataset, &[0, 1], 2, cfg).unwrap());
+}
+
+#[test]
 fn mi_filter_is_pager_invariant() {
     assert_pager_invariant(34, |m, cfg| mi_filter(&m.dataset, 0, 0.05, cfg).unwrap());
 }
@@ -205,6 +215,33 @@ fn scoped_queries_are_pager_invariant() {
             )
             .unwrap(),
             mi_profile_scoped_exec(&m.dataset, 0, 0.05, &scope, sk, cfg, &mut NoopObserver, &exec)
+                .unwrap(),
+        )
+    });
+}
+
+/// The two scope shapes the combined scope above never reaches. A pure
+/// predicate materializes its row list by scanning *every* page the
+/// sketch cannot rule out — per-page slices of a paged column — and
+/// samples it through a list map; a pure range with a sketch runs the
+/// hybrid sampler, whose physical rows are the two fringe pages — the
+/// shuffled two-page sample the page-grouped gather exists for — while
+/// MI offset-maps the same range. Entropy and MI shapes, threads 1/8.
+#[test]
+fn predicate_and_range_scopes_are_pager_invariant() {
+    assert_pager_invariant(40, |m, cfg| {
+        let exec = Executor::new(cfg.threads);
+        let sk = m.sketch.as_ref();
+        let predicate = Scope::all().with_predicate(1, 2);
+        let range = Scope::range(30_000, 140_000);
+        (
+            entropy_top_k_scoped_exec(&m.dataset, 2, &predicate, sk, cfg, &mut NoopObserver, &exec)
+                .unwrap(),
+            mi_top_k_scoped_exec(&m.dataset, 0, 2, &predicate, sk, cfg, &mut NoopObserver, &exec)
+                .unwrap(),
+            entropy_top_k_scoped_exec(&m.dataset, 2, &range, sk, cfg, &mut NoopObserver, &exec)
+                .unwrap(),
+            mi_filter_scoped_exec(&m.dataset, 0, 0.05, &range, sk, cfg, &mut NoopObserver, &exec)
                 .unwrap(),
         )
     });

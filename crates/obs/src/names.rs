@@ -23,6 +23,12 @@ pub const HTTP_REJECTED_TOTAL: &str = "swope_http_rejected_total";
 /// per-request deadline while waiting in the queue.
 pub const HTTP_DEADLINE_EXPIRED_TOTAL: &str = "swope_http_deadline_expired_total";
 
+/// Counter: requests whose handler panicked on a worker (a corrupt page
+/// met on the sequential executor, say). The panic is contained: the
+/// client gets a one-line `500` carrying the panic message, the worker
+/// and the connection both live on.
+pub const WORKER_PANICS_TOTAL: &str = "swope_worker_panics_total";
+
 /// Histogram: wall-clock microseconds from request parse to response
 /// written, for requests that reached the router.
 pub const HTTP_REQUEST_MICROS: &str = "swope_http_request_duration_microseconds";
@@ -168,10 +174,25 @@ pub const CONN_TIMEOUTS_TOTAL: &str = "swope_conn_timeouts_total";
 /// snapshot (or its compressed resident form) into the page cache.
 pub const PAGER_FAULTS_TOTAL: &str = "swope_pager_faults_total";
 
-/// Counter: seconds spent servicing page faults (decode + CRC check +
-/// admission), summed across threads. Divide by
-/// `swope_pager_faults_total` for mean fault latency.
+/// Counter: seconds spent servicing page faults (first-touch CRC check
+/// and decode from the mapped snapshot), summed across threads. Divide by
+/// `swope_pager_faults_total` for mean fault latency. Admission, and any
+/// eviction it forces, is `swope_pager_evict_seconds_total`.
 pub const PAGER_FAULT_SECONDS_TOTAL: &str = "swope_pager_fault_seconds_total";
+
+/// Counter: seconds the CLOCK hand spent walking the ring and demoting
+/// pages, eviction-time re-encoding (RLE/palette) included.
+pub const PAGER_EVICT_SECONDS_TOTAL: &str = "swope_pager_evict_seconds_total";
+
+/// Counter: seconds spent re-expanding compressed resident pages
+/// (`swope_pager_decompressions_total` of them).
+pub const PAGER_DECOMPRESS_SECONDS_TOTAL: &str = "swope_pager_decompress_seconds_total";
+
+/// Counter: hot pages examined for the compressed tier at eviction (run
+/// count and/or re-encode), kept or not. A page found incompressible is
+/// remembered and never examined again, so on a steady workload this
+/// grows only with pages that do compress.
+pub const PAGER_COMPRESSIONS_TOTAL: &str = "swope_pager_compressions_total";
 
 /// Counter: pages evicted by the CLOCK sweep to honour the byte budget
 /// (`--store-budget-bytes`). Zero on an unbounded cache.

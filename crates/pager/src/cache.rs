@@ -17,7 +17,9 @@
 //! A `Hot → Compressed` demotion happens only when the page's encoding
 //! pick (from the sketch histogram, or a run-count fallback) actually
 //! reaches half the plain bytes; otherwise the page drops straight to
-//! `Cold`. Pages currently borrowed by a gather (their `Arc` is cloned)
+//! `Cold` — and, pages being immutable, that verdict is remembered on
+//! the slot, so a page is examined at most once however often it is
+//! evicted. Pages currently borrowed by a gather (their `Arc` is cloned)
 //! are never evicted, and a single page larger than the whole budget is
 //! allowed to overshoot — the cache bounds steady-state memory, it does
 //! not deadlock on pathological budgets.
@@ -28,7 +30,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use swope_store::rle::{self, CompressedPage, PageEncoding};
 use swope_store::PackedCodes;
@@ -62,6 +64,9 @@ pub(crate) struct PageSlot {
     pub(crate) registered: AtomicBool,
     /// Eviction-time encoding pick for this page.
     pub(crate) pick: PageEncoding,
+    /// Examined at an eviction and found not to reach half its plain
+    /// bytes: later evictions drop it cold without looking again.
+    pub(crate) incompressible: AtomicBool,
     pub(crate) state: Mutex<SlotState>,
 }
 
@@ -72,6 +77,7 @@ impl PageSlot {
             validated: AtomicBool::new(false),
             registered: AtomicBool::new(false),
             pick,
+            incompressible: AtomicBool::new(false),
             state: Mutex::new(SlotState::Cold),
         }
     }
@@ -91,7 +97,10 @@ pub struct PageCache {
     faults: AtomicU64,
     fault_nanos: AtomicU64,
     decompressions: AtomicU64,
+    decompress_nanos: AtomicU64,
     evictions: AtomicU64,
+    evict_nanos: AtomicU64,
+    compressions: AtomicU64,
     crc_validations: AtomicU64,
     compressed_pages: AtomicU64,
     compressed_bytes: AtomicU64,
@@ -104,12 +113,22 @@ pub struct PageCache {
 pub struct PagerSnapshot {
     /// Pages decoded from the mapping (first touch or cold refetch).
     pub faults: u64,
-    /// Total nanoseconds spent decoding faulted pages.
+    /// Total nanoseconds spent decoding faulted pages (admission, and
+    /// any eviction it forces, excluded — see `evict_nanos`).
     pub fault_nanos: u64,
     /// Refetches served from the compressed tier.
     pub decompressions: u64,
+    /// Total nanoseconds spent decoding `Compressed → Hot` promotions.
+    pub decompress_nanos: u64,
     /// Pages demoted by the clock hand (either tier).
     pub evictions: u64,
+    /// Total nanoseconds the clock hand spent walking and demoting,
+    /// re-encoding included.
+    pub evict_nanos: u64,
+    /// Hot pages examined for the compressed tier at eviction (run
+    /// count and/or re-encode), whether or not the result was kept. A
+    /// page found incompressible is never examined again.
+    pub compressions: u64,
     /// First-touch CRC verifications performed.
     pub crc_validations: u64,
     /// Bytes currently resident (hot + compressed). Gauge.
@@ -131,7 +150,10 @@ impl PagerSnapshot {
             faults: self.faults - before.faults,
             fault_nanos: self.fault_nanos - before.fault_nanos,
             decompressions: self.decompressions - before.decompressions,
+            decompress_nanos: self.decompress_nanos - before.decompress_nanos,
             evictions: self.evictions - before.evictions,
+            evict_nanos: self.evict_nanos - before.evict_nanos,
+            compressions: self.compressions - before.compressions,
             crc_validations: self.crc_validations - before.crc_validations,
             ..*self
         }
@@ -148,7 +170,10 @@ impl PageCache {
             faults: AtomicU64::new(0),
             fault_nanos: AtomicU64::new(0),
             decompressions: AtomicU64::new(0),
+            decompress_nanos: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            evict_nanos: AtomicU64::new(0),
+            compressions: AtomicU64::new(0),
             crc_validations: AtomicU64::new(0),
             compressed_pages: AtomicU64::new(0),
             compressed_bytes: AtomicU64::new(0),
@@ -177,7 +202,10 @@ impl PageCache {
             faults: self.faults.load(Ordering::Relaxed),
             fault_nanos: self.fault_nanos.load(Ordering::Relaxed),
             decompressions: self.decompressions.load(Ordering::Relaxed),
+            decompress_nanos: self.decompress_nanos.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            evict_nanos: self.evict_nanos.load(Ordering::Relaxed),
+            compressions: self.compressions.load(Ordering::Relaxed),
             crc_validations: self.crc_validations.load(Ordering::Relaxed),
             resident_bytes: self.resident.load(Ordering::Relaxed),
             peak_resident_bytes: self.peak_resident.load(Ordering::Relaxed),
@@ -196,8 +224,9 @@ impl PageCache {
         self.crc_validations.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_decompression(&self) {
+    pub(crate) fn note_decompression(&self, took: Duration) {
         self.decompressions.fetch_add(1, Ordering::Relaxed);
+        self.decompress_nanos.fetch_add(took.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Pushes a slot onto the clock ring exactly once (idempotent via
@@ -249,9 +278,14 @@ impl PageCache {
     /// page bigger than the budget overshoots rather than failing.
     fn reserve(&self, need: u64, skip: &PageSlot) {
         let Some(budget) = self.budget else { return };
+        let over = || self.resident.load(Ordering::Relaxed).saturating_add(need) > budget;
+        if !over() {
+            return;
+        }
         let mut clock = self.clock.lock().expect("clock lock");
+        let started = Instant::now();
         let mut steps = 0usize;
-        while self.resident.load(Ordering::Relaxed).saturating_add(need) > budget {
+        while over() {
             if clock.ring.is_empty() || steps >= 3 * clock.ring.len() {
                 break;
             }
@@ -282,30 +316,15 @@ impl PageCache {
                         *st = SlotState::Hot { page, bytes };
                         continue;
                     }
-                    let pick = match slot.pick {
-                        // No sketch pick for this page: one cheap pass
-                        // decides whether RLE pays for itself.
-                        PageEncoding::Plain => {
-                            let runs = rle::count_runs(&page);
-                            if (4 + runs * 8) * 2 <= page.bytes() {
-                                PageEncoding::Rle
-                            } else {
-                                PageEncoding::Plain
-                            }
-                        }
-                        pick => pick,
-                    };
-                    if let Some(c) = rle::compress(&page, pick) {
+                    self.release(bytes);
+                    if let Some(c) = self.compress_once(&slot, &page) {
                         let clen = c.bytes_len() as u64;
                         self.compressed_pages.fetch_add(1, Ordering::Relaxed);
                         self.compressed_bytes.fetch_add(clen, Ordering::Relaxed);
-                        self.release(bytes);
                         self.resident.fetch_add(clen, Ordering::Relaxed);
                         // Fresh second chance for the compressed form.
                         slot.refbit.store(true, Ordering::Relaxed);
                         *st = SlotState::Compressed { page: c };
-                    } else {
-                        self.release(bytes);
                     }
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
@@ -318,6 +337,31 @@ impl PageCache {
                 }
             }
         }
+        self.evict_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// The compressed form of a page being evicted, or `None` when it
+    /// does not reach half its plain bytes. Pages are immutable, so the
+    /// `None` verdict is recorded on the slot and the page is never
+    /// examined again.
+    fn compress_once(&self, slot: &PageSlot, page: &PackedCodes) -> Option<CompressedPage> {
+        if slot.incompressible.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.compressions.fetch_add(1, Ordering::Relaxed);
+        let pick = match slot.pick {
+            // No sketch pick for this page: one cheap pass decides
+            // whether RLE pays for itself.
+            PageEncoding::Plain if (4 + rle::count_runs(page) * 8) * 2 <= page.bytes() => {
+                PageEncoding::Rle
+            }
+            pick => pick,
+        };
+        let compressed = rle::compress(page, pick);
+        if compressed.is_none() {
+            slot.incompressible.store(true, Ordering::Relaxed);
+        }
+        compressed
     }
 }
 

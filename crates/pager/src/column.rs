@@ -24,7 +24,9 @@ use std::time::Instant;
 
 use swope_store::page::{PAGE_HEADER_BYTES, STREAM_HEADER_BYTES};
 use swope_store::rle::{self, PageEncoding};
-use swope_store::{crc32::crc32, Code, CodeRepr, PackedCodes, StoreError, Width};
+use swope_store::{
+    crc32::crc32, for_packed, gather_stats, Code, CodeBuf, CodeRepr, PackedCodes, StoreError, Width,
+};
 
 use crate::cache::{PageCache, PageSlot, SlotState};
 use crate::mapping::Mapping;
@@ -189,12 +191,13 @@ impl PagedColumn {
         match &*st {
             SlotState::Hot { page, .. } => return Ok(page.clone()),
             SlotState::Compressed { page } => {
+                let start = Instant::now();
                 let decoded = rle::decompress(page)
                     .map_err(|e| StoreError::Corrupt(format!("page {index}: {e}")))?;
                 let clen = page.bytes_len() as u64;
                 let bytes = decoded.bytes() as u64;
                 let decoded = Arc::new(decoded);
-                self.cache.note_decompression();
+                self.cache.note_decompression(start.elapsed());
                 self.cache.promote_compressed(slot, clen, bytes);
                 *st = SlotState::Hot { page: decoded.clone(), bytes };
                 return Ok(decoded);
@@ -234,36 +237,87 @@ impl PagedColumn {
         Ok(decoded)
     }
 
-    /// A single-row read paying one page fault at worst. Prefer a
-    /// [`cursor`](Self::cursor) for anything iterative.
+    /// A single-row read paying one page fault at worst. Anything
+    /// iterative wants [`gather`](Self::gather) (sampled rows) or
+    /// [`try_for_each_page`](Self::try_for_each_page) (scans).
     pub fn try_code(&self, row: usize) -> Result<Code, StoreError> {
         assert!(row < self.rows, "row {row} out of range for {} rows", self.rows);
         let page = self.page(row / self.page_rows)?;
         Ok(page.code(row % self.page_rows))
     }
 
-    /// Panicking [`try_code`](Self::try_code) for hot paths (the exec
-    /// pool converts the panic back into a query error).
+    /// Panicking [`try_code`](Self::try_code) for cold single-row reads.
     pub fn code(&self, row: usize) -> Code {
         self.try_code(row).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// A cursor memoizing the last faulted page, for row sequences with
-    /// page locality (even sampled row order revisits pages heavily:
-    /// 64Ki rows per page vs thousands of samples).
-    pub fn cursor(&self) -> PageCursor<'_> {
-        PageCursor { col: self, page_index: usize::MAX, page: None }
+    /// Gathers `rows` into `out` at the column's native width, replacing
+    /// its contents: `out[i]` is the code at `rows[i]` — the paged twin
+    /// of [`swope_store::gather`], booked into the same
+    /// [`gather_stats`] counters.
+    ///
+    /// A page is pinned once per run of adjacent rows it holds, one page
+    /// at a time, and the width is dispatched once per call. Any row
+    /// order is correct; a list reordered by [`PageGrouper`] pins every
+    /// touched page exactly once, which is what makes a shuffled sample
+    /// read at heap speed. A corrupt page is an `Err` naming the page.
+    ///
+    /// [`PageGrouper`]: crate::PageGrouper
+    pub fn gather(&self, rows: &[u32], out: &mut CodeBuf) -> Result<(), StoreError> {
+        let start = gather_stats::enabled().then(Instant::now);
+        let gathered = match self.width {
+            Width::U8 => self.gather_with(rows, u8::buf(out), |c: u8| c),
+            Width::U16 => self.gather_with(rows, u16::buf(out), |c: u16| c),
+            Width::U32 => self.gather_with(rows, u32::buf(out), |c: u32| c),
+        };
+        if let Some(start) = start {
+            gather_stats::record(rows.len(), start.elapsed().as_nanos() as u64);
+        }
+        gathered
     }
 
-    /// Gathers `rows` (in order) into `out` as widened codes, replacing
-    /// its contents — the paged analogue of `PackedCodes::gather_widen`.
-    pub fn gather_widen(&self, rows: &[u32], out: &mut Vec<Code>) {
-        out.clear();
-        out.reserve(rows.len());
-        let mut cur = self.cursor();
-        for &row in rows {
-            out.push(cur.code(row as usize));
+    /// [`gather`](Self::gather) widened to `u32` — the paged analogue of
+    /// `PackedCodes::gather_widen`, for buffers shared across columns of
+    /// different widths (MI target codes, the batch engine's blocks).
+    pub fn gather_widen(&self, rows: &[u32], out: &mut Vec<Code>) -> Result<(), StoreError> {
+        match self.width {
+            Width::U8 => self.gather_with(rows, out, u8::widen),
+            Width::U16 => self.gather_with(rows, out, u16::widen),
+            Width::U32 => self.gather_with(rows, out, u32::widen),
         }
+    }
+
+    /// The run walk under both gathers: pins the page of the first
+    /// unread row, copies every adjacent row that page also holds in one
+    /// pass, releases it, repeats.
+    fn gather_with<R: CodeRepr, T: Copy + Default>(
+        &self,
+        rows: &[u32],
+        out: &mut Vec<T>,
+        map: impl Fn(R) -> T,
+    ) -> Result<(), StoreError> {
+        out.clear();
+        out.resize(rows.len(), T::default());
+        let mut done = 0;
+        while let Some(&first) = rows.get(done) {
+            let first = first as usize;
+            assert!(first < self.rows, "row {first} out of range for {} rows", self.rows);
+            let index = first / self.page_rows;
+            let base = index * self.page_rows;
+            let page = self.page(index)?;
+            let codes = R::unpack(&page).expect("pages decode at the column's width");
+            // A row below `base` wraps to a huge offset, so the one
+            // bounds check of `get` ends the run on either side.
+            let mut run = 0;
+            for (slot, &r) in out[done..].iter_mut().zip(&rows[done..]) {
+                let Some(&c) = codes.get((r as usize).wrapping_sub(base)) else { break };
+                *slot = map(c);
+                run += 1;
+            }
+            assert!(run > 0, "page {index} does not hold the row that named it");
+            done += run;
+        }
+        Ok(())
     }
 
     /// Runs `f` over every page overlapping `rows`, in order, passing
@@ -298,40 +352,13 @@ impl PagedColumn {
     pub fn value_counts(&self) -> Result<Vec<u64>, StoreError> {
         let mut counts = vec![0u64; self.support as usize];
         self.try_for_each_page(0..self.rows, |_, page| {
-            swope_store::for_packed!(page, |codes| {
+            for_packed!(page, |codes| {
                 for &c in codes.iter() {
                     counts[c.widen() as usize] += 1;
                 }
             })
         })?;
         Ok(counts)
-    }
-}
-
-/// A per-call page memo over one [`PagedColumn`].
-pub struct PageCursor<'a> {
-    col: &'a PagedColumn,
-    page_index: usize,
-    page: Option<Arc<PackedCodes>>,
-}
-
-impl PageCursor<'_> {
-    /// Reads one row, faulting its page only when it differs from the
-    /// previous row's.
-    pub fn try_code(&mut self, row: usize) -> Result<Code, StoreError> {
-        assert!(row < self.col.rows, "row {row} out of range for {} rows", self.col.rows);
-        let index = row / self.col.page_rows;
-        if index != self.page_index {
-            self.page = Some(self.col.page(index)?);
-            self.page_index = index;
-        }
-        let page = self.page.as_ref().expect("page faulted above");
-        Ok(page.code(row % self.col.page_rows))
-    }
-
-    /// Panicking [`try_code`](Self::try_code) for hot paths.
-    pub fn code(&mut self, row: usize) -> Code {
-        self.try_code(row).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -416,9 +443,8 @@ mod tests {
         let (bytes, codes) = column_bytes(rows, 300);
         let col = open(bytes, rows, 300, Arc::new(PageCache::unbounded())).unwrap();
         assert_eq!(col.num_pages(), 3);
-        let mut cur = col.cursor();
         for (i, &want) in codes.iter().enumerate().step_by(977) {
-            assert_eq!(cur.code(i), want, "row {i}");
+            assert_eq!(col.code(i), want, "row {i}");
         }
         assert_eq!(col.to_codes().unwrap(), codes);
     }
@@ -463,31 +489,20 @@ mod tests {
         // Budget below two pages: every page-crossing read evicts.
         let cache = Arc::new(PageCache::new(Some((PAGE_ROWS * 2 - 1000) as u64)));
         let col = open(bytes, rows, support, cache.clone()).unwrap();
-        let mut cur = col.cursor();
         for pass in 0..3 {
             for (i, &want) in codes.iter().enumerate().step_by(4999) {
-                assert_eq!(cur.code(i), want, "pass {pass} row {i}");
+                assert_eq!(col.code(i), want, "pass {pass} row {i}");
             }
         }
         let snap = cache.snapshot();
         assert!(snap.evictions > 0, "budget never forced an eviction");
-        // u16 pages. Mid-scan the cursor pins one page while the
-        // overshoot allowance admits another; once the cursor is gone,
-        // one more reserve settles residency back to ≤ one page +
-        // compressed.
+        // u16 pages. No read holds a page across the next one's fault,
+        // so residency never passes the one-page overshoot allowance.
         let page_bytes = (PAGE_ROWS * 2) as u64;
         assert!(
-            snap.resident_bytes <= 2 * page_bytes + snap.compressed_bytes,
-            "resident {} over pinned+overshoot allowance",
-            snap.resident_bytes
-        );
-        drop(cur);
-        col.try_code(0).unwrap();
-        let snap = cache.snapshot();
-        assert!(
-            snap.resident_bytes <= page_bytes + snap.compressed_bytes,
-            "resident {} over overshoot allowance",
-            snap.resident_bytes
+            snap.peak_resident_bytes <= page_bytes + snap.compressed_bytes,
+            "peak {} over overshoot allowance",
+            snap.peak_resident_bytes
         );
     }
 

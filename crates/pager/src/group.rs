@@ -1,0 +1,120 @@
+//! Page-grouping of sampled row lists.
+//!
+//! A shuffled sample of a paged column touches a handful of pages, but
+//! in row order it switches page on almost every row — and every switch
+//! costs a slot lock and a pin. [`PagedColumn::gather`] pins a page once
+//! per *run* of adjacent same-page rows, so the fix is to make the runs
+//! long: reorder the list so all rows of one page sit together. Every
+//! column of a dataset shares one page geometry, so an iteration's rows
+//! are grouped once, where they are drawn, and every attribute's gather
+//! reuses the result.
+//!
+//! The reordering is safe only for a consumer whose result depends on
+//! the *multiset* of rows, never their order — the adaptive loops' integer
+//! delta histograms, with the MI target codes gathered from the same
+//! reordered list the candidates read. A consumer that accumulates floats
+//! row by row (the batch engine) must gather in draw order instead.
+//!
+//! [`PagedColumn::gather`]: crate::PagedColumn::gather
+
+/// Reusable scratch that reorders row lists so rows of one page are
+/// adjacent: pages ascending, draw order kept within a page (a stable
+/// counting sort — two passes, no comparison).
+#[derive(Debug)]
+pub struct PageGrouper {
+    /// `log2` of the page size; `None`: lists pass through as-is.
+    page_shift: Option<u32>,
+    /// Per-page write position during the placement pass.
+    next: Vec<usize>,
+    grouped: Vec<u32>,
+}
+
+impl PageGrouper {
+    /// A grouper for pages of `page_rows` rows (see
+    /// [`PagedColumn::page_rows`](crate::PagedColumn::page_rows));
+    /// `None` makes [`group`](Self::group) the identity, which is what a
+    /// heap dataset wants. Snapshot pages are a power of two rows
+    /// (64Ki), so a row's page is one shift; any other page size also
+    /// gets the identity — its gathers stay correct, with shorter runs.
+    pub fn new(page_rows: Option<usize>) -> Self {
+        // Row ids are `u32`: a page of 2^32 rows or more holds them all.
+        let page_shift = page_rows
+            .filter(|p| p.is_power_of_two())
+            .map(|p| p.trailing_zeros())
+            .filter(|&shift| shift < u32::BITS);
+        Self { page_shift, next: Vec::new(), grouped: Vec::new() }
+    }
+
+    /// `rows` reordered so that rows of one page are adjacent. Returns
+    /// `rows` itself when there is nothing to do (heap dataset, or every
+    /// row on one page). Buffers grow to the longest list seen and are
+    /// then reused.
+    pub fn group<'a>(&'a mut self, rows: &'a [u32]) -> &'a [u32] {
+        let Some(shift) = self.page_shift else { return rows };
+        // One fold, so both reductions vectorize (an empty list folds
+        // to min > max and falls out with the one-page case).
+        let (min, max) = rows.iter().fold((u32::MAX, 0), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+        let (first, last) = (min >> shift, max >> shift);
+        if first >= last {
+            return rows;
+        }
+        self.next.clear();
+        self.next.resize((last - first) as usize + 1, 0);
+        for &r in rows {
+            self.next[((r >> shift) - first) as usize] += 1;
+        }
+        let mut start = 0usize;
+        for n in &mut self.next {
+            let count = *n;
+            *n = start;
+            start += count;
+        }
+        self.grouped.clear();
+        self.grouped.resize(rows.len(), 0);
+        for &r in rows {
+            let at = &mut self.next[((r >> shift) - first) as usize];
+            self.grouped[*at] = r;
+            *at += 1;
+        }
+        &self.grouped
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn groups_pages_ascending_and_keeps_draw_order_within_a_page() {
+        let mut g = PageGrouper::new(Some(8));
+        let rows = [25, 3, 14, 21, 7, 3, 19, 20];
+        assert_eq!(g.group(&rows), &[3, 7, 3, 14, 21, 19, 20, 25]);
+        // Reuse with a shorter list leaves no stale tail.
+        assert_eq!(g.group(&[31, 2]), &[2, 31]);
+    }
+
+    #[test]
+    fn passes_lists_through_when_there_is_nothing_to_group() {
+        let rows = [25, 3, 14];
+        assert!(std::ptr::eq(PageGrouper::new(None).group(&rows), &rows[..]));
+        assert!(std::ptr::eq(PageGrouper::new(Some(0)).group(&rows), &rows[..]));
+        assert!(std::ptr::eq(PageGrouper::new(Some(1 << 40)).group(&rows), &rows[..]));
+        // Not a power of two: no grouping, the list is still a valid one.
+        assert!(std::ptr::eq(PageGrouper::new(Some(10)).group(&rows), &rows[..]));
+        // One page: returned as-is, not copied.
+        assert!(std::ptr::eq(PageGrouper::new(Some(32)).group(&rows), &rows[..]));
+        assert!(PageGrouper::new(Some(8)).group(&[]).is_empty());
+    }
+
+    #[test]
+    fn grouping_is_a_permutation_at_the_top_of_the_row_range() {
+        let mut g = PageGrouper::new(Some(1 << 16));
+        let rows = [u32::MAX, 0, u32::MAX - 1, 70_000, 1];
+        let mut got = g.group(&rows).to_vec();
+        assert_eq!(got, [0, 1, 70_000, u32::MAX, u32::MAX - 1]);
+        got.sort_unstable();
+        let mut want = rows.to_vec();
+        want.sort_unstable();
+        assert_eq!(got, want);
+    }
+}

@@ -18,6 +18,9 @@
 //!   the mapped payload, lazy first-touch CRC validation, and gathers
 //!   served page-by-page through the width-generic `CodeRepr` decode
 //!   path — no eager whole-column decode anywhere.
+//! * [`group`] — [`PageGrouper`]: reorders a sampled row list so each
+//!   page's rows are adjacent, once per iteration for every attribute,
+//!   which is what lets a gather pin each touched page exactly once.
 //! * [`cache`] — [`PageCache`]: CLOCK second-chance eviction over every
 //!   decoded page against a configurable byte budget
 //!   (`--store-budget-bytes`), demoting cold pages to a compressed tier
@@ -37,8 +40,10 @@
 
 pub mod cache;
 pub mod column;
+pub mod group;
 pub mod mapping;
 
 pub use cache::{PageCache, PagerSnapshot};
-pub use column::{PageCursor, PagedColumn};
+pub use column::PagedColumn;
+pub use group::PageGrouper;
 pub use mapping::{open_mapping, HeapMapping, Mapping};

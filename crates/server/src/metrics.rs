@@ -38,6 +38,7 @@ pub struct ServerMetrics {
     responses: [AtomicU64; 4],
     rejected: AtomicU64,
     deadline_expired: AtomicU64,
+    worker_panics: AtomicU64,
     request_micros: Histogram,
     /// Per-`(endpoint, dataset)` latency histograms. A `Mutex` (not a
     /// lock-free map) is fine here: the critical section is one BTreeMap
@@ -63,6 +64,7 @@ impl ServerMetrics {
             responses: std::array::from_fn(|_| AtomicU64::new(0)),
             rejected: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
             // Latencies span cache hits (~tens of µs) to large adaptive
             // scans; powers of four from 64 µs to ~4.3 s.
             request_micros: Histogram::new((3..=16).map(|i| 1u64 << (2 * i)).collect()),
@@ -119,6 +121,11 @@ impl ServerMetrics {
     /// Records a request whose deadline expired while queued.
     pub fn record_deadline_expired(&self) {
         self.deadline_expired.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a request handler that panicked and was contained.
+    pub fn record_worker_panic(&self) {
+        self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Sets the connection-state gauges wholesale (called once per event
@@ -224,6 +231,7 @@ impl ServerMetrics {
         for (name, value) in [
             (names::HTTP_REJECTED_TOTAL, self.rejected_total()),
             (names::HTTP_DEADLINE_EXPIRED_TOTAL, self.deadline_expired_total()),
+            (names::WORKER_PANICS_TOTAL, self.worker_panics.load(Ordering::Relaxed)),
             (names::CACHE_HITS_TOTAL, cache.hits()),
             (names::CACHE_MISSES_TOTAL, cache.misses()),
             (names::CACHE_EVICTIONS_TOTAL, cache.evictions()),
@@ -340,17 +348,19 @@ impl ServerMetrics {
             (names::PAGER_EVICTIONS_TOTAL, pager.evictions),
             (names::PAGER_CRC_VALIDATIONS_TOTAL, pager.crc_validations),
             (names::PAGER_DECOMPRESSIONS_TOTAL, pager.decompressions),
+            (names::PAGER_COMPRESSIONS_TOTAL, pager.compressions),
         ] {
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {value}");
         }
-        let _ = writeln!(out, "# TYPE {} counter", names::PAGER_FAULT_SECONDS_TOTAL);
-        let _ = writeln!(
-            out,
-            "{} {:.9}",
-            names::PAGER_FAULT_SECONDS_TOTAL,
-            pager.fault_nanos as f64 / 1e9
-        );
+        for (name, nanos) in [
+            (names::PAGER_FAULT_SECONDS_TOTAL, pager.fault_nanos),
+            (names::PAGER_EVICT_SECONDS_TOTAL, pager.evict_nanos),
+            (names::PAGER_DECOMPRESS_SECONDS_TOTAL, pager.decompress_nanos),
+        ] {
+            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "{name} {:.9}", nanos as f64 / 1e9);
+        }
         for (name, value) in [
             (names::PAGER_RESIDENT_BYTES, pager.resident_bytes),
             (names::PAGER_PEAK_RESIDENT_BYTES, pager.peak_resident_bytes),

@@ -46,6 +46,7 @@ use std::fs::OpenOptions;
 use std::io::{BufWriter, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
@@ -726,7 +727,17 @@ impl<'a> EventLoop<'a> {
                                 accepted_at: arrival,
                                 trace_default: config.trace,
                             };
-                            let resp = route(&request, &shared, &watcher, &ctx);
+                            // A handler panic (a corrupt page read on
+                            // the sequential executor, say) must cost the
+                            // client one 500, not the pool a worker and
+                            // the connection its reply.
+                            let resp = catch_unwind(AssertUnwindSafe(|| {
+                                route(&request, &shared, &watcher, &ctx)
+                            }))
+                            .unwrap_or_else(|payload| {
+                                shared.metrics.record_worker_panic();
+                                Response::error(500, &panic_message(payload.as_ref()))
+                            });
                             let micros = arrival.elapsed().as_micros() as u64;
                             let dataset = request.param("dataset").unwrap_or("-");
                             shared.metrics.record_labelled(
@@ -1061,6 +1072,17 @@ fn log_access(
     }
 }
 
+/// The one-line message of a contained handler panic (`panic!` with a
+/// literal carries a `&str`, with a format string a `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("request handler panicked");
+    message.lines().next().unwrap_or_default().to_owned()
+}
+
 /// Dispatches a parsed request to an endpoint.
 fn route(req: &Request, shared: &Shared, watcher: &QueueWatcher, ctx: &RequestContext) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
@@ -1276,19 +1298,16 @@ fn execute_query(
                 );
             }
             // Same aggregate-span treatment for the pager: one span whose
-            // width is the summed fault-service time and whose item count
-            // is the pages faulted while this query ran (exact when one
-            // traced query runs at a time).
+            // width is everything the pager did for this query — faults
+            // decoded from the mapping, compressed pages re-expanded, and
+            // the evictions both forced — and whose item count is the
+            // pages made resident (exact when one traced query runs at a
+            // time).
             let pdelta = shared.pager.snapshot().since(&pager_before);
-            if pdelta.faults > 0 {
-                sink.record(
-                    "page_fault",
-                    Some(root),
-                    start_ns,
-                    start_ns + pdelta.fault_nanos,
-                    0,
-                    pdelta.faults,
-                );
+            let paged_in = pdelta.faults + pdelta.decompressions;
+            if paged_in > 0 {
+                let nanos = pdelta.fault_nanos + pdelta.decompress_nanos + pdelta.evict_nanos;
+                sink.record("page_fault", Some(root), start_ns, start_ns + nanos, 0, paged_in);
             }
             result
         }

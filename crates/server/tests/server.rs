@@ -440,6 +440,71 @@ fn paged_datasets_serve_identically_and_report_residency() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A corrupt page met by a query on the sequential executor panics the
+/// handler. With one worker thread that used to be the end of the
+/// server: the worker died and the connection stayed parked. The panic
+/// is contained instead — one 500 naming the page, and both the worker
+/// and the keep-alive socket serve the next request.
+#[test]
+fn corrupt_page_answers_500_and_the_worker_and_connection_survive() {
+    // Three pages per column; flip one byte of the last column's last
+    // page (the byte just before the sketch section, found through the
+    // section table: 12-byte header, 24-byte entries, sketch entry last).
+    let ds = swope_datagen::generate(&swope_datagen::corpus::tiny(150_000, 3), 0x5170);
+    let dir = std::env::temp_dir().join(format!("swope-server-corrupt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bad.swop");
+    swope_columnar::snapshot::write_file(&ds, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let entry = 12 + (count - 1) * 24;
+    let sketch_off = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
+    bytes[sketch_off - 1] ^= 1;
+    std::fs::write(&path, bytes).unwrap();
+
+    // Registered the way `swope serve <path> --mmap` does it: a paged
+    // open defers every CRC to first touch, so the damage loads fine.
+    // (`POST /datasets` would describe the columns — a full scan — and
+    // answer its own contained 500.)
+    let bound = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        mmap: true,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    bound.registry().load_path_paged(path.to_str().unwrap(), bound.pager()).unwrap();
+    let server = TestServer {
+        addr: bound.local_addr().unwrap(),
+        handle: bound.handle(),
+        thread: Some(std::thread::spawn(move || bound.run())),
+    };
+
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut ask = |path: &str| {
+        stream.write_all(format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes()).unwrap();
+        read_one_response(&mut stream)
+    };
+    // Unscoped: the sample reaches rows past 131072 of every column.
+    let first = ask("/query/entropy-topk?dataset=bad&k=2&seed=7&epsilon=0.1");
+    assert_eq!(first.status, 500, "{}", first.body);
+    let error = Json::parse(&first.body).unwrap();
+    let message = error.get("error").unwrap().as_str().unwrap().to_owned();
+    assert!(message.contains("page 2: checksum mismatch"), "{message}");
+    assert!(!message.contains('\n'), "one line: {message:?}");
+    assert_eq!(first.header("connection"), Some("keep-alive"));
+    // Same socket, same (only) worker, scoped away from the bad page.
+    let second =
+        ask("/query/entropy-topk?dataset=bad&k=2&seed=7&epsilon=0.1&row_start=0&row_end=100000");
+    assert_eq!(second.status, 200, "{}", second.body);
+    assert!(second.body.contains("\"scores\""), "{}", second.body);
+
+    let metrics = get(server.addr, "/metrics").body;
+    assert_eq!(metric(&metrics, "swope_worker_panics_total"), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn error_paths_return_structured_json() {
     let server = TestServer::start(ServerConfig::default());

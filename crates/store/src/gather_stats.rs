@@ -63,8 +63,12 @@ pub fn snapshot() -> GatherSnapshot {
     }
 }
 
+/// Books one gather of `rows` rows that took `nanos`. Callers check
+/// [`enabled`] first, so the clock is only read while tracing is on.
+/// Public for the pager's page-grouped gather, which is the same layer
+/// over a different physical representation.
 #[inline]
-pub(crate) fn record(rows: usize, nanos: u64) {
+pub fn record(rows: usize, nanos: u64) {
     CALLS.fetch_add(1, Ordering::Relaxed);
     ROWS.fetch_add(rows as u64, Ordering::Relaxed);
     NANOS.fetch_add(nanos, Ordering::Relaxed);

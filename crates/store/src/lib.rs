@@ -75,3 +75,24 @@ macro_rules! for_packed {
         }
     };
 }
+
+/// [`for_packed!`] for a [`CodeBuf`]: binds the typed scratch vector of
+/// whichever width the buffer currently holds and runs `$body` once —
+/// how a loop reads back a block a width-erased gather just staged.
+///
+/// ```
+/// use swope_store::{for_buf, CodeBuf, CodeRepr};
+/// let buf = CodeBuf::U8(vec![4, 0, 1]);
+/// let sum = for_buf!(&buf, |codes| codes.iter().map(|&c| c.widen()).sum::<u32>());
+/// assert_eq!(sum, 5);
+/// ```
+#[macro_export]
+macro_rules! for_buf {
+    ($buf:expr, |$codes:ident| $body:expr) => {
+        match $buf {
+            $crate::CodeBuf::U8($codes) => $body,
+            $crate::CodeBuf::U16($codes) => $body,
+            $crate::CodeBuf::U32($codes) => $body,
+        }
+    };
+}

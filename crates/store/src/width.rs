@@ -102,6 +102,9 @@ pub trait CodeRepr: Copy + Default + Send + Sync + std::fmt::Debug + 'static {
     /// Truncates a code known to fit this width (debug-asserted).
     fn narrow(code: Code) -> Self;
 
+    /// Converts a code that may not fit this width (untrusted bytes).
+    fn try_narrow(code: Code) -> Option<Self>;
+
     /// The matching scratch vector inside `buf`, switching the buffer's
     /// variant (and dropping its old allocation) if it last served a
     /// different width. A scratch slot serves one column per query, so
@@ -117,6 +120,9 @@ pub trait CodeRepr: Copy + Default + Send + Sync + std::fmt::Debug + 'static {
 
     /// Wraps an owned vector in the width-tagged enum.
     fn into_packed(codes: Vec<Self>) -> PackedCodes;
+
+    /// The typed code slice of `packed`, if it is stored at this width.
+    fn unpack(packed: &PackedCodes) -> Option<&[Self]>;
 }
 
 macro_rules! impl_code_repr {
@@ -133,6 +139,11 @@ macro_rules! impl_code_repr {
             fn narrow(code: Code) -> Self {
                 debug_assert!(code <= <$ty>::MAX as Code, "code {code} exceeds {}", Self::WIDTH);
                 code as $ty
+            }
+
+            #[inline]
+            fn try_narrow(code: Code) -> Option<Self> {
+                <$ty>::try_from(code).ok()
             }
 
             #[inline]
@@ -164,6 +175,14 @@ macro_rules! impl_code_repr {
 
             fn into_packed(codes: Vec<Self>) -> PackedCodes {
                 PackedCodes::$variant(codes)
+            }
+
+            #[inline]
+            fn unpack(packed: &PackedCodes) -> Option<&[Self]> {
+                match packed {
+                    PackedCodes::$variant(codes) => Some(codes),
+                    _ => None,
+                }
             }
         }
     };
