@@ -2,22 +2,26 @@
 //!
 //! One multi-page dataset answers the same seeded entropy top-k three
 //! ways: unscoped (the baseline every pre-scope caller gets), scoped to
-//! a ~25% row range *with* the sketch (covered pages are seeded from
-//! per-page histograms; only the unaligned fringe touches the store),
-//! and scoped *without* the sketch (the physical fallback that samples
-//! the range directly). Medians and `rows_scanned` for all three are
-//! persisted to `results/BENCH_scope.json`; the CI scope-smoke step
-//! runs this with `SWOPE_MICRO_MS=1` and asserts the scan-reduction
-//! acceptance bar (a ≤25% range must scan ≥4x fewer rows than the full
-//! query), not wall-clock numbers.
+//! a ~25% row range *with* the sketch (covered pages are synthesized
+//! from per-page histograms by hypergeometric splits; only the
+//! unaligned fringe touches the store), and scoped *without* the sketch
+//! (the physical fallback that samples the range directly). Medians and
+//! `rows_scanned` for all three are persisted to
+//! `results/BENCH_scope.json`, with two machine-independent ratios the
+//! CI scope-smoke step gates (it runs this with `SWOPE_MICRO_MS=1`):
+//! `scan_reduction` (a ≤25% range must scan ≥4x fewer rows than the
+//! full query) and `sketch_over_physical` = `scoped_sketch_ns /
+//! scoped_nosketch_ns`.
 //!
-//! Read the wall-clock columns with the cost model in mind: the sketch
-//! path minimizes *store traffic* (`rows_scanned`, the paper's counter
-//! cost — what matters when pages are cold, compressed, or remote),
-//! while on a hot in-memory dataset the physical fallback can be faster
-//! per query because a sequential gather of packed codes beats per-draw
-//! histogram synthesis. The JSON keeps all three so the trade-off stays
-//! visible.
+//! The sketch path wins on both axes here. It avoids the store traffic
+//! (`rows_scanned`, the paper's counter cost — what matters most when
+//! pages are cold, compressed, or remote), and on this hot in-memory
+//! dataset it is also the faster wall clock: a covered draw costs a
+//! share of one hypergeometric variate per histogram node (≈ 1–25 ns
+//! depending on the column's support) against ≈ 4.5 ns per row and
+//! attribute for a heap gather, and the supports here are small.
+//! ROADMAP's bar is a ratio ≤ 1 on hot data; until PR 14 it was 7.8
+//! (one Fenwick walk per covered draw).
 
 use swope_bench::micro::{black_box, Group};
 use swope_columnar::{Column, Dataset, DatasetSketch, Field, Schema, PAGE_ROWS};
@@ -90,7 +94,8 @@ fn main() {
         .f64_field(
             "scan_reduction",
             full.stats.rows_scanned as f64 / scoped.stats.rows_scanned.max(1) as f64,
-        );
+        )
+        .f64_field("sketch_over_physical", scoped_ns / nosketch_ns);
     let json = w.finish();
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_scope.json");

@@ -438,6 +438,21 @@ fn parse_v2(bytes: &[u8], mut buf: &[u8]) -> Result<ParsedV2, ColumnarError> {
                     sketch.num_columns()
                 )));
             }
+            // Same shape is not enough: a histogram over a wider support
+            // than the column's would index past every per-code counter
+            // sized from the schema. (Page histograms that do not add up
+            // to their page's rows never get this far — the sketch's own
+            // decoder rejects them.)
+            for (attr, field) in fields.iter().enumerate() {
+                let sketched = sketch.column(attr).expect("column count checked above").support();
+                if sketched != field.support() {
+                    return Err(ColumnarError::Snapshot(format!(
+                        "sketch section: column {attr} is sketched over support {sketched} but \
+                         the schema says {}",
+                        field.support()
+                    )));
+                }
+            }
             Some(sketch)
         }
         None => None,
@@ -829,23 +844,55 @@ mod tests {
         }
     }
 
+    /// `bytes` with its trailing sketch section replaced by `sketch`'s
+    /// encoding (section length patched; the sketch's own CRC is valid).
+    fn with_sketch(bytes: &[u8], sketch: &DatasetSketch) -> Vec<u8> {
+        let (sketch_off, _) = last_section(bytes);
+        let payload = sketch.encode();
+        let mut out = bytes[..sketch_off].to_vec();
+        out.extend_from_slice(&payload);
+        let count = u32::from_le_bytes(out[8..12].try_into().unwrap()) as usize;
+        let len_at = HEADER_BYTES + (count - 1) * swope_store::section::SECTION_ENTRY_BYTES + 16;
+        out[len_at..len_at + 8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        out
+    }
+
     #[test]
     fn sketch_shape_mismatch_is_rejected() {
         // Splice in a syntactically valid sketch describing a different
         // dataset shape (0 rows, 0 columns): the cross-check against
         // the schema must fail even though the sketch's own CRC passes.
         let ds = sample();
-        let bytes = encode(&ds);
-        let (sketch_off, _) = last_section(&bytes);
-        let other = DatasetSketch::build(0, std::iter::empty());
-        let payload = other.encode();
-        let mut out = bytes[..sketch_off].to_vec();
-        out.extend_from_slice(&payload);
-        let count = u32::from_le_bytes(out[8..12].try_into().unwrap()) as usize;
-        let len_at = HEADER_BYTES + (count - 1) * swope_store::section::SECTION_ENTRY_BYTES + 16;
-        out[len_at..len_at + 8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        let out = with_sketch(&encode(&ds), &DatasetSketch::build(0, std::iter::empty()));
         let err = decode_with_sketch(&out).unwrap_err();
         assert!(err.to_string().contains("sketch covers"), "{err}");
+    }
+
+    #[test]
+    fn same_shape_sketch_over_other_supports_is_rejected() {
+        // A CRC-valid sketch of the right rows x columns whose first
+        // column is sketched over a wider support than the schema's: it
+        // would index past every counter sized from the schema, so the
+        // snapshot must not load — heap or paged — and must say why.
+        let ds = sample();
+        let wider: Vec<PackedColumn> = (0..ds.num_attrs())
+            .map(|a| {
+                let bump = if a == 0 { 5 } else { 0 };
+                PackedColumn::new(ds.column(a).to_codes(), ds.support(a) + bump).unwrap()
+            })
+            .collect();
+        let out = with_sketch(&encode(&ds), &DatasetSketch::build(ds.num_rows(), wider.iter()));
+        for err in [decode_with_sketch(&out).unwrap_err(), decode(&out).unwrap_err()] {
+            let msg = err.to_string();
+            assert!(msg.contains("sketch section: column 0"), "{msg}");
+            assert!(!msg.contains('\n'), "{msg}");
+        }
+        let path = std::env::temp_dir()
+            .join(format!("swope-snapshot-foreign-sketch-{}.swop", std::process::id()));
+        std::fs::write(&path, &out).unwrap();
+        let paged = open_paged(&path, Arc::new(PageCache::unbounded()));
+        std::fs::remove_file(&path).ok();
+        assert!(paged.unwrap_err().to_string().contains("sketch section: column 0"));
     }
 
     #[test]

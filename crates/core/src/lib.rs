@@ -70,6 +70,7 @@ mod profile;
 mod report;
 mod scope;
 pub mod shard;
+pub mod sketch_stats;
 pub mod state;
 mod topk;
 
@@ -89,7 +90,7 @@ pub use scope::{
     entropy_filter_scoped, entropy_filter_scoped_exec, entropy_profile_scoped,
     entropy_profile_scoped_exec, entropy_top_k_scoped, entropy_top_k_scoped_exec, mi_filter_scoped,
     mi_filter_scoped_exec, mi_profile_scoped, mi_profile_scoped_exec, mi_top_k_scoped,
-    mi_top_k_scoped_exec, CoveredDist, Scope,
+    mi_top_k_scoped_exec, Scope,
 };
 pub use shard::{
     count_candidate, count_target, entropy_filter_sharded, entropy_filter_sharded_exec,

@@ -17,19 +17,29 @@
 //!   (64Ki-row) boundaries into fully *covered* pages, whose exact
 //!   per-code histograms the [`DatasetSketch`] already holds, and a
 //!   *fringe* of at most `2·PAGE_ROWS − 2` boundary rows. The sampler
-//!   simulates a uniform WOR draw over the whole scope: each draw first
-//!   chooses covered-vs-fringe with the hypergeometric odds
-//!   `rem_covered / (rem_covered + rem_fringe)`; a fringe draw yields a
-//!   physical row (incremental Fisher–Yates over the materialized fringe),
-//!   while a covered draw yields, per attribute, a code drawn WOR from the
-//!   covered region's remaining code multiset ([`CoveredDist`]). Covered
-//!   draws never touch the store. Marginally per attribute this is
-//!   exactly a uniform WOR sample of the scoped code multiset (the
-//!   membership process matches row sampling's, and within each side the
-//!   draw is uniform WOR), so Lemma 3's bound applies per attribute;
-//!   attributes are dependent only across the covered region, which the
-//!   union bound over per-attribute events never relied on. At
-//!   `m = n_s` every counter holds the exact scoped counts.
+//!   simulates a uniform WOR draw over the whole scope without drawing
+//!   record by record. Each iteration's `Δm` new draws are divided by
+//!   one hypergeometric variate `HG(rem_covered + rem_fringe,
+//!   rem_covered, Δm)` into covered and fringe draws — the law of the
+//!   covered count among `Δm` WOR draws. The fringe draws yield
+//!   physical rows (incremental Fisher–Yates over the materialized
+//!   fringe). The covered draws yield, per attribute, a WOR sample of
+//!   the covered region's remaining code multiset, produced as *counts*:
+//!   [`CoveredDist`] walks a binary tree over the histogram and splits
+//!   the draw count at every node with one more hypergeometric variate
+//!   (the multivariate hypergeometric law, factored along the tree).
+//!   Covered draws never touch the store and cost a share of one
+//!   variate per visited node, not a tree walk per draw. Marginally per
+//!   attribute this is exactly a uniform WOR sample of the scoped code
+//!   multiset (the membership count matches row sampling's, and within
+//!   each side the draw is uniform WOR), so Lemma 3's bound applies per
+//!   attribute; attributes are dependent only across the covered region,
+//!   which the union bound over per-attribute events never relied on
+//!   (`tests/tests/guarantee_rate.rs` puts that to an experiment). At
+//!   `m = n_s` every counter holds the exact scoped counts. A sketch
+//!   that disagrees with the columns — another support, or covered
+//!   histograms that do not add up to the covered rows — is set aside
+//!   and the range is sampled physically.
 //! * **Range scope, MI queries / no sketch** — MI needs joint
 //!   co-occurrences, which per-attribute histograms cannot synthesize, so
 //!   the scope is sampled physically: a prefix shuffle over `n_s`
@@ -45,7 +55,8 @@
 //! store during sampling. Covered-region draws are synthesized from
 //! sketch histograms without touching the store and are charged zero —
 //! `rows_scanned` measures store traffic, which is precisely what the
-//! sketch exists to avoid.
+//! sketch exists to avoid. They are counted on their own, process-wide,
+//! in [`crate::sketch_stats`].
 //!
 //! ## Empty scopes
 //!
@@ -62,18 +73,18 @@ use std::time::Instant;
 use swope_columnar::{
     AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch, PageGrouper,
 };
-use swope_estimate::entropy::EntropyCounter;
 use swope_obs::{QueryKind, QueryObserver};
 use swope_sampling::rng::Xoshiro256pp;
-use swope_sampling::Sampler;
+use swope_sampling::{hypergeometric, Sampler};
 use swope_store::for_packed;
 use swope_store::page::PAGE_ROWS;
 
 use crate::exec::Executor;
 use crate::observe::Instrumented;
 use crate::report::{AttrScore, FilterResult, QueryStats, TopKResult};
+use crate::shard::CountState;
 use crate::state::{make_sampler, EntropyState};
-use crate::{ProfileResult, SamplingStrategy, SwopeConfig, SwopeError};
+use crate::{sketch_stats, ProfileResult, SamplingStrategy, SwopeConfig, SwopeError};
 
 /// A restriction of a query to part of the dataset: a row range
 /// intersected with an optional single-attribute equality predicate.
@@ -136,15 +147,33 @@ pub(crate) struct ScopeSetup {
     pub(crate) setup_rows: u64,
 }
 
-/// A sketch is only trusted when its shape matches the dataset; anything
-/// else (stale file, wrong dataset) is treated as absent, which costs
-/// speed but never correctness.
+/// A sketch is only trusted when its shape and every column's support
+/// match the dataset; anything else (stale file, wrong dataset) is
+/// treated as absent, which costs speed but never correctness.
 fn usable_sketch<'a>(
     dataset: &Dataset,
     sketch: Option<&'a DatasetSketch>,
 ) -> Option<&'a DatasetSketch> {
-    sketch
-        .filter(|sk| sk.num_rows() == dataset.num_rows() && sk.num_columns() == dataset.num_attrs())
+    sketch.filter(|sk| {
+        sk.num_rows() == dataset.num_rows()
+            && sk.num_columns() == dataset.num_attrs()
+            && (0..dataset.num_attrs())
+                .all(|attr| sk.column(attr).is_some_and(|c| c.support() == dataset.support(attr)))
+    })
+}
+
+/// Per-attribute code counts over the fully covered `pages` of a usable
+/// sketch, or `None` when some column's histograms do not add up to the
+/// rows those pages hold — such a sketch cannot stand in for the store,
+/// and the range is sampled physically instead.
+fn covered_counts(sketch: &DatasetSketch, pages: Range<usize>) -> Option<Vec<Vec<u64>>> {
+    let covered_rows = (pages.len() * PAGE_ROWS) as u64;
+    (0..sketch.num_columns())
+        .map(|attr| {
+            let counts = sketch.column(attr)?.range_counts(pages.clone());
+            (counts.iter().sum::<u64>() == covered_rows).then_some(counts)
+        })
+        .collect()
 }
 
 /// Validates `scope` against `dataset` and materializes predicate scopes
@@ -247,106 +276,93 @@ fn push_matches<R: CodeRepr>(codes: &[R], first_row: usize, code: Code, rows: &m
 }
 
 /// WOR sampler over a multiset of codes: the covered region's remaining
-/// per-code counts, kept in a Fenwick tree so each draw costs
-/// `O(log u)`. One per attribute, each with an independently forked RNG,
-/// so per-attribute draw sequences are deterministic regardless of
+/// per-code counts as a complete binary tree (node `i` sums nodes `2i`
+/// and `2i + 1`; the leaf of `code` is node `support + code`), so `k`
+/// draws are one top-down walk that splits `k` between the two children
+/// of every node it enters with a single hypergeometric variate. One
+/// per attribute, each with an independently forked RNG, so
+/// per-attribute draw sequences are deterministic regardless of
 /// executor thread count or candidate pruning order.
 #[derive(Debug, Clone)]
-pub struct CoveredDist {
-    /// 1-based Fenwick tree over remaining per-code counts.
+pub(crate) struct CoveredDist {
+    /// `tree[1]` is the root; `tree[0]` is unused.
     tree: Vec<u64>,
-    remaining: u64,
     rng: Xoshiro256pp,
 }
 
 impl CoveredDist {
     pub(crate) fn new(counts: &[u64], rng: Xoshiro256pp) -> Self {
         let u = counts.len();
-        let mut tree = vec![0u64; u + 1];
-        for (i, &c) in counts.iter().enumerate() {
-            let i = i + 1;
-            tree[i] += c;
-            let j = i + (i & i.wrapping_neg());
-            if j <= u {
-                tree[j] += tree[i];
-            }
+        let mut tree = vec![0u64; 2 * u];
+        tree[u..].copy_from_slice(counts);
+        for i in (1..u).rev() {
+            tree[i] = tree[2 * i] + tree[2 * i + 1];
         }
-        Self { tree, remaining: counts.iter().sum(), rng }
+        Self { tree, rng }
     }
 
     /// Covered records not yet drawn.
-    #[cfg(test)]
     pub(crate) fn remaining(&self) -> u64 {
-        self.remaining
+        self.tree.get(1).copied().unwrap_or(0)
     }
 
-    /// Draws `k` codes uniformly without replacement and ingests them
-    /// into `counter`. Drawing everything that remains skips the
-    /// per-draw walk and bulk-adds the leftover counts (the multiset is
-    /// fully consumed whatever the order).
-    pub(crate) fn draw_into(&mut self, counter: &mut EntropyCounter, k: u64) {
-        debug_assert!(k <= self.remaining, "covered overdraw: {k} > {}", self.remaining);
-        if k == 0 {
+    /// Draws `k` codes uniformly without replacement and adds them to
+    /// `delta`. The walk only enters subtrees that receive draws, so it
+    /// visits `O(min(u, k log u))` nodes; drawing everything that
+    /// remains hands every leaf its count without consuming randomness.
+    ///
+    /// # Panics
+    /// Panics if fewer than `k` covered records remain.
+    pub(crate) fn draw_into(&mut self, delta: &mut CountState, k: u64) {
+        assert!(k <= self.remaining(), "covered overdraw: {k} > {}", self.remaining());
+        if k > 0 {
+            self.split(1, k, delta);
+        }
+    }
+
+    /// Takes `k ≥ 1` of the records under `node`.
+    fn split(&mut self, node: usize, k: u64, delta: &mut CountState) {
+        if k == 1 {
+            return self.take_one(node, delta);
+        }
+        self.tree[node] -= k;
+        let leaves = self.tree.len() / 2;
+        if node >= leaves {
+            delta.increment((node - leaves) as Code, k);
             return;
         }
-        if k >= self.remaining {
-            self.drain_all(counter);
-            return;
+        let (left, right) = (self.tree[2 * node], self.tree[2 * node + 1]);
+        let to_left = hypergeometric(&mut self.rng, left + right, left, k);
+        if to_left > 0 {
+            self.split(2 * node, to_left, delta);
         }
-        for _ in 0..k {
-            let rank = self.rng.next_below(self.remaining);
-            let code = self.descend(rank);
-            self.dec(code);
-            counter.add(code);
+        if to_left < k {
+            self.split(2 * node + 1, k - to_left, delta);
         }
     }
 
-    /// The code whose cumulative-count interval contains `rank`
-    /// (classic Fenwick descend).
-    fn descend(&self, mut rank: u64) -> u32 {
-        let u = self.tree.len() - 1;
-        let mut pos = 0usize;
-        let mut bit = u.next_power_of_two();
-        if bit > u {
-            bit >>= 1;
+    /// Takes one record under `node`. A lone draw splits as a coin flip
+    /// at every level; one uniform rank among the node's records decides
+    /// them all (conditioned on falling left it is uniform over the left
+    /// child, and likewise right), which is what keeps a wide-support
+    /// column with few draws per code at one random number per draw.
+    fn take_one(&mut self, mut node: usize, delta: &mut CountState) {
+        let leaves = self.tree.len() / 2;
+        // A node's last record is no choice (and, like every full drain,
+        // costs no randomness).
+        let mut rank = match self.tree[node] {
+            1 => 0,
+            records => self.rng.next_below(records),
+        };
+        while node < leaves {
+            self.tree[node] -= 1;
+            let left = self.tree[2 * node];
+            let right = rank >= left;
+            rank -= if right { left } else { 0 };
+            node = 2 * node + right as usize;
         }
-        while bit > 0 {
-            let next = pos + bit;
-            if next <= u && self.tree[next] <= rank {
-                rank -= self.tree[next];
-                pos = next;
-            }
-            bit >>= 1;
-        }
-        pos as u32
-    }
-
-    fn dec(&mut self, code: u32) {
-        self.remaining -= 1;
-        let u = self.tree.len() - 1;
-        let mut i = code as usize + 1;
-        while i <= u {
-            self.tree[i] -= 1;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    fn prefix(&self, mut i: usize) -> u64 {
-        let mut sum = 0;
-        while i > 0 {
-            sum += self.tree[i];
-            i &= i - 1;
-        }
-        sum
-    }
-
-    fn drain_all(&mut self, counter: &mut EntropyCounter) {
-        for code in 0..self.tree.len() - 1 {
-            let count = self.prefix(code + 1) - self.prefix(code);
-            counter.add_count(code as u32, count);
-        }
-        self.tree.fill(0);
-        self.remaining = 0;
+        self.tree[node] -= 1;
+        delta.increment((node - leaves) as Code, 1);
     }
 }
 
@@ -360,41 +376,43 @@ pub(crate) struct HybridPop {
     n: usize,
     drawn: usize,
     rem_covered: u64,
-    rem_fringe: u64,
     member_rng: Xoshiro256pp,
+    /// The materialized fringe under an incremental Fisher–Yates
+    /// shuffle: the first `fringe_fixed` entries are the fringe rows
+    /// drawn so far, in draw order (the physical deltas the loops
+    /// ingest); the rest are still in the urn.
     fringe_rows: Vec<u32>,
     fringe_fixed: usize,
     fringe_rng: Xoshiro256pp,
-    /// Fringe rows in draw order (the physical delta the loops ingest).
-    rows: Vec<u32>,
     /// Per-attribute covered-region code counts (summed sketch pages).
     covered_counts: Vec<Vec<u64>>,
     dist_base: Xoshiro256pp,
 }
 
 impl HybridPop {
+    /// Grows the sample to `target` draws: one hypergeometric variate
+    /// says how many of the new draws land in the covered region, the
+    /// rest are shuffled out of the fringe. Returns the new fringe rows
+    /// (a range of `fringe_rows`) and the covered draw count.
     fn grow(&mut self, target: usize) -> (Range<usize>, u64) {
-        let target = target.min(self.n);
-        let before = self.rows.len();
-        let mut covered_k = 0u64;
-        while self.drawn < target {
-            let rem = self.rem_covered + self.rem_fringe;
-            if self.member_rng.next_below(rem) < self.rem_covered {
-                self.rem_covered -= 1;
-                covered_k += 1;
-            } else {
-                // One incremental Fisher–Yates step over the fringe.
-                let i = self.fringe_fixed;
-                let span = (self.fringe_rows.len() - i) as u64;
-                let j = i + self.fringe_rng.next_below(span) as usize;
-                self.fringe_rows.swap(i, j);
-                self.rows.push(self.fringe_rows[i]);
-                self.fringe_fixed += 1;
-                self.rem_fringe -= 1;
-            }
-            self.drawn += 1;
+        let step = target.min(self.n).saturating_sub(self.drawn);
+        let before = self.fringe_fixed;
+        let rem_fringe = (self.fringe_rows.len() - before) as u64;
+        let covered_k = hypergeometric(
+            &mut self.member_rng,
+            self.rem_covered + rem_fringe,
+            self.rem_covered,
+            step as u64,
+        );
+        self.rem_covered -= covered_k;
+        self.drawn += step;
+        for i in before..before + (step - covered_k as usize) {
+            let span = (self.fringe_rows.len() - i) as u64;
+            let j = i + self.fringe_rng.next_below(span) as usize;
+            self.fringe_rows.swap(i, j);
         }
-        (before..self.rows.len(), covered_k)
+        self.fringe_fixed += step - covered_k as usize;
+        (before..self.fringe_fixed, covered_k)
     }
 
     fn dist_for(&self, attr: AttrIndex) -> CoveredDist {
@@ -480,36 +498,31 @@ impl Population {
                 // the range is fringe.
                 let first_page = range.start.div_ceil(PAGE_ROWS);
                 let last_page = range.end / PAGE_ROWS;
-                match sketch {
-                    Some(sk) if hybrid && first_page < last_page => {
+                let covered = sketch
+                    .filter(|_| hybrid && first_page < last_page)
+                    .and_then(|sk| covered_counts(sk, first_page..last_page));
+                match covered {
+                    Some(covered_counts) => {
                         let covered_rows = (last_page - first_page) * PAGE_ROWS;
-                        let covered_counts = (0..dataset.num_attrs())
-                            .map(|attr| {
-                                sk.column(attr)
-                                    .map(|c| c.range_counts(first_page..last_page))
-                                    .unwrap_or_default()
-                            })
-                            .collect();
                         let mut fringe_rows =
                             Vec::with_capacity(range.end - range.start - covered_rows);
                         fringe_rows.extend(range.start as u32..(first_page * PAGE_ROWS) as u32);
                         fringe_rows.extend((last_page * PAGE_ROWS) as u32..range.end as u32);
                         let base = Xoshiro256pp::seed_from_u64(seed);
+                        sketch_stats::record_hybrid_query();
                         PopKind::Hybrid(HybridPop {
                             n: range.end - range.start,
                             drawn: 0,
                             rem_covered: covered_rows as u64,
-                            rem_fringe: fringe_rows.len() as u64,
                             member_rng: base.fork(MEMBER_LABEL),
                             fringe_rows,
                             fringe_fixed: 0,
                             fringe_rng: base.fork(FRINGE_LABEL),
-                            rows: Vec::new(),
                             covered_counts,
                             dist_base: base.fork(DIST_LABEL),
                         })
                     }
-                    _ => PopKind::Physical {
+                    None => PopKind::Physical {
                         sampler: make_sampler(range.end - range.start, config.sampling),
                         map: RowMap::Offset(range.start as u32),
                         rows: Vec::new(),
@@ -565,7 +578,7 @@ impl Population {
             }
             PopKind::Hybrid(hp) => {
                 let (delta_range, covered_k) = hp.grow(target);
-                (&hp.rows[delta_range], covered_k, hp.drawn)
+                (&hp.fringe_rows[delta_range], covered_k, hp.drawn)
             }
         };
         Growth { delta: self.grouper.group(delta), covered_k, sampled }
@@ -1015,30 +1028,129 @@ mod tests {
         entropy_from_counts(&counts)
     }
 
+    /// `delta`'s contents as a dense histogram, leaving it empty.
+    fn take_counts(delta: &mut CountState) -> Vec<u64> {
+        let mut dense = vec![0u64; delta.support() as usize];
+        for (code, count) in delta.sorted_entries() {
+            dense[code as usize] = count;
+        }
+        delta.clear();
+        dense
+    }
+
     #[test]
     fn covered_dist_drains_to_exact_counts() {
         let counts = vec![5u64, 0, 3, 9, 0, 1];
         let mut dist = CoveredDist::new(&counts, Xoshiro256pp::seed_from_u64(7));
-        let mut counter = EntropyCounter::new(6);
-        // Draw one at a time so the per-draw path (not the bulk drain)
-        // is exercised until the very last draw.
+        let mut delta = CountState::new(6);
+        // One at a time, so every draw but the last is a real split.
         let total: u64 = counts.iter().sum();
-        for _ in 0..total - 1 {
-            dist.draw_into(&mut counter, 1);
+        for drawn in 1..=total {
+            dist.draw_into(&mut delta, 1);
+            assert_eq!(delta.total(), drawn);
+            assert_eq!(dist.remaining(), total - drawn);
         }
-        dist.draw_into(&mut counter, 1);
-        assert_eq!(dist.remaining(), 0);
-        assert_eq!(counter.counts(), counts.as_slice());
+        assert_eq!(take_counts(&mut delta), counts);
     }
 
     #[test]
     fn covered_dist_bulk_drain_matches_counts() {
-        let counts = vec![2u64, 7, 0, 4];
-        let mut dist = CoveredDist::new(&counts, Xoshiro256pp::seed_from_u64(3));
-        let mut counter = EntropyCounter::new(4);
-        dist.draw_into(&mut counter, 13);
-        assert_eq!(counter.counts(), counts.as_slice());
-        assert_eq!(counter.total(), 13);
+        for counts in [vec![2u64, 7, 0, 4], vec![13], vec![0, 0, 6, 0, 1, 0, 3]] {
+            let total = counts.iter().sum();
+            let mut untouched = Xoshiro256pp::seed_from_u64(3);
+            let mut dist = CoveredDist::new(&counts, untouched.clone());
+            let mut delta = CountState::new(counts.len() as u32);
+            dist.draw_into(&mut delta, total);
+            assert_eq!(delta.total(), total);
+            assert_eq!(take_counts(&mut delta), counts);
+            assert_eq!(dist.remaining(), 0);
+            // Taking everything is not a random event.
+            assert_eq!(dist.rng.next_u64(), untouched.next_u64());
+        }
+    }
+
+    #[test]
+    fn covered_dist_never_overdraws_a_code_under_any_schedule() {
+        // Ragged supports (the tree is not perfect), empty codes, and
+        // schedules mixing single draws, doublings and a final drain.
+        let mut r = Xoshiro256pp::seed_from_u64(77);
+        for support in [1usize, 2, 3, 5, 16, 37, 300] {
+            let counts: Vec<u64> = (0..support)
+                .map(|_| if r.next_below(4) == 0 { 0 } else { r.next_below(500) })
+                .collect();
+            let total: u64 = counts.iter().sum();
+            let mut dist = CoveredDist::new(&counts, r.fork(support as u64));
+            let mut delta = CountState::new(support as u32);
+            let mut seen = vec![0u64; support];
+            let mut k = 1;
+            while dist.remaining() > 0 {
+                let step = k.min(dist.remaining());
+                dist.draw_into(&mut delta, step);
+                assert_eq!(delta.total(), step);
+                for (have, got) in seen.iter_mut().zip(take_counts(&mut delta)) {
+                    *have += got;
+                }
+                assert!(seen.iter().zip(&counts).all(|(s, c)| s <= c), "support {support}");
+                assert_eq!(seen.iter().sum::<u64>() + dist.remaining(), total);
+                k = if k % 3 == 0 { 1 } else { k * 2 + 1 };
+            }
+            assert_eq!(seen, counts, "support {support}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "covered overdraw: 5 > 4")]
+    fn covered_dist_overdraw_panics() {
+        let mut dist = CoveredDist::new(&[1, 3], Xoshiro256pp::seed_from_u64(1));
+        dist.draw_into(&mut CountState::new(2), 5);
+    }
+
+    #[test]
+    fn covered_dist_per_code_means_match_the_hypergeometric_law() {
+        // k draws from N records put k·K_c/N on code c on average, with
+        // the hypergeometric variance; over `trials` independent
+        // distributions the sample mean must sit within five of its own
+        // standard errors — for small k (urn regime) and large (inversion).
+        let counts: Vec<u64> = vec![4000, 0, 1, 250, 900, 30, 2500, 7, 7, 1200, 5];
+        let n: u64 = counts.iter().sum();
+        let base = Xoshiro256pp::seed_from_u64(2024);
+        for (k, trials) in [(9u64, 4000u64), (600, 1500), (n - 40, 1500)] {
+            let mut sums = vec![0u64; counts.len()];
+            for t in 0..trials {
+                let mut dist = CoveredDist::new(&counts, base.fork(k * 1_000_000 + t));
+                let mut delta = CountState::new(counts.len() as u32);
+                dist.draw_into(&mut delta, k);
+                for (sum, got) in sums.iter_mut().zip(take_counts(&mut delta)) {
+                    *sum += got;
+                }
+            }
+            for (code, (&sum, &kc)) in sums.iter().zip(&counts).enumerate() {
+                let p = kc as f64 / n as f64;
+                let mean = k as f64 * p;
+                let var = mean * (1.0 - p) * (n - k) as f64 / (n - 1) as f64;
+                let err = (sum as f64 / trials as f64 - mean).abs();
+                assert!(
+                    err <= 5.0 * (var / trials as f64).sqrt() + 1e-12,
+                    "k {k} code {code}: mean {} vs {mean}",
+                    sum as f64 / trials as f64
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn covered_dist_is_deterministic_per_seed() {
+        let counts: Vec<u64> = (0..50).map(|c| (c * 37 % 11) * 20).collect();
+        let run = |seed| {
+            let mut dist = CoveredDist::new(&counts, Xoshiro256pp::seed_from_u64(seed));
+            let mut delta = CountState::new(50);
+            [10, 300, 45, 1000].map(|k| {
+                dist.draw_into(&mut delta, k);
+                take_counts(&mut delta)
+            })
+        };
+        assert_eq!(run(5), run(5));
+        assert_ne!(run(5), run(6));
     }
 
     #[test]
@@ -1254,5 +1366,83 @@ mod tests {
             let exact = exact_entropy_over(&ds, s.attr, 100..1100);
             assert!((s.estimate - exact).abs() < 1e-6);
         }
+    }
+
+    /// Every scoped entropy shape over `scope`, for equality checks.
+    fn entropy_answers(
+        ds: &Dataset,
+        scope: &Scope,
+        sk: Option<&DatasetSketch>,
+    ) -> (TopKResult, FilterResult, ProfileResult) {
+        let cfg = SwopeConfig::with_epsilon(0.05).with_seed(17);
+        (
+            entropy_top_k_scoped(ds, 2, scope, sk, &cfg).unwrap(),
+            entropy_filter_scoped(ds, 1.5, scope, sk, &cfg).unwrap(),
+            entropy_profile_scoped(ds, 0.5, scope, sk, &cfg).unwrap(),
+        )
+    }
+
+    #[test]
+    fn same_shape_sketch_of_other_supports_samples_physically() {
+        // Same rows x columns, but the sketch's middle column has a
+        // larger support than the dataset's: trusting it would index a
+        // histogram past the state's support. It must be ignored, so the
+        // answers are the sketchless ones bit for bit.
+        let n = 3 * PAGE_ROWS + 99;
+        let ds = dataset(n, &[6, 9, 3]);
+        let foreign = sketch_of(&dataset(n, &[6, 40, 3]));
+        assert!(usable_sketch(&ds, Some(&foreign)).is_none());
+        let scope = Scope::range(700, 2 * PAGE_ROWS + 300);
+        assert_eq!(
+            entropy_answers(&ds, &scope, Some(&foreign)),
+            entropy_answers(&ds, &scope, None)
+        );
+        // The hybrid path is what a matching sketch buys; make sure the
+        // comparison above was not between two physical runs by chance.
+        let own = sketch_of(&ds);
+        let hybrid = entropy_answers(&ds, &scope, Some(&own));
+        assert!(
+            hybrid.0.stats.rows_scanned < entropy_answers(&ds, &scope, None).0.stats.rows_scanned
+        );
+    }
+
+    #[test]
+    fn sketch_whose_pages_do_not_add_up_samples_physically() {
+        use swope_columnar::{ColumnSketch, PackedColumn};
+        // Right shape, right supports, but column 1's second page
+        // histogram is ten rows short: a covered counter would come up
+        // short at m = n_s. Ranges covering that page sample physically;
+        // ranges that avoid it still go hybrid.
+        let n = 4 * PAGE_ROWS;
+        let ds = dataset(n, &[5, 12]);
+        let short_page: Vec<PackedColumn> = (0..4)
+            .map(|page| {
+                let rows = if page == 1 { PAGE_ROWS - 10 } else { PAGE_ROWS };
+                let codes = (page * PAGE_ROWS..page * PAGE_ROWS + rows)
+                    .map(|r| ds.column(1).code(r))
+                    .collect();
+                PackedColumn::new(codes, 12).unwrap()
+            })
+            .collect();
+        let crafted = DatasetSketch::new(
+            n,
+            vec![
+                ColumnSketch::build(ds.column(0).packed()),
+                ColumnSketch::build_from_pages(12, short_page.iter().map(|p| p.codes())),
+            ],
+        );
+        assert!(usable_sketch(&ds, Some(&crafted)).is_some());
+        let over_bad = Scope::range(PAGE_ROWS - 5, 3 * PAGE_ROWS + 5);
+        assert!(covered_counts(&crafted, 1..3).is_none());
+        assert_eq!(
+            entropy_answers(&ds, &over_bad, Some(&crafted)),
+            entropy_answers(&ds, &over_bad, None)
+        );
+        let past_bad = Scope::range(2 * PAGE_ROWS - 5, 4 * PAGE_ROWS - 5);
+        assert!(covered_counts(&crafted, 2..3).is_some());
+        assert_eq!(
+            entropy_answers(&ds, &past_bad, Some(&crafted)),
+            entropy_answers(&ds, &past_bad, Some(&sketch_of(&ds)))
+        );
     }
 }

@@ -1,0 +1,41 @@
+//! Process-global counts of what the hybrid sampler synthesized from
+//! sketch histograms instead of reading from the store.
+//!
+//! `rows_scanned` charges covered-region draws zero by design (it
+//! measures store traffic), which leaves them invisible; these two
+//! counters are the other half of the ledger. Like
+//! [`swope_store::gather_stats`] they are bumped on exec worker threads
+//! far below any per-request context, so they are plain relaxed
+//! atomics: statistics that publish no other data. One add per
+//! attribute per iteration, so they are always on.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static COVERED_DRAWS: AtomicU64 = AtomicU64::new(0);
+static HYBRID_QUERIES: AtomicU64 = AtomicU64::new(0);
+
+/// Point-in-time totals of the sketch-synthesis counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SketchUse {
+    /// Covered-region draws synthesized, summed over attributes — the
+    /// unit `rows_scanned` uses for the rows it does charge.
+    pub covered_draws: u64,
+    /// Range-scoped entropy queries that ran the hybrid sampler.
+    pub hybrid_queries: u64,
+}
+
+/// Reads the current totals (relaxed; safe to race with queries).
+pub fn snapshot() -> SketchUse {
+    SketchUse {
+        covered_draws: COVERED_DRAWS.load(Ordering::Relaxed),
+        hybrid_queries: HYBRID_QUERIES.load(Ordering::Relaxed),
+    }
+}
+
+pub(crate) fn record_covered_draws(draws: u64) {
+    COVERED_DRAWS.fetch_add(draws, Ordering::Relaxed);
+}
+
+pub(crate) fn record_hybrid_query() {
+    HYBRID_QUERIES.fetch_add(1, Ordering::Relaxed);
+}

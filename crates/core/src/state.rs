@@ -50,7 +50,7 @@ use swope_store::{for_packed, gather};
 
 use crate::scope::CoveredDist;
 use crate::shard::{count_paged, count_paged_pairs, CountState, PairCountState};
-use crate::SamplingStrategy;
+use crate::{sketch_stats, SamplingStrategy};
 
 /// Row-block granularity of the gather-staged ingest path.
 ///
@@ -169,21 +169,24 @@ impl EntropyState {
 
     /// Attaches the covered-region code distribution of a scoped hybrid
     /// sample; [`EntropyState::ingest_covered`] draws from it.
-    pub fn set_covered(&mut self, dist: CoveredDist) {
+    pub(crate) fn set_covered(&mut self, dist: CoveredDist) {
         self.covered = Some(dist);
     }
 
     /// Draws `k` covered-region records from the attached distribution
-    /// into the counter (no-op without one, or when `k == 0`). Scoped
-    /// hybrid iterations call this with the iteration's covered draw
-    /// count before ingesting the physical fringe delta.
+    /// into the delta histogram (no-op without one, or when `k == 0`).
+    /// Nothing reaches the counter yet: the same iteration's
+    /// [`EntropyState::ingest`] / [`EntropyState::ingest_staged`] of the
+    /// physical fringe delta (every loop calls it, on an empty delta
+    /// too) drains covered and fringe counts in one canonical apply.
     #[inline]
-    pub fn ingest_covered(&mut self, k: u64) {
+    pub(crate) fn ingest_covered(&mut self, k: u64) {
         if k == 0 {
             return;
         }
         if let Some(dist) = &mut self.covered {
-            dist.draw_into(&mut self.counter, k);
+            dist.draw_into(&mut self.delta, k);
+            sketch_stats::record_covered_draws(k);
         }
     }
 

@@ -88,6 +88,16 @@ pub const SKETCH_PAGES: &str = "swope_sketch_pages";
 /// sketch without touching the store.
 pub const SKETCH_COVERAGE: &str = "swope_sketch_coverage";
 
+/// Counter: range-scoped entropy queries that ran the hybrid sampler —
+/// whole pages synthesized from sketch histograms, only the boundary
+/// fringe read from the store.
+pub const SKETCH_HYBRID_QUERIES_TOTAL: &str = "swope_sketch_hybrid_queries_total";
+
+/// Counter: sample draws synthesized from sketch histograms instead of
+/// gathered from the store, summed over attributes — the unit of
+/// `rows_scanned`, which charges these draws zero.
+pub const SKETCH_COVERED_DRAWS_TOTAL: &str = "swope_sketch_covered_draws_total";
+
 /// Histogram with `endpoint` and `dataset` labels: wall-clock
 /// microseconds per request, broken out by what was served and against
 /// which dataset (`dataset="-"` for non-query endpoints). Bounded

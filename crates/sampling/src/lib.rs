@@ -18,6 +18,9 @@
 //!   sequential within pages.
 //! * [`DoublingSchedule`] — the `M0, 2·M0, 4·M0, …, N` sample size ladder
 //!   with the paper's `i_max = ceil(log2(N/M0)) + 1` iteration count.
+//! * [`hypergeometric`] — one exact variate for "how many of these `k`
+//!   without-replacement draws land in that subset", so samplers that
+//!   only need counts never loop per record.
 //! * [`rng::SplitMix64`] / [`rng::Xoshiro256pp`] — small, fast, fully
 //!   deterministic PRNGs so experiments reproduce bit-for-bit across
 //!   platforms and library versions.
@@ -25,11 +28,13 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+mod hypergeometric;
 mod page;
 pub mod rng;
 mod schedule;
 mod shuffle;
 
+pub use hypergeometric::{hypergeometric, ln_factorial};
 pub use page::PageShuffle;
 pub use schedule::DoublingSchedule;
 pub use shuffle::PrefixShuffle;

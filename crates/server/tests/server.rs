@@ -430,6 +430,18 @@ fn paged_datasets_serve_identically_and_report_residency() {
         p_cols + pb.get("sketch").unwrap().as_u64().unwrap()
     );
 
+    // A range holding one whole page goes through the hybrid sampler on
+    // both servers (same body), and /metrics says how much was
+    // synthesized instead of scanned. The counters are process-wide, so
+    // both in-process servers see both queries.
+    let ranged = "/query/entropy-topk?dataset=pg&k=2&seed=7&epsilon=0.5&row_start=0&row_end=70000";
+    let a = get(heap.addr, ranged);
+    assert_eq!(a.status, 200, "{}", a.body);
+    assert_eq!(a.body, get(paged.addr, ranged).body);
+    let metrics = get(heap.addr, "/metrics").body;
+    assert!(metric(&metrics, "swope_sketch_hybrid_queries_total") >= 2);
+    assert!(metric(&metrics, "swope_sketch_covered_draws_total") > 0);
+
     // The pager metric families: faults happened, the budget forced
     // evictions, and steady-state residency honours the budget.
     let metrics = get(paged.addr, "/metrics").body;

@@ -7,28 +7,70 @@
 //! generous binomial envelope of `p_f`. (The union bounds inside the
 //! algorithms are loose, so observed failure rates sit far below `p_f`;
 //! the envelope would only be crossed by a genuine math bug.)
+//!
+//! The same envelope is applied to the sketch-hybrid path, whose sample
+//! is not a row sample at all: covered pages are synthesized per
+//! attribute from histograms by hypergeometric splits, so its claim to
+//! Lemma 3 ("marginally a uniform WOR sample of the scoped code
+//! multiset") gets an experiment of its own.
 
 use swope_baselines::exact_entropy_scores;
-use swope_columnar::{Column, Dataset, Field, Schema};
-use swope_core::{entropy_filter, entropy_top_k, SwopeConfig};
+use swope_columnar::{Column, Dataset, DatasetSketch, Field, Schema, PAGE_ROWS};
+use swope_core::{
+    entropy_filter, entropy_filter_scoped, entropy_top_k, entropy_top_k_scoped, sketch_stats,
+    FilterResult, Scope, SwopeConfig, TopKResult,
+};
 use swope_sampling::rng::Xoshiro256pp;
+
+/// Supports whose uniform columns have deliberately close entropies.
+const SUPPORTS: [u32; 6] = [16, 15, 14, 13, 12, 2];
+
+/// A dataset of one column per entry of [`SUPPORTS`].
+fn dataset_of(columns: impl Iterator<Item = Vec<u32>>) -> Dataset {
+    let fields =
+        SUPPORTS.iter().enumerate().map(|(i, &u)| Field::new(format!("c{i}"), u)).collect();
+    let columns = columns.zip(SUPPORTS).map(|(codes, u)| Column::new(codes, u).unwrap()).collect();
+    Dataset::new(Schema::new(fields), columns).unwrap()
+}
+
+/// `n` rows of independent uniform columns.
+fn uniform_dataset(n: usize, seed: u64) -> Dataset {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    dataset_of(SUPPORTS.iter().map(|&u| (0..n).map(|_| rng.next_below(u as u64) as u32).collect()))
+}
+
+fn config(epsilon: f64, p_f: f64, seed: u64) -> SwopeConfig {
+    SwopeConfig { epsilon, failure_probability: Some(p_f), ..SwopeConfig::default() }
+        .with_seed(seed)
+}
+
+/// Definition 5 against the exact scores of the queried population.
+fn definition5_holds(res: &TopKResult, exact: &[f64], epsilon: f64) -> bool {
+    let mut order: Vec<usize> = (0..exact.len()).collect();
+    order.sort_by(|&a, &b| exact[b].partial_cmp(&exact[a]).unwrap());
+    res.top.iter().enumerate().all(|(i, s)| {
+        s.estimate >= (1.0 - epsilon) * exact[s.attr] - 1e-9
+            && exact[s.attr] >= (1.0 - epsilon) * exact[order[i]] - 1e-9
+    })
+}
+
+/// Definition 6 against the exact scores of the queried population.
+fn definition6_holds(res: &FilterResult, exact: &[f64], eta: f64, epsilon: f64) -> bool {
+    exact.iter().enumerate().all(|(attr, &score)| {
+        if score >= (1.0 + epsilon) * eta {
+            res.contains(attr)
+        } else if score < (1.0 - epsilon) * eta {
+            !res.contains(attr)
+        } else {
+            true
+        }
+    })
+}
 
 /// A small dataset with deliberately close entropy scores, regenerated
 /// per seed so runs are independent.
 fn adversarial_dataset(seed: u64) -> Dataset {
-    let n = 4_000usize;
-    let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let supports = [16u32, 15, 14, 13, 12, 2];
-    let fields =
-        supports.iter().enumerate().map(|(i, &u)| Field::new(format!("c{i}"), u)).collect();
-    let columns = supports
-        .iter()
-        .map(|&u| {
-            let codes: Vec<u32> = (0..n).map(|_| rng.next_below(u as u64) as u32).collect();
-            Column::new(codes, u).unwrap()
-        })
-        .collect();
-    Dataset::new(Schema::new(fields), columns).unwrap()
+    uniform_dataset(4_000, seed)
 }
 
 #[test]
@@ -40,21 +82,9 @@ fn topk_definition5_failure_rate_within_budget() {
     for seed in 0..RUNS {
         let ds = adversarial_dataset(seed);
         let exact = exact_entropy_scores(&ds);
-        let mut order: Vec<usize> = (0..exact.len()).collect();
-        order.sort_by(|&a, &b| exact[b].partial_cmp(&exact[a]).unwrap());
-
-        let cfg = SwopeConfig {
-            epsilon: EPSILON,
-            failure_probability: Some(P_F),
-            ..SwopeConfig::default()
-        }
-        .with_seed(seed.wrapping_mul(0x9E37_79B9));
+        let cfg = config(EPSILON, P_F, seed.wrapping_mul(0x9E37_79B9));
         let res = entropy_top_k(&ds, 3, &cfg).unwrap();
-        let ok = res.top.iter().enumerate().all(|(i, s)| {
-            s.estimate >= (1.0 - EPSILON) * exact[s.attr] - 1e-9
-                && exact[s.attr] >= (1.0 - EPSILON) * exact[order[i]] - 1e-9
-        });
-        if !ok {
+        if !definition5_holds(&res, &exact, EPSILON) {
             violations += 1;
         }
     }
@@ -72,25 +102,60 @@ fn filter_definition6_failure_rate_within_budget() {
     for seed in 0..RUNS {
         let ds = adversarial_dataset(1_000 + seed);
         let exact = exact_entropy_scores(&ds);
-        let cfg = SwopeConfig {
-            epsilon: EPSILON,
-            failure_probability: Some(P_F),
-            ..SwopeConfig::default()
-        }
-        .with_seed(seed.wrapping_mul(0x2545_F491));
+        let cfg = config(EPSILON, P_F, seed.wrapping_mul(0x2545_F491));
         let res = entropy_filter(&ds, eta, &cfg).unwrap();
-        let ok = exact.iter().enumerate().all(|(attr, &score)| {
-            if score >= (1.0 + EPSILON) * eta {
-                res.contains(attr)
-            } else if score < (1.0 - EPSILON) * eta {
-                !res.contains(attr)
-            } else {
-                true
-            }
-        });
-        if !ok {
+        if !definition6_holds(&res, &exact, eta, EPSILON) {
             violations += 1;
         }
     }
     assert!(violations <= 46, "{violations}/{RUNS} Definition 6 violations at p_f = {P_F}");
+}
+
+#[test]
+fn sketch_hybrid_failure_rates_within_budget() {
+    const RUNS_PER_RANGE: u64 = 30;
+    const P_F: f64 = 0.2;
+    // The guarantee is over the sampler's randomness, so one dataset
+    // (three whole pages and a ragged tail) serves every run; the seeds
+    // and four ranges vary. Each range covers at least one whole page
+    // and leaves a fringe on one or both sides — from a fringe of five
+    // rows to one twice the covered region's size.
+    let n = 3 * PAGE_ROWS + 5_000;
+    let ds = uniform_dataset(n, 0xC0FE);
+    let sketch = DatasetSketch::build(n, (0..ds.num_attrs()).map(|a| ds.column(a).packed()));
+    let ranges = [
+        (PAGE_ROWS - 777, 2 * PAGE_ROWS + 1_234),
+        (300, 3 * PAGE_ROWS - 1),
+        (PAGE_ROWS - 5, n),
+        (PAGE_ROWS, 3 * PAGE_ROWS + 4_000),
+    ];
+    let (mut top_k_violations, mut filter_violations) = (0u32, 0u32);
+    let before = sketch_stats::snapshot();
+    for (r, &(start, end)) in ranges.iter().enumerate() {
+        let scope = Scope::range(start, end);
+        let exact = exact_entropy_scores(&dataset_of(
+            (0..ds.num_attrs()).map(|a| (start..end).map(|row| ds.column(a).code(row)).collect()),
+        ));
+        for run in 0..RUNS_PER_RANGE {
+            let seed = (r as u64 * 1_000 + run).wrapping_mul(0x9E37_79B9);
+            let top = entropy_top_k_scoped(&ds, 3, &scope, Some(&sketch), &config(0.15, P_F, seed))
+                .unwrap();
+            if !definition5_holds(&top, &exact, 0.15) {
+                top_k_violations += 1;
+            }
+            let cfg = config(0.1, P_F, seed ^ 0x2545_F491);
+            let filtered = entropy_filter_scoped(&ds, 3.5, &scope, Some(&sketch), &cfg).unwrap();
+            if !definition6_holds(&filtered, &exact, 3.5, 0.1) {
+                filter_violations += 1;
+            }
+        }
+    }
+    // Every run took the hybrid path (the counters are process-wide and
+    // only grow, so a concurrent test can add to them, never subtract).
+    let after = sketch_stats::snapshot();
+    assert!(after.hybrid_queries - before.hybrid_queries >= 8 * RUNS_PER_RANGE);
+    assert!(after.covered_draws > before.covered_draws);
+    // 120 runs each: the envelope of the plain loops above.
+    assert!(top_k_violations <= 46, "{top_k_violations}/120 Definition 5 violations, hybrid");
+    assert!(filter_violations <= 46, "{filter_violations}/120 Definition 6 violations, hybrid");
 }
