@@ -4,46 +4,48 @@
 //! same seeded entropy top-k unsharded vs split across 4 count-merge
 //! shards (the merge is pure integer addition, so any gap is shard
 //! bookkeeping, not estimation work). Second, the wire tax per
-//! iteration: encoding and decoding a representative `CountMerge`
-//! frame — the dominant frame class, one per shard per doubling — plus
-//! its encoded size. Medians are persisted to
-//! `results/BENCH_cluster.json`; the CI cluster-smoke step runs this
-//! with `SWOPE_MICRO_MS=1` and asserts the fields exist, not the
-//! wall-clock numbers.
+//! iteration: encoding and decoding a real `CountMerge` frame — the
+//! dominant frame class, one per shard per doubling — its size per
+//! histogram entry, and the CRC-32 kernel every frame passes through
+//! twice. Medians are persisted to `results/BENCH_cluster.json`; the CI
+//! cluster-smoke step runs this with `SWOPE_MICRO_MS=1`, asserts the
+//! fields exist and gates the one machine-independent number, bytes per
+//! entry.
 
 use std::io::Cursor;
 
 use swope_bench::micro::{black_box, Group};
 use swope_cluster::frame::{read_frame, write_frame, CountMergeFrame, Frame};
-use swope_columnar::Dataset;
-use swope_core::{entropy_top_k, entropy_top_k_sharded_exec, Executor, NoopObserver, SwopeConfig};
+use swope_columnar::{crc32, Dataset};
+use swope_core::{
+    entropy_top_k, entropy_top_k_sharded_exec, CountRequest, Executor, LocalShardSource,
+    NoopObserver, ShardTransport, SwopeConfig,
+};
 use swope_datagen::{corpus, generate};
 use swope_obs::json::ObjectWriter;
-use swope_sampling::rng::Xoshiro256pp;
 
 const K: usize = 4;
 const SHARDS: usize = 4;
 const SEED: u64 = 0xC105;
+
+/// Bytes the CRC kernel is timed over: one protocol-v1 `CountMerge`.
+const CRC_BYTES: usize = 120_000;
 
 fn dataset() -> Dataset {
     // ~29k rows x 100 columns of the cdc profile.
     generate(&corpus::cdc(1.0 / 128.0), 0x5170)
 }
 
-/// A `CountMerge` the size a real doubling iteration produces: 32 live
-/// attributes with mid-sized marginal histograms plus joint runs.
-fn count_merge_frame() -> Frame {
-    let mut r = Xoshiro256pp::seed_from_u64(SEED);
-    let mut entries = |support: u32| -> Vec<(u32, u64)> {
-        (0..support).map(|c| (c, 1 + r.next_below(500))).collect()
-    };
-    let target = Some((64u32, entries(64)));
-    let attrs: Vec<(u32, Vec<(u32, u64)>)> =
-        (0..32).map(|i| (8 + i % 120, entries(8 + i % 120))).collect();
-    let joints: Vec<Vec<(u64, u64)>> = (0..32u64)
-        .map(|i| (0..(64 * (8 + i % 120))).step_by(7).map(|k| (k, 1 + r.next_below(40))).collect())
-        .collect();
-    Frame::CountMerge(CountMergeFrame { target, attrs, joints })
+/// The `CountMerge` a peer sends for one doubling, as `swope-e2e` builds
+/// it: one of two shards' counts for every attribute at a sample of 8192
+/// rows. Returns the frame and the entries it carries.
+fn count_merge_frame(ds: &Dataset, exec: &Executor) -> (Frame, u64) {
+    let mut source = LocalShardSource::new(ds, 2, &SwopeConfig::default(), exec).unwrap();
+    let request = CountRequest { target: None, live: (0..ds.num_attrs()).collect() };
+    let mut counts = source.advance(8192, &request).unwrap().swap_remove(0);
+    let frame = CountMergeFrame::from_counts(&mut counts);
+    let entries = frame.entries();
+    (Frame::CountMerge(frame), entries)
 }
 
 fn main() {
@@ -67,7 +69,7 @@ fn main() {
     assert_eq!(a.top, b.top, "sharded run diverged from unsharded");
     let rows_scanned = a.stats.rows_scanned;
 
-    let frame = count_merge_frame();
+    let (frame, entries) = count_merge_frame(&ds, &exec);
     let mut encoded = Vec::new();
     write_frame(&mut encoded, &frame).unwrap();
     let frame_bytes = encoded.len();
@@ -80,6 +82,9 @@ fn main() {
     });
     let decode_ns = g
         .bench("count_merge_decode", || black_box(read_frame(&mut Cursor::new(&encoded)).unwrap()));
+
+    let page = vec![0xA5u8; CRC_BYTES];
+    let crc_ns = g.bench("crc32_120kb", || black_box(crc32(black_box(&page))));
 
     let mut w = ObjectWriter::new();
     w.str_field("bench", "cluster")
@@ -94,7 +99,10 @@ fn main() {
         .f64_field("sharded_rows_per_sec", rows_scanned as f64 / (sharded_ns / 1e9))
         .usize_field("count_merge_frame_bytes", frame_bytes)
         .f64_field("count_merge_encode_ns", encode_ns)
-        .f64_field("count_merge_decode_ns", decode_ns);
+        .f64_field("count_merge_decode_ns", decode_ns)
+        .u64_field("count_merge_entries", entries)
+        .f64_field("count_merge_bytes_per_entry", frame_bytes as f64 / entries as f64)
+        .f64_field("crc32_ns_per_byte", crc_ns / CRC_BYTES as f64);
     let json = w.finish();
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_cluster.json");

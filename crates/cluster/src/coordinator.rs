@@ -30,7 +30,7 @@ use std::time::Duration;
 use swope_core::{AttrMeta, CountRequest, ShardCounts, ShardTransport, SwopeError};
 
 use crate::frame::{
-    read_frame, write_frame, ErrorFrame, Frame, GrowDelta, Hello, QuerySpecFrame, ResultFrame,
+    ErrorFrame, Frame, FrameReader, FrameWriter, GrowDelta, Hello, QuerySpecFrame, ResultFrame,
     PROTOCOL_VERSION,
 };
 use crate::stats::ClusterStats;
@@ -115,6 +115,21 @@ struct PeerConn {
     stream: TcpStream,
     /// This peer's slice of the union, in union row coordinates.
     slice: Range<u64>,
+    /// The session's frame buffers, reused for every exchange.
+    reader: FrameReader,
+    writer: FrameWriter,
+}
+
+impl PeerConn {
+    fn new(addr: &str, stream: TcpStream) -> Self {
+        Self {
+            addr: addr.to_owned(),
+            stream,
+            slice: 0..0,
+            reader: FrameReader::new(),
+            writer: FrameWriter::new(),
+        }
+    }
 }
 
 /// One-line, addr-tagged transport error (the coordinator's whole error
@@ -153,10 +168,10 @@ fn open_session(
     pool: Option<&PeerPool>,
 ) -> Result<(PeerConn, Frame), SwopeError> {
     if let Some(stream) = pool.and_then(|p| p.checkout(addr)) {
-        let mut peer = PeerConn { addr: addr.to_owned(), stream, slice: 0..0 };
-        if let Ok(n) = write_frame(&mut peer.stream, hello) {
+        let mut peer = PeerConn::new(addr, stream);
+        if let Ok(n) = peer.writer.write(&mut peer.stream, hello) {
             stats.record_sent(n);
-            if let Ok((frame, n)) = read_frame(&mut peer.stream) {
+            if let Ok((frame, n)) = peer.reader.read(&mut peer.stream) {
                 stats.record_received(n);
                 if let Frame::Error(e) = frame {
                     stats.record_peer_error();
@@ -167,8 +182,7 @@ fn open_session(
             }
         }
     }
-    let mut peer =
-        PeerConn { addr: addr.to_owned(), stream: dial(addr, timeouts, stats)?, slice: 0..0 };
+    let mut peer = PeerConn::new(addr, dial(addr, timeouts, stats)?);
     send(&mut peer, stats, hello)?;
     let frame = recv(&mut peer, stats)?;
     Ok((peer, frame))
@@ -195,7 +209,7 @@ fn dial_inner(addr: &str, timeouts: &PeerTimeouts) -> Result<TcpStream, SwopeErr
 }
 
 fn send(peer: &mut PeerConn, stats: &ClusterStats, frame: &Frame) -> Result<(), SwopeError> {
-    match write_frame(&mut peer.stream, frame) {
+    match peer.writer.write(&mut peer.stream, frame) {
         Ok(n) => {
             stats.record_sent(n);
             Ok(())
@@ -208,7 +222,7 @@ fn send(peer: &mut PeerConn, stats: &ClusterStats, frame: &Frame) -> Result<(), 
 }
 
 fn recv(peer: &mut PeerConn, stats: &ClusterStats) -> Result<Frame, SwopeError> {
-    match read_frame(&mut peer.stream) {
+    match peer.reader.read(&mut peer.stream) {
         Ok((frame, n)) => {
             stats.record_received(n);
             if let Frame::Error(e) = frame {
@@ -220,6 +234,39 @@ fn recv(peer: &mut PeerConn, stats: &ClusterStats) -> Result<Frame, SwopeError> 
         Err(e) => {
             stats.record_peer_error();
             Err(peer_err(&peer.addr, e))
+        }
+    }
+}
+
+/// Receives one `CountMerge` straight into `counts`, which the caller
+/// shaped from its own request and the supports the session's `Hello`
+/// announced: a reply with any other shape or support is this peer's
+/// one-line error, never a histogram the engine would index out of range.
+fn recv_counts(
+    peer: &mut PeerConn,
+    stats: &ClusterStats,
+    counts: &mut ShardCounts,
+) -> Result<(), SwopeError> {
+    let read = peer.reader.read_envelope(&mut peer.stream).map_err(|e| e.to_string());
+    let result = read.and_then(|envelope| {
+        stats.record_received(envelope.wire_len());
+        if envelope.is_count_merge() {
+            return envelope.count_merge_into(counts).map_err(|e| e.to_string());
+        }
+        Err(match envelope.decode() {
+            Ok(Frame::Error(e)) => e.message,
+            Ok(f) => format!("expected CountMerge, got {}", f.name()),
+            Err(e) => e.to_string(),
+        })
+    });
+    match result {
+        Ok(entries) => {
+            stats.record_entries(entries);
+            Ok(())
+        }
+        Err(reason) => {
+            stats.record_peer_error();
+            Err(peer_err(&peer.addr, reason))
         }
     }
 }
@@ -243,8 +290,7 @@ pub fn probe(
 ) -> Result<ClusterProbe, SwopeError> {
     let mut union_rows = 0u64;
     for addr in addrs {
-        let mut peer =
-            PeerConn { addr: addr.clone(), stream: dial(addr, timeouts, stats)?, slice: 0..0 };
+        let mut peer = PeerConn::new(addr, dial(addr, timeouts, stats)?);
         send(
             &mut peer,
             stats,
@@ -492,20 +538,11 @@ impl ShardTransport for RemoteShardSource {
         }
         let mut out = Vec::with_capacity(self.peers.len());
         for peer in &mut self.peers {
-            let counts = match recv(peer, &self.stats)? {
-                Frame::CountMerge(c) => c.into_counts().map_err(|e| peer_err(&peer.addr, e))?,
-                f => {
-                    return Err(peer_err(
-                        &peer.addr,
-                        format!("expected CountMerge, got {}", f.name()),
-                    ))
-                }
-            };
-            if counts.attrs.len() != req.live.len()
-                || counts.target.is_some() != req.target.is_some()
-            {
-                return Err(peer_err(&peer.addr, "CountMerge shape disagrees with the request"));
-            }
+            let mut counts = ShardCounts::empty(
+                req.target.map(|t| self.meta[t].support),
+                req.live.iter().map(|&a| self.meta[a].support),
+            );
+            recv_counts(peer, &self.stats, &mut counts)?;
             out.push(counts);
         }
         self.sampled = (m_target as u64).min(self.population);

@@ -7,7 +7,7 @@
 //! offset  size  field
 //! 0       4     magic "SWPC"
 //! 4       1     frame tag (1=Hello … 6=Error)
-//! 5       4     payload length (u32, ≤ 64 MiB)
+//! 5       4     payload length (u32; ≤ 64 MiB for CountMerge, ≤ 1 MiB otherwise)
 //! 9       len   payload
 //! 9+len   4     CRC32 over bytes [4, 9+len)  (tag + length + payload)
 //! ```
@@ -18,31 +18,65 @@
 //! connection sniff the server uses to tell cluster sessions from HTTP
 //! on a shared port — no HTTP method starts with `SWPC`.
 //!
-//! Variable-size fields use `u32` length + UTF-8 bytes for strings, and
-//! `u32` element counts for lists. Count histograms travel in canonical
-//! form — `(code, count)` entries in ascending code order, joint runs as
-//! `(packed_key, count)` in ascending key order — which is exactly the
-//! order-independent representation the exact-merge argument needs (see
-//! `swope_core::shard`): re-encoding a decoded frame is byte-identical.
+//! The five control frames use fixed-width fields: `u32` length + UTF-8
+//! bytes for strings, `u32` element counts for lists. `CountMerge` — one
+//! per peer per doubling, all but a few hundred of a query's wire bytes —
+//! is LEB128 varints over the histograms' canonical form (protocol
+//! version 2):
+//!
+//! ```text
+//! CountMerge = u8 has_target (0 | 1)
+//!              [histogram]                  the target's, iff has_target
+//!              varint n                     live attributes
+//!              n × (histogram, runs)
+//! histogram  = varint support
+//!              varint entries
+//!              entries × (varint code − previous code, varint count)
+//! runs       = varint entries
+//!              entries × (varint key − previous key, varint count)
+//! ```
+//!
+//! Codes and packed joint keys (`target code << 32 | candidate code`)
+//! ascend strictly, the first delta of a list is the value itself, counts
+//! are nonzero and every varint is minimal-length, so the encoding of a
+//! histogram is unique: re-encoding a decoded frame is byte-identical,
+//! which is exactly the order-independent representation the exact-merge
+//! argument needs (see `swope_core::shard`). Codes that ascend by one and
+//! counts under 128 take two bytes an entry against twelve fixed-width.
+//!
+//! [`FrameWriter`] and [`FrameReader`] each own one buffer that a session
+//! reuses for every frame; [`write_frame`] and [`read_frame`] are the
+//! same code over a throwaway buffer.
 
 use std::io::{Read, Write};
 
-use swope_core::{AttrMeta, CountState, PairCountState, ShardCounts};
-use swope_store::crc32::crc32;
+use swope_core::{AttrMeta, CountState, ShardCounts};
+use swope_store::crc32::{crc32, Crc32};
 
 /// Connection-sniffing magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SWPC";
 
 /// Wire protocol version carried in [`Hello`] frames; peers reject
-/// mismatches rather than guessing.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// mismatches rather than guessing. Version 2 is the varint
+/// `CountMerge` layout.
+pub const PROTOCOL_VERSION: u32 = 2;
 
-/// Upper bound on a frame payload. A `CountMerge` over the widest
-/// supported attribute set stays far below this; anything larger is a
-/// corrupt or hostile length field.
+/// Upper bound on a `CountMerge` payload. One over the widest supported
+/// attribute set stays far below this; anything larger is a corrupt or
+/// hostile length field.
 pub const MAX_PAYLOAD: u32 = 64 << 20;
 
+/// Upper bound on the payload of every other frame type: a `Hello` over
+/// tens of thousands of attributes fits, and nothing else comes close.
+pub const MAX_CONTROL_PAYLOAD: u32 = 1 << 20;
+
 const HEADER_LEN: usize = 9;
+const TAG_COUNT_MERGE: u8 = 4;
+
+/// How far [`FrameReader`] grows its buffer ahead of the bytes that have
+/// actually arrived: a header can claim [`MAX_PAYLOAD`], it cannot make
+/// the reader allocate it.
+const READ_STEP: usize = 64 << 10;
 
 /// Why a frame could not be read or decoded. One line per variant —
 /// these surface verbatim in coordinator 503 bodies.
@@ -54,7 +88,7 @@ pub enum FrameError {
     BadMagic([u8; 4]),
     /// A tag outside the known frame vocabulary.
     UnknownTag(u8),
-    /// A length field beyond [`MAX_PAYLOAD`].
+    /// A length field beyond its frame type's limit.
     Oversize(u32),
     /// The CRC32 trailer did not match the received bytes.
     Crc {
@@ -146,18 +180,17 @@ pub struct GrowDelta {
     pub live: Vec<u32>,
 }
 
-/// `CountMerge`: a peer's integer count deltas for one `GrowDelta`, in
-/// canonical (sorted) form. Decoding reconstitutes a
-/// [`ShardCounts`] ready for the engine's exact merge.
+/// `CountMerge`: a peer's integer count deltas for one `GrowDelta`, held
+/// as its validated canonical payload bytes — equal frames are equal
+/// histograms. Sessions do not build one per iteration
+/// ([`FrameWriter::write_count_merge`] and
+/// [`Envelope::count_merge_into`] go between [`ShardCounts`] and the
+/// session's buffer directly); this is the frame as a value, for
+/// [`write_frame`]/[`read_frame`] callers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CountMergeFrame {
-    /// Target histogram as `(support, entries)` (`Some` iff the request
-    /// had a target).
-    pub target: Option<(u32, Vec<(u32, u64)>)>,
-    /// Per-live-attribute `(support, entries)` marginal histograms.
-    pub attrs: Vec<(u32, Vec<(u32, u64)>)>,
-    /// Per-live-attribute joint runs (empty lists for entropy queries).
-    pub joints: Vec<Vec<(u64, u64)>>,
+    payload: Vec<u8>,
+    entries: u64,
 }
 
 /// `Result`: the coordinator's end-of-query signal (the answer itself
@@ -200,7 +233,7 @@ impl Frame {
             Frame::Hello(_) => 1,
             Frame::QuerySpec(_) => 2,
             Frame::GrowDelta(_) => 3,
-            Frame::CountMerge(_) => 4,
+            Frame::CountMerge(_) => TAG_COUNT_MERGE,
             Frame::Result(_) => 5,
             Frame::Error(_) => 6,
         }
@@ -221,48 +254,22 @@ impl Frame {
 
 impl CountMergeFrame {
     /// Canonicalizes a shard's counts into wire form. Takes `&mut`
-    /// because joint runs are sorted and coalesced in place.
+    /// because code lists and joint runs are sorted in place.
     pub fn from_counts(counts: &mut ShardCounts) -> Self {
-        let encode = |cs: &CountState| (cs.support(), cs.sorted_entries());
-        Self {
-            target: counts.target.as_ref().map(&encode),
-            attrs: counts.attrs.iter().map(&encode).collect(),
-            joints: counts.joints.iter_mut().map(|j| j.canonical_runs().to_vec()).collect(),
-        }
+        let mut payload = Vec::new();
+        let entries = put_count_merge(&mut payload, counts);
+        Self { payload, entries }
     }
 
-    /// Reconstitutes engine-side count states, validating every code
-    /// against its histogram's support (a hostile frame must not panic
-    /// the engine).
-    pub fn into_counts(self) -> Result<ShardCounts, FrameError> {
-        fn decode(support: u32, entries: Vec<(u32, u64)>) -> Result<CountState, FrameError> {
-            let mut cs = CountState::new(support);
-            for (code, k) in entries {
-                if code >= support {
-                    return Err(FrameError::Malformed("count entry code beyond support"));
-                }
-                cs.increment(code, k);
-            }
-            Ok(cs)
-        }
-        if self.attrs.len() != self.joints.len() {
-            return Err(FrameError::Malformed("attr/joint list length mismatch"));
-        }
-        let target = self.target.map(|(s, e)| decode(s, e)).transpose()?;
-        let attrs =
-            self.attrs.into_iter().map(|(s, e)| decode(s, e)).collect::<Result<Vec<_>, _>>()?;
-        let joints = self
-            .joints
-            .into_iter()
-            .map(|runs| {
-                let mut pc = PairCountState::new();
-                for (key, k) in runs {
-                    pc.increment(key, k);
-                }
-                pc
-            })
-            .collect();
-        Ok(ShardCounts { target, attrs, joints })
+    /// Histogram entries and joint runs the frame carries.
+    pub fn entries(&self) -> u64 {
+        self.entries
+    }
+
+    /// Adds the frame's counts to `counts`, which the caller has shaped
+    /// (see [`Envelope::count_merge_into`]).
+    pub fn decode_into(&self, counts: &mut ShardCounts) -> Result<(), FrameError> {
+        read_count_merge(&self.payload, Some(counts)).map(drop)
     }
 }
 
@@ -281,66 +288,83 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_entries(out: &mut Vec<u8>, support: u32, entries: &[(u32, u64)]) {
-    put_u32(out, support);
-    put_u32(out, entries.len() as u32);
-    for &(code, k) in entries {
-        put_u32(out, code);
-        put_u64(out, k);
+#[inline]
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
     }
+    out.push(v as u8);
 }
 
-fn payload(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::new();
+/// One canonical list: its length, then each ascending key as the
+/// distance from the one before it, with its count.
+fn put_deltas(out: &mut Vec<u8>, entries: impl ExactSizeIterator<Item = (u64, u64)>) -> u64 {
+    let n = entries.len() as u64;
+    put_varint(out, n);
+    let mut prev = 0;
+    for (key, k) in entries {
+        put_varint(out, key - prev);
+        put_varint(out, k);
+        prev = key;
+    }
+    n
+}
+
+fn put_histogram(out: &mut Vec<u8>, cs: &mut CountState) -> u64 {
+    put_varint(out, cs.support() as u64);
+    put_deltas(out, cs.canonical_entries().map(|(code, k)| (code as u64, k)))
+}
+
+/// Appends `counts` in the `CountMerge` layout, returning how many
+/// entries and runs it wrote.
+fn put_count_merge(out: &mut Vec<u8>, counts: &mut ShardCounts) -> u64 {
+    assert_eq!(counts.attrs.len(), counts.joints.len(), "one joint delta per live attribute");
+    let mut entries = 0;
+    out.push(counts.target.is_some() as u8);
+    if let Some(target) = &mut counts.target {
+        entries += put_histogram(out, target);
+    }
+    put_varint(out, counts.attrs.len() as u64);
+    for (cs, joint) in counts.attrs.iter_mut().zip(&mut counts.joints) {
+        entries += put_histogram(out, cs);
+        entries += put_deltas(out, joint.canonical_runs().iter().copied());
+    }
+    entries
+}
+
+fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::Hello(h) => {
-            put_u32(&mut out, h.version);
-            put_str(&mut out, &h.dataset);
-            put_u64(&mut out, h.num_rows);
-            put_u32(&mut out, h.attrs.len() as u32);
+            put_u32(out, h.version);
+            put_str(out, &h.dataset);
+            put_u64(out, h.num_rows);
+            put_u32(out, h.attrs.len() as u32);
             for a in &h.attrs {
-                put_str(&mut out, &a.name);
-                put_u32(&mut out, a.support);
+                put_str(out, &a.name);
+                put_u32(out, a.support);
             }
         }
         Frame::QuerySpec(q) => {
-            put_u64(&mut out, q.seed);
-            put_u64(&mut out, q.population);
-            put_u64(&mut out, q.base);
-            put_u64(&mut out, q.shard_start);
-            put_u64(&mut out, q.shard_end);
+            put_u64(out, q.seed);
+            put_u64(out, q.population);
+            put_u64(out, q.base);
+            put_u64(out, q.shard_start);
+            put_u64(out, q.shard_end);
         }
         Frame::GrowDelta(g) => {
-            put_u64(&mut out, g.m_target);
+            put_u64(out, g.m_target);
             out.push(g.target.is_some() as u8);
-            put_u32(&mut out, g.target.unwrap_or(0));
-            put_u32(&mut out, g.live.len() as u32);
+            put_u32(out, g.target.unwrap_or(0));
+            put_u32(out, g.live.len() as u32);
             for &a in &g.live {
-                put_u32(&mut out, a);
+                put_u32(out, a);
             }
         }
-        Frame::CountMerge(c) => {
-            out.push(c.target.is_some() as u8);
-            if let Some((support, entries)) = &c.target {
-                put_entries(&mut out, *support, entries);
-            }
-            put_u32(&mut out, c.attrs.len() as u32);
-            for (support, entries) in &c.attrs {
-                put_entries(&mut out, *support, entries);
-            }
-            put_u32(&mut out, c.joints.len() as u32);
-            for runs in &c.joints {
-                put_u32(&mut out, runs.len() as u32);
-                for &(key, k) in runs {
-                    put_u64(&mut out, key);
-                    put_u64(&mut out, k);
-                }
-            }
-        }
-        Frame::Result(r) => put_u64(&mut out, r.sampled),
-        Frame::Error(e) => put_str(&mut out, &e.message),
+        Frame::CountMerge(c) => out.extend_from_slice(&c.payload),
+        Frame::Result(r) => put_u64(out, r.sampled),
+        Frame::Error(e) => put_str(out, &e.message),
     }
-    out
 }
 
 // ---- payload reader --------------------------------------------------
@@ -391,14 +415,83 @@ impl<'a> Cursor<'a> {
         Ok(n)
     }
 
-    fn entries(&mut self) -> Result<(u32, Vec<(u32, u64)>), FrameError> {
-        let support = self.u32()?;
-        let n = self.list_len(12)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push((self.u32()?, self.u64()?));
+    /// One LEB128 `u64`, minimal length only — a padded encoding of the
+    /// same value would break "one histogram, one byte string".
+    #[inline]
+    fn varint(&mut self) -> Result<u64, FrameError> {
+        // Nearly every delta and most counts fit one byte.
+        match self.bytes.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(b as u64)
+            }
+            _ => self.long_varint(),
         }
-        Ok((support, entries))
+    }
+
+    fn long_varint(&mut self) -> Result<u64, FrameError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            if shift == 63 && b > 1 {
+                break;
+            }
+            v |= ((b & 0x7F) as u64) << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(FrameError::Malformed("over-long varint"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(FrameError::Malformed("varint overflows u64"))
+    }
+
+    /// One canonical list (see [`put_deltas`]): hands each `(key, count)`
+    /// to `entry`, which answers whether the key is in range. Nothing is
+    /// reserved from the claimed length; a list longer than the payload
+    /// runs out of bytes.
+    fn deltas(&mut self, mut entry: impl FnMut(u64, u64) -> bool) -> Result<u64, FrameError> {
+        let n = self.varint()?;
+        let mut key = 0u64;
+        let mut total = 0u64;
+        for i in 0..n {
+            let delta = self.varint()?;
+            if delta == 0 && i > 0 {
+                return Err(FrameError::Malformed("count entries are not ascending"));
+            }
+            key = key
+                .checked_add(delta)
+                .ok_or(FrameError::Malformed("count entry key overflows u64"))?;
+            let k = self.varint()?;
+            if k == 0 {
+                return Err(FrameError::Malformed("count entry with a zero count"));
+            }
+            total =
+                total.checked_add(k).ok_or(FrameError::Malformed("count total overflows u64"))?;
+            if !entry(key, k) {
+                return Err(FrameError::Malformed("count entry code beyond support"));
+            }
+        }
+        Ok(n)
+    }
+
+    /// One histogram, added to `into` when given: its support must then
+    /// be the one `into` was built with. Returns `(support, entries)`.
+    fn histogram(&mut self, mut into: Option<&mut CountState>) -> Result<(u32, u64), FrameError> {
+        let support = u32::try_from(self.varint()?)
+            .map_err(|_| FrameError::Malformed("histogram support exceeds u32"))?;
+        if into.as_ref().is_some_and(|cs| cs.support() != support) {
+            return Err(FrameError::Malformed("histogram support disagrees with the request"));
+        }
+        let n = self.deltas(|code, k| {
+            let ok = code < support as u64;
+            if let (true, Some(cs)) = (ok, into.as_deref_mut()) {
+                cs.increment(code as u32, k);
+            }
+            ok
+        })?;
+        Ok((support, n))
     }
 
     fn finish(self) -> Result<(), FrameError> {
@@ -409,7 +502,57 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Walks one `CountMerge` payload, checking every rule that makes the
+/// encoding canonical and every code and joint key against the supports
+/// the payload itself declares; with `into`, also against the supports
+/// and list lengths `into` was shaped with, adding the counts to it.
+/// Returns the entries and runs carried. Nothing is allocated.
+fn read_count_merge(bytes: &[u8], mut into: Option<&mut ShardCounts>) -> Result<u64, FrameError> {
+    const SHAPE: FrameError = FrameError::Malformed("CountMerge shape disagrees with the request");
+    let mut c = Cursor { bytes, pos: 0 };
+    let mut entries = 0;
+    let has_target = match c.u8()? {
+        0 => false,
+        1 => true,
+        _ => return Err(FrameError::Malformed("target flag is neither 0 nor 1")),
+    };
+    if into.as_ref().is_some_and(|counts| counts.target.is_some() != has_target) {
+        return Err(SHAPE);
+    }
+    // Without a target no joint run is legal: a bound of zero refuses all.
+    let mut target_support = 0u64;
+    if has_target {
+        let (support, n) = c.histogram(into.as_deref_mut().and_then(|s| s.target.as_mut()))?;
+        target_support = support as u64;
+        entries += n;
+    }
+    let live = c.varint()?;
+    if into.as_ref().is_some_and(|s| s.attrs.len() as u64 != live || s.joints.len() as u64 != live)
+    {
+        return Err(SHAPE);
+    }
+    for i in 0..live {
+        let i = i as usize;
+        let (support, n) = c.histogram(into.as_deref_mut().map(|s| &mut s.attrs[i]))?;
+        entries += n;
+        let mut joint = into.as_deref_mut().map(|s| &mut s.joints[i]);
+        entries += c.deltas(|key, k| {
+            let ok = key >> 32 < target_support && key & 0xFFFF_FFFF < support as u64;
+            if let (true, Some(joint)) = (ok, joint.as_deref_mut()) {
+                joint.increment(key, k);
+            }
+            ok
+        })?;
+    }
+    c.finish()?;
+    Ok(entries)
+}
+
 fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
+    if tag == TAG_COUNT_MERGE {
+        let entries = read_count_merge(bytes, None)?;
+        return Ok(Frame::CountMerge(CountMergeFrame { payload: bytes.to_vec(), entries }));
+    }
     let mut c = Cursor { bytes, pos: 0 };
     let frame = match tag {
         1 => {
@@ -443,25 +586,6 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
             }
             Frame::GrowDelta(GrowDelta { m_target, target: has_target.then_some(target_raw), live })
         }
-        4 => {
-            let target = if c.u8()? != 0 { Some(c.entries()?) } else { None };
-            let n = c.list_len(4)?;
-            let mut attrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                attrs.push(c.entries()?);
-            }
-            let n = c.list_len(4)?;
-            let mut joints = Vec::with_capacity(n);
-            for _ in 0..n {
-                let r = c.list_len(16)?;
-                let mut runs = Vec::with_capacity(r);
-                for _ in 0..r {
-                    runs.push((c.u64()?, c.u64()?));
-                }
-                joints.push(runs);
-            }
-            Frame::CountMerge(CountMergeFrame { target, attrs, joints })
-        }
         5 => Frame::Result(ResultFrame { sampled: c.u64()? }),
         6 => Frame::Error(ErrorFrame { message: c.str()? }),
         other => return Err(FrameError::UnknownTag(other)),
@@ -472,85 +596,200 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
 
 // ---- envelope --------------------------------------------------------
 
-/// Encodes a frame into its full wire envelope (magic through CRC).
-pub fn encode(frame: &Frame) -> Vec<u8> {
-    let body = payload(frame);
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len() + 4);
-    out.extend_from_slice(&MAGIC);
-    out.push(frame.tag());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    let crc = crc32(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// Encodes and sends frames through one buffer, reused frame after
+/// frame: header, payload and trailer are built in place and leave in a
+/// single write.
+#[derive(Debug, Default)]
+pub struct FrameWriter {
+    buf: Vec<u8>,
 }
 
-/// Decodes one complete envelope. The input must be exactly one frame.
-pub fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
-    if bytes.len() < HEADER_LEN + 4 {
-        return Err(FrameError::Malformed("envelope shorter than header + trailer"));
+impl FrameWriter {
+    /// A writer with an empty buffer.
+    pub fn new() -> Self {
+        Self::default()
     }
-    if bytes[..4] != MAGIC {
-        return Err(FrameError::BadMagic(bytes[..4].try_into().unwrap()));
+
+    /// Writes one frame to a stream, returning the bytes put on the wire.
+    pub fn write<W: Write>(&mut self, w: &mut W, frame: &Frame) -> Result<usize, FrameError> {
+        self.begin(frame.tag());
+        put_payload(&mut self.buf, frame);
+        self.finish(w)
     }
-    let tag = bytes[4];
-    let len = u32::from_le_bytes(bytes[5..9].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(FrameError::Oversize(len));
+
+    /// Writes `counts` as a `CountMerge` frame straight from the shard's
+    /// histograms (canonicalizing them in place), returning the bytes
+    /// put on the wire.
+    pub fn write_count_merge<W: Write>(
+        &mut self,
+        w: &mut W,
+        counts: &mut ShardCounts,
+    ) -> Result<usize, FrameError> {
+        self.begin(TAG_COUNT_MERGE);
+        put_count_merge(&mut self.buf, counts);
+        self.finish(w)
     }
-    if bytes.len() != HEADER_LEN + len as usize + 4 {
-        return Err(FrameError::Malformed("envelope length disagrees with length field"));
+
+    fn begin(&mut self, tag: u8) {
+        self.buf.clear();
+        self.buf.extend_from_slice(&MAGIC);
+        self.buf.push(tag);
+        self.buf.extend_from_slice(&[0; 4]);
     }
-    let crc_at = bytes.len() - 4;
-    let stored = u32::from_le_bytes(bytes[crc_at..].try_into().unwrap());
-    let computed = crc32(&bytes[4..crc_at]);
-    if computed != stored {
-        return Err(FrameError::Crc { computed, stored });
+
+    fn finish<W: Write>(&mut self, w: &mut W) -> Result<usize, FrameError> {
+        let len = u32::try_from(self.buf.len() - HEADER_LEN).unwrap_or(u32::MAX);
+        if len > payload_limit(self.buf[4]) {
+            return Err(FrameError::Oversize(len));
+        }
+        self.buf[5..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&self.buf[4..]);
+        self.buf.extend_from_slice(&crc.to_le_bytes());
+        w.write_all(&self.buf)?;
+        w.flush()?;
+        Ok(self.buf.len())
     }
-    decode_payload(tag, &bytes[HEADER_LEN..crc_at])
 }
 
-/// Writes one frame to a stream, returning the bytes put on the wire.
+fn payload_limit(tag: u8) -> u32 {
+    if tag == TAG_COUNT_MERGE {
+        MAX_PAYLOAD
+    } else {
+        MAX_CONTROL_PAYLOAD
+    }
+}
+
+/// Reads frames through one buffer, reused frame after frame and
+/// checksummed where it lies.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+}
+
+/// One received frame, checksum verified, payload still in the reader's
+/// buffer.
+#[derive(Debug)]
+pub struct Envelope<'a> {
+    tag: u8,
+    payload: &'a [u8],
+    wire_len: usize,
+}
+
+impl FrameReader {
+    /// A reader with an empty buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reads one frame's envelope from a stream and verifies its
+    /// checksum; the payload is not parsed yet.
+    ///
+    /// A clean EOF before the first header byte surfaces as an
+    /// [`FrameError::Io`] with `UnexpectedEof` (see [`FrameError::is_eof`]).
+    pub fn read_envelope<R: Read>(&mut self, r: &mut R) -> Result<Envelope<'_>, FrameError> {
+        let mut header = [0u8; HEADER_LEN];
+        r.read_exact(&mut header)?;
+        if header[..4] != MAGIC {
+            return Err(FrameError::BadMagic(header[..4].try_into().unwrap()));
+        }
+        let tag = header[4];
+        if !(1..=6).contains(&tag) {
+            return Err(FrameError::UnknownTag(tag));
+        }
+        let len = u32::from_le_bytes(header[5..].try_into().unwrap());
+        if len > payload_limit(tag) {
+            return Err(FrameError::Oversize(len));
+        }
+        // Payload and trailer, in steps: the buffer never runs more than
+        // one step ahead of the bytes that arrived.
+        let want = len as usize + 4;
+        self.buf.clear();
+        while self.buf.len() < want {
+            let at = self.buf.len();
+            self.buf.resize(at + (want - at).min(READ_STEP), 0);
+            r.read_exact(&mut self.buf[at..])?;
+        }
+        let (payload, trailer) = self.buf.split_at(len as usize);
+        let stored = u32::from_le_bytes(trailer.try_into().unwrap());
+        let mut crc = Crc32::new();
+        crc.update(&header[4..]);
+        crc.update(payload);
+        let computed = crc.finish();
+        if computed != stored {
+            return Err(FrameError::Crc { computed, stored });
+        }
+        Ok(Envelope { tag, payload, wire_len: HEADER_LEN + want })
+    }
+
+    /// Reads one frame from a stream, returning it with its wire size.
+    pub fn read<R: Read>(&mut self, r: &mut R) -> Result<(Frame, usize), FrameError> {
+        let envelope = self.read_envelope(r)?;
+        Ok((envelope.decode()?, envelope.wire_len))
+    }
+}
+
+impl Envelope<'_> {
+    /// Bytes the frame took on the wire, magic through trailer.
+    pub fn wire_len(&self) -> usize {
+        self.wire_len
+    }
+
+    /// True for a `CountMerge`, which [`Envelope::count_merge_into`]
+    /// decodes without building a [`Frame`].
+    pub fn is_count_merge(&self) -> bool {
+        self.tag == TAG_COUNT_MERGE
+    }
+
+    /// Parses the payload as its tag's layout.
+    pub fn decode(&self) -> Result<Frame, FrameError> {
+        decode_payload(self.tag, self.payload)
+    }
+
+    /// Adds a `CountMerge`'s counts to `counts`, returning the entries
+    /// and runs it carried.
+    ///
+    /// `counts` states what the receiver asked for — a target histogram
+    /// or none, one histogram and one joint delta per live attribute,
+    /// each built with the support the session's `Hello` announced — and
+    /// a frame that disagrees in any of it is an error before a single
+    /// count lands: the supports a peer writes on the wire are checked,
+    /// never trusted. On an error `counts` may hold part of the frame.
+    pub fn count_merge_into(&self, counts: &mut ShardCounts) -> Result<u64, FrameError> {
+        if !self.is_count_merge() {
+            return Err(FrameError::Malformed("not a CountMerge frame"));
+        }
+        read_count_merge(self.payload, Some(counts))
+    }
+}
+
+/// [`FrameWriter::write`] over a throwaway buffer.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<usize, FrameError> {
-    let bytes = encode(frame);
-    w.write_all(&bytes)?;
-    w.flush()?;
-    Ok(bytes.len())
+    FrameWriter::new().write(w, frame)
 }
 
-/// Reads one frame from a stream, returning it with its wire size.
-///
-/// A clean EOF before the first header byte surfaces as an
-/// [`FrameError::Io`] with `UnexpectedEof` (see [`FrameError::is_eof`]).
+/// [`FrameReader::read`] over a throwaway buffer.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(Frame, usize), FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    if header[..4] != MAGIC {
-        return Err(FrameError::BadMagic(header[..4].try_into().unwrap()));
-    }
-    let tag = header[4];
-    let len = u32::from_le_bytes(header[5..9].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(FrameError::Oversize(len));
-    }
-    let mut rest = vec![0u8; len as usize + 4];
-    r.read_exact(&mut rest)?;
-    let crc_at = rest.len() - 4;
-    let stored = u32::from_le_bytes(rest[crc_at..].try_into().unwrap());
-    let mut covered = Vec::with_capacity(5 + crc_at);
-    covered.extend_from_slice(&header[4..]);
-    covered.extend_from_slice(&rest[..crc_at]);
-    let computed = crc32(&covered);
-    if computed != stored {
-        return Err(FrameError::Crc { computed, stored });
-    }
-    let frame = decode_payload(tag, &rest[..crc_at])?;
-    Ok((frame, HEADER_LEN + rest.len()))
+    FrameReader::new().read(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swope_core::PairCountState;
+    use swope_sampling::rng::Xoshiro256pp;
+
+    /// A small MI-shaped delta: target support 4, attributes of support 8
+    /// and 2 (the second untouched), one joint run.
+    fn sample_counts() -> ShardCounts {
+        let mut counts = ShardCounts::empty(Some(4), [8, 2]);
+        let target = counts.target.as_mut().unwrap();
+        target.increment(0, 10);
+        target.increment(3, 2);
+        counts.attrs[0].increment(7, 1);
+        counts.attrs[0].increment(1, 5);
+        counts.joints[0].increment(0x0000_0003_0000_0001, 4);
+        counts
+    }
 
     fn samples() -> Vec<Frame> {
         vec![
@@ -578,25 +817,41 @@ mod tests {
             }),
             Frame::GrowDelta(GrowDelta { m_target: 4096, target: Some(3), live: vec![0, 1, 5] }),
             Frame::GrowDelta(GrowDelta { m_target: 64, target: None, live: vec![2] }),
-            Frame::CountMerge(CountMergeFrame {
-                target: Some((4, vec![(0, 10), (3, 2)])),
-                attrs: vec![(8, vec![(1, 5), (7, 1)]), (2, vec![])],
-                joints: vec![vec![(0x0000_0003_0000_0001, 4)], vec![]],
-            }),
+            Frame::CountMerge(CountMergeFrame::from_counts(&mut sample_counts())),
             Frame::Result(ResultFrame { sampled: 8192 }),
             Frame::Error(ErrorFrame { message: "no dataset named \"x\"".into() }),
         ]
+    }
+
+    fn encode(frame: &Frame) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, frame).unwrap();
+        bytes
+    }
+
+    /// A correctly framed and checksummed envelope around any payload:
+    /// what reaches the payload parser when the sender itself is hostile.
+    fn envelope(tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(tag);
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(body);
+        let crc = crc32(&out[4..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Frame, FrameError> {
+        read_frame(&mut &bytes[..]).map(|(frame, _)| frame)
     }
 
     #[test]
     fn round_trip_every_frame() {
         for frame in samples() {
             let bytes = encode(&frame);
-            assert_eq!(decode(&bytes).unwrap(), frame, "{}", frame.name());
-            // Stream reader agrees with the one-shot decoder.
             let mut cursor = std::io::Cursor::new(bytes.clone());
             let (read, n) = read_frame(&mut cursor).unwrap();
-            assert_eq!(read, frame);
+            assert_eq!(read, frame, "{}", frame.name());
             assert_eq!(n, bytes.len());
         }
     }
@@ -605,42 +860,65 @@ mod tests {
     fn frames_concatenate_on_a_stream() {
         let frames = samples();
         let mut wire = Vec::new();
+        let mut writer = FrameWriter::new();
         for f in &frames {
-            write_frame(&mut wire, f).unwrap();
+            writer.write(&mut wire, f).unwrap();
         }
+        // One reader, one buffer, frames of every size in turn.
         let mut cursor = std::io::Cursor::new(wire);
+        let mut reader = FrameReader::new();
         for f in &frames {
-            assert_eq!(&read_frame(&mut cursor).unwrap().0, f);
+            assert_eq!(&reader.read(&mut cursor).unwrap().0, f);
         }
-        assert!(read_frame(&mut cursor).unwrap_err().is_eof());
+        assert!(reader.read(&mut cursor).unwrap_err().is_eof());
     }
 
     #[test]
     fn corruption_is_detected_everywhere() {
-        let frame = samples().remove(5);
-        let clean = encode(&frame);
+        let clean = encode(&samples().remove(5));
         // Flipping any single bit past the magic must be caught (the CRC
         // covers tag, length, and payload; the magic check covers 0..4).
-        for byte in 0..clean.len() {
+        for bit in 0..clean.len() * 8 {
             let mut bad = clean.clone();
-            bad[byte] ^= 0x40;
-            assert!(decode(&bad).is_err(), "flip at byte {byte} went undetected");
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode(&bad).is_err(), "flip of bit {bit} went undetected");
         }
     }
 
     #[test]
     fn truncation_and_oversize_are_rejected() {
-        let bytes = encode(&samples().remove(0));
-        for cut in 0..bytes.len() {
-            let mut short = std::io::Cursor::new(bytes[..cut].to_vec());
-            assert!(read_frame(&mut short).is_err(), "truncation at {cut} accepted");
-            assert!(decode(&bytes[..cut]).is_err());
+        for frame in [samples().remove(0), samples().remove(5)] {
+            let bytes = encode(&frame);
+            for cut in 0..bytes.len() {
+                assert!(decode(&bytes[..cut]).is_err(), "truncation at {cut} accepted");
+            }
+            let limit = if matches!(frame, Frame::CountMerge(_)) {
+                MAX_PAYLOAD
+            } else {
+                MAX_CONTROL_PAYLOAD
+            };
+            let mut huge = bytes.clone();
+            huge[5..9].copy_from_slice(&(limit + 1).to_le_bytes());
+            assert!(matches!(decode(&huge), Err(FrameError::Oversize(_))));
         }
-        let mut huge = bytes.clone();
-        huge[5..9].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
-        assert!(matches!(decode(&huge), Err(FrameError::Oversize(_))));
-        let mut cursor = std::io::Cursor::new(huge);
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Oversize(_))));
+    }
+
+    #[test]
+    fn a_header_cannot_make_the_reader_allocate_its_claim() {
+        // Nine bytes claiming the largest legal payload, then silence: an
+        // I/O error, and a buffer no bigger than one read step.
+        let mut header = MAGIC.to_vec();
+        header.push(TAG_COUNT_MERGE);
+        header.extend_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        let mut reader = FrameReader::new();
+        let err = reader.read(&mut header.as_slice()).unwrap_err();
+        assert!(matches!(err, FrameError::Io(_)), "{err}");
+        assert!(reader.buf.capacity() <= READ_STEP, "reserved {}", reader.buf.capacity());
+        // The same claim behind 100 KiB of real bytes stays within a
+        // step of what arrived.
+        header.extend_from_slice(&vec![0u8; 100 << 10]);
+        assert!(matches!(reader.read(&mut header.as_slice()), Err(FrameError::Io(_))));
+        assert!(reader.buf.capacity() <= (100 << 10) + 2 * READ_STEP);
     }
 
     #[test]
@@ -658,45 +936,226 @@ mod tests {
         put_str(&mut body, "x");
         put_u64(&mut body, 0);
         put_u32(&mut body, u32::MAX);
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.push(1);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        let crc = crc32(&out[4..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        assert!(matches!(decode(&out), Err(FrameError::Malformed(_))));
+        assert!(matches!(decode(&envelope(1, &body)), Err(FrameError::Malformed(_))));
+    }
+
+    /// Every list of `counts` in canonical form (histograms, then joint
+    /// runs), for comparing deltas accumulated in different orders.
+    fn canonical(counts: &ShardCounts) -> Vec<Vec<(u64, u64)>> {
+        let hists = counts.target.iter().chain(&counts.attrs);
+        let hists = hists.map(|h| h.sorted_entries().iter().map(|&(c, k)| (c as u64, k)).collect());
+        let joints = counts.joints.iter().map(|j| j.clone().canonical_runs().to_vec());
+        hists.chain(joints).collect()
+    }
+
+    fn shape_of(counts: &ShardCounts) -> ShardCounts {
+        ShardCounts::empty(
+            counts.target.as_ref().map(CountState::support),
+            counts.attrs.iter().map(CountState::support),
+        )
+    }
+
+    /// A random delta: supports 1, 7 and 1000, empty and full histograms,
+    /// one count near `u64::MAX`, joint keys across several target codes.
+    fn random_counts(r: &mut Xoshiro256pp) -> ShardCounts {
+        let support = |r: &mut Xoshiro256pp| [1u32, 7, 1000][r.next_below(3) as usize];
+        let fill = |r: &mut Xoshiro256pp, cs: &mut CountState| {
+            let support = cs.support() as u64;
+            match r.next_below(4) {
+                0 => {}
+                1 => cs.increment(r.next_below(support) as u32, u64::MAX - r.next_below(1000)),
+                _ => {
+                    for _ in 0..r.next_below(2 * support + 1) {
+                        cs.increment(r.next_below(support) as u32, 1 + r.next_below(300));
+                    }
+                }
+            }
+        };
+        let target = (r.next_below(2) == 1).then(|| support(r));
+        let live: Vec<u32> = (0..r.next_below(5)).map(|_| support(r)).collect();
+        let mut counts = ShardCounts::empty(target, live);
+        if let Some(t) = &mut counts.target {
+            fill(r, t);
+        }
+        for (cs, joint) in counts.attrs.iter_mut().zip(&mut counts.joints) {
+            fill(r, cs);
+            if let Some(t) = target {
+                for _ in 0..r.next_below(40) {
+                    let (tc, ac) = (r.next_below(t as u64), r.next_below(cs.support() as u64));
+                    let magnitude = r.next_below(40);
+                    joint.increment(tc << 32 | ac, 1 + r.next_below(1 << magnitude));
+                }
+            }
+        }
+        counts
     }
 
     #[test]
-    fn count_merge_round_trips_through_shard_counts() {
-        let mut a = CountState::new(6);
-        a.add(5);
-        a.add(1);
-        a.add(5);
-        let mut t = CountState::new(3);
-        t.add(2);
-        let mut j = PairCountState::new();
-        j.add(2, 5);
-        j.add(2, 5);
-        j.add(0, 1);
-        let mut counts =
-            ShardCounts { target: Some(t.clone()), attrs: vec![a.clone()], joints: vec![j] };
+    fn count_merge_round_trips_random_counts_byte_identically() {
+        let mut r = Xoshiro256pp::seed_from_u64(0xC0DEC);
+        for case in 0..300 {
+            let counts = random_counts(&mut r);
+            let frame = CountMergeFrame::from_counts(&mut counts.clone());
+            let bytes = encode(&Frame::CountMerge(frame.clone()));
+            // The session path writes the same bytes without the frame.
+            let mut direct = Vec::new();
+            FrameWriter::new().write_count_merge(&mut direct, &mut counts.clone()).unwrap();
+            assert_eq!(direct, bytes, "case {case}");
+
+            assert_eq!(decode(&bytes).unwrap(), Frame::CountMerge(frame.clone()), "case {case}");
+            let mut back = shape_of(&counts);
+            frame.decode_into(&mut back).unwrap();
+            assert_eq!(canonical(&back), canonical(&counts), "case {case}");
+            let mut reader = FrameReader::new();
+            let envelope = reader.read_envelope(&mut bytes.as_slice()).unwrap();
+            let mut streamed = shape_of(&counts);
+            assert_eq!(envelope.count_merge_into(&mut streamed).unwrap(), frame.entries());
+            assert_eq!(canonical(&streamed), canonical(&counts), "case {case}");
+            // Canonical in, canonical out: re-encoding is byte-identical.
+            assert_eq!(CountMergeFrame::from_counts(&mut back), frame, "case {case}");
+        }
+    }
+
+    #[test]
+    fn count_merge_takes_two_to_three_bytes_an_entry() {
+        // Dense small-count histograms, the shape a doubling produces.
+        let mut counts = ShardCounts::empty(None, [200, 1000]);
+        for cs in &mut counts.attrs {
+            for code in 0..cs.support() {
+                cs.increment(code, 1 + (code as u64 * 7) % 150);
+            }
+        }
         let frame = CountMergeFrame::from_counts(&mut counts);
-        let back = frame.clone().into_counts().unwrap();
-        assert_eq!(back.target.as_ref().unwrap().sorted_entries(), t.sorted_entries());
-        assert_eq!(back.attrs[0].sorted_entries(), a.sorted_entries());
-        let mut joint = back.joints[0].clone();
-        assert_eq!(joint.canonical_runs(), frame.joints[0].as_slice());
-        // Canonical in, canonical out: re-encoding is byte-identical.
-        let mut back2 = back;
-        assert_eq!(CountMergeFrame::from_counts(&mut back2), frame);
+        assert_eq!(frame.entries(), 1200);
+        let per_entry = frame.payload.len() as f64 / 1200.0;
+        assert!((2.0..3.0).contains(&per_entry), "{per_entry} bytes an entry");
     }
 
     #[test]
-    fn count_merge_rejects_out_of_support_codes() {
-        let frame =
-            CountMergeFrame { target: None, attrs: vec![(4, vec![(4, 1)])], joints: vec![vec![]] };
-        assert!(frame.into_counts().is_err());
+    fn a_reply_of_the_wrong_shape_or_support_is_refused() {
+        let frame = CountMergeFrame::from_counts(&mut sample_counts());
+        assert!(frame.decode_into(&mut ShardCounts::empty(Some(4), [8, 2])).is_ok());
+        for wrong in [
+            ShardCounts::empty(None, [8, 2]),
+            ShardCounts::empty(Some(5), [8, 2]),
+            ShardCounts::empty(Some(4), [8]),
+            ShardCounts::empty(Some(4), [8, 2, 2]),
+            ShardCounts::empty(Some(4), [7, 2]),
+            ShardCounts::empty(Some(4), [8, 3]),
+        ] {
+            let mut into = wrong;
+            assert!(matches!(frame.decode_into(&mut into), Err(FrameError::Malformed(_))));
+        }
+    }
+
+    /// Containment: whatever bytes arrive as a `CountMerge` payload, the
+    /// parser answers an error or the value those bytes canonically
+    /// encode — no panic, no hang, nothing reserved from a claimed count.
+    fn parses_to_error_or_its_own_encoding(payload: &[u8], shape: &ShardCounts) {
+        let Ok(Frame::CountMerge(frame)) = decode_payload(TAG_COUNT_MERGE, payload) else {
+            return;
+        };
+        let mut into = shape_of(shape);
+        if frame.decode_into(&mut into).is_ok() {
+            assert_eq!(CountMergeFrame::from_counts(&mut into).payload, payload);
+        }
+    }
+
+    #[test]
+    fn mutated_count_merges_never_panic_or_misparse() {
+        let mut r = Xoshiro256pp::seed_from_u64(0xF1A9);
+        let started = std::time::Instant::now();
+        for _ in 0..16 {
+            let counts = random_counts(&mut r);
+            let payload = CountMergeFrame::from_counts(&mut counts.clone()).payload;
+            for cut in 0..payload.len() {
+                assert!(decode_payload(TAG_COUNT_MERGE, &payload[..cut]).is_err());
+            }
+            // Every bit of a short payload, a seeded sample of a long one.
+            let bits = payload.len() * 8;
+            for i in 0..bits.min(800) {
+                let bit = if bits <= 800 { i } else { r.next_below(bits as u64) as usize };
+                let mut bad = payload.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                parses_to_error_or_its_own_encoding(&bad, &counts);
+            }
+            if started.elapsed() > std::time::Duration::from_secs(2) {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_varints_are_errors() {
+        // One histogram of support 8 holding `entries`, no target.
+        let histogram = |entries: &[u8]| {
+            let mut body = vec![0, 1, 8];
+            body.extend_from_slice(entries);
+            body.push(0); // its (empty) joint runs
+            body
+        };
+        let ok = histogram(&[2, 3, 5, 1, 9]);
+        let mut into = ShardCounts::empty(None, [8]);
+        read_count_merge(&ok, Some(&mut into)).unwrap();
+        assert_eq!(into.attrs[0].sorted_entries(), vec![(3, 5), (4, 9)]);
+
+        // Each with the parser's reason, so a case cannot pass by being
+        // broken in some way other than the one it is here for.
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        let hostile: Vec<(&str, Vec<u8>)> = vec![
+            ("over-long varint", histogram(&[2, 0x83, 0x00, 5, 1, 9])),
+            ("over-long varint", histogram(&[2, 0x80, 0x00, 5, 1, 9])),
+            ("varint overflows u64", histogram(&[&[1, 3][..], &[0xFF; 9], &[0x02]].concat())),
+            ("varint overflows u64", histogram(&[&[1, 3][..], &[0xFF; 10], &[0x01]].concat())),
+            ("count entry code beyond support", histogram(&[2, 3, 5, 5, 9])),
+            ("count entry code beyond support", histogram(&[1, 8, 1])),
+            ("count entry with a zero count", histogram(&[2, 3, 0, 1, 9])),
+            ("count entries are not ascending", histogram(&[2, 3, 5, 0, 9])),
+            ("count total overflows u64", histogram(&[&[2, 0][..], &max, &[1], &max].concat())),
+            // Four billion entries claimed, two present.
+            (
+                "payload shorter than its layout",
+                vec![0, 1, 8, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 1, 1, 1],
+            ),
+            ("histogram support exceeds u32", vec![0, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0]),
+            ("target flag is neither 0 nor 1", vec![2, 0]),
+            // Joint runs: without a target; a candidate code, then a target
+            // code, at its support; a repeated key.
+            ("count entry code beyond support", vec![0, 1, 8, 0, 1, 0, 1]),
+            ("count entry code beyond support", vec![1, 4, 0, 1, 8, 0, 1, 8, 1]),
+            (
+                "count entry code beyond support",
+                [&[1, 4, 0, 1, 8, 0, 1][..], &[0x80, 0x80, 0x80, 0x80, 0x40], &[1]].concat(),
+            ),
+            ("count entries are not ascending", vec![1, 4, 0, 1, 8, 0, 2, 3, 1, 0, 1]),
+            ("trailing bytes after payload", [&ok[..], &[0]].concat()),
+        ];
+        for (why, body) in hostile {
+            match decode_payload(TAG_COUNT_MERGE, &body) {
+                Err(FrameError::Malformed(reason)) => assert_eq!(reason, why, "{body:02x?}"),
+                other => panic!("{why}: parsed {body:02x?} as {other:?}"),
+            }
+            // And through the envelope, as a peer would send it.
+            assert!(decode(&envelope(TAG_COUNT_MERGE, &body)).is_err(), "{why}");
+        }
+        // The valid joint neighbours of the hostile ones, for contrast.
+        let mut into = ShardCounts::empty(Some(4), [8]);
+        read_count_merge(&[1, 4, 0, 1, 8, 0, 2, 3, 1, 1, 1], Some(&mut into)).unwrap();
+        assert_eq!(into.joints[0].canonical_runs(), &[(3, 1), (4, 1)]);
+    }
+
+    #[test]
+    fn joint_keys_span_a_target_change() {
+        let mut counts = ShardCounts::empty(Some(3), [5]);
+        let mut joint = PairCountState::new();
+        joint.add(0, 4);
+        joint.add(2, 0);
+        joint.add(0, 4);
+        joint.add(1, 3);
+        counts.joints[0] = joint;
+        let frame = CountMergeFrame::from_counts(&mut counts);
+        let mut back = shape_of(&counts);
+        frame.decode_into(&mut back).unwrap();
+        assert_eq!(back.joints[0].canonical_runs(), &[(4, 2), (1 << 32 | 3, 1), (2 << 32, 1)]);
     }
 }

@@ -32,15 +32,13 @@
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use swope_columnar::Dataset;
-use swope_core::{
-    count_candidate, count_target, AttrMeta, CountState, PairCountState, ShardCounts,
-};
+use swope_columnar::{Code, Dataset};
+use swope_core::{count_candidate, count_target, AttrMeta, CountState, ShardCounts};
 use swope_sampling::{PrefixShuffle, Sampler};
 
 use crate::frame::{
-    read_frame, write_frame, CountMergeFrame, ErrorFrame, Frame, FrameError, GrowDelta, Hello,
-    QuerySpecFrame, PROTOCOL_VERSION,
+    ErrorFrame, Frame, FrameError, FrameReader, FrameWriter, GrowDelta, Hello, QuerySpecFrame,
+    PROTOCOL_VERSION,
 };
 use crate::stats::ClusterStats;
 
@@ -56,24 +54,40 @@ fn dataset_meta(ds: &Dataset) -> Vec<AttrMeta> {
         .collect()
 }
 
-fn send<S: Write>(io: &mut S, stats: &ClusterStats, frame: &Frame) -> Result<(), FrameError> {
-    let n = write_frame(io, frame)?;
-    stats.record_sent(n);
-    Ok(())
+/// One session's stream with the buffers every frame on it reuses.
+struct Wire<'a, S> {
+    io: &'a mut S,
+    stats: &'a ClusterStats,
+    reader: FrameReader,
+    writer: FrameWriter,
 }
 
-fn recv<S: Read>(io: &mut S, stats: &ClusterStats) -> Result<Frame, FrameError> {
-    let (frame, n) = read_frame(io)?;
-    stats.record_received(n);
-    Ok(frame)
-}
+impl<S: Read + Write> Wire<'_, S> {
+    fn send(&mut self, frame: &Frame) -> Result<(), FrameError> {
+        let n = self.writer.write(self.io, frame)?;
+        self.stats.record_sent(n);
+        Ok(())
+    }
 
-/// Sends a one-line [`ErrorFrame`] (best effort) and reports the reason
-/// as this session's outcome.
-fn bail<S: Read + Write>(io: &mut S, stats: &ClusterStats, message: String) -> SessionEnd {
-    stats.record_peer_error();
-    let _ = send(io, stats, &Frame::Error(ErrorFrame { message: message.clone() }));
-    SessionEnd::Error(message)
+    fn send_counts(&mut self, counts: &mut ShardCounts) -> Result<(), FrameError> {
+        let n = self.writer.write_count_merge(self.io, counts)?;
+        self.stats.record_sent(n);
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<Frame, FrameError> {
+        let (frame, n) = self.reader.read(self.io)?;
+        self.stats.record_received(n);
+        Ok(frame)
+    }
+
+    /// Sends a one-line [`ErrorFrame`] (best effort) and reports the
+    /// reason as this session's outcome.
+    fn bail(&mut self, message: String) -> SessionEnd {
+        self.stats.record_peer_error();
+        let _ = self.send(&Frame::Error(ErrorFrame { message: message.clone() }));
+        SessionEnd::Error(message)
+    }
 }
 
 /// How a peer session finished, for the server's logs/metrics.
@@ -102,28 +116,21 @@ pub fn serve_connection<S: Read + Write>(
     resolve: &DatasetResolver<'_>,
     stats: &ClusterStats,
 ) -> SessionEnd {
+    let mut wire = Wire { io, stats, reader: FrameReader::new(), writer: FrameWriter::new() };
     // No dataset is open until the first Hello resolves one; each later
     // Hello (pooled-connection reuse) replaces it.
     let mut ds: Option<Arc<Dataset>> = None;
     loop {
-        match recv(io, stats) {
+        match wire.recv() {
             Ok(Frame::Hello(hello)) => {
                 if hello.version != PROTOCOL_VERSION {
-                    return bail(
-                        io,
-                        stats,
-                        format!(
-                            "protocol version {} unsupported (peer speaks {PROTOCOL_VERSION})",
-                            hello.version
-                        ),
-                    );
+                    return wire.bail(format!(
+                        "protocol version {} unsupported (peer speaks {PROTOCOL_VERSION})",
+                        hello.version
+                    ));
                 }
                 let Some(resolved) = resolve(&hello.dataset) else {
-                    return bail(
-                        io,
-                        stats,
-                        format!("no dataset named {:?} is loaded", hello.dataset),
-                    );
+                    return wire.bail(format!("no dataset named {:?} is loaded", hello.dataset));
                 };
                 let reply = Hello {
                     version: PROTOCOL_VERSION,
@@ -131,7 +138,7 @@ pub fn serve_connection<S: Read + Write>(
                     num_rows: resolved.num_rows() as u64,
                     attrs: dataset_meta(&resolved),
                 };
-                if let Err(e) = send(io, stats, &Frame::Hello(reply)) {
+                if let Err(e) = wire.send(&Frame::Hello(reply)) {
                     stats.record_peer_error();
                     return SessionEnd::Error(e.to_string());
                 }
@@ -139,24 +146,24 @@ pub fn serve_connection<S: Read + Write>(
             }
             Ok(Frame::QuerySpec(spec)) => {
                 let Some(ds) = &ds else {
-                    return bail(io, stats, "QuerySpec before any Hello".into());
+                    return wire.bail("QuerySpec before any Hello".into());
                 };
                 if let Err(msg) = validate_spec(ds, &spec) {
-                    return bail(io, stats, msg);
+                    return wire.bail(msg);
                 }
-                match serve_query(io, ds, &spec, stats) {
+                match serve_query(&mut wire, ds, &spec) {
                     Ok(()) => {}
                     Err(QueryEnd::Closed) => return SessionEnd::Closed,
                     Err(QueryEnd::Aborted) => return SessionEnd::Closed,
-                    Err(QueryEnd::Fail(msg)) => return bail(io, stats, msg),
+                    Err(QueryEnd::Fail(msg)) => return wire.bail(msg),
                 }
             }
             Ok(f) => {
                 let expected = if ds.is_some() { "Hello or QuerySpec" } else { "Hello" };
-                return bail(io, stats, format!("expected {expected}, got {}", f.name()));
+                return wire.bail(format!("expected {expected}, got {}", f.name()));
             }
             Err(e) if e.is_eof() => return SessionEnd::Closed,
-            Err(e) => return bail(io, stats, e.to_string()),
+            Err(e) => return wire.bail(e.to_string()),
         }
     }
 }
@@ -172,6 +179,14 @@ fn validate_spec(ds: &Dataset, q: &QuerySpecFrame) -> Result<(), String> {
     if q.base.checked_add(q.population).is_none() {
         return Err("QuerySpec scope overflows the row index space".into());
     }
+    // `PrefixShuffle` indexes rows with `u32` and asserts as much.
+    if q.population > u32::MAX as u64 {
+        return Err(format!(
+            "QuerySpec population {} exceeds the {} rows a sample can index",
+            q.population,
+            u32::MAX
+        ));
+    }
     Ok(())
 }
 
@@ -186,17 +201,17 @@ enum QueryEnd {
 
 /// Runs one query's GrowDelta/CountMerge exchanges until `Result`.
 fn serve_query<S: Read + Write>(
-    io: &mut S,
+    wire: &mut Wire<'_, S>,
     ds: &Dataset,
     spec: &QuerySpecFrame,
-    stats: &ClusterStats,
 ) -> Result<(), QueryEnd> {
     let mut shuffle = PrefixShuffle::new(spec.population as usize, spec.seed);
     let mut rows: Vec<u32> = Vec::new();
     // Rows of one page adjacent, so paged gathers pin each page once.
     let mut grouper = ds.page_grouper();
+    let mut counter = Counter::new(ds);
     loop {
-        let grow = match recv(io, stats) {
+        let grow = match wire.recv() {
             Ok(Frame::GrowDelta(g)) => g,
             Ok(Frame::Result(_)) => return Ok(()),
             Ok(Frame::Error(_)) => return Err(QueryEnd::Aborted),
@@ -219,42 +234,89 @@ fn serve_query<S: Read + Write>(
                 rows.push((union_row - spec.shard_start) as u32);
             }
         }
-        let mut counts = count_rows(ds, grouper.group(&rows), &grow);
-        let frame = Frame::CountMerge(CountMergeFrame::from_counts(&mut counts));
-        if let Err(e) = send(io, stats, &frame) {
-            stats.record_peer_error();
+        let counts = counter.count(grouper.group(&rows), grow);
+        if let Err(e) = wire.send_counts(counts) {
+            wire.stats.record_peer_error();
             return Err(QueryEnd::Fail(e.to_string()));
         }
     }
 }
 
-/// Counts one delta's rows: target marginal first (gathering its codes),
-/// then each live attribute's marginal and, for MI, its joint with the
-/// target — `LocalShardSource`'s own counting bodies, single shard.
-fn count_rows(ds: &Dataset, rows: &[u32], grow: &GrowDelta) -> ShardCounts {
-    let mut tcodes = Vec::new();
-    let target = grow.target.map(|t| {
-        let mut counts = CountState::new(ds.support(t as usize));
-        count_target(ds.column(t as usize), rows, &mut counts, &mut tcodes);
-        counts
-    });
-    let mut attrs = Vec::with_capacity(grow.live.len());
-    let mut joints = Vec::with_capacity(grow.live.len());
-    for &attr in &grow.live {
-        let mut out = CountState::new(ds.support(attr as usize));
-        let mut pairs = PairCountState::new();
-        let tcodes = grow.target.map(|_| tcodes.as_slice());
-        count_candidate(ds.column(attr as usize), rows, tcodes, &mut out, &mut pairs);
-        attrs.push(out);
-        joints.push(pairs);
+/// One query's counting state: the histograms of every attribute it has
+/// counted so far, emptied and reused doubling after doubling instead of
+/// allocated and zeroed (Σ support × 8 bytes) for each.
+struct Counter<'d> {
+    ds: &'d Dataset,
+    /// Idle histograms by attribute; `None` until first counted.
+    idle: Vec<Option<CountState>>,
+    /// The latest iteration's counts and the request they answer. Joint
+    /// deltas stay in place between iterations: they are plain run
+    /// buffers, any attribute's will do.
+    counts: ShardCounts,
+    request: Option<GrowDelta>,
+    tcodes: Vec<Code>,
+}
+
+impl<'d> Counter<'d> {
+    fn new(ds: &'d Dataset) -> Self {
+        Self {
+            ds,
+            idle: vec![None; ds.num_attrs()],
+            counts: ShardCounts::empty(None, []),
+            request: None,
+            tcodes: Vec::new(),
+        }
     }
-    ShardCounts { target, attrs, joints }
+
+    fn checkout(&mut self, attr: u32) -> CountState {
+        let support = self.ds.support(attr as usize);
+        self.idle[attr as usize].take().unwrap_or_else(|| CountState::new(support))
+    }
+
+    /// Empties the previous iteration's histograms and parks them.
+    fn recycle(&mut self) {
+        let Some(grow) = self.request.take() else { return };
+        let target = grow.target.zip(self.counts.target.take());
+        for (attr, mut cs) in
+            target.into_iter().chain(grow.live.into_iter().zip(self.counts.attrs.drain(..)))
+        {
+            cs.clear();
+            self.idle[attr as usize] = Some(cs);
+        }
+        for joint in &mut self.counts.joints {
+            joint.clear();
+        }
+    }
+
+    /// Counts one delta's rows: target marginal first (gathering its
+    /// codes), then each live attribute's marginal and, for MI, its joint
+    /// with the target — `LocalShardSource`'s own counting bodies, single
+    /// shard. The result is valid until the next call.
+    fn count(&mut self, rows: &[u32], grow: GrowDelta) -> &mut ShardCounts {
+        self.recycle();
+        let ds = self.ds;
+        self.counts.target = grow.target.map(|t| {
+            let mut counts = self.checkout(t);
+            count_target(ds.column(t as usize), rows, &mut counts, &mut self.tcodes);
+            counts
+        });
+        self.counts.joints.resize_with(grow.live.len(), Default::default);
+        for (i, &attr) in grow.live.iter().enumerate() {
+            let mut out = self.checkout(attr);
+            let tcodes = grow.target.map(|_| self.tcodes.as_slice());
+            let pairs = &mut self.counts.joints[i];
+            count_candidate(ds.column(attr as usize), rows, tcodes, &mut out, pairs);
+            self.counts.attrs.push(out);
+        }
+        self.request = Some(grow);
+        &mut self.counts
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::ResultFrame;
+    use crate::frame::{read_frame, write_frame, ResultFrame};
 
     fn dataset() -> Arc<Dataset> {
         Arc::new(swope_datagen::generate(&swope_datagen::corpus::tiny(500, 4), 0xC1))
@@ -338,7 +400,8 @@ mod tests {
         let Frame::CountMerge(c) = &replies[1] else { panic!("expected CountMerge") };
         // The peer owns the whole population here, so all 64 sampled
         // rows are counted for each of the 4 live attributes.
-        let counts = c.clone().into_counts().unwrap();
+        let mut counts = ShardCounts::empty(None, (0..4).map(|a| ds.support(a)));
+        c.decode_into(&mut counts).unwrap();
         assert!(counts.target.is_none());
         assert_eq!(counts.attrs.len(), 4);
         for cs in &counts.attrs {
@@ -371,7 +434,8 @@ mod tests {
         let resolve = |_: &str| Some(Arc::clone(&ds));
         assert_eq!(serve_connection(&mut pipe, &resolve, &stats), SessionEnd::Closed);
         let Frame::CountMerge(c) = &pipe.replies()[1] else { panic!("expected CountMerge") };
-        let counts = c.clone().into_counts().unwrap();
+        let mut counts = ShardCounts::empty(Some(ds.support(0)), [ds.support(1), ds.support(2)]);
+        c.decode_into(&mut counts).unwrap();
         // Replay the same global shuffle to predict how many of the 100
         // sampled union rows land in [n, 2n).
         let mut shuffle = PrefixShuffle::new(2 * n as usize, 7);
@@ -427,5 +491,48 @@ mod tests {
             panic!("expected an error end");
         };
         assert!(msg.contains("holds 500 rows"), "{msg}");
+    }
+
+    /// `PrefixShuffle::new` asserts its population fits `u32`; a spec
+    /// past that must be answered, not allowed to panic the session.
+    #[test]
+    fn oversized_population_is_an_error_frame() {
+        let ds = dataset();
+        let n = ds.num_rows() as u64;
+        let stats = ClusterStats::new();
+        let resolve = |_: &str| Some(Arc::clone(&ds));
+        let mut pipe = Pipe::scripted(&[
+            hello("t"),
+            Frame::QuerySpec(QuerySpecFrame {
+                seed: 1,
+                population: u32::MAX as u64 + 1,
+                base: 0,
+                shard_start: 0,
+                shard_end: n,
+            }),
+        ]);
+        let SessionEnd::Error(msg) = serve_connection(&mut pipe, &resolve, &stats) else {
+            panic!("expected an error end");
+        };
+        assert!(msg.contains("population 4294967296"), "{msg}");
+        let Frame::Error(e) = &pipe.replies()[1] else { panic!("expected Error frame") };
+        assert_eq!(e.message, msg);
+    }
+
+    #[test]
+    fn an_older_coordinator_is_refused_by_version() {
+        let ds = dataset();
+        let stats = ClusterStats::new();
+        let resolve = |_: &str| Some(Arc::clone(&ds));
+        let mut pipe = Pipe::scripted(&[Frame::Hello(Hello {
+            version: 1,
+            dataset: "t".into(),
+            num_rows: 0,
+            attrs: Vec::new(),
+        })]);
+        let end = serve_connection(&mut pipe, &resolve, &stats);
+        let msg = "protocol version 1 unsupported (peer speaks 2)";
+        assert_eq!(end, SessionEnd::Error(msg.into()));
+        assert_eq!(pipe.replies(), vec![Frame::Error(ErrorFrame { message: msg.into() })]);
     }
 }

@@ -16,6 +16,7 @@ pub struct ClusterStats {
     frames_received: AtomicU64,
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
+    count_entries: AtomicU64,
     peer_errors: AtomicU64,
     conns_opened: AtomicU64,
     conn_reuses: AtomicU64,
@@ -36,6 +37,9 @@ pub struct ClusterSnapshot {
     pub bytes_sent: u64,
     /// Wire bytes read.
     pub bytes_received: u64,
+    /// Histogram entries and joint runs decoded from `CountMerge` frames
+    /// — what the received bytes carried.
+    pub count_entries: u64,
     /// Peer connections or frames that failed.
     pub peer_errors: u64,
     /// Fresh TCP connections dialed to peers.
@@ -72,6 +76,11 @@ impl ClusterStats {
         self.bytes_received.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
+    /// Counts the entries of one decoded `CountMerge`.
+    pub fn record_entries(&self, entries: u64) {
+        self.count_entries.fetch_add(entries, Ordering::Relaxed);
+    }
+
     /// Counts one failed peer interaction.
     pub fn record_peer_error(&self) {
         self.peer_errors.fetch_add(1, Ordering::Relaxed);
@@ -96,6 +105,7 @@ impl ClusterStats {
             frames_received: self.frames_received.load(Ordering::Relaxed),
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
+            count_entries: self.count_entries.load(Ordering::Relaxed),
             peer_errors: self.peer_errors.load(Ordering::Relaxed),
             conns_opened: self.conns_opened.load(Ordering::Relaxed),
             conn_reuses: self.conn_reuses.load(Ordering::Relaxed),

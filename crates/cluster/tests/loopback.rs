@@ -9,7 +9,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use swope_cluster::coordinator::{probe, PeerPool, PeerTimeouts, RemoteShardSource};
-use swope_cluster::frame::{read_frame, write_frame, Frame, Hello, PROTOCOL_VERSION};
+use swope_cluster::frame::{
+    read_frame, write_frame, CountMergeFrame, Frame, Hello, PROTOCOL_VERSION,
+};
 use swope_cluster::peer::serve_connection;
 use swope_cluster::stats::ClusterStats;
 use swope_columnar::Dataset;
@@ -17,7 +19,7 @@ use swope_core::{
     entropy_filter, entropy_filter_transport, entropy_profile, entropy_profile_transport,
     entropy_top_k, entropy_top_k_transport, mi_filter, mi_filter_transport, mi_profile,
     mi_profile_transport, mi_top_k, mi_top_k_transport, Executor, NoopObserver, SamplingStrategy,
-    ShardTransport, SwopeConfig, SwopeError,
+    ShardCounts, ShardTransport, SwopeConfig, SwopeError,
 };
 
 const PROFILE_FLOOR: f64 = 0.05;
@@ -351,37 +353,14 @@ fn hung_peer_trips_the_io_timeout() {
 #[test]
 fn peer_death_mid_query_fails_the_advance() {
     let union = union_dataset();
-    let n = union.num_rows() as u64;
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let ds = union;
     // A hand-rolled peer that answers exactly one GrowDelta, then dies.
-    std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let stats = ClusterStats::new();
-        let resolve =
-            |_: &str| Some(Arc::new(ds.take_rows(&(0..ds.num_rows()).collect::<Vec<_>>())));
-        // Reuse the real session logic for Hello/QuerySpec/first delta by
-        // speaking frames manually.
+    let addr = scripted_peer(move |mut stream| {
         let (hello, _) = read_frame(&mut stream).unwrap();
         let Frame::Hello(_) = hello else { panic!("expected Hello") };
-        let reply = Hello {
-            version: PROTOCOL_VERSION,
-            dataset: "t".into(),
-            num_rows: n,
-            attrs: resolve("")
-                .unwrap()
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| swope_core::AttrMeta { name: f.name().into(), support: f.support() })
-                .collect(),
-        };
-        write_frame(&mut stream, &Frame::Hello(reply)).unwrap();
+        write_frame(&mut stream, &hello_reply(PROTOCOL_VERSION, &union)).unwrap();
         let _ = read_frame(&mut stream).unwrap(); // QuerySpec
         let _ = read_frame(&mut stream).unwrap(); // first GrowDelta
         drop(stream); // die before answering
-        let _ = stats;
     });
     let config = cfg(0xDEAD);
     let timeouts = PeerTimeouts { connect: Duration::from_secs(1), io: Duration::from_millis(500) };
@@ -403,4 +382,83 @@ fn peer_death_mid_query_fails_the_advance() {
     let SwopeError::Transport(msg) = err else { panic!("expected a transport error, got {err}") };
     assert!(msg.contains(&addr), "{msg}");
     assert!(!msg.contains('\n'), "{msg}");
+}
+
+/// A hand-rolled peer: accepts one connection and runs `script` on it.
+fn scripted_peer(script: impl FnOnce(std::net::TcpStream) + Send + 'static) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || script(listener.accept().unwrap().0));
+    addr
+}
+
+fn hello_reply(version: u32, ds: &Dataset) -> Frame {
+    let attrs = ds
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| swope_core::AttrMeta { name: f.name().into(), support: f.support() })
+        .collect();
+    Frame::Hello(Hello { version, dataset: "t".into(), num_rows: ds.num_rows() as u64, attrs })
+}
+
+/// A peer whose `CountMerge` claims a larger support than its `Hello`
+/// announced, with a code past the real one: the coordinator must refuse
+/// the frame with a one-line error naming the peer — merging it would
+/// index the engine's counters out of range (a worker panic, a 500).
+#[test]
+fn a_peer_lying_about_support_is_a_transport_error() {
+    let union = union_dataset();
+    let peer_ds = slice_rows(&union, 0..union.num_rows());
+    let addr = scripted_peer(move |mut stream| {
+        let _ = read_frame(&mut stream).unwrap(); // Hello
+        write_frame(&mut stream, &hello_reply(PROTOCOL_VERSION, &peer_ds)).unwrap();
+        let _ = read_frame(&mut stream).unwrap(); // QuerySpec
+        let (Frame::GrowDelta(grow), _) = read_frame(&mut stream).unwrap() else {
+            panic!("expected GrowDelta")
+        };
+        let inflated = grow.live.iter().map(|&a| peer_ds.support(a as usize) + 5);
+        let mut counts = ShardCounts::empty(None, inflated);
+        for (cs, &a) in counts.attrs.iter_mut().zip(&grow.live) {
+            cs.increment(peer_ds.support(a as usize) + 1, grow.m_target);
+        }
+        let lie = Frame::CountMerge(CountMergeFrame::from_counts(&mut counts));
+        write_frame(&mut stream, &lie).unwrap();
+        let _ = read_frame(&mut stream); // hold the socket until the coordinator hangs up
+    });
+    let config = cfg(0x11E);
+    let mut src = connect(std::slice::from_ref(&addr), &config, None);
+    let err =
+        entropy_top_k_transport(&mut src, 3, &config, &mut NoopObserver, &Executor::sequential())
+            .unwrap_err();
+    let SwopeError::Transport(msg) = err else { panic!("expected a transport error, got {err}") };
+    assert!(msg.starts_with(&format!("peer {addr}: ")), "{msg}");
+    assert!(msg.contains("support disagrees"), "{msg}");
+    assert!(!msg.contains('\n'), "{msg}");
+}
+
+/// A peer still speaking protocol v1 is named as such at connect time;
+/// none of its frames is parsed as v2.
+#[test]
+fn an_older_peer_is_refused_by_version() {
+    let union = union_dataset();
+    let addr = scripted_peer(move |mut stream| {
+        let _ = read_frame(&mut stream).unwrap(); // Hello
+        write_frame(&mut stream, &hello_reply(1, &union)).unwrap();
+        let _ = read_frame(&mut stream);
+    });
+    let err = RemoteShardSource::connect(
+        std::slice::from_ref(&addr),
+        "t",
+        1,
+        None,
+        &PeerTimeouts::default(),
+        Arc::new(ClusterStats::new()),
+        None,
+    )
+    .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        SwopeError::Transport(format!("peer {addr}: speaks protocol v1")).to_string()
+    );
 }

@@ -70,6 +70,10 @@ pub use swope_sketch::{ColumnSketch, DatasetSketch, SketchKind};
 // direct swope-store dependency.
 pub use swope_store::page::PAGE_ROWS;
 
+// The checksum over every snapshot page and section (and every cluster
+// frame), for the same callers: layer benches time the kernel itself.
+pub use swope_store::crc32::crc32;
+
 // The pager types callers need to open datasets out-of-core: the page
 // cache a budget is configured on (plus its metrics snapshot), the
 // pager-backed column hot loops dispatch to via [`ColumnStorage`], and

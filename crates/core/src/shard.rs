@@ -135,6 +135,21 @@ impl CountState {
         touched.into_iter().map(|c| (c, self.counts[c as usize])).collect()
     }
 
+    /// [`CountState::sorted_entries`] without the copy: orders the
+    /// histogram's own code list in place and walks it (wire encode path).
+    pub fn canonical_entries(&mut self) -> impl ExactSizeIterator<Item = (Code, u64)> + '_ {
+        // Once an eighth of the codes are touched, reading the list back
+        // off the counts in code order is cheaper than sorting it.
+        if self.touched.len() * 8 >= self.counts.len() {
+            self.touched.clear();
+            let codes = self.counts.iter().zip(0..).filter(|&(&n, _)| n != 0);
+            self.touched.extend(codes.map(|(_, code)| code));
+        } else {
+            self.touched.sort_unstable();
+        }
+        self.touched.iter().map(|&c| (c, self.counts[c as usize]))
+    }
+
     /// Drains the histogram into `counter` in canonical ascending-code
     /// order, leaving the histogram empty for reuse.
     pub fn apply_to(&mut self, counter: &mut EntropyCounter) {
@@ -237,6 +252,12 @@ impl PairCountState {
         &self.runs
     }
 
+    /// Empties the delta without applying it, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.runs.clear();
+        self.canonical = false;
+    }
+
     /// Drains the delta into `joint` in canonical ascending-key order,
     /// leaving it empty for reuse.
     pub fn apply_to(&mut self, joint: &mut JointEntropyCounter) {
@@ -330,6 +351,18 @@ pub struct ShardCounts {
     /// Per-live-attribute joint deltas, aligned with
     /// [`CountRequest::live`] (empty histograms for entropy queries).
     pub joints: Vec<PairCountState>,
+}
+
+impl ShardCounts {
+    /// Empty deltas of one shape: a target histogram iff `target` gives
+    /// its support, and a histogram plus a joint delta per support in
+    /// `live`. What a receiver builds before decoding a shard's reply
+    /// into it.
+    pub fn empty(target: Option<u32>, live: impl IntoIterator<Item = u32>) -> Self {
+        let attrs: Vec<CountState> = live.into_iter().map(CountState::new).collect();
+        let joints = vec![PairCountState::new(); attrs.len()];
+        Self { target: target.map(CountState::new), attrs, joints }
+    }
 }
 
 /// A source of per-shard count deltas the adaptive loops can drive.
@@ -1563,6 +1596,23 @@ mod tests {
         ba.merge(a);
         assert_eq!(ab.sorted_entries(), ba.sorted_entries());
         assert_eq!(ab.total(), a.total() + b.total());
+    }
+
+    #[test]
+    fn canonical_entries_equal_sorted_entries_sparse_and_dense() {
+        // 1000 codes with 20 adds take the sort, with 5000 the scan; the
+        // histogram must then still clear and apply like any other.
+        for (seed, adds) in [(3, 0), (4, 20), (5, 124), (6, 125), (7, 5000)] {
+            let mut cs = random_count_states(seed, 1, 1000, adds).remove(0);
+            let sorted = cs.sorted_entries();
+            assert_eq!(cs.canonical_entries().collect::<Vec<_>>(), sorted, "{adds} adds");
+            assert_eq!(cs.sorted_entries(), sorted);
+            let mut counter = EntropyCounter::new(1000);
+            cs.clone().apply_to(&mut counter);
+            assert_eq!(counter.total(), adds as u64);
+            cs.clear();
+            assert_eq!(cs, CountState::new(1000));
+        }
     }
 
     #[test]

@@ -140,6 +140,11 @@ pub const CLUSTER_BYTES_SENT_TOTAL: &str = "swope_cluster_bytes_sent_total";
 /// Counter: payload bytes received from peers (frame headers included).
 pub const CLUSTER_BYTES_RECEIVED_TOTAL: &str = "swope_cluster_bytes_received_total";
 
+/// Counter: histogram entries and joint runs decoded from the
+/// `CountMerge` frames a coordinator received — what the bytes carried
+/// (`bytes_received / count_entries` ≈ 2–3 on wire protocol v2).
+pub const CLUSTER_COUNT_ENTRIES_TOTAL: &str = "swope_cluster_count_entries_total";
+
 /// Counter: fan-outs that failed because a peer was unreachable, timed
 /// out, or answered with a protocol error (the request maps to `503`).
 pub const CLUSTER_PEER_ERRORS_TOTAL: &str = "swope_cluster_peer_errors_total";

@@ -339,6 +339,7 @@ impl ServerMetrics {
             (names::CLUSTER_FRAMES_RECEIVED_TOTAL, wire.frames_received),
             (names::CLUSTER_BYTES_SENT_TOTAL, wire.bytes_sent),
             (names::CLUSTER_BYTES_RECEIVED_TOTAL, wire.bytes_received),
+            (names::CLUSTER_COUNT_ENTRIES_TOTAL, wire.count_entries),
             (names::CLUSTER_PEER_ERRORS_TOTAL, wire.peer_errors),
             (names::CLUSTER_CONNS_OPENED_TOTAL, wire.conns_opened),
             (names::CLUSTER_CONN_REUSES_TOTAL, wire.conn_reuses),

@@ -154,6 +154,11 @@ fn coordinator_serves_single_box_identical_bytes() {
     assert!(metric(&metrics, "swope_cluster_merges_total") >= 1);
     assert!(metric(&metrics, "swope_cluster_frames_sent_total") > 0);
     assert!(metric(&metrics, "swope_cluster_bytes_received_total") > 0);
+    // What those bytes carried: every merge decodes at least one entry,
+    // and delta/varint entries average a few bytes each, headers included.
+    let entries = metric(&metrics, "swope_cluster_count_entries_total");
+    assert!(entries >= metric(&metrics, "swope_cluster_merges_total"));
+    assert!(metric(&metrics, "swope_cluster_bytes_received_total") < 12 * entries);
     assert_eq!(metric(&metrics, "swope_cluster_peer_errors_total"), 0);
 
     // Peer sessions are pooled: the startup probe and the first fan-out
@@ -212,6 +217,38 @@ fn dead_peer_is_a_fast_one_line_503() {
 
     let metrics = get(coordinator.addr, "/metrics").body;
     assert!(metric(&metrics, "swope_cluster_peer_errors_total") >= 1);
+}
+
+/// A peer that still speaks protocol v1 costs the client a one-line 503
+/// naming it and its version — none of its frames is parsed as v2.
+#[test]
+fn an_older_peer_is_a_one_line_503() {
+    use swope_cluster::frame::{read_frame, write_frame, Frame, Hello};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // Answers every Hello (the startup probe's, then each query's) as a
+    // v1 build would: same Hello layout, version 1.
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            while let Ok((Frame::Hello(hello), _)) = read_frame(&mut stream) {
+                let reply = Hello { version: 1, num_rows: 400, ..hello };
+                if write_frame(&mut stream, &Frame::Hello(reply)).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+    let coordinator = TestServer::start(
+        ServerConfig { peers: vec![addr.to_string()], ..ServerConfig::default() },
+        union_dataset(),
+    );
+    let reply = get(coordinator.addr, "/query/entropy-topk?dataset=tiny&k=2");
+    assert_eq!(reply.status, 503, "{}", reply.body);
+    let err = Json::parse(&reply.body).unwrap();
+    let msg = err.get("error").unwrap().as_str().unwrap().to_owned();
+    assert!(msg.ends_with(&format!("peer {addr}: speaks protocol v1")), "{msg}");
+    assert!(!msg.contains('\n'), "error must be one line: {msg:?}");
 }
 
 #[test]
