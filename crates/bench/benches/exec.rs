@@ -1,6 +1,6 @@
 //! Execution-layer microbenchmarks: persistent-pool dispatch overhead vs
-//! a fresh `thread::scope` per fan-out, and gather-staged vs direct
-//! (random-access) ingest.
+//! a fresh `thread::scope` per fan-out, and one gather-staged ingest of
+//! a cache-hostile delta.
 //!
 //! Besides the usual console report, this bench persists its medians to
 //! `results/BENCH_ingest.json` so the numbers backing the DESIGN.md
@@ -59,33 +59,22 @@ fn bench_dispatch(g: &mut Group) -> (f64, f64, f64) {
     (sequential, pooled, scoped)
 }
 
-fn bench_ingest(g: &mut Group) -> (f64, f64) {
+fn bench_ingest(g: &mut Group) -> f64 {
     let ds = generate(&corpus::tiny(DELTA_ROWS, 2), 0x5170);
     let rows = shuffled_rows(DELTA_ROWS);
     let column = ds.column(0);
 
     // Fresh state per timed call: `xlog2` costs depend on accumulated
-    // counts, so letting one variant accumulate longer than the other
-    // would skew the comparison.
-    let direct = g.bench_with_setup(
-        "direct_ingest_1m_rows",
-        || EntropyState::new(&ds, 0),
-        |mut st| {
-            st.ingest(column, &rows);
-            black_box(st.sampled())
-        },
-    );
-
+    // counts.
     let mut scratch = GatherScratch::new(1);
-    let staged = g.bench_with_setup(
+    g.bench_with_setup(
         "staged_ingest_1m_rows",
         || EntropyState::new(&ds, 0),
         |mut st| {
             st.ingest_staged(column, &rows, &mut scratch.slots(1)[0]);
             black_box(st.sampled())
         },
-    );
-    (direct, staged)
+    )
 }
 
 fn main() {
@@ -93,7 +82,7 @@ fn main() {
     let (sequential_ns, pool_ns, scope_ns) = bench_dispatch(&mut g);
 
     let mut g = Group::new("exec_ingest");
-    let (direct_ns, staged_ns) = bench_ingest(&mut g);
+    let staged_ns = bench_ingest(&mut g);
 
     let mut w = ObjectWriter::new();
     w.str_field("bench", "exec")
@@ -104,9 +93,7 @@ fn main() {
         .f64_field("dispatch_scope_over_pool", scope_ns / pool_ns)
         .usize_field("ingest_delta_rows", DELTA_ROWS)
         .usize_field("ingest_block_rows", swope_core::state::INGEST_BLOCK_ROWS)
-        .f64_field("ingest_direct_ns", direct_ns)
-        .f64_field("ingest_staged_ns", staged_ns)
-        .f64_field("ingest_direct_over_staged", direct_ns / staged_ns);
+        .f64_field("ingest_staged_ns", staged_ns);
     let json = w.finish();
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_ingest.json");

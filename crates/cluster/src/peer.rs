@@ -32,8 +32,10 @@
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use swope_columnar::{Code, Dataset};
-use swope_core::{count_candidate, count_target, AttrMeta, CountState, ShardCounts};
+use swope_columnar::Dataset;
+use swope_core::{
+    count_candidate, count_target, AttrMeta, CountScratch, CountState, ShardCounts, TargetBuf,
+};
 use swope_sampling::{PrefixShuffle, Sampler};
 
 use crate::frame::{
@@ -254,7 +256,10 @@ struct Counter<'d> {
     /// buffers, any attribute's will do.
     counts: ShardCounts,
     request: Option<GrowDelta>,
-    tcodes: Vec<Code>,
+    target: TargetBuf,
+    /// Attributes are counted one after another, so one scratch serves
+    /// them all.
+    scratch: CountScratch,
 }
 
 impl<'d> Counter<'d> {
@@ -264,7 +269,8 @@ impl<'d> Counter<'d> {
             idle: vec![None; ds.num_attrs()],
             counts: ShardCounts::empty(None, []),
             request: None,
-            tcodes: Vec::new(),
+            target: TargetBuf::new(),
+            scratch: CountScratch::new(),
         }
     }
 
@@ -297,15 +303,22 @@ impl<'d> Counter<'d> {
         let ds = self.ds;
         self.counts.target = grow.target.map(|t| {
             let mut counts = self.checkout(t);
-            count_target(ds.column(t as usize), rows, &mut counts, &mut self.tcodes);
+            count_target(ds.column(t as usize), rows, &mut counts, &mut self.target);
             counts
         });
         self.counts.joints.resize_with(grow.live.len(), Default::default);
         for (i, &attr) in grow.live.iter().enumerate() {
             let mut out = self.checkout(attr);
-            let tcodes = grow.target.map(|_| self.tcodes.as_slice());
+            let target = grow.target.map(|_| self.target.target());
             let pairs = &mut self.counts.joints[i];
-            count_candidate(ds.column(attr as usize), rows, tcodes, &mut out, pairs);
+            count_candidate(
+                ds.column(attr as usize),
+                rows,
+                target,
+                &mut out,
+                pairs,
+                &mut self.scratch,
+            );
             self.counts.attrs.push(out);
         }
         self.request = Some(grow);

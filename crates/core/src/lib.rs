@@ -59,6 +59,7 @@
 
 mod batch;
 mod config;
+pub mod count;
 mod error;
 pub mod exec;
 mod filter;
@@ -76,6 +77,9 @@ mod topk;
 
 pub use batch::{mi_top_k_batch, mi_top_k_batch_exec, mi_top_k_batch_observed};
 pub use config::{SamplingStrategy, SwopeConfig};
+pub use count::{
+    count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,
+};
 pub use error::SwopeError;
 pub use exec::{ExecPool, ExecStats, Executor};
 pub use filter::{entropy_filter, entropy_filter_exec, entropy_filter_observed};
@@ -93,13 +97,12 @@ pub use scope::{
     mi_top_k_scoped_exec, Scope,
 };
 pub use shard::{
-    count_candidate, count_target, entropy_filter_sharded, entropy_filter_sharded_exec,
-    entropy_filter_transport, entropy_profile_sharded, entropy_profile_sharded_exec,
-    entropy_profile_transport, entropy_top_k_sharded, entropy_top_k_sharded_exec,
-    entropy_top_k_transport, mi_filter_sharded, mi_filter_sharded_exec, mi_filter_transport,
-    mi_profile_sharded, mi_profile_sharded_exec, mi_profile_transport, mi_top_k_sharded,
-    mi_top_k_sharded_exec, mi_top_k_transport, AttrMeta, CountRequest, CountState,
-    LocalShardSource, PairCountState, ShardCounts, ShardPlan, ShardTransport,
+    entropy_filter_sharded, entropy_filter_sharded_exec, entropy_filter_transport,
+    entropy_profile_sharded, entropy_profile_sharded_exec, entropy_profile_transport,
+    entropy_top_k_sharded, entropy_top_k_sharded_exec, entropy_top_k_transport, mi_filter_sharded,
+    mi_filter_sharded_exec, mi_filter_transport, mi_profile_sharded, mi_profile_sharded_exec,
+    mi_profile_transport, mi_top_k_sharded, mi_top_k_sharded_exec, mi_top_k_transport, AttrMeta,
+    CountRequest, LocalShardSource, ShardCounts, ShardPlan, ShardTransport,
 };
 pub use topk::{entropy_top_k, entropy_top_k_exec, entropy_top_k_observed};
 

@@ -140,7 +140,7 @@ pub(crate) fn mi_filter_run<O: QueryObserver>(
         let span = it.phase_start();
         let (t_buf, slots) = scratch.target_and_slots(live);
         target_state.ingest_into(dataset.column(target), delta, t_buf);
-        let t_codes: &[u32] = t_buf;
+        let t_codes = t_buf.codes();
         exec.for_each2(&mut states, slots, |st, buf| {
             st.ingest_staged(dataset.column(st.attr), t_codes, delta, buf);
         });

@@ -168,7 +168,7 @@ pub(crate) fn mi_top_k_run<O: QueryObserver>(
         // Gather the target codes once; every candidate reuses them.
         let (t_buf, slots) = scratch.target_and_slots(live);
         target_state.ingest_into(dataset.column(target), delta, t_buf);
-        let t_codes: &[u32] = t_buf;
+        let t_codes = t_buf.codes();
         exec.for_each2(&mut states, slots, |st, buf| {
             st.ingest_staged(dataset.column(st.attr), t_codes, delta, buf);
         });

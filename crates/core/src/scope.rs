@@ -79,10 +79,10 @@ use swope_sampling::{hypergeometric, Sampler};
 use swope_store::for_packed;
 use swope_store::page::PAGE_ROWS;
 
+use crate::count::CountState;
 use crate::exec::Executor;
 use crate::observe::Instrumented;
 use crate::report::{AttrScore, FilterResult, QueryStats, TopKResult};
-use crate::shard::CountState;
 use crate::state::{make_sampler, EntropyState};
 use crate::{sketch_stats, ProfileResult, SamplingStrategy, SwopeConfig, SwopeError};
 

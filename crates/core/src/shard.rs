@@ -8,20 +8,16 @@
 //!
 //! ## Why the merge can be exact
 //!
-//! Entropy counters carry an incrementally maintained `f64` running sum,
-//! so the *order* codes are added determines the final rounding. Shards
-//! therefore never touch floating point: each shard returns a pure
-//! integer delta histogram ([`CountState`] per attribute, plus a
-//! [`PairCountState`] of joint occurrences for MI queries). Integer
-//! histograms merge associatively and commutatively — addition of counts
-//! — so any shard count, any partition, and any merge order produce the
-//! *same* merged histogram. The merged delta is then applied to the
-//! master counters in one canonical order (ascending code), which makes
-//! the floating-point update sequence — and hence every bound, decision,
-//! and returned byte — identical for 1 shard, `S` shards, or `S` remote
-//! peers. The unsharded loops apply their deltas through the same
-//! canonical path (see [`crate::state`]), so sharded and unsharded
-//! results are bitwise identical too.
+//! Shards never touch floating point: each returns the pure-integer
+//! deltas of [`crate::count`] — a [`CountState`] per attribute, plus a
+//! [`PairCountState`] of joint occurrences for MI queries — filled by the
+//! same [`count_target`] / [`count_candidate`] kernels the unsharded
+//! loops use. Integer histograms merge by addition, so any shard count,
+//! any partition, and any merge order produce the *same* merged
+//! histogram, and the merged delta is drained into the master counters
+//! in the one canonical order every delta is (ascending code). Every
+//! bound, decision, and returned byte is therefore identical for 1
+//! shard, `S` shards, `S` remote peers, or no sharding at all.
 //!
 //! ## Sampling
 //!
@@ -41,234 +37,21 @@
 //! * `*_sharded` / `*_sharded_exec` — entry points mirroring the
 //!   unsharded API, answering from `shards` in-process row shards.
 
-use swope_columnar::{
-    AttrIndex, Code, CodeBuf, CodeRepr, Column, ColumnStorage, Dataset, PageGrouper, PagedColumn,
-};
+use swope_columnar::{AttrIndex, Column, Dataset, PageGrouper};
 use swope_estimate::bounds::lambda;
-use swope_estimate::entropy::EntropyCounter;
-use swope_estimate::freq::{pack_pair, unpack_pair};
-use swope_estimate::joint::JointEntropyCounter;
 use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver};
 use swope_sampling::{DoublingSchedule, PrefixShuffle, Sampler};
-use swope_store::{for_buf, for_packed};
 
+use crate::count::{
+    count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,
+};
 use crate::exec::Executor;
 use crate::observe::Instrumented;
 use crate::profile::ProfileResult;
 use crate::report::{AttrScore, FilterResult, TopKResult, WorkKind};
-use crate::state::{EntropyState, MiState, TargetState, INGEST_BLOCK_ROWS};
+use crate::state::{EntropyState, MiState, TargetState};
 use crate::topk::top_k_indices;
 use crate::{SamplingStrategy, SwopeConfig, SwopeError};
-
-/// A pure-integer delta histogram over one attribute's codes.
-///
-/// This is the unit of the exact merge protocol: shards accumulate codes
-/// here (no floating point), merges add counts (associative and
-/// commutative), and [`CountState::apply_to`] drains the histogram into
-/// an [`EntropyCounter`] in canonical ascending-code order so the
-/// counter's running `f64` sum is updated by an order-independent
-/// sequence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CountState {
-    support: u32,
-    counts: Vec<u64>,
-    touched: Vec<u32>,
-    total: u64,
-}
-
-impl CountState {
-    /// An empty histogram over codes `0..support`.
-    pub fn new(support: u32) -> Self {
-        Self { support, counts: vec![0; support as usize], touched: Vec::new(), total: 0 }
-    }
-
-    /// The attribute's support size.
-    pub fn support(&self) -> u32 {
-        self.support
-    }
-
-    /// Total occurrences accumulated.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// True when nothing has been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Records one occurrence of `code`.
-    #[inline]
-    pub fn add(&mut self, code: Code) {
-        self.increment(code, 1);
-    }
-
-    /// Records `k` occurrences of `code`.
-    #[inline]
-    pub fn increment(&mut self, code: Code, k: u64) {
-        if k == 0 {
-            return;
-        }
-        let slot = &mut self.counts[code as usize];
-        if *slot == 0 {
-            self.touched.push(code);
-        }
-        *slot += k;
-        self.total += k;
-    }
-
-    /// Merges another shard's histogram into this one. Plain addition of
-    /// per-code counts: associative, commutative, and exact.
-    pub fn merge(&mut self, other: &CountState) {
-        debug_assert_eq!(self.support, other.support, "merging histograms of different supports");
-        for &code in &other.touched {
-            self.increment(code, other.counts[code as usize]);
-        }
-    }
-
-    /// The accumulated `(code, count)` entries in ascending code order —
-    /// the canonical form used for merge-order-independence checks and
-    /// for wire serialization.
-    pub fn sorted_entries(&self) -> Vec<(Code, u64)> {
-        let mut touched = self.touched.clone();
-        touched.sort_unstable();
-        touched.into_iter().map(|c| (c, self.counts[c as usize])).collect()
-    }
-
-    /// [`CountState::sorted_entries`] without the copy: orders the
-    /// histogram's own code list in place and walks it (wire encode path).
-    pub fn canonical_entries(&mut self) -> impl ExactSizeIterator<Item = (Code, u64)> + '_ {
-        // Once an eighth of the codes are touched, reading the list back
-        // off the counts in code order is cheaper than sorting it.
-        if self.touched.len() * 8 >= self.counts.len() {
-            self.touched.clear();
-            let codes = self.counts.iter().zip(0..).filter(|&(&n, _)| n != 0);
-            self.touched.extend(codes.map(|(_, code)| code));
-        } else {
-            self.touched.sort_unstable();
-        }
-        self.touched.iter().map(|&c| (c, self.counts[c as usize]))
-    }
-
-    /// Drains the histogram into `counter` in canonical ascending-code
-    /// order, leaving the histogram empty for reuse.
-    pub fn apply_to(&mut self, counter: &mut EntropyCounter) {
-        self.touched.sort_unstable();
-        for &code in &self.touched {
-            let slot = &mut self.counts[code as usize];
-            counter.add_count(code, *slot);
-            *slot = 0;
-        }
-        self.touched.clear();
-        self.total = 0;
-    }
-
-    /// Empties the histogram without applying it.
-    pub fn clear(&mut self) {
-        for &code in &self.touched {
-            self.counts[code as usize] = 0;
-        }
-        self.touched.clear();
-        self.total = 0;
-    }
-}
-
-/// A pure-integer delta of joint `(target, candidate)` code occurrences.
-///
-/// Stored as packed-pair runs (`key = target << 32 | candidate`);
-/// [`PairCountState::canonicalize`] sorts and coalesces the runs, after
-/// which [`PairCountState::apply_to`] feeds a [`JointEntropyCounter`] in
-/// ascending-key order. Like [`CountState`], merging is run-list
-/// concatenation followed by canonicalization — exact and order
-/// independent.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PairCountState {
-    runs: Vec<(u64, u64)>,
-    canonical: bool,
-}
-
-impl PairCountState {
-    /// An empty joint delta.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total joint occurrences accumulated.
-    pub fn total(&self) -> u64 {
-        self.runs.iter().map(|&(_, k)| k).sum()
-    }
-
-    /// True when nothing has been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    /// Records one co-occurrence of `(code_t, code_a)`.
-    #[inline]
-    pub fn add(&mut self, code_t: Code, code_a: Code) {
-        self.runs.push((pack_pair(code_t, code_a), 1));
-        self.canonical = false;
-    }
-
-    /// Records `k` co-occurrences of a packed pair key (wire decode path).
-    #[inline]
-    pub fn increment(&mut self, key: u64, k: u64) {
-        if k == 0 {
-            return;
-        }
-        self.runs.push((key, k));
-        self.canonical = false;
-    }
-
-    /// Merges another shard's joint delta into this one.
-    pub fn merge(&mut self, other: &PairCountState) {
-        self.runs.extend_from_slice(&other.runs);
-        self.canonical = false;
-    }
-
-    /// Sorts the runs by pair key and coalesces duplicates, producing the
-    /// canonical form. Idempotent.
-    pub fn canonicalize(&mut self) {
-        if self.canonical {
-            return;
-        }
-        self.runs.sort_unstable_by_key(|&(key, _)| key);
-        let mut out = 0usize;
-        for i in 0..self.runs.len() {
-            if out > 0 && self.runs[out - 1].0 == self.runs[i].0 {
-                self.runs[out - 1].1 += self.runs[i].1;
-            } else {
-                self.runs[out] = self.runs[i];
-                out += 1;
-            }
-        }
-        self.runs.truncate(out);
-        self.canonical = true;
-    }
-
-    /// The canonicalized `(packed_key, count)` runs (wire encode path).
-    pub fn canonical_runs(&mut self) -> &[(u64, u64)] {
-        self.canonicalize();
-        &self.runs
-    }
-
-    /// Empties the delta without applying it, keeping its buffer.
-    pub fn clear(&mut self) {
-        self.runs.clear();
-        self.canonical = false;
-    }
-
-    /// Drains the delta into `joint` in canonical ascending-key order,
-    /// leaving it empty for reuse.
-    pub fn apply_to(&mut self, joint: &mut JointEntropyCounter) {
-        self.canonicalize();
-        for &(key, k) in &self.runs {
-            let (t, a) = unpack_pair(key);
-            joint.add_count(t, a, k);
-        }
-        self.runs.clear();
-    }
-}
 
 /// A contiguous, even partition of rows `0..num_rows` into shards.
 ///
@@ -427,7 +210,9 @@ pub struct LocalShardSource<'a> {
     sampler: PrefixShuffle,
     grouper: PageGrouper,
     shard_rows: Vec<Vec<u32>>,
-    shard_tcodes: Vec<Vec<Code>>,
+    shard_targets: Vec<TargetBuf>,
+    // One per (shard, live attribute) count job, kept across iterations.
+    scratch: Vec<CountScratch>,
 }
 
 impl<'a> LocalShardSource<'a> {
@@ -455,7 +240,8 @@ impl<'a> LocalShardSource<'a> {
             sampler: PrefixShuffle::new(n, seed),
             grouper: dataset.page_grouper(),
             shard_rows: vec![Vec::new(); s],
-            shard_tcodes: vec![Vec::new(); s],
+            shard_targets: (0..s).map(|_| TargetBuf::new()).collect(),
+            scratch: Vec::new(),
             plan,
         })
     }
@@ -466,128 +252,13 @@ impl<'a> LocalShardSource<'a> {
     }
 }
 
-/// Counts the target column's codes at `rows` into `counts` and leaves
-/// them, widened, in `tcodes` (replacing its contents): `tcodes[i]` is
-/// the code at `rows[i]`, which is what [`count_candidate`] pairs
-/// against. One body for the in-process shards and the cluster peers.
-pub fn count_target(
-    column: &Column,
-    rows: &[u32],
-    counts: &mut CountState,
-    tcodes: &mut Vec<Code>,
-) {
-    match column.storage() {
-        ColumnStorage::Heap(packed) => {
-            tcodes.clear();
-            tcodes.reserve(rows.len());
-            for_packed!(packed.codes(), |codes| {
-                for &r in rows {
-                    let c = codes[r as usize].widen();
-                    counts.add(c);
-                    tcodes.push(c);
-                }
-            })
-        }
-        ColumnStorage::Paged(paged) => {
-            paged.gather_widen(rows, tcodes).unwrap_or_else(|e| panic!("{e}"));
-            for &c in tcodes.iter() {
-                counts.add(c);
-            }
-        }
-    }
-}
-
-/// Counts a candidate column's codes at `rows` into `out` and, when
-/// `tcodes` carries the target's codes at the same rows, each row's
-/// `(target, candidate)` pair into `pairs`.
-pub fn count_candidate(
-    column: &Column,
-    rows: &[u32],
-    tcodes: Option<&[Code]>,
-    out: &mut CountState,
-    pairs: &mut PairCountState,
-) {
-    match column.storage() {
-        ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |codes| match tcodes {
-            Some(tcodes) => {
-                for (&r, &tc) in rows.iter().zip(tcodes) {
-                    let c = codes[r as usize].widen();
-                    out.add(c);
-                    pairs.add(tc, c);
-                }
-            }
-            None => {
-                for &r in rows {
-                    out.add(codes[r as usize].widen());
-                }
-            }
-        }),
-        ColumnStorage::Paged(paged) => match tcodes {
-            Some(tcodes) => count_paged_pairs(paged, rows, tcodes, out, pairs, &mut CodeBuf::new()),
-            None => count_paged(paged, rows, out, &mut CodeBuf::new()),
-        },
-    }
-}
-
-/// Stages one block of a paged column's codes. A corrupt page panics
-/// with the store's one-line `page N: checksum mismatch` message, which
-/// the executor (or the server's dispatch guard) turns back into a
-/// query error — the loops have no error channel of their own.
-fn gather_paged(paged: &PagedColumn, block: &[u32], buf: &mut CodeBuf) {
-    paged.gather(block, buf).unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// The paged gather → count block loop: stages `rows` block by block
-/// through `buf` at the column's width and adds every code to `out`.
-/// Out of line, so the heap arms beside its callers compile exactly as
-/// they did without it.
-#[inline(never)]
-pub(crate) fn count_paged(
-    paged: &PagedColumn,
-    rows: &[u32],
-    out: &mut CountState,
-    buf: &mut CodeBuf,
-) {
-    for block in rows.chunks(INGEST_BLOCK_ROWS) {
-        gather_paged(paged, block, buf);
-        for_buf!(&*buf, |codes| {
-            for &c in codes.iter() {
-                out.add(c.widen());
-            }
-        });
-    }
-}
-
-/// [`count_paged`] for MI: also adds each row's `(target, candidate)`
-/// pair to `pairs`; `tcodes[i]` is the target's code at `rows[i]`.
-#[inline(never)]
-pub(crate) fn count_paged_pairs(
-    paged: &PagedColumn,
-    rows: &[u32],
-    tcodes: &[Code],
-    out: &mut CountState,
-    pairs: &mut PairCountState,
-    buf: &mut CodeBuf,
-) {
-    debug_assert_eq!(tcodes.len(), rows.len());
-    for (block, tcs) in rows.chunks(INGEST_BLOCK_ROWS).zip(tcodes.chunks(INGEST_BLOCK_ROWS)) {
-        gather_paged(paged, block, buf);
-        for_buf!(&*buf, |codes| {
-            for (&c, &tc) in codes.iter().zip(tcs) {
-                let c = c.widen();
-                out.add(c);
-                pairs.add(tc, c);
-            }
-        });
-    }
-}
-
 struct CountJob<'d> {
     column: &'d Column,
     rows: &'d [u32],
-    tcodes: Option<&'d [Code]>,
+    target: Option<TargetCodes<'d>>,
     out: CountState,
     pairs: PairCountState,
+    scratch: &'d mut CountScratch,
 }
 
 impl ShardTransport for LocalShardSource<'_> {
@@ -631,27 +302,39 @@ impl ShardTransport for LocalShardSource<'_> {
                     column,
                     &self.shard_rows[s_i],
                     &mut counts,
-                    &mut self.shard_tcodes[s_i],
+                    &mut self.shard_targets[s_i],
                 );
                 *target = Some(counts);
             }
         }
 
         let live = req.live.len();
+        if self.scratch.len() < num_shards * live {
+            self.scratch.resize_with(num_shards * live, CountScratch::new);
+        }
+        let mut scratch = self.scratch.iter_mut();
         let mut jobs: Vec<CountJob<'_>> = Vec::with_capacity(num_shards * live);
         for s_i in 0..num_shards {
             for &attr in &req.live {
                 jobs.push(CountJob {
                     column: self.dataset.column(attr),
                     rows: &self.shard_rows[s_i],
-                    tcodes: req.target.map(|_| self.shard_tcodes[s_i].as_slice()),
+                    target: req.target.map(|_| self.shard_targets[s_i].target()),
                     out: CountState::new(self.meta[attr].support),
                     pairs: PairCountState::new(),
+                    scratch: scratch.next().expect("one scratch per (shard, live attr)"),
                 });
             }
         }
         self.exec.for_each_mut(&mut jobs, |job| {
-            count_candidate(job.column, job.rows, job.tcodes, &mut job.out, &mut job.pairs)
+            count_candidate(
+                job.column,
+                job.rows,
+                job.target,
+                &mut job.out,
+                &mut job.pairs,
+                job.scratch,
+            )
         });
 
         let mut out = Vec::with_capacity(num_shards);
@@ -1573,106 +1256,6 @@ pub fn mi_profile_sharded_exec<O: QueryObserver>(
 mod tests {
     use super::*;
     use swope_columnar::{Column, Field, Schema};
-    use swope_sampling::rng::Xoshiro256pp;
-
-    fn random_count_states(seed: u64, parts: usize, support: u32, adds: usize) -> Vec<CountState> {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let mut states = vec![CountState::new(support); parts];
-        for _ in 0..adds {
-            let part = rng.next_below(parts as u64) as usize;
-            let code = rng.next_below(support as u64) as u32;
-            states[part].add(code);
-        }
-        states
-    }
-
-    #[test]
-    fn count_state_merge_is_commutative() {
-        let states = random_count_states(11, 2, 37, 5000);
-        let (a, b) = (&states[0], &states[1]);
-        let mut ab = a.clone();
-        ab.merge(b);
-        let mut ba = b.clone();
-        ba.merge(a);
-        assert_eq!(ab.sorted_entries(), ba.sorted_entries());
-        assert_eq!(ab.total(), a.total() + b.total());
-    }
-
-    #[test]
-    fn canonical_entries_equal_sorted_entries_sparse_and_dense() {
-        // 1000 codes with 20 adds take the sort, with 5000 the scan; the
-        // histogram must then still clear and apply like any other.
-        for (seed, adds) in [(3, 0), (4, 20), (5, 124), (6, 125), (7, 5000)] {
-            let mut cs = random_count_states(seed, 1, 1000, adds).remove(0);
-            let sorted = cs.sorted_entries();
-            assert_eq!(cs.canonical_entries().collect::<Vec<_>>(), sorted, "{adds} adds");
-            assert_eq!(cs.sorted_entries(), sorted);
-            let mut counter = EntropyCounter::new(1000);
-            cs.clone().apply_to(&mut counter);
-            assert_eq!(counter.total(), adds as u64);
-            cs.clear();
-            assert_eq!(cs, CountState::new(1000));
-        }
-    }
-
-    #[test]
-    fn count_state_merge_is_associative() {
-        let states = random_count_states(23, 3, 64, 8000);
-        let (a, b, c) = (&states[0], &states[1], &states[2]);
-        let mut left = a.clone();
-        left.merge(b);
-        left.merge(c);
-        let mut bc = b.clone();
-        bc.merge(c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left.sorted_entries(), right.sorted_entries());
-    }
-
-    #[test]
-    fn count_state_apply_is_merge_order_invariant() {
-        // Applying (a ⊕ b) ⊕ c and (c ⊕ a) ⊕ b to fresh counters must
-        // produce bitwise-identical entropies: apply_to drains in
-        // canonical code order regardless of merge history.
-        let states = random_count_states(5, 3, 100, 10_000);
-        let (a, b, c) = (&states[0], &states[1], &states[2]);
-        let mut one = a.clone();
-        one.merge(b);
-        one.merge(c);
-        let mut two = c.clone();
-        two.merge(a);
-        two.merge(b);
-        let mut counter_one = EntropyCounter::new(100);
-        let mut counter_two = EntropyCounter::new(100);
-        one.apply_to(&mut counter_one);
-        two.apply_to(&mut counter_two);
-        assert_eq!(counter_one.entropy().to_bits(), counter_two.entropy().to_bits());
-        assert_eq!(counter_one.total(), counter_two.total());
-        // apply_to drains.
-        assert!(one.is_empty() && two.is_empty());
-    }
-
-    #[test]
-    fn pair_count_state_merge_is_order_invariant() {
-        let mut rng = Xoshiro256pp::seed_from_u64(9);
-        let mut parts = vec![PairCountState::new(); 3];
-        for _ in 0..6000 {
-            let p = rng.next_below(3) as usize;
-            parts[p].add(rng.next_below(8) as u32, rng.next_below(16) as u32);
-        }
-        let (a, b, c) = (parts[0].clone(), parts[1].clone(), parts[2].clone());
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut right = c;
-        right.merge(&a);
-        right.merge(&b);
-        let mut j_left = JointEntropyCounter::new(8, 16);
-        let mut j_right = JointEntropyCounter::new(8, 16);
-        left.apply_to(&mut j_left);
-        right.apply_to(&mut j_right);
-        assert_eq!(j_left.entropy().to_bits(), j_right.entropy().to_bits());
-    }
 
     #[test]
     fn shard_plan_covers_rows_exactly_once() {

@@ -3,9 +3,13 @@
 //! The execution layer's claim is that once a query's scratch buffers
 //! reach their high-water mark, iterating allocates nothing: block
 //! buffers are capped at [`swope_core::state::INGEST_BLOCK_ROWS`] and
-//! reused, and the MI target buffer only regrows past its largest delta.
+//! reused, the marginal kernel's lane tables and the joint kernel's
+//! dense pair table are sized by the first delta that takes them, and
+//! the MI target buffer only regrows past its largest delta.
 //! The same holds over paged columns, whose gather adds a page grouper
-//! and page pins but no allocation once the pages are resident.
+//! and page pins but no allocation once the pages are resident, and for
+//! the shard/peer counting bodies (`count_target` / `count_candidate`)
+//! over reused deltas.
 //! This binary installs a counting global allocator and asserts exactly
 //! that. It holds a single test on purpose: the harness is per-process,
 //! and a concurrently running neighbour test would count its own
@@ -17,6 +21,9 @@ use std::sync::Arc;
 
 use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Schema};
 use swope_core::state::{EntropyState, GatherScratch, MiState, TargetState};
+use swope_core::{
+    count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf,
+};
 use swope_sampling::rng::Xoshiro256pp;
 
 /// Counts every allocation and reallocation; frees are not interesting
@@ -92,28 +99,47 @@ fn audit(label: &str, ds: &Dataset, rows: &[u32]) {
     let mut mi = MiState::new(0, target_state.support, ds.support(0));
     let mut scratch = GatherScratch::new(2);
     let mut grouper = ds.page_grouper();
+    // The shard engine's and the peers' form of the same count: deltas
+    // it empties itself, one scratch across attributes.
+    let (mut t_counts, mut counts) =
+        (CountState::new(ds.support(1)), CountState::new(ds.support(0)));
+    let (mut t_buf, mut pairs) = (TargetBuf::new(), PairCountState::new());
+    let mut shard_scratch = CountScratch::new();
 
-    // Warm-up: the first delta grows every buffer to its high-water mark
-    // (block buffers cap at INGEST_BLOCK_ROWS; the target buffer and the
-    // grouper size to the largest delta), touches every page, and
-    // observes every (target, cand) pair so the counters' structures are
-    // fully built.
-    let warm = grouper.group(&rows[..20_000]);
-    entropy.ingest_staged(cand, warm, &mut scratch.slots(2)[0]);
-    let (t_buf, slots) = scratch.target_and_slots(2);
-    target_state.ingest_into(target, warm, t_buf);
-    mi.ingest_staged(cand, t_buf, warm, &mut slots[1]);
-
-    // Steady state: more ingests of never-larger deltas (sizes chosen to
-    // land both on and off block boundaries) must not allocate at all.
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for delta in rows[20_000..].chunks(7_321) {
+    let mut ingest = |delta: &[u32]| {
         let delta = grouper.group(delta);
         entropy.ingest_staged(cand, delta, &mut scratch.slots(2)[0]);
-        let (t_buf, slots) = scratch.target_and_slots(2);
-        target_state.ingest_into(target, delta, t_buf);
-        mi.ingest_staged(cand, t_buf, delta, &mut slots[1]);
+        let (t_codes, slots) = scratch.target_and_slots(2);
+        target_state.ingest_into(target, delta, t_codes);
+        mi.ingest_staged(cand, t_codes.codes(), delta, &mut slots[1]);
+
+        count_target(target, delta, &mut t_counts, &mut t_buf);
+        let paired = Some(t_buf.target());
+        count_candidate(cand, delta, paired, &mut counts, &mut pairs, &mut shard_scratch);
+        count_candidate(cand, delta, None, &mut counts, &mut pairs, &mut shard_scratch);
+        assert_eq!(counts.total(), 2 * delta.len() as u64);
+        assert_eq!(pairs.total(), t_counts.total());
+        t_counts.clear();
+        counts.clear();
+        pairs.clear();
+    };
+
+    // Warm-up: the first delta grows every buffer to its high-water mark
+    // (block buffers cap at INGEST_BLOCK_ROWS, lane and dense tables at
+    // their support's size — 20 000 rows over supports 8 and 4 take both
+    // — and the target buffer and the grouper size to the largest
+    // delta), touches every page, and observes every (target, cand) pair
+    // so the counters' structures are fully built.
+    ingest(&rows[..20_000]);
+
+    // Steady state: more ingests of never-larger deltas (sizes chosen to
+    // land both on and off block boundaries, the 9-row tail below the
+    // lane and dense thresholds) must not allocate at all.
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for delta in rows[20_000..].chunks(7_321) {
+        ingest(delta);
     }
+    ingest(&rows[..9]);
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(after - before, 0, "{label}: steady-state ingest performed allocations");
 }
