@@ -18,8 +18,8 @@ use swope_bench::micro::{black_box, Group};
 use swope_cluster::frame::{read_frame, write_frame, CountMergeFrame, Frame};
 use swope_columnar::{crc32, Dataset};
 use swope_core::{
-    entropy_top_k, entropy_top_k_sharded_exec, CountRequest, Executor, LocalShardSource,
-    NoopObserver, ShardTransport, SwopeConfig,
+    entropy_top_k, run_sharded, Answer, CountRequest, Executor, LocalShardSource, NoopObserver,
+    Shape, ShardTransport, SwopeConfig,
 };
 use swope_datagen::{corpus, generate};
 use swope_obs::json::ObjectWriter;
@@ -56,17 +56,17 @@ fn main() {
     let mut g = Group::new("cluster_shard_overhead");
     let unsharded_ns =
         g.bench("entropy_topk_unsharded", || black_box(entropy_top_k(&ds, K, &cfg).unwrap()));
-    let sharded_ns = g.bench("entropy_topk_sharded_4", || {
-        black_box(
-            entropy_top_k_sharded_exec(&ds, K, SHARDS, &cfg, &mut NoopObserver, &exec).unwrap(),
-        )
-    });
+    let sharded = || -> Answer {
+        let mut source = LocalShardSource::new(&ds, SHARDS, &cfg, &exec).unwrap();
+        let shape = Shape::EntropyTopK { k: K };
+        run_sharded(&mut source, &shape, &cfg, &mut NoopObserver, &exec).unwrap()
+    };
+    let sharded_ns = g.bench("entropy_topk_sharded_4", || black_box(sharded()));
 
     // Sanity: the shard path must agree bitwise before its numbers mean
     // anything.
     let a = entropy_top_k(&ds, K, &cfg).unwrap();
-    let b = entropy_top_k_sharded_exec(&ds, K, SHARDS, &cfg, &mut NoopObserver, &exec).unwrap();
-    assert_eq!(a.top, b.top, "sharded run diverged from unsharded");
+    assert_eq!(a.top, sharded().scores, "sharded run diverged from unsharded");
     let rows_scanned = a.stats.rows_scanned;
 
     let (frame, entries) = count_merge_frame(&ds, &exec);

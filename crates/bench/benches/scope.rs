@@ -25,7 +25,7 @@
 
 use swope_bench::micro::{black_box, Group};
 use swope_columnar::{Column, Dataset, DatasetSketch, Field, Schema, PAGE_ROWS};
-use swope_core::{entropy_top_k, entropy_top_k_scoped, Scope, SwopeConfig};
+use swope_core::{entropy_top_k, run, Answer, Executor, NoopObserver, Scope, Shape, SwopeConfig};
 use swope_obs::json::ObjectWriter;
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -67,18 +67,20 @@ fn main() {
     let scope = Scope::range(PAGE_ROWS - 500, 3 * PAGE_ROWS + 500);
     let scope_rows = 2 * PAGE_ROWS + 1000;
 
+    let exec = Executor::sequential();
+    let scoped_with = |sketch: Option<&DatasetSketch>| -> Answer {
+        let shape = Shape::EntropyTopK { k: K };
+        run(&ds, &shape, &scope, sketch, &cfg, &mut NoopObserver, &exec).unwrap()
+    };
+
     let mut g = Group::new("scope");
     let full_ns = g.bench("entropy_topk_full", || black_box(entropy_top_k(&ds, K, &cfg).unwrap()));
-    let scoped_ns = g.bench("entropy_topk_scoped_sketch", || {
-        black_box(entropy_top_k_scoped(&ds, K, &scope, Some(&sketch), &cfg).unwrap())
-    });
-    let nosketch_ns = g.bench("entropy_topk_scoped_nosketch", || {
-        black_box(entropy_top_k_scoped(&ds, K, &scope, None, &cfg).unwrap())
-    });
+    let scoped_ns = g.bench("entropy_topk_scoped_sketch", || black_box(scoped_with(Some(&sketch))));
+    let nosketch_ns = g.bench("entropy_topk_scoped_nosketch", || black_box(scoped_with(None)));
 
     let full = entropy_top_k(&ds, K, &cfg).unwrap();
-    let scoped = entropy_top_k_scoped(&ds, K, &scope, Some(&sketch), &cfg).unwrap();
-    let nosketch = entropy_top_k_scoped(&ds, K, &scope, None, &cfg).unwrap();
+    let scoped = scoped_with(Some(&sketch));
+    let nosketch = scoped_with(None);
 
     let mut w = ObjectWriter::new();
     w.str_field("bench", "scope")

@@ -5,10 +5,10 @@
 //! EntropyFilter and Exact.
 
 use swope_baselines::{entropy_filter_exact_sampling, exact_entropy_scores};
-use swope_core::{entropy_filter_observed, SwopeConfig};
+use swope_core::{FilterResult, Shape, SwopeConfig};
 use swope_obs::{Phase, PhaseAccumulator};
 
-use crate::harness::{time_ms, ExpConfig, Row};
+use crate::harness::{swope_phased, time_ms, ExpConfig, Row};
 use crate::metrics::filter_accuracy;
 
 /// The paper's η sweep for entropy filtering.
@@ -57,8 +57,10 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             let swope_cfg =
                 SwopeConfig::with_epsilon(SWOPE_EPSILON).with_seed(cfg.seed ^ eta.to_bits());
             let mut phases = PhaseAccumulator::new();
-            let (ms, res) =
-                time_ms(|| entropy_filter_observed(&ds, eta, &swope_cfg, &mut phases).unwrap());
+            let (ms, res) = time_ms(|| {
+                swope_phased(&ds, Shape::EntropyFilter { eta }, &swope_cfg, &mut phases)
+            });
+            let res = FilterResult::from(res);
             rows.push(Row {
                 experiment: "fig3".into(),
                 dataset: name.clone(),

@@ -6,10 +6,10 @@
 //! the accuracy vs the exact top-k.
 
 use swope_baselines::{entropy_rank_top_k, exact_entropy_scores};
-use swope_core::{entropy_top_k_observed, SwopeConfig};
+use swope_core::{Shape, SwopeConfig, TopKResult};
 use swope_obs::{Phase, PhaseAccumulator};
 
-use crate::harness::{time_ms, ExpConfig, Row};
+use crate::harness::{swope_phased, time_ms, ExpConfig, Row};
 use crate::metrics::topk_accuracy;
 
 /// The paper's k sweep.
@@ -59,7 +59,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             let swope_cfg = SwopeConfig::with_epsilon(SWOPE_EPSILON).with_seed(cfg.seed ^ k as u64);
             let mut phases = PhaseAccumulator::new();
             let (ms, res) =
-                time_ms(|| entropy_top_k_observed(&ds, k, &swope_cfg, &mut phases).unwrap());
+                time_ms(|| swope_phased(&ds, Shape::EntropyTopK { k }, &swope_cfg, &mut phases));
+            let res = TopKResult::from(res);
             rows.push(Row {
                 experiment: "fig1".into(),
                 dataset: name.clone(),

@@ -4,8 +4,9 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use swope_columnar::Dataset;
+use swope_core::{run, Answer, Executor, Scope, Shape, SwopeConfig};
 use swope_datagen::{corpus, generate};
-use swope_obs::Phase;
+use swope_obs::{Phase, PhaseAccumulator};
 
 /// One measured cell of an experiment.
 #[derive(Debug, Clone)]
@@ -98,6 +99,17 @@ impl ExpConfig {
         let want = self.mi_targets.clamp(1, num_attrs);
         (0..want).map(|i| (i * num_attrs / want + (self.seed as usize % 7)) % num_attrs).collect()
     }
+}
+
+/// Runs `shape` over the whole of `ds` with SWOPE, adding its per-phase
+/// wall-clock time to `phases`.
+pub fn swope_phased(
+    ds: &Dataset,
+    shape: Shape,
+    cfg: &SwopeConfig,
+    phases: &mut PhaseAccumulator,
+) -> Answer {
+    run(ds, &shape, &Scope::all(), None, cfg, phases, &Executor::new(cfg.threads)).unwrap()
 }
 
 /// Times one closure invocation, returning `(elapsed_ms, output)`.

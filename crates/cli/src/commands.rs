@@ -9,13 +9,9 @@ use swope_baselines::{
 
 use swope_columnar::{csv, snapshot, stats, Dataset, DatasetSketch, PageCache, PAGE_ROWS};
 use swope_core::{
-    entropy_filter_observed, entropy_filter_scoped_exec, entropy_filter_sharded_exec,
-    entropy_profile_observed, entropy_profile_scoped_exec, entropy_profile_sharded_exec,
-    entropy_top_k, entropy_top_k_observed, entropy_top_k_scoped_exec, entropy_top_k_sharded_exec,
-    mi_filter_observed, mi_filter_scoped_exec, mi_filter_sharded_exec, mi_profile_observed,
-    mi_profile_scoped_exec, mi_profile_sharded_exec, mi_top_k_observed, mi_top_k_scoped_exec,
-    mi_top_k_sharded_exec, AttrScore, ComposedObserver, Executor, FilterResult, JsonlSink,
-    MetricsRegistry, ProfileResult, Scope, SwopeConfig, TopKResult,
+    entropy_top_k, run, run_sharded, Answer, AttrScore, ComposedObserver, Executor, FilterResult,
+    JsonlSink, LocalShardSource, MetricsRegistry, ProfileResult, Scope, Shape, SwopeConfig,
+    SwopeError, TopKResult,
 };
 
 use crate::args::{parse_options, Algo, Options};
@@ -179,6 +175,43 @@ fn shards_from_opts(opts: &Options) -> Result<Option<usize>, String> {
     Ok(Some(shards))
 }
 
+/// Where an `--algo swope` query counts: across `--shards` in-process
+/// row shards, or over the dataset's `--row-start`/`--row-end`/`--where`
+/// scope (everything, by default).
+enum Plan {
+    Sharded(usize),
+    Scoped(Scope),
+}
+
+/// Validates both flag sets (also when another `--algo` will answer:
+/// they are errors there) and picks the plan.
+fn plan_from_opts(ds: &Dataset, opts: &Options) -> Result<Plan, String> {
+    let scope = scope_from_opts(ds, opts)?;
+    Ok(match shards_from_opts(opts)? {
+        Some(shards) => Plan::Sharded(shards),
+        None => Plan::Scoped(scope.unwrap_or_default()),
+    })
+}
+
+/// Runs `shape` with SWOPE under `plan`, observed by the command's sinks.
+fn swope(
+    ds: &Dataset,
+    sketch: Option<&DatasetSketch>,
+    shape: Shape,
+    plan: &Plan,
+    cfg: &SwopeConfig,
+    obs: &mut Observability,
+) -> Result<Answer, SwopeError> {
+    let exec = Executor::new(cfg.threads);
+    match plan {
+        Plan::Sharded(shards) => {
+            let mut source = LocalShardSource::new(ds, *shards, cfg, &exec)?;
+            run_sharded(&mut source, &shape, cfg, &mut obs.observer(), &exec)
+        }
+        Plan::Scoped(scope) => run(ds, &shape, scope, sketch, cfg, &mut obs.observer(), &exec),
+    }
+}
+
 fn query_config(opts: &Options, default_epsilon: f64) -> SwopeConfig {
     let mut cfg = SwopeConfig::with_epsilon(opts.epsilon.unwrap_or(default_epsilon));
     cfg.failure_probability = opts.pf;
@@ -295,33 +328,14 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
 fn cmd_entropy_topk(opts: &Options) -> Result<(), String> {
     let (ds, sketch) = load_with_sketch(opts)?;
     let k = opts.k.ok_or("-k is required")?;
-    let scope = scope_from_opts(&ds, opts)?;
+    let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.1);
-    let result = if let Some(shards) = shards_from_opts(opts)? {
-        entropy_top_k_sharded_exec(
-            &ds,
-            k,
-            shards,
-            &cfg,
-            &mut obs.observer(),
-            &Executor::new(cfg.threads),
-        )
-    } else {
-        match (opts.algo, &scope) {
-            (Algo::Swope, Some(scope)) => entropy_top_k_scoped_exec(
-                &ds,
-                k,
-                scope,
-                sketch.as_ref(),
-                &cfg,
-                &mut obs.observer(),
-                &Executor::new(cfg.threads),
-            ),
-            (Algo::Swope, None) => entropy_top_k_observed(&ds, k, &cfg, &mut obs.observer()),
-            (Algo::Rank, _) => entropy_rank_top_k(&ds, k, &cfg),
-            (Algo::Exact, _) => exact_entropy_top_k(&ds, k),
-        }
+    let result: TopKResult = match opts.algo {
+        Algo::Swope => swope(&ds, sketch.as_ref(), Shape::EntropyTopK { k }, &plan, &cfg, &mut obs)
+            .map(Into::into),
+        Algo::Rank => entropy_rank_top_k(&ds, k, &cfg),
+        Algo::Exact => exact_entropy_top_k(&ds, k),
     }
     .map_err(|e| e.to_string())?;
     print_topk("entropy", &result);
@@ -331,33 +345,16 @@ fn cmd_entropy_topk(opts: &Options) -> Result<(), String> {
 fn cmd_entropy_filter(opts: &Options) -> Result<(), String> {
     let (ds, sketch) = load_with_sketch(opts)?;
     let eta = opts.eta.ok_or("--eta is required")?;
-    let scope = scope_from_opts(&ds, opts)?;
+    let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.05);
-    let result = if let Some(shards) = shards_from_opts(opts)? {
-        entropy_filter_sharded_exec(
-            &ds,
-            eta,
-            shards,
-            &cfg,
-            &mut obs.observer(),
-            &Executor::new(cfg.threads),
-        )
-    } else {
-        match (opts.algo, &scope) {
-            (Algo::Swope, Some(scope)) => entropy_filter_scoped_exec(
-                &ds,
-                eta,
-                scope,
-                sketch.as_ref(),
-                &cfg,
-                &mut obs.observer(),
-                &Executor::new(cfg.threads),
-            ),
-            (Algo::Swope, None) => entropy_filter_observed(&ds, eta, &cfg, &mut obs.observer()),
-            (Algo::Rank, _) => entropy_filter_exact_sampling(&ds, eta, &cfg),
-            (Algo::Exact, _) => exact_entropy_filter(&ds, eta),
+    let result: FilterResult = match opts.algo {
+        Algo::Swope => {
+            swope(&ds, sketch.as_ref(), Shape::EntropyFilter { eta }, &plan, &cfg, &mut obs)
+                .map(Into::into)
         }
+        Algo::Rank => entropy_filter_exact_sampling(&ds, eta, &cfg),
+        Algo::Exact => exact_entropy_filter(&ds, eta),
     }
     .map_err(|e| e.to_string())?;
     print_filter("entropy", eta, &result);
@@ -368,35 +365,16 @@ fn cmd_mi_topk(opts: &Options) -> Result<(), String> {
     let (ds, sketch) = load_with_sketch(opts)?;
     let k = opts.k.ok_or("-k is required")?;
     let target = resolve_target(&ds, opts)?;
-    let scope = scope_from_opts(&ds, opts)?;
+    let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.5);
-    let result = if let Some(shards) = shards_from_opts(opts)? {
-        mi_top_k_sharded_exec(
-            &ds,
-            target,
-            k,
-            shards,
-            &cfg,
-            &mut obs.observer(),
-            &Executor::new(cfg.threads),
-        )
-    } else {
-        match (opts.algo, &scope) {
-            (Algo::Swope, Some(scope)) => mi_top_k_scoped_exec(
-                &ds,
-                target,
-                k,
-                scope,
-                sketch.as_ref(),
-                &cfg,
-                &mut obs.observer(),
-                &Executor::new(cfg.threads),
-            ),
-            (Algo::Swope, None) => mi_top_k_observed(&ds, target, k, &cfg, &mut obs.observer()),
-            (Algo::Rank, _) => mi_rank_top_k(&ds, target, k, &cfg),
-            (Algo::Exact, _) => exact_mi_top_k(&ds, target, k),
+    let result: TopKResult = match opts.algo {
+        Algo::Swope => {
+            swope(&ds, sketch.as_ref(), Shape::MiTopK { target, k }, &plan, &cfg, &mut obs)
+                .map(Into::into)
         }
+        Algo::Rank => mi_rank_top_k(&ds, target, k, &cfg),
+        Algo::Exact => exact_mi_top_k(&ds, target, k),
     }
     .map_err(|e| e.to_string())?;
     println!("target: {} ({})", ds.schema().field(target).map(|f| f.name()).unwrap_or("?"), target);
@@ -408,35 +386,16 @@ fn cmd_mi_filter(opts: &Options) -> Result<(), String> {
     let (ds, sketch) = load_with_sketch(opts)?;
     let eta = opts.eta.ok_or("--eta is required")?;
     let target = resolve_target(&ds, opts)?;
-    let scope = scope_from_opts(&ds, opts)?;
+    let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.5);
-    let result = if let Some(shards) = shards_from_opts(opts)? {
-        mi_filter_sharded_exec(
-            &ds,
-            target,
-            eta,
-            shards,
-            &cfg,
-            &mut obs.observer(),
-            &Executor::new(cfg.threads),
-        )
-    } else {
-        match (opts.algo, &scope) {
-            (Algo::Swope, Some(scope)) => mi_filter_scoped_exec(
-                &ds,
-                target,
-                eta,
-                scope,
-                sketch.as_ref(),
-                &cfg,
-                &mut obs.observer(),
-                &Executor::new(cfg.threads),
-            ),
-            (Algo::Swope, None) => mi_filter_observed(&ds, target, eta, &cfg, &mut obs.observer()),
-            (Algo::Rank, _) => mi_filter_exact_sampling(&ds, target, eta, &cfg),
-            (Algo::Exact, _) => exact_mi_filter(&ds, target, eta),
+    let result: FilterResult = match opts.algo {
+        Algo::Swope => {
+            swope(&ds, sketch.as_ref(), Shape::MiFilter { target, eta }, &plan, &cfg, &mut obs)
+                .map(Into::into)
         }
+        Algo::Rank => mi_filter_exact_sampling(&ds, target, eta, &cfg),
+        Algo::Exact => exact_mi_filter(&ds, target, eta),
     }
     .map_err(|e| e.to_string())?;
     print_filter("mutual information", eta, &result);
@@ -445,71 +404,27 @@ fn cmd_mi_filter(opts: &Options) -> Result<(), String> {
 
 fn cmd_entropy_profile(opts: &Options) -> Result<(), String> {
     let (ds, sketch) = load_with_sketch(opts)?;
-    let scope = scope_from_opts(&ds, opts)?;
+    let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.1);
-    let result = if let Some(shards) = shards_from_opts(opts)? {
-        entropy_profile_sharded_exec(
-            &ds,
-            0.05,
-            shards,
-            &cfg,
-            &mut obs.observer(),
-            &Executor::new(cfg.threads),
-        )
-    } else {
-        match &scope {
-            Some(scope) => entropy_profile_scoped_exec(
-                &ds,
-                0.05,
-                scope,
-                sketch.as_ref(),
-                &cfg,
-                &mut obs.observer(),
-                &Executor::new(cfg.threads),
-            ),
-            None => entropy_profile_observed(&ds, 0.05, &cfg, &mut obs.observer()),
-        }
-    }
-    .map_err(|e| e.to_string())?;
-    print_profile("entropy", &result);
+    let shape = Shape::EntropyProfile { floor: 0.05 };
+    let result =
+        swope(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map_err(|e| e.to_string())?;
+    print_profile("entropy", &result.into());
     obs.finish()
 }
 
 fn cmd_mi_profile(opts: &Options) -> Result<(), String> {
     let (ds, sketch) = load_with_sketch(opts)?;
     let target = resolve_target(&ds, opts)?;
-    let scope = scope_from_opts(&ds, opts)?;
+    let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.5);
-    let result = if let Some(shards) = shards_from_opts(opts)? {
-        mi_profile_sharded_exec(
-            &ds,
-            target,
-            0.05,
-            shards,
-            &cfg,
-            &mut obs.observer(),
-            &Executor::new(cfg.threads),
-        )
-    } else {
-        match &scope {
-            Some(scope) => mi_profile_scoped_exec(
-                &ds,
-                target,
-                0.05,
-                scope,
-                sketch.as_ref(),
-                &cfg,
-                &mut obs.observer(),
-                &Executor::new(cfg.threads),
-            ),
-            None => mi_profile_observed(&ds, target, 0.05, &cfg, &mut obs.observer()),
-        }
-    }
-    .map_err(|e| e.to_string())?;
+    let shape = Shape::MiProfile { target, floor: 0.05 };
+    let result =
+        swope(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map_err(|e| e.to_string())?;
     println!("target: {} ({})", ds.schema().field(target).map(|f| f.name()).unwrap_or("?"), target);
-    print_profile("mutual information", &result);
+    print_profile("mutual information", &result.into());
     obs.finish()
 }
 

@@ -16,7 +16,9 @@
 //!
 //! Row-range scopes are handled by shrinking the sampled population to
 //! the range and routing the query only to peers whose slices intersect
-//! it — non-intersecting peers never hear about the query. Predicate
+//! it — non-intersecting peers never hear about the query, and an empty
+//! range (which the engine answers without counting, like a single box's
+//! empty scope) reaches none past its `Hello`. Predicate
 //! scopes need a row-set scan the wire protocol deliberately does not
 //! carry; the server rejects them before reaching this module.
 
@@ -337,8 +339,8 @@ impl RemoteShardSource {
     ///
     /// [`SwopeError::Transport`] when a peer is unreachable, times out,
     /// disagrees on schema, or reports an error;
-    /// [`SwopeError::InvalidScope`] when `scope` falls outside the union;
-    /// [`SwopeError::EmptyDataset`] when the fleet holds no rows.
+    /// [`SwopeError::InvalidScope`] when `scope` starts past its (clamped)
+    /// end; [`SwopeError::EmptyDataset`] when the fleet holds no rows.
     pub fn connect(
         addrs: &[String],
         dataset: &str,
@@ -388,14 +390,15 @@ impl RemoteShardSource {
         if union_rows == 0 {
             return Err(SwopeError::EmptyDataset);
         }
-        // Mirror the single-box scope rule: the end clamps to the union's
-        // row count, an empty range is an error.
+        // The single-box scope rule, in its words: the end clamps to the
+        // union's row count and a start past it is an error. An empty
+        // range is a population of zero rows, which intersects no peer.
         let scope = scope.unwrap_or(0..union_rows);
         let end = scope.end.min(union_rows);
-        if scope.start >= end {
+        if scope.start > end {
             return Err(SwopeError::InvalidScope(format!(
-                "row range [{}, {}) is empty against the union's {union_rows} rows",
-                scope.start, scope.end
+                "row range starts at {} but ends at {end}",
+                scope.start
             )));
         }
         let scope = scope.start..end;

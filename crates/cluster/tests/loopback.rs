@@ -4,10 +4,14 @@
 //! route only to intersecting peers, and dead or hung peers must turn
 //! into one-line transport errors within the configured timeout.
 
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{all_shapes, plain};
 use swope_cluster::coordinator::{probe, PeerPool, PeerTimeouts, RemoteShardSource};
 use swope_cluster::frame::{
     read_frame, write_frame, CountMergeFrame, Frame, Hello, PROTOCOL_VERSION,
@@ -16,13 +20,9 @@ use swope_cluster::peer::serve_connection;
 use swope_cluster::stats::ClusterStats;
 use swope_columnar::Dataset;
 use swope_core::{
-    entropy_filter, entropy_filter_transport, entropy_profile, entropy_profile_transport,
-    entropy_top_k, entropy_top_k_transport, mi_filter, mi_filter_transport, mi_profile,
-    mi_profile_transport, mi_top_k, mi_top_k_transport, Executor, NoopObserver, SamplingStrategy,
-    ShardCounts, ShardTransport, SwopeConfig, SwopeError,
+    run_sharded, Answer, Executor, NoopObserver, SamplingStrategy, Shape, ShardCounts,
+    ShardTransport, SwopeConfig, SwopeError,
 };
-
-const PROFILE_FLOOR: f64 = 0.05;
 
 fn union_dataset() -> Dataset {
     swope_datagen::generate(&swope_datagen::corpus::tiny(4_000, 6), 0xC1057E4)
@@ -83,6 +83,15 @@ fn connect(
     .unwrap()
 }
 
+/// `shape` over the wire through `src`, unobserved.
+fn wire(
+    src: &mut RemoteShardSource,
+    shape: &Shape,
+    config: &SwopeConfig,
+) -> Result<Answer, SwopeError> {
+    run_sharded(src, shape, config, &mut NoopObserver, &Executor::sequential())
+}
+
 /// Every query shape, over 1, 2, and 3 peers holding uneven slices of
 /// the union: the coordinator's answer must equal the direct library
 /// call on the union dataset — including stats, so `assert_eq!` on the
@@ -100,53 +109,19 @@ fn wire_answers_match_direct_library_calls() {
             slice_rows(&union, n / 2..n),
         ],
     ];
-    let exec = Executor::sequential();
     for slices in splits {
         let peers = slices.len();
         let addrs: Vec<String> = slices.into_iter().map(spawn_peer).collect();
         let config = cfg(0x5EED);
-
-        let direct = entropy_top_k(&union, 3, &config).unwrap();
-        let mut src = connect(&addrs, &config, None);
-        assert_eq!(src.num_shards(), peers);
-        let wire = entropy_top_k_transport(&mut src, 3, &config, &mut NoopObserver, &exec).unwrap();
-        assert_eq!(wire, direct, "entropy_top_k over {peers} peer(s)");
-        drop(src);
-
-        let direct = entropy_filter(&union, 1.5, &config).unwrap();
-        let mut src = connect(&addrs, &config, None);
-        let wire =
-            entropy_filter_transport(&mut src, 1.5, &config, &mut NoopObserver, &exec).unwrap();
-        assert_eq!(wire, direct, "entropy_filter over {peers} peer(s)");
-        drop(src);
-
-        let direct = entropy_profile(&union, PROFILE_FLOOR, &config).unwrap();
-        let mut src = connect(&addrs, &config, None);
-        let wire =
-            entropy_profile_transport(&mut src, PROFILE_FLOOR, &config, &mut NoopObserver, &exec)
-                .unwrap();
-        assert_eq!(wire, direct, "entropy_profile over {peers} peer(s)");
-        drop(src);
-
-        let direct = mi_top_k(&union, 0, 2, &config).unwrap();
-        let mut src = connect(&addrs, &config, None);
-        let wire = mi_top_k_transport(&mut src, 0, 2, &config, &mut NoopObserver, &exec).unwrap();
-        assert_eq!(wire, direct, "mi_top_k over {peers} peer(s)");
-        drop(src);
-
-        let direct = mi_filter(&union, 0, 0.01, &config).unwrap();
-        let mut src = connect(&addrs, &config, None);
-        let wire =
-            mi_filter_transport(&mut src, 0, 0.01, &config, &mut NoopObserver, &exec).unwrap();
-        assert_eq!(wire, direct, "mi_filter over {peers} peer(s)");
-        drop(src);
-
-        let direct = mi_profile(&union, 0, PROFILE_FLOOR, &config).unwrap();
-        let mut src = connect(&addrs, &config, None);
-        let wire =
-            mi_profile_transport(&mut src, 0, PROFILE_FLOOR, &config, &mut NoopObserver, &exec)
-                .unwrap();
-        assert_eq!(wire, direct, "mi_profile over {peers} peer(s)");
+        for shape in all_shapes() {
+            let mut src = connect(&addrs, &config, None);
+            assert_eq!(src.num_shards(), peers);
+            assert_eq!(
+                wire(&mut src, &shape, &config).unwrap(),
+                plain(&union, &shape, &config),
+                "{shape:?} over {peers} peer(s)"
+            );
+        }
     }
 }
 
@@ -161,35 +136,40 @@ fn scoped_queries_route_to_intersecting_peers_only() {
     let addrs =
         vec![spawn_peer(slice_rows(&union, 0..n / 2)), spawn_peer(slice_rows(&union, n / 2..n))];
     let config = cfg(0xA5C0);
-    let exec = Executor::sequential();
+    let [top_k, mi_top_k] = [all_shapes()[0], Shape::MiTopK { target: 1, k: 2 }];
 
     // Scope spanning both peers.
     let (a, b) = (n / 4, 3 * n / 4);
-    let scoped_ds = slice_rows(&union, a..b);
-    let direct = entropy_top_k(&scoped_ds, 3, &config).unwrap();
     let mut src = connect(&addrs, &config, Some(a as u64..b as u64));
     assert_eq!(src.peer_count(), 2);
-    let wire = entropy_top_k_transport(&mut src, 3, &config, &mut NoopObserver, &exec).unwrap();
-    assert_eq!(wire, direct);
+    let direct = plain(&slice_rows(&union, a..b), &top_k, &config);
+    assert_eq!(wire(&mut src, &top_k, &config).unwrap(), direct);
     drop(src);
 
     // Scope entirely inside the second peer: the first is not consulted.
     let (a, b) = (n / 2 + 10, n - 5);
-    let scoped_ds = slice_rows(&union, a..b);
-    let direct = mi_top_k(&scoped_ds, 1, 2, &config).unwrap();
     let mut src = connect(&addrs, &config, Some(a as u64..b as u64));
     assert_eq!(src.peer_count(), 1);
-    let wire = mi_top_k_transport(&mut src, 1, 2, &config, &mut NoopObserver, &exec).unwrap();
-    assert_eq!(wire, direct);
+    let direct = plain(&slice_rows(&union, a..b), &mi_top_k, &config);
+    assert_eq!(wire(&mut src, &mi_top_k, &config).unwrap(), direct);
     drop(src);
 
     // The scope end clamps to the union (the single-box rule), so a
-    // range starting past the union is empty and rejected up front.
+    // range starting at the union's end is empty: no peer takes part,
+    // and the query answers like a single box's empty scope.
+    let mut src = connect(&addrs, &config, Some((n as u64)..(n as u64) + 10));
+    assert_eq!((src.peer_count(), src.num_rows()), (0, 0));
+    let empty = wire(&mut src, &top_k, &config).unwrap();
+    assert_eq!((empty.scores.len(), empty.stats.iterations), (3, 0));
+    assert!(empty.scores.iter().all(|s| s.estimate == 0.0 && s.upper == 0.0));
+    drop(src);
+
+    // A range starting past the union is rejected up front.
     let err = RemoteShardSource::connect(
         &addrs,
         "t",
         1,
-        Some((n as u64)..(n as u64) + 10),
+        Some((n as u64 + 1)..(n as u64) + 10),
         &PeerTimeouts::default(),
         Arc::new(ClusterStats::new()),
         None,
@@ -209,10 +189,10 @@ fn pooled_sessions_are_reused_across_queries() {
     let addrs =
         vec![spawn_peer(slice_rows(&union, 0..n / 2)), spawn_peer(slice_rows(&union, n / 2..n))];
     let config = cfg(0x9001);
-    let exec = Executor::sequential();
     let stats = Arc::new(ClusterStats::new());
     let pool = Arc::new(PeerPool::new(2));
-    let direct = entropy_top_k(&union, 3, &config).unwrap();
+    let shape = all_shapes()[0];
+    let direct = plain(&union, &shape, &config);
     for round in 0..3 {
         let mut src = RemoteShardSource::connect(
             &addrs,
@@ -224,8 +204,7 @@ fn pooled_sessions_are_reused_across_queries() {
             Some(Arc::clone(&pool)),
         )
         .unwrap();
-        let wire = entropy_top_k_transport(&mut src, 3, &config, &mut NoopObserver, &exec).unwrap();
-        assert_eq!(wire, direct, "round {round}");
+        assert_eq!(wire(&mut src, &shape, &config).unwrap(), direct, "round {round}");
         src.finish();
     }
     assert_eq!(pool.idle_count(), 2, "both sessions parked after the last query");
@@ -265,11 +244,8 @@ fn stale_pooled_socket_redials_transparently() {
         Some(Arc::clone(&pool)),
     )
     .unwrap();
-    let direct = entropy_top_k(&union, 3, &config).unwrap();
-    let wire =
-        entropy_top_k_transport(&mut src, 3, &config, &mut NoopObserver, &Executor::sequential())
-            .unwrap();
-    assert_eq!(wire, direct);
+    let shape = all_shapes()[0];
+    assert_eq!(wire(&mut src, &shape, &config).unwrap(), plain(&union, &shape, &config));
     src.finish();
     let snap = stats.snapshot();
     assert_eq!(snap.conns_opened, 1, "the stale socket forced one fresh dial");
@@ -375,9 +351,7 @@ fn peer_death_mid_query_fails_the_advance() {
     )
     .unwrap();
     let start = Instant::now();
-    let err =
-        entropy_top_k_transport(&mut src, 3, &config, &mut NoopObserver, &Executor::sequential())
-            .unwrap_err();
+    let err = wire(&mut src, &all_shapes()[0], &config).unwrap_err();
     assert!(start.elapsed() < Duration::from_secs(5), "mid-query death hung the loop");
     let SwopeError::Transport(msg) = err else { panic!("expected a transport error, got {err}") };
     assert!(msg.contains(&addr), "{msg}");
@@ -428,9 +402,7 @@ fn a_peer_lying_about_support_is_a_transport_error() {
     });
     let config = cfg(0x11E);
     let mut src = connect(std::slice::from_ref(&addr), &config, None);
-    let err =
-        entropy_top_k_transport(&mut src, 3, &config, &mut NoopObserver, &Executor::sequential())
-            .unwrap_err();
+    let err = wire(&mut src, &all_shapes()[0], &config).unwrap_err();
     let SwopeError::Transport(msg) = err else { panic!("expected a transport error, got {err}") };
     assert!(msg.starts_with(&format!("peer {addr}: ")), "{msg}");
     assert!(msg.contains("support disagrees"), "{msg}");

@@ -35,7 +35,7 @@
 //!
 //! Column codes are stored at their in-memory packed width, so a `u8`
 //! column costs one byte per row on disk too. Every section length is a
-//! pure function of the schema and row count, which lets [`write`]
+//! pure function of the schema and row count, which lets [`write()`]
 //! stream: it emits the complete header and section table first, then
 //! pages each column through one reusable page buffer — no
 //! whole-snapshot staging in memory.

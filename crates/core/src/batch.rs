@@ -68,31 +68,27 @@ pub fn mi_top_k_batch(
     k: usize,
     config: &SwopeConfig,
 ) -> Result<Vec<TopKResult>, SwopeError> {
-    mi_top_k_batch_observed(dataset, targets, k, config, &mut NoopObserver)
+    mi_top_k_batch_exec(
+        dataset,
+        targets,
+        k,
+        config,
+        &mut NoopObserver,
+        &Executor::new(config.threads),
+    )
 }
 
-/// [`mi_top_k_batch`] with a [`QueryObserver`] attached.
+/// [`mi_top_k_batch`] with a [`QueryObserver`] attached and an injected
+/// [`Executor`].
 ///
 /// The batch emits one observer lifecycle for the whole run
 /// ([`QueryKind::MiTopKBatch`]): `iteration` events report the summed live
 /// candidates across unfinished targets, and `query_end` aggregates the
 /// per-target statistics. Per-target work runs inside the parallel loop,
 /// so retirement events are staged per target and emitted serially after
-/// each iteration. Results are bitwise-identical to the unobserved call.
-pub fn mi_top_k_batch_observed<O: QueryObserver>(
-    dataset: &Dataset,
-    targets: &[AttrIndex],
-    k: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-) -> Result<Vec<TopKResult>, SwopeError> {
-    mi_top_k_batch_exec(dataset, targets, k, config, observer, &Executor::new(config.threads))
-}
-
-/// [`mi_top_k_batch_observed`] with an injected [`Executor`].
-///
-/// See [`crate::exec`]: the executor supplies the (possibly shared)
-/// worker pool, and results are bitwise identical for any executor.
+/// each iteration. The executor supplies the (possibly shared) worker
+/// pool (see [`crate::exec`]); results are bitwise identical to the
+/// unobserved call for any executor.
 pub fn mi_top_k_batch_exec<O: QueryObserver>(
     dataset: &Dataset,
     targets: &[AttrIndex],

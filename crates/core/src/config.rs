@@ -118,17 +118,13 @@ impl SwopeConfig {
 
     /// The initial sample size `M0` to use for `dataset`.
     pub fn resolve_m0(&self, dataset: &Dataset, p_f: f64) -> usize {
-        self.resolve_m0_rows(dataset, dataset.num_rows(), p_f)
+        let max_support = dataset.schema().max_support();
+        self.resolve_m0_meta(dataset.num_rows(), dataset.num_attrs(), max_support, p_f)
     }
 
-    /// [`SwopeConfig::resolve_m0`] against an explicit population size
-    /// (attribute count and supports still come from `dataset`).
-    pub fn resolve_m0_rows(&self, dataset: &Dataset, num_rows: usize, p_f: f64) -> usize {
-        self.resolve_m0_meta(num_rows, dataset.num_attrs(), dataset.schema().max_support(), p_f)
-    }
-
-    /// [`SwopeConfig::resolve_m0_rows`] from schema facts alone. The
-    /// shard-parallel loops resolve `M0` through this so a wire
+    /// [`SwopeConfig::resolve_m0`] from a population size and schema
+    /// facts alone. The driver resolves `M0` through this for every
+    /// source, so a scoped query uses its scope's row count and a wire
     /// coordinator — which knows each peer's attribute metadata but holds
     /// no local `Dataset` — lands on exactly the same `M0` as a
     /// single-box run over the union population.

@@ -1,15 +1,11 @@
 //! Algorithm 2: SWOPE approximate filtering on empirical entropy.
 
 use swope_columnar::Dataset;
-use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver};
-use swope_sampling::DoublingSchedule;
+use swope_obs::QueryObserver;
 
-use crate::exec::Executor;
-use crate::observe::Instrumented;
-use crate::report::{AttrScore, FilterResult, WorkKind};
-use crate::scope::Population;
-use crate::state::{EntropyState, GatherScratch};
-use crate::topk::attr_score;
+use crate::driver::{run_plain, Round, Shape, Verdict};
+use crate::measure::Candidate;
+use crate::report::FilterResult;
 use crate::{SwopeConfig, SwopeError};
 
 /// Approximate filtering query on empirical entropy (paper Algorithm 2).
@@ -29,6 +25,9 @@ use crate::{SwopeConfig, SwopeError};
 /// depending on the user's threshold `η`, not on how close attribute
 /// scores happen to sit to it.
 ///
+/// This is [`crate::run`] with [`Shape::EntropyFilter`] over the whole
+/// dataset, unobserved, on `config.threads` workers.
+///
 /// # Errors
 ///
 /// Fails fast on an invalid `ε`/`p_f`, an empty dataset, or a negative or
@@ -38,148 +37,58 @@ pub fn entropy_filter(
     eta: f64,
     config: &SwopeConfig,
 ) -> Result<FilterResult, SwopeError> {
-    entropy_filter_observed(dataset, eta, config, &mut NoopObserver)
+    run_plain(dataset, Shape::EntropyFilter { eta }, config).map(Into::into)
 }
 
-/// [`entropy_filter`] with a [`QueryObserver`] attached.
+/// The filter rule: Alg. 2 lines 6–14, and Alg. 4 over the §4.1 interval.
 ///
-/// Accept/reject decisions surface as `attr_retired` events; the result
-/// is bitwise-identical to the unobserved call with the same config.
-pub fn entropy_filter_observed<O: QueryObserver>(
-    dataset: &Dataset,
+/// Every live candidate is decided four ways; the query is over when
+/// none is left. `exact` is the measure's exact score, consulted only
+/// once the sample is the whole population.
+pub(crate) fn decide<C: Candidate, O: QueryObserver>(
     eta: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-) -> Result<FilterResult, SwopeError> {
-    entropy_filter_exec(dataset, eta, config, observer, &Executor::new(config.threads))
-}
-
-/// [`entropy_filter_observed`] with an injected [`Executor`].
-///
-/// See [`crate::exec`]: the executor supplies the (possibly shared)
-/// worker pool, and results are bitwise identical for any executor.
-pub fn entropy_filter_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    eta: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<FilterResult, SwopeError> {
-    config.validate()?;
-    if !eta.is_finite() || eta < 0.0 {
-        return Err(SwopeError::InvalidThreshold(eta));
-    }
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    entropy_filter_run(dataset, eta, config, observer, exec, Population::unscoped(dataset, config))
-}
-
-/// The adaptive loop body, generic over the sampled population (see
-/// [`crate::scope`]).
-pub(crate) fn entropy_filter_run<O: QueryObserver>(
-    dataset: &Dataset,
-    eta: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-    mut pop: Population,
-) -> Result<FilterResult, SwopeError> {
-    let h = dataset.num_attrs();
-    let n = pop.n();
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_rows(dataset, n, p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (schedule.i_max() as f64 * h as f64);
-
-    let mut states: Vec<EntropyState> =
-        (0..h).map(|attr| EntropyState::new(dataset, attr)).collect();
-    pop.attach_covered(&mut states);
-    let mut scratch = GatherScratch::new(h);
-    let mut accepted: Vec<AttrScore> = Vec::new();
-    let mut it = Instrumented::start(observer, QueryKind::EntropyFilter, h, n, config);
-    it.setup(pop.setup_rows(), pop.setup_nanos());
-
-    let mut converged_early = false;
-    let mut m_target = schedule.m0();
-    while !states.is_empty() {
-        it.begin_iteration();
-        let span = it.phase_start();
-        let grown = pop.grow(m_target);
-        it.phase_end(Phase::SampleGrow, span);
-        let m = grown.sampled;
-        let delta = grown.delta;
-        let live = states.len();
-        it.iteration(m, live, swope_estimate::bounds::lambda(m as u64, n as u64, p_prime));
-        it.record_work(delta.len(), live, WorkKind::EntropyMarginals);
-
-        let span = it.phase_start();
-        exec.for_each2(&mut states, scratch.slots(live), |st, buf| {
-            st.ingest_covered(grown.covered_k);
-            st.ingest_staged(dataset.column(st.attr), delta, buf);
-        });
-        it.phase_end(Phase::Ingest, span);
-        let span = it.phase_start();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        // Decide candidates (Alg. 2 lines 6-14).
-        let span = it.phase_start();
-        states.retain(|st| {
-            let b = &st.bounds;
-            if b.width() < 2.0 * epsilon * eta {
-                // Tight enough: decide by the point estimate.
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                if b.point_estimate() >= eta {
-                    accepted.push(attr_score(dataset, st, iter));
-                }
-                false
-            } else if b.lower >= (1.0 - epsilon) * eta {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                accepted.push(attr_score(dataset, st, iter));
-                false
-            } else if b.upper >= (1.0 + epsilon) * eta {
-                true
-            } else {
-                it.attr_retired(st.attr, b.lower, b.upper);
-                false
+    exact: impl Fn(&C) -> f64,
+    states: &mut Vec<C>,
+    round: &mut Round<'_, O>,
+    accept: &mut impl FnMut(&C, usize),
+) -> Option<Verdict> {
+    let epsilon = round.epsilon;
+    states.retain(|st| {
+        if st.width() < 2.0 * epsilon * eta {
+            // Tight enough: decide by the point estimate.
+            let iteration = round.retire(st);
+            if st.point_estimate() >= eta {
+                accept(st, iteration);
             }
-        });
-
-        if states.is_empty() {
-            converged_early = m < n;
-            it.phase_end(Phase::Decide, span);
-            break;
+            false
+        } else if st.lower() >= (1.0 - epsilon) * eta {
+            let iteration = round.retire(st);
+            accept(st, iteration);
+            false
+        } else if st.upper() >= (1.0 + epsilon) * eta {
+            true
+        } else {
+            round.retire(st);
+            false
         }
-        if m >= n {
-            // Bounds are exact (width 0); the only way candidates survive
-            // here is εη = 0, where case 2 already accepted everything with
-            // lower ≥ 0. Decide any stragglers by the exact value.
-            for st in states.drain(..) {
-                let iter = it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-                if st.sample_entropy() >= eta {
-                    accepted.push(attr_score(dataset, &st, iter));
-                }
-            }
-            it.phase_end(Phase::Decide, span);
-            break;
-        }
-        it.phase_end(Phase::Decide, span);
-        m_target = (m * 2).min(n);
-    }
-
-    accepted.sort_by(|a, b| {
-        b.estimate
-            .partial_cmp(&a.estimate)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.attr.cmp(&b.attr))
     });
-    Ok(FilterResult { accepted, stats: it.finish(converged_early) })
+
+    if states.is_empty() {
+        return Verdict::done(round.m < round.n);
+    }
+    if round.m >= round.n {
+        // Bounds are exact (width 0); the only way candidates survive
+        // here is εη = 0, where case 2 already accepted everything with
+        // lower ≥ 0. Decide any stragglers by the exact value.
+        for st in states.drain(..) {
+            let iteration = round.retire(&st);
+            if exact(&st) >= eta {
+                accept(&st, iteration);
+            }
+        }
+        return Verdict::done(false);
+    }
+    None
 }
 
 #[cfg(test)]

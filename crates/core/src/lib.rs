@@ -24,6 +24,14 @@
 //! All guarantees hold with probability `1 − p_f` (the failure probability
 //! in [`SwopeConfig`]).
 //!
+//! Those four, [`entropy_profile`] and [`mi_profile`] are conveniences
+//! over the one entry point [`run`], which answers any [`Shape`] over a
+//! [`Scope`] of the dataset (optionally backed by its partition sketch),
+//! with a [`QueryObserver`] and an [`Executor`] attached; [`run_sharded`]
+//! answers the same shapes from the merged integer counts of a
+//! [`ShardTransport`]. [`mi_top_k_batch`] is a separate engine that
+//! shares one sample across many targets.
+//!
 //! ## How it works
 //!
 //! Each query adaptively doubles a sample drawn *without replacement*
@@ -60,9 +68,11 @@
 mod batch;
 mod config;
 pub mod count;
+mod driver;
 mod error;
 pub mod exec;
 mod filter;
+mod measure;
 mod mi_filter;
 mod mi_topk;
 mod observe;
@@ -75,36 +85,22 @@ pub mod sketch_stats;
 pub mod state;
 mod topk;
 
-pub use batch::{mi_top_k_batch, mi_top_k_batch_exec, mi_top_k_batch_observed};
+pub use batch::{mi_top_k_batch, mi_top_k_batch_exec};
 pub use config::{SamplingStrategy, SwopeConfig};
 pub use count::{
     count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,
 };
+pub use driver::{run, run_sharded, Answer, Shape};
 pub use error::SwopeError;
 pub use exec::{ExecPool, ExecStats, Executor};
-pub use filter::{entropy_filter, entropy_filter_exec, entropy_filter_observed};
-pub use mi_filter::{mi_filter, mi_filter_exec, mi_filter_observed};
-pub use mi_topk::{mi_top_k, mi_top_k_exec, mi_top_k_observed};
-pub use profile::{
-    entropy_profile, entropy_profile_exec, entropy_profile_observed, mi_profile, mi_profile_exec,
-    mi_profile_observed, ProfileResult,
-};
+pub use filter::entropy_filter;
+pub use mi_filter::mi_filter;
+pub use mi_topk::mi_top_k;
+pub use profile::{entropy_profile, mi_profile, ProfileResult};
 pub use report::{AttrScore, FilterResult, IterationTrace, QueryStats, TopKResult, WorkKind};
-pub use scope::{
-    entropy_filter_scoped, entropy_filter_scoped_exec, entropy_profile_scoped,
-    entropy_profile_scoped_exec, entropy_top_k_scoped, entropy_top_k_scoped_exec, mi_filter_scoped,
-    mi_filter_scoped_exec, mi_profile_scoped, mi_profile_scoped_exec, mi_top_k_scoped,
-    mi_top_k_scoped_exec, Scope,
-};
-pub use shard::{
-    entropy_filter_sharded, entropy_filter_sharded_exec, entropy_filter_transport,
-    entropy_profile_sharded, entropy_profile_sharded_exec, entropy_profile_transport,
-    entropy_top_k_sharded, entropy_top_k_sharded_exec, entropy_top_k_transport, mi_filter_sharded,
-    mi_filter_sharded_exec, mi_filter_transport, mi_profile_sharded, mi_profile_sharded_exec,
-    mi_profile_transport, mi_top_k_sharded, mi_top_k_sharded_exec, mi_top_k_transport, AttrMeta,
-    CountRequest, LocalShardSource, ShardCounts, ShardPlan, ShardTransport,
-};
-pub use topk::{entropy_top_k, entropy_top_k_exec, entropy_top_k_observed};
+pub use scope::{entropy_filter_scoped_exec, entropy_top_k_scoped_exec, Scope};
+pub use shard::{AttrMeta, CountRequest, LocalShardSource, ShardCounts, ShardPlan, ShardTransport};
+pub use topk::entropy_top_k;
 
 // Re-export the observer vocabulary so downstream crates can attach
 // observers without depending on `swope-obs` directly.

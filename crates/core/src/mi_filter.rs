@@ -2,15 +2,9 @@
 //! information.
 
 use swope_columnar::{AttrIndex, Dataset};
-use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver};
-use swope_sampling::DoublingSchedule;
 
-use crate::exec::Executor;
-use crate::mi_topk::mi_score;
-use crate::observe::Instrumented;
-use crate::report::{AttrScore, FilterResult, WorkKind};
-use crate::scope::Population;
-use crate::state::{GatherScratch, MiState, TargetState};
+use crate::driver::{run_plain, Shape};
+use crate::report::FilterResult;
 use crate::{SwopeConfig, SwopeError};
 
 /// Approximate filtering query on empirical mutual information against a
@@ -28,6 +22,9 @@ use crate::{SwopeConfig, SwopeError};
 /// Expected cost is `O(min{hN, h·log(h·log N/p_f)·log²N / (ε²·η²)})`
 /// (Theorem 6).
 ///
+/// This is [`crate::run`] with [`Shape::MiFilter`] over the whole dataset,
+/// unobserved, on `config.threads` workers.
+///
 /// # Errors
 ///
 /// Fails fast on invalid `ε`/`p_f`/`η`, an empty dataset, a target index
@@ -38,171 +35,7 @@ pub fn mi_filter(
     eta: f64,
     config: &SwopeConfig,
 ) -> Result<FilterResult, SwopeError> {
-    mi_filter_observed(dataset, target, eta, config, &mut NoopObserver)
-}
-
-/// [`mi_filter`] with a [`QueryObserver`] attached.
-///
-/// The result is bitwise-identical to the unobserved call with the same
-/// config.
-pub fn mi_filter_observed<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    eta: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-) -> Result<FilterResult, SwopeError> {
-    mi_filter_exec(dataset, target, eta, config, observer, &Executor::new(config.threads))
-}
-
-/// [`mi_filter_observed`] with an injected [`Executor`].
-///
-/// See [`crate::exec`]: the executor supplies the (possibly shared)
-/// worker pool, and results are bitwise identical for any executor.
-pub fn mi_filter_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    eta: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<FilterResult, SwopeError> {
-    config.validate()?;
-    if !eta.is_finite() || eta < 0.0 {
-        return Err(SwopeError::InvalidThreshold(eta));
-    }
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    mi_filter_run(
-        dataset,
-        target,
-        eta,
-        config,
-        observer,
-        exec,
-        Population::unscoped(dataset, config),
-    )
-}
-
-/// The adaptive loop body, generic over the sampled population (see
-/// [`crate::scope`]). MI populations are always physical — covered-page
-/// histograms cannot synthesize joint co-occurrences.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mi_filter_run<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    eta: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-    mut pop: Population,
-) -> Result<FilterResult, SwopeError> {
-    let h = dataset.num_attrs();
-    let n = pop.n();
-    let candidates = h - 1;
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_rows(dataset, n, p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (3.0 * schedule.i_max() as f64 * candidates as f64);
-
-    let mut target_state = TargetState::new(dataset, target);
-    let u_t = target_state.support;
-    let mut states: Vec<MiState> =
-        (0..h).filter(|&a| a != target).map(|a| MiState::new(a, u_t, dataset.support(a))).collect();
-    let mut scratch = GatherScratch::new(candidates);
-    let mut accepted: Vec<AttrScore> = Vec::new();
-    let mut it = Instrumented::start(observer, QueryKind::MiFilter, h, n, config);
-    it.setup(pop.setup_rows(), pop.setup_nanos());
-
-    let mut converged_early = false;
-    let mut m_target = schedule.m0();
-    while !states.is_empty() {
-        it.begin_iteration();
-        let span = it.phase_start();
-        let grown = pop.grow(m_target);
-        it.phase_end(Phase::SampleGrow, span);
-        let m = grown.sampled;
-        let delta = grown.delta;
-        let live = states.len();
-        it.iteration(m, live, swope_estimate::bounds::lambda(m as u64, n as u64, p_prime));
-        it.record_work(delta.len(), live, WorkKind::MiPerTarget);
-
-        let span = it.phase_start();
-        let (t_buf, slots) = scratch.target_and_slots(live);
-        target_state.ingest_into(dataset.column(target), delta, t_buf);
-        let t_codes = t_buf.codes();
-        exec.for_each2(&mut states, slots, |st, buf| {
-            st.ingest_staged(dataset.column(st.attr), t_codes, delta, buf);
-        });
-        it.phase_end(Phase::Ingest, span);
-        let span = it.phase_start();
-        let h_t = target_state.sample_entropy();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(h_t, u_t, n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        states.retain(|st| {
-            let b = &st.bounds;
-            if b.width() < 2.0 * epsilon * eta {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                if b.point_estimate() >= eta {
-                    accepted.push(mi_score(dataset, st, iter));
-                }
-                false
-            } else if b.lower >= (1.0 - epsilon) * eta {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                accepted.push(mi_score(dataset, st, iter));
-                false
-            } else if b.upper >= (1.0 + epsilon) * eta {
-                true
-            } else {
-                it.attr_retired(st.attr, b.lower, b.upper);
-                false
-            }
-        });
-
-        if states.is_empty() {
-            converged_early = m < n;
-            it.phase_end(Phase::Decide, span);
-            break;
-        }
-        if m >= n {
-            // Exact values; only reachable stragglers are the εη = 0 case.
-            for st in states.drain(..) {
-                let iter = it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-                let exact_mi = (target_state.sample_entropy() + st.sample_entropy()
-                    - st.sample_joint_entropy())
-                .max(0.0);
-                if exact_mi >= eta {
-                    accepted.push(mi_score(dataset, &st, iter));
-                }
-            }
-            it.phase_end(Phase::Decide, span);
-            break;
-        }
-        it.phase_end(Phase::Decide, span);
-        m_target = (m * 2).min(n);
-    }
-
-    accepted.sort_by(|a, b| {
-        b.estimate
-            .partial_cmp(&a.estimate)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.attr.cmp(&b.attr))
-    });
-    Ok(FilterResult { accepted, stats: it.finish(converged_early) })
+    run_plain(dataset, Shape::MiFilter { target, eta }, config).map(Into::into)
 }
 
 #[cfg(test)]

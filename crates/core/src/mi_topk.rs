@@ -1,16 +1,9 @@
 //! Algorithm 3: SWOPE approximate top-k on empirical mutual information.
 
 use swope_columnar::{AttrIndex, Dataset};
-use swope_estimate::bounds::lambda;
-use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver};
-use swope_sampling::DoublingSchedule;
 
-use crate::exec::Executor;
-use crate::observe::Instrumented;
-use crate::report::{AttrScore, TopKResult, WorkKind};
-use crate::scope::Population;
-use crate::state::{GatherScratch, MiState, TargetState};
-use crate::topk::top_k_indices;
+use crate::driver::{run_plain, Shape};
+use crate::report::TopKResult;
 use crate::{SwopeConfig, SwopeError};
 
 /// Approximate top-k query on empirical mutual information against a
@@ -61,6 +54,9 @@ use crate::{SwopeConfig, SwopeError};
 /// assert_eq!(result.top[0].name, "copy");
 /// ```
 ///
+/// This is [`crate::run`] with [`Shape::MiTopK`] over the whole dataset,
+/// unobserved, on `config.threads` workers.
+///
 /// # Errors
 ///
 /// Fails fast on invalid `ε`/`p_f`, an empty dataset, a target index out
@@ -71,163 +67,7 @@ pub fn mi_top_k(
     k: usize,
     config: &SwopeConfig,
 ) -> Result<TopKResult, SwopeError> {
-    mi_top_k_observed(dataset, target, k, config, &mut NoopObserver)
-}
-
-/// [`mi_top_k`] with a [`QueryObserver`] attached.
-///
-/// The result is bitwise-identical to the unobserved call with the same
-/// config.
-pub fn mi_top_k_observed<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    k: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-) -> Result<TopKResult, SwopeError> {
-    mi_top_k_exec(dataset, target, k, config, observer, &Executor::new(config.threads))
-}
-
-/// [`mi_top_k_observed`] with an injected [`Executor`].
-///
-/// See [`crate::exec`]: the executor supplies the (possibly shared)
-/// worker pool, and results are bitwise identical for any executor.
-pub fn mi_top_k_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    k: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<TopKResult, SwopeError> {
-    config.validate()?;
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    let candidates = h - 1;
-    if k == 0 || k > candidates {
-        return Err(SwopeError::InvalidK { k, candidates });
-    }
-    mi_top_k_run(dataset, target, k, config, observer, exec, Population::unscoped(dataset, config))
-}
-
-/// The adaptive loop body, generic over the sampled population (see
-/// [`crate::scope`]). MI populations are always physical — covered-page
-/// histograms cannot synthesize joint co-occurrences.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mi_top_k_run<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    k: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-    mut pop: Population,
-) -> Result<TopKResult, SwopeError> {
-    let h = dataset.num_attrs();
-    let n = pop.n();
-    let candidates = h - 1;
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_rows(dataset, n, p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    // Three Lemma-3 applications per candidate per iteration (Alg. 3 line 1).
-    let p_prime = p_f / (3.0 * schedule.i_max() as f64 * candidates as f64);
-
-    let mut target_state = TargetState::new(dataset, target);
-    let u_t = target_state.support;
-    let mut states: Vec<MiState> =
-        (0..h).filter(|&a| a != target).map(|a| MiState::new(a, u_t, dataset.support(a))).collect();
-    let mut scratch = GatherScratch::new(candidates);
-    let mut it = Instrumented::start(observer, QueryKind::MiTopK, h, n, config);
-    it.setup(pop.setup_rows(), pop.setup_nanos());
-
-    let mut m_target = schedule.m0();
-    loop {
-        it.begin_iteration();
-        let span = it.phase_start();
-        let grown = pop.grow(m_target);
-        it.phase_end(Phase::SampleGrow, span);
-        let m = grown.sampled;
-        let delta = grown.delta;
-        let lam = lambda(m as u64, n as u64, p_prime);
-        let live = states.len();
-        it.iteration(m, live, lam);
-        // Target scan + per-candidate marginal and joint updates.
-        it.record_work(delta.len(), live, WorkKind::MiPerTarget);
-
-        let span = it.phase_start();
-        // Gather the target codes once; every candidate reuses them.
-        let (t_buf, slots) = scratch.target_and_slots(live);
-        target_state.ingest_into(dataset.column(target), delta, t_buf);
-        let t_codes = t_buf.codes();
-        exec.for_each2(&mut states, slots, |st, buf| {
-            st.ingest_staged(dataset.column(st.attr), t_codes, delta, buf);
-        });
-        it.phase_end(Phase::Ingest, span);
-        let span = it.phase_start();
-        let h_t = target_state.sample_entropy();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(h_t, u_t, n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        // R <- top-k candidates by upper bound (Alg. 3 lines 7-9).
-        let by_upper = top_k_indices(&states, k, |st| st.bounds.upper);
-        let kth_upper = states[by_upper[k - 1]].bounds.upper;
-        let b_max = by_upper.iter().map(|&i| states[i].bounds.bias_total).fold(0.0f64, f64::max);
-
-        // Stopping rule (Alg. 3 line 10).
-        let stop = kth_upper > 0.0 && (kth_upper - 6.0 * lam - b_max) / kth_upper >= 1.0 - epsilon;
-        if stop || m >= n {
-            it.phase_end(Phase::Decide, span);
-            for st in &states {
-                it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-            }
-            let retired_iteration = it.current_iteration();
-            let top = by_upper
-                .iter()
-                .map(|&i| mi_score(dataset, &states[i], retired_iteration))
-                .collect();
-            let converged_early = stop && m < n;
-            return Ok(TopKResult { top, stats: it.finish(converged_early) });
-        }
-
-        // Prune candidates whose upper bound falls below the k-th largest
-        // lower bound (lines 16-19).
-        let by_lower = top_k_indices(&states, k, |st| st.bounds.lower);
-        let kth_lower = states[by_lower[k - 1]].bounds.lower;
-        states.retain(|st| {
-            let keep = st.bounds.upper >= kth_lower;
-            if !keep {
-                it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-            }
-            keep
-        });
-        it.phase_end(Phase::Decide, span);
-
-        m_target = (m * 2).min(n);
-    }
-}
-
-pub(crate) fn mi_score(dataset: &Dataset, st: &MiState, retired_iteration: usize) -> AttrScore {
-    AttrScore {
-        attr: st.attr,
-        name: dataset.schema().field(st.attr).map(|f| f.name().to_owned()).unwrap_or_default(),
-        estimate: st.bounds.point_estimate(),
-        lower: st.bounds.lower,
-        upper: st.bounds.upper,
-        retired_iteration,
-    }
+    run_plain(dataset, Shape::MiTopK { target, k }, config).map(Into::into)
 }
 
 #[cfg(test)]

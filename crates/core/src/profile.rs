@@ -10,15 +10,11 @@
 //! extension beyond the paper, built from its Lemma 3/§4.1 intervals.
 
 use swope_columnar::{AttrIndex, Dataset};
-use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver};
-use swope_sampling::DoublingSchedule;
+use swope_obs::QueryObserver;
 
-use crate::exec::Executor;
-use crate::observe::Instrumented;
-use crate::report::{AttrScore, QueryStats, WorkKind};
-use crate::scope::Population;
-use crate::state::{EntropyState, GatherScratch, MiState, TargetState};
-use crate::topk::attr_score;
+use crate::driver::{run_plain, Round, Shape, Verdict};
+use crate::measure::Candidate;
+use crate::report::{AttrScore, QueryStats};
 use crate::{SwopeConfig, SwopeError};
 
 /// Result of a profile query: one score per attribute plus statistics.
@@ -39,281 +35,55 @@ pub struct ProfileResult {
 /// keeps near-zero-entropy attributes from demanding unbounded relative
 /// precision. On retirement `Ĥ ∈ [H̲, H̄]` with
 /// `H̄ − H̲ ≤ max(ε·Ĥ, floor)`, so `|Ĥ − H| ≤ max(ε·Ĥ, floor)`.
+///
+/// This is [`crate::run`] with [`Shape::EntropyProfile`] over the whole
+/// dataset, unobserved, on `config.threads` workers.
 pub fn entropy_profile(
     dataset: &Dataset,
     floor: f64,
     config: &SwopeConfig,
 ) -> Result<ProfileResult, SwopeError> {
-    entropy_profile_observed(dataset, floor, config, &mut NoopObserver)
-}
-
-/// [`entropy_profile`] with a [`QueryObserver`] attached.
-///
-/// The result is bitwise-identical to the unobserved call with the same
-/// config.
-pub fn entropy_profile_observed<O: QueryObserver>(
-    dataset: &Dataset,
-    floor: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-) -> Result<ProfileResult, SwopeError> {
-    entropy_profile_exec(dataset, floor, config, observer, &Executor::new(config.threads))
-}
-
-/// [`entropy_profile_observed`] with an injected [`Executor`].
-///
-/// See [`crate::exec`]: the executor supplies the (possibly shared)
-/// worker pool, and results are bitwise identical for any executor.
-pub fn entropy_profile_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    floor: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<ProfileResult, SwopeError> {
-    config.validate()?;
-    if !floor.is_finite() || floor < 0.0 {
-        return Err(SwopeError::InvalidThreshold(floor));
-    }
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    entropy_profile_run(
-        dataset,
-        floor,
-        config,
-        observer,
-        exec,
-        Population::unscoped(dataset, config),
-    )
-}
-
-/// The adaptive loop body, generic over the sampled population (see
-/// [`crate::scope`]).
-pub(crate) fn entropy_profile_run<O: QueryObserver>(
-    dataset: &Dataset,
-    floor: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-    mut pop: Population,
-) -> Result<ProfileResult, SwopeError> {
-    let h = dataset.num_attrs();
-    let n = pop.n();
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_rows(dataset, n, p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (schedule.i_max() as f64 * h as f64);
-
-    let mut states: Vec<EntropyState> =
-        (0..h).map(|attr| EntropyState::new(dataset, attr)).collect();
-    pop.attach_covered(&mut states);
-    let mut scratch = GatherScratch::new(h);
-    let mut done: Vec<AttrScore> = Vec::new();
-    let mut it = Instrumented::start(observer, QueryKind::EntropyProfile, h, n, config);
-    it.setup(pop.setup_rows(), pop.setup_nanos());
-
-    let mut converged_early = false;
-    let mut m_target = schedule.m0();
-    while !states.is_empty() {
-        it.begin_iteration();
-        let span = it.phase_start();
-        let grown = pop.grow(m_target);
-        it.phase_end(Phase::SampleGrow, span);
-        let m = grown.sampled;
-        let delta = grown.delta;
-        let live = states.len();
-        it.iteration(m, live, swope_estimate::bounds::lambda(m as u64, n as u64, p_prime));
-        it.record_work(delta.len(), live, WorkKind::EntropyMarginals);
-
-        let span = it.phase_start();
-        exec.for_each2(&mut states, scratch.slots(live), |st, buf| {
-            st.ingest_covered(grown.covered_k);
-            st.ingest_staged(dataset.column(st.attr), delta, buf);
-        });
-        it.phase_end(Phase::Ingest, span);
-        let span = it.phase_start();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        let exact_now = m >= n;
-        states.retain(|st| {
-            let b = &st.bounds;
-            let budget = (epsilon * b.point_estimate()).max(floor);
-            if b.width() <= budget || exact_now {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                done.push(attr_score(dataset, st, iter));
-                false
-            } else {
-                true
-            }
-        });
-        it.phase_end(Phase::Decide, span);
-
-        if states.is_empty() {
-            converged_early = m < n;
-            break;
-        }
-        m_target = (m * 2).min(n);
-    }
-
-    done.sort_by_key(|s| s.attr);
-    Ok(ProfileResult { scores: done, stats: it.finish(converged_early) })
+    run_plain(dataset, Shape::EntropyProfile { floor }, config).map(Into::into)
 }
 
 /// Estimates every candidate attribute's empirical mutual information
 /// with `target` to relative error `ε` (with probability `1 − p_f`),
-/// using the same retirement rule as [`entropy_profile`].
+/// using the same retirement rule as [`entropy_profile`]
+/// ([`Shape::MiProfile`]).
 pub fn mi_profile(
     dataset: &Dataset,
     target: AttrIndex,
     floor: f64,
     config: &SwopeConfig,
 ) -> Result<ProfileResult, SwopeError> {
-    mi_profile_observed(dataset, target, floor, config, &mut NoopObserver)
+    run_plain(dataset, Shape::MiProfile { target, floor }, config).map(Into::into)
 }
 
-/// [`mi_profile`] with a [`QueryObserver`] attached.
-///
-/// The result is bitwise-identical to the unobserved call with the same
-/// config.
-pub fn mi_profile_observed<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
+/// The profile rule: a candidate retires, scored, once its interval is
+/// at most `max(ε·point estimate, floor)` wide — or the sample is the
+/// whole population, where every interval has collapsed onto the exact
+/// value. The query is over when none is left.
+pub(crate) fn decide<C: Candidate, O: QueryObserver>(
     floor: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-) -> Result<ProfileResult, SwopeError> {
-    mi_profile_exec(dataset, target, floor, config, observer, &Executor::new(config.threads))
-}
-
-/// [`mi_profile_observed`] with an injected [`Executor`].
-///
-/// See [`crate::exec`]: the executor supplies the (possibly shared)
-/// worker pool, and results are bitwise identical for any executor.
-pub fn mi_profile_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    floor: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<ProfileResult, SwopeError> {
-    config.validate()?;
-    if !floor.is_finite() || floor < 0.0 {
-        return Err(SwopeError::InvalidThreshold(floor));
-    }
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    mi_profile_run(
-        dataset,
-        target,
-        floor,
-        config,
-        observer,
-        exec,
-        Population::unscoped(dataset, config),
-    )
-}
-
-/// The adaptive loop body, generic over the sampled population (see
-/// [`crate::scope`]). MI populations are always physical — covered-page
-/// histograms cannot synthesize joint co-occurrences.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mi_profile_run<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    floor: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-    mut pop: Population,
-) -> Result<ProfileResult, SwopeError> {
-    let h = dataset.num_attrs();
-    let n = pop.n();
-    let candidates = h - 1;
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_rows(dataset, n, p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (3.0 * schedule.i_max() as f64 * candidates as f64);
-
-    let mut target_state = TargetState::new(dataset, target);
-    let u_t = target_state.support;
-    let mut states: Vec<MiState> =
-        (0..h).filter(|&a| a != target).map(|a| MiState::new(a, u_t, dataset.support(a))).collect();
-    let mut scratch = GatherScratch::new(candidates);
-    let mut done: Vec<AttrScore> = Vec::new();
-    let mut it = Instrumented::start(observer, QueryKind::MiProfile, h, n, config);
-    it.setup(pop.setup_rows(), pop.setup_nanos());
-
-    let mut converged_early = false;
-    let mut m_target = schedule.m0();
-    while !states.is_empty() {
-        it.begin_iteration();
-        let span = it.phase_start();
-        let grown = pop.grow(m_target);
-        it.phase_end(Phase::SampleGrow, span);
-        let m = grown.sampled;
-        let delta = grown.delta;
-        let live = states.len();
-        it.iteration(m, live, swope_estimate::bounds::lambda(m as u64, n as u64, p_prime));
-        it.record_work(delta.len(), live, WorkKind::MiPerTarget);
-
-        let span = it.phase_start();
-        let (t_buf, slots) = scratch.target_and_slots(live);
-        target_state.ingest_into(dataset.column(target), delta, t_buf);
-        let t_codes = t_buf.codes();
-        exec.for_each2(&mut states, slots, |st, buf| {
-            st.ingest_staged(dataset.column(st.attr), t_codes, delta, buf);
-        });
-        it.phase_end(Phase::Ingest, span);
-        let span = it.phase_start();
-        let h_t = target_state.sample_entropy();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(h_t, u_t, n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        let exact_now = m >= n;
-        states.retain(|st| {
-            let b = &st.bounds;
-            let budget = (epsilon * b.point_estimate()).max(floor);
-            if b.width() <= budget || exact_now {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                done.push(crate::mi_topk::mi_score(dataset, st, iter));
-                false
-            } else {
-                true
-            }
-        });
-        it.phase_end(Phase::Decide, span);
-
-        if states.is_empty() {
-            converged_early = m < n;
-            break;
+    states: &mut Vec<C>,
+    round: &mut Round<'_, O>,
+    accept: &mut impl FnMut(&C, usize),
+) -> Option<Verdict> {
+    let exact_now = round.m >= round.n;
+    states.retain(|st| {
+        let budget = (round.epsilon * st.point_estimate()).max(floor);
+        if st.width() <= budget || exact_now {
+            let iteration = round.retire(st);
+            accept(st, iteration);
+            false
+        } else {
+            true
         }
-        m_target = (m * 2).min(n);
+    });
+    if states.is_empty() {
+        return Verdict::done(round.m < round.n);
     }
-
-    done.sort_by_key(|s| s.attr);
-    Ok(ProfileResult { scores: done, stats: it.finish(converged_early) })
+    None
 }
 
 #[cfg(test)]

@@ -4,15 +4,16 @@
 //!
 //! A [`Scope`] names a sub-population of the dataset: the rows in
 //! `[row_start, row_end)` that also satisfy an optional `attr = code`
-//! predicate. Every adaptive loop runs unchanged over the scoped
+//! predicate. [`crate::run`] drives its one loop over the scoped
 //! population of size `n_s` — the sample is uniform without replacement
 //! *from the scope*, bounds use `n = n_s`, and `p_f` defaults to `1/n_s`
 //! — so the paper's guarantees hold verbatim over the scoped rows.
+//! [`LocalSource`] is the loop's count source over a [`Population`].
 //!
 //! ## How a scope is sampled
 //!
-//! * **Full scope** — delegates to the unscoped entry point; results are
-//!   bitwise identical to an unscoped call by construction.
+//! * **Full scope** — the whole dataset under the config's sampler:
+//!   the unscoped query, bit for bit, with or without a sketch.
 //! * **Range scope, entropy queries** — the range is split at page
 //!   (64Ki-row) boundaries into fully *covered* pages, whose exact
 //!   per-code histograms the [`DatasetSketch`] already holds, and a
@@ -65,7 +66,8 @@
 //! population is 0 by convention), top-k returns the first `k`
 //! (candidate) attributes in index order, filters accept exactly when
 //! `η = 0`, and the stats report zero iterations with
-//! `converged_early = true`.
+//! `converged_early = true`. The driver builds that answer for any
+//! source that reports `n = 0`, charging only the scope-resolution scan.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -73,18 +75,19 @@ use std::time::Instant;
 use swope_columnar::{
     AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch, PageGrouper,
 };
-use swope_obs::{QueryKind, QueryObserver};
+use swope_obs::{Phase, QueryObserver};
 use swope_sampling::rng::Xoshiro256pp;
 use swope_sampling::{hypergeometric, Sampler};
 use swope_store::for_packed;
 use swope_store::page::PAGE_ROWS;
 
 use crate::count::CountState;
+use crate::driver::{run, CountSource, Round, Shape};
 use crate::exec::Executor;
-use crate::observe::Instrumented;
-use crate::report::{AttrScore, FilterResult, QueryStats, TopKResult};
-use crate::state::{make_sampler, EntropyState};
-use crate::{sketch_stats, ProfileResult, SamplingStrategy, SwopeConfig, SwopeError};
+use crate::measure::Measure;
+use crate::report::{FilterResult, TopKResult};
+use crate::state::{make_sampler, GatherScratch};
+use crate::{sketch_stats, SamplingStrategy, SwopeConfig, SwopeError};
 
 /// A restriction of a query to part of the dataset: a row range
 /// intersected with an optional single-attribute equality predicate.
@@ -122,7 +125,7 @@ impl Scope {
 
     /// Whether this scope is syntactically unrestricted (no predicate,
     /// no effective bounds). A bounded scope that happens to cover every
-    /// row is also treated as full, but only [`resolve_scope`] can tell.
+    /// row is also treated as full, but only scope resolution can tell.
     pub fn is_all(&self) -> bool {
         self.predicate.is_none() && self.row_start.unwrap_or(0) == 0 && self.row_end.is_none()
     }
@@ -435,14 +438,11 @@ enum PopKind {
     Hybrid(HybridPop),
 }
 
-/// The population an adaptive loop samples from: the whole dataset, a
-/// mapped sub-population, or the hybrid covered/fringe simulation. All
-/// six loops are written against this, so scoped and unscoped queries
-/// share one loop body.
+/// The population a local query samples from: the whole dataset, a
+/// mapped sub-population, or the hybrid covered/fringe simulation.
 pub(crate) struct Population {
     n: usize,
     setup_rows: u64,
-    setup_nanos: Option<u64>,
     kind: PopKind,
     /// Reorders each delta so paged gathers pin every page once.
     grouper: PageGrouper,
@@ -461,26 +461,10 @@ pub(crate) struct Growth<'a> {
 }
 
 impl Population {
-    /// The whole dataset, sampled exactly as the pre-scope code did.
-    pub(crate) fn unscoped(dataset: &Dataset, config: &SwopeConfig) -> Self {
-        let num_rows = dataset.num_rows();
-        Self {
-            n: num_rows,
-            setup_rows: 0,
-            setup_nanos: None,
-            kind: PopKind::Physical {
-                sampler: make_sampler(num_rows, config.sampling),
-                map: RowMap::Identity,
-                rows: Vec::new(),
-            },
-            grouper: dataset.page_grouper(),
-        }
-    }
-
-    /// A non-full, non-empty resolved scope. `hybrid` enables the
+    /// The population `setup` resolved to. `hybrid` enables the
     /// covered/fringe simulation (valid for entropy queries only; MI
     /// queries need joint co-occurrences and must sample physically).
-    pub(crate) fn scoped(
+    pub(crate) fn new(
         dataset: &Dataset,
         sketch: Option<&DatasetSketch>,
         setup: ScopeSetup,
@@ -490,16 +474,21 @@ impl Population {
         let seed = match config.sampling {
             SamplingStrategy::Row { seed } | SamplingStrategy::Page { seed, .. } => seed,
         };
-        let sketch = usable_sketch(dataset, sketch);
         let kind = match setup.resolved {
-            ResolvedScope::Full => unreachable!("full scopes delegate to the unscoped loops"),
+            // The whole dataset, sampled exactly as an unscoped query is.
+            ResolvedScope::Full => PopKind::Physical {
+                sampler: make_sampler(setup.n, config.sampling),
+                map: RowMap::Identity,
+                rows: Vec::new(),
+            },
             ResolvedScope::RowRange(range) => {
                 // Pages fully inside the range are covered; the rest of
                 // the range is fringe.
                 let first_page = range.start.div_ceil(PAGE_ROWS);
                 let last_page = range.end / PAGE_ROWS;
-                let covered = sketch
-                    .filter(|_| hybrid && first_page < last_page)
+                let covered = (hybrid && first_page < last_page)
+                    .then(|| usable_sketch(dataset, sketch))
+                    .flatten()
                     .and_then(|sk| covered_counts(sk, first_page..last_page));
                 match covered {
                     Some(covered_counts) => {
@@ -535,25 +524,7 @@ impl Population {
                 rows: Vec::new(),
             },
         };
-        Self {
-            n: setup.n,
-            setup_rows: setup.setup_rows,
-            setup_nanos: None,
-            kind,
-            grouper: dataset.page_grouper(),
-        }
-    }
-
-    /// Stamps the scope-resolution wall-clock span (observer-enabled
-    /// scoped runs only).
-    pub(crate) fn with_setup_nanos(mut self, nanos: Option<u64>) -> Self {
-        self.setup_nanos = nanos;
-        self
-    }
-
-    /// Population size the loop samples from (`N` unscoped, `n_s` scoped).
-    pub(crate) fn n(&self) -> usize {
-        self.n
+        Self { n: setup.n, setup_rows: setup.setup_rows, kind, grouper: dataset.page_grouper() }
     }
 
     /// Grows the sample to `target` draws and hands back the new
@@ -584,83 +555,97 @@ impl Population {
         Growth { delta: self.grouper.group(delta), covered_k, sampled }
     }
 
-    /// Physical rows examined while resolving the scope.
-    pub(crate) fn setup_rows(&self) -> u64 {
-        self.setup_rows
-    }
-
-    /// Scope-resolution span for the `store_sketch` trace phase.
-    pub(crate) fn setup_nanos(&self) -> Option<u64> {
-        self.setup_nanos
-    }
-
-    /// Hands each entropy state its covered-region distribution (no-op
-    /// for physical populations).
-    pub(crate) fn attach_covered(&self, states: &mut [EntropyState]) {
-        if let PopKind::Hybrid(hp) = &self.kind {
-            for st in states {
-                st.set_covered(hp.dist_for(st.attr));
-            }
+    /// The covered-region distribution of `attr` (hybrid populations).
+    fn covered(&self, attr: AttrIndex) -> Option<CoveredDist> {
+        match &self.kind {
+            PopKind::Hybrid(hp) => Some(hp.dist_for(attr)),
+            PopKind::Physical { .. } => None,
         }
     }
 }
 
-/// Stats for a query whose scope selected zero rows: zero iterations,
-/// trivially converged, charging only the scope-resolution scan.
-fn empty_stats<O: QueryObserver>(
-    observer: &mut O,
-    kind: QueryKind,
-    num_attrs: usize,
-    config: &SwopeConfig,
-    setup: &ScopeSetup,
-    started: Option<Instant>,
-) -> QueryStats {
-    let mut it = Instrumented::start(observer, kind, num_attrs, 0, config);
-    it.setup(setup.setup_rows, started.map(|t| t.elapsed().as_nanos() as u64));
-    it.finish(true)
+/// The local [`CountSource`]: a dataset's rows, sampled through the
+/// [`Population`] its scope resolved to and counted straight into the
+/// driver's states.
+pub(crate) struct LocalSource<'a> {
+    dataset: &'a Dataset,
+    pop: Population,
+    scratch: GatherScratch,
+    setup_nanos: Option<u64>,
 }
 
-/// The score of any attribute over an empty population: 0 with collapsed
-/// bounds, not produced by an adaptive iteration.
-fn zero_score(dataset: &Dataset, attr: AttrIndex) -> AttrScore {
-    AttrScore {
-        attr,
-        name: dataset.schema().field(attr).map(|f| f.name().to_owned()).unwrap_or_default(),
-        estimate: 0.0,
-        lower: 0.0,
-        upper: 0.0,
-        retired_iteration: 0,
+impl<'a> LocalSource<'a> {
+    /// Resolves `scope` against `dataset` and sets up its sampler;
+    /// `timed` runs clock the resolution for the `store_sketch` span.
+    pub(crate) fn open(
+        dataset: &'a Dataset,
+        scope: &Scope,
+        sketch: Option<&DatasetSketch>,
+        config: &SwopeConfig,
+        hybrid: bool,
+        timed: bool,
+    ) -> Result<Self, SwopeError> {
+        let started = timed.then(Instant::now);
+        let setup = resolve_scope(dataset, sketch, scope)?;
+        // A full scope is the plain query; it reports no setup phase.
+        let scoped = !matches!(setup.resolved, ResolvedScope::Full);
+        let pop = Population::new(dataset, sketch, setup, config, hybrid);
+        let setup_nanos = started.filter(|_| scoped).map(|t| t.elapsed().as_nanos() as u64);
+        Ok(Self { dataset, pop, scratch: GatherScratch::default(), setup_nanos })
     }
 }
 
-fn elapsed_nanos(started: Option<Instant>) -> Option<u64> {
-    started.map(|t| t.elapsed().as_nanos() as u64)
+impl CountSource for LocalSource<'_> {
+    fn n(&self) -> usize {
+        self.pop.n
+    }
+
+    fn num_attrs(&self) -> usize {
+        self.dataset.num_attrs()
+    }
+
+    fn support(&self, attr: AttrIndex) -> u32 {
+        self.dataset.support(attr)
+    }
+
+    fn name(&self, attr: AttrIndex) -> String {
+        self.dataset.schema().field(attr).map(|f| f.name().to_owned()).unwrap_or_default()
+    }
+
+    fn setup(&self) -> (u64, Option<u64>) {
+        (self.pop.setup_rows, self.setup_nanos)
+    }
+
+    fn covered(&self, attr: AttrIndex) -> Option<CoveredDist> {
+        self.pop.covered(attr)
+    }
+
+    fn count<M: Measure, O: QueryObserver>(
+        &mut self,
+        m_target: usize,
+        measure: &mut M,
+        states: &mut [M::State],
+        round: &mut Round<'_, O>,
+        exec: &Executor,
+    ) -> Result<(), SwopeError> {
+        let span = round.it.phase_start();
+        let grown = self.pop.grow(m_target);
+        round.it.phase_end(Phase::SampleGrow, span);
+        round.announce(grown.sampled, grown.delta.len(), states.len());
+
+        let span = round.it.phase_start();
+        measure.ingest(states, self.dataset, &grown, &mut self.scratch, exec);
+        round.it.phase_end(Phase::Ingest, span);
+        Ok(())
+    }
 }
 
-/// [`crate::entropy_top_k`] restricted to `scope`.
+/// [`crate::entropy_top_k`] restricted to `scope`, observed, on `exec`:
+/// [`run`] with [`Shape::EntropyTopK`] and a typed result.
 ///
-/// A full scope returns bitwise-identical results to the unscoped query;
-/// a proper range scope with a matching `sketch` seeds covered pages
-/// from sketch histograms and only reads fringe rows from the store.
-pub fn entropy_top_k_scoped(
-    dataset: &Dataset,
-    k: usize,
-    scope: &Scope,
-    sketch: Option<&DatasetSketch>,
-    config: &SwopeConfig,
-) -> Result<TopKResult, SwopeError> {
-    entropy_top_k_scoped_exec(
-        dataset,
-        k,
-        scope,
-        sketch,
-        config,
-        &mut swope_obs::NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`entropy_top_k_scoped`] with an observer and executor attached.
+/// Kept for `benchmark/src/replay.rs::sketch_over_physical`, its only
+/// caller, whose sources this workspace's PRs cannot edit; drop it once
+/// that crate calls [`run`].
 pub fn entropy_top_k_scoped_exec<O: QueryObserver>(
     dataset: &Dataset,
     k: usize,
@@ -670,49 +655,14 @@ pub fn entropy_top_k_scoped_exec<O: QueryObserver>(
     observer: &mut O,
     exec: &Executor,
 ) -> Result<TopKResult, SwopeError> {
-    config.validate()?;
-    let h = dataset.num_attrs();
-    if h == 0 || dataset.num_rows() == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if k == 0 || k > h {
-        return Err(SwopeError::InvalidK { k, candidates: h });
-    }
-    let started = observer.enabled().then(Instant::now);
-    let setup = resolve_scope(dataset, sketch, scope)?;
-    if matches!(setup.resolved, ResolvedScope::Full) {
-        return crate::topk::entropy_top_k_exec(dataset, k, config, observer, exec);
-    }
-    if setup.n == 0 {
-        let top = (0..h).take(k).map(|a| zero_score(dataset, a)).collect();
-        let stats = empty_stats(observer, QueryKind::EntropyTopK, h, config, &setup, started);
-        return Ok(TopKResult { top, stats });
-    }
-    let pop = Population::scoped(dataset, sketch, setup, config, true)
-        .with_setup_nanos(elapsed_nanos(started));
-    crate::topk::entropy_top_k_run(dataset, k, config, observer, exec, pop)
+    run(dataset, &Shape::EntropyTopK { k }, scope, sketch, config, observer, exec).map(Into::into)
 }
 
-/// [`crate::entropy_filter`] restricted to `scope`.
-pub fn entropy_filter_scoped(
-    dataset: &Dataset,
-    eta: f64,
-    scope: &Scope,
-    sketch: Option<&DatasetSketch>,
-    config: &SwopeConfig,
-) -> Result<FilterResult, SwopeError> {
-    entropy_filter_scoped_exec(
-        dataset,
-        eta,
-        scope,
-        sketch,
-        config,
-        &mut swope_obs::NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`entropy_filter_scoped`] with an observer and executor attached.
+/// [`crate::entropy_filter`] restricted to `scope`, observed, on `exec`:
+/// [`run`] with [`Shape::EntropyFilter`] and a typed result.
+///
+/// Kept for `benchmark/src/replay.rs::sketch_over_physical`, its only
+/// caller, like [`entropy_top_k_scoped_exec`].
 pub fn entropy_filter_scoped_exec<O: QueryObserver>(
     dataset: &Dataset,
     eta: f64,
@@ -722,281 +672,28 @@ pub fn entropy_filter_scoped_exec<O: QueryObserver>(
     observer: &mut O,
     exec: &Executor,
 ) -> Result<FilterResult, SwopeError> {
-    config.validate()?;
-    if !eta.is_finite() || eta < 0.0 {
-        return Err(SwopeError::InvalidThreshold(eta));
-    }
-    let h = dataset.num_attrs();
-    if h == 0 || dataset.num_rows() == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    let started = observer.enabled().then(Instant::now);
-    let setup = resolve_scope(dataset, sketch, scope)?;
-    if matches!(setup.resolved, ResolvedScope::Full) {
-        return crate::filter::entropy_filter_exec(dataset, eta, config, observer, exec);
-    }
-    if setup.n == 0 {
-        let accepted =
-            if eta == 0.0 { (0..h).map(|a| zero_score(dataset, a)).collect() } else { Vec::new() };
-        let stats = empty_stats(observer, QueryKind::EntropyFilter, h, config, &setup, started);
-        return Ok(FilterResult { accepted, stats });
-    }
-    let pop = Population::scoped(dataset, sketch, setup, config, true)
-        .with_setup_nanos(elapsed_nanos(started));
-    crate::filter::entropy_filter_run(dataset, eta, config, observer, exec, pop)
-}
-
-/// [`crate::entropy_profile`] restricted to `scope`.
-pub fn entropy_profile_scoped(
-    dataset: &Dataset,
-    floor: f64,
-    scope: &Scope,
-    sketch: Option<&DatasetSketch>,
-    config: &SwopeConfig,
-) -> Result<ProfileResult, SwopeError> {
-    entropy_profile_scoped_exec(
-        dataset,
-        floor,
-        scope,
-        sketch,
-        config,
-        &mut swope_obs::NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`entropy_profile_scoped`] with an observer and executor attached.
-pub fn entropy_profile_scoped_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    floor: f64,
-    scope: &Scope,
-    sketch: Option<&DatasetSketch>,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<ProfileResult, SwopeError> {
-    config.validate()?;
-    if !floor.is_finite() || floor < 0.0 {
-        return Err(SwopeError::InvalidThreshold(floor));
-    }
-    let h = dataset.num_attrs();
-    if h == 0 || dataset.num_rows() == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    let started = observer.enabled().then(Instant::now);
-    let setup = resolve_scope(dataset, sketch, scope)?;
-    if matches!(setup.resolved, ResolvedScope::Full) {
-        return crate::profile::entropy_profile_exec(dataset, floor, config, observer, exec);
-    }
-    if setup.n == 0 {
-        let scores = (0..h).map(|a| zero_score(dataset, a)).collect();
-        let stats = empty_stats(observer, QueryKind::EntropyProfile, h, config, &setup, started);
-        return Ok(ProfileResult { scores, stats });
-    }
-    let pop = Population::scoped(dataset, sketch, setup, config, true)
-        .with_setup_nanos(elapsed_nanos(started));
-    crate::profile::entropy_profile_run(dataset, floor, config, observer, exec, pop)
-}
-
-/// [`crate::mi_top_k`] restricted to `scope`. MI scopes always sample
-/// physically (joint co-occurrences cannot be synthesized from marginal
-/// histograms), but predicate scopes still use the sketch to skip
-/// matchless pages during row materialization.
-pub fn mi_top_k_scoped(
-    dataset: &Dataset,
-    target: AttrIndex,
-    k: usize,
-    scope: &Scope,
-    sketch: Option<&DatasetSketch>,
-    config: &SwopeConfig,
-) -> Result<TopKResult, SwopeError> {
-    mi_top_k_scoped_exec(
-        dataset,
-        target,
-        k,
-        scope,
-        sketch,
-        config,
-        &mut swope_obs::NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`mi_top_k_scoped`] with an observer and executor attached.
-#[allow(clippy::too_many_arguments)]
-pub fn mi_top_k_scoped_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    k: usize,
-    scope: &Scope,
-    sketch: Option<&DatasetSketch>,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<TopKResult, SwopeError> {
-    config.validate()?;
-    let h = dataset.num_attrs();
-    if h == 0 || dataset.num_rows() == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    let candidates = h - 1;
-    if k == 0 || k > candidates {
-        return Err(SwopeError::InvalidK { k, candidates });
-    }
-    let started = observer.enabled().then(Instant::now);
-    let setup = resolve_scope(dataset, sketch, scope)?;
-    if matches!(setup.resolved, ResolvedScope::Full) {
-        return crate::mi_topk::mi_top_k_exec(dataset, target, k, config, observer, exec);
-    }
-    if setup.n == 0 {
-        let top = (0..h).filter(|&a| a != target).take(k).map(|a| zero_score(dataset, a)).collect();
-        let stats = empty_stats(observer, QueryKind::MiTopK, h, config, &setup, started);
-        return Ok(TopKResult { top, stats });
-    }
-    let pop = Population::scoped(dataset, sketch, setup, config, false)
-        .with_setup_nanos(elapsed_nanos(started));
-    crate::mi_topk::mi_top_k_run(dataset, target, k, config, observer, exec, pop)
-}
-
-/// [`crate::mi_filter`] restricted to `scope`.
-pub fn mi_filter_scoped(
-    dataset: &Dataset,
-    target: AttrIndex,
-    eta: f64,
-    scope: &Scope,
-    sketch: Option<&DatasetSketch>,
-    config: &SwopeConfig,
-) -> Result<FilterResult, SwopeError> {
-    mi_filter_scoped_exec(
-        dataset,
-        target,
-        eta,
-        scope,
-        sketch,
-        config,
-        &mut swope_obs::NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`mi_filter_scoped`] with an observer and executor attached.
-#[allow(clippy::too_many_arguments)]
-pub fn mi_filter_scoped_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    eta: f64,
-    scope: &Scope,
-    sketch: Option<&DatasetSketch>,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<FilterResult, SwopeError> {
-    config.validate()?;
-    if !eta.is_finite() || eta < 0.0 {
-        return Err(SwopeError::InvalidThreshold(eta));
-    }
-    let h = dataset.num_attrs();
-    if h == 0 || dataset.num_rows() == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    let started = observer.enabled().then(Instant::now);
-    let setup = resolve_scope(dataset, sketch, scope)?;
-    if matches!(setup.resolved, ResolvedScope::Full) {
-        return crate::mi_filter::mi_filter_exec(dataset, target, eta, config, observer, exec);
-    }
-    if setup.n == 0 {
-        let accepted = if eta == 0.0 {
-            (0..h).filter(|&a| a != target).map(|a| zero_score(dataset, a)).collect()
-        } else {
-            Vec::new()
-        };
-        let stats = empty_stats(observer, QueryKind::MiFilter, h, config, &setup, started);
-        return Ok(FilterResult { accepted, stats });
-    }
-    let pop = Population::scoped(dataset, sketch, setup, config, false)
-        .with_setup_nanos(elapsed_nanos(started));
-    crate::mi_filter::mi_filter_run(dataset, target, eta, config, observer, exec, pop)
-}
-
-/// [`crate::mi_profile`] restricted to `scope`.
-pub fn mi_profile_scoped(
-    dataset: &Dataset,
-    target: AttrIndex,
-    floor: f64,
-    scope: &Scope,
-    sketch: Option<&DatasetSketch>,
-    config: &SwopeConfig,
-) -> Result<ProfileResult, SwopeError> {
-    mi_profile_scoped_exec(
-        dataset,
-        target,
-        floor,
-        scope,
-        sketch,
-        config,
-        &mut swope_obs::NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`mi_profile_scoped`] with an observer and executor attached.
-#[allow(clippy::too_many_arguments)]
-pub fn mi_profile_scoped_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    floor: f64,
-    scope: &Scope,
-    sketch: Option<&DatasetSketch>,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<ProfileResult, SwopeError> {
-    config.validate()?;
-    if !floor.is_finite() || floor < 0.0 {
-        return Err(SwopeError::InvalidThreshold(floor));
-    }
-    let h = dataset.num_attrs();
-    if h == 0 || dataset.num_rows() == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    let started = observer.enabled().then(Instant::now);
-    let setup = resolve_scope(dataset, sketch, scope)?;
-    if matches!(setup.resolved, ResolvedScope::Full) {
-        return crate::profile::mi_profile_exec(dataset, target, floor, config, observer, exec);
-    }
-    if setup.n == 0 {
-        let scores = (0..h).filter(|&a| a != target).map(|a| zero_score(dataset, a)).collect();
-        let stats = empty_stats(observer, QueryKind::MiProfile, h, config, &setup, started);
-        return Ok(ProfileResult { scores, stats });
-    }
-    let pop = Population::scoped(dataset, sketch, setup, config, false)
-        .with_setup_nanos(elapsed_nanos(started));
-    crate::profile::mi_profile_run(dataset, target, floor, config, observer, exec, pop)
+    run(dataset, &Shape::EntropyFilter { eta }, scope, sketch, config, observer, exec)
+        .map(Into::into)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Answer;
     use swope_columnar::{Column, Field, Schema};
     use swope_estimate::entropy::entropy_from_counts;
+
+    /// `shape` over `scope`, unobserved, on `cfg.threads` workers.
+    fn scoped(
+        ds: &Dataset,
+        shape: Shape,
+        scope: &Scope,
+        sk: Option<&DatasetSketch>,
+        cfg: &SwopeConfig,
+    ) -> Answer {
+        let exec = Executor::new(cfg.threads);
+        run(ds, &shape, scope, sk, cfg, &mut swope_obs::NoopObserver, &exec).unwrap()
+    }
 
     fn dataset(n: usize, supports: &[u32]) -> Dataset {
         let fields =
@@ -1194,9 +891,9 @@ mod tests {
         let ds = dataset(20_000, &[2, 64, 8]);
         let cfg = SwopeConfig::default().with_seed(11);
         let unscoped = crate::entropy_top_k(&ds, 2, &cfg).unwrap();
-        let scoped =
-            entropy_top_k_scoped(&ds, 2, &Scope::all(), Some(&sketch_of(&ds)), &cfg).unwrap();
-        assert_eq!(unscoped, scoped);
+        let full =
+            scoped(&ds, Shape::EntropyTopK { k: 2 }, &Scope::all(), Some(&sketch_of(&ds)), &cfg);
+        assert_eq!(unscoped, full.into());
     }
 
     #[test]
@@ -1205,8 +902,8 @@ mod tests {
         // scan of the scope: the result must equal a brute-force recount.
         let ds = dataset(10_000, &[4, 16]);
         let scope = Scope::range(100, 600);
-        let r = entropy_top_k_scoped(&ds, 2, &scope, None, &SwopeConfig::default()).unwrap();
-        for s in &r.top {
+        let r = scoped(&ds, Shape::EntropyTopK { k: 2 }, &scope, None, &SwopeConfig::default());
+        for s in &r.scores {
             let exact = exact_entropy_over(&ds, s.attr, 100..600);
             assert!(
                 (s.estimate - exact).abs() < 1e-9,
@@ -1230,7 +927,7 @@ mod tests {
         let (start, end) = (PAGE_ROWS - 123, 4 * PAGE_ROWS + 456);
         let scope = Scope::range(start, end);
         let cfg = SwopeConfig { epsilon: 0.001, ..SwopeConfig::default() };
-        let r = entropy_profile_scoped(&ds, 1e-6, &scope, Some(&sk), &cfg).unwrap();
+        let r = scoped(&ds, Shape::EntropyProfile { floor: 1e-6 }, &scope, Some(&sk), &cfg);
         assert_eq!(r.stats.sample_size, end - start);
         for s in &r.scores {
             let exact = exact_entropy_over(&ds, s.attr, start..end);
@@ -1254,18 +951,18 @@ mod tests {
         let sk = sketch_of(&ds);
         let cfg = SwopeConfig::default().with_seed(3);
         let scope = Scope::range(PAGE_ROWS - 500, 5 * PAGE_ROWS + 500);
-        let scoped = entropy_top_k_scoped(&ds, 1, &scope, Some(&sk), &cfg).unwrap();
+        let hybrid = scoped(&ds, Shape::EntropyTopK { k: 1 }, &scope, Some(&sk), &cfg);
         let unscoped = crate::entropy_top_k(&ds, 1, &cfg).unwrap();
         assert!(
-            scoped.stats.rows_scanned * 4 <= unscoped.stats.rows_scanned,
+            hybrid.stats.rows_scanned * 4 <= unscoped.stats.rows_scanned,
             "scoped {} vs unscoped {}",
-            scoped.stats.rows_scanned,
+            hybrid.stats.rows_scanned,
             unscoped.stats.rows_scanned
         );
         // And the answer still matches the scoped brute force.
-        let exact =
-            exact_entropy_over(&ds, scoped.top[0].attr, PAGE_ROWS - 500..5 * PAGE_ROWS + 500);
-        assert!(scoped.top[0].lower <= exact + 1e-9 && exact <= scoped.top[0].upper + 1e-9);
+        let top = &hybrid.scores[0];
+        let exact = exact_entropy_over(&ds, top.attr, PAGE_ROWS - 500..5 * PAGE_ROWS + 500);
+        assert!(top.lower <= exact + 1e-9 && exact <= top.upper + 1e-9);
     }
 
     #[test]
@@ -1273,18 +970,18 @@ mod tests {
         let ds = dataset(1000, &[4, 8, 2]);
         let cfg = SwopeConfig::default();
         let scope = Scope::range(500, 500);
-        let top = entropy_top_k_scoped(&ds, 2, &scope, None, &cfg).unwrap();
-        assert_eq!(top.top.len(), 2);
-        assert!(top.top.iter().all(|s| s.estimate == 0.0 && s.upper == 0.0));
+        let top = scoped(&ds, Shape::EntropyTopK { k: 2 }, &scope, None, &cfg);
+        assert_eq!(top.scores.len(), 2);
+        assert!(top.scores.iter().all(|s| s.estimate == 0.0 && s.upper == 0.0));
         assert!(top.stats.converged_early);
         assert_eq!(top.stats.iterations, 0);
 
-        let none = entropy_filter_scoped(&ds, 1.0, &scope, None, &cfg).unwrap();
-        assert!(none.accepted.is_empty());
-        let all = entropy_filter_scoped(&ds, 0.0, &scope, None, &cfg).unwrap();
-        assert_eq!(all.accepted.len(), 3);
+        let none = scoped(&ds, Shape::EntropyFilter { eta: 1.0 }, &scope, None, &cfg);
+        assert!(none.scores.is_empty());
+        let all = scoped(&ds, Shape::EntropyFilter { eta: 0.0 }, &scope, None, &cfg);
+        assert_eq!(all.scores.len(), 3);
 
-        let prof = mi_profile_scoped(&ds, 0, 0.05, &scope, None, &cfg).unwrap();
+        let prof = scoped(&ds, Shape::MiProfile { target: 0, floor: 0.05 }, &scope, None, &cfg);
         assert_eq!(prof.scores.len(), 2);
         assert!(prof.scores.iter().all(|s| s.estimate == 0.0));
     }
@@ -1304,7 +1001,7 @@ mod tests {
         .unwrap();
         let scope = Scope::range(0, 2000);
         let cfg = SwopeConfig { epsilon: 0.01, ..SwopeConfig::default() };
-        let r = mi_top_k_scoped(&ds, 0, 1, &scope, None, &cfg).unwrap();
+        let r = scoped(&ds, Shape::MiTopK { target: 0, k: 1 }, &scope, None, &cfg);
         // Exact MI over the scoped rows: candidate copies target -> 2 bits.
         let scoped_cols = (
             Column::new((0..2000).map(|r| (r % 4) as u32).collect(), 4).unwrap(),
@@ -1312,9 +1009,9 @@ mod tests {
         );
         let exact = mutual_information(&scoped_cols.0, &scoped_cols.1);
         assert!(
-            (r.top[0].estimate - exact).abs() < 0.1,
+            (r.scores[0].estimate - exact).abs() < 0.1,
             "scoped MI {} vs exact {exact}",
-            r.top[0].estimate
+            r.scores[0].estimate
         );
     }
 
@@ -1324,7 +1021,7 @@ mod tests {
         let sk = sketch_of(&ds);
         let scope = Scope::all().with_predicate(0, 1);
         let cfg = SwopeConfig { epsilon: 0.01, ..SwopeConfig::default() };
-        let r = entropy_profile_scoped(&ds, 1e-6, &scope, Some(&sk), &cfg).unwrap();
+        let r = scoped(&ds, Shape::EntropyProfile { floor: 1e-6 }, &scope, Some(&sk), &cfg);
         let rows: Vec<usize> = (0..8_000).filter(|&row| ds.column(0).code(row) == 1).collect();
         for s in &r.scores {
             let exact = exact_entropy_over(&ds, s.attr, rows.iter().copied());
@@ -1344,11 +1041,16 @@ mod tests {
         let sk = sketch_of(&ds);
         let scope = Scope::range(1000, 2 * PAGE_ROWS + 777);
         let cfg = SwopeConfig::default().with_seed(42);
-        let a = entropy_top_k_scoped(&ds, 2, &scope, Some(&sk), &cfg).unwrap();
-        let b = entropy_top_k_scoped(&ds, 2, &scope, Some(&sk), &cfg).unwrap();
+        let a = scoped(&ds, Shape::EntropyTopK { k: 2 }, &scope, Some(&sk), &cfg);
+        let b = scoped(&ds, Shape::EntropyTopK { k: 2 }, &scope, Some(&sk), &cfg);
         assert_eq!(a, b);
-        let par =
-            entropy_top_k_scoped(&ds, 2, &scope, Some(&sk), &cfg.clone().with_threads(8)).unwrap();
+        let par = scoped(
+            &ds,
+            Shape::EntropyTopK { k: 2 },
+            &scope,
+            Some(&sk),
+            &cfg.clone().with_threads(8),
+        );
         assert_eq!(a, par);
     }
 
@@ -1361,7 +1063,7 @@ mod tests {
         // the wrong histograms.
         let scope = Scope::range(100, 1100);
         let cfg = SwopeConfig { epsilon: 0.01, ..SwopeConfig::default() };
-        let r = entropy_profile_scoped(&ds, 1e-6, &scope, Some(&stale), &cfg).unwrap();
+        let r = scoped(&ds, Shape::EntropyProfile { floor: 1e-6 }, &scope, Some(&stale), &cfg);
         for s in &r.scores {
             let exact = exact_entropy_over(&ds, s.attr, 100..1100);
             assert!((s.estimate - exact).abs() < 1e-6);
@@ -1369,17 +1071,14 @@ mod tests {
     }
 
     /// Every scoped entropy shape over `scope`, for equality checks.
-    fn entropy_answers(
-        ds: &Dataset,
-        scope: &Scope,
-        sk: Option<&DatasetSketch>,
-    ) -> (TopKResult, FilterResult, ProfileResult) {
+    fn entropy_answers(ds: &Dataset, scope: &Scope, sk: Option<&DatasetSketch>) -> [Answer; 3] {
         let cfg = SwopeConfig::with_epsilon(0.05).with_seed(17);
-        (
-            entropy_top_k_scoped(ds, 2, scope, sk, &cfg).unwrap(),
-            entropy_filter_scoped(ds, 1.5, scope, sk, &cfg).unwrap(),
-            entropy_profile_scoped(ds, 0.5, scope, sk, &cfg).unwrap(),
-        )
+        [
+            Shape::EntropyTopK { k: 2 },
+            Shape::EntropyFilter { eta: 1.5 },
+            Shape::EntropyProfile { floor: 0.5 },
+        ]
+        .map(|shape| scoped(ds, shape, scope, sk, &cfg))
     }
 
     #[test]
@@ -1402,7 +1101,7 @@ mod tests {
         let own = sketch_of(&ds);
         let hybrid = entropy_answers(&ds, &scope, Some(&own));
         assert!(
-            hybrid.0.stats.rows_scanned < entropy_answers(&ds, &scope, None).0.stats.rows_scanned
+            hybrid[0].stats.rows_scanned < entropy_answers(&ds, &scope, None)[0].stats.rows_scanned
         );
     }
 

@@ -1,10 +1,11 @@
 //! Shard-parallel scatter-gather execution with an exact count merge.
 //!
-//! The adaptive loops in this crate are sequential over one dataset. This
-//! module splits the *counting* work of every doubling iteration across
-//! row shards — in-process slices of one dataset here, remote peers in
-//! `swope-cluster` — and merges the per-shard counts back into the single
-//! bounds/decide machinery the loops already use.
+//! The adaptive loop counts one dataset's rows by default. This module
+//! splits the *counting* work of every doubling iteration across row
+//! shards — in-process slices of one dataset here, remote peers in
+//! `swope-cluster` — and merges the per-shard counts back into the
+//! driver's states, whose bounds and decisions never learn the
+//! difference.
 //!
 //! ## Why the merge can be exact
 //!
@@ -33,24 +34,21 @@
 //!   [`LocalShardSource`] fans shards out on an [`Executor`];
 //!   `swope-cluster`'s wire transport drives remote peers through the
 //!   same trait.
-//! * `*_transport` — the six adaptive loops, generic over the transport.
-//! * `*_sharded` / `*_sharded_exec` — entry points mirroring the
-//!   unsharded API, answering from `shards` in-process row shards.
+//! * `ShardedSource` — the driver's count source over any transport:
+//!   one `advance` per doubling, then the exact merge.
+//! * [`crate::run_sharded`] — all six query shapes over a transport.
 
 use swope_columnar::{AttrIndex, Column, Dataset, PageGrouper};
-use swope_estimate::bounds::lambda;
-use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver};
-use swope_sampling::{DoublingSchedule, PrefixShuffle, Sampler};
+use swope_obs::{Phase, QueryObserver};
+use swope_sampling::{PrefixShuffle, Sampler};
 
 use crate::count::{
     count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,
 };
+use crate::driver::{CountSource, Round};
 use crate::exec::Executor;
-use crate::observe::Instrumented;
-use crate::profile::ProfileResult;
-use crate::report::{AttrScore, FilterResult, TopKResult, WorkKind};
+use crate::measure::Measure;
 use crate::state::{EntropyState, MiState, TargetState};
-use crate::topk::top_k_indices;
 use crate::{SamplingStrategy, SwopeConfig, SwopeError};
 
 /// A contiguous, even partition of rows `0..num_rows` into shards.
@@ -148,7 +146,7 @@ impl ShardCounts {
     }
 }
 
-/// A source of per-shard count deltas the adaptive loops can drive.
+/// A source of per-shard count deltas the adaptive loop can drive.
 ///
 /// Implementations own the global sampler: `advance(m, req)` grows the
 /// union sample to `m` rows and returns, per shard, the integer count
@@ -184,11 +182,7 @@ fn dataset_meta(dataset: &Dataset) -> Vec<AttrMeta> {
         .collect()
 }
 
-fn meta_max_support(meta: &[AttrMeta]) -> u32 {
-    meta.iter().map(|m| m.support).max().unwrap_or(0)
-}
-
-fn row_seed(config: &SwopeConfig) -> Result<u64, SwopeError> {
+pub(crate) fn row_seed(config: &SwopeConfig) -> Result<u64, SwopeError> {
     match config.sampling {
         SamplingStrategy::Row { seed } => Ok(seed),
         SamplingStrategy::Page { .. } => Err(SwopeError::ShardedPageSampling),
@@ -222,7 +216,9 @@ impl<'a> LocalShardSource<'a> {
     /// # Errors
     ///
     /// [`SwopeError::ShardedPageSampling`] if `config` asks for
-    /// page-granular sampling.
+    /// page-granular sampling; [`SwopeError::EmptyDataset`] if there are
+    /// no rows to shard (a transport that reports zero rows stands for an
+    /// empty *scope*, which is an answer, not an error).
     pub fn new(
         dataset: &'a Dataset,
         shards: usize,
@@ -231,6 +227,9 @@ impl<'a> LocalShardSource<'a> {
     ) -> Result<Self, SwopeError> {
         let seed = row_seed(config)?;
         let n = dataset.num_rows();
+        if n == 0 {
+            return Err(SwopeError::EmptyDataset);
+        }
         let plan = ShardPlan::new(n, shards);
         let s = plan.num_shards();
         Ok(Self {
@@ -354,9 +353,8 @@ impl ShardTransport for LocalShardSource<'_> {
 }
 
 /// Folds all shards' deltas into the first shard's and applies them to
-/// the entropy states in canonical order. Returns the merged shard count
-/// for sanity checks.
-fn merge_apply_entropy(
+/// the entropy states in canonical order.
+pub(crate) fn merge_apply_entropy(
     shards: Vec<ShardCounts>,
     states: &mut [EntropyState],
 ) -> Result<(), SwopeError> {
@@ -383,7 +381,7 @@ fn merge_apply_entropy(
 
 /// MI form of [`merge_apply_entropy`]: also merges the target marginal
 /// and the per-candidate joint deltas.
-fn merge_apply_mi(
+pub(crate) fn merge_apply_mi(
     shards: Vec<ShardCounts>,
     target: &mut TargetState,
     states: &mut [MiState],
@@ -422,840 +420,70 @@ fn merge_apply_mi(
     Ok(())
 }
 
-fn entropy_score(meta: &[AttrMeta], st: &EntropyState, retired_iteration: usize) -> AttrScore {
-    AttrScore {
-        attr: st.attr,
-        name: meta.get(st.attr).map(|m| m.name.clone()).unwrap_or_default(),
-        estimate: st.bounds.point_estimate(),
-        lower: st.bounds.lower,
-        upper: st.bounds.upper,
-        retired_iteration,
-    }
-}
+/// The sharded [`CountSource`]: any [`ShardTransport`], asked once per
+/// doubling for every shard's integer deltas, which are merged exactly
+/// and drained into the driver's states.
+pub(crate) struct ShardedSource<'t, T: ShardTransport>(pub(crate) &'t mut T);
 
-fn mi_score(meta: &[AttrMeta], st: &MiState, retired_iteration: usize) -> AttrScore {
-    AttrScore {
-        attr: st.attr,
-        name: meta.get(st.attr).map(|m| m.name.clone()).unwrap_or_default(),
-        estimate: st.bounds.point_estimate(),
-        lower: st.bounds.lower,
-        upper: st.bounds.upper,
-        retired_iteration,
-    }
-}
-
-fn live_request(states: &[EntropyState]) -> CountRequest {
-    CountRequest { target: None, live: states.iter().map(|st| st.attr).collect() }
-}
-
-fn live_request_mi(target: AttrIndex, states: &[MiState]) -> CountRequest {
-    CountRequest { target: Some(target), live: states.iter().map(|st| st.attr).collect() }
-}
-
-/// Shard-parallel [`crate::entropy_top_k`], generic over the transport.
-///
-/// Bitwise identical to the unsharded call for any transport that
-/// reports the same population (see the module docs for the argument).
-pub fn entropy_top_k_transport<T: ShardTransport, O: QueryObserver>(
-    transport: &mut T,
-    k: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<TopKResult, SwopeError> {
-    config.validate()?;
-    row_seed(config)?;
-    let meta: Vec<AttrMeta> = transport.attrs().to_vec();
-    let h = meta.len();
-    let n = transport.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if k == 0 || k > h {
-        return Err(SwopeError::InvalidK { k, candidates: h });
-    }
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_meta(n, h, meta_max_support(&meta), p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (schedule.i_max() as f64 * h as f64);
-
-    let mut states: Vec<EntropyState> = meta
-        .iter()
-        .enumerate()
-        .map(|(attr, am)| EntropyState::with_support(attr, am.support))
-        .collect();
-    let mut it = Instrumented::start(observer, QueryKind::EntropyTopK, h, n, config);
-    it.setup(0, None);
-
-    let mut sampled = 0usize;
-    let mut m_target = schedule.m0();
-    loop {
-        it.begin_iteration();
-        let m = m_target.min(n);
-        let req = live_request(&states);
-        let span = it.phase_start();
-        let shards = transport.advance(m, &req)?;
-        it.phase_end(Phase::Ingest, span);
-        let delta_len = m - sampled;
-        sampled = m;
-        let lam = lambda(m as u64, n as u64, p_prime);
-        let live = states.len();
-        it.iteration(m, live, lam);
-        it.record_work(delta_len, live, WorkKind::EntropyMarginals);
-
-        let span = it.phase_start();
-        merge_apply_entropy(shards, &mut states)?;
-        it.phase_end(Phase::ShardMerge, span);
-        let span = it.phase_start();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        let by_upper = top_k_indices(&states, k, |st| st.bounds.upper);
-        let kth_upper = states[by_upper[k - 1]].bounds.upper;
-        let b_max = by_upper.iter().map(|&i| states[i].bounds.bias).fold(0.0f64, f64::max);
-
-        let stop = kth_upper > 0.0 && (kth_upper - 2.0 * lam - b_max) / kth_upper >= 1.0 - epsilon;
-        if stop || m >= n {
-            it.phase_end(Phase::Decide, span);
-            for st in &states {
-                it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-            }
-            let retired_iteration = it.current_iteration();
-            let top = by_upper
-                .iter()
-                .map(|&i| entropy_score(&meta, &states[i], retired_iteration))
-                .collect();
-            let converged_early = stop && m < n;
-            return Ok(TopKResult { top, stats: it.finish(converged_early) });
-        }
-
-        let by_lower = top_k_indices(&states, k, |st| st.bounds.lower);
-        let kth_lower = states[by_lower[k - 1]].bounds.lower;
-        states.retain(|st| {
-            let keep = st.bounds.upper >= kth_lower;
-            if !keep {
-                it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-            }
-            keep
-        });
-        it.phase_end(Phase::Decide, span);
-
-        m_target = (m * 2).min(n);
-    }
-}
-
-/// Shard-parallel [`crate::entropy_filter`], generic over the transport.
-pub fn entropy_filter_transport<T: ShardTransport, O: QueryObserver>(
-    transport: &mut T,
-    eta: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<FilterResult, SwopeError> {
-    config.validate()?;
-    row_seed(config)?;
-    if !eta.is_finite() || eta < 0.0 {
-        return Err(SwopeError::InvalidThreshold(eta));
-    }
-    let meta: Vec<AttrMeta> = transport.attrs().to_vec();
-    let h = meta.len();
-    let n = transport.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_meta(n, h, meta_max_support(&meta), p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (schedule.i_max() as f64 * h as f64);
-
-    let mut states: Vec<EntropyState> = meta
-        .iter()
-        .enumerate()
-        .map(|(attr, am)| EntropyState::with_support(attr, am.support))
-        .collect();
-    let mut accepted: Vec<AttrScore> = Vec::new();
-    let mut it = Instrumented::start(observer, QueryKind::EntropyFilter, h, n, config);
-    it.setup(0, None);
-
-    let mut converged_early = false;
-    let mut sampled = 0usize;
-    let mut m_target = schedule.m0();
-    while !states.is_empty() {
-        it.begin_iteration();
-        let m = m_target.min(n);
-        let req = live_request(&states);
-        let span = it.phase_start();
-        let shards = transport.advance(m, &req)?;
-        it.phase_end(Phase::Ingest, span);
-        let delta_len = m - sampled;
-        sampled = m;
-        let live = states.len();
-        it.iteration(m, live, lambda(m as u64, n as u64, p_prime));
-        it.record_work(delta_len, live, WorkKind::EntropyMarginals);
-
-        let span = it.phase_start();
-        merge_apply_entropy(shards, &mut states)?;
-        it.phase_end(Phase::ShardMerge, span);
-        let span = it.phase_start();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        states.retain(|st| {
-            let b = &st.bounds;
-            if b.width() < 2.0 * epsilon * eta {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                if b.point_estimate() >= eta {
-                    accepted.push(entropy_score(&meta, st, iter));
-                }
-                false
-            } else if b.lower >= (1.0 - epsilon) * eta {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                accepted.push(entropy_score(&meta, st, iter));
-                false
-            } else if b.upper >= (1.0 + epsilon) * eta {
-                true
-            } else {
-                it.attr_retired(st.attr, b.lower, b.upper);
-                false
-            }
-        });
-
-        if states.is_empty() {
-            converged_early = m < n;
-            it.phase_end(Phase::Decide, span);
-            break;
-        }
-        if m >= n {
-            for st in states.drain(..) {
-                let iter = it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-                if st.sample_entropy() >= eta {
-                    accepted.push(entropy_score(&meta, &st, iter));
-                }
-            }
-            it.phase_end(Phase::Decide, span);
-            break;
-        }
-        it.phase_end(Phase::Decide, span);
-        m_target = (m * 2).min(n);
+impl<T: ShardTransport> CountSource for ShardedSource<'_, T> {
+    fn n(&self) -> usize {
+        self.0.num_rows()
     }
 
-    accepted.sort_by(|a, b| {
-        b.estimate
-            .partial_cmp(&a.estimate)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.attr.cmp(&b.attr))
-    });
-    Ok(FilterResult { accepted, stats: it.finish(converged_early) })
-}
-
-/// Shard-parallel [`crate::entropy_profile`], generic over the transport.
-pub fn entropy_profile_transport<T: ShardTransport, O: QueryObserver>(
-    transport: &mut T,
-    floor: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<ProfileResult, SwopeError> {
-    config.validate()?;
-    row_seed(config)?;
-    if !floor.is_finite() || floor < 0.0 {
-        return Err(SwopeError::InvalidThreshold(floor));
-    }
-    let meta: Vec<AttrMeta> = transport.attrs().to_vec();
-    let h = meta.len();
-    let n = transport.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_meta(n, h, meta_max_support(&meta), p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (schedule.i_max() as f64 * h as f64);
-
-    let mut states: Vec<EntropyState> = meta
-        .iter()
-        .enumerate()
-        .map(|(attr, am)| EntropyState::with_support(attr, am.support))
-        .collect();
-    let mut done: Vec<AttrScore> = Vec::new();
-    let mut it = Instrumented::start(observer, QueryKind::EntropyProfile, h, n, config);
-    it.setup(0, None);
-
-    let mut converged_early = false;
-    let mut sampled = 0usize;
-    let mut m_target = schedule.m0();
-    while !states.is_empty() {
-        it.begin_iteration();
-        let m = m_target.min(n);
-        let req = live_request(&states);
-        let span = it.phase_start();
-        let shards = transport.advance(m, &req)?;
-        it.phase_end(Phase::Ingest, span);
-        let delta_len = m - sampled;
-        sampled = m;
-        let live = states.len();
-        it.iteration(m, live, lambda(m as u64, n as u64, p_prime));
-        it.record_work(delta_len, live, WorkKind::EntropyMarginals);
-
-        let span = it.phase_start();
-        merge_apply_entropy(shards, &mut states)?;
-        it.phase_end(Phase::ShardMerge, span);
-        let span = it.phase_start();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        let exact_now = m >= n;
-        states.retain(|st| {
-            let b = &st.bounds;
-            let budget = (epsilon * b.point_estimate()).max(floor);
-            if b.width() <= budget || exact_now {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                done.push(entropy_score(&meta, st, iter));
-                false
-            } else {
-                true
-            }
-        });
-        it.phase_end(Phase::Decide, span);
-
-        if states.is_empty() {
-            converged_early = m < n;
-            break;
-        }
-        m_target = (m * 2).min(n);
+    fn num_attrs(&self) -> usize {
+        self.0.attrs().len()
     }
 
-    done.sort_by_key(|s| s.attr);
-    Ok(ProfileResult { scores: done, stats: it.finish(converged_early) })
-}
-
-/// Shard-parallel [`crate::mi_top_k`], generic over the transport.
-pub fn mi_top_k_transport<T: ShardTransport, O: QueryObserver>(
-    transport: &mut T,
-    target: AttrIndex,
-    k: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<TopKResult, SwopeError> {
-    config.validate()?;
-    row_seed(config)?;
-    let meta: Vec<AttrMeta> = transport.attrs().to_vec();
-    let h = meta.len();
-    let n = transport.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    let candidates = h - 1;
-    if k == 0 || k > candidates {
-        return Err(SwopeError::InvalidK { k, candidates });
-    }
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_meta(n, h, meta_max_support(&meta), p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (3.0 * schedule.i_max() as f64 * candidates as f64);
-
-    let mut target_state = TargetState::with_support(target, meta[target].support);
-    let u_t = target_state.support;
-    let mut states: Vec<MiState> =
-        (0..h).filter(|&a| a != target).map(|a| MiState::new(a, u_t, meta[a].support)).collect();
-    let mut it = Instrumented::start(observer, QueryKind::MiTopK, h, n, config);
-    it.setup(0, None);
-
-    let mut sampled = 0usize;
-    let mut m_target = schedule.m0();
-    loop {
-        it.begin_iteration();
-        let m = m_target.min(n);
-        let req = live_request_mi(target, &states);
-        let span = it.phase_start();
-        let shards = transport.advance(m, &req)?;
-        it.phase_end(Phase::Ingest, span);
-        let delta_len = m - sampled;
-        sampled = m;
-        let lam = lambda(m as u64, n as u64, p_prime);
-        let live = states.len();
-        it.iteration(m, live, lam);
-        it.record_work(delta_len, live, WorkKind::MiPerTarget);
-
-        let span = it.phase_start();
-        merge_apply_mi(shards, &mut target_state, &mut states)?;
-        it.phase_end(Phase::ShardMerge, span);
-        let span = it.phase_start();
-        let h_t = target_state.sample_entropy();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(h_t, u_t, n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        let by_upper = top_k_indices(&states, k, |st| st.bounds.upper);
-        let kth_upper = states[by_upper[k - 1]].bounds.upper;
-        let b_max = by_upper.iter().map(|&i| states[i].bounds.bias_total).fold(0.0f64, f64::max);
-
-        let stop = kth_upper > 0.0 && (kth_upper - 6.0 * lam - b_max) / kth_upper >= 1.0 - epsilon;
-        if stop || m >= n {
-            it.phase_end(Phase::Decide, span);
-            for st in &states {
-                it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-            }
-            let retired_iteration = it.current_iteration();
-            let top =
-                by_upper.iter().map(|&i| mi_score(&meta, &states[i], retired_iteration)).collect();
-            let converged_early = stop && m < n;
-            return Ok(TopKResult { top, stats: it.finish(converged_early) });
-        }
-
-        let by_lower = top_k_indices(&states, k, |st| st.bounds.lower);
-        let kth_lower = states[by_lower[k - 1]].bounds.lower;
-        states.retain(|st| {
-            let keep = st.bounds.upper >= kth_lower;
-            if !keep {
-                it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-            }
-            keep
-        });
-        it.phase_end(Phase::Decide, span);
-
-        m_target = (m * 2).min(n);
-    }
-}
-
-/// Shard-parallel [`crate::mi_filter`], generic over the transport.
-pub fn mi_filter_transport<T: ShardTransport, O: QueryObserver>(
-    transport: &mut T,
-    target: AttrIndex,
-    eta: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<FilterResult, SwopeError> {
-    config.validate()?;
-    row_seed(config)?;
-    if !eta.is_finite() || eta < 0.0 {
-        return Err(SwopeError::InvalidThreshold(eta));
-    }
-    let meta: Vec<AttrMeta> = transport.attrs().to_vec();
-    let h = meta.len();
-    let n = transport.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    let candidates = h - 1;
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_meta(n, h, meta_max_support(&meta), p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (3.0 * schedule.i_max() as f64 * candidates as f64);
-
-    let mut target_state = TargetState::with_support(target, meta[target].support);
-    let u_t = target_state.support;
-    let mut states: Vec<MiState> =
-        (0..h).filter(|&a| a != target).map(|a| MiState::new(a, u_t, meta[a].support)).collect();
-    let mut accepted: Vec<AttrScore> = Vec::new();
-    let mut it = Instrumented::start(observer, QueryKind::MiFilter, h, n, config);
-    it.setup(0, None);
-
-    let mut converged_early = false;
-    let mut sampled = 0usize;
-    let mut m_target = schedule.m0();
-    while !states.is_empty() {
-        it.begin_iteration();
-        let m = m_target.min(n);
-        let req = live_request_mi(target, &states);
-        let span = it.phase_start();
-        let shards = transport.advance(m, &req)?;
-        it.phase_end(Phase::Ingest, span);
-        let delta_len = m - sampled;
-        sampled = m;
-        let live = states.len();
-        it.iteration(m, live, lambda(m as u64, n as u64, p_prime));
-        it.record_work(delta_len, live, WorkKind::MiPerTarget);
-
-        let span = it.phase_start();
-        merge_apply_mi(shards, &mut target_state, &mut states)?;
-        it.phase_end(Phase::ShardMerge, span);
-        let span = it.phase_start();
-        let h_t = target_state.sample_entropy();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(h_t, u_t, n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        states.retain(|st| {
-            let b = &st.bounds;
-            if b.width() < 2.0 * epsilon * eta {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                if b.point_estimate() >= eta {
-                    accepted.push(mi_score(&meta, st, iter));
-                }
-                false
-            } else if b.lower >= (1.0 - epsilon) * eta {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                accepted.push(mi_score(&meta, st, iter));
-                false
-            } else if b.upper >= (1.0 + epsilon) * eta {
-                true
-            } else {
-                it.attr_retired(st.attr, b.lower, b.upper);
-                false
-            }
-        });
-
-        if states.is_empty() {
-            converged_early = m < n;
-            it.phase_end(Phase::Decide, span);
-            break;
-        }
-        if m >= n {
-            for st in states.drain(..) {
-                let iter = it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-                let exact_mi = (target_state.sample_entropy() + st.sample_entropy()
-                    - st.sample_joint_entropy())
-                .max(0.0);
-                if exact_mi >= eta {
-                    accepted.push(mi_score(&meta, &st, iter));
-                }
-            }
-            it.phase_end(Phase::Decide, span);
-            break;
-        }
-        it.phase_end(Phase::Decide, span);
-        m_target = (m * 2).min(n);
+    fn support(&self, attr: AttrIndex) -> u32 {
+        self.0.attrs()[attr].support
     }
 
-    accepted.sort_by(|a, b| {
-        b.estimate
-            .partial_cmp(&a.estimate)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.attr.cmp(&b.attr))
-    });
-    Ok(FilterResult { accepted, stats: it.finish(converged_early) })
-}
-
-/// Shard-parallel [`crate::mi_profile`], generic over the transport.
-pub fn mi_profile_transport<T: ShardTransport, O: QueryObserver>(
-    transport: &mut T,
-    target: AttrIndex,
-    floor: f64,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<ProfileResult, SwopeError> {
-    config.validate()?;
-    row_seed(config)?;
-    if !floor.is_finite() || floor < 0.0 {
-        return Err(SwopeError::InvalidThreshold(floor));
-    }
-    let meta: Vec<AttrMeta> = transport.attrs().to_vec();
-    let h = meta.len();
-    let n = transport.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    let candidates = h - 1;
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_meta(n, h, meta_max_support(&meta), p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (3.0 * schedule.i_max() as f64 * candidates as f64);
-
-    let mut target_state = TargetState::with_support(target, meta[target].support);
-    let u_t = target_state.support;
-    let mut states: Vec<MiState> =
-        (0..h).filter(|&a| a != target).map(|a| MiState::new(a, u_t, meta[a].support)).collect();
-    let mut done: Vec<AttrScore> = Vec::new();
-    let mut it = Instrumented::start(observer, QueryKind::MiProfile, h, n, config);
-    it.setup(0, None);
-
-    let mut converged_early = false;
-    let mut sampled = 0usize;
-    let mut m_target = schedule.m0();
-    while !states.is_empty() {
-        it.begin_iteration();
-        let m = m_target.min(n);
-        let req = live_request_mi(target, &states);
-        let span = it.phase_start();
-        let shards = transport.advance(m, &req)?;
-        it.phase_end(Phase::Ingest, span);
-        let delta_len = m - sampled;
-        sampled = m;
-        let live = states.len();
-        it.iteration(m, live, lambda(m as u64, n as u64, p_prime));
-        it.record_work(delta_len, live, WorkKind::MiPerTarget);
-
-        let span = it.phase_start();
-        merge_apply_mi(shards, &mut target_state, &mut states)?;
-        it.phase_end(Phase::ShardMerge, span);
-        let span = it.phase_start();
-        let h_t = target_state.sample_entropy();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(h_t, u_t, n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        let exact_now = m >= n;
-        states.retain(|st| {
-            let b = &st.bounds;
-            let budget = (epsilon * b.point_estimate()).max(floor);
-            if b.width() <= budget || exact_now {
-                let iter = it.attr_retired(st.attr, b.lower, b.upper);
-                done.push(mi_score(&meta, st, iter));
-                false
-            } else {
-                true
-            }
-        });
-        it.phase_end(Phase::Decide, span);
-
-        if states.is_empty() {
-            converged_early = m < n;
-            break;
-        }
-        m_target = (m * 2).min(n);
+    fn name(&self, attr: AttrIndex) -> String {
+        self.0.attrs().get(attr).map(|m| m.name.clone()).unwrap_or_default()
     }
 
-    done.sort_by_key(|s| s.attr);
-    Ok(ProfileResult { scores: done, stats: it.finish(converged_early) })
-}
+    fn count<M: Measure, O: QueryObserver>(
+        &mut self,
+        m_target: usize,
+        measure: &mut M,
+        states: &mut [M::State],
+        round: &mut Round<'_, O>,
+        _exec: &Executor,
+    ) -> Result<(), SwopeError> {
+        // Row sampling only: the sample is exactly the rows asked for,
+        // and the delta what it grew by since the previous iteration.
+        let m = m_target.min(self.n());
+        round.announce(m, m - round.m, states.len());
+        let req = measure.request(states);
 
-/// [`crate::entropy_top_k`] over `shards` in-process row shards.
-///
-/// Bitwise identical to the unsharded call for every shard count.
-pub fn entropy_top_k_sharded(
-    dataset: &Dataset,
-    k: usize,
-    shards: usize,
-    config: &SwopeConfig,
-) -> Result<TopKResult, SwopeError> {
-    entropy_top_k_sharded_exec(
-        dataset,
-        k,
-        shards,
-        config,
-        &mut NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
+        let span = round.it.phase_start();
+        let shards = self.0.advance(m, &req)?;
+        round.it.phase_end(Phase::Ingest, span);
 
-/// [`entropy_top_k_sharded`] with an observer and injected [`Executor`].
-pub fn entropy_top_k_sharded_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    k: usize,
-    shards: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<TopKResult, SwopeError> {
-    config.validate()?;
-    let mut source = LocalShardSource::new(dataset, shards, config, exec)?;
-    entropy_top_k_transport(&mut source, k, config, observer, exec)
-}
-
-/// [`crate::entropy_filter`] over `shards` in-process row shards.
-pub fn entropy_filter_sharded(
-    dataset: &Dataset,
-    eta: f64,
-    shards: usize,
-    config: &SwopeConfig,
-) -> Result<FilterResult, SwopeError> {
-    entropy_filter_sharded_exec(
-        dataset,
-        eta,
-        shards,
-        config,
-        &mut NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`entropy_filter_sharded`] with an observer and injected [`Executor`].
-pub fn entropy_filter_sharded_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    eta: f64,
-    shards: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<FilterResult, SwopeError> {
-    config.validate()?;
-    let mut source = LocalShardSource::new(dataset, shards, config, exec)?;
-    entropy_filter_transport(&mut source, eta, config, observer, exec)
-}
-
-/// [`crate::entropy_profile`] over `shards` in-process row shards.
-pub fn entropy_profile_sharded(
-    dataset: &Dataset,
-    floor: f64,
-    shards: usize,
-    config: &SwopeConfig,
-) -> Result<ProfileResult, SwopeError> {
-    entropy_profile_sharded_exec(
-        dataset,
-        floor,
-        shards,
-        config,
-        &mut NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`entropy_profile_sharded`] with an observer and injected [`Executor`].
-pub fn entropy_profile_sharded_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    floor: f64,
-    shards: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<ProfileResult, SwopeError> {
-    config.validate()?;
-    let mut source = LocalShardSource::new(dataset, shards, config, exec)?;
-    entropy_profile_transport(&mut source, floor, config, observer, exec)
-}
-
-/// [`crate::mi_top_k`] over `shards` in-process row shards.
-pub fn mi_top_k_sharded(
-    dataset: &Dataset,
-    target: AttrIndex,
-    k: usize,
-    shards: usize,
-    config: &SwopeConfig,
-) -> Result<TopKResult, SwopeError> {
-    mi_top_k_sharded_exec(
-        dataset,
-        target,
-        k,
-        shards,
-        config,
-        &mut NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`mi_top_k_sharded`] with an observer and injected [`Executor`].
-#[allow(clippy::too_many_arguments)]
-pub fn mi_top_k_sharded_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    k: usize,
-    shards: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<TopKResult, SwopeError> {
-    config.validate()?;
-    let mut source = LocalShardSource::new(dataset, shards, config, exec)?;
-    mi_top_k_transport(&mut source, target, k, config, observer, exec)
-}
-
-/// [`crate::mi_filter`] over `shards` in-process row shards.
-pub fn mi_filter_sharded(
-    dataset: &Dataset,
-    target: AttrIndex,
-    eta: f64,
-    shards: usize,
-    config: &SwopeConfig,
-) -> Result<FilterResult, SwopeError> {
-    mi_filter_sharded_exec(
-        dataset,
-        target,
-        eta,
-        shards,
-        config,
-        &mut NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`mi_filter_sharded`] with an observer and injected [`Executor`].
-#[allow(clippy::too_many_arguments)]
-pub fn mi_filter_sharded_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    eta: f64,
-    shards: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<FilterResult, SwopeError> {
-    config.validate()?;
-    let mut source = LocalShardSource::new(dataset, shards, config, exec)?;
-    mi_filter_transport(&mut source, target, eta, config, observer, exec)
-}
-
-/// [`crate::mi_profile`] over `shards` in-process row shards.
-pub fn mi_profile_sharded(
-    dataset: &Dataset,
-    target: AttrIndex,
-    floor: f64,
-    shards: usize,
-    config: &SwopeConfig,
-) -> Result<ProfileResult, SwopeError> {
-    mi_profile_sharded_exec(
-        dataset,
-        target,
-        floor,
-        shards,
-        config,
-        &mut NoopObserver,
-        &Executor::new(config.threads),
-    )
-}
-
-/// [`mi_profile_sharded`] with an observer and injected [`Executor`].
-#[allow(clippy::too_many_arguments)]
-pub fn mi_profile_sharded_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    target: AttrIndex,
-    floor: f64,
-    shards: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<ProfileResult, SwopeError> {
-    config.validate()?;
-    let mut source = LocalShardSource::new(dataset, shards, config, exec)?;
-    mi_profile_transport(&mut source, target, floor, config, observer, exec)
+        let span = round.it.phase_start();
+        measure.apply_merged(shards, states)?;
+        round.it.phase_end(Phase::ShardMerge, span);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{run_sharded, Answer, Shape};
     use swope_columnar::{Column, Field, Schema};
+
+    /// `shape` over `shards` in-process row shards of `ds`.
+    fn sharded(
+        ds: &Dataset,
+        shape: Shape,
+        shards: usize,
+        config: &SwopeConfig,
+    ) -> Result<Answer, SwopeError> {
+        let exec = Executor::new(config.threads);
+        let mut source = LocalShardSource::new(ds, shards, config, &exec)?;
+        run_sharded(&mut source, &shape, config, &mut swope_obs::NoopObserver, &exec)
+    }
 
     #[test]
     fn shard_plan_covers_rows_exactly_once() {
@@ -1303,11 +531,11 @@ mod tests {
         let config = SwopeConfig::with_epsilon(0.1).with_seed(7);
         let reference = crate::entropy_top_k(&ds, 3, &config).unwrap();
         for shards in [1usize, 2, 3, 7] {
-            let sharded = entropy_top_k_sharded(&ds, 3, shards, &config).unwrap();
-            assert_eq!(sharded.top, reference.top, "shards = {shards}");
-            assert_eq!(sharded.stats.sample_size, reference.stats.sample_size);
-            assert_eq!(sharded.stats.iterations, reference.stats.iterations);
-            assert_eq!(sharded.stats.rows_scanned, reference.stats.rows_scanned);
+            let got = sharded(&ds, Shape::EntropyTopK { k: 3 }, shards, &config).unwrap();
+            assert_eq!(got.scores, reference.top, "shards = {shards}");
+            assert_eq!(got.stats.sample_size, reference.stats.sample_size);
+            assert_eq!(got.stats.iterations, reference.stats.iterations);
+            assert_eq!(got.stats.rows_scanned, reference.stats.rows_scanned);
         }
     }
 
@@ -1330,8 +558,8 @@ mod tests {
         let config = SwopeConfig::with_epsilon(0.4).with_seed(3);
         let reference = crate::mi_top_k(&ds, 0, 2, &config).unwrap();
         for shards in [1usize, 2, 3, 7] {
-            let sharded = mi_top_k_sharded(&ds, 0, 2, shards, &config).unwrap();
-            assert_eq!(sharded.top, reference.top, "shards = {shards}");
+            let got = sharded(&ds, Shape::MiTopK { target: 0, k: 2 }, shards, &config).unwrap();
+            assert_eq!(got.scores, reference.top, "shards = {shards}");
         }
     }
 
@@ -1343,7 +571,7 @@ mod tests {
             ..SwopeConfig::default()
         };
         assert!(matches!(
-            entropy_top_k_sharded(&ds, 1, 2, &config),
+            sharded(&ds, Shape::EntropyTopK { k: 1 }, 2, &config),
             Err(SwopeError::ShardedPageSampling)
         ));
     }
@@ -1353,15 +581,15 @@ mod tests {
         let ds = cyclic_dataset(100, &[2, 4]);
         let config = SwopeConfig::default();
         assert!(matches!(
-            entropy_top_k_sharded(&ds, 0, 2, &config),
+            sharded(&ds, Shape::EntropyTopK { k: 0 }, 2, &config),
             Err(SwopeError::InvalidK { .. })
         ));
         assert!(matches!(
-            mi_top_k_sharded(&ds, 9, 1, 2, &config),
+            sharded(&ds, Shape::MiTopK { target: 9, k: 1 }, 2, &config),
             Err(SwopeError::TargetOutOfRange { .. })
         ));
         assert!(matches!(
-            entropy_filter_sharded(&ds, f64::NAN, 2, &config),
+            sharded(&ds, Shape::EntropyFilter { eta: f64::NAN }, 2, &config),
             Err(SwopeError::InvalidThreshold(_))
         ));
     }

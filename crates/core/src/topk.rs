@@ -1,15 +1,11 @@
 //! Algorithm 1: SWOPE approximate top-k on empirical entropy.
 
 use swope_columnar::Dataset;
-use swope_estimate::bounds::lambda;
-use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver};
-use swope_sampling::DoublingSchedule;
+use swope_obs::QueryObserver;
 
-use crate::exec::Executor;
-use crate::observe::Instrumented;
-use crate::report::{AttrScore, TopKResult, WorkKind};
-use crate::scope::Population;
-use crate::state::{EntropyState, GatherScratch};
+use crate::driver::{run_plain, Round, Shape, Verdict};
+use crate::measure::Candidate;
+use crate::report::TopKResult;
 use crate::{SwopeConfig, SwopeError};
 
 /// Approximate top-k query on empirical entropy (paper Algorithm 1).
@@ -29,6 +25,9 @@ use crate::{SwopeConfig, SwopeError};
 /// current top-k. Expected cost is
 /// `O(min{hN, h·log(h·log N/p_f)·log²N / (ε²·H²(α*_k))})` (Theorem 2).
 ///
+/// This is [`crate::run`] with [`Shape::EntropyTopK`] over the whole
+/// dataset, unobserved, on `config.threads` workers.
+///
 /// # Errors
 ///
 /// Fails fast (before sampling) on an invalid `ε`/`p_f`, an empty dataset,
@@ -38,146 +37,53 @@ pub fn entropy_top_k(
     k: usize,
     config: &SwopeConfig,
 ) -> Result<TopKResult, SwopeError> {
-    entropy_top_k_observed(dataset, k, config, &mut NoopObserver)
+    run_plain(dataset, Shape::EntropyTopK { k }, config).map(Into::into)
 }
 
-/// [`entropy_top_k`] with a [`QueryObserver`] attached.
+/// The top-k rule: Alg. 1 lines 5–17, and Alg. 3 lines 7–19 with the §4.1
+/// interval (`width_lambdas = 6`, `bias` = `b′`).
 ///
-/// The observer receives the query lifecycle (`query_start`, one
-/// `iteration` + phase spans per doubling round, one `attr_retired` per
-/// candidate, `query_end`); the returned result is bitwise-identical to
-/// the unobserved call with the same config.
-pub fn entropy_top_k_observed<O: QueryObserver>(
-    dataset: &Dataset,
+/// Stops when the k-th largest upper bound is relatively tight —
+/// `(Ū_k − w·λ − b_max) / Ū_k ≥ 1 − ε`, where `w·λ + b_max` bounds the
+/// width of every interval among the current top-k — or when the sample
+/// is the whole population; the winners are then the top-k by upper
+/// bound. Otherwise prunes every candidate that can no longer reach the
+/// top-k.
+pub(crate) fn decide<C: Candidate, O: QueryObserver>(
     k: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-) -> Result<TopKResult, SwopeError> {
-    entropy_top_k_exec(dataset, k, config, observer, &Executor::new(config.threads))
-}
+    width_lambdas: f64,
+    states: &mut Vec<C>,
+    round: &mut Round<'_, O>,
+) -> Option<Verdict> {
+    // R <- top-k candidates by upper bound (Alg. 1 lines 5-7).
+    let by_upper = top_k_indices(states, k, |st| st.upper());
+    let kth_upper = states[by_upper[k - 1]].upper();
+    let b_max = by_upper.iter().map(|&i| states[i].bias()).fold(0.0f64, f64::max);
 
-/// [`entropy_top_k_observed`] with an injected [`Executor`].
-///
-/// The executor supplies the worker pool for per-candidate fan-outs;
-/// `swope-server` passes a process-wide pool here so HTTP requests don't
-/// pay per-query thread spawns. Results are bitwise identical for any
-/// executor (see [`crate::exec`] for the determinism argument).
-pub fn entropy_top_k_exec<O: QueryObserver>(
-    dataset: &Dataset,
-    k: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<TopKResult, SwopeError> {
-    config.validate()?;
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
+    // Stopping rule (Alg. 1 line 8, Alg. 3 line 10).
+    let stop = kth_upper > 0.0
+        && (kth_upper - width_lambdas * round.lambda - b_max) / kth_upper >= 1.0 - round.epsilon;
+    if stop || round.m >= round.n {
+        return Some(Verdict { converged_early: stop && round.m < round.n, winners: by_upper });
     }
-    if k == 0 || k > h {
-        return Err(SwopeError::InvalidK { k, candidates: h });
-    }
-    entropy_top_k_run(dataset, k, config, observer, exec, Population::unscoped(dataset, config))
-}
 
-/// The adaptive loop body, generic over the sampled population. Unscoped
-/// queries pass [`Population::unscoped`] (exactly the pre-scope
-/// behavior); scoped queries pass a range-, predicate-, or
-/// hybrid-sampled population with `n = n_s`.
-pub(crate) fn entropy_top_k_run<O: QueryObserver>(
-    dataset: &Dataset,
-    k: usize,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-    mut pop: Population,
-) -> Result<TopKResult, SwopeError> {
-    let h = dataset.num_attrs();
-    let n = pop.n();
-    let epsilon = config.epsilon;
-    let p_f = config.resolve_p_f_rows(n);
-    let m0 = config.resolve_m0_rows(dataset, n, p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    // Union-bound budget: bounds are applied to at most h attributes in
-    // each of at most i_max iterations (Theorem 1's proof).
-    let p_prime = p_f / (schedule.i_max() as f64 * h as f64);
-
-    let mut states: Vec<EntropyState> =
-        (0..h).map(|attr| EntropyState::new(dataset, attr)).collect();
-    pop.attach_covered(&mut states);
-    let mut scratch = GatherScratch::new(h);
-    let mut it = Instrumented::start(observer, QueryKind::EntropyTopK, h, n, config);
-    it.setup(pop.setup_rows(), pop.setup_nanos());
-
-    let mut m_target = schedule.m0();
-    loop {
-        it.begin_iteration();
-        let span = it.phase_start();
-        let grown = pop.grow(m_target);
-        it.phase_end(Phase::SampleGrow, span);
-        let m = grown.sampled;
-        let delta = grown.delta;
-        let lam = lambda(m as u64, n as u64, p_prime);
-        let live = states.len();
-        it.iteration(m, live, lam);
-        it.record_work(delta.len(), live, WorkKind::EntropyMarginals);
-
-        let span = it.phase_start();
-        exec.for_each2(&mut states, scratch.slots(live), |st, buf| {
-            st.ingest_covered(grown.covered_k);
-            st.ingest_staged(dataset.column(st.attr), delta, buf);
-        });
-        it.phase_end(Phase::Ingest, span);
-        let span = it.phase_start();
-        exec.for_each_mut(&mut states, |st| {
-            st.update_bounds(n as u64, p_prime);
-        });
-        it.phase_end(Phase::UpdateBounds, span);
-
-        let span = it.phase_start();
-        // R <- top-k attributes by upper bound (Alg. 1 lines 5-7).
-        let by_upper = top_k_indices(&states, k, |st| st.bounds.upper);
-        let kth_upper = states[by_upper[k - 1]].bounds.upper;
-        let b_max = by_upper.iter().map(|&i| states[i].bounds.bias).fold(0.0f64, f64::max);
-
-        // Stopping rule (Alg. 1 line 8).
-        let stop = kth_upper > 0.0 && (kth_upper - 2.0 * lam - b_max) / kth_upper >= 1.0 - epsilon;
-        if stop || m >= n {
-            it.phase_end(Phase::Decide, span);
-            // Everything still alive leaves the race now, returned or not.
-            for st in &states {
-                it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-            }
-            let retired_iteration = it.current_iteration();
-            let top = by_upper
-                .iter()
-                .map(|&i| attr_score(dataset, &states[i], retired_iteration))
-                .collect();
-            let converged_early = stop && m < n;
-            return Ok(TopKResult { top, stats: it.finish(converged_early) });
+    // Prune candidates that cannot reach the top-k (lines 14-17): drop α
+    // whose upper bound is below the k-th largest lower bound.
+    let by_lower = top_k_indices(states, k, |st| st.lower());
+    let kth_lower = states[by_lower[k - 1]].lower();
+    states.retain(|st| {
+        let keep = st.upper() >= kth_lower;
+        if !keep {
+            round.retire(st);
         }
-
-        // Prune candidates that cannot reach the top-k (lines 14-17):
-        // drop α with H̄(α) below the k-th largest lower bound.
-        let by_lower = top_k_indices(&states, k, |st| st.bounds.lower);
-        let kth_lower = states[by_lower[k - 1]].bounds.lower;
-        states.retain(|st| {
-            let keep = st.bounds.upper >= kth_lower;
-            if !keep {
-                it.attr_retired(st.attr, st.bounds.lower, st.bounds.upper);
-            }
-            keep
-        });
-        it.phase_end(Phase::Decide, span);
-
-        m_target = (m * 2).min(n);
-    }
+        keep
+    });
+    None
 }
 
 /// Indices of the `k` states with the largest `key`, sorted descending.
 /// Ties break toward the lower attribute index for determinism.
-pub(crate) fn top_k_indices<T>(states: &[T], k: usize, key: impl Fn(&T) -> f64) -> Vec<usize> {
+fn top_k_indices<T>(states: &[T], k: usize, key: impl Fn(&T) -> f64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..states.len()).collect();
     order.sort_by(|&a, &b| {
         key(&states[b])
@@ -187,21 +93,6 @@ pub(crate) fn top_k_indices<T>(states: &[T], k: usize, key: impl Fn(&T) -> f64) 
     });
     order.truncate(k);
     order
-}
-
-pub(crate) fn attr_score(
-    dataset: &Dataset,
-    st: &EntropyState,
-    retired_iteration: usize,
-) -> AttrScore {
-    AttrScore {
-        attr: st.attr,
-        name: dataset.schema().field(st.attr).map(|f| f.name().to_owned()).unwrap_or_default(),
-        estimate: st.bounds.point_estimate(),
-        lower: st.bounds.lower,
-        upper: st.bounds.upper,
-        retired_iteration,
-    }
 }
 
 #[cfg(test)]

@@ -16,17 +16,14 @@
 //! {u8,u16,u32} × exec threads {1,8}, across all six loops, the batch
 //! engine, and the scoped and sharded entry points.
 
+#[macro_use]
+mod common;
+
 use std::sync::Arc;
 
+use common::{plain, scoped, shapes_against, sharded};
 use swope_columnar::{snapshot, Column, Dataset, DatasetSketch, Field, PageCache, Schema, Width};
-use swope_core::{
-    entropy_filter, entropy_filter_scoped_exec, entropy_filter_sharded_exec, entropy_profile,
-    entropy_profile_scoped_exec, entropy_profile_sharded_exec, entropy_top_k,
-    entropy_top_k_scoped_exec, entropy_top_k_sharded_exec, mi_filter, mi_filter_scoped_exec,
-    mi_filter_sharded_exec, mi_profile, mi_profile_scoped_exec, mi_profile_sharded_exec, mi_top_k,
-    mi_top_k_batch, mi_top_k_scoped_exec, mi_top_k_sharded_exec, Executor, NoopObserver, Scope,
-    SwopeConfig,
-};
+use swope_core::{mi_top_k_batch, Executor, Scope, Shape, SwopeConfig};
 use swope_sampling::rng::Xoshiro256pp;
 
 const THREADS: [usize; 2] = [1, 8];
@@ -154,20 +151,25 @@ fn scope() -> Scope {
     Scope::range(10_000, 140_000).with_predicate(1, 2)
 }
 
-#[test]
-fn entropy_top_k_is_pager_invariant() {
-    assert_pager_invariant(31, |m, cfg| entropy_top_k(&m.dataset, 3, cfg).unwrap());
+/// The shared shape list against this dataset's small target column.
+fn shapes() -> [Shape; 6] {
+    shapes_against(0)
 }
 
-#[test]
-fn entropy_filter_is_pager_invariant() {
-    assert_pager_invariant(32, |m, cfg| entropy_filter(&m.dataset, 1.0, cfg).unwrap());
+/// `shapes()[i]` over the whole dataset.
+fn assert_shape_pager_invariant(i: usize, seed: u64) {
+    let shape = shapes()[i];
+    assert_pager_invariant(seed, |m, cfg| plain(&m.dataset, &shape, cfg));
 }
 
-#[test]
-fn mi_top_k_is_pager_invariant() {
-    assert_pager_invariant(33, |m, cfg| mi_top_k(&m.dataset, 0, 2, cfg).unwrap());
-}
+shape_tests!(assert_shape_pager_invariant {
+    entropy_top_k_is_pager_invariant(0, 31);
+    entropy_filter_is_pager_invariant(1, 32);
+    mi_top_k_is_pager_invariant(2, 33);
+    mi_filter_is_pager_invariant(3, 34);
+    entropy_profile_is_pager_invariant(4, 35);
+    mi_profile_is_pager_invariant(5, 36);
+});
 
 #[test]
 fn mi_top_k_batch_is_pager_invariant() {
@@ -175,48 +177,9 @@ fn mi_top_k_batch_is_pager_invariant() {
 }
 
 #[test]
-fn mi_filter_is_pager_invariant() {
-    assert_pager_invariant(34, |m, cfg| mi_filter(&m.dataset, 0, 0.05, cfg).unwrap());
-}
-
-#[test]
-fn entropy_profile_is_pager_invariant() {
-    assert_pager_invariant(35, |m, cfg| entropy_profile(&m.dataset, 0.05, cfg).unwrap());
-}
-
-#[test]
-fn mi_profile_is_pager_invariant() {
-    assert_pager_invariant(36, |m, cfg| mi_profile(&m.dataset, 0, 0.05, cfg).unwrap());
-}
-
-#[test]
 fn scoped_queries_are_pager_invariant() {
     assert_pager_invariant(37, |m, cfg| {
-        let exec = Executor::new(cfg.threads);
-        let scope = scope();
-        let sk = m.sketch.as_ref();
-        (
-            entropy_top_k_scoped_exec(&m.dataset, 3, &scope, sk, cfg, &mut NoopObserver, &exec)
-                .unwrap(),
-            entropy_filter_scoped_exec(&m.dataset, 1.0, &scope, sk, cfg, &mut NoopObserver, &exec)
-                .unwrap(),
-            mi_top_k_scoped_exec(&m.dataset, 0, 2, &scope, sk, cfg, &mut NoopObserver, &exec)
-                .unwrap(),
-            mi_filter_scoped_exec(&m.dataset, 0, 0.05, &scope, sk, cfg, &mut NoopObserver, &exec)
-                .unwrap(),
-            entropy_profile_scoped_exec(
-                &m.dataset,
-                0.05,
-                &scope,
-                sk,
-                cfg,
-                &mut NoopObserver,
-                &exec,
-            )
-            .unwrap(),
-            mi_profile_scoped_exec(&m.dataset, 0, 0.05, &scope, sk, cfg, &mut NoopObserver, &exec)
-                .unwrap(),
-        )
+        shapes().map(|shape| scoped(&m.dataset, &shape, &scope(), m.sketch.as_ref(), cfg))
     });
 }
 
@@ -230,20 +193,11 @@ fn scoped_queries_are_pager_invariant() {
 #[test]
 fn predicate_and_range_scopes_are_pager_invariant() {
     assert_pager_invariant(40, |m, cfg| {
-        let exec = Executor::new(cfg.threads);
         let sk = m.sketch.as_ref();
-        let predicate = Scope::all().with_predicate(1, 2);
-        let range = Scope::range(30_000, 140_000);
-        (
-            entropy_top_k_scoped_exec(&m.dataset, 2, &predicate, sk, cfg, &mut NoopObserver, &exec)
-                .unwrap(),
-            mi_top_k_scoped_exec(&m.dataset, 0, 2, &predicate, sk, cfg, &mut NoopObserver, &exec)
-                .unwrap(),
-            entropy_top_k_scoped_exec(&m.dataset, 2, &range, sk, cfg, &mut NoopObserver, &exec)
-                .unwrap(),
-            mi_filter_scoped_exec(&m.dataset, 0, 0.05, &range, sk, cfg, &mut NoopObserver, &exec)
-                .unwrap(),
-        )
+        // Entropy top-k, MI top-k, MI filter.
+        let picked = [0, 2, 3].map(|i| shapes()[i]);
+        [Scope::all().with_predicate(1, 2), Scope::range(30_000, 140_000)]
+            .map(|scope| picked.map(|shape| scoped(&m.dataset, &shape, &scope, sk, cfg)))
     });
 }
 
@@ -277,20 +231,8 @@ fn untouched_corrupt_pages_do_not_fail_scoped_sampling_queries() {
     let (paged, sketch) = snapshot::open_paged(&path, Arc::new(PageCache::unbounded())).unwrap();
     let scope = Scope::range(0, 100_000);
     let cfg = config(seed, 1);
-    let exec = Executor::new(cfg.threads);
-    let got = entropy_top_k_scoped_exec(
-        &paged,
-        3,
-        &scope,
-        sketch.as_ref(),
-        &cfg,
-        &mut NoopObserver,
-        &exec,
-    )
-    .unwrap();
-    let want =
-        entropy_top_k_scoped_exec(&ds, 3, &scope, sketch.as_ref(), &cfg, &mut NoopObserver, &exec)
-            .unwrap();
+    let got = scoped(&paged, &shapes()[0], &scope, sketch.as_ref(), &cfg);
+    let want = scoped(&ds, &shapes()[0], &scope, sketch.as_ref(), &cfg);
     assert_eq!(got, want, "corruption outside the scope must be invisible");
 
     // Touching the bad page is a one-line error naming its index.
@@ -304,14 +246,6 @@ fn untouched_corrupt_pages_do_not_fail_scoped_sampling_queries() {
 fn sharded_queries_are_pager_invariant() {
     assert_pager_invariant(38, |m, cfg| {
         let exec = Executor::new(cfg.threads);
-        (
-            entropy_top_k_sharded_exec(&m.dataset, 3, 4, cfg, &mut NoopObserver, &exec).unwrap(),
-            entropy_filter_sharded_exec(&m.dataset, 1.0, 4, cfg, &mut NoopObserver, &exec).unwrap(),
-            mi_top_k_sharded_exec(&m.dataset, 0, 2, 4, cfg, &mut NoopObserver, &exec).unwrap(),
-            mi_filter_sharded_exec(&m.dataset, 0, 0.05, 4, cfg, &mut NoopObserver, &exec).unwrap(),
-            entropy_profile_sharded_exec(&m.dataset, 0.05, 4, cfg, &mut NoopObserver, &exec)
-                .unwrap(),
-            mi_profile_sharded_exec(&m.dataset, 0, 0.05, 4, cfg, &mut NoopObserver, &exec).unwrap(),
-        )
+        shapes().map(|shape| sharded(&m.dataset, &shape, 4, cfg, &exec))
     });
 }

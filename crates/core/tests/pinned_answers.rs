@@ -1,0 +1,157 @@
+//! Pinned answers: six shapes × five count sources, each result folded
+//! into a 64-bit digest and compared with a constant.
+//!
+//! Every invariance suite compares path A with path B *in the same
+//! build*, and every path runs through one driver — a wrong `p′` divisor
+//! or λ factor there would leave all of them green. These constants were
+//! recorded by running this file's dataset, shapes, scopes and digest
+//! against the **parent of the commit that introduced the driver**
+//! (a8b1de1, through its `entropy_top_k` / `*_scoped` / `*_sharded`
+//! entry points); the calls were then ported to `run` / `run_sharded`.
+//! A digest covers every score (`attr`, the bits of `estimate`, `lower`,
+//! `upper`, `retired_iteration`), `sample_size`, `iterations`,
+//! `rows_scanned`, `converged_early` and the whole `IterationTrace`.
+//!
+//! A mismatch means an answer moved. Re-record (the failure prints the
+//! table) only for a change that is *meant* to move answers.
+
+mod common;
+
+use std::sync::Arc;
+
+use common::{scoped, sharded, sketch_of};
+use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Schema, PAGE_ROWS};
+use swope_core::{Answer, Executor, Scope, Shape, SwopeConfig};
+use swope_sampling::rng::Xoshiro256pp;
+
+/// Three full sketch pages and a ragged tail.
+const ROWS: usize = 3 * PAGE_ROWS + 1_234;
+const SEED: u64 = 0x9127;
+
+/// Page-cache budget of the paged source: a quarter of the columns'
+/// bytes, so the queries evict while they run.
+const BUDGET: u64 = 300_000;
+
+const SOURCES: [&str; 5] = ["heap", "hybrid range", "predicate", "3 shards", "paged range"];
+
+/// `PINNED[shape][source]`, recorded on the parent commit.
+#[rustfmt::skip]
+const PINNED: [[u64; 5]; 6] = [
+    [0xb0ed1fbe98629795, 0xbd160ee5e006772c, 0x41ee000bcf44eff9, 0xb0ed1fbe98629795, 0x16796a8025f9edb1],
+    [0x6ed2c731f6bdcfb6, 0x8d390e4206f46c23, 0x9110c328bf68a1ff, 0x6ed2c731f6bdcfb6, 0xde0d64a538388bfb],
+    [0x04cdd5448e647ff1, 0x9d99a142b6e48b6f, 0x754bc2838c8dcf3a, 0x04cdd5448e647ff1, 0x649c606a8910eca3],
+    [0x4e3546316749e515, 0x055782cdc1744c3c, 0xb7d1d5228ccee5c2, 0x4e3546316749e515, 0x1eaf8165eff6b3ed],
+    [0x740517e5af50be36, 0x66fe52bc6ad10755, 0x3b22d75cb75ae98e, 0x740517e5af50be36, 0x4188c2253da61fc2],
+    [0x12a4a7e311c01dc9, 0x8474b80299c1265c, 0x96b9f1b80cda0fc3, 0x12a4a7e311c01dc9, 0x64190f2e91a82f84],
+];
+
+/// Parameters under which most cells stop early on [`dataset`] (a stop
+/// rule with the wrong width would stop elsewhere) and a few run to the
+/// whole scope (the `m = n` branches).
+fn shapes() -> [Shape; 6] {
+    [
+        Shape::EntropyTopK { k: 3 },
+        Shape::EntropyFilter { eta: 3.0 },
+        Shape::EntropyProfile { floor: 0.05 },
+        Shape::MiTopK { target: 0, k: 2 },
+        Shape::MiFilter { target: 0, eta: 1.0 },
+        Shape::MiProfile { target: 0, floor: 0.8 },
+    ]
+}
+
+/// A uniform 8-value target, three copies of it through 5 %, 12 % and
+/// 50 % noise, a skewed binary column (the predicate) and two
+/// independent wide columns.
+fn dataset() -> Dataset {
+    let mut r = Xoshiro256pp::seed_from_u64(SEED);
+    let target: Vec<u32> = (0..ROWS).map(|_| r.next_below(8) as u32).collect();
+    let mut columns = vec![("t".to_owned(), 8u32, target.clone())];
+    for (i, noise_pct) in [5u64, 12, 50].into_iter().enumerate() {
+        let codes = target
+            .iter()
+            .map(|&t| if r.next_below(100) < noise_pct { r.next_below(8) as u32 } else { t })
+            .collect();
+        columns.push((format!("c{i}"), 8, codes));
+    }
+    columns.push(("flag".into(), 2, (0..ROWS).map(|_| (r.next_below(8) == 0) as u32).collect()));
+    for support in [40u32, 200] {
+        let codes = (0..ROWS).map(|_| r.next_below(support as u64) as u32).collect();
+        columns.push((format!("w{support}"), support, codes));
+    }
+    let fields = columns.iter().map(|(name, u, _)| Field::new(name.clone(), *u)).collect();
+    let columns = columns.into_iter().map(|(_, u, codes)| Column::new(codes, u).unwrap()).collect();
+    Dataset::new(Schema::new(fields), columns).unwrap()
+}
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+fn digest(a: &Answer) -> u64 {
+    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    h.word(a.scores.len() as u64);
+    for s in &a.scores {
+        h.word(s.attr as u64);
+        h.word(s.estimate.to_bits());
+        h.word(s.lower.to_bits());
+        h.word(s.upper.to_bits());
+        h.word(s.retired_iteration as u64);
+    }
+    h.word(a.stats.sample_size as u64);
+    h.word(a.stats.iterations as u64);
+    h.word(a.stats.rows_scanned);
+    h.word(a.stats.converged_early as u64);
+    for t in &a.stats.trace {
+        h.word(t.iteration as u64);
+        h.word(t.sample_size as u64);
+        h.word(t.candidates as u64);
+        h.word(t.lambda.to_bits());
+        h.word(t.retired as u64);
+    }
+    h.0
+}
+
+#[test]
+fn answers_match_the_digests_recorded_on_the_parent() {
+    let ds = dataset();
+    let sketch = sketch_of(&ds);
+    let path = std::env::temp_dir().join(format!("swope-pinned-{}.swop", std::process::id()));
+    snapshot::write_file(&ds, &path).unwrap();
+    let cache = Arc::new(PageCache::new(Some(BUDGET)));
+    let (paged, paged_sketch) = snapshot::open_paged(&path, Arc::clone(&cache)).unwrap();
+    assert!(paged.column(0).is_paged());
+
+    // Covered pages plus a fringe on both sides; a row list; a range of
+    // the paged copy that ends inside its last full page.
+    let hybrid = Scope::range(PAGE_ROWS - 500, 2 * PAGE_ROWS + 700);
+    let predicate = Scope::all().with_predicate(4, 1);
+    let paged_range = Scope::range(30_000, 3 * PAGE_ROWS - 9_000);
+    let exec = Executor::sequential();
+    let mut got = [[0u64; 5]; 6];
+    for (row, shape) in got.iter_mut().zip(shapes()) {
+        // `p_f` stays at its default, 1/n of each source's population.
+        let epsilon = if shape.target().is_some() { 0.5 } else { 0.15 };
+        let cfg = SwopeConfig::with_epsilon(epsilon).with_seed(SEED);
+        *row = [
+            scoped(&ds, &shape, &Scope::all(), None, &cfg),
+            scoped(&ds, &shape, &hybrid, Some(&sketch), &cfg),
+            scoped(&ds, &shape, &predicate, Some(&sketch), &cfg),
+            sharded(&ds, &shape, 3, &cfg, &exec),
+            scoped(&paged, &shape, &paged_range, paged_sketch.as_ref(), &cfg),
+        ]
+        .map(|answer| digest(&answer));
+    }
+    assert!(cache.snapshot().evictions > 0, "the paged source never evicted");
+    let _ = std::fs::remove_file(path);
+    assert_eq!(
+        got, PINNED,
+        "an answer moved (rows: shapes in `shapes()` order; columns: {SOURCES:?})\n{got:#018x?}"
+    );
+}

@@ -13,12 +13,11 @@
 //! * scoped answers are invariant to thread count (1 vs 8) and to the
 //!   width columns are packed at (`u8`/`u16`/`u32`).
 
-use swope_columnar::{Column, Dataset, DatasetSketch, Field, Schema, Width, PAGE_ROWS};
-use swope_core::{
-    entropy_filter, entropy_filter_scoped, entropy_profile, entropy_profile_scoped, entropy_top_k,
-    entropy_top_k_scoped, mi_filter, mi_filter_scoped, mi_profile, mi_profile_scoped, mi_top_k,
-    mi_top_k_scoped, Scope, SwopeConfig,
-};
+mod common;
+
+use common::{all_shapes, plain, repacked, scoped, sketch_of};
+use swope_columnar::{Column, Dataset, Field, Schema, Width, PAGE_ROWS};
+use swope_core::{Scope, Shape, SwopeConfig};
 use swope_estimate::entropy::entropy_from_counts;
 use swope_estimate::joint::mutual_information_over_rows;
 use swope_sampling::rng::Xoshiro256pp;
@@ -49,12 +48,13 @@ fn dataset(seed: u64, n: usize) -> Dataset {
     Dataset::new(Schema::new(fields), columns).unwrap()
 }
 
-fn sketch_of(ds: &Dataset) -> DatasetSketch {
-    DatasetSketch::build(ds.num_rows(), (0..ds.num_attrs()).map(|a| ds.column(a).packed()))
-}
-
 fn config(seed: u64, epsilon: f64, threads: usize) -> SwopeConfig {
     SwopeConfig::with_epsilon(epsilon).with_seed(seed).with_threads(threads)
+}
+
+/// The suite's ε for `shape`: 0.15 for entropy, 0.5 for MI.
+fn config_for(shape: &Shape, seed: u64, threads: usize) -> SwopeConfig {
+    config(seed, if shape.target().is_some() { 0.5 } else { 0.15 }, threads)
 }
 
 /// Exact entropy of `attr` over `range` by a plain scan.
@@ -75,32 +75,14 @@ fn full_range_scope_is_bitwise_identical_across_all_six_loops() {
     // Both spellings of "everything": the explicit 0..n range and the
     // unrestricted default scope.
     for scope in [Scope::range(0, n), Scope::all()] {
-        let cfg = config(31, 0.15, 1);
-        assert_eq!(
-            entropy_top_k_scoped(&ds, 3, &scope, Some(&sk), &cfg).unwrap(),
-            entropy_top_k(&ds, 3, &cfg).unwrap()
-        );
-        assert_eq!(
-            entropy_filter_scoped(&ds, 1.0, &scope, Some(&sk), &cfg).unwrap(),
-            entropy_filter(&ds, 1.0, &cfg).unwrap()
-        );
-        assert_eq!(
-            entropy_profile_scoped(&ds, 0.05, &scope, Some(&sk), &cfg).unwrap(),
-            entropy_profile(&ds, 0.05, &cfg).unwrap()
-        );
-        let cfg = config(31, 0.5, 1);
-        assert_eq!(
-            mi_top_k_scoped(&ds, TARGET, 3, &scope, Some(&sk), &cfg).unwrap(),
-            mi_top_k(&ds, TARGET, 3, &cfg).unwrap()
-        );
-        assert_eq!(
-            mi_filter_scoped(&ds, TARGET, 0.1, &scope, Some(&sk), &cfg).unwrap(),
-            mi_filter(&ds, TARGET, 0.1, &cfg).unwrap()
-        );
-        assert_eq!(
-            mi_profile_scoped(&ds, TARGET, 0.05, &scope, Some(&sk), &cfg).unwrap(),
-            mi_profile(&ds, TARGET, 0.05, &cfg).unwrap()
-        );
+        for shape in all_shapes() {
+            let cfg = config_for(&shape, 31, 1);
+            assert_eq!(
+                scoped(&ds, &shape, &scope, Some(&sk), &cfg),
+                plain(&ds, &shape, &cfg),
+                "{shape:?} over {scope:?}"
+            );
+        }
     }
 }
 
@@ -124,7 +106,7 @@ fn range_scopes_at_page_boundaries_match_brute_force_at_full_sample() {
     for range in ranges {
         let scope = Scope::range(range.start, range.end);
         let n_s = range.len();
-        let prof = entropy_profile_scoped(&ds, 0.0, &scope, Some(&sk), &cfg).unwrap();
+        let prof = scoped(&ds, &Shape::EntropyProfile { floor: 0.0 }, &scope, Some(&sk), &cfg);
         assert_eq!(prof.stats.sample_size, n_s, "{range:?} should sample to exhaustion");
         for s in &prof.scores {
             let exact = brute_entropy(&ds, s.attr, range.clone());
@@ -135,7 +117,8 @@ fn range_scopes_at_page_boundaries_match_brute_force_at_full_sample() {
                 s.estimate
             );
         }
-        let prof = mi_profile_scoped(&ds, TARGET, 0.0, &scope, Some(&sk), &cfg).unwrap();
+        let shape = Shape::MiProfile { target: TARGET, floor: 0.0 };
+        let prof = scoped(&ds, &shape, &scope, Some(&sk), &cfg);
         let rows: Vec<u32> = (range.start as u32..range.end as u32).collect();
         for s in &prof.scores {
             let exact = mutual_information_over_rows(ds.column(TARGET), ds.column(s.attr), &rows);
@@ -155,32 +138,25 @@ fn empty_ranges_are_well_defined_across_all_six_loops() {
     let sk = sketch_of(&ds);
     let cfg = config(33, 0.1, 1);
     for scope in [Scope::range(500, 500), Scope::range(PAGE_ROWS + 100, usize::MAX)] {
-        let r = entropy_top_k_scoped(&ds, 3, &scope, Some(&sk), &cfg).unwrap();
-        assert_eq!(r.stats.sample_size, 0);
-        assert_eq!(r.top.len(), 3);
-        assert!(r.top.iter().all(|s| s.estimate == 0.0 && s.lower == 0.0 && s.upper == 0.0));
-        let r = entropy_filter_scoped(&ds, 1.0, &scope, Some(&sk), &cfg).unwrap();
-        assert!(r.accepted.is_empty());
-        let r = entropy_filter_scoped(&ds, 0.0, &scope, Some(&sk), &cfg).unwrap();
-        assert_eq!(r.accepted.len(), ds.num_attrs(), "eta = 0 accepts everything vacuously");
-        let r = entropy_profile_scoped(&ds, 0.05, &scope, Some(&sk), &cfg).unwrap();
-        assert!(r.scores.iter().all(|s| s.estimate == 0.0));
-        let r = mi_top_k_scoped(&ds, TARGET, 2, &scope, Some(&sk), &cfg).unwrap();
-        assert_eq!(r.top.len(), 2);
-        assert!(r.top.iter().all(|s| s.estimate == 0.0));
-        let r = mi_filter_scoped(&ds, TARGET, 0.1, &scope, Some(&sk), &cfg).unwrap();
-        assert!(r.accepted.is_empty());
-        let r = mi_profile_scoped(&ds, TARGET, 0.05, &scope, Some(&sk), &cfg).unwrap();
-        assert!(r.scores.iter().all(|s| s.estimate == 0.0));
+        for shape in all_shapes() {
+            let r = scoped(&ds, &shape, &scope, Some(&sk), &cfg);
+            assert_eq!(r.stats.sample_size, 0, "{shape:?}");
+            assert!(
+                r.scores.iter().all(|s| s.estimate == 0.0 && s.lower == 0.0 && s.upper == 0.0),
+                "{shape:?}"
+            );
+            let candidates = ds.num_attrs() - usize::from(shape.target().is_some());
+            let expected = match shape {
+                Shape::EntropyTopK { k } | Shape::MiTopK { k, .. } => k,
+                // Nothing reaches a positive threshold.
+                Shape::EntropyFilter { .. } | Shape::MiFilter { .. } => 0,
+                Shape::EntropyProfile { .. } | Shape::MiProfile { .. } => candidates,
+            };
+            assert_eq!(r.scores.len(), expected, "{shape:?}");
+        }
+        let r = scoped(&ds, &Shape::EntropyFilter { eta: 0.0 }, &scope, Some(&sk), &cfg);
+        assert_eq!(r.scores.len(), ds.num_attrs(), "eta = 0 accepts everything vacuously");
     }
-}
-
-/// The same logical dataset with every column forced to `width`.
-fn repacked(ds: &Dataset, width: Width) -> Dataset {
-    let columns = (0..ds.num_attrs())
-        .map(|a| ds.column(a).with_width(width).expect("supports fit every width"))
-        .collect();
-    Dataset::new(ds.schema().clone(), columns).unwrap()
 }
 
 #[test]
@@ -191,36 +167,21 @@ fn scoped_answers_are_thread_and_width_invariant() {
         Scope::range(PAGE_ROWS - 250, 2 * PAGE_ROWS + 250),
         Scope::range(0, ds.num_rows()).with_predicate(0, 0),
     ];
+    let baseline_sk = sketch_of(&ds);
     for scope in &scopes {
-        let baseline_sk = sketch_of(&ds);
-        let baseline =
-            entropy_top_k_scoped(&ds, 3, scope, Some(&baseline_sk), &config(34, 0.15, 1)).unwrap();
-        let mi_baseline =
-            mi_top_k_scoped(&ds, TARGET, 3, scope, Some(&baseline_sk), &config(34, 0.5, 1))
-                .unwrap();
-        for width in [Width::U8, Width::U16, Width::U32] {
-            let packed = repacked(&ds, width);
-            let sk = sketch_of(&packed);
-            for threads in [1, 8] {
-                assert_eq!(
-                    entropy_top_k_scoped(&packed, 3, scope, Some(&sk), &config(34, 0.15, threads))
-                        .unwrap(),
-                    baseline,
-                    "entropy: width = {width}, threads = {threads}"
-                );
-                assert_eq!(
-                    mi_top_k_scoped(
-                        &packed,
-                        TARGET,
-                        3,
-                        scope,
-                        Some(&sk),
-                        &config(34, 0.5, threads)
-                    )
-                    .unwrap(),
-                    mi_baseline,
-                    "mi: width = {width}, threads = {threads}"
-                );
+        for shape in all_shapes() {
+            let baseline =
+                scoped(&ds, &shape, scope, Some(&baseline_sk), &config_for(&shape, 34, 1));
+            for width in [Width::U8, Width::U16, Width::U32] {
+                let packed = repacked(&ds, width);
+                let sk = sketch_of(&packed);
+                for threads in [1, 8] {
+                    assert_eq!(
+                        scoped(&packed, &shape, scope, Some(&sk), &config_for(&shape, 34, threads)),
+                        baseline,
+                        "{shape:?}: width = {width}, threads = {threads}"
+                    );
+                }
             }
         }
     }

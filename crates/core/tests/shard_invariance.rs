@@ -14,18 +14,16 @@
 //!    (1/8). This is the property the wire layer inherits: a cluster of
 //!    peers is just shards with a network in between.
 
-use swope_columnar::{Column, Dataset, Field, Schema, Width};
-use swope_core::{
-    entropy_filter, entropy_filter_sharded_exec, entropy_profile, entropy_profile_sharded_exec,
-    entropy_top_k, entropy_top_k_sharded_exec, mi_filter, mi_filter_sharded_exec, mi_profile,
-    mi_profile_sharded_exec, mi_top_k, mi_top_k_sharded_exec, CountState, Executor, NoopObserver,
-    PairCountState, SwopeConfig,
-};
+#[macro_use]
+mod common;
+
+use common::{all_shapes, plain, repacked, sharded, staggered_dataset as dataset};
+use swope_columnar::Width;
+use swope_core::{CountState, Executor, PairCountState, SwopeConfig};
 use swope_sampling::rng::Xoshiro256pp;
 
 const SHARDS: [usize; 4] = [1, 2, 3, 7];
 const THREADS: [usize; 2] = [1, 8];
-const PROFILE_FLOOR: f64 = 0.05;
 
 // ---------------------------------------------------------------------
 // Merge algebra.
@@ -145,125 +143,34 @@ fn partitioned_counts_merge_back_to_the_whole() {
 // Loop invariance: sharded == unsharded, bitwise.
 // ---------------------------------------------------------------------
 
-/// Mixed supports and skews (the width-invariance dataset) so candidates
-/// retire at different iterations. Supports stay ≤ 200 so every column
-/// can be repacked at all three widths.
-fn dataset(seed: u64, n: usize) -> Dataset {
-    let mut r = Xoshiro256pp::seed_from_u64(seed);
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    for (i, &support) in [1u32, 2, 3, 8, 40, 200].iter().enumerate() {
-        let skew = i % 2 == 0;
-        let codes: Vec<u32> = (0..n)
-            .map(|_| {
-                let c = r.next_below(support as u64) as u32;
-                if skew && r.next_below(4) != 0 {
-                    0
-                } else {
-                    c
-                }
-            })
-            .collect();
-        fields.push(Field::new(format!("a{i}"), support));
-        columns.push(Column::new(codes, support).unwrap());
-    }
-    Dataset::new(Schema::new(fields), columns).unwrap()
-}
-
-fn repacked(ds: &Dataset, width: Width) -> Dataset {
-    let columns = (0..ds.num_attrs())
-        .map(|a| ds.column(a).with_width(width).expect("supports fit every width"))
-        .collect();
-    Dataset::new(ds.schema().clone(), columns).unwrap()
-}
-
-/// Runs the sharded loop at every shard count × width × thread count and
-/// asserts each result equals the unsharded single-thread baseline.
-fn assert_shard_invariant<R: PartialEq + std::fmt::Debug>(
-    seed: u64,
-    unsharded: impl Fn(&Dataset, &SwopeConfig) -> R,
-    sharded: impl Fn(&Dataset, usize, &SwopeConfig, &Executor) -> R,
-) {
+/// `all_shapes()[i]` through sharded counting at every shard count ×
+/// width × thread count, each equal to the unsharded single-thread run.
+/// The dataset is the width-invariance one: candidates retire at
+/// different iterations, and every column repacks at all three widths.
+fn assert_shard_invariant(i: usize, seed: u64) {
+    let shape = all_shapes()[i];
     let ds = dataset(seed, 8_000);
     let config = SwopeConfig::with_epsilon(0.2).with_seed(seed);
-    let baseline = unsharded(&ds, &config);
+    let baseline = plain(&ds, &shape, &config);
     for width in [Width::U8, Width::U16, Width::U32] {
         let packed = repacked(&ds, width);
         for shards in SHARDS {
             for t in THREADS {
                 assert_eq!(
-                    sharded(&packed, shards, &config, &Executor::new(t)),
+                    sharded(&packed, &shape, shards, &config, &Executor::new(t)),
                     baseline,
-                    "shards = {shards}, width = {width}, threads = {t}"
+                    "{shape:?}: shards = {shards}, width = {width}, threads = {t}"
                 );
             }
         }
     }
 }
 
-#[test]
-fn entropy_top_k_is_shard_invariant() {
-    assert_shard_invariant(
-        31,
-        |ds, cfg| entropy_top_k(ds, 3, cfg).unwrap(),
-        |ds, s, cfg, exec| {
-            entropy_top_k_sharded_exec(ds, 3, s, cfg, &mut NoopObserver, exec).unwrap()
-        },
-    );
-}
-
-#[test]
-fn entropy_filter_is_shard_invariant() {
-    assert_shard_invariant(
-        32,
-        |ds, cfg| entropy_filter(ds, 1.0, cfg).unwrap(),
-        |ds, s, cfg, exec| {
-            entropy_filter_sharded_exec(ds, 1.0, s, cfg, &mut NoopObserver, exec).unwrap()
-        },
-    );
-}
-
-#[test]
-fn entropy_profile_is_shard_invariant() {
-    assert_shard_invariant(
-        33,
-        |ds, cfg| entropy_profile(ds, PROFILE_FLOOR, cfg).unwrap(),
-        |ds, s, cfg, exec| {
-            entropy_profile_sharded_exec(ds, PROFILE_FLOOR, s, cfg, &mut NoopObserver, exec)
-                .unwrap()
-        },
-    );
-}
-
-#[test]
-fn mi_top_k_is_shard_invariant() {
-    assert_shard_invariant(
-        34,
-        |ds, cfg| mi_top_k(ds, 5, 3, cfg).unwrap(),
-        |ds, s, cfg, exec| {
-            mi_top_k_sharded_exec(ds, 5, 3, s, cfg, &mut NoopObserver, exec).unwrap()
-        },
-    );
-}
-
-#[test]
-fn mi_filter_is_shard_invariant() {
-    assert_shard_invariant(
-        35,
-        |ds, cfg| mi_filter(ds, 5, 0.1, cfg).unwrap(),
-        |ds, s, cfg, exec| {
-            mi_filter_sharded_exec(ds, 5, 0.1, s, cfg, &mut NoopObserver, exec).unwrap()
-        },
-    );
-}
-
-#[test]
-fn mi_profile_is_shard_invariant() {
-    assert_shard_invariant(
-        36,
-        |ds, cfg| mi_profile(ds, 5, PROFILE_FLOOR, cfg).unwrap(),
-        |ds, s, cfg, exec| {
-            mi_profile_sharded_exec(ds, 5, PROFILE_FLOOR, s, cfg, &mut NoopObserver, exec).unwrap()
-        },
-    );
-}
+shape_tests!(assert_shard_invariant {
+    entropy_top_k_is_shard_invariant(0, 31);
+    entropy_filter_is_shard_invariant(1, 32);
+    entropy_profile_is_shard_invariant(4, 33);
+    mi_top_k_is_shard_invariant(2, 34);
+    mi_filter_is_shard_invariant(3, 35);
+    mi_profile_is_shard_invariant(5, 36);
+});

@@ -8,46 +8,13 @@
 //! mix supports and skews so candidates retire at different iterations,
 //! exercising dispatches over shrinking (and eventually tiny) slices.
 
-use swope_columnar::{Column, Dataset, Field, Schema};
-use swope_core::{
-    entropy_filter, entropy_profile, entropy_top_k, mi_filter, mi_profile, mi_top_k,
-    mi_top_k_batch, SwopeConfig,
-};
-use swope_sampling::rng::Xoshiro256pp;
+#[macro_use]
+mod common;
+
+use common::{all_shapes, config, plain, staggered_dataset as dataset};
+use swope_core::{entropy_profile, mi_top_k_batch};
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
-
-/// Columns with wildly different supports and skews: a constant column,
-/// heavily skewed small supports, and near-uniform wide ones. Their
-/// confidence intervals close at very different sample sizes, so the
-/// live-candidate set shrinks iteration by iteration.
-fn dataset(seed: u64, n: usize) -> Dataset {
-    let mut r = Xoshiro256pp::seed_from_u64(seed);
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    for (i, &support) in [1u32, 2, 3, 8, 40, 200].iter().enumerate() {
-        let skew = i % 2 == 0;
-        let codes: Vec<u32> = (0..n)
-            .map(|_| {
-                let c = r.next_below(support as u64) as u32;
-                // Every odd column stays as drawn (near-uniform); even
-                // columns collapse most draws to 0 for a skewed marginal.
-                if skew && r.next_below(4) != 0 {
-                    0
-                } else {
-                    c
-                }
-            })
-            .collect();
-        fields.push(Field::new(format!("a{i}"), support));
-        columns.push(Column::new(codes, support).unwrap());
-    }
-    Dataset::new(Schema::new(fields), columns).unwrap()
-}
-
-fn config(seed: u64, threads: usize) -> SwopeConfig {
-    SwopeConfig::with_epsilon(0.2).with_seed(seed).with_threads(threads)
-}
 
 #[test]
 fn retirement_is_staggered_in_the_test_dataset() {
@@ -61,59 +28,25 @@ fn retirement_is_staggered_in_the_test_dataset() {
     assert!(iters.len() > 1, "all candidates retired together: {:?}", r.scores);
 }
 
-#[test]
-fn entropy_top_k_is_thread_invariant() {
-    let ds = dataset(1, 12_000);
-    let baseline = entropy_top_k(&ds, 3, &config(1, 1)).unwrap();
+/// `all_shapes()[i]`, seeded `i + 1`, at every thread count against the
+/// sequential run.
+fn assert_thread_invariant(i: usize) {
+    let (shape, seed) = (all_shapes()[i], i as u64 + 1);
+    let ds = dataset(seed, 12_000);
+    let baseline = plain(&ds, &shape, &config(seed, 1));
     for t in THREADS {
-        assert_eq!(entropy_top_k(&ds, 3, &config(1, t)).unwrap(), baseline, "threads = {t}");
+        assert_eq!(plain(&ds, &shape, &config(seed, t)), baseline, "{shape:?}, threads = {t}");
     }
 }
 
-#[test]
-fn entropy_filter_is_thread_invariant() {
-    let ds = dataset(2, 12_000);
-    let baseline = entropy_filter(&ds, 1.0, &config(2, 1)).unwrap();
-    for t in THREADS {
-        assert_eq!(entropy_filter(&ds, 1.0, &config(2, t)).unwrap(), baseline, "threads = {t}");
-    }
-}
-
-#[test]
-fn mi_top_k_is_thread_invariant() {
-    let ds = dataset(3, 12_000);
-    let baseline = mi_top_k(&ds, 5, 3, &config(3, 1)).unwrap();
-    for t in THREADS {
-        assert_eq!(mi_top_k(&ds, 5, 3, &config(3, t)).unwrap(), baseline, "threads = {t}");
-    }
-}
-
-#[test]
-fn mi_filter_is_thread_invariant() {
-    let ds = dataset(4, 12_000);
-    let baseline = mi_filter(&ds, 5, 0.1, &config(4, 1)).unwrap();
-    for t in THREADS {
-        assert_eq!(mi_filter(&ds, 5, 0.1, &config(4, t)).unwrap(), baseline, "threads = {t}");
-    }
-}
-
-#[test]
-fn entropy_profile_is_thread_invariant() {
-    let ds = dataset(5, 12_000);
-    let baseline = entropy_profile(&ds, 0.05, &config(5, 1)).unwrap();
-    for t in THREADS {
-        assert_eq!(entropy_profile(&ds, 0.05, &config(5, t)).unwrap(), baseline, "threads = {t}");
-    }
-}
-
-#[test]
-fn mi_profile_is_thread_invariant() {
-    let ds = dataset(6, 12_000);
-    let baseline = mi_profile(&ds, 5, 0.05, &config(6, 1)).unwrap();
-    for t in THREADS {
-        assert_eq!(mi_profile(&ds, 5, 0.05, &config(6, t)).unwrap(), baseline, "threads = {t}");
-    }
-}
+shape_tests!(assert_thread_invariant {
+    entropy_top_k_is_thread_invariant(0);
+    entropy_filter_is_thread_invariant(1);
+    mi_top_k_is_thread_invariant(2);
+    mi_filter_is_thread_invariant(3);
+    entropy_profile_is_thread_invariant(4);
+    mi_profile_is_thread_invariant(5);
+});
 
 #[test]
 fn mi_top_k_batch_is_thread_invariant() {

@@ -6,52 +6,23 @@
 //! exec parallelism 1 and 8. This is the acceptance gate for the tracing
 //! layer: the `NoopObserver` monomorphization is untouched (the loops
 //! did not change), and the traced path only *reads* clocks and records
-//! spans from serial sections, so answers cannot move.
+//! spans from serial sections, so answers cannot move. Observer-on ≡
+//! observer-off is checked here for every shape, through the one `run`
+//! both go through.
 //!
 //! Mirrors `thread_invariance.rs` (same staggered-retirement dataset).
 
+#[macro_use]
+mod common;
+
 use std::sync::Arc;
 
-use swope_columnar::{Column, Dataset, Field, Schema};
+use common::{all_shapes, config, plain, staggered_dataset as dataset};
 use swope_core::exec::Executor;
-use swope_core::{
-    entropy_filter, entropy_filter_exec, entropy_profile, entropy_profile_exec, entropy_top_k,
-    entropy_top_k_exec, mi_filter, mi_filter_exec, mi_profile, mi_profile_exec, mi_top_k,
-    mi_top_k_exec, SwopeConfig,
-};
+use swope_core::{run, Scope};
 use swope_obs::trace::{SpanSink, TraceId, TraceObserver};
-use swope_sampling::rng::Xoshiro256pp;
 
 const THREADS: [usize; 2] = [1, 8];
-
-/// Same construction as `thread_invariance.rs`: mixed supports and skews
-/// so candidates retire at different iterations and the traced phase
-/// stream is non-trivial.
-fn dataset(seed: u64, n: usize) -> Dataset {
-    let mut r = Xoshiro256pp::seed_from_u64(seed);
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    for (i, &support) in [1u32, 2, 3, 8, 40, 200].iter().enumerate() {
-        let skew = i % 2 == 0;
-        let codes: Vec<u32> = (0..n)
-            .map(|_| {
-                let c = r.next_below(support as u64) as u32;
-                if skew && r.next_below(4) != 0 {
-                    0
-                } else {
-                    c
-                }
-            })
-            .collect();
-        fields.push(Field::new(format!("a{i}"), support));
-        columns.push(Column::new(codes, support).unwrap());
-    }
-    Dataset::new(Schema::new(fields), columns).unwrap()
-}
-
-fn config(seed: u64, threads: usize) -> SwopeConfig {
-    SwopeConfig::with_epsilon(0.2).with_seed(seed).with_threads(threads)
-}
 
 /// A traced executor plus the observer feeding the same sink, and a
 /// closure to assert the trace looked like a real query afterwards.
@@ -90,71 +61,29 @@ fn assert_complete_trace(sink: &Arc<SpanSink>, threads: usize) {
     );
 }
 
-macro_rules! trace_invariant {
-    ($name:ident, $plain:expr, $traced:expr) => {
-        #[test]
-        fn $name() {
-            let ds = dataset(1 + line!() as u64, 12_000);
-            #[allow(clippy::redundant_closure_call)]
-            let baseline = ($plain)(&ds).unwrap();
-            for t in THREADS {
-                let (exec, mut obs, sink) = traced(t);
-                #[allow(clippy::redundant_closure_call)]
-                let traced_result = ($traced)(&ds, &mut obs, &exec, t).unwrap();
-                assert_eq!(traced_result, baseline, "tracing changed the answer (threads = {t})");
-                assert_complete_trace(&sink, t);
-            }
-        }
-    };
+/// `all_shapes()[i]`, seeded `i + 1`: traced at each thread count
+/// against the untraced sequential run.
+fn assert_trace_invariant(i: usize) {
+    let (shape, seed) = (all_shapes()[i], i as u64 + 1);
+    let ds = dataset(100 + seed, 12_000);
+    let baseline = plain(&ds, &shape, &config(seed, 1));
+    for t in THREADS {
+        let (exec, mut obs, sink) = traced(t);
+        let traced_result =
+            run(&ds, &shape, &Scope::all(), None, &config(seed, t), &mut obs, &exec).unwrap();
+        assert_eq!(traced_result, baseline, "tracing changed {shape:?} (threads = {t})");
+        assert_complete_trace(&sink, t);
+    }
 }
 
-trace_invariant!(
-    entropy_top_k_is_trace_invariant,
-    |ds: &Dataset| entropy_top_k(ds, 3, &config(1, 1)),
-    |ds: &Dataset, obs: &mut TraceObserver, exec: &Executor, t: usize| {
-        entropy_top_k_exec(ds, 3, &config(1, t), obs, exec)
-    }
-);
-
-trace_invariant!(
-    entropy_filter_is_trace_invariant,
-    |ds: &Dataset| entropy_filter(ds, 1.0, &config(2, 1)),
-    |ds: &Dataset, obs: &mut TraceObserver, exec: &Executor, t: usize| {
-        entropy_filter_exec(ds, 1.0, &config(2, t), obs, exec)
-    }
-);
-
-trace_invariant!(
-    mi_top_k_is_trace_invariant,
-    |ds: &Dataset| mi_top_k(ds, 5, 3, &config(3, 1)),
-    |ds: &Dataset, obs: &mut TraceObserver, exec: &Executor, t: usize| {
-        mi_top_k_exec(ds, 5, 3, &config(3, t), obs, exec)
-    }
-);
-
-trace_invariant!(
-    mi_filter_is_trace_invariant,
-    |ds: &Dataset| mi_filter(ds, 5, 0.1, &config(4, 1)),
-    |ds: &Dataset, obs: &mut TraceObserver, exec: &Executor, t: usize| {
-        mi_filter_exec(ds, 5, 0.1, &config(4, t), obs, exec)
-    }
-);
-
-trace_invariant!(
-    entropy_profile_is_trace_invariant,
-    |ds: &Dataset| entropy_profile(ds, 0.05, &config(5, 1)),
-    |ds: &Dataset, obs: &mut TraceObserver, exec: &Executor, t: usize| {
-        entropy_profile_exec(ds, 0.05, &config(5, t), obs, exec)
-    }
-);
-
-trace_invariant!(
-    mi_profile_is_trace_invariant,
-    |ds: &Dataset| mi_profile(ds, 5, 0.05, &config(6, 1)),
-    |ds: &Dataset, obs: &mut TraceObserver, exec: &Executor, t: usize| {
-        mi_profile_exec(ds, 5, 0.05, &config(6, t), obs, exec)
-    }
-);
+shape_tests!(assert_trace_invariant {
+    entropy_top_k_is_trace_invariant(0);
+    entropy_filter_is_trace_invariant(1);
+    mi_top_k_is_trace_invariant(2);
+    mi_filter_is_trace_invariant(3);
+    entropy_profile_is_trace_invariant(4);
+    mi_profile_is_trace_invariant(5);
+});
 
 /// With `threads = 8` the traced executor's pooled fan-outs must leave
 /// `exec_dispatch` spans behind — proof the trace binding reaches the
@@ -164,7 +93,7 @@ fn exec_dispatch_spans_follow_parallelism() {
     let ds = dataset(42, 12_000);
     for (t, expect_dispatches) in [(1usize, false), (8, true)] {
         let (exec, mut obs, sink) = traced(t);
-        entropy_top_k_exec(&ds, 3, &config(42, t), &mut obs, &exec).unwrap();
+        run(&ds, &all_shapes()[0], &Scope::all(), None, &config(42, t), &mut obs, &exec).unwrap();
         let (spans, _) = sink.drain();
         let n = spans.iter().filter(|s| s.name == "exec_dispatch").count();
         assert_eq!(n > 0, expect_dispatches, "threads = {t}, dispatch spans = {n}");

@@ -9,51 +9,14 @@
 //! (all-`u32`) must answer queries exactly like the same dataset packed
 //! narrow, at any thread count.
 
-use swope_columnar::{Column, Dataset, Field, Schema, Width};
-use swope_core::{
-    entropy_filter, entropy_profile, entropy_top_k, mi_filter, mi_profile, mi_top_k,
-    mi_top_k_batch, SwopeConfig,
-};
-use swope_sampling::rng::Xoshiro256pp;
+#[macro_use]
+mod common;
+
+use common::{all_shapes, config, plain, repacked, staggered_dataset as dataset};
+use swope_columnar::{Dataset, Width};
+use swope_core::{mi_top_k_batch, SwopeConfig};
 
 const THREADS: [usize; 2] = [1, 8];
-
-/// Mixed supports and skews (like the thread-invariance dataset) so
-/// candidates retire at different iterations. Supports stay ≤ 200 so
-/// every column can be repacked at all three widths.
-fn dataset(seed: u64, n: usize) -> Dataset {
-    let mut r = Xoshiro256pp::seed_from_u64(seed);
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    for (i, &support) in [1u32, 2, 3, 8, 40, 200].iter().enumerate() {
-        let skew = i % 2 == 0;
-        let codes: Vec<u32> = (0..n)
-            .map(|_| {
-                let c = r.next_below(support as u64) as u32;
-                if skew && r.next_below(4) != 0 {
-                    0
-                } else {
-                    c
-                }
-            })
-            .collect();
-        fields.push(Field::new(format!("a{i}"), support));
-        columns.push(Column::new(codes, support).unwrap());
-    }
-    Dataset::new(Schema::new(fields), columns).unwrap()
-}
-
-/// The same logical dataset with every column forced to `width`.
-fn repacked(ds: &Dataset, width: Width) -> Dataset {
-    let columns = (0..ds.num_attrs())
-        .map(|a| ds.column(a).with_width(width).expect("supports fit every width"))
-        .collect();
-    Dataset::new(ds.schema().clone(), columns).unwrap()
-}
-
-fn config(seed: u64, threads: usize) -> SwopeConfig {
-    SwopeConfig::with_epsilon(0.2).with_seed(seed).with_threads(threads)
-}
 
 /// Runs `query` on the dataset packed at each width × each thread count
 /// and asserts every result equals the natural-width single-thread run.
@@ -78,35 +41,20 @@ fn assert_width_invariant<R: PartialEq + std::fmt::Debug>(
     }
 }
 
-#[test]
-fn entropy_top_k_is_width_invariant() {
-    assert_width_invariant(21, |ds, cfg| entropy_top_k(ds, 3, cfg).unwrap());
+/// `all_shapes()[i]`, seeded `21 + i`.
+fn assert_shape_width_invariant(i: usize) {
+    let shape = all_shapes()[i];
+    assert_width_invariant(21 + i as u64, |ds, cfg| plain(ds, &shape, cfg));
 }
 
-#[test]
-fn entropy_filter_is_width_invariant() {
-    assert_width_invariant(22, |ds, cfg| entropy_filter(ds, 1.0, cfg).unwrap());
-}
-
-#[test]
-fn mi_top_k_is_width_invariant() {
-    assert_width_invariant(23, |ds, cfg| mi_top_k(ds, 5, 3, cfg).unwrap());
-}
-
-#[test]
-fn mi_filter_is_width_invariant() {
-    assert_width_invariant(24, |ds, cfg| mi_filter(ds, 5, 0.1, cfg).unwrap());
-}
-
-#[test]
-fn entropy_profile_is_width_invariant() {
-    assert_width_invariant(25, |ds, cfg| entropy_profile(ds, 0.05, cfg).unwrap());
-}
-
-#[test]
-fn mi_profile_is_width_invariant() {
-    assert_width_invariant(26, |ds, cfg| mi_profile(ds, 5, 0.05, cfg).unwrap());
-}
+shape_tests!(assert_shape_width_invariant {
+    entropy_top_k_is_width_invariant(0);
+    entropy_filter_is_width_invariant(1);
+    mi_top_k_is_width_invariant(2);
+    mi_filter_is_width_invariant(3);
+    entropy_profile_is_width_invariant(4);
+    mi_profile_is_width_invariant(5);
+});
 
 #[test]
 fn mi_top_k_batch_is_width_invariant() {

@@ -14,7 +14,7 @@
 //!   `madvise` on Linux behind the [`Mapping`] trait, with a
 //!   buffered-read fallback (`SWOPE_FORCE_READ=1` forces it), the same
 //!   facility-behind-a-trait pattern as the server's `Poller`.
-//! * [`column`] — [`PagedColumn`]: an arithmetic page directory over
+//! * [`mod@column`] — [`PagedColumn`]: an arithmetic page directory over
 //!   the mapped payload, lazy first-touch CRC validation, and gathers
 //!   served page-by-page through the width-generic `CodeRepr` decode
 //!   path — no eager whole-column decode anywhere.

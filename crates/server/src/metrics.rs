@@ -99,7 +99,7 @@ impl ServerMetrics {
     /// labels. `endpoint` comes from the fixed route vocabulary and
     /// `dataset` from the query's `dataset` parameter (`-` elsewhere);
     /// both are sanitized to label-safe characters and the family count is
-    /// capped at [`MAX_LABELLED`].
+    /// capped at `MAX_LABELLED`.
     pub fn record_labelled(&self, endpoint: &str, dataset: &str, micros: u64) {
         let key = (sanitize_label(endpoint), sanitize_label(dataset));
         let mut map = self.labelled_micros.lock().unwrap();
@@ -153,7 +153,7 @@ impl ServerMetrics {
 
     /// Records one admission decision for `tenant` (`throttled` when the
     /// request was answered 429). Tenant keys are user input: sanitized,
-    /// and capped at [`MAX_LABELLED`] distinct values (`other` past it).
+    /// and capped at `MAX_LABELLED` distinct values (`other` past it).
     pub fn record_tenant(&self, tenant: &str, throttled: bool) {
         let key = sanitize_label(tenant);
         let mut map = self.tenants.lock().unwrap();

@@ -16,12 +16,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use swope_cluster::{ClusterStats, PeerPool, PeerTimeouts, RemoteShardSource};
+use swope_columnar::ColumnarError;
 use swope_core::{
-    entropy_filter_scoped_exec, entropy_filter_transport, entropy_profile_scoped_exec,
-    entropy_profile_transport, entropy_top_k_scoped_exec, entropy_top_k_transport,
-    mi_filter_scoped_exec, mi_filter_transport, mi_profile_scoped_exec, mi_profile_transport,
-    mi_top_k_scoped_exec, mi_top_k_transport, AttrMeta, AttrScore, Executor, QueryObserver,
-    QueryStats, SamplingStrategy, Scope, ShardTransport, SwopeConfig, SwopeError,
+    run, run_sharded, Answer, Executor, QueryObserver, SamplingStrategy, Scope, Shape,
+    ShardTransport, SwopeConfig, SwopeError,
 };
 use swope_obs::json::{escape_into, f64_into};
 
@@ -80,6 +78,24 @@ impl QueryShape {
             QueryShape::EntropyProfile => "entropy_profile",
             QueryShape::MiProfile { .. } => "mi_profile",
         }
+    }
+
+    /// The library [`Shape`] this request names, its target resolved
+    /// against the schema's attribute `names` (in attribute order).
+    fn resolve<'a>(&self, names: impl ExactSizeIterator<Item = &'a str>) -> Result<Shape, String> {
+        let target = |raw: &str| resolve_target(names, raw);
+        Ok(match self {
+            QueryShape::EntropyTopK { k } => Shape::EntropyTopK { k: *k },
+            QueryShape::EntropyFilter { eta } => Shape::EntropyFilter { eta: *eta },
+            QueryShape::MiTopK { target: t, k } => Shape::MiTopK { target: target(t)?, k: *k },
+            QueryShape::MiFilter { target: t, eta } => {
+                Shape::MiFilter { target: target(t)?, eta: *eta }
+            }
+            QueryShape::EntropyProfile => Shape::EntropyProfile { floor: PROFILE_FLOOR },
+            QueryShape::MiProfile { target: t } => {
+                Shape::MiProfile { target: target(t)?, floor: PROFILE_FLOOR }
+            }
+        })
     }
 
     /// The CLI-matching default ε for this shape.
@@ -245,15 +261,27 @@ fn config_for(spec: &QuerySpec) -> SwopeConfig {
     cfg
 }
 
-/// Resolves a target given as index or name — the CLI's rule.
-fn resolve_target(entry: &DatasetEntry, raw: &str) -> Result<usize, String> {
+/// Resolves an attribute given as index or name against the schema's
+/// attribute `names` — the CLI's rule, and the one resolver a single box
+/// and a coordinator share, so both word a bad target the same way.
+fn resolve_target<'a>(
+    mut names: impl ExactSizeIterator<Item = &'a str>,
+    raw: &str,
+) -> Result<usize, String> {
     if let Ok(idx) = raw.parse::<usize>() {
-        if idx < entry.dataset.num_attrs() {
+        if idx < names.len() {
             return Ok(idx);
         }
         return Err(format!("target index {idx} out of range"));
     }
-    entry.dataset.attr_index(raw).map_err(|e| e.to_string())
+    names
+        .position(|name| name == raw)
+        .ok_or_else(|| ColumnarError::UnknownAttr(raw.into()).to_string())
+}
+
+/// The attribute names of a registered dataset, in attribute order.
+fn entry_names(entry: &DatasetEntry) -> impl ExactSizeIterator<Item = &str> {
+    entry.dataset.schema().fields().iter().map(|f| f.name())
 }
 
 /// Resolves a `where` clause `attr=value` into a predicate: the attribute
@@ -263,7 +291,7 @@ fn resolve_where(entry: &DatasetEntry, clause: &str) -> Result<(usize, u32), Str
     let (attr_raw, value_raw) = clause
         .split_once('=')
         .ok_or_else(|| format!("malformed where clause {clause:?}: expected attr=value"))?;
-    let attr = resolve_target(entry, attr_raw)?;
+    let attr = resolve_target(entry_names(entry), attr_raw)?;
     if let Ok(code) = value_raw.parse::<u32>() {
         return Ok((attr, code));
     }
@@ -302,49 +330,14 @@ pub fn run_query<O: QueryObserver>(
     obs: &mut O,
 ) -> Result<String, (u16, String)> {
     let cfg = config_for(spec);
-    let ds = &*entry.dataset;
-    let fail = |e: swope_core::SwopeError| (422, e.to_string());
-    // Every shape dispatches through its scoped entry point; a full scope
-    // (the common unscoped request) delegates inside swope-core to the
-    // exact pre-scope code path, bitwise identically.
+    // Every request runs through the one scoped entry point; a full scope
+    // (the common unscoped request) is the plain query, bit for bit.
     let scope = resolve_spec_scope(entry, spec).map_err(|m| (422, m))?;
-    let sk = Some(&*entry.sketch);
-    let (scores, stats, target) = match &spec.shape {
-        QueryShape::EntropyTopK { k } => {
-            let r = entropy_top_k_scoped_exec(ds, *k, &scope, sk, &cfg, obs, exec).map_err(fail)?;
-            (r.top, r.stats, None)
-        }
-        QueryShape::EntropyFilter { eta } => {
-            let r =
-                entropy_filter_scoped_exec(ds, *eta, &scope, sk, &cfg, obs, exec).map_err(fail)?;
-            (r.accepted, r.stats, None)
-        }
-        QueryShape::MiTopK { target, k } => {
-            let t = resolve_target(entry, target).map_err(|m| (422, m))?;
-            let r = mi_top_k_scoped_exec(ds, t, *k, &scope, sk, &cfg, obs, exec).map_err(fail)?;
-            (r.top, r.stats, Some(t))
-        }
-        QueryShape::MiFilter { target, eta } => {
-            let t = resolve_target(entry, target).map_err(|m| (422, m))?;
-            let r =
-                mi_filter_scoped_exec(ds, t, *eta, &scope, sk, &cfg, obs, exec).map_err(fail)?;
-            (r.accepted, r.stats, Some(t))
-        }
-        QueryShape::EntropyProfile => {
-            let r = entropy_profile_scoped_exec(ds, PROFILE_FLOOR, &scope, sk, &cfg, obs, exec)
-                .map_err(fail)?;
-            (r.scores, r.stats, None)
-        }
-        QueryShape::MiProfile { target } => {
-            let t = resolve_target(entry, target).map_err(|m| (422, m))?;
-            let r = mi_profile_scoped_exec(ds, t, PROFILE_FLOOR, &scope, sk, &cfg, obs, exec)
-                .map_err(fail)?;
-            (r.scores, r.stats, Some(t))
-        }
-    };
-    let target = target
-        .map(|t| (t, entry.dataset.schema().field(t).map(|f| f.name()).unwrap_or("?").to_owned()));
-    Ok(serialize(entry.generation, spec, target, &scores, &stats))
+    let shape = spec.shape.resolve(entry_names(entry)).map_err(|m| (422, m))?;
+    let answer = run(&entry.dataset, &shape, &scope, Some(&*entry.sketch), &cfg, obs, exec)
+        .map_err(|e| (422, e.to_string()))?;
+    let target = shape.target().map(|t| (t, entry_names(entry).nth(t).unwrap_or("?").to_owned()));
+    Ok(serialize(entry.generation, spec, target, &answer))
 }
 
 /// Connection parameters for the coordinator query path: the peer fleet
@@ -362,17 +355,6 @@ pub struct ClusterTarget {
     /// Idle peer sessions kept alive across queries; every fan-out
     /// checks sessions out of (and back into) this pool.
     pub pool: Arc<PeerPool>,
-}
-
-/// Resolves a target given as index or name against the fleet's schema.
-fn resolve_target_meta(attrs: &[AttrMeta], raw: &str) -> Result<usize, String> {
-    if let Ok(idx) = raw.parse::<usize>() {
-        if idx < attrs.len() {
-            return Ok(idx);
-        }
-        return Err(format!("target index {idx} out of range"));
-    }
-    attrs.iter().position(|a| a.name == raw).ok_or_else(|| format!("no attribute named {raw:?}"))
 }
 
 /// Maps a cluster-path error onto an HTTP status: transport failures are
@@ -393,7 +375,8 @@ fn cluster_fail(e: SwopeError) -> (u16, String) {
 ///
 /// Predicate (`where`) scopes need a row-set scan the wire protocol does
 /// not carry and are rejected with 422; row ranges are routed to the
-/// peers whose slices intersect them.
+/// peers whose slices intersect them — an empty range to none, and it
+/// answers like the single box's empty scope.
 pub fn run_query_cluster<O: QueryObserver>(
     cluster: &ClusterTarget,
     stats: &Arc<ClusterStats>,
@@ -414,8 +397,8 @@ pub fn run_query_cluster<O: QueryObserver>(
         return Err((422, "cluster queries support row sampling only".into()));
     };
     let scope = if spec.row_start.is_some() || spec.row_end.is_some() {
-        // Mirror the single-box rule: row_end clamps to N (the union),
-        // emptiness is rejected by the connect below.
+        // The single-box rule: row_end clamps to N (the union) in the
+        // connect below, which also rejects a start past the end.
         let start = spec.row_start.unwrap_or(0) as u64;
         let end = spec.row_end.map(|e| e as u64).unwrap_or(u64::MAX);
         Some(start..end)
@@ -432,57 +415,23 @@ pub fn run_query_cluster<O: QueryObserver>(
         Some(Arc::clone(&cluster.pool)),
     )
     .map_err(cluster_fail)?;
-    let resolve = |src: &RemoteShardSource, raw: &str| {
-        resolve_target_meta(src.attrs(), raw).map_err(|m| (422, m))
-    };
-    let (scores, stats, target) = match &spec.shape {
-        QueryShape::EntropyTopK { k } => {
-            let r = entropy_top_k_transport(&mut src, *k, &cfg, obs, exec).map_err(cluster_fail)?;
-            (r.top, r.stats, None)
-        }
-        QueryShape::EntropyFilter { eta } => {
-            let r =
-                entropy_filter_transport(&mut src, *eta, &cfg, obs, exec).map_err(cluster_fail)?;
-            (r.accepted, r.stats, None)
-        }
-        QueryShape::MiTopK { target, k } => {
-            let t = resolve(&src, target)?;
-            let r = mi_top_k_transport(&mut src, t, *k, &cfg, obs, exec).map_err(cluster_fail)?;
-            (r.top, r.stats, Some(t))
-        }
-        QueryShape::MiFilter { target, eta } => {
-            let t = resolve(&src, target)?;
-            let r =
-                mi_filter_transport(&mut src, t, *eta, &cfg, obs, exec).map_err(cluster_fail)?;
-            (r.accepted, r.stats, Some(t))
-        }
-        QueryShape::EntropyProfile => {
-            let r = entropy_profile_transport(&mut src, PROFILE_FLOOR, &cfg, obs, exec)
-                .map_err(cluster_fail)?;
-            (r.scores, r.stats, None)
-        }
-        QueryShape::MiProfile { target } => {
-            let t = resolve(&src, target)?;
-            let r = mi_profile_transport(&mut src, t, PROFILE_FLOOR, &cfg, obs, exec)
-                .map_err(cluster_fail)?;
-            (r.scores, r.stats, Some(t))
-        }
-    };
-    let target = target
-        .map(|t| (t, src.attrs().get(t).map(|a| a.name.clone()).unwrap_or_else(|| "?".into())));
+    let names = || src.attrs().iter().map(|a| a.name.as_str());
+    let shape = spec.shape.resolve(names()).map_err(|m| (422, m))?;
+    let target = shape.target().map(|t| (t, names().nth(t).unwrap_or("?").to_owned()));
+    let answer = run_sharded(&mut src, &shape, &cfg, obs, exec).map_err(cluster_fail)?;
     src.finish();
     // Generation 1 matches a fresh single box's first insert, keeping the
     // coordinator's bytes diffable against a single-box run.
-    Ok(serialize(1, spec, target, &scores, &stats))
+    Ok(serialize(1, spec, target, &answer))
 }
 
 fn serialize(
     generation: u64,
     spec: &QuerySpec,
     target: Option<(usize, String)>,
-    scores: &[AttrScore],
-    stats: &QueryStats,
+    answer: &Answer,
 ) -> String {
+    let Answer { scores, stats } = answer;
     let mut out = String::from("{\"query\":");
     escape_into(&mut out, spec.shape.name());
     out.push_str(",\"dataset\":");

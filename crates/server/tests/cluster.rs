@@ -173,17 +173,60 @@ fn coordinator_serves_single_box_identical_bytes() {
 }
 
 #[test]
-fn cluster_rejects_predicate_scopes_and_empty_ranges() {
+fn cluster_rejects_predicate_scopes_and_answers_empty_ranges_like_a_single_box() {
+    let single = TestServer::start(ServerConfig::default(), union_dataset());
     let (_peer_a, _peer_b, coordinator) = start_cluster();
 
     let reply = get(coordinator.addr, "/query/entropy-topk?dataset=tiny&k=2&where=0%3D1");
     assert_eq!(reply.status, 422, "{}", reply.body);
     assert!(reply.body.contains("row_start/row_end"), "{}", reply.body);
 
-    // Empty-after-clamp ranges fail the same way a single box does.
-    let reply = get(coordinator.addr, "/query/entropy-topk?dataset=tiny&k=2&row_start=400");
-    assert_eq!(reply.status, 422, "{}", reply.body);
-    assert!(Json::parse(&reply.body).unwrap().get("error").is_some());
+    // An empty range — `row_start = N` after the clamp, or start = end —
+    // is a well-defined answer on a single box (zero scores, no
+    // iterations), and the coordinator serves the same bytes. A start
+    // past the clamped end is the same one-line 422 on both.
+    let shapes = [
+        "entropy-topk?dataset=tiny&k=2",
+        "entropy-filter?dataset=tiny&eta=1.0",
+        "entropy-profile?dataset=tiny",
+        "mi-topk?dataset=tiny&target=0&k=2",
+        "mi-filter?dataset=tiny&target=0&eta=0.05",
+        "mi-profile?dataset=tiny&target=0",
+    ];
+    for shape in shapes {
+        for range in ["row_start=400", "row_start=100&row_end=100"] {
+            let path = format!("/query/{shape}&{range}");
+            let want = get(single.addr, &path);
+            assert_eq!(want.status, 200, "single box failed {path}: {}", want.body);
+            let stats = Json::parse(&want.body).unwrap().get("stats").cloned().unwrap();
+            assert_eq!(stats.get("iterations").unwrap().as_u64(), Some(0), "{path}");
+            let got = get(coordinator.addr, &path);
+            assert_eq!((got.status, &got.body), (200, &want.body), "bodies differ for {path}");
+        }
+        let path = format!("/query/{shape}&row_start=401");
+        let (want, got) = (get(single.addr, &path), get(coordinator.addr, &path));
+        assert_eq!(want.status, 422, "{path}: {}", want.body);
+        assert!(want.body.contains("invalid scope"), "{}", want.body);
+        assert_eq!((got.status, &got.body), (422, &want.body), "errors differ for {path}");
+    }
+    // None of that reached a peer past its `Hello`: nothing was counted.
+    let metrics = get(coordinator.addr, "/metrics").body;
+    assert_eq!(metric(&metrics, "swope_cluster_merges_total"), 0);
+    assert_eq!(metric(&metrics, "swope_cluster_peer_errors_total"), 0);
+}
+
+/// One target resolver: a single box and a coordinator word an unknown or
+/// out-of-range target the same way.
+#[test]
+fn a_bad_target_is_the_same_422_on_a_single_box_and_a_coordinator() {
+    let single = TestServer::start(ServerConfig::default(), union_dataset());
+    let (_peer_a, _peer_b, coordinator) = start_cluster();
+    for target in ["nope", "99"] {
+        let path = format!("/query/mi-topk?dataset=tiny&k=1&target={target}");
+        let (want, got) = (get(single.addr, &path), get(coordinator.addr, &path));
+        assert_eq!(want.status, 422, "{path}: {}", want.body);
+        assert_eq!((got.status, &got.body), (422, &want.body), "errors differ for {path}");
+    }
 }
 
 #[test]

@@ -17,8 +17,8 @@
 use swope_baselines::exact_entropy_scores;
 use swope_columnar::{Column, Dataset, DatasetSketch, Field, Schema, PAGE_ROWS};
 use swope_core::{
-    entropy_filter, entropy_filter_scoped, entropy_top_k, entropy_top_k_scoped, sketch_stats,
-    FilterResult, Scope, SwopeConfig, TopKResult,
+    entropy_filter, entropy_top_k, run, sketch_stats, Executor, FilterResult, NoopObserver, Scope,
+    Shape, SwopeConfig, TopKResult,
 };
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -136,16 +136,19 @@ fn sketch_hybrid_failure_rates_within_budget() {
         let exact = exact_entropy_scores(&dataset_of(
             (0..ds.num_attrs()).map(|a| (start..end).map(|row| ds.column(a).code(row)).collect()),
         ));
-        for run in 0..RUNS_PER_RANGE {
-            let seed = (r as u64 * 1_000 + run).wrapping_mul(0x9E37_79B9);
-            let top = entropy_top_k_scoped(&ds, 3, &scope, Some(&sketch), &config(0.15, P_F, seed))
-                .unwrap();
-            if !definition5_holds(&top, &exact, 0.15) {
+        let hybrid = |shape: Shape, cfg: &SwopeConfig| {
+            let exec = Executor::sequential();
+            run(&ds, &shape, &scope, Some(&sketch), cfg, &mut NoopObserver, &exec).unwrap()
+        };
+        for i in 0..RUNS_PER_RANGE {
+            let seed = (r as u64 * 1_000 + i).wrapping_mul(0x9E37_79B9);
+            let top = hybrid(Shape::EntropyTopK { k: 3 }, &config(0.15, P_F, seed));
+            if !definition5_holds(&top.into(), &exact, 0.15) {
                 top_k_violations += 1;
             }
             let cfg = config(0.1, P_F, seed ^ 0x2545_F491);
-            let filtered = entropy_filter_scoped(&ds, 3.5, &scope, Some(&sketch), &cfg).unwrap();
-            if !definition6_holds(&filtered, &exact, 3.5, 0.1) {
+            let filtered = hybrid(Shape::EntropyFilter { eta: 3.5 }, &cfg);
+            if !definition6_holds(&filtered.into(), &exact, 3.5, 0.1) {
                 filter_violations += 1;
             }
         }

@@ -2,12 +2,14 @@
 //! event stream, the metrics registry agrees with the per-query
 //! statistics, and attaching observers never changes query answers.
 
+#[path = "../../crates/core/tests/common/mod.rs"]
+mod common;
+
+use common::{all_shapes, plain};
+use swope_columnar::Dataset;
 use swope_core::{
-    entropy_filter, entropy_filter_observed, entropy_profile, entropy_profile_observed,
-    entropy_top_k, entropy_top_k_observed, entropy_top_k_scoped_exec, entropy_top_k_sharded_exec,
-    mi_filter, mi_filter_observed, mi_profile, mi_profile_observed, mi_top_k, mi_top_k_batch,
-    mi_top_k_batch_observed, mi_top_k_observed, Executor, JsonlSink, MetricsRegistry, Scope,
-    SwopeConfig,
+    mi_top_k_batch, mi_top_k_batch_exec, run, run_sharded, Answer, Executor, JsonlSink,
+    LocalShardSource, MetricsRegistry, Scope, Shape, SwopeConfig,
 };
 use swope_datagen::{corpus, generate};
 use swope_obs::json::Json;
@@ -21,6 +23,26 @@ fn dataset() -> swope_columnar::Dataset {
 
 fn cfg(seed: u64) -> SwopeConfig {
     SwopeConfig::with_epsilon(0.2).with_seed(seed)
+}
+
+/// `shape` over the whole of `ds`, observed, on `cfg.threads` workers.
+fn observed<O: QueryObserver>(
+    ds: &Dataset,
+    shape: &Shape,
+    cfg: &SwopeConfig,
+    obs: &mut O,
+) -> Answer {
+    run(ds, shape, &Scope::all(), None, cfg, obs, &Executor::new(cfg.threads)).unwrap()
+}
+
+/// The batch engine, observed, on `cfg.threads` workers.
+fn batch_observed<O: QueryObserver>(
+    ds: &Dataset,
+    targets: &[usize],
+    cfg: &SwopeConfig,
+    obs: &mut O,
+) -> Vec<swope_core::TopKResult> {
+    mi_top_k_batch_exec(ds, targets, 3, cfg, obs, &Executor::new(cfg.threads)).unwrap()
 }
 
 /// Runs `f` against an in-memory JSONL sink and returns the parsed lines.
@@ -69,41 +91,18 @@ fn assert_stream_shape(events: &[Json], kind: QueryKind, candidates: u64) {
 fn jsonl_stream_is_parseable_for_all_six_loops() {
     let ds = dataset();
     let h = ds.num_attrs() as u64;
-    let target = 3;
     let batch_targets = [0usize, 5];
 
-    let events = capture(|s| {
-        entropy_top_k_observed(&ds, 4, &cfg(1), s).unwrap();
-    });
-    assert_stream_shape(&events, QueryKind::EntropyTopK, h);
+    for (i, shape) in all_shapes().iter().enumerate() {
+        let events = capture(|s| {
+            observed(&ds, shape, &cfg(i as u64 + 1), s);
+        });
+        let candidates = h - u64::from(shape.target().is_some());
+        assert_stream_shape(&events, shape.kind(), candidates);
+    }
 
     let events = capture(|s| {
-        entropy_filter_observed(&ds, 1.5, &cfg(2), s).unwrap();
-    });
-    assert_stream_shape(&events, QueryKind::EntropyFilter, h);
-
-    let events = capture(|s| {
-        entropy_profile_observed(&ds, 0.25, &cfg(3), s).unwrap();
-    });
-    assert_stream_shape(&events, QueryKind::EntropyProfile, h);
-
-    let events = capture(|s| {
-        mi_top_k_observed(&ds, target, 4, &cfg(4), s).unwrap();
-    });
-    assert_stream_shape(&events, QueryKind::MiTopK, h - 1);
-
-    let events = capture(|s| {
-        mi_filter_observed(&ds, target, 0.05, &cfg(5), s).unwrap();
-    });
-    assert_stream_shape(&events, QueryKind::MiFilter, h - 1);
-
-    let events = capture(|s| {
-        mi_profile_observed(&ds, target, 0.1, &cfg(6), s).unwrap();
-    });
-    assert_stream_shape(&events, QueryKind::MiProfile, h - 1);
-
-    let events = capture(|s| {
-        mi_top_k_batch_observed(&ds, &batch_targets, 3, &cfg(7), s).unwrap();
+        batch_observed(&ds, &batch_targets, &cfg(7), s);
     });
     assert_stream_shape(&events, QueryKind::MiTopKBatch, batch_targets.len() as u64 * (h - 1));
 }
@@ -112,7 +111,7 @@ fn jsonl_stream_is_parseable_for_all_six_loops() {
 fn jsonl_query_end_matches_returned_stats() {
     let ds = dataset();
     let mut sink = JsonlSink::new(Vec::new());
-    let res = entropy_top_k_observed(&ds, 3, &cfg(11), &mut sink).unwrap();
+    let res = observed(&ds, &all_shapes()[0], &cfg(11), &mut sink);
     let bytes = sink.finish().unwrap();
     let text = String::from_utf8(bytes).unwrap();
     let end =
@@ -129,9 +128,8 @@ fn metrics_registry_totals_match_query_stats() {
     let registry = MetricsRegistry::new();
     let h = ds.num_attrs() as u64;
 
-    let topk = entropy_top_k_observed(&ds, 4, &cfg(21), &mut &registry).unwrap();
-    let filt = entropy_filter_observed(&ds, 1.5, &cfg(22), &mut &registry).unwrap();
-    let mi = mi_top_k_observed(&ds, 2, 3, &cfg(23), &mut &registry).unwrap();
+    let [topk, filt, mi] =
+        [0, 1, 2].map(|i| observed(&ds, &all_shapes()[i], &cfg(21 + i as u64), &mut &registry));
 
     assert_eq!(registry.queries_all_kinds(), 3);
     assert_eq!(registry.queries_total(QueryKind::EntropyTopK), 1);
@@ -255,7 +253,6 @@ fn metrics_registry_totals_survive_concurrent_hammering() {
 #[test]
 fn observers_never_change_answers() {
     let ds = dataset();
-    let target = 4;
     let targets = [1usize, 6];
 
     // Each pair runs the same seed with and without observation; results
@@ -264,33 +261,18 @@ fn observers_never_change_answers() {
     let registry = MetricsRegistry::new();
     let mut acc = PhaseAccumulator::new();
 
-    let plain = entropy_top_k(&ds, 4, &cfg(31)).unwrap();
-    let seen = entropy_top_k_observed(&ds, 4, &cfg(31), &mut &registry).unwrap();
-    assert_eq!(plain, seen);
+    for (i, shape) in all_shapes().iter().enumerate() {
+        let config = cfg(31 + i as u64);
+        let seen = if i == 1 {
+            observed(&ds, shape, &config, &mut acc)
+        } else {
+            observed(&ds, shape, &config, &mut &registry)
+        };
+        assert_eq!(plain(&ds, shape, &config), seen, "{shape:?}");
+    }
 
-    let plain = entropy_filter(&ds, 1.5, &cfg(32)).unwrap();
-    let seen = entropy_filter_observed(&ds, 1.5, &cfg(32), &mut acc).unwrap();
-    assert_eq!(plain, seen);
-
-    let plain = entropy_profile(&ds, 0.25, &cfg(33)).unwrap();
-    let seen = entropy_profile_observed(&ds, 0.25, &cfg(33), &mut &registry).unwrap();
-    assert_eq!(plain, seen);
-
-    let plain = mi_top_k(&ds, target, 3, &cfg(34)).unwrap();
-    let seen = mi_top_k_observed(&ds, target, 3, &cfg(34), &mut &registry).unwrap();
-    assert_eq!(plain, seen);
-
-    let plain = mi_filter(&ds, target, 0.05, &cfg(35)).unwrap();
-    let seen = mi_filter_observed(&ds, target, 0.05, &cfg(35), &mut &registry).unwrap();
-    assert_eq!(plain, seen);
-
-    let plain = mi_profile(&ds, target, 0.1, &cfg(36)).unwrap();
-    let seen = mi_profile_observed(&ds, target, 0.1, &cfg(36), &mut &registry).unwrap();
-    assert_eq!(plain, seen);
-
-    let plain = mi_top_k_batch(&ds, &targets, 3, &cfg(37)).unwrap();
-    let seen = mi_top_k_batch_observed(&ds, &targets, 3, &cfg(37), &mut &registry).unwrap();
-    assert_eq!(plain, seen);
+    let plain_batch = mi_top_k_batch(&ds, &targets, 3, &cfg(37)).unwrap();
+    assert_eq!(plain_batch, batch_observed(&ds, &targets, &cfg(37), &mut &registry));
 
     // The filter pair ran through the accumulator: phases were timed.
     assert!(acc.total_nanos() > 0);
@@ -302,29 +284,28 @@ fn observers_never_change_answers_multithreaded() {
     let threaded = |seed: u64| SwopeConfig::with_epsilon(0.2).with_seed(seed).with_threads(4);
 
     let registry = MetricsRegistry::new();
-    let plain = entropy_top_k(&ds, 4, &threaded(41)).unwrap();
-    let seen = entropy_top_k_observed(&ds, 4, &threaded(41), &mut &registry).unwrap();
-    assert_eq!(plain, seen);
+    let shape = all_shapes()[0];
+    let unobserved = plain(&ds, &shape, &threaded(41));
+    assert_eq!(unobserved, observed(&ds, &shape, &threaded(41), &mut &registry));
+    assert_eq!(unobserved, plain(&ds, &shape, &cfg(41)), "thread count must not change results");
 
-    let serial = entropy_top_k(&ds, 4, &cfg(41)).unwrap();
-    assert_eq!(plain, serial, "thread count must not change results");
-
-    let plain = mi_top_k_batch(&ds, &[0, 5], 3, &threaded(42)).unwrap();
-    let seen = mi_top_k_batch_observed(&ds, &[0, 5], 3, &threaded(42), &mut &registry).unwrap();
-    assert_eq!(plain, seen);
+    let unobserved = mi_top_k_batch(&ds, &[0, 5], 3, &threaded(42)).unwrap();
+    assert_eq!(unobserved, batch_observed(&ds, &[0, 5], &threaded(42), &mut &registry));
 }
 
 #[test]
 fn phase_accumulator_covers_every_phase() {
     let ds = dataset();
     let mut acc = PhaseAccumulator::new();
-    entropy_top_k_observed(&ds, 4, &cfg(51), &mut acc).unwrap();
+    let (shape, exec) = (all_shapes()[0], Executor::new(1));
+    observed(&ds, &shape, &cfg(51), &mut acc);
     // The store_sketch phase (scope resolution) only fires on scoped
     // queries; a sub-range scope covers it.
     let scope = Scope::range(100, ds.num_rows() - 100);
-    entropy_top_k_scoped_exec(&ds, 4, &scope, None, &cfg(51), &mut acc, &Executor::new(1)).unwrap();
-    // The shard_merge phase only fires on sharded loops.
-    entropy_top_k_sharded_exec(&ds, 4, 2, &cfg(51), &mut acc, &Executor::new(1)).unwrap();
+    run(&ds, &shape, &scope, None, &cfg(51), &mut acc, &exec).unwrap();
+    // The shard_merge phase only fires on sharded runs.
+    let mut shards = LocalShardSource::new(&ds, 2, &cfg(51), &exec).unwrap();
+    run_sharded(&mut shards, &shape, &cfg(51), &mut acc, &exec).unwrap();
     for p in Phase::ALL {
         assert!(acc.calls[p.index()] > 0, "phase {} never reported", p.name());
     }
