@@ -1,22 +1,24 @@
-//! Pager benchmark: what out-of-core costs and what compression buys.
+//! Pager benchmark: what out-of-core costs and what the budget holds.
 //!
-//! Four questions, one JSON. First, cold fault latency: decoding a
-//! 64Ki-row page from the mapped snapshot into hot codes, measured both
-//! as a scan median and as the pager's own `fault_nanos / faults`
-//! average. Second, residency under a byte budget: a dataset four times
-//! the configured budget is scanned repeatedly, and the peak resident
-//! gauge must stay at or under the budget while evictions churn. Third,
-//! the RLE/palette ratio: demoted cold pages of skewed low-support data
-//! should compress well below the half-plain-bytes admission threshold,
-//! and an eviction should cost about what the refault it saves does
-//! (`evict_ns_avg`). Fourth, the read the adaptive loops actually do: a
-//! *shuffled* sample gathered block by block from every column, warm
-//! paged vs heap (`gather_paged_over_heap`) — the sequential scans above
-//! cannot see a per-row page-switch cost, which is how one hid here.
+//! Four questions, one JSON. First, cold fault latency: admitting a
+//! 64Ki-row page of the mapped snapshot on its first touch (CRC and
+//! support check included), measured both as a scan median and as the
+//! pager's own `fault_nanos / faults` average. Second, residency under a
+//! byte budget: a dataset four times the configured budget is scanned
+//! repeatedly, and the peak resident gauge must stay at or under the
+//! budget while evictions churn; opening it must not leave the file
+//! resident (`paged_open_rss_delta_bytes`). Third, what the budget costs
+//! a page that comes back: `evict_ns_avg` (the sweep, `madvise`
+//! included) and `refault_ns_avg` (touching a page the sweep released —
+//! admission plus the kernel's minor fault). Fourth, the read the
+//! adaptive loops actually do: a *shuffled* sample gathered block by
+//! block from every column, warm paged vs heap
+//! (`gather_paged_over_heap`) — the sequential scans above cannot see a
+//! per-row page-switch cost, which is how one hid here.
 //! Results persist to `results/BENCH_pager.json`; the CI pager-smoke
 //! step runs this with `SWOPE_MICRO_MS=1` and validates the fields,
-//! the budget/ratio invariants and the (machine-independent) gather
-//! ratio, not the wall-clock numbers.
+//! the budget invariant and the (machine-independent) gather ratio, not
+//! the wall-clock numbers.
 
 use std::sync::Arc;
 
@@ -30,15 +32,12 @@ use swope_obs::json::ObjectWriter;
 use swope_sampling::{PrefixShuffle, Sampler};
 
 /// Four full 64Ki-row pages per column — no partial tail, so every page
-/// has identical plain bytes and the compression ratio is exact.
+/// has identical plain bytes.
 const ROWS: usize = 4 * 65536;
 
 /// All three `tiny` columns pack to u8 (supports 9/23/7), giving
-/// 64 KiB plain pages and heavily skewed codes the RLE/palette
-/// re-encoder was built for.
+/// 64 KiB pages.
 const COLS: usize = 3;
-
-const PAGE_PLAIN_BYTES: f64 = 65536.0;
 
 fn scan_all(ds: &Dataset) {
     for attr in 0..ds.num_attrs() {
@@ -75,6 +74,15 @@ fn gather_block<R: CodeRepr>(codes: &[R], block: &[u32], buf: &mut CodeBuf) {
     gather(codes, block, R::buf(buf));
 }
 
+/// Growth of this process's RSS since `before`, in bytes; `-1` where
+/// there is no `/proc` to read it from.
+fn rss_delta(before: Option<u64>) -> f64 {
+    match (before, rss_bytes()) {
+        (Some(before), Some(after)) => after.saturating_sub(before) as f64,
+        _ => -1.0,
+    }
+}
+
 fn main() {
     let ds = swope_datagen::generate(&swope_datagen::corpus::tiny(ROWS, COLS), 0x7A6E);
     let path = std::env::temp_dir().join(format!("swope-bench-pager-{}.swop", std::process::id()));
@@ -101,8 +109,8 @@ fn main() {
         black_box(())
     });
 
-    // Warm paged scan: pages stay hot in an unbounded cache, so this
-    // prices the cursor/page-lookup indirection alone.
+    // Warm paged scan: pages stay resident in an unbounded cache, so
+    // this prices the page lookup and the in-place decode alone.
     let (warm, _) = snapshot::open_paged(&path, Arc::new(PageCache::unbounded())).unwrap();
     scan_all(&warm);
     let warm_scan_ns = g.bench("warm_scan_all_columns", || {
@@ -136,26 +144,21 @@ fn main() {
     let (paged, _) = snapshot::open_paged(&path, Arc::clone(&cache)).unwrap();
     scan_all(&paged);
     let cold = cache.snapshot();
-    let paged_rss_delta = match (rss_before, rss_bytes()) {
-        (Some(before), Some(after)) => after.saturating_sub(before) as f64,
-        _ => -1.0, // no /proc on this platform
-    };
+    let paged_rss_delta = rss_delta(rss_before);
     drop(paged);
     let fault_ns = cold.fault_nanos as f64 / cold.faults.max(1) as f64;
 
     let rss_before = rss_bytes();
     let heap_copy = snapshot::read_file_with_sketch(&path).unwrap().0;
-    let heap_rss_delta = match (rss_before, rss_bytes()) {
-        (Some(before), Some(after)) => after.saturating_sub(before) as f64,
-        _ => -1.0,
-    };
+    let heap_rss_delta = rss_delta(rss_before);
     drop(heap_copy);
 
     // Budget mode: repeated full scans through a quarter-size cache, so
-    // eviction churns, cold pages demote through the RLE/palette stage,
-    // and refaults decode from compressed instead of re-reading disk.
+    // eviction churns and every pass re-admits pages the last released.
+    let rss_before = rss_bytes();
     let cache_b = Arc::new(PageCache::new(Some(budget)));
     let (paged_b, _) = snapshot::open_paged(&path, Arc::clone(&cache_b)).unwrap();
+    let open_rss_delta = rss_delta(rss_before);
     let budget_scan_ns = g.bench("budget_scan_with_eviction", || {
         scan_all(&paged_b);
         black_box(())
@@ -168,11 +171,23 @@ fn main() {
         snap.peak_resident_bytes
     );
     let evict_ns_avg = snap.evict_nanos as f64 / snap.evictions as f64;
-    let rle_ratio = if snap.compressed_pages > 0 {
-        (snap.compressed_bytes as f64 / snap.compressed_pages as f64) / PAGE_PLAIN_BYTES
-    } else {
-        -1.0
-    };
+    drop(paged_b);
+
+    // Release, then touch again: under a one-page budget each first-row
+    // read admits its page and releases the previous one, so a round
+    // over a column's (already validated) pages is one refault apiece.
+    let cache_r = Arc::new(PageCache::new(Some(65536)));
+    let (paged_r, _) = snapshot::open_paged(&path, Arc::clone(&cache_r)).unwrap();
+    scan_all(&paged_r);
+    let column = paged_r.column(0);
+    let pages = ROWS / 65536;
+    let round_ns = g.bench("refault_round_one_page_budget", || {
+        for page in 0..pages {
+            black_box(column.code(page * 65536));
+        }
+    });
+    let refault_ns_avg = round_ns / pages as f64;
+    drop(paged_r);
 
     let mut w = ObjectWriter::new();
     w.str_field("bench", "pager")
@@ -191,17 +206,14 @@ fn main() {
         .f64_field("gather_paged_ns", gather_paged_ns)
         .f64_field("gather_paged_over_heap", gather_paged_ns / gather_heap_ns)
         .f64_field("evict_ns_avg", evict_ns_avg)
-        .u64_field("budget_compressions", snap.compressions)
+        .f64_field("refault_ns_avg", refault_ns_avg)
         .u64_field("cold_faults", cold.faults)
         .u64_field("cold_crc_validations", cold.crc_validations)
         .u64_field("budget_faults", snap.faults)
         .u64_field("budget_evictions", snap.evictions)
-        .u64_field("budget_decompressions", snap.decompressions)
         .u64_field("peak_resident_bytes", snap.peak_resident_bytes)
         .u64_field("resident_bytes", snap.resident_bytes)
-        .u64_field("compressed_pages", snap.compressed_pages)
-        .u64_field("compressed_bytes", snap.compressed_bytes)
-        .f64_field("rle_ratio", rle_ratio)
+        .f64_field("paged_open_rss_delta_bytes", open_rss_delta)
         .f64_field("paged_cold_rss_delta_bytes", paged_rss_delta)
         .f64_field("heap_load_rss_delta_bytes", heap_rss_delta);
     let json = w.finish();

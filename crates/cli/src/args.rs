@@ -73,11 +73,11 @@ serve options:
 
 out-of-core storage (serve, and any query command reading a .swop file):
   --mmap                    serve snapshots out-of-core: map the file and
-                            decode 65536-row pages on demand through the
-                            page cache instead of loading columns eagerly
-  --store-budget-bytes <n>  page-cache byte budget; past it cold pages are
-                            re-compressed and evicted (default: unbounded;
-                            implies --mmap)";
+                            read 65536-row pages in place, on demand,
+                            instead of loading columns eagerly
+  --store-budget-bytes <n>  bytes of the mapped snapshot kept resident; past
+                            it the coldest pages are released to the OS
+                            (default: unbounded; implies --mmap)";
 
 /// Which algorithm a query should run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

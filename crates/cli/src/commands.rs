@@ -105,8 +105,8 @@ fn load(opts: &Options) -> Result<Dataset, String> {
 fn load_with_sketch(opts: &Options) -> Result<(Dataset, Option<DatasetSketch>), String> {
     let path = opts.positional.first().ok_or("expected a dataset file argument")?;
     let (ds, sketch) = if opts.paged() {
-        // Out-of-core: map the snapshot and decode pages on demand
-        // through a command-scoped page cache. CSV inputs have no paged
+        // Out-of-core: map the snapshot and read pages in place, on
+        // demand, under a command-scoped page cache. CSV inputs have no paged
         // form and load eagerly as before.
         let cache = std::sync::Arc::new(PageCache::new(opts.store_budget_bytes));
         Dataset::from_path_paged(path, cache).map_err(|e| format!("loading {path}: {e}"))?

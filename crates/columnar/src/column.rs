@@ -19,8 +19,8 @@ use crate::{Code, ColumnarError};
 ///   `u16` up to 65536, `u32` beyond). The eager loader and every
 ///   in-memory constructor produce this.
 /// * **Paged** — [`swope_pager::PagedColumn`], codes left in a mapped
-///   snapshot and faulted page-by-page through a byte-budget cache. The
-///   out-of-core loader (`snapshot::open_paged`) produces this.
+///   snapshot and read there, page-by-page, under a byte-budget cache.
+///   The out-of-core loader (`snapshot::open_paged`) produces this.
 ///
 /// Hot loops dispatch once per call via [`Column::storage`] and then run
 /// width-monomorphized on either representation; both decode the same
@@ -42,7 +42,7 @@ enum Repr {
 pub enum ColumnStorage<'a> {
     /// Fully decoded in memory.
     Heap(&'a PackedColumn),
-    /// Faulted page-by-page out of a mapped snapshot.
+    /// Read in place, page-by-page, out of a mapped snapshot.
     Paged(&'a PagedColumn),
 }
 
@@ -166,8 +166,8 @@ impl Column {
     }
 
     /// Bytes the column's codes currently occupy in memory: the full
-    /// packed size for heap columns, the resident (hot + compressed)
-    /// page bytes for paged columns.
+    /// packed size for heap columns, the bytes of the mapped pages the
+    /// cache counts resident for paged columns.
     #[inline]
     pub fn bytes_in_memory(&self) -> usize {
         match &self.repr {

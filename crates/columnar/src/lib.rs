@@ -76,9 +76,10 @@ pub use swope_store::crc32::crc32;
 
 // The pager types callers need to open datasets out-of-core: the page
 // cache a budget is configured on (plus its metrics snapshot), the
-// pager-backed column hot loops dispatch to via [`ColumnStorage`], and
-// the row-list grouper [`Dataset::page_grouper`] hands those loops.
-pub use swope_pager::{PageCache, PageGrouper, PagedColumn, PagerSnapshot};
+// pager-backed column hot loops dispatch to via [`ColumnStorage`], the
+// row-list grouper [`Dataset::page_grouper`] hands those loops, and the
+// byte sources `snapshot::open_paged_on` accepts.
+pub use swope_pager::{HeapMapping, Mapping, PageCache, PageGrouper, PagedColumn, PagerSnapshot};
 
 /// Index of an attribute (column) within a dataset. Always in `0..h`.
 pub type AttrIndex = usize;

@@ -49,13 +49,13 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use swope_pager::{PageCache, PagedColumn};
+use swope_pager::{Mapping, PageCache, PagedColumn};
 use swope_sketch::{ColumnSketch, ColumnSketchBuilder, DatasetSketch};
 use swope_store::crc32::crc32;
 use swope_store::section::{
     validate_sections, Section, SECTION_COLUMN, SECTION_SCHEMA, SECTION_SKETCH,
 };
-use swope_store::{for_packed, page, CodeRepr, PackedColumn, Width};
+use swope_store::{page, PackedColumn, Width};
 
 use crate::{Column, ColumnStorage, ColumnarError, Dataset, Dictionary, Field, Schema};
 
@@ -142,9 +142,10 @@ pub fn write<W: Write>(dataset: &Dataset, writer: &mut W) -> Result<(), Columnar
     Ok(())
 }
 
-/// Streams a pager-backed column's page payload, faulting one page at a
-/// time — re-snapshotting an out-of-core dataset never needs a whole
-/// column in memory, and every page's CRC is verified on the way through.
+/// Streams a pager-backed column's page payload one page at a time,
+/// straight from the bytes the mapping holds — re-snapshotting an
+/// out-of-core dataset copies nothing but the output, and every page's
+/// CRC is verified (once, on first touch) on the way through.
 fn write_paged_column<W: Write>(paged: &PagedColumn, writer: &mut W) -> Result<(), ColumnarError> {
     if paged.page_rows() != page::PAGE_ROWS {
         // Foreign page geometry (only a hand-crafted file can carry one):
@@ -156,21 +157,18 @@ fn write_paged_column<W: Write>(paged: &PagedColumn, writer: &mut W) -> Result<(
     }
     writer.write_all(&(page::PAGE_ROWS as u32).to_le_bytes())?;
     writer.write_all(&(paged.num_pages() as u32).to_le_bytes())?;
-    let mut payload = Vec::new();
     for index in 0..paged.num_pages() {
         let codes = paged.page(index).map_err(store_err)?;
-        payload.clear();
-        for_packed!(&*codes, |cs| CodeRepr::extend_le_bytes(cs, &mut payload));
         writer.write_all(&(codes.len() as u32).to_le_bytes())?;
-        writer.write_all(&crc32(&payload).to_le_bytes())?;
-        writer.write_all(&payload)?;
+        writer.write_all(&crc32(codes.payload()).to_le_bytes())?;
+        writer.write_all(codes.payload())?;
     }
     Ok(())
 }
 
 /// Builds the per-page partition sketch for `dataset` from its packed
 /// columns (exact per-page code histograms; see `swope_sketch`). Paged
-/// columns are sketched one faulted page at a time, so the build stays
+/// columns are sketched one page at a time, in place, so the build stays
 /// within the pager's byte budget.
 pub fn build_sketch(dataset: &Dataset) -> DatasetSketch {
     let columns = (0..dataset.num_attrs())
@@ -192,7 +190,7 @@ fn sketch_paged(paged: &PagedColumn) -> ColumnSketch {
     let mut builder = ColumnSketchBuilder::new(paged.support());
     for index in 0..paged.num_pages() {
         let codes = paged.page(index).unwrap_or_else(|e| panic!("{e}"));
-        builder.push_page(&codes);
+        builder.push_page(|counts| codes.for_each(|c| counts[c as usize] += 1));
     }
     builder.finish()
 }
@@ -279,20 +277,26 @@ fn decode_v2(bytes: &[u8], buf: &[u8]) -> Result<(Dataset, Option<DatasetSketch>
 
 /// Opens the snapshot at `path` out-of-core: the file is mapped (or
 /// buffered when mmap is unavailable — see `swope_pager::open_mapping`)
-/// and every v2 column becomes a [`PagedColumn`] whose pages fault
-/// through `cache` on first touch. Page CRCs are verified lazily, at
-/// first touch, so opening costs section/schema validation plus one
-/// 8-byte header walk per page — no payload reads.
-///
-/// The snapshot's own partition sketch (when present) doubles as the
-/// pager's eviction hint: each page's cold-tier encoding is picked from
-/// its sketch histogram. v1 snapshots pre-date paging and fall back to
-/// the eager heap loader.
+/// and every v2 column becomes a [`PagedColumn`] reading its pages in
+/// place and accounting them through `cache` on first touch. Page CRCs
+/// are verified lazily, at first touch, so opening costs section/schema
+/// validation plus one 8-byte header walk per page — no payload reads —
+/// and under a byte budget leaves none of the file resident.
+/// v1 snapshots pre-date paging and fall back to the eager heap loader.
 pub fn open_paged(
     path: impl AsRef<Path>,
     cache: Arc<PageCache>,
 ) -> Result<(Dataset, Option<DatasetSketch>), ColumnarError> {
-    let mapping = swope_pager::open_mapping(path.as_ref())?;
+    open_paged_on(swope_pager::open_mapping(path.as_ref())?, cache)
+}
+
+/// [`open_paged`] over a byte source the caller opened — how a test
+/// picks the read fallback (or a mapping of its own) without the
+/// process-wide `SWOPE_FORCE_READ`.
+pub fn open_paged_on(
+    mapping: Arc<dyn Mapping>,
+    cache: Arc<PageCache>,
+) -> Result<(Dataset, Option<DatasetSketch>), ColumnarError> {
     let bytes = mapping.bytes();
     let mut buf = bytes;
     let mut magic = [0u8; 4];
@@ -314,8 +318,6 @@ pub fn open_paged(
     let n = parsed.n;
     let mut columns = Vec::with_capacity(parsed.fields.len());
     for (attr, ((width, range), field)) in parsed.columns.iter().zip(&parsed.fields).enumerate() {
-        let picks =
-            parsed.sketch.as_ref().and_then(|s| s.column(attr)).map(|cs| cs.encoding_picks(*width));
         let paged = PagedColumn::open(
             mapping.clone(),
             cache.clone(),
@@ -323,10 +325,15 @@ pub fn open_paged(
             n,
             field.support(),
             *width,
-            picks,
         )
         .map_err(|e| ColumnarError::Snapshot(format!("column {attr}: {e}")))?;
-        columns.push(Column::from_paged(Arc::new(paged)));
+        columns.push(Column::from_paged(paged));
+    }
+    if cache.budget_bytes().is_some() {
+        // Parsing read the schema and sketch sections through the
+        // mapping; both now live decoded on the heap. Nothing of the
+        // file is counted resident yet, so nothing of it should be.
+        mapping.release(0..bytes.len());
     }
     Dataset::new(Schema::new(parsed.fields), columns).map(|dataset| (dataset, parsed.sketch))
 }
@@ -551,10 +558,28 @@ pub fn read<R: Read>(reader: &mut R) -> Result<Dataset, ColumnarError> {
     decode(&bytes)
 }
 
-/// Writes `dataset` to the file at `path`.
+/// Writes `dataset` to the file at `path`, replacing whatever is there
+/// *by rename*: the bytes go to a sibling temp file that is renamed over
+/// `path` once complete. A snapshot may be mapped by a running server
+/// (or be the very file `dataset` is paged from); truncating it in place
+/// would turn that process's next page read into a SIGBUS, whereas the
+/// old inode keeps backing every live mapping until it is unmapped. A
+/// failed write leaves `path` as it was.
 pub fn write_file(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), ColumnarError> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write(dataset, &mut f)
+    let path = path.as_ref();
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{}.tmp", std::process::id()));
+    let tmp = path.with_file_name(name);
+    let written = (|| {
+        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        write(dataset, &mut f)?;
+        f.flush()?;
+        Ok(std::fs::rename(&tmp, path)?)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// Reads a dataset from the file at `path`.
@@ -676,16 +701,22 @@ mod tests {
 
     /// A dataset spanning all three storage widths.
     fn tri_width() -> Dataset {
+        tri_width_from(0)
+    }
+
+    /// [`tri_width`] with every code sequence started `shift` rows in:
+    /// same shape and snapshot size, different bytes.
+    fn tri_width_from(shift: u32) -> Dataset {
         let schema = Schema::new(vec![
             Field::new("narrow", 256),
             Field::new("mid", 70_000 - 30_000), // u16
             Field::new("wide", 70_000),         // u32
         ]);
-        let n = 3000u32;
+        let rows = shift..shift + 3000;
         let cols = vec![
-            Column::new((0..n).map(|i| i % 256).collect(), 256).unwrap(),
-            Column::new((0..n).map(|i| (i * 13) % 40_000).collect(), 40_000).unwrap(),
-            Column::new((0..n).map(|i| (i * 23) % 70_000).collect(), 70_000).unwrap(),
+            Column::new(rows.clone().map(|i| i % 256).collect(), 256).unwrap(),
+            Column::new(rows.clone().map(|i| (i * 13) % 40_000).collect(), 40_000).unwrap(),
+            Column::new(rows.map(|i| (i * 23) % 70_000).collect(), 70_000).unwrap(),
         ];
         Dataset::new(schema, cols).unwrap()
     }
@@ -1051,6 +1082,43 @@ mod tests {
         // And the paged dataset's sketch rebuild matches the heap one.
         assert_eq!(build_sketch(&paged), build_sketch(&ds));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn write_file_replaces_by_rename_so_an_open_mapping_keeps_its_bytes() {
+        let (old, new) = (tri_width(), tri_width_from(7));
+        let path = temp_snapshot(&old, "replaced.swop");
+        // A 1-byte budget: every page read is released again, so reads
+        // after the overwrite really do go back to the file.
+        let (paged, _) = open_paged(&path, Arc::new(PageCache::new(Some(1)))).unwrap();
+        // One column touched (and CRC-checked) before the overwrite, the
+        // other two still cold when it happens.
+        assert_eq!(paged.column(0).to_codes(), old.column(0).to_codes());
+        write_file(&new, &path).unwrap();
+        // (`assert!`, not `assert_eq!`: a failure should not print snapshots.)
+        assert!(std::fs::read(&path).unwrap() == encode(&new));
+        assert!(encode(&paged) == encode(&old), "the open dataset answers its old bytes");
+        let (fresh, _) = open_paged(&path, Arc::new(PageCache::unbounded())).unwrap();
+        assert_eq!(fresh, new, "a fresh open sees the new ones");
+        // A paged dataset can even be re-snapshotted over its own file.
+        write_file(&fresh, &path).unwrap();
+        assert_eq!(fresh, new);
+        assert_eq!(read_file(&path).unwrap(), new);
+        std::fs::remove_file(&path).ok();
+
+        // A write that cannot finish — the target is a directory — is an
+        // error, and leaves no temp file beside it (nor did the writes
+        // above).
+        let target = path.with_file_name("replaced.dir");
+        std::fs::create_dir_all(&target).unwrap();
+        assert!(write_file(&new, &target).is_err());
+        let left: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.starts_with("replaced."))
+            .collect();
+        assert_eq!(left, ["replaced.dir"]);
+        std::fs::remove_dir(&target).ok();
     }
 
     #[test]

@@ -252,15 +252,18 @@ fn scan_predicate(
             ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |codes| {
                 push_matches(&codes[lo..hi], lo, code, &mut rows)
             }),
-            // One pinned page at a time, and only pages that can hold
-            // matches: a sketch-skipped page is never faulted (nor
+            // Read in place, one page at a time, and only pages that can
+            // hold matches: a sketch-skipped page is never faulted (nor
             // CRC-checked).
             ColumnStorage::Paged(paged) => paged
-                .try_for_each_page(lo..hi, |first, decoded| {
-                    let from = lo.max(first);
-                    let to = hi.min(first + decoded.len());
-                    for_packed!(decoded, |codes| {
-                        push_matches(&codes[from - first..to - first], from, code, &mut rows)
+                .try_for_each_page(lo..hi, |first, page| {
+                    let mut row = lo.max(first);
+                    let to = hi.min(first + page.len());
+                    page.slice(row - first..to - first).for_each(|c| {
+                        if c == code {
+                            rows.push(row as u32);
+                        }
+                        row += 1;
                     })
                 })
                 .unwrap_or_else(|e| panic!("{e}")),

@@ -7,7 +7,7 @@
 //! dense pair table are sized by the first delta that takes them, and
 //! the MI target buffer only regrows past its largest delta.
 //! The same holds over paged columns, whose gather adds a page grouper
-//! and page pins but no allocation once the pages are resident, and for
+//! and page lookups but no allocation once the pages are resident, and for
 //! the shard/peer counting bodies (`count_target` / `count_candidate`)
 //! over reused deltas.
 //! This binary installs a counting global allocator and asserts exactly
@@ -80,7 +80,7 @@ fn staged_ingest_allocates_nothing_in_steady_state() {
     audit("heap", &ds, &rows);
 
     // The same columns out-of-core: the page-grouped gather, its
-    // grouper and the pins it takes must be just as allocation-free once
+    // grouper and its in-place reads must be just as allocation-free once
     // every page is resident (an unbounded cache never evicts, so no
     // steady-state delta faults).
     let path = std::env::temp_dir().join(format!("swope-ingest-alloc-{}.swop", std::process::id()));

@@ -22,7 +22,9 @@ mod common;
 use std::sync::Arc;
 
 use common::{plain, scoped, shapes_against, sharded};
-use swope_columnar::{snapshot, Column, Dataset, DatasetSketch, Field, PageCache, Schema, Width};
+use swope_columnar::{
+    snapshot, Column, Dataset, DatasetSketch, Field, HeapMapping, PageCache, Schema, Width,
+};
 use swope_core::{mi_top_k_batch, Executor, Scope, Shape, SwopeConfig};
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -101,6 +103,12 @@ fn modes(seed: u64) -> (Vec<Mode>, std::path::PathBuf) {
         }
         out.push(Mode { label, dataset: paged, sketch, cache: Some(cache) });
     }
+    // The read fallback — the whole file on the heap, where releasing an
+    // evicted page is a no-op — under the same budget.
+    let cache = Arc::new(PageCache::new(Some(BUDGET)));
+    let mapping = Arc::new(HeapMapping::open(&path).unwrap());
+    let (paged, sketch) = snapshot::open_paged_on(mapping, Arc::clone(&cache)).unwrap();
+    out.push(Mode { label: "read", dataset: paged, sketch, cache: Some(cache) });
     (out, path)
 }
 

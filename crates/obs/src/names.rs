@@ -184,32 +184,23 @@ pub const CONN_KEEPALIVE_REUSES_TOTAL: &str = "swope_conn_keepalive_reuses_total
 /// is a normal close and is *not* counted here).
 pub const CONN_TIMEOUTS_TOTAL: &str = "swope_conn_timeouts_total";
 
-/// Counter: page faults taken by the out-of-core pager — first touches
-/// and refaults after eviction, each decoding a page from the mapped
-/// snapshot (or its compressed resident form) into the page cache.
+/// Counter: page faults taken by the out-of-core pager — cold →
+/// resident admissions, first touches and refetches after an eviction
+/// alike. The codes are read in place from the mapped snapshot; a fault
+/// copies nothing.
 pub const PAGER_FAULTS_TOTAL: &str = "swope_pager_faults_total";
 
-/// Counter: seconds spent servicing page faults (first-touch CRC check
-/// and decode from the mapped snapshot), summed across threads. Divide by
-/// `swope_pager_faults_total` for mean fault latency. Admission, and any
-/// eviction it forces, is `swope_pager_evict_seconds_total`.
+/// Counter: seconds spent admitting faulted pages (the first-touch CRC
+/// and support check, and the bookkeeping), summed across threads. Divide
+/// by `swope_pager_faults_total` for mean fault latency. Any eviction an
+/// admission forces is `swope_pager_evict_seconds_total`.
 pub const PAGER_FAULT_SECONDS_TOTAL: &str = "swope_pager_fault_seconds_total";
 
-/// Counter: seconds the CLOCK hand spent walking the ring and demoting
-/// pages, eviction-time re-encoding (RLE/palette) included.
+/// Counter: seconds the CLOCK hand spent walking the ring and releasing
+/// pages to the OS.
 pub const PAGER_EVICT_SECONDS_TOTAL: &str = "swope_pager_evict_seconds_total";
 
-/// Counter: seconds spent re-expanding compressed resident pages
-/// (`swope_pager_decompressions_total` of them).
-pub const PAGER_DECOMPRESS_SECONDS_TOTAL: &str = "swope_pager_decompress_seconds_total";
-
-/// Counter: hot pages examined for the compressed tier at eviction (run
-/// count and/or re-encode), kept or not. A page found incompressible is
-/// remembered and never examined again, so on a steady workload this
-/// grows only with pages that do compress.
-pub const PAGER_COMPRESSIONS_TOTAL: &str = "swope_pager_compressions_total";
-
-/// Counter: pages evicted by the CLOCK sweep to honour the byte budget
+/// Counter: pages released by the CLOCK sweep to honour the byte budget
 /// (`--store-budget-bytes`). Zero on an unbounded cache.
 pub const PAGER_EVICTIONS_TOTAL: &str = "swope_pager_evictions_total";
 
@@ -218,11 +209,8 @@ pub const PAGER_EVICTIONS_TOTAL: &str = "swope_pager_evictions_total";
 /// check.
 pub const PAGER_CRC_VALIDATIONS_TOTAL: &str = "swope_pager_crc_validations_total";
 
-/// Counter: faults served by decompressing a resident cold page
-/// (RLE/palette) instead of re-reading the snapshot.
-pub const PAGER_DECOMPRESSIONS_TOTAL: &str = "swope_pager_decompressions_total";
-
-/// Gauge: decoded page bytes currently resident in the page cache.
+/// Gauge: bytes of mapped snapshot pages the page cache currently counts
+/// resident.
 pub const PAGER_RESIDENT_BYTES: &str = "swope_pager_resident_bytes";
 
 /// Gauge: high-water mark of `swope_pager_resident_bytes` since startup.
@@ -230,13 +218,6 @@ pub const PAGER_PEAK_RESIDENT_BYTES: &str = "swope_pager_peak_resident_bytes";
 
 /// Gauge: configured page-cache byte budget (`0` when unbounded).
 pub const PAGER_BUDGET_BYTES: &str = "swope_pager_budget_bytes";
-
-/// Gauge: pages held in compressed (cold) resident form.
-pub const PAGER_COMPRESSED_PAGES: &str = "swope_pager_compressed_pages";
-
-/// Gauge: bytes those compressed pages occupy (already counted inside
-/// `swope_pager_resident_bytes`).
-pub const PAGER_COMPRESSED_BYTES: &str = "swope_pager_compressed_bytes";
 
 /// Counter with a `tenant` label: requests attributed to each
 /// `X-Swope-Api-Key` bucket by admission control (only rendered when

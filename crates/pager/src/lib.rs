@@ -1,31 +1,33 @@
 //! # swope-pager
 //!
 //! Out-of-core storage for `SWOP` v2 snapshots: memory-map the file,
-//! fault CRC'd 64Ki-row pages resident on first touch, and bound total
-//! decoded bytes with a process-wide byte-budget page cache.
+//! read CRC'd 64Ki-row pages in place, and bound how much of the
+//! mapping stays resident with a process-wide byte-budget page cache.
 //!
 //! SWOPE's sampling loops touch a sublinear fraction of rows per query,
 //! but the eager loader decodes whole snapshots into heap memory,
 //! capping a server at RAM-sized datasets. This crate makes the SWOP v2
 //! *page* — already length-delimited and individually checksummed — the
-//! unit of residency instead:
+//! unit of residency instead, and the mapping the only copy of it:
 //!
 //! * [`mapping`] — the byte source: raw-syscall `mmap`/`munmap`/
 //!   `madvise` on Linux behind the [`Mapping`] trait, with a
 //!   buffered-read fallback (`SWOPE_FORCE_READ=1` forces it), the same
 //!   facility-behind-a-trait pattern as the server's `Poller`.
+//!   [`Mapping::release`] hands a byte range back to the OS.
 //! * [`mod@column`] — [`PagedColumn`]: an arithmetic page directory over
 //!   the mapped payload, lazy first-touch CRC validation, and gathers
-//!   served page-by-page through the width-generic `CodeRepr` decode
-//!   path — no eager whole-column decode anywhere.
+//!   and scans that decode little-endian codes straight out of a
+//!   borrowed [`PageView`] — no decoded copy of any page anywhere.
 //! * [`group`] — [`PageGrouper`]: reorders a sampled row list so each
 //!   page's rows are adjacent, once per iteration for every attribute,
-//!   which is what lets a gather pin each touched page exactly once.
-//! * [`cache`] — [`PageCache`]: CLOCK second-chance eviction over every
-//!   decoded page against a configurable byte budget
-//!   (`--store-budget-bytes`), demoting cold pages to a compressed tier
-//!   (RLE / palette, picked per page from the sketch histogram) before
-//!   dropping them entirely.
+//!   so a gather looks each touched page up exactly once and walks it
+//!   front to back.
+//! * [`cache`] — [`PageCache`]: which pages count as resident, CLOCK
+//!   second-chance eviction over them against a configurable byte
+//!   budget (`--store-budget-bytes`), and the release of every evicted
+//!   page's bytes — so the budget bounds the snapshots' share of the
+//!   process's resident set.
 //!
 //! Paged reads decode the exact bytes the eager path decodes, so query
 //! results are bitwise identical across heap, mmap, and
@@ -44,6 +46,6 @@ pub mod group;
 pub mod mapping;
 
 pub use cache::{PageCache, PagerSnapshot};
-pub use column::PagedColumn;
+pub use column::{PageView, PagedColumn};
 pub use group::PageGrouper;
 pub use mapping::{open_mapping, HeapMapping, Mapping};

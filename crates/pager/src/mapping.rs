@@ -4,9 +4,20 @@
 //!
 //! A [`Mapping`] is an immutable byte view of one snapshot file. The
 //! pager never writes through it and never reads past the length
-//! captured at open, so the only liveness assumption is the usual mmap
-//! one: the file must not be truncated while mapped. Snapshot files are
-//! written once and renamed into place, so that holds by convention.
+//! captured at open, and paged columns read their codes *in place*, so
+//! the liveness assumption is the usual mmap one: the inode must keep
+//! its bytes while mapped. `swope_columnar::snapshot::write_file` holds
+//! up its end — it writes a sibling temp file and renames it over the
+//! target, so replacing a served snapshot leaves the old inode backing
+//! every live mapping. The residual is an *outside* writer that
+//! truncates or rewrites the mapped inode itself (`cp new.swop
+//! served.swop`, a shell `>`): a read past the new end is a SIGBUS, and
+//! rewritten bytes are served without a second CRC pass once a released
+//! page refaults. Replace snapshots by rename.
+//!
+//! [`Mapping::release`] is how the page cache's byte budget becomes
+//! real: evicting a page hands its byte range back to the OS, and the
+//! next read of it refaults the same bytes from the kernel's page cache.
 //!
 //! Selection ([`open_mapping`]): Linux maps the file `PROT_READ` /
 //! `MAP_PRIVATE` and advises `MADV_RANDOM` (page faults follow the
@@ -17,6 +28,7 @@
 //! correct, just not out-of-core.
 
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -28,6 +40,13 @@ pub trait Mapping: Send + Sync {
     /// `"mmap"` or `"read"` — surfaced by `swope inspect` and
     /// `/datasets` so operators can tell which facility is live.
     fn kind(&self) -> &'static str;
+
+    /// Tells the OS that `range` of [`bytes`](Self::bytes) need not stay
+    /// resident. Purely advisory: the bytes stay readable and read the
+    /// same afterwards, at the price of a refault. The default does
+    /// nothing, which is what a source that owns its bytes on the heap
+    /// (the read fallback) must do — such a source cannot be budgeted.
+    fn release(&self, _range: Range<usize>) {}
 }
 
 /// Fallback source: the whole file read into an anonymous heap buffer.
@@ -73,7 +92,15 @@ mod sys {
     pub const PROT_READ: i32 = 1;
     pub const MAP_PRIVATE: i32 = 2;
     pub const MADV_RANDOM: i32 = 1;
+    pub const MADV_DONTNEED: i32 = 4;
 }
+
+/// The granule [`MmapMapping::release`] rounds to. `mmap` returns a
+/// page-aligned base, so 4 KiB multiples of it are page-aligned on every
+/// kernel with 4 KiB pages; on a larger-page kernel `madvise` refuses an
+/// unaligned start with `EINVAL` and the release degrades to a no-op.
+#[cfg(target_os = "linux")]
+const OS_PAGE: usize = 4096;
 
 /// A read-only private memory map of the file.
 #[cfg(target_os = "linux")]
@@ -136,6 +163,34 @@ impl Mapping for MmapMapping {
 
     fn kind(&self) -> &'static str {
         "mmap"
+    }
+
+    /// `madvise(MADV_DONTNEED)` over the OS pages that lie wholly inside
+    /// `range` (clamped to the mapping). The partial pages at either
+    /// edge are shared with the neighbouring ranges and stay; an empty,
+    /// sub-page or past-the-end range is a no-op.
+    fn release(&self, range: Range<usize>) {
+        let Some(start) = range.start.checked_next_multiple_of(OS_PAGE) else { return };
+        let end = range.end.min(self.len) / OS_PAGE * OS_PAGE;
+        if start >= end {
+            return;
+        }
+        // SAFETY: `start..end` is non-empty and inside `ptr..ptr + len`,
+        // a live mapping this struct owns until Drop, and `ptr + start`
+        // is a multiple of OS_PAGE (mmap bases are page-aligned). The
+        // mapping is PROT_READ + MAP_PRIVATE over a file and is never
+        // written, so it holds no private dirty pages: MADV_DONTNEED
+        // only drops page-table entries, the addresses stay mapped, and
+        // the next load refaults the same file bytes. A `&[u8]` another
+        // thread borrowed from `bytes()` therefore stays valid and keeps
+        // reading the values it read before.
+        unsafe {
+            let _ = sys::madvise(
+                self.ptr.wrapping_add(start) as *mut core::ffi::c_void,
+                end - start,
+                sys::MADV_DONTNEED,
+            );
+        }
     }
 }
 
@@ -208,6 +263,46 @@ mod tests {
     fn mmap_rejects_empty_file() {
         let path = tmp("empty", b"");
         assert!(MmapMapping::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn release_is_a_no_op_at_the_boundaries_and_never_changes_bytes() {
+        let payload: Vec<u8> = (0..40 * OS_PAGE as u32 + 123).map(|i| (i % 253) as u8).collect();
+        let path = tmp("release", &payload);
+        let m = MmapMapping::open(&path).unwrap();
+        let len = payload.len();
+        assert_eq!(m.bytes(), &payload[..]);
+        // Nothing to release: empty, reversed, sub-page, unaligned with
+        // no whole page inside, wholly or partly past the end, and a
+        // start so large that rounding it up overflows.
+        let no_ops = [
+            0..0,
+            OS_PAGE..OS_PAGE,
+            Range { start: 8 * OS_PAGE, end: OS_PAGE },
+            10..OS_PAGE - 1,
+            1..2 * OS_PAGE - 1,
+            len..len + 10 * OS_PAGE,
+            2 * len..3 * len,
+            usize::MAX - 5..usize::MAX,
+            40 * OS_PAGE..usize::MAX,
+        ];
+        for range in no_ops {
+            m.release(range);
+        }
+        assert_eq!(m.bytes(), &payload[..]);
+        // Real releases: aligned, unaligned (interior only), and one
+        // that runs past the end (clamped). Bytes read the same after.
+        for range in [0..4 * OS_PAGE, OS_PAGE + 7..9 * OS_PAGE - 7, 30 * OS_PAGE..len + 999] {
+            m.release(range);
+            assert_eq!(m.bytes(), &payload[..]);
+        }
+        // The heap fallback accepts the same calls and ignores them.
+        let heap = HeapMapping::open(&path).unwrap();
+        heap.release(0..len);
+        heap.release(len..usize::MAX);
+        assert_eq!(heap.bytes(), &payload[..]);
         std::fs::remove_file(&path).ok();
     }
 

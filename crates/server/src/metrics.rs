@@ -351,8 +351,6 @@ impl ServerMetrics {
             (names::PAGER_FAULTS_TOTAL, pager.faults),
             (names::PAGER_EVICTIONS_TOTAL, pager.evictions),
             (names::PAGER_CRC_VALIDATIONS_TOTAL, pager.crc_validations),
-            (names::PAGER_DECOMPRESSIONS_TOTAL, pager.decompressions),
-            (names::PAGER_COMPRESSIONS_TOTAL, pager.compressions),
         ] {
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {value}");
@@ -360,7 +358,6 @@ impl ServerMetrics {
         for (name, nanos) in [
             (names::PAGER_FAULT_SECONDS_TOTAL, pager.fault_nanos),
             (names::PAGER_EVICT_SECONDS_TOTAL, pager.evict_nanos),
-            (names::PAGER_DECOMPRESS_SECONDS_TOTAL, pager.decompress_nanos),
         ] {
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {:.9}", nanos as f64 / 1e9);
@@ -369,8 +366,6 @@ impl ServerMetrics {
             (names::PAGER_RESIDENT_BYTES, pager.resident_bytes),
             (names::PAGER_PEAK_RESIDENT_BYTES, pager.peak_resident_bytes),
             (names::PAGER_BUDGET_BYTES, pager.budget_bytes.unwrap_or(0)),
-            (names::PAGER_COMPRESSED_PAGES, pager.compressed_pages),
-            (names::PAGER_COMPRESSED_BYTES, pager.compressed_bytes),
         ] {
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {value}");

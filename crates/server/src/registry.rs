@@ -238,8 +238,8 @@ impl DatasetEntry {
         (0..self.dataset.num_attrs()).any(|a| self.dataset.column(a).is_paged())
     }
 
-    /// Bytes of pager-backed pages currently resident (hot + compressed
-    /// tiers) across this dataset's columns; 0 for a heap-loaded dataset.
+    /// Bytes of mapped pages the page cache currently counts resident
+    /// across this dataset's columns; 0 for a heap-loaded dataset.
     pub fn resident_page_bytes(&self) -> u64 {
         (0..self.dataset.num_attrs())
             .filter_map(|a| self.dataset.column(a).paged())

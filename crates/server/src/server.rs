@@ -136,14 +136,13 @@ pub struct ServerConfig {
     /// the rate, floored at 1.
     pub tenant_burst: Option<f64>,
     /// Serve `.swop` snapshots out-of-core: map the file (mmap where
-    /// available, buffered reads otherwise) and decode 65 536-row pages
-    /// on demand through the process-wide page cache instead of loading
-    /// every column eagerly.
+    /// available, buffered reads otherwise) and read 65 536-row pages in
+    /// place, on demand, under the process-wide page cache instead of
+    /// loading every column eagerly.
     pub mmap: bool,
-    /// Byte budget for the page cache (`--store-budget-bytes`). When the
-    /// decoded pages of out-of-core datasets exceed it, a CLOCK sweep
-    /// re-compresses cold pages and drops the coldest. `None` means
-    /// unbounded.
+    /// Byte budget for the page cache (`--store-budget-bytes`): bytes of
+    /// the mapped snapshots kept resident; past it a CLOCK sweep
+    /// releases the coldest pages to the OS. `None` means unbounded.
     pub store_budget_bytes: Option<u64>,
     /// Test aid (never exposed on the CLI): enables `GET
     /// /debug/sleep?ms=N`, which parks a worker thread for `ms`
@@ -1298,16 +1297,14 @@ fn execute_query(
                 );
             }
             // Same aggregate-span treatment for the pager: one span whose
-            // width is everything the pager did for this query — faults
-            // decoded from the mapping, compressed pages re-expanded, and
-            // the evictions both forced — and whose item count is the
-            // pages made resident (exact when one traced query runs at a
-            // time).
+            // width is everything the pager did for this query — pages
+            // admitted (checked, on their first touch) and the evictions
+            // that forced — and whose item count is the pages admitted
+            // (exact when one traced query runs at a time).
             let pdelta = shared.pager.snapshot().since(&pager_before);
-            let paged_in = pdelta.faults + pdelta.decompressions;
-            if paged_in > 0 {
-                let nanos = pdelta.fault_nanos + pdelta.decompress_nanos + pdelta.evict_nanos;
-                sink.record("page_fault", Some(root), start_ns, start_ns + nanos, 0, paged_in);
+            if pdelta.faults > 0 {
+                let nanos = pdelta.fault_nanos + pdelta.evict_nanos;
+                sink.record("page_fault", Some(root), start_ns, start_ns + nanos, 0, pdelta.faults);
             }
             result
         }

@@ -15,7 +15,7 @@ use swope_baselines::{exact_entropy_scores, exact_mi_scores};
 use swope_bench::metrics::{definition5_condition2, definition6_compliant};
 use swope_cluster::frame::{read_frame, write_frame, CountMergeFrame, Frame};
 use swope_cluster::{probe, ClusterStats, PeerPool, PeerTimeouts};
-use swope_columnar::{snapshot, Dataset, PageCache};
+use swope_columnar::{snapshot, Dataset, PageCache, PagerSnapshot};
 use swope_core::{
     entropy_filter_scoped_exec, entropy_top_k_scoped_exec, gather_stats, CountRequest, Executor,
     FilterResult, LocalShardSource, NoopObserver, Phase, QueryObserver, Scope, ShardTransport,
@@ -170,6 +170,19 @@ fn the_calls_benchmark_makes_compile_and_agree() {
         assert_eq!(run_query(&paged, &spec, &exec, &mut NoopObserver).unwrap(), body, "{target}");
     }
     gather_stats::set_enabled(false);
+
+    // replay.rs::PhaseSpans / run: `PageCache::new(Option<u64>)` above,
+    // then `snapshot()`, `since()` and these six fields by name.
+    // `decompressions` is frozen at 0 (the tier it counted is gone) the
+    // way the two `*_scoped_exec` below are frozen: `benchmark/` reads it.
+    let before: PagerSnapshot = PageCache::new(Some(200_000)).snapshot();
+    assert_eq!(before, PagerSnapshot { budget_bytes: Some(200_000), ..PagerSnapshot::default() });
+    let delta: PagerSnapshot = cache.snapshot().since(&before);
+    assert!(delta.faults > 0, "the paged queries above admitted pages");
+    let _fault_us_avg = delta.fault_nanos as f64 / delta.faults as f64 / 1e3;
+    assert_eq!(delta.crc_validations, delta.faults, "nothing was evicted, so first touches only");
+    assert_eq!((delta.evictions, delta.decompressions), (0, 0));
+    assert!(delta.peak_resident_bytes > 0 && delta.peak_resident_bytes <= 200_000);
 
     // replay.rs::parallel_speedup mutates the spec's thread count.
     let mut chosen = parse_wire(targets[4]);

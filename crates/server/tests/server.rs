@@ -448,7 +448,10 @@ fn paged_datasets_serve_identically_and_report_residency() {
     assert!(metric(&metrics, "swope_pager_faults_total") > 0);
     assert!(metric(&metrics, "swope_pager_evictions_total") > 0);
     assert!(metric(&metrics, "swope_pager_resident_bytes") <= budget);
+    assert!(metric(&metrics, "swope_pager_peak_resident_bytes") <= budget);
     assert_eq!(metric(&metrics, "swope_pager_budget_bytes"), budget);
+    // The compressed tier's families went with it.
+    assert!(!metrics.contains("compress"), "{metrics}");
     std::fs::remove_file(&path).ok();
 }
 

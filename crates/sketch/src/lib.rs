@@ -110,13 +110,6 @@ impl PageHistogram {
             PageHistogram::Sparse(entries) => entries.iter().map(|&(_, v)| v as u64).sum(),
         }
     }
-
-    fn distinct(&self) -> usize {
-        match self {
-            PageHistogram::Dense(c) => c.iter().filter(|&&v| v > 0).count(),
-            PageHistogram::Sparse(entries) => entries.len(),
-        }
-    }
 }
 
 /// Per-page exact code histograms for one packed column.
@@ -140,16 +133,20 @@ impl ColumnSketch {
 
     /// Builds the sketch from already-paged codes: one histogram per
     /// yielded page, which must be the column's [`PAGE_ROWS`]-row pages
-    /// in order (every page full except possibly the last). This is the
-    /// out-of-core path — the pager hands pages over one at a time, so
-    /// the build never needs the whole column resident.
+    /// in order (every page full except possibly the last).
     pub fn build_from_pages<'a>(
         support: u32,
         pages: impl IntoIterator<Item = &'a swope_store::PackedCodes>,
     ) -> Self {
         let mut b = ColumnSketchBuilder::new(support);
         for page in pages {
-            b.push_page(page);
+            b.push_page(|counts| {
+                for_packed!(page, |codes| {
+                    for &c in codes.iter() {
+                        counts[c.widen() as usize] += 1;
+                    }
+                })
+            });
         }
         b.finish()
     }
@@ -172,23 +169,6 @@ impl ColumnSketch {
     /// Exact count of `code` within page `page` (0 for out-of-range).
     pub fn page_count(&self, page: usize, code: u32) -> u64 {
         self.pages.get(page).map_or(0, |p| p.count(code))
-    }
-
-    /// Number of distinct codes occurring in page `page` (0 for
-    /// out-of-range) — exact, straight from the page histogram.
-    pub fn page_distinct(&self, page: usize) -> usize {
-        self.pages.get(page).map_or(0, |p| p.distinct())
-    }
-
-    /// The pager's eviction-time encoding pick for every page of a
-    /// column stored at `width`: the sketch histogram already knows each
-    /// page's distinct-code count and row count, so the RLE-vs-palette
-    /// decision costs nothing at fault or eviction time.
-    pub fn encoding_picks(&self, width: swope_store::Width) -> Vec<swope_store::rle::PageEncoding> {
-        self.pages
-            .iter()
-            .map(|p| swope_store::rle::pick_encoding(p.distinct(), p.rows() as usize, width))
-            .collect()
     }
 
     /// Exact per-code counts summed over the page range `pages`
@@ -231,9 +211,9 @@ fn build_pages<R: CodeRepr>(codes: &[R], support: u32, kind: SketchKind) -> Vec<
 
 /// Incremental [`ColumnSketch`] construction, one page at a time.
 ///
-/// The out-of-core sketch rebuild drives this from the pager so only
-/// one page needs to be resident while sketching; [`ColumnSketch::build_from_pages`]
-/// is a convenience wrapper over it.
+/// The out-of-core sketch rebuild drives this from the pager, reading
+/// each page in place; [`ColumnSketch::build_from_pages`] is a
+/// convenience wrapper over it for pages already on the heap.
 #[derive(Debug)]
 pub struct ColumnSketchBuilder {
     support: u32,
@@ -249,17 +229,16 @@ impl ColumnSketchBuilder {
         Self { support, kind, counts: vec![0u32; support as usize], pages: Vec::new() }
     }
 
-    /// Appends the histogram for the next page. Pages must arrive in
-    /// order and be [`PAGE_ROWS`] rows each except possibly the last.
-    pub fn push_page(&mut self, page: &swope_store::PackedCodes) {
+    /// Appends the histogram for the next page: `tally` gets the
+    /// per-code table (one zeroed entry per code of the support) and
+    /// adds one to a code's entry for each row of the page holding it —
+    /// however the caller's storage wants to be walked. Pages must arrive
+    /// in order and be [`PAGE_ROWS`] rows each except possibly the last.
+    pub fn push_page(&mut self, tally: impl FnOnce(&mut [u32])) {
         for c in self.counts.iter_mut() {
             *c = 0;
         }
-        for_packed!(page, |codes| {
-            for &c in codes.iter() {
-                self.counts[c.widen() as usize] += 1;
-            }
-        });
+        tally(&mut self.counts);
         self.pages.push(match self.kind {
             SketchKind::Compact => PageHistogram::Dense(self.counts.clone()),
             SketchKind::Sparse => PageHistogram::Sparse(
@@ -555,29 +534,6 @@ mod tests {
             codes.chunks(PAGE_ROWS).map(|chunk| PackedCodes::pack(chunk, Width::U16)).collect();
         let paged = ColumnSketch::build_from_pages(900, pages.iter());
         assert_eq!(paged, whole);
-    }
-
-    #[test]
-    fn encoding_picks_follow_page_shape() {
-        use swope_store::rle::PageEncoding;
-        // Page 0 constant, page 1 low-distinct, partial page 2 diverse.
-        let n = 2 * PAGE_ROWS + 100;
-        let codes: Vec<u32> = (0..n)
-            .map(|i| match i / PAGE_ROWS {
-                0 => 7u32,
-                1 => (i % 4) as u32 + 40_000,
-                _ => (i % 70_000) as u32,
-            })
-            .collect();
-        let sk = ColumnSketch::build(&packed(codes, 70_000));
-        let picks = sk.encoding_picks(Width::U32);
-        assert_eq!(picks.len(), 3);
-        assert_eq!(picks[0], PageEncoding::Rle);
-        assert_eq!(picks[1], PageEncoding::Palette);
-        assert_eq!(picks[2], PageEncoding::Plain);
-        assert_eq!(sk.page_distinct(0), 1);
-        assert_eq!(sk.page_distinct(1), 4);
-        assert_eq!(sk.page_distinct(99), 0);
     }
 
     #[test]

@@ -24,8 +24,6 @@
 //! * [`crc32`] — the IEEE CRC32 guarding every on-disk page.
 //! * [`page`] — the paged column payload codec (per-page checksums,
 //!   length-validated before any allocation).
-//! * [`rle`] — cold-page re-encoding (RLE + palette bit-packing) and
-//!   the per-page encoding pick rule the pager applies at eviction.
 //! * [`section`] — the `SWOP` v2 section table (offsets/lengths
 //!   validated against the actual byte count before anything is
 //!   trusted).
@@ -41,7 +39,6 @@ mod error;
 pub mod gather_stats;
 mod packed;
 pub mod page;
-pub mod rle;
 pub mod section;
 mod width;
 
