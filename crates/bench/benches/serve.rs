@@ -1,7 +1,7 @@
 //! Connection-layer benchmark: what the event loop buys over
 //! connection-per-request serving.
 //!
-//! Three questions, one JSON. First, request throughput over a small
+//! Four questions, one JSON. First, request throughput over a small
 //! population of reused keep-alive sockets (pipelined batches, the
 //! cheapest legal HTTP/1.1 client behaviour) versus the same population
 //! opening a fresh `Connection: close` socket per request — the ratio is
@@ -10,10 +10,15 @@
 //! one full connect/accept/teardown. Third, the marginal resident memory
 //! of an idle connection: the event loop holds idle sockets as slab
 //! entries with empty buffers instead of parked threads, so a thousand
-//! of them should cost kilobytes each, not megabytes. Medians are
-//! persisted to `results/BENCH_serve.json`; the CI serve-smoke step runs
-//! this with `SWOPE_MICRO_MS=1` and asserts the fields exist, not the
-//! wall-clock numbers.
+//! of them should cost kilobytes each, not megabytes. Fourth, what a
+//! cached `/query/*` costs next to `/healthz` when both are asked the way
+//! an interactive client asks — one socket, one request in flight: the
+//! hit is answered on the event thread, `/healthz` crosses to a worker
+//! and back, so `hit_over_healthz` is the price of the hand-off as a
+//! ratio of two loops in one process. Medians are persisted to
+//! `results/BENCH_serve.json`; the CI serve-smoke step runs this with a
+//! short `SWOPE_MICRO_MS` and asserts that the fields exist and that
+//! ratio, not the wall-clock numbers.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -164,6 +169,24 @@ fn main() {
     });
     let close_ns = close_round_ns / round;
 
+    // One socket, one request in flight: a result-cache hit (stored by
+    // the warm-up request below) against `/healthz`.
+    let mut unpipelined = |name: &str, path: &str| {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let request = format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").into_bytes();
+        let mut reader = RespReader::new();
+        let mut ask = move || {
+            stream.write_all(&request).unwrap();
+            reader.read_response(&mut stream);
+        };
+        ask();
+        g.bench(name, ask)
+    };
+    let query_hit_ns =
+        unpipelined("query_hit_unpipelined", "/query/entropy-topk?dataset=bench&k=2");
+    let healthz_unpipelined_ns = unpipelined("healthz_unpipelined", "/healthz");
+
     // Marginal idle memory: park IDLE_CONNS sockets that never send a
     // byte and read the RSS delta once the server has registered them.
     let rss_before = rss_bytes();
@@ -191,6 +214,9 @@ fn main() {
         .f64_field("keepalive_speedup", keepalive_rps / close_rps.max(1.0))
         // Every close-per-request exchange is one accepted connection.
         .f64_field("conns_per_sec", close_rps)
+        .f64_field("query_hit_ns_per_req", query_hit_ns)
+        .f64_field("healthz_unpipelined_ns_per_req", healthz_unpipelined_ns)
+        .f64_field("hit_over_healthz", query_hit_ns / healthz_unpipelined_ns.max(1.0))
         .usize_field("idle_conns", IDLE_CONNS)
         .f64_field("idle_rss_bytes_per_conn", idle_bytes_per_conn);
     let json = w.finish();

@@ -283,8 +283,10 @@ pub struct ClusterProbe {
 }
 
 /// Dials every peer once and sums their default datasets' rows — the
-/// server's startup validation and gauge source. Any unreachable peer is
-/// an error: a coordinator should not come up pointing at a dead fleet.
+/// server's startup validation and gauge source. Any peer that is
+/// unreachable, or speaks another protocol version, is an error: a
+/// coordinator should not come up pointing at a fleet that will answer
+/// every query with a 503.
 pub fn probe(
     addrs: &[String],
     timeouts: &PeerTimeouts,
@@ -304,6 +306,9 @@ pub fn probe(
             }),
         )?;
         match recv(&mut peer, stats)? {
+            Frame::Hello(h) if h.version != PROTOCOL_VERSION => {
+                return Err(peer_err(addr, format!("speaks protocol v{}", h.version)));
+            }
             Frame::Hello(h) => union_rows += h.num_rows,
             f => return Err(peer_err(addr, format!("expected Hello, got {}", f.name()))),
         }

@@ -267,6 +267,24 @@ fn probe_sums_the_fleet() {
     assert!(stats.snapshot().frames_sent >= 2);
 }
 
+/// The probe reads the version it is told, in `connect`'s words: a v1
+/// fleet is refused at startup, not a query at a time.
+#[test]
+fn probe_refuses_an_older_fleet() {
+    let union = union_dataset();
+    let addr = scripted_peer(move |mut stream| {
+        let _ = read_frame(&mut stream).unwrap(); // Hello
+        write_frame(&mut stream, &hello_reply(1, &union)).unwrap();
+        let _ = read_frame(&mut stream);
+    });
+    let err = probe(std::slice::from_ref(&addr), &PeerTimeouts::default(), &ClusterStats::new())
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        SwopeError::Transport(format!("peer {addr}: speaks protocol v1")).to_string()
+    );
+}
+
 /// An unreachable peer fails fast with a one-line, addr-tagged error.
 #[test]
 fn dead_peer_is_a_one_line_error() {

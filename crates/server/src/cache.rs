@@ -11,10 +11,23 @@
 //! the oldest stamp (an `O(capacity)` scan — capacities are hundreds, not
 //! millions). Hit/miss/eviction counters are atomic so the metrics
 //! endpoint reads them without taking the map lock.
+//!
+//! The lock is shared with the server's *event thread*, which does every
+//! untraced query's [`ResultCache::get`] as an admission stage, while
+//! workers [`ResultCache::put`] what they computed. Two things follow.
+//! `put`'s `O(capacity)` eviction scan runs under a lock the event
+//! thread waits on, so it bounds how long a hit can stall behind a miss
+//! being stored: fine at capacities in the hundreds (the default,
+//! `ServerConfig::cache_capacity`, is 256); one in the hundreds of
+//! thousands would want a real LRU list first. And a poisoned lock must
+//! not end the process: every critical section below is a clock bump
+//! plus a single map operation, so the map is structurally valid
+//! wherever a panic struck, and the guard is recovered instead of
+//! `expect`ed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 struct Entry {
     body: Arc<String>,
@@ -48,9 +61,15 @@ impl ResultCache {
         }
     }
 
+    /// The map, whether or not a thread panicked holding it (see the
+    /// module docs for why that is sound here).
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Looks `key` up, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<String>> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         match inner.map.get_mut(key) {
@@ -72,7 +91,7 @@ impl ResultCache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         inner.map.insert(key, Entry { body, last_used: clock });
@@ -88,7 +107,7 @@ impl ResultCache {
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock poisoned").map.len()
+        self.lock().map.len()
     }
 
     /// Whether the cache is empty.
@@ -141,6 +160,26 @@ mod tests {
         assert!(cache.get("a").is_some());
         assert!(cache.get("c").is_some());
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_gets_and_puts() {
+        let cache = Arc::new(ResultCache::new(2));
+        cache.put("a".into(), body("1"));
+        let held = Arc::clone(&cache);
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.inner.lock().unwrap();
+            panic!("a worker dies holding the cache lock");
+        })
+        .join();
+        assert!(panicked.is_err() && cache.inner.is_poisoned());
+        // The event thread's lookup and a worker's store both carry on.
+        assert_eq!(cache.get("a").unwrap().as_str(), "1");
+        assert!(cache.get("b").is_none());
+        cache.put("b".into(), body("2"));
+        cache.put("c".into(), body("3"));
+        assert_eq!(cache.get("c").unwrap().as_str(), "3");
+        assert_eq!((cache.len(), cache.evictions()), (2, 1));
     }
 
     #[test]

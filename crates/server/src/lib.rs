@@ -28,7 +28,9 @@
 //! * [`cache::ResultCache`] — an LRU of serialized response bodies keyed
 //!   by `(dataset@generation, shape, params, seed)`. Queries are
 //!   deterministic, so a hit is byte-identical to re-execution and skips
-//!   the adaptive loop entirely.
+//!   the adaptive loop entirely — and the worker pool: the lookup is an
+//!   admission stage on the event thread, after the quota and before
+//!   the shed check, and only a miss crosses to a worker.
 //! * [`metrics::ServerMetrics`] — HTTP-layer counters stacked on the
 //!   query-level [`swope_obs::MetricsRegistry`], all rendered as one
 //!   Prometheus document at `GET /metrics`.

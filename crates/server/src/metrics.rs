@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use swope_cluster::ClusterSnapshot;
 use swope_columnar::PagerSnapshot;
@@ -42,7 +42,10 @@ pub struct ServerMetrics {
     request_micros: Histogram,
     /// Per-`(endpoint, dataset)` latency histograms. A `Mutex` (not a
     /// lock-free map) is fine here: the critical section is one BTreeMap
-    /// lookup, and the interesting work per request dwarfs it.
+    /// lookup, and the interesting work per request dwarfs it. Workers
+    /// and the event thread (for the answers it serves itself) both
+    /// record here, so like `tenants` it is locked poison-tolerantly: a
+    /// panic mid-`observe` loses one sample, not the process.
     labelled_micros: Mutex<BTreeMap<(String, String), Histogram>>,
     /// Connection-state gauges `[open, idle, reading, writing]`, set
     /// wholesale by the event loop once per tick.
@@ -102,7 +105,7 @@ impl ServerMetrics {
     /// capped at `MAX_LABELLED`.
     pub fn record_labelled(&self, endpoint: &str, dataset: &str, micros: u64) {
         let key = (sanitize_label(endpoint), sanitize_label(dataset));
-        let mut map = self.labelled_micros.lock().unwrap();
+        let mut map = self.labelled_micros.lock().unwrap_or_else(PoisonError::into_inner);
         let key = if map.contains_key(&key) || map.len() < MAX_LABELLED {
             key
         } else {
@@ -156,7 +159,7 @@ impl ServerMetrics {
     /// and capped at `MAX_LABELLED` distinct values (`other` past it).
     pub fn record_tenant(&self, tenant: &str, throttled: bool) {
         let key = sanitize_label(tenant);
-        let mut map = self.tenants.lock().unwrap();
+        let mut map = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
         let key =
             if map.contains_key(&key) || map.len() < MAX_LABELLED { key } else { "other".into() };
         let entry = map.entry(key).or_insert((0, 0));
@@ -312,7 +315,7 @@ impl ServerMetrics {
             let _ = writeln!(out, "{name} {value}");
         }
         {
-            let tenants = self.tenants.lock().unwrap();
+            let tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
             if !tenants.is_empty() {
                 let _ = writeln!(out, "# TYPE {} counter", names::TENANT_REQUESTS_TOTAL);
                 for (tenant, (requests, _)) in tenants.iter() {
@@ -374,7 +377,7 @@ impl ServerMetrics {
         let _ = writeln!(out, "# TYPE {}_approx_quantile gauge", names::HTTP_REQUEST_MICROS);
         self.request_micros.render_quantiles(names::HTTP_REQUEST_MICROS, "", &mut out);
         {
-            let map = self.labelled_micros.lock().unwrap();
+            let map = self.labelled_micros.lock().unwrap_or_else(PoisonError::into_inner);
             if !map.is_empty() {
                 let _ = writeln!(out, "# TYPE {} histogram", names::HTTP_ENDPOINT_MICROS);
                 for ((endpoint, dataset), hist) in map.iter() {

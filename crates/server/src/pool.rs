@@ -9,7 +9,7 @@
 //!
 //! Admission is **batched**: a woken worker pops up to
 //! [`ADMIT_BATCH`] queued jobs in one lock acquisition and runs them
-//! back-to-back, so a burst of cheap queries (cache hits, tiny
+//! back-to-back, so a burst of cheap requests (`/healthz`, tiny
 //! datasets) costs one lock round-trip per batch rather than per job.
 //! Rejection semantics are unchanged — capacity still bounds *queued*
 //! jobs, and a batch already claimed by a worker is no longer queued.

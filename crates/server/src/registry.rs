@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use swope_columnar::{stats, Dataset, DatasetSketch, Width};
 
@@ -79,7 +79,7 @@ impl DatasetRegistry {
             sketch: Arc::new(sketch),
             dropped_columns: before - kept.len(),
         });
-        let mut map = self.inner.write().expect("registry lock poisoned");
+        let mut map = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         map.insert(name.to_owned(), Arc::clone(&entry));
         entry
     }
@@ -121,14 +121,22 @@ impl DatasetRegistry {
         Ok(self.insert_with_sketch(&name, dataset, sketch))
     }
 
+    /// The map, whether or not a thread panicked holding it: the one
+    /// write section is a single `insert`, so the map is valid wherever
+    /// a panic struck — and the server's event thread, which resolves
+    /// every query's generation here, must outlive a worker's panic.
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, Arc<DatasetEntry>>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The current entry registered under `name`.
     pub fn get(&self, name: &str) -> Option<Arc<DatasetEntry>> {
-        self.inner.read().expect("registry lock poisoned").get(name).cloned()
+        self.read().get(name).cloned()
     }
 
     /// All entries, sorted by name.
     pub fn list(&self) -> Vec<Arc<DatasetEntry>> {
-        let map = self.inner.read().expect("registry lock poisoned");
+        let map = self.read();
         let mut entries: Vec<_> = map.values().cloned().collect();
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         entries
@@ -136,7 +144,7 @@ impl DatasetRegistry {
 
     /// Number of registered datasets.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("registry lock poisoned").len()
+        self.read().len()
     }
 
     /// Whether the registry is empty.

@@ -6,20 +6,39 @@
 //! [`crate::event`]) drives per-connection state machines
 //! ([`crate::conn`]) through reading → dispatched → writing →
 //! keep-alive idle. Idle clients cost a file descriptor, not a thread:
-//! the fixed [`WorkerPool`] is purely a *compute* stage. When a complete
-//! request parses, the event thread runs admission control — per-tenant
-//! token buckets ([`crate::quota`], 429 + `Retry-After`), then the exact
-//! queue-depth shed check (503 + `Retry-After`) — and only then hands
-//! the request to a worker. The worker routes it and pushes the finished
-//! [`Response`] back through a completion queue, waking the event thread
-//! via a self-pipe; the event thread serializes and flushes it, honoring
-//! `Connection: close`/HTTP/1.0 semantics and parsing pipelined requests
-//! back-to-back out of the same buffer. The event thread is the sole
-//! producer into the pool's bounded queue, so checking the queue depth
-//! before dispatch remains an exact admission decision, and a worker
-//! that dequeues a request past its deadline answers 503 without running
-//! the query — both semantics carried over unchanged from the
-//! thread-per-connection server this replaced.
+//! the fixed [`WorkerPool`] is purely a *compute* stage, and a request
+//! that needs no compute never reaches it. The path of a request is
+//!
+//! ```text
+//! parse → quota → lookup → hit:  flush
+//!                          miss: shed check → worker → flush
+//! ```
+//!
+//! all but the `worker` step on the event thread. When a complete request
+//! parses, admission control runs in that order: the tenant's token
+//! bucket ([`crate::quota`], 429 + `Retry-After`); for a `GET /query/*`,
+//! the result-cache lookup — spec, dataset generation, key, one
+//! [`ResultCache::get`] — whose hit (like a 400 or an unknown dataset)
+//! is answered there and then, keeping its place among pipelined
+//! responses; and only for what is left the exact queue-depth shed check
+//! (503 + `Retry-After`). A saturated pool therefore never sheds an
+//! answer the server already holds. A miss crosses to a worker once,
+//! carrying its parsed spec, key and registry entry, so the worker runs
+//! the adaptive loop and stores the body without parsing or looking up
+//! again; every other endpoint is routed on the worker. The worker pushes
+//! the finished [`Response`] back through a completion queue, waking the
+//! event thread via a self-pipe; the event thread serializes and flushes
+//! it, honoring `Connection: close`/HTTP/1.0 semantics and parsing
+//! pipelined requests back-to-back out of the same buffer. The event
+//! thread is the sole producer into the pool's bounded queue, so checking
+//! the queue depth before dispatch is an exact admission decision, and a
+//! worker that dequeues a request past its deadline answers 503 without
+//! running the query.
+//!
+//! Which side of the hand-off a query is answered on is decided by what
+//! the code observes — the lookup's result, and whether the request is
+//! traced (below) — never by an option. A traced query always crosses to
+//! a worker, lookup included, so its span tree shows the queue wait.
 //!
 //! Slow-loris clients (partial request older than the read timeout) and
 //! stalled response writes are killed by a periodic timeout scan;
@@ -32,7 +51,9 @@
 //!
 //! Every `/query/*` request is traced when the server runs with
 //! `trace: true` or when the client sends an `X-Swope-Trace` header
-//! (any 1–16 hex digits; an unparseable value gets a fresh id). The
+//! (any 1–16 hex digits; an unparseable value gets a fresh id). A traced
+//! query is never answered on the event thread — cached or not, it is
+//! dispatched, and the worker does the lookup inside the trace. The
 //! trace's clock is anchored at the *arrival* timestamp (the first byte
 //! of the request — for the first request on a connection, the moment it
 //! was accepted), so `start_ns: 0` is request arrival and the root
@@ -65,7 +86,7 @@ use crate::metrics::{ServerMetrics, TraceCounters};
 use crate::pool::{QueueWatcher, WorkerPool};
 use crate::query::{cache_key, parse_spec, run_query, run_query_cluster, ClusterTarget, QuerySpec};
 use crate::quota::{Admission, TenantQuotas, ANONYMOUS_TENANT};
-use crate::registry::DatasetRegistry;
+use crate::registry::{DatasetEntry, DatasetRegistry};
 use crate::signal;
 
 /// Tunables for [`Server::bind`].
@@ -78,7 +99,10 @@ pub struct ServerConfig {
     /// Bounded queue of parsed-but-unserved requests; beyond this the
     /// server sheds with 503.
     pub queue_capacity: usize,
-    /// Result-cache entries (`0` disables caching).
+    /// Result-cache entries (`0` disables caching). Keep it in the
+    /// hundreds: storing a miss scans every entry for the eviction victim
+    /// under the lock the event thread's lookups take
+    /// ([`crate::cache`]).
     pub cache_capacity: usize,
     /// Maximum time a request may wait in the queue before a worker picks
     /// it up; older requests are answered 503 without running.
@@ -180,14 +204,6 @@ impl Default for ServerConfig {
             debug_sleep_endpoint: false,
         }
     }
-}
-
-/// Per-request context threaded from the event loop into routing: when
-/// the request's first byte arrived (the traced clock's zero point) and
-/// whether tracing is on for everyone or only header-opt-in requests.
-struct RequestContext {
-    accepted_at: Instant,
-    trace_default: bool,
 }
 
 /// State shared by the event loop, the workers, and [`ServerHandle`]s.
@@ -374,13 +390,26 @@ struct Completion {
 }
 
 /// One parsed request inside a dispatch batch: real work for a worker,
-/// or an event-thread admission answer (429/503/4xx) that must keep its
-/// place in the pipelined response order.
+/// or an answer admission control already has (a cache hit, 429/503/4xx)
+/// that must keep its place in the pipelined response order.
 enum BatchItem {
-    /// Route this request on a worker thread.
-    Run { request: Box<Request>, keep_alive: bool, ordinal: u64 },
-    /// Answer with this pre-cooked response without routing.
+    /// Work for a worker thread: the adaptive loop for `miss` when the
+    /// lookup stage resolved the request, routing otherwise.
+    Run { request: Box<Request>, keep_alive: bool, ordinal: u64, miss: Option<Box<Miss>> },
+    /// Answer with this finished response; its metrics were recorded
+    /// where it was made.
     Canned { response: Box<Response>, keep_alive: bool },
+}
+
+/// A query the result cache could not answer, with everything the lookup
+/// stage resolved — whoever runs it neither parses nor looks up again.
+struct Miss {
+    spec: QuerySpec,
+    /// Where the body goes once computed.
+    key: String,
+    /// The registry entry `key`'s generation came from; `None` on a
+    /// coordinator, whose data lives on the peers.
+    entry: Option<Arc<DatasetEntry>>,
 }
 
 /// The event thread's state: the poller, the connection slab, and the
@@ -550,152 +579,158 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    /// Parses every complete buffered request of a reading connection —
-    /// running admission control per request on the event thread — and
-    /// dispatches the resulting batch. Pipelined requests share one
-    /// queue slot, one worker hand-off, and one response flush.
+    /// Parses every complete buffered request of a reading connection,
+    /// running admission control per request ([`Self::admit`]), and
+    /// dispatches the resulting batch. Pipelined requests share one queue
+    /// slot, one worker hand-off, and one response flush. A batch answered
+    /// entirely on the event thread (hits, 429s) is flushed here and the
+    /// next one parsed — in a loop, so a client pipelining cached queries
+    /// by the thousand costs no stack.
     fn advance(&mut self, token: usize, now: Instant) {
-        enum Action {
-            Wait,
-            Peer,
-            Batch(Vec<BatchItem>),
-        }
-        let action = {
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
-            if conn.state == ConnState::Idle || !conn.has_buffered() {
-                Action::Wait
-            } else {
-                let mut items: Vec<BatchItem> = Vec::new();
-                let mut peer = false;
-                while items.len() < MAX_BATCH {
-                    match conn.take_request(self.config.max_body_bytes) {
-                        Parsed::Incomplete => break,
-                        Parsed::Cluster => {
-                            // Only possible on a pristine connection, so
-                            // the batch is necessarily empty.
-                            peer = true;
+        loop {
+            let mut items: Vec<BatchItem> = Vec::new();
+            while items.len() < MAX_BATCH {
+                let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+                if conn.state == ConnState::Idle || !conn.has_buffered() {
+                    break;
+                }
+                match conn.take_request(self.config.max_body_bytes) {
+                    Parsed::Incomplete => break,
+                    // Only possible on a pristine connection, so the
+                    // batch is necessarily empty.
+                    Parsed::Cluster => return self.hand_off_peer(token),
+                    Parsed::Reject(response) => {
+                        // Unusable bytes: count the attempt, answer,
+                        // close — nothing after them is parseable.
+                        let waited = conn.read_started.map_or(0, micros_since);
+                        self.shared.metrics.record_request();
+                        self.shared.metrics.record_response(response.status, waited);
+                        items.push(BatchItem::Canned { response, keep_alive: false });
+                        break;
+                    }
+                    Parsed::Request { request, keep_alive } => {
+                        let (conn_id, ordinal) = (conn.id, conn.requests);
+                        let arrival = conn.read_started.unwrap_or(now);
+                        items.push(self.admit(request, keep_alive, conn_id, ordinal, arrival));
+                        if !keep_alive {
                             break;
-                        }
-                        Parsed::Reject(response) => {
-                            // Unusable bytes: count the attempt, answer,
-                            // close — nothing after them is parseable.
-                            self.shared.metrics.record_request();
-                            items.push(BatchItem::Canned { response, keep_alive: false });
-                            break;
-                        }
-                        Parsed::Request { request, keep_alive } => {
-                            self.shared.metrics.record_request();
-                            let throttle = self.shared.quotas.as_ref().and_then(|q| {
-                                let tenant =
-                                    request.header("x-swope-api-key").unwrap_or(ANONYMOUS_TENANT);
-                                match q.admit(tenant, now) {
-                                    Admission::Allow => {
-                                        self.shared.metrics.record_tenant(tenant, false);
-                                        None
-                                    }
-                                    Admission::Throttle { retry_after_secs } => {
-                                        self.shared.metrics.record_tenant(tenant, true);
-                                        Some(retry_after_secs)
-                                    }
-                                }
-                            });
-                            if let Some(retry) = throttle {
-                                let response = Box::new(
-                                    Response::error(
-                                        429,
-                                        "tenant over admission quota, retry after backoff",
-                                    )
-                                    .with_header("Retry-After", &retry.to_string()),
-                                );
-                                items.push(BatchItem::Canned { response, keep_alive });
-                            } else if self.watcher.depth() >= self.config.queue_capacity {
-                                // Sole producer: depth vs capacity is exact.
-                                self.shared.metrics.record_rejected();
-                                let response = Box::new(
-                                    Response::error(503, "server overloaded, retry shortly")
-                                        .with_header("Retry-After", "1"),
-                                );
-                                items.push(BatchItem::Canned { response, keep_alive });
-                            } else {
-                                items.push(BatchItem::Run {
-                                    request,
-                                    keep_alive,
-                                    ordinal: conn.requests,
-                                });
-                            }
-                            if !keep_alive {
-                                break;
-                            }
                         }
                     }
                 }
-                if peer {
-                    Action::Peer
-                } else if items.is_empty() {
-                    Action::Wait
-                } else {
-                    Action::Batch(items)
-                }
             }
-        };
-        match action {
-            Action::Wait => self.set_interest(token, Interest::READ),
-            Action::Peer => self.hand_off_peer(token),
-            Action::Batch(items) => self.dispatch(token, items, now),
+            if items.is_empty() {
+                return self.set_interest(token, Interest::READ);
+            }
+            if !self.dispatch(token, items, now) {
+                return;
+            }
         }
     }
 
-    /// Queues an event-thread response (429/503/4xx) and flushes it.
-    fn respond_inline(&mut self, token: usize, resp: Response, keep_alive: bool, now: Instant) {
-        let status = resp.status;
-        let micros;
-        {
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
-            micros = conn.read_started.map(|t| now.duration_since(t).as_micros() as u64);
-            conn.queue_response(&resp, keep_alive && !self.draining);
+    /// Admission control for one parsed request, on the event thread: the
+    /// tenant's quota, then — for an untraced `GET /query/*` — the
+    /// result-cache lookup, then the exact queue-depth shed check. Only a
+    /// request that passes all three costs a worker hand-off.
+    fn admit(
+        &self,
+        request: Box<Request>,
+        keep_alive: bool,
+        conn_id: u64,
+        ordinal: u64,
+        arrival: Instant,
+    ) -> BatchItem {
+        let shared = &*self.shared;
+        shared.metrics.record_request();
+        if ordinal >= 2 {
+            shared.metrics.record_keepalive_reuse();
         }
-        self.shared.metrics.record_response(status, micros.unwrap_or(0));
+        let canned = |response: Response| {
+            shared.metrics.record_response(response.status, micros_since(arrival));
+            BatchItem::Canned { response: Box::new(response), keep_alive }
+        };
+        let throttle = shared.quotas.as_ref().and_then(|q| {
+            let tenant = request.header("x-swope-api-key").unwrap_or(ANONYMOUS_TENANT);
+            match q.admit(tenant, Instant::now()) {
+                Admission::Allow => {
+                    shared.metrics.record_tenant(tenant, false);
+                    None
+                }
+                Admission::Throttle { retry_after_secs } => {
+                    shared.metrics.record_tenant(tenant, true);
+                    Some(retry_after_secs)
+                }
+            }
+        });
+        if let Some(retry) = throttle {
+            return canned(
+                Response::error(429, "tenant over admission quota, retry after backoff")
+                    .with_header("Retry-After", &retry.to_string()),
+            );
+        }
+        let traced = || self.config.trace || request.header("x-swope-trace").is_some();
+        let mut miss = None;
+        if request.method == "GET" && request.path.starts_with("/query/") && !traced() {
+            match resolve_query(&request, shared) {
+                Ok(unanswered) => miss = Some(unanswered),
+                Err(response) => {
+                    // Answered without compute: everything a routed
+                    // response gets, minus the hand-off.
+                    let micros = micros_since(arrival);
+                    let dataset = request.param("dataset").unwrap_or("-");
+                    shared.metrics.record_labelled(endpoint_label(&request.path), dataset, micros);
+                    log_access(shared, &request, &response, micros, conn_id, ordinal);
+                    return canned(response);
+                }
+            }
+        }
+        if self.watcher.depth() >= self.config.queue_capacity {
+            // Sole producer: depth vs capacity is exact.
+            shared.metrics.record_rejected();
+            return canned(
+                Response::error(503, "server overloaded, retry shortly")
+                    .with_header("Retry-After", "1"),
+            );
+        }
+        BatchItem::Run { request, keep_alive, ordinal, miss }
+    }
+
+    /// Queues an event-thread response (a 503 for a lost shutdown race)
+    /// and flushes it.
+    fn respond_inline(&mut self, token: usize, resp: Response, keep_alive: bool, now: Instant) {
+        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+        let waited = conn.read_started.map_or(0, micros_since);
+        conn.queue_response(&resp, keep_alive && !self.draining);
+        self.shared.metrics.record_response(resp.status, waited);
         self.flush_and_advance(token, now);
     }
 
     /// Hands a request batch to a worker; the connection parks in
     /// `Dispatched` with no poller interest until the completion returns.
-    /// A batch with no routable work (every item canned by admission
-    /// control) is answered on the event thread without a queue slot.
-    fn dispatch(&mut self, token: usize, items: Vec<BatchItem>, now: Instant) {
+    /// A batch with no work for one (every item answered by admission
+    /// control) is flushed on the event thread without a queue slot, a
+    /// state change or an `epoll_ctl`; `true` then means it is fully
+    /// written and the connection's next batch can be parsed.
+    fn dispatch(&mut self, token: usize, items: Vec<BatchItem>, now: Instant) -> bool {
         if items.iter().all(|i| matches!(i, BatchItem::Canned { .. })) {
-            let micros = {
-                let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-                    return;
-                };
-                let micros = conn.read_started.map(|t| now.duration_since(t).as_micros() as u64);
-                for item in &items {
-                    let BatchItem::Canned { response, keep_alive } = item else { unreachable!() };
-                    conn.append_response(response, *keep_alive && !self.draining);
-                }
-                micros.unwrap_or(0)
+            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
+                return false;
             };
             for item in &items {
-                if let BatchItem::Canned { response, .. } = item {
-                    self.shared.metrics.record_response(response.status, micros);
-                }
+                let BatchItem::Canned { response, keep_alive } = item else { unreachable!() };
+                conn.append_response(response, *keep_alive && !self.draining);
             }
-            self.flush_and_advance(token, now);
-            return;
+            return self.flush(token, now);
         }
         let (generation, conn_id, arrival);
         {
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
+            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
+                return false;
+            };
             conn.generation += 1;
             conn.state = ConnState::Dispatched;
             generation = conn.generation;
             conn_id = conn.id;
             arrival = conn.read_started.unwrap_or(now);
-        }
-        for item in &items {
-            if matches!(item, BatchItem::Run { ordinal, .. } if *ordinal >= 2) {
-                self.shared.metrics.record_keepalive_reuse();
-            }
         }
         self.set_interest(token, Interest::NONE);
         let shared = Arc::clone(&self.shared);
@@ -709,12 +744,9 @@ impl<'a> EventLoop<'a> {
             for item in items {
                 match item {
                     BatchItem::Canned { response, keep_alive } => {
-                        shared
-                            .metrics
-                            .record_response(response.status, arrival.elapsed().as_micros() as u64);
                         responses.push((*response, keep_alive));
                     }
-                    BatchItem::Run { request, keep_alive, ordinal } => {
+                    BatchItem::Run { request, keep_alive, ordinal, miss } => {
                         // The deadline is re-checked per request: a batch
                         // that queued too long sheds every member.
                         let response = if dispatched_at.elapsed() > config.deadline {
@@ -722,22 +754,19 @@ impl<'a> EventLoop<'a> {
                             Response::error(503, "request deadline expired while queued")
                                 .with_header("Retry-After", "1")
                         } else {
-                            let ctx = RequestContext {
-                                accepted_at: arrival,
-                                trace_default: config.trace,
-                            };
                             // A handler panic (a corrupt page read on
                             // the sequential executor, say) must cost the
                             // client one 500, not the pool a worker and
                             // the connection its reply.
-                            let resp = catch_unwind(AssertUnwindSafe(|| {
-                                route(&request, &shared, &watcher, &ctx)
+                            let resp = catch_unwind(AssertUnwindSafe(|| match miss {
+                                Some(miss) => run_miss(*miss, &shared, None),
+                                None => route(&request, &shared, &watcher, arrival),
                             }))
                             .unwrap_or_else(|payload| {
                                 shared.metrics.record_worker_panic();
                                 Response::error(500, &panic_message(payload.as_ref()))
                             });
-                            let micros = arrival.elapsed().as_micros() as u64;
+                            let micros = micros_since(arrival);
                             let dataset = request.param("dataset").unwrap_or("-");
                             shared.metrics.record_labelled(
                                 endpoint_label(&request.path),
@@ -747,9 +776,7 @@ impl<'a> EventLoop<'a> {
                             log_access(&shared, &request, &resp, micros, conn_id, ordinal);
                             resp
                         };
-                        shared
-                            .metrics
-                            .record_response(response.status, arrival.elapsed().as_micros() as u64);
+                        shared.metrics.record_response(response.status, micros_since(arrival));
                         responses.push((response, keep_alive));
                     }
                 }
@@ -766,6 +793,7 @@ impl<'a> EventLoop<'a> {
             let resp = Response::error(503, "server shutting down").with_header("Retry-After", "1");
             self.respond_inline(token, resp, false, now);
         }
+        false
     }
 
     /// Applies finished worker responses to their connections. Stale
@@ -796,37 +824,32 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    /// Flushes the queued response; on completion either closes or goes
-    /// back to idle/reading — immediately parsing any pipelined request
-    /// already sitting in the buffer.
+    /// Flushes the queued response, then parses whatever the connection
+    /// has buffered behind it.
     fn flush_and_advance(&mut self, token: usize, now: Instant) {
-        let flushed = {
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return };
-            conn.flush_out(now)
-        };
-        match flushed {
+        if self.flush(token, now) {
+            self.advance(token, now);
+        }
+    }
+
+    /// Writes as much of the queued response as the socket takes. `true`
+    /// means all of it went out and the connection lives on — back to
+    /// idle/reading, with no re-arm: the `advance` that follows ends in an
+    /// explicit interest (READ on wait, NONE on dispatch), so a pipelined
+    /// request skips the READ→NONE round trip. Otherwise the connection
+    /// is closed or waiting to become writable.
+    fn flush(&mut self, token: usize, now: Instant) -> bool {
+        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { return false };
+        match conn.flush_out(now) {
             Err(_) => self.close(token),
             Ok(false) => self.set_interest(token, Interest::WRITE),
+            Ok(true) if conn.close_after_write || self.draining => self.close(token),
             Ok(true) => {
-                let close = {
-                    let conn = self.conns[token].as_mut().expect("conn checked above");
-                    if conn.close_after_write || self.draining {
-                        true
-                    } else {
-                        conn.response_done();
-                        false
-                    }
-                };
-                if close {
-                    self.close(token);
-                } else {
-                    // No re-arm here: `advance` ends in an explicit
-                    // interest (READ on wait, NONE on dispatch), so a
-                    // pipelined request skips the READ→NONE round trip.
-                    self.advance(token, now);
-                }
+                conn.response_done();
+                return true;
             }
         }
+        false
     }
 
     /// Re-registers `token`'s readiness interest only when it changed;
@@ -1071,6 +1094,11 @@ fn log_access(
     }
 }
 
+/// Microseconds since `t`: a request's latency so far, from its arrival.
+fn micros_since(t: Instant) -> u64 {
+    t.elapsed().as_micros() as u64
+}
+
 /// The one-line message of a contained handler panic (`panic!` with a
 /// literal carries a `&str`, with a format string a `String`).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1082,8 +1110,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     message.lines().next().unwrap_or_default().to_owned()
 }
 
-/// Dispatches a parsed request to an endpoint.
-fn route(req: &Request, shared: &Shared, watcher: &QueueWatcher, ctx: &RequestContext) -> Response {
+/// Dispatches a parsed request to an endpoint, on a worker. `arrival` is
+/// when its first byte came in (the traced clock's zero point). A
+/// `GET /query/*` gets here only when it is traced — admission control
+/// resolves the others ([`resolve_query`]) and hands over a [`Miss`].
+fn route(req: &Request, shared: &Shared, watcher: &QueueWatcher, arrival: Instant) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(shared, watcher),
         ("GET", "/metrics") => Response::text(
@@ -1113,9 +1144,7 @@ fn route(req: &Request, shared: &Shared, watcher: &QueueWatcher, ctx: &RequestCo
             std::thread::sleep(Duration::from_millis(ms));
             Response::json(200, format!("{{\"slept_ms\":{ms}}}"))
         }
-        ("GET", path) if path.starts_with("/query/") => {
-            serve_query(&path["/query/".len()..], req, shared, ctx)
-        }
+        ("GET", path) if path.starts_with("/query/") => serve_traced_query(req, shared, arrival),
         (_, "/healthz" | "/metrics" | "/datasets" | "/debug/traces" | "/debug/slow") => {
             Response::error(405, &format!("method {} not allowed here", req.method))
         }
@@ -1199,26 +1228,42 @@ fn load_dataset(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-/// `GET /query/<shape>`: cache lookup, then the adaptive loop on a miss.
-/// Traced when the server traces by default or the request carries an
-/// `X-Swope-Trace` header.
-fn serve_query(segment: &str, req: &Request, shared: &Shared, ctx: &RequestContext) -> Response {
-    let spec = match parse_spec(segment, req) {
+/// The lookup stage for an untraced `GET /query/*`, on the event thread:
+/// `Ok` is a miss for a worker to run, `Err` the finished answer — a hit,
+/// or a 400 that never reaches the cache.
+fn resolve_query(req: &Request, shared: &Shared) -> Result<Box<Miss>, Response> {
+    lookup(query_spec(req)?, shared, None)
+}
+
+/// The spec a `/query/<shape>` request names, or the 400 that says why
+/// it names none.
+fn query_spec(req: &Request) -> Result<QuerySpec, Response> {
+    parse_spec(&req.path["/query/".len()..], req).map_err(|msg| Response::error(400, &msg))
+}
+
+/// A traced `GET /query/<shape>`, whole on a worker: lookup, then the
+/// adaptive loop on a miss, under a span tree rooted at the request's
+/// arrival. The trace id is the `X-Swope-Trace` header's when it parses,
+/// a fresh one otherwise (a malformed value, or `trace: true` and no
+/// header).
+fn serve_traced_query(req: &Request, shared: &Shared, arrival: Instant) -> Response {
+    let spec = match query_spec(req) {
         Ok(spec) => spec,
-        Err(msg) => return Response::error(400, &msg),
+        Err(bad_request) => return bad_request,
     };
     let header = req.header("x-swope-trace");
-    if !(ctx.trace_default || header.is_some()) {
-        return execute_query(&spec, shared, None);
-    }
-    // A malformed header value still gets a trace — just under a fresh id.
     let trace_id = header.and_then(TraceId::parse).unwrap_or_else(TraceId::next_seeded);
-    let sink = SpanSink::anchored(trace_id, ctx.accepted_at);
+    let sink = SpanSink::anchored(trace_id, arrival);
     let root = sink.open_at("request", None, 0);
     sink.set_items(root, req.body.len() as u64);
     // Everything between arrival and this point: queue wait + parsing.
     sink.record("queue_wait", Some(root), 0, sink.now_ns(), 0, 0);
-    let response = execute_query(&spec, shared, Some((&sink, root)));
+    let dataset = spec.dataset.clone();
+    let trace = Some((&sink, root));
+    let response = match lookup(spec, shared, trace) {
+        Ok(miss) => run_miss(*miss, shared, trace),
+        Err(answer) => answer,
+    };
     sink.close(root);
     let wall_ns = sink.now_ns();
     let (spans, dropped_spans) = sink.drain();
@@ -1231,7 +1276,7 @@ fn serve_query(segment: &str, req: &Request, shared: &Shared, ctx: &RequestConte
     shared.recorder.record(TraceRecord {
         trace_id: sink.trace_id().to_string(),
         endpoint: endpoint_label(&req.path).to_owned(),
-        dataset: spec.dataset.clone(),
+        dataset,
         status: response.status,
         cache,
         wall_ns,
@@ -1241,73 +1286,56 @@ fn serve_query(segment: &str, req: &Request, shared: &Shared, ctx: &RequestConte
     response.with_header("X-Swope-Trace", &sink.trace_id().to_string())
 }
 
-/// Runs a parsed query spec: registry lookup, cache, then the adaptive
-/// loop. With a trace attached, records `cache_lookup`, the query's span
-/// tree (via [`TraceObserver`]), `exec_dispatch` spans from the pooled
-/// executor, and an aggregate `store_gather` span from the storage
-/// layer's global gather counters (exact when one query runs at a time;
-/// approximate under concurrent traced queries).
-fn execute_query(
-    spec: &QuerySpec,
+/// The one result-cache lookup a query request gets: dataset generation
+/// → key → [`ResultCache::get`], under a `cache_lookup` span when traced.
+/// `Ok` is a miss, with what it resolved; `Err` the finished answer — a
+/// hit, or a 404 for a dataset nobody loaded.
+fn lookup(
+    spec: QuerySpec,
     shared: &Shared,
     trace: Option<(&Arc<SpanSink>, u32)>,
-) -> Response {
-    if shared.cluster.is_some() {
-        return execute_query_cluster(spec, shared, trace);
-    }
-    let Some(entry) = shared.registry.get(&spec.dataset) else {
-        return Response::error(404, &format!("no dataset named {:?} is loaded", spec.dataset));
+) -> Result<Box<Miss>, Response> {
+    let entry = match shared.cluster {
+        // Cluster datasets live on the (static) peers and the union is
+        // immutable for the process lifetime, so bodies cache under a
+        // pinned generation: 1 matches a fresh single box's first insert,
+        // so coordinator bodies diff cleanly against single-box bodies.
+        Some(_) => None,
+        None => match shared.registry.get(&spec.dataset) {
+            Some(entry) => Some(entry),
+            None => {
+                let msg = format!("no dataset named {:?} is loaded", spec.dataset);
+                return Err(Response::error(404, &msg));
+            }
+        },
     };
-    let key = cache_key(spec, entry.generation);
-    let lookup = trace.map(|(sink, root)| sink.open("cache_lookup", Some(root)));
+    let key = cache_key(&spec, entry.as_ref().map_or(1, |e| e.generation));
+    let span = trace.map(|(sink, root)| sink.open("cache_lookup", Some(root)));
     let cached = shared.cache.get(&key);
-    if let (Some((sink, _)), Some(span)) = (trace, lookup) {
+    if let (Some((sink, _)), Some(span)) = (trace, span) {
         sink.close(span);
     }
-    if let Some(body) = cached {
-        return Response::json(200, body.as_str()).with_header("X-Swope-Cache", "hit");
+    match cached {
+        Some(body) => Err(Response::json(200, body.as_str()).with_header("X-Swope-Cache", "hit")),
+        None => Ok(Box::new(Miss { spec, key, entry })),
     }
+}
+
+/// Computes a miss and stores its body: the adaptive loop against the
+/// registry entry, or fanned out over the peer fleet on a coordinator,
+/// where a dead or hung peer maps onto a retryable 503, never a hang
+/// (every wire wait is deadline-bounded).
+fn run_miss(miss: Miss, shared: &Shared, trace: Option<(&Arc<SpanSink>, u32)>) -> Response {
+    let Miss { spec, key, entry } = miss;
     // Single-threaded queries run inline on the HTTP worker; anything
     // else shares the process-wide pool. Either way the answer bytes are
     // identical (the loops are executor-invariant), so cached bodies stay
     // valid across the choice — and so does tracing, which is purely
     // observational (enforced by `core/tests/trace_invariance.rs`).
     let exec = if spec.threads <= 1 { Executor::sequential() } else { shared.exec.clone() };
-    let result = match trace {
-        None => run_query(&entry, spec, &exec, &mut &shared.metrics.registry),
-        Some((sink, root)) => {
-            let exec = exec.with_trace(Arc::clone(sink), root);
-            let mut obs = ComposedObserver::new(
-                TraceObserver::new(Arc::clone(sink), Some(root)),
-                &shared.metrics.registry,
-            );
-            let start_ns = sink.now_ns();
-            let before = gather_stats::snapshot();
-            let pager_before = shared.pager.snapshot();
-            let result = run_query(&entry, spec, &exec, &mut obs);
-            let delta = gather_stats::snapshot().since(before);
-            if delta.calls > 0 {
-                sink.record(
-                    "store_gather",
-                    Some(root),
-                    start_ns,
-                    start_ns + delta.nanos,
-                    0,
-                    delta.rows,
-                );
-            }
-            // Same aggregate-span treatment for the pager: one span whose
-            // width is everything the pager did for this query — pages
-            // admitted (checked, on their first touch) and the evictions
-            // that forced — and whose item count is the pages admitted
-            // (exact when one traced query runs at a time).
-            let pdelta = shared.pager.snapshot().since(&pager_before);
-            if pdelta.faults > 0 {
-                let nanos = pdelta.fault_nanos + pdelta.evict_nanos;
-                sink.record("page_fault", Some(root), start_ns, start_ns + nanos, 0, pdelta.faults);
-            }
-            result
-        }
+    let result = match entry {
+        Some(entry) => run_local(&entry, &spec, exec, shared, trace),
+        None => run_cluster(&spec, exec, shared, trace),
     };
     match result {
         Ok(body) => {
@@ -1315,66 +1343,71 @@ fn execute_query(
             shared.cache.put(key, Arc::clone(&body));
             Response::json(200, body.as_str()).with_header("X-Swope-Cache", "miss")
         }
+        Err((503, msg)) => Response::error(503, &msg).with_header("Retry-After", "1"),
         Err((status, msg)) => Response::error(status, &msg),
     }
 }
 
-/// The coordinator flavour of [`execute_query`]: same cache and tracing
-/// plumbing, but the answer comes from fanning the query over the peer
-/// fleet. Cluster datasets live on the (static) peers, so bodies cache
-/// under the pinned cluster generation; a dead or hung peer maps onto a
-/// retryable 503, never a hang (every wire wait is deadline-bounded).
-fn execute_query_cluster(
+/// The adaptive loop over a registered dataset. With a trace attached,
+/// records the query's span tree (via [`TraceObserver`]), `exec_dispatch`
+/// spans from the pooled executor, and an aggregate `store_gather` span
+/// from the storage layer's global gather counters (exact when one query
+/// runs at a time; approximate under concurrent traced queries).
+fn run_local(
+    entry: &DatasetEntry,
     spec: &QuerySpec,
+    exec: Executor,
     shared: &Shared,
     trace: Option<(&Arc<SpanSink>, u32)>,
-) -> Response {
-    let cluster = shared.cluster.as_ref().expect("cluster target configured");
-    // The union is immutable for the process lifetime; generation 1
-    // matches a fresh single box's first insert, so coordinator bodies
-    // diff cleanly against single-box bodies.
-    let key = cache_key(spec, 1);
-    let lookup = trace.map(|(sink, root)| sink.open("cache_lookup", Some(root)));
-    let cached = shared.cache.get(&key);
-    if let (Some((sink, _)), Some(span)) = (trace, lookup) {
-        sink.close(span);
-    }
-    if let Some(body) = cached {
-        return Response::json(200, body.as_str()).with_header("X-Swope-Cache", "hit");
-    }
-    let exec = if spec.threads <= 1 { Executor::sequential() } else { shared.exec.clone() };
-    let result = match trace {
-        None => run_query_cluster(
-            cluster,
-            &shared.cluster_stats,
-            spec,
-            &exec,
-            &mut &shared.metrics.registry,
-        ),
-        Some((sink, root)) => {
-            let exec = exec.with_trace(Arc::clone(sink), root);
-            let mut obs = ComposedObserver::new(
-                TraceObserver::new(Arc::clone(sink), Some(root)),
-                &shared.metrics.registry,
-            );
-            run_query_cluster(cluster, &shared.cluster_stats, spec, &exec, &mut obs)
-        }
+) -> Result<String, (u16, String)> {
+    let Some((sink, root)) = trace else {
+        return run_query(entry, spec, &exec, &mut &shared.metrics.registry);
     };
-    match result {
-        Ok(body) => {
-            let body = Arc::new(body);
-            shared.cache.put(key, Arc::clone(&body));
-            Response::json(200, body.as_str()).with_header("X-Swope-Cache", "miss")
-        }
-        Err((status, msg)) => {
-            let resp = Response::error(status, &msg);
-            if status == 503 {
-                resp.with_header("Retry-After", "1")
-            } else {
-                resp
-            }
-        }
+    let exec = exec.with_trace(Arc::clone(sink), root);
+    let mut obs = ComposedObserver::new(
+        TraceObserver::new(Arc::clone(sink), Some(root)),
+        &shared.metrics.registry,
+    );
+    let start_ns = sink.now_ns();
+    let before = gather_stats::snapshot();
+    let pager_before = shared.pager.snapshot();
+    let result = run_query(entry, spec, &exec, &mut obs);
+    let delta = gather_stats::snapshot().since(before);
+    if delta.calls > 0 {
+        sink.record("store_gather", Some(root), start_ns, start_ns + delta.nanos, 0, delta.rows);
     }
+    // Same aggregate-span treatment for the pager: one span whose width
+    // is everything the pager did for this query — pages admitted
+    // (checked, on their first touch) and the evictions that forced — and
+    // whose item count is the pages admitted (exact when one traced query
+    // runs at a time).
+    let pdelta = shared.pager.snapshot().since(&pager_before);
+    if pdelta.faults > 0 {
+        let nanos = pdelta.fault_nanos + pdelta.evict_nanos;
+        sink.record("page_fault", Some(root), start_ns, start_ns + nanos, 0, pdelta.faults);
+    }
+    result
+}
+
+/// The coordinator flavour of [`run_local`]: same tracing plumbing, but
+/// the answer comes from fanning the query over the peer fleet.
+fn run_cluster(
+    spec: &QuerySpec,
+    exec: Executor,
+    shared: &Shared,
+    trace: Option<(&Arc<SpanSink>, u32)>,
+) -> Result<String, (u16, String)> {
+    let cluster = shared.cluster.as_ref().expect("a miss without an entry is a coordinator's");
+    let stats = &shared.cluster_stats;
+    let Some((sink, root)) = trace else {
+        return run_query_cluster(cluster, stats, spec, &exec, &mut &shared.metrics.registry);
+    };
+    let exec = exec.with_trace(Arc::clone(sink), root);
+    let mut obs = ComposedObserver::new(
+        TraceObserver::new(Arc::clone(sink), Some(root)),
+        &shared.metrics.registry,
+    );
+    run_query_cluster(cluster, stats, spec, &exec, &mut obs)
 }
 
 #[cfg(test)]
@@ -1409,8 +1442,13 @@ mod tests {
         (shared, watcher)
     }
 
-    fn ctx() -> RequestContext {
-        RequestContext { accepted_at: Instant::now(), trace_default: false }
+    /// An untraced query the way the server answers one: the lookup
+    /// stage (the event thread's), then the miss (a worker's).
+    fn answer(req: &Request, shared: &Shared) -> Response {
+        match resolve_query(req, shared) {
+            Ok(miss) => run_miss(*miss, shared, None),
+            Err(response) => response,
+        }
     }
 
     fn get(path: &str) -> Request {
@@ -1424,38 +1462,36 @@ mod tests {
     #[test]
     fn routes_cover_ops_endpoints() {
         let (shared, watcher) = shared_with_dataset();
-        assert_eq!(route(&get("/healthz"), &shared, &watcher, &ctx()).status, 200);
-        let metrics = route(&get("/metrics"), &shared, &watcher, &ctx());
+        assert_eq!(route(&get("/healthz"), &shared, &watcher, Instant::now()).status, 200);
+        let metrics = route(&get("/metrics"), &shared, &watcher, Instant::now());
         assert_eq!(metrics.status, 200);
         assert!(String::from_utf8(metrics.body.clone())
             .unwrap()
             .contains("swope_http_requests_total"));
-        assert_eq!(route(&get("/datasets"), &shared, &watcher, &ctx()).status, 200);
-        assert_eq!(route(&get("/nope"), &shared, &watcher, &ctx()).status, 404);
+        assert_eq!(route(&get("/datasets"), &shared, &watcher, Instant::now()).status, 200);
+        assert_eq!(route(&get("/nope"), &shared, &watcher, Instant::now()).status, 404);
         let mut del = get("/healthz");
         del.method = "DELETE".into();
-        assert_eq!(route(&del, &shared, &watcher, &ctx()).status, 405);
+        assert_eq!(route(&del, &shared, &watcher, Instant::now()).status, 405);
     }
 
     #[test]
     fn query_route_caches_and_errors() {
-        let (shared, watcher) = shared_with_dataset();
+        let (shared, _watcher) = shared_with_dataset();
         let req = get("/query/entropy-topk?dataset=t&k=1");
-        let first = route(&req, &shared, &watcher, &ctx());
+        let first = answer(&req, &shared);
         assert_eq!(first.status, 200);
         assert!(first.extra_headers.iter().any(|(_, v)| v == "miss"));
-        let second = route(&req, &shared, &watcher, &ctx());
+        // The second time the lookup stage has the answer: no miss to run.
+        let second = resolve_query(&req, &shared).err().expect("a hit is answered at lookup");
         assert!(second.extra_headers.iter().any(|(_, v)| v == "hit"));
         assert_eq!(first.body, second.body);
-        assert_eq!(
-            route(&get("/query/entropy-topk?dataset=t"), &shared, &watcher, &ctx()).status,
-            400
-        );
-        assert_eq!(
-            route(&get("/query/entropy-topk?dataset=gone&k=1"), &shared, &watcher, &ctx()).status,
-            404
-        );
-        assert_eq!(route(&get("/query/bogus?dataset=t"), &shared, &watcher, &ctx()).status, 400);
+        // One lookup per request, and none for what never reaches the cache.
+        assert_eq!((shared.cache.hits(), shared.cache.misses()), (1, 1));
+        assert_eq!(answer(&get("/query/entropy-topk?dataset=t"), &shared).status, 400);
+        assert_eq!(answer(&get("/query/entropy-topk?dataset=gone&k=1"), &shared).status, 404);
+        assert_eq!(answer(&get("/query/bogus?dataset=t"), &shared).status, 400);
+        assert_eq!((shared.cache.hits(), shared.cache.misses()), (1, 1));
     }
 
     #[test]
@@ -1475,7 +1511,7 @@ mod tests {
             headers: Vec::new(),
             body: body.into_bytes(),
         };
-        assert_eq!(route(&req, &shared, &watcher, &ctx()).status, 201);
+        assert_eq!(route(&req, &shared, &watcher, Instant::now()).status, 201);
         assert!(shared.registry.get("extra").is_some());
         let bad = Request {
             method: "POST".into(),
@@ -1484,7 +1520,7 @@ mod tests {
             headers: Vec::new(),
             body: b"{\"path\":\"/no/such.swop\"}".to_vec(),
         };
-        assert_eq!(route(&bad, &shared, &watcher, &ctx()).status, 422);
+        assert_eq!(route(&bad, &shared, &watcher, Instant::now()).status, 422);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1493,7 +1529,7 @@ mod tests {
         let (shared, watcher) = shared_with_dataset();
         let mut req = get("/query/entropy-topk?dataset=t&k=1");
         req.headers.push(("x-swope-trace".into(), "deadbeef".into()));
-        let resp = route(&req, &shared, &watcher, &ctx());
+        let resp = route(&req, &shared, &watcher, Instant::now());
         assert_eq!(resp.status, 200);
         assert!(
             resp.extra_headers.iter().any(|(k, v)| k == "X-Swope-Trace" && v == "00000000deadbeef"),
@@ -1517,7 +1553,7 @@ mod tests {
         assert!(json.contains("\"trace_id\":\"00000000deadbeef\""));
         assert!(json.contains("\"endpoint\":\"query_entropy_top_k\""));
         // Cache hits are traced too, tagged with the outcome.
-        let hit = route(&req, &shared, &watcher, &ctx());
+        let hit = route(&req, &shared, &watcher, Instant::now());
         assert!(hit.extra_headers.iter().any(|(_, v)| v == "hit"));
         assert_eq!(shared.recorder.recorded_total(), 2);
         assert!(shared.recorder.recent_json().contains("\"cache\":\"hit\""));
@@ -1525,7 +1561,7 @@ mod tests {
         assert_eq!(shared.recorder.slow_total(), 2);
         assert!(shared.recorder.slow_json().contains("\"trace_id\":\"00000000deadbeef\""));
         // Untraced requests leave no record.
-        let plain = route(&get("/query/entropy-topk?dataset=t&k=2"), &shared, &watcher, &ctx());
+        let plain = answer(&get("/query/entropy-topk?dataset=t&k=2"), &shared);
         assert_eq!(plain.status, 200);
         assert!(plain.extra_headers.iter().all(|(k, _)| k != "X-Swope-Trace"));
         assert_eq!(shared.recorder.recorded_total(), 2);
@@ -1533,10 +1569,11 @@ mod tests {
 
     #[test]
     fn trace_default_traces_without_header() {
+        // Under `trace: true` admission dispatches every query; routed
+        // without a header it is traced under a fresh id.
         let (shared, watcher) = shared_with_dataset();
         let req = get("/query/entropy-profile?dataset=t");
-        let ctx = RequestContext { accepted_at: Instant::now(), trace_default: true };
-        let resp = route(&req, &shared, &watcher, &ctx);
+        let resp = route(&req, &shared, &watcher, Instant::now());
         assert_eq!(resp.status, 200);
         assert!(resp.extra_headers.iter().any(|(k, _)| k == "X-Swope-Trace"));
         assert_eq!(shared.recorder.recorded_total(), 1);
@@ -1547,14 +1584,14 @@ mod tests {
     fn debug_endpoints_serve_json_and_reject_writes() {
         let (shared, watcher) = shared_with_dataset();
         for path in ["/debug/traces", "/debug/slow"] {
-            let resp = route(&get(path), &shared, &watcher, &ctx());
+            let resp = route(&get(path), &shared, &watcher, Instant::now());
             assert_eq!(resp.status, 200);
             let body = String::from_utf8(resp.body).unwrap();
             let v = Json::parse(&body).unwrap();
             assert_eq!(v.get("recorded_total").unwrap().as_u64(), Some(0));
             let mut post = get(path);
             post.method = "POST".into();
-            assert_eq!(route(&post, &shared, &watcher, &ctx()).status, 405);
+            assert_eq!(route(&post, &shared, &watcher, Instant::now()).status, 405);
         }
     }
 

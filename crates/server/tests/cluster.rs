@@ -262,26 +262,36 @@ fn dead_peer_is_a_fast_one_line_503() {
     assert!(metric(&metrics, "swope_cluster_peer_errors_total") >= 1);
 }
 
-/// A peer that still speaks protocol v1 costs the client a one-line 503
-/// naming it and its version — none of its frames is parsed as v2.
-#[test]
-fn an_older_peer_is_a_one_line_503() {
+/// A scripted peer that answers every `Hello` with the same layout and
+/// the version `version_of(n)` for the `n`-th one it sees (from 0).
+fn hello_peer(version_of: fn(usize) -> u32) -> std::net::SocketAddr {
     use swope_cluster::frame::{read_frame, write_frame, Frame, Hello};
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    // Answers every Hello (the startup probe's, then each query's) as a
-    // v1 build would: same Hello layout, version 1.
     std::thread::spawn(move || {
+        let mut seen = 0usize;
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { break };
             while let Ok((Frame::Hello(hello), _)) = read_frame(&mut stream) {
-                let reply = Hello { version: 1, num_rows: 400, ..hello };
+                let reply = Hello { version: version_of(seen), num_rows: 400, ..hello };
+                seen += 1;
                 if write_frame(&mut stream, &Frame::Hello(reply)).is_err() {
                     break;
                 }
             }
         }
     });
+    addr
+}
+
+/// A peer downgraded to protocol v1 under a running coordinator costs
+/// the client a one-line 503 naming it and its version — none of its
+/// frames is parsed as v2.
+#[test]
+fn an_older_peer_is_a_one_line_503() {
+    // The startup probe's Hello is answered as this build would, each
+    // query's as a v1 build would: same Hello layout, version 1.
+    let addr = hello_peer(|n| if n == 0 { swope_cluster::PROTOCOL_VERSION } else { 1 });
     let coordinator = TestServer::start(
         ServerConfig { peers: vec![addr.to_string()], ..ServerConfig::default() },
         union_dataset(),
@@ -290,6 +300,22 @@ fn an_older_peer_is_a_one_line_503() {
     assert_eq!(reply.status, 503, "{}", reply.body);
     let err = Json::parse(&reply.body).unwrap();
     let msg = err.get("error").unwrap().as_str().unwrap().to_owned();
+    assert!(msg.ends_with(&format!("peer {addr}: speaks protocol v1")), "{msg}");
+    assert!(!msg.contains('\n'), "error must be one line: {msg:?}");
+}
+
+/// A fleet that speaks protocol v1 from the start is refused at bind, in
+/// the words a query would have used — not accepted and then answered
+/// 503 a query at a time.
+#[test]
+fn coordinator_refuses_to_start_against_an_older_fleet() {
+    let addr = hello_peer(|_| 1);
+    let err = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        peers: vec![addr.to_string()],
+        ..ServerConfig::default()
+    });
+    let msg = err.err().expect("bind must fail against a v1 fleet").to_string();
     assert!(msg.ends_with(&format!("peer {addr}: speaks protocol v1")), "{msg}");
     assert!(!msg.contains('\n'), "error must be one line: {msg:?}");
 }

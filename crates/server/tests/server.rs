@@ -228,6 +228,187 @@ fn cache_hit_serves_identical_bytes_without_rerunning_the_query() {
     assert_eq!(third.header("x-swope-cache"), Some("miss"));
 }
 
+/// A keep-alive GET as the tests write them, with optional extra header
+/// lines (each `Name: value\r\n`).
+fn keep_alive_get(path: &str, extra_headers: &str) -> String {
+    format!("GET {path} HTTP/1.1\r\nHost: test\r\n{extra_headers}\r\n")
+}
+
+/// One pipelined write of hit · miss · hit: the hits are answered by the
+/// event thread's lookup stage, the miss by a worker, and the three
+/// responses still come back in request order.
+#[test]
+fn pipelined_hit_miss_hit_is_answered_in_request_order() {
+    let server = TestServer::start(ServerConfig::default());
+    let cached = "/query/entropy-topk?dataset=tiny&k=2";
+    let warm = get(server.addr, cached);
+    assert_eq!(warm.header("x-swope-cache"), Some("miss"));
+
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let burst = [
+        keep_alive_get(cached, ""),
+        keep_alive_get("/query/entropy-topk?dataset=tiny&k=2&seed=41", ""),
+        keep_alive_get(cached, ""),
+    ]
+    .concat();
+    stream.write_all(burst.as_bytes()).unwrap();
+    let replies: Vec<HttpReply> = (0..3).map(|_| read_one_response(&mut stream)).collect();
+    for (reply, want) in replies.iter().zip(["hit", "miss", "hit"]) {
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(reply.header("x-swope-cache"), Some(want));
+        assert_eq!(reply.header("connection"), Some("keep-alive"));
+    }
+    assert_eq!(replies[0].body, replies[2].body);
+    assert_eq!(replies[0].body, warm.body, "a hit serves the stored bytes");
+    assert_ne!(replies[0].body, replies[1].body, "another seed is another answer");
+}
+
+/// A saturated pool sheds only what needs a worker: with the one worker
+/// parked and the one queue slot taken, a cached query is still answered
+/// (the lookup precedes the shed check), the same query under another
+/// seed is shed, and a tenant over quota is throttled even for a cached
+/// query (the quota precedes the lookup).
+#[test]
+fn a_saturated_pool_still_answers_hits_and_quota_precedes_lookup() {
+    let server = TestServer::start(ServerConfig {
+        threads: 1,
+        queue_capacity: 1,
+        debug_sleep_endpoint: true,
+        // Eight requests a tenant, then next to nothing: the anonymous
+        // bucket carries this test's six, `mallory` spends her own.
+        tenant_rps: Some(0.01),
+        tenant_burst: Some(8.0),
+        ..ServerConfig::default()
+    });
+    let cached = "/query/entropy-topk?dataset=tiny&k=3";
+    assert_eq!(get(server.addr, cached).header("x-swope-cache"), Some("miss"));
+    let busy = spawn_sleeper(server.addr, 1200);
+    std::thread::sleep(Duration::from_millis(200));
+    let queued = spawn_sleeper(server.addr, 0);
+    std::thread::sleep(Duration::from_millis(200));
+
+    let hit = get(server.addr, cached);
+    assert_eq!(hit.status, 200, "{}", hit.body);
+    assert_eq!(hit.header("x-swope-cache"), Some("hit"));
+
+    let shed = get(server.addr, "/query/entropy-topk?dataset=tiny&k=3&seed=9");
+    assert_eq!(shed.status, 503, "{}", shed.body);
+    assert_eq!(shed.header("retry-after"), Some("1"));
+    assert!(shed.body.contains("overloaded"));
+
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let ask = keep_alive_get(cached, "X-Swope-Api-Key: mallory\r\n");
+    for spent in 0..8 {
+        stream.write_all(ask.as_bytes()).unwrap();
+        let reply = read_one_response(&mut stream);
+        assert_eq!(reply.status, 200, "request {spent}: {}", reply.body);
+        assert_eq!(reply.header("x-swope-cache"), Some("hit"));
+    }
+    stream.write_all(ask.as_bytes()).unwrap();
+    let throttled = read_one_response(&mut stream);
+    assert_eq!(throttled.status, 429, "{}", throttled.body);
+    assert!(throttled.header("retry-after").is_some());
+    assert!(throttled.header("x-swope-cache").is_none(), "a throttled request is never looked up");
+
+    // Everything above was answered while the worker was still parked.
+    assert_eq!(busy.join().unwrap(), 200);
+    assert_eq!(queued.join().unwrap(), 200);
+    // Reuse is counted where a request is parsed, whoever answers it.
+    let metrics = get(server.addr, "/metrics").body;
+    assert_eq!(
+        metric(&metrics, "swope_conn_keepalive_reuses_total"),
+        8,
+        "requests 2..9 on mallory's socket, the 429 included"
+    );
+}
+
+/// An answer served on the event thread keeps every side effect a routed
+/// one has — cache counters (one lookup a request), response class,
+/// labelled latency histogram, keep-alive reuse, access log — and a miss
+/// is looked up once, not once per thread it visits.
+#[test]
+fn hits_served_on_the_event_thread_keep_every_side_effect() {
+    let log = std::env::temp_dir().join(format!("swope-access-{}.log", std::process::id()));
+    std::fs::remove_file(&log).ok();
+    let server = TestServer::start(ServerConfig {
+        access_log: Some(log.to_str().unwrap().to_owned()),
+        ..ServerConfig::default()
+    });
+    const TWO_XX: &str = "swope_http_responses_total{class=\"2xx\"}";
+    const LABELLED: &str = "swope_http_endpoint_duration_microseconds_count\
+                            {endpoint=\"query_entropy_top_k\",dataset=\"tiny\"}";
+    let before = get(server.addr, "/metrics").body;
+    assert!(!before.contains(LABELLED), "no query served yet");
+
+    // One socket: a miss, then three hits.
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let ask = keep_alive_get("/query/entropy-topk?dataset=tiny&k=2", "");
+    for want in ["miss", "hit", "hit", "hit"] {
+        stream.write_all(ask.as_bytes()).unwrap();
+        let reply = read_one_response(&mut stream);
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(reply.header("x-swope-cache"), Some(want));
+    }
+
+    let after = get(server.addr, "/metrics").body;
+    let delta = |name: &str| metric(&after, name) - metric(&before, name);
+    assert_eq!(delta("swope_cache_hits_total"), 3);
+    assert_eq!(delta("swope_cache_misses_total"), 1, "one lookup per miss");
+    assert_eq!(delta(TWO_XX), 4 + 1, "the four queries and the first scrape's own response");
+    assert_eq!(metric(&after, LABELLED), 4);
+    assert_eq!(delta("swope_conn_keepalive_reuses_total"), 3, "requests 2..4 on the socket");
+
+    let lines: Vec<String> = std::fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains("path=/query/entropy-topk"))
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    let conn = lines[0].split(' ').find(|f| f.starts_with("conn=")).unwrap();
+    for (i, (line, cache)) in lines.iter().zip(["miss", "hit", "hit", "hit"]).enumerate() {
+        for field in [conn, &format!("req={}", i + 1), "status=200", &format!("cache={cache}")] {
+            assert!(line.split(' ').any(|f| f == field), "no {field} in {line:?}");
+        }
+    }
+    std::fs::remove_file(&log).ok();
+}
+
+/// A traced request is never answered by the lookup stage: cached or
+/// not it crosses to a worker, so its tree keeps the spans an operator
+/// reads it for.
+#[test]
+fn a_traced_hit_still_crosses_to_a_worker_and_records_its_spans() {
+    let server = TestServer::start(ServerConfig::default());
+    let path = "/query/entropy-topk?dataset=tiny&k=2";
+    assert_eq!(get(server.addr, path).header("x-swope-cache"), Some("miss"));
+    let reply = send_raw(
+        server.addr,
+        &format!(
+            "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
+             X-Swope-Trace: feedface\r\n\r\n"
+        ),
+    );
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(reply.header("x-swope-cache"), Some("hit"));
+    assert_eq!(reply.header("x-swope-trace"), Some("00000000feedface"));
+
+    let v = Json::parse(&get(server.addr, "/debug/traces").body).unwrap();
+    assert_eq!(v.get("recorded_total").unwrap().as_u64(), Some(1), "the untraced miss left none");
+    let Json::Arr(list) = v.get("traces").unwrap() else { panic!("traces not an array") };
+    assert_eq!(list[0].get("trace_id").unwrap().as_str(), Some("00000000feedface"));
+    assert_eq!(list[0].get("cache").unwrap().as_str(), Some("hit"));
+    let Json::Arr(spans) = list[0].get("spans").unwrap() else { panic!("spans not an array") };
+    let names: Vec<&str> = spans.iter().map(|s| s.get("name").unwrap().as_str().unwrap()).collect();
+    for want in ["request", "queue_wait", "cache_lookup"] {
+        assert!(names.contains(&want), "missing span {want:?} in {names:?}");
+    }
+    assert!(!names.iter().any(|n| n.starts_with("query:")), "a hit runs no query: {names:?}");
+}
+
 #[test]
 fn overload_sheds_with_503_and_retry_after() {
     let server = TestServer::start(ServerConfig {
@@ -341,9 +522,12 @@ fn datasets_can_be_posted_listed_and_queried() {
 
     let reply = get(server.addr, "/query/entropy-topk?dataset=fresh&k=1");
     assert_eq!(reply.status, 200, "{}", reply.body);
+    let again = get(server.addr, "/query/entropy-topk?dataset=fresh&k=1");
+    assert_eq!(again.header("x-swope-cache"), Some("hit"));
 
     // Re-posting under the same name bumps the generation, so the cache
-    // key changes and the first query against it is a miss, not a stale hit.
+    // key changes and the first query against it is a miss, not a stale
+    // hit: the lookup stage reads the live registry entry per request.
     let gen_before = described.get("generation").unwrap().as_u64().unwrap();
     let reply = post(server.addr, "/datasets", &body);
     let gen_after = Json::parse(&reply.body).unwrap().get("generation").unwrap().as_u64().unwrap();
