@@ -11,9 +11,7 @@
 
 use swope_columnar::Dataset;
 use swope_core::state::{make_sampler, EntropyState};
-use swope_core::{
-    parallel::for_each_mut, AttrScore, FilterResult, QueryStats, SwopeConfig, SwopeError,
-};
+use swope_core::{AttrScore, Executor, FilterResult, QueryStats, SwopeConfig, SwopeError};
 use swope_sampling::DoublingSchedule;
 
 use crate::score_of;
@@ -48,6 +46,7 @@ pub fn entropy_filter_exact_sampling(
         (0..h).map(|attr| EntropyState::new(dataset, attr)).collect();
     let mut accepted: Vec<AttrScore> = Vec::new();
     let mut stats = QueryStats::default();
+    let exec = Executor::new(config.threads);
 
     let mut m_target = schedule.m0();
     while !states.is_empty() {
@@ -57,7 +56,7 @@ pub fn entropy_filter_exact_sampling(
         stats.sample_size = m;
         stats.rows_scanned += (delta.len() * states.len()) as u64;
 
-        for_each_mut(&mut states, config.threads, |st| {
+        exec.for_each_mut(&mut states, |st| {
             st.ingest(dataset.column(st.attr), &delta);
             st.update_bounds(n as u64, p_prime);
         });
@@ -115,6 +114,16 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn thread_count_never_changes_the_answer() {
+        let ds = cyclic_dataset(30_000, &[2, 8, 32, 128, 512]);
+        let c = SwopeConfig::default().with_seed(8);
+        assert_eq!(
+            entropy_filter_exact_sampling(&ds, 4.0, &c).unwrap(),
+            entropy_filter_exact_sampling(&ds, 4.0, &c.clone().with_threads(4)).unwrap()
+        );
     }
 
     #[test]

@@ -7,8 +7,7 @@
 use swope_columnar::{AttrIndex, Dataset};
 use swope_core::state::{make_sampler, MiState, TargetState};
 use swope_core::{
-    parallel::for_each_mut, AttrScore, FilterResult, QueryStats, SwopeConfig, SwopeError,
-    TopKResult,
+    AttrScore, Executor, FilterResult, QueryStats, SwopeConfig, SwopeError, TopKResult,
 };
 use swope_sampling::DoublingSchedule;
 
@@ -50,6 +49,7 @@ pub fn mi_rank_top_k(
     let mut states: Vec<MiState> =
         (0..h).filter(|&a| a != target).map(|a| MiState::new(a, u_t, dataset.support(a))).collect();
     let mut stats = QueryStats::default();
+    let exec = Executor::new(config.threads);
 
     let mut m_target = schedule.m0();
     loop {
@@ -63,7 +63,7 @@ pub fn mi_rank_top_k(
         stats.rows_scanned += delta.len() as u64;
         stats.rows_scanned += (2 * delta.len() * states.len()) as u64;
 
-        for_each_mut(&mut states, config.threads, |st| {
+        exec.for_each_mut(&mut states, |st| {
             st.ingest(dataset.column(st.attr), &t_codes, &delta);
             st.update_bounds(h_t, u_t, n as u64, p_prime);
         });
@@ -134,6 +134,7 @@ pub fn mi_filter_exact_sampling(
         (0..h).filter(|&a| a != target).map(|a| MiState::new(a, u_t, dataset.support(a))).collect();
     let mut accepted: Vec<AttrScore> = Vec::new();
     let mut stats = QueryStats::default();
+    let exec = Executor::new(config.threads);
 
     let mut m_target = schedule.m0();
     while !states.is_empty() {
@@ -147,7 +148,7 @@ pub fn mi_filter_exact_sampling(
         stats.rows_scanned += delta.len() as u64;
         stats.rows_scanned += (2 * delta.len() * states.len()) as u64;
 
-        for_each_mut(&mut states, config.threads, |st| {
+        exec.for_each_mut(&mut states, |st| {
             st.ingest(dataset.column(st.attr), &t_codes, &delta);
             st.update_bounds(h_t, u_t, n as u64, p_prime);
         });
@@ -260,6 +261,18 @@ mod tests {
         assert_eq!(
             mi_filter_exact_sampling(&ds, 0, 0.3, &c).unwrap(),
             mi_filter_exact_sampling(&ds, 0, 0.3, &c).unwrap()
+        );
+    }
+
+    #[test]
+    fn thread_count_never_changes_the_answer() {
+        let ds = correlated_dataset(20_000);
+        let c = SwopeConfig::default().with_seed(77);
+        let c4 = c.clone().with_threads(4);
+        assert_eq!(mi_rank_top_k(&ds, 0, 2, &c).unwrap(), mi_rank_top_k(&ds, 0, 2, &c4).unwrap());
+        assert_eq!(
+            mi_filter_exact_sampling(&ds, 0, 0.3, &c).unwrap(),
+            mi_filter_exact_sampling(&ds, 0, 0.3, &c4).unwrap()
         );
     }
 }

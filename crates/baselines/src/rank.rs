@@ -16,7 +16,7 @@
 
 use swope_columnar::Dataset;
 use swope_core::state::{make_sampler, EntropyState};
-use swope_core::{parallel::for_each_mut, QueryStats, SwopeConfig, SwopeError, TopKResult};
+use swope_core::{Executor, QueryStats, SwopeConfig, SwopeError, TopKResult};
 use swope_sampling::DoublingSchedule;
 
 use crate::score_of;
@@ -51,6 +51,7 @@ pub fn entropy_rank_top_k(
     let mut states: Vec<EntropyState> =
         (0..h).map(|attr| EntropyState::new(dataset, attr)).collect();
     let mut stats = QueryStats::default();
+    let exec = Executor::new(config.threads);
 
     let mut m_target = schedule.m0();
     loop {
@@ -60,7 +61,7 @@ pub fn entropy_rank_top_k(
         stats.sample_size = m;
         stats.rows_scanned += (delta.len() * states.len()) as u64;
 
-        for_each_mut(&mut states, config.threads, |st| {
+        exec.for_each_mut(&mut states, |st| {
             st.ingest(dataset.column(st.attr), &delta);
             st.update_bounds(n as u64, p_prime);
         });
@@ -179,6 +180,16 @@ mod tests {
         assert_eq!(
             entropy_rank_top_k(&ds, 2, &c).unwrap(),
             entropy_rank_top_k(&ds, 2, &c).unwrap()
+        );
+    }
+
+    #[test]
+    fn thread_count_never_changes_the_answer() {
+        let ds = cyclic_dataset(30_000, &[2, 64, 4, 256, 16]);
+        let c = SwopeConfig::default().with_seed(8);
+        assert_eq!(
+            entropy_rank_top_k(&ds, 2, &c).unwrap(),
+            entropy_rank_top_k(&ds, 2, &c.clone().with_threads(4)).unwrap()
         );
     }
 }

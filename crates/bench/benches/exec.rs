@@ -1,6 +1,6 @@
 //! Execution-layer microbenchmarks: persistent-pool dispatch overhead vs
-//! a fresh `thread::scope` per fan-out, and one gather-staged ingest of
-//! a cache-hostile delta.
+//! the sequential loop, and one gather-staged ingest of a cache-hostile
+//! delta.
 //!
 //! Besides the usual console report, this bench persists its medians to
 //! `results/BENCH_ingest.json` so the numbers backing the DESIGN.md
@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use swope_bench::micro::{black_box, Group};
 use swope_core::state::{EntropyState, GatherScratch};
-use swope_core::{parallel, ExecPool, Executor};
+use swope_core::{ExecPool, Executor};
 use swope_datagen::{corpus, generate};
 use swope_obs::json::ObjectWriter;
 
@@ -33,7 +33,7 @@ fn shuffled_rows(n: usize) -> Vec<u32> {
     (0..n).map(|i| (i.wrapping_mul(0x9E37_79B1) & (n - 1)) as u32).collect()
 }
 
-fn bench_dispatch(g: &mut Group) -> (f64, f64, f64) {
+fn bench_dispatch(g: &mut Group) -> (f64, f64) {
     let mut items = vec![0u64; DISPATCH_ITEMS];
     let work = |x: &mut u64| {
         // A few hundred ns of per-item work: enough that the fan-out is
@@ -52,11 +52,7 @@ fn bench_dispatch(g: &mut Group) -> (f64, f64, f64) {
         pool.for_each_mut(&mut items, work);
         black_box(items[0])
     });
-    let scoped = g.bench("scope_dispatch_64_items", || {
-        parallel::for_each_mut(&mut items, 2, work);
-        black_box(items[0])
-    });
-    (sequential, pooled, scoped)
+    (sequential, pooled)
 }
 
 fn bench_ingest(g: &mut Group) -> f64 {
@@ -79,7 +75,7 @@ fn bench_ingest(g: &mut Group) -> f64 {
 
 fn main() {
     let mut g = Group::new("exec_dispatch");
-    let (sequential_ns, pool_ns, scope_ns) = bench_dispatch(&mut g);
+    let (sequential_ns, pool_ns) = bench_dispatch(&mut g);
 
     let mut g = Group::new("exec_ingest");
     let staged_ns = bench_ingest(&mut g);
@@ -89,8 +85,6 @@ fn main() {
         .usize_field("dispatch_items", DISPATCH_ITEMS)
         .f64_field("dispatch_sequential_ns", sequential_ns)
         .f64_field("dispatch_pool_ns", pool_ns)
-        .f64_field("dispatch_scope_ns", scope_ns)
-        .f64_field("dispatch_scope_over_pool", scope_ns / pool_ns)
         .usize_field("ingest_delta_rows", DELTA_ROWS)
         .usize_field("ingest_block_rows", swope_core::state::INGEST_BLOCK_ROWS)
         .f64_field("ingest_staged_ns", staged_ns);

@@ -43,19 +43,6 @@ fn main() {
         black_box(mi_filter(&ds, target, 0.3, &eps05).unwrap())
     });
 
-    // Batched vs individual MI top-k over several targets (the paper's
-    // multi-target protocol).
-    let targets = [0usize, 7, 19, 31];
-    let mut g = Group::new("batch_mi");
-    g.bench("batched_4_targets", || {
-        black_box(swope_core::mi_top_k_batch(&ds, &targets, 4, &eps05).unwrap())
-    });
-    g.bench("individual_4_targets", || {
-        for &t in &targets {
-            black_box(mi_top_k(&ds, t, 4, &eps05).unwrap());
-        }
-    });
-
     // DESIGN.md design choice 5: per-attribute work shards across threads.
     let mut g = Group::new("parallel_scaling");
     for threads in [1usize, 2, 4] {

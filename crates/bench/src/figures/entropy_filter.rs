@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_full_grid() {
-        let cfg = ExpConfig { scale: 0.002, ..Default::default() };
+        let cfg = ExpConfig { scale: 0.001, ..Default::default() };
         let rows = run(&cfg);
         assert_eq!(rows.len(), 4 * ETAS.len() * 3);
         // SWOPE at ε=0.05 should track the exact answer closely.

@@ -92,7 +92,7 @@ mod tests {
     fn sweep_produces_full_grid_and_sane_accuracy() {
         // Small scale so the test is fast; one dataset would do but the
         // grid shape matters.
-        let cfg = ExpConfig { scale: 0.002, ..Default::default() };
+        let cfg = ExpConfig { scale: 0.001, ..Default::default() };
         let rows = run(&cfg);
         // 4 datasets x 5 k x 3 algorithms.
         assert_eq!(rows.len(), 4 * 5 * 3);

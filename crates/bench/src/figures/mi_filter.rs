@@ -98,7 +98,7 @@ mod tests {
         // Two profiles keep the per-dataset grid honest; `pus` and `enem`
         // hold 80 % of the rows and would only repeat it.
         let only_datasets = vec!["cdc".to_owned(), "hus".to_owned()];
-        let cfg = ExpConfig { scale: 0.0005, mi_targets: 2, only_datasets, ..Default::default() };
+        let cfg = ExpConfig { scale: 0.00025, mi_targets: 1, only_datasets, ..Default::default() };
         let rows = run(&cfg);
         assert_eq!(rows.len(), 2 * ETAS.len() * 3);
         // EntropyFilter is exact up to p_f.

@@ -221,7 +221,7 @@ mod tests {
         // Two profiles keep the per-dataset grid honest; `pus` and `enem`
         // hold 80 % of the rows and would only repeat it.
         let only_datasets = vec!["cdc".to_owned(), "hus".to_owned()];
-        let cfg = ExpConfig { scale: 0.0005, only_datasets, ..small_cfg() };
+        let cfg = ExpConfig { scale: 0.00025, mi_targets: 1, only_datasets, ..small_cfg() };
         let rows = run_mi_topk(&cfg);
         assert_eq!(rows.len(), 2 * EPSILONS.len());
         let rows = run_mi_filter(&cfg);

@@ -2,10 +2,10 @@
 //!
 //! Every SWOPE iteration fans the same shape of work out over the live
 //! candidate states: ingest the ΔM newly sampled rows, then recompute
-//! bounds. The original [`crate::parallel::for_each_mut`] paid a fresh
-//! `thread::scope` spawn/join for every one of those fan-outs — tens of
-//! microseconds per iteration that dwarf the actual counting work once
-//! the candidate set shrinks. This module replaces that with:
+//! bounds. A fresh `thread::scope` spawn/join for every one of those
+//! fan-outs costs tens of microseconds per iteration, which dwarfs the
+//! actual counting work once the candidate set shrinks. This module
+//! instead provides:
 //!
 //! * [`ExecPool`] — a persistent pool of parked worker threads created
 //!   once per query (or once per process for `swope-server`, shared via

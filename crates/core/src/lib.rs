@@ -29,8 +29,7 @@
 //! [`Scope`] of the dataset (optionally backed by its partition sketch),
 //! with a [`QueryObserver`] and an [`Executor`] attached; [`run_sharded`]
 //! answers the same shapes from the merged integer counts of a
-//! [`ShardTransport`]. [`mi_top_k_batch`] is a separate engine that
-//! shares one sample across many targets.
+//! [`ShardTransport`].
 //!
 //! ## How it works
 //!
@@ -65,7 +64,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-mod batch;
 mod config;
 pub mod count;
 mod driver;
@@ -76,7 +74,6 @@ mod measure;
 mod mi_filter;
 mod mi_topk;
 mod observe;
-pub mod parallel;
 mod profile;
 mod report;
 mod scope;
@@ -85,7 +82,6 @@ pub mod sketch_stats;
 pub mod state;
 mod topk;
 
-pub use batch::{mi_top_k_batch, mi_top_k_batch_exec};
 pub use config::{SamplingStrategy, SwopeConfig};
 pub use count::{
     count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,

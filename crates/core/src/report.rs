@@ -72,11 +72,6 @@ pub enum WorkKind {
     /// marginal and a joint update per (record, candidate) —
     /// `Δ·(2c + 1)` units.
     MiPerTarget,
-    /// Batched MI with shared marginal counters: a target is charged its
-    /// target scan plus one joint update per (record, candidate); the
-    /// shared marginal ingestion is amortized across targets and not
-    /// charged per target — `Δ·(c + 1)` units.
-    MiSharedMarginals,
 }
 
 impl WorkKind {
@@ -87,7 +82,6 @@ impl WorkKind {
         match self {
             WorkKind::EntropyMarginals => d * c,
             WorkKind::MiPerTarget => d * (2 * c + 1),
-            WorkKind::MiSharedMarginals => d * (c + 1),
         }
     }
 }
@@ -179,7 +173,6 @@ mod tests {
     fn work_kind_units_match_documented_shapes() {
         assert_eq!(WorkKind::EntropyMarginals.units(10, 4), 40);
         assert_eq!(WorkKind::MiPerTarget.units(10, 4), 90);
-        assert_eq!(WorkKind::MiSharedMarginals.units(10, 4), 50);
         assert_eq!(WorkKind::EntropyMarginals.units(0, 4), 0);
     }
 

@@ -122,13 +122,6 @@ impl Scope {
         self.predicate = Some((attr, code));
         self
     }
-
-    /// Whether this scope is syntactically unrestricted (no predicate,
-    /// no effective bounds). A bounded scope that happens to cover every
-    /// row is also treated as full, but only scope resolution can tell.
-    pub fn is_all(&self) -> bool {
-        self.predicate.is_none() && self.row_start.unwrap_or(0) == 0 && self.row_end.is_none()
-    }
 }
 
 /// What a [`Scope`] resolved to against a concrete dataset.

@@ -94,7 +94,7 @@ impl ShardPlan {
 
     /// The shard owning global row `row`.
     #[inline]
-    pub fn shard_of(&self, row: u32) -> usize {
+    fn shard_of(&self, row: u32) -> usize {
         debug_assert!((row as usize) < self.num_rows());
         self.starts.partition_point(|&s| s <= row) - 1
     }
@@ -193,7 +193,7 @@ pub(crate) fn row_seed(config: &SwopeConfig) -> Result<u64, SwopeError> {
 /// counted in parallel on an [`Executor`].
 ///
 /// Holds the one global [`PrefixShuffle`]; every `advance` partitions the
-/// sample delta by [`ShardPlan::shard_of`] into reusable per-shard row
+/// sample delta by owning shard into reusable per-shard row
 /// lists and fans one count job per `(shard, live attribute)` out on the
 /// executor.
 pub struct LocalShardSource<'a> {
@@ -243,11 +243,6 @@ impl<'a> LocalShardSource<'a> {
             scratch: Vec::new(),
             plan,
         })
-    }
-
-    /// The shard plan in use.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
     }
 }
 

@@ -9,12 +9,10 @@
 //! hold. The six loops' gathers see an iteration's rows regrouped by
 //! page, but every one of their ingests drains an order-independent
 //! integer histogram, so the `(counter, joint)` update sequence — and
-//! therefore every float — is identical. The batch engine feeds its
-//! counters row by row, which is order-dependent, so it gathers in draw
-//! order and is held to the same bar here. This is the acceptance bar
+//! therefore every float — is identical. This is the acceptance bar
 //! for `swope-pager`: heap / mmap / budget-evicting modes × widths
-//! {u8,u16,u32} × exec threads {1,8}, across all six loops, the batch
-//! engine, and the scoped and sharded entry points.
+//! {u8,u16,u32} × exec threads {1,8}, across all six loops and the
+//! scoped and sharded entry points.
 
 #[macro_use]
 mod common;
@@ -25,7 +23,7 @@ use common::{plain, scoped, shapes_against, sharded};
 use swope_columnar::{
     snapshot, Column, Dataset, DatasetSketch, Field, HeapMapping, PageCache, Schema, Width,
 };
-use swope_core::{mi_top_k_batch, Executor, Scope, Shape, SwopeConfig};
+use swope_core::{Executor, Scope, Shape, SwopeConfig};
 use swope_sampling::rng::Xoshiro256pp;
 
 const THREADS: [usize; 2] = [1, 8];
@@ -178,11 +176,6 @@ shape_tests!(assert_shape_pager_invariant {
     entropy_profile_is_pager_invariant(4, 35);
     mi_profile_is_pager_invariant(5, 36);
 });
-
-#[test]
-fn mi_top_k_batch_is_pager_invariant() {
-    assert_pager_invariant(37, |m, cfg| mi_top_k_batch(&m.dataset, &[0, 1], 2, cfg).unwrap());
-}
 
 #[test]
 fn scoped_queries_are_pager_invariant() {

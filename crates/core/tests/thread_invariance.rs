@@ -12,7 +12,7 @@
 mod common;
 
 use common::{all_shapes, config, plain, staggered_dataset as dataset};
-use swope_core::{entropy_profile, mi_top_k_batch};
+use swope_core::entropy_profile;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
@@ -47,17 +47,3 @@ shape_tests!(assert_thread_invariant {
     entropy_profile_is_thread_invariant(4);
     mi_profile_is_thread_invariant(5);
 });
-
-#[test]
-fn mi_top_k_batch_is_thread_invariant() {
-    let ds = dataset(7, 12_000);
-    let targets = [0usize, 3, 5];
-    let baseline = mi_top_k_batch(&ds, &targets, 2, &config(7, 1)).unwrap();
-    for t in THREADS {
-        assert_eq!(
-            mi_top_k_batch(&ds, &targets, 2, &config(7, t)).unwrap(),
-            baseline,
-            "threads = {t}"
-        );
-    }
-}

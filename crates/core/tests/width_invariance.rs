@@ -14,7 +14,7 @@ mod common;
 
 use common::{all_shapes, config, plain, repacked, staggered_dataset as dataset};
 use swope_columnar::{Dataset, Width};
-use swope_core::{mi_top_k_batch, SwopeConfig};
+use swope_core::SwopeConfig;
 
 const THREADS: [usize; 2] = [1, 8];
 
@@ -55,8 +55,3 @@ shape_tests!(assert_shape_width_invariant {
     entropy_profile_is_width_invariant(4);
     mi_profile_is_width_invariant(5);
 });
-
-#[test]
-fn mi_top_k_batch_is_width_invariant() {
-    assert_width_invariant(27, |ds, cfg| mi_top_k_batch(ds, &[0, 3, 5], 2, cfg).unwrap());
-}

@@ -1,12 +1,11 @@
 //! Divergences between empirical distributions (extension).
 //!
-//! Rounding out the information-theoretic toolbox: Kullback–Leibler
-//! divergence and the Jensen–Shannon divergence/distance between two
-//! columns' empirical value distributions. Typical use next to SWOPE
-//! queries: drift detection between two snapshots of the same attribute
-//! (JS distance is a proper, bounded metric, so it thresholds cleanly).
+//! The Jensen–Shannon distance between two columns' empirical value
+//! distributions, which the CLI's drift command uses to compare two
+//! snapshots of the same attribute (JS distance is a proper, bounded
+//! metric, so it thresholds cleanly).
 //!
-//! Both operate on *aligned code spaces*: the two columns must use the
+//! It operates on *aligned code spaces*: the two columns must use the
 //! same dictionary/encoding for their codes to be comparable, which is
 //! the case for two row-subsets of one dataset, a dataset and its
 //! [`swope_columnar::Dataset::concat`] shards, or two snapshots encoded
@@ -33,7 +32,7 @@ pub fn empirical_distribution(column: &Column) -> Vec<f64> {
 ///
 /// # Panics
 /// Panics if the vectors' lengths differ.
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
+fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
     assert_eq!(p.len(), q.len(), "KL divergence requires aligned supports");
     let mut d = 0.0;
     for (&pi, &qi) in p.iter().zip(q) {
@@ -54,39 +53,20 @@ pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics if the vectors' lengths differ.
-pub fn jensen_shannon_divergence(p: &[f64], q: &[f64]) -> f64 {
+fn jensen_shannon_divergence(p: &[f64], q: &[f64]) -> f64 {
     assert_eq!(p.len(), q.len(), "JS divergence requires aligned supports");
     let m: Vec<f64> = p.iter().zip(q).map(|(&a, &b)| 0.5 * (a + b)).collect();
-    let half = |x: &[f64]| {
-        let mut d = 0.0;
-        for (&xi, &mi) in x.iter().zip(&m) {
-            if xi > 0.0 {
-                d += xi * (xi / mi).log2();
-            }
-        }
-        d
-    };
-    (0.5 * half(p) + 0.5 * half(q)).clamp(0.0, 1.0)
+    (0.5 * kl_divergence(p, &m) + 0.5 * kl_divergence(q, &m)).clamp(0.0, 1.0)
 }
 
 /// Jensen–Shannon *distance* (the square root of the divergence): a
 /// proper metric in `[0, 1]`.
-pub fn jensen_shannon_distance(p: &[f64], q: &[f64]) -> f64 {
-    jensen_shannon_divergence(p, q).sqrt()
-}
-
-/// JS distance between two columns' empirical distributions.
 ///
 /// # Panics
-/// Panics if the columns' supports differ (their code spaces would not
+/// Panics if the vectors' lengths differ (the two code spaces would not
 /// be comparable).
-pub fn column_js_distance(a: &Column, b: &Column) -> f64 {
-    assert_eq!(
-        a.support(),
-        b.support(),
-        "columns must share a code space for divergence comparison"
-    );
-    jensen_shannon_distance(&empirical_distribution(a), &empirical_distribution(b))
+pub fn jensen_shannon_distance(p: &[f64], q: &[f64]) -> f64 {
+    jensen_shannon_divergence(p, q).sqrt()
 }
 
 #[cfg(test)]
@@ -149,8 +129,11 @@ mod tests {
         let before = col((0..1000).map(|i| i % 4).collect(), 4);
         let same = col((0..1000).map(|i| (i + 1) % 4).collect(), 4);
         let drifted = col(vec![0; 1000], 4);
-        assert!(column_js_distance(&before, &same) < 0.01);
-        assert!(column_js_distance(&before, &drifted) > 0.5);
+        let distance = |a: &Column, b: &Column| {
+            jensen_shannon_distance(&empirical_distribution(a), &empirical_distribution(b))
+        };
+        assert!(distance(&before, &same) < 0.01);
+        assert!(distance(&before, &drifted) > 0.5);
     }
 
     #[test]
@@ -162,8 +145,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "share a code space")]
+    #[should_panic(expected = "aligned supports")]
     fn mismatched_supports_panic() {
-        column_js_distance(&col(vec![0], 2), &col(vec![0], 3));
+        let (a, b) = (col(vec![0], 2), col(vec![0], 3));
+        jensen_shannon_distance(&empirical_distribution(&a), &empirical_distribution(&b));
     }
 }

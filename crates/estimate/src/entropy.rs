@@ -53,19 +53,6 @@ impl EntropyCounter {
         self.sum_xlog += xlog2(new) - xlog2(new - 1);
     }
 
-    /// Ingests a contiguous slice of pre-gathered codes. O(len).
-    ///
-    /// Equivalent to calling [`EntropyCounter::add`] on each code in
-    /// order (same accumulation order, so bitwise-identical results);
-    /// exists so the gather-staged ingest path is a plain sequential
-    /// pass over a `&[Code]` buffer.
-    #[inline]
-    pub fn add_all(&mut self, codes: &[u32]) {
-        for &code in codes {
-            self.add(code);
-        }
-    }
-
     /// Ingests `k` records of the same `code` in one step. O(1).
     ///
     /// The accumulator delta telescopes the `k` unit adds exactly in real
@@ -135,15 +122,6 @@ pub fn column_entropy(column: &Column) -> f64 {
     entropy_from_counts(&column.value_counts())
 }
 
-/// Exact empirical entropy of a column restricted to `rows`.
-pub fn column_entropy_over_rows(column: &Column, rows: &[u32]) -> f64 {
-    let mut counter = EntropyCounter::new(column.support());
-    for &r in rows {
-        counter.add(column.code(r as usize));
-    }
-    counter.entropy()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,27 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn add_all_is_bitwise_identical_to_per_code_adds() {
-        let mut per_code = EntropyCounter::new(16);
-        let mut sliced = EntropyCounter::new(16);
-        let mut x = 7u64;
-        let codes: Vec<u32> = (0..5000)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (x >> 33) as u32 % 16
-            })
-            .collect();
-        for &c in &codes {
-            per_code.add(c);
-        }
-        sliced.add_all(&codes);
-        assert_eq!(per_code.total(), sliced.total());
-        // Bitwise: same adds in the same order, so the float accumulator
-        // must match exactly, not just approximately.
-        assert_eq!(per_code.entropy().to_bits(), sliced.entropy().to_bits());
-    }
-
-    #[test]
     fn entropy_from_counts_matches_counter() {
         let mut c = EntropyCounter::new(6);
         let stream = [5u32, 0, 0, 3, 3, 3, 2];
@@ -234,16 +191,6 @@ mod tests {
         let col = Column::new(vec![0, 1, 0, 1, 2, 2, 2, 2], 3).unwrap();
         // counts = [2,2,4]; H = 3 - (2*1 + 2*1 + 4*2)/8 = 3 - 12/8 = 1.5
         assert!((column_entropy(&col) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn column_entropy_over_rows_subset() {
-        let col = Column::new(vec![0, 1, 0, 1, 2, 2], 3).unwrap();
-        // Rows {0,1}: one of each of codes 0,1 -> 1 bit.
-        assert!((column_entropy_over_rows(&col, &[0, 1]) - 1.0).abs() < 1e-12);
-        // Rows over all: counts [2,2,2] -> log2(3).
-        let all: Vec<u32> = (0..6).collect();
-        assert!((column_entropy_over_rows(&col, &all) - 3f64.log2()).abs() < 1e-12);
     }
 
     #[test]

@@ -117,31 +117,6 @@ pub fn mutual_information_over_rows(a: &Column, b: &Column, rows: &[u32]) -> f64
     (ha.entropy() + hb.entropy() - hab.entropy()).max(0.0)
 }
 
-/// Information gain ratio (C4.5's split criterion): `I(a, b) / H(a)`,
-/// in `[0, 1]`. Extension beyond the paper — penalizes the plain
-/// information gain's bias toward wide-support attributes by dividing by
-/// the split attribute `a`'s own entropy. Returns 0 when `H(a) = 0`.
-pub fn information_gain_ratio(a: &Column, b: &Column) -> f64 {
-    let ha = column_entropy(a);
-    if ha <= 0.0 {
-        return 0.0;
-    }
-    (mutual_information(a, b) / ha).clamp(0.0, 1.0)
-}
-
-/// Normalized mutual information (symmetric uncertainty):
-/// `2·I(a,b) / (H(a) + H(b))`, in `[0, 1]`. Extension beyond the paper,
-/// convenient for feature scoring. Returns 0 when both entropies are 0.
-pub fn symmetric_uncertainty(a: &Column, b: &Column) -> f64 {
-    let ha = column_entropy(a);
-    let hb = column_entropy(b);
-    let denom = ha + hb;
-    if denom <= 0.0 {
-        return 0.0;
-    }
-    (2.0 * mutual_information(a, b) / denom).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,27 +214,6 @@ mod tests {
         assert!(mutual_information_over_rows(&a, &b, &all).abs() < 1e-12);
         // Rows {0,1}: perfectly correlated -> MI = 1 bit.
         assert!((mutual_information_over_rows(&a, &b, &[0, 1]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gain_ratio_extremes() {
-        let a = col(vec![0, 1, 0, 1], 2);
-        // Splitting on a copy of itself: ratio 1.
-        assert!((information_gain_ratio(&a, &a) - 1.0).abs() < 1e-12);
-        // Constant split attribute: ratio 0 by convention.
-        let constant = col(vec![0, 0, 0, 0], 1);
-        assert_eq!(information_gain_ratio(&constant, &a), 0.0);
-        // Independent attributes: ratio ~0.
-        let b = col(vec![0, 0, 1, 1], 2);
-        assert!(information_gain_ratio(&a, &b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn symmetric_uncertainty_range_and_extremes() {
-        let a = col(vec![0, 1, 0, 1], 2);
-        assert!((symmetric_uncertainty(&a, &a) - 1.0).abs() < 1e-12);
-        let constant = col(vec![0, 0, 0, 0], 1);
-        assert_eq!(symmetric_uncertainty(&constant, &constant), 0.0);
     }
 
     #[test]

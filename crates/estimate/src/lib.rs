@@ -17,13 +17,8 @@
 //! * [`bounds`] — Lemmas 1–4 of the paper: the bias bound `b(α)`, the
 //!   deviation radius `λ`, entropy/MI confidence intervals, and the
 //!   `M*` sample-size inversion used in the complexity analysis.
-//! * [`estimators`] — bias-corrected point estimators (Miller–Madow,
-//!   jackknife) as extensions beyond the paper.
-//! * [`conditional`] — conditional entropy `H(Y|X)` and conditional
-//!   mutual information `I(X;Y|Z)` over value triples (extension).
-//! * [`divergence`] — KL and Jensen–Shannon divergences between
-//!   empirical distributions, e.g. for snapshot drift detection
-//!   (extension).
+//! * [`divergence`] — the Jensen–Shannon distance between empirical
+//!   distributions, for snapshot drift detection (extension).
 //!
 //! All entropies are in bits (`log2`), matching the paper's definitions.
 
@@ -31,10 +26,8 @@
 #![warn(clippy::all)]
 
 pub mod bounds;
-pub mod conditional;
 pub mod divergence;
 pub mod entropy;
-pub mod estimators;
 pub mod freq;
 pub mod joint;
 pub mod xlog;

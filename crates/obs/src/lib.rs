@@ -52,13 +52,11 @@ pub enum QueryKind {
     EntropyProfile,
     /// `mi_profile` — all-attribute MI estimates against one target.
     MiProfile,
-    /// `mi_top_k_batch` — shared-scan multi-target MI top-k.
-    MiTopKBatch,
 }
 
 impl QueryKind {
     /// Number of variants (array sizing).
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 6;
 
     /// All variants, in `index()` order.
     pub const ALL: [QueryKind; Self::COUNT] = [
@@ -68,7 +66,6 @@ impl QueryKind {
         QueryKind::MiFilter,
         QueryKind::EntropyProfile,
         QueryKind::MiProfile,
-        QueryKind::MiTopKBatch,
     ];
 
     /// Stable dense index for per-kind arrays.
@@ -80,7 +77,6 @@ impl QueryKind {
             QueryKind::MiFilter => 3,
             QueryKind::EntropyProfile => 4,
             QueryKind::MiProfile => 5,
-            QueryKind::MiTopKBatch => 6,
         }
     }
 
@@ -93,7 +89,6 @@ impl QueryKind {
             QueryKind::MiFilter => "mi_filter",
             QueryKind::EntropyProfile => "entropy_profile",
             QueryKind::MiProfile => "mi_profile",
-            QueryKind::MiTopKBatch => "mi_top_k_batch",
         }
     }
 }

@@ -644,8 +644,14 @@ impl<'a> EventLoop<'a> {
         if ordinal >= 2 {
             shared.metrics.record_keepalive_reuse();
         }
+        // Answered without compute: everything a routed response gets,
+        // minus the hand-off.
         let canned = |response: Response| {
-            shared.metrics.record_response(response.status, micros_since(arrival));
+            let micros = micros_since(arrival);
+            let dataset = request.param("dataset").unwrap_or("-");
+            shared.metrics.record_labelled(endpoint_label(&request.path), dataset, micros);
+            log_access(shared, &request, &response, micros, conn_id, ordinal);
+            shared.metrics.record_response(response.status, micros);
             BatchItem::Canned { response: Box::new(response), keep_alive }
         };
         let throttle = shared.quotas.as_ref().and_then(|q| {
@@ -672,15 +678,7 @@ impl<'a> EventLoop<'a> {
         if request.method == "GET" && request.path.starts_with("/query/") && !traced() {
             match resolve_query(&request, shared) {
                 Ok(unanswered) => miss = Some(unanswered),
-                Err(response) => {
-                    // Answered without compute: everything a routed
-                    // response gets, minus the hand-off.
-                    let micros = micros_since(arrival);
-                    let dataset = request.param("dataset").unwrap_or("-");
-                    shared.metrics.record_labelled(endpoint_label(&request.path), dataset, micros);
-                    log_access(shared, &request, &response, micros, conn_id, ordinal);
-                    return canned(response);
-                }
+                Err(response) => return canned(response),
             }
         }
         if self.watcher.depth() >= self.config.queue_capacity {

@@ -377,6 +377,74 @@ fn hits_served_on_the_event_thread_keep_every_side_effect() {
     std::fs::remove_file(&log).ok();
 }
 
+/// The two answers admission control gives on its own — 429 for a tenant
+/// over quota, 503 when the queue is full — are requests like any other:
+/// each writes its access-log line and a labelled-histogram sample.
+#[test]
+fn throttled_and_shed_requests_reach_the_access_log() {
+    let log = std::env::temp_dir().join(format!("swope-admission-{}.log", std::process::id()));
+    std::fs::remove_file(&log).ok();
+    let server = TestServer::start(ServerConfig {
+        threads: 1,
+        queue_capacity: 1,
+        debug_sleep_endpoint: true,
+        tenant_rps: Some(1.0),
+        tenant_burst: Some(1.0),
+        access_log: Some(log.to_str().unwrap().to_owned()),
+        ..ServerConfig::default()
+    });
+    let addr = server.addr;
+    let as_tenant = move |tenant: &str, path: &str| {
+        send_raw(
+            addr,
+            &format!(
+                "GET {path} HTTP/1.1\r\nHost: t\r\nX-Swope-Api-Key: {tenant}\r\n\
+                 Connection: close\r\n\r\n"
+            ),
+        )
+    };
+    // alice's bucket holds one token: her second request is throttled.
+    assert_eq!(as_tenant("alice", "/datasets").status, 200);
+    assert_eq!(as_tenant("alice", "/datasets").status, 429);
+
+    // Park the worker and fill the queue slot (a tenant each, so neither
+    // is throttled); the next request that needs a worker is shed.
+    let sleeper = |tenant: &'static str, ms: u64| {
+        std::thread::spawn(move || as_tenant(tenant, &format!("/debug/sleep?ms={ms}")).status)
+    };
+    let busy = sleeper("busy", 900);
+    std::thread::sleep(Duration::from_millis(200));
+    let queued = sleeper("queued", 0);
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(as_tenant("bob", "/healthz").status, 503);
+    assert_eq!(busy.join().unwrap(), 200);
+    assert_eq!(queued.join().unwrap(), 200);
+
+    let text = std::fs::read_to_string(&log).unwrap();
+    let statuses = |path: &str| -> Vec<&str> {
+        text.lines()
+            .filter(|l| l.split(' ').any(|f| f == format!("path={path}")))
+            .map(|l| l.split(' ').find(|f| f.starts_with("status=")).unwrap())
+            .collect()
+    };
+    assert_eq!(statuses("/datasets"), ["status=200", "status=429"], "{text}");
+    assert_eq!(statuses("/healthz"), ["status=503"], "{text}");
+
+    let metrics = as_tenant("carol", "/metrics").body;
+    let labelled = |endpoint: &str| {
+        metric(
+            &metrics,
+            &format!(
+                "swope_http_endpoint_duration_microseconds_count\
+                 {{endpoint=\"{endpoint}\",dataset=\"-\"}}"
+            ),
+        )
+    };
+    assert_eq!(labelled("datasets"), 2, "the 429 is sampled too");
+    assert_eq!(labelled("healthz"), 1, "the 503 is sampled too");
+    std::fs::remove_file(&log).ok();
+}
+
 /// A traced request is never answered by the lookup stage: cached or
 /// not it crosses to a worker, so its tree keeps the spans an operator
 /// reads it for.

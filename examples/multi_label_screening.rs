@@ -1,11 +1,9 @@
-//! Multi-label relevance screening with the batch MI API.
+//! Multi-label relevance screening: one MI top-k query per label.
 //!
 //! Scenario: a feature store serves several prediction tasks (labels).
-//! For each label we want its top-k most informative features. Running
-//! `mi_top_k` once per label resamples and recounts every marginal per
-//! run; `mi_top_k_batch` shares one growing sample and one set of
-//! marginal counters across all labels, paying per-label only for the
-//! joint counts.
+//! For each label we want its top-k most informative features, so we
+//! run `mi_top_k` once per label; each query samples only as far as its
+//! own stopping rule needs.
 //!
 //! ```text
 //! cargo run --release -p swope-examples --example multi_label_screening
@@ -13,7 +11,7 @@
 
 use std::time::Instant;
 
-use swope_core::{mi_top_k, mi_top_k_batch, SwopeConfig};
+use swope_core::{mi_top_k, SwopeConfig};
 use swope_datagen::{generate, ColumnSpec, DatasetProfile, Distribution};
 
 /// Three label columns driven by different latent factors, features
@@ -64,38 +62,18 @@ fn main() {
         labels.len()
     );
 
-    // Batched: one shared sample.
     let t0 = Instant::now();
-    let batched = mi_top_k_batch(&dataset, &labels, k, &config).expect("valid query");
-    let batch_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // Individual queries for comparison.
-    let t0 = Instant::now();
-    let individual: Vec<_> =
+    let results: Vec<_> =
         labels.iter().map(|&t| mi_top_k(&dataset, t, k, &config).expect("valid query")).collect();
-    let individual_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    for (i, (batch_res, single_res)) in batched.iter().zip(&individual).enumerate() {
+    for (i, result) in results.iter().enumerate() {
         println!("label_{i}: top-{k} features by MI");
-        for s in &batch_res.top {
+        for s in &result.top {
             println!("    {:<10} I ≈ {:.3} bits", s.name, s.estimate);
         }
-        let mut a = batch_res.attr_indices();
-        let mut b = single_res.attr_indices();
-        a.sort_unstable();
-        b.sort_unstable();
-        println!(
-            "    (individual query agrees: {})",
-            if a == b { "yes" } else { "no — both within the ε contract" }
-        );
     }
 
-    println!(
-        "\nbatched: {batch_ms:.1} ms for all labels;  individual: {individual_ms:.1} ms \
-         ({:.2}x)",
-        individual_ms / batch_ms.max(1e-9)
-    );
-    let batch_work: u64 = batched.iter().map(|r| r.stats.rows_scanned).sum();
-    let single_work: u64 = individual.iter().map(|r| r.stats.rows_scanned).sum();
-    println!("counter updates: batched {batch_work} vs individual {single_work}");
+    let work: u64 = results.iter().map(|r| r.stats.rows_scanned).sum();
+    println!("\n{elapsed_ms:.1} ms for all labels; {work} counter updates");
 }

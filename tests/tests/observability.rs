@@ -8,8 +8,8 @@ mod common;
 use common::{all_shapes, plain};
 use swope_columnar::Dataset;
 use swope_core::{
-    mi_top_k_batch, mi_top_k_batch_exec, run, run_sharded, Answer, Executor, JsonlSink,
-    LocalShardSource, MetricsRegistry, Scope, Shape, SwopeConfig,
+    run, run_sharded, Answer, Executor, JsonlSink, LocalShardSource, MetricsRegistry, Scope, Shape,
+    SwopeConfig,
 };
 use swope_datagen::{corpus, generate};
 use swope_obs::json::Json;
@@ -33,16 +33,6 @@ fn observed<O: QueryObserver>(
     obs: &mut O,
 ) -> Answer {
     run(ds, shape, &Scope::all(), None, cfg, obs, &Executor::new(cfg.threads)).unwrap()
-}
-
-/// The batch engine, observed, on `cfg.threads` workers.
-fn batch_observed<O: QueryObserver>(
-    ds: &Dataset,
-    targets: &[usize],
-    cfg: &SwopeConfig,
-    obs: &mut O,
-) -> Vec<swope_core::TopKResult> {
-    mi_top_k_batch_exec(ds, targets, 3, cfg, obs, &Executor::new(cfg.threads)).unwrap()
 }
 
 /// Runs `f` against an in-memory JSONL sink and returns the parsed lines.
@@ -91,7 +81,6 @@ fn assert_stream_shape(events: &[Json], kind: QueryKind, candidates: u64) {
 fn jsonl_stream_is_parseable_for_all_six_loops() {
     let ds = dataset();
     let h = ds.num_attrs() as u64;
-    let batch_targets = [0usize, 5];
 
     for (i, shape) in all_shapes().iter().enumerate() {
         let events = capture(|s| {
@@ -100,11 +89,6 @@ fn jsonl_stream_is_parseable_for_all_six_loops() {
         let candidates = h - u64::from(shape.target().is_some());
         assert_stream_shape(&events, shape.kind(), candidates);
     }
-
-    let events = capture(|s| {
-        batch_observed(&ds, &batch_targets, &cfg(7), s);
-    });
-    assert_stream_shape(&events, QueryKind::MiTopKBatch, batch_targets.len() as u64 * (h - 1));
 }
 
 #[test]
@@ -253,7 +237,6 @@ fn metrics_registry_totals_survive_concurrent_hammering() {
 #[test]
 fn observers_never_change_answers() {
     let ds = dataset();
-    let targets = [1usize, 6];
 
     // Each pair runs the same seed with and without observation; results
     // must be bitwise identical (PartialEq covers every field, including
@@ -271,9 +254,6 @@ fn observers_never_change_answers() {
         assert_eq!(plain(&ds, shape, &config), seen, "{shape:?}");
     }
 
-    let plain_batch = mi_top_k_batch(&ds, &targets, 3, &cfg(37)).unwrap();
-    assert_eq!(plain_batch, batch_observed(&ds, &targets, &cfg(37), &mut &registry));
-
     // The filter pair ran through the accumulator: phases were timed.
     assert!(acc.total_nanos() > 0);
 }
@@ -288,9 +268,6 @@ fn observers_never_change_answers_multithreaded() {
     let unobserved = plain(&ds, &shape, &threaded(41));
     assert_eq!(unobserved, observed(&ds, &shape, &threaded(41), &mut &registry));
     assert_eq!(unobserved, plain(&ds, &shape, &cfg(41)), "thread count must not change results");
-
-    let unobserved = mi_top_k_batch(&ds, &[0, 5], 3, &threaded(42)).unwrap();
-    assert_eq!(unobserved, batch_observed(&ds, &[0, 5], &threaded(42), &mut &registry));
 }
 
 #[test]
@@ -310,4 +287,30 @@ fn phase_accumulator_covers_every_phase() {
         assert!(acc.calls[p.index()] > 0, "phase {} never reported", p.name());
     }
     assert_eq!(acc.total_nanos(), acc.nanos.iter().sum::<u64>());
+}
+
+/// One spelling per metric: every family name the server exports and
+/// every query kind is documented under the name the code uses.
+#[test]
+fn every_metric_name_and_query_kind_is_documented() {
+    let names = include_str!("../../crates/obs/src/names.rs");
+    let docs = include_str!("../../docs/observability.md");
+    let literals: Vec<&str> = names
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .filter(|s| s.starts_with("swope_"))
+        .chain(QueryKind::ALL.iter().map(|k| k.name()))
+        .collect();
+    assert!(literals.len() > QueryKind::COUNT, "names.rs yielded no metric literals");
+    // As a whole word: `mi_top_k` must not pass on the strength of a
+    // longer name that contains it.
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let documented = |name: &str| {
+        docs.match_indices(name).any(|(at, _)| {
+            !docs[..at].ends_with(word) && !docs[at + name.len()..].starts_with(word)
+        })
+    };
+    let undocumented: Vec<&str> = literals.into_iter().filter(|name| !documented(name)).collect();
+    assert!(undocumented.is_empty(), "not in docs/observability.md: {undocumented:?}");
 }
