@@ -26,6 +26,7 @@ use swope_bench::micro::{black_box, Group};
 use swope_bench::rss_bytes;
 use swope_columnar::{
     for_packed, gather, snapshot, stats, CodeBuf, CodeRepr, ColumnStorage, Dataset, PageCache,
+    Residency,
 };
 use swope_core::state::INGEST_BLOCK_ROWS;
 use swope_obs::json::ObjectWriter;
@@ -96,7 +97,8 @@ fn main() {
 
     // Cold fault path: a fresh unbounded cache per pass, so every page
     // of every column faults and CRC-validates exactly once.
-    let open_cold = || snapshot::open_paged(&path, Arc::new(PageCache::unbounded())).unwrap().0;
+    let open_cold =
+        || snapshot::open(&path, Residency::Paged(&Arc::new(PageCache::unbounded()))).unwrap().0;
     let cold_scan_ns = g.bench_with_setup("cold_scan_all_columns", open_cold, |paged| {
         scan_all(&paged);
         black_box(())
@@ -111,7 +113,8 @@ fn main() {
 
     // Warm paged scan: pages stay resident in an unbounded cache, so
     // this prices the page lookup and the in-place decode alone.
-    let (warm, _) = snapshot::open_paged(&path, Arc::new(PageCache::unbounded())).unwrap();
+    let (warm, _) =
+        snapshot::open(&path, Residency::Paged(&Arc::new(PageCache::unbounded()))).unwrap();
     scan_all(&warm);
     let warm_scan_ns = g.bench("warm_scan_all_columns", || {
         scan_all(&warm);
@@ -127,7 +130,8 @@ fn main() {
     let wide = swope_datagen::generate(&swope_datagen::corpus::tiny(ROWS, GATHER_COLS), 0x7A6F);
     let wide_path = path.with_extension("wide.swop");
     snapshot::write_file(&wide, &wide_path).expect("writing gather snapshot");
-    let (warm, _) = snapshot::open_paged(&wide_path, Arc::new(PageCache::unbounded())).unwrap();
+    let (warm, _) =
+        snapshot::open(&wide_path, Residency::Paged(&Arc::new(PageCache::unbounded()))).unwrap();
     scan_all(&warm);
     let sample = PrefixShuffle::new(ROWS, 0x5A3F).grow_to(SAMPLE).to_vec();
     let mut buf = CodeBuf::new();
@@ -141,7 +145,7 @@ fn main() {
     // the paged resident footprint vs the eager heap load.
     let rss_before = rss_bytes();
     let cache = Arc::new(PageCache::unbounded());
-    let (paged, _) = snapshot::open_paged(&path, Arc::clone(&cache)).unwrap();
+    let (paged, _) = snapshot::open(&path, Residency::Paged(&cache)).unwrap();
     scan_all(&paged);
     let cold = cache.snapshot();
     let paged_rss_delta = rss_delta(rss_before);
@@ -149,7 +153,7 @@ fn main() {
     let fault_ns = cold.fault_nanos as f64 / cold.faults.max(1) as f64;
 
     let rss_before = rss_bytes();
-    let heap_copy = snapshot::read_file_with_sketch(&path).unwrap().0;
+    let heap_copy = snapshot::open(&path, Residency::Heap).unwrap().0;
     let heap_rss_delta = rss_delta(rss_before);
     drop(heap_copy);
 
@@ -157,7 +161,7 @@ fn main() {
     // eviction churns and every pass re-admits pages the last released.
     let rss_before = rss_bytes();
     let cache_b = Arc::new(PageCache::new(Some(budget)));
-    let (paged_b, _) = snapshot::open_paged(&path, Arc::clone(&cache_b)).unwrap();
+    let (paged_b, _) = snapshot::open(&path, Residency::Paged(&cache_b)).unwrap();
     let open_rss_delta = rss_delta(rss_before);
     let budget_scan_ns = g.bench("budget_scan_with_eviction", || {
         scan_all(&paged_b);
@@ -177,7 +181,7 @@ fn main() {
     // read admits its page and releases the previous one, so a round
     // over a column's (already validated) pages is one refault apiece.
     let cache_r = Arc::new(PageCache::new(Some(65536)));
-    let (paged_r, _) = snapshot::open_paged(&path, Arc::clone(&cache_r)).unwrap();
+    let (paged_r, _) = snapshot::open(&path, Residency::Paged(&cache_r)).unwrap();
     scan_all(&paged_r);
     let column = paged_r.column(0);
     let pages = ROWS / 65536;

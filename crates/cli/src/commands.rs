@@ -7,7 +7,9 @@ use swope_baselines::{
     exact_mi_filter, exact_mi_top_k, mi_filter_exact_sampling, mi_rank_top_k,
 };
 
-use swope_columnar::{csv, snapshot, stats, Dataset, DatasetSketch, PageCache, PAGE_ROWS};
+use swope_columnar::{
+    csv, snapshot, stats, Dataset, DatasetSketch, PageCache, Residency, PAGE_ROWS,
+};
 use swope_core::{
     entropy_top_k, run, run_sharded, Answer, AttrScore, ComposedObserver, Executor, FilterResult,
     JsonlSink, LocalShardSource, MetricsRegistry, ProfileResult, Scope, Shape, SwopeConfig,
@@ -94,32 +96,31 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
 }
 
 /// Loads a dataset by extension (`.swop` snapshot or CSV otherwise) and
-/// applies the support cap.
-fn load(opts: &Options) -> Result<Dataset, String> {
-    Ok(load_with_sketch(opts)?.0)
-}
-
-/// [`load`] plus the snapshot-carried partition sketch, if any. The
-/// sketch is dropped when the support cap removed columns — its column
-/// set no longer matches the capped dataset.
-fn load_with_sketch(opts: &Options) -> Result<(Dataset, Option<DatasetSketch>), String> {
+/// applies the support cap; with it the snapshot-carried partition
+/// sketch, if any — dropped when the support cap removed columns, as its
+/// column set no longer matches the capped dataset. Under `--mmap` /
+/// `--store-budget-bytes` a snapshot's columns stay in the mapped file
+/// and are read in place, on demand, under a command-scoped page cache.
+fn load(opts: &Options) -> Result<(Dataset, Option<DatasetSketch>), String> {
     let path = opts.positional.first().ok_or("expected a dataset file argument")?;
-    let (ds, sketch) = if opts.paged() {
-        // Out-of-core: map the snapshot and read pages in place, on
-        // demand, under a command-scoped page cache. CSV inputs have no paged
-        // form and load eagerly as before.
-        let cache = std::sync::Arc::new(PageCache::new(opts.store_budget_bytes));
-        Dataset::from_path_paged(path, cache).map_err(|e| format!("loading {path}: {e}"))?
-    } else {
-        Dataset::from_path_with_sketch(path).map_err(|e| format!("loading {path}: {e}"))?
-    };
+    let cache = opts.paged().then(|| std::sync::Arc::new(PageCache::new(opts.store_budget_bytes)));
+    let residency = cache.as_ref().map_or(Residency::Heap, Residency::Paged);
+    let (ds, sketch) = open_dataset(path, residency)?;
     let cap = opts.max_support.unwrap_or(1000);
+    let before = ds.num_attrs();
     let (capped, kept) = ds.cap_support(cap);
-    let dropped = ds.num_attrs() - kept.len();
+    let dropped = before - kept.len();
     if dropped > 0 {
         eprintln!("note: dropped {dropped} column(s) with support > {cap}");
     }
     Ok((capped, sketch.filter(|_| dropped == 0)))
+}
+
+fn open_dataset(
+    path: &str,
+    residency: Residency<'_>,
+) -> Result<(Dataset, Option<DatasetSketch>), String> {
+    Dataset::open(path, residency).map_err(|e| format!("loading {path}: {e}"))
 }
 
 /// Builds the query scope from `--row-start`/`--row-end`/`--where`, or
@@ -240,7 +241,7 @@ fn resolve_attr(ds: &Dataset, raw: &str) -> Result<usize, String> {
 }
 
 fn cmd_stats(opts: &Options) -> Result<(), String> {
-    let ds = load(opts)?;
+    let (ds, _) = load(opts)?;
     let summary = stats::summarize(&ds);
     println!(
         "rows: {}   columns: {}   max support: {}",
@@ -267,7 +268,7 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
 /// plus the whole-sketch footprint). A dataset without a sketch (CSV
 /// input or a pre-sketch snapshot) degrades to `sketch: none`.
 fn cmd_inspect(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load_with_sketch(opts)?;
+    let (ds, sketch) = load(opts)?;
     let summary = stats::summarize(&ds);
     println!(
         "rows: {}   columns: {}   max support: {}",
@@ -326,7 +327,7 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_entropy_topk(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load_with_sketch(opts)?;
+    let (ds, sketch) = load(opts)?;
     let k = opts.k.ok_or("-k is required")?;
     let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
@@ -343,7 +344,7 @@ fn cmd_entropy_topk(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_entropy_filter(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load_with_sketch(opts)?;
+    let (ds, sketch) = load(opts)?;
     let eta = opts.eta.ok_or("--eta is required")?;
     let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
@@ -362,7 +363,7 @@ fn cmd_entropy_filter(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_mi_topk(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load_with_sketch(opts)?;
+    let (ds, sketch) = load(opts)?;
     let k = opts.k.ok_or("-k is required")?;
     let target = resolve_target(&ds, opts)?;
     let plan = plan_from_opts(&ds, opts)?;
@@ -383,7 +384,7 @@ fn cmd_mi_topk(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_mi_filter(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load_with_sketch(opts)?;
+    let (ds, sketch) = load(opts)?;
     let eta = opts.eta.ok_or("--eta is required")?;
     let target = resolve_target(&ds, opts)?;
     let plan = plan_from_opts(&ds, opts)?;
@@ -403,7 +404,7 @@ fn cmd_mi_filter(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_entropy_profile(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load_with_sketch(opts)?;
+    let (ds, sketch) = load(opts)?;
     let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.1);
@@ -415,7 +416,7 @@ fn cmd_entropy_profile(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_mi_profile(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load_with_sketch(opts)?;
+    let (ds, sketch) = load(opts)?;
     let target = resolve_target(&ds, opts)?;
     let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
@@ -443,7 +444,7 @@ fn print_profile(kind: &str, result: &ProfileResult) {
 /// speed/agreement trade-off — a quick way to validate the approximation
 /// on one's own data before trusting it in a pipeline.
 fn cmd_compare(opts: &Options) -> Result<(), String> {
-    let ds = load(opts)?;
+    let (ds, _) = load(opts)?;
     let k = opts.k.unwrap_or(5).min(ds.num_attrs());
     let cfg = query_config(opts, 0.1);
 
@@ -486,11 +487,8 @@ fn cmd_drift(opts: &Options) -> Result<(), String> {
     let [a_path, b_path] = opts.positional.as_slice() else {
         return Err("drift expects two dataset files".into());
     };
-    let load_one = |path: &str| -> Result<swope_columnar::Dataset, String> {
-        Dataset::from_path(path).map_err(|e| format!("loading {path}: {e}"))
-    };
-    let a = load_one(a_path)?;
-    let b = load_one(b_path)?;
+    let (a, _) = open_dataset(a_path, Residency::Heap)?;
+    let (b, _) = open_dataset(b_path, Residency::Heap)?;
     if a.num_attrs() != b.num_attrs() {
         return Err(format!("attribute counts differ: {} vs {}", a.num_attrs(), b.num_attrs()));
     }
@@ -539,7 +537,7 @@ fn cmd_convert(opts: &Options) -> Result<(), String> {
     let [input, output] = opts.positional.as_slice() else {
         return Err("convert expects <in> <out>".into());
     };
-    let ds = Dataset::from_path(input).map_err(|e| e.to_string())?;
+    let (ds, _) = Dataset::open(input, Residency::Heap).map_err(|e| e.to_string())?;
     write_dataset(&ds, output)?;
     println!("wrote {output}");
     Ok(())
@@ -555,7 +553,7 @@ fn cmd_split(opts: &Options) -> Result<(), String> {
         return Err("split expects <in> <out-a> <out-b>".into());
     };
     let at = opts.at.ok_or("--at is required")?;
-    let ds = Dataset::from_path(input).map_err(|e| format!("loading {input}: {e}"))?;
+    let (ds, _) = open_dataset(input, Residency::Heap)?;
     if at == 0 || at >= ds.num_rows() {
         return Err(format!("--at {at} must fall inside the {} rows", ds.num_rows()));
     }
@@ -603,11 +601,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     };
     let server = swope_server::Server::bind(config).map_err(|e| format!("binding: {e}"))?;
     for path in &opts.positional {
-        let entry = if opts.paged() {
-            server.registry().load_path_paged(path, server.pager())?
-        } else {
-            server.registry().load_path(path)?
-        };
+        let entry = server.registry().load_path(path)?;
         println!(
             "loaded {:?} as {:?} ({} rows x {} columns)",
             path,

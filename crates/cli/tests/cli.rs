@@ -132,6 +132,37 @@ fn inspect_rejects_corrupt_sketch_section_with_one_line_error() {
 }
 
 #[test]
+fn unreadable_snapshot_layouts_are_one_line_errors_naming_what_is_wrong() {
+    let swop = tmp("unreadable.swop");
+    let p = swop.to_str().unwrap();
+    let o = swope(&["gen", "tiny", "--rows", "2000", "--cols", "4", "--out", p]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let good = std::fs::read(&swop).unwrap();
+    // The flat pre-paging format's version number.
+    let mut v1 = good.clone();
+    v1[4] = 1;
+    // Column 0's page stream (section table entry 1: offset at +8; the
+    // stream follows the section's one-byte width tag) claiming 4096-row
+    // pages, a geometry no writer ever produced.
+    let mut small_pages = good.clone();
+    let entry = 12 + 24;
+    let at = u64::from_le_bytes(good[entry + 8..entry + 16].try_into().unwrap()) as usize + 1;
+    assert_eq!(good[at..at + 4], 65_536u32.to_le_bytes(), "offset arithmetic drifted");
+    small_pages[at..at + 4].copy_from_slice(&4096u32.to_le_bytes());
+    for (bytes, want) in [(v1, "unsupported version 1"), (small_pages, "column 0: ")] {
+        std::fs::write(&swop, &bytes).unwrap();
+        for mode in [&[][..], &["--mmap"]] {
+            let o = swope(&[&["entropy-topk", p, "-k", "2"], mode].concat());
+            assert!(!o.status.success());
+            let err = stderr(&o);
+            let first = err.lines().next().unwrap();
+            assert!(first.starts_with("error: ") && first.contains(want), "{mode:?}: {err}");
+        }
+    }
+    assert!(stderr(&swope(&["entropy-topk", p])).contains("page size of 4096 rows"));
+}
+
+#[test]
 fn scoped_queries_restrict_rows_and_validate_flags() {
     let swop = tmp("scoped.swop");
     let p = swop.to_str().unwrap();

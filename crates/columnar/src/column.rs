@@ -16,11 +16,11 @@ use crate::{Code, ColumnarError};
 ///
 /// * **Heap** — [`swope_store::PackedColumn`], the whole column decoded
 ///   at the narrowest width its support allows (`u8` up to support 256,
-///   `u16` up to 65536, `u32` beyond). The eager loader and every
+///   `u16` up to 65536, `u32` beyond). A heap load and every
 ///   in-memory constructor produce this.
 /// * **Paged** — [`swope_pager::PagedColumn`], codes left in a mapped
 ///   snapshot and read there, page-by-page, under a byte-budget cache.
-///   The out-of-core loader (`snapshot::open_paged`) produces this.
+///   `snapshot::open` at `Residency::Paged` produces this.
 ///
 /// Hot loops dispatch once per call via [`Column::storage`] and then run
 /// width-monomorphized on either representation; both decode the same

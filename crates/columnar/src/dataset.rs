@@ -1,3 +1,4 @@
+use crate::snapshot::Residency;
 use crate::{AttrIndex, Code, Column, ColumnarError, PageGrouper, Schema};
 
 /// An immutable columnar dataset: `N` rows by `h` categorical attributes.
@@ -39,44 +40,19 @@ impl Dataset {
     }
 
     /// Loads a dataset from `path`, dispatching on the extension: `.swop`
-    /// is read as a [`crate::snapshot`], anything else as CSV with default
-    /// options. This is the one loader shared by the CLI and the server's
-    /// dataset registry, so both agree on what a path means.
-    pub fn from_path(path: impl AsRef<std::path::Path>) -> Result<Dataset, ColumnarError> {
-        let path = path.as_ref();
-        if path.extension().is_some_and(|e| e == "swop") {
-            crate::snapshot::read_file(path)
-        } else {
-            crate::csv::read_csv_file(path, &crate::csv::CsvOptions::default())
-        }
-    }
-
-    /// [`Dataset::from_path`] that also surfaces the snapshot's partition
-    /// sketch when the file carries one. CSV files and v2 snapshots
-    /// without a sketch section load with `None`.
-    pub fn from_path_with_sketch(
+    /// is opened as a snapshot ([`crate::snapshot::open`]) with its
+    /// columns at `residency` and its partition sketch when the file
+    /// carries one; anything else is read as CSV with default options,
+    /// which has no paged form and no sketch. This is the one loader
+    /// shared by the CLI and the server's dataset registry, so both agree
+    /// on what a path means.
+    pub fn open(
         path: impl AsRef<std::path::Path>,
+        residency: Residency<'_>,
     ) -> Result<(Dataset, Option<swope_sketch::DatasetSketch>), ColumnarError> {
         let path = path.as_ref();
         if path.extension().is_some_and(|e| e == "swop") {
-            crate::snapshot::read_file_with_sketch(path)
-        } else {
-            crate::csv::read_csv_file(path, &crate::csv::CsvOptions::default()).map(|ds| (ds, None))
-        }
-    }
-
-    /// [`Dataset::from_path_with_sketch`], but `.swop` snapshots open
-    /// *out-of-core*: columns stay in the mapped (or buffered) file and
-    /// fault page-by-page through `cache` — see
-    /// [`crate::snapshot::open_paged`]. CSV files and v1 snapshots have
-    /// no paged representation and load eagerly to heap columns.
-    pub fn from_path_paged(
-        path: impl AsRef<std::path::Path>,
-        cache: std::sync::Arc<swope_pager::PageCache>,
-    ) -> Result<(Dataset, Option<swope_sketch::DatasetSketch>), ColumnarError> {
-        let path = path.as_ref();
-        if path.extension().is_some_and(|e| e == "swop") {
-            crate::snapshot::open_paged(path, cache)
+            crate::snapshot::open(path, residency)
         } else {
             crate::csv::read_csv_file(path, &crate::csv::CsvOptions::default()).map(|ds| (ds, None))
         }
@@ -110,13 +86,12 @@ impl Dataset {
             .ok_or(ColumnarError::AttrOutOfRange { index: attr, num_attrs: self.columns.len() })
     }
 
-    /// A row-list grouper matched to this dataset's page geometry, for
-    /// loops that gather the same sampled rows from many columns: group
-    /// an iteration's rows once, and every paged column's gather pins
-    /// each page it touches exactly once. All columns of a snapshot
-    /// share one page size; a heap dataset gets the identity grouper.
+    /// A row-list grouper for loops that gather the same sampled rows
+    /// from many columns: group an iteration's rows once, and every paged
+    /// column's gather pins each page it touches exactly once. A heap
+    /// dataset gets the identity grouper.
     pub fn page_grouper(&self) -> PageGrouper {
-        PageGrouper::new(self.columns.iter().find_map(|c| c.paged().map(|p| p.page_rows())))
+        PageGrouper::new(self.columns.iter().any(Column::is_paged))
     }
 
     /// The support size `u_alpha` of attribute `attr`.
@@ -147,15 +122,18 @@ impl Dataset {
     }
 
     /// Drops attributes whose support size exceeds `cap`, returning the
-    /// surviving dataset and the kept original indices.
+    /// surviving dataset and the kept original indices. The surviving
+    /// columns are moved, not copied: a loader caps every dataset it
+    /// reads, and must not hold it twice to do so.
     ///
     /// The paper removes columns with support > 1000 before querying, "since
     /// they are usually not the preferred attributes for downstream data
     /// mining tasks" (§6.1).
-    pub fn cap_support(&self, cap: u32) -> (Dataset, Vec<AttrIndex>) {
-        let kept: Vec<AttrIndex> =
-            (0..self.num_attrs()).filter(|&i| self.columns[i].support() <= cap).collect();
-        let ds = self.project(&kept).expect("indices derived from self are valid");
+    pub fn cap_support(self, cap: u32) -> (Dataset, Vec<AttrIndex>) {
+        let (kept, columns): (Vec<AttrIndex>, Vec<Column>) =
+            self.columns.into_iter().enumerate().filter(|(_, c)| c.support() <= cap).unzip();
+        let schema = self.schema.project(&kept);
+        let ds = Dataset::new(schema, columns).expect("a subset of a valid dataset's columns");
         (ds, kept)
     }
 

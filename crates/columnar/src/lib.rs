@@ -16,10 +16,11 @@
 //! * [`Dataset`] — an immutable columnar table plus its schema.
 //! * [`DatasetBuilder`] — row-oriented construction from raw string values.
 //! * [`csv`] — a small self-contained CSV reader.
-//! * [`snapshot`] — a compact binary on-disk format for datasets. Besides
-//!   the eager reader, [`snapshot::open_paged`] opens a snapshot
-//!   *out-of-core*: columns stay in the mapped file and fault
-//!   page-by-page through a `swope-pager` [`PageCache`] byte budget.
+//! * [`snapshot`] — a compact binary on-disk format for datasets.
+//!   [`snapshot::open`] reads one at either [`Residency`]: decoded to
+//!   heap columns, or *out-of-core* — columns stay in the mapped file
+//!   and fault page-by-page through a `swope-pager` [`PageCache`] byte
+//!   budget.
 //! * [`stats`] — per-column summary statistics.
 //!
 //! # Example
@@ -57,6 +58,7 @@ pub use dataset::Dataset;
 pub use dictionary::Dictionary;
 pub use error::ColumnarError;
 pub use schema::{Field, Schema};
+pub use snapshot::Residency;
 // Storage-layer items callers of this crate routinely need: the width a
 // column is packed at, the packed storage the hot loops scan, and the
 // width dispatch + gather those loops are built from.
@@ -78,7 +80,7 @@ pub use swope_store::crc32::crc32;
 // cache a budget is configured on (plus its metrics snapshot), the
 // pager-backed column hot loops dispatch to via [`ColumnStorage`], the
 // row-list grouper [`Dataset::page_grouper`] hands those loops, and the
-// byte sources `snapshot::open_paged_on` accepts.
+// byte sources `snapshot::open_on` accepts.
 pub use swope_pager::{HeapMapping, Mapping, PageCache, PageGrouper, PagedColumn, PagerSnapshot};
 
 /// Index of an attribute (column) within a dataset. Always in `0..h`.

@@ -29,9 +29,9 @@
 //! ```
 //!
 //! The sketch section is *optional on read*: v2 files written before it
-//! existed decode exactly as they always did, and [`decode_with_sketch`]
-//! reports `None` for them. The writer always emits one so freshly
-//! written snapshots support scoped queries without a load-time rebuild.
+//! existed decode exactly as they always did, and [`open`] reports `None`
+//! for them. The writer always emits one so freshly written snapshots
+//! support scoped queries without a load-time rebuild.
 //!
 //! Column codes are stored at their in-memory packed width, so a `u8`
 //! column costs one byte per row on disk too. Every section length is a
@@ -40,16 +40,17 @@
 //! pages each column through one reusable page buffer — no
 //! whole-snapshot staging in memory.
 //!
-//! Version 1 (one flat `u32` run per column, no checksums) is still
-//! *read* for back-compat; v1 columns materialize as `u32`-packed
-//! storage. [`encode_v1`] keeps the legacy writer available for tests
-//! and downgrade tooling.
+//! Reading is one path too: [`open`] maps the file, validates the
+//! header, section table, schema and sketch, and hands each column's
+//! page stream to the [`Residency`] the caller chose — decoded to the
+//! heap and released from the mapping column by column, or left in the
+//! mapping and read page by page under a [`PageCache`].
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
-use swope_pager::{Mapping, PageCache, PagedColumn};
+use swope_pager::{HeapMapping, Mapping, PageCache, PagedColumn};
 use swope_sketch::{ColumnSketch, ColumnSketchBuilder, DatasetSketch};
 use swope_store::crc32::crc32;
 use swope_store::section::{
@@ -61,7 +62,6 @@ use crate::{Column, ColumnStorage, ColumnarError, Dataset, Dictionary, Field, Sc
 
 const MAGIC: &[u8; 4] = b"SWOP";
 const VERSION: u16 = 2;
-const V1: u16 = 1;
 
 /// Bytes before the section table: magic + version + flags + count.
 const HEADER_BYTES: usize = 12;
@@ -147,14 +147,6 @@ pub fn write<W: Write>(dataset: &Dataset, writer: &mut W) -> Result<(), Columnar
 /// out-of-core dataset copies nothing but the output, and every page's
 /// CRC is verified (once, on first touch) on the way through.
 fn write_paged_column<W: Write>(paged: &PagedColumn, writer: &mut W) -> Result<(), ColumnarError> {
-    if paged.page_rows() != page::PAGE_ROWS {
-        // Foreign page geometry (only a hand-crafted file can carry one):
-        // materialize and re-page at the standard size.
-        let codes = paged.to_codes().map_err(store_err)?;
-        let packed =
-            PackedColumn::with_width(codes, paged.support(), paged.width()).map_err(store_err)?;
-        return page::write_pages(packed.codes(), writer).map_err(Into::into);
-    }
     writer.write_all(&(page::PAGE_ROWS as u32).to_le_bytes())?;
     writer.write_all(&(paged.num_pages() as u32).to_le_bytes())?;
     for index in 0..paged.num_pages() {
@@ -183,10 +175,6 @@ pub fn build_sketch(dataset: &Dataset) -> DatasetSketch {
 /// Sketches a pager-backed column page-by-page. Panics on a corrupt
 /// page, matching the heap column accessors' contract.
 fn sketch_paged(paged: &PagedColumn) -> ColumnSketch {
-    if paged.page_rows() != page::PAGE_ROWS {
-        let codes = paged.to_codes().unwrap_or_else(|e| panic!("{e}"));
-        return ColumnSketch::build(&PackedColumn::new_unchecked(codes, paged.support()));
-    }
     let mut builder = ColumnSketchBuilder::new(paged.support());
     for index in 0..paged.num_pages() {
         let codes = paged.page(index).unwrap_or_else(|e| panic!("{e}"));
@@ -195,141 +183,78 @@ fn sketch_paged(paged: &PagedColumn) -> ColumnSketch {
     builder.finish()
 }
 
-/// Serializes `dataset` in the legacy v1 format (flat `u32` runs, no
-/// checksums). Kept for back-compat tests and downgrade tooling.
-pub fn encode_v1(dataset: &Dataset) -> Vec<u8> {
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    let mut buf = Vec::with_capacity(64 + h * 32 + h * n * 4);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&V1.to_le_bytes());
-    buf.extend_from_slice(&0u16.to_le_bytes());
-    buf.extend_from_slice(&(h as u32).to_le_bytes());
-    buf.extend_from_slice(&(n as u64).to_le_bytes());
-    for field in dataset.schema().fields() {
-        put_str(&mut buf, field.name());
-        buf.extend_from_slice(&field.support().to_le_bytes());
-        match field.dictionary() {
-            Some(dict) => {
-                buf.push(1);
-                buf.extend_from_slice(&(dict.len() as u32).to_le_bytes());
-                for (_, v) in dict.iter() {
-                    put_str(&mut buf, v);
-                }
-            }
-            None => buf.push(0),
-        }
-    }
-    for attr in 0..h {
-        for code in dataset.column(attr).to_codes() {
-            buf.extend_from_slice(&code.to_le_bytes());
-        }
-    }
-    buf
+/// Where [`open`] leaves a snapshot's column codes.
+#[derive(Clone, Copy)]
+pub enum Residency<'a> {
+    /// Decoded to heap columns at their stored width, every page's CRC
+    /// and the codes' range checked up front. Each column's bytes are
+    /// released from the mapping as soon as it is decoded, so a load
+    /// never holds more than one column both as file bytes and as codes.
+    Heap,
+    /// Left in the mapping as [`PagedColumn`]s that read their pages in
+    /// place and account them through this cache on first touch. Page
+    /// CRCs are verified lazily, at first touch, so opening costs
+    /// section/schema validation plus one 8-byte header walk per page —
+    /// no payload reads — and under a byte budget leaves none of the
+    /// file resident.
+    Paged(&'a Arc<PageCache>),
 }
 
-/// Deserializes a dataset from `bytes`, dispatching on the format
-/// version: v2 (paged, checksummed) or legacy v1 (flat `u32` runs,
-/// materialized as `u32`-packed columns).
+/// Deserializes a dataset from in-memory snapshot `bytes`.
 pub fn decode(bytes: &[u8]) -> Result<Dataset, ColumnarError> {
-    decode_with_sketch(bytes).map(|(dataset, _)| dataset)
+    open_on(Arc::new(HeapMapping::from(bytes.to_vec())), Residency::Heap)
+        .map(|(dataset, _)| dataset)
 }
 
-/// Like [`decode`], but also returns the partition sketch when the
-/// snapshot carries one. v1 snapshots and pre-sketch v2 snapshots yield
-/// `None`; a *present but* truncated or corrupt sketch section is an
-/// error (a reader must not silently serve scoped queries from bad
-/// counts).
-pub fn decode_with_sketch(bytes: &[u8]) -> Result<(Dataset, Option<DatasetSketch>), ColumnarError> {
-    let mut buf = bytes;
-    let mut magic = [0u8; 4];
-    take(&mut buf, &mut magic)?;
-    if &magic != MAGIC {
-        return Err(ColumnarError::Snapshot("bad magic".into()));
-    }
-    let version = get_u16(&mut buf)?;
-    match version {
-        V1 => decode_v1(buf).map(|dataset| (dataset, None)),
-        VERSION => decode_v2(bytes, buf),
-        other => Err(ColumnarError::Snapshot(format!(
-            "unsupported version {other} (expected {V1} or {VERSION})"
-        ))),
-    }
-}
-
-/// Decodes the v2 body eagerly: every column's pages are CRC-checked
-/// and unpacked to heap storage up front. `bytes` is the full snapshot
-/// (for offset-based section slicing); `buf` starts right after the
-/// version field.
-fn decode_v2(bytes: &[u8], buf: &[u8]) -> Result<(Dataset, Option<DatasetSketch>), ColumnarError> {
-    let parsed = parse_v2(bytes, buf)?;
-    let n = parsed.n;
-    let mut columns = Vec::with_capacity(parsed.fields.len());
-    for (attr, ((width, range), field)) in parsed.columns.iter().zip(&parsed.fields).enumerate() {
-        let codes = page::decode_pages(&bytes[range.clone()], n, *width)
-            .map_err(|e| ColumnarError::Snapshot(format!("column {attr}: {e}")))?;
-        let packed = PackedColumn::from_packed(codes, field.support())
-            .map_err(|e| ColumnarError::Snapshot(format!("column {attr}: {e}")))?;
-        columns.push(Column::from_packed(packed));
-    }
-    Dataset::new(Schema::new(parsed.fields), columns).map(|dataset| (dataset, parsed.sketch))
-}
-
-/// Opens the snapshot at `path` out-of-core: the file is mapped (or
-/// buffered when mmap is unavailable — see `swope_pager::open_mapping`)
-/// and every v2 column becomes a [`PagedColumn`] reading its pages in
-/// place and accounting them through `cache` on first touch. Page CRCs
-/// are verified lazily, at first touch, so opening costs section/schema
-/// validation plus one 8-byte header walk per page — no payload reads —
-/// and under a byte budget leaves none of the file resident.
-/// v1 snapshots pre-date paging and fall back to the eager heap loader.
-pub fn open_paged(
+/// Opens the snapshot at `path` — mapped, or buffered when mmap is
+/// unavailable (see `swope_pager::open_mapping`) — with its columns at
+/// `residency`, plus the partition sketch when the file carries one.
+/// Pre-sketch snapshots yield `None`; a *present but* truncated or
+/// corrupt sketch section is an error (a reader must not silently serve
+/// scoped queries from bad counts).
+///
+/// A heap load reads through the mapping for as long as it takes, so —
+/// like a paged dataset for its lifetime — it relies on the file being
+/// replaced by rename ([`write_file`]), never truncated in place.
+pub fn open(
     path: impl AsRef<Path>,
-    cache: Arc<PageCache>,
+    residency: Residency<'_>,
 ) -> Result<(Dataset, Option<DatasetSketch>), ColumnarError> {
-    open_paged_on(swope_pager::open_mapping(path.as_ref())?, cache)
+    open_on(swope_pager::open_mapping(path.as_ref())?, residency)
 }
 
-/// [`open_paged`] over a byte source the caller opened — how a test
-/// picks the read fallback (or a mapping of its own) without the
-/// process-wide `SWOPE_FORCE_READ`.
-pub fn open_paged_on(
+/// [`open`] over a byte source the caller opened: bytes already in
+/// memory, or the read fallback where [`open`] would have mapped.
+pub fn open_on(
     mapping: Arc<dyn Mapping>,
-    cache: Arc<PageCache>,
+    residency: Residency<'_>,
 ) -> Result<(Dataset, Option<DatasetSketch>), ColumnarError> {
     let bytes = mapping.bytes();
-    let mut buf = bytes;
-    let mut magic = [0u8; 4];
-    take(&mut buf, &mut magic)?;
-    if &magic != MAGIC {
-        return Err(ColumnarError::Snapshot("bad magic".into()));
-    }
-    let version = get_u16(&mut buf)?;
-    match version {
-        V1 => return decode_v1(buf).map(|dataset| (dataset, None)),
-        VERSION => {}
-        other => {
-            return Err(ColumnarError::Snapshot(format!(
-                "unsupported version {other} (expected {V1} or {VERSION})"
-            )))
-        }
-    }
-    let parsed = parse_v2(bytes, buf)?;
+    let parsed = parse(bytes)?;
     let n = parsed.n;
     let mut columns = Vec::with_capacity(parsed.fields.len());
     for (attr, ((width, range), field)) in parsed.columns.iter().zip(&parsed.fields).enumerate() {
-        let paged = PagedColumn::open(
-            mapping.clone(),
-            cache.clone(),
-            range.clone(),
-            n,
-            field.support(),
-            *width,
-        )
-        .map_err(|e| ColumnarError::Snapshot(format!("column {attr}: {e}")))?;
-        columns.push(Column::from_paged(paged));
+        let column = match residency {
+            Residency::Heap => {
+                mapping.will_need(range.clone());
+                let decoded = page::decode_pages(&bytes[range.clone()], n, *width)
+                    .and_then(|codes| PackedColumn::from_packed(codes, field.support()));
+                mapping.release(range.clone());
+                decoded.map(Column::from_packed)
+            }
+            Residency::Paged(cache) => PagedColumn::open(
+                mapping.clone(),
+                cache.clone(),
+                range.clone(),
+                n,
+                field.support(),
+                *width,
+            )
+            .map(Column::from_paged),
+        };
+        columns.push(column.map_err(|e| ColumnarError::Snapshot(format!("column {attr}: {e}")))?);
     }
-    if cache.budget_bytes().is_some() {
+    if matches!(residency, Residency::Paged(cache) if cache.budget_bytes().is_some()) {
         // Parsing read the schema and sketch sections through the
         // mapping; both now live decoded on the heap. Nothing of the
         // file is counted resident yet, so nothing of it should be.
@@ -338,11 +263,10 @@ pub fn open_paged_on(
     Dataset::new(Schema::new(parsed.fields), columns).map(|dataset| (dataset, parsed.sketch))
 }
 
-/// Everything a v2 snapshot declares short of column payload decoding:
-/// the schema (CRC-checked), each column's stored width and payload
-/// byte range, and the decoded sketch. Shared by the eager loader
-/// ([`decode_v2`]) and the out-of-core one ([`open_paged`]).
-struct ParsedV2 {
+/// Everything a snapshot declares short of column payload decoding: the
+/// schema (CRC-checked), each column's stored width and payload byte
+/// range, and the decoded sketch.
+struct Parsed {
     fields: Vec<Field>,
     n: usize,
     /// Per attribute: stored width and the paged-payload byte range in
@@ -351,9 +275,20 @@ struct ParsedV2 {
     sketch: Option<DatasetSketch>,
 }
 
-/// Parses and validates a v2 snapshot's structure. `bytes` is the full
-/// snapshot; `buf` starts right after the version field.
-fn parse_v2(bytes: &[u8], mut buf: &[u8]) -> Result<ParsedV2, ColumnarError> {
+/// Parses and validates the structure of the snapshot `bytes`.
+fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
+    let mut buf = bytes;
+    let mut magic = [0u8; 4];
+    take(&mut buf, &mut magic)?;
+    if &magic != MAGIC {
+        return Err(ColumnarError::Snapshot("bad magic".into()));
+    }
+    let version = get_u16(&mut buf)?;
+    if version != VERSION {
+        return Err(ColumnarError::Snapshot(format!(
+            "unsupported version {version} (expected {VERSION})"
+        )));
+    }
     let _flags = get_u16(&mut buf)?;
     let section_count = get_u32(&mut buf)? as usize;
     // The table must fit the bytes present before a single entry (or a
@@ -464,55 +399,10 @@ fn parse_v2(bytes: &[u8], mut buf: &[u8]) -> Result<ParsedV2, ColumnarError> {
         }
         None => None,
     };
-    Ok(ParsedV2 { fields, n, columns, sketch })
+    Ok(Parsed { fields, n, columns, sketch })
 }
 
-/// Decodes the legacy v1 body (after magic + version). Columns are
-/// materialized at `u32` width — v1 carries no width information and
-/// pre-dates packing.
-fn decode_v1(mut bytes: &[u8]) -> Result<Dataset, ColumnarError> {
-    let buf = &mut bytes;
-    let _flags = get_u16(buf)?;
-    let h = get_u32(buf)? as usize;
-    let n = get_u64(buf)? as usize;
-
-    // Sanity-check the declared sizes against the bytes actually present
-    // *before* any allocation: a corrupted header must fail cleanly, not
-    // attempt a multi-gigabyte Vec::with_capacity. Each field needs at
-    // least 9 bytes (name_len + support + has_dict); each column needs
-    // 4·n code bytes.
-    let min_field_bytes = (h as u64).saturating_mul(9);
-    let min_code_bytes = (h as u64).saturating_mul(n as u64).saturating_mul(4);
-    if min_field_bytes.saturating_add(min_code_bytes) > buf.len() as u64 {
-        return Err(truncated());
-    }
-
-    let mut fields = Vec::with_capacity(h);
-    for _ in 0..h {
-        fields.push(parse_field(buf)?);
-    }
-
-    let mut columns = Vec::with_capacity(h);
-    for (attr, field) in fields.iter().enumerate() {
-        let mut codes = Vec::with_capacity(n);
-        for _ in 0..n {
-            codes.push(get_u32(buf)?);
-        }
-        let col = PackedColumn::with_width(codes, field.support(), Width::U32)
-            .map(Column::from_packed)
-            .map_err(|_| {
-                ColumnarError::Snapshot(format!("column {attr} contains out-of-range codes"))
-            })?;
-        columns.push(col);
-    }
-    if !buf.is_empty() {
-        return Err(ColumnarError::Snapshot(format!("{} trailing bytes after dataset", buf.len())));
-    }
-    Dataset::new(Schema::new(fields), columns)
-}
-
-/// Parses one schema field record (shared by the v1 body and the v2
-/// schema section, which use the same field encoding).
+/// Parses one schema field record.
 fn parse_field(buf: &mut &[u8]) -> Result<Field, ColumnarError> {
     let name = get_str(buf)?;
     let support = get_u32(buf)?;
@@ -551,13 +441,6 @@ fn store_err(e: swope_store::StoreError) -> ColumnarError {
     ColumnarError::Snapshot(e.to_string())
 }
 
-/// Reads a snapshot dataset from `reader`.
-pub fn read<R: Read>(reader: &mut R) -> Result<Dataset, ColumnarError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    decode(&bytes)
-}
-
 /// Writes `dataset` to the file at `path`, replacing whatever is there
 /// *by rename*: the bytes go to a sibling temp file that is renamed over
 /// `path` once complete. A snapshot may be mapped by a running server
@@ -580,22 +463,6 @@ pub fn write_file(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), Colum
         let _ = std::fs::remove_file(&tmp);
     }
     written
-}
-
-/// Reads a dataset from the file at `path`.
-pub fn read_file(path: impl AsRef<Path>) -> Result<Dataset, ColumnarError> {
-    let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-    read(&mut f)
-}
-
-/// Reads a dataset plus its partition sketch (when present) from
-/// `path`. See [`decode_with_sketch`] for the sketch semantics.
-pub fn read_file_with_sketch(
-    path: impl AsRef<Path>,
-) -> Result<(Dataset, Option<DatasetSketch>), ColumnarError> {
-    let mut bytes = Vec::new();
-    std::io::BufReader::new(std::fs::File::open(path)?).read_to_end(&mut bytes)?;
-    decode_with_sketch(&bytes)
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -707,18 +574,35 @@ mod tests {
     /// [`tri_width`] with every code sequence started `shift` rows in:
     /// same shape and snapshot size, different bytes.
     fn tri_width_from(shift: u32) -> Dataset {
+        tri_width_rows(shift..shift + 3000)
+    }
+
+    /// The three widths (and so both sketch layouts: dense up to a
+    /// support of 256, sparse above) over the codes of `rows`.
+    fn tri_width_rows(rows: std::ops::Range<u32>) -> Dataset {
         let schema = Schema::new(vec![
             Field::new("narrow", 256),
             Field::new("mid", 70_000 - 30_000), // u16
             Field::new("wide", 70_000),         // u32
         ]);
-        let rows = shift..shift + 3000;
         let cols = vec![
             Column::new(rows.clone().map(|i| i % 256).collect(), 256).unwrap(),
             Column::new(rows.clone().map(|i| (i * 13) % 40_000).collect(), 40_000).unwrap(),
             Column::new(rows.map(|i| (i * 23) % 70_000).collect(), 70_000).unwrap(),
         ];
         Dataset::new(schema, cols).unwrap()
+    }
+
+    /// `bytes` opened to the heap, sketch included.
+    fn open_bytes(bytes: &[u8]) -> Result<(Dataset, Option<DatasetSketch>), ColumnarError> {
+        open_on(Arc::new(HeapMapping::from(bytes.to_vec())), Residency::Heap)
+    }
+
+    fn open_paged(
+        path: &Path,
+        cache: Arc<PageCache>,
+    ) -> Result<(Dataset, Option<DatasetSketch>), ColumnarError> {
+        open(path, Residency::Paged(&cache))
     }
 
     #[test]
@@ -747,24 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_round_trips_into_u32_packed_columns() {
-        let ds = tri_width();
-        let bytes = encode_v1(&ds);
-        let back = decode(&bytes).unwrap();
-        // Logical equality holds even though v1 forgets widths…
-        assert_eq!(back, ds);
-        // …and every column materializes as u32 (v1 has no width tags).
-        for attr in 0..back.num_attrs() {
-            assert_eq!(back.column(attr).width(), Width::U32, "attr {attr}");
-        }
-        // Dictionaries survive the v1 path too.
-        let dict_ds = sample();
-        let back = decode(&encode_v1(&dict_ds)).unwrap();
-        assert_eq!(back, dict_ds);
-        assert!(back.schema().field(0).unwrap().dictionary().is_some());
-    }
-
-    #[test]
     fn round_trips_without_dictionaries() {
         let schema = Schema::new(vec![Field::new("n", 5)]);
         let col = Column::new(vec![0, 4, 2], 5).unwrap();
@@ -786,9 +652,14 @@ mod tests {
 
     #[test]
     fn rejects_wrong_version() {
-        let mut bytes = encode(&sample()).to_vec();
-        bytes[4] = 99;
-        assert!(decode(&bytes).is_err());
+        // 1 was the flat pre-paging format; nothing reads it any more.
+        for version in [0u8, 1, 99] {
+            let mut bytes = encode(&sample()).to_vec();
+            bytes[4] = version;
+            let err = decode(&bytes).unwrap_err().to_string();
+            assert!(err.contains(&format!("unsupported version {version}")), "{err}");
+            assert!(!err.contains('\n'), "{err}");
+        }
     }
 
     #[test]
@@ -803,11 +674,6 @@ mod tests {
         let bytes = encode(&sample()).to_vec();
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} should fail");
-        }
-        // Same property for the legacy format.
-        let v1 = encode_v1(&sample());
-        for cut in 0..v1.len() {
-            assert!(decode(&v1[..cut]).is_err(), "v1 cut at {cut} should fail");
         }
     }
 
@@ -840,7 +706,7 @@ mod tests {
     #[test]
     fn sketch_round_trips_and_matches_rebuild() {
         for ds in [sample(), tri_width()] {
-            let (back, sketch) = decode_with_sketch(&encode(&ds)).unwrap();
+            let (back, sketch) = open_bytes(&encode(&ds)).unwrap();
             assert_eq!(back, ds);
             assert_eq!(sketch.expect("writer always emits a sketch"), build_sketch(&ds));
         }
@@ -850,7 +716,7 @@ mod tests {
     fn pre_sketch_v2_snapshot_reads_with_none() {
         let ds = tri_width();
         let stripped = strip_sketch(&encode(&ds));
-        let (back, sketch) = decode_with_sketch(&stripped).unwrap();
+        let (back, sketch) = open_bytes(&stripped).unwrap();
         assert_eq!(back, ds);
         assert!(sketch.is_none(), "pre-sketch v2 files must degrade gracefully");
         // The plain reader sees the same dataset.
@@ -859,19 +725,27 @@ mod tests {
 
     #[test]
     fn sketch_corruption_is_a_one_line_error() {
-        let ds = tri_width();
+        // Few rows: the sweep below checksums the whole section once per
+        // byte of it, and a sketch grows with distinct codes a page.
+        let ds = tri_width_rows(0..120);
+        assert_eq!(
+            [0, 1, 2].map(|a| build_sketch(&ds).column(a).unwrap().kind()),
+            [
+                swope_sketch::SketchKind::Compact,
+                swope_sketch::SketchKind::Sparse,
+                swope_sketch::SketchKind::Sparse
+            ]
+        );
         let bytes = encode(&ds);
         let (sketch_off, sketch_len) = last_section(&bytes);
         // Flip every byte of the sketch section in turn: the reader
         // must reject (CRC guards the payload; the length/kind checks
-        // guard a forged CRC) with an error naming the sketch — and the
-        // plain dataset path must reject too, not silently drop it.
+        // guard a forged CRC) with a one-line error naming the sketch.
         for i in sketch_off..sketch_off + sketch_len {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0xff;
-            let err = decode_with_sketch(&corrupt).unwrap_err();
-            assert!(err.to_string().contains("sketch"), "byte {i}: {err}");
-            assert!(decode(&corrupt).is_err(), "byte {i}");
+            let err = decode(&corrupt).unwrap_err().to_string();
+            assert!(err.contains("sketch") && !err.contains('\n'), "byte {i}: {err}");
         }
     }
 
@@ -895,7 +769,7 @@ mod tests {
         // the schema must fail even though the sketch's own CRC passes.
         let ds = sample();
         let out = with_sketch(&encode(&ds), &DatasetSketch::build(0, std::iter::empty()));
-        let err = decode_with_sketch(&out).unwrap_err();
+        let err = decode(&out).unwrap_err();
         assert!(err.to_string().contains("sketch covers"), "{err}");
     }
 
@@ -913,11 +787,9 @@ mod tests {
             })
             .collect();
         let out = with_sketch(&encode(&ds), &DatasetSketch::build(ds.num_rows(), wider.iter()));
-        for err in [decode_with_sketch(&out).unwrap_err(), decode(&out).unwrap_err()] {
-            let msg = err.to_string();
-            assert!(msg.contains("sketch section: column 0"), "{msg}");
-            assert!(!msg.contains('\n'), "{msg}");
-        }
+        let msg = decode(&out).unwrap_err().to_string();
+        assert!(msg.contains("sketch section: column 0"), "{msg}");
+        assert!(!msg.contains('\n'), "{msg}");
         let path = std::env::temp_dir()
             .join(format!("swope-snapshot-foreign-sketch-{}.swop", std::process::id()));
         std::fs::write(&path, &out).unwrap();
@@ -950,34 +822,33 @@ mod tests {
         let flag_at = 12 + 4 * 24 + 4 + 8 + 4 + name_len + 4;
         assert_eq!(bytes[flag_at], 1, "offset arithmetic drifted");
         bytes[flag_at] = 2;
-        // Re-seal the schema CRC so the flag check itself is reached.
+        reseal_schema(&mut bytes); // so the flag check itself is reached
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("dictionary flag"), "{err}");
+    }
+
+    /// Recomputes the schema section's trailing CRC after a test edited
+    /// the section in place, so the edited field itself is what the
+    /// reader trips over.
+    fn reseal_schema(bytes: &mut [u8]) {
         let schema_len_at = 12 + 16; // first section entry's len field
         let len = u64::from_le_bytes(bytes[schema_len_at..schema_len_at + 8].try_into().unwrap())
             as usize;
         let body_start = 12 + 4 * 24;
         let crc = crc32(&bytes[body_start..body_start + len - 4]);
         bytes[body_start + len - 4..body_start + len].copy_from_slice(&crc.to_le_bytes());
-        let err = decode(&bytes).unwrap_err();
-        assert!(err.to_string().contains("dictionary flag"), "{err}");
     }
 
     #[test]
     fn rejects_dictionary_support_mismatch() {
-        // Hand-assemble a *v1* snapshot (that path has no CRC to
-        // re-seal) whose dictionary has fewer values than the declared
-        // support: h=1, n=0, field "a" with support 2 but a one-entry
-        // dictionary.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&V1.to_le_bytes());
-        bytes.extend_from_slice(&0u16.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // h
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // n
-        put_str(&mut bytes, "a");
-        bytes.extend_from_slice(&2u32.to_le_bytes()); // support
-        bytes.push(1); // has_dict
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // dict count
-        put_str(&mut bytes, "x");
+        // Declare one more code than the first field's dictionary holds.
+        let ds = sample();
+        let mut bytes = encode(&ds);
+        let name_len = ds.schema().field(0).unwrap().name().len();
+        let support_at = 12 + 4 * 24 + 4 + 8 + 4 + name_len;
+        assert_eq!(bytes[support_at..support_at + 4], 3u32.to_le_bytes(), "offsets drifted");
+        bytes[support_at] = 4;
+        reseal_schema(&mut bytes);
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("disagrees"), "{err}");
     }
@@ -990,35 +861,21 @@ mod tests {
         // so the UTF-8 check (not the checksum) is what rejects it.
         let name_at = 12 + 4 * 24 + 4 + 8 + 4;
         bytes[name_at] = 0xff;
-        let schema_len_at = 12 + 16;
-        let len = u64::from_le_bytes(bytes[schema_len_at..schema_len_at + 8].try_into().unwrap())
-            as usize;
-        let body_start = 12 + 4 * 24;
-        let crc = crc32(&bytes[body_start..body_start + len - 4]);
-        bytes[body_start + len - 4..body_start + len].copy_from_slice(&crc.to_le_bytes());
+        reseal_schema(&mut bytes);
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("UTF-8"), "{err}");
     }
 
     #[test]
     fn rejects_oversized_declared_sizes_without_allocating() {
-        // Headers declaring astronomically many sections/rows/attrs must
-        // fail the up-front size checks instead of attempting the
-        // allocation — in both formats.
+        // A header declaring astronomically many sections must fail the
+        // up-front size check instead of attempting the allocation.
         let mut v2 = Vec::new();
         v2.extend_from_slice(MAGIC);
         v2.extend_from_slice(&VERSION.to_le_bytes());
         v2.extend_from_slice(&0u16.to_le_bytes());
         v2.extend_from_slice(&u32::MAX.to_le_bytes()); // section_count
         assert!(decode(&v2).is_err());
-
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        v1.extend_from_slice(&V1.to_le_bytes());
-        v1.extend_from_slice(&0u16.to_le_bytes());
-        v1.extend_from_slice(&u32::MAX.to_le_bytes()); // h
-        v1.extend_from_slice(&u64::MAX.to_le_bytes()); // n
-        assert!(decode(&v1).is_err());
     }
 
     #[test]
@@ -1026,9 +883,6 @@ mod tests {
         let mut bytes = encode(&sample()).to_vec();
         bytes.push(0);
         assert!(decode(&bytes).is_err());
-        let mut v1 = encode_v1(&sample());
-        v1.push(0);
-        assert!(decode(&v1).is_err());
     }
 
     #[test]
@@ -1038,7 +892,7 @@ mod tests {
         let path = dir.join("ds.swop");
         let ds = sample();
         write_file(&ds, &path).unwrap();
-        let back = read_file(&path).unwrap();
+        let (back, _) = open(&path, Residency::Heap).unwrap();
         assert_eq!(back, ds);
         std::fs::remove_file(&path).ok();
     }
@@ -1103,7 +957,7 @@ mod tests {
         // A paged dataset can even be re-snapshotted over its own file.
         write_file(&fresh, &path).unwrap();
         assert_eq!(fresh, new);
-        assert_eq!(read_file(&path).unwrap(), new);
+        assert_eq!(open(&path, Residency::Heap).unwrap().0, new);
         std::fs::remove_file(&path).ok();
 
         // A write that cannot finish — the target is a directory — is an
@@ -1122,20 +976,6 @@ mod tests {
     }
 
     #[test]
-    fn open_paged_falls_back_to_heap_for_v1() {
-        let ds = tri_width();
-        let dir = std::env::temp_dir().join("swope-snapshot-paged-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.swop");
-        std::fs::write(&path, encode_v1(&ds)).unwrap();
-        let (back, sketch) = open_paged(&path, Arc::new(PageCache::unbounded())).unwrap();
-        assert!(!back.column(0).is_paged(), "v1 has no paged form");
-        assert!(sketch.is_none());
-        assert_eq!(back, ds);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn open_paged_corrupt_page_fails_on_first_touch_only() {
         let ds = tri_width();
         let path = temp_snapshot(&ds, "corrupt.swop");
@@ -1147,7 +987,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         // Eager load rejects up front; paged open succeeds (CRCs are
         // lazy) and only the corrupt column's touch fails.
-        assert!(read_file(&path).is_err());
+        assert!(open(&path, Residency::Heap).is_err());
         let (paged, _) = open_paged(&path, Arc::new(PageCache::unbounded())).unwrap();
         assert_eq!(paged.column(0).value_counts(), ds.column(0).value_counts());
         let last = paged.num_attrs() - 1;

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Schema};
+use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Residency, Schema};
 
 /// Bytes of file-backed pages mapped into this process, if the kernel
 /// reports them.
@@ -51,7 +51,7 @@ fn a_budgeted_snapshot_keeps_its_share_of_rss_near_the_budget() {
 
     let base = rss_file_bytes().unwrap();
     let cache = Arc::new(PageCache::new(Some(BUDGET)));
-    let (paged, _) = snapshot::open_paged(&path, Arc::clone(&cache)).unwrap();
+    let (paged, _) = snapshot::open(&path, Residency::Paged(&cache)).unwrap();
     let after_open = mapped_since(base);
     scan(&paged);
     let after_scan = mapped_since(base);
@@ -74,7 +74,8 @@ fn a_budgeted_snapshot_keeps_its_share_of_rss_near_the_budget() {
     // The control: the same reads under an unbounded cache release
     // nothing, so the measurement above does see mapped pages.
     let base = rss_file_bytes().unwrap();
-    let (paged, _) = snapshot::open_paged(&path, Arc::new(PageCache::unbounded())).unwrap();
+    let (paged, _) =
+        snapshot::open(&path, Residency::Paged(&Arc::new(PageCache::unbounded()))).unwrap();
     scan(&paged);
     let unbounded = mapped_since(base);
     assert!(unbounded >= file_len * 9 / 10, "{unbounded} of {file_len} bytes resident");

@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Schema};
+use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Residency, Schema};
 use swope_core::state::{EntropyState, GatherScratch, MiState, TargetState};
 use swope_core::{
     count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf,
@@ -85,7 +85,8 @@ fn staged_ingest_allocates_nothing_in_steady_state() {
     // steady-state delta faults).
     let path = std::env::temp_dir().join(format!("swope-ingest-alloc-{}.swop", std::process::id()));
     snapshot::write_file(&ds, &path).unwrap();
-    let (paged, _) = snapshot::open_paged(&path, Arc::new(PageCache::unbounded())).unwrap();
+    let (paged, _) =
+        snapshot::open(&path, Residency::Paged(&Arc::new(PageCache::unbounded()))).unwrap();
     assert!(paged.column(0).is_paged());
     audit("paged", &paged, &rows);
     let _ = std::fs::remove_file(path);

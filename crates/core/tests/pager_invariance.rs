@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 use common::{plain, scoped, shapes_against, sharded};
 use swope_columnar::{
-    snapshot, Column, Dataset, DatasetSketch, Field, HeapMapping, PageCache, Schema, Width,
+    snapshot, Column, Dataset, DatasetSketch, Field, HeapMapping, PageCache, Residency, Schema,
+    Width,
 };
 use swope_core::{Executor, Scope, Shape, SwopeConfig};
 use swope_sampling::rng::Xoshiro256pp;
@@ -91,11 +92,11 @@ fn modes(seed: u64) -> (Vec<Mode>, std::path::PathBuf) {
     assert_eq!(ds.column(2).width(), Width::U16);
     assert_eq!(ds.column(3).width(), Width::U32);
     let path = temp_snapshot(&ds, &format!("{seed}.swop"));
-    let (heap, heap_sketch) = snapshot::read_file_with_sketch(&path).unwrap();
+    let (heap, heap_sketch) = snapshot::open(&path, Residency::Heap).unwrap();
     let mut out = vec![Mode { label: "heap", dataset: heap, sketch: heap_sketch, cache: None }];
     for (label, budget) in [("mmap", None), ("budget", Some(BUDGET))] {
         let cache = Arc::new(PageCache::new(budget));
-        let (paged, sketch) = snapshot::open_paged(&path, Arc::clone(&cache)).unwrap();
+        let (paged, sketch) = snapshot::open(&path, Residency::Paged(&cache)).unwrap();
         for attr in 0..paged.num_attrs() {
             assert!(paged.column(attr).is_paged(), "{label} column {attr} should be paged");
         }
@@ -105,7 +106,7 @@ fn modes(seed: u64) -> (Vec<Mode>, std::path::PathBuf) {
     // evicted page is a no-op — under the same budget.
     let cache = Arc::new(PageCache::new(Some(BUDGET)));
     let mapping = Arc::new(HeapMapping::open(&path).unwrap());
-    let (paged, sketch) = snapshot::open_paged_on(mapping, Arc::clone(&cache)).unwrap();
+    let (paged, sketch) = snapshot::open_on(mapping, Residency::Paged(&cache)).unwrap();
     out.push(Mode { label: "read", dataset: paged, sketch, cache: Some(cache) });
     (out, path)
 }
@@ -223,13 +224,14 @@ fn untouched_corrupt_pages_do_not_fail_scoped_sampling_queries() {
     corrupt_last_page(&path);
 
     // Eager load validates every CRC up front and refuses the file.
-    assert!(snapshot::read_file_with_sketch(&path).is_err());
+    assert!(snapshot::open(&path, Residency::Heap).is_err());
 
     // Paged open defers CRCs to first touch, so a scope confined to the
     // first two pages (rows < 100k never reach the final page starting
     // at row 131072) samples normally — and answers exactly what the
     // pristine in-memory dataset does.
-    let (paged, sketch) = snapshot::open_paged(&path, Arc::new(PageCache::unbounded())).unwrap();
+    let (paged, sketch) =
+        snapshot::open(&path, Residency::Paged(&Arc::new(PageCache::unbounded()))).unwrap();
     let scope = Scope::range(0, 100_000);
     let cfg = config(seed, 1);
     let got = scoped(&paged, &shapes()[0], &scope, sketch.as_ref(), &cfg);

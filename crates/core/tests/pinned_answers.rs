@@ -20,7 +20,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{scoped, sharded, sketch_of};
-use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Schema, PAGE_ROWS};
+use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Residency, Schema, PAGE_ROWS};
 use swope_core::{Answer, Executor, Scope, Shape, SwopeConfig};
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -125,7 +125,7 @@ fn answers_match_the_digests_recorded_on_the_parent() {
     let path = std::env::temp_dir().join(format!("swope-pinned-{}.swop", std::process::id()));
     snapshot::write_file(&ds, &path).unwrap();
     let cache = Arc::new(PageCache::new(Some(BUDGET)));
-    let (paged, paged_sketch) = snapshot::open_paged(&path, Arc::clone(&cache)).unwrap();
+    let (paged, paged_sketch) = snapshot::open(&path, Residency::Paged(&cache)).unwrap();
     assert!(paged.column(0).is_paged());
 
     // Covered pages plus a fringe on both sides; a row list; a range of

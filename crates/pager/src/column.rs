@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-use swope_store::page::{PAGE_HEADER_BYTES, STREAM_HEADER_BYTES};
+use swope_store::page::{self, read_u32, PAGE_HEADER_BYTES, PAGE_ROWS};
 use swope_store::{crc32::crc32, gather_stats, Code, CodeBuf, CodeRepr, StoreError, Width};
 
 use crate::cache::{PageCache, REFERENCED, RESIDENT, VALIDATED};
@@ -116,7 +116,6 @@ pub struct PagedColumn {
     width: Width,
     support: u32,
     rows: usize,
-    page_rows: usize,
     /// Per page: the `cache::{VALIDATED, RESIDENT, REFERENCED, ..}` bits.
     flags: Vec<AtomicU8>,
 }
@@ -145,9 +144,8 @@ impl std::fmt::Debug for PagedColumn {
 impl PagedColumn {
     /// Opens the column payload at `payload` (byte range within
     /// `mapping`) holding `rows` codes of `width`. Validates the page
-    /// stream's structure and every page header's row count — but no
-    /// payload bytes — so a corrupt page surfaces on first touch, not
-    /// here.
+    /// stream's structure ([`page::check_stream`]) — but no payload
+    /// bytes — so a corrupt page surfaces on first touch, not here.
     ///
     /// Reading a header through an mmap'd file makes the kernel map the
     /// OS pages around it too, which for a narrow column is the whole
@@ -162,33 +160,11 @@ impl PagedColumn {
         support: u32,
         width: Width,
     ) -> Result<Arc<Self>, StoreError> {
-        let file = mapping.bytes();
-        if payload.start > payload.end || payload.end > file.len() {
-            return Err(StoreError::Corrupt("column payload out of file bounds".into()));
-        }
-        let payload_len = payload.len();
-        if payload_len < STREAM_HEADER_BYTES {
-            return Err(StoreError::Corrupt("truncated page stream".into()));
-        }
-        let page_rows = read_u32(file, payload.start) as usize;
-        let page_count = read_u32(file, payload.start + 4) as usize;
-        if page_rows == 0 && rows > 0 {
-            return Err(StoreError::Corrupt("page size of zero rows".into()));
-        }
-        let expect_pages = if page_rows == 0 { 0 } else { rows.div_ceil(page_rows) };
-        if page_count != expect_pages {
-            return Err(StoreError::Corrupt(format!(
-                "page count {page_count} disagrees with {rows} rows at {page_rows} rows/page"
-            )));
-        }
-        let need = STREAM_HEADER_BYTES as u64
-            + (page_count as u64) * (PAGE_HEADER_BYTES as u64)
-            + (rows as u64) * (width.bytes() as u64);
-        if payload_len as u64 != need {
-            return Err(StoreError::Corrupt(format!(
-                "column payload is {payload_len} bytes, expected {need}"
-            )));
-        }
+        let stream = mapping
+            .bytes()
+            .get(payload.clone())
+            .ok_or_else(|| StoreError::Corrupt("column payload out of file bounds".into()))?;
+        let page_count = page::check_stream(stream, rows, width)?;
         let column = Arc::new_cyclic(|me| Self {
             me: me.clone(),
             mapping,
@@ -197,20 +173,8 @@ impl PagedColumn {
             width,
             support,
             rows,
-            page_rows,
             flags: (0..page_count).map(|_| AtomicU8::new(0)).collect(),
         });
-        // Every page before the last is full, so page offsets are pure
-        // arithmetic — but only if the headers agree. Check the 8-byte
-        // headers now (payloads stay unread).
-        let file = column.mapping.bytes();
-        for page in 0..page_count {
-            let expect = (rows - page * page_rows).min(page_rows);
-            let got = read_u32(file, column.header_offset(page)) as usize;
-            if got != expect {
-                return Err(StoreError::Corrupt(format!("page {page}: invalid row count {got}")));
-            }
-        }
         if column.cache.budget_bytes().is_some() {
             column.mapping.release(payload);
         }
@@ -228,15 +192,12 @@ impl PagedColumn {
     }
 
     fn header_offset(&self, page: usize) -> usize {
-        self.payload_start
-            + STREAM_HEADER_BYTES
-            + page * PAGE_HEADER_BYTES
-            + page * self.page_rows * self.width.bytes()
+        self.payload_start + page::page_offset(page, self.width)
     }
 
     /// The byte range of `page`'s payload within the mapping.
     pub(crate) fn payload_range(&self, page: usize) -> Range<usize> {
-        let rows = (self.rows - page * self.page_rows).min(self.page_rows);
+        let rows = (self.rows - page * PAGE_ROWS).min(PAGE_ROWS);
         let start = self.header_offset(page) + PAGE_HEADER_BYTES;
         start..start + rows * self.width.bytes()
     }
@@ -269,11 +230,6 @@ impl PagedColumn {
     /// Number of pages backing the column.
     pub fn num_pages(&self) -> usize {
         self.flags.len()
-    }
-
-    /// Rows per full page.
-    pub fn page_rows(&self) -> usize {
-        self.page_rows
     }
 
     /// `"mmap"` or `"read"` — which byte-source facility backs this
@@ -347,8 +303,8 @@ impl PagedColumn {
     /// [`try_for_each_page`](Self::try_for_each_page) (scans).
     pub fn try_code(&self, row: usize) -> Result<Code, StoreError> {
         assert!(row < self.len(), "row {row} out of range for {} rows", self.len());
-        let page = self.page(row / self.page_rows)?;
-        Ok(page.code(row % self.page_rows))
+        let page = self.page(row / PAGE_ROWS)?;
+        Ok(page.code(row % PAGE_ROWS))
     }
 
     /// Panicking [`try_code`](Self::try_code) for cold single-row reads.
@@ -404,13 +360,12 @@ impl PagedColumn {
     ) -> Result<(), StoreError> {
         out.clear();
         out.resize(rows.len(), T::default());
-        let page_rows = self.page_rows;
         let mut done = 0;
         while let Some(&first) = rows.get(done) {
             let first = first as usize;
             assert!(first < self.len(), "row {first} out of range for {} rows", self.len());
-            let index = first / page_rows;
-            let base = index * page_rows;
+            let index = first / PAGE_ROWS;
+            let base = index * PAGE_ROWS;
             let payload = self.page(index)?.payload;
             let held = payload.len() / W;
             // A row below `base` wraps to a huge offset, so the one
@@ -440,10 +395,10 @@ impl PagedColumn {
         if rows.start >= rows.end {
             return Ok(());
         }
-        let first = rows.start / self.page_rows;
-        let last = (rows.end - 1) / self.page_rows;
+        let first = rows.start / PAGE_ROWS;
+        let last = (rows.end - 1) / PAGE_ROWS;
         for index in first..=last {
-            f(index * self.page_rows, self.page(index)?);
+            f(index * PAGE_ROWS, self.page(index)?);
         }
         Ok(())
     }
@@ -466,16 +421,12 @@ impl PagedColumn {
     }
 }
 
-fn read_u32(bytes: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(le_bytes(&bytes[off..]))
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::mapping::HeapMapping;
     use std::sync::Mutex;
-    use swope_store::page::{encode_pages, PAGE_ROWS};
+    use swope_store::page::{encode_pages, STREAM_HEADER_BYTES};
     use swope_store::PackedCodes;
 
     /// A heap-backed mapping that logs the length of every range it is

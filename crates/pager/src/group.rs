@@ -18,6 +18,8 @@
 //!
 //! [`PagedColumn::gather`]: crate::PagedColumn::gather
 
+use swope_store::page::PAGE_ROWS;
+
 /// Reusable scratch that reorders row lists so rows of one page are
 /// adjacent: pages ascending, draw order kept within a page (a stable
 /// counting sort — two passes, no comparison).
@@ -31,18 +33,15 @@ pub struct PageGrouper {
 }
 
 impl PageGrouper {
-    /// A grouper for pages of `page_rows` rows (see
-    /// [`PagedColumn::page_rows`](crate::PagedColumn::page_rows));
-    /// `None` makes [`group`](Self::group) the identity, which is what a
-    /// heap dataset wants. Snapshot pages are a power of two rows
-    /// (64Ki), so a row's page is one shift; any other page size also
-    /// gets the identity — its gathers stay correct, with shorter runs.
-    pub fn new(page_rows: Option<usize>) -> Self {
-        // Row ids are `u32`: a page of 2^32 rows or more holds them all.
-        let page_shift = page_rows
-            .filter(|p| p.is_power_of_two())
-            .map(|p| p.trailing_zeros())
-            .filter(|&shift| shift < u32::BITS);
+    /// A grouper for a dataset whose columns are `paged` (snapshot pages
+    /// are [`PAGE_ROWS`] rows, a power of two, so a row's page is one
+    /// shift); `false` makes [`group`](Self::group) the identity, which
+    /// is what a heap dataset wants.
+    pub fn new(paged: bool) -> Self {
+        Self::with_shift(paged.then_some(PAGE_ROWS.trailing_zeros()))
+    }
+
+    fn with_shift(page_shift: Option<u32>) -> Self {
         Self { page_shift, next: Vec::new(), grouped: Vec::new() }
     }
 
@@ -110,7 +109,7 @@ mod tests {
 
     #[test]
     fn groups_pages_ascending_and_keeps_draw_order_within_a_page() {
-        let mut g = PageGrouper::new(Some(8));
+        let mut g = PageGrouper::with_shift(Some(3));
         let rows = [25, 3, 14, 21, 7, 3, 19, 20];
         assert_eq!(g.group(&rows), &[3, 7, 3, 14, 21, 19, 20, 25]);
         // Reuse with a shorter list leaves no stale tail.
@@ -121,7 +120,7 @@ mod tests {
     fn grouping_is_the_stable_sort_by_page_at_every_list_length() {
         // Lengths around the lane split: shorter than the four lanes, not
         // a multiple of them, one over, long.
-        let mut g = PageGrouper::new(Some(16));
+        let mut g = PageGrouper::with_shift(Some(4));
         for n in [2usize, 3, 4, 5, 7, 9, 64, 1_001] {
             let rows: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761) % 100).collect();
             let mut want = rows.clone();
@@ -133,19 +132,15 @@ mod tests {
     #[test]
     fn passes_lists_through_when_there_is_nothing_to_group() {
         let rows = [25, 3, 14];
-        assert!(std::ptr::eq(PageGrouper::new(None).group(&rows), &rows[..]));
-        assert!(std::ptr::eq(PageGrouper::new(Some(0)).group(&rows), &rows[..]));
-        assert!(std::ptr::eq(PageGrouper::new(Some(1 << 40)).group(&rows), &rows[..]));
-        // Not a power of two: no grouping, the list is still a valid one.
-        assert!(std::ptr::eq(PageGrouper::new(Some(10)).group(&rows), &rows[..]));
+        assert!(std::ptr::eq(PageGrouper::new(false).group(&rows), &rows[..]));
         // One page: returned as-is, not copied.
-        assert!(std::ptr::eq(PageGrouper::new(Some(32)).group(&rows), &rows[..]));
-        assert!(PageGrouper::new(Some(8)).group(&[]).is_empty());
+        assert!(std::ptr::eq(PageGrouper::new(true).group(&rows), &rows[..]));
+        assert!(PageGrouper::with_shift(Some(3)).group(&[]).is_empty());
     }
 
     #[test]
     fn grouping_is_a_permutation_at_the_top_of_the_row_range() {
-        let mut g = PageGrouper::new(Some(1 << 16));
+        let mut g = PageGrouper::new(true);
         let rows = [u32::MAX, 0, u32::MAX - 1, 70_000, 1];
         let mut got = g.group(&rows).to_vec();
         assert_eq!(got, [0, 1, 70_000, u32::MAX, u32::MAX - 1]);

@@ -12,8 +12,8 @@
 //!
 //! * [`mapping`] — the byte source: raw-syscall `mmap`/`munmap`/
 //!   `madvise` on Linux behind the [`Mapping`] trait, with a
-//!   buffered-read fallback (`SWOPE_FORCE_READ=1` forces it), the same
-//!   facility-behind-a-trait pattern as the server's `Poller`.
+//!   buffered-read fallback, the same facility-behind-a-trait pattern
+//!   as the server's `Poller`.
 //!   [`Mapping::release`] hands a byte range back to the OS.
 //! * [`mod@column`] — [`PagedColumn`]: an arithmetic page directory over
 //!   the mapped payload, lazy first-touch CRC validation, and gathers

@@ -21,11 +21,10 @@
 //!
 //! Selection ([`open_mapping`]): Linux maps the file `PROT_READ` /
 //! `MAP_PRIVATE` and advises `MADV_RANDOM` (page faults follow the
-//! sampler's permuted row order, not file order); every other platform —
-//! and Linux with `SWOPE_FORCE_READ=1` in the environment — reads the
-//! whole file into a heap buffer instead. A failed `mmap` also falls
-//! back to the heap read rather than erroring: the fallback is always
-//! correct, just not out-of-core.
+//! sampler's permuted row order, not file order); every other platform
+//! reads the whole file into a heap buffer instead. A failed `mmap` also
+//! falls back to the heap read rather than erroring: the fallback is
+//! always correct, just not out-of-core.
 
 use std::io;
 use std::ops::Range;
@@ -47,6 +46,13 @@ pub trait Mapping: Send + Sync {
     /// nothing, which is what a source that owns its bytes on the heap
     /// (the read fallback) must do — such a source cannot be budgeted.
     fn release(&self, _range: Range<usize>) {}
+
+    /// Tells the OS that `range` is about to be read front to back, so
+    /// it can read ahead — the mapping is otherwise advised for random
+    /// access, which turns a cold sequential read into one small read
+    /// per OS page. Purely advisory, like [`release`](Self::release); the
+    /// default does nothing (the read fallback already holds its bytes).
+    fn will_need(&self, _range: Range<usize>) {}
 }
 
 /// Fallback source: the whole file read into an anonymous heap buffer.
@@ -58,6 +64,13 @@ impl HeapMapping {
     /// Reads `path` in full.
     pub fn open(path: &Path) -> io::Result<Self> {
         Ok(Self { bytes: std::fs::read(path)? })
+    }
+}
+
+/// Bytes already in memory, served as they are.
+impl From<Vec<u8>> for HeapMapping {
+    fn from(bytes: Vec<u8>) -> Self {
+        Self { bytes }
     }
 }
 
@@ -92,6 +105,7 @@ mod sys {
     pub const PROT_READ: i32 = 1;
     pub const MAP_PRIVATE: i32 = 2;
     pub const MADV_RANDOM: i32 = 1;
+    pub const MADV_WILLNEED: i32 = 3;
     pub const MADV_DONTNEED: i32 = 4;
 }
 
@@ -192,6 +206,26 @@ impl Mapping for MmapMapping {
             );
         }
     }
+
+    /// `madvise(MADV_WILLNEED)` over the OS pages `range` touches
+    /// (clamped to the mapping).
+    fn will_need(&self, range: Range<usize>) {
+        let start = range.start / OS_PAGE * OS_PAGE;
+        let end = range.end.min(self.len);
+        if start >= end {
+            return;
+        }
+        // SAFETY: as for `release` — a non-empty, page-aligned range of
+        // a live mapping. MADV_WILLNEED only schedules reads into the
+        // kernel's page cache; no mapping and no byte changes.
+        unsafe {
+            let _ = sys::madvise(
+                self.ptr.wrapping_add(start) as *mut core::ffi::c_void,
+                end - start,
+                sys::MADV_WILLNEED,
+            );
+        }
+    }
 }
 
 #[cfg(target_os = "linux")]
@@ -205,23 +239,12 @@ impl Drop for MmapMapping {
     }
 }
 
-/// `SWOPE_FORCE_READ=1` forces the buffered-read fallback even where
-/// mmap is available — the escape hatch mirroring `SWOPE_FORCE_POLL`.
-fn force_read() -> bool {
-    std::env::var_os("SWOPE_FORCE_READ").is_some_and(|v| v == "1")
-}
-
 /// Opens the best available [`Mapping`] for `path`: mmap on Linux
-/// (unless `SWOPE_FORCE_READ=1` or the map fails), buffered read
-/// everywhere else.
+/// (unless the map fails), buffered read everywhere else.
 pub fn open_mapping(path: &Path) -> io::Result<Arc<dyn Mapping>> {
     #[cfg(target_os = "linux")]
-    {
-        if !force_read() {
-            if let Ok(m) = MmapMapping::open(path) {
-                return Ok(Arc::new(m));
-            }
-        }
+    if let Ok(m) = MmapMapping::open(path) {
+        return Ok(Arc::new(m));
     }
     Ok(Arc::new(HeapMapping::open(path)?))
 }
@@ -289,12 +312,14 @@ mod tests {
             40 * OS_PAGE..usize::MAX,
         ];
         for range in no_ops {
-            m.release(range);
+            m.release(range.clone());
+            m.will_need(range);
         }
         assert_eq!(m.bytes(), &payload[..]);
         // Real releases: aligned, unaligned (interior only), and one
         // that runs past the end (clamped). Bytes read the same after.
         for range in [0..4 * OS_PAGE, OS_PAGE + 7..9 * OS_PAGE - 7, 30 * OS_PAGE..len + 999] {
+            m.will_need(range.clone());
             m.release(range);
             assert_eq!(m.bytes(), &payload[..]);
         }

@@ -98,7 +98,7 @@ fn gather_equals_per_row_reads_at_every_width_grouped_or_not() {
         let (col, codes) = column(pad, support, width, Arc::clone(&cache), support as u64);
         let mut buf = CodeBuf::new();
         let mut wide = Vec::new();
-        let mut grouper = PageGrouper::new(Some(col.page_rows()));
+        let mut grouper = PageGrouper::new(true);
         for (label, rows) in row_lists(&mut r) {
             let want: Vec<Code> =
                 rows.iter().map(|&row| col.try_code(row as usize).unwrap()).collect();
@@ -144,7 +144,7 @@ fn gather_under_a_budget_that_evicts_mid_gather_stays_within_it() {
     let (col, _) = column(0, 40_000, Width::U16, Arc::clone(&cache), 11);
     let (reference, _) = column(0, 40_000, Width::U16, Arc::new(PageCache::unbounded()), 11);
     let mut r = Xoshiro256pp::seed_from_u64(0xB0D6);
-    let mut grouper = PageGrouper::new(Some(col.page_rows()));
+    let mut grouper = PageGrouper::new(true);
     let (mut got, mut want) = (CodeBuf::new(), CodeBuf::new());
     for _ in 0..4 {
         let rows: Vec<u32> = (0..LONG_LIST).map(|_| r.next_below(ROWS as u64) as u32).collect();
@@ -218,7 +218,7 @@ fn gathers_racing_the_eviction_sweep_from_other_threads_read_the_heap_codes() {
                 let (columns, start) = (&columns, &start);
                 scope.spawn(move || {
                     let mut r = Xoshiro256pp::seed_from_u64(0xACE + thread);
-                    let mut grouper = PageGrouper::new(Some(PAGE_ROWS));
+                    let mut grouper = PageGrouper::new(true);
                     let (mut buf, mut wide) = (CodeBuf::new(), Vec::new());
                     start.wait();
                     for round in 0..12 {

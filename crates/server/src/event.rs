@@ -5,9 +5,8 @@
 //! the two readiness facilities directly (the same way `signal.rs` binds
 //! `signal(2)`): **epoll** on Linux — O(ready) wakeups, the production
 //! path — and **`poll(2)`** everywhere else Unix, behind the same
-//! [`Poller`] trait. The fallback is selected automatically off Linux and
-//! can be forced with `SWOPE_FORCE_POLL=1` for testing; both
-//! implementations are driven by the same event loop and must be
+//! [`Poller`] trait. The fallback is selected automatically off Linux
+//! (and on it, should `epoll_create1` fail); both implementations are driven by the same event loop and must be
 //! behaviorally identical (level-triggered readiness, one [`Event`] per
 //! ready fd per wait).
 //!
@@ -76,14 +75,12 @@ pub trait Poller: Send {
     fn name(&self) -> &'static str;
 }
 
-/// Builds the best poller for this platform: epoll on Linux (unless
-/// `SWOPE_FORCE_POLL=1`), `poll(2)` on other Unixes.
+/// Builds the best poller for this platform: epoll on Linux (unless the
+/// kernel refuses one), `poll(2)` on other Unixes.
 pub fn new_poller() -> io::Result<Box<dyn Poller>> {
     #[cfg(target_os = "linux")]
-    {
-        if std::env::var_os("SWOPE_FORCE_POLL").map_or(true, |v| v != *"1") {
-            return Ok(Box::new(linux::Epoll::new()?));
-        }
+    if let Ok(epoll) = linux::Epoll::new() {
+        return Ok(Box::new(epoll));
     }
     #[cfg(unix)]
     {
@@ -288,7 +285,7 @@ mod unix {
     /// The portable fallback: registrations kept in a dense vec, the
     /// whole set handed to `poll(2)` per wait. O(n) per wait instead of
     /// O(ready) — correct everywhere Unix, fine into the thousands of
-    /// connections, and exercised in CI via `SWOPE_FORCE_POLL=1`.
+    /// connections.
     pub struct PollFallback {
         fds: Vec<PollFd>,
         tokens: Vec<usize>,

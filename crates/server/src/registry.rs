@@ -13,7 +13,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
-use swope_columnar::{stats, Dataset, DatasetSketch, Width};
+use swope_columnar::{stats, Dataset, DatasetSketch, PageCache, Residency, Width};
 
 /// One registered dataset plus its identity metadata.
 pub struct DatasetEntry {
@@ -37,27 +37,43 @@ pub struct DatasetRegistry {
     inner: RwLock<HashMap<String, Arc<DatasetEntry>>>,
     next_generation: AtomicU64,
     max_support: u32,
+    /// The page cache `.swop` files open through ([`Residency::Paged`]);
+    /// `None` loads them to the heap.
+    pager: Option<Arc<PageCache>>,
 }
 
 impl DatasetRegistry {
-    /// An empty registry. Datasets are capped to `max_support` at load,
-    /// mirroring the CLI's `--max-support` behaviour so the server path
-    /// and the CLI path answer queries over identical data.
+    /// An empty registry that loads files to the heap. Datasets are
+    /// capped to `max_support` at load, mirroring the CLI's
+    /// `--max-support` behaviour so the server path and the CLI path
+    /// answer queries over identical data.
     pub fn new(max_support: u32) -> Self {
-        Self { inner: RwLock::new(HashMap::new()), next_generation: AtomicU64::new(1), max_support }
+        Self::with_pager(max_support, None)
+    }
+
+    /// [`DatasetRegistry::new`] for a server: with a `pager`, `.swop`
+    /// files open out-of-core through it instead.
+    pub(crate) fn with_pager(max_support: u32, pager: Option<Arc<PageCache>>) -> Self {
+        Self {
+            inner: RwLock::new(HashMap::new()),
+            next_generation: AtomicU64::new(1),
+            max_support,
+            pager,
+        }
     }
 
     /// Registers `dataset` under `name`, replacing any previous holder of
     /// the name. Returns the new entry.
     pub fn insert(&self, name: &str, dataset: Dataset) -> Arc<DatasetEntry> {
-        self.insert_with_sketch(name, dataset, None)
+        self.register(name, dataset, None)
     }
 
-    /// [`DatasetRegistry::insert`] reusing a sketch read from a snapshot
-    /// file. The file sketch is kept only when support capping dropped no
-    /// columns (its column indices would be wrong otherwise); in every
-    /// other case the sketch is rebuilt from the capped dataset.
-    pub fn insert_with_sketch(
+    /// Caps `dataset` and registers it — the one place an entry comes
+    /// into being. A sketch read from the dataset's file is kept only
+    /// when support capping dropped no columns (its column indices would
+    /// be wrong otherwise); in every other case the sketch is rebuilt
+    /// from the capped dataset.
+    fn register(
         &self,
         name: &str,
         dataset: Dataset,
@@ -86,39 +102,47 @@ impl DatasetRegistry {
 
     /// Loads the `.swop`/`.csv` file at `path` and registers it under its
     /// file stem (`data/cdc.swop` → `cdc`). Snapshot sketches are reused
-    /// when present; otherwise one is built at load.
+    /// when present; otherwise one is built at load. A server's registry
+    /// ([`Server::registry`](crate::Server::registry)) loads at the
+    /// residency the server was configured with.
     pub fn load_path(&self, path: &str) -> Result<Arc<DatasetEntry>, String> {
-        let (dataset, sketch) =
-            Dataset::from_path_with_sketch(path).map_err(|e| format!("loading {path}: {e}"))?;
-        self.insert_loaded(path, dataset, sketch)
+        self.load(path, None)
     }
 
-    /// [`DatasetRegistry::load_path`], but `.swop` snapshots open
-    /// *out-of-core*: columns stay in the mapped file and fault
-    /// page-by-page through `cache` (CSV files still load eagerly).
+    /// [`DatasetRegistry::load_path`], with `.swop` snapshots opened
+    /// *out-of-core* whatever the registry's own residency: columns stay
+    /// in the mapped file and fault page-by-page through `cache` (CSV
+    /// files still load eagerly).
     pub fn load_path_paged(
         &self,
         path: &str,
-        cache: &Arc<swope_columnar::PageCache>,
+        cache: &Arc<PageCache>,
     ) -> Result<Arc<DatasetEntry>, String> {
-        let (dataset, sketch) = Dataset::from_path_paged(path, Arc::clone(cache))
-            .map_err(|e| format!("loading {path}: {e}"))?;
-        self.insert_loaded(path, dataset, sketch)
+        self.load_at(path, None, Residency::Paged(cache))
     }
 
-    fn insert_loaded(
+    /// [`DatasetRegistry::load_path`] under `name` when one is given —
+    /// the two spellings of `POST /datasets`.
+    pub(crate) fn load(&self, path: &str, name: Option<&str>) -> Result<Arc<DatasetEntry>, String> {
+        self.load_at(path, name, self.pager.as_ref().map_or(Residency::Heap, Residency::Paged))
+    }
+
+    /// Opens the file at `path` at `residency` and registers it under
+    /// `name`, or under its file stem.
+    fn load_at(
         &self,
         path: &str,
-        dataset: Dataset,
-        sketch: Option<DatasetSketch>,
+        name: Option<&str>,
+        residency: Residency<'_>,
     ) -> Result<Arc<DatasetEntry>, String> {
-        let name = Path::new(path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| format!("cannot derive a dataset name from {path:?}"))?
-            .to_owned();
-        Ok(self.insert_with_sketch(&name, dataset, sketch))
+        let stem =
+            || Path::new(path).file_stem().and_then(|s| s.to_str()).filter(|s| !s.is_empty());
+        let name = name
+            .or_else(stem)
+            .ok_or_else(|| format!("cannot derive a dataset name from {path:?}"))?;
+        let (dataset, sketch) =
+            Dataset::open(path, residency).map_err(|e| format!("loading {path}: {e}"))?;
+        Ok(self.register(name, dataset, sketch))
     }
 
     /// The map, whether or not a thread panicked holding it: the one
@@ -368,6 +392,48 @@ mod tests {
         assert_eq!(entry.name, "colors");
         assert_eq!(entry.dataset.num_rows(), 3);
         assert!(reg.load_path("/no/such/file.swop").is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_load_hands_back_the_sketch_the_file_carries() {
+        use swope_columnar::{snapshot, Column, Field, Schema};
+        // Two datasets of one shape; the file holds the first's columns
+        // under the second's sketch (dense layout, so both encode to the
+        // same length and the splice keeps the section table valid) — a
+        // load that rebuilt the sketch from the columns would show.
+        let dataset = |shift: u32| {
+            let codes = |m: u32| (shift..shift + 500).map(|i| i * 7 % m).collect();
+            let fields = vec![Field::new("a", 200), Field::new("b", 31)];
+            let columns = vec![Column::new(codes(200), 200), Column::new(codes(31), 31)];
+            Dataset::new(Schema::new(fields), columns.into_iter().map(Result::unwrap).collect())
+                .unwrap()
+        };
+        let foreign = snapshot::build_sketch(&dataset(3));
+        let mut bytes = snapshot::encode(&dataset(0));
+        let payload = foreign.encode();
+        assert_eq!(payload.len(), snapshot::build_sketch(&dataset(0)).encoded_len());
+        let at = bytes.len() - payload.len();
+        bytes[at..].copy_from_slice(&payload);
+        let dir = std::env::temp_dir().join("swope-registry-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("spliced-{}.swop", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let path_str = path.to_str().unwrap();
+
+        let cache = Arc::new(PageCache::unbounded());
+        let heap = DatasetRegistry::new(1000);
+        let paged = DatasetRegistry::with_pager(1000, Some(Arc::clone(&cache)));
+        for (reg, is_paged) in [(&heap, false), (&paged, true)] {
+            // The two spellings of `POST /datasets`, then the preload's.
+            for name in [Some("named"), None] {
+                let entry = reg.load(path_str, name).unwrap();
+                assert_eq!(entry.is_paged(), is_paged);
+                assert!(*entry.sketch == foreign, "name {name:?}, paged {is_paged}");
+            }
+            assert!(*reg.load_path(path_str).unwrap().sketch == foreign);
+        }
+        assert!(*heap.load_path_paged(path_str, &cache).unwrap().sketch == foreign);
         std::fs::remove_file(&path).ok();
     }
 

@@ -73,7 +73,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
 use swope_cluster::{probe, serve_connection, ClusterStats, PeerPool, PeerTimeouts};
-use swope_columnar::{Dataset, PageCache};
+use swope_columnar::PageCache;
 use swope_core::{gather_stats, ComposedObserver, Executor};
 use swope_obs::json::Json;
 use swope_obs::trace::{SpanSink, TraceId, TraceObserver, TraceRecord, TraceRecorder};
@@ -230,11 +230,9 @@ struct Shared {
     quotas: Option<TenantQuotas>,
     /// Process-wide page cache for out-of-core datasets. Built even when
     /// `mmap` is off so `/metrics` always has a snapshot to render — it
-    /// simply stays empty.
+    /// simply stays empty; when on, the registry opens snapshots through
+    /// it.
     pager: Arc<PageCache>,
-    /// Mirrors [`ServerConfig::mmap`]: route dataset loads through the
-    /// paged opener.
-    mmap: bool,
     /// Mirrors [`ServerConfig::debug_sleep_endpoint`].
     debug_sleep: bool,
     stop: AtomicBool,
@@ -304,8 +302,12 @@ impl Server {
             let burst = config.tenant_burst.unwrap_or((rps * 2.0).max(1.0));
             TenantQuotas::new(rps, burst)
         });
+        let pager = Arc::new(PageCache::new(config.store_budget_bytes));
         let shared = Arc::new(Shared {
-            registry: DatasetRegistry::new(config.max_support),
+            registry: DatasetRegistry::with_pager(
+                config.max_support,
+                config.mmap.then(|| Arc::clone(&pager)),
+            ),
             cache: ResultCache::new(config.cache_capacity),
             metrics: ServerMetrics::new(),
             exec: Executor::new(config.exec_threads),
@@ -314,8 +316,7 @@ impl Server {
             cluster_stats,
             cluster,
             quotas,
-            pager: Arc::new(PageCache::new(config.store_budget_bytes)),
-            mmap: config.mmap,
+            pager,
             debug_sleep: config.debug_sleep_endpoint,
             stop: AtomicBool::new(false),
         });
@@ -332,8 +333,8 @@ impl Server {
         &self.shared.registry
     }
 
-    /// The process-wide page cache, for preloading out-of-core datasets
-    /// before `run` (pair with [`DatasetRegistry::load_path_paged`]).
+    /// The process-wide page cache: what [`Server::registry`] opens
+    /// snapshots through under [`ServerConfig::mmap`].
     pub fn pager(&self) -> &Arc<PageCache> {
         &self.shared.pager
     }
@@ -1208,19 +1209,7 @@ fn load_dataset(req: &Request, shared: &Shared) -> Response {
         return Response::error(400, "body must contain a string \"path\" field");
     };
     let name = parsed.get("name").and_then(|v| v.as_str().map(str::to_owned));
-    let entry = match (name, shared.mmap) {
-        (Some(name), false) => match Dataset::from_path(&path) {
-            Ok(ds) => Ok(shared.registry.insert(&name, ds)),
-            Err(e) => Err(format!("loading {path}: {e}")),
-        },
-        (Some(name), true) => match Dataset::from_path_paged(&path, Arc::clone(&shared.pager)) {
-            Ok((ds, sketch)) => Ok(shared.registry.insert_with_sketch(&name, ds, sketch)),
-            Err(e) => Err(format!("loading {path}: {e}")),
-        },
-        (None, false) => shared.registry.load_path(&path),
-        (None, true) => shared.registry.load_path_paged(&path, &shared.pager),
-    };
-    match entry {
+    match shared.registry.load(&path, name.as_deref()) {
         Ok(entry) => Response::json(201, entry.describe_json()),
         Err(msg) => Response::error(422, &msg),
     }
@@ -1425,7 +1414,6 @@ mod tests {
             cluster: None,
             quotas: None,
             pager: Arc::new(PageCache::unbounded()),
-            mmap: false,
             debug_sleep: false,
             stop: AtomicBool::new(false),
         };

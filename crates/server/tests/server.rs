@@ -693,6 +693,11 @@ fn paged_datasets_serve_identically_and_report_residency() {
     let metrics = get(heap.addr, "/metrics").body;
     assert!(metric(&metrics, "swope_sketch_hybrid_queries_total") >= 2);
     assert!(metric(&metrics, "swope_sketch_covered_draws_total") > 0);
+    // A heap load reads through a mapping too, but books nothing: the
+    // pager families belong to out-of-core datasets alone.
+    for family in ["faults_total", "crc_validations_total", "peak_resident_bytes"] {
+        assert_eq!(metric(&metrics, &format!("swope_pager_{family}")), 0, "{family}");
+    }
 
     // The pager metric families: faults happened, the budget forced
     // evictions, and steady-state residency honours the budget.

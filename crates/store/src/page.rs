@@ -3,7 +3,7 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! page_rows  u32            rows per full page (writer uses PAGE_ROWS)
+//! page_rows  u32            rows per full page: always PAGE_ROWS
 //! page_count u32
 //! page*page_count:
 //!   rows u32                rows in this page (== page_rows except last)
@@ -13,9 +13,8 @@
 //!
 //! The encoded length is a pure function of `(rows, width)`, which is
 //! what lets the v2 writer emit a complete section table *before*
-//! streaming any page. The decoder checks that arithmetic against the
-//! actual byte count before allocating anything, then verifies each
-//! page's CRC before its codes are appended.
+//! streaming any page. Readers check that arithmetic against the actual
+//! byte count before allocating or touching anything ([`check_stream`]).
 
 use std::io::{self, Write};
 
@@ -65,63 +64,76 @@ pub fn encode_pages(codes: &PackedCodes) -> Vec<u8> {
     out
 }
 
-/// Decodes a paged payload of exactly `expect_rows` codes at `width`.
-///
-/// Structural checks (total length arithmetic, page-count consistency)
-/// run against `bytes.len()` *before* the output vector is allocated, so
-/// a corrupted header cannot trigger an oversized allocation; every
-/// page's CRC is verified before its codes are appended.
+/// Byte offset of page `index`'s header within a page stream at `width`
+/// (every page before the last is full, so offsets are pure arithmetic).
+pub fn page_offset(index: usize, width: Width) -> usize {
+    STREAM_HEADER_BYTES + index * (PAGE_HEADER_BYTES + PAGE_ROWS * width.bytes())
+}
+
+/// Validates the structure of a page stream holding exactly `rows` codes
+/// at `width` — the stream header, the length arithmetic against
+/// `bytes.len()`, and every page header's row count — without reading a
+/// payload byte, and returns the page count. Every reader of a stream
+/// (the eager [`decode_pages`], `swope-pager`'s lazy `PagedColumn`)
+/// starts here, so a corrupted header can neither trigger an oversized
+/// allocation nor put a page at an offset the arithmetic does not expect.
+pub fn check_stream(bytes: &[u8], rows: usize, width: Width) -> Result<usize, StoreError> {
+    if bytes.len() < STREAM_HEADER_BYTES {
+        return Err(StoreError::Corrupt("truncated page stream".into()));
+    }
+    let page_rows = read_u32(bytes, 0) as usize;
+    let page_count = read_u32(bytes, 4) as usize;
+    if page_rows != PAGE_ROWS {
+        return Err(StoreError::Corrupt(format!(
+            "page size of {page_rows} rows, expected {PAGE_ROWS}"
+        )));
+    }
+    if page_count != rows.div_ceil(PAGE_ROWS) {
+        return Err(StoreError::Corrupt(format!(
+            "page count {page_count} disagrees with {rows} rows"
+        )));
+    }
+    // In u64, for 32-bit targets: `rows` is below 2^48 once the page
+    // count (a u32) agrees with it, so nothing here overflows.
+    let need = STREAM_HEADER_BYTES as u64
+        + page_count as u64 * PAGE_HEADER_BYTES as u64
+        + rows as u64 * width.bytes() as u64;
+    if bytes.len() as u64 != need {
+        return Err(StoreError::Corrupt(format!(
+            "column payload is {} bytes, expected {need}",
+            bytes.len()
+        )));
+    }
+    for page in 0..page_count {
+        let expect = (rows - page * PAGE_ROWS).min(PAGE_ROWS);
+        let got = read_u32(bytes, page_offset(page, width)) as usize;
+        if got != expect {
+            return Err(StoreError::Corrupt(format!("page {page}: invalid row count {got}")));
+        }
+    }
+    Ok(page_count)
+}
+
+/// Decodes a paged payload of exactly `expect_rows` codes at `width`:
+/// [`check_stream`], then every page's CRC is verified before its codes
+/// are appended.
 pub fn decode_pages(
     bytes: &[u8],
     expect_rows: usize,
     width: Width,
 ) -> Result<PackedCodes, StoreError> {
-    let mut buf = bytes;
-    let page_rows = get_u32(&mut buf)? as usize;
-    let page_count = get_u32(&mut buf)? as usize;
-    if page_rows == 0 && expect_rows > 0 {
-        return Err(StoreError::Corrupt("page size of zero rows".into()));
-    }
-    let expect_pages = if page_rows == 0 { 0 } else { expect_rows.div_ceil(page_rows) };
-    if page_count != expect_pages {
-        return Err(StoreError::Corrupt(format!(
-            "page count {page_count} disagrees with {expect_rows} rows at {page_rows} rows/page"
-        )));
-    }
-    // Length arithmetic in u64 so a hostile header can't overflow usize.
-    let need = (page_count as u64) * (PAGE_HEADER_BYTES as u64)
-        + (expect_rows as u64) * (width.bytes() as u64);
-    if buf.len() as u64 != need {
-        return Err(StoreError::Corrupt(format!(
-            "column payload is {} bytes, expected {need}",
-            buf.len()
-        )));
-    }
-
+    let page_count = check_stream(bytes, expect_rows, width)?;
     let mut out = match width {
         Width::U8 => PackedCodes::U8(Vec::with_capacity(expect_rows)),
         Width::U16 => PackedCodes::U16(Vec::with_capacity(expect_rows)),
         Width::U32 => PackedCodes::U32(Vec::with_capacity(expect_rows)),
     };
-    let mut total = 0usize;
     for page in 0..page_count {
-        let rows = get_u32(&mut buf)? as usize;
-        let crc = get_u32(&mut buf)?;
-        if rows == 0 || rows > page_rows {
-            return Err(StoreError::Corrupt(format!("page {page}: invalid row count {rows}")));
-        }
-        let nbytes = rows * width.bytes();
-        if buf.len() < nbytes {
-            return Err(StoreError::Corrupt(format!("page {page}: truncated payload")));
-        }
-        let (payload, rest) = buf.split_at(nbytes);
-        buf = rest;
-        if crc32(payload) != crc {
+        let at = page_offset(page, width);
+        let rows = read_u32(bytes, at) as usize;
+        let payload = &bytes[at + PAGE_HEADER_BYTES..][..rows * width.bytes()];
+        if crc32(payload) != read_u32(bytes, at + 4) {
             return Err(StoreError::Corrupt(format!("page {page}: checksum mismatch")));
-        }
-        total += rows;
-        if total > expect_rows {
-            return Err(StoreError::Corrupt(format!("page {page}: more rows than declared")));
         }
         match &mut out {
             PackedCodes::U8(v) => CodeRepr::extend_from_le_bytes(payload, v),
@@ -129,19 +141,12 @@ pub fn decode_pages(
             PackedCodes::U32(v) => CodeRepr::extend_from_le_bytes(payload, v),
         }
     }
-    if total != expect_rows {
-        return Err(StoreError::Corrupt(format!("decoded {total} rows, expected {expect_rows}")));
-    }
     Ok(out)
 }
 
-fn get_u32(buf: &mut &[u8]) -> Result<u32, StoreError> {
-    if buf.len() < 4 {
-        return Err(StoreError::Corrupt("truncated page stream".into()));
-    }
-    let (head, tail) = buf.split_at(4);
-    *buf = tail;
-    Ok(u32::from_le_bytes(head.try_into().expect("split at 4")))
+/// The little-endian `u32` at `off`. Panics if out of range.
+pub fn read_u32(bytes: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(bytes[off..off + 4].try_into().expect("sliced to 4 bytes"))
 }
 
 #[cfg(test)]
