@@ -1,103 +1,148 @@
-//! Scoped-query benchmark: what a partition sketch buys a range scope.
+//! Scoped-query benchmark: where the partition sketch pays for a range
+//! scope, and that the path a range is given never loses to its rows.
 //!
-//! One multi-page dataset answers the same seeded entropy top-k three
-//! ways: unscoped (the baseline every pre-scope caller gets), scoped to
-//! a ~25% row range *with* the sketch (covered pages are synthesized
-//! from per-page histograms by hypergeometric splits; only the
-//! unaligned fringe touches the store), and scoped *without* the sketch
-//! (the physical fallback that samples the range directly). Medians and
-//! `rows_scanned` for all three are persisted to
-//! `results/BENCH_scope.json`, with two machine-independent ratios the
-//! CI scope-smoke step gates (it runs this with `SWOPE_MICRO_MS=1`):
-//! `scan_reduction` (a ≤25% range must scan ≥4x fewer rows than the
-//! full query) and `sketch_over_physical` = `scoped_sketch_ns /
-//! scoped_nosketch_ns`.
+//! A range with enough of its rows in whole pages runs the hybrid
+//! sampler (covered pages synthesized from per-page histograms, only the
+//! fringe read); any other range is sampled physically, sketch or no
+//! sketch (`swope_core::scope`, "How a scope is sampled"). The
+//! simulation's cost is flat in the range's length while the rows' cost
+//! grows with it, so there is a crossover, and the rule is meant to sit
+//! on it. This bench measures the crossover: for ranges of 5 / 10 / 25 /
+//! 50 / 95 % of the rows it times the same eight seeded top-k and filter
+//! queries at eight positions with the sketch on offer (the *chosen*
+//! path) and with `sketch = None` (physical), on hot heap data and — at
+//! 25 / 95 % — on the mapped snapshot under a 25 % page budget, where
+//! what the sketch saves is page-ins.
 //!
-//! The sketch path wins on both axes here. It avoids the store traffic
-//! (`rows_scanned`, the paper's counter cost — what matters most when
-//! pages are cold, compressed, or remote), and on this hot in-memory
-//! dataset it is also the faster wall clock: a covered draw costs a
-//! share of one hypergeometric variate per histogram node (≈ 1–25 ns
-//! depending on the column's support) against ≈ 4.5 ns per row and
-//! attribute for a heap gather, and the supports here are small.
-//! ROADMAP's bar is a ratio ≤ 1 on hot data; until PR 14 it was 7.8
-//! (one Fenwick walk per covered draw).
+//! `results/BENCH_scope.json` holds `chosen_over_physical` per cell, with
+//! the share of its queries that ran hybrid, plus `scan_reduction` (a
+//! hybrid 25 % range against the unscoped query, in `rows_scanned`). The
+//! CI scope-smoke step runs this with `SWOPE_MICRO_MS=1` and gates the
+//! machine-independent ratios: chosen ≤ 1.1 at 5–10 % (it *is* the
+//! physical path there, so a later physical speed-up cannot fail it),
+//! ≤ 0.9 at 25 %, ≤ 0.6 from 50 %, ≤ 0.2 at 95 % under the budget.
 
-use swope_bench::micro::{black_box, Group};
-use swope_columnar::{Column, Dataset, DatasetSketch, Field, Schema, PAGE_ROWS};
-use swope_core::{entropy_top_k, run, Answer, Executor, NoopObserver, Scope, Shape, SwopeConfig};
+use std::sync::Arc;
+use std::time::Instant;
+
+use swope_bench::micro::black_box;
+use swope_columnar::{snapshot, stats, Dataset, DatasetSketch, PageCache, Residency, PAGE_ROWS};
+use swope_core::{
+    entropy_top_k, run, sketch_stats, Executor, NoopObserver, Scope, Shape, SwopeConfig,
+};
 use swope_obs::json::ObjectWriter;
-use swope_sampling::rng::Xoshiro256pp;
 
-/// Eight full sketch pages plus a ragged tail.
-const ROWS: usize = 8 * PAGE_ROWS + 12_345;
+/// Sixteen pages less a ragged tail, like the end-to-end `wide` dataset.
+const ROWS: usize = 1_000_000;
+const COLS: usize = 32;
+const SEED: u64 = 0x5170;
 
-const K: usize = 4;
-const SEED: u64 = 0x5C09;
+/// Queries per cell: top-k and filter alternate, each at its own seed
+/// and its own position in the dataset.
+const QUERIES: usize = 8;
 
-fn dataset() -> Dataset {
-    let mut r = Xoshiro256pp::seed_from_u64(SEED);
-    let mut fields = Vec::new();
-    let mut columns = Vec::new();
-    for (i, &support) in [2u32, 8, 40, 200, 16, 100].iter().enumerate() {
-        let skew = i % 2 == 0;
-        let codes: Vec<u32> = (0..ROWS)
-            .map(|_| {
-                let c = r.next_below(support as u64) as u32;
-                if skew && r.next_below(4) != 0 {
-                    0
-                } else {
-                    c
-                }
-            })
-            .collect();
-        fields.push(Field::new(format!("a{i}"), support));
-        columns.push(Column::new(codes, support).unwrap());
+/// The cell's queries over ranges of `pct` % of the rows, placed evenly
+/// from the leftmost to the rightmost spot such a range fits.
+fn queries(pct: usize) -> Vec<(Shape, Scope, SwopeConfig)> {
+    let len = ROWS * pct / 100;
+    (0..QUERIES)
+        .map(|i| {
+            let start = (ROWS - len) * i / (QUERIES - 1);
+            let shape = if i % 2 == 0 {
+                Shape::EntropyTopK { k: 1 + i * 4 / 3 }
+            } else {
+                Shape::EntropyFilter { eta: 1.5 + i as f64 * 0.6 }
+            };
+            let cfg = SwopeConfig::with_epsilon(0.1).with_seed(SEED + i as u64);
+            (shape, Scope::range(start, start + len), cfg)
+        })
+        .collect()
+}
+
+/// Runs every query of a cell against `ds`.
+fn run_all(ds: &Dataset, sketch: Option<&DatasetSketch>, cell: &[(Shape, Scope, SwopeConfig)]) {
+    let exec = Executor::sequential();
+    for (shape, scope, cfg) in cell {
+        black_box(run(ds, shape, scope, sketch, cfg, &mut NoopObserver, &exec).unwrap());
     }
-    Dataset::new(Schema::new(fields), columns).unwrap()
+}
+
+/// Alternating rounds per cell. Each side's time is its fastest round:
+/// the two sides run the same code at 5–10 %, and on a shared host only
+/// the minimum of interleaved runs reads them as equal.
+const ROUNDS: usize = 7;
+
+/// One cell of the crossover as a JSON object: the chosen path's wall
+/// over the physical path's, and how many of its queries ran hybrid.
+fn cell(residency: &str, pct: usize, ds: &Dataset, sketch: &DatasetSketch) -> String {
+    let cell = queries(pct);
+    let before = sketch_stats::snapshot().hybrid_queries;
+    run_all(ds, Some(sketch), &cell);
+    let hybrid = sketch_stats::snapshot().hybrid_queries - before;
+    run_all(ds, None, &cell);
+    let (mut chosen_ns, mut physical_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUNDS {
+        for (sketch, best) in [(Some(sketch), &mut chosen_ns), (None, &mut physical_ns)] {
+            let started = Instant::now();
+            run_all(ds, sketch, &cell);
+            *best = best.min(started.elapsed().as_nanos() as f64 / QUERIES as f64);
+        }
+    }
+    println!(
+        "scope/{residency}_{pct}pct  chosen {:>9.1} us  physical {:>9.1} us  ratio {:.3}  ({hybrid}/{QUERIES} hybrid)",
+        chosen_ns / 1e3,
+        physical_ns / 1e3,
+        chosen_ns / physical_ns
+    );
+    let mut w = ObjectWriter::new();
+    w.str_field("residency", residency)
+        .usize_field("range_pct", pct)
+        .f64_field("hybrid_share", hybrid as f64 / QUERIES as f64)
+        .f64_field("chosen_over_physical", chosen_ns / physical_ns);
+    w.finish()
 }
 
 fn main() {
-    let ds = dataset();
-    let sketch =
-        DatasetSketch::build(ds.num_rows(), (0..ds.num_attrs()).map(|a| ds.column(a).packed()));
+    let ds = swope_datagen::generate(&swope_datagen::corpus::tiny(ROWS, COLS), SEED);
+    let path = std::env::temp_dir().join(format!("swope-bench-scope-{}.swop", std::process::id()));
+    snapshot::write_file(&ds, &path).expect("writing bench snapshot");
+    let budget = stats::bytes_in_memory(&ds) as u64 / 4;
+    let cache = Arc::new(PageCache::new(Some(budget)));
+    let (paged, sketch) = snapshot::open(&path, Residency::Paged(&cache)).expect("bench snapshot");
+    let sketch = sketch.expect("a written snapshot carries its sketch");
+
+    println!("\n== scope ==");
+    let mut cells = Vec::new();
+    for pct in [5, 10, 25, 50, 95] {
+        cells.push(cell("heap", pct, &ds, &sketch));
+    }
+    for pct in [25, 95] {
+        cells.push(cell("budget", pct, &paged, &sketch));
+    }
+    std::fs::remove_file(&path).ok();
+
+    // What a hybrid range reads: two covered pages plus a 500-row fringe
+    // on each side against the unscoped query, in store traffic.
     let cfg = SwopeConfig::with_epsilon(0.1).with_seed(SEED);
-    // An unaligned ~25% range: two covered pages plus a 500-row fringe
-    // on each side — the common case for "rows loaded last week".
     let scope = Scope::range(PAGE_ROWS - 500, 3 * PAGE_ROWS + 500);
-    let scope_rows = 2 * PAGE_ROWS + 1000;
-
+    let shape = Shape::EntropyTopK { k: 4 };
     let exec = Executor::sequential();
-    let scoped_with = |sketch: Option<&DatasetSketch>| -> Answer {
-        let shape = Shape::EntropyTopK { k: K };
-        run(&ds, &shape, &scope, sketch, &cfg, &mut NoopObserver, &exec).unwrap()
-    };
-
-    let mut g = Group::new("scope");
-    let full_ns = g.bench("entropy_topk_full", || black_box(entropy_top_k(&ds, K, &cfg).unwrap()));
-    let scoped_ns = g.bench("entropy_topk_scoped_sketch", || black_box(scoped_with(Some(&sketch))));
-    let nosketch_ns = g.bench("entropy_topk_scoped_nosketch", || black_box(scoped_with(None)));
-
-    let full = entropy_top_k(&ds, K, &cfg).unwrap();
-    let scoped = scoped_with(Some(&sketch));
-    let nosketch = scoped_with(None);
+    let full = entropy_top_k(&ds, 4, &cfg).unwrap();
+    let scoped = run(&ds, &shape, &scope, Some(&sketch), &cfg, &mut NoopObserver, &exec).unwrap();
 
     let mut w = ObjectWriter::new();
     w.str_field("bench", "scope")
         .usize_field("rows", ROWS)
-        .usize_field("scope_rows", scope_rows)
+        .usize_field("columns", COLS)
         .usize_field("sketch_bytes", sketch.encoded_len())
-        .f64_field("full_ns", full_ns)
-        .f64_field("scoped_sketch_ns", scoped_ns)
-        .f64_field("scoped_nosketch_ns", nosketch_ns)
+        .u64_field("budget_bytes", budget)
         .u64_field("rows_scanned_full", full.stats.rows_scanned)
         .u64_field("rows_scanned_scoped_sketch", scoped.stats.rows_scanned)
-        .u64_field("rows_scanned_scoped_nosketch", nosketch.stats.rows_scanned)
         .f64_field(
             "scan_reduction",
             full.stats.rows_scanned as f64 / scoped.stats.rows_scanned.max(1) as f64,
         )
-        .f64_field("sketch_over_physical", scoped_ns / nosketch_ns);
+        .raw_field("crossover", &format!("[{}]", cells.join(",")));
     let json = w.finish();
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_scope.json");

@@ -23,7 +23,7 @@
 
 use swope_columnar::{AttrIndex, Dataset, DatasetSketch};
 use swope_estimate::bounds::lambda;
-use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver};
+use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver, ScopePath};
 use swope_sampling::DoublingSchedule;
 
 use crate::exec::Executor;
@@ -207,10 +207,9 @@ pub(crate) trait CountSource {
     /// Name of `attr`, looked up when a score is built.
     fn name(&self, attr: AttrIndex) -> String;
 
-    /// Work done before the first iteration: physical rows examined and,
-    /// for an observed run, the time it took (the `store_sketch` phase).
-    fn setup(&self) -> (u64, Option<u64>) {
-        (0, None)
+    /// Work done before the first iteration.
+    fn setup(&self) -> Setup {
+        Setup::default()
     }
 
     /// The covered-region code distribution of `attr`, when the sample is
@@ -230,6 +229,18 @@ pub(crate) trait CountSource {
         round: &mut Round<'_, O>,
         exec: &Executor,
     ) -> Result<(), SwopeError>;
+}
+
+/// What a source did before the first iteration.
+#[derive(Default)]
+pub(crate) struct Setup {
+    /// Physical rows examined (a predicate scope's scan).
+    pub rows: u64,
+    /// For an observed run of a scoped query, the time resolving the
+    /// scope took (the `store_sketch` phase).
+    pub nanos: Option<u64>,
+    /// How a row-range scope is sampled.
+    pub path: Option<ScopePath>,
 }
 
 /// The running query as sources and rules see it: the instrumented
@@ -442,9 +453,9 @@ fn drive<M: Measure, S: CountSource, O: QueryObserver>(
 ) -> Result<Answer, SwopeError> {
     let rule = shape.rule();
     let (h, n) = (source.num_attrs(), source.n());
-    let mut it = Instrumented::start(observer, shape.kind(), h, n, config);
-    let (setup_rows, setup_nanos) = source.setup();
-    it.setup(setup_rows, setup_nanos);
+    let setup = source.setup();
+    let mut it = Instrumented::start(observer, shape.kind(), h, n, config, setup.path);
+    it.setup(setup.rows, setup.nanos);
     if n == 0 {
         // The empirical entropy of an empty population is 0 by convention:
         // no iteration runs and the query is trivially converged.

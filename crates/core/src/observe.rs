@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use swope_obs::{AttrBounds, Phase, QueryKind, QueryMeta, QueryObserver, RunStats};
+use swope_obs::{AttrBounds, Phase, QueryKind, QueryMeta, QueryObserver, RunStats, ScopePath};
 
 use crate::report::{QueryStats, WorkKind};
 use crate::SwopeConfig;
@@ -39,6 +39,7 @@ impl<'a, O: QueryObserver> Instrumented<'a, O> {
         num_attrs: usize,
         num_rows: usize,
         config: &SwopeConfig,
+        scope_path: Option<ScopePath>,
     ) -> Self {
         obs.query_start(&QueryMeta {
             kind,
@@ -46,6 +47,7 @@ impl<'a, O: QueryObserver> Instrumented<'a, O> {
             num_rows,
             epsilon: config.epsilon,
             threads: config.threads,
+            scope_path,
         });
         Self { obs, stats: QueryStats::default(), iter: 0 }
     }
@@ -158,7 +160,7 @@ mod tests {
     fn lifecycle_mirrors_stats_and_observer() {
         let mut log = Log::default();
         let cfg = SwopeConfig::default();
-        let mut it = Instrumented::start(&mut log, QueryKind::EntropyTopK, 4, 100, &cfg);
+        let mut it = Instrumented::start(&mut log, QueryKind::EntropyTopK, 4, 100, &cfg, None);
         it.begin_iteration();
         let span = it.phase_start();
         it.iteration(10, 4, 0.5);
@@ -187,7 +189,8 @@ mod tests {
     #[test]
     fn noop_observer_skips_clock() {
         let mut noop = NoopObserver;
-        let it = Instrumented::start(&mut noop, QueryKind::MiTopK, 2, 10, &SwopeConfig::default());
+        let cfg = SwopeConfig::default();
+        let it = Instrumented::start(&mut noop, QueryKind::MiTopK, 2, 10, &cfg, None);
         assert!(it.phase_start().is_none());
     }
 }

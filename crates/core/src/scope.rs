@@ -17,7 +17,26 @@
 //! * **Range scope, entropy queries** — the range is split at page
 //!   (64Ki-row) boundaries into fully *covered* pages, whose exact
 //!   per-code histograms the [`DatasetSketch`] already holds, and a
-//!   *fringe* of at most `2·PAGE_ROWS − 2` boundary rows. The sampler
+//!   *fringe* of at most `2·PAGE_ROWS − 2` boundary rows. It runs the
+//!   hybrid sampler below iff `covered_rows ≥ 2 × fringe_rows`
+//!   ([`HYBRID_COVERED_PER_FRINGE`]) and at least one page is covered;
+//!   any other range is sampled physically, exactly as without a sketch.
+//!   The simulation costs about the same whatever the range's length
+//!   (≈ 1 ms a query on a 32-column dataset, nearly all of it covered
+//!   draws), so it only pays once it replaces enough rows: on hot data
+//!   it loses to the rows while fewer than three pages are covered and
+//!   wins up to 2× beyond, under a page budget it wins 2.4× at a quarter
+//!   of a 1 M-row dataset and 15× at all of it (EXPERIMENTS.md § "The
+//!   sketch path: where it pays"). The rule reads
+//!   the range and `PAGE_ROWS` and nothing else — not whether the
+//!   columns are on the heap or paged, the page budget, the thread count
+//!   or how the rows are sharded — because the two samplers answer with
+//!   different bytes (both within the guarantee): a rule that looked at
+//!   residency would make the same request answer differently on a heap
+//!   server, a budgeted one and a cluster, and the invariance suites and
+//!   the result cache both rest on it not doing so.
+//!
+//!   The hybrid sampler
 //!   simulates a uniform WOR draw over the whole scope without drawing
 //!   record by record. Each iteration's `Δm` new draws are divided by
 //!   one hypergeometric variate `HG(rem_covered + rem_fringe,
@@ -40,7 +59,9 @@
 //!   `m = n_s` every counter holds the exact scoped counts. A sketch
 //!   that disagrees with the columns — another support, or covered
 //!   histograms that do not add up to the covered rows — is set aside
-//!   and the range is sampled physically.
+//!   and the range is sampled physically. Covered counts are one
+//!   subtraction per code of the sketch's cumulative page histograms,
+//!   whatever the number of pages covered.
 //! * **Range scope, MI queries / no sketch** — MI needs joint
 //!   co-occurrences, which per-attribute histograms cannot synthesize, so
 //!   the scope is sampled physically: a prefix shuffle over `n_s`
@@ -75,19 +96,26 @@ use std::time::Instant;
 use swope_columnar::{
     AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch, PageGrouper,
 };
-use swope_obs::{Phase, QueryObserver};
+use swope_obs::{Phase, QueryObserver, ScopePath};
 use swope_sampling::rng::Xoshiro256pp;
 use swope_sampling::{hypergeometric, Sampler};
 use swope_store::for_packed;
 use swope_store::page::PAGE_ROWS;
 
 use crate::count::CountState;
-use crate::driver::{run, CountSource, Round, Shape};
+use crate::driver::{run, CountSource, Round, Setup, Shape};
 use crate::exec::Executor;
 use crate::measure::Measure;
 use crate::report::{FilterResult, TopKResult};
 use crate::state::{make_sampler, GatherScratch};
 use crate::{sketch_stats, SamplingStrategy, SwopeConfig, SwopeError};
+
+/// A range scope runs the hybrid sampler iff its whole pages hold at
+/// least this many rows per fringe row (see the module docs for why the
+/// rule may read nothing but the range). 1.5 sends ranges of one page
+/// and half as much fringe again through the simulation, where it costs
+/// 1.4× the rows; 2.5 and 3 read like 2 end to end.
+const HYBRID_COVERED_PER_FRINGE: usize = 2;
 
 /// A restriction of a query to part of the dataset: a row range
 /// intersected with an optional single-attribute equality predicate.
@@ -253,9 +281,7 @@ fn scan_predicate(
                     let mut row = lo.max(first);
                     let to = hi.min(first + page.len());
                     page.slice(row - first..to - first).for_each(|c| {
-                        if c == code {
-                            rows.push(row as u32);
-                        }
+                        push_if(&mut rows, row as u32, c == code);
                         row += 1;
                     })
                 })
@@ -268,10 +294,17 @@ fn scan_predicate(
 /// Appends `first_row + i` for every `codes[i] == code`.
 fn push_matches<R: CodeRepr>(codes: &[R], first_row: usize, code: Code, rows: &mut Vec<u32>) {
     for (off, c) in codes.iter().enumerate() {
-        if c.widen() == code {
-            rows.push((first_row + off) as u32);
-        }
+        push_if(rows, (first_row + off) as u32, c.widen() == code);
     }
+}
+
+/// Appends `row` iff `hit`, without branching on it: whether a row holds
+/// a frequent code is a coin flip the predictor loses (≈ 3.3 ns a row on
+/// the end-to-end list's predicates), a store that is taken back is not.
+#[inline]
+fn push_if(rows: &mut Vec<u32>, row: u32, hit: bool) {
+    rows.push(row);
+    rows.truncate(rows.len() - usize::from(!hit));
 }
 
 /// WOR sampler over a multiset of codes: the covered region's remaining
@@ -430,7 +463,15 @@ enum RowMap {
 }
 
 enum PopKind {
-    Physical { sampler: Box<dyn Sampler>, map: RowMap, rows: Vec<u32> },
+    /// `sampler` is built by the first [`Population::grow`], so that a
+    /// prefix shuffle's `4N`-byte identity is written inside the first
+    /// `sample_grow` span rather than before any span opens.
+    Physical {
+        sampler: Option<Box<dyn Sampler>>,
+        strategy: SamplingStrategy,
+        map: RowMap,
+        rows: Vec<u32>,
+    },
     Hybrid(HybridPop),
 }
 
@@ -439,6 +480,9 @@ enum PopKind {
 pub(crate) struct Population {
     n: usize,
     setup_rows: u64,
+    /// How a row range was split and which sampler it got; `None` for
+    /// full and predicate scopes, which have no choice to make.
+    path: Option<ScopePath>,
     kind: PopKind,
     /// Reorders each delta so paged gathers pin every page once.
     grouper: PageGrouper,
@@ -470,33 +514,43 @@ impl Population {
         let seed = match config.sampling {
             SamplingStrategy::Row { seed } | SamplingStrategy::Page { seed, .. } => seed,
         };
+        let physical = |map| PopKind::Physical {
+            sampler: None,
+            strategy: config.sampling,
+            map,
+            rows: Vec::new(),
+        };
+        let mut path = None;
         let kind = match setup.resolved {
             // The whole dataset, sampled exactly as an unscoped query is.
-            ResolvedScope::Full => PopKind::Physical {
-                sampler: make_sampler(setup.n, config.sampling),
-                map: RowMap::Identity,
-                rows: Vec::new(),
-            },
+            ResolvedScope::Full => physical(RowMap::Identity),
             ResolvedScope::RowRange(range) => {
                 // Pages fully inside the range are covered; the rest of
                 // the range is fringe.
                 let first_page = range.start.div_ceil(PAGE_ROWS);
                 let last_page = range.end / PAGE_ROWS;
-                let covered = (hybrid && first_page < last_page)
+                let covered_rows = last_page.saturating_sub(first_page) * PAGE_ROWS;
+                let fringe_rows = range.len() - covered_rows;
+                let covered = (hybrid
+                    && covered_rows > 0
+                    && covered_rows >= HYBRID_COVERED_PER_FRINGE * fringe_rows)
                     .then(|| usable_sketch(dataset, sketch))
                     .flatten()
                     .and_then(|sk| covered_counts(sk, first_page..last_page));
+                path = Some(ScopePath {
+                    hybrid: covered.is_some(),
+                    covered_rows: covered_rows as u64,
+                    fringe_rows: fringe_rows as u64,
+                });
+                sketch_stats::record_range_path(covered.is_some());
                 match covered {
                     Some(covered_counts) => {
-                        let covered_rows = (last_page - first_page) * PAGE_ROWS;
-                        let mut fringe_rows =
-                            Vec::with_capacity(range.end - range.start - covered_rows);
+                        let mut fringe_rows = Vec::with_capacity(fringe_rows);
                         fringe_rows.extend(range.start as u32..(first_page * PAGE_ROWS) as u32);
                         fringe_rows.extend((last_page * PAGE_ROWS) as u32..range.end as u32);
                         let base = Xoshiro256pp::seed_from_u64(seed);
-                        sketch_stats::record_hybrid_query();
                         PopKind::Hybrid(HybridPop {
-                            n: range.end - range.start,
+                            n: range.len(),
                             drawn: 0,
                             rem_covered: covered_rows as u64,
                             member_rng: base.fork(MEMBER_LABEL),
@@ -507,41 +561,43 @@ impl Population {
                             dist_base: base.fork(DIST_LABEL),
                         })
                     }
-                    None => PopKind::Physical {
-                        sampler: make_sampler(range.end - range.start, config.sampling),
-                        map: RowMap::Offset(range.start as u32),
-                        rows: Vec::new(),
-                    },
+                    None => physical(RowMap::Offset(range.start as u32)),
                 }
             }
-            ResolvedScope::Rows(list) => PopKind::Physical {
-                sampler: make_sampler(list.len(), config.sampling),
-                map: RowMap::List(list),
-                rows: Vec::new(),
-            },
+            ResolvedScope::Rows(list) => physical(RowMap::List(list)),
         };
-        Self { n: setup.n, setup_rows: setup.setup_rows, kind, grouper: dataset.page_grouper() }
+        Self {
+            n: setup.n,
+            setup_rows: setup.setup_rows,
+            path,
+            kind,
+            grouper: dataset.page_grouper(),
+        }
     }
 
     /// Grows the sample to `target` draws and hands back the new
     /// physical rows, page-grouped — the one place a loop's delta is
     /// produced, so no loop can forget the grouping or see draw order.
     pub(crate) fn grow(&mut self, target: usize) -> Growth<'_> {
+        let n = self.n;
         let (delta, covered_k, sampled): (&[u32], u64, usize) = match &mut self.kind {
-            PopKind::Physical { sampler, map: RowMap::Identity, .. } => {
-                let delta_range = sampler.grow_delta(target);
-                (&sampler.rows()[delta_range], 0, sampler.sampled())
-            }
-            PopKind::Physical { sampler, map, rows } => {
-                let before = rows.len();
+            PopKind::Physical { sampler, strategy, map, rows } => {
+                let sampler = sampler.get_or_insert_with(|| make_sampler(n, *strategy));
                 let delta_range = sampler.grow_delta(target);
                 let delta = &sampler.rows()[delta_range];
-                match map {
-                    RowMap::Identity => unreachable!(),
-                    RowMap::Offset(off) => rows.extend(delta.iter().map(|&r| r + *off)),
-                    RowMap::List(list) => rows.extend(delta.iter().map(|&r| list[r as usize])),
-                }
-                (&rows[before..], 0, sampler.sampled())
+                let before = rows.len();
+                let mapped: &[u32] = match map {
+                    RowMap::Identity => delta,
+                    RowMap::Offset(off) => {
+                        rows.extend(delta.iter().map(|&r| r + *off));
+                        &rows[before..]
+                    }
+                    RowMap::List(list) => {
+                        rows.extend(delta.iter().map(|&r| list[r as usize]));
+                        &rows[before..]
+                    }
+                };
+                (mapped, 0, sampler.sampled())
             }
             PopKind::Hybrid(hp) => {
                 let (delta_range, covered_k) = hp.grow(target);
@@ -608,8 +664,8 @@ impl CountSource for LocalSource<'_> {
         self.dataset.schema().field(attr).map(|f| f.name().to_owned()).unwrap_or_default()
     }
 
-    fn setup(&self) -> (u64, Option<u64>) {
-        (self.pop.setup_rows, self.setup_nanos)
+    fn setup(&self) -> Setup {
+        Setup { rows: self.pop.setup_rows, nanos: self.setup_nanos, path: self.pop.path }
     }
 
     fn covered(&self, attr: AttrIndex) -> Option<CoveredDist> {
@@ -1035,7 +1091,7 @@ mod tests {
         let n = 3 * PAGE_ROWS;
         let ds = dataset(n, &[8, 128, 2]);
         let sk = sketch_of(&ds);
-        let scope = Scope::range(1000, 2 * PAGE_ROWS + 777);
+        let scope = Scope::range(PAGE_ROWS - 1000, 3 * PAGE_ROWS - 777);
         let cfg = SwopeConfig::default().with_seed(42);
         let a = scoped(&ds, Shape::EntropyTopK { k: 2 }, &scope, Some(&sk), &cfg);
         let b = scoped(&ds, Shape::EntropyTopK { k: 2 }, &scope, Some(&sk), &cfg);
@@ -1048,6 +1104,71 @@ mod tests {
             &cfg.clone().with_threads(8),
         );
         assert_eq!(a, par);
+    }
+
+    /// Whether `start..end` of `ds` runs the hybrid sampler when offered
+    /// `sk` for an entropy query.
+    fn is_hybrid(ds: &Dataset, sk: &DatasetSketch, start: usize, end: usize) -> bool {
+        let setup = resolve_scope(ds, Some(sk), &Scope::range(start, end)).unwrap();
+        let pop = Population::new(ds, Some(sk), setup, &SwopeConfig::default(), true);
+        let hybrid = matches!(pop.kind, PopKind::Hybrid(_));
+        assert_eq!(pop.path.map(|p| p.hybrid), Some(hybrid));
+        hybrid
+    }
+
+    #[test]
+    fn a_range_is_hybrid_iff_it_covers_twice_its_fringe() {
+        let n = 5 * PAGE_ROWS;
+        let ds = dataset(n, &[4]);
+        let sk = sketch_of(&ds);
+        // Two covered pages and a fringe of exactly one page's rows, split
+        // over both ends: at the threshold. One more fringe row at either
+        // end is one row short of it.
+        let (start, end) = (PAGE_ROWS - 30_000, 3 * PAGE_ROWS + 35_536);
+        assert!(is_hybrid(&ds, &sk, start, end));
+        assert!(!is_hybrid(&ds, &sk, start - 1, end));
+        assert!(!is_hybrid(&ds, &sk, start, end + 1));
+        // A page-aligned range of one page has no fringe at all.
+        assert!(is_hybrid(&ds, &sk, 2 * PAGE_ROWS, 3 * PAGE_ROWS));
+        // No whole page: nothing to synthesize, however the rule reads.
+        assert!(!is_hybrid(&ds, &sk, PAGE_ROWS + 1, 2 * PAGE_ROWS));
+        assert!(!is_hybrid(&ds, &sk, 10, 20));
+        // The path is the chooser's, with its inputs.
+        let setup = resolve_scope(&ds, Some(&sk), &Scope::range(start - 1, end)).unwrap();
+        let pop = Population::new(&ds, Some(&sk), setup, &SwopeConfig::default(), true);
+        let path = ScopePath {
+            hybrid: false,
+            covered_rows: 2 * PAGE_ROWS as u64,
+            fringe_rows: PAGE_ROWS as u64 + 1,
+        };
+        assert_eq!(pop.path, Some(path));
+        // MI queries never take it.
+        let setup = resolve_scope(&ds, Some(&sk), &Scope::range(start, end)).unwrap();
+        let pop = Population::new(&ds, Some(&sk), setup, &SwopeConfig::default(), false);
+        assert!(matches!(pop.kind, PopKind::Physical { .. }));
+    }
+
+    #[test]
+    fn covered_counts_equal_the_page_by_page_sum_over_every_page_range() {
+        // Five pages, a compact and a sparse column.
+        let ds = dataset(4 * PAGE_ROWS + 999, &[11, 300]);
+        let sk = sketch_of(&ds);
+        for first in 0..4 {
+            for last in first + 1..=4 {
+                let summed: Vec<Vec<u64>> = (0..2)
+                    .map(|attr| {
+                        let col = sk.column(attr).unwrap();
+                        (0..col.support())
+                            .map(|code| (first..last).map(|p| col.page_count(p, code)).sum())
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(covered_counts(&sk, first..last), Some(summed), "{first}..{last}");
+            }
+        }
+        // The partial last page is never a covered page; asking for it
+        // comes up short of whole pages and is refused.
+        assert!(covered_counts(&sk, 3..5).is_none());
     }
 
     #[test]
@@ -1087,7 +1208,7 @@ mod tests {
         let ds = dataset(n, &[6, 9, 3]);
         let foreign = sketch_of(&dataset(n, &[6, 40, 3]));
         assert!(usable_sketch(&ds, Some(&foreign)).is_none());
-        let scope = Scope::range(700, 2 * PAGE_ROWS + 300);
+        let scope = Scope::range(PAGE_ROWS - 700, 3 * PAGE_ROWS + 50);
         assert_eq!(
             entropy_answers(&ds, &scope, Some(&foreign)),
             entropy_answers(&ds, &scope, None)
@@ -1133,8 +1254,8 @@ mod tests {
             entropy_answers(&ds, &over_bad, Some(&crafted)),
             entropy_answers(&ds, &over_bad, None)
         );
-        let past_bad = Scope::range(2 * PAGE_ROWS - 5, 4 * PAGE_ROWS - 5);
-        assert!(covered_counts(&crafted, 2..3).is_some());
+        let past_bad = Scope::range(2 * PAGE_ROWS - 5, 4 * PAGE_ROWS);
+        assert!(covered_counts(&crafted, 2..4).is_some());
         assert_eq!(
             entropy_answers(&ds, &past_bad, Some(&crafted)),
             entropy_answers(&ds, &past_bad, Some(&sketch_of(&ds)))

@@ -2,17 +2,19 @@
 //! sketch histograms instead of reading from the store.
 //!
 //! `rows_scanned` charges covered-region draws zero by design (it
-//! measures store traffic), which leaves them invisible; these two
-//! counters are the other half of the ledger. Like
+//! measures store traffic), which leaves them invisible; these
+//! counters are the other half of the ledger, plus which sampler each
+//! row-range scope was given. Like
 //! [`swope_store::gather_stats`] they are bumped on exec worker threads
 //! far below any per-request context, so they are plain relaxed
 //! atomics: statistics that publish no other data. One add per
-//! attribute per iteration, so they are always on.
+//! attribute per iteration (and one per range), so they are always on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static COVERED_DRAWS: AtomicU64 = AtomicU64::new(0);
 static HYBRID_QUERIES: AtomicU64 = AtomicU64::new(0);
+static PHYSICAL_RANGES: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time totals of the sketch-synthesis counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -22,6 +24,10 @@ pub struct SketchUse {
     pub covered_draws: u64,
     /// Range-scoped entropy queries that ran the hybrid sampler.
     pub hybrid_queries: u64,
+    /// Row-range scopes sampled physically: too little of the range in
+    /// whole pages for the simulation to pay, an MI query, or no usable
+    /// sketch.
+    pub physical_ranges: u64,
 }
 
 /// Reads the current totals (relaxed; safe to race with queries).
@@ -29,6 +35,7 @@ pub fn snapshot() -> SketchUse {
     SketchUse {
         covered_draws: COVERED_DRAWS.load(Ordering::Relaxed),
         hybrid_queries: HYBRID_QUERIES.load(Ordering::Relaxed),
+        physical_ranges: PHYSICAL_RANGES.load(Ordering::Relaxed),
     }
 }
 
@@ -36,6 +43,8 @@ pub(crate) fn record_covered_draws(draws: u64) {
     COVERED_DRAWS.fetch_add(draws, Ordering::Relaxed);
 }
 
-pub(crate) fn record_hybrid_query() {
-    HYBRID_QUERIES.fetch_add(1, Ordering::Relaxed);
+/// Counts one row-range scope under the sampler it was given.
+pub(crate) fn record_range_path(hybrid: bool) {
+    let path = if hybrid { &HYBRID_QUERIES } else { &PHYSICAL_RANGES };
+    path.fetch_add(1, Ordering::Relaxed);
 }

@@ -34,12 +34,17 @@ const BUDGET: u64 = 300_000;
 
 const SOURCES: [&str; 5] = ["heap", "hybrid range", "predicate", "3 shards", "paged range"];
 
-/// `PINNED[shape][source]`, recorded on the parent commit.
+/// `PINNED[shape][source]`, recorded on the parent commit. The three
+/// entropy cells of "paged range" were re-recorded when ranges with
+/// fewer than two covered rows a fringe row stopped running the hybrid
+/// sampler (that range has one covered page and 92 072 fringe rows): they
+/// are what the parent of *that* commit answered for the same range with
+/// `sketch = None`.
 #[rustfmt::skip]
 const PINNED: [[u64; 5]; 6] = [
-    [0xb0ed1fbe98629795, 0xbd160ee5e006772c, 0x41ee000bcf44eff9, 0xb0ed1fbe98629795, 0x16796a8025f9edb1],
-    [0x6ed2c731f6bdcfb6, 0x8d390e4206f46c23, 0x9110c328bf68a1ff, 0x6ed2c731f6bdcfb6, 0xde0d64a538388bfb],
-    [0x04cdd5448e647ff1, 0x9d99a142b6e48b6f, 0x754bc2838c8dcf3a, 0x04cdd5448e647ff1, 0x649c606a8910eca3],
+    [0xb0ed1fbe98629795, 0xbd160ee5e006772c, 0x41ee000bcf44eff9, 0xb0ed1fbe98629795, 0x2a2609b53ad71308],
+    [0x6ed2c731f6bdcfb6, 0x8d390e4206f46c23, 0x9110c328bf68a1ff, 0x6ed2c731f6bdcfb6, 0xc91e220a97434bd3],
+    [0x04cdd5448e647ff1, 0x9d99a142b6e48b6f, 0x754bc2838c8dcf3a, 0x04cdd5448e647ff1, 0xe6e7b58d02750c2f],
     [0x4e3546316749e515, 0x055782cdc1744c3c, 0xb7d1d5228ccee5c2, 0x4e3546316749e515, 0x1eaf8165eff6b3ed],
     [0x740517e5af50be36, 0x66fe52bc6ad10755, 0x3b22d75cb75ae98e, 0x740517e5af50be36, 0x4188c2253da61fc2],
     [0x12a4a7e311c01dc9, 0x8474b80299c1265c, 0x96b9f1b80cda0fc3, 0x12a4a7e311c01dc9, 0x64190f2e91a82f84],

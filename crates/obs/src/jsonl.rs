@@ -165,6 +165,7 @@ mod tests {
             num_rows: 5000,
             epsilon: 0.5,
             threads: 4,
+            scope_path: None,
         });
         sink.iteration(1, 128, 20, 1.25);
         sink.phase(Phase::SampleGrow, 1, 3000);

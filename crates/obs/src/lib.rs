@@ -156,6 +156,21 @@ impl Phase {
     }
 }
 
+/// Which sampler a row-range scope was given, with the two row counts
+/// the choice is made from (`swope_core::scope`): a range runs the
+/// hybrid sampler when enough of it lies in whole sketch pages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScopePath {
+    /// Covered pages are synthesized from sketch histograms and only the
+    /// fringe is read; `false` when every sampled row is read — too few
+    /// covered rows, an MI query, or no usable sketch.
+    pub hybrid: bool,
+    /// Rows of the range inside whole 65 536-row pages.
+    pub covered_rows: u64,
+    /// The range's other rows, at its two ends.
+    pub fringe_rows: u64,
+}
+
 /// Static facts about a query, reported once at `query_start`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryMeta {
@@ -169,6 +184,8 @@ pub struct QueryMeta {
     pub epsilon: f64,
     /// Worker threads configured for per-attribute work.
     pub threads: usize,
+    /// How the scope is sampled, when it is a row range.
+    pub scope_path: Option<ScopePath>,
 }
 
 /// Aggregate outcome of a query, reported once at `query_end`.
@@ -454,6 +471,7 @@ mod tests {
             num_rows: 1000,
             epsilon: 0.1,
             threads: 1,
+            scope_path: None,
         }
     }
 

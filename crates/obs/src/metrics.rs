@@ -507,6 +507,7 @@ mod tests {
             num_rows: 100,
             epsilon: 0.1,
             threads: 1,
+            scope_path: None,
         };
         reg.query_start(&meta);
         reg.phase(Phase::Ingest, 1, 500);

@@ -93,6 +93,13 @@ pub const SKETCH_COVERAGE: &str = "swope_sketch_coverage";
 /// fringe read from the store.
 pub const SKETCH_HYBRID_QUERIES_TOTAL: &str = "swope_sketch_hybrid_queries_total";
 
+/// Counter with a `path` label: row-range scopes by the sampler they were
+/// given — `hybrid` (whole pages synthesized from the sketch; the same
+/// count as `swope_sketch_hybrid_queries_total`) or `physical` (every
+/// sampled row read: under `2 ×` as many covered rows as fringe rows, an
+/// MI query, or no usable sketch).
+pub const SCOPE_PATH_TOTAL: &str = "swope_scope_path_total";
+
 /// Counter: sample draws synthesized from sketch histograms instead of
 /// gathered from the store, summed over attributes — the unit of
 /// `rows_scanned`, which charges these draws zero.

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::ObjectWriter;
-use crate::{Phase, QueryMeta, QueryObserver, RunStats};
+use crate::{Phase, QueryMeta, QueryObserver, RunStats, ScopePath};
 
 /// Spans kept per trace before further opens are dropped (and counted).
 pub const MAX_SPANS: usize = 512;
@@ -254,11 +254,16 @@ impl SpanSink {
 /// * `sample_grow` — ΔM rows appended (patched retroactively, since the
 ///   phase hook fires just before the `iteration` hook that reveals `m`),
 /// * `ingest` — ΔM × live counter updates,
-/// * `update_bounds` / `decide` — live candidates examined.
+/// * `update_bounds` / `decide` — live candidates examined,
+/// * `store_sketch` — for a row range, named `store_sketch:hybrid` or
+///   `store_sketch:physical` after the sampler the range was given, with
+///   the rows inside whole pages as its items (the rest of the query's
+///   `num_rows` is fringe): the chooser's verdict and its two inputs.
 #[derive(Debug)]
 pub struct TraceObserver {
     sink: Arc<SpanSink>,
     parent: Option<u32>,
+    scope_path: Option<ScopePath>,
     query_span: u32,
     last_sample_grow: u32,
     prev_m: u64,
@@ -272,6 +277,7 @@ impl TraceObserver {
         TraceObserver {
             sink,
             parent,
+            scope_path: None,
             query_span: DROPPED,
             last_sample_grow: DROPPED,
             prev_m: 0,
@@ -289,6 +295,7 @@ impl TraceObserver {
 impl QueryObserver for TraceObserver {
     fn query_start(&mut self, meta: &QueryMeta) {
         self.query_span = self.sink.open(&format!("query:{}", meta.kind.name()), self.parent);
+        self.scope_path = meta.scope_path;
         self.prev_m = 0;
     }
 
@@ -313,12 +320,18 @@ impl QueryObserver for TraceObserver {
             Phase::UpdateBounds | Phase::Decide => self.live,
             // One merged count state is applied per live candidate.
             Phase::ShardMerge => self.live,
-            // Scope setup fires before the first iteration; its item
-            // count (setup rows scanned) is folded into rows_scanned.
-            Phase::StoreSketch => 0,
+            // Scope setup fires before the first iteration; a predicate's
+            // setup rows are folded into rows_scanned, a range reports
+            // the rows it has in whole pages.
+            Phase::StoreSketch => self.scope_path.map_or(0, |path| path.covered_rows),
         };
         let parent = (self.query_span != DROPPED).then_some(self.query_span);
-        let id = self.sink.record(phase.name(), parent, start, end, iteration as u64, items);
+        let name = match (phase, self.scope_path) {
+            (Phase::StoreSketch, Some(path)) if path.hybrid => "store_sketch:hybrid",
+            (Phase::StoreSketch, Some(_)) => "store_sketch:physical",
+            _ => phase.name(),
+        };
+        let id = self.sink.record(name, parent, start, end, iteration as u64, items);
         if phase == Phase::SampleGrow {
             self.last_sample_grow = id;
         }
@@ -566,6 +579,7 @@ mod tests {
             num_rows: 1000,
             epsilon: 0.2,
             threads: 1,
+            scope_path: None,
         });
         // Two iterations with the hook order the loops use.
         for (it, (m, live)) in [(64usize, 8usize), (128, 5)].iter().enumerate() {
@@ -608,6 +622,30 @@ mod tests {
             .map(|s| s.end_ns - s.start_ns)
             .sum();
         assert_eq!(phase_total, 2 * (10 + 20 + 5 + 5));
+    }
+
+    #[test]
+    fn trace_observer_tags_a_range_scopes_setup_span_with_its_path() {
+        let setup_span = |scope_path: Option<ScopePath>| {
+            let sink = SpanSink::new(TraceId(3));
+            let mut obs = TraceObserver::new(Arc::clone(&sink), None);
+            obs.query_start(&QueryMeta {
+                kind: QueryKind::EntropyTopK,
+                num_attrs: 8,
+                num_rows: 140_000,
+                epsilon: 0.2,
+                threads: 1,
+                scope_path,
+            });
+            obs.phase(Phase::StoreSketch, 0, 7);
+            let (spans, _) = sink.drain();
+            (spans[1].name.clone(), spans[1].items)
+        };
+        let path = |hybrid| ScopePath { hybrid, covered_rows: 131_072, fringe_rows: 8_928 };
+        assert_eq!(setup_span(Some(path(true))), ("store_sketch:hybrid".to_owned(), 131_072));
+        assert_eq!(setup_span(Some(path(false))), ("store_sketch:physical".to_owned(), 131_072));
+        // A predicate scope has no path to report.
+        assert_eq!(setup_span(None), ("store_sketch".to_owned(), 0));
     }
 
     #[test]

@@ -280,6 +280,12 @@ impl ServerMetrics {
         let _ = writeln!(out, "# TYPE {} gauge", names::SKETCH_COVERAGE);
         let _ = writeln!(out, "{} {:.6}", names::SKETCH_COVERAGE, sketch.coverage());
         let synthesized = swope_core::sketch_stats::snapshot();
+        let _ = writeln!(out, "# TYPE {} counter", names::SCOPE_PATH_TOTAL);
+        for (path, value) in
+            [("hybrid", synthesized.hybrid_queries), ("physical", synthesized.physical_ranges)]
+        {
+            let _ = writeln!(out, "{}{{path=\"{path}\"}} {value}", names::SCOPE_PATH_TOTAL);
+        }
         for (name, value) in [
             (names::SKETCH_HYBRID_QUERIES_TOTAL, synthesized.hybrid_queries),
             (names::SKETCH_COVERED_DRAWS_TOTAL, synthesized.covered_draws),

@@ -692,6 +692,13 @@ fn paged_datasets_serve_identically_and_report_residency() {
     assert_eq!(a.body, get(paged.addr, ranged).body);
     let metrics = get(heap.addr, "/metrics").body;
     assert!(metric(&metrics, "swope_sketch_hybrid_queries_total") >= 2);
+    assert!(metric(&metrics, "swope_scope_path_total{path=\"hybrid\"}") >= 2);
+    // One whole page with more than half as many rows again in fringe:
+    // the chooser sends the range to the rows, on both servers.
+    let small = ranged.replace("row_end=70000", "row_end=99000");
+    assert_eq!(get(heap.addr, &small).body, get(paged.addr, &small).body);
+    let metrics = get(heap.addr, "/metrics").body;
+    assert!(metric(&metrics, "swope_scope_path_total{path=\"physical\"}") >= 2);
     assert!(metric(&metrics, "swope_sketch_covered_draws_total") > 0);
     // A heap load reads through a mapping too, but books nothing: the
     // pager families belong to out-of-core datasets alone.

@@ -12,15 +12,20 @@
 //!
 //! * **Range scopes** — a row range `[a, b)` decomposes into fully covered
 //!   pages plus at most two partial *fringe* pages. Covered pages are
-//!   answered exactly by summing their histograms; only the fringe ever
-//!   needs a physical row scan (`swope_core`'s hybrid scoped sampler).
+//!   answered exactly from their histograms; only the fringe ever needs
+//!   a physical row scan (`swope_core`'s hybrid scoped sampler).
 //! * **Predicate scopes** — `WHERE col = code` materialization skips every
 //!   page whose histogram holds a zero count for `code` (page pruning).
 //!
 //! Two physical layouts keep the sketch small: columns whose support fits
 //! a `u8` (`support ≤ 256`) store a **compact** dense count array per
 //! page; wider supports store a **sparse** sorted `(code, count)` list, so
-//! a page never costs more than `min(support, PAGE_ROWS)` entries.
+//! a page never costs more than `min(support, PAGE_ROWS)` entries. In
+//! memory a compact column holds its pages *cumulatively* — built once,
+//! when the sketch is built or decoded — so the counts of any page range
+//! are `prefix[last] − prefix[first]`, one subtraction per code whatever
+//! the range's length; sparse columns sum the lists of the pages asked
+//! for. The encoding stores plain per-page counts either way.
 //!
 //! The on-disk encoding (see [`DatasetSketch::encode`]) carries its own
 //! trailing CRC32 and validates every length field before allocating, so
@@ -68,56 +73,26 @@ impl SketchKind {
     }
 }
 
-/// Exact code histogram of one page.
+/// One column's page histograms, in the layout its [`SketchKind`] names.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum PageHistogram {
-    /// `counts[code]`, length = support.
-    Dense(Vec<u32>),
-    /// Sorted by code; zero counts omitted.
-    Sparse(Vec<(u32, u32)>),
-}
-
-impl PageHistogram {
-    fn count(&self, code: u32) -> u64 {
-        match self {
-            PageHistogram::Dense(c) => c.get(code as usize).copied().unwrap_or(0) as u64,
-            PageHistogram::Sparse(entries) => entries
-                .binary_search_by_key(&code, |&(c, _)| c)
-                .map(|i| entries[i].1 as u64)
-                .unwrap_or(0),
-        }
-    }
-
-    /// Adds this page's counts into `acc` (length = support).
-    fn accumulate(&self, acc: &mut [u64]) {
-        match self {
-            PageHistogram::Dense(c) => {
-                for (a, &v) in acc.iter_mut().zip(c) {
-                    *a += v as u64;
-                }
-            }
-            PageHistogram::Sparse(entries) => {
-                for &(code, v) in entries {
-                    acc[code as usize] += v as u64;
-                }
-            }
-        }
-    }
-
-    fn rows(&self) -> u64 {
-        match self {
-            PageHistogram::Dense(c) => c.iter().map(|&v| v as u64).sum(),
-            PageHistogram::Sparse(entries) => entries.iter().map(|&(_, v)| v as u64).sum(),
-        }
-    }
+enum Pages {
+    /// Compact, stored *cumulatively*: row `p` of `support` entries holds
+    /// the rows of pages `..p` carrying each code (`pages + 1` rows, the
+    /// first all zero). A page's count and a page range's counts are both
+    /// one subtraction per code, whatever the range's length.
+    Cumulative(Vec<u64>),
+    /// Sparse: per page, `(code, count)` sorted by code, zero counts
+    /// omitted. Kept page by page: a cumulative row would cost `8·support`
+    /// bytes a page, which is what this layout exists to avoid.
+    Lists(Vec<Vec<(u32, u32)>>),
 }
 
 /// Per-page exact code histograms for one packed column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnSketch {
     support: u32,
-    kind: SketchKind,
-    pages: Vec<PageHistogram>,
+    num_pages: usize,
+    pages: Pages,
 }
 
 impl ColumnSketch {
@@ -125,10 +100,13 @@ impl ColumnSketch {
     /// [`PAGE_ROWS`]-row page. Width-generic — the result depends only on
     /// the logical codes, not the storage width.
     pub fn build(column: &PackedColumn) -> Self {
-        let support = column.support();
-        let kind = if support <= 256 { SketchKind::Compact } else { SketchKind::Sparse };
-        let pages = for_packed!(column.codes(), |codes| build_pages(codes, support, kind));
-        Self { support, kind, pages }
+        let mut b = ColumnSketchBuilder::new(column.support());
+        for_packed!(column.codes(), |codes| {
+            for page in codes.chunks(PAGE_ROWS) {
+                b.push_page(|counts| tally(page, counts));
+            }
+        });
+        b.finish()
     }
 
     /// Builds the sketch from already-paged codes: one histogram per
@@ -140,13 +118,7 @@ impl ColumnSketch {
     ) -> Self {
         let mut b = ColumnSketchBuilder::new(support);
         for page in pages {
-            b.push_page(|counts| {
-                for_packed!(page, |codes| {
-                    for &c in codes.iter() {
-                        counts[c.widen() as usize] += 1;
-                    }
-                })
-            });
+            for_packed!(page, |codes| b.push_page(|counts| tally(codes, counts)));
         }
         b.finish()
     }
@@ -158,55 +130,63 @@ impl ColumnSketch {
 
     /// The histogram layout in use.
     pub fn kind(&self) -> SketchKind {
-        self.kind
+        match self.pages {
+            Pages::Cumulative(_) => SketchKind::Compact,
+            Pages::Lists(_) => SketchKind::Sparse,
+        }
     }
 
     /// Number of pages sketched.
     pub fn num_pages(&self) -> usize {
-        self.pages.len()
+        self.num_pages
     }
 
     /// Exact count of `code` within page `page` (0 for out-of-range).
     pub fn page_count(&self, page: usize, code: u32) -> u64 {
-        self.pages.get(page).map_or(0, |p| p.count(code))
-    }
-
-    /// Exact per-code counts summed over the page range `pages`
-    /// (returned vector has `support` entries).
-    pub fn range_counts(&self, pages: std::ops::Range<usize>) -> Vec<u64> {
-        let mut acc = vec![0u64; self.support as usize];
-        for p in pages {
-            if let Some(h) = self.pages.get(p) {
-                h.accumulate(&mut acc);
+        if page >= self.num_pages || code >= self.support {
+            return 0;
+        }
+        match &self.pages {
+            Pages::Cumulative(prefix) => {
+                let at = page * self.support as usize + code as usize;
+                prefix[at + self.support as usize] - prefix[at]
+            }
+            Pages::Lists(lists) => {
+                let entries = &lists[page];
+                entries
+                    .binary_search_by_key(&code, |&(c, _)| c)
+                    .map_or(0, |i| u64::from(entries[i].1))
             }
         }
-        acc
+    }
+
+    /// Exact per-code counts summed over the page range `pages`, clamped
+    /// to the pages sketched (returned vector has `support` entries).
+    pub fn range_counts(&self, pages: std::ops::Range<usize>) -> Vec<u64> {
+        let u = self.support as usize;
+        let end = pages.end.min(self.num_pages);
+        let start = pages.start.min(end);
+        match &self.pages {
+            Pages::Cumulative(prefix) => {
+                let (first, last) = (&prefix[start * u..][..u], &prefix[end * u..][..u]);
+                last.iter().zip(first).map(|(l, f)| l - f).collect()
+            }
+            Pages::Lists(lists) => {
+                let mut acc = vec![0u64; u];
+                for &(code, count) in lists[start..end].iter().flatten() {
+                    acc[code as usize] += u64::from(count);
+                }
+                acc
+            }
+        }
     }
 }
 
-fn build_pages<R: CodeRepr>(codes: &[R], support: u32, kind: SketchKind) -> Vec<PageHistogram> {
-    let mut pages = Vec::with_capacity(codes.len().div_ceil(PAGE_ROWS));
-    let mut counts = vec![0u32; support as usize];
-    for chunk in codes.chunks(PAGE_ROWS) {
-        for c in counts.iter_mut() {
-            *c = 0;
-        }
-        for &c in chunk {
-            counts[c.widen() as usize] += 1;
-        }
-        pages.push(match kind {
-            SketchKind::Compact => PageHistogram::Dense(counts.clone()),
-            SketchKind::Sparse => PageHistogram::Sparse(
-                counts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v > 0)
-                    .map(|(code, &v)| (code as u32, v))
-                    .collect(),
-            ),
-        });
+/// Adds one to `counts[code]` for every code of a page.
+fn tally<R: CodeRepr>(codes: &[R], counts: &mut [u32]) {
+    for &c in codes {
+        counts[c.widen() as usize] += 1;
     }
-    pages
 }
 
 /// Incremental [`ColumnSketch`] construction, one page at a time.
@@ -216,17 +196,26 @@ fn build_pages<R: CodeRepr>(codes: &[R], support: u32, kind: SketchKind) -> Vec<
 /// convenience wrapper over it for pages already on the heap.
 #[derive(Debug)]
 pub struct ColumnSketchBuilder {
-    support: u32,
-    kind: SketchKind,
     counts: Vec<u32>,
-    pages: Vec<PageHistogram>,
+    sketch: ColumnSketch,
 }
 
 impl ColumnSketchBuilder {
     /// Starts a sketch for a column with the given support.
     pub fn new(support: u32) -> Self {
         let kind = if support <= 256 { SketchKind::Compact } else { SketchKind::Sparse };
-        Self { support, kind, counts: vec![0u32; support as usize], pages: Vec::new() }
+        Self::with_kind(support, kind)
+    }
+
+    fn with_kind(support: u32, kind: SketchKind) -> Self {
+        let pages = match kind {
+            SketchKind::Compact => Pages::Cumulative(vec![0; support as usize]),
+            SketchKind::Sparse => Pages::Lists(Vec::new()),
+        };
+        Self {
+            counts: vec![0u32; support as usize],
+            sketch: ColumnSketch { support, num_pages: 0, pages },
+        }
     }
 
     /// Appends the histogram for the next page: `tally` gets the
@@ -235,26 +224,43 @@ impl ColumnSketchBuilder {
     /// however the caller's storage wants to be walked. Pages must arrive
     /// in order and be [`PAGE_ROWS`] rows each except possibly the last.
     pub fn push_page(&mut self, tally: impl FnOnce(&mut [u32])) {
-        for c in self.counts.iter_mut() {
-            *c = 0;
-        }
+        self.counts.fill(0);
         tally(&mut self.counts);
-        self.pages.push(match self.kind {
-            SketchKind::Compact => PageHistogram::Dense(self.counts.clone()),
-            SketchKind::Sparse => PageHistogram::Sparse(
-                self.counts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v > 0)
-                    .map(|(code, &v)| (code as u32, v))
-                    .collect(),
-            ),
-        });
+        match &mut self.sketch.pages {
+            Pages::Cumulative(_) => self.push_counts(),
+            Pages::Lists(_) => {
+                let nonzero = self.counts.iter().enumerate().filter(|&(_, &v)| v > 0);
+                self.push_list(nonzero.map(|(code, &v)| (code as u32, v)).collect())
+            }
+        }
+    }
+
+    /// Appends a compact page whose histogram is in `self.counts`: the
+    /// next cumulative row is the last one plus this page.
+    fn push_counts(&mut self) {
+        let Pages::Cumulative(prefix) = &mut self.sketch.pages else {
+            unreachable!("compact pages are pushed onto a compact sketch")
+        };
+        let last = prefix.len() - self.counts.len();
+        prefix.extend_from_within(last..);
+        for (through, &count) in prefix[last + self.counts.len()..].iter_mut().zip(&self.counts) {
+            *through += u64::from(count);
+        }
+        self.sketch.num_pages += 1;
+    }
+
+    /// Appends a sparse page's sorted nonzero `(code, count)` entries.
+    fn push_list(&mut self, entries: Vec<(u32, u32)>) {
+        let Pages::Lists(lists) = &mut self.sketch.pages else {
+            unreachable!("sparse pages are pushed onto a sparse sketch")
+        };
+        lists.push(entries);
+        self.sketch.num_pages += 1;
     }
 
     /// Finishes the sketch.
     pub fn finish(self) -> ColumnSketch {
-        ColumnSketch { support: self.support, kind: self.kind, pages: self.pages }
+        self.sketch
     }
 }
 
@@ -305,12 +311,10 @@ impl DatasetSketch {
         let mut len = 4 + 2 + 2 + 4 + 8 + 4; // header
         for col in &self.columns {
             len += 4 + 1 + 4; // support, kind, page_count
-            for page in &col.pages {
-                len += match page {
-                    PageHistogram::Dense(c) => c.len() * 4,
-                    PageHistogram::Sparse(e) => 4 + e.len() * 8,
-                };
-            }
+            len += match &col.pages {
+                Pages::Cumulative(_) => col.num_pages * col.support as usize * 4,
+                Pages::Lists(lists) => lists.iter().map(|e| 4 + e.len() * 8).sum(),
+            };
         }
         len + 4 // trailing CRC
     }
@@ -327,16 +331,19 @@ impl DatasetSketch {
         out.extend_from_slice(&(self.columns.len() as u32).to_le_bytes());
         for col in &self.columns {
             out.extend_from_slice(&col.support.to_le_bytes());
-            out.push(col.kind.tag());
-            out.extend_from_slice(&(col.pages.len() as u32).to_le_bytes());
-            for page in &col.pages {
-                match page {
-                    PageHistogram::Dense(counts) => {
-                        for &c in counts {
-                            out.extend_from_slice(&c.to_le_bytes());
-                        }
+            out.push(col.kind().tag());
+            out.extend_from_slice(&(col.num_pages as u32).to_le_bytes());
+            match &col.pages {
+                // A page's counts are the difference of the cumulative
+                // rows either side of it (≤ PAGE_ROWS, so they fit).
+                Pages::Cumulative(prefix) => {
+                    let u = col.support as usize;
+                    for (before, through) in prefix.iter().zip(&prefix[u..]) {
+                        out.extend_from_slice(&((through - before) as u32).to_le_bytes());
                     }
-                    PageHistogram::Sparse(entries) => {
+                }
+                Pages::Lists(lists) => {
+                    for entries in lists {
                         out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
                         for &(code, count) in entries {
                             out.extend_from_slice(&code.to_le_bytes());
@@ -397,19 +404,19 @@ impl DatasetSketch {
             if kind == SketchKind::Compact && support > 256 {
                 return Err(corrupt("compact sketch with support > 256"));
             }
-            let mut pages = Vec::with_capacity(page_count);
+            let mut column = ColumnSketchBuilder::with_kind(support, kind);
             let mut remaining_rows = num_rows as u64;
             for _ in 0..page_count {
                 let page_rows_here = remaining_rows.min(PAGE_ROWS as u64);
                 remaining_rows -= page_rows_here;
-                let hist = match kind {
+                let rows: u64 = match kind {
                     SketchKind::Compact => {
                         let raw = r.take(support as usize * 4)?;
-                        let counts: Vec<u32> = raw
-                            .chunks_exact(4)
-                            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                            .collect();
-                        PageHistogram::Dense(counts)
+                        for (count, c) in column.counts.iter_mut().zip(raw.chunks_exact(4)) {
+                            *count = u32::from_le_bytes(c.try_into().expect("4 bytes"));
+                        }
+                        column.push_counts();
+                        column.counts.iter().map(|&v| u64::from(v)).sum()
                     }
                     SketchKind::Sparse => {
                         let entry_count = r.u32()? as usize;
@@ -418,6 +425,7 @@ impl DatasetSketch {
                         }
                         let mut entries = Vec::with_capacity(entry_count);
                         let mut last: Option<u32> = None;
+                        let mut rows = 0u64;
                         for _ in 0..entry_count {
                             let code = r.u32()?;
                             let count = r.u32()?;
@@ -428,17 +436,18 @@ impl DatasetSketch {
                                 return Err(corrupt("sparse codes not strictly ascending"));
                             }
                             last = Some(code);
+                            rows += u64::from(count);
                             entries.push((code, count));
                         }
-                        PageHistogram::Sparse(entries)
+                        column.push_list(entries);
+                        rows
                     }
                 };
-                if hist.rows() != page_rows_here {
+                if rows != page_rows_here {
                     return Err(corrupt("page histogram row total mismatch"));
                 }
-                pages.push(hist);
             }
-            columns.push(ColumnSketch { support, kind, pages });
+            columns.push(column.finish());
         }
         if r.pos != r.buf.len() {
             return Err(corrupt("trailing bytes after sketch payload"));
@@ -521,6 +530,29 @@ mod tests {
         for code in 0..5u32 {
             let expect = codes.iter().filter(|&&c| c == code).count() as u64;
             assert_eq!(all[code as usize], expect);
+        }
+    }
+
+    #[test]
+    fn range_counts_equal_the_page_by_page_sum_for_every_range() {
+        // Five pages (the last partial), one compact and one sparse
+        // column: a range's counts, read as a difference of cumulative
+        // rows or summed from lists, are the per-page counts added up.
+        let n = 4 * PAGE_ROWS + 4321;
+        for support in [7u32, 256, 700] {
+            let codes = (0..n as u32).map(|i| (i / 3).wrapping_mul(2654435761) % support);
+            let sk = ColumnSketch::build(&packed(codes.collect(), support));
+            assert_eq!(sk.num_pages(), 5);
+            for first in 0..=5 {
+                for last in first..=5 {
+                    let summed: Vec<u64> = (0..support)
+                        .map(|code| (first..last).map(|p| sk.page_count(p, code)).sum())
+                        .collect();
+                    assert_eq!(sk.range_counts(first..last), summed, "{support}: {first}..{last}");
+                }
+            }
+            assert_eq!(sk.range_counts(3..9), sk.range_counts(3..5), "clamped to the pages held");
+            assert_eq!(sk.page_count(5, 0) + sk.page_count(0, support), 0);
         }
     }
 

@@ -8,11 +8,13 @@
 //! algorithms are loose, so observed failure rates sit far below `p_f`;
 //! the envelope would only be crossed by a genuine math bug.)
 //!
-//! The same envelope is applied to the sketch-hybrid path, whose sample
-//! is not a row sample at all: covered pages are synthesized per
-//! attribute from histograms by hypergeometric splits, so its claim to
-//! Lemma 3 ("marginally a uniform WOR sample of the scoped code
-//! multiset") gets an experiment of its own.
+//! The same envelope is applied to row ranges, on both sides of the rule
+//! that picks their sampler: the sketch-hybrid path, whose sample is not
+//! a row sample at all — covered pages are synthesized per attribute from
+//! histograms by hypergeometric splits, so its claim to Lemma 3
+//! ("marginally a uniform WOR sample of the scoped code multiset") gets
+//! an experiment of its own — and ranges with too little in whole pages,
+//! whose rows are shuffled and read.
 
 use swope_baselines::exact_entropy_scores;
 use swope_columnar::{Column, Dataset, DatasetSketch, Field, Schema, PAGE_ROWS};
@@ -111,24 +113,18 @@ fn filter_definition6_failure_rate_within_budget() {
     assert!(violations <= 46, "{violations}/{RUNS} Definition 6 violations at p_f = {P_F}");
 }
 
-#[test]
-fn sketch_hybrid_failure_rates_within_budget() {
+/// Definition 5 and 6 violations over 30 seeds of a top-k and a filter
+/// query on each of four `ranges` of one dataset — three whole pages and
+/// a ragged tail; the guarantee is over the sampler's randomness, so the
+/// data is fixed and the seeds and ranges vary — with the dataset's
+/// sketch on offer, plus how many of those ranges' queries ran the hybrid
+/// sampler and how many were sampled physically.
+fn range_failure_rates(ranges: [(usize, usize); 4]) -> (u32, u32, sketch_stats::SketchUse) {
     const RUNS_PER_RANGE: u64 = 30;
     const P_F: f64 = 0.2;
-    // The guarantee is over the sampler's randomness, so one dataset
-    // (three whole pages and a ragged tail) serves every run; the seeds
-    // and four ranges vary. Each range covers at least one whole page
-    // and leaves a fringe on one or both sides — from a fringe of five
-    // rows to one twice the covered region's size.
     let n = 3 * PAGE_ROWS + 5_000;
     let ds = uniform_dataset(n, 0xC0FE);
     let sketch = DatasetSketch::build(n, (0..ds.num_attrs()).map(|a| ds.column(a).packed()));
-    let ranges = [
-        (PAGE_ROWS - 777, 2 * PAGE_ROWS + 1_234),
-        (300, 3 * PAGE_ROWS - 1),
-        (PAGE_ROWS - 5, n),
-        (PAGE_ROWS, 3 * PAGE_ROWS + 4_000),
-    ];
     let (mut top_k_violations, mut filter_violations) = (0u32, 0u32);
     let before = sketch_stats::snapshot();
     for (r, &(start, end)) in ranges.iter().enumerate() {
@@ -136,29 +132,65 @@ fn sketch_hybrid_failure_rates_within_budget() {
         let exact = exact_entropy_scores(&dataset_of(
             (0..ds.num_attrs()).map(|a| (start..end).map(|row| ds.column(a).code(row)).collect()),
         ));
-        let hybrid = |shape: Shape, cfg: &SwopeConfig| {
+        let ranged = |shape: Shape, cfg: &SwopeConfig| {
             let exec = Executor::sequential();
             run(&ds, &shape, &scope, Some(&sketch), cfg, &mut NoopObserver, &exec).unwrap()
         };
         for i in 0..RUNS_PER_RANGE {
             let seed = (r as u64 * 1_000 + i).wrapping_mul(0x9E37_79B9);
-            let top = hybrid(Shape::EntropyTopK { k: 3 }, &config(0.15, P_F, seed));
+            let top = ranged(Shape::EntropyTopK { k: 3 }, &config(0.15, P_F, seed));
             if !definition5_holds(&top.into(), &exact, 0.15) {
                 top_k_violations += 1;
             }
             let cfg = config(0.1, P_F, seed ^ 0x2545_F491);
-            let filtered = hybrid(Shape::EntropyFilter { eta: 3.5 }, &cfg);
+            let filtered = ranged(Shape::EntropyFilter { eta: 3.5 }, &cfg);
             if !definition6_holds(&filtered.into(), &exact, 3.5, 0.1) {
                 filter_violations += 1;
             }
         }
     }
-    // Every run took the hybrid path (the counters are process-wide and
-    // only grow, so a concurrent test can add to them, never subtract).
+    // The counters are process-wide and only grow, so the other test of
+    // this file can add to a difference, never subtract from it.
     let after = sketch_stats::snapshot();
-    assert!(after.hybrid_queries - before.hybrid_queries >= 8 * RUNS_PER_RANGE);
-    assert!(after.covered_draws > before.covered_draws);
+    let took = sketch_stats::SketchUse {
+        covered_draws: after.covered_draws - before.covered_draws,
+        hybrid_queries: after.hybrid_queries - before.hybrid_queries,
+        physical_ranges: after.physical_ranges - before.physical_ranges,
+    };
+    (top_k_violations, filter_violations, took)
+}
+
+#[test]
+fn sketch_hybrid_failure_rates_within_budget() {
+    // Each range holds at least twice as many rows in whole pages as in
+    // its fringe, so it runs the hybrid sampler: from a fringe of five
+    // rows to one half the covered region's size, on one or both sides.
+    let n = 3 * PAGE_ROWS + 5_000;
+    let (top_k_violations, filter_violations, took) = range_failure_rates([
+        (PAGE_ROWS - 777, 2 * PAGE_ROWS + 1_234),
+        (PAGE_ROWS - 60_000, n),
+        (PAGE_ROWS - 5, n),
+        (PAGE_ROWS, 3 * PAGE_ROWS + 4_000),
+    ]);
+    assert!(took.hybrid_queries >= 240 && took.covered_draws > 0, "{took:?}");
     // 120 runs each: the envelope of the plain loops above.
     assert!(top_k_violations <= 46, "{top_k_violations}/120 Definition 5 violations, hybrid");
     assert!(filter_violations <= 46, "{filter_violations}/120 Definition 6 violations, hybrid");
+}
+
+#[test]
+fn physical_range_failure_rates_within_budget() {
+    // Ranges the sketch is offered for and stands aside on: a whole page
+    // between two nearly whole ones (hybrid until the chooser), two pages
+    // less one row per side, part of one page, and a page with 20 000
+    // rows either side. Every sampled row is read.
+    let (top_k_violations, filter_violations, took) = range_failure_rates([
+        (300, 3 * PAGE_ROWS - 1),
+        (1, 2 * PAGE_ROWS - 1),
+        (70_000, 110_000),
+        (PAGE_ROWS - 20_000, 2 * PAGE_ROWS + 20_000),
+    ]);
+    assert!(took.physical_ranges >= 240, "{took:?}");
+    assert!(top_k_violations <= 46, "{top_k_violations}/120 Definition 5 violations, physical");
+    assert!(filter_violations <= 46, "{filter_violations}/120 Definition 6 violations, physical");
 }

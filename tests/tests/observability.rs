@@ -190,6 +190,7 @@ fn metrics_registry_totals_survive_concurrent_hammering() {
                         num_rows: 1000,
                         epsilon: 0.1,
                         threads: 1,
+                        scope_path: None,
                     });
                     for phase in Phase::ALL {
                         obs.phase(phase, round as usize, t + 1);
