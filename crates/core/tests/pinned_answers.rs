@@ -20,7 +20,12 @@ mod common;
 use std::sync::Arc;
 
 use common::{scoped, sharded, sketch_of};
-use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Residency, Schema, PAGE_ROWS};
+use swope_baselines::{
+    entropy_filter_exact_sampling, entropy_rank_top_k, mi_filter_exact_sampling, mi_rank_top_k,
+};
+use swope_columnar::{
+    snapshot, Column, Dataset, DatasetSketch, Field, PageCache, Residency, Schema, PAGE_ROWS,
+};
 use swope_core::{Answer, Executor, Scope, Shape, SwopeConfig};
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -48,6 +53,20 @@ const PINNED: [[u64; 5]; 6] = [
     [0x4e3546316749e515, 0x055782cdc1744c3c, 0xb7d1d5228ccee5c2, 0x4e3546316749e515, 0x1eaf8165eff6b3ed],
     [0x740517e5af50be36, 0x66fe52bc6ad10755, 0x3b22d75cb75ae98e, 0x740517e5af50be36, 0x4188c2253da61fc2],
     [0x12a4a7e311c01dc9, 0x8474b80299c1265c, 0x96b9f1b80cda0fc3, 0x12a4a7e311c01dc9, 0x64190f2e91a82f84],
+];
+
+/// `COMPARATORS[query][source]` for [`comparators`] over the heap dataset
+/// and over the whole paged copy: what `swope-baselines`' own doubling
+/// loops answered at c73d446, the parent of the commit that made
+/// EntropyRank and EntropyFilter rules of the driver. Those loops stamped
+/// no retirement iteration and kept no trace, so these digests leave
+/// both out ([`outcome_digest`]).
+#[rustfmt::skip]
+const COMPARATORS: [[u64; 2]; 4] = [
+    [0xe1fa208345170d29, 0xe1fa208345170d29],
+    [0x7748a4261a324f0f, 0x7748a4261a324f0f],
+    [0x6c9a46618a6fad9a, 0x6c9a46618a6fad9a],
+    [0x94dd6e4c5d60e53d, 0x94dd6e4c5d60e53d],
 ];
 
 /// Parameters under which most cells stop early on [`dataset`] (a stop
@@ -100,6 +119,15 @@ impl Fnv {
 }
 
 fn digest(a: &Answer) -> u64 {
+    fold(a, true)
+}
+
+/// [`digest`] without `retired_iteration` and the trace.
+fn outcome_digest(a: &Answer) -> u64 {
+    fold(a, false)
+}
+
+fn fold(a: &Answer, lifecycle: bool) -> u64 {
     let mut h = Fnv(0xCBF2_9CE4_8422_2325);
     h.word(a.scores.len() as u64);
     for s in &a.scores {
@@ -107,13 +135,15 @@ fn digest(a: &Answer) -> u64 {
         h.word(s.estimate.to_bits());
         h.word(s.lower.to_bits());
         h.word(s.upper.to_bits());
-        h.word(s.retired_iteration as u64);
+        if lifecycle {
+            h.word(s.retired_iteration as u64);
+        }
     }
     h.word(a.stats.sample_size as u64);
     h.word(a.stats.iterations as u64);
     h.word(a.stats.rows_scanned);
     h.word(a.stats.converged_early as u64);
-    for t in &a.stats.trace {
+    for t in a.stats.trace.iter().filter(|_| lifecycle) {
         h.word(t.iteration as u64);
         h.word(t.sample_size as u64);
         h.word(t.candidates as u64);
@@ -123,15 +153,24 @@ fn digest(a: &Answer) -> u64 {
     h.0
 }
 
+/// `ds` written to a snapshot and opened paged under [`BUDGET`].
+fn paged_copy(
+    ds: &Dataset,
+    tag: &str,
+) -> (std::path::PathBuf, Arc<PageCache>, Dataset, Option<DatasetSketch>) {
+    let path = std::env::temp_dir().join(format!("swope-pinned-{tag}-{}.swop", std::process::id()));
+    snapshot::write_file(ds, &path).unwrap();
+    let cache = Arc::new(PageCache::new(Some(BUDGET)));
+    let (paged, sketch) = snapshot::open(&path, Residency::Paged(&cache)).unwrap();
+    assert!(paged.column(0).is_paged());
+    (path, cache, paged, sketch)
+}
+
 #[test]
 fn answers_match_the_digests_recorded_on_the_parent() {
     let ds = dataset();
     let sketch = sketch_of(&ds);
-    let path = std::env::temp_dir().join(format!("swope-pinned-{}.swop", std::process::id()));
-    snapshot::write_file(&ds, &path).unwrap();
-    let cache = Arc::new(PageCache::new(Some(BUDGET)));
-    let (paged, paged_sketch) = snapshot::open(&path, Residency::Paged(&cache)).unwrap();
-    assert!(paged.column(0).is_paged());
+    let (path, cache, paged, paged_sketch) = paged_copy(&ds, "shapes");
 
     // Covered pages plus a fringe on both sides; a row list; a range of
     // the paged copy that ends inside its last full page.
@@ -158,5 +197,42 @@ fn answers_match_the_digests_recorded_on_the_parent() {
     assert_eq!(
         got, PINNED,
         "an answer moved (rows: shapes in `shapes()` order; columns: {SOURCES:?})\n{got:#018x?}"
+    );
+}
+
+/// EntropyRank, EntropyFilter and their MI lifts. The top-2 and the MI
+/// queries separate early; `η = 3` sits on four attributes' entropy, so
+/// the filter reads every row and decides at `M = N`.
+fn comparators(ds: &Dataset, cfg: &SwopeConfig) -> [Answer; 4] {
+    let top = |r: swope_core::TopKResult| Answer { scores: r.top, stats: r.stats };
+    let accepted = |r: swope_core::FilterResult| Answer { scores: r.accepted, stats: r.stats };
+    [
+        top(entropy_rank_top_k(ds, 2, cfg).unwrap()),
+        accepted(entropy_filter_exact_sampling(ds, 3.0, cfg).unwrap()),
+        top(mi_rank_top_k(ds, 0, 2, cfg).unwrap()),
+        accepted(mi_filter_exact_sampling(ds, 0, 1.0, cfg).unwrap()),
+    ]
+}
+
+#[test]
+fn comparators_match_the_digests_recorded_on_the_parent() {
+    let ds = dataset();
+    let (path, cache, paged, _) = paged_copy(&ds, "comparators");
+    let cfg = SwopeConfig::default().with_seed(SEED);
+    let (heap, mapped) = (comparators(&ds, &cfg), comparators(&paged, &cfg));
+    assert!(cache.snapshot().evictions > 0, "the paged source never evicted");
+    let _ = std::fs::remove_file(path);
+    let got: [[u64; 2]; 4] =
+        std::array::from_fn(|q| [outcome_digest(&heap[q]), outcome_digest(&mapped[q])]);
+    for (q, a) in heap.iter().enumerate() {
+        eprintln!(
+            "comparator {q}: {} scores, {:?}",
+            a.scores.len(),
+            (a.stats.sample_size, a.stats.iterations, a.stats.converged_early)
+        );
+    }
+    assert_eq!(
+        got, COMPARATORS,
+        "a comparator's answer moved (rows: `comparators()` order; columns: heap, paged)\n{got:#018x?}"
     );
 }
