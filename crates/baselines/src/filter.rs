@@ -7,14 +7,11 @@
 //! distance `δ` from `η` therefore needs `Ω(1/δ²)` samples — and an
 //! attribute exactly *at* the threshold forces a full scan. SWOPE's
 //! Algorithm 2 relaxes both sides by `ε·η`, which is the entire measured
-//! difference in the filtering benchmarks.
+//! difference in the filtering benchmarks: the rule is an arm of
+//! `swope-core`'s one adaptive loop ([`Shape::EntropyFilterExact`]).
 
 use swope_columnar::Dataset;
-use swope_core::state::{make_sampler, EntropyState};
-use swope_core::{AttrScore, Executor, FilterResult, QueryStats, SwopeConfig, SwopeError};
-use swope_sampling::DoublingSchedule;
-
-use crate::score_of;
+use swope_core::{FilterResult, Shape, SwopeConfig, SwopeError};
 
 /// Exact filtering on empirical entropy by adaptive sampling
 /// (EntropyFilter).
@@ -26,66 +23,7 @@ pub fn entropy_filter_exact_sampling(
     eta: f64,
     config: &SwopeConfig,
 ) -> Result<FilterResult, SwopeError> {
-    config.validate()?;
-    if !eta.is_finite() || eta < 0.0 {
-        return Err(SwopeError::InvalidThreshold(eta));
-    }
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-
-    let p_f = config.resolve_p_f(dataset);
-    let m0 = config.resolve_m0(dataset, p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (schedule.i_max() as f64 * h as f64);
-
-    let mut sampler = make_sampler(n, config.sampling);
-    let mut states: Vec<EntropyState> =
-        (0..h).map(|attr| EntropyState::new(dataset, attr)).collect();
-    let mut accepted: Vec<AttrScore> = Vec::new();
-    let mut stats = QueryStats::default();
-    let exec = Executor::new(config.threads);
-
-    let mut m_target = schedule.m0();
-    while !states.is_empty() {
-        stats.iterations += 1;
-        let delta: Vec<u32> = sampler.grow_to(m_target).to_vec();
-        let m = sampler.sampled();
-        stats.sample_size = m;
-        stats.rows_scanned += (delta.len() * states.len()) as u64;
-
-        exec.for_each_mut(&mut states, |st| {
-            st.ingest(dataset.column(st.attr), &delta);
-            st.update_bounds(n as u64, p_prime);
-        });
-
-        let exact_now = m >= n;
-        states.retain(|st| {
-            let b = &st.bounds;
-            if b.lower > eta || (exact_now && b.point_estimate() >= eta) {
-                accepted.push(score_of(dataset, st.attr, b));
-                false
-            } else {
-                !(b.upper < eta || exact_now)
-            }
-        });
-
-        if states.is_empty() {
-            stats.converged_early = m < n;
-            break;
-        }
-        m_target = (m * 2).min(n);
-    }
-
-    accepted.sort_by(|a, b| {
-        b.estimate
-            .partial_cmp(&a.estimate)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.attr.cmp(&b.attr))
-    });
-    Ok(FilterResult { accepted, stats })
+    crate::run_whole(dataset, Shape::EntropyFilterExact { eta }, config).map(Into::into)
 }
 
 #[cfg(test)]

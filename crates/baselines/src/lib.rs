@@ -16,10 +16,16 @@
 //! * [`mi`] — the EntropyRank/EntropyFilter machinery lifted to empirical
 //!   mutual information, as used in the paper's §6.3 comparisons.
 //!
-//! All baselines share SWOPE's sampling and bound substrate
-//! (`swope-sampling`, `swope-estimate`, `swope-core::state`), so measured
-//! differences isolate the *stopping rules* — the paper's contribution —
-//! rather than implementation details.
+//! * [`oneshot`] — one fixed-size sample and plug-in scores, no
+//!   intervals: the strawman of the `ext-oneshot` ablation.
+//!
+//! EntropyRank, EntropyFilter and their MI lifts are not copies of
+//! SWOPE's loop: each is a stopping rule on `swope-core`'s one adaptive
+//! loop ([`swope_core::run`] with a comparator [`Shape`]), so sampler,
+//! schedule, failure-budget split, counting, bounds and pruning are the
+//! same code and a measured difference *is* the stopping rule — the
+//! paper's contribution. OneShot counts through the same kernels
+//! ([`swope_core::count`]); only [`exact`] walks the columns itself.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -29,10 +35,11 @@ pub mod filter;
 pub mod mi;
 pub mod oneshot;
 pub mod rank;
-mod util;
+
+use swope_columnar::Dataset;
+use swope_core::{run, Answer, Executor, NoopObserver, Scope, Shape, SwopeConfig, SwopeError};
 
 pub use oneshot::{oneshot_entropy_top_k, oneshot_mi_top_k};
-pub use util::{score_of, score_of_mi};
 
 pub use exact::{
     exact_entropy_filter, exact_entropy_scores, exact_entropy_top_k, exact_mi_filter,
@@ -41,3 +48,10 @@ pub use exact::{
 pub use filter::entropy_filter_exact_sampling;
 pub use mi::{mi_filter_exact_sampling, mi_rank_top_k};
 pub use rank::entropy_rank_top_k;
+
+/// `shape` over the whole of `dataset`, unobserved, on `config.threads`
+/// workers — what `swope-core`'s paper-named functions do for Alg. 1–4.
+fn run_whole(dataset: &Dataset, shape: Shape, config: &SwopeConfig) -> Result<Answer, SwopeError> {
+    let exec = Executor::new(config.threads);
+    run(dataset, &shape, &Scope::all(), None, config, &mut NoopObserver, &exec)
+}

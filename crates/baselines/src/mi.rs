@@ -1,17 +1,12 @@
 //! EntropyRank / EntropyFilter lifted to empirical mutual information,
 //! the paper's §6.3 competitors.
 //!
-//! Identical adaptive structure to the entropy baselines, with the §4.1 MI
-//! confidence intervals and the `p'_f = p_f/(3·i_max·(h−1))` budget.
+//! The entropy baselines' two rules over the §4.1 MI confidence
+//! intervals and the `p'_f = p_f/(3·i_max·(h−1))` budget
+//! ([`Shape::MiRank`], [`Shape::MiFilterExact`]).
 
 use swope_columnar::{AttrIndex, Dataset};
-use swope_core::state::{make_sampler, MiState, TargetState};
-use swope_core::{
-    AttrScore, Executor, FilterResult, QueryStats, SwopeConfig, SwopeError, TopKResult,
-};
-use swope_sampling::DoublingSchedule;
-
-use crate::score_of_mi;
+use swope_core::{FilterResult, Shape, SwopeConfig, SwopeError, TopKResult};
 
 /// Exact top-k on empirical MI against `target` by adaptive sampling
 /// (EntropyRank-MI). `config.epsilon` is ignored.
@@ -21,80 +16,7 @@ pub fn mi_rank_top_k(
     k: usize,
     config: &SwopeConfig,
 ) -> Result<TopKResult, SwopeError> {
-    config.validate()?;
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    let candidates = h - 1;
-    if k == 0 || k > candidates {
-        return Err(SwopeError::InvalidK { k, candidates });
-    }
-
-    let p_f = config.resolve_p_f(dataset);
-    let m0 = config.resolve_m0(dataset, p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (3.0 * schedule.i_max() as f64 * candidates as f64);
-
-    let mut sampler = make_sampler(n, config.sampling);
-    let mut target_state = TargetState::new(dataset, target);
-    let u_t = target_state.support;
-    let mut states: Vec<MiState> =
-        (0..h).filter(|&a| a != target).map(|a| MiState::new(a, u_t, dataset.support(a))).collect();
-    let mut stats = QueryStats::default();
-    let exec = Executor::new(config.threads);
-
-    let mut m_target = schedule.m0();
-    loop {
-        stats.iterations += 1;
-        let delta: Vec<u32> = sampler.grow_to(m_target).to_vec();
-        let m = sampler.sampled();
-        stats.sample_size = m;
-
-        let t_codes = target_state.ingest(dataset.column(target), &delta);
-        let h_t = target_state.sample_entropy();
-        stats.rows_scanned += delta.len() as u64;
-        stats.rows_scanned += (2 * delta.len() * states.len()) as u64;
-
-        exec.for_each_mut(&mut states, |st| {
-            st.ingest(dataset.column(st.attr), &t_codes, &delta);
-            st.update_bounds(h_t, u_t, n as u64, p_prime);
-        });
-
-        let mut by_lower: Vec<usize> = (0..states.len()).collect();
-        by_lower.sort_by(|&a, &b| {
-            states[b]
-                .bounds
-                .lower
-                .partial_cmp(&states[a].bounds.lower)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let kth_lower = states[by_lower[k - 1]].bounds.lower;
-        let max_outside_upper =
-            by_lower[k..].iter().map(|&i| states[i].bounds.upper).fold(f64::NEG_INFINITY, f64::max);
-        let separated = by_lower.len() == k || kth_lower >= max_outside_upper;
-
-        if separated || m >= n {
-            stats.converged_early = separated && m < n;
-            by_lower.truncate(k);
-            let top = by_lower
-                .iter()
-                .map(|&i| score_of_mi(dataset, states[i].attr, &states[i].bounds))
-                .collect();
-            return Ok(TopKResult { top, stats });
-        }
-
-        states.retain(|st| st.bounds.upper >= kth_lower);
-        m_target = (m * 2).min(n);
-    }
+    crate::run_whole(dataset, Shape::MiRank { target, k }, config).map(Into::into)
 }
 
 /// Exact filtering on empirical MI against `target` by adaptive sampling
@@ -105,79 +27,7 @@ pub fn mi_filter_exact_sampling(
     eta: f64,
     config: &SwopeConfig,
 ) -> Result<FilterResult, SwopeError> {
-    config.validate()?;
-    if !eta.is_finite() || eta < 0.0 {
-        return Err(SwopeError::InvalidThreshold(eta));
-    }
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    let candidates = h - 1;
-
-    let p_f = config.resolve_p_f(dataset);
-    let m0 = config.resolve_m0(dataset, p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (3.0 * schedule.i_max() as f64 * candidates as f64);
-
-    let mut sampler = make_sampler(n, config.sampling);
-    let mut target_state = TargetState::new(dataset, target);
-    let u_t = target_state.support;
-    let mut states: Vec<MiState> =
-        (0..h).filter(|&a| a != target).map(|a| MiState::new(a, u_t, dataset.support(a))).collect();
-    let mut accepted: Vec<AttrScore> = Vec::new();
-    let mut stats = QueryStats::default();
-    let exec = Executor::new(config.threads);
-
-    let mut m_target = schedule.m0();
-    while !states.is_empty() {
-        stats.iterations += 1;
-        let delta: Vec<u32> = sampler.grow_to(m_target).to_vec();
-        let m = sampler.sampled();
-        stats.sample_size = m;
-
-        let t_codes = target_state.ingest(dataset.column(target), &delta);
-        let h_t = target_state.sample_entropy();
-        stats.rows_scanned += delta.len() as u64;
-        stats.rows_scanned += (2 * delta.len() * states.len()) as u64;
-
-        exec.for_each_mut(&mut states, |st| {
-            st.ingest(dataset.column(st.attr), &t_codes, &delta);
-            st.update_bounds(h_t, u_t, n as u64, p_prime);
-        });
-
-        let exact_now = m >= n;
-        states.retain(|st| {
-            let b = &st.bounds;
-            if b.lower > eta || (exact_now && b.point_estimate() >= eta) {
-                accepted.push(score_of_mi(dataset, st.attr, b));
-                false
-            } else {
-                !(b.upper < eta || exact_now)
-            }
-        });
-
-        if states.is_empty() {
-            stats.converged_early = m < n;
-            break;
-        }
-        m_target = (m * 2).min(n);
-    }
-
-    accepted.sort_by(|a, b| {
-        b.estimate
-            .partial_cmp(&a.estimate)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.attr.cmp(&b.attr))
-    });
-    Ok(FilterResult { accepted, stats })
+    crate::run_whole(dataset, Shape::MiFilterExact { target, eta }, config).map(Into::into)
 }
 
 #[cfg(test)]

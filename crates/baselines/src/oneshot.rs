@@ -7,13 +7,18 @@
 //! adaptive machinery: at the *same* sample budget SWOPE certifies its
 //! answer (or keeps sampling), while OneShot silently returns whatever
 //! the sample says. The `ext-oneshot` harness experiment quantifies the
-//! accuracy gap.
+//! accuracy gap. The sample is counted by the kernels SWOPE counts with
+//! ([`swope_core::count`]), so the time column compares algorithms, not
+//! counting loops.
 
 use swope_columnar::{AttrIndex, Dataset};
-use swope_core::state::make_sampler;
-use swope_core::{AttrScore, QueryStats, SamplingStrategy, SwopeError, TopKResult};
+use swope_core::{
+    count_candidate, count_target, AttrScore, CountScratch, CountState, PairCountState, QueryStats,
+    SwopeError, TargetBuf, TopKResult, WorkKind,
+};
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::joint::JointEntropyCounter;
+use swope_sampling::{PrefixShuffle, Sampler};
 
 /// Top-k on empirical entropy from one fixed-size plug-in sample.
 ///
@@ -25,41 +30,7 @@ pub fn oneshot_entropy_top_k(
     sample_size: usize,
     seed: u64,
 ) -> Result<TopKResult, SwopeError> {
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if k == 0 || k > h {
-        return Err(SwopeError::InvalidK { k, candidates: h });
-    }
-    let m = sample_size.clamp(1, n);
-    let mut sampler = make_sampler(n, SamplingStrategy::Row { seed });
-    let rows: Vec<u32> = sampler.grow_to(m).to_vec();
-
-    let mut scores: Vec<(AttrIndex, f64)> = (0..h)
-        .map(|attr| {
-            let col = dataset.column(attr);
-            let mut counter = EntropyCounter::new(col.support());
-            for &r in &rows {
-                counter.add(col.code(r as usize));
-            }
-            (attr, counter.entropy())
-        })
-        .collect();
-    scores.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    scores.truncate(k);
-
-    Ok(TopKResult {
-        top: scores.into_iter().map(|(attr, s)| plugin_score(dataset, attr, s)).collect(),
-        stats: QueryStats {
-            sample_size: m,
-            iterations: 1,
-            rows_scanned: (m * h) as u64,
-            converged_early: m < n,
-            trace: Vec::new(),
-        },
-    })
+    oneshot(dataset, None, k, sample_size, seed)
 }
 
 /// Top-k on empirical MI from one fixed-size plug-in sample.
@@ -70,59 +41,81 @@ pub fn oneshot_mi_top_k(
     sample_size: usize,
     seed: u64,
 ) -> Result<TopKResult, SwopeError> {
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
+    oneshot(dataset, Some(target), k, sample_size, seed)
+}
+
+/// Both measures: plug-in `H_S(α)`, or `I_S(α_t, α)` against `target`.
+fn oneshot(
+    dataset: &Dataset,
+    target: Option<AttrIndex>,
+    k: usize,
+    sample_size: usize,
+    seed: u64,
+) -> Result<TopKResult, SwopeError> {
+    let (h, n) = (dataset.num_attrs(), dataset.num_rows());
     if h == 0 || n == 0 {
         return Err(SwopeError::EmptyDataset);
     }
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
+    let mut candidates = h;
+    if let Some(target) = target {
+        if target >= h {
+            return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
+        }
+        if h < 2 {
+            return Err(SwopeError::NoCandidates);
+        }
+        candidates = h - 1;
     }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    if k == 0 || k > h - 1 {
-        return Err(SwopeError::InvalidK { k, candidates: h - 1 });
+    if k == 0 || k > candidates {
+        return Err(SwopeError::InvalidK { k, candidates });
     }
     let m = sample_size.clamp(1, n);
-    let mut sampler = make_sampler(n, SamplingStrategy::Row { seed });
-    let rows: Vec<u32> = sampler.grow_to(m).to_vec();
+    let mut sampler = PrefixShuffle::new(n, seed);
+    let rows = sampler.grow_to(m);
 
-    let t_col = dataset.column(target);
-    let mut t_counter = EntropyCounter::new(t_col.support());
-    let t_codes: Vec<u32> = rows
-        .iter()
-        .map(|&r| {
-            let c = t_col.code(r as usize);
-            t_counter.add(c);
-            c
-        })
-        .collect();
-    let h_t = t_counter.entropy();
+    // The target's codes at the sampled rows, gathered once, and `H_S(α_t)`.
+    let mut t_codes = TargetBuf::new();
+    let h_t = target.map(|t| {
+        let col = dataset.column(t);
+        let mut counts = CountState::new(col.support());
+        count_target(col, rows, &mut counts, &mut t_codes);
+        let mut marginal = EntropyCounter::new(col.support());
+        counts.apply_to(&mut marginal);
+        marginal.entropy()
+    });
 
+    let mut scratch = CountScratch::new();
     let mut scores: Vec<(AttrIndex, f64)> = (0..h)
-        .filter(|&a| a != target)
+        .filter(|&a| Some(a) != target)
         .map(|attr| {
             let col = dataset.column(attr);
+            let (mut counts, mut pairs) = (CountState::new(col.support()), PairCountState::new());
+            let against = h_t.map(|_| t_codes.target());
+            count_candidate(col, rows, against, &mut counts, &mut pairs, &mut scratch);
             let mut marginal = EntropyCounter::new(col.support());
-            let mut joint = JointEntropyCounter::new(t_col.support(), col.support());
-            for (&r, &tc) in rows.iter().zip(&t_codes) {
-                let c = col.code(r as usize);
-                marginal.add(c);
-                joint.add(tc, c);
-            }
-            (attr, (h_t + marginal.entropy() - joint.entropy()).max(0.0))
+            counts.apply_to(&mut marginal);
+            let score = match h_t {
+                None => marginal.entropy(),
+                Some(h_t) => {
+                    let mut joint =
+                        JointEntropyCounter::new(t_codes.target().support, col.support());
+                    pairs.apply_to(&mut joint);
+                    (h_t + marginal.entropy() - joint.entropy()).max(0.0)
+                }
+            };
+            (attr, score)
         })
         .collect();
     scores.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
     scores.truncate(k);
 
+    let work = if target.is_some() { WorkKind::MiPerTarget } else { WorkKind::EntropyMarginals };
     Ok(TopKResult {
         top: scores.into_iter().map(|(attr, s)| plugin_score(dataset, attr, s)).collect(),
         stats: QueryStats {
             sample_size: m,
             iterations: 1,
-            rows_scanned: (m * (2 * (h - 1) + 1)) as u64,
+            rows_scanned: work.units(m, candidates),
             converged_early: m < n,
             trace: Vec::new(),
         },

@@ -8,18 +8,13 @@
 //! requires `Ω(1/Δ²)` samples — the cost SWOPE's approximate stopping rule
 //! avoids.
 //!
-//! Implementation notes: we run the same doubling schedule, `p'_f` budget
-//! split, bound computation, and pruning as `swope-core`, so SWOPE vs
-//! EntropyRank benchmark deltas isolate the stopping rules. (The original
-//! paper samples in fixed-size batches; a geometric schedule only changes
-//! constants and matches the complexity the SWOPE paper quotes for it.)
+//! The rule is an arm of `swope-core`'s one adaptive loop
+//! ([`Shape::EntropyRank`]). (The original paper samples in fixed-size
+//! batches; the loop's geometric schedule only changes constants and
+//! matches the complexity the SWOPE paper quotes for it.)
 
 use swope_columnar::Dataset;
-use swope_core::state::{make_sampler, EntropyState};
-use swope_core::{Executor, QueryStats, SwopeConfig, SwopeError, TopKResult};
-use swope_sampling::DoublingSchedule;
-
-use crate::score_of;
+use swope_core::{Shape, SwopeConfig, SwopeError, TopKResult};
 
 /// Exact top-k on empirical entropy by adaptive sampling (EntropyRank).
 ///
@@ -32,73 +27,7 @@ pub fn entropy_rank_top_k(
     k: usize,
     config: &SwopeConfig,
 ) -> Result<TopKResult, SwopeError> {
-    config.validate()?;
-    let h = dataset.num_attrs();
-    let n = dataset.num_rows();
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    if k == 0 || k > h {
-        return Err(SwopeError::InvalidK { k, candidates: h });
-    }
-
-    let p_f = config.resolve_p_f(dataset);
-    let m0 = config.resolve_m0(dataset, p_f);
-    let schedule = DoublingSchedule::new(n, m0);
-    let p_prime = p_f / (schedule.i_max() as f64 * h as f64);
-
-    let mut sampler = make_sampler(n, config.sampling);
-    let mut states: Vec<EntropyState> =
-        (0..h).map(|attr| EntropyState::new(dataset, attr)).collect();
-    let mut stats = QueryStats::default();
-    let exec = Executor::new(config.threads);
-
-    let mut m_target = schedule.m0();
-    loop {
-        stats.iterations += 1;
-        let delta: Vec<u32> = sampler.grow_to(m_target).to_vec();
-        let m = sampler.sampled();
-        stats.sample_size = m;
-        stats.rows_scanned += (delta.len() * states.len()) as u64;
-
-        exec.for_each_mut(&mut states, |st| {
-            st.ingest(dataset.column(st.attr), &delta);
-            st.update_bounds(n as u64, p_prime);
-        });
-
-        // Order candidates by lower bound; the answer is the top-k lowers.
-        let mut by_lower: Vec<usize> = (0..states.len()).collect();
-        by_lower.sort_by(|&a, &b| {
-            states[b]
-                .bounds
-                .lower
-                .partial_cmp(&states[a].bounds.lower)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let kth_lower = states[by_lower[k - 1]].bounds.lower;
-
-        // Exact stopping rule: the k-th largest lower bound must dominate
-        // every upper bound outside the chosen k.
-        let max_outside_upper =
-            by_lower[k..].iter().map(|&i| states[i].bounds.upper).fold(f64::NEG_INFINITY, f64::max);
-        let separated = by_lower.len() == k || kth_lower >= max_outside_upper;
-
-        if separated || m >= n {
-            stats.converged_early = separated && m < n;
-            by_lower.truncate(k);
-            let top = by_lower
-                .iter()
-                .map(|&i| score_of(dataset, states[i].attr, &states[i].bounds))
-                .collect();
-            return Ok(TopKResult { top, stats });
-        }
-
-        // Prune candidates whose upper bound cannot reach the k-th lower.
-        states.retain(|st| st.bounds.upper >= kth_lower);
-
-        m_target = (m * 2).min(n);
-    }
+    crate::run_whole(dataset, Shape::EntropyRank { k }, config).map(Into::into)
 }
 
 #[cfg(test)]

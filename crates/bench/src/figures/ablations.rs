@@ -2,14 +2,15 @@
 //! These go beyond the paper's figures; ids are prefixed `ext-`.
 
 use swope_baselines::{exact_entropy_scores, oneshot_entropy_top_k};
-use swope_core::{entropy_top_k, mi_top_k, SamplingStrategy, SwopeConfig};
+use swope_core::{SamplingStrategy, Shape, SwopeConfig};
 use swope_datagen::generate_with_locality;
 
-use swope_obs::Phase;
-
 use crate::figures::entropy_topk::order_desc;
-use crate::harness::{time_ms, ExpConfig, Row};
+use crate::harness::{time_ms, ExpConfig, Row, Tally};
 use crate::metrics::topk_accuracy;
+
+/// The entropy top-k every ablation but `ext-locality` runs.
+const TOP_4: Shape = Shape::EntropyTopK { k: 4 };
 
 /// `ext-sampling`: row-level vs page-level sampling, end-to-end entropy
 /// top-k (k = 4, ε = 0.1). `param` is the page size in rows (0 = row
@@ -27,18 +28,10 @@ pub fn run_sampling(cfg: &ExpConfig) -> Vec<Row> {
             } else {
                 SamplingStrategy::Page { page_rows, seed: cfg.seed }
             };
-            let (ms, res) = time_ms(|| entropy_top_k(&ds, 4, &qcfg).unwrap());
-            rows.push(Row {
-                experiment: "ext-sampling".into(),
-                dataset: name.clone(),
-                algo: if page_rows == 0 { "row".into() } else { format!("page{page_rows}") },
-                param: page_rows as f64,
-                millis: ms,
-                accuracy: topk_accuracy(&res.attr_indices(), exact_topk),
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: [0; Phase::COUNT],
-            });
+            let algo = if page_rows == 0 { "row".into() } else { format!("page{page_rows}") };
+            let mut tally = Tally::default();
+            tally.run(&ds, TOP_4, &qcfg, |got| topk_accuracy(got, exact_topk));
+            rows.push(tally.row("ext-sampling", &name, algo, page_rows as f64));
         }
     }
     rows
@@ -50,32 +43,16 @@ pub fn run_threads(cfg: &ExpConfig) -> Vec<Row> {
     let mut rows = Vec::new();
     for (name, ds) in cfg.datasets() {
         for threads in [1usize, 2, 4, 8] {
-            let qcfg = SwopeConfig::with_epsilon(0.1).with_seed(cfg.seed).with_threads(threads);
-            let (ms, res) = time_ms(|| entropy_top_k(&ds, 4, &qcfg).unwrap());
-            rows.push(Row {
-                experiment: "ext-threads".into(),
-                dataset: name.clone(),
-                algo: "SWOPE-entropy".into(),
-                param: threads as f64,
-                millis: ms,
-                accuracy: 1.0,
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: [0; Phase::COUNT],
-            });
-            let mi_cfg = SwopeConfig::with_epsilon(0.5).with_seed(cfg.seed).with_threads(threads);
-            let (ms, res) = time_ms(|| mi_top_k(&ds, 0, 4, &mi_cfg).unwrap());
-            rows.push(Row {
-                experiment: "ext-threads".into(),
-                dataset: name.clone(),
-                algo: "SWOPE-mi".into(),
-                param: threads as f64,
-                millis: ms,
-                accuracy: 1.0,
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: [0; Phase::COUNT],
-            });
+            for (algo, shape, epsilon) in [
+                ("SWOPE-entropy", TOP_4, 0.1),
+                ("SWOPE-mi", Shape::MiTopK { target: 0, k: 4 }, 0.5),
+            ] {
+                let qcfg =
+                    SwopeConfig::with_epsilon(epsilon).with_seed(cfg.seed).with_threads(threads);
+                let mut tally = Tally::default();
+                tally.run(&ds, shape, &qcfg, |_| 1.0);
+                rows.push(tally.row("ext-threads", &name, algo, threads as f64));
+            }
         }
     }
     rows
@@ -93,34 +70,18 @@ pub fn run_oneshot(cfg: &ExpConfig) -> Vec<Row> {
         let exact_topk = &exact_order[..4.min(exact_order.len())];
 
         let qcfg = SwopeConfig::with_epsilon(0.1).with_seed(cfg.seed);
-        let (ms, swope) = time_ms(|| entropy_top_k(&ds, 4, &qcfg).unwrap());
+        let mut tally = Tally::default();
+        let swope = tally.run(&ds, TOP_4, &qcfg, |got| topk_accuracy(got, exact_topk));
         let budget = swope.stats.sample_size;
-        rows.push(Row {
-            experiment: "ext-oneshot".into(),
-            dataset: name.clone(),
-            algo: "SWOPE".into(),
-            param: 1.0,
-            millis: ms,
-            accuracy: topk_accuracy(&swope.attr_indices(), exact_topk),
-            sample_size: budget,
-            rows_scanned: swope.stats.rows_scanned,
-            phase_ns: [0; Phase::COUNT],
-        });
+        rows.push(tally.row("ext-oneshot", &name, "SWOPE", 1.0));
 
         for (frac, div) in [(1.0, 1usize), (0.25, 4), (0.0625, 16)] {
             let m = (budget / div).max(1);
             let (ms, res) = time_ms(|| oneshot_entropy_top_k(&ds, 4, m, cfg.seed).unwrap());
-            rows.push(Row {
-                experiment: "ext-oneshot".into(),
-                dataset: name.clone(),
-                algo: "OneShot".into(),
-                param: frac,
-                millis: ms,
-                accuracy: topk_accuracy(&res.attr_indices(), exact_topk),
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: [0; Phase::COUNT],
-            });
+            let accuracy = topk_accuracy(&res.attr_indices(), exact_topk);
+            let mut tally = Tally::default();
+            tally.add(ms, accuracy, res.stats.sample_size, res.stats.rows_scanned);
+            rows.push(tally.row("ext-oneshot", &name, "OneShot", frac));
         }
     }
     rows
@@ -148,9 +109,7 @@ pub fn run_locality(cfg: &ExpConfig) -> Vec<Row> {
         for (algo, page_rows) in [("row", 0usize), ("page4096", 4096)] {
             let mut covered = 0usize;
             let mut total = 0usize;
-            let mut ms_sum = 0.0;
-            let mut sample_sum = 0usize;
-            let mut scanned_sum = 0u64;
+            let mut tally = Tally::default();
             for s in 0..SEEDS {
                 let mut qcfg = SwopeConfig::with_epsilon(0.1).with_seed(cfg.seed ^ s);
                 qcfg.sampling = if page_rows == 0 {
@@ -158,10 +117,7 @@ pub fn run_locality(cfg: &ExpConfig) -> Vec<Row> {
                 } else {
                     SamplingStrategy::Page { page_rows, seed: cfg.seed ^ s }
                 };
-                let (ms, res) = time_ms(|| swope_core::entropy_profile(&ds, 0.05, &qcfg).unwrap());
-                ms_sum += ms;
-                sample_sum += res.stats.sample_size;
-                scanned_sum += res.stats.rows_scanned;
+                let res = tally.run(&ds, Shape::EntropyProfile { floor: 0.05 }, &qcfg, |_| 0.0);
                 for score in &res.scores {
                     total += 1;
                     let truth = exact[score.attr];
@@ -171,15 +127,8 @@ pub fn run_locality(cfg: &ExpConfig) -> Vec<Row> {
                 }
             }
             rows.push(Row {
-                experiment: "ext-locality".into(),
-                dataset: format!("runlen{run_len}"),
-                algo: algo.into(),
-                param: run_len as f64,
-                millis: ms_sum / SEEDS as f64,
                 accuracy: covered as f64 / total.max(1) as f64,
-                sample_size: sample_sum / SEEDS as usize,
-                rows_scanned: scanned_sum / SEEDS,
-                phase_ns: [0; Phase::COUNT],
+                ..tally.row("ext-locality", &format!("runlen{run_len}"), algo, run_len as f64)
             });
         }
     }
@@ -202,18 +151,9 @@ pub fn run_m0(cfg: &ExpConfig) -> Vec<Row> {
         for mult in [0.25f64, 1.0, 4.0, 16.0] {
             let mut qcfg = SwopeConfig::with_epsilon(0.1).with_seed(cfg.seed);
             qcfg.initial_sample = Some(((m0 as f64 * mult) as usize).max(2));
-            let (ms, res) = time_ms(|| entropy_top_k(&ds, 4, &qcfg).unwrap());
-            rows.push(Row {
-                experiment: "ext-m0".into(),
-                dataset: name.clone(),
-                algo: format!("M0x{mult}"),
-                param: mult,
-                millis: ms,
-                accuracy: topk_accuracy(&res.attr_indices(), exact_topk),
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: [0; Phase::COUNT],
-            });
+            let mut tally = Tally::default();
+            tally.run(&ds, TOP_4, &qcfg, |got| topk_accuracy(got, exact_topk));
+            rows.push(tally.row("ext-m0", &name, format!("M0x{mult}"), mult));
         }
     }
     rows

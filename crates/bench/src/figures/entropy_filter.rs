@@ -4,11 +4,10 @@
 //! datasets; compare SWOPE (ε = 0.05, tuned via Figure 10) against
 //! EntropyFilter and Exact.
 
-use swope_baselines::{entropy_filter_exact_sampling, exact_entropy_scores};
-use swope_core::{FilterResult, Shape, SwopeConfig};
-use swope_obs::{Phase, PhaseAccumulator};
+use swope_baselines::exact_entropy_scores;
+use swope_core::{Shape, SwopeConfig};
 
-use crate::harness::{swope_phased, time_ms, ExpConfig, Row};
+use crate::harness::{time_ms, ExpConfig, Row, Tally};
 use crate::metrics::filter_accuracy;
 
 /// The paper's η sweep for entropy filtering.
@@ -28,50 +27,20 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             let exact_answer: Vec<usize> =
                 scores.iter().enumerate().filter(|&(_, &s)| s >= eta).map(|(a, _)| a).collect();
 
-            rows.push(Row {
-                experiment: "fig3".into(),
-                dataset: name.clone(),
-                algo: "Exact".into(),
-                param: eta,
-                millis: exact_ms,
-                accuracy: 1.0,
-                sample_size: ds.num_rows(),
-                rows_scanned: (ds.num_rows() * ds.num_attrs()) as u64,
-                phase_ns: [0; Phase::COUNT],
-            });
+            let mut scan = Tally::default();
+            scan.add(exact_ms, 1.0, ds.num_rows(), (ds.num_rows() * ds.num_attrs()) as u64);
+            rows.push(scan.row("fig3", &name, "Exact", eta));
 
-            let base_cfg = SwopeConfig::default().with_seed(cfg.seed ^ eta.to_bits());
-            let (ms, res) = time_ms(|| entropy_filter_exact_sampling(&ds, eta, &base_cfg).unwrap());
-            rows.push(Row {
-                experiment: "fig3".into(),
-                dataset: name.clone(),
-                algo: "EntropyFilter".into(),
-                param: eta,
-                millis: ms,
-                accuracy: filter_accuracy(&res.attr_indices(), &exact_answer).f1,
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: [0; Phase::COUNT],
-            });
-
-            let swope_cfg =
-                SwopeConfig::with_epsilon(SWOPE_EPSILON).with_seed(cfg.seed ^ eta.to_bits());
-            let mut phases = PhaseAccumulator::new();
-            let (ms, res) = time_ms(|| {
-                swope_phased(&ds, Shape::EntropyFilter { eta }, &swope_cfg, &mut phases)
-            });
-            let res = FilterResult::from(res);
-            rows.push(Row {
-                experiment: "fig3".into(),
-                dataset: name.clone(),
-                algo: "SWOPE".into(),
-                param: eta,
-                millis: ms,
-                accuracy: filter_accuracy(&res.attr_indices(), &exact_answer).f1,
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: phases.nanos,
-            });
+            // One loop, two stopping rules; EntropyFilter ignores ε.
+            for (algo, shape, qcfg) in [
+                ("EntropyFilter", Shape::EntropyFilterExact { eta }, SwopeConfig::default()),
+                ("SWOPE", Shape::EntropyFilter { eta }, SwopeConfig::with_epsilon(SWOPE_EPSILON)),
+            ] {
+                let qcfg = qcfg.with_seed(cfg.seed ^ eta.to_bits());
+                let mut tally = Tally::default();
+                tally.run(&ds, shape, &qcfg, |got| filter_accuracy(got, &exact_answer).f1);
+                rows.push(tally.row("fig3", &name, algo, eta));
+            }
         }
     }
     rows

@@ -5,11 +5,10 @@
 //! against EntropyRank and Exact. Figure 1 reports query time, Figure 2
 //! the accuracy vs the exact top-k.
 
-use swope_baselines::{entropy_rank_top_k, exact_entropy_scores};
-use swope_core::{Shape, SwopeConfig, TopKResult};
-use swope_obs::{Phase, PhaseAccumulator};
+use swope_baselines::exact_entropy_scores;
+use swope_core::{Shape, SwopeConfig};
 
-use crate::harness::{swope_phased, time_ms, ExpConfig, Row};
+use crate::harness::{time_ms, ExpConfig, Row, Tally};
 use crate::metrics::topk_accuracy;
 
 /// The paper's k sweep.
@@ -30,48 +29,20 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
         for &k in &KS {
             let exact_topk = &exact_order[..k.min(exact_order.len())];
 
-            rows.push(Row {
-                experiment: "fig1".into(),
-                dataset: name.clone(),
-                algo: "Exact".into(),
-                param: k as f64,
-                millis: exact_ms,
-                accuracy: 1.0,
-                sample_size: ds.num_rows(),
-                rows_scanned: (ds.num_rows() * ds.num_attrs()) as u64,
-                phase_ns: [0; Phase::COUNT],
-            });
+            let mut scan = Tally::default();
+            scan.add(exact_ms, 1.0, ds.num_rows(), (ds.num_rows() * ds.num_attrs()) as u64);
+            rows.push(scan.row("fig1", &name, "Exact", k as f64));
 
-            let rank_cfg = SwopeConfig::default().with_seed(cfg.seed ^ k as u64);
-            let (ms, res) = time_ms(|| entropy_rank_top_k(&ds, k, &rank_cfg).unwrap());
-            rows.push(Row {
-                experiment: "fig1".into(),
-                dataset: name.clone(),
-                algo: "EntropyRank".into(),
-                param: k as f64,
-                millis: ms,
-                accuracy: topk_accuracy(&res.attr_indices(), exact_topk),
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: [0; Phase::COUNT],
-            });
-
-            let swope_cfg = SwopeConfig::with_epsilon(SWOPE_EPSILON).with_seed(cfg.seed ^ k as u64);
-            let mut phases = PhaseAccumulator::new();
-            let (ms, res) =
-                time_ms(|| swope_phased(&ds, Shape::EntropyTopK { k }, &swope_cfg, &mut phases));
-            let res = TopKResult::from(res);
-            rows.push(Row {
-                experiment: "fig1".into(),
-                dataset: name.clone(),
-                algo: "SWOPE".into(),
-                param: k as f64,
-                millis: ms,
-                accuracy: topk_accuracy(&res.attr_indices(), exact_topk),
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: phases.nanos,
-            });
+            // One loop, two stopping rules; EntropyRank ignores ε.
+            for (algo, shape, qcfg) in [
+                ("EntropyRank", Shape::EntropyRank { k }, SwopeConfig::default()),
+                ("SWOPE", Shape::EntropyTopK { k }, SwopeConfig::with_epsilon(SWOPE_EPSILON)),
+            ] {
+                let qcfg = qcfg.with_seed(cfg.seed ^ k as u64);
+                let mut tally = Tally::default();
+                tally.run(&ds, shape, &qcfg, |got| topk_accuracy(got, exact_topk));
+                rows.push(tally.row("fig1", &name, algo, k as f64));
+            }
         }
     }
     rows

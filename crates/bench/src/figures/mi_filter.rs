@@ -4,11 +4,10 @@
 //! are smaller than entropy scores, hence the lower thresholds); average
 //! over target attributes; SWOPE at tuned ε = 0.5.
 
-use swope_baselines::{exact_mi_scores, mi_filter_exact_sampling};
+use swope_baselines::exact_mi_scores;
 use swope_core::{Shape, SwopeConfig};
-use swope_obs::{Phase, PhaseAccumulator};
 
-use crate::harness::{swope_phased, time_ms, ExpConfig, Row};
+use crate::harness::{time_ms, ExpConfig, Row, Tally};
 use crate::metrics::filter_accuracy;
 
 /// The paper's η sweep for MI filtering.
@@ -31,58 +30,30 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
         for &eta in &ETAS {
             let exact_ms =
                 per_target.iter().map(|(_, _, ms)| ms).sum::<f64>() / targets.len() as f64;
-            rows.push(Row {
-                experiment: "fig7".into(),
-                dataset: name.clone(),
-                algo: "Exact".into(),
-                param: eta,
-                millis: exact_ms,
-                accuracy: 1.0,
-                sample_size: ds.num_rows(),
-                rows_scanned: (ds.num_rows() * (2 * ds.num_attrs() - 1)) as u64,
-                phase_ns: [0; Phase::COUNT],
-            });
+            let mut scan = Tally::default();
+            let work = (ds.num_rows() * (2 * ds.num_attrs() - 1)) as u64;
+            scan.add(exact_ms, 1.0, ds.num_rows(), work);
+            rows.push(scan.row("fig7", &name, "Exact", eta));
 
-            for (algo, eps) in [("EntropyFilter", None), ("SWOPE", Some(SWOPE_EPSILON))] {
-                let mut ms_sum = 0.0;
-                let mut acc_sum = 0.0;
-                let mut sample_sum = 0usize;
-                let mut scanned_sum = 0u64;
-                // Accumulates across targets; stays all-zero for the
-                // baseline branch.
-                let mut phases = PhaseAccumulator::new();
+            // One loop, two stopping rules; EntropyFilter ignores ε.
+            for (algo, base, exact) in [
+                ("EntropyFilter", SwopeConfig::default(), true),
+                ("SWOPE", SwopeConfig::with_epsilon(SWOPE_EPSILON), false),
+            ] {
+                let mut tally = Tally::default();
                 for (t, scores, _) in &per_target {
                     let exact_answer: Vec<usize> =
                         (0..ds.num_attrs()).filter(|&a| a != *t && scores[a] >= eta).collect();
-                    let qcfg = match eps {
-                        Some(e) => SwopeConfig::with_epsilon(e),
-                        None => SwopeConfig::default(),
-                    }
-                    .with_seed(cfg.seed ^ eta.to_bits() ^ *t as u64);
-                    let (ms, res) = time_ms(|| match eps {
-                        Some(_) => {
-                            let shape = Shape::MiFilter { target: *t, eta };
-                            swope_phased(&ds, shape, &qcfg, &mut phases).into()
-                        }
-                        None => mi_filter_exact_sampling(&ds, *t, eta, &qcfg).unwrap(),
-                    });
-                    ms_sum += ms;
-                    acc_sum += filter_accuracy(&res.attr_indices(), &exact_answer).f1;
-                    sample_sum += res.stats.sample_size;
-                    scanned_sum += res.stats.rows_scanned;
+                    let qcfg = base.clone().with_seed(cfg.seed ^ eta.to_bits() ^ *t as u64);
+                    let target = *t;
+                    let shape = if exact {
+                        Shape::MiFilterExact { target, eta }
+                    } else {
+                        Shape::MiFilter { target, eta }
+                    };
+                    tally.run(&ds, shape, &qcfg, |got| filter_accuracy(got, &exact_answer).f1);
                 }
-                let n_t = targets.len() as f64;
-                rows.push(Row {
-                    experiment: "fig7".into(),
-                    dataset: name.clone(),
-                    algo: algo.into(),
-                    param: eta,
-                    millis: ms_sum / n_t,
-                    accuracy: acc_sum / n_t,
-                    sample_size: sample_sum / targets.len(),
-                    rows_scanned: scanned_sum / targets.len() as u64,
-                    phase_ns: phases.nanos.map(|n| n / targets.len() as u64),
-                });
+                rows.push(tally.row("fig7", &name, algo, eta));
             }
         }
     }

@@ -5,12 +5,11 @@
 //! random targets; the default config uses 5 for runtime — raise
 //! `--targets` to match). SWOPE runs at its tuned ε = 0.5 (Figure 11).
 
-use swope_baselines::{exact_mi_scores, mi_rank_top_k};
+use swope_baselines::exact_mi_scores;
 use swope_core::{Shape, SwopeConfig};
-use swope_obs::{Phase, PhaseAccumulator};
 
 use crate::figures::entropy_topk::order_desc;
-use crate::harness::{swope_phased, time_ms, ExpConfig, Row};
+use crate::harness::{time_ms, ExpConfig, Row, Tally};
 use crate::metrics::topk_accuracy;
 
 /// The paper's k sweep.
@@ -37,59 +36,29 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             // Exact: average the (flat in k) per-target scan times.
             let exact_ms =
                 per_target.iter().map(|(_, _, ms)| ms).sum::<f64>() / targets.len() as f64;
-            rows.push(Row {
-                experiment: "fig5".into(),
-                dataset: name.clone(),
-                algo: "Exact".into(),
-                param: k as f64,
-                millis: exact_ms,
-                accuracy: 1.0,
-                sample_size: ds.num_rows(),
-                rows_scanned: (ds.num_rows() * (2 * ds.num_attrs() - 1)) as u64,
-                phase_ns: [0; Phase::COUNT],
-            });
+            let mut scan = Tally::default();
+            let work = (ds.num_rows() * (2 * ds.num_attrs() - 1)) as u64;
+            scan.add(exact_ms, 1.0, ds.num_rows(), work);
+            rows.push(scan.row("fig5", &name, "Exact", k as f64));
 
-            for (algo, eps) in [("EntropyRank", None), ("SWOPE", Some(SWOPE_EPSILON))] {
-                let mut ms_sum = 0.0;
-                let mut acc_sum = 0.0;
-                let mut sample_sum = 0usize;
-                let mut scanned_sum = 0u64;
-                // Accumulates across targets; stays all-zero for the
-                // baseline branch.
-                let mut phases = PhaseAccumulator::new();
+            // One loop, two stopping rules; EntropyRank ignores ε.
+            for (algo, base, exact) in [
+                ("EntropyRank", SwopeConfig::default(), true),
+                ("SWOPE", SwopeConfig::with_epsilon(SWOPE_EPSILON), false),
+            ] {
+                let mut tally = Tally::default();
                 for (t, exact_order, _) in &per_target {
-                    let qcfg = match eps {
-                        Some(e) => SwopeConfig::with_epsilon(e),
-                        None => SwopeConfig::default(),
-                    }
-                    .with_seed(cfg.seed ^ (k as u64) << 8 ^ *t as u64);
-                    let (ms, res) = time_ms(|| match eps {
-                        Some(_) => {
-                            let shape = Shape::MiTopK { target: *t, k };
-                            swope_phased(&ds, shape, &qcfg, &mut phases).into()
-                        }
-                        None => mi_rank_top_k(&ds, *t, k, &qcfg).unwrap(),
-                    });
-                    ms_sum += ms;
-                    acc_sum += topk_accuracy(
-                        &res.attr_indices(),
-                        &exact_order[..k.min(exact_order.len())],
-                    );
-                    sample_sum += res.stats.sample_size;
-                    scanned_sum += res.stats.rows_scanned;
+                    let qcfg = base.clone().with_seed(cfg.seed ^ (k as u64) << 8 ^ *t as u64);
+                    let exact_topk = &exact_order[..k.min(exact_order.len())];
+                    let target = *t;
+                    let shape = if exact {
+                        Shape::MiRank { target, k }
+                    } else {
+                        Shape::MiTopK { target, k }
+                    };
+                    tally.run(&ds, shape, &qcfg, |got| topk_accuracy(got, exact_topk));
                 }
-                let n_t = targets.len() as f64;
-                rows.push(Row {
-                    experiment: "fig5".into(),
-                    dataset: name.clone(),
-                    algo: algo.into(),
-                    param: k as f64,
-                    millis: ms_sum / n_t,
-                    accuracy: acc_sum / n_t,
-                    sample_size: sample_sum / targets.len(),
-                    rows_scanned: scanned_sum / targets.len() as u64,
-                    phase_ns: phases.nanos.map(|n| n / targets.len() as u64),
-                });
+                rows.push(tally.row("fig5", &name, algo, k as f64));
             }
         }
     }

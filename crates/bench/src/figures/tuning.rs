@@ -7,12 +7,10 @@
 //! reports both time (a) and accuracy (b).
 
 use swope_baselines::{exact_entropy_scores, exact_mi_scores};
-use swope_core::{entropy_filter, entropy_top_k, mi_filter, mi_top_k, SwopeConfig};
-
-use swope_obs::Phase;
+use swope_core::{Shape, SwopeConfig};
 
 use crate::figures::entropy_topk::order_desc;
-use crate::harness::{time_ms, ExpConfig, Row};
+use crate::harness::{ExpConfig, Row, Tally};
 use crate::metrics::{filter_accuracy, topk_accuracy};
 
 /// The paper's ε sweep.
@@ -35,18 +33,11 @@ pub fn run_entropy_topk(cfg: &ExpConfig) -> Vec<Row> {
         let exact_topk = &exact_order[..TUNE_K.min(exact_order.len())];
         for &eps in &EPSILONS {
             let qcfg = SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits());
-            let (ms, res) = time_ms(|| entropy_top_k(&ds, TUNE_K, &qcfg).unwrap());
-            rows.push(Row {
-                experiment: "fig9".into(),
-                dataset: name.clone(),
-                algo: "SWOPE".into(),
-                param: eps,
-                millis: ms,
-                accuracy: topk_accuracy(&res.attr_indices(), exact_topk),
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: [0; Phase::COUNT],
+            let mut tally = Tally::default();
+            tally.run(&ds, Shape::EntropyTopK { k: TUNE_K }, &qcfg, |got| {
+                topk_accuracy(got, exact_topk)
             });
+            rows.push(tally.row("fig9", &name, "SWOPE", eps));
         }
     }
     rows
@@ -65,18 +56,11 @@ pub fn run_entropy_filter(cfg: &ExpConfig) -> Vec<Row> {
             .collect();
         for &eps in &EPSILONS {
             let qcfg = SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits());
-            let (ms, res) = time_ms(|| entropy_filter(&ds, TUNE_ETA_ENTROPY, &qcfg).unwrap());
-            rows.push(Row {
-                experiment: "fig10".into(),
-                dataset: name.clone(),
-                algo: "SWOPE".into(),
-                param: eps,
-                millis: ms,
-                accuracy: filter_accuracy(&res.attr_indices(), &exact_answer).f1,
-                sample_size: res.stats.sample_size,
-                rows_scanned: res.stats.rows_scanned,
-                phase_ns: [0; Phase::COUNT],
+            let mut tally = Tally::default();
+            tally.run(&ds, Shape::EntropyFilter { eta: TUNE_ETA_ENTROPY }, &qcfg, |got| {
+                filter_accuracy(got, &exact_answer).f1
             });
+            rows.push(tally.row("fig10", &name, "SWOPE", eps));
         }
     }
     rows
@@ -96,34 +80,16 @@ pub fn run_mi_topk(cfg: &ExpConfig) -> Vec<Row> {
             })
             .collect();
         for &eps in &EPSILONS {
-            let mut ms_sum = 0.0;
-            let mut acc_sum = 0.0;
-            let mut sample_sum = 0usize;
-            let mut scanned_sum = 0u64;
+            let mut tally = Tally::default();
             for (t, exact_order) in &per_target {
                 let qcfg =
                     SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits() ^ *t as u64);
-                let (ms, res) = time_ms(|| mi_top_k(&ds, *t, TUNE_K, &qcfg).unwrap());
-                ms_sum += ms;
-                acc_sum += topk_accuracy(
-                    &res.attr_indices(),
-                    &exact_order[..TUNE_K.min(exact_order.len())],
-                );
-                sample_sum += res.stats.sample_size;
-                scanned_sum += res.stats.rows_scanned;
+                let exact_topk = &exact_order[..TUNE_K.min(exact_order.len())];
+                tally.run(&ds, Shape::MiTopK { target: *t, k: TUNE_K }, &qcfg, |got| {
+                    topk_accuracy(got, exact_topk)
+                });
             }
-            let n_t = targets.len() as f64;
-            rows.push(Row {
-                experiment: "fig11".into(),
-                dataset: name.clone(),
-                algo: "SWOPE".into(),
-                param: eps,
-                millis: ms_sum / n_t,
-                accuracy: acc_sum / n_t,
-                sample_size: sample_sum / targets.len(),
-                rows_scanned: scanned_sum / targets.len() as u64,
-                phase_ns: [0; Phase::COUNT],
-            });
+            rows.push(tally.row("fig11", &name, "SWOPE", eps));
         }
     }
     rows
@@ -144,31 +110,15 @@ pub fn run_mi_filter(cfg: &ExpConfig) -> Vec<Row> {
             })
             .collect();
         for &eps in &EPSILONS {
-            let mut ms_sum = 0.0;
-            let mut acc_sum = 0.0;
-            let mut sample_sum = 0usize;
-            let mut scanned_sum = 0u64;
+            let mut tally = Tally::default();
             for (t, exact_answer) in &per_target {
                 let qcfg =
                     SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits() ^ *t as u64);
-                let (ms, res) = time_ms(|| mi_filter(&ds, *t, TUNE_ETA_MI, &qcfg).unwrap());
-                ms_sum += ms;
-                acc_sum += filter_accuracy(&res.attr_indices(), exact_answer).f1;
-                sample_sum += res.stats.sample_size;
-                scanned_sum += res.stats.rows_scanned;
+                tally.run(&ds, Shape::MiFilter { target: *t, eta: TUNE_ETA_MI }, &qcfg, |got| {
+                    filter_accuracy(got, exact_answer).f1
+                });
             }
-            let n_t = targets.len() as f64;
-            rows.push(Row {
-                experiment: "fig12".into(),
-                dataset: name.clone(),
-                algo: "SWOPE".into(),
-                param: eps,
-                millis: ms_sum / n_t,
-                accuracy: acc_sum / n_t,
-                sample_size: sample_sum / targets.len(),
-                rows_scanned: scanned_sum / targets.len() as u64,
-                phase_ns: [0; Phase::COUNT],
-            });
+            rows.push(tally.row("fig12", &name, "SWOPE", eps));
         }
     }
     rows

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use swope_columnar::Dataset;
+use swope_columnar::{AttrIndex, Dataset};
 use swope_core::{run, Answer, Executor, Scope, Shape, SwopeConfig};
 use swope_datagen::{corpus, generate};
 use swope_obs::{Phase, PhaseAccumulator};
@@ -29,7 +29,7 @@ pub struct Row {
     pub rows_scanned: u64,
     /// Per-phase wall-clock nanoseconds, indexed by `swope_obs::Phase`
     /// (sample_grow, ingest, update_bounds, decide, store_sketch). All
-    /// zeros for algorithms that don't run the adaptive loop.
+    /// zeros for Exact and OneShot, which don't run the adaptive loop.
     pub phase_ns: [u64; Phase::COUNT],
 }
 
@@ -101,15 +101,62 @@ impl ExpConfig {
     }
 }
 
-/// Runs `shape` over the whole of `ds` with SWOPE, adding its per-phase
-/// wall-clock time to `phases`.
-pub fn swope_phased(
-    ds: &Dataset,
-    shape: Shape,
-    cfg: &SwopeConfig,
-    phases: &mut PhaseAccumulator,
-) -> Answer {
-    run(ds, &shape, &Scope::all(), None, cfg, phases, &Executor::new(cfg.threads)).unwrap()
+/// The runs behind one [`Row`], which reports their mean (a single run,
+/// or one per MI target or seed).
+#[derive(Default)]
+pub struct Tally {
+    runs: usize,
+    millis: f64,
+    accuracy: f64,
+    sample_size: usize,
+    rows_scanned: u64,
+    phases: PhaseAccumulator,
+}
+
+impl Tally {
+    /// Times `shape` — SWOPE's or a comparator's — over the whole of `ds`
+    /// on the adaptive loop and adds the run, per-phase wall clock
+    /// included; `accuracy` scores the returned attributes.
+    pub fn run(
+        &mut self,
+        ds: &Dataset,
+        shape: Shape,
+        cfg: &SwopeConfig,
+        accuracy: impl FnOnce(&[AttrIndex]) -> f64,
+    ) -> Answer {
+        let (millis, answer) = time_ms(|| {
+            let exec = Executor::new(cfg.threads);
+            run(ds, &shape, &Scope::all(), None, cfg, &mut self.phases, &exec).unwrap()
+        });
+        let attrs: Vec<AttrIndex> = answer.scores.iter().map(|s| s.attr).collect();
+        self.add(millis, accuracy(&attrs), answer.stats.sample_size, answer.stats.rows_scanned);
+        answer
+    }
+
+    /// Adds a run measured elsewhere (Exact, OneShot): no phases.
+    pub fn add(&mut self, millis: f64, accuracy: f64, sample_size: usize, rows_scanned: u64) {
+        self.runs += 1;
+        self.millis += millis;
+        self.accuracy += accuracy;
+        self.sample_size += sample_size;
+        self.rows_scanned += rows_scanned;
+    }
+
+    /// The mean run, as the row of one cell.
+    pub fn row(self, experiment: &str, dataset: &str, algo: impl Into<String>, param: f64) -> Row {
+        let runs = self.runs.max(1);
+        Row {
+            experiment: experiment.into(),
+            dataset: dataset.into(),
+            algo: algo.into(),
+            param,
+            millis: self.millis / runs as f64,
+            accuracy: self.accuracy / runs as f64,
+            sample_size: self.sample_size / runs,
+            rows_scanned: self.rows_scanned / runs as u64,
+            phase_ns: self.phases.nanos.map(|n| n / runs as u64),
+        }
+    }
 }
 
 /// Times one closure invocation, returning `(elapsed_ms, output)`.
@@ -145,6 +192,17 @@ mod tests {
         let c = ExpConfig { mi_targets: 50, ..Default::default() };
         let t = c.pick_targets(3);
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn tally_reports_the_mean_run() {
+        let mut tally = Tally::default();
+        tally.add(2.0, 1.0, 100, 1_000);
+        tally.add(4.0, 0.5, 201, 3_000);
+        let row = tally.row("fig5", "cdc", "Exact", 4.0);
+        assert_eq!((row.millis, row.accuracy), (3.0, 0.75));
+        assert_eq!((row.sample_size, row.rows_scanned), (150, 2_000));
+        assert_eq!(row.phase_ns, [0; Phase::COUNT]);
     }
 
     #[test]

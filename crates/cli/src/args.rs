@@ -34,18 +34,18 @@ common options:
   --scale <f>               row scale for `gen` (default 0.01)
   --rows <n> --cols <n>     shape for `gen tiny`
 
-scoped queries (swope algo only):
+scoped queries (not `--algo exact`):
   --row-start <n>           first row of the query scope (inclusive, default 0)
   --row-end <n>             one past the last row of the scope (default: all)
   --where <attr=value>      restrict to rows where the attribute equals the
                             value (name or index = raw value or code)
 
-sharded queries (swope algo only):
+sharded queries (not `--algo exact`):
   --shards <n>              split the dataset into n row shards, count on
                             each, and merge — answers are bitwise-identical
                             to the unsharded run (cannot combine with scopes)
 
-observability (swope algo only):
+observability (not `--algo exact`):
   --events-out <path>       write per-query observer events as JSON lines
   --metrics                 print a metrics summary table after the query
 

@@ -2,10 +2,7 @@
 
 use std::fs::File;
 use std::io::BufWriter;
-use swope_baselines::{
-    entropy_filter_exact_sampling, entropy_rank_top_k, exact_entropy_filter, exact_entropy_top_k,
-    exact_mi_filter, exact_mi_top_k, mi_filter_exact_sampling, mi_rank_top_k,
-};
+use swope_baselines::{exact_entropy_filter, exact_entropy_top_k, exact_mi_filter, exact_mi_top_k};
 
 use swope_columnar::{
     csv, snapshot, stats, Dataset, DatasetSketch, PageCache, Residency, PAGE_ROWS,
@@ -36,8 +33,8 @@ impl Observability {
             None => None,
         };
         let metrics = opts.metrics.then(MetricsRegistry::new);
-        if (sink.is_some() || metrics.is_some()) && opts.algo != Algo::Swope {
-            eprintln!("note: --events-out/--metrics only instrument the swope algorithm");
+        if (sink.is_some() || metrics.is_some()) && opts.algo == Algo::Exact {
+            eprintln!("note: --events-out/--metrics do not instrument --algo exact");
         }
         Ok(Self { sink, metrics })
     }
@@ -124,14 +121,16 @@ fn open_dataset(
 }
 
 /// Builds the query scope from `--row-start`/`--row-end`/`--where`, or
-/// `None` when no scope flag was given. Scopes only exist on the SWOPE
-/// path — the rank/exact baselines always scan the whole dataset.
+/// `None` when no scope flag was given. Scopes only exist on the
+/// adaptive loop — the exact baseline always scans the whole dataset.
 fn scope_from_opts(ds: &Dataset, opts: &Options) -> Result<Option<Scope>, String> {
     if opts.row_start.is_none() && opts.row_end.is_none() && opts.where_clause.is_none() {
         return Ok(None);
     }
-    if opts.algo != Algo::Swope {
-        return Err("scoped queries (--row-start/--row-end/--where) require --algo swope".into());
+    if opts.algo == Algo::Exact {
+        return Err("scoped queries (--row-start/--row-end/--where) are not supported by \
+                    --algo exact"
+            .into());
     }
     let mut scope =
         Scope::range(opts.row_start.unwrap_or(0), opts.row_end.unwrap_or(ds.num_rows()));
@@ -161,11 +160,11 @@ fn scope_from_opts(ds: &Dataset, opts: &Options) -> Result<Option<Scope>, String
 
 /// Validates `--shards`. The count-merge path answers whole-dataset
 /// queries only (a scope would change which rows each shard may count),
-/// and only the SWOPE algorithm has a sharded loop.
+/// and the exact baseline has no sharded scan.
 fn shards_from_opts(opts: &Options) -> Result<Option<usize>, String> {
     let Some(shards) = opts.shards else { return Ok(None) };
-    if opts.algo != Algo::Swope {
-        return Err("sharded queries (--shards) require --algo swope".into());
+    if opts.algo == Algo::Exact {
+        return Err("sharded queries (--shards) are not supported by --algo exact".into());
     }
     if opts.row_start.is_some() || opts.row_end.is_some() || opts.where_clause.is_some() {
         return Err("--shards cannot be combined with --row-start/--row-end/--where".into());
@@ -176,16 +175,16 @@ fn shards_from_opts(opts: &Options) -> Result<Option<usize>, String> {
     Ok(Some(shards))
 }
 
-/// Where an `--algo swope` query counts: across `--shards` in-process
-/// row shards, or over the dataset's `--row-start`/`--row-end`/`--where`
-/// scope (everything, by default).
+/// Where an adaptive (`--algo swope` or `rank`) query counts: across
+/// `--shards` in-process row shards, or over the dataset's
+/// `--row-start`/`--row-end`/`--where` scope (everything, by default).
 enum Plan {
     Sharded(usize),
     Scoped(Scope),
 }
 
-/// Validates both flag sets (also when another `--algo` will answer:
-/// they are errors there) and picks the plan.
+/// Validates both flag sets (also when `--algo exact` will answer: they
+/// are errors there) and picks the plan.
 fn plan_from_opts(ds: &Dataset, opts: &Options) -> Result<Plan, String> {
     let scope = scope_from_opts(ds, opts)?;
     Ok(match shards_from_opts(opts)? {
@@ -194,8 +193,9 @@ fn plan_from_opts(ds: &Dataset, opts: &Options) -> Result<Plan, String> {
     })
 }
 
-/// Runs `shape` with SWOPE under `plan`, observed by the command's sinks.
-fn swope(
+/// Runs `shape` on the adaptive loop under `plan`, observed by the
+/// command's sinks.
+fn adaptive(
     ds: &Dataset,
     sketch: Option<&DatasetSketch>,
     shape: Shape,
@@ -210,6 +210,16 @@ fn swope(
             run_sharded(&mut source, &shape, cfg, &mut obs.observer(), &exec)
         }
         Plan::Scoped(scope) => run(ds, &shape, scope, sketch, cfg, &mut obs.observer(), &exec),
+    }
+}
+
+/// The shape `--algo` runs on the adaptive loop — SWOPE's, or the
+/// exact-separation comparator's for `rank` — or `None` for the full scan.
+fn adaptive_shape(algo: Algo, swope: Shape, rank: Shape) -> Option<Shape> {
+    match algo {
+        Algo::Swope => Some(swope),
+        Algo::Rank => Some(rank),
+        Algo::Exact => None,
     }
 }
 
@@ -332,11 +342,10 @@ fn cmd_entropy_topk(opts: &Options) -> Result<(), String> {
     let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.1);
-    let result: TopKResult = match opts.algo {
-        Algo::Swope => swope(&ds, sketch.as_ref(), Shape::EntropyTopK { k }, &plan, &cfg, &mut obs)
-            .map(Into::into),
-        Algo::Rank => entropy_rank_top_k(&ds, k, &cfg),
-        Algo::Exact => exact_entropy_top_k(&ds, k),
+    let shape = adaptive_shape(opts.algo, Shape::EntropyTopK { k }, Shape::EntropyRank { k });
+    let result: TopKResult = match shape {
+        Some(shape) => adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map(Into::into),
+        None => exact_entropy_top_k(&ds, k),
     }
     .map_err(|e| e.to_string())?;
     print_topk("entropy", &result);
@@ -349,13 +358,11 @@ fn cmd_entropy_filter(opts: &Options) -> Result<(), String> {
     let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.05);
-    let result: FilterResult = match opts.algo {
-        Algo::Swope => {
-            swope(&ds, sketch.as_ref(), Shape::EntropyFilter { eta }, &plan, &cfg, &mut obs)
-                .map(Into::into)
-        }
-        Algo::Rank => entropy_filter_exact_sampling(&ds, eta, &cfg),
-        Algo::Exact => exact_entropy_filter(&ds, eta),
+    let shape =
+        adaptive_shape(opts.algo, Shape::EntropyFilter { eta }, Shape::EntropyFilterExact { eta });
+    let result: FilterResult = match shape {
+        Some(shape) => adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map(Into::into),
+        None => exact_entropy_filter(&ds, eta),
     }
     .map_err(|e| e.to_string())?;
     print_filter("entropy", eta, &result);
@@ -369,13 +376,10 @@ fn cmd_mi_topk(opts: &Options) -> Result<(), String> {
     let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.5);
-    let result: TopKResult = match opts.algo {
-        Algo::Swope => {
-            swope(&ds, sketch.as_ref(), Shape::MiTopK { target, k }, &plan, &cfg, &mut obs)
-                .map(Into::into)
-        }
-        Algo::Rank => mi_rank_top_k(&ds, target, k, &cfg),
-        Algo::Exact => exact_mi_top_k(&ds, target, k),
+    let shape = adaptive_shape(opts.algo, Shape::MiTopK { target, k }, Shape::MiRank { target, k });
+    let result: TopKResult = match shape {
+        Some(shape) => adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map(Into::into),
+        None => exact_mi_top_k(&ds, target, k),
     }
     .map_err(|e| e.to_string())?;
     println!("target: {} ({})", ds.schema().field(target).map(|f| f.name()).unwrap_or("?"), target);
@@ -390,13 +394,14 @@ fn cmd_mi_filter(opts: &Options) -> Result<(), String> {
     let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
     let cfg = query_config(opts, 0.5);
-    let result: FilterResult = match opts.algo {
-        Algo::Swope => {
-            swope(&ds, sketch.as_ref(), Shape::MiFilter { target, eta }, &plan, &cfg, &mut obs)
-                .map(Into::into)
-        }
-        Algo::Rank => mi_filter_exact_sampling(&ds, target, eta, &cfg),
-        Algo::Exact => exact_mi_filter(&ds, target, eta),
+    let shape = adaptive_shape(
+        opts.algo,
+        Shape::MiFilter { target, eta },
+        Shape::MiFilterExact { target, eta },
+    );
+    let result: FilterResult = match shape {
+        Some(shape) => adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map(Into::into),
+        None => exact_mi_filter(&ds, target, eta),
     }
     .map_err(|e| e.to_string())?;
     print_filter("mutual information", eta, &result);
@@ -410,7 +415,7 @@ fn cmd_entropy_profile(opts: &Options) -> Result<(), String> {
     let cfg = query_config(opts, 0.1);
     let shape = Shape::EntropyProfile { floor: 0.05 };
     let result =
-        swope(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map_err(|e| e.to_string())?;
+        adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map_err(|e| e.to_string())?;
     print_profile("entropy", &result.into());
     obs.finish()
 }
@@ -423,7 +428,7 @@ fn cmd_mi_profile(opts: &Options) -> Result<(), String> {
     let cfg = query_config(opts, 0.5);
     let shape = Shape::MiProfile { target, floor: 0.05 };
     let result =
-        swope(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map_err(|e| e.to_string())?;
+        adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map_err(|e| e.to_string())?;
     println!("target: {} ({})", ds.schema().field(target).map(|f| f.name()).unwrap_or("?"), target);
     print_profile("mutual information", &result.into());
     obs.finish()

@@ -198,10 +198,10 @@ fn scoped_queries_restrict_rows_and_validate_flags() {
     let o = swope(&["entropy-topk", p, "-k", "2", "--where", "0=1"]);
     assert!(o.status.success(), "{}", stderr(&o));
 
-    // Scope flags are swope-only; the exact baseline rejects them.
+    // Scopes exist on the adaptive loop; the exact baseline rejects them.
     let o = swope(&["entropy-topk", p, "-k", "2", "--row-start", "10", "--algo", "exact"]);
     assert!(!o.status.success());
-    assert!(stderr(&o).contains("require --algo swope"), "{}", stderr(&o));
+    assert!(stderr(&o).contains("not supported by --algo exact"), "{}", stderr(&o));
 
     // An inverted range is a one-line error from the core, not a panic.
     let o = swope(&["entropy-topk", p, "-k", "2", "--row-start", "300", "--row-end", "100"]);
@@ -230,16 +230,90 @@ fn sharded_queries_match_unsharded_output_and_validate_flags() {
     assert!(o.status.success(), "{}", stderr(&o));
     assert_eq!(stdout(&o), stdout(&baseline));
 
-    // Sharding is swope-only and cannot combine with scopes.
+    // The exact scan has no shards, and shards cannot combine with scopes.
     let o = swope(&["entropy-topk", p, "-k", "2", "--shards", "2", "--algo", "exact"]);
     assert!(!o.status.success());
-    assert!(stderr(&o).contains("require --algo swope"), "{}", stderr(&o));
+    assert!(stderr(&o).contains("not supported by --algo exact"), "{}", stderr(&o));
     let o = swope(&["entropy-topk", p, "-k", "2", "--shards", "2", "--row-start", "5"]);
     assert!(!o.status.success());
     assert!(stderr(&o).contains("cannot be combined"), "{}", stderr(&o));
     let o = swope(&["entropy-topk", p, "-k", "2", "--shards", "0"]);
     assert!(!o.status.success());
     assert!(stderr(&o).contains("at least 1"), "{}", stderr(&o));
+}
+
+/// `--algo rank` is a rule on the adaptive loop, so every flag that
+/// steers the loop steers it too.
+#[test]
+fn rank_takes_scopes_shards_observers_and_the_pager() {
+    use swope_columnar::{Dataset, Residency};
+    use swope_core::{run, Executor, NoopObserver, Scope, Shape, SwopeConfig};
+
+    let swop = tmp("rank.swop");
+    let p = swop.to_str().unwrap();
+    let o = swope(&["gen", "tiny", "--rows", "150000", "--cols", "6", "--out", p]);
+    assert!(o.status.success(), "{}", stderr(&o));
+
+    // A scoped answer is `run` over the same scope, printed.
+    let rank = ["entropy-topk", p, "-k", "3", "--algo", "rank", "--seed", "7"];
+    let o = swope(&[&rank[..], &["--row-start", "0", "--row-end", "500"]].concat());
+    assert!(o.status.success(), "{}", stderr(&o));
+    let (ds, _) = Dataset::open(p, Residency::Heap).unwrap();
+    let cfg = SwopeConfig::with_epsilon(0.1).with_seed(7);
+    let want = run(
+        &ds,
+        &Shape::EntropyRank { k: 3 },
+        &Scope::range(0, 500),
+        None,
+        &cfg,
+        &mut NoopObserver,
+        &Executor::sequential(),
+    )
+    .unwrap();
+    assert!(want.stats.sample_size <= 500);
+    let mut lines = vec![
+        format!(
+            "top-3 by empirical entropy (sampled {} rows in {} iteration(s)):",
+            want.stats.sample_size, want.stats.iterations
+        ),
+        format!("{:<6} {:<24} {:>10} {:>10} {:>10}", "attr", "name", "estimate", "lower", "upper"),
+    ];
+    lines.extend(want.scores.iter().map(|s| {
+        format!(
+            "{:<6} {:<24} {:>10.4} {:>10.4} {:>10.4}",
+            s.attr, s.name, s.estimate, s.lower, s.upper
+        )
+    }));
+    assert_eq!(stdout(&o).lines().collect::<Vec<_>>(), lines);
+
+    // Shards, the pager under a budget and the observers leave the
+    // answer's bytes alone; EntropyFilter and the MI lifts likewise.
+    let queries: [&[&str]; 4] = [
+        &rank,
+        &["entropy-filter", p, "--eta", "2.0", "--algo", "rank"],
+        &["mi-topk", p, "--target", "0", "-k", "2", "--algo", "rank"],
+        &["mi-filter", p, "--target", "0", "--eta", "0.1", "--algo", "rank"],
+    ];
+    let events = tmp("rank.jsonl");
+    for query in queries {
+        let heap = swope(query);
+        assert!(heap.status.success(), "{}", stderr(&heap));
+        let variants: [&[&str]; 3] = [
+            &["--shards", "3"],
+            &["--mmap", "--store-budget-bytes", "100000"],
+            &["--events-out", events.to_str().unwrap(), "--metrics"],
+        ];
+        for extra in variants {
+            let o = swope(&[query, extra].concat());
+            assert!(o.status.success(), "{extra:?}: {}", stderr(&o));
+            assert!(stdout(&o).starts_with(&stdout(&heap)), "{query:?} {extra:?} diverged");
+            assert_eq!(stderr(&o), "", "{extra:?}");
+        }
+        // The observers saw the query the rule answers exactly.
+        let log = std::fs::read_to_string(&events).unwrap();
+        assert!(log.lines().next().unwrap().contains("\"event\":\"query_start\""), "{log}");
+        assert!(log.contains("\"event\":\"attr_retired\""));
+    }
 }
 
 #[test]
@@ -674,7 +748,7 @@ fn events_out_and_metrics_produce_observability_output() {
     assert!(o.status.success(), "{}", stderr(&o));
     assert!(stdout(&o).contains("queries_total"));
 
-    // Non-swope algorithms don't run the adaptive loop; flags warn, not fail.
+    // The exact scan doesn't run the adaptive loop; flags warn, not fail.
     let o = swope(&["entropy-topk", p, "-k", "3", "--algo", "exact", "--metrics"]);
     assert!(o.status.success(), "{}", stderr(&o));
 }

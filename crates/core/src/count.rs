@@ -511,11 +511,6 @@ impl TargetBuf {
     pub fn target(&self) -> TargetCodes<'_> {
         TargetCodes { codes: &self.codes, support: self.support }
     }
-
-    /// Takes the gathered codes out of the buffer.
-    pub fn into_codes(self) -> Vec<Code> {
-        self.codes
-    }
 }
 
 /// A borrowed view of the target's codes at a delta's rows.

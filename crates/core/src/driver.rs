@@ -10,7 +10,10 @@
 //!   ([`crate::measure`]);
 //! * a rule — when a candidate leaves the race and when the query is
 //!   over: [`crate::topk::decide`], [`crate::filter::decide`],
-//!   [`crate::profile::decide`];
+//!   [`crate::profile::decide`], and the paper's comparators
+//!   [`crate::topk::decide_exact`] (EntropyRank) and
+//!   [`crate::filter::decide_exact`] (EntropyFilter), which differ from
+//!   SWOPE in nothing else;
 //! * a [`CountSource`] — where an iteration's counts come from: the local
 //!   dataset through a (possibly scoped, possibly sketch-backed)
 //!   population ([`crate::scope::LocalSource`]), or the merged integer
@@ -35,7 +38,9 @@ use crate::scope::{CoveredDist, LocalSource, Scope};
 use crate::shard::{row_seed, ShardTransport, ShardedSource};
 use crate::{filter, profile, topk, SwopeConfig, SwopeError};
 
-/// One of the six adaptive queries, with its parameters.
+/// One of the adaptive queries, with its parameters: SWOPE's six, and
+/// the four exact-separation comparators of the paper's §6, which ignore
+/// `ε`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Shape {
     /// Alg. 1 — the `k` attributes of highest empirical entropy
@@ -80,6 +85,34 @@ pub enum Shape {
         /// Absolute width below which an interval is tight enough.
         floor: f64,
     },
+    /// EntropyRank (the paper's reference \[32\]) — the exact top-`k` by
+    /// empirical entropy: samples until the `k`-th lower bound clears
+    /// every upper bound outside the answer.
+    EntropyRank {
+        /// How many attributes to return, `1..=h`.
+        k: usize,
+    },
+    /// EntropyFilter (same reference) — exactly the attributes whose
+    /// empirical entropy is at least `eta`: an attribute is decided only
+    /// once its interval clears the threshold.
+    EntropyFilterExact {
+        /// The threshold η, finite and nonnegative.
+        eta: f64,
+    },
+    /// EntropyRank over the §4.1 mutual-information interval (§6.3).
+    MiRank {
+        /// The target attribute `α_t`.
+        target: AttrIndex,
+        /// How many attributes to return, `1..=h−1`.
+        k: usize,
+    },
+    /// EntropyFilter over the §4.1 mutual-information interval (§6.3).
+    MiFilterExact {
+        /// The target attribute `α_t`.
+        target: AttrIndex,
+        /// The threshold η, finite and nonnegative.
+        eta: f64,
+    },
 }
 
 /// When candidates retire and the query stops — the half of a [`Shape`]
@@ -89,17 +122,22 @@ enum Rule {
     TopK { k: usize },
     Filter { eta: f64 },
     Profile { floor: f64 },
+    Rank { k: usize },
+    FilterExact { eta: f64 },
 }
 
 impl Shape {
-    /// The observer vocabulary's name for this query.
+    /// The observer vocabulary's name for this query; a comparator
+    /// reports as the query it answers exactly.
     pub fn kind(&self) -> QueryKind {
         match self {
-            Shape::EntropyTopK { .. } => QueryKind::EntropyTopK,
-            Shape::EntropyFilter { .. } => QueryKind::EntropyFilter,
+            Shape::EntropyTopK { .. } | Shape::EntropyRank { .. } => QueryKind::EntropyTopK,
+            Shape::EntropyFilter { .. } | Shape::EntropyFilterExact { .. } => {
+                QueryKind::EntropyFilter
+            }
             Shape::EntropyProfile { .. } => QueryKind::EntropyProfile,
-            Shape::MiTopK { .. } => QueryKind::MiTopK,
-            Shape::MiFilter { .. } => QueryKind::MiFilter,
+            Shape::MiTopK { .. } | Shape::MiRank { .. } => QueryKind::MiTopK,
+            Shape::MiFilter { .. } | Shape::MiFilterExact { .. } => QueryKind::MiFilter,
             Shape::MiProfile { .. } => QueryKind::MiProfile,
         }
     }
@@ -109,7 +147,9 @@ impl Shape {
         match *self {
             Shape::MiTopK { target, .. }
             | Shape::MiFilter { target, .. }
-            | Shape::MiProfile { target, .. } => Some(target),
+            | Shape::MiProfile { target, .. }
+            | Shape::MiRank { target, .. }
+            | Shape::MiFilterExact { target, .. } => Some(target),
             _ => None,
         }
     }
@@ -121,6 +161,10 @@ impl Shape {
             Shape::EntropyProfile { floor } | Shape::MiProfile { floor, .. } => {
                 Rule::Profile { floor }
             }
+            Shape::EntropyRank { k } | Shape::MiRank { k, .. } => Rule::Rank { k },
+            Shape::EntropyFilterExact { eta } | Shape::MiFilterExact { eta, .. } => {
+                Rule::FilterExact { eta }
+            }
         }
     }
 
@@ -130,7 +174,10 @@ impl Shape {
     /// one candidate, and `k` within the candidates.
     fn validate(&self, config: &SwopeConfig, h: usize, no_data: bool) -> Result<(), SwopeError> {
         config.validate()?;
-        if let Rule::Filter { eta: bound } | Rule::Profile { floor: bound } = self.rule() {
+        if let Rule::Filter { eta: bound }
+        | Rule::FilterExact { eta: bound }
+        | Rule::Profile { floor: bound } = self.rule()
+        {
             if !bound.is_finite() || bound < 0.0 {
                 return Err(SwopeError::InvalidThreshold(bound));
             }
@@ -149,7 +196,7 @@ impl Shape {
             candidates = h - 1;
         }
         match self.rule() {
-            Rule::TopK { k } if k == 0 || k > candidates => {
+            Rule::TopK { k } | Rule::Rank { k } if k == 0 || k > candidates => {
                 Err(SwopeError::InvalidK { k, candidates })
             }
             _ => Ok(()),
@@ -308,6 +355,8 @@ impl Rule {
                 filter::decide(eta, |st| measure.exact_score(st), states, round, accept)
             }
             Rule::Profile { floor } => profile::decide(floor, states, round, accept),
+            Rule::Rank { k } => topk::decide_exact(k, states, round),
+            Rule::FilterExact { eta } => filter::decide_exact(eta, states, round, accept),
         }
     }
 
@@ -316,18 +365,20 @@ impl Rule {
     /// `η = 0`, or the whole profile.
     fn over_nothing(self, candidates: impl Iterator<Item = AttrIndex>) -> Vec<AttrIndex> {
         match self {
-            Rule::TopK { k } => candidates.take(k).collect(),
-            Rule::Filter { eta } if eta != 0.0 => Vec::new(),
-            Rule::Filter { .. } | Rule::Profile { .. } => candidates.collect(),
+            Rule::TopK { k } | Rule::Rank { k } => candidates.take(k).collect(),
+            Rule::Filter { eta } | Rule::FilterExact { eta } if eta != 0.0 => Vec::new(),
+            Rule::Filter { .. } | Rule::FilterExact { .. } | Rule::Profile { .. } => {
+                candidates.collect()
+            }
         }
     }
 
     /// Answer order: top-k is already by descending upper bound (the
-    /// paper's return order).
+    /// paper's return order), EntropyRank's by descending lower bound.
     fn sort(self, scores: &mut [AttrScore]) {
         match self {
-            Rule::TopK { .. } => {}
-            Rule::Filter { .. } => scores.sort_by(|a, b| {
+            Rule::TopK { .. } | Rule::Rank { .. } => {}
+            Rule::Filter { .. } | Rule::FilterExact { .. } => scores.sort_by(|a, b| {
                 b.estimate
                     .partial_cmp(&a.estimate)
                     .unwrap_or(std::cmp::Ordering::Equal)

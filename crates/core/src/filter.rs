@@ -91,6 +91,41 @@ pub(crate) fn decide<C: Candidate, O: QueryObserver>(
     None
 }
 
+/// The EntropyFilter rule (Wang & Ding, KDD'19 — the paper's reference
+/// \[32\]), over either interval: *exactly* the candidates at or above
+/// `η`.
+///
+/// A candidate is accepted once its lower bound exceeds `η`, rejected
+/// once its upper bound falls below it, and otherwise waits — `Ω(1/δ²)`
+/// samples at distance `δ` from the threshold, the whole population for
+/// a score on it, where the point estimate of the collapsed interval
+/// decides. [`decide`] relaxes both sides by `ε·η`; that is the entire
+/// difference.
+pub(crate) fn decide_exact<C: Candidate, O: QueryObserver>(
+    eta: f64,
+    states: &mut Vec<C>,
+    round: &mut Round<'_, O>,
+    accept: &mut impl FnMut(&C, usize),
+) -> Option<Verdict> {
+    let exact_now = round.m >= round.n;
+    states.retain(|st| {
+        let accepted = st.lower() > eta || (exact_now && st.point_estimate() >= eta);
+        if !(accepted || exact_now || st.upper() < eta) {
+            return true;
+        }
+        let iteration = round.retire(st);
+        if accepted {
+            accept(st, iteration);
+        }
+        false
+    });
+    if states.is_empty() {
+        Verdict::done(round.m < round.n)
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,8 +15,8 @@ pub struct AttrScore {
     pub upper: f64,
     /// The doubling iteration (1-based) at which this attribute left the
     /// race — pruned, accepted, rejected, or resolved at query end. `0`
-    /// means the score was not produced by an adaptive loop (exact scans
-    /// and baseline algorithms).
+    /// means the score was not produced by the adaptive loop (exact scans
+    /// and OneShot).
     pub retired_iteration: usize,
 }
 
@@ -59,7 +59,7 @@ pub struct IterationTrace {
 }
 
 /// The counter-update cost shape of one doubling iteration, making the
-/// `rows_scanned` accounting uniform across all six adaptive loops.
+/// `rows_scanned` accounting uniform across every query shape.
 ///
 /// Every variant's unit is one (record, counter) ingestion — the quantity
 /// the paper's `O(h·M*)` complexity counts.
@@ -101,7 +101,7 @@ impl QueryStats {
     }
 
     /// Adds `kind`-shaped ingestion work for one iteration's delta to
-    /// `rows_scanned`. All six adaptive loops account through here.
+    /// `rows_scanned`. Every query shape accounts through here.
     pub fn record_work(&mut self, delta_len: usize, candidates: usize, kind: WorkKind) {
         self.rows_scanned += kind.units(delta_len, candidates);
     }

@@ -1,13 +1,11 @@
 //! Per-attribute incremental query state.
 //!
-//! The SWOPE algorithms (and the exact baselines built on the same bound
-//! machinery) maintain, for every live candidate attribute, counters over
-//! the sampled records plus the current confidence interval. This module
-//! holds that state so `swope-core` and `swope-baselines` share one
-//! implementation.
+//! The adaptive loop maintains, for every live candidate attribute,
+//! counters over the sampled records plus the current confidence
+//! interval. This module holds that state.
 //!
-//! The key performance property: [`EntropyState::ingest`] and
-//! [`MiState::ingest`] accept only the **newly sampled** rows of an
+//! The key performance property: [`EntropyState::ingest_staged`] and
+//! [`MiState::ingest_staged`] accept only the **newly sampled** rows of an
 //! iteration, so the total counting work over a whole query is
 //! `O(candidates × final M)` — the quantity the paper's complexity
 //! analysis bounds — rather than re-scanning the sample every iteration.
@@ -18,8 +16,7 @@
 //! them into the floating-point counters in canonical ascending-code
 //! order, so a counter's running `f64` sum depends only on the
 //! *multiset* of rows an ingest call covers, never on their order (see
-//! the module docs there). `ingest` and `ingest_staged` differ only in
-//! who owns the scratch.
+//! the module docs there).
 
 use swope_columnar::{AttrIndex, Code, Column, Dataset};
 use swope_estimate::bounds::{entropy_bounds, mi_bounds, EntropyBounds, MiBounds};
@@ -74,7 +71,7 @@ impl GatherScratch {
 }
 
 /// Constructs the sampler a query's `SamplingStrategy` asks for.
-pub fn make_sampler(num_rows: usize, strategy: SamplingStrategy) -> Box<dyn Sampler> {
+pub(crate) fn make_sampler(num_rows: usize, strategy: SamplingStrategy) -> Box<dyn Sampler> {
     match strategy {
         SamplingStrategy::Row { seed } => Box::new(PrefixShuffle::new(num_rows, seed)),
         SamplingStrategy::Page { page_rows, seed } => {
@@ -141,9 +138,9 @@ impl EntropyState {
     /// Draws `k` covered-region records from the attached distribution
     /// into the delta histogram (no-op without one, or when `k == 0`).
     /// Nothing reaches the counter yet: the same iteration's
-    /// [`EntropyState::ingest`] / [`EntropyState::ingest_staged`] of the
-    /// physical fringe delta (every loop calls it, on an empty delta
-    /// too) drains covered and fringe counts in one canonical apply.
+    /// [`EntropyState::ingest_staged`] of the physical fringe delta (the
+    /// loop calls it on an empty delta too) drains covered and fringe
+    /// counts in one canonical apply.
     #[inline]
     pub(crate) fn ingest_covered(&mut self, k: u64) {
         if k == 0 {
@@ -157,15 +154,10 @@ impl EntropyState {
 
     /// Ingests newly sampled rows (O(Δrows)), applied canonically: the
     /// counter update depends only on the row multiset, not its order.
-    /// [`EntropyState::ingest_staged`] through a throwaway scratch.
-    pub fn ingest(&mut self, column: &Column, new_rows: &[u32]) {
-        self.ingest_staged(column, new_rows, &mut CountScratch::new());
-    }
-
-    /// [`EntropyState::ingest`] with caller-owned scratch: the column's
-    /// codes are staged block-by-block at their native width and counted
-    /// by the marginal kernel. O(Δrows) with zero steady-state allocation
-    /// once `scratch` has reached its high-water mark.
+    /// The column's codes are staged block-by-block at their native width
+    /// into the caller's `scratch` and counted by the marginal kernel,
+    /// with zero steady-state allocation once `scratch` has reached its
+    /// high-water mark.
     pub fn ingest_staged(&mut self, column: &Column, new_rows: &[u32], scratch: &mut CountScratch) {
         // No target, so no pairs: the joint delta is never touched.
         count_candidate(
@@ -252,15 +244,9 @@ impl MiState {
     /// attribute's code at `new_rows[i]` (pre-gathered once per iteration
     /// so `h−1` candidates don't each re-read the target column; the
     /// shared buffer is widened to `u32`, only the candidate's own codes
-    /// stay at their packed width). [`MiState::ingest_staged`] through a
-    /// throwaway scratch.
-    pub fn ingest(&mut self, column: &Column, target_codes: &[Code], new_rows: &[u32]) {
-        self.ingest_staged(column, target_codes, new_rows, &mut CountScratch::new());
-    }
-
-    /// [`MiState::ingest`] with caller-owned scratch: the candidate's
-    /// codes are staged block-by-block at their native width, counted by
-    /// the marginal kernel and paired with the matching block of
+    /// stay at their packed width). The candidate's codes are staged
+    /// block-by-block into the caller's `scratch`, counted by the
+    /// marginal kernel and paired with the matching block of
     /// `target_codes` by the joint kernel.
     pub fn ingest_staged(
         &mut self,
@@ -342,19 +328,11 @@ impl TargetState {
         delta.apply_to(&mut self.counter);
     }
 
-    /// Ingests newly sampled rows, returning their target codes for reuse
-    /// by every candidate's [`MiState::ingest`].
-    pub fn ingest(&mut self, column: &Column, new_rows: &[u32]) -> Vec<Code> {
-        let mut gathered = TargetBuf::new();
-        self.ingest_into(column, new_rows, &mut gathered);
-        gathered.into_codes()
-    }
-
-    /// Allocation-reusing form of [`TargetState::ingest`]: gathers the
-    /// target codes into `out` (replacing its contents) instead of a
-    /// fresh `Vec`, so the doubling loop reuses one buffer across
-    /// iterations; candidates read them back through
-    /// [`TargetBuf::codes`].
+    /// Ingests newly sampled rows, gathering their target codes into
+    /// `out` (replacing its contents) for every candidate's
+    /// [`MiState::ingest_staged`] to read back through
+    /// [`TargetBuf::codes`]; the doubling loop reuses one buffer across
+    /// iterations.
     pub fn ingest_into(&mut self, column: &Column, new_rows: &[u32], out: &mut TargetBuf) {
         count_target(column, new_rows, &mut self.delta, out);
         self.delta.apply_to(&mut self.counter);
@@ -385,7 +363,7 @@ mod tests {
         let ds = dataset();
         let mut st = EntropyState::new(&ds, 0);
         let rows: Vec<u32> = (0..64).collect();
-        st.ingest(ds.column(0), &rows);
+        st.ingest_staged(ds.column(0), &rows, &mut CountScratch::new());
         assert!((st.sample_entropy() - column_entropy(ds.column(0))).abs() < 1e-12);
         st.update_bounds(64, 0.01);
         // Full sample: bounds collapse.
@@ -397,8 +375,9 @@ mod tests {
         let ds = dataset();
         let mut st = EntropyState::new(&ds, 0);
         let rows: Vec<u32> = (0..64).collect();
-        st.ingest(ds.column(0), &rows[..32]);
-        st.ingest(ds.column(0), &rows[32..]);
+        let mut scratch = CountScratch::new();
+        st.ingest_staged(ds.column(0), &rows[..32], &mut scratch);
+        st.ingest_staged(ds.column(0), &rows[32..], &mut scratch);
         assert_eq!(st.sampled(), 64);
         assert!((st.sample_entropy() - column_entropy(ds.column(0))).abs() < 1e-12);
     }
@@ -417,8 +396,9 @@ mod tests {
         let mut target = TargetState::new(&ds, 0);
         let mut cand = MiState::new(1, ds.support(0), ds.support(1));
         let rows: Vec<u32> = (0..64).collect();
-        let t_codes = target.ingest(ds.column(0), &rows);
-        cand.ingest(ds.column(1), &t_codes, &rows);
+        let mut t_buf = TargetBuf::new();
+        target.ingest_into(ds.column(0), &rows, &mut t_buf);
+        cand.ingest_staged(ds.column(1), t_buf.codes(), &rows, &mut CountScratch::new());
         cand.update_bounds(target.sample_entropy(), target.support, 64, 0.01);
         let exact = mutual_information(ds.column(0), ds.column(1));
         assert!((cand.bounds.lower - exact).abs() < 1e-9);
@@ -481,7 +461,7 @@ mod tests {
         let reference = {
             let ds = Dataset::new(schema.clone(), vec![base.clone()]).unwrap();
             let mut st = EntropyState::new(&ds, 0);
-            st.ingest(ds.column(0), &rows);
+            st.ingest_staged(ds.column(0), &rows, &mut CountScratch::new());
             st.sample_entropy().to_bits()
         };
         let mut scratch = CountScratch::new();
@@ -510,8 +490,9 @@ mod tests {
     fn target_state_returns_gathered_codes() {
         let ds = dataset();
         let mut target = TargetState::new(&ds, 0);
-        let codes = target.ingest(ds.column(0), &[0, 5, 10]);
-        assert_eq!(codes, vec![0, 1, 2]);
+        let mut t_buf = TargetBuf::new();
+        target.ingest_into(ds.column(0), &[0, 5, 10], &mut t_buf);
+        assert_eq!(t_buf.codes(), &[0, 1, 2]);
     }
 
     #[test]
@@ -531,7 +512,7 @@ mod tests {
         let mut sampler = make_sampler(64, SamplingStrategy::Row { seed: 3 });
         let mut st = EntropyState::new(&ds, 0);
         let delta = sampler.grow_to(32).to_vec();
-        st.ingest(ds.column(0), &delta);
+        st.ingest_staged(ds.column(0), &delta, &mut CountScratch::new());
         st.update_bounds(64, 0.001);
         assert!(st.bounds.lower <= exact + 1e-9);
         assert!(exact <= st.bounds.upper + 1e-9);

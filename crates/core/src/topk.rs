@@ -67,10 +67,50 @@ pub(crate) fn decide<C: Candidate, O: QueryObserver>(
         return Some(Verdict { converged_early: stop && round.m < round.n, winners: by_upper });
     }
 
-    // Prune candidates that cannot reach the top-k (lines 14-17): drop α
-    // whose upper bound is below the k-th largest lower bound.
+    // Prune candidates that cannot reach the top-k (lines 14-17).
     let by_lower = top_k_indices(states, k, |st| st.lower());
+    prune_below(states[by_lower[k - 1]].lower(), states, round);
+    None
+}
+
+/// The EntropyRank rule (Wang & Ding, KDD'19 — the paper's reference
+/// \[32\]), over either interval: the *exact* top-k.
+///
+/// Stops when the k-th largest lower bound is no smaller than every
+/// upper bound outside the k — the answer is then provably separated
+/// from the rest, which takes `Ω(1/Δ²)` samples at score gap `Δ` — or
+/// when the sample is the whole population; the winners are the top-k by
+/// lower bound. Otherwise prunes exactly as [`decide`] does. `ε` plays
+/// no part.
+pub(crate) fn decide_exact<C: Candidate, O: QueryObserver>(
+    k: usize,
+    states: &mut Vec<C>,
+    round: &mut Round<'_, O>,
+) -> Option<Verdict> {
+    let mut by_lower = top_k_indices(states, states.len(), |st| st.lower());
     let kth_lower = states[by_lower[k - 1]].lower();
+    let outside_upper =
+        by_lower[k..].iter().map(|&i| states[i].upper()).fold(f64::NEG_INFINITY, f64::max);
+    // With nothing outside the k (`−∞`) separation is immediate.
+    let separated = kth_lower >= outside_upper;
+    if separated || round.m >= round.n {
+        by_lower.truncate(k);
+        return Some(Verdict {
+            converged_early: separated && round.m < round.n,
+            winners: by_lower,
+        });
+    }
+    prune_below(kth_lower, states, round);
+    None
+}
+
+/// Retires every candidate whose upper bound is below the k-th largest
+/// lower bound: it can no longer reach the top-k.
+fn prune_below<C: Candidate, O: QueryObserver>(
+    kth_lower: f64,
+    states: &mut Vec<C>,
+    round: &mut Round<'_, O>,
+) {
     states.retain(|st| {
         let keep = st.upper() >= kth_lower;
         if !keep {
@@ -78,7 +118,6 @@ pub(crate) fn decide<C: Candidate, O: QueryObserver>(
         }
         keep
     });
-    None
 }
 
 /// Indices of the `k` states with the largest `key`, sorted descending.

@@ -44,6 +44,19 @@ pub fn shapes_against(target: usize) -> [Shape; 6] {
     ]
 }
 
+/// The paper's comparators — EntropyRank, EntropyFilter and their MI
+/// lifts against `target` — which run on the same loop under an
+/// exact-separation rule. The suites that list them index them after
+/// [`shapes_against`]'s six.
+pub fn comparators_against(target: usize) -> [Shape; 4] {
+    [
+        Shape::EntropyRank { k: 3 },
+        Shape::EntropyFilterExact { eta: 1.0 },
+        Shape::MiRank { target, k: 3 },
+        Shape::MiFilterExact { target, eta: 0.1 },
+    ]
+}
+
 /// Columns with wildly different supports and skews: a constant column,
 /// heavily skewed small supports, and near-uniform wide ones. Their
 /// confidence intervals close at very different sample sizes, so the

@@ -19,7 +19,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{plain, scoped, shapes_against, sharded};
+use common::{comparators_against, plain, scoped, shapes_against, sharded};
 use swope_columnar::{
     snapshot, Column, Dataset, DatasetSketch, Field, HeapMapping, PageCache, Residency, Schema,
     Width,
@@ -177,6 +177,15 @@ shape_tests!(assert_shape_pager_invariant {
     entropy_profile_is_pager_invariant(4, 35);
     mi_profile_is_pager_invariant(5, 36);
 });
+
+/// EntropyRank, EntropyFilter and their MI lifts run on the same loop,
+/// so through the same page-grouped gather.
+#[test]
+fn comparators_are_pager_invariant() {
+    assert_pager_invariant(41, |m, cfg| {
+        comparators_against(0).map(|shape| plain(&m.dataset, &shape, cfg))
+    });
+}
 
 #[test]
 fn scoped_queries_are_pager_invariant() {

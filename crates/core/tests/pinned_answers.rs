@@ -20,9 +20,6 @@ mod common;
 use std::sync::Arc;
 
 use common::{scoped, sharded, sketch_of};
-use swope_baselines::{
-    entropy_filter_exact_sampling, entropy_rank_top_k, mi_filter_exact_sampling, mi_rank_top_k,
-};
 use swope_columnar::{
     snapshot, Column, Dataset, DatasetSketch, Field, PageCache, Residency, Schema, PAGE_ROWS,
 };
@@ -58,9 +55,12 @@ const PINNED: [[u64; 5]; 6] = [
 /// `COMPARATORS[query][source]` for [`comparators`] over the heap dataset
 /// and over the whole paged copy: what `swope-baselines`' own doubling
 /// loops answered at c73d446, the parent of the commit that made
-/// EntropyRank and EntropyFilter rules of the driver. Those loops stamped
-/// no retirement iteration and kept no trace, so these digests leave
-/// both out ([`outcome_digest`]).
+/// EntropyRank and EntropyFilter rules of the driver (recorded through
+/// `entropy_rank_top_k`, `entropy_filter_exact_sampling`, `mi_rank_top_k`
+/// and `mi_filter_exact_sampling`, which passed unedited on the driver
+/// before the calls were ported to `run`). Those loops stamped no
+/// retirement iteration and kept no trace, so these digests leave both
+/// out ([`outcome_digest`]).
 #[rustfmt::skip]
 const COMPARATORS: [[u64; 2]; 4] = [
     [0xe1fa208345170d29, 0xe1fa208345170d29],
@@ -203,14 +203,12 @@ fn answers_match_the_digests_recorded_on_the_parent() {
 /// EntropyRank, EntropyFilter and their MI lifts. The top-2 and the MI
 /// queries separate early; `η = 3` sits on four attributes' entropy, so
 /// the filter reads every row and decides at `M = N`.
-fn comparators(ds: &Dataset, cfg: &SwopeConfig) -> [Answer; 4] {
-    let top = |r: swope_core::TopKResult| Answer { scores: r.top, stats: r.stats };
-    let accepted = |r: swope_core::FilterResult| Answer { scores: r.accepted, stats: r.stats };
+fn comparators() -> [Shape; 4] {
     [
-        top(entropy_rank_top_k(ds, 2, cfg).unwrap()),
-        accepted(entropy_filter_exact_sampling(ds, 3.0, cfg).unwrap()),
-        top(mi_rank_top_k(ds, 0, 2, cfg).unwrap()),
-        accepted(mi_filter_exact_sampling(ds, 0, 1.0, cfg).unwrap()),
+        Shape::EntropyRank { k: 2 },
+        Shape::EntropyFilterExact { eta: 3.0 },
+        Shape::MiRank { target: 0, k: 2 },
+        Shape::MiFilterExact { target: 0, eta: 1.0 },
     ]
 }
 
@@ -219,18 +217,12 @@ fn comparators_match_the_digests_recorded_on_the_parent() {
     let ds = dataset();
     let (path, cache, paged, _) = paged_copy(&ds, "comparators");
     let cfg = SwopeConfig::default().with_seed(SEED);
-    let (heap, mapped) = (comparators(&ds, &cfg), comparators(&paged, &cfg));
+    let got = comparators().map(|shape| {
+        [&ds, &paged]
+            .map(|source| outcome_digest(&scoped(source, &shape, &Scope::all(), None, &cfg)))
+    });
     assert!(cache.snapshot().evictions > 0, "the paged source never evicted");
     let _ = std::fs::remove_file(path);
-    let got: [[u64; 2]; 4] =
-        std::array::from_fn(|q| [outcome_digest(&heap[q]), outcome_digest(&mapped[q])]);
-    for (q, a) in heap.iter().enumerate() {
-        eprintln!(
-            "comparator {q}: {} scores, {:?}",
-            a.scores.len(),
-            (a.stats.sample_size, a.stats.iterations, a.stats.converged_early)
-        );
-    }
     assert_eq!(
         got, COMPARATORS,
         "a comparator's answer moved (rows: `comparators()` order; columns: heap, paged)\n{got:#018x?}"

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{all_shapes, plain, repacked, scoped, sketch_of};
+use common::{all_shapes, comparators_against, plain, repacked, scoped, sketch_of};
 use swope_columnar::{Column, Dataset, Field, Schema, Width, PAGE_ROWS};
 use swope_core::{Scope, Shape, SwopeConfig};
 use swope_estimate::entropy::entropy_from_counts;
@@ -138,7 +138,7 @@ fn empty_ranges_are_well_defined_across_all_six_loops() {
     let sk = sketch_of(&ds);
     let cfg = config(33, 0.1, 1);
     for scope in [Scope::range(500, 500), Scope::range(PAGE_ROWS + 100, usize::MAX)] {
-        for shape in all_shapes() {
+        for shape in all_shapes().into_iter().chain(comparators_against(5)) {
             let r = scoped(&ds, &shape, &scope, Some(&sk), &cfg);
             assert_eq!(r.stats.sample_size, 0, "{shape:?}");
             assert!(
@@ -147,9 +147,15 @@ fn empty_ranges_are_well_defined_across_all_six_loops() {
             );
             let candidates = ds.num_attrs() - usize::from(shape.target().is_some());
             let expected = match shape {
-                Shape::EntropyTopK { k } | Shape::MiTopK { k, .. } => k,
+                Shape::EntropyTopK { k }
+                | Shape::MiTopK { k, .. }
+                | Shape::EntropyRank { k }
+                | Shape::MiRank { k, .. } => k,
                 // Nothing reaches a positive threshold.
-                Shape::EntropyFilter { .. } | Shape::MiFilter { .. } => 0,
+                Shape::EntropyFilter { .. }
+                | Shape::MiFilter { .. }
+                | Shape::EntropyFilterExact { .. }
+                | Shape::MiFilterExact { .. } => 0,
                 Shape::EntropyProfile { .. } | Shape::MiProfile { .. } => candidates,
             };
             assert_eq!(r.scores.len(), expected, "{shape:?}");

@@ -11,7 +11,7 @@
 #[macro_use]
 mod common;
 
-use common::{all_shapes, config, plain, staggered_dataset as dataset};
+use common::{all_shapes, comparators_against, config, plain, staggered_dataset as dataset};
 use swope_core::entropy_profile;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
@@ -28,10 +28,11 @@ fn retirement_is_staggered_in_the_test_dataset() {
     assert!(iters.len() > 1, "all candidates retired together: {:?}", r.scores);
 }
 
-/// `all_shapes()[i]`, seeded `i + 1`, at every thread count against the
-/// sequential run.
+/// `all_shapes()[i]` (past them, the comparators), seeded `i + 1`, at
+/// every thread count against the sequential run.
 fn assert_thread_invariant(i: usize) {
-    let (shape, seed) = (all_shapes()[i], i as u64 + 1);
+    let shape = all_shapes().into_iter().chain(comparators_against(5)).nth(i).unwrap();
+    let seed = i as u64 + 1;
     let ds = dataset(seed, 12_000);
     let baseline = plain(&ds, &shape, &config(seed, 1));
     for t in THREADS {
@@ -46,4 +47,8 @@ shape_tests!(assert_thread_invariant {
     mi_filter_is_thread_invariant(3);
     entropy_profile_is_thread_invariant(4);
     mi_profile_is_thread_invariant(5);
+    entropy_rank_is_thread_invariant(6);
+    entropy_filter_exact_is_thread_invariant(7);
+    mi_rank_is_thread_invariant(8);
+    mi_filter_exact_is_thread_invariant(9);
 });

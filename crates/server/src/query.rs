@@ -208,7 +208,7 @@ pub fn parse_spec(segment: &str, req: &Request) -> Result<QuerySpec, String> {
 /// The result-cache key for `spec` against dataset generation
 /// `generation`. Every parameter that can influence the answer bytes is
 /// folded in, including the generation so replaced datasets never serve
-/// stale bodies.
+/// stale bodies; `threads` cannot (see [`run_query`]) and is left out.
 pub fn cache_key(spec: &QuerySpec, generation: u64) -> String {
     let mut key = format!("{}@{generation}|{}", spec.dataset, spec.shape.name());
     match &spec.shape {
@@ -236,7 +236,6 @@ pub fn cache_key(spec: &QuerySpec, generation: u64) -> String {
     if let Some(seed) = spec.seed {
         let _ = write!(key, "|seed={seed}");
     }
-    let _ = write!(key, "|threads={}", spec.threads);
     // Scope parameters change the answer, so they must split the cache:
     // two queries differing only in scope can never share an entry.
     if let Some(s) = spec.row_start {
@@ -573,6 +572,12 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
+        // The executor never changes the bytes, so it never splits the cache.
+        let pooled =
+            parse_spec("entropy-topk", &req(&[("dataset", "t"), ("k", "2"), ("threads", "4")]))
+                .unwrap();
+        assert_eq!(pooled.threads, 4);
+        assert_eq!(cache_key(&pooled, 1), cache_key(&base, 1));
     }
 
     /// Satellite audit: every scope parameter must split the cache for

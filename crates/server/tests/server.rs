@@ -840,7 +840,13 @@ fn shutdown_drains_queued_requests_before_returning() {
 
 #[test]
 fn pooled_queries_report_exec_stats_and_serve_identical_bytes() {
-    let server = TestServer::start(ServerConfig { exec_threads: 2, ..ServerConfig::default() });
+    // No result cache: `threads` is not part of its key, and the second
+    // request below has to run.
+    let server = TestServer::start(ServerConfig {
+        exec_threads: 2,
+        cache_capacity: 0,
+        ..ServerConfig::default()
+    });
     let metrics = get(server.addr, "/metrics").body;
     assert_eq!(metric(&metrics, "swope_exec_pool_workers"), 2);
     assert_eq!(metric(&metrics, "swope_exec_dispatches_total"), 0);
@@ -852,12 +858,10 @@ fn pooled_queries_report_exec_stats_and_serve_identical_bytes() {
     let metrics = get(server.addr, "/metrics").body;
     assert_eq!(metric(&metrics, "swope_exec_dispatches_total"), 0);
 
-    // threads=2 dispatches on the shared pool. The cache key includes
-    // `threads`, so this reruns the loop — and the response body carries
+    // threads=2 dispatches on the shared pool. The response body carries
     // no executor detail, so the bytes must match the inline run exactly.
     let pooled = get(server.addr, "/query/entropy-topk?dataset=tiny&k=2&threads=2");
     assert_eq!(pooled.status, 200, "{}", pooled.body);
-    assert_eq!(pooled.header("x-swope-cache"), Some("miss"));
     assert_eq!(seq.body, pooled.body, "pooled run must serve bitwise-identical bytes");
 
     let metrics = get(server.addr, "/metrics").body;

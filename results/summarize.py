@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Summarizes the figure CSVs into the EXPERIMENTS.md headline numbers.
+"""Summarizes the figure CSVs into the EXPERIMENTS.md headline numbers,
+then `history.jsonl`'s newest `swope-e2e` row per workload against the
+row before it.
 
 Run from the repository root after `figures -- all`:
 
     python3 results/summarize.py
 """
 import csv
+import json
 import os
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -79,6 +82,31 @@ def mi_sample_fraction():
     print(f"fig5: SWOPE MI cells at full N: {full}/{len(rows)}")
 
 
+END_TO_END = [
+    "qps", "latency_p50_ms", "latency_p90_ms", "cpu_ms_per_query", "rss_peak_mb", "setup_s",
+]
+
+
+def history():
+    """Per `swope-e2e` workload, the newest row's end-to-end metrics
+    against the previous row's (append parent, then change)."""
+    by_workload = {}
+    with open(os.path.join(HERE, "history.jsonl")) as fh:
+        for line in fh:
+            row = json.loads(line)
+            if row["bench"] == "swope-e2e":
+                by_workload.setdefault(row["workload"], []).append(row)
+    for workload, rows in by_workload.items():
+        if len(rows) < 2:
+            continue
+        prev, last = rows[-2], rows[-1]
+        print(f"{workload}: {last['git_sha'][:20]} vs {prev['git_sha'][:20]}")
+        for metric in END_TO_END:
+            a, b = prev["fields"].get(metric), last["fields"].get(metric)
+            if a and b is not None:
+                print(f"  {metric:<18} {a:>12.4f} -> {b:>12.4f}  {100 * (b - a) / a:+6.1f} %")
+
+
 if __name__ == "__main__":
     speedups("fig1", "EntropyRank")
     speedups("fig3", "EntropyFilter")
@@ -91,3 +119,4 @@ if __name__ == "__main__":
     for f in ["ext-sampling", "ext-threads", "ext-oneshot", "ext-m0", "ext-locality"]:
         ablation(f)
     mi_sample_fraction()
+    history()
