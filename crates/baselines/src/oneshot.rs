@@ -79,9 +79,7 @@ fn oneshot(
         let col = dataset.column(t);
         let mut counts = CountState::new(col.support());
         count_target(col, rows, &mut counts, &mut t_codes);
-        let mut marginal = EntropyCounter::new(col.support());
-        counts.apply_to(&mut marginal);
-        marginal.entropy()
+        plug_in(&mut counts)
     });
 
     let mut scratch = CountScratch::new();
@@ -92,15 +90,14 @@ fn oneshot(
             let (mut counts, mut pairs) = (CountState::new(col.support()), PairCountState::new());
             let against = h_t.map(|_| t_codes.target());
             count_candidate(col, rows, against, &mut counts, &mut pairs, &mut scratch);
-            let mut marginal = EntropyCounter::new(col.support());
-            counts.apply_to(&mut marginal);
+            let h_a = plug_in(&mut counts);
             let score = match h_t {
-                None => marginal.entropy(),
+                None => h_a,
                 Some(h_t) => {
                     let mut joint =
                         JointEntropyCounter::new(t_codes.target().support, col.support());
                     pairs.apply_to(&mut joint);
-                    (h_t + marginal.entropy() - joint.entropy()).max(0.0)
+                    (h_t + h_a - joint.entropy()).max(0.0)
                 }
             };
             (attr, score)
@@ -120,6 +117,13 @@ fn oneshot(
             trace: Vec::new(),
         },
     })
+}
+
+/// The sample entropy of the counted codes.
+fn plug_in(counts: &mut CountState) -> f64 {
+    let mut counter = EntropyCounter::new(counts.support());
+    counts.apply_to(&mut counter);
+    counter.entropy()
 }
 
 fn plugin_score(dataset: &Dataset, attr: AttrIndex, estimate: f64) -> AttrScore {

@@ -126,6 +126,8 @@ pub fn run_locality(cfg: &ExpConfig) -> Vec<Row> {
                     }
                 }
             }
+            // Coverage is over every interval of every seed, not a mean
+            // of per-run scores.
             rows.push(Row {
                 accuracy: covered as f64 / total.max(1) as f64,
                 ..tally.row("ext-locality", &format!("runlen{run_len}"), algo, run_len as f64)

@@ -206,9 +206,9 @@ impl Shape {
 
 /// What every shape answers: scored attributes plus execution statistics.
 ///
-/// `scores` holds the top-k by descending upper bound, the accepted
-/// attributes by descending estimate, or the whole profile in attribute
-/// order; [`crate::TopKResult`], [`crate::FilterResult`] and
+/// `scores` holds the top-k by descending upper bound (EntropyRank's by
+/// descending lower bound), the accepted attributes by descending
+/// estimate, or the whole profile in attribute order; [`crate::TopKResult`], [`crate::FilterResult`] and
 /// [`crate::ProfileResult`] are its typed views (`From<Answer>`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Answer {

@@ -143,12 +143,14 @@ fn fold(a: &Answer, lifecycle: bool) -> u64 {
     h.word(a.stats.iterations as u64);
     h.word(a.stats.rows_scanned);
     h.word(a.stats.converged_early as u64);
-    for t in a.stats.trace.iter().filter(|_| lifecycle) {
-        h.word(t.iteration as u64);
-        h.word(t.sample_size as u64);
-        h.word(t.candidates as u64);
-        h.word(t.lambda.to_bits());
-        h.word(t.retired as u64);
+    if lifecycle {
+        for t in &a.stats.trace {
+            h.word(t.iteration as u64);
+            h.word(t.sample_size as u64);
+            h.word(t.candidates as u64);
+            h.word(t.lambda.to_bits());
+            h.word(t.retired as u64);
+        }
     }
     h.0
 }
