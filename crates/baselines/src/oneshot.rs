@@ -18,7 +18,7 @@ use swope_core::{
 };
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::joint::JointEntropyCounter;
-use swope_sampling::{PrefixShuffle, Sampler};
+use swope_sampling::PrefixShuffle;
 
 /// Top-k on empirical entropy from one fixed-size plug-in sample.
 ///

@@ -19,7 +19,7 @@ use swope_core::{Shape, SwopeConfig, SwopeError, TopKResult};
 /// Exact top-k on empirical entropy by adaptive sampling (EntropyRank).
 ///
 /// The `config`'s `epsilon` is ignored (the answer is exact); its
-/// failure probability, sampling strategy, `M0` override, and thread
+/// failure probability, seed, `M0` override, and thread
 /// count are honoured. With probability `1 − p_f` the returned set *is*
 /// the exact top-k.
 pub fn entropy_rank_top_k(

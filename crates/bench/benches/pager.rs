@@ -30,7 +30,7 @@ use swope_columnar::{
 };
 use swope_core::state::INGEST_BLOCK_ROWS;
 use swope_obs::json::ObjectWriter;
-use swope_sampling::{PrefixShuffle, Sampler};
+use swope_sampling::PrefixShuffle;
 
 /// Four full 64Ki-row pages per column — no partial tail, so every page
 /// has identical plain bytes.

@@ -1,14 +1,11 @@
-//! Ablation: incremental prefix-shuffle extension vs fresh shuffles, and
-//! row-level vs page-level sampling.
+//! Ablation: incremental prefix-shuffle extension vs fresh shuffles.
 //!
 //! DESIGN.md design choice 2: the doubling loop extends one Fisher–Yates
 //! pass instead of resampling from scratch each iteration, so total
-//! shuffling work across a query is O(final M), not O(Σ M_i). Choice 4:
-//! page-granular sampling (paper §6.1) trades sampling randomness
-//! granularity for sequential access.
+//! shuffling work across a query is O(final M), not O(Σ M_i).
 
 use swope_bench::micro::{black_box, Group};
-use swope_sampling::{PageShuffle, PrefixShuffle, Sampler};
+use swope_sampling::PrefixShuffle;
 
 const N: usize = 1 << 22;
 
@@ -37,39 +34,5 @@ fn main() {
             m *= 2;
         }
         total
-    });
-
-    g.bench("page_ladder_4k_pages", || {
-        let mut s = PageShuffle::new(N, 4096, 42);
-        let mut m = 1024;
-        while m <= N / 4 {
-            black_box(s.grow_to(m).len());
-            m *= 2;
-        }
-        s.sampled()
-    });
-
-    // The downstream cost the page sampler optimizes: gathering column
-    // codes at sampled row indices.
-    let column: Vec<u32> = (0..N as u32).map(|x| x.wrapping_mul(2654435761) % 100).collect();
-    let mut row = PrefixShuffle::new(N, 7);
-    row.grow_to(N / 8);
-    let mut page = PageShuffle::new(N, 4096, 7);
-    page.grow_to(N / 8);
-
-    let mut g = Group::new("gather_codes");
-    g.bench("row_shuffled_indices", || {
-        let mut acc = 0u64;
-        for &r in row.rows() {
-            acc += column[r as usize] as u64;
-        }
-        acc
-    });
-    g.bench("page_sequential_indices", || {
-        let mut acc = 0u64;
-        for &r in page.rows() {
-            acc += column[r as usize] as u64;
-        }
-        acc
     });
 }

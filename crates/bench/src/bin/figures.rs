@@ -26,8 +26,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage: figures <experiment...|all> [options]
-experiments: table2 fig1..fig12 ext-sampling ext-threads ext-oneshot ext-m0
-             ext-locality
+experiments: table2 fig1..fig12 ext-threads ext-oneshot ext-m0
 options:
   --scale <f64>    row scale vs the paper's datasets (default 1/64)
   --seed <u64>     data + sampling seed (default 0x5170)

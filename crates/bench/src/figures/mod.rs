@@ -37,21 +37,17 @@ pub enum Experiment {
     TuneMiTopk,
     /// Figure 12: tuning ε, MI filtering (η = 0.3).
     TuneMiFilter,
-    /// Ablation: row vs page sampling (DESIGN.md choice 4).
-    ExtSampling,
-    /// Ablation: parallel per-attribute scaling (DESIGN.md choice 5).
+    /// Ablation: parallel per-attribute scaling (DESIGN.md choice 4).
     ExtThreads,
     /// Ablation: SWOPE vs naive one-shot sampling at equal budgets.
     ExtOneshot,
     /// Ablation: initial-sample-size (M0) sensitivity.
     ExtM0,
-    /// Ablation: page sampling on physically clustered (sorted) data.
-    ExtLocality,
 }
 
 impl Experiment {
     /// All experiments, in paper order, followed by the ablations.
-    pub const ALL: [Experiment; 14] = [
+    pub const ALL: [Experiment; 12] = [
         Experiment::Table2,
         Experiment::EntropyTopk,
         Experiment::EntropyFilter,
@@ -61,11 +57,9 @@ impl Experiment {
         Experiment::TuneEntropyFilter,
         Experiment::TuneMiTopk,
         Experiment::TuneMiFilter,
-        Experiment::ExtSampling,
         Experiment::ExtThreads,
         Experiment::ExtOneshot,
         Experiment::ExtM0,
-        Experiment::ExtLocality,
     ];
 
     /// Parses a CLI experiment id (`table2`, `fig1` … `fig12`).
@@ -80,11 +74,9 @@ impl Experiment {
             "fig10" => Experiment::TuneEntropyFilter,
             "fig11" => Experiment::TuneMiTopk,
             "fig12" => Experiment::TuneMiFilter,
-            "ext-sampling" => Experiment::ExtSampling,
             "ext-threads" => Experiment::ExtThreads,
             "ext-oneshot" => Experiment::ExtOneshot,
             "ext-m0" => Experiment::ExtM0,
-            "ext-locality" => Experiment::ExtLocality,
             _ => return None,
         })
     }
@@ -101,11 +93,9 @@ impl Experiment {
             Experiment::TuneEntropyFilter => &["fig10"],
             Experiment::TuneMiTopk => &["fig11"],
             Experiment::TuneMiFilter => &["fig12"],
-            Experiment::ExtSampling => &["ext-sampling"],
             Experiment::ExtThreads => &["ext-threads"],
             Experiment::ExtOneshot => &["ext-oneshot"],
             Experiment::ExtM0 => &["ext-m0"],
-            Experiment::ExtLocality => &["ext-locality"],
         }
     }
 
@@ -115,11 +105,9 @@ impl Experiment {
             Experiment::Table2 => "columns",
             Experiment::EntropyTopk | Experiment::MiTopk => "k",
             Experiment::EntropyFilter | Experiment::MiFilter => "eta",
-            Experiment::ExtSampling => "page_rows",
             Experiment::ExtThreads => "threads",
             Experiment::ExtOneshot => "budget",
             Experiment::ExtM0 => "m0_mult",
-            Experiment::ExtLocality => "run_len",
             _ => "epsilon",
         }
     }
@@ -136,11 +124,9 @@ impl Experiment {
             Experiment::TuneEntropyFilter => tuning::run_entropy_filter(cfg),
             Experiment::TuneMiTopk => tuning::run_mi_topk(cfg),
             Experiment::TuneMiFilter => tuning::run_mi_filter(cfg),
-            Experiment::ExtSampling => ablations::run_sampling(cfg),
             Experiment::ExtThreads => ablations::run_threads(cfg),
             Experiment::ExtOneshot => ablations::run_oneshot(cfg),
             Experiment::ExtM0 => ablations::run_m0(cfg),
-            Experiment::ExtLocality => ablations::run_locality(cfg),
         }
     }
 
@@ -205,7 +191,7 @@ mod tests {
 
     #[test]
     fn ext_ids_parse() {
-        for id in ["ext-sampling", "ext-threads", "ext-oneshot", "ext-m0", "ext-locality"] {
+        for id in ["ext-threads", "ext-oneshot", "ext-m0"] {
             assert!(Experiment::parse(id).is_some(), "{id}");
         }
     }

@@ -36,7 +36,7 @@ use swope_columnar::Dataset;
 use swope_core::{
     count_candidate, count_target, AttrMeta, CountScratch, CountState, ShardCounts, TargetBuf,
 };
-use swope_sampling::{PrefixShuffle, Sampler};
+use swope_sampling::PrefixShuffle;
 
 use crate::frame::{
     ErrorFrame, Frame, FrameError, FrameReader, FrameWriter, GrowDelta, Hello, QuerySpecFrame,

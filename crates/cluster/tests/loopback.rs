@@ -20,8 +20,8 @@ use swope_cluster::peer::serve_connection;
 use swope_cluster::stats::ClusterStats;
 use swope_columnar::Dataset;
 use swope_core::{
-    run_sharded, Answer, Executor, NoopObserver, SamplingStrategy, Shape, ShardCounts,
-    ShardTransport, SwopeConfig, SwopeError,
+    run_sharded, Answer, Executor, NoopObserver, Shape, ShardCounts, ShardTransport, SwopeConfig,
+    SwopeError,
 };
 
 fn union_dataset() -> Dataset {
@@ -59,13 +59,6 @@ fn cfg(seed: u64) -> SwopeConfig {
     SwopeConfig::with_epsilon(0.15).with_seed(seed)
 }
 
-fn seed_of(config: &SwopeConfig) -> u64 {
-    match config.sampling {
-        SamplingStrategy::Row { seed } => seed,
-        _ => panic!("row sampling expected"),
-    }
-}
-
 fn connect(
     addrs: &[String],
     config: &SwopeConfig,
@@ -74,7 +67,7 @@ fn connect(
     RemoteShardSource::connect(
         addrs,
         "t",
-        seed_of(config),
+        config.seed,
         scope,
         &PeerTimeouts::default(),
         Arc::new(ClusterStats::new()),
@@ -197,7 +190,7 @@ fn pooled_sessions_are_reused_across_queries() {
         let mut src = RemoteShardSource::connect(
             &addrs,
             "t",
-            seed_of(&config),
+            config.seed,
             None,
             &PeerTimeouts::default(),
             Arc::clone(&stats),
@@ -237,7 +230,7 @@ fn stale_pooled_socket_redials_transparently() {
     let mut src = RemoteShardSource::connect(
         std::slice::from_ref(&addr),
         "t",
-        seed_of(&config),
+        config.seed,
         None,
         &PeerTimeouts::default(),
         Arc::clone(&stats),
@@ -361,7 +354,7 @@ fn peer_death_mid_query_fails_the_advance() {
     let mut src = RemoteShardSource::connect(
         std::slice::from_ref(&addr),
         "t",
-        seed_of(&config),
+        config.seed,
         None,
         &timeouts,
         Arc::new(ClusterStats::new()),

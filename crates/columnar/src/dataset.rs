@@ -104,23 +104,6 @@ impl Dataset {
         self.schema.index_of(name).ok_or_else(|| ColumnarError::UnknownAttr(name.to_owned()))
     }
 
-    /// Returns a dataset containing only the attributes at `indices`.
-    ///
-    /// Row data for kept columns is shared by clone of the code vectors.
-    pub fn project(&self, indices: &[AttrIndex]) -> Result<Dataset, ColumnarError> {
-        for &i in indices {
-            if i >= self.columns.len() {
-                return Err(ColumnarError::AttrOutOfRange {
-                    index: i,
-                    num_attrs: self.columns.len(),
-                });
-            }
-        }
-        let schema = self.schema.project(indices);
-        let columns = indices.iter().map(|&i| self.columns[i].clone()).collect();
-        Dataset::new(schema, columns)
-    }
-
     /// Drops attributes whose support size exceeds `cap`, returning the
     /// surviving dataset and the kept original indices. The surviving
     /// columns are moved, not copied: a loader caps every dataset it
@@ -252,19 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn project_subsets_columns() {
-        let ds = small().project(&[1]).unwrap();
-        assert_eq!(ds.num_attrs(), 1);
-        assert_eq!(ds.schema().field(0).unwrap().name(), "y");
-        assert_eq!(ds.num_rows(), 4);
-    }
-
-    #[test]
-    fn project_rejects_bad_index() {
-        assert!(small().project(&[0, 9]).is_err());
-    }
-
-    #[test]
     fn cap_support_drops_wide_columns() {
         let (ds, kept) = small().cap_support(2);
         assert_eq!(kept, vec![1]);
@@ -307,7 +277,8 @@ mod tests {
     #[test]
     fn concat_rejects_mismatched_shapes() {
         let a = small();
-        let narrower = a.project(&[0]).unwrap();
+        let narrower =
+            Dataset::new(Schema::new(vec![Field::new("x", 3)]), vec![a.column(0).clone()]).unwrap();
         assert!(a.concat(&narrower).is_err());
         // Name mismatch.
         let schema = Schema::new(vec![Field::new("x", 3), Field::new("z", 2)]);

@@ -3,38 +3,15 @@ use swope_estimate::bounds::initial_sample_size;
 
 use crate::SwopeError;
 
-/// How records are sampled without replacement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplingStrategy {
-    /// Row-level incremental Fisher–Yates prefix shuffle — exactly the
-    /// sampling model the paper's analysis assumes.
-    Row {
-        /// RNG seed; queries with equal seeds are fully reproducible.
-        seed: u64,
-    },
-    /// Page-granular sampling (paper §6.1): shuffle fixed-size row pages
-    /// for cache-friendly columnar access. A performance heuristic — rows
-    /// within a page are not independent if the data has locality.
-    Page {
-        /// Rows per page.
-        page_rows: usize,
-        /// RNG seed.
-        seed: u64,
-    },
-}
-
-impl Default for SamplingStrategy {
-    fn default() -> Self {
-        Self::Row { seed: 0x5170_5e00 }
-    }
-}
-
 /// Tunable parameters shared by every SWOPE query.
 ///
 /// The defaults follow the paper's experimental settings where one exists:
 /// `ε = 0.1` (the entropy top-k default; see [`SwopeConfig::with_epsilon`]
 /// to use the paper's per-query defaults), `p_f` resolved to `1/N` at query
-/// time.
+/// time. Every path — heap, paged, scoped, sharded — samples the rows as
+/// the first `M` of one uniform permutation
+/// ([`swope_sampling::PrefixShuffle`]), the model Lemma 2 assumes, so
+/// [`SwopeConfig::seed`] is the only sampling setting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwopeConfig {
     /// Approximation parameter `ε ∈ (0, 1)` of Definitions 5–6. Smaller is
@@ -46,8 +23,9 @@ pub struct SwopeConfig {
     /// Override for the initial sample size `M0`. `None` computes the
     /// paper's `M0 = log(h·log N / p_f)·log²N / log2²(u_max)`.
     pub initial_sample: Option<usize>,
-    /// Sampling strategy (row-level by default).
-    pub sampling: SamplingStrategy,
+    /// Seed of the row permutation; queries with equal seeds are fully
+    /// reproducible.
+    pub seed: u64,
     /// Worker threads for per-attribute work. `1` (default) is fully
     /// sequential; values above the candidate count are clamped.
     pub threads: usize,
@@ -59,7 +37,7 @@ impl Default for SwopeConfig {
             epsilon: 0.1,
             failure_probability: None,
             initial_sample: None,
-            sampling: SamplingStrategy::default(),
+            seed: 0x5170_5e00,
             threads: 1,
         }
     }
@@ -71,12 +49,9 @@ impl SwopeConfig {
         Self { epsilon, ..Self::default() }
     }
 
-    /// Returns a copy with the sampling seed replaced (both strategies).
+    /// Returns a copy with the sampling seed replaced.
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.sampling = match self.sampling {
-            SamplingStrategy::Row { .. } => SamplingStrategy::Row { seed },
-            SamplingStrategy::Page { page_rows, .. } => SamplingStrategy::Page { page_rows, seed },
-        };
+        self.seed = seed;
         self
     }
 
@@ -195,15 +170,10 @@ mod tests {
     }
 
     #[test]
-    fn with_seed_updates_both_strategies() {
-        let c = SwopeConfig::default().with_seed(7);
-        assert_eq!(c.sampling, SamplingStrategy::Row { seed: 7 });
-        let p = SwopeConfig {
-            sampling: SamplingStrategy::Page { page_rows: 64, seed: 0 },
-            ..Default::default()
-        }
-        .with_seed(9);
-        assert_eq!(p.sampling, SamplingStrategy::Page { page_rows: 64, seed: 9 });
+    fn with_seed_replaces_the_seed() {
+        assert_eq!(SwopeConfig::default().seed, 0x5170_5e00);
+        let c = SwopeConfig::with_epsilon(0.2).with_seed(7);
+        assert_eq!(c, SwopeConfig { epsilon: 0.2, seed: 7, ..Default::default() });
     }
 
     #[test]

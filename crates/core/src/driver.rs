@@ -35,7 +35,7 @@ use crate::observe::Instrumented;
 use crate::profile::ProfileResult;
 use crate::report::{AttrScore, FilterResult, QueryStats, TopKResult, WorkKind};
 use crate::scope::{CoveredDist, LocalSource, Scope};
-use crate::shard::{row_seed, ShardTransport, ShardedSource};
+use crate::shard::{ShardTransport, ShardedSource};
 use crate::{filter, profile, topk, SwopeConfig, SwopeError};
 
 /// One of the adaptive queries, with its parameters: SWOPE's six, and
@@ -265,9 +265,8 @@ pub(crate) trait CountSource {
         None
     }
 
-    /// Grows the sample to `m_target` rows (or whole pages past it),
-    /// [announces](Round::announce) the iteration, and counts the new rows
-    /// into `states`.
+    /// Grows the sample to `m_target` rows, [announces](Round::announce)
+    /// the iteration, and counts the new rows into `states`.
     fn count<M: Measure, O: QueryObserver>(
         &mut self,
         m_target: usize,
@@ -463,9 +462,8 @@ pub(crate) fn run_plain(
 ///
 /// # Errors
 ///
-/// [`run`]'s argument checks, [`SwopeError::ShardedPageSampling`] for a
-/// page-sampling config, and any [`SwopeError::Transport`] the transport
-/// raises mid-query. A transport over no attributes is
+/// [`run`]'s argument checks, and any [`SwopeError::Transport`] the
+/// transport raises mid-query. A transport over no attributes is
 /// [`SwopeError::EmptyDataset`]; one over attributes but zero rows (a
 /// coordinator's empty row range) answers like an empty scope.
 pub fn run_sharded<T: ShardTransport, O: QueryObserver>(
@@ -476,7 +474,6 @@ pub fn run_sharded<T: ShardTransport, O: QueryObserver>(
     exec: &Executor,
 ) -> Result<Answer, SwopeError> {
     shape.validate(config, transport.attrs().len(), false)?;
-    row_seed(config)?;
     dispatch(shape, ShardedSource(transport), config, observer, exec)
 }
 
@@ -544,8 +541,11 @@ fn drive<M: Measure, S: CountSource, O: QueryObserver>(
     };
 
     let mut scores: Vec<AttrScore> = Vec::new();
-    let mut m_target = schedule.m0();
+    // Every source grows its sample to exactly `min(m_target, N)`, so the
+    // ladder that runs is the one `i_max`, and with it `p′`, counted.
+    let mut ladder = schedule.iter();
     let converged_early = loop {
+        let m_target = ladder.next().expect("every rule decides at M = N, the last step");
         round.it.begin_iteration();
         source.count(m_target, &mut measure, &mut states, &mut round, exec)?;
 
@@ -568,7 +568,6 @@ fn drive<M: Measure, S: CountSource, O: QueryObserver>(
             scores.extend(verdict.winners.iter().map(|&i| score(&source, &states[i], iteration)));
             break verdict.converged_early;
         }
-        m_target = (round.m * 2).min(n);
     };
 
     rule.sort(&mut scores);

@@ -34,11 +34,6 @@ pub enum SwopeError {
     /// The query scope is malformed: an inverted row range, a predicate
     /// attribute out of range, or a predicate code outside its support.
     InvalidScope(String),
-    /// Shard-parallel execution was requested with page-granular
-    /// sampling. The shard loops replay one global row-level shuffle on
-    /// every shard, which has no page analogue; use
-    /// [`crate::SamplingStrategy::Row`].
-    ShardedPageSampling,
     /// A shard transport failed mid-query: a peer became unreachable,
     /// timed out, or answered with a malformed or error frame.
     Transport(String),
@@ -67,9 +62,6 @@ impl fmt::Display for SwopeError {
                 write!(f, "mutual information query needs at least one candidate attribute")
             }
             Self::InvalidScope(reason) => write!(f, "invalid scope: {reason}"),
-            Self::ShardedPageSampling => {
-                write!(f, "sharded execution supports row-level sampling only")
-            }
             Self::Transport(reason) => write!(f, "shard transport error: {reason}"),
         }
     }

@@ -60,6 +60,9 @@ struct SendPtr<T>(*mut T);
 // SAFETY: see the struct docs — disjoint index claims make concurrent
 // `&mut` derivation from the shared base pointer sound.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: sharing `&SendPtr` only shares the base address; each `T` is
+// reached through one claimed index by one worker, so no `T` is ever
+// aliased across threads, and `T: Send` lets it be mutated off-thread.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {

@@ -82,7 +82,7 @@ pub mod sketch_stats;
 pub mod state;
 mod topk;
 
-pub use config::{SamplingStrategy, SwopeConfig};
+pub use config::SwopeConfig;
 pub use count::{
     count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,
 };

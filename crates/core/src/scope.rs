@@ -12,7 +12,7 @@
 //!
 //! ## How a scope is sampled
 //!
-//! * **Full scope** — the whole dataset under the config's sampler:
+//! * **Full scope** — a prefix shuffle over the whole dataset:
 //!   the unscoped query, bit for bit, with or without a sketch.
 //! * **Range scope, entropy queries** — the range is split at page
 //!   (64Ki-row) boundaries into fully *covered* pages, whose exact
@@ -98,7 +98,7 @@ use swope_columnar::{
 };
 use swope_obs::{Phase, QueryObserver, ScopePath};
 use swope_sampling::rng::Xoshiro256pp;
-use swope_sampling::{hypergeometric, Sampler};
+use swope_sampling::{hypergeometric, PrefixShuffle};
 use swope_store::for_packed;
 use swope_store::page::PAGE_ROWS;
 
@@ -107,8 +107,8 @@ use crate::driver::{run, CountSource, Round, Setup, Shape};
 use crate::exec::Executor;
 use crate::measure::Measure;
 use crate::report::{FilterResult, TopKResult};
-use crate::state::{make_sampler, GatherScratch};
-use crate::{sketch_stats, SamplingStrategy, SwopeConfig, SwopeError};
+use crate::state::GatherScratch;
+use crate::{sketch_stats, SwopeConfig, SwopeError};
 
 /// A range scope runs the hybrid sampler iff its whole pages hold at
 /// least this many rows per fringe row (see the module docs for why the
@@ -467,8 +467,8 @@ enum PopKind {
     /// prefix shuffle's `4N`-byte identity is written inside the first
     /// `sample_grow` span rather than before any span opens.
     Physical {
-        sampler: Option<Box<dyn Sampler>>,
-        strategy: SamplingStrategy,
+        sampler: Option<PrefixShuffle>,
+        seed: u64,
         map: RowMap,
         rows: Vec<u32>,
     },
@@ -511,15 +511,8 @@ impl Population {
         config: &SwopeConfig,
         hybrid: bool,
     ) -> Self {
-        let seed = match config.sampling {
-            SamplingStrategy::Row { seed } | SamplingStrategy::Page { seed, .. } => seed,
-        };
-        let physical = |map| PopKind::Physical {
-            sampler: None,
-            strategy: config.sampling,
-            map,
-            rows: Vec::new(),
-        };
+        let seed = config.seed;
+        let physical = |map| PopKind::Physical { sampler: None, seed, map, rows: Vec::new() };
         let mut path = None;
         let kind = match setup.resolved {
             // The whole dataset, sampled exactly as an unscoped query is.
@@ -581,8 +574,8 @@ impl Population {
     pub(crate) fn grow(&mut self, target: usize) -> Growth<'_> {
         let n = self.n;
         let (delta, covered_k, sampled): (&[u32], u64, usize) = match &mut self.kind {
-            PopKind::Physical { sampler, strategy, map, rows } => {
-                let sampler = sampler.get_or_insert_with(|| make_sampler(n, *strategy));
+            PopKind::Physical { sampler, seed, map, rows } => {
+                let sampler = sampler.get_or_insert_with(|| PrefixShuffle::new(n, *seed));
                 let delta_range = sampler.grow_delta(target);
                 let delta = &sampler.rows()[delta_range];
                 let before = rows.len();

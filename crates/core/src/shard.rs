@@ -25,8 +25,6 @@
 //! All shards replay **one global** [`PrefixShuffle`] over the union
 //! population (the same shuffle an unsharded run uses), and each shard
 //! counts only the delta rows that fall in its own contiguous row range.
-//! Row-level sampling only: page-granular sampling has no shard-stable
-//! analogue, and requesting it yields [`SwopeError::ShardedPageSampling`].
 //!
 //! ## Layers
 //!
@@ -40,7 +38,7 @@
 
 use swope_columnar::{AttrIndex, Column, Dataset, PageGrouper};
 use swope_obs::{Phase, QueryObserver};
-use swope_sampling::{PrefixShuffle, Sampler};
+use swope_sampling::PrefixShuffle;
 
 use crate::count::{
     count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,
@@ -49,7 +47,7 @@ use crate::driver::{CountSource, Round};
 use crate::exec::Executor;
 use crate::measure::Measure;
 use crate::state::{EntropyState, MiState, TargetState};
-use crate::{SamplingStrategy, SwopeConfig, SwopeError};
+use crate::{SwopeConfig, SwopeError};
 
 /// A contiguous, even partition of rows `0..num_rows` into shards.
 ///
@@ -182,13 +180,6 @@ fn dataset_meta(dataset: &Dataset) -> Vec<AttrMeta> {
         .collect()
 }
 
-pub(crate) fn row_seed(config: &SwopeConfig) -> Result<u64, SwopeError> {
-    match config.sampling {
-        SamplingStrategy::Row { seed } => Ok(seed),
-        SamplingStrategy::Page { .. } => Err(SwopeError::ShardedPageSampling),
-    }
-}
-
 /// In-process [`ShardTransport`]: row shards of one resident [`Dataset`],
 /// counted in parallel on an [`Executor`].
 ///
@@ -211,21 +202,19 @@ pub struct LocalShardSource<'a> {
 
 impl<'a> LocalShardSource<'a> {
     /// A shard source over `dataset` split into `shards` contiguous row
-    /// shards, sampling with `config`'s row seed.
+    /// shards, sampling with `config`'s seed.
     ///
     /// # Errors
     ///
-    /// [`SwopeError::ShardedPageSampling`] if `config` asks for
-    /// page-granular sampling; [`SwopeError::EmptyDataset`] if there are
-    /// no rows to shard (a transport that reports zero rows stands for an
-    /// empty *scope*, which is an answer, not an error).
+    /// [`SwopeError::EmptyDataset`] if there are no rows to shard (a
+    /// transport that reports zero rows stands for an empty *scope*, which
+    /// is an answer, not an error).
     pub fn new(
         dataset: &'a Dataset,
         shards: usize,
         config: &SwopeConfig,
         exec: &'a Executor,
     ) -> Result<Self, SwopeError> {
-        let seed = row_seed(config)?;
         let n = dataset.num_rows();
         if n == 0 {
             return Err(SwopeError::EmptyDataset);
@@ -236,7 +225,7 @@ impl<'a> LocalShardSource<'a> {
             dataset,
             exec,
             meta: dataset_meta(dataset),
-            sampler: PrefixShuffle::new(n, seed),
+            sampler: PrefixShuffle::new(n, config.seed),
             grouper: dataset.page_grouper(),
             shard_rows: vec![Vec::new(); s],
             shard_targets: (0..s).map(|_| TargetBuf::new()).collect(),
@@ -445,8 +434,8 @@ impl<T: ShardTransport> CountSource for ShardedSource<'_, T> {
         round: &mut Round<'_, O>,
         _exec: &Executor,
     ) -> Result<(), SwopeError> {
-        // Row sampling only: the sample is exactly the rows asked for,
-        // and the delta what it grew by since the previous iteration.
+        // The sample is exactly the rows asked for, and the delta what it
+        // grew by since the previous iteration.
         let m = m_target.min(self.n());
         round.announce(m, m - round.m, states.len());
         let req = measure.request(states);
@@ -556,19 +545,6 @@ mod tests {
             let got = sharded(&ds, Shape::MiTopK { target: 0, k: 2 }, shards, &config).unwrap();
             assert_eq!(got.scores, reference.top, "shards = {shards}");
         }
-    }
-
-    #[test]
-    fn page_sampling_is_rejected() {
-        let ds = cyclic_dataset(1000, &[2, 8]);
-        let config = SwopeConfig {
-            sampling: SamplingStrategy::Page { page_rows: 64, seed: 1 },
-            ..SwopeConfig::default()
-        };
-        assert!(matches!(
-            sharded(&ds, Shape::EntropyTopK { k: 1 }, 2, &config),
-            Err(SwopeError::ShardedPageSampling)
-        ));
     }
 
     #[test]

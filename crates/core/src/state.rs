@@ -22,14 +22,13 @@ use swope_columnar::{AttrIndex, Code, Column, Dataset};
 use swope_estimate::bounds::{entropy_bounds, mi_bounds, EntropyBounds, MiBounds};
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::joint::JointEntropyCounter;
-use swope_sampling::{PageShuffle, PrefixShuffle, Sampler};
 
 pub use crate::count::INGEST_BLOCK_ROWS;
 use crate::count::{
     count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,
 };
 use crate::scope::CoveredDist;
-use crate::{sketch_stats, SamplingStrategy};
+use crate::sketch_stats;
 
 /// Reusable per-query scratch for gather-staged ingest.
 ///
@@ -67,16 +66,6 @@ impl GatherScratch {
             self.slots.resize_with(n, CountScratch::new);
         }
         (&mut self.target, &mut self.slots[..n])
-    }
-}
-
-/// Constructs the sampler a query's `SamplingStrategy` asks for.
-pub(crate) fn make_sampler(num_rows: usize, strategy: SamplingStrategy) -> Box<dyn Sampler> {
-    match strategy {
-        SamplingStrategy::Row { seed } => Box::new(PrefixShuffle::new(num_rows, seed)),
-        SamplingStrategy::Page { page_rows, seed } => {
-            Box::new(PageShuffle::new(num_rows, page_rows, seed))
-        }
     }
 }
 
@@ -350,6 +339,7 @@ mod tests {
     use swope_columnar::{Field, Schema, Width};
     use swope_estimate::entropy::column_entropy;
     use swope_estimate::joint::mutual_information;
+    use swope_sampling::PrefixShuffle;
 
     fn dataset() -> Dataset {
         let schema = Schema::new(vec![Field::new("a", 4), Field::new("b", 2)]);
@@ -496,20 +486,11 @@ mod tests {
     }
 
     #[test]
-    fn make_sampler_respects_strategy() {
-        let mut row = make_sampler(100, SamplingStrategy::Row { seed: 1 });
-        assert_eq!(row.grow_to(10).len(), 10);
-        let mut page = make_sampler(100, SamplingStrategy::Page { page_rows: 8, seed: 1 });
-        // Page sampler rounds up to whole pages.
-        assert_eq!(page.grow_to(10).len(), 16);
-    }
-
-    #[test]
     fn bounds_bracket_exact_value_during_sampling() {
         // With generous p, sampled bounds should bracket the exact entropy.
         let ds = dataset();
         let exact = column_entropy(ds.column(0));
-        let mut sampler = make_sampler(64, SamplingStrategy::Row { seed: 3 });
+        let mut sampler = PrefixShuffle::new(64, 3);
         let mut st = EntropyState::new(&ds, 0);
         let delta = sampler.grow_to(32).to_vec();
         st.ingest_staged(ds.column(0), &delta, &mut CountScratch::new());

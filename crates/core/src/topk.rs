@@ -255,15 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn page_sampling_strategy_works() {
-        let mut c = config();
-        c.sampling = crate::SamplingStrategy::Page { page_rows: 256, seed: 1 };
-        let ds = cyclic_dataset(50_000, &[2, 64, 8]);
-        let r = entropy_top_k(&ds, 1, &c).unwrap();
-        assert_eq!(r.top[0].name, "c1");
-    }
-
-    #[test]
     fn top_k_indices_orders_and_breaks_ties() {
         let vals = [3.0f64, 9.0, 9.0, 1.0];
         let idx = top_k_indices(&vals, 3, |&v| v);

@@ -16,47 +16,18 @@ use crate::{DatasetProfile, Distribution};
 /// Panics if `profile.validate()` fails (programming error in the
 /// profile, not a data error).
 pub fn generate(profile: &DatasetProfile, seed: u64) -> Dataset {
-    generate_with_locality(profile, seed, 1)
-}
-
-/// Like [`generate`], but latent factor values persist in runs of
-/// `run_len` consecutive rows instead of being drawn i.i.d. per row.
-///
-/// `run_len = 1` is i.i.d. (identical to [`generate`]). Larger runs
-/// simulate *physically clustered* data — tables sorted or bulk-loaded
-/// by household/region — where nearby rows are correlated. Each column's
-/// **marginal** distribution is unchanged (entropy scores are the same in
-/// expectation); only the row order carries structure. This is exactly
-/// the hazard case for page-granular sampling (paper §6.1's cache
-/// optimization): whole-page samples of clustered rows are far less
-/// informative than their size suggests. The `ext-locality` harness
-/// experiment quantifies the effect.
-///
-/// # Panics
-/// Panics if `profile.validate()` fails or `run_len == 0`.
-pub fn generate_with_locality(profile: &DatasetProfile, seed: u64, run_len: usize) -> Dataset {
-    assert!(run_len > 0, "run_len must be positive");
     profile.validate().expect("invalid dataset profile");
     let n = profile.rows;
     let root = Xoshiro256pp::seed_from_u64(seed);
 
-    // Latent factor values per row, each from its own stream; one fresh
-    // draw per run of `run_len` rows.
+    // Latent factor values per row, each factor from its own stream.
     let latents: Vec<Vec<u32>> = profile
         .latent_supports
         .iter()
         .enumerate()
         .map(|(i, &u)| {
             let mut rng = root.fork(0x1a7e_0000 + i as u64);
-            let mut current = 0u32;
-            (0..n)
-                .map(|r| {
-                    if r % run_len == 0 {
-                        current = rng.next_below(u as u64) as u32;
-                    }
-                    current
-                })
-                .collect()
+            (0..n).map(|_| rng.next_below(u as u64) as u32).collect()
         })
         .collect();
 
@@ -203,46 +174,6 @@ mod tests {
         assert_eq!(col.len(), 5_000);
         assert_eq!(col.support(), 10);
         assert!(col.value_counts()[0] > col.value_counts()[5]);
-    }
-
-    #[test]
-    fn locality_one_equals_generate() {
-        let p = profile();
-        assert_eq!(generate(&p, 4), generate_with_locality(&p, 4, 1));
-    }
-
-    #[test]
-    fn locality_creates_runs_without_changing_marginals() {
-        let p = DatasetProfile {
-            name: "runs".into(),
-            rows: 40_000,
-            latent_supports: vec![8],
-            columns: vec![ColumnSpec::dependent(
-                "c",
-                Distribution::Uniform { u: 8 },
-                0,
-                1.0, // pure copy of the latent: runs fully visible
-            )],
-        };
-        let iid = generate_with_locality(&p, 9, 1);
-        let clustered = generate_with_locality(&p, 9, 512);
-        // Marginal entropy barely moves...
-        let h_iid = column_entropy(iid.column(0));
-        let h_clustered = column_entropy(clustered.column(0));
-        assert!((h_iid - h_clustered).abs() < 0.05, "{h_iid} vs {h_clustered}");
-        // ...but adjacent-row agreement skyrockets.
-        let agree = |ds: &swope_columnar::Dataset| {
-            let codes = ds.column(0).to_codes();
-            codes.windows(2).filter(|w| w[0] == w[1]).count() as f64 / (codes.len() - 1) as f64
-        };
-        assert!(agree(&iid) < 0.25);
-        assert!(agree(&clustered) > 0.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "run_len must be positive")]
-    fn zero_run_len_panics() {
-        generate_with_locality(&profile(), 1, 0);
     }
 
     #[test]

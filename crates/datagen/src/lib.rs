@@ -37,5 +37,5 @@ mod profile;
 pub mod corpus;
 
 pub use distribution::{AliasTable, Distribution};
-pub use generator::{generate, generate_column, generate_with_locality};
+pub use generator::{generate, generate_column};
 pub use profile::{ColumnSpec, DatasetProfile, Dependence};

@@ -127,6 +127,9 @@ pub struct MmapMapping {
 // concurrent readers of an immutable byte range are safe.
 #[cfg(target_os = "linux")]
 unsafe impl Send for MmapMapping {}
+// SAFETY: `&self` methods only read the mapped bytes (never written
+// through `ptr`) or `madvise` a range of it, which the kernel serialises;
+// the map is unmapped only in `Drop`, when no `&self` can be live.
 #[cfg(target_os = "linux")]
 unsafe impl Sync for MmapMapping {}
 

@@ -1,5 +1,4 @@
 use crate::rng::Xoshiro256pp;
-use crate::Sampler;
 
 /// An incrementally extended Fisher–Yates shuffle over rows `0..N`.
 ///
@@ -36,22 +35,28 @@ impl PrefixShuffle {
         }
     }
 
-    /// The permutation prefix of length `sampled()`.
-    pub fn prefix(&self) -> &[u32] {
-        &self.perm[..self.fixed]
-    }
-}
-
-impl Sampler for PrefixShuffle {
-    fn num_rows(&self) -> usize {
+    /// Total number of rows `N` in the population.
+    pub fn num_rows(&self) -> usize {
         self.perm.len()
     }
 
-    fn sampled(&self) -> usize {
+    /// Current sample size `M`.
+    pub fn sampled(&self) -> usize {
         self.fixed
     }
 
-    fn grow_to(&mut self, target: usize) -> &[u32] {
+    /// All sampled row indices so far — the permutation prefix of length
+    /// [`PrefixShuffle::sampled`], in sampling order.
+    pub fn rows(&self) -> &[u32] {
+        &self.perm[..self.fixed]
+    }
+
+    /// Grows the sample to `min(target, N)` rows, never past it; a target
+    /// at or below the current size is a no-op (rows are never replaced).
+    ///
+    /// Returns the **newly added** row indices (the delta between the old
+    /// and new sample), enabling O(ΔM) incremental counter updates.
+    pub fn grow_to(&mut self, target: usize) -> &[u32] {
         let n = self.perm.len();
         let target = target.min(n);
         let start = self.fixed;
@@ -64,8 +69,13 @@ impl Sampler for PrefixShuffle {
         &self.perm[start..self.fixed]
     }
 
-    fn rows(&self) -> &[u32] {
-        self.prefix()
+    /// Grows the sample like [`PrefixShuffle::grow_to`], but returns the
+    /// delta as a range into [`PrefixShuffle::rows`], so the caller can
+    /// re-slice it while holding the shuffle immutably.
+    pub fn grow_delta(&mut self, target: usize) -> std::ops::Range<usize> {
+        let before = self.fixed;
+        self.grow_to(target);
+        before..self.fixed
     }
 }
 

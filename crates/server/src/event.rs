@@ -117,6 +117,9 @@ mod sys {
 
     /// Marks an fd nonblocking via `fcntl`.
     pub fn set_nonblocking(fd: Fd) -> std::io::Result<()> {
+        // SAFETY: F_GETFL/F_SETFL read and write the kernel's status flags
+        // of `fd`, an fd the caller owns, and pass no pointers; a stale fd
+        // fails with EBADF, which is returned as an error.
         unsafe {
             let flags = fcntl(fd, F_GETFL, 0);
             if flags < 0 {
@@ -177,6 +180,8 @@ mod linux {
 
     impl Epoll {
         pub fn new() -> io::Result<Self> {
+            // SAFETY: no pointers cross; the returned fd is owned by this
+            // `Epoll` alone and closed exactly once, in its `Drop`.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
@@ -194,6 +199,9 @@ mod linux {
             }
             let mut ev = EpollEvent { events: flags, data: token as u64 };
             let ptr = if op == EPOLL_CTL_DEL { std::ptr::null_mut() } else { &mut ev };
+            // SAFETY: `ptr` is null only for EPOLL_CTL_DEL, which ignores
+            // it; otherwise it points at `ev`, a live `epoll_event` in the
+            // kernel's layout that is only read during the call.
             if unsafe { epoll_ctl(self.epfd, op, fd, ptr) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -217,6 +225,9 @@ mod linux {
         fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
             events.clear();
             let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+            // SAFETY: `buf` holds `buf.len()` initialised `epoll_event`s
+            // and that length is `maxevents`, so the kernel writes at most
+            // `n ≤ buf.len()` entries, all inside the allocation.
             let n =
                 unsafe { epoll_wait(self.epfd, self.buf.as_mut_ptr(), self.buf.len() as i32, ms) };
             if n < 0 {
@@ -252,6 +263,8 @@ mod linux {
 
     impl Drop for Epoll {
         fn drop(&mut self) {
+            // SAFETY: `epfd` came from `epoll_create1`, belongs to this
+            // value only and is closed nowhere else.
             unsafe {
                 super::sys::close(self.epfd);
             }
@@ -343,6 +356,9 @@ mod unix {
         fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
             events.clear();
             let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+            // SAFETY: `fds` is a vec of `#[repr(C)]` pollfds and its length
+            // is `nfds`, so the kernel reads and writes `revents` only
+            // inside the allocation.
             let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len(), ms) };
             if n < 0 {
                 let e = io::Error::last_os_error();
@@ -380,6 +396,8 @@ struct WriteEnd(Fd);
 #[cfg(unix)]
 impl Drop for WriteEnd {
     fn drop(&mut self) {
+        // SAFETY: the write end is owned by this value, shared only through
+        // one `Arc`, so it is closed once, when the last clone drops.
         unsafe {
             sys::close(self.0);
         }
@@ -407,6 +425,8 @@ impl WakePipe {
     /// Opens the pipe with both ends nonblocking.
     pub fn new() -> io::Result<Self> {
         let mut fds = [0 as Fd; 2];
+        // SAFETY: `fds` is the two-int array `pipe(2)` writes; both fds it
+        // returns are handed to owners that close them once.
         if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -430,6 +450,8 @@ impl WakePipe {
     pub fn drain(&self) {
         let mut scratch = [0u8; 64];
         loop {
+            // SAFETY: `read` writes at most `scratch.len()` bytes into
+            // `scratch`; `read_fd` stays open until this value drops.
             let n = unsafe { sys::read(self.read_fd, scratch.as_mut_ptr(), scratch.len()) };
             if n <= 0 || (n as usize) < scratch.len() {
                 return;
@@ -441,6 +463,8 @@ impl WakePipe {
 #[cfg(unix)]
 impl Drop for WakePipe {
     fn drop(&mut self) {
+        // SAFETY: the read end is owned by this value only; `Drop` runs
+        // once, so it is closed once.
         unsafe {
             sys::close(self.read_fd);
         }
@@ -453,6 +477,8 @@ impl WakeNotifier {
     /// wakeup, so `EAGAIN` is success.
     pub fn wake(&self) {
         let byte = 1u8;
+        // SAFETY: the buffer is one live byte and the count is 1; the fd
+        // stays open while `self.write` holds its `Arc`.
         unsafe {
             sys::write(self.write.0, &byte, 1);
         }

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use swope_cluster::{ClusterStats, PeerPool, PeerTimeouts, RemoteShardSource};
 use swope_columnar::ColumnarError;
 use swope_core::{
-    run, run_sharded, Answer, Executor, QueryObserver, SamplingStrategy, Scope, Shape,
-    ShardTransport, SwopeConfig, SwopeError,
+    run, run_sharded, Answer, Executor, QueryObserver, Scope, Shape, ShardTransport, SwopeConfig,
+    SwopeError,
 };
 use swope_obs::json::{escape_into, f64_into};
 
@@ -392,9 +392,6 @@ pub fn run_query_cluster<O: QueryObserver>(
         ));
     }
     let cfg = config_for(spec);
-    let SamplingStrategy::Row { seed } = cfg.sampling else {
-        return Err((422, "cluster queries support row sampling only".into()));
-    };
     let scope = if spec.row_start.is_some() || spec.row_end.is_some() {
         // The single-box rule: row_end clamps to N (the union) in the
         // connect below, which also rejects a start past the end.
@@ -407,7 +404,7 @@ pub fn run_query_cluster<O: QueryObserver>(
     let mut src = RemoteShardSource::connect(
         &cluster.addrs,
         &spec.dataset,
-        seed,
+        cfg.seed,
         scope,
         &cluster.timeouts,
         Arc::clone(stats),

@@ -26,6 +26,10 @@ extern "C" fn on_signal(_signum: i32) {
 /// non-Unix targets this is a no-op and only [`request_shutdown`] can
 /// trip the flag.
 pub fn install() {
+    // SAFETY: `signal(2)` only records a handler address. `on_signal` is
+    // an `extern "C" fn(i32)`, the ABI the kernel calls, and it is
+    // async-signal-safe: one lock-free atomic store into a static, with no
+    // allocation, locking or I/O.
     #[cfg(unix)]
     unsafe {
         const SIGINT: i32 = 2;

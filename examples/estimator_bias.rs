@@ -14,7 +14,7 @@
 use swope_datagen::{generate_column, Distribution};
 use swope_estimate::bounds::bias;
 use swope_estimate::entropy::{column_entropy, EntropyCounter};
-use swope_sampling::{PrefixShuffle, Sampler};
+use swope_sampling::PrefixShuffle;
 
 fn main() {
     let n = 1_000_000usize;

@@ -172,17 +172,3 @@ fn tiny_epsilon_recovers_exact_topk() {
     want.sort_unstable();
     assert_eq!(got, want);
 }
-
-#[test]
-fn page_sampling_also_meets_definition5() {
-    let ds = generate(&corpus::tiny(50_000, 20), 115);
-    let exact = exact_entropy_scores(&ds);
-    let order = order_desc(&exact);
-    let epsilon = 0.1;
-    let mut cfg = SwopeConfig::with_epsilon(epsilon);
-    cfg.sampling = swope_core::SamplingStrategy::Page { page_rows: 512, seed: 3 };
-    let res = entropy_top_k(&ds, 4, &cfg).unwrap();
-    for (i, s) in res.top.iter().enumerate() {
-        assert!(exact[s.attr] >= (1.0 - epsilon) * exact[order[i]] - 1e-9);
-    }
-}

@@ -11,7 +11,7 @@ use swope_estimate::bounds::{bias, entropy_bounds, lambda, mi_bounds};
 use swope_estimate::entropy::{column_entropy, entropy_from_counts, EntropyCounter};
 use swope_estimate::joint::{joint_entropy, mutual_information, JointEntropyCounter};
 use swope_sampling::rng::Xoshiro256pp;
-use swope_sampling::{PrefixShuffle, Sampler};
+use swope_sampling::PrefixShuffle;
 
 const CASES: usize = 128;
 
