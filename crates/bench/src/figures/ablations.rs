@@ -24,7 +24,7 @@ pub fn run_threads(cfg: &ExpConfig) -> Vec<Row> {
                 let qcfg =
                     SwopeConfig::with_epsilon(epsilon).with_seed(cfg.seed).with_threads(threads);
                 let mut tally = Tally::default();
-                tally.run(&ds, shape, &qcfg, |_| 1.0);
+                tally.run(&ds, shape, None, &qcfg, |_| 1.0);
                 rows.push(tally.row("ext-threads", &name, algo, threads as f64));
             }
         }
@@ -45,7 +45,7 @@ pub fn run_oneshot(cfg: &ExpConfig) -> Vec<Row> {
 
         let qcfg = SwopeConfig::with_epsilon(0.1).with_seed(cfg.seed);
         let mut tally = Tally::default();
-        let swope = tally.run(&ds, TOP_4, &qcfg, |got| topk_accuracy(got, exact_topk));
+        let swope = tally.run(&ds, TOP_4, None, &qcfg, |got| topk_accuracy(got, exact_topk));
         let budget = swope.stats.sample_size;
         rows.push(tally.row("ext-oneshot", &name, "SWOPE", 1.0));
 
@@ -78,7 +78,7 @@ pub fn run_m0(cfg: &ExpConfig) -> Vec<Row> {
             let mut qcfg = SwopeConfig::with_epsilon(0.1).with_seed(cfg.seed);
             qcfg.initial_sample = Some(((m0 as f64 * mult) as usize).max(2));
             let mut tally = Tally::default();
-            tally.run(&ds, TOP_4, &qcfg, |got| topk_accuracy(got, exact_topk));
+            tally.run(&ds, TOP_4, None, &qcfg, |got| topk_accuracy(got, exact_topk));
             rows.push(tally.row("ext-m0", &name, format!("M0x{mult}"), mult));
         }
     }

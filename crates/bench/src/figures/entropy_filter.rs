@@ -38,7 +38,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             ] {
                 let qcfg = qcfg.with_seed(cfg.seed ^ eta.to_bits());
                 let mut tally = Tally::default();
-                tally.run(&ds, shape, &qcfg, |got| filter_accuracy(got, &exact_answer).f1);
+                tally.run(&ds, shape, None, &qcfg, |got| filter_accuracy(got, &exact_answer).f1);
                 rows.push(tally.row("fig3", &name, algo, eta));
             }
         }

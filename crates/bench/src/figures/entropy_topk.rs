@@ -40,7 +40,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             ] {
                 let qcfg = qcfg.with_seed(cfg.seed ^ k as u64);
                 let mut tally = Tally::default();
-                tally.run(&ds, shape, &qcfg, |got| topk_accuracy(got, exact_topk));
+                tally.run(&ds, shape, None, &qcfg, |got| topk_accuracy(got, exact_topk));
                 rows.push(tally.row("fig1", &name, algo, k as f64));
             }
         }

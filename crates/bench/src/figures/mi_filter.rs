@@ -5,8 +5,10 @@
 //! over target attributes; SWOPE at tuned ε = 0.5.
 
 use swope_baselines::exact_mi_scores;
+use swope_columnar::snapshot::build_sketch;
 use swope_core::{Shape, SwopeConfig};
 
+use crate::figures::mi_topk::SKETCH_MARGINALS;
 use crate::harness::{time_ms, ExpConfig, Row, Tally};
 use crate::metrics::filter_accuracy;
 
@@ -21,6 +23,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
     let mut rows = Vec::new();
     for (name, ds) in cfg.datasets() {
         let targets = cfg.pick_targets(ds.num_attrs());
+        let sketch = build_sketch(&ds);
         let mut per_target: Vec<(usize, Vec<f64>, f64)> = Vec::new();
         for &t in &targets {
             let (ms, scores) = time_ms(|| exact_mi_scores(&ds, t));
@@ -35,10 +38,14 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             scan.add(exact_ms, 1.0, ds.num_rows(), work);
             rows.push(scan.row("fig7", &name, "Exact", eta));
 
-            // One loop, two stopping rules; EntropyFilter ignores ε.
-            for (algo, base, exact) in [
-                ("EntropyFilter", SwopeConfig::default(), true),
-                ("SWOPE", SwopeConfig::with_epsilon(SWOPE_EPSILON), false),
+            // One loop, two stopping rules; EntropyFilter ignores ε. The
+            // paper's SWOPE-MI samples its marginals; the last row reads
+            // them from the sketch and samples only the joint.
+            let swope = SwopeConfig::with_epsilon(SWOPE_EPSILON);
+            for (algo, base, exact, sketch) in [
+                ("EntropyFilter", SwopeConfig::default(), true, None),
+                ("SWOPE", swope.clone(), false, None),
+                (SKETCH_MARGINALS, swope, false, Some(&sketch)),
             ] {
                 let mut tally = Tally::default();
                 for (t, scores, _) in &per_target {
@@ -51,7 +58,9 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
                     } else {
                         Shape::MiFilter { target, eta }
                     };
-                    tally.run(&ds, shape, &qcfg, |got| filter_accuracy(got, &exact_answer).f1);
+                    tally.run(&ds, shape, sketch, &qcfg, |got| {
+                        filter_accuracy(got, &exact_answer).f1
+                    });
                 }
                 rows.push(tally.row("fig7", &name, algo, eta));
             }
@@ -71,7 +80,7 @@ mod tests {
         let only_datasets = vec!["cdc".to_owned(), "hus".to_owned()];
         let cfg = ExpConfig { scale: 0.00025, mi_targets: 1, only_datasets, ..Default::default() };
         let rows = run(&cfg);
-        assert_eq!(rows.len(), 2 * ETAS.len() * 3);
+        assert_eq!(rows.len(), 2 * ETAS.len() * 4);
         // EntropyFilter is exact up to p_f.
         assert!(rows.iter().filter(|r| r.algo == "EntropyFilter").all(|r| r.accuracy > 0.999));
         // SWOPE at ε=0.5 should still track well (paper: 100%).

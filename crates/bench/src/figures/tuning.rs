@@ -34,7 +34,7 @@ pub fn run_entropy_topk(cfg: &ExpConfig) -> Vec<Row> {
         for &eps in &EPSILONS {
             let qcfg = SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits());
             let mut tally = Tally::default();
-            tally.run(&ds, Shape::EntropyTopK { k: TUNE_K }, &qcfg, |got| {
+            tally.run(&ds, Shape::EntropyTopK { k: TUNE_K }, None, &qcfg, |got| {
                 topk_accuracy(got, exact_topk)
             });
             rows.push(tally.row("fig9", &name, "SWOPE", eps));
@@ -57,7 +57,7 @@ pub fn run_entropy_filter(cfg: &ExpConfig) -> Vec<Row> {
         for &eps in &EPSILONS {
             let qcfg = SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits());
             let mut tally = Tally::default();
-            tally.run(&ds, Shape::EntropyFilter { eta: TUNE_ETA_ENTROPY }, &qcfg, |got| {
+            tally.run(&ds, Shape::EntropyFilter { eta: TUNE_ETA_ENTROPY }, None, &qcfg, |got| {
                 filter_accuracy(got, &exact_answer).f1
             });
             rows.push(tally.row("fig10", &name, "SWOPE", eps));
@@ -85,7 +85,7 @@ pub fn run_mi_topk(cfg: &ExpConfig) -> Vec<Row> {
                 let qcfg =
                     SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits() ^ *t as u64);
                 let exact_topk = &exact_order[..TUNE_K.min(exact_order.len())];
-                tally.run(&ds, Shape::MiTopK { target: *t, k: TUNE_K }, &qcfg, |got| {
+                tally.run(&ds, Shape::MiTopK { target: *t, k: TUNE_K }, None, &qcfg, |got| {
                     topk_accuracy(got, exact_topk)
                 });
             }
@@ -114,9 +114,13 @@ pub fn run_mi_filter(cfg: &ExpConfig) -> Vec<Row> {
             for (t, exact_answer) in &per_target {
                 let qcfg =
                     SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits() ^ *t as u64);
-                tally.run(&ds, Shape::MiFilter { target: *t, eta: TUNE_ETA_MI }, &qcfg, |got| {
-                    filter_accuracy(got, exact_answer).f1
-                });
+                tally.run(
+                    &ds,
+                    Shape::MiFilter { target: *t, eta: TUNE_ETA_MI },
+                    None,
+                    &qcfg,
+                    |got| filter_accuracy(got, exact_answer).f1,
+                );
             }
             rows.push(tally.row("fig12", &name, "SWOPE", eps));
         }

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use swope_columnar::{AttrIndex, Dataset};
+use swope_columnar::{AttrIndex, Dataset, DatasetSketch};
 use swope_core::{run, Answer, Executor, Scope, Shape, SwopeConfig};
 use swope_datagen::{corpus, generate};
 use swope_obs::{Phase, PhaseAccumulator};
@@ -116,17 +116,20 @@ pub struct Tally {
 impl Tally {
     /// Times `shape` — SWOPE's or a comparator's — over the whole of `ds`
     /// on the adaptive loop and adds the run, per-phase wall clock
-    /// included; `accuracy` scores the returned attributes.
+    /// included; `accuracy` scores the returned attributes. A `sketch`
+    /// gives MI shapes their exact marginals (read inside the timed call),
+    /// the paper's rows run without one.
     pub fn run(
         &mut self,
         ds: &Dataset,
         shape: Shape,
+        sketch: Option<&DatasetSketch>,
         cfg: &SwopeConfig,
         accuracy: impl FnOnce(&[AttrIndex]) -> f64,
     ) -> Answer {
         let (millis, answer) = time_ms(|| {
             let exec = Executor::new(cfg.threads);
-            run(ds, &shape, &Scope::all(), None, cfg, &mut self.phases, &exec).unwrap()
+            run(ds, &shape, &Scope::all(), sketch, cfg, &mut self.phases, &exec).unwrap()
         });
         let attrs: Vec<AttrIndex> = answer.scores.iter().map(|s| s.attr).collect();
         self.add(millis, accuracy(&attrs), answer.stats.sample_size, answer.stats.rows_scanned);

@@ -206,7 +206,8 @@ fn adaptive(
     let exec = Executor::new(cfg.threads);
     match plan {
         Plan::Sharded(shards) => {
-            let mut source = LocalShardSource::new(ds, *shards, cfg, &exec)?;
+            // The sketch's marginals, as an unsharded run takes them.
+            let mut source = LocalShardSource::new(ds, *shards, cfg, &exec)?.with_sketch(sketch);
             run_sharded(&mut source, &shape, cfg, &mut obs.observer(), &exec)
         }
         Plan::Scoped(scope) => run(ds, &shape, scope, sketch, cfg, &mut obs.observer(), &exec),

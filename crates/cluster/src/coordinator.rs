@@ -244,16 +244,22 @@ fn recv(peer: &mut PeerConn, stats: &ClusterStats) -> Result<Frame, SwopeError> 
 /// shaped from its own request and the supports the session's `Hello`
 /// announced: a reply with any other shape or support is this peer's
 /// one-line error, never a histogram the engine would index out of range.
+/// With `may_decline`, a `CountMerge` over no attributes is a decline
+/// (`Ok(false)`) rather than a wrong shape.
 fn recv_counts(
     peer: &mut PeerConn,
     stats: &ClusterStats,
     counts: &mut ShardCounts,
-) -> Result<(), SwopeError> {
+    may_decline: bool,
+) -> Result<bool, SwopeError> {
     let read = peer.reader.read_envelope(&mut peer.stream).map_err(|e| e.to_string());
     let result = read.and_then(|envelope| {
         stats.record_received(envelope.wire_len());
+        if may_decline && envelope.is_decline() {
+            return Ok(None);
+        }
         if envelope.is_count_merge() {
-            return envelope.count_merge_into(counts).map_err(|e| e.to_string());
+            return envelope.count_merge_into(counts).map(Some).map_err(|e| e.to_string());
         }
         Err(match envelope.decode() {
             Ok(Frame::Error(e)) => e.message,
@@ -263,14 +269,17 @@ fn recv_counts(
     });
     match result {
         Ok(entries) => {
-            stats.record_entries(entries);
-            Ok(())
+            stats.record_entries(entries.unwrap_or(0));
+            Ok(entries.is_some())
         }
-        Err(reason) => {
-            stats.record_peer_error();
-            Err(peer_err(&peer.addr, reason))
-        }
+        Err(reason) => Err(fail(peer, stats, reason)),
     }
+}
+
+/// Counts a peer error and words it as this peer's one-line error.
+fn fail(peer: &PeerConn, stats: &ClusterStats, reason: impl std::fmt::Display) -> SwopeError {
+    stats.record_peer_error();
+    peer_err(&peer.addr, reason)
 }
 
 /// What a startup probe learns about a peer fleet.
@@ -326,6 +335,7 @@ pub struct RemoteShardSource {
     meta: Vec<AttrMeta>,
     population: u64,
     base: u64,
+    union_rows: u64,
     sampled: u64,
     finished: bool,
     stats: Arc<ClusterStats>,
@@ -440,6 +450,7 @@ impl RemoteShardSource {
             meta: meta.unwrap_or_default(),
             population: scope.end - scope.start,
             base: scope.start,
+            union_rows,
             sampled: 0,
             finished: false,
             stats,
@@ -550,11 +561,52 @@ impl ShardTransport for RemoteShardSource {
                 req.target.map(|t| self.meta[t].support),
                 req.live.iter().map(|&a| self.meta[a].support),
             );
-            recv_counts(peer, &self.stats, &mut counts)?;
+            recv_counts(peer, &self.stats, &mut counts, false)?;
             out.push(counts);
         }
         self.sampled = (m_target as u64).min(self.population);
         self.stats.record_merge();
         Ok(out)
+    }
+
+    /// Asks every peer for its sketch totals — only when the query's
+    /// population is the whole union, whose marginals they sum to — and
+    /// adds them as integers. One decline and the query samples its
+    /// marginals; a reply that does not add up to the rows the peer's
+    /// `Hello` announced, attribute by attribute, is that peer's error.
+    fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError> {
+        if self.finished {
+            return Err(SwopeError::Transport("query already finished".into()));
+        }
+        if self.base != 0 || self.population != self.union_rows {
+            return Ok(None);
+        }
+        for peer in &mut self.peers {
+            send(peer, &self.stats, &Frame::Marginals)?;
+        }
+        let mut sum: Vec<Vec<u64>> =
+            self.meta.iter().map(|m| vec![0; m.support as usize]).collect();
+        let mut every_peer_answered = true;
+        for peer in &mut self.peers {
+            let mut counts = ShardCounts::empty(None, self.meta.iter().map(|m| m.support));
+            if !recv_counts(peer, &self.stats, &mut counts, true)? {
+                every_peer_answered = false;
+                continue;
+            }
+            let rows = peer.slice.end - peer.slice.start;
+            for (attr, (total, cs)) in sum.iter_mut().zip(&mut counts.attrs).enumerate() {
+                if cs.total() != rows {
+                    let reason = format!(
+                        "marginals of attribute {attr} add up to {} rows, not the {rows} its Hello announced",
+                        cs.total()
+                    );
+                    return Err(fail(peer, &self.stats, reason));
+                }
+                for (code, k) in cs.canonical_entries() {
+                    total[code as usize] += k;
+                }
+            }
+        }
+        Ok(every_peer_answered.then_some(sum))
     }
 }

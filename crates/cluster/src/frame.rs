@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "SWPC"
-//! 4       1     frame tag (1=Hello … 6=Error)
+//! 4       1     frame tag (1=Hello … 6=Error, 7=Marginals)
 //! 5       4     payload length (u32; ≤ 64 MiB for CountMerge, ≤ 1 MiB otherwise)
 //! 9       len   payload
 //! 9+len   4     CRC32 over bytes [4, 9+len)  (tag + length + payload)
@@ -18,11 +18,11 @@
 //! connection sniff the server uses to tell cluster sessions from HTTP
 //! on a shared port — no HTTP method starts with `SWPC`.
 //!
-//! The five control frames use fixed-width fields: `u32` length + UTF-8
-//! bytes for strings, `u32` element counts for lists. `CountMerge` — one
-//! per peer per doubling, all but a few hundred of a query's wire bytes —
-//! is LEB128 varints over the histograms' canonical form (protocol
-//! version 2):
+//! The control frames use fixed-width fields: `u32` length + UTF-8
+//! bytes for strings, `u32` element counts for lists; `Marginals` has an
+//! empty payload. `CountMerge` — one per peer per doubling, all but a few
+//! hundred of a query's wire bytes — is LEB128 varints over the
+//! histograms' canonical form (since protocol version 2):
 //!
 //! ```text
 //! CountMerge = u8 has_target (0 | 1)
@@ -44,6 +44,13 @@
 //! argument needs (see `swope_core::shard`). Codes that ascend by one and
 //! counts under 128 take two bytes an entry against twelve fixed-width.
 //!
+//! A `CountMerge` also answers `Marginals` (protocol version 3), the
+//! request an MI query over the whole union sends once, before its first
+//! `GrowDelta`: the peer's partition-sketch totals for every attribute,
+//! no target and no joint runs — or, from a peer without a usable
+//! sketch, a `CountMerge` over no attributes at all (payload `00 00`),
+//! which declines.
+//!
 //! [`FrameWriter`] and [`FrameReader`] each own one buffer that a session
 //! reuses for every frame; [`write_frame`] and [`read_frame`] are the
 //! same code over a throwaway buffer.
@@ -58,8 +65,8 @@ pub const MAGIC: [u8; 4] = *b"SWPC";
 
 /// Wire protocol version carried in [`Hello`] frames; peers reject
 /// mismatches rather than guessing. Version 2 is the varint
-/// `CountMerge` layout.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// `CountMerge` layout; version 3 adds the `Marginals` request.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a `CountMerge` payload. One over the widest supported
 /// attribute set stays far below this; anything larger is a corrupt or
@@ -72,6 +79,11 @@ pub const MAX_CONTROL_PAYLOAD: u32 = 1 << 20;
 
 const HEADER_LEN: usize = 9;
 const TAG_COUNT_MERGE: u8 = 4;
+const TAG_MARGINALS: u8 = 7;
+
+/// The `CountMerge` payload over no attributes — no target, zero live —
+/// with which a peer declines a `Marginals` request.
+const DECLINE: [u8; 2] = [0, 0];
 
 /// How far [`FrameReader`] grows its buffer ahead of the bytes that have
 /// actually arrived: a header can claim [`MAX_PAYLOAD`], it cannot make
@@ -225,6 +237,9 @@ pub enum Frame {
     Result(ResultFrame),
     /// One-line failure report.
     Error(ErrorFrame),
+    /// Per-query request for every attribute's partition-sketch totals,
+    /// answered by a `CountMerge` (see the module docs).
+    Marginals,
 }
 
 impl Frame {
@@ -236,6 +251,7 @@ impl Frame {
             Frame::CountMerge(_) => TAG_COUNT_MERGE,
             Frame::Result(_) => 5,
             Frame::Error(_) => 6,
+            Frame::Marginals => TAG_MARGINALS,
         }
     }
 
@@ -248,6 +264,7 @@ impl Frame {
             Frame::CountMerge(_) => "CountMerge",
             Frame::Result(_) => "Result",
             Frame::Error(_) => "Error",
+            Frame::Marginals => "Marginals",
         }
     }
 }
@@ -364,6 +381,7 @@ fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
         Frame::CountMerge(c) => out.extend_from_slice(&c.payload),
         Frame::Result(r) => put_u64(out, r.sampled),
         Frame::Error(e) => put_str(out, &e.message),
+        Frame::Marginals => {}
     }
 }
 
@@ -588,6 +606,7 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
         }
         5 => Frame::Result(ResultFrame { sampled: c.u64()? }),
         6 => Frame::Error(ErrorFrame { message: c.str()? }),
+        TAG_MARGINALS => Frame::Marginals,
         other => return Err(FrameError::UnknownTag(other)),
     };
     c.finish()?;
@@ -693,7 +712,7 @@ impl FrameReader {
             return Err(FrameError::BadMagic(header[..4].try_into().unwrap()));
         }
         let tag = header[4];
-        if !(1..=6).contains(&tag) {
+        if !(1..=TAG_MARGINALS).contains(&tag) {
             return Err(FrameError::UnknownTag(tag));
         }
         let len = u32::from_le_bytes(header[5..].try_into().unwrap());
@@ -738,6 +757,12 @@ impl Envelope<'_> {
     /// decodes without building a [`Frame`].
     pub fn is_count_merge(&self) -> bool {
         self.tag == TAG_COUNT_MERGE
+    }
+
+    /// True for a `CountMerge` over no attributes: a peer declining a
+    /// `Marginals` request.
+    pub fn is_decline(&self) -> bool {
+        self.is_count_merge() && self.payload == DECLINE
     }
 
     /// Parses the payload as its tag's layout.
@@ -820,6 +845,7 @@ mod tests {
             Frame::CountMerge(CountMergeFrame::from_counts(&mut sample_counts())),
             Frame::Result(ResultFrame { sampled: 8192 }),
             Frame::Error(ErrorFrame { message: "no dataset named \"x\"".into() }),
+            Frame::Marginals,
         ]
     }
 
@@ -1029,6 +1055,24 @@ mod tests {
         assert_eq!(frame.entries(), 1200);
         let per_entry = frame.payload.len() as f64 / 1200.0;
         assert!((2.0..3.0).contains(&per_entry), "{per_entry} bytes an entry");
+    }
+
+    #[test]
+    fn only_a_count_merge_over_no_attributes_declines() {
+        let envelope_of = |frame: &Frame| {
+            let bytes = encode(frame);
+            let mut reader = FrameReader::new();
+            let envelope = reader.read_envelope(&mut bytes.as_slice()).unwrap();
+            envelope.is_decline()
+        };
+        let decline = CountMergeFrame::from_counts(&mut ShardCounts::empty(None, []));
+        assert_eq!(decline.payload, DECLINE);
+        assert!(envelope_of(&Frame::CountMerge(decline)));
+        // Totals over one attribute that holds nothing yet are an answer.
+        let empty_totals = CountMergeFrame::from_counts(&mut ShardCounts::empty(None, [3]));
+        assert!(!envelope_of(&Frame::CountMerge(empty_totals)));
+        assert!(!envelope_of(&Frame::Marginals));
+        assert!(!envelope_of(&Frame::Result(ResultFrame { sampled: 0 })));
     }
 
     #[test]

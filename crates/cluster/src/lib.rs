@@ -7,8 +7,8 @@
 //!
 //! * [`frame`] — the dependency-free binary format: length-prefixed,
 //!   CRC32-trailed typed frames (`Hello`, `QuerySpec`, `GrowDelta`,
-//!   `CountMerge`, `Result`, `Error`), sniffable from HTTP by the
-//!   leading `SWPC` magic.
+//!   `CountMerge`, `Result`, `Error`, `Marginals`), sniffable from HTTP
+//!   by the leading `SWPC` magic.
 //! * [`peer`] — the shard-server side: answer counting work over a
 //!   resident dataset slice, replaying the query's global sample.
 //! * [`coordinator`] — [`RemoteShardSource`], a
@@ -33,5 +33,5 @@ pub mod stats;
 
 pub use coordinator::{probe, ClusterProbe, PeerPool, PeerTimeouts, RemoteShardSource};
 pub use frame::{Frame, FrameError, MAGIC, PROTOCOL_VERSION};
-pub use peer::{serve_connection, DatasetResolver, SessionEnd};
+pub use peer::{serve_connection, DatasetResolver, PeerDataset, SessionEnd};
 pub use stats::{ClusterSnapshot, ClusterStats};

@@ -9,7 +9,9 @@
 //! Hello(dataset) ────────────────────▶
 //!            ◀──────────────────────── Hello(num_rows, attrs)
 //! QuerySpec(seed, population, …) ────▶          ┐ per
-//! GrowDelta(m₁, live) ───────────────▶          │ query
+//! [Marginals] ───────────────────────▶          │ query
+//!            ◀──────────────────────── CountMerge │ (MI over the whole union)
+//! GrowDelta(m₁, live) ───────────────▶          │
 //!            ◀──────────────────────── CountMerge │ (repeats
 //! GrowDelta(m₂, live′) ──────────────▶          │  per
 //!            ◀──────────────────────── CountMerge │  iteration)
@@ -22,7 +24,9 @@
 //! counts just the sampled rows that land in its own `[shard_start,
 //! shard_end)` slice of the union, which is what makes the coordinator's
 //! merged answer bitwise-identical to a local run over the union (see
-//! `swope_core::shard`).
+//! `swope_core::shard`). Asked for `Marginals`, it sends its slice's
+//! partition-sketch totals (`swope_core::sketch_marginals`), or declines
+//! without a usable sketch; summed, they are the union's marginals.
 //!
 //! Protocol violations and unknown datasets are answered with an
 //! [`ErrorFrame`] and end the session; a clean EOF from the coordinator
@@ -32,9 +36,10 @@
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use swope_columnar::Dataset;
+use swope_columnar::{Dataset, DatasetSketch};
 use swope_core::{
-    count_candidate, count_target, AttrMeta, CountScratch, CountState, ShardCounts, TargetBuf,
+    count_candidate, count_target, sketch_marginals, AttrMeta, CountScratch, CountState,
+    ShardCounts, TargetBuf,
 };
 use swope_sampling::PrefixShuffle;
 
@@ -44,9 +49,19 @@ use crate::frame::{
 };
 use crate::stats::ClusterStats;
 
+/// What a peer serves under a dataset name: the resident rows and, when
+/// there is one, their partition sketch, whose totals answer `Marginals`.
+#[derive(Debug, Clone)]
+pub struct PeerDataset {
+    /// The peer's slice of the union.
+    pub dataset: Arc<Dataset>,
+    /// The slice's partition sketch; `None` declines every `Marginals`.
+    pub sketch: Option<Arc<DatasetSketch>>,
+}
+
 /// Resolves a dataset name to a resident dataset; `""` means "the
 /// peer's default dataset" (servers map it to their first loaded one).
-pub type DatasetResolver<'a> = dyn Fn(&str) -> Option<Arc<Dataset>> + 'a;
+pub type DatasetResolver<'a> = dyn Fn(&str) -> Option<PeerDataset> + 'a;
 
 fn dataset_meta(ds: &Dataset) -> Vec<AttrMeta> {
     ds.schema()
@@ -121,7 +136,7 @@ pub fn serve_connection<S: Read + Write>(
     let mut wire = Wire { io, stats, reader: FrameReader::new(), writer: FrameWriter::new() };
     // No dataset is open until the first Hello resolves one; each later
     // Hello (pooled-connection reuse) replaces it.
-    let mut ds: Option<Arc<Dataset>> = None;
+    let mut ds: Option<PeerDataset> = None;
     loop {
         match wire.recv() {
             Ok(Frame::Hello(hello)) => {
@@ -137,8 +152,8 @@ pub fn serve_connection<S: Read + Write>(
                 let reply = Hello {
                     version: PROTOCOL_VERSION,
                     dataset: hello.dataset,
-                    num_rows: resolved.num_rows() as u64,
-                    attrs: dataset_meta(&resolved),
+                    num_rows: resolved.dataset.num_rows() as u64,
+                    attrs: dataset_meta(&resolved.dataset),
                 };
                 if let Err(e) = wire.send(&Frame::Hello(reply)) {
                     stats.record_peer_error();
@@ -150,7 +165,7 @@ pub fn serve_connection<S: Read + Write>(
                 let Some(ds) = &ds else {
                     return wire.bail("QuerySpec before any Hello".into());
                 };
-                if let Err(msg) = validate_spec(ds, &spec) {
+                if let Err(msg) = validate_spec(&ds.dataset, &spec) {
                     return wire.bail(msg);
                 }
                 match serve_query(&mut wire, ds, &spec) {
@@ -204,9 +219,10 @@ enum QueryEnd {
 /// Runs one query's GrowDelta/CountMerge exchanges until `Result`.
 fn serve_query<S: Read + Write>(
     wire: &mut Wire<'_, S>,
-    ds: &Dataset,
+    served: &PeerDataset,
     spec: &QuerySpecFrame,
 ) -> Result<(), QueryEnd> {
+    let ds = &*served.dataset;
     let mut shuffle = PrefixShuffle::new(spec.population as usize, spec.seed);
     let mut rows: Vec<u32> = Vec::new();
     // Rows of one page adjacent, so paged gathers pin each page once.
@@ -215,6 +231,14 @@ fn serve_query<S: Read + Write>(
     loop {
         let grow = match wire.recv() {
             Ok(Frame::GrowDelta(g)) => g,
+            Ok(Frame::Marginals) => {
+                let mut totals = marginal_totals(ds, served.sketch.as_deref());
+                if let Err(e) = wire.send_counts(&mut totals) {
+                    wire.stats.record_peer_error();
+                    return Err(QueryEnd::Fail(e.to_string()));
+                }
+                continue;
+            }
             Ok(Frame::Result(_)) => return Ok(()),
             Ok(Frame::Error(_)) => return Err(QueryEnd::Aborted),
             Ok(f) => return Err(QueryEnd::Fail(format!("expected GrowDelta, got {}", f.name()))),
@@ -242,6 +266,19 @@ fn serve_query<S: Read + Write>(
             return Err(QueryEnd::Fail(e.to_string()));
         }
     }
+}
+
+/// The reply to `Marginals`: every attribute's whole-slice counts from a
+/// usable sketch, or counts over no attributes — the decline.
+fn marginal_totals(ds: &Dataset, sketch: Option<&DatasetSketch>) -> ShardCounts {
+    let totals = sketch_marginals(ds, sketch).unwrap_or_default();
+    let mut counts = ShardCounts::empty(None, totals.iter().map(|c| c.len() as u32));
+    for (cs, column) in counts.attrs.iter_mut().zip(&totals) {
+        for (code, &k) in column.iter().enumerate() {
+            cs.increment(code as u32, k);
+        }
+    }
+    counts
 }
 
 /// One query's counting state: the histograms of every attribute it has
@@ -329,10 +366,15 @@ impl<'d> Counter<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame, write_frame, ResultFrame};
+    use crate::frame::{read_frame, write_frame, CountMergeFrame, ResultFrame};
 
     fn dataset() -> Arc<Dataset> {
         Arc::new(swope_datagen::generate(&swope_datagen::corpus::tiny(500, 4), 0xC1))
+    }
+
+    /// `ds` served without a sketch.
+    fn served(ds: &Arc<Dataset>) -> PeerDataset {
+        PeerDataset { dataset: Arc::clone(ds), sketch: None }
     }
 
     /// An in-memory duplex "stream": reads consume a script, writes
@@ -403,7 +445,7 @@ mod tests {
             Frame::Result(ResultFrame { sampled: 64 }),
         ]);
         let stats = ClusterStats::new();
-        let resolve = |name: &str| (name == "t").then(|| Arc::clone(&ds));
+        let resolve = |name: &str| (name == "t").then(|| served(&ds));
         assert_eq!(serve_connection(&mut pipe, &resolve, &stats), SessionEnd::Closed);
         let replies = pipe.replies();
         assert_eq!(replies.len(), 2);
@@ -426,6 +468,62 @@ mod tests {
         assert_eq!(snap.peer_errors, 0);
     }
 
+    /// `Marginals` is answered with the sketch's whole-slice totals, or
+    /// declined without a sketch; the query then goes on as before.
+    #[test]
+    fn marginals_are_the_sketch_totals_or_a_decline() {
+        let ds = dataset();
+        let n = ds.num_rows() as u64;
+        let sketch = swope_columnar::DatasetSketch::build(
+            ds.num_rows(),
+            (0..4).map(|a| ds.column(a).packed()),
+        );
+        let script = [
+            hello("t"),
+            Frame::QuerySpec(QuerySpecFrame {
+                seed: 7,
+                population: n,
+                base: 0,
+                shard_start: 0,
+                shard_end: n,
+            }),
+            Frame::Marginals,
+            Frame::GrowDelta(GrowDelta { m_target: 64, target: Some(0), live: vec![1] }),
+            Frame::Result(ResultFrame { sampled: 64 }),
+        ];
+        let stats = ClusterStats::new();
+        for sketch in [Some(Arc::new(sketch)), None] {
+            let mut pipe = Pipe::scripted(&script);
+            let peer = PeerDataset { dataset: Arc::clone(&ds), sketch: sketch.clone() };
+            let resolve = |_: &str| Some(peer.clone());
+            assert_eq!(serve_connection(&mut pipe, &resolve, &stats), SessionEnd::Closed);
+            let replies = pipe.replies();
+            let [Frame::Hello(_), Frame::CountMerge(totals), Frame::CountMerge(_)] = &replies[..]
+            else {
+                panic!("expected Hello and two CountMerges, got {replies:?}")
+            };
+            let Some(sketch) = sketch else {
+                let decline = CountMergeFrame::from_counts(&mut ShardCounts::empty(None, []));
+                assert_eq!(totals, &decline);
+                continue;
+            };
+            let mut counts = ShardCounts::empty(None, (0..4).map(|a| ds.support(a)));
+            totals.decode_into(&mut counts).unwrap();
+            let want = sketch_marginals(&ds, Some(&sketch)).unwrap();
+            for (cs, column) in counts.attrs.iter().zip(&want) {
+                let dense: Vec<(u32, u64)> = column
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &k)| k > 0)
+                    .map(|(c, &k)| (c as u32, k))
+                    .collect();
+                assert_eq!(cs.sorted_entries(), dense);
+                assert_eq!(cs.total(), n);
+            }
+        }
+        assert_eq!(stats.snapshot().peer_errors, 0);
+    }
+
     #[test]
     fn peer_counts_only_its_slice() {
         let ds = dataset();
@@ -444,7 +542,7 @@ mod tests {
             Frame::Result(ResultFrame { sampled: 100 }),
         ]);
         let stats = ClusterStats::new();
-        let resolve = |_: &str| Some(Arc::clone(&ds));
+        let resolve = |_: &str| Some(served(&ds));
         assert_eq!(serve_connection(&mut pipe, &resolve, &stats), SessionEnd::Closed);
         let Frame::CountMerge(c) = &pipe.replies()[1] else { panic!("expected CountMerge") };
         let mut counts = ShardCounts::empty(Some(ds.support(0)), [ds.support(1), ds.support(2)]);
@@ -466,7 +564,7 @@ mod tests {
         let ds = dataset();
         let stats = ClusterStats::new();
         let mut pipe = Pipe::scripted(&[hello("missing")]);
-        let resolve = |name: &str| (name == "t").then(|| Arc::clone(&ds));
+        let resolve = |name: &str| (name == "t").then(|| served(&ds));
         let SessionEnd::Error(msg) = serve_connection(&mut pipe, &resolve, &stats) else {
             panic!("expected an error end");
         };
@@ -489,7 +587,7 @@ mod tests {
     fn mismatched_shard_range_is_rejected() {
         let ds = dataset();
         let stats = ClusterStats::new();
-        let resolve = |_: &str| Some(Arc::clone(&ds));
+        let resolve = |_: &str| Some(served(&ds));
         let mut pipe = Pipe::scripted(&[
             hello("t"),
             Frame::QuerySpec(QuerySpecFrame {
@@ -513,7 +611,7 @@ mod tests {
         let ds = dataset();
         let n = ds.num_rows() as u64;
         let stats = ClusterStats::new();
-        let resolve = |_: &str| Some(Arc::clone(&ds));
+        let resolve = |_: &str| Some(served(&ds));
         let mut pipe = Pipe::scripted(&[
             hello("t"),
             Frame::QuerySpec(QuerySpecFrame {
@@ -536,7 +634,7 @@ mod tests {
     fn an_older_coordinator_is_refused_by_version() {
         let ds = dataset();
         let stats = ClusterStats::new();
-        let resolve = |_: &str| Some(Arc::clone(&ds));
+        let resolve = |_: &str| Some(served(&ds));
         let mut pipe = Pipe::scripted(&[Frame::Hello(Hello {
             version: 1,
             dataset: "t".into(),
@@ -544,8 +642,8 @@ mod tests {
             attrs: Vec::new(),
         })]);
         let end = serve_connection(&mut pipe, &resolve, &stats);
-        let msg = "protocol version 1 unsupported (peer speaks 2)";
-        assert_eq!(end, SessionEnd::Error(msg.into()));
-        assert_eq!(pipe.replies(), vec![Frame::Error(ErrorFrame { message: msg.into() })]);
+        let msg = format!("protocol version 1 unsupported (peer speaks {PROTOCOL_VERSION})");
+        assert_eq!(end, SessionEnd::Error(msg.clone()));
+        assert_eq!(pipe.replies(), vec![Frame::Error(ErrorFrame { message: msg })]);
     }
 }

@@ -11,17 +11,17 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{all_shapes, plain};
+use common::{all_shapes, comparators_against, plain, scoped, sketch_of};
 use swope_cluster::coordinator::{probe, PeerPool, PeerTimeouts, RemoteShardSource};
 use swope_cluster::frame::{
     read_frame, write_frame, CountMergeFrame, Frame, Hello, PROTOCOL_VERSION,
 };
-use swope_cluster::peer::serve_connection;
+use swope_cluster::peer::{serve_connection, PeerDataset};
 use swope_cluster::stats::ClusterStats;
-use swope_columnar::Dataset;
+use swope_columnar::{Dataset, DatasetSketch};
 use swope_core::{
-    run_sharded, Answer, Executor, NoopObserver, Shape, ShardCounts, ShardTransport, SwopeConfig,
-    SwopeError,
+    run_sharded, sketch_marginals, Answer, CountState, Executor, NoopObserver, Scope, Shape,
+    ShardCounts, ShardTransport, SwopeConfig, SwopeError,
 };
 
 fn union_dataset() -> Dataset {
@@ -33,21 +33,26 @@ fn slice_rows(ds: &Dataset, range: std::ops::Range<usize>) -> Dataset {
     ds.take_rows(&rows)
 }
 
-/// Spawns a peer serving `ds` on a fresh loopback port, one session
-/// thread per connection. The listener thread leaks (it blocks in
-/// accept) — harmless for a test process.
+/// Spawns a peer serving `ds` without a sketch on a fresh loopback port,
+/// one session thread per connection: it declines every `Marginals`.
 fn spawn_peer(ds: Dataset) -> String {
-    let ds = Arc::new(ds);
+    spawn_peer_with(ds, None)
+}
+
+/// [`spawn_peer`] with `sketch` answering `Marginals`. The listener
+/// thread leaks (it blocks in accept) — harmless for a test process.
+fn spawn_peer_with(ds: Dataset, sketch: Option<DatasetSketch>) -> String {
+    let served = PeerDataset { dataset: Arc::new(ds), sketch: sketch.map(Arc::new) };
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { break };
-            let ds = Arc::clone(&ds);
+            let served = served.clone();
             std::thread::spawn(move || {
                 let stats = ClusterStats::new();
                 let resolve =
-                    move |name: &str| (name.is_empty() || name == "t").then(|| Arc::clone(&ds));
+                    move |name: &str| (name.is_empty() || name == "t").then(|| served.clone());
                 serve_connection(&mut stream, &resolve, &stats);
             });
         }
@@ -444,4 +449,130 @@ fn an_older_peer_is_refused_by_version() {
         err.to_string(),
         SwopeError::Transport(format!("peer {addr}: speaks protocol v1")).to_string()
     );
+}
+
+/// The union cut three ways, each slice served with its own sketch
+/// unless `declining` names it.
+fn three_peers(union: &Dataset, declining: Option<usize>) -> Vec<String> {
+    let n = union.num_rows();
+    [0..n / 4, n / 4..n / 2, n / 2..n]
+        .into_iter()
+        .enumerate()
+        .map(|(i, rows)| {
+            let slice = slice_rows(union, rows);
+            let sketch = (declining != Some(i)).then(|| sketch_of(&slice));
+            spawn_peer_with(slice, sketch)
+        })
+        .collect()
+}
+
+/// The MI shapes SWOPE and the comparators answer, against `all_shapes`'
+/// target.
+fn mi_shapes() -> Vec<Shape> {
+    let all = all_shapes().into_iter().chain(comparators_against(5));
+    all.filter(|shape| shape.target().is_some()).collect()
+}
+
+/// Three peers with sketches: their totals sum to the union's marginals,
+/// so the coordinator answers every MI shape as a single box holding the
+/// union and its sketch — not as one without (the sketch moved answers).
+#[test]
+fn summed_peer_marginals_answer_as_the_single_box_with_its_sketch() {
+    let union = union_dataset();
+    let addrs = three_peers(&union, None);
+    let (config, sketch) = (cfg(0x3A26), sketch_of(&union));
+    let mut moved = 0;
+    for shape in mi_shapes() {
+        let mut src = connect(&addrs, &config, None);
+        let got = wire(&mut src, &shape, &config).unwrap();
+        assert_eq!(got, scoped(&union, &shape, &Scope::all(), Some(&sketch), &config), "{shape:?}");
+        moved += usize::from(got != plain(&union, &shape, &config));
+    }
+    assert!(moved > 0, "no MI answer took the marginals");
+    // Entropy shapes never ask.
+    let shape = all_shapes()[0];
+    let mut src = connect(&addrs, &config, None);
+    assert_eq!(wire(&mut src, &shape, &config).unwrap(), plain(&union, &shape, &config));
+}
+
+/// One peer without a sketch declines, and the whole answer is the
+/// sketch-free one: partial marginals are never used.
+#[test]
+fn one_declining_peer_leaves_every_answer_sketch_free() {
+    let union = union_dataset();
+    let addrs = three_peers(&union, Some(1));
+    let config = cfg(0x3A26);
+    for shape in mi_shapes() {
+        let mut src = connect(&addrs, &config, None);
+        assert_eq!(wire(&mut src, &shape, &config).unwrap(), plain(&union, &shape, &config));
+    }
+}
+
+/// Two peers with sketches and, last, a scripted one holding `slice` that
+/// answers `Marginals` with `totals` built from its slice: the one-line
+/// error, naming that peer, the coordinator's MI query ends with.
+fn marginals_reply_error(totals: impl FnOnce(&Dataset) -> ShardCounts + Send + 'static) -> String {
+    let union = union_dataset();
+    let n = union.num_rows();
+    let mut addrs: Vec<String> = [0..n / 4, n / 4..n / 2]
+        .into_iter()
+        .map(|rows| {
+            let slice = slice_rows(&union, rows);
+            let sketch = sketch_of(&slice);
+            spawn_peer_with(slice, Some(sketch))
+        })
+        .collect();
+    let slice = slice_rows(&union, n / 2..n);
+    let liar = scripted_peer(move |mut stream| {
+        let _ = read_frame(&mut stream).unwrap(); // Hello
+        write_frame(&mut stream, &hello_reply(PROTOCOL_VERSION, &slice)).unwrap();
+        let _ = read_frame(&mut stream).unwrap(); // QuerySpec
+        let (Frame::Marginals, _) = read_frame(&mut stream).unwrap() else {
+            panic!("expected Marginals")
+        };
+        let reply = Frame::CountMerge(CountMergeFrame::from_counts(&mut totals(&slice)));
+        write_frame(&mut stream, &reply).unwrap();
+        let _ = read_frame(&mut stream); // hold the socket until the coordinator hangs up
+    });
+    addrs.push(liar.clone());
+    let config = cfg(0x3A27);
+    let mut src = connect(&addrs, &config, None);
+    let err = wire(&mut src, &all_shapes()[2], &config).unwrap_err();
+    let SwopeError::Transport(msg) = err else { panic!("expected a transport error, got {err}") };
+    assert!(msg.starts_with(&format!("peer {liar}: ")), "{msg}");
+    assert!(!msg.contains('\n'), "{msg}");
+    msg
+}
+
+/// The slice's true totals, with `edit` applied to the first attribute.
+fn totals_with(ds: &Dataset, edit: impl FnOnce(&mut ShardCounts)) -> ShardCounts {
+    let exact = sketch_marginals(ds, Some(&sketch_of(ds))).unwrap();
+    let mut counts = ShardCounts::empty(None, exact.iter().map(|c| c.len() as u32));
+    for (cs, column) in counts.attrs.iter_mut().zip(&exact) {
+        for (code, &k) in column.iter().enumerate() {
+            cs.increment(code as u32, k);
+        }
+    }
+    edit(&mut counts);
+    counts
+}
+
+#[test]
+fn marginals_that_miss_the_hello_rows_are_a_transport_error() {
+    let msg = marginals_reply_error(|ds| totals_with(ds, |counts| counts.attrs[0].add(0)));
+    assert!(msg.contains("add up to 2001 rows, not the 2000 its Hello announced"), "{msg}");
+}
+
+#[test]
+fn a_marginal_code_past_support_is_a_transport_error() {
+    // Well-formed on the wire (its histogram declares the wider support),
+    // but past the support the peer's Hello announced.
+    let msg = marginals_reply_error(|ds| {
+        totals_with(ds, |counts| {
+            let support = counts.attrs[0].support();
+            counts.attrs[0] = CountState::new(support + 1);
+            counts.attrs[0].increment(support, ds.num_rows() as u64);
+        })
+    });
+    assert!(msg.contains("support disagrees"), "{msg}");
 }

@@ -30,7 +30,7 @@ use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver, ScopePath};
 use swope_sampling::DoublingSchedule;
 
 use crate::exec::Executor;
-use crate::measure::{Candidate, Entropy, Measure, Mi};
+use crate::measure::{Candidate, Entropy, Interval, Measure, Mi};
 use crate::observe::Instrumented;
 use crate::profile::ProfileResult;
 use crate::report::{AttrScore, FilterResult, QueryStats, TopKResult, WorkKind};
@@ -265,6 +265,11 @@ pub(crate) trait CountSource {
         None
     }
 
+    /// Every attribute's exact code counts over the whole population,
+    /// when a partition sketch holds them; asked once, before the first
+    /// iteration, by MI queries only.
+    fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError>;
+
     /// Grows the sample to `m_target` rows, [announces](Round::announce)
     /// the iteration, and counts the new rows into `states`.
     fn count<M: Measure, O: QueryObserver>(
@@ -344,12 +349,13 @@ impl Rule {
     fn decide<M: Measure, O: QueryObserver>(
         self,
         measure: &M,
+        interval: Interval,
         states: &mut Vec<M::State>,
         round: &mut Round<'_, O>,
         accept: &mut impl FnMut(&M::State, usize),
     ) -> Option<Verdict> {
         match self {
-            Rule::TopK { k } => topk::decide(k, M::WIDTH_LAMBDAS, states, round),
+            Rule::TopK { k } => topk::decide(k, interval.width_lambdas, states, round),
             Rule::Filter { eta } => {
                 filter::decide(eta, |st| measure.exact_score(st), states, round, accept)
             }
@@ -407,7 +413,12 @@ fn score<S: CountSource>(source: &S, st: &impl Candidate, retired_iteration: usi
 /// plain query. A `sketch` that matches the dataset lets a row-range
 /// entropy query synthesize the fully covered pages from per-page
 /// histograms and lets a predicate skip pages without matches (see
-/// [`crate::Scope`]); it never changes what a full scope answers.
+/// [`crate::Scope`]). Over a full scope it changes the MI shapes only:
+/// their marginal entropies are read exactly from the sketch, and only
+/// the joint is sampled — an interval of `2λ + b(α_t, α)` instead of
+/// `6λ + b′` (`swope_estimate::bounds::mi_bounds_exact_marginals`), with
+/// the same Definition 5/6 guarantee. With `sketch = None` every shape
+/// samples as the paper does.
 ///
 /// `observer` receives the query lifecycle (`query_start`, per doubling
 /// round an `iteration` event and `sample_grow` / `ingest` /
@@ -434,7 +445,9 @@ pub fn run<O: QueryObserver>(
 ) -> Result<Answer, SwopeError> {
     shape.validate(config, dataset.num_attrs(), dataset.num_rows() == 0)?;
     // Covered pages can stand in for marginal counts only: MI needs joint
-    // co-occurrences, which per-attribute histograms cannot synthesize.
+    // co-occurrences, which per-attribute histograms cannot synthesize,
+    // so an MI range samples its rows. (Over a full scope MI still takes
+    // the sketch's exact marginals: `CountSource::marginals`.)
     let hybrid = shape.target().is_none();
     let source = LocalSource::open(dataset, scope, sketch, config, hybrid, observer.enabled())?;
     dispatch(shape, source, config, observer, exec)
@@ -524,12 +537,14 @@ fn drive<M: Measure, S: CountSource, O: QueryObserver>(
     }
 
     let mut states = measure.states(&source);
+    let interval = measure.prepare(&mut source, &mut it)?;
     let p_f = config.resolve_p_f_rows(n);
     let max_support = (0..h).map(|a| source.support(a)).max().unwrap_or(0);
     let schedule = DoublingSchedule::new(n, config.resolve_m0_meta(n, h, max_support, p_f));
-    // Union-bound budget: Lemma 3 is applied to at most `states.len()`
-    // candidates in each of at most i_max iterations (Theorem 1's proof).
-    let p_prime = p_f / (M::APPLICATIONS * schedule.i_max() as f64 * states.len() as f64);
+    // Union-bound budget: Lemma 3 is applied `interval.applications`
+    // times to each of at most `states.len()` candidates in each of at
+    // most i_max iterations (Theorem 1's proof).
+    let p_prime = p_f / (interval.applications * schedule.i_max() as f64 * states.len() as f64);
     let mut round = Round {
         it,
         n,
@@ -556,7 +571,7 @@ fn drive<M: Measure, S: CountSource, O: QueryObserver>(
         let span = round.it.phase_start();
         let mut accept =
             |st: &M::State, iteration: usize| scores.push(score(&source, st, iteration));
-        let verdict = rule.decide(&measure, &mut states, &mut round, &mut accept);
+        let verdict = rule.decide(&measure, interval, &mut states, &mut round, &mut accept);
         round.it.phase_end(Phase::Decide, span);
 
         if let Some(verdict) = verdict {

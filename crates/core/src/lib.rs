@@ -94,7 +94,7 @@ pub use mi_filter::mi_filter;
 pub use mi_topk::mi_top_k;
 pub use profile::{entropy_profile, mi_profile, ProfileResult};
 pub use report::{AttrScore, FilterResult, IterationTrace, QueryStats, TopKResult, WorkKind};
-pub use scope::{entropy_filter_scoped_exec, entropy_top_k_scoped_exec, Scope};
+pub use scope::{entropy_filter_scoped_exec, entropy_top_k_scoped_exec, sketch_marginals, Scope};
 pub use shard::{AttrMeta, CountRequest, LocalShardSource, ShardCounts, ShardPlan, ShardTransport};
 pub use topk::entropy_top_k;
 

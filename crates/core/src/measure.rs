@@ -4,19 +4,47 @@
 //!
 //! The paper presents Alg. 3–4 as Alg. 1–2 with the §4.1 interval
 //! substituted. [`Measure`] is that substitution: the per-candidate
-//! state, the failure budget's divisor, the interval width, and how one
-//! iteration's new rows — gathered locally or merged from shards — reach
-//! the states. [`crate::driver`] runs the one doubling loop over it.
+//! state, the [`Interval`] (failure budget's divisor and width), and how
+//! one iteration's new rows — gathered locally or merged from shards —
+//! reach the states. [`crate::driver`] runs the one doubling loop over it.
 
 use swope_columnar::{AttrIndex, Dataset};
+use swope_estimate::entropy::entropy_from_counts;
+use swope_obs::{Phase, QueryObserver};
 
 use crate::driver::CountSource;
 use crate::exec::Executor;
+use crate::observe::Instrumented;
 use crate::report::WorkKind;
 use crate::scope::Growth;
 use crate::shard::{merge_apply_entropy, merge_apply_mi, CountRequest, ShardCounts};
 use crate::state::{EntropyState, GatherScratch, MiState, TargetState};
-use crate::SwopeError;
+use crate::{sketch_stats, SwopeError};
+
+/// How a query's interval spends λ, fixed once per query before the
+/// first iteration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Interval {
+    /// Lemma-3 applications per candidate and iteration. The failure
+    /// budget is split over every application the query can make:
+    /// `p′ = p_f / (applications · i_max · candidates)` (Theorem 1's
+    /// union bound).
+    pub applications: f64,
+    /// The interval is `width_lambdas·λ + bias` wide; the top-k rule's
+    /// stopping test subtracts that many λ.
+    pub width_lambdas: f64,
+}
+
+impl Interval {
+    /// Lemma 3 on one sampled entropy: `2λ + b`. An entropy query's
+    /// interval, and MI's once both marginals are exact and only the
+    /// joint is sampled (`2λ + b(α_t, α)`).
+    pub const ONE_ENTROPY: Self = Self { applications: 1.0, width_lambdas: 2.0 };
+
+    /// §4.1's three sampled entropies — `H(α_t)`, `H(α)`, `H(α_t, α)`
+    /// (Alg. 3 line 1): `6λ + b′`.
+    pub const THREE_ENTROPIES: Self = Self { applications: 3.0, width_lambdas: 6.0 };
+}
 
 /// The interval view the top-k, filter and profile rules decide on;
 /// [`EntropyState`] answers from its Lemma-3 bounds, [`MiState`] from its
@@ -78,21 +106,19 @@ pub(crate) trait Measure {
     /// Per-candidate counters and current interval.
     type State: Candidate + Send;
 
-    /// Lemma-3 applications per candidate and iteration. The failure
-    /// budget is split over every application the query can make:
-    /// `p′ = p_f / (APPLICATIONS · i_max · candidates)` (Theorem 1's union
-    /// bound; three for MI — `H(α_t)`, `H(α)`, `H(α_t, α)` — Alg. 3 line 1).
-    const APPLICATIONS: f64;
-
-    /// The interval is `WIDTH_LAMBDAS·λ + bias` wide: `2λ + b`, or
-    /// `6λ + b′` for the three combined entropy intervals of §4.1.
-    const WIDTH_LAMBDAS: f64;
-
     /// What `rows_scanned` charges per sampled record.
     const WORK: WorkKind;
 
     /// One state per candidate, in attribute order.
     fn states<S: CountSource>(&self, source: &S) -> Vec<Self::State>;
+
+    /// Takes what `source` knows exactly before the first iteration and
+    /// returns the query's interval; `it` times any work that costs.
+    fn prepare<S: CountSource, O: QueryObserver>(
+        &mut self,
+        source: &mut S,
+        it: &mut Instrumented<'_, O>,
+    ) -> Result<Interval, SwopeError>;
 
     /// Counts `grown`'s rows of a local dataset straight into the states.
     fn ingest(
@@ -127,8 +153,6 @@ pub(crate) struct Entropy;
 
 impl Measure for Entropy {
     type State = EntropyState;
-    const APPLICATIONS: f64 = 1.0;
-    const WIDTH_LAMBDAS: f64 = 2.0;
     const WORK: WorkKind = WorkKind::EntropyMarginals;
 
     fn states<S: CountSource>(&self, source: &S) -> Vec<EntropyState> {
@@ -141,6 +165,14 @@ impl Measure for Entropy {
                 st
             })
             .collect()
+    }
+
+    fn prepare<S: CountSource, O: QueryObserver>(
+        &mut self,
+        _source: &mut S,
+        _it: &mut Instrumented<'_, O>,
+    ) -> Result<Interval, SwopeError> {
+        Ok(Interval::ONE_ENTROPY)
     }
 
     fn ingest(
@@ -182,19 +214,20 @@ impl Measure for Entropy {
 /// target's marginal is shared by all candidates and lives here.
 pub(crate) struct Mi {
     target: TargetState,
+    /// Every attribute's exact entropy `H_D`, when the source holds the
+    /// population's marginals; the interval then samples only the joint.
+    exact: Option<Vec<f64>>,
 }
 
 impl Mi {
     /// MI against `target`, which the caller has checked is in range.
     pub(crate) fn new<S: CountSource>(target: AttrIndex, source: &S) -> Self {
-        Self { target: TargetState::with_support(target, source.support(target)) }
+        Self { target: TargetState::with_support(target, source.support(target)), exact: None }
     }
 }
 
 impl Measure for Mi {
     type State = MiState;
-    const APPLICATIONS: f64 = 3.0;
-    const WIDTH_LAMBDAS: f64 = 6.0;
     const WORK: WorkKind = WorkKind::MiPerTarget;
 
     /// The joint support is bounded by `ū = u_t·u_α`: tracking exact pair
@@ -205,6 +238,26 @@ impl Measure for Mi {
             .filter(|&a| a != target)
             .map(|a| MiState::new(a, u_t, source.support(a)))
             .collect()
+    }
+
+    /// Asks the source for the population's marginals. Both paths turn
+    /// the same integer counts into `H_D` through the same function, so
+    /// a single box and a cluster over the same rows answer alike.
+    fn prepare<S: CountSource, O: QueryObserver>(
+        &mut self,
+        source: &mut S,
+        it: &mut Instrumented<'_, O>,
+    ) -> Result<Interval, SwopeError> {
+        let span = it.phase_start();
+        let marginals = source.marginals()?;
+        self.exact =
+            marginals.map(|counts| counts.iter().map(|c| entropy_from_counts(c)).collect());
+        it.phase_end(Phase::StoreSketch, span);
+        sketch_stats::record_mi_marginals(self.exact.is_some());
+        Ok(match self.exact {
+            Some(_) => Interval::ONE_ENTROPY,
+            None => Interval::THREE_ENTROPIES,
+        })
     }
 
     fn ingest(
@@ -240,11 +293,24 @@ impl Measure for Mi {
     }
 
     fn update_bounds(&self, states: &mut [MiState], n: u64, p: f64, exec: &Executor) {
-        let (h_t, u_t) = (self.target.sample_entropy(), self.target.support);
-        exec.for_each_mut(states, |st| st.update_bounds(h_t, u_t, n, p));
+        let u_t = self.target.support;
+        match &self.exact {
+            Some(h) => {
+                let h_t = h[self.target.attr];
+                exec.for_each_mut(states, |st| st.update_bounds_exact(h_t, h[st.attr], u_t, n, p));
+            }
+            None => {
+                let h_t = self.target.sample_entropy();
+                exec.for_each_mut(states, |st| st.update_bounds(h_t, u_t, n, p));
+            }
+        }
     }
 
     fn exact_score(&self, st: &MiState) -> f64 {
-        (self.target.sample_entropy() + st.sample_entropy() - st.sample_joint_entropy()).max(0.0)
+        let (h_t, h_a) = match &self.exact {
+            Some(h) => (h[self.target.attr], h[st.attr]),
+            None => (self.target.sample_entropy(), st.sample_entropy()),
+        };
+        (h_t + h_a - st.sample_joint_entropy()).max(0.0)
     }
 }

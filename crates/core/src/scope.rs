@@ -12,8 +12,12 @@
 //!
 //! ## How a scope is sampled
 //!
-//! * **Full scope** — a prefix shuffle over the whole dataset:
-//!   the unscoped query, bit for bit, with or without a sketch.
+//! * **Full scope** — a prefix shuffle over the whole dataset: the
+//!   unscoped query, bit for bit. A usable sketch adds one thing, for MI
+//!   only: every attribute's exact whole-dataset counts
+//!   ([`sketch_marginals`]), from which the driver takes `H_D(α_t)` and
+//!   `H_D(α)` exactly and samples only the joint. Entropy shapes answer
+//!   alike with or without a sketch.
 //! * **Range scope, entropy queries** — the range is split at page
 //!   (64Ki-row) boundaries into fully *covered* pages, whose exact
 //!   per-code histograms the [`DatasetSketch`] already holds, and a
@@ -65,7 +69,9 @@
 //! * **Range scope, MI queries / no sketch** — MI needs joint
 //!   co-occurrences, which per-attribute histograms cannot synthesize, so
 //!   the scope is sampled physically: a prefix shuffle over `n_s`
-//!   offset-mapped into the range.
+//!   offset-mapped into the range, marginals included (a range's exact
+//!   marginals would need its fringe counted; only a full scope takes
+//!   them from the sketch).
 //! * **Predicate scope** — matching rows are materialized by scanning the
 //!   predicate column once, skipping every page whose sketch histogram
 //!   proves zero matches; queries then sample the row list physically.
@@ -192,12 +198,32 @@ fn usable_sketch<'a>(
 /// and the range is sampled physically instead.
 fn covered_counts(sketch: &DatasetSketch, pages: Range<usize>) -> Option<Vec<Vec<u64>>> {
     let covered_rows = (pages.len() * PAGE_ROWS) as u64;
+    page_counts(sketch, pages, covered_rows)
+}
+
+/// Every column's counts over `pages`, or `None` unless each adds up to
+/// `rows`.
+fn page_counts(sketch: &DatasetSketch, pages: Range<usize>, rows: u64) -> Option<Vec<Vec<u64>>> {
     (0..sketch.num_columns())
         .map(|attr| {
             let counts = sketch.column(attr)?.range_counts(pages.clone());
-            (counts.iter().sum::<u64>() == covered_rows).then_some(counts)
+            (counts.iter().sum::<u64>() == rows).then_some(counts)
         })
         .collect()
+}
+
+/// Every attribute's exact code counts over the whole of `dataset`, read
+/// from `sketch`'s page histograms: the marginals an MI query over a full
+/// scope takes instead of sampling them. `None` unless a sketch matches
+/// the dataset (rows, attributes, supports) and every column's
+/// histograms add up to its rows — a sketch that disagrees costs the
+/// query its exact marginals, never its correctness.
+pub fn sketch_marginals(
+    dataset: &Dataset,
+    sketch: Option<&DatasetSketch>,
+) -> Option<Vec<Vec<u64>>> {
+    let sketch = usable_sketch(dataset, sketch)?;
+    page_counts(sketch, 0..sketch.num_pages(), dataset.num_rows() as u64)
 }
 
 /// Validates `scope` against `dataset` and materializes predicate scopes
@@ -617,6 +643,9 @@ pub(crate) struct LocalSource<'a> {
     pop: Population,
     scratch: GatherScratch,
     setup_nanos: Option<u64>,
+    /// The sketch, when the scope is the whole dataset: its page
+    /// histograms hold the population's marginals.
+    full_sketch: Option<&'a DatasetSketch>,
 }
 
 impl<'a> LocalSource<'a> {
@@ -625,7 +654,7 @@ impl<'a> LocalSource<'a> {
     pub(crate) fn open(
         dataset: &'a Dataset,
         scope: &Scope,
-        sketch: Option<&DatasetSketch>,
+        sketch: Option<&'a DatasetSketch>,
         config: &SwopeConfig,
         hybrid: bool,
         timed: bool,
@@ -636,7 +665,8 @@ impl<'a> LocalSource<'a> {
         let scoped = !matches!(setup.resolved, ResolvedScope::Full);
         let pop = Population::new(dataset, sketch, setup, config, hybrid);
         let setup_nanos = started.filter(|_| scoped).map(|t| t.elapsed().as_nanos() as u64);
-        Ok(Self { dataset, pop, scratch: GatherScratch::default(), setup_nanos })
+        let full_sketch = sketch.filter(|_| !scoped);
+        Ok(Self { dataset, pop, scratch: GatherScratch::default(), setup_nanos, full_sketch })
     }
 }
 
@@ -663,6 +693,10 @@ impl CountSource for LocalSource<'_> {
 
     fn covered(&self, attr: AttrIndex) -> Option<CoveredDist> {
         self.pop.covered(attr)
+    }
+
+    fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError> {
+        Ok(sketch_marginals(self.dataset, self.full_sketch))
     }
 
     fn count<M: Measure, O: QueryObserver>(

@@ -36,7 +36,7 @@
 //!   one `advance` per doubling, then the exact merge.
 //! * [`crate::run_sharded`] — all six query shapes over a transport.
 
-use swope_columnar::{AttrIndex, Column, Dataset, PageGrouper};
+use swope_columnar::{AttrIndex, Column, Dataset, DatasetSketch, PageGrouper};
 use swope_obs::{Phase, QueryObserver};
 use swope_sampling::PrefixShuffle;
 
@@ -46,6 +46,7 @@ use crate::count::{
 use crate::driver::{CountSource, Round};
 use crate::exec::Executor;
 use crate::measure::Measure;
+use crate::scope::sketch_marginals;
 use crate::state::{EntropyState, MiState, TargetState};
 use crate::{SwopeConfig, SwopeError};
 
@@ -169,6 +170,13 @@ pub trait ShardTransport {
         m_target: usize,
         req: &CountRequest,
     ) -> Result<Vec<ShardCounts>, SwopeError>;
+
+    /// Every attribute's exact code counts over the whole population,
+    /// summed over the shards — `Some` only when the population is the
+    /// whole union and *every* shard answers from a partition sketch
+    /// ([`crate::sketch_marginals`]). Asked at most once, before the
+    /// first [`ShardTransport::advance`], by MI queries only.
+    fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError>;
 }
 
 fn dataset_meta(dataset: &Dataset) -> Vec<AttrMeta> {
@@ -189,6 +197,7 @@ fn dataset_meta(dataset: &Dataset) -> Vec<AttrMeta> {
 /// executor.
 pub struct LocalShardSource<'a> {
     dataset: &'a Dataset,
+    sketch: Option<&'a DatasetSketch>,
     exec: &'a Executor,
     plan: ShardPlan,
     meta: Vec<AttrMeta>,
@@ -223,6 +232,7 @@ impl<'a> LocalShardSource<'a> {
         let s = plan.num_shards();
         Ok(Self {
             dataset,
+            sketch: None,
             exec,
             meta: dataset_meta(dataset),
             sampler: PrefixShuffle::new(n, config.seed),
@@ -232,6 +242,14 @@ impl<'a> LocalShardSource<'a> {
             scratch: Vec::new(),
             plan,
         })
+    }
+
+    /// Offers the dataset's partition sketch, whose whole-dataset counts
+    /// answer [`ShardTransport::marginals`] — what [`crate::run`] takes
+    /// from the same sketch over a full scope, so both answer alike.
+    pub fn with_sketch(mut self, sketch: Option<&'a DatasetSketch>) -> Self {
+        self.sketch = sketch;
+        self
     }
 }
 
@@ -334,6 +352,10 @@ impl ShardTransport for LocalShardSource<'_> {
         }
         Ok(out)
     }
+
+    fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError> {
+        Ok(sketch_marginals(self.dataset, self.sketch))
+    }
 }
 
 /// Folds all shards' deltas into the first shard's and applies them to
@@ -424,6 +446,10 @@ impl<T: ShardTransport> CountSource for ShardedSource<'_, T> {
 
     fn name(&self, attr: AttrIndex) -> String {
         self.0.attrs().get(attr).map(|m| m.name.clone()).unwrap_or_default()
+    }
+
+    fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError> {
+        self.0.marginals()
     }
 
     fn count<M: Measure, O: QueryObserver>(

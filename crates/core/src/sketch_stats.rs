@@ -4,17 +4,21 @@
 //! `rows_scanned` charges covered-region draws zero by design (it
 //! measures store traffic), which leaves them invisible; these
 //! counters are the other half of the ledger, plus which sampler each
-//! row-range scope was given. Like
+//! row-range scope was given and where each MI query's marginals came
+//! from. Like
 //! [`swope_store::gather_stats`] they are bumped on exec worker threads
 //! far below any per-request context, so they are plain relaxed
 //! atomics: statistics that publish no other data. One add per
-//! attribute per iteration (and one per range), so they are always on.
+//! attribute per iteration (and one per range or MI query), so they are
+//! always on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static COVERED_DRAWS: AtomicU64 = AtomicU64::new(0);
 static HYBRID_QUERIES: AtomicU64 = AtomicU64::new(0);
 static PHYSICAL_RANGES: AtomicU64 = AtomicU64::new(0);
+static MI_SKETCH_MARGINALS: AtomicU64 = AtomicU64::new(0);
+static MI_SAMPLED_MARGINALS: AtomicU64 = AtomicU64::new(0);
 
 /// Point-in-time totals of the sketch-synthesis counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,6 +32,12 @@ pub struct SketchUse {
     /// whole pages for the simulation to pay, an MI query, or no usable
     /// sketch.
     pub physical_ranges: u64,
+    /// MI queries whose marginal entropies were read exactly from sketch
+    /// histograms, sampling only the joint.
+    pub mi_sketch_marginals: u64,
+    /// MI queries that sampled their marginals: a scope short of the
+    /// whole population, no usable sketch, or a shard without one.
+    pub mi_sampled_marginals: u64,
 }
 
 /// Reads the current totals (relaxed; safe to race with queries).
@@ -36,6 +46,8 @@ pub fn snapshot() -> SketchUse {
         covered_draws: COVERED_DRAWS.load(Ordering::Relaxed),
         hybrid_queries: HYBRID_QUERIES.load(Ordering::Relaxed),
         physical_ranges: PHYSICAL_RANGES.load(Ordering::Relaxed),
+        mi_sketch_marginals: MI_SKETCH_MARGINALS.load(Ordering::Relaxed),
+        mi_sampled_marginals: MI_SAMPLED_MARGINALS.load(Ordering::Relaxed),
     }
 }
 
@@ -47,4 +59,10 @@ pub(crate) fn record_covered_draws(draws: u64) {
 pub(crate) fn record_range_path(hybrid: bool) {
     let path = if hybrid { &HYBRID_QUERIES } else { &PHYSICAL_RANGES };
     path.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Counts one MI query under where its marginals came from.
+pub(crate) fn record_mi_marginals(from_sketch: bool) {
+    let source = if from_sketch { &MI_SKETCH_MARGINALS } else { &MI_SAMPLED_MARGINALS };
+    source.fetch_add(1, Ordering::Relaxed);
 }

@@ -19,7 +19,9 @@
 //! the module docs there).
 
 use swope_columnar::{AttrIndex, Code, Column, Dataset};
-use swope_estimate::bounds::{entropy_bounds, mi_bounds, EntropyBounds, MiBounds};
+use swope_estimate::bounds::{
+    entropy_bounds, mi_bounds, mi_bounds_exact_marginals, EntropyBounds, MiBounds,
+};
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::joint::JointEntropyCounter;
 
@@ -259,6 +261,24 @@ impl MiState {
         self.bounds = mi_bounds(
             h_t,
             self.counter.entropy(),
+            self.joint.entropy(),
+            u_t as u64,
+            self.support as u64,
+            m,
+            n,
+            p,
+        );
+    }
+
+    /// Recomputes the interval from exact marginals: `h_t = H_D(α_t)` and
+    /// `h_a = H_D(α)`, so only the joint is sampled
+    /// ([`mi_bounds_exact_marginals`]); `u_t`, `n`, `p` as in
+    /// [`MiState::update_bounds`].
+    pub fn update_bounds_exact(&mut self, h_t: f64, h_a: f64, u_t: u32, n: u64, p: f64) {
+        let m = self.joint.total();
+        self.bounds = mi_bounds_exact_marginals(
+            h_t,
+            h_a,
             self.joint.entropy(),
             u_t as u64,
             self.support as u64,

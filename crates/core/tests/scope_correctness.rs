@@ -2,7 +2,8 @@
 //! sketches), across all six adaptive loops:
 //!
 //! * a scope covering every row is *bitwise identical* to the unscoped
-//!   query — scoping must never perturb existing answers;
+//!   query with the same sketch — scoping must never perturb existing
+//!   answers — and only MI reads the sketch there, for exact marginals;
 //! * at full sample (`m = n_s`) a range scope reproduces the exact
 //!   brute-force statistic over the scoped rows, whether the range is
 //!   page-aligned or straddles 65 536-row page boundaries — the hybrid
@@ -72,16 +73,46 @@ fn full_range_scope_is_bitwise_identical_across_all_six_loops() {
     let ds = dataset(31, 2 * PAGE_ROWS + 1234);
     let sk = sketch_of(&ds);
     let n = ds.num_rows();
-    // Both spellings of "everything": the explicit 0..n range and the
-    // unrestricted default scope.
-    for scope in [Scope::range(0, n), Scope::all()] {
-        for shape in all_shapes() {
-            let cfg = config_for(&shape, 31, 1);
-            assert_eq!(
-                scoped(&ds, &shape, &scope, Some(&sk), &cfg),
-                plain(&ds, &shape, &cfg),
-                "{shape:?} over {scope:?}"
-            );
+    for shape in all_shapes() {
+        let cfg = config_for(&shape, 31, 1);
+        // Both spellings of "everything", the explicit 0..n range and the
+        // unrestricted default scope, answer alike with the same sketch.
+        let unscoped = scoped(&ds, &shape, &Scope::all(), Some(&sk), &cfg);
+        assert_eq!(
+            scoped(&ds, &shape, &Scope::range(0, n), Some(&sk), &cfg),
+            unscoped,
+            "{shape:?}"
+        );
+        // Entropy answers as without a sketch; MI takes the sketch's
+        // exact marginals (the next test).
+        if shape.target().is_none() {
+            assert_eq!(unscoped, plain(&ds, &shape, &cfg), "{shape:?}");
+        }
+    }
+}
+
+/// Over a full scope the sketch's exact marginals leave only the joint
+/// sampled: at a tiny ε the loop still runs to `m = n` and lands on the
+/// exact MI, and at the suite's ε it stops no later than without them.
+#[test]
+fn full_scope_mi_takes_the_sketch_marginals() {
+    let ds = dataset(35, 2 * PAGE_ROWS + 1234);
+    let sk = sketch_of(&ds);
+    let rows: Vec<u32> = (0..ds.num_rows() as u32).collect();
+    let shape = Shape::MiProfile { target: TARGET, floor: 0.0 };
+    let prof = scoped(&ds, &shape, &Scope::all(), Some(&sk), &config(35, 0.0005, 1));
+    assert_eq!(prof.stats.sample_size, ds.num_rows());
+    for s in &prof.scores {
+        let exact = mutual_information_over_rows(ds.column(TARGET), ds.column(s.attr), &rows);
+        assert!((s.estimate - exact).abs() < 1e-9, "attr {}: {} vs {exact}", s.attr, s.estimate);
+        assert_eq!((s.lower, s.upper), (s.estimate, s.estimate), "attr {}", s.attr);
+    }
+    for shape in all_shapes().into_iter().chain(comparators_against(TARGET)) {
+        if shape.target().is_some() {
+            let cfg = config_for(&shape, 35, 1);
+            let exact = scoped(&ds, &shape, &Scope::all(), Some(&sk), &cfg);
+            let sampled = plain(&ds, &shape, &cfg);
+            assert!(exact.stats.sample_size <= sampled.stats.sample_size, "{shape:?}");
         }
     }
 }

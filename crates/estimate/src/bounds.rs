@@ -14,6 +14,12 @@
 //! * **§4.1**: mutual information bounds combining three entropy intervals
 //!   with the joint support bounded by `ū = u_t·u_α` — [`mi_bounds`]. The
 //!   interval width is `6λ + b'` with `b' = b(α_t) + b(α) + b(α_t, α)`.
+//! * **§4.1 with exact marginals**: when `H_D(α_t)` and `H_D(α)` are
+//!   known exactly (a partition sketch's whole-dataset counts), only the
+//!   joint needs Lemma 3 — [`mi_bounds_exact_marginals`]. The interval
+//!   `I ∈ [H_t + H_α − (H_S(α_t, α) + λ + b(α_t, α)),
+//!   H_t + H_α − max(H_S(α_t, α) − λ, 0)]` is `2λ + b(α_t, α)` wide and
+//!   spends one Lemma-3 application per candidate, not three.
 //! * **Lemma 4**: the sample size `M*` at which `2λ + b(α) ≤ κ` holds —
 //!   [`sample_size_for_width`], used for `M0` and the complexity analysis.
 //!
@@ -162,10 +168,11 @@ pub struct MiBounds {
     pub lower: f64,
     /// Upper bound `Ī = H̄_t + H̄_α − H̲_{t,α}`.
     pub upper: f64,
-    /// The shared deviation radius λ (same `m`, `n`, `p` for all three
-    /// entropies).
+    /// The shared deviation radius λ (same `m`, `n`, `p` for every
+    /// sampled entropy).
     pub lambda: f64,
-    /// Total bias `b' = b(α_t) + b(α) + b(α_t, α)`.
+    /// The bias terms the width pays: `b' = b(α_t) + b(α) + b(α_t, α)`,
+    /// or `b(α_t, α)` alone when the marginals are exact.
     pub bias_total: f64,
 }
 
@@ -175,7 +182,8 @@ impl MiBounds {
         0.5 * (self.lower + self.upper)
     }
 
-    /// Interval width `Ī − I̲` (≤ `6λ + b'`, see module docs).
+    /// Interval width `Ī − I̲` (≤ `6λ + b'`, or `2λ + b(α_t, α)` with
+    /// exact marginals; see module docs).
     pub fn width(&self) -> f64 {
         self.upper - self.lower
     }
@@ -223,6 +231,54 @@ pub fn mi_bounds(
         upper,
         lambda: lam,
         bias_total: b_t + b_a + b_ta,
+    }
+}
+
+/// Builds the §4.1 MI interval when both marginal entropies are exact:
+///
+/// ```text
+/// I ∈ [ max(H_t + H_α − (H_S(α_t, α) + λ + b(α_t, α)), 0),
+///       H_t + H_α − max(H_S(α_t, α) − λ, 0) ]
+/// ```
+///
+/// * `h_t`, `h_a` — the *exact* entropies `H_D(α_t)` and `H_D(α)`,
+/// * `h_ta` — the pair's sample joint entropy `H_S(α_t, α)`,
+/// * `u_t`, `u_a`, `m`, `n`, `p` — as in [`mi_bounds`]; `p` now budgets
+///   one Lemma-3 application per candidate (the joint's), not three.
+///
+/// The width is `2λ + b(α_t, α)` unless a clamp engages, and it collapses
+/// onto `H_t + H_α − H_S(α_t, α)` at `M = N`.
+///
+/// ```
+/// use swope_estimate::bounds::{mi_bounds, mi_bounds_exact_marginals};
+///
+/// let (m, n, p) = (1 << 14, 1 << 22, 1e-6);
+/// let exact = mi_bounds_exact_marginals(2.0, 3.0, 4.2, 20, 40, m, n, p);
+/// assert!((exact.width() - (2.0 * exact.lambda + exact.bias_total)).abs() < 1e-9);
+/// // A third of the sampled width at the same budget, bias aside.
+/// let sampled = mi_bounds(2.0, 3.0, 4.2, 20, 40, m, n, p);
+/// assert!(exact.width() < sampled.width());
+/// ```
+#[allow(clippy::too_many_arguments)]
+pub fn mi_bounds_exact_marginals(
+    h_t: f64,
+    h_a: f64,
+    h_ta: f64,
+    u_t: u64,
+    u_a: u64,
+    m: u64,
+    n: u64,
+    p: f64,
+) -> MiBounds {
+    let joint = entropy_bounds(h_ta, m, n, u_t.saturating_mul(u_a), p);
+    let lower = (h_t + h_a - joint.upper).max(0.0);
+    let upper = (h_t + h_a - joint.lower).max(lower);
+    MiBounds {
+        sample_mi: (h_t + h_a - h_ta).max(0.0),
+        lower,
+        upper,
+        lambda: joint.lambda,
+        bias_total: joint.bias,
     }
 }
 
@@ -392,6 +448,62 @@ mod tests {
         // Very small MI with wide bounds: lower must clamp at 0.
         let b = mi_bounds(1.0, 1.0, 1.99, 100, 1000, 1 << 20, 1 << 20, 1e-3);
         assert!(b.lower >= 0.0);
+    }
+
+    #[test]
+    fn exact_marginal_mi_width_is_two_lambda_plus_joint_bias() {
+        // Large entropies keep both clamps disengaged.
+        let (m, n, p) = (1 << 16, 1 << 24, 1e-4);
+        let b = mi_bounds_exact_marginals(5.0, 6.0, 8.0, 40, 60, m, n, p);
+        assert_eq!(b.bias_total, bias(40 * 60, m, n));
+        assert!((b.width() - (2.0 * b.lambda + b.bias_total)).abs() < 1e-12);
+        assert!(b.lower <= b.sample_mi && b.sample_mi <= b.upper);
+    }
+
+    #[test]
+    fn exact_marginal_mi_collapses_at_full_sample() {
+        let b = mi_bounds_exact_marginals(2.0, 3.0, 4.0, 10, 10, 500, 500, 1e-4);
+        assert_eq!((b.lower, b.upper, b.width()), (1.0, 1.0, 0.0));
+        assert_eq!((b.lambda, b.bias_total), (0.0, 0.0));
+    }
+
+    #[test]
+    fn exact_marginal_mi_brackets_the_exact_value_on_a_small_dataset() {
+        use crate::entropy::entropy_from_counts;
+        // 4 096 rows of a target and a noisy copy; every prefix of one
+        // fixed row permutation is a without-replacement sample.
+        let n = 4_096u64;
+        let rows: Vec<(u32, u32)> = (0..n)
+            .map(|r| {
+                let t = (r * 7 % 8) as u32;
+                (t, if r % 5 == 0 { (r % 3) as u32 } else { t % 4 })
+            })
+            .collect();
+        let joint_entropy = |rows: &[(u32, u32)]| {
+            let mut counts = vec![0u64; 32];
+            for &(t, a) in rows {
+                counts[(t * 4 + a) as usize] += 1;
+            }
+            entropy_from_counts(&counts)
+        };
+        let marginal = |pick: fn(&(u32, u32)) -> u32, u: usize| {
+            let mut counts = vec![0u64; u];
+            rows.iter().for_each(|row| counts[pick(row) as usize] += 1);
+            entropy_from_counts(&counts)
+        };
+        let (h_t, h_a) = (marginal(|r| r.0, 8), marginal(|r| r.1, 4));
+        let exact = h_t + h_a - joint_entropy(&rows);
+        let mut order: Vec<usize> = (0..n as usize).collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..order.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        for m in [64u64, 256, 1_024, 4_096] {
+            let sample: Vec<(u32, u32)> = order[..m as usize].iter().map(|&i| rows[i]).collect();
+            let b = mi_bounds_exact_marginals(h_t, h_a, joint_entropy(&sample), 8, 4, m, n, 1e-3);
+            assert!(b.lower <= exact + 1e-12 && exact <= b.upper + 1e-12, "M = {m}: {b:?}");
+        }
     }
 
     #[test]

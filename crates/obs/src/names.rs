@@ -100,6 +100,14 @@ pub const SKETCH_HYBRID_QUERIES_TOTAL: &str = "swope_sketch_hybrid_queries_total
 /// MI query, or no usable sketch).
 pub const SCOPE_PATH_TOTAL: &str = "swope_scope_path_total";
 
+/// Counter with a `source` label: MI queries by where their marginal
+/// entropies came from — `sketch` (every attribute's exact counts read
+/// from the partition sketch over a full scope, so only the joint was
+/// sampled, a `2λ + b(α_t, α)` interval) or `sampled` (a row range or
+/// predicate, no usable sketch, or a shard that declined: the paper's
+/// `6λ + b′`). A single box and a coordinator count the same way.
+pub const MI_MARGINALS_TOTAL: &str = "swope_mi_marginals_total";
+
 /// Counter: sample draws synthesized from sketch histograms instead of
 /// gathered from the store, summed over attributes — the unit of
 /// `rows_scanned`, which charges these draws zero.

@@ -286,6 +286,13 @@ impl ServerMetrics {
         {
             let _ = writeln!(out, "{}{{path=\"{path}\"}} {value}", names::SCOPE_PATH_TOTAL);
         }
+        let _ = writeln!(out, "# TYPE {} counter", names::MI_MARGINALS_TOTAL);
+        for (source, value) in [
+            ("sketch", synthesized.mi_sketch_marginals),
+            ("sampled", synthesized.mi_sampled_marginals),
+        ] {
+            let _ = writeln!(out, "{}{{source=\"{source}\"}} {value}", names::MI_MARGINALS_TOTAL);
+        }
         for (name, value) in [
             (names::SKETCH_HYBRID_QUERIES_TOTAL, synthesized.hybrid_queries),
             (names::SKETCH_COVERED_DRAWS_TOTAL, synthesized.covered_draws),

@@ -72,7 +72,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
 
-use swope_cluster::{probe, serve_connection, ClusterStats, PeerPool, PeerTimeouts};
+use swope_cluster::{probe, serve_connection, ClusterStats, PeerDataset, PeerPool, PeerTimeouts};
 use swope_columnar::PageCache;
 use swope_core::{gather_stats, ComposedObserver, Executor};
 use swope_obs::json::Json;
@@ -1020,15 +1020,19 @@ fn serve_peer_session(stream: TcpStream, prefix: Vec<u8>, shared: &Shared, confi
     let _ = stream.set_read_timeout(Some(config.peer_io_timeout));
     let _ = stream.set_write_timeout(Some(config.peer_io_timeout));
     let _ = stream.set_nodelay(true);
+    let served = |entry: &DatasetEntry| PeerDataset {
+        dataset: Arc::clone(&entry.dataset),
+        sketch: Some(Arc::clone(&entry.sketch)),
+    };
     let resolve = |name: &str| {
         if name.is_empty() {
             let all = shared.registry.list();
             return match all.as_slice() {
-                [only] => Some(Arc::clone(&only.dataset)),
+                [only] => Some(served(only)),
                 _ => None,
             };
         }
-        shared.registry.get(name).map(|entry| Arc::clone(&entry.dataset))
+        shared.registry.get(name).map(|entry| served(&entry))
     };
     let mut io = PrefixedStream { prefix, pos: 0, inner: stream };
     serve_connection(&mut io, &resolve, &shared.cluster_stats);

@@ -172,6 +172,23 @@ fn coordinator_serves_single_box_identical_bytes() {
     assert!(metric(&peer_metrics, "swope_cluster_frames_received_total") > 0);
 }
 
+/// Peers served from a registry hand the coordinator their sketches'
+/// totals, so an unscoped MI query there reads its marginals exactly, as
+/// the single box does; the coordinator counts it under `sketch`. (Peers
+/// run no loop, and the counters only grow: other tests can only add.)
+#[test]
+fn the_coordinator_counts_mi_marginals_from_its_peers_sketches() {
+    let (_peer_a, _peer_b, coordinator) = start_cluster();
+    let count = || {
+        let metrics = get(coordinator.addr, "/metrics").body;
+        metric(&metrics, "swope_mi_marginals_total{source=\"sketch\"}")
+    };
+    let before = count();
+    let reply = get(coordinator.addr, "/query/mi-filter?dataset=tiny&target=1&eta=0.2&seed=3");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert!(count() > before);
+}
+
 #[test]
 fn cluster_rejects_predicate_scopes_and_answers_empty_ranges_like_a_single_box() {
     let single = TestServer::start(ServerConfig::default(), union_dataset());

@@ -9,8 +9,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use swope_core::{
-    entropy_filter, entropy_profile, entropy_top_k, mi_filter, mi_profile, mi_top_k, AttrScore,
-    QueryStats, SwopeConfig,
+    entropy_filter, entropy_profile, entropy_top_k, run, Answer, AttrScore, Executor, NoopObserver,
+    QueryStats, Scope, Shape, SwopeConfig,
 };
 use swope_obs::json::Json;
 use swope_server::{Server, ServerConfig, ServerHandle};
@@ -170,15 +170,24 @@ fn all_six_shapes_serve_library_identical_results() {
     let r = entropy_filter(&ds, 1.0, &SwopeConfig::with_epsilon(0.05)).unwrap();
     assert_scores_match(&Json::parse(&reply.body).unwrap(), &r.accepted, &r.stats);
 
+    // MI over the whole dataset reads its marginals from the sketch the
+    // registry built on insert: `run` with that sketch.
+    let sketch = swope_columnar::snapshot::build_sketch(&ds);
+    let mi = |shape: Shape| -> Answer {
+        let cfg = SwopeConfig::with_epsilon(0.5);
+        let exec = Executor::sequential();
+        run(&ds, &shape, &Scope::all(), Some(&sketch), &cfg, &mut NoopObserver, &exec).unwrap()
+    };
+
     let reply = get(server.addr, "/query/mi-topk?dataset=tiny&target=0&k=2");
     assert_eq!(reply.status, 200, "{}", reply.body);
-    let r = mi_top_k(&ds, 0, 2, &SwopeConfig::with_epsilon(0.5)).unwrap();
-    assert_scores_match(&Json::parse(&reply.body).unwrap(), &r.top, &r.stats);
+    let r = mi(Shape::MiTopK { target: 0, k: 2 });
+    assert_scores_match(&Json::parse(&reply.body).unwrap(), &r.scores, &r.stats);
 
     let reply = get(server.addr, "/query/mi-filter?dataset=tiny&target=0&eta=0.05");
     assert_eq!(reply.status, 200, "{}", reply.body);
-    let r = mi_filter(&ds, 0, 0.05, &SwopeConfig::with_epsilon(0.5)).unwrap();
-    assert_scores_match(&Json::parse(&reply.body).unwrap(), &r.accepted, &r.stats);
+    let r = mi(Shape::MiFilter { target: 0, eta: 0.05 });
+    assert_scores_match(&Json::parse(&reply.body).unwrap(), &r.scores, &r.stats);
 
     let reply = get(server.addr, "/query/entropy-profile?dataset=tiny");
     assert_eq!(reply.status, 200, "{}", reply.body);
@@ -187,7 +196,7 @@ fn all_six_shapes_serve_library_identical_results() {
 
     let reply = get(server.addr, "/query/mi-profile?dataset=tiny&target=0");
     assert_eq!(reply.status, 200, "{}", reply.body);
-    let r = mi_profile(&ds, 0, 0.05, &SwopeConfig::with_epsilon(0.5)).unwrap();
+    let r = mi(Shape::MiProfile { target: 0, floor: 0.05 });
     assert_scores_match(&Json::parse(&reply.body).unwrap(), &r.scores, &r.stats);
 
     // Explicit seed/epsilon overrides flow through to the library config.
@@ -195,6 +204,27 @@ fn all_six_shapes_serve_library_identical_results() {
     assert_eq!(reply.status, 200, "{}", reply.body);
     let r = entropy_top_k(&ds, 2, &SwopeConfig::with_epsilon(0.2).with_seed(7)).unwrap();
     assert_scores_match(&Json::parse(&reply.body).unwrap(), &r.top, &r.stats);
+}
+
+/// An unscoped MI query reads its marginals from the sketch, a ranged one
+/// samples them, and `/metrics` counts each under its source. (The
+/// counters are process-wide and only grow, so other tests can only add.)
+#[test]
+fn mi_marginals_are_counted_by_source() {
+    let server = TestServer::start(ServerConfig::default());
+    let count = |source: &str| {
+        let metrics = get(server.addr, "/metrics").body;
+        metric(&metrics, &format!("swope_mi_marginals_total{{source=\"{source}\"}}"))
+    };
+    let (sketch, sampled) = (count("sketch"), count("sampled"));
+    for path in [
+        "/query/mi-topk?dataset=tiny&target=0&k=2&seed=31",
+        "/query/mi-topk?dataset=tiny&target=0&k=2&seed=31&row_start=10",
+    ] {
+        assert_eq!(get(server.addr, path).status, 200, "{path}");
+    }
+    assert!(count("sketch") > sketch);
+    assert!(count("sampled") > sampled);
 }
 
 #[test]

@@ -73,13 +73,26 @@ def ablation(fig):
         print(f"  {k[0]:<16} param={k[1]:<8} mean {ms:9.2f} ms  acc {acc:.3f}")
 
 
-def mi_sample_fraction():
+def mi_full_n_and_vs_exact():
+    """Per MI time figure, for the paper's SWOPE-MI row and the one that
+    reads its marginals from the sketch: the cells whose final sample is
+    the whole dataset, and the median speed-up over Exact."""
     n_by_ds = {}
     for r in load("table2"):
         n_by_ds[r["dataset"]] = int(r["sample_size"])
-    rows = [r for r in load("fig5") if r["algo"] == "SWOPE"]
-    full = sum(1 for r in rows if int(r["sample_size"]) >= n_by_ds[r["dataset"]])
-    print(f"fig5: SWOPE MI cells at full N: {full}/{len(rows)}")
+    for fig in ["fig5", "fig7"]:
+        rows = load(fig)
+        exact = {(r["dataset"], r["param"]): float(r["millis"]) for r in rows if r["algo"] == "Exact"}
+        for algo in ["SWOPE", "SWOPE-MI (sketch marginals)"]:
+            cells = [r for r in rows if r["algo"] == algo]
+            if not cells:
+                continue
+            full = sum(1 for r in cells if int(r["sample_size"]) >= n_by_ds[r["dataset"]])
+            ratios = sorted(exact[(r["dataset"], r["param"])] / float(r["millis"]) for r in cells)
+            print(
+                f"{fig}: {algo}: cells at full N {full}/{len(cells)}, "
+                f"vs Exact median {ratios[len(ratios) // 2]:.1f}x ({ratios[0]:.1f}-{ratios[-1]:.1f}x)"
+            )
 
 
 END_TO_END = [
@@ -118,5 +131,5 @@ if __name__ == "__main__":
         tuning(f)
     for f in ["ext-sampling", "ext-threads", "ext-oneshot", "ext-m0", "ext-locality"]:
         ablation(f)
-    mi_sample_fraction()
+    mi_full_n_and_vs_exact()
     history()

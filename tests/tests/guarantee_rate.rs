@@ -15,8 +15,14 @@
 //! ("marginally a uniform WOR sample of the scoped code multiset") gets
 //! an experiment of its own — and ranges with too little in whole pages,
 //! whose rows are shuffled and read.
+//!
+//! And to mutual information, both ways its marginals can be had: sampled
+//! (the paper's three Lemma-3 intervals, `6λ + b′`) and read exactly from
+//! the partition sketch, where only the joint is sampled (`2λ + b(α_t,
+//! α)` at a third of the union-bound events). On these datasets the
+//! second stops at a quarter to a half of `N`, the first near `N`.
 
-use swope_baselines::exact_entropy_scores;
+use swope_baselines::{exact_entropy_scores, exact_mi_scores};
 use swope_columnar::{Column, Dataset, DatasetSketch, Field, Schema, PAGE_ROWS};
 use swope_core::{
     entropy_filter, entropy_top_k, run, sketch_stats, Executor, FilterResult, NoopObserver, Scope,
@@ -156,6 +162,8 @@ fn range_failure_rates(ranges: [(usize, usize); 4]) -> (u32, u32, sketch_stats::
         covered_draws: after.covered_draws - before.covered_draws,
         hybrid_queries: after.hybrid_queries - before.hybrid_queries,
         physical_ranges: after.physical_ranges - before.physical_ranges,
+        mi_sketch_marginals: after.mi_sketch_marginals - before.mi_sketch_marginals,
+        mi_sampled_marginals: after.mi_sampled_marginals - before.mi_sampled_marginals,
     };
     (top_k_violations, filter_violations, took)
 }
@@ -193,4 +201,74 @@ fn physical_range_failure_rates_within_budget() {
     assert!(took.physical_ranges >= 240, "{took:?}");
     assert!(top_k_violations <= 46, "{top_k_violations}/120 Definition 5 violations, physical");
     assert!(filter_violations <= 46, "{filter_violations}/120 Definition 6 violations, physical");
+}
+
+/// A uniform 16-value target and five copies of it through 10–18 %
+/// noise: mutual informations of ≈ 2.7–3.2 bits, close together.
+fn mi_dataset(n: usize, seed: u64) -> Dataset {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let target: Vec<u32> = (0..n).map(|_| rng.next_below(16) as u32).collect();
+    let mut columns = vec![target.clone()];
+    for noise_pct in [10, 12, 14, 16, 18] {
+        let copy = target.iter().map(|&t| {
+            if rng.next_below(100) < noise_pct {
+                rng.next_below(16) as u32
+            } else {
+                t
+            }
+        });
+        columns.push(copy.collect());
+    }
+    let fields = (0..columns.len()).map(|i| Field::new(format!("m{i}"), 16)).collect();
+    let columns = columns.into_iter().map(|codes| Column::new(codes, 16).unwrap()).collect();
+    Dataset::new(Schema::new(fields), columns).unwrap()
+}
+
+/// Definition 5 and 6 violations of MI top-2 and an MI filter over 120
+/// independent datasets each, with the datasets' sketches on offer
+/// (`marginals`: the whole-dataset scope reads `H_D(α_t)` and `H_D(α)`
+/// exactly and samples only the joint) or not (the paper's three sampled
+/// entropies), and how many of those queries took the marginals.
+fn mi_failure_rates(marginals: bool) -> (u32, u32, u64) {
+    const RUNS: u64 = 120;
+    const P_F: f64 = 0.2;
+    let (mut top_k_violations, mut filter_violations) = (0u32, 0u32);
+    let before = sketch_stats::snapshot().mi_sketch_marginals;
+    for seed in 0..RUNS {
+        let ds = mi_dataset(20_000, 0x3A26 + seed);
+        let mut exact = exact_mi_scores(&ds, 0);
+        exact[0] = f64::NEG_INFINITY; // the target is no candidate
+        let sketch = DatasetSketch::build(ds.num_rows(), (0..6).map(|a| ds.column(a).packed()));
+        let sketch = marginals.then_some(&sketch);
+        let exec = Executor::sequential();
+        let run_mi = |shape: Shape, cfg: &SwopeConfig| {
+            run(&ds, &shape, &Scope::all(), sketch, cfg, &mut NoopObserver, &exec).unwrap()
+        };
+        let top = run_mi(Shape::MiTopK { target: 0, k: 2 }, &config(0.2, P_F, seed));
+        if !definition5_holds(&top.into(), &exact, 0.2) {
+            top_k_violations += 1;
+        }
+        let filtered = run_mi(Shape::MiFilter { target: 0, eta: 3.0 }, &config(0.05, P_F, !seed));
+        if !definition6_holds(&filtered.into(), &exact, 3.0, 0.05) {
+            filter_violations += 1;
+        }
+    }
+    let took = sketch_stats::snapshot().mi_sketch_marginals - before;
+    (top_k_violations, filter_violations, took)
+}
+
+#[test]
+fn mi_failure_rates_within_budget() {
+    let (top_k_violations, filter_violations, _) = mi_failure_rates(false);
+    assert!(top_k_violations <= 46, "{top_k_violations}/120 Definition 5 violations, MI");
+    assert!(filter_violations <= 46, "{filter_violations}/120 Definition 6 violations, MI");
+}
+
+#[test]
+fn sketch_marginal_mi_failure_rates_within_budget() {
+    let (top_k_violations, filter_violations, took) = mi_failure_rates(true);
+    // Other tests of this file take no marginals, so every query here did.
+    assert!(took >= 240, "{took} of 240 MI queries read sketch marginals");
+    assert!(top_k_violations <= 46, "{top_k_violations}/120 Definition 5 violations, marginals");
+    assert!(filter_violations <= 46, "{filter_violations}/120 Definition 6 violations, marginals");
 }
