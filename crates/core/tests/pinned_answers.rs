@@ -14,6 +14,10 @@
 //!
 //! A mismatch means an answer moved. Re-record (the failure prints the
 //! table) only for a change that is *meant* to move answers.
+//!
+//! Every cell of those two tables runs without a sketch, or over a scope
+//! short of the whole dataset, so none of them reads exact marginals; the
+//! third table, [`MARGINALS`], pins the MI queries that do.
 
 mod common;
 
@@ -23,7 +27,9 @@ use common::{scoped, sharded, sketch_of};
 use swope_columnar::{
     snapshot, Column, Dataset, DatasetSketch, Field, PageCache, Residency, Schema, PAGE_ROWS,
 };
-use swope_core::{Answer, Executor, Scope, Shape, SwopeConfig};
+use swope_core::{
+    run_sharded, Answer, Executor, LocalShardSource, NoopObserver, Scope, Shape, SwopeConfig,
+};
 use swope_sampling::rng::Xoshiro256pp;
 
 /// Three full sketch pages and a ragged tail.
@@ -228,5 +234,59 @@ fn comparators_match_the_digests_recorded_on_the_parent() {
     assert_eq!(
         got, COMPARATORS,
         "a comparator's answer moved (rows: `comparators()` order; columns: heap, paged)\n{got:#018x?}"
+    );
+}
+
+/// `MARGINALS[query][source]` for the MI shapes and the MI comparators
+/// with the dataset's sketch on offer over the whole dataset, where they
+/// read `H_D(α_t)` and `H_D(α)` from it and sample only the joint: heap,
+/// paged and three in-process shards (`LocalShardSource::with_sketch`).
+/// The three sources take the marginals from the same integer counts
+/// through the same function, so each row's cells are equal. Recorded
+/// when the exact-marginal interval landed, in a commit of its own.
+#[rustfmt::skip]
+const MARGINALS: [[u64; 3]; 5] = [
+    [0xe26ef30758165235, 0xe26ef30758165235, 0xe26ef30758165235],
+    [0x0561e702d07bb370, 0x0561e702d07bb370, 0x0561e702d07bb370],
+    [0x6025101015ac9746, 0x6025101015ac9746, 0x6025101015ac9746],
+    [0xe26ef30758165235, 0xe26ef30758165235, 0xe26ef30758165235],
+    [0x81043714b0cc3c39, 0x81043714b0cc3c39, 0x81043714b0cc3c39],
+];
+
+#[test]
+fn sketch_marginal_answers_match_their_digests_on_every_source() {
+    let ds = dataset();
+    let sketch = sketch_of(&ds);
+    let (path, cache, paged, paged_sketch) = paged_copy(&ds, "marginals");
+    assert!(paged_sketch.is_some(), "the snapshot carries its sketch");
+    let exec = Executor::sequential();
+    let queries = [&shapes()[3..], &comparators()[2..]].concat();
+    let got: Vec<[u64; 3]> = queries
+        .iter()
+        .map(|shape| {
+            let epsilon = if matches!(shape, Shape::MiRank { .. } | Shape::MiFilterExact { .. }) {
+                SwopeConfig::default().epsilon
+            } else {
+                0.5
+            };
+            let cfg = SwopeConfig::with_epsilon(epsilon).with_seed(SEED);
+            let mut shards =
+                LocalShardSource::new(&ds, 3, &cfg, &exec).unwrap().with_sketch(Some(&sketch));
+            [
+                scoped(&ds, shape, &Scope::all(), Some(&sketch), &cfg),
+                scoped(&paged, shape, &Scope::all(), paged_sketch.as_ref(), &cfg),
+                run_sharded(&mut shards, shape, &cfg, &mut NoopObserver, &exec).unwrap(),
+            ]
+            .map(|answer| digest(&answer))
+        })
+        .collect();
+    assert!(cache.snapshot().evictions > 0, "the paged source never evicted");
+    let _ = std::fs::remove_file(path);
+    for (row, shape) in got.iter().zip(&queries) {
+        assert!(row.iter().all(|&cell| cell == row[0]), "{shape:?}: sources disagree {row:#018x?}");
+    }
+    assert_eq!(
+        got, MARGINALS,
+        "an answer moved (rows: MI shapes, then MI comparators; columns: heap, paged, 3 shards)\n{got:#018x?}"
     );
 }
