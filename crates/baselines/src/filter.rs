@@ -8,10 +8,10 @@
 //! attribute exactly *at* the threshold forces a full scan. SWOPE's
 //! Algorithm 2 relaxes both sides by `ε·η`, which is the entire measured
 //! difference in the filtering benchmarks: the rule is an arm of
-//! `swope-core`'s one adaptive loop ([`Shape::EntropyFilterExact`]).
+//! `swope-core`'s one adaptive loop ([`Rule::FilterExact`]).
 
 use swope_columnar::Dataset;
-use swope_core::{FilterResult, Shape, SwopeConfig, SwopeError};
+use swope_core::{FilterResult, Rule, Shape, SwopeConfig, SwopeError};
 
 /// Exact filtering on empirical entropy by adaptive sampling
 /// (EntropyFilter).
@@ -23,7 +23,7 @@ pub fn entropy_filter_exact_sampling(
     eta: f64,
     config: &SwopeConfig,
 ) -> Result<FilterResult, SwopeError> {
-    crate::run_whole(dataset, Shape::EntropyFilterExact { eta }, config).map(Into::into)
+    crate::run_whole(dataset, Shape::entropy(Rule::FilterExact { eta }), config).map(Into::into)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //!
 //! EntropyRank, EntropyFilter and their MI lifts are not copies of
 //! SWOPE's loop: each is a stopping rule on `swope-core`'s one adaptive
-//! loop ([`swope_core::run`] with a comparator [`Shape`]), so sampler,
+//! loop ([`swope_core::run`] with a comparator [`swope_core::Rule`]), so sampler,
 //! schedule, failure-budget split, counting, bounds and pruning are the
 //! same code and a measured difference *is* the stopping rule — the
 //! paper's contribution. OneShot counts through the same kernels

@@ -3,10 +3,10 @@
 //!
 //! The entropy baselines' two rules over the §4.1 MI confidence
 //! intervals and the `p'_f = p_f/(3·i_max·(h−1))` budget
-//! ([`Shape::MiRank`], [`Shape::MiFilterExact`]).
+//! ([`Rule::Rank`], [`Rule::FilterExact`] with [`Shape::mi`]).
 
 use swope_columnar::{AttrIndex, Dataset};
-use swope_core::{FilterResult, Shape, SwopeConfig, SwopeError, TopKResult};
+use swope_core::{FilterResult, Rule, Shape, SwopeConfig, SwopeError, TopKResult};
 
 /// Exact top-k on empirical MI against `target` by adaptive sampling
 /// (EntropyRank-MI). `config.epsilon` is ignored.
@@ -16,7 +16,7 @@ pub fn mi_rank_top_k(
     k: usize,
     config: &SwopeConfig,
 ) -> Result<TopKResult, SwopeError> {
-    crate::run_whole(dataset, Shape::MiRank { target, k }, config).map(Into::into)
+    crate::run_whole(dataset, Shape::mi(target, Rule::Rank { k }), config).map(Into::into)
 }
 
 /// Exact filtering on empirical MI against `target` by adaptive sampling
@@ -27,7 +27,7 @@ pub fn mi_filter_exact_sampling(
     eta: f64,
     config: &SwopeConfig,
 ) -> Result<FilterResult, SwopeError> {
-    crate::run_whole(dataset, Shape::MiFilterExact { target, eta }, config).map(Into::into)
+    crate::run_whole(dataset, Shape::mi(target, Rule::FilterExact { eta }), config).map(Into::into)
 }
 
 #[cfg(test)]

@@ -9,12 +9,12 @@
 //! avoids.
 //!
 //! The rule is an arm of `swope-core`'s one adaptive loop
-//! ([`Shape::EntropyRank`]). (The original paper samples in fixed-size
+//! ([`Rule::Rank`]). (The original paper samples in fixed-size
 //! batches; the loop's geometric schedule only changes constants and
 //! matches the complexity the SWOPE paper quotes for it.)
 
 use swope_columnar::Dataset;
-use swope_core::{Shape, SwopeConfig, SwopeError, TopKResult};
+use swope_core::{Rule, Shape, SwopeConfig, SwopeError, TopKResult};
 
 /// Exact top-k on empirical entropy by adaptive sampling (EntropyRank).
 ///
@@ -27,7 +27,7 @@ pub fn entropy_rank_top_k(
     k: usize,
     config: &SwopeConfig,
 ) -> Result<TopKResult, SwopeError> {
-    crate::run_whole(dataset, Shape::EntropyRank { k }, config).map(Into::into)
+    crate::run_whole(dataset, Shape::entropy(Rule::Rank { k }), config).map(Into::into)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use swope_cluster::frame::{read_frame, write_frame, CountMergeFrame, Frame};
 use swope_columnar::{crc32, Dataset};
 use swope_core::{
     entropy_top_k, run_sharded, Answer, CountRequest, Executor, LocalShardSource, NoopObserver,
-    Shape, ShardTransport, SwopeConfig,
+    Rule, Shape, ShardTransport, SwopeConfig,
 };
 use swope_datagen::{corpus, generate};
 use swope_obs::json::ObjectWriter;
@@ -58,7 +58,7 @@ fn main() {
         g.bench("entropy_topk_unsharded", || black_box(entropy_top_k(&ds, K, &cfg).unwrap()));
     let sharded = || -> Answer {
         let mut source = LocalShardSource::new(&ds, SHARDS, &cfg, &exec).unwrap();
-        let shape = Shape::EntropyTopK { k: K };
+        let shape = Shape::entropy(Rule::TopK { k: K });
         run_sharded(&mut source, &shape, &cfg, &mut NoopObserver, &exec).unwrap()
     };
     let sharded_ns = g.bench("entropy_topk_sharded_4", || black_box(sharded()));

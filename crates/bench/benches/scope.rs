@@ -28,7 +28,7 @@ use std::time::Instant;
 use swope_bench::micro::black_box;
 use swope_columnar::{snapshot, stats, Dataset, DatasetSketch, PageCache, Residency, PAGE_ROWS};
 use swope_core::{
-    entropy_top_k, run, sketch_stats, Executor, NoopObserver, Scope, Shape, SwopeConfig,
+    entropy_top_k, run, sketch_stats, Executor, NoopObserver, Rule, Scope, Shape, SwopeConfig,
 };
 use swope_obs::json::ObjectWriter;
 
@@ -49,9 +49,9 @@ fn queries(pct: usize) -> Vec<(Shape, Scope, SwopeConfig)> {
         .map(|i| {
             let start = (ROWS - len) * i / (QUERIES - 1);
             let shape = if i % 2 == 0 {
-                Shape::EntropyTopK { k: 1 + i * 4 / 3 }
+                Shape::entropy(Rule::TopK { k: 1 + i * 4 / 3 })
             } else {
-                Shape::EntropyFilter { eta: 1.5 + i as f64 * 0.6 }
+                Shape::entropy(Rule::Filter { eta: 1.5 + i as f64 * 0.6 })
             };
             let cfg = SwopeConfig::with_epsilon(0.1).with_seed(SEED + i as u64);
             (shape, Scope::range(start, start + len), cfg)
@@ -125,7 +125,7 @@ fn main() {
     // on each side against the unscoped query, in store traffic.
     let cfg = SwopeConfig::with_epsilon(0.1).with_seed(SEED);
     let scope = Scope::range(PAGE_ROWS - 500, 3 * PAGE_ROWS + 500);
-    let shape = Shape::EntropyTopK { k: 4 };
+    let shape = Shape::entropy(Rule::TopK { k: 4 });
     let exec = Executor::sequential();
     let full = entropy_top_k(&ds, 4, &cfg).unwrap();
     let scoped = run(&ds, &shape, &scope, Some(&sketch), &cfg, &mut NoopObserver, &exec).unwrap();

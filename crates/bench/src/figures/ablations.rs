@@ -2,14 +2,14 @@
 //! These go beyond the paper's figures; ids are prefixed `ext-`.
 
 use swope_baselines::{exact_entropy_scores, oneshot_entropy_top_k};
-use swope_core::{Shape, SwopeConfig};
+use swope_core::{Rule, Shape, SwopeConfig};
 
 use crate::figures::entropy_topk::order_desc;
 use crate::harness::{time_ms, ExpConfig, Row, Tally};
 use crate::metrics::topk_accuracy;
 
 /// The entropy top-k every ablation runs.
-const TOP_4: Shape = Shape::EntropyTopK { k: 4 };
+const TOP_4: Shape = Shape::entropy(Rule::TopK { k: 4 });
 
 /// `ext-threads`: parallel per-attribute evaluation scaling, entropy and
 /// MI top-k (k = 4). `param` is the thread count.
@@ -19,7 +19,7 @@ pub fn run_threads(cfg: &ExpConfig) -> Vec<Row> {
         for threads in [1usize, 2, 4, 8] {
             for (algo, shape, epsilon) in [
                 ("SWOPE-entropy", TOP_4, 0.1),
-                ("SWOPE-mi", Shape::MiTopK { target: 0, k: 4 }, 0.5),
+                ("SWOPE-mi", Shape::mi(0, Rule::TopK { k: 4 }), 0.5),
             ] {
                 let qcfg =
                     SwopeConfig::with_epsilon(epsilon).with_seed(cfg.seed).with_threads(threads);

@@ -5,7 +5,7 @@
 //! EntropyFilter and Exact.
 
 use swope_baselines::exact_entropy_scores;
-use swope_core::{Shape, SwopeConfig};
+use swope_core::{Rule, Shape, SwopeConfig};
 
 use crate::harness::{time_ms, ExpConfig, Row, Tally};
 use crate::metrics::filter_accuracy;
@@ -32,12 +32,13 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             rows.push(scan.row("fig3", &name, "Exact", eta));
 
             // One loop, two stopping rules; EntropyFilter ignores ε.
-            for (algo, shape, qcfg) in [
-                ("EntropyFilter", Shape::EntropyFilterExact { eta }, SwopeConfig::default()),
-                ("SWOPE", Shape::EntropyFilter { eta }, SwopeConfig::with_epsilon(SWOPE_EPSILON)),
+            for (algo, rule, qcfg) in [
+                ("EntropyFilter", Rule::FilterExact { eta }, SwopeConfig::default()),
+                ("SWOPE", Rule::Filter { eta }, SwopeConfig::with_epsilon(SWOPE_EPSILON)),
             ] {
                 let qcfg = qcfg.with_seed(cfg.seed ^ eta.to_bits());
                 let mut tally = Tally::default();
+                let shape = Shape::entropy(rule);
                 tally.run(&ds, shape, None, &qcfg, |got| filter_accuracy(got, &exact_answer).f1);
                 rows.push(tally.row("fig3", &name, algo, eta));
             }

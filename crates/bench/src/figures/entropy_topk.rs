@@ -6,7 +6,7 @@
 //! the accuracy vs the exact top-k.
 
 use swope_baselines::exact_entropy_scores;
-use swope_core::{Shape, SwopeConfig};
+use swope_core::{Rule, Shape, SwopeConfig};
 
 use crate::harness::{time_ms, ExpConfig, Row, Tally};
 use crate::metrics::topk_accuracy;
@@ -34,12 +34,13 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             rows.push(scan.row("fig1", &name, "Exact", k as f64));
 
             // One loop, two stopping rules; EntropyRank ignores ε.
-            for (algo, shape, qcfg) in [
-                ("EntropyRank", Shape::EntropyRank { k }, SwopeConfig::default()),
-                ("SWOPE", Shape::EntropyTopK { k }, SwopeConfig::with_epsilon(SWOPE_EPSILON)),
+            for (algo, rule, qcfg) in [
+                ("EntropyRank", Rule::Rank { k }, SwopeConfig::default()),
+                ("SWOPE", Rule::TopK { k }, SwopeConfig::with_epsilon(SWOPE_EPSILON)),
             ] {
                 let qcfg = qcfg.with_seed(cfg.seed ^ k as u64);
                 let mut tally = Tally::default();
+                let shape = Shape::entropy(rule);
                 tally.run(&ds, shape, None, &qcfg, |got| topk_accuracy(got, exact_topk));
                 rows.push(tally.row("fig1", &name, algo, k as f64));
             }

@@ -6,7 +6,7 @@
 
 use swope_baselines::exact_mi_scores;
 use swope_columnar::snapshot::build_sketch;
-use swope_core::{Shape, SwopeConfig};
+use swope_core::{Rule, Shape, SwopeConfig};
 
 use crate::figures::mi_topk::SKETCH_MARGINALS;
 use crate::harness::{time_ms, ExpConfig, Row, Tally};
@@ -42,23 +42,17 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             // paper's SWOPE-MI samples its marginals; the last row reads
             // them from the sketch and samples only the joint.
             let swope = SwopeConfig::with_epsilon(SWOPE_EPSILON);
-            for (algo, base, exact, sketch) in [
-                ("EntropyFilter", SwopeConfig::default(), true, None),
-                ("SWOPE", swope.clone(), false, None),
-                (SKETCH_MARGINALS, swope, false, Some(&sketch)),
+            for (algo, base, rule, sketch) in [
+                ("EntropyFilter", SwopeConfig::default(), Rule::FilterExact { eta }, None),
+                ("SWOPE", swope.clone(), Rule::Filter { eta }, None),
+                (SKETCH_MARGINALS, swope, Rule::Filter { eta }, Some(&sketch)),
             ] {
                 let mut tally = Tally::default();
                 for (t, scores, _) in &per_target {
                     let exact_answer: Vec<usize> =
                         (0..ds.num_attrs()).filter(|&a| a != *t && scores[a] >= eta).collect();
                     let qcfg = base.clone().with_seed(cfg.seed ^ eta.to_bits() ^ *t as u64);
-                    let target = *t;
-                    let shape = if exact {
-                        Shape::MiFilterExact { target, eta }
-                    } else {
-                        Shape::MiFilter { target, eta }
-                    };
-                    tally.run(&ds, shape, sketch, &qcfg, |got| {
+                    tally.run(&ds, Shape::mi(*t, rule), sketch, &qcfg, |got| {
                         filter_accuracy(got, &exact_answer).f1
                     });
                 }

@@ -7,7 +7,7 @@
 
 use swope_baselines::exact_mi_scores;
 use swope_columnar::snapshot::build_sketch;
-use swope_core::{Shape, SwopeConfig};
+use swope_core::{Rule, Shape, SwopeConfig};
 
 use crate::figures::entropy_topk::order_desc;
 use crate::harness::{time_ms, ExpConfig, Row, Tally};
@@ -51,21 +51,16 @@ pub fn run(cfg: &ExpConfig) -> Vec<Row> {
             // paper's SWOPE-MI samples its marginals; the last row reads
             // them from the sketch and samples only the joint.
             let swope = SwopeConfig::with_epsilon(SWOPE_EPSILON);
-            for (algo, base, exact, sketch) in [
-                ("EntropyRank", SwopeConfig::default(), true, None),
-                ("SWOPE", swope.clone(), false, None),
-                (SKETCH_MARGINALS, swope, false, Some(&sketch)),
+            for (algo, base, rule, sketch) in [
+                ("EntropyRank", SwopeConfig::default(), Rule::Rank { k }, None),
+                ("SWOPE", swope.clone(), Rule::TopK { k }, None),
+                (SKETCH_MARGINALS, swope, Rule::TopK { k }, Some(&sketch)),
             ] {
                 let mut tally = Tally::default();
                 for (t, exact_order, _) in &per_target {
                     let qcfg = base.clone().with_seed(cfg.seed ^ (k as u64) << 8 ^ *t as u64);
                     let exact_topk = &exact_order[..k.min(exact_order.len())];
-                    let target = *t;
-                    let shape = if exact {
-                        Shape::MiRank { target, k }
-                    } else {
-                        Shape::MiTopK { target, k }
-                    };
+                    let shape = Shape::mi(*t, rule);
                     tally.run(&ds, shape, sketch, &qcfg, |got| topk_accuracy(got, exact_topk));
                 }
                 rows.push(tally.row("fig5", &name, algo, k as f64));

@@ -7,7 +7,7 @@
 //! reports both time (a) and accuracy (b).
 
 use swope_baselines::{exact_entropy_scores, exact_mi_scores};
-use swope_core::{Shape, SwopeConfig};
+use swope_core::{Rule, Shape, SwopeConfig};
 
 use crate::figures::entropy_topk::order_desc;
 use crate::harness::{ExpConfig, Row, Tally};
@@ -34,7 +34,7 @@ pub fn run_entropy_topk(cfg: &ExpConfig) -> Vec<Row> {
         for &eps in &EPSILONS {
             let qcfg = SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits());
             let mut tally = Tally::default();
-            tally.run(&ds, Shape::EntropyTopK { k: TUNE_K }, None, &qcfg, |got| {
+            tally.run(&ds, Shape::entropy(Rule::TopK { k: TUNE_K }), None, &qcfg, |got| {
                 topk_accuracy(got, exact_topk)
             });
             rows.push(tally.row("fig9", &name, "SWOPE", eps));
@@ -57,9 +57,8 @@ pub fn run_entropy_filter(cfg: &ExpConfig) -> Vec<Row> {
         for &eps in &EPSILONS {
             let qcfg = SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits());
             let mut tally = Tally::default();
-            tally.run(&ds, Shape::EntropyFilter { eta: TUNE_ETA_ENTROPY }, None, &qcfg, |got| {
-                filter_accuracy(got, &exact_answer).f1
-            });
+            let shape = Shape::entropy(Rule::Filter { eta: TUNE_ETA_ENTROPY });
+            tally.run(&ds, shape, None, &qcfg, |got| filter_accuracy(got, &exact_answer).f1);
             rows.push(tally.row("fig10", &name, "SWOPE", eps));
         }
     }
@@ -85,7 +84,7 @@ pub fn run_mi_topk(cfg: &ExpConfig) -> Vec<Row> {
                 let qcfg =
                     SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits() ^ *t as u64);
                 let exact_topk = &exact_order[..TUNE_K.min(exact_order.len())];
-                tally.run(&ds, Shape::MiTopK { target: *t, k: TUNE_K }, None, &qcfg, |got| {
+                tally.run(&ds, Shape::mi(*t, Rule::TopK { k: TUNE_K }), None, &qcfg, |got| {
                     topk_accuracy(got, exact_topk)
                 });
             }
@@ -116,7 +115,7 @@ pub fn run_mi_filter(cfg: &ExpConfig) -> Vec<Row> {
                     SwopeConfig::with_epsilon(eps).with_seed(cfg.seed ^ eps.to_bits() ^ *t as u64);
                 tally.run(
                     &ds,
-                    Shape::MiFilter { target: *t, eta: TUNE_ETA_MI },
+                    Shape::mi(*t, Rule::Filter { eta: TUNE_ETA_MI }),
                     None,
                     &qcfg,
                     |got| filter_accuracy(got, exact_answer).f1,

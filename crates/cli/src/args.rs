@@ -25,7 +25,7 @@ commands:
   serve [<file>...]                    HTTP query server over the given datasets
 
 common options:
-  --algo swope|rank|exact   query algorithm (default swope)
+  --algo swope|rank|exact   query algorithm (default swope; profiles: swope only)
   --epsilon <f>             SWOPE error parameter (defaults per query type)
   --pf <f>                  failure probability (default 1/N)
   --threads <n>             worker threads (default 1)

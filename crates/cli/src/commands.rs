@@ -9,8 +9,8 @@ use swope_columnar::{
 };
 use swope_core::{
     entropy_top_k, run, run_sharded, Answer, AttrScore, ComposedObserver, Executor, FilterResult,
-    JsonlSink, LocalShardSource, MetricsRegistry, ProfileResult, Scope, Shape, SwopeConfig,
-    SwopeError, TopKResult,
+    JsonlSink, LocalShardSource, MetricsRegistry, Rule, Scope, Shape, SwopeConfig, SwopeError,
+    TopKResult,
 };
 
 use crate::args::{parse_options, Algo, Options};
@@ -72,12 +72,8 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     match command.as_str() {
         "stats" => cmd_stats(&opts),
         "inspect" => cmd_inspect(&opts),
-        "entropy-topk" => cmd_entropy_topk(&opts),
-        "entropy-filter" => cmd_entropy_filter(&opts),
-        "mi-topk" => cmd_mi_topk(&opts),
-        "mi-filter" => cmd_mi_filter(&opts),
-        "entropy-profile" => cmd_entropy_profile(&opts),
-        "mi-profile" => cmd_mi_profile(&opts),
+        query @ ("entropy-topk" | "entropy-filter" | "entropy-profile" | "mi-topk"
+        | "mi-filter" | "mi-profile") => cmd_query(query, &opts),
         "compare" => cmd_compare(&opts),
         "drift" => cmd_drift(&opts),
         "gen" => cmd_gen(&opts),
@@ -214,13 +210,16 @@ fn adaptive(
     }
 }
 
-/// The shape `--algo` runs on the adaptive loop — SWOPE's, or the
-/// exact-separation comparator's for `rank` — or `None` for the full scan.
-fn adaptive_shape(algo: Algo, swope: Shape, rank: Shape) -> Option<Shape> {
-    match algo {
-        Algo::Swope => Some(swope),
-        Algo::Rank => Some(rank),
-        Algo::Exact => None,
+/// The full scan `--algo exact` runs for a top-k or filter query.
+fn exact(ds: &Dataset, shape: Shape) -> Result<Answer, SwopeError> {
+    let top = |r: TopKResult| Answer { scores: r.top, stats: r.stats };
+    let accepted = |r: FilterResult| Answer { scores: r.accepted, stats: r.stats };
+    match (shape.target, shape.rule) {
+        (None, Rule::TopK { k }) => exact_entropy_top_k(ds, k).map(top),
+        (None, Rule::Filter { eta }) => exact_entropy_filter(ds, eta).map(accepted),
+        (Some(t), Rule::TopK { k }) => exact_mi_top_k(ds, t, k).map(top),
+        (Some(t), Rule::Filter { eta }) => exact_mi_filter(ds, t, eta).map(accepted),
+        _ => unreachable!("--algo exact answers top-k and filter queries only"),
     }
 }
 
@@ -337,111 +336,71 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_entropy_topk(opts: &Options) -> Result<(), String> {
+/// `<measure>-<rule>`: the subcommand names the measure (`entropy`, or
+/// `mi` against `--target`) and SWOPE's rule; `--algo rank` swaps in the
+/// comparator's rule for it, `--algo exact` a full scan.
+fn cmd_query(command: &str, opts: &Options) -> Result<(), String> {
+    let (measure, rule) = command.split_once('-').expect("a <measure>-<rule> subcommand");
     let (ds, sketch) = load(opts)?;
-    let k = opts.k.ok_or("-k is required")?;
+    let rule = match rule {
+        "topk" => Rule::TopK { k: opts.k.ok_or("-k is required")? },
+        "filter" => Rule::Filter { eta: opts.eta.ok_or("--eta is required")? },
+        _ => Rule::Profile { floor: 0.05 },
+    };
+    let adaptive_rule = match (opts.algo, rule) {
+        (Algo::Swope, _) => Some(rule),
+        (Algo::Rank, Rule::TopK { k }) => Some(Rule::Rank { k }),
+        (Algo::Rank, Rule::Filter { eta }) => Some(Rule::FilterExact { eta }),
+        (Algo::Exact, Rule::TopK { .. } | Rule::Filter { .. }) => None,
+        (algo, _) => {
+            let name = if algo == Algo::Rank { "rank" } else { "exact" };
+            return Err(format!(
+                "profile queries (entropy-profile/mi-profile) are not supported by --algo {name}"
+            ));
+        }
+    };
+    let target = if measure == "mi" { Some(resolve_target(&ds, opts)?) } else { None };
     let plan = plan_from_opts(&ds, opts)?;
     let mut obs = Observability::from_opts(opts)?;
-    let cfg = query_config(opts, 0.1);
-    let shape = adaptive_shape(opts.algo, Shape::EntropyTopK { k }, Shape::EntropyRank { k });
-    let result: TopKResult = match shape {
-        Some(shape) => adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map(Into::into),
-        None => exact_entropy_top_k(&ds, k),
+    let default_epsilon = match (target, rule) {
+        (Some(_), _) => 0.5,
+        (None, Rule::Filter { .. }) => 0.05,
+        (None, _) => 0.1,
+    };
+    let cfg = query_config(opts, default_epsilon);
+    let answer = match adaptive_rule {
+        Some(rule) => adaptive(&ds, sketch.as_ref(), Shape { target, rule }, &plan, &cfg, &mut obs),
+        None => exact(&ds, Shape { target, rule }),
     }
     .map_err(|e| e.to_string())?;
-    print_topk("entropy", &result);
-    obs.finish()
-}
-
-fn cmd_entropy_filter(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load(opts)?;
-    let eta = opts.eta.ok_or("--eta is required")?;
-    let plan = plan_from_opts(&ds, opts)?;
-    let mut obs = Observability::from_opts(opts)?;
-    let cfg = query_config(opts, 0.05);
-    let shape =
-        adaptive_shape(opts.algo, Shape::EntropyFilter { eta }, Shape::EntropyFilterExact { eta });
-    let result: FilterResult = match shape {
-        Some(shape) => adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map(Into::into),
-        None => exact_entropy_filter(&ds, eta),
+    // `mi-filter` has never printed its target.
+    if let (Some(t), Rule::TopK { .. } | Rule::Profile { .. }) = (target, rule) {
+        println!("target: {} ({t})", ds.schema().field(t).map(|f| f.name()).unwrap_or("?"));
     }
-    .map_err(|e| e.to_string())?;
-    print_filter("entropy", eta, &result);
+    let measure = if target.is_some() { "mutual information" } else { "entropy" };
+    print_answer(measure, rule, &answer);
     obs.finish()
 }
 
-fn cmd_mi_topk(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load(opts)?;
-    let k = opts.k.ok_or("-k is required")?;
-    let target = resolve_target(&ds, opts)?;
-    let plan = plan_from_opts(&ds, opts)?;
-    let mut obs = Observability::from_opts(opts)?;
-    let cfg = query_config(opts, 0.5);
-    let shape = adaptive_shape(opts.algo, Shape::MiTopK { target, k }, Shape::MiRank { target, k });
-    let result: TopKResult = match shape {
-        Some(shape) => adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map(Into::into),
-        None => exact_mi_top_k(&ds, target, k),
+/// A header naming what `rule` returned, then one line per score.
+fn print_answer(measure: &str, rule: Rule, answer: &Answer) {
+    let Answer { scores, stats } = answer;
+    let sampled =
+        format!("sampled {} rows in {} iteration(s)", stats.sample_size, stats.iterations);
+    match rule {
+        Rule::TopK { .. } | Rule::Rank { .. } => {
+            println!("top-{} by empirical {measure} ({sampled}):", scores.len());
+        }
+        Rule::Filter { eta } | Rule::FilterExact { eta } => {
+            println!(
+                "{} attribute(s) with empirical {measure} >= {eta} ({sampled}):",
+                scores.len()
+            );
+        }
+        Rule::Profile { .. } => println!("{measure} estimate per attribute ({sampled}):"),
     }
-    .map_err(|e| e.to_string())?;
-    println!("target: {} ({})", ds.schema().field(target).map(|f| f.name()).unwrap_or("?"), target);
-    print_topk("mutual information", &result);
-    obs.finish()
-}
-
-fn cmd_mi_filter(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load(opts)?;
-    let eta = opts.eta.ok_or("--eta is required")?;
-    let target = resolve_target(&ds, opts)?;
-    let plan = plan_from_opts(&ds, opts)?;
-    let mut obs = Observability::from_opts(opts)?;
-    let cfg = query_config(opts, 0.5);
-    let shape = adaptive_shape(
-        opts.algo,
-        Shape::MiFilter { target, eta },
-        Shape::MiFilterExact { target, eta },
-    );
-    let result: FilterResult = match shape {
-        Some(shape) => adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map(Into::into),
-        None => exact_mi_filter(&ds, target, eta),
-    }
-    .map_err(|e| e.to_string())?;
-    print_filter("mutual information", eta, &result);
-    obs.finish()
-}
-
-fn cmd_entropy_profile(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load(opts)?;
-    let plan = plan_from_opts(&ds, opts)?;
-    let mut obs = Observability::from_opts(opts)?;
-    let cfg = query_config(opts, 0.1);
-    let shape = Shape::EntropyProfile { floor: 0.05 };
-    let result =
-        adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map_err(|e| e.to_string())?;
-    print_profile("entropy", &result.into());
-    obs.finish()
-}
-
-fn cmd_mi_profile(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load(opts)?;
-    let target = resolve_target(&ds, opts)?;
-    let plan = plan_from_opts(&ds, opts)?;
-    let mut obs = Observability::from_opts(opts)?;
-    let cfg = query_config(opts, 0.5);
-    let shape = Shape::MiProfile { target, floor: 0.05 };
-    let result =
-        adaptive(&ds, sketch.as_ref(), shape, &plan, &cfg, &mut obs).map_err(|e| e.to_string())?;
-    println!("target: {} ({})", ds.schema().field(target).map(|f| f.name()).unwrap_or("?"), target);
-    print_profile("mutual information", &result.into());
-    obs.finish()
-}
-
-fn print_profile(kind: &str, result: &ProfileResult) {
-    println!(
-        "{} estimate per attribute (sampled {} rows in {} iteration(s)):",
-        kind, result.stats.sample_size, result.stats.iterations
-    );
     println!("{:<6} {:<24} {:>10} {:>10} {:>10}", "attr", "name", "estimate", "lower", "upper");
-    for s in &result.scores {
+    for s in scores {
         print_score(s);
     }
 }
@@ -634,32 +593,6 @@ fn write_dataset(ds: &Dataset, path: &str) -> Result<(), String> {
         let mut f =
             std::io::BufWriter::new(std::fs::File::create(path).map_err(|e| e.to_string())?);
         csv::write_csv(ds, &mut f).map_err(|e| e.to_string())
-    }
-}
-
-fn print_topk(kind: &str, result: &TopKResult) {
-    println!(
-        "top-{} by empirical {kind} (sampled {} rows in {} iteration(s)):",
-        result.top.len(),
-        result.stats.sample_size,
-        result.stats.iterations
-    );
-    println!("{:<6} {:<24} {:>10} {:>10} {:>10}", "attr", "name", "estimate", "lower", "upper");
-    for s in &result.top {
-        print_score(s);
-    }
-}
-
-fn print_filter(kind: &str, eta: f64, result: &FilterResult) {
-    println!(
-        "{} attribute(s) with empirical {kind} >= {eta} (sampled {} rows in {} iteration(s)):",
-        result.accepted.len(),
-        result.stats.sample_size,
-        result.stats.iterations
-    );
-    println!("{:<6} {:<24} {:>10} {:>10} {:>10}", "attr", "name", "estimate", "lower", "upper");
-    for s in &result.accepted {
-        print_score(s);
     }
 }
 

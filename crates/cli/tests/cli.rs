@@ -247,7 +247,7 @@ fn sharded_queries_match_unsharded_output_and_validate_flags() {
 #[test]
 fn rank_takes_scopes_shards_observers_and_the_pager() {
     use swope_columnar::{Dataset, Residency};
-    use swope_core::{run, Executor, NoopObserver, Scope, Shape, SwopeConfig};
+    use swope_core::{run, Executor, NoopObserver, Rule, Scope, Shape, SwopeConfig};
 
     let swop = tmp("rank.swop");
     let p = swop.to_str().unwrap();
@@ -262,7 +262,7 @@ fn rank_takes_scopes_shards_observers_and_the_pager() {
     let cfg = SwopeConfig::with_epsilon(0.1).with_seed(7);
     let want = run(
         &ds,
-        &Shape::EntropyRank { k: 3 },
+        &Shape::entropy(Rule::Rank { k: 3 }),
         &Scope::range(0, 500),
         None,
         &cfg,
@@ -313,6 +313,30 @@ fn rank_takes_scopes_shards_observers_and_the_pager() {
         let log = std::fs::read_to_string(&events).unwrap();
         assert!(log.lines().next().unwrap().contains("\"event\":\"query_start\""), "{log}");
         assert!(log.contains("\"event\":\"attr_retired\""));
+    }
+}
+
+/// The profile queries have neither a comparator rule nor a full scan, so
+/// `--algo rank` and `--algo exact` are refused, not answered by SWOPE.
+#[test]
+fn profiles_refuse_rank_and_exact() {
+    let swop = tmp("profile-algo.swop");
+    let p = swop.to_str().unwrap();
+    let o = swope(&["gen", "tiny", "--rows", "2000", "--cols", "4", "--out", p]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let queries: [&[&str]; 2] = [&["entropy-profile", p], &["mi-profile", p, "--target", "0"]];
+    for query in queries {
+        for algo in ["rank", "exact"] {
+            let o = swope(&[query, &["--algo", algo, "--metrics"]].concat());
+            assert!(!o.status.success(), "{query:?} --algo {algo} answered");
+            assert!(stdout(&o).is_empty(), "{}", stdout(&o));
+            let err = stderr(&o);
+            let first = err.lines().next().unwrap();
+            assert!(first.starts_with("error: profile queries"), "{err}");
+            assert!(first.ends_with(&format!("are not supported by --algo {algo}")), "{err}");
+        }
+        let o = swope(&[query, &["--algo", "swope"]].concat());
+        assert!(o.status.success(), "{}", stderr(&o));
     }
 }
 

@@ -37,9 +37,10 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 
 use swope_columnar::{Dataset, DatasetSketch};
+use swope_core::shard::dataset_meta;
 use swope_core::{
-    count_candidate, count_target, sketch_marginals, AttrMeta, CountScratch, CountState,
-    ShardCounts, TargetBuf,
+    count_candidate, count_target, sketch_marginals, CountScratch, CountState, ShardCounts,
+    TargetBuf,
 };
 use swope_sampling::PrefixShuffle;
 
@@ -62,14 +63,6 @@ pub struct PeerDataset {
 /// Resolves a dataset name to a resident dataset; `""` means "the
 /// peer's default dataset" (servers map it to their first loaded one).
 pub type DatasetResolver<'a> = dyn Fn(&str) -> Option<PeerDataset> + 'a;
-
-fn dataset_meta(ds: &Dataset) -> Vec<AttrMeta> {
-    ds.schema()
-        .fields()
-        .iter()
-        .map(|f| AttrMeta { name: f.name().to_owned(), support: f.support() })
-        .collect()
-}
 
 /// One session's stream with the buffers every frame on it reuses.
 struct Wire<'a, S> {

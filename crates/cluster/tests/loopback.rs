@@ -19,8 +19,9 @@ use swope_cluster::frame::{
 use swope_cluster::peer::{serve_connection, PeerDataset};
 use swope_cluster::stats::ClusterStats;
 use swope_columnar::{Dataset, DatasetSketch};
+use swope_core::shard::dataset_meta;
 use swope_core::{
-    run_sharded, sketch_marginals, Answer, CountState, Executor, NoopObserver, Scope, Shape,
+    run_sharded, sketch_marginals, Answer, CountState, Executor, NoopObserver, Rule, Scope, Shape,
     ShardCounts, ShardTransport, SwopeConfig, SwopeError,
 };
 
@@ -134,7 +135,7 @@ fn scoped_queries_route_to_intersecting_peers_only() {
     let addrs =
         vec![spawn_peer(slice_rows(&union, 0..n / 2)), spawn_peer(slice_rows(&union, n / 2..n))];
     let config = cfg(0xA5C0);
-    let [top_k, mi_top_k] = [all_shapes()[0], Shape::MiTopK { target: 1, k: 2 }];
+    let [top_k, mi_top_k] = [all_shapes()[0], Shape::mi(1, Rule::TopK { k: 2 })];
 
     // Scope spanning both peers.
     let (a, b) = (n / 4, 3 * n / 4);
@@ -383,13 +384,8 @@ fn scripted_peer(script: impl FnOnce(std::net::TcpStream) + Send + 'static) -> S
 }
 
 fn hello_reply(version: u32, ds: &Dataset) -> Frame {
-    let attrs = ds
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| swope_core::AttrMeta { name: f.name().into(), support: f.support() })
-        .collect();
-    Frame::Hello(Hello { version, dataset: "t".into(), num_rows: ds.num_rows() as u64, attrs })
+    let num_rows = ds.num_rows() as u64;
+    Frame::Hello(Hello { version, dataset: "t".into(), num_rows, attrs: dataset_meta(ds) })
 }
 
 /// A peer whose `CountMerge` claims a larger support than its `Hello`
@@ -470,7 +466,7 @@ fn three_peers(union: &Dataset, declining: Option<usize>) -> Vec<String> {
 /// target.
 fn mi_shapes() -> Vec<Shape> {
     let all = all_shapes().into_iter().chain(comparators_against(5));
-    all.filter(|shape| shape.target().is_some()).collect()
+    all.filter(|shape| shape.target.is_some()).collect()
 }
 
 /// Three peers with sketches: their totals sum to the union's marginals,

@@ -38,133 +38,82 @@ use crate::scope::{CoveredDist, LocalSource, Scope};
 use crate::shard::{ShardTransport, ShardedSource};
 use crate::{filter, profile, topk, SwopeConfig, SwopeError};
 
-/// One of the adaptive queries, with its parameters: SWOPE's six, and
-/// the four exact-separation comparators of the paper's §6, which ignore
-/// `ε`.
+/// One of the adaptive queries: a measure — empirical entropy, or mutual
+/// information with `target` — and the [`Rule`] that decides it.
+///
+/// Alg. 3–4 are Alg. 1–2 with §4.1's interval in place of Lemma 3's, and
+/// the comparators differ from SWOPE only in the rule, so every
+/// combination of the two halves is a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Shape {
-    /// Alg. 1 — the `k` attributes of highest empirical entropy
-    /// ([`crate::entropy_top_k`]).
-    EntropyTopK {
+pub struct Shape {
+    /// The target attribute `α_t` that candidates are scored against by
+    /// mutual information; `None` scores empirical entropy.
+    pub target: Option<AttrIndex>,
+    /// When candidates retire and the query stops.
+    pub rule: Rule,
+}
+
+/// When candidates retire and the query stops: SWOPE's three rules, and
+/// the two exact-separation comparators of the paper's §6, which ignore
+/// `ε`. Below, `h` is the number of candidates: every attribute for
+/// entropy, all but the target for mutual information.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// Alg. 1 / Alg. 3 — the `k` attributes of highest score
+    /// ([`crate::entropy_top_k`], [`crate::mi_top_k`]).
+    TopK {
         /// How many attributes to return, `1..=h`.
         k: usize,
     },
-    /// Alg. 2 — the attributes whose empirical entropy is at least `eta`
-    /// ([`crate::entropy_filter`]).
-    EntropyFilter {
+    /// Alg. 2 / Alg. 4 — the attributes whose score is at least `eta`
+    /// ([`crate::entropy_filter`], [`crate::mi_filter`]).
+    Filter {
         /// The threshold η, finite and nonnegative.
         eta: f64,
     },
-    /// Every attribute's empirical entropy to relative error ε
-    /// ([`crate::entropy_profile`]).
-    EntropyProfile {
+    /// Every candidate's score to relative error ε
+    /// ([`crate::entropy_profile`], [`crate::mi_profile`]).
+    Profile {
         /// Absolute width below which an interval is tight enough.
         floor: f64,
     },
-    /// Alg. 3 — the `k` attributes of highest mutual information with
-    /// `target` ([`crate::mi_top_k`]).
-    MiTopK {
-        /// The target attribute `α_t`.
-        target: AttrIndex,
-        /// How many attributes to return, `1..=h−1`.
-        k: usize,
-    },
-    /// Alg. 4 — the attributes whose mutual information with `target` is
-    /// at least `eta` ([`crate::mi_filter`]).
-    MiFilter {
-        /// The target attribute `α_t`.
-        target: AttrIndex,
-        /// The threshold η, finite and nonnegative.
-        eta: f64,
-    },
-    /// Every other attribute's mutual information with `target` to
-    /// relative error ε ([`crate::mi_profile`]).
-    MiProfile {
-        /// The target attribute `α_t`.
-        target: AttrIndex,
-        /// Absolute width below which an interval is tight enough.
-        floor: f64,
-    },
-    /// EntropyRank (the paper's reference \[32\]) — the exact top-`k` by
-    /// empirical entropy: samples until the `k`-th lower bound clears
-    /// every upper bound outside the answer.
-    EntropyRank {
+    /// EntropyRank (the paper's reference \[32\]; over mutual information,
+    /// §6.3's lift) — the exact top-`k`: samples until the `k`-th lower
+    /// bound clears every upper bound outside the answer.
+    Rank {
         /// How many attributes to return, `1..=h`.
         k: usize,
     },
     /// EntropyFilter (same reference) — exactly the attributes whose
-    /// empirical entropy is at least `eta`: an attribute is decided only
-    /// once its interval clears the threshold.
-    EntropyFilterExact {
+    /// score is at least `eta`: an attribute is decided only once its
+    /// interval clears the threshold.
+    FilterExact {
         /// The threshold η, finite and nonnegative.
         eta: f64,
     },
-    /// EntropyRank over the §4.1 mutual-information interval (§6.3).
-    MiRank {
-        /// The target attribute `α_t`.
-        target: AttrIndex,
-        /// How many attributes to return, `1..=h−1`.
-        k: usize,
-    },
-    /// EntropyFilter over the §4.1 mutual-information interval (§6.3).
-    MiFilterExact {
-        /// The target attribute `α_t`.
-        target: AttrIndex,
-        /// The threshold η, finite and nonnegative.
-        eta: f64,
-    },
-}
-
-/// When candidates retire and the query stops — the half of a [`Shape`]
-/// that does not depend on the measure.
-#[derive(Clone, Copy)]
-enum Rule {
-    TopK { k: usize },
-    Filter { eta: f64 },
-    Profile { floor: f64 },
-    Rank { k: usize },
-    FilterExact { eta: f64 },
 }
 
 impl Shape {
+    /// `rule` over empirical entropy.
+    pub const fn entropy(rule: Rule) -> Self {
+        Self { target: None, rule }
+    }
+
+    /// `rule` over mutual information with `target`.
+    pub const fn mi(target: AttrIndex, rule: Rule) -> Self {
+        Self { target: Some(target), rule }
+    }
+
     /// The observer vocabulary's name for this query; a comparator
     /// reports as the query it answers exactly.
     pub fn kind(&self) -> QueryKind {
-        match self {
-            Shape::EntropyTopK { .. } | Shape::EntropyRank { .. } => QueryKind::EntropyTopK,
-            Shape::EntropyFilter { .. } | Shape::EntropyFilterExact { .. } => {
-                QueryKind::EntropyFilter
-            }
-            Shape::EntropyProfile { .. } => QueryKind::EntropyProfile,
-            Shape::MiTopK { .. } | Shape::MiRank { .. } => QueryKind::MiTopK,
-            Shape::MiFilter { .. } | Shape::MiFilterExact { .. } => QueryKind::MiFilter,
-            Shape::MiProfile { .. } => QueryKind::MiProfile,
-        }
-    }
-
-    /// The mutual-information target; `None` for the entropy shapes.
-    pub fn target(&self) -> Option<AttrIndex> {
-        match *self {
-            Shape::MiTopK { target, .. }
-            | Shape::MiFilter { target, .. }
-            | Shape::MiProfile { target, .. }
-            | Shape::MiRank { target, .. }
-            | Shape::MiFilterExact { target, .. } => Some(target),
-            _ => None,
-        }
-    }
-
-    fn rule(&self) -> Rule {
-        match *self {
-            Shape::EntropyTopK { k } | Shape::MiTopK { k, .. } => Rule::TopK { k },
-            Shape::EntropyFilter { eta } | Shape::MiFilter { eta, .. } => Rule::Filter { eta },
-            Shape::EntropyProfile { floor } | Shape::MiProfile { floor, .. } => {
-                Rule::Profile { floor }
-            }
-            Shape::EntropyRank { k } | Shape::MiRank { k, .. } => Rule::Rank { k },
-            Shape::EntropyFilterExact { eta } | Shape::MiFilterExact { eta, .. } => {
-                Rule::FilterExact { eta }
-            }
+        match (self.rule, self.target.is_some()) {
+            (Rule::TopK { .. } | Rule::Rank { .. }, false) => QueryKind::EntropyTopK,
+            (Rule::Filter { .. } | Rule::FilterExact { .. }, false) => QueryKind::EntropyFilter,
+            (Rule::Profile { .. }, false) => QueryKind::EntropyProfile,
+            (Rule::TopK { .. } | Rule::Rank { .. }, true) => QueryKind::MiTopK,
+            (Rule::Filter { .. } | Rule::FilterExact { .. }, true) => QueryKind::MiFilter,
+            (Rule::Profile { .. }, true) => QueryKind::MiProfile,
         }
     }
 
@@ -176,7 +125,7 @@ impl Shape {
         config.validate()?;
         if let Rule::Filter { eta: bound }
         | Rule::FilterExact { eta: bound }
-        | Rule::Profile { floor: bound } = self.rule()
+        | Rule::Profile { floor: bound } = self.rule
         {
             if !bound.is_finite() || bound < 0.0 {
                 return Err(SwopeError::InvalidThreshold(bound));
@@ -186,7 +135,7 @@ impl Shape {
             return Err(SwopeError::EmptyDataset);
         }
         let mut candidates = h;
-        if let Some(target) = self.target() {
+        if let Some(target) = self.target {
             if target >= h {
                 return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
             }
@@ -195,7 +144,7 @@ impl Shape {
             }
             candidates = h - 1;
         }
-        match self.rule() {
+        match self.rule {
             Rule::TopK { k } | Rule::Rank { k } if k == 0 || k > candidates => {
                 Err(SwopeError::InvalidK { k, candidates })
             }
@@ -448,7 +397,7 @@ pub fn run<O: QueryObserver>(
     // co-occurrences, which per-attribute histograms cannot synthesize,
     // so an MI range samples its rows. (Over a full scope MI still takes
     // the sketch's exact marginals: `CountSource::marginals`.)
-    let hybrid = shape.target().is_none();
+    let hybrid = shape.target.is_none();
     let source = LocalSource::open(dataset, scope, sketch, config, hybrid, observer.enabled())?;
     dispatch(shape, source, config, observer, exec)
 }
@@ -497,7 +446,7 @@ fn dispatch<S: CountSource, O: QueryObserver>(
     observer: &mut O,
     exec: &Executor,
 ) -> Result<Answer, SwopeError> {
-    match shape.target() {
+    match shape.target {
         None => drive(Entropy, source, shape, config, observer, exec),
         Some(target) => drive(Mi::new(target, &source), source, shape, config, observer, exec),
     }
@@ -512,7 +461,7 @@ fn drive<M: Measure, S: CountSource, O: QueryObserver>(
     observer: &mut O,
     exec: &Executor,
 ) -> Result<Answer, SwopeError> {
-    let rule = shape.rule();
+    let rule = shape.rule;
     let (h, n) = (source.num_attrs(), source.n());
     let setup = source.setup();
     let mut it = Instrumented::start(observer, shape.kind(), h, n, config, setup.path);
@@ -520,7 +469,7 @@ fn drive<M: Measure, S: CountSource, O: QueryObserver>(
     if n == 0 {
         // The empirical entropy of an empty population is 0 by convention:
         // no iteration runs and the query is trivially converged.
-        let candidates = (0..h).filter(|&a| Some(a) != shape.target());
+        let candidates = (0..h).filter(|&a| Some(a) != shape.target);
         let scores = rule
             .over_nothing(candidates)
             .into_iter()

@@ -25,7 +25,8 @@
 //! in [`SwopeConfig`]).
 //!
 //! Those four, [`entropy_profile`] and [`mi_profile`] are conveniences
-//! over the one entry point [`run`], which answers any [`Shape`] over a
+//! over the one entry point [`run`], which answers any [`Shape`] — entropy
+//! or mutual information under one of five [`Rule`]s — over a
 //! [`Scope`] of the dataset (optionally backed by its partition sketch),
 //! with a [`QueryObserver`] and an [`Executor`] attached; [`run_sharded`]
 //! answers the same shapes from the merged integer counts of a
@@ -71,8 +72,6 @@ mod error;
 pub mod exec;
 mod filter;
 mod measure;
-mod mi_filter;
-mod mi_topk;
 mod observe;
 mod profile;
 mod report;
@@ -86,17 +85,15 @@ pub use config::SwopeConfig;
 pub use count::{
     count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,
 };
-pub use driver::{run, run_sharded, Answer, Shape};
+pub use driver::{run, run_sharded, Answer, Rule, Shape};
 pub use error::SwopeError;
 pub use exec::{ExecPool, ExecStats, Executor};
-pub use filter::entropy_filter;
-pub use mi_filter::mi_filter;
-pub use mi_topk::mi_top_k;
+pub use filter::{entropy_filter, mi_filter};
 pub use profile::{entropy_profile, mi_profile, ProfileResult};
 pub use report::{AttrScore, FilterResult, IterationTrace, QueryStats, TopKResult, WorkKind};
 pub use scope::{entropy_filter_scoped_exec, entropy_top_k_scoped_exec, sketch_marginals, Scope};
 pub use shard::{AttrMeta, CountRequest, LocalShardSource, ShardCounts, ShardPlan, ShardTransport};
-pub use topk::entropy_top_k;
+pub use topk::{entropy_top_k, mi_top_k};
 
 // Re-export the observer vocabulary so downstream crates can attach
 // observers without depending on `swope-obs` directly.

@@ -12,7 +12,7 @@
 use swope_columnar::{AttrIndex, Dataset};
 use swope_obs::QueryObserver;
 
-use crate::driver::{run_plain, Round, Shape, Verdict};
+use crate::driver::{run_plain, Round, Rule, Shape, Verdict};
 use crate::measure::Candidate;
 use crate::report::{AttrScore, QueryStats};
 use crate::{SwopeConfig, SwopeError};
@@ -36,27 +36,27 @@ pub struct ProfileResult {
 /// precision. On retirement `Ĥ ∈ [H̲, H̄]` with
 /// `H̄ − H̲ ≤ max(ε·Ĥ, floor)`, so `|Ĥ − H| ≤ max(ε·Ĥ, floor)`.
 ///
-/// This is [`crate::run`] with [`Shape::EntropyProfile`] over the whole
-/// dataset, unobserved, on `config.threads` workers.
+/// This is [`crate::run`] with [`Rule::Profile`] over empirical entropy
+/// and the whole dataset, unobserved, on `config.threads` workers.
 pub fn entropy_profile(
     dataset: &Dataset,
     floor: f64,
     config: &SwopeConfig,
 ) -> Result<ProfileResult, SwopeError> {
-    run_plain(dataset, Shape::EntropyProfile { floor }, config).map(Into::into)
+    run_plain(dataset, Shape::entropy(Rule::Profile { floor }), config).map(Into::into)
 }
 
 /// Estimates every candidate attribute's empirical mutual information
 /// with `target` to relative error `ε` (with probability `1 − p_f`),
 /// using the same retirement rule as [`entropy_profile`]
-/// ([`Shape::MiProfile`]).
+/// ([`Rule::Profile`]).
 pub fn mi_profile(
     dataset: &Dataset,
     target: AttrIndex,
     floor: f64,
     config: &SwopeConfig,
 ) -> Result<ProfileResult, SwopeError> {
-    run_plain(dataset, Shape::MiProfile { target, floor }, config).map(Into::into)
+    run_plain(dataset, Shape::mi(target, Rule::Profile { floor }), config).map(Into::into)
 }
 
 /// The profile rule: a candidate retires, scored, once its interval is

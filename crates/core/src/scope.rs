@@ -109,7 +109,7 @@ use swope_store::for_packed;
 use swope_store::page::PAGE_ROWS;
 
 use crate::count::CountState;
-use crate::driver::{run, CountSource, Round, Setup, Shape};
+use crate::driver::{run, CountSource, Round, Rule, Setup, Shape};
 use crate::exec::Executor;
 use crate::measure::Measure;
 use crate::report::{FilterResult, TopKResult};
@@ -720,7 +720,7 @@ impl CountSource for LocalSource<'_> {
 }
 
 /// [`crate::entropy_top_k`] restricted to `scope`, observed, on `exec`:
-/// [`run`] with [`Shape::EntropyTopK`] and a typed result.
+/// [`run`] with [`Rule::TopK`] over entropy and a typed result.
 ///
 /// Kept for `benchmark/src/replay.rs::sketch_over_physical`, its only
 /// caller, whose sources this workspace's PRs cannot edit; drop it once
@@ -734,11 +734,12 @@ pub fn entropy_top_k_scoped_exec<O: QueryObserver>(
     observer: &mut O,
     exec: &Executor,
 ) -> Result<TopKResult, SwopeError> {
-    run(dataset, &Shape::EntropyTopK { k }, scope, sketch, config, observer, exec).map(Into::into)
+    run(dataset, &Shape::entropy(Rule::TopK { k }), scope, sketch, config, observer, exec)
+        .map(Into::into)
 }
 
 /// [`crate::entropy_filter`] restricted to `scope`, observed, on `exec`:
-/// [`run`] with [`Shape::EntropyFilter`] and a typed result.
+/// [`run`] with [`Rule::Filter`] over entropy and a typed result.
 ///
 /// Kept for `benchmark/src/replay.rs::sketch_over_physical`, its only
 /// caller, like [`entropy_top_k_scoped_exec`].
@@ -751,7 +752,7 @@ pub fn entropy_filter_scoped_exec<O: QueryObserver>(
     observer: &mut O,
     exec: &Executor,
 ) -> Result<FilterResult, SwopeError> {
-    run(dataset, &Shape::EntropyFilter { eta }, scope, sketch, config, observer, exec)
+    run(dataset, &Shape::entropy(Rule::Filter { eta }), scope, sketch, config, observer, exec)
         .map(Into::into)
 }
 
@@ -970,8 +971,8 @@ mod tests {
         let ds = dataset(20_000, &[2, 64, 8]);
         let cfg = SwopeConfig::default().with_seed(11);
         let unscoped = crate::entropy_top_k(&ds, 2, &cfg).unwrap();
-        let full =
-            scoped(&ds, Shape::EntropyTopK { k: 2 }, &Scope::all(), Some(&sketch_of(&ds)), &cfg);
+        let top_2 = Shape::entropy(Rule::TopK { k: 2 });
+        let full = scoped(&ds, top_2, &Scope::all(), Some(&sketch_of(&ds)), &cfg);
         assert_eq!(unscoped, full.into());
     }
 
@@ -981,7 +982,8 @@ mod tests {
         // scan of the scope: the result must equal a brute-force recount.
         let ds = dataset(10_000, &[4, 16]);
         let scope = Scope::range(100, 600);
-        let r = scoped(&ds, Shape::EntropyTopK { k: 2 }, &scope, None, &SwopeConfig::default());
+        let r =
+            scoped(&ds, Shape::entropy(Rule::TopK { k: 2 }), &scope, None, &SwopeConfig::default());
         for s in &r.scores {
             let exact = exact_entropy_over(&ds, s.attr, 100..600);
             assert!(
@@ -1006,7 +1008,7 @@ mod tests {
         let (start, end) = (PAGE_ROWS - 123, 4 * PAGE_ROWS + 456);
         let scope = Scope::range(start, end);
         let cfg = SwopeConfig { epsilon: 0.001, ..SwopeConfig::default() };
-        let r = scoped(&ds, Shape::EntropyProfile { floor: 1e-6 }, &scope, Some(&sk), &cfg);
+        let r = scoped(&ds, Shape::entropy(Rule::Profile { floor: 1e-6 }), &scope, Some(&sk), &cfg);
         assert_eq!(r.stats.sample_size, end - start);
         for s in &r.scores {
             let exact = exact_entropy_over(&ds, s.attr, start..end);
@@ -1030,7 +1032,7 @@ mod tests {
         let sk = sketch_of(&ds);
         let cfg = SwopeConfig::default().with_seed(3);
         let scope = Scope::range(PAGE_ROWS - 500, 5 * PAGE_ROWS + 500);
-        let hybrid = scoped(&ds, Shape::EntropyTopK { k: 1 }, &scope, Some(&sk), &cfg);
+        let hybrid = scoped(&ds, Shape::entropy(Rule::TopK { k: 1 }), &scope, Some(&sk), &cfg);
         let unscoped = crate::entropy_top_k(&ds, 1, &cfg).unwrap();
         assert!(
             hybrid.stats.rows_scanned * 4 <= unscoped.stats.rows_scanned,
@@ -1049,18 +1051,18 @@ mod tests {
         let ds = dataset(1000, &[4, 8, 2]);
         let cfg = SwopeConfig::default();
         let scope = Scope::range(500, 500);
-        let top = scoped(&ds, Shape::EntropyTopK { k: 2 }, &scope, None, &cfg);
+        let top = scoped(&ds, Shape::entropy(Rule::TopK { k: 2 }), &scope, None, &cfg);
         assert_eq!(top.scores.len(), 2);
         assert!(top.scores.iter().all(|s| s.estimate == 0.0 && s.upper == 0.0));
         assert!(top.stats.converged_early);
         assert_eq!(top.stats.iterations, 0);
 
-        let none = scoped(&ds, Shape::EntropyFilter { eta: 1.0 }, &scope, None, &cfg);
+        let none = scoped(&ds, Shape::entropy(Rule::Filter { eta: 1.0 }), &scope, None, &cfg);
         assert!(none.scores.is_empty());
-        let all = scoped(&ds, Shape::EntropyFilter { eta: 0.0 }, &scope, None, &cfg);
+        let all = scoped(&ds, Shape::entropy(Rule::Filter { eta: 0.0 }), &scope, None, &cfg);
         assert_eq!(all.scores.len(), 3);
 
-        let prof = scoped(&ds, Shape::MiProfile { target: 0, floor: 0.05 }, &scope, None, &cfg);
+        let prof = scoped(&ds, Shape::mi(0, Rule::Profile { floor: 0.05 }), &scope, None, &cfg);
         assert_eq!(prof.scores.len(), 2);
         assert!(prof.scores.iter().all(|s| s.estimate == 0.0));
     }
@@ -1080,7 +1082,7 @@ mod tests {
         .unwrap();
         let scope = Scope::range(0, 2000);
         let cfg = SwopeConfig { epsilon: 0.01, ..SwopeConfig::default() };
-        let r = scoped(&ds, Shape::MiTopK { target: 0, k: 1 }, &scope, None, &cfg);
+        let r = scoped(&ds, Shape::mi(0, Rule::TopK { k: 1 }), &scope, None, &cfg);
         // Exact MI over the scoped rows: candidate copies target -> 2 bits.
         let scoped_cols = (
             Column::new((0..2000).map(|r| (r % 4) as u32).collect(), 4).unwrap(),
@@ -1100,7 +1102,7 @@ mod tests {
         let sk = sketch_of(&ds);
         let scope = Scope::all().with_predicate(0, 1);
         let cfg = SwopeConfig { epsilon: 0.01, ..SwopeConfig::default() };
-        let r = scoped(&ds, Shape::EntropyProfile { floor: 1e-6 }, &scope, Some(&sk), &cfg);
+        let r = scoped(&ds, Shape::entropy(Rule::Profile { floor: 1e-6 }), &scope, Some(&sk), &cfg);
         let rows: Vec<usize> = (0..8_000).filter(|&row| ds.column(0).code(row) == 1).collect();
         for s in &r.scores {
             let exact = exact_entropy_over(&ds, s.attr, rows.iter().copied());
@@ -1120,12 +1122,12 @@ mod tests {
         let sk = sketch_of(&ds);
         let scope = Scope::range(PAGE_ROWS - 1000, 3 * PAGE_ROWS - 777);
         let cfg = SwopeConfig::default().with_seed(42);
-        let a = scoped(&ds, Shape::EntropyTopK { k: 2 }, &scope, Some(&sk), &cfg);
-        let b = scoped(&ds, Shape::EntropyTopK { k: 2 }, &scope, Some(&sk), &cfg);
+        let a = scoped(&ds, Shape::entropy(Rule::TopK { k: 2 }), &scope, Some(&sk), &cfg);
+        let b = scoped(&ds, Shape::entropy(Rule::TopK { k: 2 }), &scope, Some(&sk), &cfg);
         assert_eq!(a, b);
         let par = scoped(
             &ds,
-            Shape::EntropyTopK { k: 2 },
+            Shape::entropy(Rule::TopK { k: 2 }),
             &scope,
             Some(&sk),
             &cfg.clone().with_threads(8),
@@ -1207,7 +1209,8 @@ mod tests {
         // the wrong histograms.
         let scope = Scope::range(100, 1100);
         let cfg = SwopeConfig { epsilon: 0.01, ..SwopeConfig::default() };
-        let r = scoped(&ds, Shape::EntropyProfile { floor: 1e-6 }, &scope, Some(&stale), &cfg);
+        let r =
+            scoped(&ds, Shape::entropy(Rule::Profile { floor: 1e-6 }), &scope, Some(&stale), &cfg);
         for s in &r.scores {
             let exact = exact_entropy_over(&ds, s.attr, 100..1100);
             assert!((s.estimate - exact).abs() < 1e-6);
@@ -1218,9 +1221,9 @@ mod tests {
     fn entropy_answers(ds: &Dataset, scope: &Scope, sk: Option<&DatasetSketch>) -> [Answer; 3] {
         let cfg = SwopeConfig::with_epsilon(0.05).with_seed(17);
         [
-            Shape::EntropyTopK { k: 2 },
-            Shape::EntropyFilter { eta: 1.5 },
-            Shape::EntropyProfile { floor: 0.5 },
+            Shape::entropy(Rule::TopK { k: 2 }),
+            Shape::entropy(Rule::Filter { eta: 1.5 }),
+            Shape::entropy(Rule::Profile { floor: 0.5 }),
         ]
         .map(|shape| scoped(ds, shape, scope, sk, &cfg))
     }

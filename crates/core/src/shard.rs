@@ -179,7 +179,9 @@ pub trait ShardTransport {
     fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError>;
 }
 
-fn dataset_meta(dataset: &Dataset) -> Vec<AttrMeta> {
+/// The [`AttrMeta`] of every attribute of `dataset`, in attribute order:
+/// what a transport over its rows reports.
+pub fn dataset_meta(dataset: &Dataset) -> Vec<AttrMeta> {
     dataset
         .schema()
         .fields()
@@ -480,7 +482,7 @@ impl<T: ShardTransport> CountSource for ShardedSource<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_sharded, Answer, Shape};
+    use crate::driver::{run_sharded, Answer, Rule, Shape};
     use swope_columnar::{Column, Field, Schema};
 
     /// `shape` over `shards` in-process row shards of `ds`.
@@ -541,7 +543,7 @@ mod tests {
         let config = SwopeConfig::with_epsilon(0.1).with_seed(7);
         let reference = crate::entropy_top_k(&ds, 3, &config).unwrap();
         for shards in [1usize, 2, 3, 7] {
-            let got = sharded(&ds, Shape::EntropyTopK { k: 3 }, shards, &config).unwrap();
+            let got = sharded(&ds, Shape::entropy(Rule::TopK { k: 3 }), shards, &config).unwrap();
             assert_eq!(got.scores, reference.top, "shards = {shards}");
             assert_eq!(got.stats.sample_size, reference.stats.sample_size);
             assert_eq!(got.stats.iterations, reference.stats.iterations);
@@ -568,7 +570,7 @@ mod tests {
         let config = SwopeConfig::with_epsilon(0.4).with_seed(3);
         let reference = crate::mi_top_k(&ds, 0, 2, &config).unwrap();
         for shards in [1usize, 2, 3, 7] {
-            let got = sharded(&ds, Shape::MiTopK { target: 0, k: 2 }, shards, &config).unwrap();
+            let got = sharded(&ds, Shape::mi(0, Rule::TopK { k: 2 }), shards, &config).unwrap();
             assert_eq!(got.scores, reference.top, "shards = {shards}");
         }
     }
@@ -578,15 +580,15 @@ mod tests {
         let ds = cyclic_dataset(100, &[2, 4]);
         let config = SwopeConfig::default();
         assert!(matches!(
-            sharded(&ds, Shape::EntropyTopK { k: 0 }, 2, &config),
+            sharded(&ds, Shape::entropy(Rule::TopK { k: 0 }), 2, &config),
             Err(SwopeError::InvalidK { .. })
         ));
         assert!(matches!(
-            sharded(&ds, Shape::MiTopK { target: 9, k: 1 }, 2, &config),
+            sharded(&ds, Shape::mi(9, Rule::TopK { k: 1 }), 2, &config),
             Err(SwopeError::TargetOutOfRange { .. })
         ));
         assert!(matches!(
-            sharded(&ds, Shape::EntropyFilter { eta: f64::NAN }, 2, &config),
+            sharded(&ds, Shape::entropy(Rule::Filter { eta: f64::NAN }), 2, &config),
             Err(SwopeError::InvalidThreshold(_))
         ));
     }

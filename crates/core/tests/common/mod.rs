@@ -6,7 +6,8 @@
 
 use swope_columnar::{Column, Dataset, DatasetSketch, Field, Schema, Width};
 use swope_core::{
-    run, run_sharded, Answer, Executor, LocalShardSource, NoopObserver, Scope, Shape, SwopeConfig,
+    run, run_sharded, Answer, Executor, LocalShardSource, NoopObserver, Rule, Scope, Shape,
+    SwopeConfig,
 };
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -35,12 +36,12 @@ pub fn all_shapes() -> [Shape; 6] {
 /// four or five attributes.
 pub fn shapes_against(target: usize) -> [Shape; 6] {
     [
-        Shape::EntropyTopK { k: 3 },
-        Shape::EntropyFilter { eta: 1.0 },
-        Shape::MiTopK { target, k: 3 },
-        Shape::MiFilter { target, eta: 0.1 },
-        Shape::EntropyProfile { floor: 0.05 },
-        Shape::MiProfile { target, floor: 0.05 },
+        Shape::entropy(Rule::TopK { k: 3 }),
+        Shape::entropy(Rule::Filter { eta: 1.0 }),
+        Shape::mi(target, Rule::TopK { k: 3 }),
+        Shape::mi(target, Rule::Filter { eta: 0.1 }),
+        Shape::entropy(Rule::Profile { floor: 0.05 }),
+        Shape::mi(target, Rule::Profile { floor: 0.05 }),
     ]
 }
 
@@ -50,10 +51,10 @@ pub fn shapes_against(target: usize) -> [Shape; 6] {
 /// [`shapes_against`]'s six.
 pub fn comparators_against(target: usize) -> [Shape; 4] {
     [
-        Shape::EntropyRank { k: 3 },
-        Shape::EntropyFilterExact { eta: 1.0 },
-        Shape::MiRank { target, k: 3 },
-        Shape::MiFilterExact { target, eta: 0.1 },
+        Shape::entropy(Rule::Rank { k: 3 }),
+        Shape::entropy(Rule::FilterExact { eta: 1.0 }),
+        Shape::mi(target, Rule::Rank { k: 3 }),
+        Shape::mi(target, Rule::FilterExact { eta: 0.1 }),
     ]
 }
 

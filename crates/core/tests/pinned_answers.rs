@@ -28,7 +28,7 @@ use swope_columnar::{
     snapshot, Column, Dataset, DatasetSketch, Field, PageCache, Residency, Schema, PAGE_ROWS,
 };
 use swope_core::{
-    run_sharded, Answer, Executor, LocalShardSource, NoopObserver, Scope, Shape, SwopeConfig,
+    run_sharded, Answer, Executor, LocalShardSource, NoopObserver, Rule, Scope, Shape, SwopeConfig,
 };
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -80,12 +80,12 @@ const COMPARATORS: [[u64; 2]; 4] = [
 /// whole scope (the `m = n` branches).
 fn shapes() -> [Shape; 6] {
     [
-        Shape::EntropyTopK { k: 3 },
-        Shape::EntropyFilter { eta: 3.0 },
-        Shape::EntropyProfile { floor: 0.05 },
-        Shape::MiTopK { target: 0, k: 2 },
-        Shape::MiFilter { target: 0, eta: 1.0 },
-        Shape::MiProfile { target: 0, floor: 0.8 },
+        Shape::entropy(Rule::TopK { k: 3 }),
+        Shape::entropy(Rule::Filter { eta: 3.0 }),
+        Shape::entropy(Rule::Profile { floor: 0.05 }),
+        Shape::mi(0, Rule::TopK { k: 2 }),
+        Shape::mi(0, Rule::Filter { eta: 1.0 }),
+        Shape::mi(0, Rule::Profile { floor: 0.8 }),
     ]
 }
 
@@ -189,7 +189,7 @@ fn answers_match_the_digests_recorded_on_the_parent() {
     let mut got = [[0u64; 5]; 6];
     for (row, shape) in got.iter_mut().zip(shapes()) {
         // `p_f` stays at its default, 1/n of each source's population.
-        let epsilon = if shape.target().is_some() { 0.5 } else { 0.15 };
+        let epsilon = if shape.target.is_some() { 0.5 } else { 0.15 };
         let cfg = SwopeConfig::with_epsilon(epsilon).with_seed(SEED);
         *row = [
             scoped(&ds, &shape, &Scope::all(), None, &cfg),
@@ -213,10 +213,10 @@ fn answers_match_the_digests_recorded_on_the_parent() {
 /// the filter reads every row and decides at `M = N`.
 fn comparators() -> [Shape; 4] {
     [
-        Shape::EntropyRank { k: 2 },
-        Shape::EntropyFilterExact { eta: 3.0 },
-        Shape::MiRank { target: 0, k: 2 },
-        Shape::MiFilterExact { target: 0, eta: 1.0 },
+        Shape::entropy(Rule::Rank { k: 2 }),
+        Shape::entropy(Rule::FilterExact { eta: 3.0 }),
+        Shape::mi(0, Rule::Rank { k: 2 }),
+        Shape::mi(0, Rule::FilterExact { eta: 1.0 }),
     ]
 }
 
@@ -264,7 +264,7 @@ fn sketch_marginal_answers_match_their_digests_on_every_source() {
     let got: Vec<[u64; 3]> = queries
         .iter()
         .map(|shape| {
-            let epsilon = if matches!(shape, Shape::MiRank { .. } | Shape::MiFilterExact { .. }) {
+            let epsilon = if matches!(shape.rule, Rule::Rank { .. } | Rule::FilterExact { .. }) {
                 SwopeConfig::default().epsilon
             } else {
                 0.5

@@ -18,7 +18,7 @@ mod common;
 
 use common::{all_shapes, comparators_against, plain, repacked, scoped, sketch_of};
 use swope_columnar::{Column, Dataset, Field, Schema, Width, PAGE_ROWS};
-use swope_core::{Scope, Shape, SwopeConfig};
+use swope_core::{Rule, Scope, Shape, SwopeConfig};
 use swope_estimate::entropy::entropy_from_counts;
 use swope_estimate::joint::mutual_information_over_rows;
 use swope_sampling::rng::Xoshiro256pp;
@@ -55,7 +55,7 @@ fn config(seed: u64, epsilon: f64, threads: usize) -> SwopeConfig {
 
 /// The suite's ε for `shape`: 0.15 for entropy, 0.5 for MI.
 fn config_for(shape: &Shape, seed: u64, threads: usize) -> SwopeConfig {
-    config(seed, if shape.target().is_some() { 0.5 } else { 0.15 }, threads)
+    config(seed, if shape.target.is_some() { 0.5 } else { 0.15 }, threads)
 }
 
 /// Exact entropy of `attr` over `range` by a plain scan.
@@ -85,7 +85,7 @@ fn full_range_scope_is_bitwise_identical_across_all_six_loops() {
         );
         // Entropy answers as without a sketch; MI takes the sketch's
         // exact marginals (the next test).
-        if shape.target().is_none() {
+        if shape.target.is_none() {
             assert_eq!(unscoped, plain(&ds, &shape, &cfg), "{shape:?}");
         }
     }
@@ -99,7 +99,7 @@ fn full_scope_mi_takes_the_sketch_marginals() {
     let ds = dataset(35, 2 * PAGE_ROWS + 1234);
     let sk = sketch_of(&ds);
     let rows: Vec<u32> = (0..ds.num_rows() as u32).collect();
-    let shape = Shape::MiProfile { target: TARGET, floor: 0.0 };
+    let shape = Shape::mi(TARGET, Rule::Profile { floor: 0.0 });
     let prof = scoped(&ds, &shape, &Scope::all(), Some(&sk), &config(35, 0.0005, 1));
     assert_eq!(prof.stats.sample_size, ds.num_rows());
     for s in &prof.scores {
@@ -108,7 +108,7 @@ fn full_scope_mi_takes_the_sketch_marginals() {
         assert_eq!((s.lower, s.upper), (s.estimate, s.estimate), "attr {}", s.attr);
     }
     for shape in all_shapes().into_iter().chain(comparators_against(TARGET)) {
-        if shape.target().is_some() {
+        if shape.target.is_some() {
             let cfg = config_for(&shape, 35, 1);
             let exact = scoped(&ds, &shape, &Scope::all(), Some(&sk), &cfg);
             let sampled = plain(&ds, &shape, &cfg);
@@ -137,7 +137,8 @@ fn range_scopes_at_page_boundaries_match_brute_force_at_full_sample() {
     for range in ranges {
         let scope = Scope::range(range.start, range.end);
         let n_s = range.len();
-        let prof = scoped(&ds, &Shape::EntropyProfile { floor: 0.0 }, &scope, Some(&sk), &cfg);
+        let prof =
+            scoped(&ds, &Shape::entropy(Rule::Profile { floor: 0.0 }), &scope, Some(&sk), &cfg);
         assert_eq!(prof.stats.sample_size, n_s, "{range:?} should sample to exhaustion");
         for s in &prof.scores {
             let exact = brute_entropy(&ds, s.attr, range.clone());
@@ -148,7 +149,7 @@ fn range_scopes_at_page_boundaries_match_brute_force_at_full_sample() {
                 s.estimate
             );
         }
-        let shape = Shape::MiProfile { target: TARGET, floor: 0.0 };
+        let shape = Shape::mi(TARGET, Rule::Profile { floor: 0.0 });
         let prof = scoped(&ds, &shape, &scope, Some(&sk), &cfg);
         let rows: Vec<u32> = (range.start as u32..range.end as u32).collect();
         for s in &prof.scores {
@@ -176,22 +177,16 @@ fn empty_ranges_are_well_defined_across_all_six_loops() {
                 r.scores.iter().all(|s| s.estimate == 0.0 && s.lower == 0.0 && s.upper == 0.0),
                 "{shape:?}"
             );
-            let candidates = ds.num_attrs() - usize::from(shape.target().is_some());
-            let expected = match shape {
-                Shape::EntropyTopK { k }
-                | Shape::MiTopK { k, .. }
-                | Shape::EntropyRank { k }
-                | Shape::MiRank { k, .. } => k,
+            let candidates = ds.num_attrs() - usize::from(shape.target.is_some());
+            let expected = match shape.rule {
+                Rule::TopK { k } | Rule::Rank { k } => k,
                 // Nothing reaches a positive threshold.
-                Shape::EntropyFilter { .. }
-                | Shape::MiFilter { .. }
-                | Shape::EntropyFilterExact { .. }
-                | Shape::MiFilterExact { .. } => 0,
-                Shape::EntropyProfile { .. } | Shape::MiProfile { .. } => candidates,
+                Rule::Filter { .. } | Rule::FilterExact { .. } => 0,
+                Rule::Profile { .. } => candidates,
             };
             assert_eq!(r.scores.len(), expected, "{shape:?}");
         }
-        let r = scoped(&ds, &Shape::EntropyFilter { eta: 0.0 }, &scope, Some(&sk), &cfg);
+        let r = scoped(&ds, &Shape::entropy(Rule::Filter { eta: 0.0 }), &scope, Some(&sk), &cfg);
         assert_eq!(r.scores.len(), ds.num_attrs(), "eta = 0 accepts everything vacuously");
     }
 }

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use swope_cluster::{ClusterStats, PeerPool, PeerTimeouts, RemoteShardSource};
 use swope_columnar::ColumnarError;
 use swope_core::{
-    run, run_sharded, Answer, Executor, QueryObserver, Scope, Shape, ShardTransport, SwopeConfig,
-    SwopeError,
+    run, run_sharded, Answer, Executor, QueryObserver, Rule, Scope, Shape, ShardTransport,
+    SwopeConfig, SwopeError,
 };
 use swope_obs::json::{escape_into, f64_into};
 
@@ -83,19 +83,18 @@ impl QueryShape {
     /// The library [`Shape`] this request names, its target resolved
     /// against the schema's attribute `names` (in attribute order).
     fn resolve<'a>(&self, names: impl ExactSizeIterator<Item = &'a str>) -> Result<Shape, String> {
-        let target = |raw: &str| resolve_target(names, raw);
-        Ok(match self {
-            QueryShape::EntropyTopK { k } => Shape::EntropyTopK { k: *k },
-            QueryShape::EntropyFilter { eta } => Shape::EntropyFilter { eta: *eta },
-            QueryShape::MiTopK { target: t, k } => Shape::MiTopK { target: target(t)?, k: *k },
-            QueryShape::MiFilter { target: t, eta } => {
-                Shape::MiFilter { target: target(t)?, eta: *eta }
+        let (target, rule) = match self {
+            QueryShape::EntropyTopK { k } => (None, Rule::TopK { k: *k }),
+            QueryShape::EntropyFilter { eta } => (None, Rule::Filter { eta: *eta }),
+            QueryShape::EntropyProfile => (None, Rule::Profile { floor: PROFILE_FLOOR }),
+            QueryShape::MiTopK { target, k } => (Some(target), Rule::TopK { k: *k }),
+            QueryShape::MiFilter { target, eta } => (Some(target), Rule::Filter { eta: *eta }),
+            QueryShape::MiProfile { target } => {
+                (Some(target), Rule::Profile { floor: PROFILE_FLOOR })
             }
-            QueryShape::EntropyProfile => Shape::EntropyProfile { floor: PROFILE_FLOOR },
-            QueryShape::MiProfile { target: t } => {
-                Shape::MiProfile { target: target(t)?, floor: PROFILE_FLOOR }
-            }
-        })
+        };
+        let target = target.map(|raw| resolve_target(names, raw)).transpose()?;
+        Ok(Shape { target, rule })
     }
 
     /// The CLI-matching default ε for this shape.
@@ -335,7 +334,7 @@ pub fn run_query<O: QueryObserver>(
     let shape = spec.shape.resolve(entry_names(entry)).map_err(|m| (422, m))?;
     let answer = run(&entry.dataset, &shape, &scope, Some(&*entry.sketch), &cfg, obs, exec)
         .map_err(|e| (422, e.to_string()))?;
-    let target = shape.target().map(|t| (t, entry_names(entry).nth(t).unwrap_or("?").to_owned()));
+    let target = shape.target.map(|t| (t, entry_names(entry).nth(t).unwrap_or("?").to_owned()));
     Ok(serialize(entry.generation, spec, target, &answer))
 }
 
@@ -413,7 +412,7 @@ pub fn run_query_cluster<O: QueryObserver>(
     .map_err(cluster_fail)?;
     let names = || src.attrs().iter().map(|a| a.name.as_str());
     let shape = spec.shape.resolve(names()).map_err(|m| (422, m))?;
-    let target = shape.target().map(|t| (t, names().nth(t).unwrap_or("?").to_owned()));
+    let target = shape.target.map(|t| (t, names().nth(t).unwrap_or("?").to_owned()));
     let answer = run_sharded(&mut src, &shape, &cfg, obs, exec).map_err(cluster_fail)?;
     src.finish();
     // Generation 1 matches a fresh single box's first insert, keeping the

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use swope_core::{
     entropy_filter, entropy_profile, entropy_top_k, run, Answer, AttrScore, Executor, NoopObserver,
-    QueryStats, Scope, Shape, SwopeConfig,
+    QueryStats, Rule, Scope, Shape, SwopeConfig,
 };
 use swope_obs::json::Json;
 use swope_server::{Server, ServerConfig, ServerHandle};
@@ -181,12 +181,12 @@ fn all_six_shapes_serve_library_identical_results() {
 
     let reply = get(server.addr, "/query/mi-topk?dataset=tiny&target=0&k=2");
     assert_eq!(reply.status, 200, "{}", reply.body);
-    let r = mi(Shape::MiTopK { target: 0, k: 2 });
+    let r = mi(Shape::mi(0, Rule::TopK { k: 2 }));
     assert_scores_match(&Json::parse(&reply.body).unwrap(), &r.scores, &r.stats);
 
     let reply = get(server.addr, "/query/mi-filter?dataset=tiny&target=0&eta=0.05");
     assert_eq!(reply.status, 200, "{}", reply.body);
-    let r = mi(Shape::MiFilter { target: 0, eta: 0.05 });
+    let r = mi(Shape::mi(0, Rule::Filter { eta: 0.05 }));
     assert_scores_match(&Json::parse(&reply.body).unwrap(), &r.scores, &r.stats);
 
     let reply = get(server.addr, "/query/entropy-profile?dataset=tiny");
@@ -196,7 +196,7 @@ fn all_six_shapes_serve_library_identical_results() {
 
     let reply = get(server.addr, "/query/mi-profile?dataset=tiny&target=0");
     assert_eq!(reply.status, 200, "{}", reply.body);
-    let r = mi(Shape::MiProfile { target: 0, floor: 0.05 });
+    let r = mi(Shape::mi(0, Rule::Profile { floor: 0.05 }));
     assert_scores_match(&Json::parse(&reply.body).unwrap(), &r.scores, &r.stats);
 
     // Explicit seed/epsilon overrides flow through to the library config.

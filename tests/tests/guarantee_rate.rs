@@ -25,8 +25,8 @@
 use swope_baselines::{exact_entropy_scores, exact_mi_scores};
 use swope_columnar::{Column, Dataset, DatasetSketch, Field, Schema, PAGE_ROWS};
 use swope_core::{
-    entropy_filter, entropy_top_k, run, sketch_stats, Executor, FilterResult, NoopObserver, Scope,
-    Shape, SwopeConfig, TopKResult,
+    entropy_filter, entropy_top_k, run, sketch_stats, Executor, FilterResult, NoopObserver, Rule,
+    Scope, Shape, SwopeConfig, TopKResult,
 };
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -119,6 +119,45 @@ fn filter_definition6_failure_rate_within_budget() {
     assert!(violations <= 46, "{violations}/{RUNS} Definition 6 violations at p_f = {P_F}");
 }
 
+/// The comparators promise more than Definitions 5–6: EntropyRank the
+/// exact top-3 set, EntropyFilter exactly `{a : H(a) ≥ η}`, each with
+/// probability at least `1 − p_f`. On these close scores most runs end at
+/// `M = N`, where the intervals collapse onto the exact scores.
+#[test]
+fn comparator_exact_answer_failure_rates_within_budget() {
+    const RUNS: u64 = 120;
+    const P_F: f64 = 0.2;
+    let eta = 3.5;
+    let (mut rank_violations, mut filter_violations) = (0u32, 0u32);
+    for seed in 0..RUNS {
+        let ds = adversarial_dataset(2_000 + seed);
+        let exact = exact_entropy_scores(&ds);
+        // ε plays no part in either rule.
+        let answered = |rule: Rule, seed: u64| {
+            let (cfg, exec) = (config(0.1, P_F, seed), Executor::sequential());
+            let shape = Shape::entropy(rule);
+            let answer =
+                run(&ds, &shape, &Scope::all(), None, &cfg, &mut NoopObserver, &exec).unwrap();
+            let mut attrs: Vec<usize> = answer.scores.iter().map(|s| s.attr).collect();
+            attrs.sort_unstable();
+            attrs
+        };
+        let mut order: Vec<usize> = (0..exact.len()).collect();
+        order.sort_by(|&a, &b| exact[b].partial_cmp(&exact[a]).unwrap());
+        let mut top_3 = order[..3].to_vec();
+        top_3.sort_unstable();
+        if answered(Rule::Rank { k: 3 }, seed.wrapping_mul(0x9E37_79B9)) != top_3 {
+            rank_violations += 1;
+        }
+        let above: Vec<usize> = (0..exact.len()).filter(|&a| exact[a] >= eta).collect();
+        if answered(Rule::FilterExact { eta }, seed.wrapping_mul(0x2545_F491)) != above {
+            filter_violations += 1;
+        }
+    }
+    assert!(rank_violations <= 46, "{rank_violations}/{RUNS} inexact EntropyRank answers");
+    assert!(filter_violations <= 46, "{filter_violations}/{RUNS} inexact EntropyFilter answers");
+}
+
 /// Definition 5 and 6 violations over 30 seeds of a top-k and a filter
 /// query on each of four `ranges` of one dataset — three whole pages and
 /// a ragged tail; the guarantee is over the sampler's randomness, so the
@@ -144,12 +183,12 @@ fn range_failure_rates(ranges: [(usize, usize); 4]) -> (u32, u32, sketch_stats::
         };
         for i in 0..RUNS_PER_RANGE {
             let seed = (r as u64 * 1_000 + i).wrapping_mul(0x9E37_79B9);
-            let top = ranged(Shape::EntropyTopK { k: 3 }, &config(0.15, P_F, seed));
+            let top = ranged(Shape::entropy(Rule::TopK { k: 3 }), &config(0.15, P_F, seed));
             if !definition5_holds(&top.into(), &exact, 0.15) {
                 top_k_violations += 1;
             }
             let cfg = config(0.1, P_F, seed ^ 0x2545_F491);
-            let filtered = ranged(Shape::EntropyFilter { eta: 3.5 }, &cfg);
+            let filtered = ranged(Shape::entropy(Rule::Filter { eta: 3.5 }), &cfg);
             if !definition6_holds(&filtered.into(), &exact, 3.5, 0.1) {
                 filter_violations += 1;
             }
@@ -244,11 +283,11 @@ fn mi_failure_rates(marginals: bool) -> (u32, u32, u64) {
         let run_mi = |shape: Shape, cfg: &SwopeConfig| {
             run(&ds, &shape, &Scope::all(), sketch, cfg, &mut NoopObserver, &exec).unwrap()
         };
-        let top = run_mi(Shape::MiTopK { target: 0, k: 2 }, &config(0.2, P_F, seed));
+        let top = run_mi(Shape::mi(0, Rule::TopK { k: 2 }), &config(0.2, P_F, seed));
         if !definition5_holds(&top.into(), &exact, 0.2) {
             top_k_violations += 1;
         }
-        let filtered = run_mi(Shape::MiFilter { target: 0, eta: 3.0 }, &config(0.05, P_F, !seed));
+        let filtered = run_mi(Shape::mi(0, Rule::Filter { eta: 3.0 }), &config(0.05, P_F, !seed));
         if !definition6_holds(&filtered.into(), &exact, 3.0, 0.05) {
             filter_violations += 1;
         }

@@ -86,7 +86,7 @@ fn jsonl_stream_is_parseable_for_all_six_loops() {
         let events = capture(|s| {
             observed(&ds, shape, &cfg(i as u64 + 1), s);
         });
-        let candidates = h - u64::from(shape.target().is_some());
+        let candidates = h - u64::from(shape.target.is_some());
         assert_stream_shape(&events, shape.kind(), candidates);
     }
 }
