@@ -1,7 +1,9 @@
 //! Exact full-scan baselines (`O(hN)`), the paper's *Exact* competitor.
 
+use std::cmp::Ordering;
+
 use swope_columnar::{AttrIndex, Dataset};
-use swope_core::{AttrScore, FilterResult, QueryStats, SwopeError, TopKResult};
+use swope_core::{Answer, AttrScore, QueryStats, Rule, Shape, SwopeError, WorkKind};
 use swope_estimate::entropy::column_entropy;
 use swope_estimate::joint::mutual_information;
 
@@ -19,126 +21,69 @@ pub fn exact_mi_scores(dataset: &Dataset, target: AttrIndex) -> Vec<f64> {
     (0..dataset.num_attrs()).map(|a| mutual_information(t, dataset.column(a))).collect()
 }
 
-fn exact_stats(dataset: &Dataset, structures: usize) -> QueryStats {
-    QueryStats {
-        sample_size: dataset.num_rows(),
-        iterations: 1,
-        rows_scanned: dataset.num_rows() as u64 * structures as u64,
-        converged_early: false,
-        trace: Vec::new(),
+/// The attributes `shape` returns when `scores` — one per attribute, as
+/// [`exact_entropy_scores`] or [`exact_mi_scores`] give them — are exact,
+/// in answer order. The target is never a candidate. Top-k (and
+/// EntropyRank's exact top-k) is the `k` highest scores, ties to the
+/// lower attribute; a filter is every candidate scoring at least `η` in
+/// the same order; a profile is every candidate in attribute order.
+pub fn select(scores: &[f64], shape: &Shape) -> Vec<AttrIndex> {
+    let mut attrs: Vec<AttrIndex> =
+        (0..scores.len()).filter(|&a| Some(a) != shape.target).collect();
+    let descending = |&a: &AttrIndex, &b: &AttrIndex| {
+        scores[b].partial_cmp(&scores[a]).unwrap_or(Ordering::Equal).then(a.cmp(&b))
+    };
+    match shape.rule {
+        Rule::TopK { k } | Rule::Rank { k } => {
+            attrs.sort_by(descending);
+            attrs.truncate(k);
+        }
+        Rule::Filter { eta } | Rule::FilterExact { eta } => {
+            attrs.retain(|&a| scores[a] >= eta);
+            attrs.sort_by(descending);
+        }
+        Rule::Profile { .. } => {}
     }
+    attrs
 }
 
-fn score(dataset: &Dataset, attr: AttrIndex, value: f64) -> AttrScore {
-    AttrScore {
-        attr,
-        name: dataset.schema().field(attr).map(|f| f.name().to_owned()).unwrap_or_default(),
-        estimate: value,
-        lower: value,
-        upper: value,
-        retired_iteration: 0,
-    }
-}
-
-fn validate(dataset: &Dataset) -> Result<(), SwopeError> {
-    if dataset.num_attrs() == 0 || dataset.num_rows() == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    Ok(())
-}
-
-/// Exact top-k on empirical entropy: full scan, sort, take k.
-pub fn exact_entropy_top_k(dataset: &Dataset, k: usize) -> Result<TopKResult, SwopeError> {
-    validate(dataset)?;
-    let h = dataset.num_attrs();
-    if k == 0 || k > h {
-        return Err(SwopeError::InvalidK { k, candidates: h });
-    }
-    let scores = exact_entropy_scores(dataset);
-    let order = rank_desc(&scores, k);
-    Ok(TopKResult {
-        top: order.into_iter().map(|a| score(dataset, a, scores[a])).collect(),
-        stats: exact_stats(dataset, h),
+/// Answers `shape` exactly by a full scan of every column: scores are
+/// point intervals, the sample is the whole dataset, and a comparator
+/// rule answers like the rule it makes exact.
+///
+/// # Errors
+///
+/// [`Shape::check`]'s: a negative or non-finite threshold or floor, an
+/// empty dataset, a target out of range, no candidates, or `k` outside
+/// the candidates.
+pub fn exact_answer(dataset: &Dataset, shape: &Shape) -> Result<Answer, SwopeError> {
+    let n = dataset.num_rows();
+    let candidates = shape.check(dataset.num_attrs(), n == 0)?;
+    let (scores, work) = match shape.target {
+        None => (exact_entropy_scores(dataset), WorkKind::EntropyMarginals),
+        Some(t) => (exact_mi_scores(dataset, t), WorkKind::MiPerTarget),
+    };
+    let name = |a: AttrIndex| dataset.schema().field(a).map(|f| f.name().to_owned());
+    Ok(Answer {
+        scores: select(&scores, shape)
+            .into_iter()
+            .map(|attr| AttrScore {
+                attr,
+                name: name(attr).unwrap_or_default(),
+                estimate: scores[attr],
+                lower: scores[attr],
+                upper: scores[attr],
+                retired_iteration: 0,
+            })
+            .collect(),
+        stats: QueryStats {
+            sample_size: n,
+            iterations: 1,
+            rows_scanned: work.units(n, candidates),
+            converged_early: false,
+            trace: Vec::new(),
+        },
     })
-}
-
-/// Exact filtering on empirical entropy: attributes with `H(α) ≥ η`.
-pub fn exact_entropy_filter(dataset: &Dataset, eta: f64) -> Result<FilterResult, SwopeError> {
-    validate(dataset)?;
-    if !eta.is_finite() || eta < 0.0 {
-        return Err(SwopeError::InvalidThreshold(eta));
-    }
-    let scores = exact_entropy_scores(dataset);
-    let mut accepted: Vec<AttrScore> = scores
-        .iter()
-        .enumerate()
-        .filter(|&(_, &s)| s >= eta)
-        .map(|(a, &s)| score(dataset, a, s))
-        .collect();
-    accepted.sort_by(|a, b| b.estimate.partial_cmp(&a.estimate).unwrap().then(a.attr.cmp(&b.attr)));
-    Ok(FilterResult { accepted, stats: exact_stats(dataset, dataset.num_attrs()) })
-}
-
-/// Exact top-k on empirical mutual information against `target`.
-pub fn exact_mi_top_k(
-    dataset: &Dataset,
-    target: AttrIndex,
-    k: usize,
-) -> Result<TopKResult, SwopeError> {
-    validate(dataset)?;
-    let h = dataset.num_attrs();
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    if k == 0 || k > h - 1 {
-        return Err(SwopeError::InvalidK { k, candidates: h - 1 });
-    }
-    let scores = exact_mi_scores(dataset, target);
-    let candidates: Vec<AttrIndex> = (0..h).filter(|&a| a != target).collect();
-    let mut order = candidates;
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
-    order.truncate(k);
-    Ok(TopKResult {
-        top: order.into_iter().map(|a| score(dataset, a, scores[a])).collect(),
-        // Per candidate: marginal + joint structures, plus the target scan.
-        stats: exact_stats(dataset, 2 * (h - 1) + 1),
-    })
-}
-
-/// Exact filtering on empirical mutual information against `target`.
-pub fn exact_mi_filter(
-    dataset: &Dataset,
-    target: AttrIndex,
-    eta: f64,
-) -> Result<FilterResult, SwopeError> {
-    validate(dataset)?;
-    if !eta.is_finite() || eta < 0.0 {
-        return Err(SwopeError::InvalidThreshold(eta));
-    }
-    let h = dataset.num_attrs();
-    if target >= h {
-        return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-    }
-    if h < 2 {
-        return Err(SwopeError::NoCandidates);
-    }
-    let scores = exact_mi_scores(dataset, target);
-    let mut accepted: Vec<AttrScore> = (0..h)
-        .filter(|&a| a != target && scores[a] >= eta)
-        .map(|a| score(dataset, a, scores[a]))
-        .collect();
-    accepted.sort_by(|a, b| b.estimate.partial_cmp(&a.estimate).unwrap().then(a.attr.cmp(&b.attr)));
-    Ok(FilterResult { accepted, stats: exact_stats(dataset, 2 * (h - 1) + 1) })
-}
-
-fn rank_desc(scores: &[f64], k: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
-    order.truncate(k);
-    order
 }
 
 #[cfg(test)]
@@ -158,6 +103,10 @@ mod tests {
         Dataset::new(schema, cols).unwrap()
     }
 
+    fn names(answer: &Answer) -> Vec<&str> {
+        answer.scores.iter().map(|s| s.name.as_str()).collect()
+    }
+
     #[test]
     fn entropy_scores_match_hand_computation() {
         let s = exact_entropy_scores(&dataset());
@@ -168,17 +117,16 @@ mod tests {
 
     #[test]
     fn top_k_orders_by_score() {
-        let r = exact_entropy_top_k(&dataset(), 2).unwrap();
-        let names: Vec<&str> = r.top.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["high", "mid"]);
+        let r = exact_answer(&dataset(), &Shape::entropy(Rule::TopK { k: 2 })).unwrap();
+        assert_eq!(names(&r), vec!["high", "mid"]);
         assert!(!r.stats.converged_early);
+        assert_eq!(r.stats.rows_scanned, 800 * 3);
     }
 
     #[test]
     fn filter_threshold_semantics_are_inclusive() {
-        let r = exact_entropy_filter(&dataset(), 2.0).unwrap();
-        let names: Vec<&str> = r.accepted.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["high", "mid"]); // H = 2.0 is included
+        let r = exact_answer(&dataset(), &Shape::entropy(Rule::Filter { eta: 2.0 })).unwrap();
+        assert_eq!(names(&r), vec!["high", "mid"]); // H = 2.0 is included
     }
 
     #[test]
@@ -190,33 +138,72 @@ mod tests {
         let s = exact_mi_scores(&ds, 1);
         assert!((s[2] - 2.0).abs() < 1e-9);
         assert!(s[0].abs() < 1e-9);
-        let r = exact_mi_top_k(&ds, 1, 1).unwrap();
-        assert_eq!(r.top[0].name, "mid");
+        let r = exact_answer(&ds, &Shape::mi(1, Rule::TopK { k: 1 })).unwrap();
+        assert_eq!(r.scores[0].name, "mid");
+        // A target scan, then a marginal and a joint per candidate.
+        assert_eq!(r.stats.rows_scanned, 800 * 5);
     }
 
     #[test]
     fn mi_filter_excludes_target() {
-        let r = exact_mi_filter(&dataset(), 1, 0.0).unwrap();
-        assert!(r.accepted.iter().all(|s| s.attr != 1));
-        assert_eq!(r.accepted.len(), 2);
+        let r = exact_answer(&dataset(), &Shape::mi(1, Rule::Filter { eta: 0.0 })).unwrap();
+        assert!(r.scores.iter().all(|s| s.attr != 1));
+        assert_eq!(r.scores.len(), 2);
     }
 
     #[test]
     fn validation() {
         let ds = dataset();
-        assert!(exact_entropy_top_k(&ds, 0).is_err());
-        assert!(exact_entropy_top_k(&ds, 4).is_err());
-        assert!(exact_entropy_filter(&ds, -1.0).is_err());
-        assert!(exact_mi_top_k(&ds, 9, 1).is_err());
-        assert!(exact_mi_filter(&ds, 9, 0.1).is_err());
+        let exact = |shape: Shape| exact_answer(&ds, &shape).unwrap_err();
+        assert_eq!(
+            exact(Shape::entropy(Rule::TopK { k: 0 })),
+            SwopeError::InvalidK { k: 0, candidates: 3 }
+        );
+        assert_eq!(
+            exact(Shape::entropy(Rule::TopK { k: 4 })),
+            SwopeError::InvalidK { k: 4, candidates: 3 }
+        );
+        assert_eq!(
+            exact(Shape::entropy(Rule::Filter { eta: -1.0 })),
+            SwopeError::InvalidThreshold(-1.0)
+        );
+        assert_eq!(
+            exact(Shape::mi(9, Rule::TopK { k: 1 })),
+            SwopeError::TargetOutOfRange { target: 9, num_attrs: 3 }
+        );
+        assert_eq!(
+            exact(Shape::mi(9, Rule::Filter { eta: 0.1 })),
+            SwopeError::TargetOutOfRange { target: 9, num_attrs: 3 }
+        );
     }
 
     #[test]
     fn exact_bounds_are_degenerate() {
-        let r = exact_entropy_top_k(&dataset(), 3).unwrap();
-        for s in &r.top {
+        let r = exact_answer(&dataset(), &Shape::entropy(Rule::TopK { k: 3 })).unwrap();
+        for s in &r.scores {
             assert_eq!(s.lower, s.estimate);
             assert_eq!(s.upper, s.estimate);
         }
+    }
+
+    #[test]
+    fn select_orders_by_score_then_attribute() {
+        let scores = [1.0, 3.0, 2.0, 3.0];
+        let select = |target, rule| select(&scores, &Shape { target, rule });
+        assert_eq!(select(None, Rule::TopK { k: 3 }), vec![1, 3, 2]);
+        assert_eq!(select(None, Rule::Rank { k: 3 }), vec![1, 3, 2]);
+        assert_eq!(select(Some(1), Rule::TopK { k: 2 }), vec![3, 2]);
+        assert_eq!(select(None, Rule::Filter { eta: 2.0 }), vec![1, 3, 2]);
+        assert_eq!(select(Some(3), Rule::FilterExact { eta: 2.0 }), vec![1, 2]);
+        assert_eq!(select(Some(2), Rule::Profile { floor: 0.05 }), vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn comparator_and_profile_shapes_answer_exactly() {
+        let ds = dataset();
+        let exact = |rule| exact_answer(&ds, &Shape::entropy(rule)).unwrap();
+        assert_eq!(exact(Rule::Rank { k: 2 }), exact(Rule::TopK { k: 2 }));
+        assert_eq!(exact(Rule::FilterExact { eta: 2.0 }), exact(Rule::Filter { eta: 2.0 }));
+        assert_eq!(names(&exact(Rule::Profile { floor: 0.05 })), vec!["low", "high", "mid"]);
     }
 }

@@ -29,7 +29,7 @@ pub fn entropy_filter_exact_sampling(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exact_entropy_filter;
+    use crate::exact_answer;
     use swope_columnar::{Column, Field, Schema};
 
     fn cyclic_dataset(n: usize, supports: &[u32]) -> Dataset {
@@ -46,9 +46,9 @@ mod tests {
     fn matches_exact_answer() {
         let ds = cyclic_dataset(30_000, &[2, 8, 32, 128, 512]);
         let sampled = entropy_filter_exact_sampling(&ds, 4.0, &SwopeConfig::default()).unwrap();
-        let exact = exact_entropy_filter(&ds, 4.0).unwrap();
+        let exact = exact_answer(&ds, &Shape::entropy(Rule::Filter { eta: 4.0 })).unwrap();
         let mut a = sampled.attr_indices();
-        let mut b = exact.attr_indices();
+        let mut b = FilterResult::from(exact).attr_indices();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);

@@ -2,8 +2,10 @@
 //!
 //! The comparator algorithms of the SWOPE paper's evaluation (§6):
 //!
-//! * [`exact`] — full-scan exact answers for all four query types. The
-//!   `O(hN)` baseline every sampling method is measured against.
+//! * [`exact`] — the full-scan exact answer to any [`swope_core::Shape`]
+//!   ([`exact_answer`]), and the selection ([`exact::select`]) that turns
+//!   exact scores into it. The `O(hN)` baseline every sampling method is
+//!   measured against.
 //! * [`rank`] — **EntropyRank** (Wang & Ding, KDD'19, the paper's reference \[32\]):
 //!   adaptive sampling that returns the *exact* top-k, stopping only when
 //!   the k-th largest lower bound separates from the (k+1)-th largest
@@ -41,10 +43,7 @@ use swope_core::{run, Answer, Executor, NoopObserver, Scope, Shape, SwopeConfig,
 
 pub use oneshot::{oneshot_entropy_top_k, oneshot_mi_top_k};
 
-pub use exact::{
-    exact_entropy_filter, exact_entropy_scores, exact_entropy_top_k, exact_mi_filter,
-    exact_mi_scores, exact_mi_top_k,
-};
+pub use exact::{exact_answer, exact_entropy_scores, exact_mi_scores};
 pub use filter::entropy_filter_exact_sampling;
 pub use mi::{mi_filter_exact_sampling, mi_rank_top_k};
 pub use rank::entropy_rank_top_k;

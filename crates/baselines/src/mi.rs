@@ -33,7 +33,7 @@ pub fn mi_filter_exact_sampling(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{exact_mi_filter, exact_mi_top_k};
+    use crate::exact_answer;
     use swope_columnar::{Column, Field, Schema};
 
     fn correlated_dataset(n: usize) -> Dataset {
@@ -68,17 +68,17 @@ mod tests {
     fn rank_matches_exact_top_k() {
         let ds = correlated_dataset(30_000);
         let rank = mi_rank_top_k(&ds, 0, 2, &SwopeConfig::default()).unwrap();
-        let exact = exact_mi_top_k(&ds, 0, 2).unwrap();
-        assert_eq!(rank.attr_indices(), exact.attr_indices());
+        let exact = exact_answer(&ds, &Shape::mi(0, Rule::TopK { k: 2 })).unwrap();
+        assert_eq!(rank.attr_indices(), TopKResult::from(exact).attr_indices());
     }
 
     #[test]
     fn filter_matches_exact_answer() {
         let ds = correlated_dataset(30_000);
         let sampled = mi_filter_exact_sampling(&ds, 0, 0.5, &SwopeConfig::default()).unwrap();
-        let exact = exact_mi_filter(&ds, 0, 0.5).unwrap();
+        let exact = exact_answer(&ds, &Shape::mi(0, Rule::Filter { eta: 0.5 })).unwrap();
         let mut a = sampled.attr_indices();
-        let mut b = exact.attr_indices();
+        let mut b = FilterResult::from(exact).attr_indices();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);

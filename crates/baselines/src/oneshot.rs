@@ -14,7 +14,7 @@
 use swope_columnar::{AttrIndex, Dataset};
 use swope_core::{
     count_candidate, count_target, AttrScore, CountScratch, CountState, PairCountState, QueryStats,
-    SwopeError, TargetBuf, TopKResult, WorkKind,
+    Rule, Shape, SwopeError, TargetBuf, TopKResult, WorkKind,
 };
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::joint::JointEntropyCounter;
@@ -53,22 +53,7 @@ fn oneshot(
     seed: u64,
 ) -> Result<TopKResult, SwopeError> {
     let (h, n) = (dataset.num_attrs(), dataset.num_rows());
-    if h == 0 || n == 0 {
-        return Err(SwopeError::EmptyDataset);
-    }
-    let mut candidates = h;
-    if let Some(target) = target {
-        if target >= h {
-            return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
-        }
-        if h < 2 {
-            return Err(SwopeError::NoCandidates);
-        }
-        candidates = h - 1;
-    }
-    if k == 0 || k > candidates {
-        return Err(SwopeError::InvalidK { k, candidates });
-    }
+    let candidates = Shape { target, rule: Rule::TopK { k } }.check(h, n == 0)?;
     let m = sample_size.clamp(1, n);
     let mut sampler = PrefixShuffle::new(n, seed);
     let rows = sampler.grow_to(m);
@@ -140,7 +125,7 @@ fn plugin_score(dataset: &Dataset, attr: AttrIndex, estimate: f64) -> AttrScore 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exact_entropy_top_k;
+    use crate::exact_answer;
     use swope_columnar::{Column, Field, Schema};
 
     fn cyclic_dataset(n: usize, supports: &[u32]) -> Dataset {
@@ -157,8 +142,8 @@ mod tests {
     fn full_budget_matches_exact() {
         let ds = cyclic_dataset(5_000, &[2, 64, 8]);
         let oneshot = oneshot_entropy_top_k(&ds, 2, 5_000, 1).unwrap();
-        let exact = exact_entropy_top_k(&ds, 2).unwrap();
-        assert_eq!(oneshot.attr_indices(), exact.attr_indices());
+        let exact = exact_answer(&ds, &Shape::entropy(Rule::TopK { k: 2 })).unwrap();
+        assert_eq!(oneshot.attr_indices(), TopKResult::from(exact).attr_indices());
     }
 
     #[test]

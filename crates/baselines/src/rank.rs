@@ -33,7 +33,7 @@ pub fn entropy_rank_top_k(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exact_entropy_top_k;
+    use crate::exact_answer;
     use swope_columnar::{Column, Field, Schema};
 
     fn cyclic_dataset(n: usize, supports: &[u32]) -> Dataset {
@@ -50,8 +50,8 @@ mod tests {
     fn matches_exact_answer() {
         let ds = cyclic_dataset(30_000, &[2, 64, 4, 256, 16]);
         let rank = entropy_rank_top_k(&ds, 3, &SwopeConfig::default()).unwrap();
-        let exact = exact_entropy_top_k(&ds, 3).unwrap();
-        assert_eq!(rank.attr_indices(), exact.attr_indices());
+        let exact = exact_answer(&ds, &Shape::entropy(Rule::TopK { k: 3 })).unwrap();
+        assert_eq!(rank.attr_indices(), TopKResult::from(exact).attr_indices());
     }
 
     #[test]

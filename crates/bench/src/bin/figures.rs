@@ -11,6 +11,7 @@ use std::process::ExitCode;
 
 use swope_bench::figures::Experiment;
 use swope_bench::ExpConfig;
+use swope_datagen::corpus::PAPER_SHAPES;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,11 +72,15 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         i += 1;
     }
-    if cfg.scale <= 0.0 || cfg.scale > 1.0 {
+    if !cfg.scale.is_finite() || cfg.scale <= 0.0 || cfg.scale > 1.0 {
         return Err(format!("scale must be in (0, 1], got {}", cfg.scale));
     }
+    let profiles = PAPER_SHAPES.map(|s| s.name);
+    if let Some(unknown) = cfg.only_datasets.iter().find(|d| !profiles.contains(&d.as_str())) {
+        return Err(format!("unknown dataset {unknown:?} (profiles: {})", profiles.join(" ")));
+    }
     if want_all {
-        experiments = Experiment::ALL.to_vec();
+        experiments = Experiment::all().collect();
     }
     if experiments.is_empty() {
         return Err("no experiment given".into());

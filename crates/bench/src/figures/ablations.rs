@@ -1,10 +1,10 @@
 //! Ablation experiments for the design choices called out in DESIGN.md.
 //! These go beyond the paper's figures; ids are prefixed `ext-`.
 
+use swope_baselines::exact::select;
 use swope_baselines::{exact_entropy_scores, oneshot_entropy_top_k};
 use swope_core::{Rule, Shape, SwopeConfig};
 
-use crate::figures::entropy_topk::order_desc;
 use crate::harness::{time_ms, ExpConfig, Row, Tally};
 use crate::metrics::topk_accuracy;
 
@@ -40,8 +40,7 @@ pub fn run_threads(cfg: &ExpConfig) -> Vec<Row> {
 pub fn run_oneshot(cfg: &ExpConfig) -> Vec<Row> {
     let mut rows = Vec::new();
     for (name, ds) in cfg.datasets() {
-        let exact_order = order_desc(&exact_entropy_scores(&ds));
-        let exact_topk = &exact_order[..4.min(exact_order.len())];
+        let exact_topk = &select(&exact_entropy_scores(&ds), &TOP_4);
 
         let qcfg = SwopeConfig::with_epsilon(0.1).with_seed(cfg.seed);
         let mut tally = Tally::default();
@@ -68,8 +67,7 @@ pub fn run_oneshot(cfg: &ExpConfig) -> Vec<Row> {
 pub fn run_m0(cfg: &ExpConfig) -> Vec<Row> {
     let mut rows = Vec::new();
     for (name, ds) in cfg.datasets() {
-        let exact_order = order_desc(&exact_entropy_scores(&ds));
-        let exact_topk = &exact_order[..4.min(exact_order.len())];
+        let exact_topk = &select(&exact_entropy_scores(&ds), &TOP_4);
         // The paper's M0 for this dataset.
         let base_cfg = SwopeConfig::with_epsilon(0.1);
         let p_f = base_cfg.resolve_p_f(&ds);

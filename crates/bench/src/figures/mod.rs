@@ -1,42 +1,24 @@
-//! One runner per paper experiment (Table 2, Figures 1–12).
+//! The paper's experiments (Table 2, Figures 1–12) and the ablations.
 //!
-//! Time and accuracy figures that share runs are produced by a single
-//! runner: the paper's Figure 1 (time) and Figure 2 (accuracy) come from
-//! the same set of queries, so `entropy_topk::run` measures both and the
-//! dispatcher emits whichever view was requested.
+//! Figures 1–12 are rows of one table, [`sweep::SWEEPS`], run by one
+//! runner; a time figure and its accuracy twin come from the same runs,
+//! and the report writes whichever views were requested.
 
 pub mod ablations;
-pub mod entropy_filter;
-pub mod entropy_topk;
-pub mod mi_filter;
-pub mod mi_topk;
+pub mod sweep;
 pub mod table2;
-pub mod tuning;
 
 use crate::harness::{ExpConfig, Row};
 use crate::report;
+use sweep::{Sweep, SWEEPS};
 
 /// The paper's experiments, deduplicated by underlying run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Experiment {
     /// Table 2: dataset summary.
     Table2,
-    /// Figures 1–2: entropy top-k time and accuracy.
-    EntropyTopk,
-    /// Figures 3–4: entropy filtering time and accuracy.
-    EntropyFilter,
-    /// Figures 5–6: MI top-k time and accuracy.
-    MiTopk,
-    /// Figures 7–8: MI filtering time and accuracy.
-    MiFilter,
-    /// Figure 9: tuning ε, entropy top-k (k = 4).
-    TuneEntropyTopk,
-    /// Figure 10: tuning ε, entropy filtering (η = 2).
-    TuneEntropyFilter,
-    /// Figure 11: tuning ε, MI top-k (k = 4).
-    TuneMiTopk,
-    /// Figure 12: tuning ε, MI filtering (η = 0.3).
-    TuneMiFilter,
+    /// Figures 1–12: one parameter sweep.
+    Sweep(&'static Sweep),
     /// Ablation: parallel per-attribute scaling (DESIGN.md choice 4).
     ExtThreads,
     /// Ablation: SWOPE vs naive one-shot sampling at equal budgets.
@@ -47,52 +29,24 @@ pub enum Experiment {
 
 impl Experiment {
     /// All experiments, in paper order, followed by the ablations.
-    pub const ALL: [Experiment; 12] = [
-        Experiment::Table2,
-        Experiment::EntropyTopk,
-        Experiment::EntropyFilter,
-        Experiment::MiTopk,
-        Experiment::MiFilter,
-        Experiment::TuneEntropyTopk,
-        Experiment::TuneEntropyFilter,
-        Experiment::TuneMiTopk,
-        Experiment::TuneMiFilter,
-        Experiment::ExtThreads,
-        Experiment::ExtOneshot,
-        Experiment::ExtM0,
-    ];
+    pub fn all() -> impl Iterator<Item = Experiment> {
+        std::iter::once(Experiment::Table2).chain(SWEEPS.iter().map(Experiment::Sweep)).chain([
+            Experiment::ExtThreads,
+            Experiment::ExtOneshot,
+            Experiment::ExtM0,
+        ])
+    }
 
-    /// Parses a CLI experiment id (`table2`, `fig1` … `fig12`).
+    /// Parses a CLI experiment id (`table2`, `fig1` … `fig12`, `ext-…`).
     pub fn parse(id: &str) -> Option<Experiment> {
-        Some(match id {
-            "table2" => Experiment::Table2,
-            "fig1" | "fig2" => Experiment::EntropyTopk,
-            "fig3" | "fig4" => Experiment::EntropyFilter,
-            "fig5" | "fig6" => Experiment::MiTopk,
-            "fig7" | "fig8" => Experiment::MiFilter,
-            "fig9" => Experiment::TuneEntropyTopk,
-            "fig10" => Experiment::TuneEntropyFilter,
-            "fig11" => Experiment::TuneMiTopk,
-            "fig12" => Experiment::TuneMiFilter,
-            "ext-threads" => Experiment::ExtThreads,
-            "ext-oneshot" => Experiment::ExtOneshot,
-            "ext-m0" => Experiment::ExtM0,
-            _ => return None,
-        })
+        Self::all().find(|e| e.figure_ids().contains(&id))
     }
 
     /// The figure/table ids this experiment's rows reproduce.
     pub fn figure_ids(&self) -> &'static [&'static str] {
         match self {
             Experiment::Table2 => &["table2"],
-            Experiment::EntropyTopk => &["fig1", "fig2"],
-            Experiment::EntropyFilter => &["fig3", "fig4"],
-            Experiment::MiTopk => &["fig5", "fig6"],
-            Experiment::MiFilter => &["fig7", "fig8"],
-            Experiment::TuneEntropyTopk => &["fig9"],
-            Experiment::TuneEntropyFilter => &["fig10"],
-            Experiment::TuneMiTopk => &["fig11"],
-            Experiment::TuneMiFilter => &["fig12"],
+            Experiment::Sweep(sweep) => sweep.ids,
             Experiment::ExtThreads => &["ext-threads"],
             Experiment::ExtOneshot => &["ext-oneshot"],
             Experiment::ExtM0 => &["ext-m0"],
@@ -103,12 +57,10 @@ impl Experiment {
     pub fn param_name(&self) -> &'static str {
         match self {
             Experiment::Table2 => "columns",
-            Experiment::EntropyTopk | Experiment::MiTopk => "k",
-            Experiment::EntropyFilter | Experiment::MiFilter => "eta",
+            Experiment::Sweep(sweep) => sweep.param_name(),
             Experiment::ExtThreads => "threads",
             Experiment::ExtOneshot => "budget",
             Experiment::ExtM0 => "m0_mult",
-            _ => "epsilon",
         }
     }
 
@@ -116,14 +68,7 @@ impl Experiment {
     pub fn run(&self, cfg: &ExpConfig) -> Vec<Row> {
         match self {
             Experiment::Table2 => table2::run(cfg),
-            Experiment::EntropyTopk => entropy_topk::run(cfg),
-            Experiment::EntropyFilter => entropy_filter::run(cfg),
-            Experiment::MiTopk => mi_topk::run(cfg),
-            Experiment::MiFilter => mi_filter::run(cfg),
-            Experiment::TuneEntropyTopk => tuning::run_entropy_topk(cfg),
-            Experiment::TuneEntropyFilter => tuning::run_entropy_filter(cfg),
-            Experiment::TuneMiTopk => tuning::run_mi_topk(cfg),
-            Experiment::TuneMiFilter => tuning::run_mi_filter(cfg),
+            Experiment::Sweep(sweep) => sweep.run(cfg),
             Experiment::ExtThreads => ablations::run_threads(cfg),
             Experiment::ExtOneshot => ablations::run_oneshot(cfg),
             Experiment::ExtM0 => ablations::run_m0(cfg),
@@ -175,8 +120,7 @@ mod tests {
 
     #[test]
     fn figure_ids_cover_every_paper_figure() {
-        let mut ids: Vec<&str> = Experiment::ALL
-            .iter()
+        let mut ids: Vec<&str> = Experiment::all()
             .flat_map(|e| e.figure_ids().iter().copied())
             .filter(|id| !id.starts_with("ext-"))
             .collect();

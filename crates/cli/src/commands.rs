@@ -2,15 +2,14 @@
 
 use std::fs::File;
 use std::io::BufWriter;
-use swope_baselines::{exact_entropy_filter, exact_entropy_top_k, exact_mi_filter, exact_mi_top_k};
+use swope_baselines::exact_answer;
 
 use swope_columnar::{
     csv, snapshot, stats, Dataset, DatasetSketch, PageCache, Residency, PAGE_ROWS,
 };
 use swope_core::{
-    entropy_top_k, run, run_sharded, Answer, AttrScore, ComposedObserver, Executor, FilterResult,
-    JsonlSink, LocalShardSource, MetricsRegistry, Rule, Scope, Shape, SwopeConfig, SwopeError,
-    TopKResult,
+    entropy_top_k, run, run_sharded, Answer, AttrScore, ComposedObserver, Executor, JsonlSink,
+    LocalShardSource, MetricsRegistry, Rule, Scope, Shape, SwopeConfig, SwopeError,
 };
 
 use crate::args::{parse_options, Algo, Options};
@@ -210,19 +209,6 @@ fn adaptive(
     }
 }
 
-/// The full scan `--algo exact` runs for a top-k or filter query.
-fn exact(ds: &Dataset, shape: Shape) -> Result<Answer, SwopeError> {
-    let top = |r: TopKResult| Answer { scores: r.top, stats: r.stats };
-    let accepted = |r: FilterResult| Answer { scores: r.accepted, stats: r.stats };
-    match (shape.target, shape.rule) {
-        (None, Rule::TopK { k }) => exact_entropy_top_k(ds, k).map(top),
-        (None, Rule::Filter { eta }) => exact_entropy_filter(ds, eta).map(accepted),
-        (Some(t), Rule::TopK { k }) => exact_mi_top_k(ds, t, k).map(top),
-        (Some(t), Rule::Filter { eta }) => exact_mi_filter(ds, t, eta).map(accepted),
-        _ => unreachable!("--algo exact answers top-k and filter queries only"),
-    }
-}
-
 fn query_config(opts: &Options, default_epsilon: f64) -> SwopeConfig {
     let mut cfg = SwopeConfig::with_epsilon(opts.epsilon.unwrap_or(default_epsilon));
     cfg.failure_probability = opts.pf;
@@ -370,7 +356,7 @@ fn cmd_query(command: &str, opts: &Options) -> Result<(), String> {
     let cfg = query_config(opts, default_epsilon);
     let answer = match adaptive_rule {
         Some(rule) => adaptive(&ds, sketch.as_ref(), Shape { target, rule }, &plan, &cfg, &mut obs),
-        None => exact(&ds, Shape { target, rule }),
+        None => exact_answer(&ds, &Shape { target, rule }),
     }
     .map_err(|e| e.to_string())?;
     // `mi-filter` has never printed its target.
@@ -418,10 +404,10 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
     let swope_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = std::time::Instant::now();
-    let exact = exact_entropy_top_k(&ds, k).map_err(|e| e.to_string())?;
+    let exact = exact_answer(&ds, &Shape::entropy(Rule::TopK { k })).map_err(|e| e.to_string())?;
     let exact_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let exact_set: std::collections::HashSet<usize> = exact.attr_indices().into_iter().collect();
+    let exact_set: std::collections::HashSet<usize> = exact.scores.iter().map(|s| s.attr).collect();
     let hits = swope.attr_indices().iter().filter(|a| exact_set.contains(a)).count();
 
     println!("entropy top-{k} comparison (epsilon = {}):", cfg.epsilon);
@@ -434,7 +420,7 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
     println!("  speedup: {:.1}x   agreement: {hits}/{k} attributes", exact_ms / swope_ms.max(1e-9));
     println!("\n{:<6} {:<24} {:>10} {:>10}", "attr", "name", "SWOPE est", "exact");
     for s in &swope.top {
-        let exact_score = exact.top.iter().find(|e| e.attr == s.attr).map(|e| e.estimate);
+        let exact_score = exact.scores.iter().find(|e| e.attr == s.attr).map(|e| e.estimate);
         println!(
             "{:<6} {:<24} {:>10.4} {:>10}",
             s.attr,

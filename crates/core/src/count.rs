@@ -11,8 +11,8 @@
 //! 1. a block of at most [`INGEST_BLOCK_ROWS`] rows is staged at the
 //!    column's packed width into a reusable [`CodeBuf`] — a heap column
 //!    through [`swope_store::gather`], a paged one through
-//!    [`swope_columnar::PagedColumn::gather`], which pins one page at a
-//!    time (deltas arrive grouped by page);
+//!    [`swope_columnar::PagedColumn::gather`], which looks a page up once
+//!    per run of adjacent rows it holds (deltas arrive grouped by page);
 //! 2. the **marginal kernel** (`CountState::add_block`) counts the staged
 //!    block. When the delta is at least twice the support and the support
 //!    at most `LANE_MAX_SUPPORT`, into four `u32` lane tables selected by
@@ -61,7 +61,7 @@ use swope_store::{for_buf, for_packed, gather};
 /// resident; narrower columns use proportionally less) no matter how
 /// large ΔM grows under doubling, which is what makes the steady-state
 /// loop allocation-free: buffers reach block size once and are never
-/// regrown. Matches the batch engine's block size.
+/// regrown.
 pub const INGEST_BLOCK_ROWS: usize = 8192;
 
 /// Lane tables per marginal count. Four `u32` lanes interleaved per code

@@ -117,12 +117,14 @@ impl Shape {
         }
     }
 
-    /// Every argument check, before any sampling: `ε`/`p_f`, the
-    /// threshold or floor, a population to query (`no_data` is the
-    /// caller's "nothing to sample from at all"), the target, at least
-    /// one candidate, and `k` within the candidates.
-    fn validate(&self, config: &SwopeConfig, h: usize, no_data: bool) -> Result<(), SwopeError> {
-        config.validate()?;
+    /// Checks the shape against a dataset of `num_attrs` attributes and
+    /// returns its number of candidates — in order: the threshold or
+    /// floor, a population to query (`no_data` is the caller's "nothing
+    /// to sample from at all"), the target, at least one candidate, and
+    /// `k` within the candidates. [`run`], [`run_sharded`] and the
+    /// baselines check their arguments here (the first two check the
+    /// config's `ε`/`p_f` before it).
+    pub fn check(&self, num_attrs: usize, no_data: bool) -> Result<usize, SwopeError> {
         if let Rule::Filter { eta: bound }
         | Rule::FilterExact { eta: bound }
         | Rule::Profile { floor: bound } = self.rule
@@ -131,24 +133,24 @@ impl Shape {
                 return Err(SwopeError::InvalidThreshold(bound));
             }
         }
-        if h == 0 || no_data {
+        if num_attrs == 0 || no_data {
             return Err(SwopeError::EmptyDataset);
         }
-        let mut candidates = h;
+        let mut candidates = num_attrs;
         if let Some(target) = self.target {
-            if target >= h {
-                return Err(SwopeError::TargetOutOfRange { target, num_attrs: h });
+            if target >= num_attrs {
+                return Err(SwopeError::TargetOutOfRange { target, num_attrs });
             }
-            if h < 2 {
+            if num_attrs < 2 {
                 return Err(SwopeError::NoCandidates);
             }
-            candidates = h - 1;
+            candidates = num_attrs - 1;
         }
         match self.rule {
             Rule::TopK { k } | Rule::Rank { k } if k == 0 || k > candidates => {
                 Err(SwopeError::InvalidK { k, candidates })
             }
-            _ => Ok(()),
+            _ => Ok(candidates),
         }
     }
 }
@@ -392,7 +394,8 @@ pub fn run<O: QueryObserver>(
     observer: &mut O,
     exec: &Executor,
 ) -> Result<Answer, SwopeError> {
-    shape.validate(config, dataset.num_attrs(), dataset.num_rows() == 0)?;
+    config.validate()?;
+    shape.check(dataset.num_attrs(), dataset.num_rows() == 0)?;
     // Covered pages can stand in for marginal counts only: MI needs joint
     // co-occurrences, which per-attribute histograms cannot synthesize,
     // so an MI range samples its rows. (Over a full scope MI still takes
@@ -435,7 +438,8 @@ pub fn run_sharded<T: ShardTransport, O: QueryObserver>(
     observer: &mut O,
     exec: &Executor,
 ) -> Result<Answer, SwopeError> {
-    shape.validate(config, transport.attrs().len(), false)?;
+    config.validate()?;
+    shape.check(transport.attrs().len(), false)?;
     dispatch(shape, ShardedSource(transport), config, observer, exec)
 }
 

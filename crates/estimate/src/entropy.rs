@@ -8,8 +8,7 @@
 //!
 //! so maintaining the scalar `Σ m_i·log2(m_i)` under count increments gives
 //! **O(1) per sampled record and O(1) per entropy evaluation** — the design
-//! choice that keeps each SWOPE iteration linear in the *new* records only
-//! (ablated in `bench/entropy`).
+//! choice that keeps each SWOPE iteration linear in the *new* records only.
 
 use swope_columnar::Column;
 

@@ -228,9 +228,9 @@ pub fn unpack_pair(key: u64) -> (u32, u32) {
 }
 
 /// Key-space size above which [`PairCounter`] switches from a dense array
-/// to a hash map. 1 Mi entries ≈ 8 MiB dense, the break-even point in the
-/// `pair_counting` bench for typical sample sizes.
-pub const DENSE_PAIR_LIMIT: u64 = 1 << 20;
+/// to a hash map. 1 Mi entries ≈ 8 MiB dense, the measured break-even
+/// point for typical sample sizes.
+const DENSE_PAIR_LIMIT: u64 = 1 << 20;
 
 /// Adaptive counter over attribute-value pairs.
 ///
@@ -269,7 +269,7 @@ impl PairCounter {
     }
 
     /// Forces the sparse representation regardless of key-space size
-    /// (used by the pair-counting ablation bench).
+    /// (the tests use it to reach the sparse arm with small supports).
     pub fn new_sparse() -> Self {
         Self::Sparse { map: FxPairMap::with_expected(1024), total: 0 }
     }

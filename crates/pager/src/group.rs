@@ -11,10 +11,10 @@
 //! attribute's gather reuses the result.
 //!
 //! The reordering is safe only for a consumer whose result depends on
-//! the *multiset* of rows, never their order — the adaptive loops' integer
+//! the *multiset* of rows, never their order — the adaptive loop's integer
 //! delta histograms, with the MI target codes gathered from the same
-//! reordered list the candidates read. A consumer that accumulates floats
-//! row by row (the batch engine) must gather in draw order instead.
+//! reordered list the candidates read. A consumer that accumulated floats
+//! row by row would have to gather in draw order instead.
 //!
 //! [`PagedColumn::gather`]: crate::PagedColumn::gather
 

@@ -2,11 +2,17 @@
 //! SWOPE's cost advantage over them must materialize on the corpus.
 
 use swope_baselines::{
-    entropy_filter_exact_sampling, entropy_rank_top_k, exact_entropy_filter, exact_entropy_top_k,
-    exact_mi_filter, exact_mi_top_k, mi_filter_exact_sampling, mi_rank_top_k,
+    entropy_filter_exact_sampling, entropy_rank_top_k, exact_answer, mi_filter_exact_sampling,
+    mi_rank_top_k,
 };
-use swope_core::{entropy_filter, entropy_top_k, SwopeConfig};
+use swope_columnar::Dataset;
+use swope_core::{entropy_filter, entropy_top_k, Rule, Shape, SwopeConfig};
 use swope_datagen::{corpus, generate};
+
+/// The attributes of the exact answer to `shape`.
+fn exact_attrs(ds: &Dataset, shape: Shape) -> Vec<usize> {
+    exact_answer(ds, &shape).unwrap().scores.iter().map(|s| s.attr).collect()
+}
 
 #[test]
 fn entropy_rank_matches_exact_across_seeds() {
@@ -15,9 +21,8 @@ fn entropy_rank_matches_exact_across_seeds() {
         for k in [1usize, 4, 8] {
             let cfg = SwopeConfig::default().with_seed(seed);
             let rank = entropy_rank_top_k(&ds, k, &cfg).unwrap();
-            let exact = exact_entropy_top_k(&ds, k).unwrap();
             let mut a = rank.attr_indices();
-            let mut b = exact.attr_indices();
+            let mut b = exact_attrs(&ds, Shape::entropy(Rule::TopK { k }));
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "seed {seed} k {k}");
@@ -32,9 +37,8 @@ fn entropy_filter_baseline_matches_exact_across_seeds() {
         for eta in [1.0, 2.5, 4.0] {
             let cfg = SwopeConfig::default().with_seed(seed);
             let sampled = entropy_filter_exact_sampling(&ds, eta, &cfg).unwrap();
-            let exact = exact_entropy_filter(&ds, eta).unwrap();
             let mut a = sampled.attr_indices();
-            let mut b = exact.attr_indices();
+            let mut b = exact_attrs(&ds, Shape::entropy(Rule::Filter { eta }));
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "seed {seed} eta {eta}");
@@ -48,17 +52,15 @@ fn mi_baselines_match_exact() {
     let cfg = SwopeConfig::default();
     for target in [0usize, 3] {
         let rank = mi_rank_top_k(&ds, target, 3, &cfg).unwrap();
-        let exact = exact_mi_top_k(&ds, target, 3).unwrap();
         let mut a = rank.attr_indices();
-        let mut b = exact.attr_indices();
+        let mut b = exact_attrs(&ds, Shape::mi(target, Rule::TopK { k: 3 }));
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "target {target}");
 
         let sampled = mi_filter_exact_sampling(&ds, target, 0.2, &cfg).unwrap();
-        let exact_f = exact_mi_filter(&ds, target, 0.2).unwrap();
         let mut a = sampled.attr_indices();
-        let mut b = exact_f.attr_indices();
+        let mut b = exact_attrs(&ds, Shape::mi(target, Rule::Filter { eta: 0.2 }));
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "target {target} filter");
@@ -69,7 +71,7 @@ fn mi_baselines_match_exact() {
 fn swope_does_no_more_work_than_rank_on_hard_instances() {
     // Many near-tied columns below the top: the regime where EntropyRank's
     // Δ-gap dependence hurts and SWOPE's relative rule wins.
-    use swope_columnar::{Column, Dataset, Field, Schema};
+    use swope_columnar::{Column, Field, Schema};
     let n = 120_000usize;
     let mut fields = Vec::new();
     let mut columns = Vec::new();
@@ -103,7 +105,7 @@ fn swope_does_no_more_work_than_rank_on_hard_instances() {
 fn swope_filter_does_no_more_work_than_baseline_near_threshold() {
     // Scores sitting almost exactly at η: EntropyFilter must nearly scan
     // everything, SWOPE's ε-band lets it stop.
-    use swope_columnar::{Column, Dataset, Field, Schema};
+    use swope_columnar::{Column, Field, Schema};
     let n = 120_000usize;
     // Entropy of u=16 cyclic column is exactly 4 bits; query η = 4.
     let fields = vec![Field::new("at_threshold", 16), Field::new("wide", 256)];

@@ -1,21 +1,16 @@
 //! End-to-end integration: generated corpus -> SWOPE queries -> checked
 //! against exact answers and the paper's approximation contracts.
 
+use swope_baselines::exact::select;
 use swope_baselines::{exact_entropy_scores, exact_mi_scores};
-use swope_core::{entropy_filter, entropy_top_k, mi_filter, mi_top_k, SwopeConfig};
+use swope_core::{entropy_filter, entropy_top_k, mi_filter, mi_top_k, Rule, Shape, SwopeConfig};
 use swope_datagen::{corpus, generate};
-
-fn order_desc(scores: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
-    order
-}
 
 #[test]
 fn entropy_topk_satisfies_definition5_on_corpus() {
     let ds = generate(&corpus::tiny(50_000, 30), 101);
     let exact = exact_entropy_scores(&ds);
-    let order = order_desc(&exact);
+    let order = select(&exact, &Shape::entropy(Rule::TopK { k: exact.len() }));
     for epsilon in [0.05, 0.1, 0.3] {
         for k in [1usize, 3, 7] {
             let cfg = SwopeConfig::with_epsilon(epsilon).with_seed(k as u64);
@@ -68,7 +63,7 @@ fn mi_topk_satisfies_definition5_on_corpus() {
     let epsilon = 0.5;
     for target in [0usize, 7, 13] {
         let exact = exact_mi_scores(&ds, target);
-        let order: Vec<usize> = order_desc(&exact).into_iter().filter(|&a| a != target).collect();
+        let order = select(&exact, &Shape::mi(target, Rule::TopK { k: exact.len() - 1 }));
         let cfg = SwopeConfig::with_epsilon(epsilon).with_seed(target as u64);
         let res = mi_top_k(&ds, target, 4, &cfg).unwrap();
         for (i, s) in res.top.iter().enumerate() {
@@ -163,12 +158,11 @@ fn tiny_epsilon_recovers_exact_topk() {
     // As ε -> 0 the approximate answer converges to the exact one.
     let ds = generate(&corpus::tiny(20_000, 15), 113);
     let exact = exact_entropy_scores(&ds);
-    let order = order_desc(&exact);
     let cfg = SwopeConfig::with_epsilon(0.01);
     let res = entropy_top_k(&ds, 3, &cfg).unwrap();
     let mut got = res.attr_indices();
     got.sort_unstable();
-    let mut want = order[..3].to_vec();
+    let mut want = select(&exact, &Shape::entropy(Rule::TopK { k: 3 }));
     want.sort_unstable();
     assert_eq!(got, want);
 }

@@ -14,7 +14,8 @@
 //! histograms by hypergeometric splits, so its claim to Lemma 3
 //! ("marginally a uniform WOR sample of the scoped code multiset") gets
 //! an experiment of its own — and ranges with too little in whole pages,
-//! whose rows are shuffled and read.
+//! whose rows are shuffled and read. And to `where` scopes, whose sample is
+//! a shuffle of the matching rows, materialised by a scan.
 //!
 //! And to mutual information, both ways its marginals can be had: sampled
 //! (the paper's three Lemma-3 intervals, `6λ + b′`) and read exactly from
@@ -158,43 +159,46 @@ fn comparator_exact_answer_failure_rates_within_budget() {
     assert!(filter_violations <= 46, "{filter_violations}/{RUNS} inexact EntropyFilter answers");
 }
 
-/// Definition 5 and 6 violations over 30 seeds of a top-k and a filter
-/// query on each of four `ranges` of one dataset — three whole pages and
-/// a ragged tail; the guarantee is over the sampler's randomness, so the
-/// data is fixed and the seeds and ranges vary — with the dataset's
-/// sketch on offer, plus how many of those ranges' queries ran the hybrid
+/// Definition 5 and 6 violations over `runs` seeds of a top-k and a
+/// filter query on each of `scopes` of one dataset — three whole pages
+/// and a ragged tail; the guarantee is over the sampler's randomness, so
+/// the data is fixed and the seeds and scopes vary — with the dataset's
+/// sketch on offer, plus how many of those scopes' queries ran the hybrid
 /// sampler and how many were sampled physically.
-fn range_failure_rates(ranges: [(usize, usize); 4]) -> (u32, u32, sketch_stats::SketchUse) {
-    const RUNS_PER_RANGE: u64 = 30;
+fn scoped_failure_rates(scopes: &[Scope], runs: u64) -> (u32, u32, sketch_stats::SketchUse) {
     const P_F: f64 = 0.2;
     let n = 3 * PAGE_ROWS + 5_000;
     let ds = uniform_dataset(n, 0xC0FE);
     let sketch = DatasetSketch::build(n, (0..ds.num_attrs()).map(|a| ds.column(a).packed()));
     let (mut top_k_violations, mut filter_violations) = (0u32, 0u32);
     let before = sketch_stats::snapshot();
-    for (r, &(start, end)) in ranges.iter().enumerate() {
-        let scope = Scope::range(start, end);
-        let exact = exact_entropy_scores(&dataset_of(
-            (0..ds.num_attrs()).map(|a| (start..end).map(|row| ds.column(a).code(row)).collect()),
-        ));
-        let ranged = |shape: Shape, cfg: &SwopeConfig| {
-            let exec = Executor::sequential();
-            run(&ds, &shape, &scope, Some(&sketch), cfg, &mut NoopObserver, &exec).unwrap()
+    for (r, scope) in scopes.iter().enumerate() {
+        let matching = |&row: &usize| {
+            scope.predicate.map_or(true, |(attr, code)| ds.column(attr).code(row) == code)
         };
-        for i in 0..RUNS_PER_RANGE {
+        let rows: Vec<usize> =
+            (scope.row_start.unwrap_or(0)..scope.row_end.unwrap_or(n)).filter(matching).collect();
+        let exact = exact_entropy_scores(&dataset_of(
+            (0..ds.num_attrs()).map(|a| rows.iter().map(|&row| ds.column(a).code(row)).collect()),
+        ));
+        let scoped = |shape: Shape, cfg: &SwopeConfig| {
+            let exec = Executor::sequential();
+            run(&ds, &shape, scope, Some(&sketch), cfg, &mut NoopObserver, &exec).unwrap()
+        };
+        for i in 0..runs {
             let seed = (r as u64 * 1_000 + i).wrapping_mul(0x9E37_79B9);
-            let top = ranged(Shape::entropy(Rule::TopK { k: 3 }), &config(0.15, P_F, seed));
+            let top = scoped(Shape::entropy(Rule::TopK { k: 3 }), &config(0.15, P_F, seed));
             if !definition5_holds(&top.into(), &exact, 0.15) {
                 top_k_violations += 1;
             }
             let cfg = config(0.1, P_F, seed ^ 0x2545_F491);
-            let filtered = ranged(Shape::entropy(Rule::Filter { eta: 3.5 }), &cfg);
+            let filtered = scoped(Shape::entropy(Rule::Filter { eta: 3.5 }), &cfg);
             if !definition6_holds(&filtered.into(), &exact, 3.5, 0.1) {
                 filter_violations += 1;
             }
         }
     }
-    // The counters are process-wide and only grow, so the other test of
+    // The counters are process-wide and only grow, so the other tests of
     // this file can add to a difference, never subtract from it.
     let after = sketch_stats::snapshot();
     let took = sketch_stats::SketchUse {
@@ -205,6 +209,11 @@ fn range_failure_rates(ranges: [(usize, usize); 4]) -> (u32, u32, sketch_stats::
         mi_sampled_marginals: after.mi_sampled_marginals - before.mi_sampled_marginals,
     };
     (top_k_violations, filter_violations, took)
+}
+
+/// [`scoped_failure_rates`] over 30 seeds on each of four row `ranges`.
+fn range_failure_rates(ranges: [(usize, usize); 4]) -> (u32, u32, sketch_stats::SketchUse) {
+    scoped_failure_rates(&ranges.map(|(start, end)| Scope::range(start, end)), 30)
 }
 
 #[test]
@@ -240,6 +249,18 @@ fn physical_range_failure_rates_within_budget() {
     assert!(took.physical_ranges >= 240, "{took:?}");
     assert!(top_k_violations <= 46, "{top_k_violations}/120 Definition 5 violations, physical");
     assert!(filter_violations <= 46, "{filter_violations}/120 Definition 6 violations, physical");
+}
+
+#[test]
+fn predicate_failure_rates_within_budget() {
+    // The rows whose two-valued column c5 holds 1, everywhere and inside
+    // a range across two pages: 60 seeds each.
+    let rows_with_c5 = Scope::all().with_predicate(5, 1);
+    let in_range = Scope::range(PAGE_ROWS - 20_000, 2 * PAGE_ROWS + 20_000).with_predicate(5, 1);
+    let (top_k_violations, filter_violations, _) =
+        scoped_failure_rates(&[rows_with_c5, in_range], 60);
+    assert!(top_k_violations <= 46, "{top_k_violations}/120 Definition 5 violations, predicate");
+    assert!(filter_violations <= 46, "{filter_violations}/120 Definition 6 violations, predicate");
 }
 
 /// A uniform 16-value target and five copies of it through 10–18 %
