@@ -26,8 +26,9 @@
 //! loop ([`swope_core::run`] with a comparator [`swope_core::Rule`]), so sampler,
 //! schedule, failure-budget split, counting, bounds and pruning are the
 //! same code and a measured difference *is* the stopping rule — the
-//! paper's contribution. OneShot counts through the same kernels
-//! ([`swope_core::count`]); only [`exact`] walks the columns itself.
+//! paper's contribution. OneShot samples and counts through a one-shard
+//! [`swope_core::LocalShardSource`]; only [`exact`] walks the columns
+//! itself.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

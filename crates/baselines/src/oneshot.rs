@@ -7,18 +7,18 @@
 //! adaptive machinery: at the *same* sample budget SWOPE certifies its
 //! answer (or keeps sampling), while OneShot silently returns whatever
 //! the sample says. The `ext-oneshot` harness experiment quantifies the
-//! accuracy gap. The sample is counted by the kernels SWOPE counts with
-//! ([`swope_core::count`]), so the time column compares algorithms, not
-//! counting loops.
+//! accuracy gap. The sample is drawn and counted by a one-shard
+//! [`LocalShardSource`] advanced once to the budget — the sampler and
+//! count kernels SWOPE uses — so the time column compares algorithms,
+//! not counting loops.
 
 use swope_columnar::{AttrIndex, Dataset};
 use swope_core::{
-    count_candidate, count_target, AttrScore, CountScratch, CountState, PairCountState, QueryStats,
-    Rule, Shape, SwopeError, TargetBuf, TopKResult, WorkKind,
+    AttrScore, CountRequest, CountState, Executor, LocalShardSource, QueryStats, Rule, Shape,
+    ShardTransport, SwopeError, TopKResult, WorkKind,
 };
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::joint::JointEntropyCounter;
-use swope_sampling::PrefixShuffle;
 
 /// Top-k on empirical entropy from one fixed-size plug-in sample.
 ///
@@ -55,36 +55,22 @@ fn oneshot(
     let (h, n) = (dataset.num_attrs(), dataset.num_rows());
     let candidates = Shape { target, rule: Rule::TopK { k } }.check(h, n == 0)?;
     let m = sample_size.clamp(1, n);
-    let mut sampler = PrefixShuffle::new(n, seed);
-    let rows = sampler.grow_to(m);
+    let exec = Executor::sequential();
+    let mut source = LocalShardSource::slice(dataset, 1, 0..n as u64, 0, seed, &exec);
+    let req = CountRequest { target, live: (0..h).filter(|&a| Some(a) != target).collect() };
+    let mut counts = source.advance(m, &req)?.remove(0);
 
-    // The target's codes at the sampled rows, gathered once, and `H_S(α_t)`.
-    let mut t_codes = TargetBuf::new();
-    let h_t = target.map(|t| {
-        let col = dataset.column(t);
-        let mut counts = CountState::new(col.support());
-        count_target(col, rows, &mut counts, &mut t_codes);
-        plug_in(&mut counts)
-    });
-
-    let mut scratch = CountScratch::new();
-    let mut scores: Vec<(AttrIndex, f64)> = (0..h)
-        .filter(|&a| Some(a) != target)
-        .map(|attr| {
-            let col = dataset.column(attr);
-            let (mut counts, mut pairs) = (CountState::new(col.support()), PairCountState::new());
-            let against = h_t.map(|_| t_codes.target());
-            count_candidate(col, rows, against, &mut counts, &mut pairs, &mut scratch);
-            let h_a = plug_in(&mut counts);
-            let score = match h_t {
-                None => h_a,
-                Some(h_t) => {
-                    let mut joint =
-                        JointEntropyCounter::new(t_codes.target().support, col.support());
-                    pairs.apply_to(&mut joint);
-                    (h_t + h_a - joint.entropy()).max(0.0)
-                }
-            };
+    // `H_S(α_t)`, then each candidate's `H_S(α)` or `I_S(α_t, α)`.
+    let h_t = counts.target.as_mut().map(|t| (plug_in(t), t.support()));
+    let deltas = req.live.iter().zip(counts.attrs.iter_mut().zip(&mut counts.joints));
+    let mut scores: Vec<(AttrIndex, f64)> = deltas
+        .map(|(&attr, (hist, pairs))| {
+            let h_a = plug_in(hist);
+            let score = h_t.map_or(h_a, |(h_t, u_t)| {
+                let mut joint = JointEntropyCounter::new(u_t, hist.support());
+                pairs.apply_to(&mut joint);
+                (h_t + h_a - joint.entropy()).max(0.0)
+            });
             (attr, score)
         })
         .collect();

@@ -32,7 +32,7 @@ use std::time::Duration;
 use swope_core::{AttrMeta, CountRequest, ShardCounts, ShardTransport, SwopeError};
 
 use crate::frame::{
-    ErrorFrame, Frame, FrameReader, FrameWriter, GrowDelta, Hello, QuerySpecFrame, ResultFrame,
+    Frame, FrameReader, FrameWriter, GrowDelta, Hello, QuerySpecFrame, ResultFrame,
     PROTOCOL_VERSION,
 };
 use crate::stats::ClusterStats;
@@ -160,7 +160,7 @@ fn dial(
 /// pooled idle socket. A pooled socket that fails the exchange at the
 /// wire level went stale while idle (peer restart, dropped connection);
 /// it is replaced by exactly one fresh dial with no peer error counted.
-/// An [`ErrorFrame`] reply is a live peer objecting — a real error
+/// An `Error` frame in reply is a live peer objecting — a real error
 /// either way, so it propagates.
 fn open_session(
     addr: &str,
@@ -327,9 +327,10 @@ pub fn probe(
 
 /// A wire-backed [`ShardTransport`]: one connected peer per shard.
 ///
-/// Lives for one query. Dropping it (or calling
-/// [`RemoteShardSource::finish`]) tells every participant the query is
-/// over so peer sessions can await their next `QuerySpec`.
+/// Lives for one query. [`RemoteShardSource::finish`] after a query that
+/// answered tells every participant it is over, so their sessions await
+/// the next `QuerySpec` from the pool; dropping it unfinished — a failed
+/// query may leave a reply unread on any socket — closes them.
 pub struct RemoteShardSource {
     peers: Vec<PeerConn>,
     meta: Vec<AttrMeta>,
@@ -458,25 +459,16 @@ impl RemoteShardSource {
         })
     }
 
-    /// Total rows across the fleet for this query's population (scoped).
-    pub fn population(&self) -> u64 {
-        self.population
-    }
-
-    /// First union row of the scope (0 when unscoped).
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
     /// Participating peers (after scope routing).
     pub fn peer_count(&self) -> usize {
         self.peers.len()
     }
 
     /// Tells every participant the query is over (best effort) and stops
-    /// further use. Also runs on drop. Sessions that acknowledge the end
-    /// cleanly are returned to the pool (when pooling) for the next
-    /// query; anything that failed the goodbye is closed.
+    /// further use. Call it once the query has answered, when every reply
+    /// has been read: sessions that take the goodbye cleanly are returned
+    /// to the pool (when pooling) for the next query; anything that failed
+    /// it is closed.
     pub fn finish(&mut self) {
         if self.finished {
             return;
@@ -492,19 +484,6 @@ impl RemoteShardSource {
             }
         }
     }
-
-    /// Aborts the query with a reason (best effort), e.g. when the
-    /// engine fails between iterations.
-    pub fn abort(&mut self, reason: &str) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let frame = Frame::Error(ErrorFrame { message: reason.to_owned() });
-        for peer in &mut self.peers {
-            let _ = send(peer, &self.stats, &frame);
-        }
-    }
 }
 
 impl std::fmt::Debug for RemoteShardSource {
@@ -515,12 +494,6 @@ impl std::fmt::Debug for RemoteShardSource {
             .field("base", &self.base)
             .field("finished", &self.finished)
             .finish()
-    }
-}
-
-impl Drop for RemoteShardSource {
-    fn drop(&mut self) {
-        self.finish();
     }
 }
 

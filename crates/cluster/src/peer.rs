@@ -18,15 +18,17 @@
 //! Result(sampled) ───────────────────▶          ┘
 //! ```
 //!
-//! The peer never sees scores or bounds — only integer count work. It
-//! replays the *global* prefix shuffle named by `QuerySpec` (same seed,
-//! same population as every other peer and as a single-box run) and
-//! counts just the sampled rows that land in its own `[shard_start,
+//! The peer never sees scores or bounds — only integer count work, which
+//! it hands to a one-shard [`LocalShardSource::slice`] over its rows,
+//! recycling each reply's histograms for the next doubling. That
+//! source replays the *global* prefix shuffle named by `QuerySpec` (same
+//! seed, same population as every other peer and as a single-box run) and
+//! counts just the sampled rows that land in the peer's `[shard_start,
 //! shard_end)` slice of the union, which is what makes the coordinator's
 //! merged answer bitwise-identical to a local run over the union (see
-//! `swope_core::shard`). Asked for `Marginals`, it sends its slice's
-//! partition-sketch totals (`swope_core::sketch_marginals`), or declines
-//! without a usable sketch; summed, they are the union's marginals.
+//! `swope_core::shard`). Asked for `Marginals`, the source gives its
+//! slice's partition-sketch totals, or none without a usable sketch and
+//! the peer declines; summed, they are the union's marginals.
 //!
 //! Protocol violations and unknown datasets are answered with an
 //! [`ErrorFrame`] and end the session; a clean EOF from the coordinator
@@ -38,14 +40,10 @@ use std::sync::Arc;
 
 use swope_columnar::{Dataset, DatasetSketch};
 use swope_core::shard::dataset_meta;
-use swope_core::{
-    count_candidate, count_target, sketch_marginals, CountScratch, CountState, ShardCounts,
-    TargetBuf,
-};
-use swope_sampling::PrefixShuffle;
+use swope_core::{CountRequest, Executor, LocalShardSource, ShardCounts, ShardTransport};
 
 use crate::frame::{
-    ErrorFrame, Frame, FrameError, FrameReader, FrameWriter, GrowDelta, Hello, QuerySpecFrame,
+    ErrorFrame, Frame, FrameError, FrameReader, FrameWriter, Hello, QuerySpecFrame,
     PROTOCOL_VERSION,
 };
 use crate::stats::ClusterStats;
@@ -164,7 +162,6 @@ pub fn serve_connection<S: Read + Write>(
                 match serve_query(&mut wire, ds, &spec) {
                     Ok(()) => {}
                     Err(QueryEnd::Closed) => return SessionEnd::Closed,
-                    Err(QueryEnd::Aborted) => return SessionEnd::Closed,
                     Err(QueryEnd::Fail(msg)) => return wire.bail(msg),
                 }
             }
@@ -201,10 +198,9 @@ fn validate_spec(ds: &Dataset, q: &QuerySpecFrame) -> Result<(), String> {
 }
 
 enum QueryEnd {
-    /// EOF mid-query: the coordinator died or lost interest.
+    /// EOF or an Error frame mid-query: the coordinator died or gave up;
+    /// drop the query quietly.
     Closed,
-    /// The coordinator sent an Error frame; drop the query quietly.
-    Aborted,
     /// Protocol violation worth reporting back.
     Fail(String),
 }
@@ -216,55 +212,45 @@ fn serve_query<S: Read + Write>(
     spec: &QuerySpecFrame,
 ) -> Result<(), QueryEnd> {
     let ds = &*served.dataset;
-    let mut shuffle = PrefixShuffle::new(spec.population as usize, spec.seed);
-    let mut rows: Vec<u32> = Vec::new();
-    // Rows of one page adjacent, so paged gathers pin each page once.
-    let mut grouper = ds.page_grouper();
-    let mut counter = Counter::new(ds);
+    let exec = Executor::sequential();
+    let population = spec.base..spec.base + spec.population;
+    let mut source = LocalShardSource::slice(ds, 1, population, spec.shard_start, spec.seed, &exec)
+        .with_sketch(served.sketch.as_deref());
     loop {
-        let grow = match wire.recv() {
-            Ok(Frame::GrowDelta(g)) => g,
-            Ok(Frame::Marginals) => {
-                let mut totals = marginal_totals(ds, served.sketch.as_deref());
-                if let Err(e) = wire.send_counts(&mut totals) {
-                    wire.stats.record_peer_error();
-                    return Err(QueryEnd::Fail(e.to_string()));
+        let counts = match wire.recv() {
+            Ok(Frame::GrowDelta(grow)) => {
+                let attrs = ds.num_attrs() as u32;
+                if grow.live.iter().chain(grow.target.iter()).any(|&a| a >= attrs) {
+                    return Err(QueryEnd::Fail(format!(
+                        "GrowDelta names an attribute beyond the dataset's {attrs}"
+                    )));
                 }
-                continue;
+                let req = CountRequest {
+                    target: grow.target.map(|t| t as usize),
+                    live: grow.live.iter().map(|&a| a as usize).collect(),
+                };
+                source.advance(grow.m_target as usize, &req)
             }
+            Ok(Frame::Marginals) => source.marginals().map(|totals| vec![marginal_totals(totals)]),
             Ok(Frame::Result(_)) => return Ok(()),
-            Ok(Frame::Error(_)) => return Err(QueryEnd::Aborted),
+            Ok(Frame::Error(_)) => return Err(QueryEnd::Closed),
             Ok(f) => return Err(QueryEnd::Fail(format!("expected GrowDelta, got {}", f.name()))),
             Err(e) if e.is_eof() => return Err(QueryEnd::Closed),
             Err(e) => return Err(QueryEnd::Fail(e.to_string())),
         };
-        let attrs = ds.num_attrs() as u32;
-        if grow.live.iter().chain(grow.target.iter()).any(|&a| a >= attrs) {
-            return Err(QueryEnd::Fail(format!(
-                "GrowDelta names an attribute beyond the dataset's {attrs}"
-            )));
-        }
-        // Replay the shared global shuffle; keep only our slice of the
-        // newly sampled union rows, as local row indexes.
-        rows.clear();
-        for &i in shuffle.grow_to(grow.m_target as usize) {
-            let union_row = spec.base + i as u64;
-            if union_row >= spec.shard_start && union_row < spec.shard_end {
-                rows.push((union_row - spec.shard_start) as u32);
-            }
-        }
-        let counts = counter.count(grouper.group(&rows), grow);
-        if let Err(e) = wire.send_counts(counts) {
+        let mut counts = counts.map_err(|e| QueryEnd::Fail(e.to_string()))?;
+        if let Err(e) = wire.send_counts(&mut counts[0]) {
             wire.stats.record_peer_error();
             return Err(QueryEnd::Fail(e.to_string()));
         }
+        source.recycle(counts);
     }
 }
 
 /// The reply to `Marginals`: every attribute's whole-slice counts from a
 /// usable sketch, or counts over no attributes — the decline.
-fn marginal_totals(ds: &Dataset, sketch: Option<&DatasetSketch>) -> ShardCounts {
-    let totals = sketch_marginals(ds, sketch).unwrap_or_default();
+fn marginal_totals(totals: Option<Vec<Vec<u64>>>) -> ShardCounts {
+    let totals = totals.unwrap_or_default();
     let mut counts = ShardCounts::empty(None, totals.iter().map(|c| c.len() as u32));
     for (cs, column) in counts.attrs.iter_mut().zip(&totals) {
         for (code, &k) in column.iter().enumerate() {
@@ -274,92 +260,11 @@ fn marginal_totals(ds: &Dataset, sketch: Option<&DatasetSketch>) -> ShardCounts 
     counts
 }
 
-/// One query's counting state: the histograms of every attribute it has
-/// counted so far, emptied and reused doubling after doubling instead of
-/// allocated and zeroed (Σ support × 8 bytes) for each.
-struct Counter<'d> {
-    ds: &'d Dataset,
-    /// Idle histograms by attribute; `None` until first counted.
-    idle: Vec<Option<CountState>>,
-    /// The latest iteration's counts and the request they answer. Joint
-    /// deltas stay in place between iterations: they are plain run
-    /// buffers, any attribute's will do.
-    counts: ShardCounts,
-    request: Option<GrowDelta>,
-    target: TargetBuf,
-    /// Attributes are counted one after another, so one scratch serves
-    /// them all.
-    scratch: CountScratch,
-}
-
-impl<'d> Counter<'d> {
-    fn new(ds: &'d Dataset) -> Self {
-        Self {
-            ds,
-            idle: vec![None; ds.num_attrs()],
-            counts: ShardCounts::empty(None, []),
-            request: None,
-            target: TargetBuf::new(),
-            scratch: CountScratch::new(),
-        }
-    }
-
-    fn checkout(&mut self, attr: u32) -> CountState {
-        let support = self.ds.support(attr as usize);
-        self.idle[attr as usize].take().unwrap_or_else(|| CountState::new(support))
-    }
-
-    /// Empties the previous iteration's histograms and parks them.
-    fn recycle(&mut self) {
-        let Some(grow) = self.request.take() else { return };
-        let target = grow.target.zip(self.counts.target.take());
-        for (attr, mut cs) in
-            target.into_iter().chain(grow.live.into_iter().zip(self.counts.attrs.drain(..)))
-        {
-            cs.clear();
-            self.idle[attr as usize] = Some(cs);
-        }
-        for joint in &mut self.counts.joints {
-            joint.clear();
-        }
-    }
-
-    /// Counts one delta's rows: target marginal first (gathering its
-    /// codes), then each live attribute's marginal and, for MI, its joint
-    /// with the target — `LocalShardSource`'s own counting bodies, single
-    /// shard. The result is valid until the next call.
-    fn count(&mut self, rows: &[u32], grow: GrowDelta) -> &mut ShardCounts {
-        self.recycle();
-        let ds = self.ds;
-        self.counts.target = grow.target.map(|t| {
-            let mut counts = self.checkout(t);
-            count_target(ds.column(t as usize), rows, &mut counts, &mut self.target);
-            counts
-        });
-        self.counts.joints.resize_with(grow.live.len(), Default::default);
-        for (i, &attr) in grow.live.iter().enumerate() {
-            let mut out = self.checkout(attr);
-            let target = grow.target.map(|_| self.target.target());
-            let pairs = &mut self.counts.joints[i];
-            count_candidate(
-                ds.column(attr as usize),
-                rows,
-                target,
-                &mut out,
-                pairs,
-                &mut self.scratch,
-            );
-            self.counts.attrs.push(out);
-        }
-        self.request = Some(grow);
-        &mut self.counts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame, write_frame, CountMergeFrame, ResultFrame};
+    use crate::frame::{read_frame, write_frame, CountMergeFrame, GrowDelta, ResultFrame};
+    use swope_sampling::PrefixShuffle;
 
     fn dataset() -> Arc<Dataset> {
         Arc::new(swope_datagen::generate(&swope_datagen::corpus::tiny(500, 4), 0xC1))
@@ -461,8 +366,9 @@ mod tests {
         assert_eq!(snap.peer_errors, 0);
     }
 
-    /// `Marginals` is answered with the sketch's whole-slice totals, or
-    /// declined without a sketch; the query then goes on as before.
+    /// `Marginals` is answered with the slice's code counts (from its
+    /// sketch), or declined without a sketch; the query then goes on as
+    /// before.
     #[test]
     fn marginals_are_the_sketch_totals_or_a_decline() {
         let ds = dataset();
@@ -487,7 +393,8 @@ mod tests {
         let stats = ClusterStats::new();
         for sketch in [Some(Arc::new(sketch)), None] {
             let mut pipe = Pipe::scripted(&script);
-            let peer = PeerDataset { dataset: Arc::clone(&ds), sketch: sketch.clone() };
+            let declines = sketch.is_none();
+            let peer = PeerDataset { dataset: Arc::clone(&ds), sketch };
             let resolve = |_: &str| Some(peer.clone());
             assert_eq!(serve_connection(&mut pipe, &resolve, &stats), SessionEnd::Closed);
             let replies = pipe.replies();
@@ -495,20 +402,21 @@ mod tests {
             else {
                 panic!("expected Hello and two CountMerges, got {replies:?}")
             };
-            let Some(sketch) = sketch else {
+            if declines {
                 let decline = CountMergeFrame::from_counts(&mut ShardCounts::empty(None, []));
                 assert_eq!(totals, &decline);
                 continue;
-            };
+            }
             let mut counts = ShardCounts::empty(None, (0..4).map(|a| ds.support(a)));
             totals.decode_into(&mut counts).unwrap();
-            let want = sketch_marginals(&ds, Some(&sketch)).unwrap();
-            for (cs, column) in counts.attrs.iter().zip(&want) {
-                let dense: Vec<(u32, u64)> = column
-                    .iter()
+            for (a, cs) in counts.attrs.iter().enumerate() {
+                let dense: Vec<(u32, u64)> = ds
+                    .column(a)
+                    .value_counts()
+                    .into_iter()
                     .enumerate()
-                    .filter(|(_, &k)| k > 0)
-                    .map(|(c, &k)| (c as u32, k))
+                    .filter(|&(_, k)| k > 0)
+                    .map(|(c, k)| (c as u32, k))
                     .collect();
                 assert_eq!(cs.sorted_entries(), dense);
                 assert_eq!(cs.total(), n);

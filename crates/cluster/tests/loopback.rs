@@ -14,15 +14,16 @@ use std::time::{Duration, Instant};
 use common::{all_shapes, comparators_against, plain, scoped, sketch_of};
 use swope_cluster::coordinator::{probe, PeerPool, PeerTimeouts, RemoteShardSource};
 use swope_cluster::frame::{
-    read_frame, write_frame, CountMergeFrame, Frame, Hello, PROTOCOL_VERSION,
+    read_frame, write_frame, CountMergeFrame, ErrorFrame, Frame, Hello, PROTOCOL_VERSION,
 };
 use swope_cluster::peer::{serve_connection, PeerDataset};
 use swope_cluster::stats::ClusterStats;
 use swope_columnar::{Dataset, DatasetSketch};
 use swope_core::shard::dataset_meta;
 use swope_core::{
-    run_sharded, sketch_marginals, Answer, CountState, Executor, NoopObserver, Rule, Scope, Shape,
-    ShardCounts, ShardTransport, SwopeConfig, SwopeError,
+    run_sharded, sketch_marginals, Answer, CountRequest, CountState, Executor, LocalShardSource,
+    NoopObserver, Rule, Scope, Shape, ShardCounts, ShardPlan, ShardTransport, SwopeConfig,
+    SwopeError,
 };
 
 fn union_dataset() -> Dataset {
@@ -373,6 +374,99 @@ fn peer_death_mid_query_fails_the_advance() {
     let SwopeError::Transport(msg) = err else { panic!("expected a transport error, got {err}") };
     assert!(msg.contains(&addr), "{msg}");
     assert!(!msg.contains('\n'), "{msg}");
+}
+
+/// A query that fails on one peer's reply must not pool the other peers'
+/// sessions with their replies still unread: the next query over such a
+/// socket would read a stale `CountMerge` as its `Hello` reply. The
+/// failed query closes its sessions, and the next one answers.
+#[test]
+fn a_failed_query_pools_no_session() {
+    let union = union_dataset();
+    let n = union.num_rows();
+    let first = slice_rows(&union, 0..n / 2);
+    let objector = scripted_peer(move |mut stream| {
+        let _ = read_frame(&mut stream).unwrap(); // Hello
+        write_frame(&mut stream, &hello_reply(PROTOCOL_VERSION, &first)).unwrap();
+        let _ = read_frame(&mut stream).unwrap(); // QuerySpec
+        let _ = read_frame(&mut stream).unwrap(); // GrowDelta
+        let message = "refusing to count".to_owned();
+        write_frame(&mut stream, &Frame::Error(ErrorFrame { message })).unwrap();
+        let _ = read_frame(&mut stream); // hold the socket until the coordinator hangs up
+    });
+    let rest = slice_rows(&union, n / 2..n);
+    let real = spawn_peer(rest.clone());
+    let (config, shape) = (cfg(0xBAD), all_shapes()[0]);
+    let pool = Arc::new(PeerPool::new(2));
+    let pooled = |addrs: &[String]| {
+        let stats = Arc::new(ClusterStats::new());
+        let timeouts = PeerTimeouts::default();
+        let pool = Some(Arc::clone(&pool));
+        RemoteShardSource::connect(addrs, "t", config.seed, None, &timeouts, stats, pool).unwrap()
+    };
+
+    let mut src = pooled(&[objector.clone(), real.clone()]);
+    let err = wire(&mut src, &shape, &config).unwrap_err();
+    assert!(err.to_string().contains("refusing to count"), "{err}");
+    drop(src);
+    assert_eq!(pool.idle_count(), 0, "a failed query pooled its sessions");
+
+    let mut src = pooled(std::slice::from_ref(&real));
+    assert_eq!(wire(&mut src, &shape, &config).unwrap(), plain(&rest, &shape, &config));
+    src.finish();
+    assert_eq!(pool.idle_count(), 1);
+}
+
+/// A shard's counts in canonical form: the target's entries, then each
+/// live attribute's entries and joint runs.
+type Canonical = (Vec<(u32, u64)>, Vec<(Vec<(u32, u64)>, Vec<(u64, u64)>)>);
+
+fn canonical(counts: &mut ShardCounts) -> Canonical {
+    let target = counts.target.as_mut().map(|t| t.canonical_entries().collect());
+    let attrs = counts.attrs.iter_mut().zip(&mut counts.joints);
+    let attrs = attrs.map(|(a, j)| (a.canonical_entries().collect(), j.canonical_runs().to_vec()));
+    (target.unwrap_or_default(), attrs.collect())
+}
+
+/// Below the answers: at every doubling of an entropy and an MI request,
+/// two peers cut where `ShardPlan::new(n, 2)` cuts return, shard by
+/// shard, the counts two in-process shards of the union do. Again over a
+/// range centred on the cut, so each peer samples a population that
+/// starts past union row 0 and the range's own two-shard plan cuts there.
+#[test]
+fn peer_counts_equal_in_process_shard_counts() {
+    let union = union_dataset();
+    let n = union.num_rows();
+    let cut = ShardPlan::new(n, 2).range(1).start;
+    let addrs =
+        vec![spawn_peer(slice_rows(&union, 0..cut)), spawn_peer(slice_rows(&union, cut..n))];
+    let config = cfg(0xC0DE);
+    let h = union.num_attrs();
+    let requests = [
+        CountRequest { target: None, live: (0..h).collect() },
+        CountRequest { target: Some(0), live: (1..h).collect() },
+    ];
+    let exec = Executor::sequential();
+    for rows in [0..n, cut - 500..cut + 500] {
+        let local_ds = slice_rows(&union, rows.clone());
+        for req in &requests {
+            let scope = Some(rows.start as u64..rows.end as u64);
+            let mut remote = connect(&addrs, &config, scope);
+            let mut local = LocalShardSource::new(&local_ds, 2, &config, &exec).unwrap();
+            assert_eq!(remote.num_rows(), local.num_rows());
+            let mut m = 32;
+            while m < 2 * rows.len() {
+                let (got, want) = (remote.advance(m, req).unwrap(), local.advance(m, req).unwrap());
+                assert_eq!(got.len(), 2);
+                let got: Vec<Canonical> = got.into_iter().map(|mut c| canonical(&mut c)).collect();
+                let want: Vec<Canonical> =
+                    want.into_iter().map(|mut c| canonical(&mut c)).collect();
+                assert_eq!(got, want, "rows {rows:?}, {req:?}, m = {m}");
+                m *= 2;
+            }
+            remote.finish();
+        }
+    }
 }
 
 /// A hand-rolled peer: accepts one connection and runs `script` on it.

@@ -456,8 +456,8 @@ impl PairCountState {
 
 /// Reusable scratch of one candidate's count: the block buffer its codes
 /// are staged in (at the column's width) and the marginal and joint
-/// kernels' tables. One per candidate state ([`crate::state::GatherScratch`]),
-/// per in-process count job and per peer session; everything grows to
+/// kernels' tables. One per candidate state ([`crate::state::GatherScratch`])
+/// and per [`crate::LocalShardSource`] shard; everything grows to
 /// its high-water mark once, so steady-state iterations allocate nothing.
 /// The tables are all-zero between calls. A call that unwinds (a corrupt
 /// page) leaves them dirty, which is why every owner lives and dies with

@@ -17,7 +17,7 @@ use crate::exec::Executor;
 use crate::observe::Instrumented;
 use crate::report::WorkKind;
 use crate::scope::Growth;
-use crate::shard::{merge_apply_entropy, merge_apply_mi, CountRequest, ShardCounts};
+use crate::shard::{merge, CountRequest, ShardCounts};
 use crate::state::{EntropyState, GatherScratch, MiState, TargetState};
 use crate::{sketch_stats, SwopeError};
 
@@ -198,7 +198,11 @@ impl Measure for Entropy {
         shards: Vec<ShardCounts>,
         states: &mut [EntropyState],
     ) -> Result<(), SwopeError> {
-        merge_apply_entropy(shards, states)
+        let mut merged = merge(shards, states.len())?;
+        for (st, delta) in states.iter_mut().zip(&mut merged.attrs) {
+            st.apply_delta(delta);
+        }
+        Ok(())
     }
 
     fn update_bounds(&self, states: &mut [EntropyState], n: u64, p: f64, exec: &Executor) {
@@ -289,7 +293,16 @@ impl Measure for Mi {
         shards: Vec<ShardCounts>,
         states: &mut [MiState],
     ) -> Result<(), SwopeError> {
-        merge_apply_mi(shards, &mut self.target, states)
+        let mut merged = merge(shards, states.len())?;
+        let mut target = merged
+            .target
+            .ok_or_else(|| SwopeError::Transport("shard omitted the target histogram".into()))?;
+        self.target.apply_delta(&mut target);
+        let candidates = merged.attrs.iter_mut().zip(&mut merged.joints);
+        for (st, (delta, joint)) in states.iter_mut().zip(candidates) {
+            st.apply_delta(delta, joint);
+        }
+        Ok(())
     }
 
     fn update_bounds(&self, states: &mut [MiState], n: u64, p: f64, exec: &Executor) {

@@ -20,34 +20,39 @@
 //! bound, decision, and returned byte is therefore identical for 1
 //! shard, `S` shards, `S` remote peers, or no sharding at all.
 //!
-//! ## Sampling
+//! ## Sampling and counting
 //!
 //! All shards replay **one global** [`PrefixShuffle`] over the union
 //! population (the same shuffle an unsharded run uses), and each shard
 //! counts only the delta rows that fall in its own contiguous row range.
+//! [`LocalShardSource`] is the one body that does this: in-process
+//! shards of one dataset ([`LocalShardSource::new`]) and a cluster
+//! peer's slice of the union ([`LocalShardSource::slice`]) sample, keep
+//! their rows and count them the same way.
 //!
 //! ## Layers
 //!
 //! * [`ShardTransport`] — the engine's view of "somewhere that counts":
 //!   [`LocalShardSource`] fans shards out on an [`Executor`];
-//!   `swope-cluster`'s wire transport drives remote peers through the
-//!   same trait.
+//!   `swope-cluster`'s wire transport drives remote peers, each counting
+//!   through a one-shard [`LocalShardSource`], behind the same trait.
 //! * `ShardedSource` — the driver's count source over any transport:
 //!   one `advance` per doubling, then the exact merge.
 //! * [`crate::run_sharded`] — all six query shapes over a transport.
 
-use swope_columnar::{AttrIndex, Column, Dataset, DatasetSketch, PageGrouper};
+use std::ops::Range;
+
+use swope_columnar::{AttrIndex, Dataset, DatasetSketch, PageGrouper};
 use swope_obs::{Phase, QueryObserver};
 use swope_sampling::PrefixShuffle;
 
 use crate::count::{
-    count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,
+    count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf,
 };
 use crate::driver::{CountSource, Round};
 use crate::exec::Executor;
 use crate::measure::Measure;
 use crate::scope::sketch_marginals;
-use crate::state::{EntropyState, MiState, TargetState};
 use crate::{SwopeConfig, SwopeError};
 
 /// A contiguous, even partition of rows `0..num_rows` into shards.
@@ -193,22 +198,64 @@ pub fn dataset_meta(dataset: &Dataset) -> Vec<AttrMeta> {
 /// In-process [`ShardTransport`]: row shards of one resident [`Dataset`],
 /// counted in parallel on an [`Executor`].
 ///
-/// Holds the one global [`PrefixShuffle`]; every `advance` partitions the
-/// sample delta by owning shard into reusable per-shard row
-/// lists and fans one count job per `(shard, live attribute)` out on the
-/// executor.
+/// Holds the one global [`PrefixShuffle`]; every `advance` keeps the
+/// sample delta's rows this dataset holds, partitions them by owning
+/// shard into reusable per-shard row lists and fans one count per shard
+/// out on the executor. Each shard groups its rows by page, then counts
+/// the target and every live candidate with one [`TargetBuf`] and one
+/// [`CountScratch`] of its own.
 pub struct LocalShardSource<'a> {
     dataset: &'a Dataset,
     sketch: Option<&'a DatasetSketch>,
     exec: &'a Executor,
     plan: ShardPlan,
     meta: Vec<AttrMeta>,
+    /// Draws population row `i`, which is union row `base + i` and, when
+    /// it falls in the dataset, its local row `base + i − at`.
     sampler: PrefixShuffle,
+    base: u64,
+    at: u64,
+    shards: Vec<Shard>,
+    /// What the last `advance` counted: whose histograms `recycle` parks.
+    last: CountRequest,
+}
+
+/// One shard's rows of the current delta and the buffers its counting
+/// reuses from doubling to doubling.
+struct Shard {
+    rows: Vec<u32>,
     grouper: PageGrouper,
-    shard_rows: Vec<Vec<u32>>,
-    shard_targets: Vec<TargetBuf>,
-    // One per (shard, live attribute) count job, kept across iterations.
-    scratch: Vec<CountScratch>,
+    target: TargetBuf,
+    scratch: CountScratch,
+    /// Emptied histograms handed back by `recycle`, by attribute.
+    idle: Vec<Option<CountState>>,
+}
+
+impl Shard {
+    /// Counts this shard's rows for `req` into `counts`, on parked
+    /// histograms where there are some: the target first, gathering the
+    /// codes every candidate pairs against, then each live candidate's
+    /// marginal and joint.
+    fn count(&mut self, dataset: &Dataset, req: &CountRequest, counts: &mut ShardCounts) {
+        let mut take = |a: AttrIndex| {
+            self.idle[a].take().unwrap_or_else(|| CountState::new(dataset.support(a)))
+        };
+        let target = req.target.map(&mut take);
+        let attrs = req.live.iter().map(|&a| take(a)).collect();
+        *counts =
+            ShardCounts { target, attrs, joints: vec![PairCountState::new(); req.live.len()] };
+        // Rows of one page adjacent, so paged gathers pin each page once.
+        let rows = self.grouper.group(&self.rows);
+        if let (Some(t), Some(hist)) = (req.target, counts.target.as_mut()) {
+            count_target(dataset.column(t), rows, hist, &mut self.target);
+        }
+        let candidates = req.live.iter().zip(&mut counts.attrs).zip(&mut counts.joints);
+        for ((&attr, out), pairs) in candidates {
+            let target = req.target.map(|_| self.target.target());
+            let column = dataset.column(attr);
+            count_candidate(column, rows, target, out, pairs, &mut self.scratch);
+        }
+    }
 }
 
 impl<'a> LocalShardSource<'a> {
@@ -226,24 +273,71 @@ impl<'a> LocalShardSource<'a> {
         config: &SwopeConfig,
         exec: &'a Executor,
     ) -> Result<Self, SwopeError> {
-        let n = dataset.num_rows();
+        let n = dataset.num_rows() as u64;
         if n == 0 {
             return Err(SwopeError::EmptyDataset);
         }
-        let plan = ShardPlan::new(n, shards);
-        let s = plan.num_shards();
-        Ok(Self {
+        Ok(Self::slice(dataset, shards, 0..n, 0, config.seed, exec))
+    }
+
+    /// A shard source over `dataset` as the slice of a larger union that
+    /// starts at union row `at`: it samples the union rows `population`
+    /// with `seed` — the draws every other slice of the union makes — and
+    /// counts those that fall in `[at, at + dataset.num_rows())`, as local
+    /// rows split into `shards` contiguous row shards. A cluster peer
+    /// counts through a one-shard slice; [`LocalShardSource::new`] is the
+    /// slice that is the whole population.
+    ///
+    /// # Panics
+    ///
+    /// If `population` holds more than `u32::MAX` rows.
+    pub fn slice(
+        dataset: &'a Dataset,
+        shards: usize,
+        population: Range<u64>,
+        at: u64,
+        seed: u64,
+        exec: &'a Executor,
+    ) -> Self {
+        let plan = ShardPlan::new(dataset.num_rows(), shards);
+        let rows = population.end.saturating_sub(population.start);
+        Self {
             dataset,
             sketch: None,
             exec,
             meta: dataset_meta(dataset),
-            sampler: PrefixShuffle::new(n, config.seed),
-            grouper: dataset.page_grouper(),
-            shard_rows: vec![Vec::new(); s],
-            shard_targets: (0..s).map(|_| TargetBuf::new()).collect(),
-            scratch: Vec::new(),
+            sampler: PrefixShuffle::new(rows as usize, seed),
+            base: population.start,
+            at,
+            shards: (0..plan.num_shards())
+                .map(|_| Shard {
+                    rows: Vec::new(),
+                    grouper: dataset.page_grouper(),
+                    target: TargetBuf::new(),
+                    scratch: CountScratch::new(),
+                    idle: vec![None; dataset.num_attrs()],
+                })
+                .collect(),
+            last: CountRequest { target: None, live: Vec::new() },
             plan,
-        })
+        }
+    }
+
+    /// Takes back what the last [`ShardTransport::advance`] returned, once
+    /// spent, so the next one counts into the same histograms instead of
+    /// allocating and zeroing new ones: how a cluster peer keeps its
+    /// histograms from doubling to doubling.
+    pub fn recycle(&mut self, spent: Vec<ShardCounts>) {
+        let req = &self.last;
+        for (shard, counts) in self.shards.iter_mut().zip(spent) {
+            let target = req.target.into_iter().zip(counts.target);
+            for (attr, mut cs) in target.chain(req.live.iter().copied().zip(counts.attrs)) {
+                if cs.support() == self.meta[attr].support {
+                    cs.clear();
+                    shard.idle[attr] = Some(cs);
+                }
+            }
+        }
     }
 
     /// Offers the dataset's partition sketch, whose whole-dataset counts
@@ -255,18 +349,9 @@ impl<'a> LocalShardSource<'a> {
     }
 }
 
-struct CountJob<'d> {
-    column: &'d Column,
-    rows: &'d [u32],
-    target: Option<TargetCodes<'d>>,
-    out: CountState,
-    pairs: PairCountState,
-    scratch: &'d mut CountScratch,
-}
-
 impl ShardTransport for LocalShardSource<'_> {
     fn num_rows(&self) -> usize {
-        self.dataset.num_rows()
+        self.sampler.num_rows()
     }
 
     fn attrs(&self) -> &[AttrMeta] {
@@ -282,118 +367,40 @@ impl ShardTransport for LocalShardSource<'_> {
         m_target: usize,
         req: &CountRequest,
     ) -> Result<Vec<ShardCounts>, SwopeError> {
-        for rows in &mut self.shard_rows {
-            rows.clear();
+        for shard in &mut self.shards {
+            shard.rows.clear();
         }
-        // Grouped by page before the split (which keeps each shard's
-        // list in delta order), so paged gathers pin each page once.
-        let delta = self.grouper.group(self.sampler.grow_to(m_target));
-        for &r in delta {
-            self.shard_rows[self.plan.shard_of(r)].push(r);
-        }
-
-        let num_shards = self.plan.num_shards();
-        // Gather target codes and count the target marginal per shard
-        // first; every candidate job zips against its shard's codes.
-        let mut targets: Vec<Option<CountState>> = (0..num_shards).map(|_| None).collect();
-        if let Some(t) = req.target {
-            let support = self.meta[t].support;
-            let column = self.dataset.column(t);
-            for (s_i, target) in targets.iter_mut().enumerate() {
-                let mut counts = CountState::new(support);
-                count_target(
-                    column,
-                    &self.shard_rows[s_i],
-                    &mut counts,
-                    &mut self.shard_targets[s_i],
-                );
-                *target = Some(counts);
+        let held = self.dataset.num_rows() as u64;
+        for &i in self.sampler.grow_to(m_target) {
+            let local = (self.base + u64::from(i)).checked_sub(self.at);
+            if let Some(row) = local.filter(|&row| row < held) {
+                self.shards[self.plan.shard_of(row as u32)].rows.push(row as u32);
             }
         }
 
-        let live = req.live.len();
-        if self.scratch.len() < num_shards * live {
-            self.scratch.resize_with(num_shards * live, CountScratch::new);
-        }
-        let mut scratch = self.scratch.iter_mut();
-        let mut jobs: Vec<CountJob<'_>> = Vec::with_capacity(num_shards * live);
-        for s_i in 0..num_shards {
-            for &attr in &req.live {
-                jobs.push(CountJob {
-                    column: self.dataset.column(attr),
-                    rows: &self.shard_rows[s_i],
-                    target: req.target.map(|_| self.shard_targets[s_i].target()),
-                    out: CountState::new(self.meta[attr].support),
-                    pairs: PairCountState::new(),
-                    scratch: scratch.next().expect("one scratch per (shard, live attr)"),
-                });
-            }
-        }
-        self.exec.for_each_mut(&mut jobs, |job| {
-            count_candidate(
-                job.column,
-                job.rows,
-                job.target,
-                &mut job.out,
-                &mut job.pairs,
-                job.scratch,
-            )
+        let mut out = vec![ShardCounts::empty(None, []); self.shards.len()];
+        let dataset = self.dataset;
+        self.exec.for_each2(&mut self.shards, &mut out, |shard, counts| {
+            shard.count(dataset, req, counts)
         });
-
-        let mut out = Vec::with_capacity(num_shards);
-        let mut jobs = jobs.into_iter();
-        for target in targets {
-            let mut attrs = Vec::with_capacity(live);
-            let mut joints = Vec::with_capacity(live);
-            for _ in 0..live {
-                let job = jobs.next().expect("one job per (shard, live attr)");
-                attrs.push(job.out);
-                joints.push(job.pairs);
-            }
-            out.push(ShardCounts { target, attrs, joints });
-        }
+        self.last.clone_from(req);
         Ok(out)
     }
 
+    /// The sketch's counts of the rows this source holds: the
+    /// population's marginals for [`LocalShardSource::new`], one slice's
+    /// share of the union's — which a coordinator sums — for
+    /// [`LocalShardSource::slice`].
     fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError> {
         Ok(sketch_marginals(self.dataset, self.sketch))
     }
 }
 
-/// Folds all shards' deltas into the first shard's and applies them to
-/// the entropy states in canonical order.
-pub(crate) fn merge_apply_entropy(
-    shards: Vec<ShardCounts>,
-    states: &mut [EntropyState],
-) -> Result<(), SwopeError> {
-    let mut iter = shards.into_iter();
-    let mut acc =
-        iter.next().ok_or_else(|| SwopeError::Transport("no shard counts returned".into()))?;
-    for sh in iter {
-        for (a, b) in acc.attrs.iter_mut().zip(&sh.attrs) {
-            a.merge(b);
-        }
-    }
-    if acc.attrs.len() != states.len() {
-        return Err(SwopeError::Transport(format!(
-            "shard returned {} attribute deltas, engine expected {}",
-            acc.attrs.len(),
-            states.len()
-        )));
-    }
-    for (st, delta) in states.iter_mut().zip(acc.attrs.iter_mut()) {
-        st.apply_delta(delta);
-    }
-    Ok(())
-}
-
-/// MI form of [`merge_apply_entropy`]: also merges the target marginal
-/// and the per-candidate joint deltas.
-pub(crate) fn merge_apply_mi(
-    shards: Vec<ShardCounts>,
-    target: &mut TargetState,
-    states: &mut [MiState],
-) -> Result<(), SwopeError> {
+/// Adds every shard's deltas — target histogram, per-attribute
+/// histograms, joint runs — into the first shard's, exactly, and checks
+/// they answer the `live` candidates the measure asked about: what it
+/// then drains into its states in canonical order.
+pub(crate) fn merge(shards: Vec<ShardCounts>, live: usize) -> Result<ShardCounts, SwopeError> {
     let mut iter = shards.into_iter();
     let mut acc =
         iter.next().ok_or_else(|| SwopeError::Transport("no shard counts returned".into()))?;
@@ -408,24 +415,14 @@ pub(crate) fn merge_apply_mi(
             a.merge(b);
         }
     }
-    if acc.attrs.len() != states.len() || acc.joints.len() != states.len() {
+    if acc.attrs.len() != live || acc.joints.len() != live {
         return Err(SwopeError::Transport(format!(
-            "shard returned {}/{} candidate deltas, engine expected {}",
+            "shard returned {}/{} candidate deltas, engine expected {live}",
             acc.attrs.len(),
-            acc.joints.len(),
-            states.len()
+            acc.joints.len()
         )));
     }
-    let mut tdelta = acc
-        .target
-        .ok_or_else(|| SwopeError::Transport("shard omitted the target histogram".into()))?;
-    target.apply_delta(&mut tdelta);
-    for (st, (delta, joint)) in
-        states.iter_mut().zip(acc.attrs.iter_mut().zip(acc.joints.iter_mut()))
-    {
-        st.apply_delta(delta, joint);
-    }
-    Ok(())
+    Ok(acc)
 }
 
 /// The sharded [`CountSource`]: any [`ShardTransport`], asked once per
@@ -572,6 +569,28 @@ mod tests {
         for shards in [1usize, 2, 3, 7] {
             let got = sharded(&ds, Shape::mi(0, Rule::TopK { k: 2 }), shards, &config).unwrap();
             assert_eq!(got.scores, reference.top, "shards = {shards}");
+        }
+    }
+
+    /// Histograms handed back through `recycle` are emptied and refilled:
+    /// every doubling counts what a source that never recycles counts,
+    /// however the request changes between doublings.
+    #[test]
+    fn recycled_histograms_count_like_fresh_ones() {
+        let ds = cyclic_dataset(5_000, &[2, 64, 4, 256]);
+        let config = SwopeConfig::default().with_seed(11);
+        let exec = Executor::sequential();
+        let mut recycling = LocalShardSource::new(&ds, 2, &config, &exec).unwrap();
+        let mut fresh = LocalShardSource::new(&ds, 2, &config, &exec).unwrap();
+        let requests = [
+            (100, CountRequest { target: Some(0), live: vec![1, 2, 3] }),
+            (400, CountRequest { target: Some(0), live: vec![3, 1] }),
+            (1_600, CountRequest { target: None, live: vec![0, 1, 2, 3] }),
+        ];
+        for (m, req) in requests {
+            let got = recycling.advance(m, &req).unwrap();
+            assert_eq!(got, fresh.advance(m, &req).unwrap(), "m = {m}");
+            recycling.recycle(got);
         }
     }
 

@@ -8,8 +8,9 @@
 //! the MI target buffer only regrows past its largest delta.
 //! The same holds over paged columns, whose gather adds a page grouper
 //! and page lookups but no allocation once the pages are resident, and for
-//! the shard/peer counting bodies (`count_target` / `count_candidate`)
-//! over reused deltas.
+//! the kernels `LocalShardSource` counts every shard — in-process, a
+//! cluster peer's slice, OneShot's sample — with (`count_target` /
+//! `count_candidate`) over reused deltas.
 //! This binary installs a counting global allocator and asserts exactly
 //! that. It holds a single test on purpose: the harness is per-process,
 //! and a concurrently running neighbour test would count its own

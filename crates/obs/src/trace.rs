@@ -202,11 +202,6 @@ impl SpanSink {
         self.with_span(id, |s| s.items = items);
     }
 
-    /// Adds to a span's work counter.
-    pub fn add_items(&self, id: u32, items: u64) {
-        self.with_span(id, |s| s.items += items);
-    }
-
     /// Spans dropped past the [`MAX_SPANS`] cap.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -284,11 +279,6 @@ impl TraceObserver {
             delta_m: 0,
             live: 0,
         }
-    }
-
-    /// The id of the `query:<kind>` span (for attaching siblings).
-    pub fn query_span(&self) -> Option<u32> {
-        (self.query_span != DROPPED).then_some(self.query_span)
     }
 }
 
@@ -421,11 +411,6 @@ impl TraceRecorder {
     /// Default-sized recorder for a `--slow-ms` threshold.
     pub fn with_slow_ms(slow_ms: u64) -> TraceRecorder {
         Self::new(Self::RECENT_CAP, Self::SLOW_CAP, slow_ms.saturating_mul(1_000_000))
-    }
-
-    /// The slow-query threshold, nanoseconds.
-    pub fn slow_threshold_ns(&self) -> u64 {
-        self.slow_threshold_ns
     }
 
     /// Total traces recorded since startup.

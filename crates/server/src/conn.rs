@@ -235,11 +235,6 @@ impl Conn {
         Ok(true)
     }
 
-    /// Whether a queued response still has unflushed bytes.
-    pub fn write_pending(&self) -> bool {
-        self.out_pos < self.out.len()
-    }
-
     /// Marks the response cycle done: back to `Idle` (or `Reading` when
     /// pipelined bytes are already buffered) and resets the per-request
     /// arrival clock.
@@ -351,7 +346,7 @@ mod tests {
         conn.queue_response(&resp, true);
         assert_eq!(conn.state, ConnState::Writing);
         assert!(conn.flush_out(Instant::now()).unwrap());
-        assert!(!conn.write_pending());
+        assert!(conn.flush_out(Instant::now()).unwrap(), "nothing left to write");
         conn.response_done();
         assert_eq!(conn.state, ConnState::Idle);
 

@@ -18,7 +18,6 @@
 //! buffer.
 
 use std::fmt;
-use std::io::{self, Write};
 
 /// Upper bound on one header line (request line included).
 const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -31,10 +30,6 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// A parse-level failure (distinct from transport I/O errors).
 #[derive(Debug)]
 pub enum HttpError {
-    /// The underlying socket failed (timeout, reset, ...).
-    Io(io::Error),
-    /// The peer closed the connection before sending a request line.
-    ConnectionClosed,
     /// The bytes received do not form an HTTP/1.x request.
     Malformed(String),
     /// The declared `Content-Length` exceeds the configured cap.
@@ -49,19 +44,11 @@ pub enum HttpError {
 impl fmt::Display for HttpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HttpError::Io(e) => write!(f, "i/o error: {e}"),
-            HttpError::ConnectionClosed => write!(f, "connection closed before request"),
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds limit of {limit}")
             }
         }
-    }
-}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
     }
 }
 
@@ -346,13 +333,6 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Serializes with `Connection: close` into `w` (the one-shot path
-    /// used by tests and inline error answers).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(&self.serialize(false))?;
-        w.flush()
-    }
 }
 
 /// Reason phrase for the status codes this server emits.
@@ -380,7 +360,7 @@ mod tests {
     fn parse(raw: &str) -> Result<Request, HttpError> {
         match parse_request(raw.as_bytes(), 1024)? {
             ParseStatus::Complete { request, .. } => Ok(request),
-            ParseStatus::Incomplete => Err(HttpError::ConnectionClosed),
+            ParseStatus::Incomplete => panic!("incomplete request: {raw:?}"),
         }
     }
 
@@ -506,11 +486,9 @@ mod tests {
 
     #[test]
     fn response_writes_headers_and_body() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\":true}")
+        let out = Response::json(200, "{\"ok\":true}")
             .with_header("X-Swope-Cache", "hit")
-            .write_to(&mut out)
-            .unwrap();
+            .serialize(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 11\r\n"));
