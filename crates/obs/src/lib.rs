@@ -418,25 +418,6 @@ impl QueryObserver for PhaseAccumulator {
     }
 }
 
-/// Runs `f`, reporting its wall-clock duration to `obs` as `phase` of
-/// `iteration` — unless the observer is disabled, in which case the clock
-/// is never read.
-#[inline]
-pub fn time_phase<O: QueryObserver, T>(
-    obs: &mut O,
-    phase: Phase,
-    iteration: usize,
-    f: impl FnOnce() -> T,
-) -> T {
-    if !obs.enabled() {
-        return f();
-    }
-    let start = std::time::Instant::now();
-    let out = f();
-    obs.phase(phase, iteration, start.elapsed().as_nanos() as u64);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,17 +487,6 @@ mod tests {
         let mut some = Some(Recorder::default());
         some.query_start(&meta());
         assert_eq!(some.as_ref().unwrap().events.len(), 1);
-    }
-
-    #[test]
-    fn time_phase_skips_clock_when_disabled() {
-        let mut noop = NoopObserver;
-        let out = time_phase(&mut noop, Phase::Ingest, 1, || 42);
-        assert_eq!(out, 42);
-        let mut rec = Recorder::default();
-        let out = time_phase(&mut rec, Phase::Ingest, 2, || 7);
-        assert_eq!(out, 7);
-        assert_eq!(rec.events, vec!["phase:ingest:2"]);
     }
 
     #[test]

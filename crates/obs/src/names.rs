@@ -236,8 +236,9 @@ pub const PAGER_BUDGET_BYTES: &str = "swope_pager_budget_bytes";
 
 /// Counter with a `tenant` label: requests attributed to each
 /// `X-Swope-Api-Key` bucket by admission control (only rendered when
-/// quotas are enabled; bounded cardinality — past the tenant cap new
-/// keys collapse into `overflow`).
+/// quotas are enabled; a request with no key is `tenant="anonymous"`;
+/// bounded cardinality — past 64 tenant labels new keys collapse into
+/// `tenant="other"`).
 pub const TENANT_REQUESTS_TOTAL: &str = "swope_tenant_requests_total";
 
 /// Counter with a `tenant` label: requests answered `429 Too Many

@@ -202,11 +202,6 @@ impl SpanSink {
         self.with_span(id, |s| s.items = items);
     }
 
-    /// Spans dropped past the [`MAX_SPANS`] cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
     /// Takes the collected spans (and the dropped count), leaving the
     /// sink empty. Called once when the request finishes.
     pub fn drain(&self) -> (Vec<Span>, u64) {

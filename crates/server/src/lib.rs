@@ -57,10 +57,12 @@
 //! transport around the exact same computation.
 //!
 //! Any query request carrying an `X-Swope-Trace` header (or every query,
-//! when serving with tracing on) is recorded as a span tree — queue
-//! wait, cache lookup, the adaptive loop's phases, pooled exec
-//! dispatches, and aggregate store-gather time — retrievable from the
-//! `/debug` endpoints; the trace id is echoed back in the response's
+//! when serving with tracing on) is recorded as a span tree of the path
+//! it took — the same path an untraced request takes. A hit's tree is
+//! its cache lookup, answered on the event thread; a miss adds its queue
+//! wait, the adaptive loop's phases, pooled exec dispatches, and
+//! aggregate store-gather time. Traces are retrievable from the `/debug`
+//! endpoints; the trace id is echoed back in the response's
 //! `X-Swope-Trace` header. See `docs/observability.md` for the span
 //! schema and curl recipes.
 

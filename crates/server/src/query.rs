@@ -327,15 +327,50 @@ pub fn run_query<O: QueryObserver>(
     exec: &Executor,
     obs: &mut O,
 ) -> Result<String, (u16, String)> {
-    let cfg = config_for(spec);
     // Every request runs through the one scoped entry point; a full scope
     // (the common unscoped request) is the plain query, bit for bit.
     let scope = resolve_spec_scope(entry, spec).map_err(|m| (422, m))?;
-    let shape = spec.shape.resolve(entry_names(entry)).map_err(|m| (422, m))?;
-    let answer = run(&entry.dataset, &shape, &scope, Some(&*entry.sketch), &cfg, obs, exec)
-        .map_err(|e| (422, e.to_string()))?;
-    let target = shape.target.map(|t| (t, entry_names(entry).nth(t).unwrap_or("?").to_owned()));
-    Ok(serialize(entry.generation, spec, target, &answer))
+    answer(Counts::Local(entry, scope), entry.generation, spec, exec, obs)
+}
+
+/// Where a query's counts come from — the one thing a single box and a
+/// coordinator do differently.
+enum Counts<'a> {
+    /// A registered dataset, sampled over the spec's scope.
+    Local(&'a DatasetEntry, Scope),
+    /// The peer fleet, over the exact count-merge protocol.
+    Remote(RemoteShardSource),
+}
+
+/// The body [`run_query`] and [`run_query_cluster`] share: the config,
+/// the shape and its target's name resolved against the source's schema,
+/// the count, and the serialized answer.
+fn answer<O: QueryObserver>(
+    counts: Counts<'_>,
+    generation: u64,
+    spec: &QuerySpec,
+    exec: &Executor,
+    obs: &mut O,
+) -> Result<String, (u16, String)> {
+    let cfg = config_for(spec);
+    let names: Vec<&str> = match &counts {
+        Counts::Local(entry, _) => entry_names(entry).collect(),
+        Counts::Remote(src) => src.attrs().iter().map(|a| a.name.as_str()).collect(),
+    };
+    let shape = spec.shape.resolve(names.iter().copied()).map_err(|m| (422, m))?;
+    let target = shape.target.map(|t| (t, names.get(t).copied().unwrap_or("?").to_owned()));
+    let answer = match counts {
+        Counts::Local(entry, scope) => {
+            run(&entry.dataset, &shape, &scope, Some(&*entry.sketch), &cfg, obs, exec)
+                .map_err(|e| (422, e.to_string()))?
+        }
+        Counts::Remote(mut src) => {
+            let answer = run_sharded(&mut src, &shape, &cfg, obs, exec).map_err(cluster_fail)?;
+            src.finish();
+            answer
+        }
+    };
+    Ok(serialize(generation, spec, target, &answer))
 }
 
 /// Connection parameters for the coordinator query path: the peer fleet
@@ -390,7 +425,6 @@ pub fn run_query_cluster<O: QueryObserver>(
                 .into(),
         ));
     }
-    let cfg = config_for(spec);
     let scope = if spec.row_start.is_some() || spec.row_end.is_some() {
         // The single-box rule: row_end clamps to N (the union) in the
         // connect below, which also rejects a start past the end.
@@ -400,24 +434,19 @@ pub fn run_query_cluster<O: QueryObserver>(
     } else {
         None
     };
-    let mut src = RemoteShardSource::connect(
+    let src = RemoteShardSource::connect(
         &cluster.addrs,
         &spec.dataset,
-        cfg.seed,
+        config_for(spec).seed,
         scope,
         &cluster.timeouts,
         Arc::clone(stats),
         Some(Arc::clone(&cluster.pool)),
     )
     .map_err(cluster_fail)?;
-    let names = || src.attrs().iter().map(|a| a.name.as_str());
-    let shape = spec.shape.resolve(names()).map_err(|m| (422, m))?;
-    let target = shape.target.map(|t| (t, names().nth(t).unwrap_or("?").to_owned()));
-    let answer = run_sharded(&mut src, &shape, &cfg, obs, exec).map_err(cluster_fail)?;
-    src.finish();
     // Generation 1 matches a fresh single box's first insert, keeping the
     // coordinator's bytes diffable against a single-box run.
-    Ok(serialize(1, spec, target, &answer))
+    answer(Counts::Remote(src), 1, spec, exec, obs)
 }
 
 fn serialize(

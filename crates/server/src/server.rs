@@ -35,10 +35,9 @@
 //! worker that dequeues a request past its deadline answers 503 without
 //! running the query.
 //!
-//! Which side of the hand-off a query is answered on is decided by what
-//! the code observes — the lookup's result, and whether the request is
-//! traced (below) — never by an option. A traced query always crosses to
-//! a worker, lookup included, so its span tree shows the queue wait.
+//! Which side of the hand-off a query is answered on is decided by the
+//! lookup's result alone, never by an option: a traced query takes the
+//! same path as an untraced one, and its trace records that path.
 //!
 //! Slow-loris clients (partial request older than the read timeout) and
 //! stalled response writes are killed by a periodic timeout scan;
@@ -51,15 +50,17 @@
 //!
 //! Every `/query/*` request is traced when the server runs with
 //! `trace: true` or when the client sends an `X-Swope-Trace` header
-//! (any 1–16 hex digits; an unparseable value gets a fresh id). A traced
-//! query is never answered on the event thread — cached or not, it is
-//! dispatched, and the worker does the lookup inside the trace. The
-//! trace's clock is anchored at the *arrival* timestamp (the first byte
-//! of the request — for the first request on a connection, the moment it
-//! was accepted), so `start_ns: 0` is request arrival and the root
-//! `request` span's children expose queue wait directly. Finished traces
-//! land in a bounded [`TraceRecorder`] behind `GET /debug/traces`, with
-//! slow ones (wall time ≥ `slow_ms`) retained preferentially behind
+//! (any 1–16 hex digits; an unparseable value gets a fresh id). Admission
+//! opens the trace before the lookup, on a clock anchored at the
+//! request's *arrival* (its first byte — for the first request on a
+//! connection, the moment it was accepted), so `start_ns: 0` is arrival;
+//! the lookup records `cache_lookup` under the root `request` span. A
+//! hit, a 400, a 404 or a shed 503 finishes the trace on the event
+//! thread. A miss carries its trace to the worker, which records
+//! `queue_wait` (admission queueing it → worker pickup) and the query's
+//! spans before finishing it with whatever answer it gives. Finished
+//! traces land in a bounded [`TraceRecorder`] behind `GET /debug/traces`,
+//! with slow ones (wall time ≥ `slow_ms`) retained preferentially behind
 //! `GET /debug/slow`. The trace id is echoed back in the response's
 //! `X-Swope-Trace` header in canonical 16-hex-digit form.
 
@@ -74,7 +75,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use swope_cluster::{probe, serve_connection, ClusterStats, PeerDataset, PeerPool, PeerTimeouts};
 use swope_columnar::PageCache;
-use swope_core::{gather_stats, ComposedObserver, Executor};
+use swope_core::{gather_stats, ComposedObserver, Executor, QueryObserver};
 use swope_obs::json::Json;
 use swope_obs::trace::{SpanSink, TraceId, TraceObserver, TraceRecord, TraceRecorder};
 
@@ -411,6 +412,61 @@ struct Miss {
     /// The registry entry `key`'s generation came from; `None` on a
     /// coordinator, whose data lives on the peers.
     entry: Option<Arc<DatasetEntry>>,
+    /// The request's trace, when it is traced.
+    trace: Option<Trace>,
+}
+
+/// The open trace of one `/query/*` request: spans on a clock anchored at
+/// its arrival, under a root `request` span.
+struct Trace {
+    sink: Arc<SpanSink>,
+    root: u32,
+    /// When admission queued the request for a worker, on the sink's
+    /// clock: where its `queue_wait` span starts.
+    queued_ns: u64,
+}
+
+impl Trace {
+    /// Opens a trace for `req` when it asks for one (an `X-Swope-Trace`
+    /// header) or `always` ([`ServerConfig::trace`]). The id is the
+    /// header's when it parses, a fresh one otherwise.
+    fn open(req: &Request, arrival: Instant, always: bool) -> Option<Trace> {
+        let header = req.header("x-swope-trace");
+        (always || header.is_some()).then(|| {
+            let trace_id = header.and_then(TraceId::parse).unwrap_or_else(TraceId::next_seeded);
+            let sink = SpanSink::anchored(trace_id, arrival);
+            let root = sink.open_at("request", None, 0);
+            sink.set_items(root, req.body.len() as u64);
+            Trace { sink, root, queued_ns: 0 }
+        })
+    }
+
+    /// A worker picked the request up: its wait in the queue ends now.
+    fn picked_up(&self) {
+        let now = self.sink.now_ns();
+        self.sink.record("queue_wait", Some(self.root), self.queued_ns, now, 0, 0);
+    }
+
+    /// Records the finished trace with the answer `req` got, and echoes
+    /// the trace id on that answer.
+    fn finish(self, shared: &Shared, req: &Request, response: Response) -> Response {
+        let Trace { sink, root, .. } = self;
+        sink.close(root);
+        let wall_ns = sink.now_ns();
+        let (spans, dropped_spans) = sink.drain();
+        let trace_id = sink.trace_id().to_string();
+        shared.recorder.record(TraceRecord {
+            trace_id: trace_id.clone(),
+            endpoint: endpoint_label(&req.path).to_owned(),
+            dataset: req.param("dataset").unwrap_or("-").to_owned(),
+            status: response.status,
+            cache: header_or_dash(&response, "X-Swope-Cache").to_owned(),
+            wall_ns,
+            dropped_spans,
+            spans,
+        });
+        response.with_header("X-Swope-Trace", &trace_id)
+    }
 }
 
 /// The event thread's state: the poller, the connection slab, and the
@@ -629,9 +685,10 @@ impl<'a> EventLoop<'a> {
     }
 
     /// Admission control for one parsed request, on the event thread: the
-    /// tenant's quota, then — for an untraced `GET /query/*` — the
-    /// result-cache lookup, then the exact queue-depth shed check. Only a
-    /// request that passes all three costs a worker hand-off.
+    /// tenant's quota, then — for a `GET /query/*`, its trace opened
+    /// first when it is traced — the result-cache lookup, then the exact
+    /// queue-depth shed check. Only a request that passes all three costs
+    /// a worker hand-off.
     fn admit(
         &self,
         request: Box<Request>,
@@ -647,12 +704,8 @@ impl<'a> EventLoop<'a> {
         }
         // Answered without compute: everything a routed response gets,
         // minus the hand-off.
-        let canned = |response: Response| {
-            let micros = micros_since(arrival);
-            let dataset = request.param("dataset").unwrap_or("-");
-            shared.metrics.record_labelled(endpoint_label(&request.path), dataset, micros);
-            log_access(shared, &request, &response, micros, conn_id, ordinal);
-            shared.metrics.record_response(response.status, micros);
+        let canned = |response: Response, trace: Option<Trace>| {
+            let response = account(shared, &request, response, trace, arrival, conn_id, ordinal);
             BatchItem::Canned { response: Box::new(response), keep_alive }
         };
         let throttle = shared.quotas.as_ref().and_then(|q| {
@@ -672,14 +725,18 @@ impl<'a> EventLoop<'a> {
             return canned(
                 Response::error(429, "tenant over admission quota, retry after backoff")
                     .with_header("Retry-After", &retry.to_string()),
+                None,
             );
         }
-        let traced = || self.config.trace || request.header("x-swope-trace").is_some();
         let mut miss = None;
-        if request.method == "GET" && request.path.starts_with("/query/") && !traced() {
-            match resolve_query(&request, shared) {
-                Ok(unanswered) => miss = Some(unanswered),
-                Err(response) => return canned(response),
+        if request.method == "GET" && request.path.starts_with("/query/") {
+            let trace = Trace::open(&request, arrival, self.config.trace);
+            match lookup(&request, shared, trace.as_ref()) {
+                Ok(mut unanswered) => {
+                    unanswered.trace = trace;
+                    miss = Some(unanswered);
+                }
+                Err(response) => return canned(response, trace),
             }
         }
         if self.watcher.depth() >= self.config.queue_capacity {
@@ -688,7 +745,11 @@ impl<'a> EventLoop<'a> {
             return canned(
                 Response::error(503, "server overloaded, retry shortly")
                     .with_header("Retry-After", "1"),
+                miss.and_then(|m| m.trace),
             );
+        }
+        if let Some(trace) = miss.as_mut().and_then(|m| m.trace.as_mut()) {
+            trace.queued_ns = trace.sink.now_ns();
         }
         BatchItem::Run { request, keep_alive, ordinal, miss }
     }
@@ -745,7 +806,14 @@ impl<'a> EventLoop<'a> {
                     BatchItem::Canned { response, keep_alive } => {
                         responses.push((*response, keep_alive));
                     }
-                    BatchItem::Run { request, keep_alive, ordinal, miss } => {
+                    BatchItem::Run { request, keep_alive, ordinal, mut miss } => {
+                        // A traced miss's wait ends here, and whatever
+                        // answers it — its query, the deadline, a panic —
+                        // finishes its trace.
+                        let trace = miss.as_mut().and_then(|m| m.trace.take());
+                        if let Some(trace) = &trace {
+                            trace.picked_up();
+                        }
                         // The deadline is re-checked per request: a batch
                         // that queued too long sheds every member.
                         let response = if dispatched_at.elapsed() > config.deadline {
@@ -757,25 +825,17 @@ impl<'a> EventLoop<'a> {
                             // the sequential executor, say) must cost the
                             // client one 500, not the pool a worker and
                             // the connection its reply.
-                            let resp = catch_unwind(AssertUnwindSafe(|| match miss {
-                                Some(miss) => run_miss(*miss, &shared, None),
-                                None => route(&request, &shared, &watcher, arrival),
+                            catch_unwind(AssertUnwindSafe(|| match miss {
+                                Some(miss) => run_miss(*miss, &shared, trace.as_ref()),
+                                None => route(&request, &shared, &watcher),
                             }))
                             .unwrap_or_else(|payload| {
                                 shared.metrics.record_worker_panic();
                                 Response::error(500, &panic_message(payload.as_ref()))
-                            });
-                            let micros = micros_since(arrival);
-                            let dataset = request.param("dataset").unwrap_or("-");
-                            shared.metrics.record_labelled(
-                                endpoint_label(&request.path),
-                                dataset,
-                                micros,
-                            );
-                            log_access(&shared, &request, &resp, micros, conn_id, ordinal);
-                            resp
+                            })
                         };
-                        shared.metrics.record_response(response.status, micros_since(arrival));
+                        let response =
+                            account(&shared, &request, response, trace, arrival, conn_id, ordinal);
                         responses.push((response, keep_alive));
                     }
                 }
@@ -1061,6 +1121,36 @@ fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
+/// Everything an answered request leaves behind, written in this one
+/// place whichever thread answered it: its trace finished (when traced),
+/// the labelled latency sample, the access-log line and the status class.
+/// Returns the response to send — with the trace id echoed when traced.
+fn account(
+    shared: &Shared,
+    req: &Request,
+    response: Response,
+    trace: Option<Trace>,
+    arrival: Instant,
+    conn_id: u64,
+    ordinal: u64,
+) -> Response {
+    let response = match trace {
+        Some(trace) => trace.finish(shared, req, response),
+        None => response,
+    };
+    let micros = micros_since(arrival);
+    let dataset = req.param("dataset").unwrap_or("-");
+    shared.metrics.record_labelled(endpoint_label(&req.path), dataset, micros);
+    log_access(shared, req, &response, micros, conn_id, ordinal);
+    shared.metrics.record_response(response.status, micros);
+    response
+}
+
+/// The value of an extra header `resp` carries, `-` when it has none.
+fn header_or_dash<'a>(resp: &'a Response, name: &str) -> &'a str {
+    resp.extra_headers.iter().find(|(k, _)| k == name).map_or("-", |(_, v)| v.as_str())
+}
+
 /// Appends one logfmt line for a served request and flushes it. Under
 /// keep-alive a connection serves many requests: `conn` is the accept
 /// counter (monotonic per process) and `req` the 1-based ordinal of this
@@ -1078,9 +1168,6 @@ fn log_access(
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_millis())
         .unwrap_or(0);
-    let header = |name: &str| {
-        resp.extra_headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str()).unwrap_or("-")
-    };
     let line = format!(
         "ts={ts} conn={conn_id} req={ordinal} method={} path={} status={} bytes={} \
          dur_us={micros} trace={} cache={}\n",
@@ -1088,8 +1175,8 @@ fn log_access(
         req.path,
         resp.status,
         resp.body.len(),
-        header("X-Swope-Trace"),
-        header("X-Swope-Cache"),
+        header_or_dash(resp, "X-Swope-Trace"),
+        header_or_dash(resp, "X-Swope-Cache"),
     );
     if let Ok(mut w) = log.lock() {
         let _ = w.write_all(line.as_bytes());
@@ -1113,11 +1200,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     message.lines().next().unwrap_or_default().to_owned()
 }
 
-/// Dispatches a parsed request to an endpoint, on a worker. `arrival` is
-/// when its first byte came in (the traced clock's zero point). A
-/// `GET /query/*` gets here only when it is traced — admission control
-/// resolves the others ([`resolve_query`]) and hands over a [`Miss`].
-fn route(req: &Request, shared: &Shared, watcher: &QueueWatcher, arrival: Instant) -> Response {
+/// Dispatches a parsed request to an endpoint, on a worker. A
+/// `GET /query/*` never gets here: admission control resolves every one
+/// ([`lookup`]) and hands a worker only a [`Miss`].
+fn route(req: &Request, shared: &Shared, watcher: &QueueWatcher) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(shared, watcher),
         ("GET", "/metrics") => Response::text(
@@ -1147,7 +1233,6 @@ fn route(req: &Request, shared: &Shared, watcher: &QueueWatcher, arrival: Instan
             std::thread::sleep(Duration::from_millis(ms));
             Response::json(200, format!("{{\"slept_ms\":{ms}}}"))
         }
-        ("GET", path) if path.starts_with("/query/") => serve_traced_query(req, shared, arrival),
         (_, "/healthz" | "/metrics" | "/datasets" | "/debug/traces" | "/debug/slow") => {
             Response::error(405, &format!("method {} not allowed here", req.method))
         }
@@ -1219,73 +1304,14 @@ fn load_dataset(req: &Request, shared: &Shared) -> Response {
     }
 }
 
-/// The lookup stage for an untraced `GET /query/*`, on the event thread:
-/// `Ok` is a miss for a worker to run, `Err` the finished answer — a hit,
-/// or a 400 that never reaches the cache.
-fn resolve_query(req: &Request, shared: &Shared) -> Result<Box<Miss>, Response> {
-    lookup(query_spec(req)?, shared, None)
-}
-
-/// The spec a `/query/<shape>` request names, or the 400 that says why
-/// it names none.
-fn query_spec(req: &Request) -> Result<QuerySpec, Response> {
-    parse_spec(&req.path["/query/".len()..], req).map_err(|msg| Response::error(400, &msg))
-}
-
-/// A traced `GET /query/<shape>`, whole on a worker: lookup, then the
-/// adaptive loop on a miss, under a span tree rooted at the request's
-/// arrival. The trace id is the `X-Swope-Trace` header's when it parses,
-/// a fresh one otherwise (a malformed value, or `trace: true` and no
-/// header).
-fn serve_traced_query(req: &Request, shared: &Shared, arrival: Instant) -> Response {
-    let spec = match query_spec(req) {
-        Ok(spec) => spec,
-        Err(bad_request) => return bad_request,
-    };
-    let header = req.header("x-swope-trace");
-    let trace_id = header.and_then(TraceId::parse).unwrap_or_else(TraceId::next_seeded);
-    let sink = SpanSink::anchored(trace_id, arrival);
-    let root = sink.open_at("request", None, 0);
-    sink.set_items(root, req.body.len() as u64);
-    // Everything between arrival and this point: queue wait + parsing.
-    sink.record("queue_wait", Some(root), 0, sink.now_ns(), 0, 0);
-    let dataset = spec.dataset.clone();
-    let trace = Some((&sink, root));
-    let response = match lookup(spec, shared, trace) {
-        Ok(miss) => run_miss(*miss, shared, trace),
-        Err(answer) => answer,
-    };
-    sink.close(root);
-    let wall_ns = sink.now_ns();
-    let (spans, dropped_spans) = sink.drain();
-    let cache = response
-        .extra_headers
-        .iter()
-        .find(|(k, _)| k == "X-Swope-Cache")
-        .map(|(_, v)| v.clone())
-        .unwrap_or_else(|| "-".into());
-    shared.recorder.record(TraceRecord {
-        trace_id: sink.trace_id().to_string(),
-        endpoint: endpoint_label(&req.path).to_owned(),
-        dataset,
-        status: response.status,
-        cache,
-        wall_ns,
-        dropped_spans,
-        spans,
-    });
-    response.with_header("X-Swope-Trace", &sink.trace_id().to_string())
-}
-
-/// The one result-cache lookup a query request gets: dataset generation
-/// → key → [`ResultCache::get`], under a `cache_lookup` span when traced.
-/// `Ok` is a miss, with what it resolved; `Err` the finished answer — a
-/// hit, or a 404 for a dataset nobody loaded.
-fn lookup(
-    spec: QuerySpec,
-    shared: &Shared,
-    trace: Option<(&Arc<SpanSink>, u32)>,
-) -> Result<Box<Miss>, Response> {
+/// The lookup stage for a `GET /query/*`, on the event thread, under its
+/// trace when it has one — spec, dataset generation, key, and the one
+/// [`ResultCache::get`] a request gets, as a `cache_lookup` span. `Ok` is
+/// a miss, with what it resolved, for a worker to run; `Err` the finished
+/// answer — a hit, a 400, or a 404 for a dataset nobody loaded.
+fn lookup(req: &Request, shared: &Shared, trace: Option<&Trace>) -> Result<Box<Miss>, Response> {
+    let spec =
+        parse_spec(&req.path["/query/".len()..], req).map_err(|msg| Response::error(400, &msg))?;
     let entry = match shared.cluster {
         // Cluster datasets live on the (static) peers and the union is
         // immutable for the process lifetime, so bodies cache under a
@@ -1301,14 +1327,14 @@ fn lookup(
         },
     };
     let key = cache_key(&spec, entry.as_ref().map_or(1, |e| e.generation));
-    let span = trace.map(|(sink, root)| sink.open("cache_lookup", Some(root)));
+    let span = trace.map(|t| t.sink.open("cache_lookup", Some(t.root)));
     let cached = shared.cache.get(&key);
-    if let (Some((sink, _)), Some(span)) = (trace, span) {
-        sink.close(span);
+    if let (Some(t), Some(span)) = (trace, span) {
+        t.sink.close(span);
     }
     match cached {
         Some(body) => Err(Response::json(200, body.as_str()).with_header("X-Swope-Cache", "hit")),
-        None => Ok(Box::new(Miss { spec, key, entry })),
+        None => Ok(Box::new(Miss { spec, key, entry, trace: None })),
     }
 }
 
@@ -1316,17 +1342,66 @@ fn lookup(
 /// registry entry, or fanned out over the peer fleet on a coordinator,
 /// where a dead or hung peer maps onto a retryable 503, never a hang
 /// (every wire wait is deadline-bounded).
-fn run_miss(miss: Miss, shared: &Shared, trace: Option<(&Arc<SpanSink>, u32)>) -> Response {
-    let Miss { spec, key, entry } = miss;
+///
+/// Traced, the query's span tree (via [`TraceObserver`]) and the pooled
+/// executor's `exec_dispatch` spans land under the request's root, beside
+/// aggregate `store_gather` and `page_fault` spans read off the storage
+/// layer's and the pager's process-global counters (exact when one query
+/// runs at a time; approximate under concurrent traced queries).
+fn run_miss(miss: Miss, shared: &Shared, trace: Option<&Trace>) -> Response {
+    /// The query on this box's `entry`, or on the peer fleet when there is
+    /// none (a coordinator's miss).
+    fn count<O: QueryObserver>(
+        entry: Option<&DatasetEntry>,
+        spec: &QuerySpec,
+        exec: &Executor,
+        shared: &Shared,
+        obs: &mut O,
+    ) -> Result<String, (u16, String)> {
+        match entry {
+            Some(entry) => run_query(entry, spec, exec, obs),
+            None => {
+                let cluster =
+                    shared.cluster.as_ref().expect("an entry-less miss is a coordinator's");
+                run_query_cluster(cluster, &shared.cluster_stats, spec, exec, obs)
+            }
+        }
+    }
+    let Miss { spec, key, entry, .. } = miss;
+    let entry = entry.as_deref();
     // Single-threaded queries run inline on the HTTP worker; anything
     // else shares the process-wide pool. Either way the answer bytes are
     // identical (the loops are executor-invariant), so cached bodies stay
     // valid across the choice — and so does tracing, which is purely
     // observational (enforced by `core/tests/trace_invariance.rs`).
     let exec = if spec.threads <= 1 { Executor::sequential() } else { shared.exec.clone() };
-    let result = match entry {
-        Some(entry) => run_local(&entry, &spec, exec, shared, trace),
-        None => run_cluster(&spec, exec, shared, trace),
+    let result = match trace {
+        None => count(entry, &spec, &exec, shared, &mut &shared.metrics.registry),
+        Some(Trace { sink, root, .. }) => {
+            let exec = exec.with_trace(Arc::clone(sink), *root);
+            let mut obs = ComposedObserver::new(
+                TraceObserver::new(Arc::clone(sink), Some(*root)),
+                &shared.metrics.registry,
+            );
+            let start_ns = sink.now_ns();
+            let before = gather_stats::snapshot();
+            let pager_before = shared.pager.snapshot();
+            let result = count(entry, &spec, &exec, shared, &mut obs);
+            let delta = gather_stats::snapshot().since(before);
+            if delta.calls > 0 {
+                let end_ns = start_ns + delta.nanos;
+                sink.record("store_gather", Some(*root), start_ns, end_ns, 0, delta.rows);
+            }
+            // The pager's span is as wide as everything it did for this
+            // query — pages admitted (checked, on their first touch) and
+            // the evictions that forced — and counts the pages admitted.
+            let pdelta = shared.pager.snapshot().since(&pager_before);
+            if pdelta.faults > 0 {
+                let end_ns = start_ns + pdelta.fault_nanos + pdelta.evict_nanos;
+                sink.record("page_fault", Some(*root), start_ns, end_ns, 0, pdelta.faults);
+            }
+            result
+        }
     };
     match result {
         Ok(body) => {
@@ -1337,68 +1412,6 @@ fn run_miss(miss: Miss, shared: &Shared, trace: Option<(&Arc<SpanSink>, u32)>) -
         Err((503, msg)) => Response::error(503, &msg).with_header("Retry-After", "1"),
         Err((status, msg)) => Response::error(status, &msg),
     }
-}
-
-/// The adaptive loop over a registered dataset. With a trace attached,
-/// records the query's span tree (via [`TraceObserver`]), `exec_dispatch`
-/// spans from the pooled executor, and an aggregate `store_gather` span
-/// from the storage layer's global gather counters (exact when one query
-/// runs at a time; approximate under concurrent traced queries).
-fn run_local(
-    entry: &DatasetEntry,
-    spec: &QuerySpec,
-    exec: Executor,
-    shared: &Shared,
-    trace: Option<(&Arc<SpanSink>, u32)>,
-) -> Result<String, (u16, String)> {
-    let Some((sink, root)) = trace else {
-        return run_query(entry, spec, &exec, &mut &shared.metrics.registry);
-    };
-    let exec = exec.with_trace(Arc::clone(sink), root);
-    let mut obs = ComposedObserver::new(
-        TraceObserver::new(Arc::clone(sink), Some(root)),
-        &shared.metrics.registry,
-    );
-    let start_ns = sink.now_ns();
-    let before = gather_stats::snapshot();
-    let pager_before = shared.pager.snapshot();
-    let result = run_query(entry, spec, &exec, &mut obs);
-    let delta = gather_stats::snapshot().since(before);
-    if delta.calls > 0 {
-        sink.record("store_gather", Some(root), start_ns, start_ns + delta.nanos, 0, delta.rows);
-    }
-    // Same aggregate-span treatment for the pager: one span whose width
-    // is everything the pager did for this query — pages admitted
-    // (checked, on their first touch) and the evictions that forced — and
-    // whose item count is the pages admitted (exact when one traced query
-    // runs at a time).
-    let pdelta = shared.pager.snapshot().since(&pager_before);
-    if pdelta.faults > 0 {
-        let nanos = pdelta.fault_nanos + pdelta.evict_nanos;
-        sink.record("page_fault", Some(root), start_ns, start_ns + nanos, 0, pdelta.faults);
-    }
-    result
-}
-
-/// The coordinator flavour of [`run_local`]: same tracing plumbing, but
-/// the answer comes from fanning the query over the peer fleet.
-fn run_cluster(
-    spec: &QuerySpec,
-    exec: Executor,
-    shared: &Shared,
-    trace: Option<(&Arc<SpanSink>, u32)>,
-) -> Result<String, (u16, String)> {
-    let cluster = shared.cluster.as_ref().expect("a miss without an entry is a coordinator's");
-    let stats = &shared.cluster_stats;
-    let Some((sink, root)) = trace else {
-        return run_query_cluster(cluster, stats, spec, &exec, &mut &shared.metrics.registry);
-    };
-    let exec = exec.with_trace(Arc::clone(sink), root);
-    let mut obs = ComposedObserver::new(
-        TraceObserver::new(Arc::clone(sink), Some(root)),
-        &shared.metrics.registry,
-    );
-    run_query_cluster(cluster, stats, spec, &exec, &mut obs)
 }
 
 #[cfg(test)]
@@ -1432,13 +1445,24 @@ mod tests {
         (shared, watcher)
     }
 
-    /// An untraced query the way the server answers one: the lookup
-    /// stage (the event thread's), then the miss (a worker's).
-    fn answer(req: &Request, shared: &Shared) -> Response {
-        match resolve_query(req, shared) {
-            Ok(miss) => run_miss(*miss, shared, None),
+    /// A query the way the server answers one: the lookup stage (the
+    /// event thread's), then the miss (a worker's), accounted once —
+    /// traced when it asks to be, or `always`.
+    fn serve(req: &Request, shared: &Shared, always: bool) -> Response {
+        let arrival = Instant::now();
+        let trace = Trace::open(req, arrival, always);
+        let response = match lookup(req, shared, trace.as_ref()) {
+            Ok(miss) => {
+                trace.iter().for_each(Trace::picked_up);
+                run_miss(*miss, shared, trace.as_ref())
+            }
             Err(response) => response,
-        }
+        };
+        account(shared, req, response, trace, arrival, 1, 1)
+    }
+
+    fn answer(req: &Request, shared: &Shared) -> Response {
+        serve(req, shared, false)
     }
 
     fn get(path: &str) -> Request {
@@ -1452,17 +1476,17 @@ mod tests {
     #[test]
     fn routes_cover_ops_endpoints() {
         let (shared, watcher) = shared_with_dataset();
-        assert_eq!(route(&get("/healthz"), &shared, &watcher, Instant::now()).status, 200);
-        let metrics = route(&get("/metrics"), &shared, &watcher, Instant::now());
+        assert_eq!(route(&get("/healthz"), &shared, &watcher).status, 200);
+        let metrics = route(&get("/metrics"), &shared, &watcher);
         assert_eq!(metrics.status, 200);
         assert!(String::from_utf8(metrics.body.clone())
             .unwrap()
             .contains("swope_http_requests_total"));
-        assert_eq!(route(&get("/datasets"), &shared, &watcher, Instant::now()).status, 200);
-        assert_eq!(route(&get("/nope"), &shared, &watcher, Instant::now()).status, 404);
+        assert_eq!(route(&get("/datasets"), &shared, &watcher).status, 200);
+        assert_eq!(route(&get("/nope"), &shared, &watcher).status, 404);
         let mut del = get("/healthz");
         del.method = "DELETE".into();
-        assert_eq!(route(&del, &shared, &watcher, Instant::now()).status, 405);
+        assert_eq!(route(&del, &shared, &watcher).status, 405);
     }
 
     #[test]
@@ -1473,7 +1497,7 @@ mod tests {
         assert_eq!(first.status, 200);
         assert!(first.extra_headers.iter().any(|(_, v)| v == "miss"));
         // The second time the lookup stage has the answer: no miss to run.
-        let second = resolve_query(&req, &shared).err().expect("a hit is answered at lookup");
+        let second = lookup(&req, &shared, None).err().expect("a hit is answered at lookup");
         assert!(second.extra_headers.iter().any(|(_, v)| v == "hit"));
         assert_eq!(first.body, second.body);
         // One lookup per request, and none for what never reaches the cache.
@@ -1501,7 +1525,7 @@ mod tests {
             headers: Vec::new(),
             body: body.into_bytes(),
         };
-        assert_eq!(route(&req, &shared, &watcher, Instant::now()).status, 201);
+        assert_eq!(route(&req, &shared, &watcher).status, 201);
         assert!(shared.registry.get("extra").is_some());
         let bad = Request {
             method: "POST".into(),
@@ -1510,16 +1534,16 @@ mod tests {
             headers: Vec::new(),
             body: b"{\"path\":\"/no/such.swop\"}".to_vec(),
         };
-        assert_eq!(route(&bad, &shared, &watcher, Instant::now()).status, 422);
+        assert_eq!(route(&bad, &shared, &watcher).status, 422);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn traced_query_records_span_tree_and_echoes_id() {
-        let (shared, watcher) = shared_with_dataset();
+        let (shared, _watcher) = shared_with_dataset();
         let mut req = get("/query/entropy-topk?dataset=t&k=1");
         req.headers.push(("x-swope-trace".into(), "deadbeef".into()));
-        let resp = route(&req, &shared, &watcher, Instant::now());
+        let resp = serve(&req, &shared, false);
         assert_eq!(resp.status, 200);
         assert!(
             resp.extra_headers.iter().any(|(k, v)| k == "X-Swope-Trace" && v == "00000000deadbeef"),
@@ -1542,11 +1566,14 @@ mod tests {
         }
         assert!(json.contains("\"trace_id\":\"00000000deadbeef\""));
         assert!(json.contains("\"endpoint\":\"query_entropy_top_k\""));
-        // Cache hits are traced too, tagged with the outcome.
-        let hit = route(&req, &shared, &watcher, Instant::now());
+        // Cache hits are traced too, tagged with the outcome: answered at
+        // the lookup, they wait in no queue and run no query.
+        let hit = serve(&req, &shared, false);
         assert!(hit.extra_headers.iter().any(|(_, v)| v == "hit"));
         assert_eq!(shared.recorder.recorded_total(), 2);
-        assert!(shared.recorder.recent_json().contains("\"cache\":\"hit\""));
+        let newest = shared.recorder.recent_json_n(1);
+        assert!(newest.contains("\"cache\":\"hit\"") && newest.contains("cache_lookup"));
+        assert!(!newest.contains("queue_wait") && !newest.contains("query:"), "{newest}");
         // With slow_ms = 0 every traced request lands in the flight recorder.
         assert_eq!(shared.recorder.slow_total(), 2);
         assert!(shared.recorder.slow_json().contains("\"trace_id\":\"00000000deadbeef\""));
@@ -1559,11 +1586,11 @@ mod tests {
 
     #[test]
     fn trace_default_traces_without_header() {
-        // Under `trace: true` admission dispatches every query; routed
-        // without a header it is traced under a fresh id.
-        let (shared, watcher) = shared_with_dataset();
+        // Under `trace: true` every query is traced; without a header it
+        // is traced under a fresh id.
+        let (shared, _watcher) = shared_with_dataset();
         let req = get("/query/entropy-profile?dataset=t");
-        let resp = route(&req, &shared, &watcher, Instant::now());
+        let resp = serve(&req, &shared, true);
         assert_eq!(resp.status, 200);
         assert!(resp.extra_headers.iter().any(|(k, _)| k == "X-Swope-Trace"));
         assert_eq!(shared.recorder.recorded_total(), 1);
@@ -1574,14 +1601,14 @@ mod tests {
     fn debug_endpoints_serve_json_and_reject_writes() {
         let (shared, watcher) = shared_with_dataset();
         for path in ["/debug/traces", "/debug/slow"] {
-            let resp = route(&get(path), &shared, &watcher, Instant::now());
+            let resp = route(&get(path), &shared, &watcher);
             assert_eq!(resp.status, 200);
             let body = String::from_utf8(resp.body).unwrap();
             let v = Json::parse(&body).unwrap();
             assert_eq!(v.get("recorded_total").unwrap().as_u64(), Some(0));
             let mut post = get(path);
             post.method = "POST".into();
-            assert_eq!(route(&post, &shared, &watcher, Instant::now()).status, 405);
+            assert_eq!(route(&post, &shared, &watcher).status, 405);
         }
     }
 

@@ -475,14 +475,26 @@ fn throttled_and_shed_requests_reach_the_access_log() {
     std::fs::remove_file(&log).ok();
 }
 
-/// A traced request is never answered by the lookup stage: cached or
-/// not it crosses to a worker, so its tree keeps the spans an operator
-/// reads it for.
+/// A trace records the path a request takes; it does not choose it. With
+/// the single worker parked and the queue full, a traced repeat of a
+/// cached query is still answered at admission — a hit, its id echoed —
+/// and its tree is the lookup alone: no queue wait, no query.
 #[test]
-fn a_traced_hit_still_crosses_to_a_worker_and_records_its_spans() {
-    let server = TestServer::start(ServerConfig::default());
+fn a_traced_hit_is_answered_at_admission_while_the_pool_is_saturated() {
+    let server = TestServer::start(ServerConfig {
+        threads: 1,
+        queue_capacity: 1,
+        debug_sleep_endpoint: true,
+        ..ServerConfig::default()
+    });
     let path = "/query/entropy-topk?dataset=tiny&k=2";
     assert_eq!(get(server.addr, path).header("x-swope-cache"), Some("miss"));
+    let busy = spawn_sleeper(server.addr, 900);
+    std::thread::sleep(Duration::from_millis(200));
+    let queued = spawn_sleeper(server.addr, 0);
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(get(server.addr, "/healthz").status, 503, "the pool must be saturated");
+
     let reply = send_raw(
         server.addr,
         &format!(
@@ -493,6 +505,8 @@ fn a_traced_hit_still_crosses_to_a_worker_and_records_its_spans() {
     assert_eq!(reply.status, 200, "{}", reply.body);
     assert_eq!(reply.header("x-swope-cache"), Some("hit"));
     assert_eq!(reply.header("x-swope-trace"), Some("00000000feedface"));
+    assert_eq!(busy.join().unwrap(), 200);
+    assert_eq!(queued.join().unwrap(), 200);
 
     let v = Json::parse(&get(server.addr, "/debug/traces").body).unwrap();
     assert_eq!(v.get("recorded_total").unwrap().as_u64(), Some(1), "the untraced miss left none");
@@ -501,9 +515,10 @@ fn a_traced_hit_still_crosses_to_a_worker_and_records_its_spans() {
     assert_eq!(list[0].get("cache").unwrap().as_str(), Some("hit"));
     let Json::Arr(spans) = list[0].get("spans").unwrap() else { panic!("spans not an array") };
     let names: Vec<&str> = spans.iter().map(|s| s.get("name").unwrap().as_str().unwrap()).collect();
-    for want in ["request", "queue_wait", "cache_lookup"] {
+    for want in ["request", "cache_lookup"] {
         assert!(names.contains(&want), "missing span {want:?} in {names:?}");
     }
+    assert!(!names.contains(&"queue_wait"), "a hit waits in no queue: {names:?}");
     assert!(!names.iter().any(|n| n.starts_with("query:")), "a hit runs no query: {names:?}");
 }
 
@@ -577,11 +592,14 @@ fn burst_load_sheds_exactly_the_overflow_and_serves_the_rest() {
 
 #[test]
 fn requests_queued_past_their_deadline_get_503() {
+    let log = std::env::temp_dir().join(format!("swope-deadline-{}.log", std::process::id()));
+    std::fs::remove_file(&log).ok();
     let server = TestServer::start(ServerConfig {
         threads: 1,
         queue_capacity: 4,
         deadline: Duration::from_millis(100),
         debug_sleep_endpoint: true,
+        access_log: Some(log.to_str().unwrap().to_owned()),
         ..ServerConfig::default()
     });
     let busy = spawn_sleeper(server.addr, 600);
@@ -594,6 +612,32 @@ fn requests_queued_past_their_deadline_get_503() {
     assert_eq!(busy.join().unwrap(), 200);
     let metrics = get(server.addr, "/metrics").body;
     assert!(metric(&metrics, "swope_http_deadline_expired_total") >= 1);
+    // A deadline 503 is an answer like any other: one access-log line and
+    // one labelled-latency sample.
+    let text = std::fs::read_to_string(&log).unwrap();
+    let lines: Vec<&str> =
+        text.lines().filter(|l| l.split(' ').any(|f| f == "path=/healthz")).collect();
+    assert_eq!(lines.len(), 1, "{text}");
+    assert!(lines[0].split(' ').any(|f| f == "status=503"), "{text}");
+    let labelled = "swope_http_endpoint_duration_microseconds_count\
+                    {endpoint=\"healthz\",dataset=\"-\"}";
+    assert_eq!(metric(&metrics, labelled), 1);
+    std::fs::remove_file(&log).ok();
+}
+
+/// A request with no `X-Swope-Api-Key` is admitted, and counted, as the
+/// `anonymous` tenant.
+#[test]
+fn a_keyless_request_counts_under_the_anonymous_tenant() {
+    let server =
+        TestServer::start(ServerConfig { tenant_rps: Some(100.0), ..ServerConfig::default() });
+    assert_eq!(get(server.addr, "/healthz").status, 200);
+    let metrics = send_raw(
+        server.addr,
+        "GET /metrics HTTP/1.1\r\nHost: t\r\nX-Swope-Api-Key: ops\r\nConnection: close\r\n\r\n",
+    )
+    .body;
+    assert_eq!(metric(&metrics, "swope_tenant_requests_total{tenant=\"anonymous\"}"), 1);
 }
 
 #[test]
@@ -958,8 +1002,10 @@ fn traced_request_round_trips_span_tree_through_debug_endpoints() {
     };
     let root = span("request");
     assert!(root.get("parent").unwrap().as_u64().is_none(), "request must be the root");
-    span("queue_wait");
-    span("cache_lookup");
+    // The miss waits in the queue only after admission looked it up.
+    let lookup_end = span("cache_lookup").get("end_ns").unwrap().as_u64().unwrap();
+    let wait_start = span("queue_wait").get("start_ns").unwrap().as_u64().unwrap();
+    assert!(wait_start >= lookup_end, "queue_wait starts at {wait_start} < {lookup_end}");
     let query = span("query:entropy_top_k");
     let query_id = query.get("id").unwrap().as_u64().unwrap();
     let query_ns = query.get("end_ns").unwrap().as_u64().unwrap()
