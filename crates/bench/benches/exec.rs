@@ -1,6 +1,7 @@
 //! Execution-layer microbenchmarks: persistent-pool dispatch overhead vs
-//! the sequential loop, and one gather-staged ingest of a cache-hostile
-//! delta.
+//! the sequential loop, and one gather-staged count of a cache-hostile
+//! delta, drained into a counter, as every count source runs it per
+//! candidate.
 //!
 //! Besides the usual console report, this bench persists its medians to
 //! `results/BENCH_ingest.json` so the numbers backing the DESIGN.md
@@ -11,9 +12,10 @@
 use std::sync::Arc;
 
 use swope_bench::micro::{black_box, Group};
-use swope_core::state::{EntropyState, GatherScratch};
-use swope_core::{ExecPool, Executor};
+use swope_core::count::INGEST_BLOCK_ROWS;
+use swope_core::{count_candidate, CountScratch, CountState, ExecPool, Executor, PairCountState};
 use swope_datagen::{corpus, generate};
+use swope_estimate::entropy::EntropyCounter;
 use swope_obs::json::ObjectWriter;
 
 /// Items per fan-out: roughly the candidate count of a mid-flight query.
@@ -60,15 +62,18 @@ fn bench_ingest(g: &mut Group) -> f64 {
     let rows = shuffled_rows(DELTA_ROWS);
     let column = ds.column(0);
 
-    // Fresh state per timed call: `xlog2` costs depend on accumulated
-    // counts.
-    let mut scratch = GatherScratch::new(1);
+    // Fresh counter per timed call: `xlog2` costs depend on accumulated
+    // counts. The delta and the scratch are reused, as a source reuses
+    // them from doubling to doubling.
+    let (mut delta, mut pairs) = (CountState::new(column.support()), PairCountState::new());
+    let mut scratch = CountScratch::new();
     g.bench_with_setup(
         "staged_ingest_1m_rows",
-        || EntropyState::new(&ds, 0),
-        |mut st| {
-            st.ingest_staged(column, &rows, &mut scratch.slots(1)[0]);
-            black_box(st.sampled())
+        || EntropyCounter::new(column.support()),
+        |mut counter| {
+            count_candidate(column, &rows, None, &mut delta, &mut pairs, &mut scratch);
+            delta.apply_to(&mut counter);
+            black_box(counter.total())
         },
     )
 }
@@ -86,7 +91,7 @@ fn main() {
         .f64_field("dispatch_sequential_ns", sequential_ns)
         .f64_field("dispatch_pool_ns", pool_ns)
         .usize_field("ingest_delta_rows", DELTA_ROWS)
-        .usize_field("ingest_block_rows", swope_core::state::INGEST_BLOCK_ROWS)
+        .usize_field("ingest_block_rows", INGEST_BLOCK_ROWS)
         .f64_field("ingest_staged_ns", staged_ns);
     let json = w.finish();
 

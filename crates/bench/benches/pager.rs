@@ -28,7 +28,7 @@ use swope_columnar::{
     for_packed, gather, snapshot, stats, CodeBuf, CodeRepr, ColumnStorage, Dataset, PageCache,
     Residency,
 };
-use swope_core::state::INGEST_BLOCK_ROWS;
+use swope_core::count::INGEST_BLOCK_ROWS;
 use swope_obs::json::ObjectWriter;
 use swope_sampling::PrefixShuffle;
 

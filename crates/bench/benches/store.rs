@@ -3,9 +3,10 @@
 //!
 //! The same logical column (support 200, so its codes fit all three
 //! widths) is repacked at u8/u16/u32 and pushed through
-//! `EntropyState::ingest_staged`, i.e. the exact path every adaptive
-//! loop takes. Narrow widths move fewer bytes per gathered block, so
-//! the cache-hostile gather should get cheaper as the packing shrinks —
+//! `count_candidate` into a reused delta, drained by
+//! `CountState::apply_to`: what every count source runs per candidate.
+//! Narrow widths move fewer bytes per gathered block, so the
+//! cache-hostile gather should get cheaper as the packing shrinks —
 //! this bench checks that and records the memory footprint alongside.
 //!
 //! Two more groups measure the count kernels of `swope_core::count`
@@ -26,11 +27,12 @@ use swope_bench::micro::{black_box, Group};
 use swope_columnar::{
     for_packed, gather, CodeBuf, CodeRepr, Column, ColumnStorage, Dataset, Field, Schema, Width,
 };
-use swope_core::state::{EntropyState, INGEST_BLOCK_ROWS};
+use swope_core::count::INGEST_BLOCK_ROWS;
 use swope_core::{
     count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf,
 };
 use swope_datagen::Distribution;
+use swope_estimate::entropy::EntropyCounter;
 use swope_obs::json::ObjectWriter;
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -64,13 +66,15 @@ fn bench_width(g: &mut Group, width: Width) -> (f64, usize) {
     let rows = shuffled_rows(DELTA_ROWS);
     let column = ds.column(0);
     let bytes = column.bytes_in_memory();
+    let (mut delta, mut pairs) = (CountState::new(SUPPORT), PairCountState::new());
     let mut scratch = CountScratch::new();
     let ns = g.bench_with_setup(
         &format!("staged_ingest_{}_1m_rows", width.name()),
-        || EntropyState::new(&ds, 0),
-        |mut st| {
-            st.ingest_staged(column, &rows, &mut scratch);
-            black_box(st.sampled())
+        || EntropyCounter::new(SUPPORT),
+        |mut counter| {
+            count_candidate(column, &rows, None, &mut delta, &mut pairs, &mut scratch);
+            delta.apply_to(&mut counter);
+            black_box(counter.total())
         },
     );
     (ns, bytes)

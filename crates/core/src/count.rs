@@ -1,12 +1,12 @@
 //! Integer count deltas and the two kernels that fill them.
 //!
-//! Every counting path of this crate — the unsharded loops
-//! ([`crate::state`]), scoped and paged queries, the in-process shards
-//! and the cluster peers ([`crate::shard`]) — turns an iteration's newly
-//! sampled rows into the same two pure-integer deltas: a [`CountState`]
-//! histogram per attribute and, for MI, a [`PairCountState`] of joint
-//! `(target, candidate)` occurrences. Both are filled here, once, by
-//! [`count_target`] and [`count_candidate`]:
+//! Every source of counts in this crate — the unsharded loop over any
+//! scope, heap or paged, the in-process shards and the cluster peers
+//! ([`crate::shard`]) — counts an iteration's newly sampled rows through
+//! one body, `Counter::count`, into the same two pure-integer deltas: a
+//! [`CountState`] histogram per attribute and, for MI, a
+//! [`PairCountState`] of joint `(target, candidate)` occurrences. Both
+//! are filled here, once, by [`count_target`] and [`count_candidate`]:
 //!
 //! 1. a block of at most [`INGEST_BLOCK_ROWS`] rows is staged at the
 //!    column's packed width into a reusable [`CodeBuf`] — a heap column
@@ -456,9 +456,9 @@ impl PairCountState {
 
 /// Reusable scratch of one candidate's count: the block buffer its codes
 /// are staged in (at the column's width) and the marginal and joint
-/// kernels' tables. One per candidate state ([`crate::state::GatherScratch`])
-/// and per [`crate::LocalShardSource`] shard; everything grows to
-/// its high-water mark once, so steady-state iterations allocate nothing.
+/// kernels' tables. A counter holds one per slot of its candidate
+/// fan-out; everything grows to its high-water mark once, so
+/// steady-state iterations allocate nothing.
 /// The tables are all-zero between calls. A call that unwinds (a corrupt
 /// page) leaves them dirty, which is why every owner lives and dies with
 /// one query.

@@ -34,7 +34,7 @@ use crate::measure::{Candidate, Entropy, Interval, Measure, Mi};
 use crate::observe::Instrumented;
 use crate::profile::ProfileResult;
 use crate::report::{AttrScore, FilterResult, QueryStats, TopKResult, WorkKind};
-use crate::scope::{CoveredDist, LocalSource, Scope};
+use crate::scope::{LocalSource, Scope};
 use crate::shard::{ShardTransport, ShardedSource};
 use crate::{filter, profile, topk, SwopeConfig, SwopeError};
 
@@ -208,12 +208,6 @@ pub(crate) trait CountSource {
     /// Work done before the first iteration.
     fn setup(&self) -> Setup {
         Setup::default()
-    }
-
-    /// The covered-region code distribution of `attr`, when the sample is
-    /// partly synthesized from sketch histograms.
-    fn covered(&self, _attr: AttrIndex) -> Option<CoveredDist> {
-        None
     }
 
     /// Every attribute's exact code counts over the whole population,

@@ -78,7 +78,7 @@ mod report;
 mod scope;
 pub mod shard;
 pub mod sketch_stats;
-pub mod state;
+mod state;
 mod topk;
 
 pub use config::SwopeConfig;

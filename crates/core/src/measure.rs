@@ -4,11 +4,12 @@
 //!
 //! The paper presents Alg. 3–4 as Alg. 1–2 with the §4.1 interval
 //! substituted. [`Measure`] is that substitution: the per-candidate
-//! state, the [`Interval`] (failure budget's divisor and width), and how
-//! one iteration's new rows — gathered locally or merged from shards —
-//! reach the states. [`crate::driver`] runs the one doubling loop over it.
+//! state, the [`Interval`] (failure budget's divisor and width), what an
+//! iteration counts, and how those counts — one [`ShardCounts`], counted
+//! locally or merged from shards — reach the states. [`crate::driver`]
+//! runs the one doubling loop over it.
 
-use swope_columnar::{AttrIndex, Dataset};
+use swope_columnar::AttrIndex;
 use swope_estimate::entropy::entropy_from_counts;
 use swope_obs::{Phase, QueryObserver};
 
@@ -16,9 +17,8 @@ use crate::driver::CountSource;
 use crate::exec::Executor;
 use crate::observe::Instrumented;
 use crate::report::WorkKind;
-use crate::scope::Growth;
-use crate::shard::{merge, CountRequest, ShardCounts};
-use crate::state::{EntropyState, GatherScratch, MiState, TargetState};
+use crate::shard::{CountRequest, ShardCounts};
+use crate::state::{EntropyState, MiState, TargetState};
 use crate::{sketch_stats, SwopeError};
 
 /// How a query's interval spends λ, fixed once per query before the
@@ -120,24 +120,24 @@ pub(crate) trait Measure {
         it: &mut Instrumented<'_, O>,
     ) -> Result<Interval, SwopeError>;
 
-    /// Counts `grown`'s rows of a local dataset straight into the states.
-    fn ingest(
-        &mut self,
-        states: &mut [Self::State],
-        dataset: &Dataset,
-        grown: &Growth<'_>,
-        scratch: &mut GatherScratch,
-        exec: &Executor,
-    );
+    /// The attribute every candidate's codes pair with, if any.
+    fn target(&self) -> Option<AttrIndex> {
+        None
+    }
 
-    /// What a sharded iteration asks every shard to count.
-    fn request(&self, states: &[Self::State]) -> CountRequest;
+    /// Refills `req` with what an iteration counts: the target and every
+    /// live candidate, in state order.
+    fn request(&self, states: &[Self::State], req: &mut CountRequest) {
+        req.target = self.target();
+        req.live.clear();
+        req.live.extend(states.iter().map(Candidate::attr));
+    }
 
-    /// Merges the shards' replies to [`Measure::request`] and drains them
-    /// into the states in canonical order.
-    fn apply_merged(
+    /// Drains one iteration's counts for [`Measure::request`] into the
+    /// states in canonical order, leaving every histogram empty.
+    fn apply(
         &mut self,
-        shards: Vec<ShardCounts>,
+        counts: &mut ShardCounts,
         states: &mut [Self::State],
     ) -> Result<(), SwopeError>;
 
@@ -156,15 +156,7 @@ impl Measure for Entropy {
     const WORK: WorkKind = WorkKind::EntropyMarginals;
 
     fn states<S: CountSource>(&self, source: &S) -> Vec<EntropyState> {
-        (0..source.num_attrs())
-            .map(|attr| {
-                let mut st = EntropyState::with_support(attr, source.support(attr));
-                if let Some(dist) = source.covered(attr) {
-                    st.set_covered(dist);
-                }
-                st
-            })
-            .collect()
+        (0..source.num_attrs()).map(|a| EntropyState::with_support(a, source.support(a))).collect()
     }
 
     fn prepare<S: CountSource, O: QueryObserver>(
@@ -175,31 +167,12 @@ impl Measure for Entropy {
         Ok(Interval::ONE_ENTROPY)
     }
 
-    fn ingest(
+    fn apply(
         &mut self,
-        states: &mut [EntropyState],
-        dataset: &Dataset,
-        grown: &Growth<'_>,
-        scratch: &mut GatherScratch,
-        exec: &Executor,
-    ) {
-        exec.for_each2(states, scratch.slots(states.len()), |st, buf| {
-            st.ingest_covered(grown.covered_k);
-            st.ingest_staged(dataset.column(st.attr), grown.delta, buf);
-        });
-    }
-
-    fn request(&self, states: &[EntropyState]) -> CountRequest {
-        CountRequest { target: None, live: states.iter().map(|st| st.attr).collect() }
-    }
-
-    fn apply_merged(
-        &mut self,
-        shards: Vec<ShardCounts>,
+        counts: &mut ShardCounts,
         states: &mut [EntropyState],
     ) -> Result<(), SwopeError> {
-        let mut merged = merge(shards, states.len())?;
-        for (st, delta) in states.iter_mut().zip(&mut merged.attrs) {
+        for (st, delta) in states.iter_mut().zip(&mut counts.attrs) {
             st.apply_delta(delta);
         }
         Ok(())
@@ -264,41 +237,21 @@ impl Measure for Mi {
         })
     }
 
-    fn ingest(
-        &mut self,
-        states: &mut [MiState],
-        dataset: &Dataset,
-        grown: &Growth<'_>,
-        scratch: &mut GatherScratch,
-        exec: &Executor,
-    ) {
-        // Gather the target codes once; every candidate reuses them.
-        let (t_buf, slots) = scratch.target_and_slots(states.len());
-        self.target.ingest_into(dataset.column(self.target.attr), grown.delta, t_buf);
-        let t_codes = t_buf.codes();
-        exec.for_each2(states, slots, |st, buf| {
-            st.ingest_staged(dataset.column(st.attr), t_codes, grown.delta, buf);
-        });
+    fn target(&self) -> Option<AttrIndex> {
+        Some(self.target.attr)
     }
 
-    fn request(&self, states: &[MiState]) -> CountRequest {
-        CountRequest {
-            target: Some(self.target.attr),
-            live: states.iter().map(|st| st.attr).collect(),
-        }
-    }
-
-    fn apply_merged(
+    fn apply(
         &mut self,
-        shards: Vec<ShardCounts>,
+        counts: &mut ShardCounts,
         states: &mut [MiState],
     ) -> Result<(), SwopeError> {
-        let mut merged = merge(shards, states.len())?;
-        let mut target = merged
+        let target = counts
             .target
+            .as_mut()
             .ok_or_else(|| SwopeError::Transport("shard omitted the target histogram".into()))?;
-        self.target.apply_delta(&mut target);
-        let candidates = merged.attrs.iter_mut().zip(&mut merged.joints);
+        self.target.apply_delta(target);
+        let candidates = counts.attrs.iter_mut().zip(&mut counts.joints);
         for (st, (delta, joint)) in states.iter_mut().zip(candidates) {
             st.apply_delta(delta, joint);
         }

@@ -8,7 +8,10 @@
 //! population of size `n_s` — the sample is uniform without replacement
 //! *from the scope*, bounds use `n = n_s`, and `p_f` defaults to `1/n_s`
 //! — so the paper's guarantees hold verbatim over the scoped rows.
-//! [`LocalSource`] is the loop's count source over a [`Population`].
+//! [`LocalSource`] is the loop's count source over a [`Population`]: it
+//! counts each delta through one [`Counter`], the body every shard
+//! counts with, adds a hybrid sample's covered draws to the counted
+//! histograms, and hands the states one [`ShardCounts`] to apply.
 //!
 //! ## How a scope is sampled
 //!
@@ -99,9 +102,7 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use swope_columnar::{
-    AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch, PageGrouper,
-};
+use swope_columnar::{AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch};
 use swope_obs::{Phase, QueryObserver, ScopePath};
 use swope_sampling::rng::Xoshiro256pp;
 use swope_sampling::{hypergeometric, PrefixShuffle};
@@ -113,7 +114,7 @@ use crate::driver::{run, CountSource, Round, Rule, Setup, Shape};
 use crate::exec::Executor;
 use crate::measure::Measure;
 use crate::report::{FilterResult, TopKResult};
-use crate::state::GatherScratch;
+use crate::shard::{CountRequest, Counter, ShardCounts};
 use crate::{sketch_stats, SwopeConfig, SwopeError};
 
 /// A range scope runs the hybrid sampler iff its whole pages hold at
@@ -510,15 +511,11 @@ pub(crate) struct Population {
     /// full and predicate scopes, which have no choice to make.
     path: Option<ScopePath>,
     kind: PopKind,
-    /// Reorders each delta so paged gathers pin every page once.
-    grouper: PageGrouper,
 }
 
 /// One [`Population::grow`] step.
 pub(crate) struct Growth<'a> {
-    /// The new physical rows, rows of one page adjacent (draw order on
-    /// a heap dataset). Every loop drains a delta into integer count
-    /// histograms, so its order never reaches an answer.
+    /// The new physical rows, in draw order.
     pub delta: &'a [u32],
     /// Covered-region draws this step (0 for physical populations).
     pub covered_k: u64,
@@ -585,18 +582,11 @@ impl Population {
             }
             ResolvedScope::Rows(list) => physical(RowMap::List(list)),
         };
-        Self {
-            n: setup.n,
-            setup_rows: setup.setup_rows,
-            path,
-            kind,
-            grouper: dataset.page_grouper(),
-        }
+        Self { n: setup.n, setup_rows: setup.setup_rows, path, kind }
     }
 
     /// Grows the sample to `target` draws and hands back the new
-    /// physical rows, page-grouped — the one place a loop's delta is
-    /// produced, so no loop can forget the grouping or see draw order.
+    /// physical rows and the covered draw count.
     pub(crate) fn grow(&mut self, target: usize) -> Growth<'_> {
         let n = self.n;
         let (delta, covered_k, sampled): (&[u32], u64, usize) = match &mut self.kind {
@@ -623,25 +613,23 @@ impl Population {
                 (&hp.fringe_rows[delta_range], covered_k, hp.drawn)
             }
         };
-        Growth { delta: self.grouper.group(delta), covered_k, sampled }
-    }
-
-    /// The covered-region distribution of `attr` (hybrid populations).
-    fn covered(&self, attr: AttrIndex) -> Option<CoveredDist> {
-        match &self.kind {
-            PopKind::Hybrid(hp) => Some(hp.dist_for(attr)),
-            PopKind::Physical { .. } => None,
-        }
+        Growth { delta, covered_k, sampled }
     }
 }
 
 /// The local [`CountSource`]: a dataset's rows, sampled through the
-/// [`Population`] its scope resolved to and counted straight into the
-/// driver's states.
+/// [`Population`] its scope resolved to and counted the way a shard
+/// counts — one [`Counter`], then one [`Measure::apply`].
 pub(crate) struct LocalSource<'a> {
     dataset: &'a Dataset,
     pop: Population,
-    scratch: GatherScratch,
+    counter: Counter,
+    /// The iteration's request and counts, refilled in place.
+    req: CountRequest,
+    counts: ShardCounts,
+    /// A hybrid sample's covered-region code distribution of every live
+    /// candidate, in attribute order; empty for physical populations.
+    covered: Vec<(AttrIndex, CoveredDist)>,
     setup_nanos: Option<u64>,
     /// The sketch, when the scope is the whole dataset: its page
     /// histograms hold the population's marginals.
@@ -666,7 +654,20 @@ impl<'a> LocalSource<'a> {
         let pop = Population::new(dataset, sketch, setup, config, hybrid);
         let setup_nanos = started.filter(|_| scoped).map(|t| t.elapsed().as_nanos() as u64);
         let full_sketch = sketch.filter(|_| !scoped);
-        Ok(Self { dataset, pop, scratch: GatherScratch::default(), setup_nanos, full_sketch })
+        let covered = match &pop.kind {
+            PopKind::Hybrid(hp) => (0..dataset.num_attrs()).map(|a| (a, hp.dist_for(a))).collect(),
+            PopKind::Physical { .. } => Vec::new(),
+        };
+        Ok(Self {
+            dataset,
+            pop,
+            counter: Counter::new(dataset),
+            req: CountRequest { target: None, live: Vec::new() },
+            counts: ShardCounts::empty(None, []),
+            covered,
+            setup_nanos,
+            full_sketch,
+        })
     }
 }
 
@@ -691,10 +692,6 @@ impl CountSource for LocalSource<'_> {
         Setup { rows: self.pop.setup_rows, nanos: self.setup_nanos, path: self.pop.path }
     }
 
-    fn covered(&self, attr: AttrIndex) -> Option<CoveredDist> {
-        self.pop.covered(attr)
-    }
-
     fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError> {
         Ok(sketch_marginals(self.dataset, self.full_sketch))
     }
@@ -713,9 +710,23 @@ impl CountSource for LocalSource<'_> {
         round.announce(grown.sampled, grown.delta.len(), states.len());
 
         let span = round.it.phase_start();
-        measure.ingest(states, self.dataset, &grown, &mut self.scratch, exec);
+        let (req, counts) = (&mut self.req, &mut self.counts);
+        measure.request(states, req);
+        self.counter.count(self.dataset, grown.delta, req, counts, exec);
+        // Candidates retire by `retain`, so the live list keeps attribute
+        // order and a retired candidate's draws go with it.
+        self.covered.retain(|(attr, _)| req.live.binary_search(attr).is_ok());
+        let k = grown.covered_k;
+        if k > 0 {
+            exec.for_each2(&mut self.covered, &mut counts.attrs, |(_, dist), delta| {
+                dist.draw_into(delta, k);
+                sketch_stats::record_covered_draws(k);
+            });
+        }
+        let applied = measure.apply(counts, states);
+        self.counter.park(req, counts);
         round.it.phase_end(Phase::Ingest, span);
-        Ok(())
+        applied
     }
 }
 

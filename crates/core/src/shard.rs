@@ -12,23 +12,28 @@
 //! Shards never touch floating point: each returns the pure-integer
 //! deltas of [`crate::count`] — a [`CountState`] per attribute, plus a
 //! [`PairCountState`] of joint occurrences for MI queries — filled by the
-//! same [`count_target`] / [`count_candidate`] kernels the unsharded
-//! loops use. Integer histograms merge by addition, so any shard count,
-//! any partition, and any merge order produce the *same* merged
-//! histogram, and the merged delta is drained into the master counters
-//! in the one canonical order every delta is (ascending code). Every
-//! bound, decision, and returned byte is therefore identical for 1
-//! shard, `S` shards, `S` remote peers, or no sharding at all.
+//! same count body the unsharded loop uses. Integer histograms merge by
+//! addition, so any shard count, any partition, and any merge order
+//! produce the *same* merged histogram, and the merged delta is drained
+//! into the master counters in the one canonical order every delta is
+//! (ascending code). Every bound, decision, and returned byte is
+//! therefore identical for 1 shard, `S` shards, `S` remote peers, or no
+//! sharding at all.
 //!
 //! ## Sampling and counting
 //!
 //! All shards replay **one global** [`PrefixShuffle`] over the union
 //! population (the same shuffle an unsharded run uses), and each shard
 //! counts only the delta rows that fall in its own contiguous row range.
-//! [`LocalShardSource`] is the one body that does this: in-process
-//! shards of one dataset ([`LocalShardSource::new`]) and a cluster
-//! peer's slice of the union ([`LocalShardSource::slice`]) sample, keep
-//! their rows and count them the same way.
+//! [`LocalShardSource`] does this for in-process shards of one dataset
+//! ([`LocalShardSource::new`]) and for a cluster peer's slice of the
+//! union ([`LocalShardSource::slice`]), and every shard counts its rows
+//! through a `Counter`: the one count body, which also counts the
+//! unsharded loop's rows. It groups the rows by page, counts the target
+//! and fans the live candidates out through [`count_target`] /
+//! [`count_candidate`], on histograms and joint deltas it takes back
+//! from doubling to doubling. Every source's counts reach the states
+//! through one apply.
 //!
 //! ## Layers
 //!
@@ -200,10 +205,8 @@ pub fn dataset_meta(dataset: &Dataset) -> Vec<AttrMeta> {
 ///
 /// Holds the one global [`PrefixShuffle`]; every `advance` keeps the
 /// sample delta's rows this dataset holds, partitions them by owning
-/// shard into reusable per-shard row lists and fans one count per shard
-/// out on the executor. Each shard groups its rows by page, then counts
-/// the target and every live candidate with one [`TargetBuf`] and one
-/// [`CountScratch`] of its own.
+/// shard into reusable per-shard row lists and fans one `Counter` per
+/// shard out on the executor.
 pub struct LocalShardSource<'a> {
     dataset: &'a Dataset,
     sketch: Option<&'a DatasetSketch>,
@@ -215,45 +218,98 @@ pub struct LocalShardSource<'a> {
     sampler: PrefixShuffle,
     base: u64,
     at: u64,
-    shards: Vec<Shard>,
+    /// Each shard's rows of the current delta, and its counter.
+    shards: Vec<(Vec<u32>, Counter)>,
     /// What the last `advance` counted: whose histograms `recycle` parks.
     last: CountRequest,
 }
 
-/// One shard's rows of the current delta and the buffers its counting
-/// reuses from doubling to doubling.
-struct Shard {
-    rows: Vec<u32>,
+/// The one count body: turns a delta's rows into the [`ShardCounts`] a
+/// [`CountRequest`] asks for, on buffers it keeps from doubling to
+/// doubling. Every [`LocalShardSource`] shard owns one, and so does the
+/// unsharded loop's [`crate::scope::LocalSource`].
+pub(crate) struct Counter {
     grouper: PageGrouper,
     target: TargetBuf,
-    scratch: CountScratch,
-    /// Emptied histograms handed back by `recycle`, by attribute.
+    /// One per live candidate of the widest request so far.
+    slots: Vec<Slot>,
+    /// Emptied histograms handed back by [`Counter::park`], by attribute.
     idle: Vec<Option<CountState>>,
 }
 
-impl Shard {
-    /// Counts this shard's rows for `req` into `counts`, on parked
-    /// histograms where there are some: the target first, gathering the
-    /// codes every candidate pairs against, then each live candidate's
-    /// marginal and joint.
-    fn count(&mut self, dataset: &Dataset, req: &CountRequest, counts: &mut ShardCounts) {
-        let mut take = |a: AttrIndex| {
-            self.idle[a].take().unwrap_or_else(|| CountState::new(dataset.support(a)))
-        };
-        let target = req.target.map(&mut take);
-        let attrs = req.live.iter().map(|&a| take(a)).collect();
-        *counts =
-            ShardCounts { target, attrs, joints: vec![PairCountState::new(); req.live.len()] };
-        // Rows of one page adjacent, so paged gathers pin each page once.
-        let rows = self.grouper.group(&self.rows);
-        if let (Some(t), Some(hist)) = (req.target, counts.target.as_mut()) {
-            count_target(dataset.column(t), rows, hist, &mut self.target);
+/// What one candidate's count uses besides its histogram: the attribute,
+/// the kernels' scratch and an emptied joint delta to fill.
+#[derive(Default)]
+struct Slot {
+    attr: AttrIndex,
+    scratch: CountScratch,
+    joint: PairCountState,
+}
+
+impl Counter {
+    pub(crate) fn new(dataset: &Dataset) -> Self {
+        Self {
+            grouper: dataset.page_grouper(),
+            target: TargetBuf::new(),
+            slots: Vec::new(),
+            idle: vec![None; dataset.num_attrs()],
         }
-        let candidates = req.live.iter().zip(&mut counts.attrs).zip(&mut counts.joints);
-        for ((&attr, out), pairs) in candidates {
-            let target = req.target.map(|_| self.target.target());
-            let column = dataset.column(attr);
-            count_candidate(column, rows, target, out, pairs, &mut self.scratch);
+    }
+
+    /// Counts `rows` of `dataset` for `req` into `counts`, on parked
+    /// histograms and joint deltas where there are some: groups the rows
+    /// by page, so paged gathers pin each page once; counts the target,
+    /// gathering the codes every candidate pairs against; then fans the
+    /// live candidates out on `exec`, one slot each.
+    pub(crate) fn count(
+        &mut self,
+        dataset: &Dataset,
+        rows: &[u32],
+        req: &CountRequest,
+        counts: &mut ShardCounts,
+        exec: &Executor,
+    ) {
+        let Self { grouper, target, slots, idle } = self;
+        let mut take = |a: AttrIndex| {
+            let parked = idle[a].take().filter(|cs| cs.support() == dataset.support(a));
+            parked.unwrap_or_else(|| CountState::new(dataset.support(a)))
+        };
+        counts.target = req.target.map(&mut take);
+        counts.attrs.clear();
+        counts.attrs.extend(req.live.iter().map(|&a| take(a)));
+        if slots.len() < req.live.len() {
+            slots.resize_with(req.live.len(), Slot::default);
+        }
+        let slots = &mut slots[..req.live.len()];
+        for (slot, &attr) in slots.iter_mut().zip(&req.live) {
+            slot.attr = attr;
+        }
+
+        let rows = grouper.group(rows);
+        if let (Some(t), Some(hist)) = (req.target, counts.target.as_mut()) {
+            count_target(dataset.column(t), rows, hist, target);
+        }
+        let paired = req.target.map(|_| target.target());
+        exec.for_each2(slots, &mut counts.attrs, |slot, out| {
+            let column = dataset.column(slot.attr);
+            count_candidate(column, rows, paired, out, &mut slot.joint, &mut slot.scratch);
+        });
+        counts.joints.clear();
+        counts.joints.extend(slots.iter_mut().map(|slot| std::mem::take(&mut slot.joint)));
+    }
+
+    /// Takes back `counts`, spent on `req`, so the next doubling counts
+    /// into the same histograms and joint deltas instead of allocating
+    /// and zeroing new ones.
+    pub(crate) fn park(&mut self, req: &CountRequest, counts: &mut ShardCounts) {
+        let target = req.target.into_iter().zip(counts.target.take());
+        for (attr, mut cs) in target.chain(req.live.iter().copied().zip(counts.attrs.drain(..))) {
+            cs.clear();
+            self.idle[attr] = Some(cs);
+        }
+        for (slot, mut joint) in self.slots.iter_mut().zip(counts.joints.drain(..)) {
+            joint.clear();
+            slot.joint = joint;
         }
     }
 }
@@ -309,15 +365,7 @@ impl<'a> LocalShardSource<'a> {
             sampler: PrefixShuffle::new(rows as usize, seed),
             base: population.start,
             at,
-            shards: (0..plan.num_shards())
-                .map(|_| Shard {
-                    rows: Vec::new(),
-                    grouper: dataset.page_grouper(),
-                    target: TargetBuf::new(),
-                    scratch: CountScratch::new(),
-                    idle: vec![None; dataset.num_attrs()],
-                })
-                .collect(),
+            shards: (0..plan.num_shards()).map(|_| (Vec::new(), Counter::new(dataset))).collect(),
             last: CountRequest { target: None, live: Vec::new() },
             plan,
         }
@@ -328,15 +376,8 @@ impl<'a> LocalShardSource<'a> {
     /// allocating and zeroing new ones: how a cluster peer keeps its
     /// histograms from doubling to doubling.
     pub fn recycle(&mut self, spent: Vec<ShardCounts>) {
-        let req = &self.last;
-        for (shard, counts) in self.shards.iter_mut().zip(spent) {
-            let target = req.target.into_iter().zip(counts.target);
-            for (attr, mut cs) in target.chain(req.live.iter().copied().zip(counts.attrs)) {
-                if cs.support() == self.meta[attr].support {
-                    cs.clear();
-                    shard.idle[attr] = Some(cs);
-                }
-            }
+        for ((_, counter), mut counts) in self.shards.iter_mut().zip(spent) {
+            counter.park(&self.last, &mut counts);
         }
     }
 
@@ -367,21 +408,22 @@ impl ShardTransport for LocalShardSource<'_> {
         m_target: usize,
         req: &CountRequest,
     ) -> Result<Vec<ShardCounts>, SwopeError> {
-        for shard in &mut self.shards {
-            shard.rows.clear();
+        for (rows, _) in &mut self.shards {
+            rows.clear();
         }
         let held = self.dataset.num_rows() as u64;
         for &i in self.sampler.grow_to(m_target) {
             let local = (self.base + u64::from(i)).checked_sub(self.at);
             if let Some(row) = local.filter(|&row| row < held) {
-                self.shards[self.plan.shard_of(row as u32)].rows.push(row as u32);
+                self.shards[self.plan.shard_of(row as u32)].0.push(row as u32);
             }
         }
 
         let mut out = vec![ShardCounts::empty(None, []); self.shards.len()];
         let dataset = self.dataset;
-        self.exec.for_each2(&mut self.shards, &mut out, |shard, counts| {
-            shard.count(dataset, req, counts)
+        // The shards are the fan-out: a pool dispatch must not nest in one.
+        self.exec.for_each2(&mut self.shards, &mut out, |(rows, counter), counts| {
+            counter.count(dataset, rows, req, counts, &Executor::sequential())
         });
         self.last.clone_from(req);
         Ok(out)
@@ -400,7 +442,7 @@ impl ShardTransport for LocalShardSource<'_> {
 /// histograms, joint runs — into the first shard's, exactly, and checks
 /// they answer the `live` candidates the measure asked about: what it
 /// then drains into its states in canonical order.
-pub(crate) fn merge(shards: Vec<ShardCounts>, live: usize) -> Result<ShardCounts, SwopeError> {
+fn merge(shards: Vec<ShardCounts>, live: usize) -> Result<ShardCounts, SwopeError> {
     let mut iter = shards.into_iter();
     let mut acc =
         iter.next().ok_or_else(|| SwopeError::Transport("no shard counts returned".into()))?;
@@ -463,14 +505,15 @@ impl<T: ShardTransport> CountSource for ShardedSource<'_, T> {
         // grew by since the previous iteration.
         let m = m_target.min(self.n());
         round.announce(m, m - round.m, states.len());
-        let req = measure.request(states);
+        let mut req = CountRequest { target: None, live: Vec::new() };
+        measure.request(states, &mut req);
 
         let span = round.it.phase_start();
         let shards = self.0.advance(m, &req)?;
         round.it.phase_end(Phase::Ingest, span);
 
         let span = round.it.phase_start();
-        measure.apply_merged(shards, states)?;
+        measure.apply(&mut merge(shards, states.len())?, states)?;
         round.it.phase_end(Phase::ShardMerge, span);
         Ok(())
     }

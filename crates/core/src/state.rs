@@ -1,75 +1,25 @@
-//! Per-attribute incremental query state.
-//!
-//! The adaptive loop maintains, for every live candidate attribute,
+//! Per-attribute incremental query state: for every live candidate,
 //! counters over the sampled records plus the current confidence
-//! interval. This module holds that state.
+//! interval.
 //!
-//! The key performance property: [`EntropyState::ingest_staged`] and
-//! [`MiState::ingest_staged`] accept only the **newly sampled** rows of an
-//! iteration, so the total counting work over a whole query is
-//! `O(candidates × final M)` — the quantity the paper's complexity
-//! analysis bounds — rather than re-scanning the sample every iteration.
-//!
-//! Every ingest fills its integer deltas through [`crate::count`] — the
-//! one gather → count block loop, marginal kernel and joint kernel that
-//! heap and paged columns, shards and peers all share — and then drains
-//! them into the floating-point counters in canonical ascending-code
-//! order, so a counter's running `f64` sum depends only on the
-//! *multiset* of rows an ingest call covers, never on their order (see
-//! the module docs there).
+//! A state never sees a row. Each iteration it takes the integer deltas
+//! of the **newly sampled** rows, which the one count body
+//! ([`crate::shard::Counter`], over the kernels of [`crate::count`])
+//! filled locally or a transport's shards filled and merged, so the
+//! counting work over a whole query is `O(candidates × final M)`, the
+//! quantity the paper's complexity analysis bounds. It drains them into
+//! its floating-point counters in canonical ascending-code order, so a
+//! counter's running `f64` sum depends only on the *multiset* of rows a
+//! delta covers, never on their order (see the module docs there).
 
-use swope_columnar::{AttrIndex, Code, Column, Dataset};
+use swope_columnar::AttrIndex;
 use swope_estimate::bounds::{
     entropy_bounds, mi_bounds, mi_bounds_exact_marginals, EntropyBounds, MiBounds,
 };
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::joint::JointEntropyCounter;
 
-pub use crate::count::INGEST_BLOCK_ROWS;
-use crate::count::{
-    count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf, TargetCodes,
-};
-use crate::scope::CoveredDist;
-use crate::sketch_stats;
-
-/// Reusable per-query scratch for gather-staged ingest.
-///
-/// One `GatherScratch` lives for the whole adaptive loop: `target` holds
-/// the MI target column's gathered codes for the current iteration
-/// (shared by every candidate, so gathered once), and `slots[i]` is
-/// candidate state `i`'s private [`CountScratch`] (private so the
-/// executor can fan candidates out without sharing buffers). All buffers
-/// grow to their high-water mark once and are then reused, so
-/// steady-state iterations allocate nothing.
-#[derive(Debug, Default)]
-pub struct GatherScratch {
-    target: TargetBuf,
-    slots: Vec<CountScratch>,
-}
-
-impl GatherScratch {
-    /// Scratch with `slots` per-candidate slots (more are added on
-    /// demand by [`GatherScratch::slots`]).
-    pub fn new(slots: usize) -> Self {
-        Self { target: TargetBuf::new(), slots: (0..slots).map(|_| CountScratch::new()).collect() }
-    }
-
-    /// The first `n` per-candidate slots, growing the slot list if
-    /// needed. Pair with states via `Executor::for_each2`.
-    pub fn slots(&mut self, n: usize) -> &mut [CountScratch] {
-        self.target_and_slots(n).1
-    }
-
-    /// Splits the scratch into the target buffer and the first `n`
-    /// candidate slots, so an MI iteration can fill the target buffer
-    /// and then fan candidates out over it in one borrow.
-    pub fn target_and_slots(&mut self, n: usize) -> (&mut TargetBuf, &mut [CountScratch]) {
-        if self.slots.len() < n {
-            self.slots.resize_with(n, CountScratch::new);
-        }
-        (&mut self.target, &mut self.slots[..n])
-    }
-}
+use crate::count::{CountState, PairCountState};
 
 /// Incremental entropy-query state for one attribute.
 #[derive(Debug, Clone)]
@@ -79,30 +29,17 @@ pub struct EntropyState {
     /// The attribute's support size `u_alpha`.
     pub support: u32,
     counter: EntropyCounter,
-    delta: CountState,
-    /// Covered-region code distribution of a scoped hybrid sample
-    /// (see [`crate::scope`]); `None` for unscoped queries.
-    covered: Option<CoveredDist>,
     /// Confidence interval from the most recent [`EntropyState::update_bounds`].
     pub bounds: EntropyBounds,
 }
 
 impl EntropyState {
-    /// Creates state for attribute `attr` of `dataset`.
-    pub fn new(dataset: &Dataset, attr: AttrIndex) -> Self {
-        Self::with_support(attr, dataset.support(attr))
-    }
-
-    /// Creates state from the attribute's support alone — the shard
-    /// engine's constructor, which holds attribute metadata but no local
-    /// [`Dataset`].
+    /// Creates state for attribute `attr` of support `support`.
     pub fn with_support(attr: AttrIndex, support: u32) -> Self {
         Self {
             attr,
             support,
             counter: EntropyCounter::new(support),
-            delta: CountState::new(support),
-            covered: None,
             bounds: EntropyBounds {
                 sample_entropy: 0.0,
                 lower: 0.0,
@@ -113,53 +50,10 @@ impl EntropyState {
         }
     }
 
-    /// Drains an externally accumulated delta histogram (one iteration's
-    /// merged shard counts) into the counter in canonical code order —
-    /// the exact apply the ingest paths use on their own deltas.
+    /// Drains one iteration's delta histogram into the counter in
+    /// canonical code order, leaving it empty.
     pub fn apply_delta(&mut self, delta: &mut CountState) {
         delta.apply_to(&mut self.counter);
-    }
-
-    /// Attaches the covered-region code distribution of a scoped hybrid
-    /// sample; [`EntropyState::ingest_covered`] draws from it.
-    pub(crate) fn set_covered(&mut self, dist: CoveredDist) {
-        self.covered = Some(dist);
-    }
-
-    /// Draws `k` covered-region records from the attached distribution
-    /// into the delta histogram (no-op without one, or when `k == 0`).
-    /// Nothing reaches the counter yet: the same iteration's
-    /// [`EntropyState::ingest_staged`] of the physical fringe delta (the
-    /// loop calls it on an empty delta too) drains covered and fringe
-    /// counts in one canonical apply.
-    #[inline]
-    pub(crate) fn ingest_covered(&mut self, k: u64) {
-        if k == 0 {
-            return;
-        }
-        if let Some(dist) = &mut self.covered {
-            dist.draw_into(&mut self.delta, k);
-            sketch_stats::record_covered_draws(k);
-        }
-    }
-
-    /// Ingests newly sampled rows (O(Δrows)), applied canonically: the
-    /// counter update depends only on the row multiset, not its order.
-    /// The column's codes are staged block-by-block at their native width
-    /// into the caller's `scratch` and counted by the marginal kernel,
-    /// with zero steady-state allocation once `scratch` has reached its
-    /// high-water mark.
-    pub fn ingest_staged(&mut self, column: &Column, new_rows: &[u32], scratch: &mut CountScratch) {
-        // No target, so no pairs: the joint delta is never touched.
-        count_candidate(
-            column,
-            new_rows,
-            None,
-            &mut self.delta,
-            &mut PairCountState::new(),
-            scratch,
-        );
-        self.delta.apply_to(&mut self.counter);
     }
 
     /// Recomputes the Lemma 3 interval for the current sample.
@@ -175,11 +69,6 @@ impl EntropyState {
     pub fn sample_entropy(&self) -> f64 {
         self.counter.entropy()
     }
-
-    /// Records ingested so far.
-    pub fn sampled(&self) -> u64 {
-        self.counter.total()
-    }
 }
 
 /// Incremental MI-query state for one candidate attribute (the target
@@ -191,11 +80,8 @@ pub struct MiState {
     pub attr: AttrIndex,
     /// The candidate's support size `u_alpha`.
     pub support: u32,
-    u_t: u32,
     counter: EntropyCounter,
     joint: JointEntropyCounter,
-    delta: CountState,
-    jdelta: PairCountState,
     /// Confidence interval from the most recent [`MiState::update_bounds`].
     pub bounds: MiBounds,
 }
@@ -207,11 +93,8 @@ impl MiState {
         Self {
             attr,
             support: u_a,
-            u_t,
             counter: EntropyCounter::new(u_a),
             joint: JointEntropyCounter::new(u_t, u_a),
-            delta: CountState::new(u_a),
-            jdelta: PairCountState::new(),
             bounds: MiBounds {
                 sample_mi: 0.0,
                 lower: 0.0,
@@ -222,34 +105,12 @@ impl MiState {
         }
     }
 
-    /// Drains externally accumulated marginal and joint delta histograms
-    /// (one iteration's merged shard counts) into the counters in the
-    /// canonical order the ingest paths use: marginal first, then joint,
-    /// each ascending by code.
+    /// Drains one iteration's marginal and joint deltas into the counters
+    /// in canonical order — marginal first, then joint, each ascending by
+    /// code — leaving both empty.
     pub fn apply_delta(&mut self, delta: &mut CountState, joint: &mut PairCountState) {
         delta.apply_to(&mut self.counter);
         joint.apply_to(&mut self.joint);
-    }
-
-    /// Ingests newly sampled rows. `target_codes[i]` must be the target
-    /// attribute's code at `new_rows[i]` (pre-gathered once per iteration
-    /// so `h−1` candidates don't each re-read the target column; the
-    /// shared buffer is widened to `u32`, only the candidate's own codes
-    /// stay at their packed width). The candidate's codes are staged
-    /// block-by-block into the caller's `scratch`, counted by the
-    /// marginal kernel and paired with the matching block of
-    /// `target_codes` by the joint kernel.
-    pub fn ingest_staged(
-        &mut self,
-        column: &Column,
-        target_codes: &[Code],
-        new_rows: &[u32],
-        scratch: &mut CountScratch,
-    ) {
-        let target = Some(TargetCodes { codes: target_codes, support: self.u_t });
-        count_candidate(column, new_rows, target, &mut self.delta, &mut self.jdelta, scratch);
-        self.delta.apply_to(&mut self.counter);
-        self.jdelta.apply_to(&mut self.joint);
     }
 
     /// Recomputes the §4.1 interval for the current sample.
@@ -297,11 +158,6 @@ impl MiState {
     pub fn sample_joint_entropy(&self) -> f64 {
         self.joint.entropy()
     }
-
-    /// Records ingested so far.
-    pub fn sampled(&self) -> u64 {
-        self.counter.total()
-    }
 }
 
 /// The target attribute's shared state in an MI query.
@@ -312,39 +168,18 @@ pub struct TargetState {
     /// The target's support size `u_t`.
     pub support: u32,
     counter: EntropyCounter,
-    delta: CountState,
 }
 
 impl TargetState {
-    /// Creates state for target attribute `attr` of `dataset`.
-    pub fn new(dataset: &Dataset, attr: AttrIndex) -> Self {
-        Self::with_support(attr, dataset.support(attr))
-    }
-
-    /// Creates state from the target's support alone (shard engine).
+    /// Creates state for target attribute `attr` of support `support`.
     pub fn with_support(attr: AttrIndex, support: u32) -> Self {
-        Self {
-            attr,
-            support,
-            counter: EntropyCounter::new(support),
-            delta: CountState::new(support),
-        }
+        Self { attr, support, counter: EntropyCounter::new(support) }
     }
 
-    /// Drains an externally accumulated target delta histogram into the
-    /// counter in canonical code order.
+    /// Drains one iteration's target delta histogram into the counter in
+    /// canonical code order, leaving it empty.
     pub fn apply_delta(&mut self, delta: &mut CountState) {
         delta.apply_to(&mut self.counter);
-    }
-
-    /// Ingests newly sampled rows, gathering their target codes into
-    /// `out` (replacing its contents) for every candidate's
-    /// [`MiState::ingest_staged`] to read back through
-    /// [`TargetBuf::codes`]; the doubling loop reuses one buffer across
-    /// iterations.
-    pub fn ingest_into(&mut self, column: &Column, new_rows: &[u32], out: &mut TargetBuf) {
-        count_target(column, new_rows, &mut self.delta, out);
-        self.delta.apply_to(&mut self.counter);
     }
 
     /// The target's sample entropy `H_S(α_t)`.
@@ -356,10 +191,36 @@ impl TargetState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swope_columnar::{Field, Schema, Width};
+    use crate::count::{count_candidate, count_target, CountScratch, TargetBuf, INGEST_BLOCK_ROWS};
+    use swope_columnar::{Code, Column, Dataset, Field, Schema, Width};
     use swope_estimate::entropy::column_entropy;
     use swope_estimate::joint::mutual_information;
     use swope_sampling::PrefixShuffle;
+
+    /// Counts `rows` of `column` through the marginal kernel into `st`.
+    fn ingest(st: &mut EntropyState, column: &Column, rows: &[u32], scratch: &mut CountScratch) {
+        let mut delta = CountState::new(column.support());
+        count_candidate(column, rows, None, &mut delta, &mut PairCountState::new(), scratch);
+        st.apply_delta(&mut delta);
+    }
+
+    /// Counts `rows` of `target` and `column` through the kernels into
+    /// `t` and `mi`.
+    fn ingest_mi(
+        t: &mut TargetState,
+        target: &Column,
+        mi: &mut MiState,
+        column: &Column,
+        rows: &[u32],
+        scratch: &mut CountScratch,
+    ) {
+        let (mut t_delta, mut t_buf) = (CountState::new(target.support()), TargetBuf::new());
+        count_target(target, rows, &mut t_delta, &mut t_buf);
+        t.apply_delta(&mut t_delta);
+        let (mut delta, mut pairs) = (CountState::new(column.support()), PairCountState::new());
+        count_candidate(column, rows, Some(t_buf.target()), &mut delta, &mut pairs, scratch);
+        mi.apply_delta(&mut delta, &mut pairs);
+    }
 
     fn dataset() -> Dataset {
         let schema = Schema::new(vec![Field::new("a", 4), Field::new("b", 2)]);
@@ -371,9 +232,9 @@ mod tests {
     #[test]
     fn entropy_state_full_ingest_matches_exact() {
         let ds = dataset();
-        let mut st = EntropyState::new(&ds, 0);
+        let mut st = EntropyState::with_support(0, 4);
         let rows: Vec<u32> = (0..64).collect();
-        st.ingest_staged(ds.column(0), &rows, &mut CountScratch::new());
+        ingest(&mut st, ds.column(0), &rows, &mut CountScratch::new());
         assert!((st.sample_entropy() - column_entropy(ds.column(0))).abs() < 1e-12);
         st.update_bounds(64, 0.01);
         // Full sample: bounds collapse.
@@ -383,19 +244,18 @@ mod tests {
     #[test]
     fn entropy_state_incremental_ingest() {
         let ds = dataset();
-        let mut st = EntropyState::new(&ds, 0);
+        let mut st = EntropyState::with_support(0, 4);
         let rows: Vec<u32> = (0..64).collect();
         let mut scratch = CountScratch::new();
-        st.ingest_staged(ds.column(0), &rows[..32], &mut scratch);
-        st.ingest_staged(ds.column(0), &rows[32..], &mut scratch);
-        assert_eq!(st.sampled(), 64);
+        ingest(&mut st, ds.column(0), &rows[..32], &mut scratch);
+        ingest(&mut st, ds.column(0), &rows[32..], &mut scratch);
+        assert_eq!(st.counter.total(), 64);
         assert!((st.sample_entropy() - column_entropy(ds.column(0))).abs() < 1e-12);
     }
 
     #[test]
     fn entropy_state_initial_bounds_are_vacuous() {
-        let ds = dataset();
-        let st = EntropyState::new(&ds, 1);
+        let st = EntropyState::with_support(1, 2);
         assert_eq!(st.bounds.lower, 0.0);
         assert!(st.bounds.upper.is_infinite());
     }
@@ -403,12 +263,11 @@ mod tests {
     #[test]
     fn mi_state_full_ingest_matches_exact() {
         let ds = dataset();
-        let mut target = TargetState::new(&ds, 0);
+        let mut target = TargetState::with_support(0, ds.support(0));
         let mut cand = MiState::new(1, ds.support(0), ds.support(1));
         let rows: Vec<u32> = (0..64).collect();
-        let mut t_buf = TargetBuf::new();
-        target.ingest_into(ds.column(0), &rows, &mut t_buf);
-        cand.ingest_staged(ds.column(1), t_buf.codes(), &rows, &mut CountScratch::new());
+        let scratch = &mut CountScratch::new();
+        ingest_mi(&mut target, ds.column(0), &mut cand, ds.column(1), &rows, scratch);
         cand.update_bounds(target.sample_entropy(), target.support, 64, 0.01);
         let exact = mutual_information(ds.column(0), ds.column(1));
         assert!((cand.bounds.lower - exact).abs() < 1e-9);
@@ -439,20 +298,18 @@ mod tests {
         let mut joint = JointEntropyCounter::new(3, 8);
         pairs.apply_to(&mut joint);
 
-        let mut st = EntropyState::new(&ds, 0);
+        let mut st = EntropyState::with_support(0, 8);
         let mut scratch = CountScratch::new();
-        st.ingest_staged(ds.column(0), &rows, &mut scratch);
-        assert_eq!(st.sampled(), n as u64);
+        ingest(&mut st, ds.column(0), &rows, &mut scratch);
+        assert_eq!(st.counter.total(), n as u64);
         assert_eq!(st.sample_entropy().to_bits(), counter.entropy().to_bits());
         // The block buffer must stay block-sized (allow allocator
         // rounding) rather than growing with the 3-block delta.
         assert!(scratch.block_capacity() < 2 * INGEST_BLOCK_ROWS);
 
-        let mut target = TargetState::new(&ds, 1);
-        let mut t_buf = TargetBuf::new();
-        target.ingest_into(ds.column(1), &rows, &mut t_buf);
-        let mut mi = MiState::new(0, ds.support(1), ds.support(0));
-        mi.ingest_staged(ds.column(0), t_buf.codes(), &rows, &mut scratch);
+        let mut target = TargetState::with_support(1, 3);
+        let mut mi = MiState::new(0, 3, 8);
+        ingest_mi(&mut target, ds.column(1), &mut mi, ds.column(0), &rows, &mut scratch);
         assert_eq!(mi.sample_entropy().to_bits(), counter.entropy().to_bits());
         assert_eq!(mi.sample_joint_entropy().to_bits(), joint.entropy().to_bits());
     }
@@ -467,42 +324,17 @@ mod tests {
         let mut sampler = PrefixShuffle::new(n, 7);
         let rows: Vec<u32> = sampler.grow_to(n / 2).to_vec();
 
-        let schema = Schema::new(vec![Field::new("a", 200)]);
         let reference = {
-            let ds = Dataset::new(schema.clone(), vec![base.clone()]).unwrap();
-            let mut st = EntropyState::new(&ds, 0);
-            st.ingest_staged(ds.column(0), &rows, &mut CountScratch::new());
+            let mut st = EntropyState::with_support(0, 200);
+            ingest(&mut st, &base, &rows, &mut CountScratch::new());
             st.sample_entropy().to_bits()
         };
         let mut scratch = CountScratch::new();
         for width in [Width::U8, Width::U16, Width::U32] {
-            let col = base.with_width(width).unwrap();
-            let ds = Dataset::new(schema.clone(), vec![col]).unwrap();
-            let mut st = EntropyState::new(&ds, 0);
-            st.ingest_staged(ds.column(0), &rows, &mut scratch);
+            let mut st = EntropyState::with_support(0, 200);
+            ingest(&mut st, &base.with_width(width).unwrap(), &rows, &mut scratch);
             assert_eq!(st.sample_entropy().to_bits(), reference, "width {width}");
         }
-    }
-
-    #[test]
-    fn gather_scratch_grows_slots_on_demand() {
-        let ds = dataset();
-        let mut scratch = GatherScratch::new(2);
-        assert_eq!(scratch.slots(5).len(), 5);
-        let (target, slots) = scratch.target_and_slots(3);
-        TargetState::new(&ds, 0).ingest_into(ds.column(0), &[1, 2], target);
-        assert_eq!(slots.len(), 3);
-        // Growing the slot list keeps what the scratch already holds.
-        assert_eq!(scratch.target_and_slots(7).0.codes(), &[1, 2]);
-    }
-
-    #[test]
-    fn target_state_returns_gathered_codes() {
-        let ds = dataset();
-        let mut target = TargetState::new(&ds, 0);
-        let mut t_buf = TargetBuf::new();
-        target.ingest_into(ds.column(0), &[0, 5, 10], &mut t_buf);
-        assert_eq!(t_buf.codes(), &[0, 1, 2]);
     }
 
     #[test]
@@ -511,9 +343,9 @@ mod tests {
         let ds = dataset();
         let exact = column_entropy(ds.column(0));
         let mut sampler = PrefixShuffle::new(64, 3);
-        let mut st = EntropyState::new(&ds, 0);
+        let mut st = EntropyState::with_support(0, 4);
         let delta = sampler.grow_to(32).to_vec();
-        st.ingest_staged(ds.column(0), &delta, &mut CountScratch::new());
+        ingest(&mut st, ds.column(0), &delta, &mut CountScratch::new());
         st.update_bounds(64, 0.001);
         assert!(st.bounds.lower <= exact + 1e-9);
         assert!(exact <= st.bounds.upper + 1e-9);

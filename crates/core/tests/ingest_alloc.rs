@@ -1,16 +1,22 @@
-//! Steady-state allocation audit for gather-staged ingest.
+//! Steady-state allocation audit for the count path.
 //!
-//! The execution layer's claim is that once a query's scratch buffers
-//! reach their high-water mark, iterating allocates nothing: block
-//! buffers are capped at [`swope_core::state::INGEST_BLOCK_ROWS`] and
-//! reused, the marginal kernel's lane tables and the joint kernel's
-//! dense pair table are sized by the first delta that takes them, and
-//! the MI target buffer only regrows past its largest delta.
-//! The same holds over paged columns, whose gather adds a page grouper
-//! and page lookups but no allocation once the pages are resident, and for
-//! the kernels `LocalShardSource` counts every shard — in-process, a
-//! cluster peer's slice, OneShot's sample — with (`count_target` /
-//! `count_candidate`) over reused deltas.
+//! The execution layer's claim is that once a query's buffers reach
+//! their high-water mark, iterating allocates nothing per candidate.
+//! Two halves check it:
+//!
+//! * the kernels every count source runs (`count_target` /
+//!   `count_candidate` over reused deltas): block buffers are capped at
+//!   [`swope_core::count::INGEST_BLOCK_ROWS`] and reused, the marginal
+//!   kernel's lane tables and the joint kernel's dense pair table are
+//!   sized by the first delta that takes them, and the MI target buffer
+//!   only regrows past its largest delta. The same holds over paged
+//!   columns, whose gather adds a page grouper and page lookups but no
+//!   allocation once the pages are resident;
+//! * `LocalShardSource`, the counter of in-process shards and cluster
+//!   peers: an `advance` + `recycle` cycle counts into the histograms and
+//!   joint deltas the last one handed back, so it allocates as often
+//!   with one live candidate as with three.
+//!
 //! This binary installs a counting global allocator and asserts exactly
 //! that. It holds a single test on purpose: the harness is per-process,
 //! and a concurrently running neighbour test would count its own
@@ -21,9 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use swope_columnar::{snapshot, Column, Dataset, Field, PageCache, Residency, Schema};
-use swope_core::state::{EntropyState, GatherScratch, MiState, TargetState};
 use swope_core::{
-    count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf,
+    count_candidate, count_target, CountRequest, CountScratch, CountState, Executor,
+    LocalShardSource, PairCountState, ShardTransport, SwopeConfig, TargetBuf,
 };
 use swope_sampling::rng::Xoshiro256pp;
 
@@ -94,34 +100,26 @@ fn staged_ingest_allocates_nothing_in_steady_state() {
     assert!(paged.column(0).is_paged());
     audit("paged", &paged, &rows);
     let _ = std::fs::remove_file(path);
+
+    recycled_shards_allocate_alike();
 }
 
 fn audit(label: &str, ds: &Dataset, rows: &[u32]) {
     let cand = ds.column(0);
     let target = ds.column(1);
-    let mut entropy = EntropyState::new(ds, 0);
-    let mut target_state = TargetState::new(ds, 1);
-    let mut mi = MiState::new(0, target_state.support, ds.support(0));
-    let mut scratch = GatherScratch::new(2);
     let mut grouper = ds.page_grouper();
-    // The shard engine's and the peers' form of the same count: deltas
-    // it empties itself, one scratch across attributes.
+    // Deltas emptied after every count, one scratch across attributes.
     let (mut t_counts, mut counts) =
         (CountState::new(ds.support(1)), CountState::new(ds.support(0)));
     let (mut t_buf, mut pairs) = (TargetBuf::new(), PairCountState::new());
-    let mut shard_scratch = CountScratch::new();
+    let mut scratch = CountScratch::new();
 
     let mut ingest = |delta: &[u32]| {
         let delta = grouper.group(delta);
-        entropy.ingest_staged(cand, delta, &mut scratch.slots(2)[0]);
-        let (t_codes, slots) = scratch.target_and_slots(2);
-        target_state.ingest_into(target, delta, t_codes);
-        mi.ingest_staged(cand, t_codes.codes(), delta, &mut slots[1]);
-
         count_target(target, delta, &mut t_counts, &mut t_buf);
         let paired = Some(t_buf.target());
-        count_candidate(cand, delta, paired, &mut counts, &mut pairs, &mut shard_scratch);
-        count_candidate(cand, delta, None, &mut counts, &mut pairs, &mut shard_scratch);
+        count_candidate(cand, delta, paired, &mut counts, &mut pairs, &mut scratch);
+        count_candidate(cand, delta, None, &mut counts, &mut pairs, &mut scratch);
         assert_eq!(counts.total(), 2 * delta.len() as u64);
         assert_eq!(pairs.total(), t_counts.total());
         t_counts.clear();
@@ -147,4 +145,43 @@ fn audit(label: &str, ds: &Dataset, rows: &[u32]) {
     ingest(&rows[..9]);
     let after = ALLOCS.load(Ordering::Relaxed);
     assert_eq!(after - before, 0, "{label}: steady-state ingest performed allocations");
+}
+
+/// Allocations of the MI `advance` + `recycle` cycles after two warm-up
+/// cycles, over 2 in-process shards, against target 0 with `live`
+/// candidates.
+fn cycle_allocations(live: Vec<usize>) -> u64 {
+    let n = 60_000usize;
+    let mut r = Xoshiro256pp::seed_from_u64(0x2EC7);
+    let columns = [4u32, 8, 8, 8].map(|u| {
+        Column::new((0..n).map(|_| r.next_below(u64::from(u)) as u32).collect(), u).unwrap()
+    });
+    let fields = (0..columns.len()).map(|a| Field::new(format!("c{a}"), columns[a].support()));
+    let ds = Dataset::new(Schema::new(fields.collect()), columns.to_vec()).unwrap();
+    let exec = Executor::sequential();
+    let mut source = LocalShardSource::new(&ds, 2, &SwopeConfig::default(), &exec).unwrap();
+    let req = CountRequest { target: Some(0), live };
+    // The warm-up deltas are the largest, so every row list, target
+    // buffer, scratch and joint delta has reached its size; each later
+    // delta (1 000 rows, ≈ 500 a shard) still takes the lane and dense
+    // tables.
+    let mut cycle = |m: usize| {
+        let counts = source.advance(m, &req).unwrap();
+        let total: u64 = counts.iter().flat_map(|c| &c.joints).map(|j| j.total()).sum();
+        source.recycle(counts);
+        total
+    };
+    cycle(20_000);
+    cycle(30_000);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for m in (31_000..=36_000).step_by(1_000) {
+        assert_eq!(cycle(m), 1_000 * req.live.len() as u64);
+    }
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+fn recycled_shards_allocate_alike() {
+    let one = cycle_allocations(vec![1]);
+    let three = cycle_allocations(vec![1, 2, 3]);
+    assert_eq!(one, three, "recycled shards allocate per candidate: {one} vs {three}");
 }

@@ -11,7 +11,7 @@ use swope_sampling::rng::Xoshiro256pp;
 use swope_store::page::{encode_pages, PAGE_HEADER_BYTES, PAGE_ROWS, STREAM_HEADER_BYTES};
 use swope_store::{Code, CodeBuf, PackedCodes, Width};
 
-/// More than `swope_core::state::INGEST_BLOCK_ROWS` (8192).
+/// More than `swope_core::count::INGEST_BLOCK_ROWS` (8192).
 const LONG_LIST: usize = 20_000;
 
 struct VecMapping(Vec<u8>);

@@ -13,7 +13,7 @@
 //! endpoint reads them without taking the map lock.
 //!
 //! The lock is shared with the server's *event thread*, which does every
-//! untraced query's [`ResultCache::get`] as an admission stage, while
+//! `/query/*` request's [`ResultCache::get`] as an admission stage, while
 //! workers [`ResultCache::put`] what they computed. Two things follow.
 //! `put`'s `O(capacity)` eviction scan runs under a lock the event
 //! thread waits on, so it bounds how long a hit can stall behind a miss

@@ -136,8 +136,9 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
-    /// Whether this request restricts the scope at all. Unscoped requests
-    /// take exactly the pre-scope code path.
+    /// Whether this request names a scope at all, which the response
+    /// echoes. Both kinds run through the one scoped entry point; an
+    /// unscoped request is a full scope, the plain query bit for bit.
     pub fn is_scoped(&self) -> bool {
         self.row_start.is_some() || self.row_end.is_some() || self.where_clause.is_some()
     }

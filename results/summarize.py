@@ -129,7 +129,7 @@ if __name__ == "__main__":
         accuracy(f)
     for f in ["fig9", "fig10", "fig11", "fig12"]:
         tuning(f)
-    for f in ["ext-sampling", "ext-threads", "ext-oneshot", "ext-m0", "ext-locality"]:
+    for f in ["ext-threads", "ext-oneshot", "ext-m0"]:
         ablation(f)
     mi_full_n_and_vs_exact()
     history()

@@ -1,12 +1,15 @@
 //! The docs cite only what exists.
 //!
 //! README.md, DESIGN.md, EXPERIMENTS.md and `docs/*.md` point readers at
-//! result files, micro-benches and EXPERIMENTS.md sections. Each kind of
-//! citation is checked against the tree:
+//! result files, micro-benches, source files and EXPERIMENTS.md
+//! sections. Each kind of citation is checked against the tree:
 //!
 //! * a backticked `results/…` path names a file (a `*` or `<placeholder>`
 //!   component must match at least one);
 //! * a backticked `bench/<name>` names `crates/bench/benches/<name>.rs`;
+//! * a backticked path with a `/` that ends in `.rs`, once a trailing
+//!   `::item` or `:line` is cut, names a file from the repo root or from
+//!   `crates/`;
 //! * `EXPERIMENTS.md § "…"` is a prefix of one of its `##` headings.
 
 use std::fs;
@@ -97,6 +100,17 @@ fn resolves(dir: &Path, pattern: &str) -> bool {
     })
 }
 
+/// The path a source-file citation names: a span with a `/` that ends
+/// in `.rs` once a trailing `::item` or `:line` is cut.
+fn source_path(span: &str) -> Option<&str> {
+    let path = span.split("::").next()?;
+    let path = match path.rsplit_once(':') {
+        Some((file, line)) if line.bytes().all(|b| b.is_ascii_digit()) => file,
+        _ => path,
+    };
+    (path.contains('/') && path.ends_with(".rs")).then_some(path)
+}
+
 /// The `##` headings of EXPERIMENTS.md.
 fn experiments_sections(root: &Path) -> Vec<String> {
     let text = fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
@@ -121,6 +135,11 @@ fn every_cited_result_bench_and_section_exists() {
                 let bench = root.join("crates/bench/benches").join(format!("{name}.rs"));
                 if !bench.is_file() {
                     missing.push(format!("{doc}: `{span}` has no crates/bench/benches/{name}.rs"));
+                }
+            } else if let Some(path) = source_path(&span) {
+                checked += 1;
+                if !root.join(path).is_file() && !root.join("crates").join(path).is_file() {
+                    missing.push(format!("{doc}: `{span}` names no source file"));
                 }
             }
         }
