@@ -15,7 +15,7 @@
 use swope_columnar::{AttrIndex, Dataset};
 use swope_core::{
     AttrScore, CountRequest, CountState, Executor, LocalShardSource, QueryStats, Rule, Shape,
-    ShardTransport, SwopeError, TopKResult, WorkKind,
+    ShardTransport, SwopeConfig, SwopeError, TopKResult, WorkKind,
 };
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::joint::JointEntropyCounter;
@@ -56,7 +56,8 @@ fn oneshot(
     let candidates = Shape { target, rule: Rule::TopK { k } }.check(h, n == 0)?;
     let m = sample_size.clamp(1, n);
     let exec = Executor::sequential();
-    let mut source = LocalShardSource::slice(dataset, 1, 0..n as u64, 0, seed, &exec);
+    let config = SwopeConfig::default().with_seed(seed);
+    let mut source = LocalShardSource::new(dataset, 1, &config, &exec)?;
     let req = CountRequest { target, live: (0..h).filter(|&a| Some(a) != target).collect() };
     let mut counts = source.advance(m, &req)?.remove(0);
 

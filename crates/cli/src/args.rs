@@ -15,7 +15,6 @@ commands:
   entropy-profile <file>               error-bounded entropy of every attribute
   mi-profile <file> --target <a>       error-bounded MI of every candidate
   compare <file> [-k <n>]              SWOPE vs exact: speedup and agreement
-  drift <a> <b>                        per-attribute JS distance between snapshots
   gen <profile> --out <file>           generate a synthetic dataset
                                        (profiles: cdc hus pus enem tiny)
   convert <in> <out>                   convert between .csv and .swop

@@ -74,7 +74,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         query @ ("entropy-topk" | "entropy-filter" | "entropy-profile" | "mi-topk"
         | "mi-filter" | "mi-profile") => cmd_query(query, &opts),
         "compare" => cmd_compare(&opts),
-        "drift" => cmd_drift(&opts),
         "gen" => cmd_gen(&opts),
         "convert" => cmd_convert(&opts),
         "split" => cmd_split(&opts),
@@ -428,39 +427,6 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
             s.estimate,
             exact_score.map(|v| format!("{v:.4}")).unwrap_or_else(|| "-".into())
         );
-    }
-    Ok(())
-}
-
-/// Per-attribute distribution drift between two snapshots of the same
-/// table (Jensen–Shannon distance, 0 = identical, 1 = disjoint).
-fn cmd_drift(opts: &Options) -> Result<(), String> {
-    let [a_path, b_path] = opts.positional.as_slice() else {
-        return Err("drift expects two dataset files".into());
-    };
-    let (a, _) = open_dataset(a_path, Residency::Heap)?;
-    let (b, _) = open_dataset(b_path, Residency::Heap)?;
-    if a.num_attrs() != b.num_attrs() {
-        return Err(format!("attribute counts differ: {} vs {}", a.num_attrs(), b.num_attrs()));
-    }
-    println!("{:<24} {:>12} {:>10}", "attribute", "JS distance", "verdict");
-    for attr in 0..a.num_attrs() {
-        let name = a.schema().field(attr).map(|f| f.name()).unwrap_or("?");
-        // Align code spaces: pad the narrower distribution with zeros.
-        let mut pa = swope_estimate::divergence::empirical_distribution(a.column(attr));
-        let mut pb = swope_estimate::divergence::empirical_distribution(b.column(attr));
-        let width = pa.len().max(pb.len());
-        pa.resize(width, 0.0);
-        pb.resize(width, 0.0);
-        let d = swope_estimate::divergence::jensen_shannon_distance(&pa, &pb);
-        let verdict = if d < 0.05 {
-            "stable"
-        } else if d < 0.2 {
-            "minor drift"
-        } else {
-            "DRIFTED"
-        };
-        println!("{:<24} {:>12.4} {:>10}", truncate(name, 24), d, verdict);
     }
     Ok(())
 }

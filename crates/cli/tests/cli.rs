@@ -789,19 +789,6 @@ fn events_out_unwritable_path_errors() {
 }
 
 #[test]
-fn drift_compares_snapshots() {
-    let a = tmp("drift_a.csv");
-    let b = tmp("drift_b.csv");
-    std::fs::write(&a, "x\n0\n1\n0\n1\n").unwrap();
-    std::fs::write(&b, "x\n0\n0\n0\n0\n").unwrap();
-    let o = swope(&["drift", a.to_str().unwrap(), b.to_str().unwrap()]);
-    assert!(o.status.success(), "{}", stderr(&o));
-    assert!(stdout(&o).contains("DRIFTED"));
-    let o = swope(&["drift", a.to_str().unwrap(), a.to_str().unwrap()]);
-    assert!(stdout(&o).contains("stable"));
-}
-
-#[test]
 fn nonexistent_file_errors() {
     let o = swope(&["stats", "/definitely/not/here.csv"]);
     assert!(!o.status.success());

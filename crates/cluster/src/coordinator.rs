@@ -14,6 +14,13 @@
 //! ("peer addr: …") after at most the I/O timeout — never a hung
 //! worker. The server maps that error to `503 Retry-After`.
 //!
+//! The coordinator owns the query's one sample: a [`PrefixShuffle`] over
+//! the population, the shuffle a single box holding the union draws.
+//! Each doubling grows it, splits the new rows by owning peer
+//! ([`ShardPlan::split`]) and sends every peer its own rows as local row
+//! indexes; the replies are added into one reused [`ShardCounts`] as they
+//! are decoded, which is the whole merge.
+//!
 //! Row-range scopes are handled by shrinking the sampled population to
 //! the range and routing the query only to peers whose slices intersect
 //! it — non-intersecting peers never hear about the query, and an empty
@@ -29,12 +36,13 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use swope_core::{AttrMeta, CountRequest, ShardCounts, ShardTransport, SwopeError};
-
-use crate::frame::{
-    Frame, FrameReader, FrameWriter, GrowDelta, Hello, QuerySpecFrame, ResultFrame,
-    PROTOCOL_VERSION,
+use swope_core::shard::Shelf;
+use swope_core::{
+    AttrMeta, CountRequest, PairCountState, ShardCounts, ShardPlan, ShardTransport, SwopeError,
 };
+use swope_sampling::PrefixShuffle;
+
+use crate::frame::{Frame, FrameReader, FrameWriter, Hello, ResultFrame, PROTOCOL_VERSION};
 use crate::stats::ClusterStats;
 
 /// Explicit wire deadlines; both paths must be bounded for the dead-peer
@@ -329,14 +337,26 @@ pub fn probe(
 ///
 /// Lives for one query. [`RemoteShardSource::finish`] after a query that
 /// answered tells every participant it is over, so their sessions await
-/// the next `QuerySpec` from the pool; dropping it unfinished — a failed
-/// query may leave a reply unread on any socket — closes them.
+/// the next query from the pool; dropping it unfinished — a failed query
+/// may leave a reply unread on any socket — closes them.
 pub struct RemoteShardSource {
     peers: Vec<PeerConn>,
     meta: Vec<AttrMeta>,
     population: u64,
     base: u64,
     union_rows: u64,
+    /// The query's sample over the population, and where each
+    /// participant's slice lies in it.
+    sampler: PrefixShuffle,
+    plan: ShardPlan,
+    /// Each participant's rows of the current delta.
+    rows: Vec<Vec<u32>>,
+    /// The replies' sum, handed out by `advance` and back by `recycle`,
+    /// and the histograms it parks in between.
+    acc: ShardCounts,
+    shelf: Shelf,
+    /// What the last `advance` counted.
+    last: CountRequest,
     sampled: u64,
     finished: bool,
     stats: Arc<ClusterStats>,
@@ -354,7 +374,9 @@ impl RemoteShardSource {
     /// # Errors
     ///
     /// [`SwopeError::Transport`] when a peer is unreachable, times out,
-    /// disagrees on schema, or reports an error;
+    /// disagrees on schema, holds more rows than a `u32` row index names,
+    /// or reports an error, and when the population holds more rows than
+    /// one sample can index (`u32::MAX`);
     /// [`SwopeError::InvalidScope`] when `scope` starts past its (clamped)
     /// end; [`SwopeError::EmptyDataset`] when the fleet holds no rows.
     pub fn connect(
@@ -398,6 +420,11 @@ impl RemoteShardSource {
                 }
                 Some(_) => {}
             }
+            if reply.num_rows > u64::from(u32::MAX) {
+                let reason =
+                    format!("holds {} rows, more than a u32 row index names", reply.num_rows);
+                return Err(peer_err(addr, reason));
+            }
             peer.slice = offset..offset + reply.num_rows;
             offset += reply.num_rows;
             peers.push(peer);
@@ -418,10 +445,17 @@ impl RemoteShardSource {
             )));
         }
         let scope = scope.start..end;
+        let population = scope.end - scope.start;
+        if population > u64::from(u32::MAX) {
+            return Err(SwopeError::Transport(format!(
+                "a population of {population} rows exceeds the {} rows one sample can index",
+                u32::MAX
+            )));
+        }
         // Scoped queries involve only the peers whose slices intersect
         // the range; the rest never hear about this query. Their sessions
-        // are healthy (Hello only, no QuerySpec), so they go straight
-        // back to the pool instead of closing.
+        // are healthy (Hello only), so they go straight back to the pool
+        // instead of closing.
         let mut kept = Vec::with_capacity(peers.len());
         for peer in peers {
             if peer.slice.start < scope.end && peer.slice.end > scope.start {
@@ -430,28 +464,19 @@ impl RemoteShardSource {
                 pool.check_in(&peer.addr, peer.stream);
             }
         }
-        let mut peers = kept;
-        let spec = QuerySpecFrame {
-            seed,
-            population: scope.end - scope.start,
-            base: scope.start,
-            shard_start: 0,
-            shard_end: 0,
-        };
-        for peer in &mut peers {
-            let spec = QuerySpecFrame {
-                shard_start: peer.slice.start,
-                shard_end: peer.slice.end,
-                ..spec.clone()
-            };
-            send(peer, &stats, &Frame::QuerySpec(spec))?;
-        }
+        let peers = kept;
         Ok(Self {
+            plan: ShardPlan::scoped(peers.iter().map(|p| p.slice.clone()), scope.clone()),
+            rows: vec![Vec::new(); peers.len()],
             peers,
             meta: meta.unwrap_or_default(),
-            population: scope.end - scope.start,
+            population,
             base: scope.start,
             union_rows,
+            sampler: PrefixShuffle::new(population as usize, seed),
+            acc: ShardCounts::empty(None, []),
+            shelf: Shelf::default(),
+            last: CountRequest { target: None, live: Vec::new() },
             sampled: 0,
             finished: false,
             stats,
@@ -518,28 +543,43 @@ impl ShardTransport for RemoteShardSource {
         if self.finished {
             return Err(SwopeError::Transport("query already finished".into()));
         }
-        let grow = Frame::GrowDelta(GrowDelta {
-            m_target: m_target as u64,
-            target: req.target.map(|t| t as u32),
-            live: req.live.iter().map(|&a| a as u32).collect(),
-        });
+        let Self { peers, rows, plan, sampler, stats, .. } = self;
+        for list in rows.iter_mut() {
+            list.clear();
+        }
+        plan.split(sampler.grow_to(m_target), |peer, row| rows[peer].push(row));
         // Scatter to every participant first, then gather: peers count
         // their deltas concurrently while we read replies in order.
-        for peer in &mut self.peers {
-            send(peer, &self.stats, &grow)?;
+        for (peer, rows) in peers.iter_mut().zip(rows.iter()) {
+            let span = (peer.slice.end - peer.slice.start) as u32;
+            match peer.writer.write_grow_delta(&mut peer.stream, m_target as u64, req, rows, span) {
+                Ok(n) => stats.record_sent(n),
+                Err(e) => return Err(fail(peer, stats, e)),
+            }
         }
-        let mut out = Vec::with_capacity(self.peers.len());
+        let mut acc = std::mem::replace(&mut self.acc, ShardCounts::empty(None, []));
+        let meta = &self.meta;
+        self.shelf.shape(req, |a| meta[a].support, &mut acc);
+        acc.joints.resize_with(req.live.len(), PairCountState::new);
         for peer in &mut self.peers {
-            let mut counts = ShardCounts::empty(
-                req.target.map(|t| self.meta[t].support),
-                req.live.iter().map(|&a| self.meta[a].support),
-            );
-            recv_counts(peer, &self.stats, &mut counts, false)?;
-            out.push(counts);
+            recv_counts(peer, &self.stats, &mut acc, false)?;
         }
+        self.last.clone_from(req);
         self.sampled = (m_target as u64).min(self.population);
         self.stats.record_merge();
-        Ok(out)
+        Ok(vec![acc])
+    }
+
+    /// Parks the spent sum's histograms and keeps its emptied joint
+    /// deltas for the next doubling.
+    fn recycle(&mut self, spent: Vec<ShardCounts>) {
+        if let Some(mut acc) = spent.into_iter().next() {
+            self.shelf.park(&self.last, &mut acc);
+            for joint in &mut acc.joints {
+                joint.clear();
+            }
+            self.acc = acc;
+        }
     }
 
     /// Asks every peer for its sketch totals — only when the query's

@@ -6,8 +6,9 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "SWPC"
-//! 4       1     frame tag (1=Hello … 6=Error, 7=Marginals)
-//! 5       4     payload length (u32; ≤ 64 MiB for CountMerge, ≤ 1 MiB otherwise)
+//! 4       1     frame tag (1=Hello, 3=GrowDelta … 6=Error, 7=Marginals)
+//! 5       4     payload length (u32; ≤ 512 MiB + 1 MiB for GrowDelta,
+//!               ≤ 64 MiB for CountMerge, ≤ 1 MiB otherwise)
 //! 9       len   payload
 //! 9+len   4     CRC32 over bytes [4, 9+len)  (tag + length + payload)
 //! ```
@@ -20,9 +21,26 @@
 //!
 //! The control frames use fixed-width fields: `u32` length + UTF-8
 //! bytes for strings, `u32` element counts for lists; `Marginals` has an
-//! empty payload. `CountMerge` — one per peer per doubling, all but a few
-//! hundred of a query's wire bytes — is LEB128 varints over the
-//! histograms' canonical form (since protocol version 2):
+//! empty payload. `GrowDelta` carries the rows the peer counts:
+//!
+//! ```text
+//! GrowDelta = u64 m_target, u8 has_target, u32 target
+//!             u32 n, n × u32                live attributes
+//!             u8 form
+//!   form 0:   u32 rows, rows × u32          local rows, in draw order
+//!   form 1:   u32 span, ⌈span / 8⌉ bytes    bit r % 8 of byte r / 8 set
+//!                                           iff local row r is new
+//! ```
+//!
+//! The sender picks the smaller form: the bitmap, over the peer's whole
+//! slice (`span` = its row count), iff `32 × rows > span`, a tie going to
+//! the list. A receiver refuses a bitmap the rule would not pick or with
+//! bits past its span, and a peer a list it would not pick, so the
+//! encoding of a delta is unique.
+//! The bitmap's 512 MiB (a slice of `u32::MAX` rows) bounds the frame.
+//!
+//! `CountMerge` — one per peer per doubling, most of a query's reply
+//! bytes — is LEB128 varints over the histograms' canonical form:
 //!
 //! ```text
 //! CountMerge = u8 has_target (0 | 1)
@@ -44,12 +62,16 @@
 //! argument needs (see `swope_core::shard`). Codes that ascend by one and
 //! counts under 128 take two bytes an entry against twelve fixed-width.
 //!
-//! A `CountMerge` also answers `Marginals` (protocol version 3), the
-//! request an MI query over the whole union sends once, before its first
-//! `GrowDelta`: the peer's partition-sketch totals for every attribute,
-//! no target and no joint runs — or, from a peer without a usable
-//! sketch, a `CountMerge` over no attributes at all (payload `00 00`),
-//! which declines.
+//! A `CountMerge` also answers `Marginals`, the request an MI query over
+//! the whole union sends once, before its first `GrowDelta`: the peer's
+//! partition-sketch totals for every attribute, no target and no joint
+//! runs — or, from a peer without a usable sketch, a `CountMerge` over no
+//! attributes at all (payload `00 00`), which declines.
+//!
+//! Versions: 2 made `CountMerge` varints (1 had fixed-width entries), 3
+//! added `Marginals`, and 4 moved sampling to the coordinator — the
+//! `QuerySpec` frame (tag 2), from which every peer replayed the union's
+//! shuffle, is gone, and `GrowDelta` carries each peer's rows.
 //!
 //! [`FrameWriter`] and [`FrameReader`] each own one buffer that a session
 //! reuses for every frame; [`write_frame`] and [`read_frame`] are the
@@ -57,16 +79,16 @@
 
 use std::io::{Read, Write};
 
-use swope_core::{AttrMeta, CountState, ShardCounts};
+use swope_core::{AttrMeta, CountRequest, CountState, ShardCounts};
 use swope_store::crc32::{crc32, Crc32};
 
 /// Connection-sniffing magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SWPC";
 
 /// Wire protocol version carried in [`Hello`] frames; peers reject
-/// mismatches rather than guessing. Version 2 is the varint
-/// `CountMerge` layout; version 3 adds the `Marginals` request.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// mismatches rather than guessing (see the module docs for what each
+/// version changed).
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on a `CountMerge` payload. One over the widest supported
 /// attribute set stays far below this; anything larger is a corrupt or
@@ -77,7 +99,13 @@ pub const MAX_PAYLOAD: u32 = 64 << 20;
 /// tens of thousands of attributes fits, and nothing else comes close.
 pub const MAX_CONTROL_PAYLOAD: u32 = 1 << 20;
 
+/// Upper bound on a `GrowDelta` payload: the bitmap of a slice of
+/// `u32::MAX` rows, plus a control frame's worth of attribute list. No
+/// delta is ever split across frames.
+pub const MAX_GROW_PAYLOAD: u32 = (512 << 20) + MAX_CONTROL_PAYLOAD;
+
 const HEADER_LEN: usize = 9;
+const TAG_GROW_DELTA: u8 = 3;
 const TAG_COUNT_MERGE: u8 = 4;
 const TAG_MARGINALS: u8 = 7;
 
@@ -86,8 +114,8 @@ const TAG_MARGINALS: u8 = 7;
 const DECLINE: [u8; 2] = [0, 0];
 
 /// How far [`FrameReader`] grows its buffer ahead of the bytes that have
-/// actually arrived: a header can claim [`MAX_PAYLOAD`], it cannot make
-/// the reader allocate it.
+/// actually arrived: a header can claim [`MAX_GROW_PAYLOAD`], it cannot
+/// make the reader allocate it.
 const READ_STEP: usize = 64 << 10;
 
 /// Why a frame could not be read or decoded. One line per variant —
@@ -157,39 +185,84 @@ pub struct Hello {
     pub attrs: Vec<AttrMeta>,
 }
 
-/// `QuerySpec`: pins one query's global sampling frame. The peer replays
-/// the union-wide prefix shuffle from `seed` over `population` rows;
-/// sampled index `i` names union row `base + i`, and the peer counts it
-/// iff it falls in the peer's own `[shard_start, shard_end)` slice
-/// (local row `base + i - shard_start`). Unscoped queries have
-/// `base = 0` and `population = Σ n_peer`; a row-range scope shrinks
-/// `population` and offsets `base`, and only intersecting peers hear
-/// about the query at all.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuerySpecFrame {
-    /// Global sampling seed shared by every peer.
-    pub seed: u64,
-    /// Rows in the (possibly scoped) union population.
-    pub population: u64,
-    /// First union row of the scope (0 when unscoped).
-    pub base: u64,
-    /// First union row this peer owns.
-    pub shard_start: u64,
-    /// One past the last union row this peer owns.
-    pub shard_end: u64,
-}
-
-/// `GrowDelta`: one doubling iteration's counting request — grow the
-/// shared sample to `m_target` and count the newly sampled rows for the
-/// still-live attributes (paired against `target` for MI queries).
+/// `GrowDelta`: one doubling iteration's counting request — the rows
+/// the sample grew by on this peer, to count for the still-live
+/// attributes (paired against `target` for MI queries).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GrowDelta {
-    /// Cumulative sample-size target (absolute, not a delta).
+    /// Cumulative sample-size target over the union (absolute, not a
+    /// delta).
     pub m_target: u64,
     /// MI target attribute index, `None` for entropy queries.
     pub target: Option<u32>,
     /// Still-live attribute indexes, in engine state order.
     pub live: Vec<u32>,
+    /// The peer's new rows.
+    pub rows: DeltaRows,
+}
+
+/// The rows one doubling adds to a peer's sample, as its local row
+/// indexes, in whichever form is smaller (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub enum DeltaRows {
+    /// The rows in draw order.
+    List(Vec<u32>),
+    /// One bit per row of the peer's slice of `span` rows — bit `r % 8`
+    /// of byte `r / 8` for local row `r` — so the rows read ascending.
+    Bitmap {
+        /// The slice's row count.
+        span: u32,
+        /// `⌈span / 8⌉` bytes.
+        bits: Vec<u8>,
+    },
+}
+
+impl DeltaRows {
+    /// `rows` of a slice of `span` rows, in the form the wire rule picks.
+    pub fn new(rows: &[u32], span: u32) -> Self {
+        if travels_as_bitmap(rows.len(), u64::from(span)) {
+            let mut bits = vec![0; bitmap_len(span)];
+            set_bits(&mut bits, rows);
+            DeltaRows::Bitmap { span, bits }
+        } else {
+            DeltaRows::List(rows.to_vec())
+        }
+    }
+
+    /// Appends the rows to `out` in the order a peer counts them: draw
+    /// order from a list, ascending from a bitmap.
+    pub fn append_to(&self, out: &mut Vec<u32>) {
+        let bits = match self {
+            DeltaRows::List(rows) => return out.extend_from_slice(rows),
+            DeltaRows::Bitmap { bits, .. } => bits,
+        };
+        for (i, chunk) in bits.chunks(8).enumerate() {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let mut word = u64::from_le_bytes(word);
+            while word != 0 {
+                out.push(64 * i as u32 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+    }
+}
+
+/// The wire rule: a delta of `rows` rows travels as a bitmap over its
+/// slice of `span` rows iff that is smaller than the list — a tie goes to
+/// the list.
+pub(crate) fn travels_as_bitmap(rows: usize, span: u64) -> bool {
+    32 * rows as u64 > span
+}
+
+fn bitmap_len(span: u32) -> usize {
+    (span as usize).div_ceil(8)
+}
+
+fn set_bits(bits: &mut [u8], rows: &[u32]) {
+    for &r in rows {
+        bits[r as usize / 8] |= 1 << (r % 8);
+    }
 }
 
 /// `CountMerge`: a peer's integer count deltas for one `GrowDelta`, held
@@ -227,8 +300,6 @@ pub struct ErrorFrame {
 pub enum Frame {
     /// Session opener / metadata reply.
     Hello(Hello),
-    /// Per-query sampling frame.
-    QuerySpec(QuerySpecFrame),
     /// Per-iteration counting request.
     GrowDelta(GrowDelta),
     /// Per-iteration count reply.
@@ -246,8 +317,7 @@ impl Frame {
     fn tag(&self) -> u8 {
         match self {
             Frame::Hello(_) => 1,
-            Frame::QuerySpec(_) => 2,
-            Frame::GrowDelta(_) => 3,
+            Frame::GrowDelta(_) => TAG_GROW_DELTA,
             Frame::CountMerge(_) => TAG_COUNT_MERGE,
             Frame::Result(_) => 5,
             Frame::Error(_) => 6,
@@ -259,7 +329,6 @@ impl Frame {
     pub fn name(&self) -> &'static str {
         match self {
             Frame::Hello(_) => "Hello",
-            Frame::QuerySpec(_) => "QuerySpec",
             Frame::GrowDelta(_) => "GrowDelta",
             Frame::CountMerge(_) => "CountMerge",
             Frame::Result(_) => "Result",
@@ -350,6 +419,47 @@ fn put_count_merge(out: &mut Vec<u8>, counts: &mut ShardCounts) -> u64 {
     entries
 }
 
+const FORM_LIST: u8 = 0;
+const FORM_BITMAP: u8 = 1;
+
+/// A `GrowDelta`'s fields before its rows.
+fn put_grow_head(
+    out: &mut Vec<u8>,
+    m_target: u64,
+    target: Option<u32>,
+    live: impl ExactSizeIterator<Item = u32>,
+) {
+    put_u64(out, m_target);
+    out.push(target.is_some() as u8);
+    put_u32(out, target.unwrap_or(0));
+    put_u32(out, live.len() as u32);
+    for a in live {
+        put_u32(out, a);
+    }
+}
+
+fn put_list(out: &mut Vec<u8>, rows: &[u32]) {
+    out.push(FORM_LIST);
+    put_u32(out, rows.len() as u32);
+    let at = out.len();
+    out.resize(at + 4 * rows.len(), 0);
+    for (bytes, &r) in out[at..].chunks_exact_mut(4).zip(rows) {
+        bytes.copy_from_slice(&r.to_le_bytes());
+    }
+}
+
+/// A `GrowDelta`'s rows, in the form the wire rule picks, built in place.
+fn put_rows(out: &mut Vec<u8>, rows: &[u32], span: u32) {
+    if !travels_as_bitmap(rows.len(), u64::from(span)) {
+        return put_list(out, rows);
+    }
+    out.push(FORM_BITMAP);
+    put_u32(out, span);
+    let at = out.len();
+    out.resize(at + bitmap_len(span), 0);
+    set_bits(&mut out[at..], rows);
+}
+
 fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::Hello(h) => {
@@ -362,20 +472,16 @@ fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
                 put_u32(out, a.support);
             }
         }
-        Frame::QuerySpec(q) => {
-            put_u64(out, q.seed);
-            put_u64(out, q.population);
-            put_u64(out, q.base);
-            put_u64(out, q.shard_start);
-            put_u64(out, q.shard_end);
-        }
         Frame::GrowDelta(g) => {
-            put_u64(out, g.m_target);
-            out.push(g.target.is_some() as u8);
-            put_u32(out, g.target.unwrap_or(0));
-            put_u32(out, g.live.len() as u32);
-            for &a in &g.live {
-                put_u32(out, a);
+            put_grow_head(out, g.m_target, g.target, g.live.iter().copied());
+            match &g.rows {
+                DeltaRows::List(rows) => put_list(out, rows),
+                DeltaRows::Bitmap { span, bits } => {
+                    debug_assert_eq!(bits.len(), bitmap_len(*span));
+                    out.push(FORM_BITMAP);
+                    put_u32(out, *span);
+                    out.extend_from_slice(bits);
+                }
             }
         }
         Frame::CountMerge(c) => out.extend_from_slice(&c.payload),
@@ -431,6 +537,13 @@ impl<'a> Cursor<'a> {
             return Err(FrameError::Malformed("list count exceeds payload size"));
         }
         Ok(n)
+    }
+
+    /// A `u32` count, then that many `u32`s.
+    fn u32_list(&mut self) -> Result<Vec<u32>, FrameError> {
+        let n = self.list_len(4)?;
+        let bytes = self.take(4 * n)?;
+        Ok(bytes.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).collect())
     }
 
     /// One LEB128 `u64`, minimal length only — a padded encoding of the
@@ -586,23 +699,29 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
             }
             Frame::Hello(Hello { version, dataset, num_rows, attrs })
         }
-        2 => Frame::QuerySpec(QuerySpecFrame {
-            seed: c.u64()?,
-            population: c.u64()?,
-            base: c.u64()?,
-            shard_start: c.u64()?,
-            shard_end: c.u64()?,
-        }),
-        3 => {
+        TAG_GROW_DELTA => {
             let m_target = c.u64()?;
             let has_target = c.u8()? != 0;
             let target_raw = c.u32()?;
-            let n = c.list_len(4)?;
-            let mut live = Vec::with_capacity(n);
-            for _ in 0..n {
-                live.push(c.u32()?);
-            }
-            Frame::GrowDelta(GrowDelta { m_target, target: has_target.then_some(target_raw), live })
+            let live = c.u32_list()?;
+            let rows = match c.u8()? {
+                FORM_LIST => DeltaRows::List(c.u32_list()?),
+                FORM_BITMAP => {
+                    let span = c.u32()?;
+                    let bits = c.take(bitmap_len(span))?;
+                    if span % 8 != 0 && bits[bits.len() - 1] >> (span % 8) != 0 {
+                        return Err(FrameError::Malformed("bitmap sets a bit past its span"));
+                    }
+                    let rows = bits.iter().map(|b| b.count_ones() as usize).sum();
+                    if !travels_as_bitmap(rows, u64::from(span)) {
+                        return Err(FrameError::Malformed("a delta this sparse travels as a list"));
+                    }
+                    DeltaRows::Bitmap { span, bits: bits.to_vec() }
+                }
+                _ => return Err(FrameError::Malformed("row form is neither list nor bitmap")),
+            };
+            let target = has_target.then_some(target_raw);
+            Frame::GrowDelta(GrowDelta { m_target, target, live, rows })
         }
         5 => Frame::Result(ResultFrame { sampled: c.u64()? }),
         6 => Frame::Error(ErrorFrame { message: c.str()? }),
@@ -649,6 +768,24 @@ impl FrameWriter {
         self.finish(w)
     }
 
+    /// Writes a `GrowDelta` for `req` straight from a peer's new `rows`
+    /// of its slice of `span` rows, in the form the wire rule picks,
+    /// returning the bytes put on the wire.
+    pub fn write_grow_delta<W: Write>(
+        &mut self,
+        w: &mut W,
+        m_target: u64,
+        req: &CountRequest,
+        rows: &[u32],
+        span: u32,
+    ) -> Result<usize, FrameError> {
+        self.begin(TAG_GROW_DELTA);
+        let live = req.live.iter().map(|&a| a as u32);
+        put_grow_head(&mut self.buf, m_target, req.target.map(|t| t as u32), live);
+        put_rows(&mut self.buf, rows, span);
+        self.finish(w)
+    }
+
     fn begin(&mut self, tag: u8) {
         self.buf.clear();
         self.buf.extend_from_slice(&MAGIC);
@@ -671,10 +808,10 @@ impl FrameWriter {
 }
 
 fn payload_limit(tag: u8) -> u32 {
-    if tag == TAG_COUNT_MERGE {
-        MAX_PAYLOAD
-    } else {
-        MAX_CONTROL_PAYLOAD
+    match tag {
+        TAG_GROW_DELTA => MAX_GROW_PAYLOAD,
+        TAG_COUNT_MERGE => MAX_PAYLOAD,
+        _ => MAX_CONTROL_PAYLOAD,
     }
 }
 
@@ -816,6 +953,26 @@ mod tests {
         counts
     }
 
+    /// A sparse delta of a 1 000-row slice: three rows, in draw order.
+    fn grow_list() -> Frame {
+        let rows = DeltaRows::new(&[617, 3, 250], 1_000);
+        Frame::GrowDelta(GrowDelta { m_target: 4096, target: Some(3), live: vec![0, 1, 5], rows })
+    }
+
+    /// A dense delta of a 1 000-row slice: every third row.
+    fn grow_bitmap() -> Frame {
+        let rows: Vec<u32> = (0..1_000).step_by(3).collect();
+        let rows = DeltaRows::new(&rows, 1_000);
+        Frame::GrowDelta(GrowDelta { m_target: 64, target: None, live: vec![2], rows })
+    }
+
+    /// One frame of every kind with a payload layout to break, `GrowDelta`
+    /// in both forms.
+    fn containment_samples() -> Vec<Frame> {
+        let count_merge = Frame::CountMerge(CountMergeFrame::from_counts(&mut sample_counts()));
+        vec![samples().remove(0), grow_list(), grow_bitmap(), count_merge, Frame::Marginals]
+    }
+
     fn samples() -> Vec<Frame> {
         vec![
             Frame::Hello(Hello {
@@ -833,15 +990,8 @@ mod tests {
                 num_rows: 0,
                 attrs: Vec::new(),
             }),
-            Frame::QuerySpec(QuerySpecFrame {
-                seed: 0xDEAD_BEEF,
-                population: 1_000_000,
-                base: 250,
-                shard_start: 500_000,
-                shard_end: 750_000,
-            }),
-            Frame::GrowDelta(GrowDelta { m_target: 4096, target: Some(3), live: vec![0, 1, 5] }),
-            Frame::GrowDelta(GrowDelta { m_target: 64, target: None, live: vec![2] }),
+            grow_list(),
+            grow_bitmap(),
             Frame::CountMerge(CountMergeFrame::from_counts(&mut sample_counts())),
             Frame::Result(ResultFrame { sampled: 8192 }),
             Frame::Error(ErrorFrame { message: "no dataset named \"x\"".into() }),
@@ -901,31 +1051,94 @@ mod tests {
 
     #[test]
     fn corruption_is_detected_everywhere() {
-        let clean = encode(&samples().remove(5));
-        // Flipping any single bit past the magic must be caught (the CRC
-        // covers tag, length, and payload; the magic check covers 0..4).
-        for bit in 0..clean.len() * 8 {
-            let mut bad = clean.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            assert!(decode(&bad).is_err(), "flip of bit {bit} went undetected");
+        for frame in containment_samples() {
+            let clean = encode(&frame);
+            // Flipping any single bit past the magic must be caught (the
+            // CRC covers tag, length, and payload; the magic check covers
+            // 0..4).
+            for bit in 0..clean.len() * 8 {
+                let mut bad = clean.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(decode(&bad).is_err(), "{}: flip of bit {bit} undetected", frame.name());
+            }
         }
     }
 
     #[test]
     fn truncation_and_oversize_are_rejected() {
-        for frame in [samples().remove(0), samples().remove(5)] {
+        for frame in containment_samples() {
             let bytes = encode(&frame);
             for cut in 0..bytes.len() {
-                assert!(decode(&bytes[..cut]).is_err(), "truncation at {cut} accepted");
+                assert!(decode(&bytes[..cut]).is_err(), "{}: cut at {cut} accepted", frame.name());
             }
-            let limit = if matches!(frame, Frame::CountMerge(_)) {
-                MAX_PAYLOAD
-            } else {
-                MAX_CONTROL_PAYLOAD
-            };
             let mut huge = bytes.clone();
-            huge[5..9].copy_from_slice(&(limit + 1).to_le_bytes());
+            huge[5..9].copy_from_slice(&(payload_limit(frame.tag()) + 1).to_le_bytes());
             assert!(matches!(decode(&huge), Err(FrameError::Oversize(_))));
+        }
+    }
+
+    /// The bitmap iff `32 × rows > span`, a tie going to the list; the
+    /// session path writes what the frame value does, and a bitmap reads
+    /// back ascending.
+    #[test]
+    fn grow_delta_takes_the_smaller_form() {
+        let req = CountRequest { target: Some(1), live: vec![0, 2] };
+        for (n, bitmap) in [(0, false), (10, false), (11, true), (320, true)] {
+            let rows: Vec<u32> = (0..n).map(|i| (i * 97) % 320).rev().collect();
+            let delta = DeltaRows::new(&rows, 320);
+            assert_eq!(matches!(delta, DeltaRows::Bitmap { .. }), bitmap, "{n} rows");
+            let frame = Frame::GrowDelta(GrowDelta {
+                m_target: 9,
+                target: Some(1),
+                live: vec![0, 2],
+                rows: delta,
+            });
+            let mut direct = Vec::new();
+            FrameWriter::new().write_grow_delta(&mut direct, 9, &req, &rows, 320).unwrap();
+            assert_eq!(direct, encode(&frame), "{n} rows");
+            let Ok(Frame::GrowDelta(back)) = decode(&direct) else { panic!("{n} rows") };
+            let mut read = Vec::new();
+            back.rows.append_to(&mut read);
+            if bitmap {
+                let mut ascending = rows.clone();
+                ascending.sort_unstable();
+                assert_eq!(read, ascending);
+            } else {
+                assert_eq!(read, rows);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_bitmaps_are_errors() {
+        // A GrowDelta over no attributes with `rows` as its row part.
+        let grow = |rows: &[u8]| {
+            let mut body = Vec::new();
+            put_grow_head(&mut body, 8, None, std::iter::empty());
+            body.extend_from_slice(rows);
+            body
+        };
+        // 12 rows of a 20-row slice: three bytes, the last with 4 spare bits.
+        let bitmap = |last: u8| [&[FORM_BITMAP, 20, 0, 0, 0, 0xFF, 0x0F][..], &[last]].concat();
+        assert!(decode_payload(TAG_GROW_DELTA, &grow(&bitmap(0x00))).is_ok());
+        let hostile: Vec<(&str, Vec<u8>)> = vec![
+            ("bitmap sets a bit past its span", grow(&bitmap(0x10))),
+            ("bitmap sets a bit past its span", grow(&bitmap(0x80))),
+            (
+                "a delta this sparse travels as a list",
+                grow(&[FORM_BITMAP, 64, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]),
+            ),
+            ("a delta this sparse travels as a list", grow(&[FORM_BITMAP, 0, 0, 0, 0])),
+            ("payload shorter than its layout", grow(&bitmap(0)[..7])),
+            ("row form is neither list nor bitmap", grow(&[2, 0, 0, 0, 0])),
+            ("list count exceeds payload size", grow(&[FORM_LIST, 2, 0, 0, 0, 1, 0, 0, 0])),
+            ("trailing bytes after payload", grow(&[FORM_LIST, 0, 0, 0, 0, 0])),
+        ];
+        for (why, body) in hostile {
+            match decode_payload(TAG_GROW_DELTA, &body) {
+                Err(FrameError::Malformed(reason)) => assert_eq!(reason, why, "{body:02x?}"),
+                other => panic!("{why}: parsed {body:02x?} as {other:?}"),
+            }
         }
     }
 
@@ -934,8 +1147,8 @@ mod tests {
         // Nine bytes claiming the largest legal payload, then silence: an
         // I/O error, and a buffer no bigger than one read step.
         let mut header = MAGIC.to_vec();
-        header.push(TAG_COUNT_MERGE);
-        header.extend_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        header.push(TAG_GROW_DELTA);
+        header.extend_from_slice(&MAX_GROW_PAYLOAD.to_le_bytes());
         let mut reader = FrameReader::new();
         let err = reader.read(&mut header.as_slice()).unwrap_err();
         assert!(matches!(err, FrameError::Io(_)), "{err}");

@@ -6,13 +6,14 @@
 //! protocol over TCP:
 //!
 //! * [`frame`] — the dependency-free binary format: length-prefixed,
-//!   CRC32-trailed typed frames (`Hello`, `QuerySpec`, `GrowDelta`,
-//!   `CountMerge`, `Result`, `Error`, `Marginals`), sniffable from HTTP
-//!   by the leading `SWPC` magic.
-//! * [`peer`] — the shard-server side: answer counting work over a
-//!   resident dataset slice, replaying the query's global sample.
+//!   CRC32-trailed typed frames (`Hello`, `GrowDelta`, `CountMerge`,
+//!   `Result`, `Error`, `Marginals`), sniffable from HTTP by the leading
+//!   `SWPC` magic.
+//! * [`peer`] — the shard-server side: count the rows it is sent over a
+//!   resident dataset slice.
 //! * [`coordinator`] — [`RemoteShardSource`], a
-//!   [`swope_core::ShardTransport`] whose shards are remote peers, with
+//!   [`swope_core::ShardTransport`] whose shards are remote peers: it
+//!   draws the query's one sample and sends each peer its rows, with
 //!   explicit connect/read timeouts so dead peers degrade to one-line
 //!   errors instead of hung workers.
 //! * [`stats`] — process-wide `swope_cluster_*` counters.

@@ -8,43 +8,42 @@
 //! -----------                         ----
 //! Hello(dataset) ────────────────────▶
 //!            ◀──────────────────────── Hello(num_rows, attrs)
-//! QuerySpec(seed, population, …) ────▶          ┐ per
-//! [Marginals] ───────────────────────▶          │ query
-//!            ◀──────────────────────── CountMerge │ (MI over the whole union)
-//! GrowDelta(m₁, live) ───────────────▶          │
+//! [Marginals] ───────────────────────▶          ┐ per
+//!            ◀──────────────────────── CountMerge │ query (MI over
+//! GrowDelta(live, rows₁) ────────────▶          │ the whole union)
 //!            ◀──────────────────────── CountMerge │ (repeats
-//! GrowDelta(m₂, live′) ──────────────▶          │  per
+//! GrowDelta(live′, rows₂) ───────────▶          │  per
 //!            ◀──────────────────────── CountMerge │  iteration)
 //! Result(sampled) ───────────────────▶          ┘
 //! ```
 //!
-//! The peer never sees scores or bounds — only integer count work, which
-//! it hands to a one-shard [`LocalShardSource::slice`] over its rows,
-//! recycling each reply's histograms for the next doubling. That
-//! source replays the *global* prefix shuffle named by `QuerySpec` (same
-//! seed, same population as every other peer and as a single-box run) and
-//! counts just the sampled rows that land in the peer's `[shard_start,
-//! shard_end)` slice of the union, which is what makes the coordinator's
-//! merged answer bitwise-identical to a local run over the union (see
-//! `swope_core::shard`). Asked for `Marginals`, the source gives its
-//! slice's partition-sketch totals, or none without a usable sketch and
-//! the peer declines; summed, they are the union's marginals.
+//! The peer never sees scores, bounds or the sampler — only integer count
+//! work. The coordinator draws the query's one sample and sends each peer
+//! the rows that fell in its slice, as local row indexes; the peer counts
+//! exactly those through the session's [`Counter`], the body every shard
+//! counts with, parking each reply's histograms and joint deltas for the
+//! next doubling. Its work is `O(rows sent)`, and nothing it allocates is
+//! sized by the population. Asked for `Marginals`, it gives its slice's
+//! partition-sketch totals, or, without a usable sketch, declines; summed,
+//! they are the union's marginals.
 //!
-//! Protocol violations and unknown datasets are answered with an
-//! [`ErrorFrame`] and end the session; a clean EOF from the coordinator
-//! ends it silently. All counting here is single-threaded: a peer's
-//! parallelism across queries comes from serving many connections.
+//! Protocol violations — a row past the slice, a bitmap over another row
+//! count, an attribute out of range, a frame out of order — and unknown
+//! datasets are answered with an [`ErrorFrame`] and end the session; a
+//! clean EOF or an `Error` from the coordinator ends it silently. All
+//! counting here is single-threaded: a peer's parallelism across queries
+//! comes from serving many connections.
 
 use std::io::{Read, Write};
 use std::sync::Arc;
 
 use swope_columnar::{Dataset, DatasetSketch};
-use swope_core::shard::dataset_meta;
-use swope_core::{CountRequest, Executor, LocalShardSource, ShardCounts, ShardTransport};
+use swope_core::shard::{dataset_meta, Counter};
+use swope_core::{sketch_marginals, CountRequest, Executor, ShardCounts};
 
 use crate::frame::{
-    ErrorFrame, Frame, FrameError, FrameReader, FrameWriter, Hello, QuerySpecFrame,
-    PROTOCOL_VERSION,
+    travels_as_bitmap, DeltaRows, ErrorFrame, Frame, FrameError, FrameReader, FrameWriter,
+    GrowDelta, Hello, PROTOCOL_VERSION,
 };
 use crate::stats::ClusterStats;
 
@@ -96,6 +95,12 @@ impl<S: Read + Write> Wire<'_, S> {
         let _ = self.send(&Frame::Error(ErrorFrame { message: message.clone() }));
         SessionEnd::Error(message)
     }
+
+    /// Ends the session on a reply that could not be sent.
+    fn lost(&mut self, e: FrameError) -> SessionEnd {
+        self.stats.record_peer_error();
+        SessionEnd::Error(e.to_string())
+    }
 }
 
 /// How a peer session finished, for the server's logs/metrics.
@@ -106,6 +111,74 @@ pub enum SessionEnd {
     /// The session was aborted; the message was also sent to the
     /// coordinator as an [`ErrorFrame`] where the stream still worked.
     Error(String),
+}
+
+/// The dataset a `Hello` opened and what its doublings count with, kept
+/// until the next `Hello`.
+struct Session {
+    served: PeerDataset,
+    counter: Counter,
+    req: CountRequest,
+    /// A bitmap's rows, ascending.
+    rows: Vec<u32>,
+    counts: ShardCounts,
+}
+
+impl Session {
+    fn new(served: PeerDataset) -> Self {
+        Self {
+            counter: Counter::new(&served.dataset),
+            served,
+            req: CountRequest { target: None, live: Vec::new() },
+            rows: Vec::new(),
+            counts: ShardCounts::empty(None, []),
+        }
+    }
+
+    /// Counts `grow`'s rows, or says in one line why they are not this
+    /// slice's to count.
+    fn count(&mut self, grow: &GrowDelta) -> Result<&mut ShardCounts, String> {
+        let ds = &*self.served.dataset;
+        let attrs = ds.num_attrs() as u32;
+        if grow.live.iter().chain(grow.target.iter()).any(|&a| a >= attrs) {
+            return Err(format!("GrowDelta names an attribute beyond the dataset's {attrs}"));
+        }
+        let held = ds.num_rows() as u64;
+        let rows = match &grow.rows {
+            DeltaRows::List(rows) => {
+                if let Some(&row) = rows.iter().find(|&&row| u64::from(row) >= held) {
+                    return Err(format!("GrowDelta row {row} is past this peer's {held} rows"));
+                }
+                if travels_as_bitmap(rows.len(), held) {
+                    return Err(format!(
+                        "GrowDelta lists {} of this peer's {held} rows; that many travel as a bitmap",
+                        rows.len()
+                    ));
+                }
+                rows
+            }
+            DeltaRows::Bitmap { span, .. } if u64::from(*span) != held => {
+                return Err(format!(
+                    "GrowDelta bitmap spans {span} rows, but this peer holds {held}"
+                ));
+            }
+            bitmap => {
+                self.rows.clear();
+                bitmap.append_to(&mut self.rows);
+                &self.rows
+            }
+        };
+        self.req.target = grow.target.map(|t| t as usize);
+        self.req.live.clear();
+        self.req.live.extend(grow.live.iter().map(|&a| a as usize));
+        self.counter.count(ds, rows, &self.req, &mut self.counts, &Executor::sequential());
+        Ok(&mut self.counts)
+    }
+
+    /// Takes back the counts of the last `count`, once sent.
+    fn park(&mut self) {
+        self.counter.park(&self.req, &mut self.counts);
+    }
 }
 
 /// Serves one coordinator connection until EOF or a protocol error.
@@ -127,10 +200,15 @@ pub fn serve_connection<S: Read + Write>(
     let mut wire = Wire { io, stats, reader: FrameReader::new(), writer: FrameWriter::new() };
     // No dataset is open until the first Hello resolves one; each later
     // Hello (pooled-connection reuse) replaces it.
-    let mut ds: Option<PeerDataset> = None;
+    let mut session: Option<Session> = None;
     loop {
-        match wire.recv() {
-            Ok(Frame::Hello(hello)) => {
+        let frame = match wire.recv() {
+            Ok(frame) => frame,
+            Err(e) if e.is_eof() => return SessionEnd::Closed,
+            Err(e) => return wire.bail(e.to_string()),
+        };
+        match (frame, &mut session) {
+            (Frame::Hello(hello), _) => {
                 if hello.version != PROTOCOL_VERSION {
                     return wire.bail(format!(
                         "protocol version {} unsupported (peer speaks {PROTOCOL_VERSION})",
@@ -147,103 +225,37 @@ pub fn serve_connection<S: Read + Write>(
                     attrs: dataset_meta(&resolved.dataset),
                 };
                 if let Err(e) = wire.send(&Frame::Hello(reply)) {
-                    stats.record_peer_error();
-                    return SessionEnd::Error(e.to_string());
+                    return wire.lost(e);
                 }
-                ds = Some(resolved);
+                session = Some(Session::new(resolved));
             }
-            Ok(Frame::QuerySpec(spec)) => {
-                let Some(ds) = &ds else {
-                    return wire.bail("QuerySpec before any Hello".into());
+            (Frame::GrowDelta(grow), Some(open)) => {
+                let counts = match open.count(&grow) {
+                    Ok(counts) => counts,
+                    Err(msg) => return wire.bail(msg),
                 };
-                if let Err(msg) = validate_spec(&ds.dataset, &spec) {
-                    return wire.bail(msg);
+                if let Err(e) = wire.send_counts(counts) {
+                    return wire.lost(e);
                 }
-                match serve_query(&mut wire, ds, &spec) {
-                    Ok(()) => {}
-                    Err(QueryEnd::Closed) => return SessionEnd::Closed,
-                    Err(QueryEnd::Fail(msg)) => return wire.bail(msg),
+                open.park();
+            }
+            (Frame::Marginals, Some(open)) => {
+                let served = &open.served;
+                let totals = sketch_marginals(&served.dataset, served.sketch.as_deref());
+                if let Err(e) = wire.send_counts(&mut marginal_totals(totals)) {
+                    return wire.lost(e);
                 }
             }
-            Ok(f) => {
-                let expected = if ds.is_some() { "Hello or QuerySpec" } else { "Hello" };
+            // A query's end: a session holds nothing per query.
+            (Frame::Result(_), Some(_)) => {}
+            // The coordinator gave up: drop the session quietly.
+            (Frame::Error(_), _) => return SessionEnd::Closed,
+            (f, open) => {
+                let expected =
+                    if open.is_some() { "Hello, GrowDelta, Marginals or Result" } else { "Hello" };
                 return wire.bail(format!("expected {expected}, got {}", f.name()));
             }
-            Err(e) if e.is_eof() => return SessionEnd::Closed,
-            Err(e) => return wire.bail(e.to_string()),
         }
-    }
-}
-
-fn validate_spec(ds: &Dataset, q: &QuerySpecFrame) -> Result<(), String> {
-    let local = ds.num_rows() as u64;
-    if q.shard_end.checked_sub(q.shard_start) != Some(local) {
-        return Err(format!(
-            "QuerySpec places this peer at [{}, {}) but it holds {local} rows",
-            q.shard_start, q.shard_end
-        ));
-    }
-    if q.base.checked_add(q.population).is_none() {
-        return Err("QuerySpec scope overflows the row index space".into());
-    }
-    // `PrefixShuffle` indexes rows with `u32` and asserts as much.
-    if q.population > u32::MAX as u64 {
-        return Err(format!(
-            "QuerySpec population {} exceeds the {} rows a sample can index",
-            q.population,
-            u32::MAX
-        ));
-    }
-    Ok(())
-}
-
-enum QueryEnd {
-    /// EOF or an Error frame mid-query: the coordinator died or gave up;
-    /// drop the query quietly.
-    Closed,
-    /// Protocol violation worth reporting back.
-    Fail(String),
-}
-
-/// Runs one query's GrowDelta/CountMerge exchanges until `Result`.
-fn serve_query<S: Read + Write>(
-    wire: &mut Wire<'_, S>,
-    served: &PeerDataset,
-    spec: &QuerySpecFrame,
-) -> Result<(), QueryEnd> {
-    let ds = &*served.dataset;
-    let exec = Executor::sequential();
-    let population = spec.base..spec.base + spec.population;
-    let mut source = LocalShardSource::slice(ds, 1, population, spec.shard_start, spec.seed, &exec)
-        .with_sketch(served.sketch.as_deref());
-    loop {
-        let counts = match wire.recv() {
-            Ok(Frame::GrowDelta(grow)) => {
-                let attrs = ds.num_attrs() as u32;
-                if grow.live.iter().chain(grow.target.iter()).any(|&a| a >= attrs) {
-                    return Err(QueryEnd::Fail(format!(
-                        "GrowDelta names an attribute beyond the dataset's {attrs}"
-                    )));
-                }
-                let req = CountRequest {
-                    target: grow.target.map(|t| t as usize),
-                    live: grow.live.iter().map(|&a| a as usize).collect(),
-                };
-                source.advance(grow.m_target as usize, &req)
-            }
-            Ok(Frame::Marginals) => source.marginals().map(|totals| vec![marginal_totals(totals)]),
-            Ok(Frame::Result(_)) => return Ok(()),
-            Ok(Frame::Error(_)) => return Err(QueryEnd::Closed),
-            Ok(f) => return Err(QueryEnd::Fail(format!("expected GrowDelta, got {}", f.name()))),
-            Err(e) if e.is_eof() => return Err(QueryEnd::Closed),
-            Err(e) => return Err(QueryEnd::Fail(e.to_string())),
-        };
-        let mut counts = counts.map_err(|e| QueryEnd::Fail(e.to_string()))?;
-        if let Err(e) = wire.send_counts(&mut counts[0]) {
-            wire.stats.record_peer_error();
-            return Err(QueryEnd::Fail(e.to_string()));
-        }
-        source.recycle(counts);
     }
 }
 
@@ -263,8 +275,7 @@ fn marginal_totals(totals: Option<Vec<Vec<u64>>>) -> ShardCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame, write_frame, CountMergeFrame, GrowDelta, ResultFrame};
-    use swope_sampling::PrefixShuffle;
+    use crate::frame::{read_frame, write_frame, CountMergeFrame, ResultFrame};
 
     fn dataset() -> Arc<Dataset> {
         Arc::new(swope_datagen::generate(&swope_datagen::corpus::tiny(500, 4), 0xC1))
@@ -326,20 +337,23 @@ mod tests {
         })
     }
 
+    fn grow(target: Option<u32>, live: Vec<u32>, rows: DeltaRows) -> Frame {
+        Frame::GrowDelta(GrowDelta { m_target: 64, target, live, rows })
+    }
+
+    /// Every fifth row of the 500: dense enough to travel as a bitmap.
+    fn dense_rows() -> Vec<u32> {
+        (0..500).step_by(5).collect()
+    }
+
     #[test]
     fn session_answers_hello_and_counts() {
         let ds = dataset();
         let n = ds.num_rows() as u64;
+        let sampled: Vec<u32> = (0..64).map(|i| (i * 7) % 500).collect();
         let mut pipe = Pipe::scripted(&[
             hello("t"),
-            Frame::QuerySpec(QuerySpecFrame {
-                seed: 7,
-                population: n,
-                base: 0,
-                shard_start: 0,
-                shard_end: n,
-            }),
-            Frame::GrowDelta(GrowDelta { m_target: 64, target: None, live: vec![0, 1, 2, 3] }),
+            grow(None, vec![0, 1, 2, 3], DeltaRows::new(&sampled, n as u32)),
             Frame::Result(ResultFrame { sampled: 64 }),
         ]);
         let stats = ClusterStats::new();
@@ -351,8 +365,7 @@ mod tests {
         assert_eq!(h.num_rows, n);
         assert_eq!(h.attrs.len(), 4);
         let Frame::CountMerge(c) = &replies[1] else { panic!("expected CountMerge") };
-        // The peer owns the whole population here, so all 64 sampled
-        // rows are counted for each of the 4 live attributes.
+        // All 64 rows sent are counted for each of the 4 live attributes.
         let mut counts = ShardCounts::empty(None, (0..4).map(|a| ds.support(a)));
         c.decode_into(&mut counts).unwrap();
         assert!(counts.target.is_none());
@@ -361,7 +374,7 @@ mod tests {
             assert_eq!(cs.total(), 64);
         }
         let snap = stats.snapshot();
-        assert_eq!(snap.frames_received, 4);
+        assert_eq!(snap.frames_received, 3);
         assert_eq!(snap.frames_sent, 2);
         assert_eq!(snap.peer_errors, 0);
     }
@@ -379,15 +392,8 @@ mod tests {
         );
         let script = [
             hello("t"),
-            Frame::QuerySpec(QuerySpecFrame {
-                seed: 7,
-                population: n,
-                base: 0,
-                shard_start: 0,
-                shard_end: n,
-            }),
             Frame::Marginals,
-            Frame::GrowDelta(GrowDelta { m_target: 64, target: Some(0), live: vec![1] }),
+            grow(Some(0), vec![1], DeltaRows::new(&[4, 2], n as u32)),
             Frame::Result(ResultFrame { sampled: 64 }),
         ];
         let stats = ClusterStats::new();
@@ -425,38 +431,46 @@ mod tests {
         assert_eq!(stats.snapshot().peer_errors, 0);
     }
 
+    /// A peer counts exactly the rows it is sent, in either form, over
+    /// doublings whose requests change: nothing more of its slice.
     #[test]
     fn peer_counts_only_its_slice() {
         let ds = dataset();
-        let n = ds.num_rows() as u64;
-        // Pretend this peer holds union rows [n, 2n) of a 2n-row union.
+        let n = ds.num_rows() as u32;
+        let deltas = [vec![17, 3, 411], dense_rows()];
         let mut pipe = Pipe::scripted(&[
             hello("t"),
-            Frame::QuerySpec(QuerySpecFrame {
-                seed: 7,
-                population: 2 * n,
-                base: 0,
-                shard_start: n,
-                shard_end: 2 * n,
-            }),
-            Frame::GrowDelta(GrowDelta { m_target: 100, target: Some(0), live: vec![1, 2] }),
-            Frame::Result(ResultFrame { sampled: 100 }),
+            grow(Some(0), vec![1, 2], DeltaRows::new(&deltas[0], n)),
+            grow(Some(0), vec![2], DeltaRows::new(&deltas[1], n)),
+            Frame::Result(ResultFrame { sampled: 103 }),
         ]);
+        assert!(matches!(DeltaRows::new(&deltas[1], n), DeltaRows::Bitmap { .. }));
         let stats = ClusterStats::new();
         let resolve = |_: &str| Some(served(&ds));
         assert_eq!(serve_connection(&mut pipe, &resolve, &stats), SessionEnd::Closed);
-        let Frame::CountMerge(c) = &pipe.replies()[1] else { panic!("expected CountMerge") };
-        let mut counts = ShardCounts::empty(Some(ds.support(0)), [ds.support(1), ds.support(2)]);
-        c.decode_into(&mut counts).unwrap();
-        // Replay the same global shuffle to predict how many of the 100
-        // sampled union rows land in [n, 2n).
-        let mut shuffle = PrefixShuffle::new(2 * n as usize, 7);
-        let expect = shuffle.grow_to(100).iter().filter(|&&r| (r as u64) >= n).count() as u64;
-        assert!(expect > 0, "degenerate test: no sampled row hit the slice");
-        assert_eq!(counts.target.unwrap().total(), expect);
-        for (cs, js) in counts.attrs.iter().zip(&counts.joints) {
-            assert_eq!(cs.total(), expect);
-            assert_eq!(js.total(), expect);
+        let replies = pipe.replies();
+        for (reply, (rows, live)) in replies[1..].iter().zip(deltas.iter().zip([&[1, 2][..], &[2]]))
+        {
+            let Frame::CountMerge(c) = reply else { panic!("expected CountMerge") };
+            let mut got =
+                ShardCounts::empty(Some(ds.support(0)), live.iter().map(|&a| ds.support(a)));
+            c.decode_into(&mut got).unwrap();
+            let mut want =
+                ShardCounts::empty(Some(ds.support(0)), live.iter().map(|&a| ds.support(a)));
+            for &r in rows {
+                let t = ds.column(0).code(r as usize);
+                want.target.as_mut().unwrap().add(t);
+                for ((cs, joint), &a) in want.attrs.iter_mut().zip(&mut want.joints).zip(live) {
+                    let code = ds.column(a).code(r as usize);
+                    cs.add(code);
+                    joint.add(t, code);
+                }
+            }
+            assert_eq!(got.target.unwrap().sorted_entries(), want.target.unwrap().sorted_entries());
+            for i in 0..live.len() {
+                assert_eq!(got.attrs[i].sorted_entries(), want.attrs[i].sorted_entries());
+                assert_eq!(got.joints[i].canonical_runs(), want.joints[i].canonical_runs());
+            }
         }
     }
 
@@ -473,62 +487,58 @@ mod tests {
         let Frame::Error(e) = &pipe.replies()[0] else { panic!("expected Error frame") };
         assert_eq!(e.message, msg);
 
-        // A GrowDelta before any QuerySpec is a protocol violation.
-        let mut pipe = Pipe::scripted(&[
-            hello("t"),
-            Frame::GrowDelta(GrowDelta { m_target: 8, target: None, live: vec![0] }),
-        ]);
+        // A GrowDelta before any Hello is a protocol violation.
+        let mut pipe = Pipe::scripted(&[grow(None, vec![0], DeltaRows::List(vec![1]))]);
         let SessionEnd::Error(msg) = serve_connection(&mut pipe, &resolve, &stats) else {
             panic!("expected an error end");
         };
-        assert!(msg.contains("QuerySpec"), "{msg}");
+        assert_eq!(msg, "expected Hello, got GrowDelta");
+    }
+
+    /// `rows` sent to a 500-row peer end its session with one `Error`
+    /// line, which is returned.
+    fn refused(rows: DeltaRows) -> String {
+        let ds = dataset();
+        let stats = ClusterStats::new();
+        let resolve = |_: &str| Some(served(&ds));
+        let mut pipe = Pipe::scripted(&[hello("t"), grow(None, vec![0], rows)]);
+        let SessionEnd::Error(msg) = serve_connection(&mut pipe, &resolve, &stats) else {
+            panic!("expected an error end");
+        };
+        let replies = pipe.replies();
+        let [Frame::Hello(_), Frame::Error(e)] = &replies[..] else {
+            panic!("expected Hello and Error, got {replies:?}")
+        };
+        assert_eq!(e.message, msg);
+        assert!(!msg.contains('\n'), "{msg}");
+        assert_eq!(stats.snapshot().peer_errors, 1);
+        msg
     }
 
     #[test]
     fn mismatched_shard_range_is_rejected() {
-        let ds = dataset();
-        let stats = ClusterStats::new();
-        let resolve = |_: &str| Some(served(&ds));
-        let mut pipe = Pipe::scripted(&[
-            hello("t"),
-            Frame::QuerySpec(QuerySpecFrame {
-                seed: 1,
-                population: 10,
-                base: 0,
-                shard_start: 0,
-                shard_end: 10, // but the dataset holds 500 rows
-            }),
-        ]);
-        let SessionEnd::Error(msg) = serve_connection(&mut pipe, &resolve, &stats) else {
-            panic!("expected an error end");
-        };
-        assert!(msg.contains("holds 500 rows"), "{msg}");
+        let rows: Vec<u32> = (0..600).step_by(5).collect();
+        let msg = refused(DeltaRows::new(&rows, 600));
+        assert_eq!(msg, "GrowDelta bitmap spans 600 rows, but this peer holds 500");
     }
 
-    /// `PrefixShuffle::new` asserts its population fits `u32`; a spec
-    /// past that must be answered, not allowed to panic the session.
     #[test]
-    fn oversized_population_is_an_error_frame() {
-        let ds = dataset();
-        let n = ds.num_rows() as u64;
-        let stats = ClusterStats::new();
-        let resolve = |_: &str| Some(served(&ds));
-        let mut pipe = Pipe::scripted(&[
-            hello("t"),
-            Frame::QuerySpec(QuerySpecFrame {
-                seed: 1,
-                population: u32::MAX as u64 + 1,
-                base: 0,
-                shard_start: 0,
-                shard_end: n,
-            }),
-        ]);
-        let SessionEnd::Error(msg) = serve_connection(&mut pipe, &resolve, &stats) else {
-            panic!("expected an error end");
+    fn a_row_past_the_slice_is_an_error_frame() {
+        let msg = refused(DeltaRows::List(vec![3, 500, 7]));
+        assert_eq!(msg, "GrowDelta row 500 is past this peer's 500 rows");
+        // A list that should have been a bitmap is refused as well.
+        let msg = refused(DeltaRows::List(dense_rows()));
+        assert!(msg.contains("travel as a bitmap"), "{msg}");
+    }
+
+    #[test]
+    fn stray_bits_past_the_span_are_an_error_frame() {
+        let DeltaRows::Bitmap { span, mut bits } = DeltaRows::new(&dense_rows(), 500) else {
+            panic!("expected a bitmap")
         };
-        assert!(msg.contains("population 4294967296"), "{msg}");
-        let Frame::Error(e) = &pipe.replies()[1] else { panic!("expected Error frame") };
-        assert_eq!(e.message, msg);
+        *bits.last_mut().unwrap() |= 0x80; // row 503 of a 500-row span
+        let msg = refused(DeltaRows::Bitmap { span, bits });
+        assert_eq!(msg, "malformed frame payload: bitmap sets a bit past its span");
     }
 
     #[test]
@@ -536,15 +546,15 @@ mod tests {
         let ds = dataset();
         let stats = ClusterStats::new();
         let resolve = |_: &str| Some(served(&ds));
-        let mut pipe = Pipe::scripted(&[Frame::Hello(Hello {
-            version: 1,
-            dataset: "t".into(),
-            num_rows: 0,
-            attrs: Vec::new(),
-        })]);
-        let end = serve_connection(&mut pipe, &resolve, &stats);
-        let msg = format!("protocol version 1 unsupported (peer speaks {PROTOCOL_VERSION})");
-        assert_eq!(end, SessionEnd::Error(msg.clone()));
-        assert_eq!(pipe.replies(), vec![Frame::Error(ErrorFrame { message: msg })]);
+        // v1's fixed-width counts, and v3, whose peers replayed the shuffle.
+        for version in [1, 3] {
+            let hello = Hello { version, dataset: "t".into(), num_rows: 0, attrs: Vec::new() };
+            let mut pipe = Pipe::scripted(&[Frame::Hello(hello)]);
+            let end = serve_connection(&mut pipe, &resolve, &stats);
+            let msg =
+                format!("protocol version {version} unsupported (peer speaks {PROTOCOL_VERSION})");
+            assert_eq!(end, SessionEnd::Error(msg.clone()));
+            assert_eq!(pipe.replies(), vec![Frame::Error(ErrorFrame { message: msg })]);
+        }
     }
 }

@@ -352,7 +352,6 @@ fn peer_death_mid_query_fails_the_advance() {
         let (hello, _) = read_frame(&mut stream).unwrap();
         let Frame::Hello(_) = hello else { panic!("expected Hello") };
         write_frame(&mut stream, &hello_reply(PROTOCOL_VERSION, &union)).unwrap();
-        let _ = read_frame(&mut stream).unwrap(); // QuerySpec
         let _ = read_frame(&mut stream).unwrap(); // first GrowDelta
         drop(stream); // die before answering
     });
@@ -388,7 +387,6 @@ fn a_failed_query_pools_no_session() {
     let objector = scripted_peer(move |mut stream| {
         let _ = read_frame(&mut stream).unwrap(); // Hello
         write_frame(&mut stream, &hello_reply(PROTOCOL_VERSION, &first)).unwrap();
-        let _ = read_frame(&mut stream).unwrap(); // QuerySpec
         let _ = read_frame(&mut stream).unwrap(); // GrowDelta
         let message = "refusing to count".to_owned();
         write_frame(&mut stream, &Frame::Error(ErrorFrame { message })).unwrap();
@@ -429,10 +427,10 @@ fn canonical(counts: &mut ShardCounts) -> Canonical {
 }
 
 /// Below the answers: at every doubling of an entropy and an MI request,
-/// two peers cut where `ShardPlan::new(n, 2)` cuts return, shard by
-/// shard, the counts two in-process shards of the union do. Again over a
-/// range centred on the cut, so each peer samples a population that
-/// starts past union row 0 and the range's own two-shard plan cuts there.
+/// two peers cut where `ShardPlan::new(n, 2)` cuts return, summed, the
+/// counts two in-process shards of the union do. Again over a range
+/// centred on the cut, so each peer's rows start past union row 0 and
+/// the range's own two-shard plan cuts there.
 #[test]
 fn peer_counts_equal_in_process_shard_counts() {
     let union = union_dataset();
@@ -456,17 +454,63 @@ fn peer_counts_equal_in_process_shard_counts() {
             assert_eq!(remote.num_rows(), local.num_rows());
             let mut m = 32;
             while m < 2 * rows.len() {
-                let (got, want) = (remote.advance(m, req).unwrap(), local.advance(m, req).unwrap());
-                assert_eq!(got.len(), 2);
-                let got: Vec<Canonical> = got.into_iter().map(|mut c| canonical(&mut c)).collect();
-                let want: Vec<Canonical> =
-                    want.into_iter().map(|mut c| canonical(&mut c)).collect();
-                assert_eq!(got, want, "rows {rows:?}, {req:?}, m = {m}");
+                let mut got = remote.advance(m, req).unwrap();
+                assert_eq!(got.len(), 1, "the coordinator adds the replies up as they arrive");
+                let mut want = local.advance(m, req).unwrap();
+                let (sum, rest) = want.split_first_mut().unwrap();
+                for shard in rest {
+                    if let (Some(t), Some(o)) = (sum.target.as_mut(), &shard.target) {
+                        t.merge(o);
+                    }
+                    sum.attrs.iter_mut().zip(&shard.attrs).for_each(|(a, b)| a.merge(b));
+                    sum.joints.iter_mut().zip(&shard.joints).for_each(|(a, b)| a.merge(b));
+                }
+                assert_eq!(
+                    canonical(&mut got[0]),
+                    canonical(sum),
+                    "rows {rows:?}, {req:?}, m = {m}"
+                );
                 m *= 2;
             }
             remote.finish();
         }
     }
+}
+
+/// Two peers of 2³¹ rows each make a union one row past what a sample
+/// can index: `connect` says so in one line, before it builds a sampler
+/// that would panic the worker.
+#[test]
+fn an_oversized_population_is_refused_before_sampling() {
+    let union = union_dataset();
+    let addrs: Vec<String> = (0..2)
+        .map(|_| {
+            let meta = dataset_meta(&union);
+            scripted_peer(move |mut stream| {
+                let _ = read_frame(&mut stream).unwrap(); // Hello
+                let num_rows = 1 << 31;
+                let reply =
+                    Hello { version: PROTOCOL_VERSION, dataset: "t".into(), num_rows, attrs: meta };
+                write_frame(&mut stream, &Frame::Hello(reply)).unwrap();
+                let _ = read_frame(&mut stream); // hold the socket until the coordinator hangs up
+            })
+        })
+        .collect();
+    let err = RemoteShardSource::connect(
+        &addrs,
+        "t",
+        1,
+        None,
+        &PeerTimeouts::default(),
+        Arc::new(ClusterStats::new()),
+        None,
+    )
+    .unwrap_err();
+    let SwopeError::Transport(msg) = err else { panic!("expected a transport error, got {err}") };
+    assert_eq!(
+        msg,
+        "a population of 4294967296 rows exceeds the 4294967295 rows one sample can index"
+    );
 }
 
 /// A hand-rolled peer: accepts one connection and runs `script` on it.
@@ -493,7 +537,6 @@ fn a_peer_lying_about_support_is_a_transport_error() {
     let addr = scripted_peer(move |mut stream| {
         let _ = read_frame(&mut stream).unwrap(); // Hello
         write_frame(&mut stream, &hello_reply(PROTOCOL_VERSION, &peer_ds)).unwrap();
-        let _ = read_frame(&mut stream).unwrap(); // QuerySpec
         let (Frame::GrowDelta(grow), _) = read_frame(&mut stream).unwrap() else {
             panic!("expected GrowDelta")
         };
@@ -515,30 +558,32 @@ fn a_peer_lying_about_support_is_a_transport_error() {
     assert!(!msg.contains('\n'), "{msg}");
 }
 
-/// A peer still speaking protocol v1 is named as such at connect time;
-/// none of its frames is parsed as v2.
+/// A peer still speaking protocol v1 or v3 is named as such at connect
+/// time; none of its frames is parsed as v4.
 #[test]
 fn an_older_peer_is_refused_by_version() {
-    let union = union_dataset();
-    let addr = scripted_peer(move |mut stream| {
-        let _ = read_frame(&mut stream).unwrap(); // Hello
-        write_frame(&mut stream, &hello_reply(1, &union)).unwrap();
-        let _ = read_frame(&mut stream);
-    });
-    let err = RemoteShardSource::connect(
-        std::slice::from_ref(&addr),
-        "t",
-        1,
-        None,
-        &PeerTimeouts::default(),
-        Arc::new(ClusterStats::new()),
-        None,
-    )
-    .unwrap_err();
-    assert_eq!(
-        err.to_string(),
-        SwopeError::Transport(format!("peer {addr}: speaks protocol v1")).to_string()
-    );
+    for version in [1, 3] {
+        let union = union_dataset();
+        let addr = scripted_peer(move |mut stream| {
+            let _ = read_frame(&mut stream).unwrap(); // Hello
+            write_frame(&mut stream, &hello_reply(version, &union)).unwrap();
+            let _ = read_frame(&mut stream);
+        });
+        let err = RemoteShardSource::connect(
+            std::slice::from_ref(&addr),
+            "t",
+            1,
+            None,
+            &PeerTimeouts::default(),
+            Arc::new(ClusterStats::new()),
+            None,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            SwopeError::Transport(format!("peer {addr}: speaks protocol v{version}")).to_string()
+        );
+    }
 }
 
 /// The union cut three ways, each slice served with its own sketch
@@ -616,7 +661,6 @@ fn marginals_reply_error(totals: impl FnOnce(&Dataset) -> ShardCounts + Send + '
     let liar = scripted_peer(move |mut stream| {
         let _ = read_frame(&mut stream).unwrap(); // Hello
         write_frame(&mut stream, &hello_reply(PROTOCOL_VERSION, &slice)).unwrap();
-        let _ = read_frame(&mut stream).unwrap(); // QuerySpec
         let (Frame::Marginals, _) = read_frame(&mut stream).unwrap() else {
             panic!("expected Marginals")
         };

@@ -22,27 +22,29 @@
 //!
 //! ## Sampling and counting
 //!
-//! All shards replay **one global** [`PrefixShuffle`] over the union
-//! population (the same shuffle an unsharded run uses), and each shard
-//! counts only the delta rows that fall in its own contiguous row range.
-//! [`LocalShardSource`] does this for in-process shards of one dataset
-//! ([`LocalShardSource::new`]) and for a cluster peer's slice of the
-//! union ([`LocalShardSource::slice`]), and every shard counts its rows
-//! through a `Counter`: the one count body, which also counts the
-//! unsharded loop's rows. It groups the rows by page, counts the target
-//! and fans the live candidates out through [`count_target`] /
-//! [`count_candidate`], on histograms and joint deltas it takes back
-//! from doubling to doubling. Every source's counts reach the states
-//! through one apply.
+//! Whoever drives the shards owns the query's **one** [`PrefixShuffle`]
+//! over the population (the same shuffle an unsharded run uses): each
+//! doubling grows it, and [`ShardPlan::split`] hands every new row to
+//! the shard whose contiguous range holds it, numbered as that shard's
+//! dataset numbers it. [`LocalShardSource`] does this for in-process
+//! shards of one dataset; `swope-cluster`'s coordinator does it for its
+//! peers and sends each one its own rows, so a peer samples nothing and
+//! its work is `O(m_i)`. Every shard counts its rows through a
+//! [`Counter`]: the one count body, which also counts the unsharded
+//! loop's rows. It groups the rows by page, counts the target and fans
+//! the live candidates out through [`count_target`] /
+//! [`count_candidate`], on histograms ([`Shelf`]) and joint deltas it
+//! takes back from doubling to doubling. Every source's counts reach the
+//! states through one apply.
 //!
 //! ## Layers
 //!
 //! * [`ShardTransport`] — the engine's view of "somewhere that counts":
 //!   [`LocalShardSource`] fans shards out on an [`Executor`];
 //!   `swope-cluster`'s wire transport drives remote peers, each counting
-//!   through a one-shard [`LocalShardSource`], behind the same trait.
+//!   the rows it is sent through a [`Counter`], behind the same trait.
 //! * `ShardedSource` — the driver's count source over any transport:
-//!   one `advance` per doubling, then the exact merge.
+//!   one `advance` per doubling, the exact merge, then `recycle`.
 //! * [`crate::run_sharded`] — all six query shapes over a transport.
 
 use std::ops::Range;
@@ -60,18 +62,25 @@ use crate::measure::Measure;
 use crate::scope::sketch_marginals;
 use crate::{SwopeConfig, SwopeError};
 
-/// A contiguous, even partition of rows `0..num_rows` into shards.
+/// A contiguous partition of a population's rows into shards.
 ///
-/// Shard `i` owns `range(i)`; the first `num_rows % shards` shards own
-/// one extra row. The shard count is clamped into `1..=num_rows.max(1)`.
+/// Shard `i` owns `range(i)` and numbers those rows as its dataset does.
+/// [`ShardPlan::new`] cuts one dataset evenly, so every shard keeps the
+/// dataset's row numbers; [`ShardPlan::scoped`] cuts a row range of a
+/// union where its slices meet, so each shard counts from 0 at its
+/// slice's start.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     // starts[i]..starts[i+1] is shard i's row range; len = shards + 1.
     starts: Vec<u32>,
+    // firsts[i] is shard i's own number for row starts[i]; len = shards.
+    firsts: Vec<u32>,
 }
 
 impl ShardPlan {
-    /// Partitions `num_rows` rows into `shards` contiguous shards.
+    /// Partitions `num_rows` rows into `shards` contiguous shards: the
+    /// first `num_rows % shards` own one extra row. The shard count is
+    /// clamped into `1..=num_rows.max(1)`.
     pub fn new(num_rows: usize, shards: usize) -> Self {
         let shards = shards.clamp(1, num_rows.max(1));
         let base = num_rows / shards;
@@ -83,7 +92,28 @@ impl ShardPlan {
             at += base + usize::from(i < extra);
             starts.push(at as u32);
         }
-        Self { starts }
+        Self { firsts: starts[..shards].to_vec(), starts }
+    }
+
+    /// The plan of the union rows `scope`, cut where `slices` — the union
+    /// row ranges of the slices that meet the scope, in union order —
+    /// meet it: one shard per slice, numbering its rows from 0 at the
+    /// slice's start.
+    ///
+    /// # Panics
+    ///
+    /// If the scope or a slice holds more than `u32::MAX` rows.
+    pub fn scoped(slices: impl IntoIterator<Item = Range<u64>>, scope: Range<u64>) -> Self {
+        let index = |rows: u64| u32::try_from(rows).expect("shard rows are u32-indexed");
+        let (mut starts, mut firsts) = (Vec::new(), Vec::new());
+        for slice in slices {
+            debug_assert!(slice.start < scope.end && slice.end > scope.start);
+            let from = slice.start.max(scope.start);
+            starts.push(index(from - scope.start));
+            firsts.push(index(from - slice.start));
+        }
+        starts.push(index(scope.end - scope.start));
+        Self { starts, firsts }
     }
 
     /// Number of shards in the plan.
@@ -101,7 +131,18 @@ impl ShardPlan {
         self.starts[shard] as usize..self.starts[shard + 1] as usize
     }
 
-    /// The shard owning global row `row`.
+    /// Hands each row of a sample delta to the shard whose range holds
+    /// it, as `push(shard, row)` in that shard's own numbering: how every
+    /// sharded source splits a doubling's rows by owner.
+    #[inline]
+    pub fn split(&self, delta: &[u32], mut push: impl FnMut(usize, u32)) {
+        for &row in delta {
+            let shard = self.shard_of(row);
+            push(shard, row - self.starts[shard] + self.firsts[shard]);
+        }
+    }
+
+    /// The shard owning row `row`.
     #[inline]
     fn shard_of(&self, row: u32) -> usize {
         debug_assert!((row as usize) < self.num_rows());
@@ -158,11 +199,12 @@ impl ShardCounts {
 /// A source of per-shard count deltas the adaptive loop can drive.
 ///
 /// Implementations own the global sampler: `advance(m, req)` grows the
-/// union sample to `m` rows and returns, per shard, the integer count
-/// deltas of the newly sampled rows that shard owns. The engine merges
-/// the shard deltas ([`Phase::ShardMerge`]) and applies them canonically,
-/// so any implementation that returns correct integer counts — local
-/// slices or remote peers — yields bitwise-identical query results.
+/// union sample to `m` rows and returns the integer count deltas of the
+/// newly sampled rows — one per shard, or already added up. The engine
+/// merges them ([`Phase::ShardMerge`]), applies them canonically and
+/// hands them back through `recycle`, so any implementation that returns
+/// correct integer counts — local slices or remote peers — yields
+/// bitwise-identical query results.
 pub trait ShardTransport {
     /// Rows in the union population `N`.
     fn num_rows(&self) -> usize;
@@ -171,7 +213,7 @@ pub trait ShardTransport {
     /// dataset must agree on names and supports).
     fn attrs(&self) -> &[AttrMeta];
 
-    /// Number of shards `advance` reports on.
+    /// Number of shards that count each doubling.
     fn num_shards(&self) -> usize;
 
     /// Grows the global sample to `m_target` rows and counts the delta.
@@ -180,6 +222,11 @@ pub trait ShardTransport {
         m_target: usize,
         req: &CountRequest,
     ) -> Result<Vec<ShardCounts>, SwopeError>;
+
+    /// Takes back what the last [`ShardTransport::advance`] returned, once
+    /// spent, so the next one counts into the same histograms instead of
+    /// allocating and zeroing new ones.
+    fn recycle(&mut self, spent: Vec<ShardCounts>);
 
     /// Every attribute's exact code counts over the whole population,
     /// summed over the shards — `Some` only when the population is the
@@ -203,38 +250,75 @@ pub fn dataset_meta(dataset: &Dataset) -> Vec<AttrMeta> {
 /// In-process [`ShardTransport`]: row shards of one resident [`Dataset`],
 /// counted in parallel on an [`Executor`].
 ///
-/// Holds the one global [`PrefixShuffle`]; every `advance` keeps the
-/// sample delta's rows this dataset holds, partitions them by owning
-/// shard into reusable per-shard row lists and fans one `Counter` per
-/// shard out on the executor.
+/// Holds the one global [`PrefixShuffle`]; every `advance` splits the
+/// sample delta by owning shard into reusable per-shard row lists and
+/// fans one [`Counter`] per shard out on the executor.
 pub struct LocalShardSource<'a> {
     dataset: &'a Dataset,
     sketch: Option<&'a DatasetSketch>,
     exec: &'a Executor,
     plan: ShardPlan,
     meta: Vec<AttrMeta>,
-    /// Draws population row `i`, which is union row `base + i` and, when
-    /// it falls in the dataset, its local row `base + i − at`.
     sampler: PrefixShuffle,
-    base: u64,
-    at: u64,
     /// Each shard's rows of the current delta, and its counter.
     shards: Vec<(Vec<u32>, Counter)>,
     /// What the last `advance` counted: whose histograms `recycle` parks.
     last: CountRequest,
 }
 
+/// Emptied histograms, by attribute, kept between doublings so the next
+/// one fills the same memory instead of allocating and zeroing new ones.
+#[derive(Debug, Default)]
+pub struct Shelf {
+    idle: Vec<Option<CountState>>,
+}
+
+impl Shelf {
+    /// Gives `counts` a histogram for `req`'s target, iff it has one, and
+    /// for each live attribute `a`, over `support(a)` codes: a parked one
+    /// where it has that support, a new one elsewhere. Leaves the joint
+    /// deltas to the caller.
+    pub fn shape(
+        &mut self,
+        req: &CountRequest,
+        support: impl Fn(AttrIndex) -> u32,
+        counts: &mut ShardCounts,
+    ) {
+        let idle = &mut self.idle;
+        let mut take = |a: AttrIndex| {
+            let parked =
+                idle.get_mut(a).and_then(Option::take).filter(|cs| cs.support() == support(a));
+            parked.unwrap_or_else(|| CountState::new(support(a)))
+        };
+        counts.target = req.target.map(&mut take);
+        counts.attrs.clear();
+        counts.attrs.extend(req.live.iter().map(|&a| take(a)));
+    }
+
+    /// Empties and parks the histograms of `counts`, shaped for `req`.
+    pub fn park(&mut self, req: &CountRequest, counts: &mut ShardCounts) {
+        let target = req.target.into_iter().zip(counts.target.take());
+        for (attr, mut cs) in target.chain(req.live.iter().copied().zip(counts.attrs.drain(..))) {
+            cs.clear();
+            if self.idle.len() <= attr {
+                self.idle.resize_with(attr + 1, || None);
+            }
+            self.idle[attr] = Some(cs);
+        }
+    }
+}
+
 /// The one count body: turns a delta's rows into the [`ShardCounts`] a
 /// [`CountRequest`] asks for, on buffers it keeps from doubling to
-/// doubling. Every [`LocalShardSource`] shard owns one, and so does the
-/// unsharded loop's [`crate::scope::LocalSource`].
-pub(crate) struct Counter {
+/// doubling. Every [`LocalShardSource`] shard owns one, and so do a
+/// cluster peer's session and the unsharded loop's source.
+pub struct Counter {
     grouper: PageGrouper,
     target: TargetBuf,
     /// One per live candidate of the widest request so far.
     slots: Vec<Slot>,
-    /// Emptied histograms handed back by [`Counter::park`], by attribute.
-    idle: Vec<Option<CountState>>,
+    /// Emptied histograms handed back by [`Counter::park`].
+    shelf: Shelf,
 }
 
 /// What one candidate's count uses besides its histogram: the attribute,
@@ -247,21 +331,27 @@ struct Slot {
 }
 
 impl Counter {
-    pub(crate) fn new(dataset: &Dataset) -> Self {
+    /// A counter over `dataset`'s rows.
+    pub fn new(dataset: &Dataset) -> Self {
         Self {
             grouper: dataset.page_grouper(),
             target: TargetBuf::new(),
             slots: Vec::new(),
-            idle: vec![None; dataset.num_attrs()],
+            shelf: Shelf::default(),
         }
     }
 
-    /// Counts `rows` of `dataset` for `req` into `counts`, on parked
-    /// histograms and joint deltas where there are some: groups the rows
-    /// by page, so paged gathers pin each page once; counts the target,
-    /// gathering the codes every candidate pairs against; then fans the
-    /// live candidates out on `exec`, one slot each.
-    pub(crate) fn count(
+    /// Counts `rows` of `dataset` — the one this counter was made for —
+    /// for `req` into `counts`, on parked histograms and joint deltas
+    /// where there are some: groups the rows by page, so paged gathers
+    /// pin each page once; counts the target, gathering the codes every
+    /// candidate pairs against; then fans the live candidates out on
+    /// `exec`, one slot each.
+    ///
+    /// # Panics
+    ///
+    /// If a row or an attribute is out of `dataset`'s range.
+    pub fn count(
         &mut self,
         dataset: &Dataset,
         rows: &[u32],
@@ -269,14 +359,8 @@ impl Counter {
         counts: &mut ShardCounts,
         exec: &Executor,
     ) {
-        let Self { grouper, target, slots, idle } = self;
-        let mut take = |a: AttrIndex| {
-            let parked = idle[a].take().filter(|cs| cs.support() == dataset.support(a));
-            parked.unwrap_or_else(|| CountState::new(dataset.support(a)))
-        };
-        counts.target = req.target.map(&mut take);
-        counts.attrs.clear();
-        counts.attrs.extend(req.live.iter().map(|&a| take(a)));
+        let Self { grouper, target, slots, shelf } = self;
+        shelf.shape(req, |a| dataset.support(a), counts);
         if slots.len() < req.live.len() {
             slots.resize_with(req.live.len(), Slot::default);
         }
@@ -301,12 +385,8 @@ impl Counter {
     /// Takes back `counts`, spent on `req`, so the next doubling counts
     /// into the same histograms and joint deltas instead of allocating
     /// and zeroing new ones.
-    pub(crate) fn park(&mut self, req: &CountRequest, counts: &mut ShardCounts) {
-        let target = req.target.into_iter().zip(counts.target.take());
-        for (attr, mut cs) in target.chain(req.live.iter().copied().zip(counts.attrs.drain(..))) {
-            cs.clear();
-            self.idle[attr] = Some(cs);
-        }
+    pub fn park(&mut self, req: &CountRequest, counts: &mut ShardCounts) {
+        self.shelf.park(req, counts);
         for (slot, mut joint) in self.slots.iter_mut().zip(counts.joints.drain(..)) {
             joint.clear();
             slot.joint = joint;
@@ -329,56 +409,21 @@ impl<'a> LocalShardSource<'a> {
         config: &SwopeConfig,
         exec: &'a Executor,
     ) -> Result<Self, SwopeError> {
-        let n = dataset.num_rows() as u64;
+        let n = dataset.num_rows();
         if n == 0 {
             return Err(SwopeError::EmptyDataset);
         }
-        Ok(Self::slice(dataset, shards, 0..n, 0, config.seed, exec))
-    }
-
-    /// A shard source over `dataset` as the slice of a larger union that
-    /// starts at union row `at`: it samples the union rows `population`
-    /// with `seed` — the draws every other slice of the union makes — and
-    /// counts those that fall in `[at, at + dataset.num_rows())`, as local
-    /// rows split into `shards` contiguous row shards. A cluster peer
-    /// counts through a one-shard slice; [`LocalShardSource::new`] is the
-    /// slice that is the whole population.
-    ///
-    /// # Panics
-    ///
-    /// If `population` holds more than `u32::MAX` rows.
-    pub fn slice(
-        dataset: &'a Dataset,
-        shards: usize,
-        population: Range<u64>,
-        at: u64,
-        seed: u64,
-        exec: &'a Executor,
-    ) -> Self {
-        let plan = ShardPlan::new(dataset.num_rows(), shards);
-        let rows = population.end.saturating_sub(population.start);
-        Self {
+        let plan = ShardPlan::new(n, shards);
+        Ok(Self {
             dataset,
             sketch: None,
             exec,
             meta: dataset_meta(dataset),
-            sampler: PrefixShuffle::new(rows as usize, seed),
-            base: population.start,
-            at,
+            sampler: PrefixShuffle::new(n, config.seed),
             shards: (0..plan.num_shards()).map(|_| (Vec::new(), Counter::new(dataset))).collect(),
             last: CountRequest { target: None, live: Vec::new() },
             plan,
-        }
-    }
-
-    /// Takes back what the last [`ShardTransport::advance`] returned, once
-    /// spent, so the next one counts into the same histograms instead of
-    /// allocating and zeroing new ones: how a cluster peer keeps its
-    /// histograms from doubling to doubling.
-    pub fn recycle(&mut self, spent: Vec<ShardCounts>) {
-        for ((_, counter), mut counts) in self.shards.iter_mut().zip(spent) {
-            counter.park(&self.last, &mut counts);
-        }
+        })
     }
 
     /// Offers the dataset's partition sketch, whose whole-dataset counts
@@ -408,31 +453,29 @@ impl ShardTransport for LocalShardSource<'_> {
         m_target: usize,
         req: &CountRequest,
     ) -> Result<Vec<ShardCounts>, SwopeError> {
-        for (rows, _) in &mut self.shards {
+        let Self { plan, sampler, shards, .. } = self;
+        for (rows, _) in shards.iter_mut() {
             rows.clear();
         }
-        let held = self.dataset.num_rows() as u64;
-        for &i in self.sampler.grow_to(m_target) {
-            let local = (self.base + u64::from(i)).checked_sub(self.at);
-            if let Some(row) = local.filter(|&row| row < held) {
-                self.shards[self.plan.shard_of(row as u32)].0.push(row as u32);
-            }
-        }
+        plan.split(sampler.grow_to(m_target), |shard, row| shards[shard].0.push(row));
 
-        let mut out = vec![ShardCounts::empty(None, []); self.shards.len()];
+        let mut out = vec![ShardCounts::empty(None, []); shards.len()];
         let dataset = self.dataset;
         // The shards are the fan-out: a pool dispatch must not nest in one.
-        self.exec.for_each2(&mut self.shards, &mut out, |(rows, counter), counts| {
+        self.exec.for_each2(shards, &mut out, |(rows, counter), counts| {
             counter.count(dataset, rows, req, counts, &Executor::sequential())
         });
         self.last.clone_from(req);
         Ok(out)
     }
 
-    /// The sketch's counts of the rows this source holds: the
-    /// population's marginals for [`LocalShardSource::new`], one slice's
-    /// share of the union's — which a coordinator sums — for
-    /// [`LocalShardSource::slice`].
+    fn recycle(&mut self, spent: Vec<ShardCounts>) {
+        for ((_, counter), mut counts) in self.shards.iter_mut().zip(spent) {
+            counter.park(&self.last, &mut counts);
+        }
+    }
+
+    /// The sketch's counts of the dataset: the population's marginals.
     fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError> {
         Ok(sketch_marginals(self.dataset, self.sketch))
     }
@@ -442,11 +485,11 @@ impl ShardTransport for LocalShardSource<'_> {
 /// histograms, joint runs — into the first shard's, exactly, and checks
 /// they answer the `live` candidates the measure asked about: what it
 /// then drains into its states in canonical order.
-fn merge(shards: Vec<ShardCounts>, live: usize) -> Result<ShardCounts, SwopeError> {
-    let mut iter = shards.into_iter();
-    let mut acc =
-        iter.next().ok_or_else(|| SwopeError::Transport("no shard counts returned".into()))?;
-    for sh in iter {
+fn merge(shards: &mut [ShardCounts], live: usize) -> Result<&mut ShardCounts, SwopeError> {
+    let (acc, rest) = shards
+        .split_first_mut()
+        .ok_or_else(|| SwopeError::Transport("no shard counts returned".into()))?;
+    for sh in rest {
         if let (Some(t), Some(o)) = (acc.target.as_mut(), sh.target.as_ref()) {
             t.merge(o);
         }
@@ -468,8 +511,8 @@ fn merge(shards: Vec<ShardCounts>, live: usize) -> Result<ShardCounts, SwopeErro
 }
 
 /// The sharded [`CountSource`]: any [`ShardTransport`], asked once per
-/// doubling for every shard's integer deltas, which are merged exactly
-/// and drained into the driver's states.
+/// doubling for every shard's integer deltas, which are merged exactly,
+/// drained into the driver's states and handed back.
 pub(crate) struct ShardedSource<'t, T: ShardTransport>(pub(crate) &'t mut T);
 
 impl<T: ShardTransport> CountSource for ShardedSource<'_, T> {
@@ -509,11 +552,12 @@ impl<T: ShardTransport> CountSource for ShardedSource<'_, T> {
         measure.request(states, &mut req);
 
         let span = round.it.phase_start();
-        let shards = self.0.advance(m, &req)?;
+        let mut shards = self.0.advance(m, &req)?;
         round.it.phase_end(Phase::Ingest, span);
 
         let span = round.it.phase_start();
-        measure.apply(&mut merge(shards, states.len())?, states)?;
+        measure.apply(merge(&mut shards, states.len())?, states)?;
+        self.0.recycle(shards);
         round.it.phase_end(Phase::ShardMerge, span);
         Ok(())
     }

@@ -17,8 +17,6 @@
 //! * [`bounds`] — Lemmas 1–4 of the paper: the bias bound `b(α)`, the
 //!   deviation radius `λ`, entropy/MI confidence intervals, and the
 //!   `M*` sample-size inversion used in the complexity analysis.
-//! * [`divergence`] — the Jensen–Shannon distance between empirical
-//!   distributions, for snapshot drift detection (extension).
 //!
 //! All entropies are in bits (`log2`), matching the paper's definitions.
 
@@ -26,7 +24,6 @@
 #![warn(clippy::all)]
 
 pub mod bounds;
-pub mod divergence;
 pub mod entropy;
 pub mod freq;
 pub mod joint;

@@ -339,8 +339,9 @@ pub fn run_query<O: QueryObserver>(
 enum Counts<'a> {
     /// A registered dataset, sampled over the spec's scope.
     Local(&'a DatasetEntry, Scope),
-    /// The peer fleet, over the exact count-merge protocol.
-    Remote(RemoteShardSource),
+    /// The peer fleet, over the exact count-merge protocol (boxed: it
+    /// carries the query's sampler and count buffers).
+    Remote(Box<RemoteShardSource>),
 }
 
 /// The body [`run_query`] and [`run_query_cluster`] share: the config,
@@ -366,7 +367,7 @@ fn answer<O: QueryObserver>(
                 .map_err(|e| (422, e.to_string()))?
         }
         Counts::Remote(mut src) => {
-            let answer = run_sharded(&mut src, &shape, &cfg, obs, exec).map_err(cluster_fail)?;
+            let answer = run_sharded(&mut *src, &shape, &cfg, obs, exec).map_err(cluster_fail)?;
             src.finish();
             answer
         }
@@ -447,7 +448,7 @@ pub fn run_query_cluster<O: QueryObserver>(
     .map_err(cluster_fail)?;
     // Generation 1 matches a fresh single box's first insert, keeping the
     // coordinator's bytes diffable against a single-box run.
-    answer(Counts::Remote(src), 1, spec, exec, obs)
+    answer(Counts::Remote(Box::new(src)), 1, spec, exec, obs)
 }
 
 fn serialize(
