@@ -1,7 +1,8 @@
 use std::sync::Arc;
 
 use swope_pager::PagedColumn;
-use swope_store::{PackedColumn, StoreError, Width};
+use swope_sampling::PageLayout;
+use swope_store::{for_packed, PackedColumn, StoreError, Width};
 
 use crate::{Code, ColumnarError};
 
@@ -16,16 +17,23 @@ use crate::{Code, ColumnarError};
 ///
 /// * **Heap** — [`swope_store::PackedColumn`], the whole column decoded
 ///   at the narrowest width its support allows (`u8` up to support 256,
-///   `u16` up to 65536, `u32` beyond). A heap load and every
-///   in-memory constructor produce this.
+///   `u16` up to 65536, `u32` beyond), stored in the [`PageLayout`] of
+///   its row count: within each 65 536-row page the codes sit in a
+///   fixed, seeded shuffle, so a full-scope sample reads contiguous runs
+///   (`swope_sampling::PagePrefix`). [`Column::from_packed`] applies the
+///   layout, and every heap column passes through it: a heap load and
+///   every in-memory constructor.
 /// * **Paged** — [`swope_pager::PagedColumn`], codes left in a mapped
-///   snapshot and read there, page-by-page, under a byte-budget cache.
-///   `snapshot::open` at `Residency::Paged` produces this.
+///   snapshot in row order and read there, page-by-page, under a
+///   byte-budget cache. `snapshot::open` at `Residency::Paged` produces
+///   this.
 ///
-/// Hot loops dispatch once per call via [`Column::storage`] and then run
-/// width-monomorphized on either representation; both decode the same
-/// bytes, so results are bitwise identical. Cold paths use
-/// [`Column::code`] / [`Column::to_codes`], which widen on the fly.
+/// Every logical accessor — [`Column::code`], [`Column::to_codes`],
+/// equality — answers in row order on both. Hot loops dispatch once per
+/// call via [`Column::storage`] and then run width-monomorphized on
+/// either representation, indexing by *position*: the layout's position
+/// on the heap, the row itself when paged. Both decode the same bytes,
+/// so counts over the same rows are bitwise identical.
 #[derive(Debug, Clone)]
 pub struct Column {
     repr: Repr,
@@ -33,16 +41,21 @@ pub struct Column {
 
 #[derive(Debug, Clone)]
 enum Repr {
-    Heap(PackedColumn),
+    /// Codes in `layout`'s position order.
+    Heap {
+        packed: PackedColumn,
+        layout: Arc<PageLayout>,
+    },
     Paged(Arc<PagedColumn>),
 }
 
 /// A borrowed view of a column's physical representation — the one
 /// `match` a hot loop makes before its width-generic inner loop.
 pub enum ColumnStorage<'a> {
-    /// Fully decoded in memory.
+    /// Fully decoded in memory, indexed by layout position.
     Heap(&'a PackedColumn),
-    /// Read in place, page-by-page, out of a mapped snapshot.
+    /// Read in place, page-by-page, out of a mapped snapshot; indexed by
+    /// row.
     Paged(&'a PagedColumn),
 }
 
@@ -50,7 +63,7 @@ impl Column {
     /// Creates a column from raw codes, validating `code < support` for all.
     pub fn new(codes: Vec<Code>, support: u32) -> Result<Self, ColumnarError> {
         match PackedColumn::new(codes, support) {
-            Ok(packed) => Ok(Self { repr: Repr::Heap(packed) }),
+            Ok(packed) => Ok(Self::from_packed(packed)),
             Err(StoreError::CodeOutOfRange { code, support }) => {
                 Err(ColumnarError::CodeOutOfRange { attr: 0, code, support })
             }
@@ -65,13 +78,17 @@ impl Column {
     /// memory — counters use checked indexing in debug builds and sized
     /// allocations in release).
     pub fn new_unchecked(codes: Vec<Code>, support: u32) -> Self {
-        Self { repr: Repr::Heap(PackedColumn::new_unchecked(codes, support)) }
+        Self::from_packed(PackedColumn::new_unchecked(codes, support))
     }
 
-    /// Wraps an already-validated packed column (the snapshot reader's
-    /// path, which decodes pages straight at their stored width).
-    pub fn from_packed(packed: PackedColumn) -> Self {
-        Self { repr: Repr::Heap(packed) }
+    /// Wraps an already-validated packed column, codes in row order —
+    /// the snapshot reader's path, which decodes pages straight at their
+    /// stored width. The one heap constructor: it reorders the codes in
+    /// place, a page at a time, into the layout of their row count.
+    pub fn from_packed(mut packed: PackedColumn) -> Self {
+        let layout = PageLayout::of(packed.len());
+        packed.reorder(|codes| for_packed!(codes, |codes| layout.store(codes)));
+        Self { repr: Repr::Heap { packed, layout } }
     }
 
     /// Wraps a pager-backed column (the out-of-core loader's path).
@@ -86,14 +103,8 @@ impl Column {
     /// width cannot hold the support. A paged column materializes to heap
     /// storage here — re-widening is a test/bench tool, not a hot path.
     pub fn with_width(&self, width: Width) -> Result<Self, ColumnarError> {
-        let repacked = match &self.repr {
-            Repr::Heap(packed) => packed.repacked(width),
-            Repr::Paged(paged) => paged
-                .to_codes()
-                .and_then(|codes| PackedColumn::with_width(codes, paged.support(), width)),
-        };
-        repacked
-            .map(|packed| Self { repr: Repr::Heap(packed) })
+        PackedColumn::with_width(self.to_codes(), self.support(), width)
+            .map(Self::from_packed)
             .map_err(|e| ColumnarError::Snapshot(e.to_string()))
     }
 
@@ -121,23 +132,33 @@ impl Column {
     #[inline]
     pub fn storage(&self) -> ColumnStorage<'_> {
         match &self.repr {
-            Repr::Heap(packed) => ColumnStorage::Heap(packed),
+            Repr::Heap { packed, .. } => ColumnStorage::Heap(packed),
             Repr::Paged(paged) => ColumnStorage::Paged(paged),
         }
     }
 
-    /// The width-packed heap storage.
+    /// The width-packed heap storage, in layout order.
     ///
     /// Panics for paged columns: callers that can meet a paged column
     /// must dispatch through [`Column::storage`] instead. Kept for the
-    /// many heap-only paths (builders, generators, format conversion).
+    /// heap-only paths that read every code whatever its order (sketch
+    /// builds, benches).
     #[inline]
     pub fn packed(&self) -> &PackedColumn {
         match &self.repr {
-            Repr::Heap(packed) => packed,
+            Repr::Heap { packed, .. } => packed,
             Repr::Paged(_) => {
                 panic!("column is paged (out-of-core); dispatch via Column::storage()")
             }
+        }
+    }
+
+    /// The layout a heap column stores its codes in; `None` when paged.
+    #[inline]
+    pub fn layout(&self) -> Option<&Arc<PageLayout>> {
+        match &self.repr {
+            Repr::Heap { layout, .. } => Some(layout),
+            Repr::Paged(_) => None,
         }
     }
 
@@ -145,7 +166,7 @@ impl Column {
     #[inline]
     pub fn paged(&self) -> Option<&Arc<PagedColumn>> {
         match &self.repr {
-            Repr::Heap(_) => None,
+            Repr::Heap { .. } => None,
             Repr::Paged(paged) => Some(paged),
         }
     }
@@ -160,7 +181,7 @@ impl Column {
     #[inline]
     pub fn width(&self) -> Width {
         match &self.repr {
-            Repr::Heap(packed) => packed.width(),
+            Repr::Heap { packed, .. } => packed.width(),
             Repr::Paged(paged) => paged.width(),
         }
     }
@@ -171,17 +192,21 @@ impl Column {
     #[inline]
     pub fn bytes_in_memory(&self) -> usize {
         match &self.repr {
-            Repr::Heap(packed) => packed.bytes_in_memory(),
+            Repr::Heap { packed, .. } => packed.bytes_in_memory(),
             Repr::Paged(paged) => paged.resident_bytes() as usize,
         }
     }
 
-    /// The per-row codes, widened into a fresh vector (cold paths only:
-    /// exact baselines, concatenation, format conversion). For a paged
-    /// column this is a full materializing scan.
+    /// The per-row codes in row order, widened into a fresh vector (cold
+    /// paths only: exact baselines, concatenation, format conversion).
+    /// For a paged column this is a full materializing scan.
     pub fn to_codes(&self) -> Vec<Code> {
         match &self.repr {
-            Repr::Heap(packed) => packed.to_codes(),
+            Repr::Heap { packed, layout } => {
+                let mut codes = packed.to_codes();
+                layout.restore(&mut codes);
+                codes
+            }
             Repr::Paged(paged) => paged.to_codes().unwrap_or_else(|e| panic!("{e}")),
         }
     }
@@ -190,7 +215,7 @@ impl Column {
     #[inline]
     pub fn support(&self) -> u32 {
         match &self.repr {
-            Repr::Heap(packed) => packed.support(),
+            Repr::Heap { packed, .. } => packed.support(),
             Repr::Paged(paged) => paged.support(),
         }
     }
@@ -199,7 +224,7 @@ impl Column {
     #[inline]
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Heap(packed) => packed.len(),
+            Repr::Heap { packed, .. } => packed.len(),
             Repr::Paged(paged) => paged.len(),
         }
     }
@@ -215,7 +240,7 @@ impl Column {
     #[inline]
     pub fn code(&self, row: usize) -> Code {
         match &self.repr {
-            Repr::Heap(packed) => packed.code(row),
+            Repr::Heap { packed, layout } => packed.code(layout.position_of(row as u32) as usize),
             Repr::Paged(paged) => paged.code(row),
         }
     }
@@ -223,11 +248,12 @@ impl Column {
     /// Counts occurrences of each code over all rows.
     ///
     /// The result has length `support()`; entry `i` is `n_i` in the paper's
-    /// notation. A paged column scans one resident page at a time, so the
-    /// count stays within the cache budget.
+    /// notation. A heap column counts in storage order, a paged column
+    /// one resident page at a time, so the count stays within the cache
+    /// budget.
     pub fn value_counts(&self) -> Vec<u64> {
         match &self.repr {
-            Repr::Heap(packed) => packed.value_counts(),
+            Repr::Heap { packed, .. } => packed.value_counts(),
             Repr::Paged(paged) => paged.value_counts().unwrap_or_else(|e| panic!("{e}")),
         }
     }
@@ -241,11 +267,13 @@ impl Column {
 impl PartialEq for Column {
     /// Logical equality: same support and the same code sequence,
     /// regardless of representation (heap vs paged) or storage width.
-    /// Mixed-representation comparison materializes the paged side —
-    /// equality is a test/assertion tool, not a hot path.
+    /// Two heap columns of one length share a layout, so their stored
+    /// orders compare directly; mixed-representation comparison
+    /// materializes both sides — equality is a test/assertion tool, not
+    /// a hot path.
     fn eq(&self, other: &Self) -> bool {
         match (&self.repr, &other.repr) {
-            (Repr::Heap(a), Repr::Heap(b)) => a == b,
+            (Repr::Heap { packed: a, .. }, Repr::Heap { packed: b, .. }) => a == b,
             _ => {
                 self.support() == other.support()
                     && self.len() == other.len()

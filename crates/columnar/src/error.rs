@@ -31,6 +31,9 @@ pub enum ColumnarError {
     },
     /// Columns of a dataset disagree on the number of rows.
     RaggedColumns,
+    /// Some of a dataset's columns are on the heap and some are paged, so
+    /// no one position numbers a row in all of them.
+    MixedResidency,
     /// A CSV document was malformed.
     Csv {
         /// 1-based line number of the offending record.
@@ -58,6 +61,7 @@ impl fmt::Display for ColumnarError {
                 write!(f, "attribute {attr} contains code {code} outside its support 0..{support}")
             }
             Self::RaggedColumns => write!(f, "columns have differing row counts"),
+            Self::MixedResidency => write!(f, "columns mix heap and paged storage"),
             Self::Csv { line, message } => write!(f, "CSV error at line {line}: {message}"),
             Self::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
             Self::Io(e) => write!(f, "I/O error: {e}"),

@@ -6,13 +6,22 @@
 //! records after a random shuffle** of the input (§2.2). Its algorithms
 //! adaptively *double* `M`, reusing all previously sampled records; the
 //! concentration bound survives this dependency because the conditional
-//! expectations form a martingale (§3.1). This crate provides exactly that
-//! sampling model, and no other:
+//! expectations form a martingale (§3.1). This crate provides that
+//! sampling model in two forms, one per kind of population:
 //!
-//! * [`PrefixShuffle`] — an incrementally extended Fisher–Yates shuffle,
-//!   the one sampler every query path draws from. `grow_to(2M)` continues
-//!   the *same* shuffle, so the size-`M` sample is a prefix of the
-//!   size-`2M` sample (the nesting the martingale argument needs), and
+//! * [`PagePrefix`] over a [`PageLayout`] — the sampler of every
+//!   full-scope query. The layout is a fixed, seeded shuffle of the rows
+//!   *within* each 65 536-row page, which heap columns store their codes
+//!   in. Each doubling splits its new draws over the pages with
+//!   [`hypergeometric`] variates and takes every page's next slots from
+//!   the query's own offset in it, so a heap read is one or two
+//!   contiguous runs a page instead of a permuted gather.
+//!   `docs/THEORY.md` § "Page-prefix sampling" shows the samples are
+//!   uniform and nested, exactly as a prefix shuffle's.
+//! * [`PrefixShuffle`] — an incrementally extended Fisher–Yates shuffle
+//!   over `0..n`, the sampler of scoped populations (row ranges and
+//!   predicate row lists). `grow_to(2M)` continues the *same* shuffle,
+//!   so the size-`M` sample is a prefix of the size-`2M` sample, and
 //!   newly added rows are returned for incremental counting.
 //! * [`DoublingSchedule`] — the `M0, 2·M0, 4·M0, …, N` sample size ladder
 //!   with the paper's `i_max = ceil(log2(N/M0)) + 1` iteration count.
@@ -27,10 +36,12 @@
 #![warn(clippy::all)]
 
 mod hypergeometric;
+mod page;
 pub mod rng;
 mod schedule;
 mod shuffle;
 
 pub use hypergeometric::{hypergeometric, ln_factorial};
+pub use page::{PageLayout, PagePrefix};
 pub use schedule::DoublingSchedule;
 pub use shuffle::PrefixShuffle;

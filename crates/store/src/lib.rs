@@ -43,7 +43,7 @@ pub mod section;
 mod width;
 
 pub use error::StoreError;
-pub use packed::{gather, CodeBuf, PackedCodes, PackedColumn};
+pub use packed::{gather, gather_run, CodeBuf, PackedCodes, PackedColumn};
 pub use width::{CodeRepr, Width};
 
 /// A dictionary-encoded attribute value, widened for arithmetic.
