@@ -47,15 +47,18 @@ const SOURCES: [&str; 5] = ["heap", "hybrid range", "predicate", "3 shards", "pa
 /// fewer than two covered rows a fringe row stopped running the hybrid
 /// sampler (that range has one covered page and 92 072 fringe rows): they
 /// are what the parent of *that* commit answered for the same range with
-/// `sketch = None`.
+/// `sketch = None`. The "heap" and "3 shards" columns were re-recorded
+/// when full-scope queries began sampling page prefixes (`docs/THEORY.md`
+/// § "Page-prefix sampling"), in a commit of their own; the three scoped
+/// columns did not move.
 #[rustfmt::skip]
 const PINNED: [[u64; 5]; 6] = [
-    [0xb0ed1fbe98629795, 0xbd160ee5e006772c, 0x41ee000bcf44eff9, 0xb0ed1fbe98629795, 0x2a2609b53ad71308],
-    [0x6ed2c731f6bdcfb6, 0x8d390e4206f46c23, 0x9110c328bf68a1ff, 0x6ed2c731f6bdcfb6, 0xc91e220a97434bd3],
-    [0x04cdd5448e647ff1, 0x9d99a142b6e48b6f, 0x754bc2838c8dcf3a, 0x04cdd5448e647ff1, 0xe6e7b58d02750c2f],
-    [0x4e3546316749e515, 0x055782cdc1744c3c, 0xb7d1d5228ccee5c2, 0x4e3546316749e515, 0x1eaf8165eff6b3ed],
-    [0x740517e5af50be36, 0x66fe52bc6ad10755, 0x3b22d75cb75ae98e, 0x740517e5af50be36, 0x4188c2253da61fc2],
-    [0x12a4a7e311c01dc9, 0x8474b80299c1265c, 0x96b9f1b80cda0fc3, 0x12a4a7e311c01dc9, 0x64190f2e91a82f84],
+    [0x4d56e337af4e2c0e, 0xbd160ee5e006772c, 0x41ee000bcf44eff9, 0x4d56e337af4e2c0e, 0x2a2609b53ad71308],
+    [0xb0e2a50df8be0362, 0x8d390e4206f46c23, 0x9110c328bf68a1ff, 0xb0e2a50df8be0362, 0xc91e220a97434bd3],
+    [0x90dee0b9197682ff, 0x9d99a142b6e48b6f, 0x754bc2838c8dcf3a, 0x90dee0b9197682ff, 0xe6e7b58d02750c2f],
+    [0x430214f046e5e7cd, 0x055782cdc1744c3c, 0xb7d1d5228ccee5c2, 0x430214f046e5e7cd, 0x1eaf8165eff6b3ed],
+    [0xcdffd4049dcfec2f, 0x66fe52bc6ad10755, 0x3b22d75cb75ae98e, 0xcdffd4049dcfec2f, 0x4188c2253da61fc2],
+    [0xc15df28317a4fc35, 0x8474b80299c1265c, 0x96b9f1b80cda0fc3, 0xc15df28317a4fc35, 0x64190f2e91a82f84],
 ];
 
 /// `COMPARATORS[query][source]` for [`comparators`] over the heap dataset
@@ -66,13 +69,15 @@ const PINNED: [[u64; 5]; 6] = [
 /// and `mi_filter_exact_sampling`, which passed unedited on the driver
 /// before the calls were ported to `run`). Those loops stamped no
 /// retirement iteration and kept no trace, so these digests leave both
-/// out ([`outcome_digest`]).
+/// out ([`outcome_digest`]). Both columns are full scopes, re-recorded
+/// with [`PINNED`]'s when full-scope queries began sampling page
+/// prefixes.
 #[rustfmt::skip]
 const COMPARATORS: [[u64; 2]; 4] = [
-    [0xe1fa208345170d29, 0xe1fa208345170d29],
-    [0x7748a4261a324f0f, 0x7748a4261a324f0f],
-    [0x6c9a46618a6fad9a, 0x6c9a46618a6fad9a],
-    [0x94dd6e4c5d60e53d, 0x94dd6e4c5d60e53d],
+    [0x2c38a78e840a9b8c, 0x2c38a78e840a9b8c],
+    [0x88b3b4019d67b7a9, 0x88b3b4019d67b7a9],
+    [0x7272f9a2b027d616, 0x7272f9a2b027d616],
+    [0x3a00172a2b1b05de, 0x3a00172a2b1b05de],
 ];
 
 /// Parameters under which most cells stop early on [`dataset`] (a stop
@@ -243,14 +248,16 @@ fn comparators_match_the_digests_recorded_on_the_parent() {
 /// paged and three in-process shards (`LocalShardSource::with_sketch`).
 /// The three sources take the marginals from the same integer counts
 /// through the same function, so each row's cells are equal. Recorded
-/// when the exact-marginal interval landed, in a commit of its own.
+/// when the exact-marginal interval landed, in a commit of its own, and
+/// re-recorded with [`PINNED`]'s when full-scope queries began sampling
+/// page prefixes.
 #[rustfmt::skip]
 const MARGINALS: [[u64; 3]; 5] = [
-    [0xe26ef30758165235, 0xe26ef30758165235, 0xe26ef30758165235],
-    [0x0561e702d07bb370, 0x0561e702d07bb370, 0x0561e702d07bb370],
-    [0x6025101015ac9746, 0x6025101015ac9746, 0x6025101015ac9746],
-    [0xe26ef30758165235, 0xe26ef30758165235, 0xe26ef30758165235],
-    [0x81043714b0cc3c39, 0x81043714b0cc3c39, 0x81043714b0cc3c39],
+    [0x1202f4d15e2d24ba, 0x1202f4d15e2d24ba, 0x1202f4d15e2d24ba],
+    [0x5a5305242052a272, 0x5a5305242052a272, 0x5a5305242052a272],
+    [0x00fde78e34dbfd16, 0x00fde78e34dbfd16, 0x00fde78e34dbfd16],
+    [0x1202f4d15e2d24ba, 0x1202f4d15e2d24ba, 0x1202f4d15e2d24ba],
+    [0x2e2d62f81e609abf, 0x2e2d62f81e609abf, 0x2e2d62f81e609abf],
 ];
 
 #[test]
