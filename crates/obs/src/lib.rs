@@ -98,7 +98,7 @@ impl QueryKind {
 /// iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Extending the shuffled sample prefix from `M` to the next target.
+    /// Extending the sample from `M` to the next target.
     SampleGrow,
     /// Feeding the ΔM new records into per-candidate counters.
     Ingest,

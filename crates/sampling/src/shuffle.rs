@@ -15,8 +15,12 @@ use crate::rng::Xoshiro256pp;
 ///    the ΔM new rows, and the martingale argument of §3.1 applies to the
 ///    doubling schedule.
 ///
-/// Memory: one `u32` per population row (`4N` bytes), initialized lazily in
-/// one pass at construction.
+/// Scoped populations — row ranges and predicate row lists — draw from
+/// it; a whole dataset is sampled by [`crate::PagePrefix`] instead,
+/// which builds no permutation.
+///
+/// Memory: one `u32` per population row (`4N` bytes), initialized in one
+/// pass at construction.
 #[derive(Debug, Clone)]
 pub struct PrefixShuffle {
     perm: Vec<u32>,
