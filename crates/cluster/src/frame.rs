@@ -81,6 +81,7 @@ use std::io::{Read, Write};
 
 use swope_core::{AttrMeta, CountRequest, CountState, ShardCounts};
 use swope_store::crc32::{crc32, Crc32};
+use swope_store::{ByteReader, ReadError};
 
 /// Connection-sniffing magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SWPC";
@@ -493,144 +494,81 @@ fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
 
 // ---- payload reader --------------------------------------------------
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+impl From<ReadError> for FrameError {
+    fn from(e: ReadError) -> Self {
+        FrameError::Malformed(match e {
+            ReadError::Truncated => "payload shorter than its layout",
+            ReadError::NotUtf8 => "string field is not UTF-8",
+            ReadError::ListTooLong => "list count exceeds payload size",
+            ReadError::OverlongVarint => "over-long varint",
+            ReadError::VarintOverflow => "varint overflows u64",
+        })
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end =
-            self.pos.checked_add(n).ok_or(FrameError::Malformed("length overflows payload"))?;
-        if end > self.bytes.len() {
-            return Err(FrameError::Malformed("payload shorter than its layout"));
+/// A `u32` count, then that many `u32`s.
+fn u32_list(c: &mut ByteReader<'_>) -> Result<Vec<u32>, FrameError> {
+    let n = c.list_len(4)?;
+    let bytes = c.take(4 * n)?;
+    Ok(bytes.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).collect())
+}
+
+/// One canonical list (see [`put_deltas`]): hands each `(key, count)`
+/// to `entry`, which answers whether the key is in range. Nothing is
+/// reserved from the claimed length; a list longer than the payload
+/// runs out of bytes.
+fn deltas(
+    c: &mut ByteReader<'_>,
+    mut entry: impl FnMut(u64, u64) -> bool,
+) -> Result<u64, FrameError> {
+    let n = c.varint()?;
+    let mut key = 0u64;
+    let mut total = 0u64;
+    for i in 0..n {
+        let delta = c.varint()?;
+        if delta == 0 && i > 0 {
+            return Err(FrameError::Malformed("count entries are not ascending"));
         }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, FrameError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| FrameError::Malformed("string field is not UTF-8"))
-    }
-
-    /// Guards list preallocation: a hostile count must not allocate more
-    /// than the payload could possibly hold.
-    fn list_len(&mut self, elem_size: usize) -> Result<usize, FrameError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(elem_size) > self.bytes.len() - self.pos {
-            return Err(FrameError::Malformed("list count exceeds payload size"));
+        key =
+            key.checked_add(delta).ok_or(FrameError::Malformed("count entry key overflows u64"))?;
+        let k = c.varint()?;
+        if k == 0 {
+            return Err(FrameError::Malformed("count entry with a zero count"));
         }
-        Ok(n)
-    }
-
-    /// A `u32` count, then that many `u32`s.
-    fn u32_list(&mut self) -> Result<Vec<u32>, FrameError> {
-        let n = self.list_len(4)?;
-        let bytes = self.take(4 * n)?;
-        Ok(bytes.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).collect())
-    }
-
-    /// One LEB128 `u64`, minimal length only — a padded encoding of the
-    /// same value would break "one histogram, one byte string".
-    #[inline]
-    fn varint(&mut self) -> Result<u64, FrameError> {
-        // Nearly every delta and most counts fit one byte.
-        match self.bytes.get(self.pos) {
-            Some(&b) if b < 0x80 => {
-                self.pos += 1;
-                Ok(b as u64)
-            }
-            _ => self.long_varint(),
+        total = total.checked_add(k).ok_or(FrameError::Malformed("count total overflows u64"))?;
+        if !entry(key, k) {
+            return Err(FrameError::Malformed("count entry code beyond support"));
         }
     }
+    Ok(n)
+}
 
-    fn long_varint(&mut self) -> Result<u64, FrameError> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.u8()?;
-            if shift == 63 && b > 1 {
-                break;
-            }
-            v |= ((b & 0x7F) as u64) << shift;
-            if b & 0x80 == 0 {
-                if b == 0 && shift > 0 {
-                    return Err(FrameError::Malformed("over-long varint"));
-                }
-                return Ok(v);
-            }
-        }
-        Err(FrameError::Malformed("varint overflows u64"))
+/// One histogram, added to `into` when given: its support must then
+/// be the one `into` was built with. Returns `(support, entries)`.
+fn histogram(
+    c: &mut ByteReader<'_>,
+    mut into: Option<&mut CountState>,
+) -> Result<(u32, u64), FrameError> {
+    let support = u32::try_from(c.varint()?)
+        .map_err(|_| FrameError::Malformed("histogram support exceeds u32"))?;
+    if into.as_ref().is_some_and(|cs| cs.support() != support) {
+        return Err(FrameError::Malformed("histogram support disagrees with the request"));
     }
+    let n = deltas(c, |code, k| {
+        let ok = code < support as u64;
+        if let (true, Some(cs)) = (ok, into.as_deref_mut()) {
+            cs.increment(code as u32, k);
+        }
+        ok
+    })?;
+    Ok((support, n))
+}
 
-    /// One canonical list (see [`put_deltas`]): hands each `(key, count)`
-    /// to `entry`, which answers whether the key is in range. Nothing is
-    /// reserved from the claimed length; a list longer than the payload
-    /// runs out of bytes.
-    fn deltas(&mut self, mut entry: impl FnMut(u64, u64) -> bool) -> Result<u64, FrameError> {
-        let n = self.varint()?;
-        let mut key = 0u64;
-        let mut total = 0u64;
-        for i in 0..n {
-            let delta = self.varint()?;
-            if delta == 0 && i > 0 {
-                return Err(FrameError::Malformed("count entries are not ascending"));
-            }
-            key = key
-                .checked_add(delta)
-                .ok_or(FrameError::Malformed("count entry key overflows u64"))?;
-            let k = self.varint()?;
-            if k == 0 {
-                return Err(FrameError::Malformed("count entry with a zero count"));
-            }
-            total =
-                total.checked_add(k).ok_or(FrameError::Malformed("count total overflows u64"))?;
-            if !entry(key, k) {
-                return Err(FrameError::Malformed("count entry code beyond support"));
-            }
-        }
-        Ok(n)
+fn finish(c: &ByteReader<'_>) -> Result<(), FrameError> {
+    if c.remaining() > 0 {
+        return Err(FrameError::Malformed("trailing bytes after payload"));
     }
-
-    /// One histogram, added to `into` when given: its support must then
-    /// be the one `into` was built with. Returns `(support, entries)`.
-    fn histogram(&mut self, mut into: Option<&mut CountState>) -> Result<(u32, u64), FrameError> {
-        let support = u32::try_from(self.varint()?)
-            .map_err(|_| FrameError::Malformed("histogram support exceeds u32"))?;
-        if into.as_ref().is_some_and(|cs| cs.support() != support) {
-            return Err(FrameError::Malformed("histogram support disagrees with the request"));
-        }
-        let n = self.deltas(|code, k| {
-            let ok = code < support as u64;
-            if let (true, Some(cs)) = (ok, into.as_deref_mut()) {
-                cs.increment(code as u32, k);
-            }
-            ok
-        })?;
-        Ok((support, n))
-    }
-
-    fn finish(self) -> Result<(), FrameError> {
-        if self.pos != self.bytes.len() {
-            return Err(FrameError::Malformed("trailing bytes after payload"));
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Walks one `CountMerge` payload, checking every rule that makes the
@@ -640,7 +578,7 @@ impl<'a> Cursor<'a> {
 /// Returns the entries and runs carried. Nothing is allocated.
 fn read_count_merge(bytes: &[u8], mut into: Option<&mut ShardCounts>) -> Result<u64, FrameError> {
     const SHAPE: FrameError = FrameError::Malformed("CountMerge shape disagrees with the request");
-    let mut c = Cursor { bytes, pos: 0 };
+    let mut c = ByteReader::new(bytes);
     let mut entries = 0;
     let has_target = match c.u8()? {
         0 => false,
@@ -653,7 +591,7 @@ fn read_count_merge(bytes: &[u8], mut into: Option<&mut ShardCounts>) -> Result<
     // Without a target no joint run is legal: a bound of zero refuses all.
     let mut target_support = 0u64;
     if has_target {
-        let (support, n) = c.histogram(into.as_deref_mut().and_then(|s| s.target.as_mut()))?;
+        let (support, n) = histogram(&mut c, into.as_deref_mut().and_then(|s| s.target.as_mut()))?;
         target_support = support as u64;
         entries += n;
     }
@@ -664,10 +602,10 @@ fn read_count_merge(bytes: &[u8], mut into: Option<&mut ShardCounts>) -> Result<
     }
     for i in 0..live {
         let i = i as usize;
-        let (support, n) = c.histogram(into.as_deref_mut().map(|s| &mut s.attrs[i]))?;
+        let (support, n) = histogram(&mut c, into.as_deref_mut().map(|s| &mut s.attrs[i]))?;
         entries += n;
         let mut joint = into.as_deref_mut().map(|s| &mut s.joints[i]);
-        entries += c.deltas(|key, k| {
+        entries += deltas(&mut c, |key, k| {
             let ok = key >> 32 < target_support && key & 0xFFFF_FFFF < support as u64;
             if let (true, Some(joint)) = (ok, joint.as_deref_mut()) {
                 joint.increment(key, k);
@@ -675,7 +613,7 @@ fn read_count_merge(bytes: &[u8], mut into: Option<&mut ShardCounts>) -> Result<
             ok
         })?;
     }
-    c.finish()?;
+    finish(&c)?;
     Ok(entries)
 }
 
@@ -684,16 +622,16 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
         let entries = read_count_merge(bytes, None)?;
         return Ok(Frame::CountMerge(CountMergeFrame { payload: bytes.to_vec(), entries }));
     }
-    let mut c = Cursor { bytes, pos: 0 };
+    let mut c = ByteReader::new(bytes);
     let frame = match tag {
         1 => {
             let version = c.u32()?;
-            let dataset = c.str()?;
+            let dataset = c.str()?.to_owned();
             let num_rows = c.u64()?;
             let n = c.list_len(8)?;
             let mut attrs = Vec::with_capacity(n);
             for _ in 0..n {
-                let name = c.str()?;
+                let name = c.str()?.to_owned();
                 let support = c.u32()?;
                 attrs.push(AttrMeta { name, support });
             }
@@ -703,9 +641,9 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
             let m_target = c.u64()?;
             let has_target = c.u8()? != 0;
             let target_raw = c.u32()?;
-            let live = c.u32_list()?;
+            let live = u32_list(&mut c)?;
             let rows = match c.u8()? {
-                FORM_LIST => DeltaRows::List(c.u32_list()?),
+                FORM_LIST => DeltaRows::List(u32_list(&mut c)?),
                 FORM_BITMAP => {
                     let span = c.u32()?;
                     let bits = c.take(bitmap_len(span))?;
@@ -724,11 +662,11 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
             Frame::GrowDelta(GrowDelta { m_target, target, live, rows })
         }
         5 => Frame::Result(ResultFrame { sampled: c.u64()? }),
-        6 => Frame::Error(ErrorFrame { message: c.str()? }),
+        6 => Frame::Error(ErrorFrame { message: c.str()?.to_owned() }),
         TAG_MARGINALS => Frame::Marginals,
         other => return Err(FrameError::UnknownTag(other)),
     };
-    c.finish()?;
+    finish(&c)?;
     Ok(frame)
 }
 

@@ -56,7 +56,7 @@ use swope_store::crc32::crc32;
 use swope_store::section::{
     validate_sections, Section, SECTION_COLUMN, SECTION_SCHEMA, SECTION_SKETCH,
 };
-use swope_store::{page, PackedColumn, Width};
+use swope_store::{page, ByteReader, PackedColumn, ReadError, Width};
 
 use crate::{Column, ColumnStorage, ColumnarError, Dataset, Dictionary, Field, Schema};
 
@@ -281,29 +281,24 @@ struct Parsed {
 
 /// Parses and validates the structure of the snapshot `bytes`.
 fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
-    let mut buf = bytes;
-    let mut magic = [0u8; 4];
-    take(&mut buf, &mut magic)?;
-    if &magic != MAGIC {
+    let mut r = ByteReader::new(bytes);
+    if r.take(4)? != MAGIC {
         return Err(ColumnarError::Snapshot("bad magic".into()));
     }
-    let version = get_u16(&mut buf)?;
+    let version = r.u16()?;
     if version != VERSION {
         return Err(ColumnarError::Snapshot(format!(
             "unsupported version {version} (expected {VERSION})"
         )));
     }
-    let _flags = get_u16(&mut buf)?;
-    let section_count = get_u32(&mut buf)? as usize;
+    let _flags = r.u16()?;
     // The table must fit the bytes present before a single entry (or a
     // sections Vec) is allocated: a corrupt count fails here, cheaply.
     let entry = swope_store::section::SECTION_ENTRY_BYTES;
-    if (section_count as u64).saturating_mul(entry as u64) > buf.len() as u64 {
-        return Err(truncated());
-    }
+    let section_count = r.list_len(entry)?;
     let mut sections = Vec::with_capacity(section_count);
     for _ in 0..section_count {
-        sections.push(Section::parse(&mut buf).map_err(store_err)?);
+        sections.push(Section::parse(&mut r).map_err(store_err)?);
     }
     let body_start = (HEADER_BYTES + section_count * entry) as u64;
     validate_sections(&sections, body_start, bytes.len() as u64).map_err(store_err)?;
@@ -323,22 +318,22 @@ fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
     if crc32(body) != stored {
         return Err(ColumnarError::Snapshot("schema section checksum mismatch".into()));
     }
-    let mut sbuf = body;
-    let h = get_u32(&mut sbuf)? as usize;
-    let n = get_u64(&mut sbuf)? as usize;
+    let mut r = ByteReader::new(body);
+    let h = r.u32()? as usize;
+    let n = r.u64()? as usize;
     // Each field needs at least 9 bytes (name_len + support + has_dict);
     // check before the fields Vec is sized from h.
-    if (h as u64).saturating_mul(9) > sbuf.len() as u64 {
+    if (h as u64).saturating_mul(9) > r.remaining() as u64 {
         return Err(truncated());
     }
     let mut fields = Vec::with_capacity(h);
     for _ in 0..h {
-        fields.push(parse_field(&mut sbuf)?);
+        fields.push(parse_field(&mut r)?);
     }
-    if !sbuf.is_empty() {
+    if r.remaining() > 0 {
         return Err(ColumnarError::Snapshot(format!(
             "{} trailing bytes after schema fields",
-            sbuf.len()
+            r.remaining()
         )));
     }
 
@@ -407,22 +402,19 @@ fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
 }
 
 /// Parses one schema field record.
-fn parse_field(buf: &mut &[u8]) -> Result<Field, ColumnarError> {
-    let name = get_str(buf)?;
-    let support = get_u32(buf)?;
-    let has_dict = get_u8(buf)?;
+fn parse_field(r: &mut ByteReader<'_>) -> Result<Field, ColumnarError> {
+    let name = r.str()?.to_owned();
+    let support = r.u32()?;
+    let has_dict = r.u8()?;
     if has_dict > 1 {
         return Err(ColumnarError::Snapshot(format!("invalid dictionary flag {has_dict}")));
     }
     if has_dict == 1 {
-        let count = get_u32(buf)? as usize;
         // Each value needs at least its 4-byte length prefix.
-        if (count as u64).saturating_mul(4) > buf.len() as u64 {
-            return Err(truncated());
-        }
+        let count = r.list_len(4)?;
         let mut values = Vec::with_capacity(count);
         for _ in 0..count {
-            values.push(get_str(buf)?);
+            values.push(r.str()?.to_owned());
         }
         let dict = Dictionary::from_values(values)
             .ok_or_else(|| ColumnarError::Snapshot("duplicate dictionary value".into()))?;
@@ -474,56 +466,17 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Splits `out.len()` bytes off the front of `buf`, erroring on underrun.
-fn take(buf: &mut &[u8], out: &mut [u8]) -> Result<(), ColumnarError> {
-    if buf.len() < out.len() {
-        return Err(truncated());
-    }
-    let (head, tail) = buf.split_at(out.len());
-    out.copy_from_slice(head);
-    *buf = tail;
-    Ok(())
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8, ColumnarError> {
-    let mut b = [0u8; 1];
-    take(buf, &mut b)?;
-    Ok(b[0])
-}
-
-fn get_u16(buf: &mut &[u8]) -> Result<u16, ColumnarError> {
-    let mut b = [0u8; 2];
-    take(buf, &mut b)?;
-    Ok(u16::from_le_bytes(b))
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, ColumnarError> {
-    let mut b = [0u8; 4];
-    take(buf, &mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64, ColumnarError> {
-    let mut b = [0u8; 8];
-    take(buf, &mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, ColumnarError> {
-    let len = get_u32(buf)? as usize;
-    if buf.len() < len {
-        return Err(truncated());
-    }
-    let (head, tail) = buf.split_at(len);
-    let s = std::str::from_utf8(head)
-        .map_err(|_| ColumnarError::Snapshot("invalid UTF-8".into()))?
-        .to_owned();
-    *buf = tail;
-    Ok(s)
-}
-
 fn truncated() -> ColumnarError {
     ColumnarError::Snapshot("truncated input".into())
+}
+
+impl From<ReadError> for ColumnarError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::NotUtf8 => ColumnarError::Snapshot("invalid UTF-8".into()),
+            _ => truncated(),
+        }
+    }
 }
 
 #[cfg(test)]

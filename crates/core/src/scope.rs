@@ -63,7 +63,7 @@
 //!   each side the draw is uniform WOR), so Lemma 3's bound applies per
 //!   attribute; attributes are dependent only across the covered region,
 //!   which the union bound over per-attribute events never relied on
-//!   (`tests/tests/guarantee_rate.rs` puts that to an experiment). At
+//!   (`tests/tests/guarantee_rate.rs`'s `hybrid_ranges` cell tests it). At
 //!   `m = n_s` every counter holds the exact scoped counts. A sketch
 //!   that disagrees with the columns — another support, or covered
 //!   histograms that do not add up to the covered rows — is set aside

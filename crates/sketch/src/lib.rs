@@ -37,7 +37,7 @@
 
 use swope_store::crc32::crc32;
 use swope_store::page::PAGE_ROWS;
-use swope_store::{for_packed, CodeRepr, PackedColumn, StoreError};
+use swope_store::{for_packed, ByteReader, CodeRepr, PackedColumn, ReadError, StoreError};
 
 /// Magic bytes opening an encoded [`DatasetSketch`].
 pub const SKETCH_MAGIC: [u8; 4] = *b"SKCH";
@@ -370,27 +370,28 @@ impl DatasetSketch {
         if crc32(body) != stored {
             return Err(corrupt("CRC mismatch"));
         }
-        let mut r = Reader { buf: body, pos: 0 };
-        if r.take(4)? != SKETCH_MAGIC {
+        let truncated = |_: ReadError| corrupt("truncated payload");
+        let mut r = ByteReader::new(body);
+        if r.take(4).map_err(truncated)? != SKETCH_MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let version = r.u16()?;
+        let version = r.u16().map_err(truncated)?;
         if version != SKETCH_VERSION {
             return Err(corrupt(&format!("unsupported version {version}")));
         }
-        let _flags = r.u16()?;
-        let page_rows = r.u32()? as usize;
+        let _flags = r.u16().map_err(truncated)?;
+        let page_rows = r.u32().map_err(truncated)? as usize;
         if page_rows != PAGE_ROWS {
             return Err(corrupt(&format!("page_rows {page_rows} != {PAGE_ROWS}")));
         }
-        let num_rows = r.u64()? as usize;
-        let column_count = r.u32()? as usize;
+        let num_rows = r.u64().map_err(truncated)? as usize;
+        let column_count = r.u32().map_err(truncated)? as usize;
         let expect_pages = num_rows.div_ceil(PAGE_ROWS);
         let mut columns = Vec::with_capacity(column_count.min(r.remaining()));
         for _ in 0..column_count {
-            let support = r.u32()?;
-            let tag = r.u8()?;
-            let page_count = r.u32()? as usize;
+            let support = r.u32().map_err(truncated)?;
+            let tag = r.u8().map_err(truncated)?;
+            let page_count = r.u32().map_err(truncated)? as usize;
             if page_count != expect_pages {
                 return Err(corrupt(&format!(
                     "column has {page_count} pages, expected {expect_pages}"
@@ -411,7 +412,7 @@ impl DatasetSketch {
                 remaining_rows -= page_rows_here;
                 let rows: u64 = match kind {
                     SketchKind::Compact => {
-                        let raw = r.take(support as usize * 4)?;
+                        let raw = r.take(support as usize * 4).map_err(truncated)?;
                         for (count, c) in column.counts.iter_mut().zip(raw.chunks_exact(4)) {
                             *count = u32::from_le_bytes(c.try_into().expect("4 bytes"));
                         }
@@ -419,7 +420,7 @@ impl DatasetSketch {
                         column.counts.iter().map(|&v| u64::from(v)).sum()
                     }
                     SketchKind::Sparse => {
-                        let entry_count = r.u32()? as usize;
+                        let entry_count = r.u32().map_err(truncated)? as usize;
                         if entry_count > r.remaining() / 8 {
                             return Err(corrupt("sparse entry count exceeds payload"));
                         }
@@ -427,8 +428,8 @@ impl DatasetSketch {
                         let mut last: Option<u32> = None;
                         let mut rows = 0u64;
                         for _ in 0..entry_count {
-                            let code = r.u32()?;
-                            let count = r.u32()?;
+                            let code = r.u32().map_err(truncated)?;
+                            let count = r.u32().map_err(truncated)?;
                             if code >= support {
                                 return Err(corrupt("sparse code out of support"));
                             }
@@ -449,47 +450,10 @@ impl DatasetSketch {
             }
             columns.push(column.finish());
         }
-        if r.pos != r.buf.len() {
+        if r.remaining() > 0 {
             return Err(corrupt("trailing bytes after sketch payload"));
         }
         Ok(Self { num_rows, columns })
-    }
-}
-
-/// Little bounds-checked byte cursor used by [`DatasetSketch::decode`].
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.remaining() < n {
-            return Err(StoreError::Corrupt("sketch: truncated payload".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 }
 

@@ -27,6 +27,8 @@
 //! * [`section`] — the `SWOP` v2 section table (offsets/lengths
 //!   validated against the actual byte count before anything is
 //!   trusted).
+//! * [`ByteReader`] — the bounds-checked cursor every decoder reads
+//!   with: snapshot, sketch and cluster frame.
 //!
 //! The crate is the lowest layer of the workspace and depends on
 //! nothing, matching the workspace's no-external-dependency rule.
@@ -39,11 +41,13 @@ mod error;
 pub mod gather_stats;
 mod packed;
 pub mod page;
+mod reader;
 pub mod section;
 mod width;
 
 pub use error::StoreError;
 pub use packed::{gather, gather_run, CodeBuf, PackedCodes, PackedColumn};
+pub use reader::{ByteReader, ReadError};
 pub use width::{CodeRepr, Width};
 
 /// A dictionary-encoded attribute value, widened for arithmetic.

@@ -65,7 +65,7 @@ impl PackedCodes {
     }
 
     /// Widens every code into a fresh `Vec<u32>` (cold paths: exact
-    /// baselines, concatenation, v1 snapshot encoding).
+    /// baselines, concatenation).
     pub fn to_codes(&self) -> Vec<Code> {
         let mut out = Vec::with_capacity(self.len());
         for_packed!(self, |codes| out.extend(codes.iter().map(|&c| c.widen())));
@@ -197,9 +197,8 @@ impl CodeBuf {
 ///
 /// The storage width defaults to the narrowest that holds the support
 /// ([`Width::for_support`]); [`PackedColumn::with_width`] forces a wider
-/// one (used by the v1 snapshot reader, which always materializes `u32`,
-/// and by width-invariance tests/benches that compare the same logical
-/// column at all three widths).
+/// one (used by width-invariance tests and benches that compare the same
+/// logical column at all three widths).
 #[derive(Debug, Clone)]
 pub struct PackedColumn {
     codes: PackedCodes,
@@ -330,9 +329,7 @@ impl PackedColumn {
 }
 
 /// Equality is *logical* — same support, same widened code sequence —
-/// so a column round-tripped through a format that changed its physical
-/// width (e.g. `SWOP` v1, which always stores `u32`) still compares
-/// equal to the original.
+/// so the same column packed at another width still compares equal.
 impl PartialEq for PackedColumn {
     fn eq(&self, other: &Self) -> bool {
         if self.support != other.support || self.len() != other.len() {

@@ -19,7 +19,7 @@
 //! descriptor pointing past the file is rejected up front instead of
 //! surfacing as a misparse deep inside a section.
 
-use crate::StoreError;
+use crate::{ByteReader, StoreError};
 
 /// Section kind tag: the schema section (field names, supports,
 /// dictionaries). Exactly one per snapshot, first in the table.
@@ -58,16 +58,15 @@ impl Section {
         out.extend_from_slice(&self.len.to_le_bytes());
     }
 
-    /// Parses one descriptor from the front of `buf`, advancing it.
-    pub fn parse(buf: &mut &[u8]) -> Result<Section, StoreError> {
-        if buf.len() < SECTION_ENTRY_BYTES {
-            return Err(StoreError::Corrupt("truncated section table".into()));
-        }
-        let (head, tail) = buf.split_at(SECTION_ENTRY_BYTES);
-        *buf = tail;
-        let u32_at = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().expect("in range"));
-        let u64_at = |i: usize| u64::from_le_bytes(head[i..i + 8].try_into().expect("in range"));
-        Ok(Section { kind: u32_at(0), attr: u32_at(4), offset: u64_at(8), len: u64_at(16) })
+    /// Parses one descriptor at `r`, advancing it.
+    pub fn parse(r: &mut ByteReader<'_>) -> Result<Section, StoreError> {
+        let truncated = |_| StoreError::Corrupt("truncated section table".into());
+        Ok(Section {
+            kind: r.u32().map_err(truncated)?,
+            attr: r.u32().map_err(truncated)?,
+            offset: r.u64().map_err(truncated)?,
+            len: r.u64().map_err(truncated)?,
+        })
     }
 
     /// `offset + len` with overflow detection.
@@ -120,10 +119,10 @@ mod tests {
         let mut bytes = Vec::new();
         s.write_into(&mut bytes);
         assert_eq!(bytes.len(), SECTION_ENTRY_BYTES);
-        let mut buf = bytes.as_slice();
-        assert_eq!(Section::parse(&mut buf).unwrap(), s);
-        assert!(buf.is_empty());
-        assert!(Section::parse(&mut buf).is_err());
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(Section::parse(&mut r).unwrap(), s);
+        assert_eq!(r.remaining(), 0);
+        assert!(Section::parse(&mut r).is_err());
     }
 
     #[test]
