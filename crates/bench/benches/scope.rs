@@ -28,9 +28,10 @@ use std::time::Instant;
 use swope_bench::micro::black_box;
 use swope_columnar::{snapshot, stats, Dataset, DatasetSketch, PageCache, Residency, PAGE_ROWS};
 use swope_core::{
-    entropy_top_k, run, sketch_stats, Executor, NoopObserver, Rule, Scope, Shape, SwopeConfig,
+    entropy_top_k, run, Executor, NoopObserver, QueryObserver, Rule, Scope, Shape, SwopeConfig,
 };
 use swope_obs::json::ObjectWriter;
+use swope_obs::QueryMeta;
 
 /// Sixteen pages less a ragged tail, like the end-to-end `wide` dataset.
 const ROWS: usize = 1_000_000;
@@ -59,11 +60,25 @@ fn queries(pct: usize) -> Vec<(Shape, Scope, SwopeConfig)> {
         .collect()
 }
 
-/// Runs every query of a cell against `ds`.
-fn run_all(ds: &Dataset, sketch: Option<&DatasetSketch>, cell: &[(Shape, Scope, SwopeConfig)]) {
+/// Runs every query of a cell against `ds`, observed by `obs`.
+fn run_all(
+    ds: &Dataset,
+    sketch: Option<&DatasetSketch>,
+    cell: &[(Shape, Scope, SwopeConfig)],
+    obs: &mut impl QueryObserver,
+) {
     let exec = Executor::sequential();
     for (shape, scope, cfg) in cell {
-        black_box(run(ds, shape, scope, sketch, cfg, &mut NoopObserver, &exec).unwrap());
+        black_box(run(ds, shape, scope, sketch, cfg, obs, &exec).unwrap());
+    }
+}
+
+/// The queries whose plan gave their range the hybrid sampler.
+struct HybridPlans(usize);
+
+impl QueryObserver for HybridPlans {
+    fn query_start(&mut self, meta: &QueryMeta) {
+        self.0 += usize::from(meta.plan.path.is_some_and(|path| path.hybrid));
     }
 }
 
@@ -76,15 +91,15 @@ const ROUNDS: usize = 7;
 /// over the physical path's, and how many of its queries ran hybrid.
 fn cell(residency: &str, pct: usize, ds: &Dataset, sketch: &DatasetSketch) -> String {
     let cell = queries(pct);
-    let before = sketch_stats::snapshot().hybrid_queries;
-    run_all(ds, Some(sketch), &cell);
-    let hybrid = sketch_stats::snapshot().hybrid_queries - before;
-    run_all(ds, None, &cell);
+    let mut plans = HybridPlans(0);
+    run_all(ds, Some(sketch), &cell, &mut plans);
+    let hybrid = plans.0;
+    run_all(ds, None, &cell, &mut NoopObserver);
     let (mut chosen_ns, mut physical_ns) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..ROUNDS {
         for (sketch, best) in [(Some(sketch), &mut chosen_ns), (None, &mut physical_ns)] {
             let started = Instant::now();
-            run_all(ds, sketch, &cell);
+            run_all(ds, sketch, &cell, &mut NoopObserver);
             *best = best.min(started.elapsed().as_nanos() as f64 / QUERIES as f64);
         }
     }

@@ -19,14 +19,19 @@
 //!   population ([`crate::scope::LocalSource`]), or the merged integer
 //!   histograms of a [`ShardTransport`] ([`crate::shard::ShardedSource`]).
 //!
-//! Argument validation, the `M0`/schedule/`p′` setup, the observer
-//! lifecycle, score building, result ordering and the answer over an
-//! empty population each live here once, so every path — heap, paged,
-//! scoped, hybrid, sharded, remote — answers bit for bit alike.
+//! Argument validation, the query's [`Plan`] — population, sampler
+//! path, marginals, `M0`, `i_max` and `p′`, decided once before
+//! `query_start` — the observer lifecycle, score building, result
+//! ordering and the answer over an empty population each live here
+//! once, so every path — heap, paged, scoped, hybrid, sharded, remote —
+//! answers bit for bit alike.
+
+use std::time::Instant;
 
 use swope_columnar::{AttrIndex, Dataset, DatasetSketch};
 use swope_estimate::bounds::lambda;
-use swope_obs::{NoopObserver, Phase, QueryKind, QueryObserver, ScopePath};
+use swope_estimate::entropy::entropy_from_counts;
+use swope_obs::{NoopObserver, Phase, Plan, QueryKind, QueryObserver};
 use swope_sampling::DoublingSchedule;
 
 use crate::exec::Executor;
@@ -193,8 +198,10 @@ impl From<Answer> for ProfileResult {
 /// the states and the statistics. [`CountSource::count`] is the only step
 /// that differs between a local and a sharded run.
 pub(crate) trait CountSource {
-    /// Population size the guarantees hold over (`N`, or a scope's `n_s`).
-    fn n(&self) -> usize;
+    /// What the source resolved to: the population `n` the guarantees
+    /// hold over (`N`, or a scope's `n_s`) and, for a local scope, its
+    /// sampler path and scan rows. The driver decides the rest.
+    fn plan(&self) -> Plan;
 
     /// Attributes of the queried schema.
     fn num_attrs(&self) -> usize;
@@ -205,14 +212,9 @@ pub(crate) trait CountSource {
     /// Name of `attr`, looked up when a score is built.
     fn name(&self, attr: AttrIndex) -> String;
 
-    /// Work done before the first iteration.
-    fn setup(&self) -> Setup {
-        Setup::default()
-    }
-
     /// Every attribute's exact code counts over the whole population,
-    /// when a partition sketch holds them; asked once, before the first
-    /// iteration, by MI queries only.
+    /// when a partition sketch holds them; asked once, while the plan is
+    /// made, by MI queries over a nonempty population only.
     fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError>;
 
     /// Grows the sample to `m_target` rows, [announces](Round::announce)
@@ -227,28 +229,15 @@ pub(crate) trait CountSource {
     ) -> Result<(), SwopeError>;
 }
 
-/// What a source did before the first iteration.
-#[derive(Default)]
-pub(crate) struct Setup {
-    /// Physical rows examined (a predicate scope's scan).
-    pub rows: u64,
-    /// For an observed run of a scoped query, the time resolving the
-    /// scope took (the `store_sketch` phase).
-    pub nanos: Option<u64>,
-    /// How a row-range scope is sampled.
-    pub path: Option<ScopePath>,
-}
-
 /// The running query as sources and rules see it: the instrumented
-/// lifecycle plus the current iteration's sample.
+/// lifecycle, the plan, and the current iteration's sample.
 pub(crate) struct Round<'a, O: QueryObserver> {
     pub it: Instrumented<'a, O>,
-    /// Population size.
-    pub n: usize,
+    /// What the query decided before sampling; `plan.n` is the
+    /// population size.
+    pub plan: Plan,
     /// The query's ε.
     pub epsilon: f64,
-    p_prime: f64,
-    work: WorkKind,
     /// Sample size `M` of the current iteration (the previous one's
     /// until [`Round::announce`]; 0 before the first).
     pub m: usize,
@@ -259,12 +248,12 @@ pub(crate) struct Round<'a, O: QueryObserver> {
 impl<O: QueryObserver> Round<'_, O> {
     /// Records the iteration whose sample a source has just fixed: `m`
     /// rows drawn in total, `delta_len` of them physically new, `live`
-    /// candidates about to be counted.
-    pub fn announce(&mut self, m: usize, delta_len: usize, live: usize) {
+    /// candidates about to be counted, charged as `work`.
+    pub fn announce(&mut self, m: usize, delta_len: usize, live: usize, work: WorkKind) {
         self.m = m;
-        self.lambda = lambda(m as u64, self.n as u64, self.p_prime);
+        self.lambda = lambda(m as u64, self.plan.n as u64, self.plan.p_prime);
         self.it.iteration(m, live, self.lambda);
-        self.it.record_work(delta_len, live, self.work);
+        self.it.record_work(delta_len, live, work);
     }
 
     /// Marks `st` as leaving the race now; returns the iteration for the
@@ -395,8 +384,11 @@ pub fn run<O: QueryObserver>(
     // so an MI range samples its rows. (Over a full scope MI still takes
     // the sketch's exact marginals: `CountSource::marginals`.)
     let hybrid = shape.target.is_none();
-    let source = LocalSource::open(dataset, scope, sketch, config, hybrid, observer.enabled())?;
-    dispatch(shape, source, config, observer, exec)
+    let started = observer.enabled().then(Instant::now);
+    let source = LocalSource::open(dataset, scope, sketch, config, hybrid)?;
+    // A full scope is the plain query; it reports no resolution span.
+    let resolved = started.filter(|_| source.scoped()).map(|t| t.elapsed().as_nanos() as u64);
+    plan_query(shape, source, resolved, config, observer, exec)
 }
 
 /// [`run`] over the whole dataset, unobserved, on `config.threads`
@@ -434,41 +426,61 @@ pub fn run_sharded<T: ShardTransport, O: QueryObserver>(
 ) -> Result<Answer, SwopeError> {
     config.validate()?;
     shape.check(transport.attrs().len(), false)?;
-    dispatch(shape, ShardedSource(transport), config, observer, exec)
+    plan_query(shape, ShardedSource(transport), None, config, observer, exec)
 }
 
-fn dispatch<S: CountSource, O: QueryObserver>(
+/// Makes the query's [`Plan`] once, before `query_start`, answers an
+/// empty population, and runs the doubling loop on the measure the plan
+/// picked. `resolved` is the observed time scope resolution took.
+///
+/// An MI shape asks the source for the population's marginals here. Both
+/// kinds of source turn the same integer counts into `H_D` through the
+/// same function, so a single box and a cluster over the same rows
+/// answer alike; the call is timed as a `store_sketch` span.
+fn plan_query<S: CountSource, O: QueryObserver>(
     shape: &Shape,
-    source: S,
-    config: &SwopeConfig,
-    observer: &mut O,
-    exec: &Executor,
-) -> Result<Answer, SwopeError> {
-    match shape.target {
-        None => drive(Entropy, source, shape, config, observer, exec),
-        Some(target) => drive(Mi::new(target, &source), source, shape, config, observer, exec),
-    }
-}
-
-/// The doubling loop.
-fn drive<M: Measure, S: CountSource, O: QueryObserver>(
-    mut measure: M,
     mut source: S,
-    shape: &Shape,
+    resolved: Option<u64>,
     config: &SwopeConfig,
     observer: &mut O,
     exec: &Executor,
 ) -> Result<Answer, SwopeError> {
-    let rule = shape.rule;
-    let (h, n) = (source.num_attrs(), source.n());
-    let setup = source.setup();
-    let mut it = Instrumented::start(observer, shape.kind(), h, n, config, setup.path);
-    it.setup(setup.rows, setup.nanos);
-    if n == 0 {
+    let (h, mut plan) = (source.num_attrs(), source.plan());
+    let (mut exact, mut marginals_nanos) = (None, None);
+    if shape.target.is_some() && plan.n > 0 {
+        let started = observer.enabled().then(Instant::now);
+        let marginals = source.marginals()?;
+        marginals_nanos = started.map(|t| t.elapsed().as_nanos() as u64);
+        plan.sketch_marginals = Some(marginals.is_some());
+        exact = marginals.map(|counts| counts.iter().map(|c| entropy_from_counts(c)).collect());
+    }
+    // Exact marginals leave one sampled entropy per candidate: the joint.
+    let interval = match (shape.target, &exact) {
+        (Some(_), None) => Interval::THREE_ENTROPIES,
+        _ => Interval::ONE_ENTROPY,
+    };
+    if plan.n > 0 {
+        let p_f = config.resolve_p_f_rows(plan.n);
+        let max_support = (0..h).map(|a| source.support(a)).max().unwrap_or(0);
+        let m0 = config.resolve_m0_meta(plan.n, h, max_support, p_f);
+        let schedule = DoublingSchedule::new(plan.n, m0);
+        let candidates = h - usize::from(shape.target.is_some());
+        (plan.m0, plan.i_max) = (schedule.m0(), schedule.i_max());
+        // Union-bound budget: Lemma 3 is applied `interval.applications`
+        // times to each candidate in each of at most i_max iterations
+        // (Theorem 1's proof).
+        plan.p_prime = p_f / (interval.applications * plan.i_max as f64 * candidates as f64);
+    }
+
+    let mut it = Instrumented::start(observer, shape.kind(), h, config, plan);
+    it.store_sketch(resolved);
+    it.store_sketch(marginals_nanos);
+    if plan.n == 0 {
         // The empirical entropy of an empty population is 0 by convention:
         // no iteration runs and the query is trivially converged.
         let candidates = (0..h).filter(|&a| Some(a) != shape.target);
-        let scores = rule
+        let scores = shape
+            .rule
             .over_nothing(candidates)
             .into_iter()
             .map(|attr| AttrScore {
@@ -482,29 +494,31 @@ fn drive<M: Measure, S: CountSource, O: QueryObserver>(
             .collect();
         return Ok(Answer { scores, stats: it.finish(true) });
     }
+    let round = Round { it, plan, epsilon: config.epsilon, m: 0, lambda: f64::INFINITY };
+    match shape.target {
+        None => drive(Entropy, source, interval, shape.rule, round, exec),
+        Some(target) => {
+            let mi = Mi::new(target, &source, exact);
+            drive(mi, source, interval, shape.rule, round, exec)
+        }
+    }
+}
 
+/// The doubling loop, on the ladder the plan fixed.
+fn drive<M: Measure, S: CountSource, O: QueryObserver>(
+    mut measure: M,
+    mut source: S,
+    interval: Interval,
+    rule: Rule,
+    mut round: Round<'_, O>,
+    exec: &Executor,
+) -> Result<Answer, SwopeError> {
+    let Plan { n, m0, p_prime, .. } = round.plan;
     let mut states = measure.states(&source);
-    let interval = measure.prepare(&mut source, &mut it)?;
-    let p_f = config.resolve_p_f_rows(n);
-    let max_support = (0..h).map(|a| source.support(a)).max().unwrap_or(0);
-    let schedule = DoublingSchedule::new(n, config.resolve_m0_meta(n, h, max_support, p_f));
-    // Union-bound budget: Lemma 3 is applied `interval.applications`
-    // times to each of at most `states.len()` candidates in each of at
-    // most i_max iterations (Theorem 1's proof).
-    let p_prime = p_f / (interval.applications * schedule.i_max() as f64 * states.len() as f64);
-    let mut round = Round {
-        it,
-        n,
-        epsilon: config.epsilon,
-        p_prime,
-        work: M::WORK,
-        m: 0,
-        lambda: f64::INFINITY,
-    };
-
     let mut scores: Vec<AttrScore> = Vec::new();
     // Every source grows its sample to exactly `min(m_target, N)`, so the
     // ladder that runs is the one `i_max`, and with it `p′`, counted.
+    let schedule = DoublingSchedule::new(n, m0);
     let mut ladder = schedule.iter();
     let converged_early = loop {
         let m_target = ladder.next().expect("every rule decides at M = N, the last step");

@@ -108,9 +108,9 @@ pub(crate) fn decide<C: Candidate, O: QueryObserver>(
     });
 
     if states.is_empty() {
-        return Verdict::done(round.m < round.n);
+        return Verdict::done(round.m < round.plan.n);
     }
-    if round.m >= round.n {
+    if round.m >= round.plan.n {
         // Bounds are exact (width 0); the only way candidates survive
         // here is εη = 0, where case 2 already accepted everything with
         // lower ≥ 0. Decide any stragglers by the exact value.
@@ -141,7 +141,7 @@ pub(crate) fn decide_exact<C: Candidate, O: QueryObserver>(
     round: &mut Round<'_, O>,
     accept: &mut impl FnMut(&C, usize),
 ) -> Option<Verdict> {
-    let exact_now = round.m >= round.n;
+    let exact_now = round.m >= round.plan.n;
     states.retain(|st| {
         let accepted = st.lower() > eta || (exact_now && st.point_estimate() >= eta);
         if !(accepted || exact_now || st.upper() < eta) {
@@ -154,7 +154,7 @@ pub(crate) fn decide_exact<C: Candidate, O: QueryObserver>(
         false
     });
     if states.is_empty() {
-        Verdict::done(round.m < round.n)
+        Verdict::done(round.m < round.plan.n)
     } else {
         None
     }

@@ -77,7 +77,6 @@ mod profile;
 mod report;
 mod scope;
 pub mod shard;
-pub mod sketch_stats;
 mod state;
 mod topk;
 

@@ -4,25 +4,23 @@
 //!
 //! The paper presents Alg. 3–4 as Alg. 1–2 with the §4.1 interval
 //! substituted. [`Measure`] is that substitution: the per-candidate
-//! state, the [`Interval`] (failure budget's divisor and width), what an
-//! iteration counts, and how those counts — one [`ShardCounts`], counted
-//! locally or merged from shards — reach the states. [`crate::driver`]
-//! runs the one doubling loop over it.
+//! state, what an iteration counts, and how those counts — one
+//! [`ShardCounts`], counted locally or merged from shards — reach the
+//! states. The [`Interval`] (failure budget's divisor and width) is part
+//! of the query's plan. [`crate::driver`] runs the one doubling loop over
+//! it.
 
 use swope_columnar::AttrIndex;
-use swope_estimate::entropy::entropy_from_counts;
-use swope_obs::{Phase, QueryObserver};
 
 use crate::driver::CountSource;
 use crate::exec::Executor;
-use crate::observe::Instrumented;
 use crate::report::WorkKind;
 use crate::shard::{CountRequest, ShardCounts};
 use crate::state::{EntropyState, MiState, TargetState};
-use crate::{sketch_stats, SwopeError};
+use crate::SwopeError;
 
-/// How a query's interval spends λ, fixed once per query before the
-/// first iteration.
+/// How a query's interval spends λ, fixed by the query's plan: its
+/// measure, and for MI whether the marginals are exact.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Interval {
     /// Lemma-3 applications per candidate and iteration. The failure
@@ -112,14 +110,6 @@ pub(crate) trait Measure {
     /// One state per candidate, in attribute order.
     fn states<S: CountSource>(&self, source: &S) -> Vec<Self::State>;
 
-    /// Takes what `source` knows exactly before the first iteration and
-    /// returns the query's interval; `it` times any work that costs.
-    fn prepare<S: CountSource, O: QueryObserver>(
-        &mut self,
-        source: &mut S,
-        it: &mut Instrumented<'_, O>,
-    ) -> Result<Interval, SwopeError>;
-
     /// The attribute every candidate's codes pair with, if any.
     fn target(&self) -> Option<AttrIndex> {
         None
@@ -159,14 +149,6 @@ impl Measure for Entropy {
         (0..source.num_attrs()).map(|a| EntropyState::with_support(a, source.support(a))).collect()
     }
 
-    fn prepare<S: CountSource, O: QueryObserver>(
-        &mut self,
-        _source: &mut S,
-        _it: &mut Instrumented<'_, O>,
-    ) -> Result<Interval, SwopeError> {
-        Ok(Interval::ONE_ENTROPY)
-    }
-
     fn apply(
         &mut self,
         counts: &mut ShardCounts,
@@ -197,9 +179,14 @@ pub(crate) struct Mi {
 }
 
 impl Mi {
-    /// MI against `target`, which the caller has checked is in range.
-    pub(crate) fn new<S: CountSource>(target: AttrIndex, source: &S) -> Self {
-        Self { target: TargetState::with_support(target, source.support(target)), exact: None }
+    /// MI against `target`, which the caller has checked is in range,
+    /// with every attribute's exact entropy when the plan read them.
+    pub(crate) fn new<S: CountSource>(
+        target: AttrIndex,
+        source: &S,
+        exact: Option<Vec<f64>>,
+    ) -> Self {
+        Self { target: TargetState::with_support(target, source.support(target)), exact }
     }
 }
 
@@ -215,26 +202,6 @@ impl Measure for Mi {
             .filter(|&a| a != target)
             .map(|a| MiState::new(a, u_t, source.support(a)))
             .collect()
-    }
-
-    /// Asks the source for the population's marginals. Both paths turn
-    /// the same integer counts into `H_D` through the same function, so
-    /// a single box and a cluster over the same rows answer alike.
-    fn prepare<S: CountSource, O: QueryObserver>(
-        &mut self,
-        source: &mut S,
-        it: &mut Instrumented<'_, O>,
-    ) -> Result<Interval, SwopeError> {
-        let span = it.phase_start();
-        let marginals = source.marginals()?;
-        self.exact =
-            marginals.map(|counts| counts.iter().map(|c| entropy_from_counts(c)).collect());
-        it.phase_end(Phase::StoreSketch, span);
-        sketch_stats::record_mi_marginals(self.exact.is_some());
-        Ok(match self.exact {
-            Some(_) => Interval::ONE_ENTROPY,
-            None => Interval::THREE_ENTROPIES,
-        })
     }
 
     fn target(&self) -> Option<AttrIndex> {

@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use swope_obs::{AttrBounds, Phase, QueryKind, QueryMeta, QueryObserver, RunStats, ScopePath};
+use swope_obs::{AttrBounds, Phase, Plan, QueryKind, QueryMeta, QueryObserver, RunStats};
 
 use crate::report::{QueryStats, WorkKind};
 use crate::SwopeConfig;
@@ -29,36 +29,32 @@ pub(crate) struct Instrumented<'a, O: QueryObserver> {
     /// Current 1-based doubling iteration (0 before the first
     /// [`begin_iteration`](Self::begin_iteration)).
     iter: usize,
+    /// Draws a hybrid range synthesized from sketch histograms, which
+    /// `rows_scanned` does not charge; reported at `query_end`.
+    pub covered_draws: u64,
 }
 
 impl<'a, O: QueryObserver> Instrumented<'a, O> {
-    /// Starts an instrumented query and emits `query_start`.
+    /// Starts an instrumented query under its `plan`, emits
+    /// `query_start`, and charges the plan's scope scan to
+    /// `rows_scanned`.
     pub fn start(
         obs: &'a mut O,
         kind: QueryKind,
         num_attrs: usize,
-        num_rows: usize,
         config: &SwopeConfig,
-        scope_path: Option<ScopePath>,
+        plan: Plan,
     ) -> Self {
-        obs.query_start(&QueryMeta {
-            kind,
-            num_attrs,
-            num_rows,
-            epsilon: config.epsilon,
-            threads: config.threads,
-            scope_path,
-        });
-        Self { obs, stats: QueryStats::default(), iter: 0 }
+        let (epsilon, threads) = (config.epsilon, config.threads);
+        obs.query_start(&QueryMeta { kind, num_attrs, epsilon, threads, plan });
+        let stats = QueryStats { rows_scanned: plan.scope_rows, ..QueryStats::default() };
+        Self { obs, stats, iter: 0, covered_draws: 0 }
     }
 
-    /// Accounts a scoped query's scope-resolution work, done before the
-    /// first iteration: `rows` physical rows scanned while materializing
-    /// the scope (predicate matching), plus an optional wall-clock span
-    /// emitted as a `store_sketch` phase at iteration 0. A no-op for
-    /// unscoped populations (`rows == 0`, `nanos == None`).
-    pub fn setup(&mut self, rows: u64, nanos: Option<u64>) {
-        self.stats.rows_scanned += rows;
+    /// Emits work the plan timed before `query_start` — resolving a
+    /// scope, reading marginals — as a `store_sketch` phase at
+    /// iteration 0; `None` emits nothing.
+    pub fn store_sketch(&mut self, nanos: Option<u64>) {
         if let Some(ns) = nanos {
             self.obs.phase(Phase::StoreSketch, 0, ns);
         }
@@ -125,6 +121,7 @@ impl<'a, O: QueryObserver> Instrumented<'a, O> {
             iterations: self.stats.iterations,
             rows_scanned: self.stats.rows_scanned,
             converged_early,
+            covered_draws: self.covered_draws,
         });
         self.stats
     }
@@ -160,7 +157,8 @@ mod tests {
     fn lifecycle_mirrors_stats_and_observer() {
         let mut log = Log::default();
         let cfg = SwopeConfig::default();
-        let mut it = Instrumented::start(&mut log, QueryKind::EntropyTopK, 4, 100, &cfg, None);
+        let plan = Plan { n: 100, ..Plan::default() };
+        let mut it = Instrumented::start(&mut log, QueryKind::EntropyTopK, 4, &cfg, plan);
         it.begin_iteration();
         let span = it.phase_start();
         it.iteration(10, 4, 0.5);
@@ -190,7 +188,8 @@ mod tests {
     fn noop_observer_skips_clock() {
         let mut noop = NoopObserver;
         let cfg = SwopeConfig::default();
-        let it = Instrumented::start(&mut noop, QueryKind::MiTopK, 2, 10, &cfg, None);
+        let plan = Plan { n: 10, ..Plan::default() };
+        let it = Instrumented::start(&mut noop, QueryKind::MiTopK, 2, &cfg, plan);
         assert!(it.phase_start().is_none());
     }
 }

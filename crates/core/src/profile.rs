@@ -69,7 +69,7 @@ pub(crate) fn decide<C: Candidate, O: QueryObserver>(
     round: &mut Round<'_, O>,
     accept: &mut impl FnMut(&C, usize),
 ) -> Option<Verdict> {
-    let exact_now = round.m >= round.n;
+    let exact_now = round.m >= round.plan.n;
     states.retain(|st| {
         let budget = (round.epsilon * st.point_estimate()).max(floor);
         if st.width() <= budget || exact_now {
@@ -81,7 +81,7 @@ pub(crate) fn decide<C: Candidate, O: QueryObserver>(
         }
     });
     if states.is_empty() {
-        return Verdict::done(round.m < round.n);
+        return Verdict::done(round.m < round.plan.n);
     }
     None
 }

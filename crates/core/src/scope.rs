@@ -87,8 +87,8 @@
 //! store during sampling. Covered-region draws are synthesized from
 //! sketch histograms without touching the store and are charged zero —
 //! `rows_scanned` measures store traffic, which is precisely what the
-//! sketch exists to avoid. They are counted on their own, process-wide,
-//! in [`crate::sketch_stats`].
+//! sketch exists to avoid. They are counted on their own, per query, and
+//! reach the observer as `RunStats::covered_draws` at `query_end`.
 //!
 //! ## Empty scopes
 //!
@@ -101,22 +101,21 @@
 //! source that reports `n = 0`, charging only the scope-resolution scan.
 
 use std::ops::Range;
-use std::time::Instant;
 
 use swope_columnar::{AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch, Positions};
-use swope_obs::{Phase, QueryObserver, ScopePath};
+use swope_obs::{Phase, Plan, QueryObserver, ScopePath};
 use swope_sampling::rng::Xoshiro256pp;
 use swope_sampling::{hypergeometric, PageLayout, PagePrefix, PrefixShuffle};
 use swope_store::for_packed;
 use swope_store::page::PAGE_ROWS;
 
 use crate::count::CountState;
-use crate::driver::{run, CountSource, Round, Rule, Setup, Shape};
+use crate::driver::{run, CountSource, Round, Rule, Shape};
 use crate::exec::Executor;
 use crate::measure::Measure;
 use crate::report::{FilterResult, TopKResult};
 use crate::shard::{CountRequest, Counter, ShardCounts};
-use crate::{sketch_stats, SwopeConfig, SwopeError};
+use crate::{SwopeConfig, SwopeError};
 
 /// A range scope runs the hybrid sampler iff its whole pages hold at
 /// least this many rows per fringe row (see the module docs for why the
@@ -596,7 +595,6 @@ impl Population {
                     covered_rows: covered_rows as u64,
                     fringe_rows: fringe_rows as u64,
                 });
-                sketch_stats::record_range_path(covered.is_some());
                 match covered {
                     Some(covered_counts) => {
                         let mut fringe_rows = Vec::with_capacity(fringe_rows);
@@ -668,29 +666,23 @@ pub(crate) struct LocalSource<'a> {
     /// A hybrid sample's covered-region code distribution of every live
     /// candidate, in attribute order; empty for physical populations.
     covered: Vec<(AttrIndex, CoveredDist)>,
-    setup_nanos: Option<u64>,
     /// The sketch, when the scope is the whole dataset: its page
     /// histograms hold the population's marginals.
     full_sketch: Option<&'a DatasetSketch>,
 }
 
 impl<'a> LocalSource<'a> {
-    /// Resolves `scope` against `dataset` and sets up its sampler;
-    /// `timed` runs clock the resolution for the `store_sketch` span.
+    /// Resolves `scope` against `dataset` and sets up its sampler.
     pub(crate) fn open(
         dataset: &'a Dataset,
         scope: &Scope,
         sketch: Option<&'a DatasetSketch>,
         config: &SwopeConfig,
         hybrid: bool,
-        timed: bool,
     ) -> Result<Self, SwopeError> {
-        let started = timed.then(Instant::now);
         let setup = resolve_scope(dataset, sketch, scope)?;
-        // A full scope is the plain query; it reports no setup phase.
         let scoped = !matches!(setup.resolved, ResolvedScope::Full);
         let pop = Population::new(dataset, sketch, setup, config, hybrid);
-        let setup_nanos = started.filter(|_| scoped).map(|t| t.elapsed().as_nanos() as u64);
         let full_sketch = sketch.filter(|_| !scoped);
         let covered = match &pop.kind {
             PopKind::Hybrid(hp) => (0..dataset.num_attrs()).map(|a| (a, hp.dist_for(a))).collect(),
@@ -703,15 +695,20 @@ impl<'a> LocalSource<'a> {
             req: CountRequest { target: None, live: Vec::new() },
             counts: ShardCounts::empty(None, []),
             covered,
-            setup_nanos,
             full_sketch,
         })
+    }
+
+    /// Whether the scope is short of the whole dataset.
+    pub(crate) fn scoped(&self) -> bool {
+        !matches!(self.pop.kind, PopKind::Full(_))
     }
 }
 
 impl CountSource for LocalSource<'_> {
-    fn n(&self) -> usize {
-        self.pop.n
+    fn plan(&self) -> Plan {
+        let (n, path, scope_rows) = (self.pop.n, self.pop.path, self.pop.setup_rows);
+        Plan { n, path, scope_rows, ..Plan::default() }
     }
 
     fn num_attrs(&self) -> usize {
@@ -724,10 +721,6 @@ impl CountSource for LocalSource<'_> {
 
     fn name(&self, attr: AttrIndex) -> String {
         self.dataset.schema().field(attr).map(|f| f.name().to_owned()).unwrap_or_default()
-    }
-
-    fn setup(&self) -> Setup {
-        Setup { rows: self.pop.setup_rows, nanos: self.setup_nanos, path: self.pop.path }
     }
 
     fn marginals(&mut self) -> Result<Option<Vec<Vec<u64>>>, SwopeError> {
@@ -745,7 +738,7 @@ impl CountSource for LocalSource<'_> {
         let span = round.it.phase_start();
         let grown = self.pop.grow(self.dataset, m_target);
         round.it.phase_end(Phase::SampleGrow, span);
-        round.announce(grown.sampled, grown.delta.len(), states.len());
+        round.announce(grown.sampled, grown.delta.len(), states.len(), M::WORK);
 
         let span = round.it.phase_start();
         let (req, counts) = (&mut self.req, &mut self.counts);
@@ -758,8 +751,8 @@ impl CountSource for LocalSource<'_> {
         if k > 0 {
             exec.for_each2(&mut self.covered, &mut counts.attrs, |(_, dist), delta| {
                 dist.draw_into(delta, k);
-                sketch_stats::record_covered_draws(k);
             });
+            round.it.covered_draws += k * self.covered.len() as u64;
         }
         let applied = measure.apply(counts, states);
         self.counter.park(req, counts);

@@ -60,7 +60,7 @@
 use std::ops::Range;
 
 use swope_columnar::{AttrIndex, Dataset, DatasetSketch, PageGrouper, Positions};
-use swope_obs::{Phase, QueryObserver};
+use swope_obs::{Phase, Plan, QueryObserver};
 use swope_sampling::PagePrefix;
 
 use crate::count::{
@@ -584,8 +584,8 @@ fn merge(shards: &mut [ShardCounts], live: usize) -> Result<&mut ShardCounts, Sw
 pub(crate) struct ShardedSource<'t, T: ShardTransport>(pub(crate) &'t mut T);
 
 impl<T: ShardTransport> CountSource for ShardedSource<'_, T> {
-    fn n(&self) -> usize {
-        self.0.num_rows()
+    fn plan(&self) -> Plan {
+        Plan { n: self.0.num_rows(), ..Plan::default() }
     }
 
     fn num_attrs(&self) -> usize {
@@ -614,8 +614,8 @@ impl<T: ShardTransport> CountSource for ShardedSource<'_, T> {
     ) -> Result<(), SwopeError> {
         // The sample is exactly the rows asked for, and the delta what it
         // grew by since the previous iteration.
-        let m = m_target.min(self.n());
-        round.announce(m, m - round.m, states.len());
+        let m = m_target.min(round.plan.n);
+        round.announce(m, m - round.m, states.len(), M::WORK);
         let mut req = CountRequest { target: None, live: Vec::new() };
         measure.request(states, &mut req);
 

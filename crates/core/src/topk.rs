@@ -129,8 +129,11 @@ pub(crate) fn decide<C: Candidate, O: QueryObserver>(
     // Stopping rule (Alg. 1 line 8, Alg. 3 line 10).
     let stop = kth_upper > 0.0
         && (kth_upper - width_lambdas * round.lambda - b_max) / kth_upper >= 1.0 - round.epsilon;
-    if stop || round.m >= round.n {
-        return Some(Verdict { converged_early: stop && round.m < round.n, winners: by_upper });
+    if stop || round.m >= round.plan.n {
+        return Some(Verdict {
+            converged_early: stop && round.m < round.plan.n,
+            winners: by_upper,
+        });
     }
 
     // Prune candidates that cannot reach the top-k (lines 14-17).
@@ -159,10 +162,10 @@ pub(crate) fn decide_exact<C: Candidate, O: QueryObserver>(
         by_lower[k..].iter().map(|&i| states[i].upper()).fold(f64::NEG_INFINITY, f64::max);
     // With nothing outside the k (`−∞`) separation is immediate.
     let separated = kth_lower >= outside_upper;
-    if separated || round.m >= round.n {
+    if separated || round.m >= round.plan.n {
         by_lower.truncate(k);
         return Some(Verdict {
-            converged_early: separated && round.m < round.n,
+            converged_early: separated && round.m < round.plan.n,
             winners: by_lower,
         });
     }

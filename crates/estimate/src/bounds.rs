@@ -20,8 +20,9 @@
 //!   `I ∈ [H_t + H_α − (H_S(α_t, α) + λ + b(α_t, α)),
 //!   H_t + H_α − max(H_S(α_t, α) − λ, 0)]` is `2λ + b(α_t, α)` wide and
 //!   spends one Lemma-3 application per candidate, not three.
-//! * **Lemma 4**: the sample size `M*` at which `2λ + b(α) ≤ κ` holds —
-//!   [`sample_size_for_width`], used for `M0` and the complexity analysis.
+//! * **Lemma 4**: the sample size `M*` at which an interval's width —
+//!   `2λ + b(α)`, or any `w·λ + Σ_i b(u_i)` — is at most `κ`:
+//!   [`sample_size_for_width`], the cost side of Theorems 2 and 4.
 //!
 //! Conventions: `M = 0` or `M = 1` yield infinite radii (no information);
 //! `M = N` yields zero radii (the sample is the population, bounds
@@ -282,27 +283,33 @@ pub fn mi_bounds_exact_marginals(
     }
 }
 
-/// Lemma 4: the sample size `M*` guaranteeing `2λ + b(α) ≤ κ`:
+/// Lemma 4 for an interval `w·λ + Σ_i b(u_i)` wide: the sample size
+/// `M*` from which on, at budget `p`, the width is at most `κ`:
 ///
 /// ```text
-/// M* = N·(2·log2(N)·sqrt(2·ln(2/p)·N/(N−1/2)) + u)² / ((N−1)·κ²)
+/// M* = N·(w·log2(N)·sqrt(2·ln(2/p)·N/(N−1/2)) + Σ_i u_i)² / ((N−1)·κ²)
 /// ```
 ///
-/// The result is capped at `n` (a full scan always achieves width 0).
-pub fn sample_size_for_width(kappa: f64, n: u64, u: u64, p: f64) -> u64 {
-    if n <= 1 {
-        return n;
-    }
-    if kappa <= 0.0 {
+/// `w = 2` over one support is the paper's `2λ + b(α)`; §4.1's MI
+/// interval is `w = 6` over `u_t`, `u_α` and `u_t·u_α`, and with exact
+/// marginals `w = 2` over `u_t·u_α` alone. Each term bounds its part
+/// times `sqrt(N/((N−1)·M))`: `λ` through `β ≤ 2·log2(M)/M` (true from
+/// `M = 4`), and `b(u)` through `ln(1+x) ≤ √x` and `√(u−1) ≤ u·ln 2`
+/// (`docs/THEORY.md` §6).
+///
+/// The result lies in `[min(4, n), n]` (a full scan has width 0).
+pub fn sample_size_for_width(kappa: f64, n: u64, w: f64, supports: &[u64], p: f64) -> u64 {
+    if n <= 1 || kappa <= 0.0 {
         return n;
     }
     let nf = n as f64;
-    let term = 2.0 * nf.log2() * (2.0 * (2.0 / p).ln() * nf / (nf - 0.5)).sqrt() + u as f64;
+    let lambdas = w * nf.log2() * (2.0 * (2.0 / p).ln() * nf / (nf - 0.5)).sqrt();
+    let term = lambdas + supports.iter().map(|&u| u as f64).sum::<f64>();
     let m = nf * term * term / ((nf - 1.0) * kappa * kappa);
     if !m.is_finite() || m >= nf {
         n
     } else {
-        (m.ceil() as u64).max(2)
+        (m.ceil() as u64).clamp(4.min(n), n)
     }
 }
 
@@ -508,32 +515,48 @@ mod tests {
 
     #[test]
     fn sample_size_for_width_achieves_the_width() {
-        // Lemma 4's guarantee: at M = M*, 2λ + b ≤ κ.
-        let n = 1 << 22;
-        let u = 100u64;
-        let p = 1e-6;
-        for kappa in [0.5f64, 0.2, 0.1] {
-            let m = sample_size_for_width(kappa, n, u, p);
-            if m < n {
-                let width = 2.0 * lambda(m, n, p) + bias(u, m, n);
-                assert!(width <= kappa * 1.0001, "κ={kappa}: M*={m} gives width {width}");
+        // Lemma 4's guarantee: from M = M* on, w·λ + Σ b(u_i) ≤ κ — for
+        // one entropy, §4.1's MI interval, and MI on exact marginals.
+        let mut constrained = 0;
+        for n in [4_000u64, 201_608, 1 << 22, 31_290_943] {
+            for u in [2u64, 16, 1_000] {
+                let intervals: [(f64, &[u64]); 3] =
+                    [(2.0, &[u]), (6.0, &[u, u, u * u]), (2.0, &[u * u])];
+                for (w, supports) in intervals {
+                    for p in [1e-3, 1e-6, 1e-10] {
+                        for kappa in [0.05, 0.2, 0.5, 1.0, 3.0] {
+                            let m = sample_size_for_width(kappa, n, w, supports, p);
+                            if m >= n {
+                                continue;
+                            }
+                            constrained += 1;
+                            for m in [m, m + m / 3, 2 * m] {
+                                let bias: f64 = supports.iter().map(|&u| bias(u, m, n)).sum();
+                                let width = w * lambda(m, n, p) + bias;
+                                let at = format!("n {n}, w {w}, {supports:?}, p {p}, M {m}");
+                                assert!(width <= kappa, "κ {kappa}: {at} gives width {width}");
+                            }
+                        }
+                    }
+                }
             }
         }
+        assert!(constrained > 100, "only {constrained} grid points have M* < n");
     }
 
     #[test]
     fn sample_size_monotone_in_kappa() {
         let n = 1 << 22;
-        let m_loose = sample_size_for_width(1.0, n, 100, 1e-6);
-        let m_tight = sample_size_for_width(0.1, n, 100, 1e-6);
+        let m_loose = sample_size_for_width(1.0, n, 2.0, &[100], 1e-6);
+        let m_tight = sample_size_for_width(0.1, n, 2.0, &[100], 1e-6);
         assert!(m_tight >= m_loose);
     }
 
     #[test]
     fn sample_size_caps_at_n() {
-        assert_eq!(sample_size_for_width(1e-12, 1000, 100, 1e-6), 1000);
-        assert_eq!(sample_size_for_width(0.0, 1000, 100, 1e-6), 1000);
-        assert_eq!(sample_size_for_width(0.5, 1, 100, 1e-6), 1);
+        assert_eq!(sample_size_for_width(1e-12, 1000, 2.0, &[100], 1e-6), 1000);
+        assert_eq!(sample_size_for_width(0.0, 1000, 2.0, &[100], 1e-6), 1000);
+        assert_eq!(sample_size_for_width(0.5, 1, 2.0, &[100], 1e-6), 1);
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl<W: Write> QueryObserver for JsonlSink<W> {
         w.str_field("event", "query_start")
             .str_field("kind", meta.kind.name())
             .usize_field("h", meta.num_attrs)
-            .usize_field("n", meta.num_rows)
+            .usize_field("n", meta.plan.n)
             .f64_field("epsilon", meta.epsilon)
             .usize_field("threads", meta.threads);
         self.emit(w.finish());
@@ -156,16 +156,15 @@ impl<W: Write> QueryObserver for JsonlSink<W> {
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::QueryKind;
+    use crate::{Plan, QueryKind};
 
     fn sample_events(sink: &mut JsonlSink<Vec<u8>>) {
         sink.query_start(&QueryMeta {
             kind: QueryKind::MiTopK,
             num_attrs: 20,
-            num_rows: 5000,
             epsilon: 0.5,
             threads: 4,
-            scope_path: None,
+            plan: Plan { n: 5000, ..Plan::default() },
         });
         sink.iteration(1, 128, 20, 1.25);
         sink.phase(Phase::SampleGrow, 1, 3000);
@@ -175,6 +174,7 @@ mod tests {
             iterations: 1,
             rows_scanned: 5248,
             converged_early: true,
+            covered_draws: 0,
         });
     }
 

@@ -171,6 +171,37 @@ pub struct ScopePath {
     pub fringe_rows: u64,
 }
 
+/// Everything a query decided before its first doubling: the population
+/// it samples, how, and the ladder's constants. `swope_core`'s driver
+/// builds it once, before `query_start`; it is the only record of those
+/// choices. The interval's λ multiplier and Lemma-3 applications follow
+/// from the query kind and [`Plan::sketch_marginals`], so it holds
+/// neither. Over an empty population nothing is sampled, and `m0`,
+/// `i_max` and `p_prime` are 0.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Plan {
+    /// The population `n` the guarantees hold over: the dataset's `N`,
+    /// or a scope's `n_s`.
+    pub n: usize,
+    /// How a row-range scope is sampled; `None` for any other scope.
+    pub path: Option<ScopePath>,
+    /// Physical rows the scope's resolution examined (a predicate's
+    /// scan), charged to `rows_scanned`.
+    pub scope_rows: u64,
+    /// For a mutual-information query over a nonempty population:
+    /// whether every marginal entropy was read exactly from a partition
+    /// sketch, so only the joint is sampled. `None` for entropy queries
+    /// and empty populations.
+    pub sketch_marginals: Option<bool>,
+    /// The first sample size `M0`.
+    pub m0: usize,
+    /// The ladder's iteration bound `i_max = ceil(log2(n/M0)) + 1`.
+    pub i_max: usize,
+    /// The failure budget of one Lemma-3 application,
+    /// `p′ = p_f / (applications · i_max · candidates)`.
+    pub p_prime: f64,
+}
+
 /// Static facts about a query, reported once at `query_start`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryMeta {
@@ -178,14 +209,12 @@ pub struct QueryMeta {
     pub kind: QueryKind,
     /// Number of candidate attributes `h` entering the query.
     pub num_attrs: usize,
-    /// Dataset rows `N`.
-    pub num_rows: usize,
     /// Approximation parameter ε.
     pub epsilon: f64,
     /// Worker threads configured for per-attribute work.
     pub threads: usize,
-    /// How the scope is sampled, when it is a row range.
-    pub scope_path: Option<ScopePath>,
+    /// What the query decided before sampling.
+    pub plan: Plan,
 }
 
 /// Aggregate outcome of a query, reported once at `query_end`.
@@ -203,6 +232,9 @@ pub struct RunStats {
     pub rows_scanned: u64,
     /// Whether the stopping rule fired before the sample reached `N`.
     pub converged_early: bool,
+    /// Draws a hybrid range synthesized from sketch histograms, summed
+    /// over attributes; `rows_scanned` charges them nothing.
+    pub covered_draws: u64,
 }
 
 /// Final confidence interval of a retiring attribute.
@@ -449,10 +481,9 @@ mod tests {
         QueryMeta {
             kind: QueryKind::EntropyTopK,
             num_attrs: 10,
-            num_rows: 1000,
             epsilon: 0.1,
             threads: 1,
-            scope_path: None,
+            plan: Plan { n: 1000, ..Plan::default() },
         }
     }
 

@@ -90,14 +90,18 @@ pub const SKETCH_COVERAGE: &str = "swope_sketch_coverage";
 
 /// Counter: range-scoped entropy queries that ran the hybrid sampler —
 /// whole pages synthesized from sketch histograms, only the boundary
-/// fringe read from the store.
+/// fringe read from the store. Like the three families below, counted
+/// by [`crate::MetricsRegistry`] from each query it observes: from
+/// [`crate::QueryMeta::plan`] at `query_start`, covered draws from
+/// [`crate::RunStats::covered_draws`] at `query_end`.
 pub const SKETCH_HYBRID_QUERIES_TOTAL: &str = "swope_sketch_hybrid_queries_total";
 
 /// Counter with a `path` label: row-range scopes by the sampler they were
 /// given — `hybrid` (whole pages synthesized from the sketch; the same
 /// count as `swope_sketch_hybrid_queries_total`) or `physical` (every
 /// sampled row read: under `2 ×` as many covered rows as fringe rows, an
-/// MI query, or no usable sketch).
+/// MI query, or no usable sketch). A coordinator plans no path and
+/// counts no ranges.
 pub const SCOPE_PATH_TOTAL: &str = "swope_scope_path_total";
 
 /// Counter with a `source` label: MI queries by where their marginal

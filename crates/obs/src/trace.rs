@@ -247,8 +247,8 @@ impl SpanSink {
 /// * `update_bounds` / `decide` — live candidates examined,
 /// * `store_sketch` — for a row range, named `store_sketch:hybrid` or
 ///   `store_sketch:physical` after the sampler the range was given, with
-///   the rows inside whole pages as its items (the rest of the query's
-///   `num_rows` is fringe): the chooser's verdict and its two inputs.
+///   the rows inside whole pages as its items (the rest of the plan's
+///   `n` is fringe): the chooser's verdict and its two inputs.
 #[derive(Debug)]
 pub struct TraceObserver {
     sink: Arc<SpanSink>,
@@ -280,7 +280,7 @@ impl TraceObserver {
 impl QueryObserver for TraceObserver {
     fn query_start(&mut self, meta: &QueryMeta) {
         self.query_span = self.sink.open(&format!("query:{}", meta.kind.name()), self.parent);
-        self.scope_path = meta.scope_path;
+        self.scope_path = meta.plan.path;
         self.prev_m = 0;
     }
 
@@ -504,7 +504,7 @@ impl TraceRecorder {
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::QueryKind;
+    use crate::{Plan, QueryKind};
 
     #[test]
     fn trace_id_parse_and_format_round_trip() {
@@ -556,10 +556,9 @@ mod tests {
         obs.query_start(&QueryMeta {
             kind: QueryKind::MiTopK,
             num_attrs: 8,
-            num_rows: 1000,
             epsilon: 0.2,
             threads: 1,
-            scope_path: None,
+            plan: Plan { n: 1000, ..Plan::default() },
         });
         // Two iterations with the hook order the loops use.
         for (it, (m, live)) in [(64usize, 8usize), (128, 5)].iter().enumerate() {
@@ -575,6 +574,7 @@ mod tests {
             iterations: 2,
             rows_scanned: 64 * 8 + 64 * 5,
             converged_early: true,
+            covered_draws: 0,
         });
         let (spans, dropped) = sink.drain();
         assert_eq!(dropped, 0);
@@ -612,10 +612,9 @@ mod tests {
             obs.query_start(&QueryMeta {
                 kind: QueryKind::EntropyTopK,
                 num_attrs: 8,
-                num_rows: 140_000,
                 epsilon: 0.2,
                 threads: 1,
-                scope_path,
+                plan: Plan { n: 140_000, path: scope_path, ..Plan::default() },
             });
             obs.phase(Phase::StoreSketch, 0, 7);
             let (spans, _) = sink.drain();

@@ -279,23 +279,7 @@ impl ServerMetrics {
         }
         let _ = writeln!(out, "# TYPE {} gauge", names::SKETCH_COVERAGE);
         let _ = writeln!(out, "{} {:.6}", names::SKETCH_COVERAGE, sketch.coverage());
-        let synthesized = swope_core::sketch_stats::snapshot();
-        let _ = writeln!(out, "# TYPE {} counter", names::SCOPE_PATH_TOTAL);
-        for (path, value) in
-            [("hybrid", synthesized.hybrid_queries), ("physical", synthesized.physical_ranges)]
-        {
-            let _ = writeln!(out, "{}{{path=\"{path}\"}} {value}", names::SCOPE_PATH_TOTAL);
-        }
-        let _ = writeln!(out, "# TYPE {} counter", names::MI_MARGINALS_TOTAL);
-        for (source, value) in [
-            ("sketch", synthesized.mi_sketch_marginals),
-            ("sampled", synthesized.mi_sampled_marginals),
-        ] {
-            let _ = writeln!(out, "{}{{source=\"{source}\"}} {value}", names::MI_MARGINALS_TOTAL);
-        }
         for (name, value) in [
-            (names::SKETCH_HYBRID_QUERIES_TOTAL, synthesized.hybrid_queries),
-            (names::SKETCH_COVERED_DRAWS_TOTAL, synthesized.covered_draws),
             (names::TRACES_RECORDED_TOTAL, traces.recorded),
             (names::SLOW_QUERIES_TOTAL, traces.slow),
         ] {
@@ -510,9 +494,9 @@ mod tests {
         assert!(text.contains(&format!("{} 2048\n", names::SKETCH_BYTES)));
         assert!(text.contains(&format!("{} 7\n", names::SKETCH_PAGES)));
         assert!(text.contains(&format!("{} 0.655360\n", names::SKETCH_COVERAGE)));
-        // Process-wide counters: present, value whatever the process did.
-        assert!(text.contains(&format!("# TYPE {} counter", names::SKETCH_HYBRID_QUERIES_TOTAL)));
-        assert!(text.contains(&format!("# TYPE {} counter", names::SKETCH_COVERED_DRAWS_TOTAL)));
+        // The query registry's plan families: present, at zero.
+        assert!(text.contains(&format!("{} 0\n", names::SKETCH_HYBRID_QUERIES_TOTAL)));
+        assert!(text.contains(&format!("{} 0\n", names::SKETCH_COVERED_DRAWS_TOTAL)));
         assert!(text.contains(&format!("{}_count 2", names::HTTP_REQUEST_MICROS)));
         assert!(text.contains(&format!("{} 4\n", names::TRACES_RECORDED_TOTAL)));
         assert!(text.contains(&format!("{} 1\n", names::SLOW_QUERIES_TOTAL)));

@@ -6,6 +6,11 @@
 //! the envelope still catches a sampler that fails one run in three.
 //! Each cell is its own `#[test]`, so cells run in parallel and each
 //! prints its line of the table.
+//!
+//! The cost side is checked too: every top-k and filter run must stop by
+//! `max(M0, 2·M*)` rows, Lemma 4's `M*` read off the query's [`Plan`]
+//! ([`cost`]), within the same envelope, since the bound holds only
+//! where every interval does.
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -22,7 +27,8 @@ use swope_core::{
     run, run_sharded, Answer, Executor, LocalShardSource, NoopObserver, QueryObserver, Rule, Scope,
     Shape, SwopeConfig,
 };
-use swope_obs::QueryMeta;
+use swope_estimate::bounds::{bias, sample_size_for_width};
+use swope_obs::{Plan, QueryMeta};
 use swope_sampling::rng::Xoshiro256pp;
 
 /// One row of the table.
@@ -42,9 +48,12 @@ struct Cell {
     shapes: &'static [(Rule, f64)],
     runs: u64,
     p_f: f64,
-    /// `QueryMeta::scope_path`'s `hybrid`: `None` if the scope is no range.
+    /// The plan's `path.hybrid`: `None` if the scope is no range.
     path: Option<bool>,
     also: &'static [Also],
+    /// Lemma 4's `M*` falls below `n` on some run, so the cost check
+    /// constrains the cell.
+    constrained: bool,
 }
 
 /// Another path that must return the cell's answer bytes.
@@ -84,8 +93,11 @@ const PAGES: &[Also] = &[Also::Paged, Also::Shards, Also::Cluster(0)];
 const CELL: Cell = Cell {
     name: "", data: |_| uniform(N, 0xC0FE), fresh: false, scopes: &[ALL], sketch: true,
     target: None, shapes: ENTROPY, runs: 40, p_f: 0.05, path: None, also: &[Also::Paged],
+    constrained: true,
 };
-const FRESH: Cell = Cell { fresh: true, sketch: false, also: &[Also::Shards], ..CELL };
+/// On 4 000 or 20 000 rows `M*` caps at `n`: the cost check holds trivially.
+const FRESH: Cell =
+    Cell { fresh: true, sketch: false, also: &[Also::Shards], constrained: false, ..CELL };
 /// Fresh 4 000-row uniform data per run.
 const FULL: Cell = Cell { data: |i| uniform(4_000, i), runs: 120, ..FRESH };
 /// A uniform 16-value target and five copies of it through 10–18 %
@@ -243,13 +255,73 @@ fn envelope(runs: u64, p_f: f64) -> u64 {
     (mean + 5.0 * (mean * (1.0 - p_f)).sqrt()).ceil() as u64
 }
 
-/// The `scope_path` a query reported at its start, as [`Cell::path`].
-struct PathSeen(Option<Option<bool>>);
+/// The plan a query reported at its start.
+struct Planned(Option<Plan>);
 
-impl QueryObserver for PathSeen {
+impl QueryObserver for Planned {
     fn query_start(&mut self, meta: &QueryMeta) {
-        self.0 = Some(meta.scope_path.map(|p| p.hybrid));
+        self.0 = Some(meta.plan);
     }
+}
+
+/// How a top-k or filter run's sample compares with Lemma 4's `M*`.
+struct Cost {
+    /// `M*` for the shape's interval at the plan's `n` and `p′`, with
+    /// `κ = ε·(k-th exact score)` for top-k and `2εη` for a filter
+    /// (docs/THEORY.md §6), and the largest candidate support.
+    m_star: usize,
+    /// The run stopped past `max(M0, 2·M*)`.
+    over: bool,
+    /// The larger term at the stop, as an index of [`Tally::binds`]: `w·λ`,
+    /// the interval's bias `Σ b(u_i)`, or neither after a full scan.
+    binds: usize,
+}
+
+/// The cost of `answer` to `shape` at `epsilon`, planned as `plan`, over
+/// `exact`; `None` for the comparators, whose cost Lemma 4 does not bound.
+fn cost(
+    ds: &Dataset,
+    shape: &Shape,
+    epsilon: f64,
+    plan: &Plan,
+    answer: &Answer,
+    exact: &[f64],
+) -> Option<Cost> {
+    let mut scores: Vec<f64> = exact.iter().copied().filter(|s| s.is_finite()).collect();
+    scores.sort_by(|a, b| b.total_cmp(a));
+    let kappa = match shape.rule {
+        Rule::TopK { k } => epsilon * scores[k - 1],
+        Rule::Filter { eta } => 2.0 * epsilon * eta,
+        _ => return None,
+    };
+    let support = |a: AttrIndex| u64::from(ds.support(a));
+    let u = (0..ds.num_attrs()).filter(|&a| Some(a) != shape.target).map(support).max().unwrap();
+    let (w, supports) = match (shape.target.map(support), plan.sketch_marginals) {
+        (None, _) => (2.0, vec![u]),
+        (Some(u_t), Some(true)) => (2.0, vec![u_t * u]),
+        (Some(u_t), _) => (6.0, vec![u_t, u, u_t * u]),
+    };
+    let n = plan.n as u64;
+    let m_star = sample_size_for_width(kappa, n, w, &supports, plan.p_prime) as usize;
+    let m = answer.stats.sample_size;
+    let lambda = answer.stats.trace.last().map_or(0.0, |it| it.lambda);
+    let b: f64 = supports.iter().map(|&u| bias(u, m as u64, n)).sum();
+    let over = m > plan.m0.max(2 * m_star);
+    let binds = if m < plan.n { usize::from(w * lambda <= b) } else { 2 };
+    Some(Cost { m_star, over, binds })
+}
+
+/// A cell's outcome: per shape its violations and its runs over the cost
+/// bound, and over its top-k and filter runs the slack ledger.
+#[derive(Default)]
+struct Tally {
+    violations: Vec<u64>,
+    over: Vec<u64>,
+    /// `M / M*` of each run with `M* < n`, the runs the cost check constrains.
+    ratios: Vec<f64>,
+    /// Stops where `w·λ` was the larger term, where the bias was, and
+    /// full scans.
+    binds: [u64; 3],
 }
 
 /// One dataset of a cell: its sketch, the oracle's scores on each scope,
@@ -322,17 +394,19 @@ fn spawn_peer(ds: &Dataset, range: std::ops::Range<usize>) -> String {
     addr
 }
 
-/// Runs `cell`, returning its violations per shape.
-fn run_cell(cell: &Cell) -> Vec<u64> {
+/// Runs `cell`, tallying its violations and its cost.
+fn run_cell(cell: &Cell) -> Tally {
     let fixed = (!cell.fresh).then(|| Env::new(cell, (cell.data)(0)));
-    let mut violations = vec![0; cell.shapes.len()];
+    let shapes = cell.shapes.len();
+    let mut tally =
+        Tally { violations: vec![0; shapes], over: vec![0; shapes], ..Tally::default() };
     for i in 0..cell.runs {
         let fresh = cell.fresh.then(|| Env::new(cell, (cell.data)(i)));
         let env = fixed.as_ref().or(fresh.as_ref()).unwrap();
         let (s, exec) = (i as usize % cell.scopes.len(), Executor::sequential());
         let scope = &cell.scopes[s];
         for (j, &(rule, epsilon)) in cell.shapes.iter().enumerate() {
-            let (shape, mut seen) = (Shape { target: cell.target, rule }, PathSeen(None));
+            let (shape, mut seen) = (Shape { target: cell.target, rule }, Planned(None));
             let seed = i.wrapping_mul(0x9E37_79B9) ^ (j as u64).wrapping_mul(0x2545_F491);
             let cfg =
                 SwopeConfig { epsilon, failure_probability: Some(cell.p_f), ..Default::default() };
@@ -340,8 +414,18 @@ fn run_cell(cell: &Cell) -> Vec<u64> {
             let answer = run(&env.ds, &shape, scope, env.sketch.as_ref(), &cfg, &mut seen, &exec);
             let (answer, what) =
                 (answer.unwrap(), format!("{}: {shape:?} on {scope:?}, seed {seed}", cell.name));
-            assert_eq!(seen.0, Some(cell.path), "{what}: the sampler path");
-            violations[j] += u64::from(!holds(rule, &answer, &env.exact[s], epsilon));
+            let plan = seen.0.unwrap_or_else(|| panic!("{what}: no plan reported"));
+            assert_eq!(plan.path.map(|p| p.hybrid), cell.path, "{what}: the sampler path");
+            let marginals = cell.target.map(|_| cell.sketch && cell.path.is_none());
+            assert_eq!(plan.sketch_marginals, marginals, "{what}: the marginals' source");
+            tally.violations[j] += u64::from(!holds(rule, &answer, &env.exact[s], epsilon));
+            if let Some(cost) = cost(&env.ds, &shape, epsilon, &plan, &answer, &env.exact[s]) {
+                tally.over[j] += u64::from(cost.over);
+                if cost.m_star < plan.n {
+                    tally.ratios.push(answer.stats.sample_size as f64 / cost.m_star as f64);
+                }
+                tally.binds[cost.binds] += 1;
+            }
             if i < CHECKED && cell.sketch && cell.target.is_some() && cell.path.is_none() {
                 let sampled = run(&env.ds, &shape, scope, None, &cfg, &mut NoopObserver, &exec);
                 assert_ne!(sampled.unwrap(), answer, "{what}: the sketch's marginals went unread");
@@ -355,20 +439,29 @@ fn run_cell(cell: &Cell) -> Vec<u64> {
     if let Some(env) = fixed.filter(|env| env.paged.is_some() && env.ds.num_rows() > P) {
         assert!(env.cache.snapshot().evictions > 0, "{}: no page was evicted", cell.name);
     }
-    violations
+    tally
 }
 
 /// Runs the cell named `name`, prints its line of the table, and fails if
-/// any shape's violations exceed the envelope.
+/// any shape's violations or runs over the cost bound exceed the
+/// envelope, or if a constrained cell's `M*` never fell below `n`.
 fn check(name: &str) {
     let cell = CELLS.iter().find(|c| c.name == name).unwrap();
-    let (violations, bound) = (run_cell(cell), envelope(cell.runs, cell.p_f));
-    let counts = cell.shapes.iter().zip(&violations).map(|((r, _), v)| format!("{r:?} {v}"));
+    let (mut tally, bound) = (run_cell(cell), envelope(cell.runs, cell.p_f));
+    let shapes = cell.shapes.iter().zip(tally.violations.iter().zip(&tally.over));
+    let counts = shapes.map(|((r, _), (v, o))| format!("{r:?} {v} (cost {o})"));
     let path = cell.path.map_or("unranged", |hybrid| ["physical", "hybrid"][hybrid as usize]);
     let (runs, p_f, also) = (cell.runs, cell.p_f, cell.also);
+    tally.ratios.sort_by(f64::total_cmp);
+    let median = tally.ratios.get(tally.ratios.len() / 2).map_or("-".into(), |r| format!("{r:.2}"));
+    let [lambda, bias, full] = tally.binds;
     print!("{name:<15} {runs:>3} runs at p_f {p_f}, envelope {bound:>2}: ");
-    println!("{}; {path}, also {also:?}", counts.collect::<Vec<_>>().join(", "));
-    assert!(violations.iter().all(|&v| v <= bound), "{name}: over its envelope");
+    print!("{}; {path}, also {also:?}; ", counts.collect::<Vec<_>>().join(", "));
+    print!("M*<n {}, median M/M* {median}, ", tally.ratios.len());
+    println!("stop wλ {lambda} b {bias} full {full}");
+    assert!(tally.violations.iter().all(|&v| v <= bound), "{name}: over its envelope");
+    assert!(tally.over.iter().all(|&o| o <= bound), "{name}: over the cost bound");
+    assert!(!cell.constrained || !tally.ratios.is_empty(), "{name}: M* never below n");
 }
 
 /// One `#[test]` per cell of [`CELLS`], named for the promise it checks.

@@ -14,7 +14,7 @@ use swope_core::{
 use swope_datagen::{corpus, generate};
 use swope_obs::json::Json;
 use swope_obs::{
-    AttrBounds, Phase, PhaseAccumulator, QueryKind, QueryMeta, QueryObserver, RunStats,
+    AttrBounds, Phase, PhaseAccumulator, Plan, QueryKind, QueryMeta, QueryObserver, RunStats,
 };
 
 fn dataset() -> swope_columnar::Dataset {
@@ -187,10 +187,9 @@ fn metrics_registry_totals_survive_concurrent_hammering() {
                     obs.query_start(&QueryMeta {
                         kind: QueryKind::EntropyTopK,
                         num_attrs: 4,
-                        num_rows: 1000,
                         epsilon: 0.1,
                         threads: 1,
-                        scope_path: None,
+                        plan: Plan { n: 1000, ..Plan::default() },
                     });
                     for phase in Phase::ALL {
                         obs.phase(phase, round as usize, t + 1);
@@ -205,6 +204,7 @@ fn metrics_registry_totals_survive_concurrent_hammering() {
                         iterations: (round % 5 + 1) as usize,
                         rows_scanned: (t + 1) * 10,
                         converged_early: round % 2 == 0,
+                        covered_draws: 0,
                     });
                 }
             })
