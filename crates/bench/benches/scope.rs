@@ -1,26 +1,28 @@
 //! Scoped-query benchmark: where the partition sketch pays for a range
 //! scope, and that the path a range is given never loses to its rows.
 //!
-//! A range with enough of its rows in whole pages runs the hybrid
-//! sampler (covered pages synthesized from per-page histograms, only the
-//! fringe read); any other range is sampled physically, sketch or no
-//! sketch (`swope_core::scope`, "How a scope is sampled"). The
-//! simulation's cost is flat in the range's length while the rows' cost
-//! grows with it, so there is a crossover, and the rule is meant to sit
-//! on it. This bench measures the crossover: for ranges of 5 / 10 / 25 /
-//! 50 / 95 % of the rows it times the same eight seeded top-k and filter
-//! queries at eight positions with the sketch on offer (the *chosen*
-//! path) and with `sketch = None` (physical), on hot heap data and — at
-//! 25 / 95 % — on the mapped snapshot under a 25 % page budget, where
-//! what the sketch saves is page-ins.
+//! A range with enough of its rows in whole pages synthesises those
+//! pages from per-page histograms and reads only its fringe; any other
+//! range reads its pages, sketch or no sketch (`swope_core::scope`, "How
+//! a scope is sampled"). Synthesis costs about the same whatever the
+//! range's length, while reading grows with it, so there is a crossover,
+//! and the rule is meant to sit on it. This bench measures the
+//! crossover: for ranges of 5 / 10 / 25 / 50 / 95 % of the rows it times
+//! the same eight seeded top-k and filter queries at eight positions with
+//! the sketch on offer (the *chosen* path) and with `sketch = None`
+//! (read), on hot heap data and — at 25 / 95 % — on the mapped snapshot
+//! under a 25 % page budget, where what the sketch saves is page-ins.
 //!
 //! `results/BENCH_scope.json` holds `chosen_over_physical` per cell, with
-//! the share of its queries that ran hybrid, plus `scan_reduction` (a
-//! hybrid 25 % range against the unscoped query, in `rows_scanned`). The
-//! CI scope-smoke step runs this with `SWOPE_MICRO_MS=1` and gates the
-//! machine-independent ratios: chosen ≤ 1.1 at 5–10 % (it *is* the
-//! physical path there, so a later physical speed-up cannot fail it),
-//! ≤ 0.9 at 25 %, ≤ 0.6 from 50 %, ≤ 0.2 at 95 % under the budget.
+//! the share of its queries that ran hybrid; `range95_over_full`, the
+//! sketch-free 95 % heap range's time over the same queries' over the
+//! whole dataset, which reads whole pages the same way; and
+//! `scan_reduction` (a hybrid range against the unscoped query, in
+//! `rows_scanned`). The CI scope-smoke step gates the machine-independent
+//! ratios: chosen ≤ 1.1 at 5–10 % (it *is* the read path there, so a
+//! later read speed-up cannot fail it), ≤ 0.6 and ≤ 0.2 at 25 and 95 %
+//! under the budget, and `range95_over_full` ≤ 1.3: a range must read
+//! like a full scope.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -42,9 +44,12 @@ const SEED: u64 = 0x5170;
 /// and its own position in the dataset.
 const QUERIES: usize = 8;
 
+/// Seeded queries, each over its own scope.
+type Queries = Vec<(Shape, Scope, SwopeConfig)>;
+
 /// The cell's queries over ranges of `pct` % of the rows, placed evenly
 /// from the leftmost to the rightmost spot such a range fits.
-fn queries(pct: usize) -> Vec<(Shape, Scope, SwopeConfig)> {
+fn queries(pct: usize) -> Queries {
     let len = ROWS * pct / 100;
     (0..QUERIES)
         .map(|i| {
@@ -82,10 +87,27 @@ impl QueryObserver for HybridPlans {
     }
 }
 
-/// Alternating rounds per cell. Each side's time is its fastest round:
-/// the two sides run the same code at 5–10 %, and on a shared host only
-/// the minimum of interleaved runs reads them as equal.
+/// Alternating rounds per measurement. Each side's time is its fastest
+/// round: the two sides run the same code at 5–10 %, and on a shared host
+/// only the minimum of interleaved runs reads them as equal.
 const ROUNDS: usize = 7;
+
+/// Each side's queries — over `ds`, offered a sketch or not — timed in
+/// alternating rounds: the fastest round's nanoseconds a query.
+fn fastest<const S: usize>(
+    ds: &Dataset,
+    sides: [(Option<&DatasetSketch>, &Queries); S],
+) -> [f64; S] {
+    let mut best = [f64::INFINITY; S];
+    for _ in 0..ROUNDS {
+        for ((sketch, queries), best) in sides.iter().zip(&mut best) {
+            let started = Instant::now();
+            run_all(ds, *sketch, queries, &mut NoopObserver);
+            *best = best.min(started.elapsed().as_nanos() as f64 / QUERIES as f64);
+        }
+    }
+    best
+}
 
 /// One cell of the crossover as a JSON object: the chosen path's wall
 /// over the physical path's, and how many of its queries ran hybrid.
@@ -95,14 +117,7 @@ fn cell(residency: &str, pct: usize, ds: &Dataset, sketch: &DatasetSketch) -> St
     run_all(ds, Some(sketch), &cell, &mut plans);
     let hybrid = plans.0;
     run_all(ds, None, &cell, &mut NoopObserver);
-    let (mut chosen_ns, mut physical_ns) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..ROUNDS {
-        for (sketch, best) in [(Some(sketch), &mut chosen_ns), (None, &mut physical_ns)] {
-            let started = Instant::now();
-            run_all(ds, sketch, &cell, &mut NoopObserver);
-            *best = best.min(started.elapsed().as_nanos() as f64 / QUERIES as f64);
-        }
-    }
+    let [chosen_ns, physical_ns] = fastest(ds, [(Some(sketch), &cell), (None, &cell)]);
     println!(
         "scope/{residency}_{pct}pct  chosen {:>9.1} us  physical {:>9.1} us  ratio {:.3}  ({hybrid}/{QUERIES} hybrid)",
         chosen_ns / 1e3,
@@ -115,6 +130,23 @@ fn cell(residency: &str, pct: usize, ds: &Dataset, sketch: &DatasetSketch) -> St
         .f64_field("hybrid_share", hybrid as f64 / QUERIES as f64)
         .f64_field("chosen_over_physical", chosen_ns / physical_ns);
     w.finish()
+}
+
+/// The sketch-free 95 % heap range's time over the same queries' over
+/// the whole dataset.
+fn range95_over_full(ds: &Dataset) -> f64 {
+    let range = queries(95);
+    let full: Queries =
+        range.iter().map(|(shape, _, cfg)| (*shape, Scope::all(), cfg.clone())).collect();
+    run_all(ds, None, &full, &mut NoopObserver);
+    let [range_ns, full_ns] = fastest(ds, [(None, &range), (None, &full)]);
+    println!(
+        "scope/heap_95pct_read  {:>9.1} us  full {:>9.1} us  ratio {:.3}",
+        range_ns / 1e3,
+        full_ns / 1e3,
+        range_ns / full_ns
+    );
+    range_ns / full_ns
 }
 
 fn main() {
@@ -131,6 +163,7 @@ fn main() {
     for pct in [5, 10, 25, 50, 95] {
         cells.push(cell("heap", pct, &ds, &sketch));
     }
+    let range95_over_full = range95_over_full(&ds);
     for pct in [25, 95] {
         cells.push(cell("budget", pct, &paged, &sketch));
     }
@@ -157,6 +190,7 @@ fn main() {
             "scan_reduction",
             full.stats.rows_scanned as f64 / scoped.stats.rows_scanned.max(1) as f64,
         )
+        .f64_field("range95_over_full", range95_over_full)
         .raw_field("crossover", &format!("[{}]", cells.join(",")));
     let json = w.finish();
 

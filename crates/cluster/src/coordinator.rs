@@ -15,27 +15,25 @@
 //! worker. The server maps that error to `503 Retry-After`.
 //!
 //! The coordinator owns the query's one sample, the one a single box
-//! holding the union draws. Over the whole union that is a
-//! [`PagePrefix`]: its windows are positions of the union's
-//! [`PageLayout`], which the coordinator holds without holding a row
-//! (its [`PeerPool`] keeps it between queries), and the layout turns
-//! them into union rows. Each doubling grows the
-//! sample, splits the new rows by owning peer ([`ShardPlan::split`]) and
-//! sends every peer its own rows as local row indexes. A peer stores its
-//! slice in its own layout and maps the rows it is sent to its own
-//! positions, so no peer needs the union's. The replies are added into
-//! one reused [`ShardCounts`] as they are decoded, which is the whole
-//! merge.
+//! holding the union draws: a [`PagePrefix`] over the scope's members in
+//! the union's [`PageLayout`], which the coordinator holds without
+//! holding a row (its [`PeerPool`] keeps it between queries). Over the
+//! whole union every page is whole; a row range lists the slots of its
+//! rows in the pages it only partly covers, exactly as a single box's
+//! range scope does. The layout turns each doubling's positions into
+//! union rows; the coordinator splits them by owning peer
+//! ([`ShardPlan::split`]) and sends every peer its own rows as local row
+//! indexes. A peer stores its slice in its own layout and maps the rows
+//! it is sent to its own positions, so no peer needs the union's. The
+//! replies are added into one reused [`ShardCounts`] as they are
+//! decoded, which is the whole merge.
 //!
-//! Row-range scopes are handled by shrinking the sampled population to
-//! the range — a [`PrefixShuffle`] over its rows, as a single box's
-//! scoped population is — and routing the query only to peers whose
-//! slices intersect it — non-intersecting peers never hear about the
-//! query, and an empty
+//! A row-range query is routed only to peers whose slices intersect
+//! it — non-intersecting peers never hear about the query, and an empty
 //! range (which the engine answers without counting, like a single box's
-//! empty scope) reaches none past its `Hello`. Predicate
-//! scopes need a row-set scan the wire protocol deliberately does not
-//! carry; the server rejects them before reaching this module.
+//! empty scope) reaches none past its `Hello`. Predicate scopes need a
+//! row-set scan the wire protocol deliberately does not carry; the
+//! server rejects them before reaching this module.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -48,7 +46,7 @@ use swope_core::shard::Shelf;
 use swope_core::{
     AttrMeta, CountRequest, PairCountState, ShardCounts, ShardPlan, ShardTransport, SwopeError,
 };
-use swope_sampling::{PageLayout, PagePrefix, PrefixShuffle};
+use swope_sampling::{PageLayout, PageMembers, PagePrefix};
 
 use crate::frame::{Frame, FrameReader, FrameWriter, Hello, ResultFrame, PROTOCOL_VERSION};
 use crate::stats::ClusterStats;
@@ -87,10 +85,9 @@ impl Default for PeerTimeouts {
 /// ([`RemoteShardSource::finish`]); aborted or errored sessions drop
 /// their sockets, because the peer side closes after any error.
 ///
-/// The pool also keeps the union's [`PageLayout`] from one full-scope
-/// query to the next: a coordinator holds no dataset that would keep it
-/// alive, and its position → row table costs a pass over the union's
-/// rows to build.
+/// The pool also keeps the union's [`PageLayout`] from one query to the
+/// next: a coordinator holds no dataset that would keep it alive, and
+/// its position → row table costs a pass over the union's rows to build.
 pub struct PeerPool {
     per_peer: usize,
     idle: Mutex<HashMap<String, Vec<TcpStream>>>,
@@ -109,7 +106,7 @@ impl PeerPool {
     }
 
     /// The layout of a union of `rows` rows: the one kept from the last
-    /// full-scope query when the union has not changed size since.
+    /// query when the union has not changed size since.
     fn union_layout(&self, rows: usize) -> Arc<PageLayout> {
         let mut kept = self.layout.lock().expect("peer pool lock");
         match &*kept {
@@ -361,31 +358,6 @@ pub fn probe(
     Ok(ClusterProbe { peers: addrs.len(), union_rows })
 }
 
-/// How the coordinator draws a query's sample: what a single box
-/// holding the union draws for the same scope.
-enum Sampler {
-    /// The whole union: page prefixes over its layout, and the union
-    /// rows of the current delta.
-    Full { prefix: PagePrefix, layout: Arc<PageLayout>, rows: Vec<u32> },
-    /// A proper row range: a prefix shuffle over its rows.
-    Range(PrefixShuffle),
-}
-
-impl Sampler {
-    /// Grows the sample to `target` rows and returns the new ones,
-    /// numbered from the population's first row.
-    fn grow_to(&mut self, target: usize) -> &[u32] {
-        match self {
-            Sampler::Full { prefix, layout, rows } => {
-                rows.clear();
-                layout.rows_of(prefix.grow_to(target), rows);
-                rows
-            }
-            Sampler::Range(shuffle) => shuffle.grow_to(target),
-        }
-    }
-}
-
 /// A wire-backed [`ShardTransport`]: one connected peer per shard.
 ///
 /// Lives for one query. [`RemoteShardSource::finish`] after a query that
@@ -395,12 +367,14 @@ impl Sampler {
 pub struct RemoteShardSource {
     peers: Vec<PeerConn>,
     meta: Vec<AttrMeta>,
-    population: u64,
+    /// The population's first union row.
     base: u64,
-    union_rows: u64,
-    /// The query's sample over the population, and where each
-    /// participant's slice lies in it.
-    sampler: Sampler,
+    /// The query's sample over the population, the union's layout that
+    /// names its rows, the union rows of the current delta, and where
+    /// each participant's slice lies in the population.
+    sampler: PagePrefix,
+    layout: Arc<PageLayout>,
+    delta: Vec<u32>,
     plan: ShardPlan,
     /// Each participant's rows of the current delta.
     rows: Vec<Vec<u32>>,
@@ -518,26 +492,18 @@ impl RemoteShardSource {
             }
         }
         let peers = kept;
+        let rows = union_rows as usize;
+        let layout = pool.as_ref().map_or_else(|| PageLayout::of(rows), |p| p.union_layout(rows));
+        let members = PageMembers::range(&layout, scope.start as usize..scope.end as usize);
         Ok(Self {
             plan: ShardPlan::scoped(peers.iter().map(|p| p.slice.clone()), scope.clone()),
             rows: vec![Vec::new(); peers.len()],
             peers,
             meta: meta.unwrap_or_default(),
-            population,
             base: scope.start,
-            union_rows,
-            sampler: if population == union_rows {
-                let rows = union_rows as usize;
-                let layout =
-                    pool.as_ref().map_or_else(|| PageLayout::of(rows), |p| p.union_layout(rows));
-                Sampler::Full {
-                    prefix: PagePrefix::new(layout.num_rows(), seed),
-                    layout,
-                    rows: Vec::new(),
-                }
-            } else {
-                Sampler::Range(PrefixShuffle::new(population as usize, seed))
-            },
+            sampler: PagePrefix::new(members, seed),
+            layout,
+            delta: Vec::new(),
             acc: ShardCounts::empty(None, []),
             shelf: Shelf::default(),
             last: CountRequest { target: None, live: Vec::new() },
@@ -579,7 +545,7 @@ impl std::fmt::Debug for RemoteShardSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteShardSource")
             .field("peers", &self.peers.len())
-            .field("population", &self.population)
+            .field("population", &self.sampler.num_rows())
             .field("base", &self.base)
             .field("finished", &self.finished)
             .finish()
@@ -588,7 +554,7 @@ impl std::fmt::Debug for RemoteShardSource {
 
 impl ShardTransport for RemoteShardSource {
     fn num_rows(&self) -> usize {
-        self.population as usize
+        self.sampler.num_rows()
     }
 
     fn attrs(&self) -> &[AttrMeta] {
@@ -607,11 +573,16 @@ impl ShardTransport for RemoteShardSource {
         if self.finished {
             return Err(SwopeError::Transport("query already finished".into()));
         }
-        let Self { peers, rows, plan, sampler, stats, .. } = self;
+        let Self { peers, rows, plan, sampler, layout, delta, stats, .. } = self;
         for list in rows.iter_mut() {
             list.clear();
         }
-        plan.split(sampler.grow_to(m_target), |peer, row| rows[peer].push(row));
+        delta.clear();
+        layout.rows_of(sampler.grow_to(m_target), delta);
+        // The plan numbers the population from the scope's first row.
+        let base = self.base as u32;
+        delta.iter_mut().for_each(|row| *row -= base);
+        plan.split(delta, |peer, row| rows[peer].push(row));
         // Scatter to every participant first, then gather: peers count
         // their deltas concurrently while we read replies in order.
         for (peer, rows) in peers.iter_mut().zip(rows.iter()) {
@@ -629,7 +600,7 @@ impl ShardTransport for RemoteShardSource {
             recv_counts(peer, &self.stats, &mut acc, false)?;
         }
         self.last.clone_from(req);
-        self.sampled = (m_target as u64).min(self.population);
+        self.sampled = m_target.min(self.sampler.num_rows()) as u64;
         self.stats.record_merge();
         Ok(vec![acc])
     }
@@ -655,7 +626,7 @@ impl ShardTransport for RemoteShardSource {
         if self.finished {
             return Err(SwopeError::Transport("query already finished".into()));
         }
-        if self.base != 0 || self.population != self.union_rows {
+        if self.sampler.num_rows() != self.layout.num_rows() {
             return Ok(None);
         }
         for peer in &mut self.peers {

@@ -25,7 +25,7 @@ use swope_core::{
     NoopObserver, Rule, Scope, Shape, ShardCounts, ShardPlan, ShardTransport, SwopeConfig,
     SwopeError,
 };
-use swope_sampling::PrefixShuffle;
+use swope_sampling::{PageMembers, PagePrefix};
 use swope_store::page::PAGE_ROWS;
 
 fn union_dataset() -> Dataset {
@@ -455,7 +455,8 @@ fn peer_counts_equal_in_process_shard_counts() {
             assert_eq!(remote.num_rows(), rows.len());
             let mut shards = (rows.len() == n)
                 .then(|| LocalShardSource::new(&union, 2, &config, &exec).unwrap());
-            let mut range = PrefixShuffle::new(rows.len(), config.seed);
+            let members = PageMembers::range(union.layout(), rows.clone());
+            let mut range = PagePrefix::new(members, config.seed);
             let (mut counter, mut positions) = (Counter::new(&union), Vec::new());
             let mut m = 32;
             while m < 2 * rows.len() {
@@ -464,9 +465,7 @@ fn peer_counts_equal_in_process_shard_counts() {
                 let mut want = match &mut shards {
                     Some(shards) => shards.advance(m, req).unwrap(),
                     None => {
-                        let first = rows.start as u32;
-                        let delta: Vec<u32> = range.grow_to(m).iter().map(|r| r + first).collect();
-                        let positions = union.row_positions(&delta, &mut positions);
+                        let positions = union.sample_positions(range.grow_to(m), &mut positions);
                         let mut counts = ShardCounts::empty(None, []);
                         counter.count(&union, positions, req, &mut counts, &exec);
                         vec![counts]

@@ -19,8 +19,8 @@ use crate::{Code, ColumnarError};
 ///   at the narrowest width its support allows (`u8` up to support 256,
 ///   `u16` up to 65536, `u32` beyond), stored in the [`PageLayout`] of
 ///   its row count: within each 65 536-row page the codes sit in a
-///   fixed, seeded shuffle, so a full-scope sample reads contiguous runs
-///   (`swope_sampling::PagePrefix`). [`Column::from_packed`] applies the
+///   fixed, seeded shuffle, so a sample reads a whole page's draws as
+///   contiguous runs (`swope_sampling::PagePrefix`). [`Column::from_packed`] applies the
 ///   layout, and every heap column passes through it: a heap load and
 ///   every in-memory constructor.
 /// * **Paged** — [`swope_pager::PagedColumn`], codes left in a mapped

@@ -1,51 +1,9 @@
-use std::ops::Range;
 use std::sync::Arc;
 
-use swope_sampling::PageLayout;
+use swope_sampling::{PageLayout, Positions};
 
 use crate::snapshot::Residency;
 use crate::{AttrIndex, Code, Column, ColumnarError, PageGrouper, Schema};
-
-/// A delta's storage positions, as the count kernels read them: one by
-/// one, or as runs of consecutive positions.
-///
-/// Runs are what a full-scope sample of a heap dataset is
-/// ([`Dataset::window_positions`]); a kernel reads each as one slice of
-/// the column. Paged columns are read by row lists only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Positions<'a> {
-    /// Positions one by one, in delta order.
-    List(&'a [u32]),
-    /// Runs of consecutive positions, in delta order.
-    Runs(&'a [Range<u32>]),
-}
-
-impl Positions<'_> {
-    /// Rows in the delta.
-    pub fn len(&self) -> usize {
-        match self {
-            Positions::List(list) => list.len(),
-            Positions::Runs(runs) => runs.iter().map(|r| r.len()).sum(),
-        }
-    }
-
-    /// Whether the delta is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<'a> From<&'a [u32]> for Positions<'a> {
-    fn from(list: &'a [u32]) -> Self {
-        Positions::List(list)
-    }
-}
-
-impl<'a> From<&'a Vec<u32>> for Positions<'a> {
-    fn from(list: &'a Vec<u32>) -> Self {
-        Positions::List(list)
-    }
-}
 
 /// An immutable columnar dataset: `N` rows by `h` categorical attributes.
 ///
@@ -56,7 +14,7 @@ impl<'a> From<&'a Vec<u32>> for Positions<'a> {
 /// Its columns are all on the heap or all paged. The count kernels index
 /// them by *position*: on the heap the position the [`PageLayout`] of
 /// `N` stores a row at, paged the row itself.
-/// [`Dataset::row_positions`] and [`Dataset::window_positions`] turn a
+/// [`Dataset::row_positions`] and [`Dataset::sample_positions`] turn a
 /// sample into positions; every other accessor speaks rows. The dataset
 /// holds the layout of `N` on both residencies, so neither rebuilds a
 /// table while it lives.
@@ -162,30 +120,35 @@ impl Dataset {
     /// or a cluster peer's rows reach the count kernels.
     pub fn row_positions<'a>(&self, rows: &'a [u32], out: &'a mut Vec<u32>) -> Positions<'a> {
         if self.is_paged() {
-            Positions::List(rows)
+            Positions::from(rows)
         } else {
             out.clear();
             out.extend(rows.iter().map(|&r| self.layout.position_of(r)));
-            Positions::List(out)
+            Positions::from(&out[..])
         }
     }
 
-    /// The positions of `windows` — runs of layout positions, as
-    /// `swope_sampling::PagePrefix` draws them: on the heap the runs
-    /// themselves, each one slice of every column; paged, the rows the
-    /// layout puts there, written to `rows`.
-    pub fn window_positions<'a>(
+    /// The storage positions of `drawn`, layout positions as
+    /// `swope_sampling::PagePrefix` draws them: on the heap `drawn`
+    /// itself, whose runs are each one slice of every column; paged, the
+    /// rows the layout puts there, written to `rows`.
+    pub fn sample_positions<'a>(
         &self,
-        windows: &'a [Range<u32>],
+        drawn: Positions<'a>,
         rows: &'a mut Vec<u32>,
     ) -> Positions<'a> {
         if self.is_paged() {
             rows.clear();
-            self.layout.rows_of(windows, rows);
-            Positions::List(rows)
+            self.layout.rows_of(drawn, rows);
+            Positions::from(&rows[..])
         } else {
-            Positions::Runs(windows)
+            drawn
         }
+    }
+
+    /// The page layout of the dataset's rows.
+    pub fn layout(&self) -> &Arc<PageLayout> {
+        &self.layout
     }
 
     /// The support size `u_alpha` of attribute `attr`.

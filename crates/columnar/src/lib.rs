@@ -54,7 +54,7 @@ pub mod stats;
 
 pub use builder::DatasetBuilder;
 pub use column::{Column, ColumnStorage};
-pub use dataset::{Dataset, Positions};
+pub use dataset::Dataset;
 pub use dictionary::Dictionary;
 pub use error::ColumnarError;
 pub use schema::{Field, Schema};
@@ -84,6 +84,10 @@ pub use swope_store::crc32::crc32;
 // row-list grouper [`Dataset::page_grouper`] hands those loops, and the
 // byte sources `snapshot::open_on` accepts.
 pub use swope_pager::{HeapMapping, Mapping, PageCache, PageGrouper, PagedColumn, PagerSnapshot};
+
+// What the count kernels read a sample delta as: runs and a list of
+// storage positions ([`Dataset::sample_positions`]).
+pub use swope_sampling::Positions;
 
 /// Index of an attribute (column) within a dataset. Always in `0..h`.
 pub type AttrIndex = usize;

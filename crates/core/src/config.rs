@@ -8,10 +8,10 @@ use crate::SwopeError;
 /// The defaults follow the paper's experimental settings where one exists:
 /// `ε = 0.1` (the entropy top-k default; see [`SwopeConfig::with_epsilon`]
 /// to use the paper's per-query defaults), `p_f` resolved to `1/N` at query
-/// time. A full scope samples by page prefixes ([`swope_sampling::PagePrefix`]),
-/// any other scope by a prefix of one uniform permutation of its rows
-/// ([`swope_sampling::PrefixShuffle`]): both draw the nested uniform samples
-/// Lemma 2 assumes, so [`SwopeConfig::seed`] is the only sampling setting.
+/// time. Every scope samples by page prefixes over its rows' slots in the
+/// page layout ([`swope_sampling::PagePrefix`]), which draws the nested
+/// uniform samples Lemma 2 assumes, so [`SwopeConfig::seed`] is the only
+/// sampling setting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwopeConfig {
     /// Approximation parameter `ε ∈ (0, 1)` of Definitions 5–6. Smaller is

@@ -14,9 +14,10 @@
 //!    [`swope_columnar::PagedColumn::gather`], which looks a page up once
 //!    per run of adjacent rows it holds (deltas arrive grouped by page).
 //!    The kernels take a delta's rows as *positions*: where a heap
-//!    column's page layout stores them, which for a full-scope sample is
-//!    a few contiguous runs a page, and the rows themselves on a paged
-//!    column (`Dataset::row_positions`, `Dataset::window_positions`);
+//!    column's page layout stores them — one or two contiguous runs for
+//!    each whole page a sample drew from, a list for the rest — and the
+//!    rows themselves on a paged column (`Dataset::row_positions`,
+//!    `Dataset::sample_positions`);
 //! 2. the **marginal kernel** (`CountState::add_block`) counts the staged
 //!    block. When the delta is at least twice the support and the support
 //!    at most `LANE_MAX_SUPPORT`, into four `u32` lane tables selected by
@@ -134,7 +135,7 @@ fn check_delta_len(rows: usize) {
 }
 
 /// Why a kernel refuses runs over a paged column: a paged dataset's
-/// sample reaches it as rows (`Dataset::window_positions`).
+/// sample reaches it as rows (`Dataset::sample_positions`).
 const RUNS_ARE_HEAP: &str = "runs of positions address heap storage; paged columns read row lists";
 
 /// A pure-integer delta histogram over one attribute's codes.
@@ -562,25 +563,23 @@ pub fn count_target<'a>(
     counts: &mut CountState,
     target: &mut TargetBuf,
 ) {
-    let rows = rows.into();
+    let Positions { runs, list } = rows.into();
     let codes = &mut target.codes;
-    match (column.storage(), rows) {
-        (ColumnStorage::Heap(packed), Positions::List(rows)) => {
-            packed.codes().gather_widen(rows, codes)
-        }
-        (ColumnStorage::Heap(packed), Positions::Runs(runs)) => {
+    match column.storage() {
+        ColumnStorage::Heap(packed) => {
             codes.clear();
             for_packed!(packed.codes(), |stored| {
                 for run in runs {
                     let run = &stored[run.start as usize..run.end as usize];
                     codes.extend(run.iter().map(|&c| c.widen()));
                 }
+                codes.extend(list.iter().map(|&p| stored[p as usize].widen()));
             });
         }
-        (ColumnStorage::Paged(paged), Positions::List(rows)) => {
-            paged.gather_widen(rows, codes).unwrap_or_else(|e| panic!("{e}"))
+        ColumnStorage::Paged(paged) => {
+            assert!(runs.is_empty(), "{RUNS_ARE_HEAP}");
+            paged.gather_widen(list, codes).unwrap_or_else(|e| panic!("{e}"))
         }
-        (ColumnStorage::Paged(_), Positions::Runs(_)) => panic!("{RUNS_ARE_HEAP}"),
     }
     target.support = column.support();
     let lane_len = LANES * counts.counts.len();
@@ -635,25 +634,17 @@ pub fn count_candidate<'a>(
             }
         });
     };
-    match rows {
-        Positions::List(rows) => {
-            for block in rows.chunks(INGEST_BLOCK_ROWS) {
-                stage(column, block, buf);
-                count(buf);
-            }
+    for run in rows.runs {
+        let ColumnStorage::Heap(packed) = column.storage() else { panic!("{RUNS_ARE_HEAP}") };
+        for start in (run.start as usize..run.end as usize).step_by(INGEST_BLOCK_ROWS) {
+            let block = start..(start + INGEST_BLOCK_ROWS).min(run.end as usize);
+            for_packed!(packed.codes(), |codes| gather_run(codes, block, CodeRepr::buf(buf)));
+            count(buf);
         }
-        Positions::Runs(runs) => {
-            let ColumnStorage::Heap(packed) = column.storage() else { panic!("{RUNS_ARE_HEAP}") };
-            for run in runs {
-                for start in (run.start as usize..run.end as usize).step_by(INGEST_BLOCK_ROWS) {
-                    let block = start..(start + INGEST_BLOCK_ROWS).min(run.end as usize);
-                    for_packed!(packed.codes(), |codes| {
-                        gather_run(codes, block, CodeRepr::buf(buf))
-                    });
-                    count(buf);
-                }
-            }
-        }
+    }
+    for block in rows.list.chunks(INGEST_BLOCK_ROWS) {
+        stage(column, block, buf);
+        count(buf);
     }
     if let Some(lanes) = lanes {
         out.fold_lanes(lanes);
@@ -986,9 +977,9 @@ mod tests {
         assert_eq!(short.canonical_runs(), want.canonical_runs());
     }
 
-    /// Runs over heap storage count what the list of the same positions
-    /// counts, target pairs included, whatever the runs' lengths against
-    /// the block size.
+    /// Runs over heap storage, alone or followed by a list, count what
+    /// the list of the same positions counts, target pairs included,
+    /// whatever the runs' lengths against the block size.
     #[test]
     fn runs_count_like_the_list_of_their_positions() {
         let mut rng = Xoshiro256pp::seed_from_u64(0x2C45);
@@ -1007,7 +998,12 @@ mod tests {
             let codes = tbuf.codes().to_vec();
             (codes, tcounts.sorted_entries(), out.sorted_entries(), pairs.canonical_runs().to_vec())
         };
-        assert_eq!(count(Positions::Runs(&runs)), count(Positions::List(&list)));
+        let want = count(Positions::from(&list));
+        assert_eq!(count(Positions { runs: &runs, list: &[] }), want);
+        // A delta of both, as a sample drawing whole and member pages
+        // hands over: its runs, then its list.
+        let tail: Vec<u32> = runs[2..].iter().flat_map(Clone::clone).collect();
+        assert_eq!(count(Positions { runs: &runs[..2], list: &tail }), want);
     }
 
     #[test]

@@ -10,85 +10,87 @@
 //! — so the paper's guarantees hold verbatim over the scoped rows.
 //! [`LocalSource`] is the loop's count source over a [`Population`]: it
 //! counts each delta through one [`Counter`], the body every shard
-//! counts with, adds a hybrid sample's covered draws to the counted
+//! counts with, adds a hybrid range's covered draws to the counted
 //! histograms, and hands the states one [`ShardCounts`] to apply.
 //!
 //! ## How a scope is sampled
 //!
-//! * **Full scope** — page prefixes over the dataset's page layout
-//!   (`swope_sampling::PagePrefix`): the unscoped query, bit for bit,
-//!   whose heap reads are contiguous runs. A usable sketch adds one thing, for MI
-//!   only: every attribute's exact whole-dataset counts
+//! Every scope is one population for one sampler: per page of the
+//! dataset's layout, its *members* — the slots of the scope's rows there,
+//! in slot order — drawn by `swope_sampling::PagePrefix`. Each doubling
+//! splits its draws over the pages by the sequential hypergeometric law
+//! on the members each has left, and takes every page's next members in
+//! slot order from a uniform start member. A layout is a uniform shuffle of each
+//! page, independent of the data, and a uniform permutation restricted to
+//! a fixed subset is uniform on it, so the draws are prefixes of a
+//! uniform permutation of the scope (`docs/THEORY.md` § "Page-prefix
+//! sampling"): the paper's guarantees hold verbatim over the scoped rows.
+//!
+//! * **Full scope** — every page is *whole*: its draws are one or two
+//!   runs of positions, slice copies on the heap. A usable sketch adds
+//!   one thing, for MI only: every attribute's exact whole-dataset counts
 //!   ([`sketch_marginals`]), from which the driver takes `H_D(α_t)` and
 //!   `H_D(α)` exactly and samples only the joint. Entropy shapes answer
 //!   alike with or without a sketch.
-//! * **Range scope, entropy queries** — the range is split at page
-//!   (64Ki-row) boundaries into fully *covered* pages, whose exact
-//!   per-code histograms the [`DatasetSketch`] already holds, and a
-//!   *fringe* of at most `2·PAGE_ROWS − 2` boundary rows. It runs the
-//!   hybrid sampler below iff `covered_rows ≥ 2 × fringe_rows`
-//!   ([`HYBRID_COVERED_PER_FRINGE`]) and at least one page is covered;
-//!   any other range is sampled physically, exactly as without a sketch.
-//!   The simulation costs about the same whatever the range's length
-//!   (≈ 1 ms a query on a 32-column dataset, nearly all of it covered
-//!   draws), so it only pays once it replaces enough rows: on hot data
-//!   it loses to the rows while fewer than three pages are covered and
-//!   wins up to 2× beyond, under a page budget it wins 2.4× at a quarter
-//!   of a 1 M-row dataset and 15× at all of it (EXPERIMENTS.md § "The
-//!   sketch path: where it pays"). The rule reads
-//!   the range and `PAGE_ROWS` and nothing else — not whether the
-//!   columns are on the heap or paged, the page budget, the thread count
-//!   or how the rows are sharded — because the two samplers answer with
-//!   different bytes (both within the guarantee): a rule that looked at
-//!   residency would make the same request answer differently on a heap
-//!   server, a budgeted one and a cluster, and the invariance suites and
-//!   the result cache both rest on it not doing so.
+//! * **Range scope** — pages the range holds whole are whole pages; a
+//!   fringe page at either end keeps the bounds of the range's rows, and
+//!   its draws test its slots' rows against them as far as they reach:
+//!   resolving a range costs nothing a page.
+//! * **Predicate scope** — the predicate column is scanned once, page by
+//!   page, skipping every page whose sketch histogram proves zero
+//!   matches; each page keeps a bitmap of the slots of its matching rows
+//!   in the range (a page of all matches is whole).
 //!
-//!   The hybrid sampler
-//!   simulates a uniform WOR draw over the whole scope without drawing
-//!   record by record. Each iteration's `Δm` new draws are divided by
-//!   one hypergeometric variate `HG(rem_covered + rem_fringe,
-//!   rem_covered, Δm)` into covered and fringe draws — the law of the
-//!   covered count among `Δm` WOR draws. The fringe draws yield
-//!   physical rows (incremental Fisher–Yates over the materialized
-//!   fringe). The covered draws yield, per attribute, a WOR sample of
-//!   the covered region's remaining code multiset, produced as *counts*:
-//!   [`CoveredDist`] walks a binary tree over the histogram and splits
-//!   the draw count at every node with one more hypergeometric variate
-//!   (the multivariate hypergeometric law, factored along the tree).
-//!   Covered draws never touch the store and cost a share of one
-//!   variate per visited node, not a tree walk per draw. Marginally per
-//!   attribute this is exactly a uniform WOR sample of the scoped code
-//!   multiset (the membership count matches row sampling's, and within
-//!   each side the draw is uniform WOR), so Lemma 3's bound applies per
-//!   attribute; attributes are dependent only across the covered region,
-//!   which the union bound over per-attribute events never relied on
-//!   (`tests/tests/guarantee_rate.rs`'s `hybrid_ranges` cell tests it). At
-//!   `m = n_s` every counter holds the exact scoped counts. A sketch
-//!   that disagrees with the columns — another support, or covered
-//!   histograms that do not add up to the covered rows — is set aside
-//!   and the range is sampled physically. Covered counts are one
-//!   subtraction per code of the sketch's cumulative page histograms,
-//!   whatever the number of pages covered.
-//! * **Range scope, MI queries / no sketch** — MI needs joint
-//!   co-occurrences, which per-attribute histograms cannot synthesize, so
-//!   the scope is sampled physically: a prefix shuffle over `n_s`
-//!   offset-mapped into the range, marginals included (a range's exact
-//!   marginals would need its fringe counted; only a full scope takes
-//!   them from the sketch).
-//! * **Predicate scope** — matching rows are materialized by scanning the
-//!   predicate column once, skipping every page whose sketch histogram
-//!   proves zero matches; queries then sample the row list physically.
+//! ### The hybrid path
+//!
+//! A range of an entropy query may instead *synthesise* its covered
+//! pages — the whole `PAGE_ROWS`-row pages inside it — from the exact
+//! per-code histograms the [`DatasetSketch`] holds for them. It does so
+//! iff `covered_rows ≥ 2 × fringe_rows` ([`HYBRID_COVERED_PER_FRINGE`])
+//! and at least one page is covered. The split over the pages is the
+//! same; a synthesised page only reports how many draws it took. Per
+//! attribute, the covered draws of a doubling are then a WOR sample of
+//! the covered region's remaining code multiset, produced as *counts*:
+//! [`CoveredDist`] walks a binary tree over the histogram and splits the
+//! draw count at every node with one more hypergeometric variate (the
+//! multivariate hypergeometric law, factored along the tree). Covered
+//! draws never touch the store and cost a share of one variate per
+//! visited node, not a tree walk per draw. Marginally per attribute this
+//! is exactly a uniform WOR sample of the scoped code multiset (the
+//! covered count has the law row sampling gives it, and within each side
+//! the draw is uniform WOR), so Lemma 3's bound applies per attribute;
+//! attributes are dependent only across the covered region, which the
+//! union bound over per-attribute events never relied on
+//! (`tests/tests/guarantee_rate.rs`'s `hybrid_ranges` cell tests it). At
+//! `m = n_s` every counter holds the exact scoped counts. A sketch that
+//! disagrees with the columns — another support, or covered histograms
+//! that do not add up to the covered rows — is set aside and the range's
+//! pages are read. MI needs joint co-occurrences, which per-attribute
+//! histograms cannot synthesise, so an MI range always reads its rows.
+//!
+//! Synthesis costs about the same whatever the range's length (≈ 1 ms a
+//! query on a 32-column dataset, nearly all of it covered draws). Reading
+//! a range costs what the full scope's reads do, so on hot heap data
+//! synthesis loses to reading (1.8–2.2× at 25–95 % of the rows), and
+//! under a page budget, where it saves page faults, it wins by 2–16×
+//! (EXPERIMENTS.md § "The sketch path: where it pays"). The rule reads the range and
+//! `PAGE_ROWS` and nothing else — not whether the columns are on the heap
+//! or paged, the page budget, the thread count or how the rows are
+//! sharded — because the two paths answer with different bytes (both
+//! within the guarantee): a rule that looked at residency would make the
+//! same request answer differently on a heap server, a budgeted one and a
+//! cluster, and the invariance suites and the result cache both rest on
+//! it not doing so.
 //!
 //! ## `rows_scanned` accounting
 //!
 //! Scoped queries charge physical work only: rows examined while
-//! materializing a predicate scope (setup) plus rows gathered from the
-//! store during sampling. Covered-region draws are synthesized from
-//! sketch histograms without touching the store and are charged zero —
-//! `rows_scanned` measures store traffic, which is precisely what the
-//! sketch exists to avoid. They are counted on their own, per query, and
-//! reach the observer as `RunStats::covered_draws` at `query_end`.
+//! resolving a predicate scope (setup) plus rows gathered from the store
+//! during sampling. Synthesised draws never touch the store and are
+//! charged zero — `rows_scanned` measures store traffic, which is
+//! precisely what the sketch exists to avoid. They are counted on their
+//! own, per query, and reach the observer as `RunStats::covered_draws` at
+//! `query_end`.
 //!
 //! ## Empty scopes
 //!
@@ -102,10 +104,10 @@
 
 use std::ops::Range;
 
-use swope_columnar::{AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch, Positions};
+use swope_columnar::{AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch};
 use swope_obs::{Phase, Plan, QueryObserver, ScopePath};
 use swope_sampling::rng::Xoshiro256pp;
-use swope_sampling::{hypergeometric, PageLayout, PagePrefix, PrefixShuffle};
+use swope_sampling::{hypergeometric, PageMembers, PagePrefix};
 use swope_store::for_packed;
 use swope_store::page::PAGE_ROWS;
 
@@ -117,11 +119,12 @@ use crate::report::{FilterResult, TopKResult};
 use crate::shard::{CountRequest, Counter, ShardCounts};
 use crate::{SwopeConfig, SwopeError};
 
-/// A range scope runs the hybrid sampler iff its whole pages hold at
-/// least this many rows per fringe row (see the module docs for why the
-/// rule may read nothing but the range). 1.5 sends ranges of one page
-/// and half as much fringe again through the simulation, where it costs
-/// 1.4× the rows; 2.5 and 3 read like 2 end to end.
+/// A range scope synthesises its covered pages iff they hold at least
+/// this many rows per fringe row (see the module docs for why the rule
+/// may read nothing but the range). Against a permuted gather of the
+/// range's rows, 1.5 sent ranges of one page and half as much fringe
+/// again through the simulation, where it cost 1.4× the rows; 2.5 and 3
+/// read like 2 end to end.
 const HYBRID_COVERED_PER_FRINGE: usize = 2;
 
 /// A restriction of a query to part of the dataset: a row range
@@ -165,17 +168,9 @@ pub(crate) enum ResolvedScope {
     Full,
     /// A proper sub-range of rows, no predicate.
     RowRange(Range<usize>),
-    /// An explicit, ascending list of matching physical rows.
-    Rows(Vec<u32>),
-}
-
-/// A resolved scope plus the bookkeeping the loops need.
-pub(crate) struct ScopeSetup {
-    pub(crate) resolved: ResolvedScope,
-    /// Scoped population size `n_s`.
-    pub(crate) n: usize,
-    /// Physical rows examined while materializing the scope.
-    pub(crate) setup_rows: u64,
+    /// The rows a predicate matched, as members of their pages, and the
+    /// rows examined to find them.
+    Members(PageMembers, u64),
 }
 
 /// A sketch is only trusted when its shape and every column's support
@@ -191,15 +186,6 @@ fn usable_sketch<'a>(
             && (0..dataset.num_attrs())
                 .all(|attr| sk.column(attr).is_some_and(|c| c.support() == dataset.support(attr)))
     })
-}
-
-/// Per-attribute code counts over the fully covered `pages` of a usable
-/// sketch, or `None` when some column's histograms do not add up to the
-/// rows those pages hold — such a sketch cannot stand in for the store,
-/// and the range is sampled physically instead.
-fn covered_counts(sketch: &DatasetSketch, pages: Range<usize>) -> Option<Vec<Vec<u64>>> {
-    let covered_rows = (pages.len() * PAGE_ROWS) as u64;
-    page_counts(sketch, pages, covered_rows)
 }
 
 /// Every column's counts over `pages`, or `None` unless each adds up to
@@ -233,7 +219,7 @@ pub(crate) fn resolve_scope(
     dataset: &Dataset,
     sketch: Option<&DatasetSketch>,
     scope: &Scope,
-) -> Result<ScopeSetup, SwopeError> {
+) -> Result<ResolvedScope, SwopeError> {
     let num_rows = dataset.num_rows();
     let start = scope.row_start.unwrap_or(0);
     let end = scope.row_end.unwrap_or(num_rows).min(num_rows);
@@ -243,14 +229,8 @@ pub(crate) fn resolve_scope(
         )));
     }
     match scope.predicate {
-        None if start == 0 && end == num_rows => {
-            Ok(ScopeSetup { resolved: ResolvedScope::Full, n: num_rows, setup_rows: 0 })
-        }
-        None => Ok(ScopeSetup {
-            resolved: ResolvedScope::RowRange(start..end),
-            n: end - start,
-            setup_rows: 0,
-        }),
+        None if start == 0 && end == num_rows => Ok(ResolvedScope::Full),
+        None => Ok(ResolvedScope::RowRange(start..end)),
         Some((attr, code)) => {
             let h = dataset.num_attrs();
             if attr >= h {
@@ -265,106 +245,76 @@ pub(crate) fn resolve_scope(
                 )));
             }
             let sketch = usable_sketch(dataset, sketch);
-            let (rows, scanned) = scan_predicate(dataset, sketch, start..end, attr, code);
-            let n = rows.len();
-            Ok(ScopeSetup { resolved: ResolvedScope::Rows(rows), n, setup_rows: scanned })
+            let (members, scanned) = scan_predicate(dataset, sketch, start..end, attr, code);
+            Ok(ResolvedScope::Members(members, scanned))
         }
     }
 }
 
-/// Collects the rows in `range` whose `attr` code equals `code`, skipping
-/// pages the sketch proves empty of matches. Returns the rows (ascending)
-/// and the number of rows actually examined.
+/// The rows in `range` whose `attr` code equals `code`, as members of
+/// their pages, skipping pages the sketch proves empty of matches; and
+/// the number of rows examined.
+///
+/// Slot `s` of a page holds its row `s ^ deltas[s]`. A heap page is read
+/// in storage order, slot by slot. A paged one is stored in row order: it
+/// is read once into a bitmap of its matching rows, which the slots then
+/// look their rows up in. Either way the members come out in slot order.
 fn scan_predicate(
     dataset: &Dataset,
     sketch: Option<&DatasetSketch>,
     range: Range<usize>,
     attr: AttrIndex,
     code: Code,
-) -> (Vec<u32>, u64) {
+) -> (PageMembers, u64) {
     let column = dataset.column(attr);
-    let mut rows = Vec::new();
+    let to_row = dataset.layout().row_deltas();
+    let mut members = PageMembers::default();
     let mut scanned = 0u64;
-    let first_page = range.start / PAGE_ROWS;
-    let last_page = range.end.div_ceil(PAGE_ROWS);
-    for page in first_page..last_page {
+    for page in range.start / PAGE_ROWS..range.end.div_ceil(PAGE_ROWS) {
         if let Some(sk) = sketch {
             if sk.column(attr).is_some_and(|c| c.page_count(page, code) == 0) {
                 continue;
             }
         }
-        let lo = range.start.max(page * PAGE_ROWS);
-        let hi = range.end.min((page + 1) * PAGE_ROWS);
+        let first = page * PAGE_ROWS;
+        let page_len = (dataset.num_rows() - first).min(PAGE_ROWS);
+        let (lo, hi) = (range.start.max(first) - first, range.end.min(first + page_len) - first);
         scanned += (hi - lo) as u64;
+        let deltas = &to_row[first..first + page_len];
+        // In 16-bit lanes: the span only overflows one when it is the
+        // whole page.
+        let (whole, lo16, span) = (hi - lo == page_len, lo as u16, (hi - lo) as u16);
+        let in_range = |s: usize, d: u16| whole | ((s as u16 ^ d).wrapping_sub(lo16) < span);
         match column.storage() {
-            ColumnStorage::Heap(packed) => {
-                let layout = column.layout().expect("a heap column is laid out");
-                for_packed!(packed.codes(), |codes| {
-                    push_matches(codes, layout, lo..hi, code, &mut rows)
+            ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |codes| {
+                let codes = &codes[first..first + page_len];
+                members.push_page(page, page_len, |slots, flags| {
+                    let stored = codes[slots.clone()].iter().zip(&deltas[slots.clone()]);
+                    for ((flag, (c, &d)), s) in flags.iter_mut().zip(stored).zip(slots) {
+                        *flag = (c.widen() == code) & in_range(s, d);
+                    }
+                })
+            }),
+            // Only pages that can hold matches are read: a sketch-skipped
+            // page is never faulted (nor CRC-checked).
+            ColumnStorage::Paged(paged) => {
+                let view = paged.page(page).unwrap_or_else(|e| panic!("{e}"));
+                let mut hits = [0u64; PAGE_ROWS / 64];
+                let mut row = lo;
+                view.slice(lo..hi).for_each(|c| {
+                    hits[row / 64] |= u64::from(c == code) << (row % 64);
+                    row += 1;
+                });
+                members.push_page(page, page_len, |slots, flags| {
+                    for ((flag, &d), s) in flags.iter_mut().zip(&deltas[slots.clone()]).zip(slots) {
+                        let row = s ^ usize::from(d);
+                        *flag = hits[row / 64] >> (row % 64) & 1 == 1;
+                    }
                 })
             }
-            // Read in place, one page at a time, and only pages that can
-            // hold matches: a sketch-skipped page is never faulted (nor
-            // CRC-checked).
-            ColumnStorage::Paged(paged) => paged
-                .try_for_each_page(lo..hi, |first, page| {
-                    let mut row = lo.max(first);
-                    let to = hi.min(first + page.len());
-                    page.slice(row - first..to - first).for_each(|c| {
-                        push_if(&mut rows, row as u32, c == code);
-                        row += 1;
-                    })
-                })
-                .unwrap_or_else(|e| panic!("{e}")),
         }
     }
-    (rows, scanned)
-}
-
-/// Appends, in row order, every row of `range` — in one page — whose
-/// code in `codes`, a heap column stored in `layout`, equals `code`.
-///
-/// A whole page is read in storage order: each match marks its row in a
-/// bitmap of the page, and the set bits are the rows, in order (1.2–1.8
-/// ns a row over a `u8` column, against 1.9–2.7 for a table lookup and a
-/// load at each row). A part of a page looks its rows up one by one.
-fn push_matches<R: CodeRepr>(
-    codes: &[R],
-    layout: &PageLayout,
-    range: Range<usize>,
-    code: Code,
-    rows: &mut Vec<u32>,
-) {
-    let page = range.start - range.start % PAGE_ROWS;
-    if range.start != page || range.end != (page + PAGE_ROWS).min(codes.len()) {
-        for row in range.start as u32..range.end as u32 {
-            let c = codes[layout.position_of(row) as usize];
-            push_if(rows, row, c.widen() == code);
-        }
-        return;
-    }
-    let mut hits = [0u64; PAGE_ROWS / 64];
-    let deltas = &layout.row_deltas()[range.clone()];
-    for (p, (c, &d)) in codes[range].iter().zip(deltas).enumerate() {
-        let row = p ^ usize::from(d);
-        hits[row / 64] |= u64::from(c.widen() == code) << (row % 64);
-    }
-    for (w, &word) in hits.iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            rows.push((page + w * 64) as u32 + word.trailing_zeros());
-            word &= word - 1;
-        }
-    }
-}
-
-/// Appends `row` iff `hit`, without branching on it: whether a row holds
-/// a frequent code is a coin flip the predictor loses (≈ 3.3 ns a row on
-/// the end-to-end list's predicates), a store that is taken back is not.
-#[inline]
-fn push_if(rows: &mut Vec<u32>, row: u32, hit: bool) {
-    rows.push(row);
-    rows.truncate(rows.len() - usize::from(!hit));
+    (members, scanned)
 }
 
 /// WOR sampler over a multiset of codes: the covered region's remaining
@@ -458,213 +408,33 @@ impl CoveredDist {
     }
 }
 
-/// RNG fork labels for the hybrid sampler's independent streams.
-const MEMBER_LABEL: u64 = 0x5C09;
-const FRINGE_LABEL: u64 = 0xF219;
+/// RNG fork label of the covered draws' streams, one per attribute.
 const DIST_LABEL: u64 = 0xD157;
 
-/// The hybrid covered/fringe sampler for range-scoped entropy queries.
-pub(crate) struct HybridPop {
-    n: usize,
-    drawn: usize,
-    rem_covered: u64,
-    member_rng: Xoshiro256pp,
-    /// The materialized fringe under an incremental Fisher–Yates
-    /// shuffle: the first `fringe_fixed` entries are the fringe rows
-    /// drawn so far, in draw order (the physical deltas the loops
-    /// ingest); the rest are still in the urn.
-    fringe_rows: Vec<u32>,
-    fringe_fixed: usize,
-    fringe_rng: Xoshiro256pp,
-    /// Per-attribute covered-region code counts (summed sketch pages).
-    covered_counts: Vec<Vec<u64>>,
-    dist_base: Xoshiro256pp,
-}
-
-impl HybridPop {
-    /// Grows the sample to `target` draws: one hypergeometric variate
-    /// says how many of the new draws land in the covered region, the
-    /// rest are shuffled out of the fringe. Returns the new fringe rows
-    /// (a range of `fringe_rows`) and the covered draw count.
-    fn grow(&mut self, target: usize) -> (Range<usize>, u64) {
-        let step = target.min(self.n).saturating_sub(self.drawn);
-        let before = self.fringe_fixed;
-        let rem_fringe = (self.fringe_rows.len() - before) as u64;
-        let covered_k = hypergeometric(
-            &mut self.member_rng,
-            self.rem_covered + rem_fringe,
-            self.rem_covered,
-            step as u64,
-        );
-        self.rem_covered -= covered_k;
-        self.drawn += step;
-        for i in before..before + (step - covered_k as usize) {
-            let span = (self.fringe_rows.len() - i) as u64;
-            let j = i + self.fringe_rng.next_below(span) as usize;
-            self.fringe_rows.swap(i, j);
-        }
-        self.fringe_fixed += step - covered_k as usize;
-        (before..self.fringe_fixed, covered_k)
-    }
-
-    fn dist_for(&self, attr: AttrIndex) -> CoveredDist {
-        CoveredDist::new(&self.covered_counts[attr], self.dist_base.fork(attr as u64))
-    }
-}
-
-/// How a physical sampler's draws map to dataset rows.
-enum RowMap {
-    /// Draws index a contiguous range starting here (range scope).
-    Offset(u32),
-    /// Draws index an explicit row list (predicate scope).
-    List(Vec<u32>),
-}
-
-enum PopKind {
-    /// The whole dataset, sampled by page prefixes over its layout.
-    Full(PagePrefix),
-    /// A range or a row list, sampled by a prefix shuffle over its `n`
-    /// rows. `sampler` is built by the first [`Population::grow`], so
-    /// that the shuffle's `4n`-byte identity is written inside the first
-    /// `sample_grow` span rather than before any span opens.
-    Physical {
-        sampler: Option<PrefixShuffle>,
-        seed: u64,
-        map: RowMap,
-    },
-    Hybrid(HybridPop),
-}
-
-/// The population a local query samples from: the whole dataset, a
-/// mapped sub-population, or the hybrid covered/fringe simulation.
-pub(crate) struct Population {
-    n: usize,
-    setup_rows: u64,
-    /// How a row range was split and which sampler it got; `None` for
-    /// full and predicate scopes, which have no choice to make.
-    path: Option<ScopePath>,
-    kind: PopKind,
-    /// A delta's dataset rows, for the scoped samplers; reused.
-    rows: Vec<u32>,
-    /// A delta's storage positions; reused.
-    positions: Vec<u32>,
-}
-
-/// One [`Population::grow`] step.
-pub(crate) struct Growth<'a> {
-    /// The new physical rows' storage positions
-    /// ([`Dataset::window_positions`], [`Dataset::row_positions`]).
-    pub delta: Positions<'a>,
-    /// Covered-region draws this step (0 for physical populations).
-    pub covered_k: u64,
-    /// Total draws so far (physical + covered).
-    pub sampled: usize,
-}
-
-impl Population {
-    /// The population `setup` resolved to. `hybrid` enables the
-    /// covered/fringe simulation (valid for entropy queries only; MI
-    /// queries need joint co-occurrences and must sample physically).
-    pub(crate) fn new(
-        dataset: &Dataset,
-        sketch: Option<&DatasetSketch>,
-        setup: ScopeSetup,
-        config: &SwopeConfig,
-        hybrid: bool,
-    ) -> Self {
-        let seed = config.seed;
-        let physical = |map| PopKind::Physical { sampler: None, seed, map };
-        let mut path = None;
-        let kind = match setup.resolved {
-            ResolvedScope::Full => PopKind::Full(PagePrefix::new(setup.n, seed)),
-            ResolvedScope::RowRange(range) => {
-                // Pages fully inside the range are covered; the rest of
-                // the range is fringe.
-                let first_page = range.start.div_ceil(PAGE_ROWS);
-                let last_page = range.end / PAGE_ROWS;
-                let covered_rows = last_page.saturating_sub(first_page) * PAGE_ROWS;
-                let fringe_rows = range.len() - covered_rows;
-                let covered = (hybrid
-                    && covered_rows > 0
-                    && covered_rows >= HYBRID_COVERED_PER_FRINGE * fringe_rows)
-                    .then(|| usable_sketch(dataset, sketch))
-                    .flatten()
-                    .and_then(|sk| covered_counts(sk, first_page..last_page));
-                path = Some(ScopePath {
-                    hybrid: covered.is_some(),
-                    covered_rows: covered_rows as u64,
-                    fringe_rows: fringe_rows as u64,
-                });
-                match covered {
-                    Some(covered_counts) => {
-                        let mut fringe_rows = Vec::with_capacity(fringe_rows);
-                        fringe_rows.extend(range.start as u32..(first_page * PAGE_ROWS) as u32);
-                        fringe_rows.extend((last_page * PAGE_ROWS) as u32..range.end as u32);
-                        let base = Xoshiro256pp::seed_from_u64(seed);
-                        PopKind::Hybrid(HybridPop {
-                            n: range.len(),
-                            drawn: 0,
-                            rem_covered: covered_rows as u64,
-                            member_rng: base.fork(MEMBER_LABEL),
-                            fringe_rows,
-                            fringe_fixed: 0,
-                            fringe_rng: base.fork(FRINGE_LABEL),
-                            covered_counts,
-                            dist_base: base.fork(DIST_LABEL),
-                        })
-                    }
-                    None => physical(RowMap::Offset(range.start as u32)),
-                }
-            }
-            ResolvedScope::Rows(list) => physical(RowMap::List(list)),
-        };
-        let (rows, positions) = (Vec::new(), Vec::new());
-        Self { n: setup.n, setup_rows: setup.setup_rows, path, kind, rows, positions }
-    }
-
-    /// Grows the sample to `target` draws and hands back the new
-    /// physical rows' positions in `dataset` — the dataset the
-    /// population was resolved against — and the covered draw count.
-    pub(crate) fn grow(&mut self, dataset: &Dataset, target: usize) -> Growth<'_> {
-        let (n, rows, positions) = (self.n, &mut self.rows, &mut self.positions);
-        match &mut self.kind {
-            PopKind::Full(sampler) => {
-                sampler.grow_to(target);
-                let delta = dataset.window_positions(sampler.windows(), rows);
-                Growth { delta, covered_k: 0, sampled: sampler.sampled() }
-            }
-            PopKind::Physical { sampler, seed, map } => {
-                let sampler = sampler.get_or_insert_with(|| PrefixShuffle::new(n, *seed));
-                let delta = sampler.grow_to(target);
-                rows.clear();
-                match map {
-                    RowMap::Offset(off) => rows.extend(delta.iter().map(|&r| r + *off)),
-                    RowMap::List(list) => rows.extend(delta.iter().map(|&r| list[r as usize])),
-                }
-                let sampled = sampler.sampled();
-                Growth { delta: dataset.row_positions(rows, positions), covered_k: 0, sampled }
-            }
-            PopKind::Hybrid(hp) => {
-                let (delta_range, covered_k) = hp.grow(target);
-                let delta = dataset.row_positions(&hp.fringe_rows[delta_range], positions);
-                Growth { delta, covered_k, sampled: hp.drawn }
-            }
-        }
-    }
-}
-
-/// The local [`CountSource`]: a dataset's rows, sampled through the
-/// [`Population`] its scope resolved to and counted the way a shard
-/// counts — one [`Counter`], then one [`Measure::apply`].
+/// The local [`CountSource`]: a dataset's rows, sampled from the
+/// population its scope resolved to — the scope's rows as members of
+/// their pages, drawn by one [`PagePrefix`] — and counted the way a shard
+/// counts: one [`Counter`], then one [`Measure::apply`]. On the hybrid
+/// path a range's covered pages are synthesised: their draws come back
+/// as a count, which the covered histograms stand in for.
 pub(crate) struct LocalSource<'a> {
     dataset: &'a Dataset,
-    pop: Population,
+    /// Whether the scope is short of the whole dataset.
+    scoped: bool,
+    /// How a row range was split and which path it took; `None` for
+    /// full, predicate and empty scopes, which have no choice to make.
+    path: Option<ScopePath>,
+    /// Rows examined to resolve the scope.
+    setup_rows: u64,
+    sampler: PagePrefix,
+    /// A delta's rows, on a paged dataset; reused.
+    rows: Vec<u32>,
     counter: Counter,
     /// The iteration's request and counts, refilled in place.
     req: CountRequest,
     counts: ShardCounts,
-    /// A hybrid sample's covered-region code distribution of every live
-    /// candidate, in attribute order; empty for physical populations.
+    /// The covered region's code distribution of every live candidate, in
+    /// attribute order, on the hybrid path; empty elsewhere.
     covered: Vec<(AttrIndex, CoveredDist)>,
     /// The sketch, when the scope is the whole dataset: its page
     /// histograms hold the population's marginals.
@@ -673,6 +443,9 @@ pub(crate) struct LocalSource<'a> {
 
 impl<'a> LocalSource<'a> {
     /// Resolves `scope` against `dataset` and sets up its sampler.
+    /// `hybrid` lets a range's covered pages be synthesised (valid for
+    /// entropy queries only; MI queries need joint co-occurrences and
+    /// must read their rows).
     pub(crate) fn open(
         dataset: &'a Dataset,
         scope: &Scope,
@@ -680,34 +453,71 @@ impl<'a> LocalSource<'a> {
         config: &SwopeConfig,
         hybrid: bool,
     ) -> Result<Self, SwopeError> {
-        let setup = resolve_scope(dataset, sketch, scope)?;
-        let scoped = !matches!(setup.resolved, ResolvedScope::Full);
-        let pop = Population::new(dataset, sketch, setup, config, hybrid);
-        let full_sketch = sketch.filter(|_| !scoped);
-        let covered = match &pop.kind {
-            PopKind::Hybrid(hp) => (0..dataset.num_attrs()).map(|a| (a, hp.dist_for(a))).collect(),
-            PopKind::Full(_) | PopKind::Physical { .. } => Vec::new(),
+        let resolved = resolve_scope(dataset, sketch, scope)?;
+        let scoped = !matches!(resolved, ResolvedScope::Full);
+        let (mut path, mut covered, mut setup_rows) = (None, None, 0);
+        let members = match resolved {
+            ResolvedScope::Full => PageMembers::range(dataset.layout(), 0..dataset.num_rows()),
+            ResolvedScope::RowRange(range) if range.is_empty() => PageMembers::default(),
+            ResolvedScope::RowRange(range) => {
+                // Pages fully inside the range are covered; the rest of
+                // the range is fringe.
+                let first_page = range.start.div_ceil(PAGE_ROWS);
+                let last_page = range.end / PAGE_ROWS;
+                let covered_rows = last_page.saturating_sub(first_page) * PAGE_ROWS;
+                let fringe_rows = range.len() - covered_rows;
+                covered = (hybrid
+                    && covered_rows > 0
+                    && covered_rows >= HYBRID_COVERED_PER_FRINGE * fringe_rows)
+                    .then(|| usable_sketch(dataset, sketch))
+                    .flatten()
+                    // A sketch whose histograms do not add up to the
+                    // covered rows cannot stand in for them.
+                    .and_then(|sk| page_counts(sk, first_page..last_page, covered_rows as u64));
+                path = Some(ScopePath {
+                    hybrid: covered.is_some(),
+                    covered_rows: covered_rows as u64,
+                    fringe_rows: fringe_rows as u64,
+                });
+                let members = PageMembers::range(dataset.layout(), range);
+                match covered {
+                    Some(_) => members.synthesise(first_page..last_page),
+                    None => members,
+                }
+            }
+            ResolvedScope::Members(members, scanned) => {
+                setup_rows = scanned;
+                members
+            }
         };
+        let base = Xoshiro256pp::seed_from_u64(config.seed).fork(DIST_LABEL);
+        let covered = covered.unwrap_or_default().into_iter().enumerate();
+        let covered =
+            covered.map(|(a, c)| (a, CoveredDist::new(&c, base.fork(a as u64)))).collect();
         Ok(Self {
             dataset,
-            pop,
+            scoped,
+            path,
+            setup_rows,
+            sampler: PagePrefix::new(members, config.seed),
+            rows: Vec::new(),
             counter: Counter::new(dataset),
             req: CountRequest { target: None, live: Vec::new() },
             counts: ShardCounts::empty(None, []),
             covered,
-            full_sketch,
+            full_sketch: sketch.filter(|_| !scoped),
         })
     }
 
     /// Whether the scope is short of the whole dataset.
     pub(crate) fn scoped(&self) -> bool {
-        !matches!(self.pop.kind, PopKind::Full(_))
+        self.scoped
     }
 }
 
 impl CountSource for LocalSource<'_> {
     fn plan(&self) -> Plan {
-        let (n, path, scope_rows) = (self.pop.n, self.pop.path, self.pop.setup_rows);
+        let (n, path, scope_rows) = (self.sampler.num_rows(), self.path, self.setup_rows);
         Plan { n, path, scope_rows, ..Plan::default() }
     }
 
@@ -736,18 +546,20 @@ impl CountSource for LocalSource<'_> {
         exec: &Executor,
     ) -> Result<(), SwopeError> {
         let span = round.it.phase_start();
-        let grown = self.pop.grow(self.dataset, m_target);
+        self.sampler.grow_to(m_target);
+        // The new rows' storage positions, and the synthesised draws.
+        let delta = self.dataset.sample_positions(self.sampler.positions(), &mut self.rows);
+        let k = self.sampler.synthesised();
         round.it.phase_end(Phase::SampleGrow, span);
-        round.announce(grown.sampled, grown.delta.len(), states.len(), M::WORK);
+        round.announce(self.sampler.sampled(), delta.len(), states.len(), M::WORK);
 
         let span = round.it.phase_start();
         let (req, counts) = (&mut self.req, &mut self.counts);
         measure.request(states, req);
-        self.counter.count(self.dataset, grown.delta, req, counts, exec);
+        self.counter.count(self.dataset, delta, req, counts, exec);
         // Candidates retire by `retain`, so the live list keeps attribute
         // order and a retired candidate's draws go with it.
         self.covered.retain(|(attr, _)| req.live.binary_search(attr).is_ok());
-        let k = grown.covered_k;
         if k > 0 {
             exec.for_each2(&mut self.covered, &mut counts.attrs, |(_, dist), delta| {
                 dist.draw_into(delta, k);
@@ -839,11 +651,34 @@ mod tests {
         DatasetSketch::build(ds.num_rows(), (0..ds.num_attrs()).map(|a| ds.column(a).packed()))
     }
 
-    /// A predicate scope resolves to the same ascending rows on a heap
-    /// dataset, whose columns keep a page layout, as on its paged copy,
-    /// which keeps row order: the rows that match in row order.
+    /// The members a predicate scope resolves to.
+    fn members_of(ds: &Dataset, sk: Option<&DatasetSketch>, scope: &Scope) -> PageMembers {
+        match resolve_scope(ds, sk, scope).unwrap() {
+            ResolvedScope::Members(members, _) => members,
+            _ => panic!("a predicate resolves to members"),
+        }
+    }
+
+    /// The population of `rows` of `ds`, as a range's members are built:
+    /// each page's slots whose rows are in `rows`, in slot order.
+    fn members_of_rows(ds: &Dataset, rows: &[usize]) -> PageMembers {
+        let mut members = PageMembers::default();
+        for (page, deltas) in ds.layout().row_deltas().chunks(PAGE_ROWS).enumerate() {
+            members.push_page(page, deltas.len(), |slots, flags| {
+                for (flag, s) in flags.iter_mut().zip(slots) {
+                    let row = page * PAGE_ROWS + (s ^ usize::from(deltas[s]));
+                    *flag = rows.binary_search(&row).is_ok();
+                }
+            })
+        }
+        members
+    }
+
+    /// A predicate scope resolves to the same members on a heap dataset,
+    /// whose columns keep a page layout, as on its paged copy, which keeps
+    /// row order: the slots of the rows that match, in slot order.
     #[test]
-    fn predicate_rows_are_in_row_order_on_heap_and_paged_data() {
+    fn predicate_members_are_equal_on_heap_and_paged_data() {
         let n = 3 * PAGE_ROWS + 1_234;
         let ds = dataset(n, &[5, 300]);
         let path = std::env::temp_dir()
@@ -854,25 +689,15 @@ mod tests {
             swope_columnar::snapshot::open(&path, swope_columnar::Residency::Paged(&cache))
                 .unwrap();
         std::fs::remove_file(&path).ok();
-        let rows_of = |ds: &Dataset, sk: Option<&DatasetSketch>, scope: &Scope| match resolve_scope(
-            ds, sk, scope,
-        )
-        .unwrap()
-        .resolved
-        {
-            ResolvedScope::Rows(rows) => rows,
-            _ => panic!("a predicate resolves to rows"),
-        };
         for (attr, code) in [(0, 2), (1, 17)] {
             for (start, end) in [(0, n), (1_000, 2 * PAGE_ROWS + 5)] {
                 let scope = Scope::range(start, end).with_predicate(attr, code);
-                let want: Vec<u32> = (start..end)
-                    .filter(|&r| ds.column(attr).code(r) == code)
-                    .map(|r| r as u32)
-                    .collect();
+                let want: Vec<usize> =
+                    (start..end).filter(|&r| ds.column(attr).code(r) == code).collect();
                 assert!(!want.is_empty());
-                assert_eq!(rows_of(&ds, None, &scope), want, "heap, {scope:?}");
-                assert_eq!(rows_of(&paged, sk.as_ref(), &scope), want, "paged, {scope:?}");
+                let want = members_of_rows(&ds, &want);
+                assert_eq!(members_of(&ds, None, &scope), want, "heap, {scope:?}");
+                assert_eq!(members_of(&paged, sk.as_ref(), &scope), want, "paged, {scope:?}");
             }
         }
     }
@@ -1021,29 +846,37 @@ mod tests {
         assert!(matches!(resolve_scope(&ds, None, &bad_code), Err(SwopeError::InvalidScope(_))));
     }
 
+    /// The source `scope` resolves to, offered `sk` for an entropy query.
+    fn population<'a>(
+        ds: &'a Dataset,
+        sk: Option<&'a DatasetSketch>,
+        scope: &Scope,
+    ) -> LocalSource<'a> {
+        LocalSource::open(ds, scope, sk, &SwopeConfig::default(), true).unwrap()
+    }
     #[test]
     fn resolve_detects_full_and_clamps() {
         let ds = dataset(100, &[4]);
         for scope in [Scope::all(), Scope::range(0, 100), Scope::range(0, 500)] {
-            let setup = resolve_scope(&ds, None, &scope).unwrap();
-            assert!(matches!(setup.resolved, ResolvedScope::Full), "{scope:?}");
-            assert_eq!(setup.n, 100);
+            let resolved = resolve_scope(&ds, None, &scope).unwrap();
+            assert!(matches!(resolved, ResolvedScope::Full), "{scope:?}");
+            assert_eq!(population(&ds, None, &scope).sampler.num_rows(), 100);
         }
-        let setup = resolve_scope(&ds, None, &Scope::range(10, 10)).unwrap();
-        assert_eq!(setup.n, 0);
+        // An empty range has no member, so no path to count.
+        let empty = population(&ds, None, &Scope::range(10, 10));
+        assert_eq!((empty.sampler.num_rows(), empty.path), (0, None));
     }
 
     #[test]
     fn predicate_scope_materializes_matching_rows() {
         let ds = dataset(1000, &[4, 8]);
         let scope = Scope::all().with_predicate(0, 2);
-        let setup = resolve_scope(&ds, Some(&sketch_of(&ds)), &scope).unwrap();
-        let ResolvedScope::Rows(rows) = &setup.resolved else { panic!("expected rows") };
-        let expected: Vec<u32> =
-            (0..1000).filter(|&r| ds.column(0).code(r) == 2).map(|r| r as u32).collect();
-        assert_eq!(rows, &expected);
-        assert_eq!(setup.n, expected.len());
-        assert_eq!(setup.setup_rows, 1000);
+        let resolved = resolve_scope(&ds, Some(&sketch_of(&ds)), &scope).unwrap();
+        let ResolvedScope::Members(members, scanned) = resolved else { panic!("expected members") };
+        let expected: Vec<usize> = (0..1000).filter(|&r| ds.column(0).code(r) == 2).collect();
+        assert_eq!(members, members_of_rows(&ds, &expected));
+        assert_eq!(members.len(), expected.len());
+        assert_eq!(scanned, 1000);
     }
 
     #[test]
@@ -1218,9 +1051,8 @@ mod tests {
     /// Whether `start..end` of `ds` runs the hybrid sampler when offered
     /// `sk` for an entropy query.
     fn is_hybrid(ds: &Dataset, sk: &DatasetSketch, start: usize, end: usize) -> bool {
-        let setup = resolve_scope(ds, Some(sk), &Scope::range(start, end)).unwrap();
-        let pop = Population::new(ds, Some(sk), setup, &SwopeConfig::default(), true);
-        let hybrid = matches!(pop.kind, PopKind::Hybrid(_));
+        let pop = population(ds, Some(sk), &Scope::range(start, end));
+        let hybrid = !pop.covered.is_empty();
         assert_eq!(pop.path.map(|p| p.hybrid), Some(hybrid));
         hybrid
     }
@@ -1243,8 +1075,7 @@ mod tests {
         assert!(!is_hybrid(&ds, &sk, PAGE_ROWS + 1, 2 * PAGE_ROWS));
         assert!(!is_hybrid(&ds, &sk, 10, 20));
         // The path is the chooser's, with its inputs.
-        let setup = resolve_scope(&ds, Some(&sk), &Scope::range(start - 1, end)).unwrap();
-        let pop = Population::new(&ds, Some(&sk), setup, &SwopeConfig::default(), true);
+        let pop = population(&ds, Some(&sk), &Scope::range(start - 1, end));
         let path = ScopePath {
             hybrid: false,
             covered_rows: 2 * PAGE_ROWS as u64,
@@ -1252,9 +1083,10 @@ mod tests {
         };
         assert_eq!(pop.path, Some(path));
         // MI queries never take it.
-        let setup = resolve_scope(&ds, Some(&sk), &Scope::range(start, end)).unwrap();
-        let pop = Population::new(&ds, Some(&sk), setup, &SwopeConfig::default(), false);
-        assert!(matches!(pop.kind, PopKind::Physical { .. }));
+        let cfg = SwopeConfig::default();
+        let pop =
+            LocalSource::open(&ds, &Scope::range(start, end), Some(&sk), &cfg, false).unwrap();
+        assert!(pop.covered.is_empty());
     }
 
     #[test]
@@ -1272,12 +1104,16 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                assert_eq!(covered_counts(&sk, first..last), Some(summed), "{first}..{last}");
+                assert_eq!(
+                    page_counts(&sk, first..last, ((last - first) * PAGE_ROWS) as u64),
+                    Some(summed),
+                    "{first}..{last}"
+                );
             }
         }
         // The partial last page is never a covered page; asking for it
         // comes up short of whole pages and is refused.
-        assert!(covered_counts(&sk, 3..5).is_none());
+        assert!(page_counts(&sk, 3..5, 2 * PAGE_ROWS as u64).is_none());
     }
 
     #[test]
@@ -1359,13 +1195,13 @@ mod tests {
         );
         assert!(usable_sketch(&ds, Some(&crafted)).is_some());
         let over_bad = Scope::range(PAGE_ROWS - 5, 3 * PAGE_ROWS + 5);
-        assert!(covered_counts(&crafted, 1..3).is_none());
+        assert!(page_counts(&crafted, 1..3, 2 * PAGE_ROWS as u64).is_none());
         assert_eq!(
             entropy_answers(&ds, &over_bad, Some(&crafted)),
             entropy_answers(&ds, &over_bad, None)
         );
         let past_bad = Scope::range(2 * PAGE_ROWS - 5, 4 * PAGE_ROWS);
-        assert!(covered_counts(&crafted, 2..4).is_some());
+        assert!(page_counts(&crafted, 2..4, 2 * PAGE_ROWS as u64).is_some());
         assert_eq!(
             entropy_answers(&ds, &past_bad, Some(&crafted)),
             entropy_answers(&ds, &past_bad, Some(&sketch_of(&ds)))

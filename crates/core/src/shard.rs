@@ -23,22 +23,23 @@
 //! ## Sampling and counting
 //!
 //! Whoever drives the shards owns the query's **one** sample of the
-//! population, the sample an unsharded run draws. Over a whole dataset
-//! that is a [`PagePrefix`]: each doubling returns windows, runs of
-//! positions in the dataset's page layout (`swope_sampling::PageLayout`).
+//! population, the sample an unsharded run draws: a [`PagePrefix`] over
+//! the population's members in the dataset's page layout
+//! (`swope_sampling::PageLayout`). Each doubling returns positions — a
+//! run or two for every whole page it drew from, a list for the rest.
 //! [`LocalShardSource`] turns them into positions of its dataset
-//! ([`Dataset::window_positions`]) and cuts those at the shards' row
-//! cuts: a heap dataset's runs with [`ShardPlan::split_runs`], a paged
-//! one's rows with [`ShardPlan::split`]. The layout only moves rows within a page, so a
+//! ([`Dataset::sample_positions`]) and cuts those at the shards' row
+//! cuts: runs with [`ShardPlan::split_runs`], a list with
+//! [`ShardPlan::split`]. The layout only moves rows within a page, so a
 //! shard may count a few rows near its cut that sit on the other side;
 //! every shard counts the same dataset, and any partition of the
 //! positions merges to the same counts. `swope-cluster`'s coordinator
-//! holds no rows: it turns the windows into union rows through the
+//! holds no rows: it turns the positions into union rows through the
 //! union's layout, splits them by owning peer with the same
 //! [`ShardPlan::split`] and sends each peer its own rows, which the peer
 //! maps to its own positions ([`Dataset::row_positions`]). A peer
-//! samples nothing, and its work is `O(m_i)`. A row range keeps a
-//! `PrefixShuffle` over its rows on every path.
+//! samples nothing, and its work is `O(m_i)`. A row range is the same
+//! sampler over the range's members, on every path.
 //!
 //! Every shard counts its positions through a [`Counter`]: the one count
 //! body, which also counts the unsharded loop's rows. It groups the
@@ -61,7 +62,7 @@ use std::ops::Range;
 
 use swope_columnar::{AttrIndex, Dataset, DatasetSketch, PageGrouper, Positions};
 use swope_obs::{Phase, Plan, QueryObserver};
-use swope_sampling::PagePrefix;
+use swope_sampling::{PageMembers, PagePrefix};
 
 use crate::count::{
     count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf,
@@ -278,8 +279,8 @@ pub fn dataset_meta(dataset: &Dataset) -> Vec<AttrMeta> {
 ///
 /// Holds the one global [`PagePrefix`] — the sampler an unsharded
 /// full-scope run draws from — and every `advance` cuts the delta's
-/// positions at the shards' row cuts into reusable per-shard lists, then
-/// fans one [`Counter`] per shard out on the executor. The layout only
+/// positions at the shards' row cuts into reusable per-shard runs and
+/// lists, then fans one [`Counter`] per shard out on the executor. The layout only
 /// moves rows within a page, so the cut assigns some rows near it to the
 /// neighbouring shard; every shard still counts the same dataset, and
 /// any partition of the positions merges to the same counts.
@@ -298,8 +299,8 @@ pub struct LocalShardSource<'a> {
     last: CountRequest,
 }
 
-/// One in-process shard: its positions of the current delta — runs on a
-/// heap dataset, a list on a paged one — and its counter.
+/// One in-process shard: its positions of the current delta — runs and
+/// a list on a heap dataset, a list on a paged one — and its counter.
 struct Shard {
     list: Vec<u32>,
     runs: Vec<Range<u32>>,
@@ -354,7 +355,7 @@ impl Shelf {
 /// so do a cluster peer's session and the unsharded loop's source.
 ///
 /// It takes *positions* ([`Dataset::row_positions`],
-/// [`Dataset::window_positions`]), so the kernels never see the layout:
+/// [`Dataset::sample_positions`]), so the kernels never see the layout:
 /// a heap column is indexed where the layout stores a row, a paged one by
 /// the row itself.
 pub struct Counter {
@@ -415,10 +416,7 @@ impl Counter {
             slot.attr = attr;
         }
 
-        let rows = match positions {
-            Positions::List(list) => Positions::List(grouper.group(list)),
-            runs => runs,
-        };
+        let rows = Positions { list: grouper.group(positions.list), ..positions };
         if let (Some(t), Some(hist)) = (req.target, counts.target.as_mut()) {
             count_target(dataset.column(t), rows, hist, target);
         }
@@ -468,7 +466,7 @@ impl<'a> LocalShardSource<'a> {
             sketch: None,
             exec,
             meta: dataset_meta(dataset),
-            sampler: PagePrefix::new(n, config.seed),
+            sampler: PagePrefix::new(PageMembers::range(dataset.layout(), 0..n), config.seed),
             rows: Vec::new(),
             shards: (0..plan.num_shards())
                 .map(|_| Shard {
@@ -514,23 +512,15 @@ impl ShardTransport for LocalShardSource<'_> {
             shard.list.clear();
             shard.runs.clear();
         }
-        let heap = match dataset.window_positions(sampler.grow_to(m_target), rows) {
-            Positions::Runs(runs) => {
-                plan.split_runs(runs, |shard, run| shards[shard].runs.push(run));
-                true
-            }
-            Positions::List(list) => {
-                plan.split(list, |shard, p| shards[shard].list.push(p));
-                false
-            }
-        };
+        let delta = dataset.sample_positions(sampler.grow_to(m_target), rows);
+        plan.split_runs(delta.runs, |shard, run| shards[shard].runs.push(run));
+        plan.split(delta.list, |shard, p| shards[shard].list.push(p));
 
         let mut out = vec![ShardCounts::empty(None, []); shards.len()];
         let dataset = self.dataset;
         // The shards are the fan-out: a pool dispatch must not nest in one.
         self.exec.for_each2(shards, &mut out, |shard, counts| {
-            let positions =
-                if heap { Positions::Runs(&shard.runs) } else { Positions::List(&shard.list) };
+            let positions = Positions { runs: &shard.runs, list: &shard.list };
             shard.counter.count(dataset, positions, req, counts, &Executor::sequential())
         });
         self.last.clone_from(req);

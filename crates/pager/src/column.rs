@@ -338,9 +338,9 @@ impl PagedColumn {
         gathered
     }
 
-    /// [`gather`](Self::gather) widened to `u32` — the paged analogue of
-    /// `PackedCodes::gather_widen`, for a buffer that outlives the
-    /// column's width (the MI target's codes, read by every candidate).
+    /// [`gather`](Self::gather) widened to `u32`, for a buffer that
+    /// outlives the column's width (the MI target's codes, read by every
+    /// candidate).
     pub fn gather_widen(&self, rows: &[u32], out: &mut Vec<Code>) -> Result<(), StoreError> {
         match self.width {
             Width::U8 => self.gather_with(rows, out, |[b]: [u8; 1]| b as Code),

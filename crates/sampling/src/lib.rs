@@ -9,20 +9,16 @@
 //! expectations form a martingale (§3.1). This crate provides that
 //! sampling model in two forms, one per kind of population:
 //!
-//! * [`PagePrefix`] over a [`PageLayout`] — the sampler of every
-//!   full-scope query. The layout is a fixed, seeded shuffle of the rows
+//! * [`PagePrefix`] over [`PageMembers`] of a [`PageLayout`] — every
+//!   query's sampler. The layout is a fixed, seeded shuffle of the rows
 //!   *within* each 65 536-row page, which heap columns store their codes
-//!   in. Each doubling splits its new draws over the pages with
-//!   [`hypergeometric`] variates and takes every page's next slots from
-//!   the query's own offset in it, so a heap read is one or two
-//!   contiguous runs a page instead of a permuted gather.
-//!   `docs/THEORY.md` § "Page-prefix sampling" shows the samples are
-//!   uniform and nested, exactly as a prefix shuffle's.
-//! * [`PrefixShuffle`] — an incrementally extended Fisher–Yates shuffle
-//!   over `0..n`, the sampler of scoped populations (row ranges and
-//!   predicate row lists). `grow_to(2M)` continues the *same* shuffle,
-//!   so the size-`M` sample is a prefix of the size-`2M` sample, and
-//!   newly added rows are returned for incremental counting.
+//!   in; a population is, per page, the slots of its rows. Each doubling
+//!   splits its draws over the pages with [`hypergeometric`] variates and
+//!   takes every page's next members from a per-query start, so a whole
+//!   page is read as one or two runs (`docs/THEORY.md` § "Page-prefix
+//!   sampling": uniform and nested, as a prefix shuffle's).
+//! * [`PrefixShuffle`] — §2.2's model as an incrementally extended
+//!   Fisher–Yates shuffle over `0..n`, for examples, benches and tests.
 //! * [`DoublingSchedule`] — the `M0, 2·M0, 4·M0, …, N` sample size ladder
 //!   with the paper's `i_max = ceil(log2(N/M0)) + 1` iteration count.
 //! * [`hypergeometric`] — one exact variate for "how many of these `k`
@@ -42,6 +38,6 @@ mod schedule;
 mod shuffle;
 
 pub use hypergeometric::{hypergeometric, ln_factorial};
-pub use page::{PageLayout, PagePrefix};
+pub use page::{PageLayout, PageMembers, PagePrefix, Positions};
 pub use schedule::DoublingSchedule;
 pub use shuffle::PrefixShuffle;

@@ -15,9 +15,9 @@ use crate::rng::Xoshiro256pp;
 ///    the ΔM new rows, and the martingale argument of §3.1 applies to the
 ///    doubling schedule.
 ///
-/// Scoped populations — row ranges and predicate row lists — draw from
-/// it; a whole dataset is sampled by [`crate::PagePrefix`] instead,
-/// which builds no permutation.
+/// Queries sample by [`crate::PagePrefix`], which builds no
+/// permutation; this is kept for examples, benches and tests that want
+/// a uniform sample of row ids.
 ///
 /// Memory: one `u32` per population row (`4N` bytes), initialized in one
 /// pass at construction.

@@ -771,8 +771,12 @@ fn paged_datasets_serve_identically_and_report_residency() {
     // the chooser sends the range to the rows, on both servers.
     let small = ranged.replace("row_end=70000", "row_end=99000");
     assert_eq!(get(heap.addr, &small).body, get(paged.addr, &small).body);
+    // An empty range samples nothing, so it takes neither path.
+    let empty = "/query/mi-topk?dataset=pg&target=0&k=1&row_start=40000&row_end=40000";
+    assert_eq!(get(heap.addr, empty).status, 200);
     let metrics = get(heap.addr, "/metrics").body;
     assert_eq!(metric(&metrics, "swope_scope_path_total{path=\"physical\"}"), 1);
+    assert_eq!(metric(&metrics, "swope_scope_path_total{path=\"hybrid\"}"), 1);
     assert!(metric(&metrics, "swope_sketch_covered_draws_total") > 0);
     // A heap load reads through a mapping too, but books nothing: the
     // pager families belong to out-of-core datasets alone.

@@ -72,15 +72,6 @@ impl PackedCodes {
         out
     }
 
-    /// Gathers `self[r]` for each `r` in `rows` into `out` as widened
-    /// codes (cleared first). The monomorphized random-access read moves
-    /// only `width` bytes per row through cache; the widening happens in
-    /// a register on the way into the output buffer.
-    pub fn gather_widen(&self, rows: &[u32], out: &mut Vec<Code>) {
-        out.clear();
-        for_packed!(self, |codes| out.extend(rows.iter().map(|&r| codes[r as usize].widen())));
-    }
-
     /// Appends the little-endian bytes of the `rows` codes starting at
     /// `start` to `out` (the page writer's copy step): in stored order,
     /// or, with `from`, code `start + (i ^ from[start + i])` as the
@@ -477,14 +468,9 @@ mod tests {
                 perm.swap(i, j);
             }
 
-            let reference = PackedCodes::U32(codes);
-            let mut got = Vec::new();
-            let mut want = Vec::new();
             for prefix in [0usize, 1, 7, 100, 1000, n] {
-                col.codes().gather_widen(&perm[..prefix], &mut got);
-                reference.gather_widen(&perm[..prefix], &mut want);
-                assert_eq!(got, want, "support {support}, prefix {prefix}");
-                // And the narrow generic gather agrees after widening.
+                let want: Vec<Code> = perm[..prefix].iter().map(|&r| codes[r as usize]).collect();
+                // The narrow generic gather agrees after widening.
                 for_packed!(col.codes(), |codes| {
                     let mut narrow = Vec::new();
                     gather(codes, &perm[..prefix], &mut narrow);

@@ -59,7 +59,8 @@ struct Cell {
 /// Another path that must return the cell's answer bytes.
 #[derive(Clone, Copy, Debug)]
 enum Also {
-    /// Three in-process row shards, offered the cell's sketch.
+    /// Three in-process row shards, offered the cell's sketch, on the
+    /// full scope (in-process shards take no scope).
     Shards,
     /// A snapshot of the data opened paged under a budget of two pages.
     Paged,
@@ -117,11 +118,16 @@ const CELLS: &[Cell] = &[
     Cell { name: "full_exact", shapes: &[(Rule::Rank { k: 3 }, 0.1),
         (Rule::FilterExact { eta: 3.5 }, 0.1)], ..FULL },
     Cell { name: "page_blocks", data: blocks, sketch: false, also: PAGES, ..CELL },
-    Cell { name: "sorted", data: sorted, sketch: false, also: PAGES, ..CELL },
-    // At least twice as many rows in whole pages as in the fringe: from a
-    // fringe of five rows to half the covered size.
+    // And the rows of one value of the sorted column: one page holds them
+    // all, or two pages share them, and every other page holds none.
+    Cell { name: "sorted", data: sorted, sketch: false, also: PAGES, scopes: &[
+        ALL, Scope { predicate: Some((0, 0)), ..ALL }, Scope { predicate: Some((0, 3)), ..ALL },
+    ], ..CELL },
+    // At least twice as many rows in whole pages as in the fringe: from
+    // fringe pages of one row each to half the covered size.
     Cell { name: "hybrid_ranges", path: HYBRID, scopes: &[
         rows(P - 777, 2 * P + 1_234), rows(P - 60_000, N), rows(P - 5, N), rows(P, 3 * P + 4_000),
+        rows(P - 1, 2 * P + 1),
     ], ..CELL },
     // Ranges the sketch stands aside on: a whole page between two nearly
     // whole ones, two pages less a row per side, part of one page, and a
@@ -134,8 +140,10 @@ const CELLS: &[Cell] = &[
     ], ..CELL },
     Cell { name: "mi_sampled", ..MI },
     Cell { name: "mi_marginals", sketch: true, ..MI },
+    // Two member pages, and a page of one member beside a whole one.
     Cell { name: "mi_range", data: |_| mi_dataset(P + 20_000, 0x3A26), fresh: false,
-        scopes: &[rows(P - 10_000, P + 10_000)], path: PHYSICAL, also: &[Also::Paged], ..MI },
+        scopes: &[rows(P - 10_000, P + 10_000), rows(P - 1, P + 20_000)], path: PHYSICAL,
+        also: &[Also::Paged], ..MI },
 ];
 
 /// Supports whose uniform columns have deliberately close entropies.
@@ -430,7 +438,11 @@ fn run_cell(cell: &Cell) -> Tally {
                 let sampled = run(&env.ds, &shape, scope, None, &cfg, &mut NoopObserver, &exec);
                 assert_ne!(sampled.unwrap(), answer, "{what}: the sketch's marginals went unread");
             }
-            let here = |a: &&Also| i < CHECKED && !matches!(a, Also::Cluster(at) if *at != s);
+            let here = |a: &&Also| match a {
+                Also::Cluster(at) => i < CHECKED && *at == s,
+                Also::Shards => i < CHECKED && *scope == ALL,
+                Also::Paged => i < CHECKED,
+            };
             for &also in cell.also.iter().filter(here) {
                 assert_eq!(env.other(also, scope, &shape, &cfg), answer, "{what}: {also:?}");
             }
