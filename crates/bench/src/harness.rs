@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use swope_columnar::{AttrIndex, Dataset, DatasetSketch};
+use swope_columnar::{AttrIndex, Dataset, DatasetSketch, DEFAULT_MAX_SUPPORT};
 use swope_core::{run, Answer, Executor, Scope, Shape, SwopeConfig};
 use swope_datagen::{corpus, generate};
 use swope_obs::{Phase, PhaseAccumulator};
@@ -69,7 +69,7 @@ impl Default for ExpConfig {
             mi_targets: 5,
             out_dir: PathBuf::from("results"),
             only_datasets: Vec::new(),
-            max_support: 1000,
+            max_support: DEFAULT_MAX_SUPPORT,
         }
     }
 }

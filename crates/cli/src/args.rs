@@ -1,7 +1,11 @@
 //! Hand-rolled argument parsing (no external CLI crates allowed).
 
+use swope_columnar::DEFAULT_MAX_SUPPORT;
+
 /// Top-level usage text.
-pub const USAGE: &str = "usage: swope <command> [options]
+pub fn usage() -> String {
+    format!(
+        "usage: swope <command> [options]
 
 commands:
   stats <file>                         dataset summary and per-column statistics
@@ -29,7 +33,7 @@ common options:
   --pf <f>                  failure probability (default 1/N)
   --threads <n>             worker threads (default 1)
   --seed <u64>              sampling / generation seed
-  --max-support <n>         drop columns with support above this (default 1000)
+  --max-support <n>         drop columns with support above this (default {DEFAULT_MAX_SUPPORT})
   --scale <f>               row scale for `gen` (default 0.01)
   --rows <n> --cols <n>     shape for `gen tiny`
 
@@ -76,7 +80,9 @@ out-of-core storage (serve, and any query command reading a .swop file):
                             instead of loading columns eagerly
   --store-budget-bytes <n>  bytes of the mapped snapshot kept resident; past
                             it the coldest pages are released to the OS
-                            (default: unbounded; implies --mmap)";
+                            (default: unbounded; implies --mmap)"
+    )
+}
 
 /// Which algorithm a query should run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,16 +1,22 @@
 //! Command implementations.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::BufWriter;
-use swope_baselines::exact_answer;
+use std::sync::Arc;
 
+use swope_baselines::exact_answer;
 use swope_columnar::{
-    csv, snapshot, stats, Dataset, DatasetSketch, PageCache, Residency, PAGE_ROWS,
+    csv, snapshot, stats, Dataset, DatasetSketch, PageCache, Residency, DEFAULT_MAX_SUPPORT,
+    PAGE_ROWS,
 };
 use swope_core::{
     entropy_top_k, run, run_sharded, Answer, AttrScore, ComposedObserver, Executor, JsonlSink,
     LocalShardSource, MetricsRegistry, Rule, Scope, Shape, SwopeConfig, SwopeError,
 };
+use swope_server::query::{resolve, QueryParams, QueryShape, QuerySpec};
+use swope_server::registry::open_capped;
+use swope_server::{DatasetEntry, DatasetRegistry};
 
 use crate::args::{parse_options, Algo, Options};
 
@@ -79,88 +85,107 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "split" => cmd_split(&opts),
         "serve" => cmd_serve(&opts),
         "help" | "--help" | "-h" => {
-            println!("{}", crate::args::USAGE);
+            println!("{}", crate::args::usage());
             Ok(())
         }
         other => Err(format!("unknown command {other:?}")),
     }
 }
 
-/// Loads a dataset by extension (`.swop` snapshot or CSV otherwise) and
-/// applies the support cap; with it the snapshot-carried partition
-/// sketch, if any — dropped when the support cap removed columns, as its
-/// column set no longer matches the capped dataset. Under `--mmap` /
-/// `--store-budget-bytes` a snapshot's columns stay in the mapped file
-/// and are read in place, on demand, under a command-scoped page cache.
-fn load(opts: &Options) -> Result<(Dataset, Option<DatasetSketch>), String> {
-    let path = opts.positional.first().ok_or("expected a dataset file argument")?;
-    let cache = opts.paged().then(|| std::sync::Arc::new(PageCache::new(opts.store_budget_bytes)));
-    let residency = cache.as_ref().map_or(Residency::Heap, Residency::Paged);
-    let (ds, sketch) = open_dataset(path, residency)?;
-    let cap = opts.max_support.unwrap_or(1000);
-    let before = ds.num_attrs();
-    let (capped, kept) = ds.cap_support(cap);
-    let dropped = before - kept.len();
+/// The dataset file argument.
+fn file(opts: &Options) -> Result<&str, String> {
+    opts.positional
+        .first()
+        .map(String::as_str)
+        .ok_or_else(|| "expected a dataset file argument".into())
+}
+
+/// The support cap: `--max-support`, or the paper's.
+fn max_support(opts: &Options) -> u32 {
+    opts.max_support.unwrap_or(DEFAULT_MAX_SUPPORT)
+}
+
+/// Under `--mmap` / `--store-budget-bytes`, the command-scoped page cache
+/// a snapshot's columns are read through, in place and on demand.
+fn pager(opts: &Options) -> Option<Arc<PageCache>> {
+    opts.paged().then(|| Arc::new(PageCache::new(opts.store_budget_bytes)))
+}
+
+fn note_dropped(dropped: usize, opts: &Options) {
     if dropped > 0 {
-        eprintln!("note: dropped {dropped} column(s) with support > {cap}");
+        eprintln!("note: dropped {dropped} column(s) with support > {}", max_support(opts));
     }
-    Ok((capped, sketch.filter(|_| dropped == 0)))
 }
 
-fn open_dataset(
-    path: &str,
-    residency: Residency<'_>,
-) -> Result<(Dataset, Option<DatasetSketch>), String> {
-    Dataset::open(path, residency).map_err(|e| format!("loading {path}: {e}"))
+/// Loads the file argument the way `swope serve` registers it: capped,
+/// with the sketch the file carries or else one built at load.
+fn load(opts: &Options) -> Result<Arc<DatasetEntry>, String> {
+    let registry = DatasetRegistry::new(max_support(opts));
+    let entry = match pager(opts) {
+        Some(cache) => registry.load_path_paged(file(opts)?, &cache)?,
+        None => registry.load_path(file(opts)?)?,
+    };
+    note_dropped(entry.dropped_columns, opts);
+    Ok(entry)
 }
 
-/// Builds the query scope from `--row-start`/`--row-end`/`--where`, or
-/// `None` when no scope flag was given. Scopes only exist on the
-/// adaptive loop — the exact baseline always scans the whole dataset.
-fn scope_from_opts(ds: &Dataset, opts: &Options) -> Result<Option<Scope>, String> {
-    if opts.row_start.is_none() && opts.row_end.is_none() && opts.where_clause.is_none() {
-        return Ok(None);
+/// Opens the file argument capped as [`load`] caps it, with the sketch
+/// the file itself carries (if the cap left it valid), building none.
+fn open(opts: &Options) -> Result<(Dataset, Option<DatasetSketch>), String> {
+    let cache = pager(opts);
+    let residency = cache.as_ref().map_or(Residency::Heap, Residency::Paged);
+    let (ds, sketch, dropped) = open_capped(file(opts)?, residency, max_support(opts))?;
+    note_dropped(dropped, opts);
+    Ok((ds, sketch))
+}
+
+/// The CLI's query flags under their HTTP parameter names — `-k` is `k`,
+/// `--row-start` is `row_start` — and the file's registry name as
+/// `dataset`: what the CLI asks the server's front door.
+struct Flags<'a> {
+    opts: &'a Options,
+    dataset: &'a str,
+}
+
+impl QueryParams for Flags<'_> {
+    fn param(&self, name: &str) -> Option<Cow<'_, str>> {
+        fn text(value: Option<impl ToString>) -> Option<Cow<'static, str>> {
+            value.map(|v| Cow::Owned(v.to_string()))
+        }
+        let o = self.opts;
+        match name {
+            "dataset" => Some(Cow::Borrowed(self.dataset)),
+            "k" => text(o.k),
+            "eta" => text(o.eta),
+            "target" => o.target.as_deref().map(Cow::Borrowed),
+            "epsilon" => text(o.epsilon),
+            "pf" => text(o.pf),
+            "seed" => text(o.seed),
+            "threads" => text(o.threads),
+            "row_start" => text(o.row_start),
+            "row_end" => text(o.row_end),
+            "where" => o.where_clause.as_deref().map(Cow::Borrowed),
+            _ => None,
+        }
     }
-    if opts.algo == Algo::Exact {
-        return Err("scoped queries (--row-start/--row-end/--where) are not supported by \
-                    --algo exact"
-            .into());
+
+    fn missing(&self, name: &str) -> String {
+        match name {
+            "k" => "-k is required".into(),
+            _ => format!("--{} is required", name.replace('_', "-")),
+        }
     }
-    let mut scope =
-        Scope::range(opts.row_start.unwrap_or(0), opts.row_end.unwrap_or(ds.num_rows()));
-    if let Some(clause) = opts.where_clause.as_deref() {
-        let (attr_raw, value_raw) = clause
-            .split_once('=')
-            .ok_or_else(|| format!("malformed --where clause {clause:?}: expected attr=value"))?;
-        let attr = resolve_attr(ds, attr_raw)?;
-        let code = match value_raw.parse::<u32>() {
-            Ok(code) => code,
-            Err(_) => ds
-                .schema()
-                .field(attr)
-                .and_then(|f| f.dictionary())
-                .ok_or_else(|| {
-                    format!("attribute {attr_raw:?} has no dictionary; use a numeric code")
-                })?
-                .lookup(value_raw)
-                .ok_or_else(|| {
-                    format!("value {value_raw:?} not found in attribute {attr_raw:?}")
-                })?,
-        };
-        scope = scope.with_predicate(attr, code);
-    }
-    Ok(Some(scope))
 }
 
 /// Validates `--shards`. The count-merge path answers whole-dataset
 /// queries only (a scope would change which rows each shard may count),
 /// and the exact baseline has no sharded scan.
-fn shards_from_opts(opts: &Options) -> Result<Option<usize>, String> {
+fn shards_from_opts(opts: &Options, spec: &QuerySpec) -> Result<Option<usize>, String> {
     let Some(shards) = opts.shards else { return Ok(None) };
     if opts.algo == Algo::Exact {
         return Err("sharded queries (--shards) are not supported by --algo exact".into());
     }
-    if opts.row_start.is_some() || opts.row_end.is_some() || opts.where_clause.is_some() {
+    if spec.is_scoped() {
         return Err("--shards cannot be combined with --row-start/--row-end/--where".into());
     }
     if shards == 0 {
@@ -169,74 +194,30 @@ fn shards_from_opts(opts: &Options) -> Result<Option<usize>, String> {
     Ok(Some(shards))
 }
 
-/// Where an adaptive (`--algo swope` or `rank`) query counts: across
-/// `--shards` in-process row shards, or over the dataset's
-/// `--row-start`/`--row-end`/`--where` scope (everything, by default).
-enum Plan {
-    Sharded(usize),
-    Scoped(Scope),
-}
-
-/// Validates both flag sets (also when `--algo exact` will answer: they
-/// are errors there) and picks the plan.
-fn plan_from_opts(ds: &Dataset, opts: &Options) -> Result<Plan, String> {
-    let scope = scope_from_opts(ds, opts)?;
-    Ok(match shards_from_opts(opts)? {
-        Some(shards) => Plan::Sharded(shards),
-        None => Plan::Scoped(scope.unwrap_or_default()),
-    })
-}
-
-/// Runs `shape` on the adaptive loop under `plan`, observed by the
-/// command's sinks.
+/// Runs `shape` on the adaptive loop over `scope`, or across `shards`
+/// in-process row shards, observed by the command's sinks.
 fn adaptive(
-    ds: &Dataset,
-    sketch: Option<&DatasetSketch>,
+    entry: &DatasetEntry,
     shape: Shape,
-    plan: &Plan,
+    scope: &Scope,
+    shards: Option<usize>,
     cfg: &SwopeConfig,
     obs: &mut Observability,
 ) -> Result<Answer, SwopeError> {
     let exec = Executor::new(cfg.threads);
-    match plan {
-        Plan::Sharded(shards) => {
+    let (ds, sketch) = (&*entry.dataset, Some(&*entry.sketch));
+    match shards {
+        Some(shards) => {
             // The sketch's marginals, as an unsharded run takes them.
-            let mut source = LocalShardSource::new(ds, *shards, cfg, &exec)?.with_sketch(sketch);
+            let mut source = LocalShardSource::new(ds, shards, cfg, &exec)?.with_sketch(sketch);
             run_sharded(&mut source, &shape, cfg, &mut obs.observer(), &exec)
         }
-        Plan::Scoped(scope) => run(ds, &shape, scope, sketch, cfg, &mut obs.observer(), &exec),
+        None => run(ds, &shape, scope, sketch, cfg, &mut obs.observer(), &exec),
     }
-}
-
-fn query_config(opts: &Options, default_epsilon: f64) -> SwopeConfig {
-    let mut cfg = SwopeConfig::with_epsilon(opts.epsilon.unwrap_or(default_epsilon));
-    cfg.failure_probability = opts.pf;
-    if let Some(t) = opts.threads {
-        cfg = cfg.with_threads(t);
-    }
-    if let Some(s) = opts.seed {
-        cfg = cfg.with_seed(s);
-    }
-    cfg
-}
-
-fn resolve_target(ds: &Dataset, opts: &Options) -> Result<usize, String> {
-    resolve_attr(ds, opts.target.as_deref().ok_or("--target is required")?)
-}
-
-/// Resolves an attribute named by index or by schema name.
-fn resolve_attr(ds: &Dataset, raw: &str) -> Result<usize, String> {
-    if let Ok(idx) = raw.parse::<usize>() {
-        if idx < ds.num_attrs() {
-            return Ok(idx);
-        }
-        return Err(format!("attribute index {idx} out of range"));
-    }
-    ds.attr_index(raw).map_err(|e| e.to_string())
 }
 
 fn cmd_stats(opts: &Options) -> Result<(), String> {
-    let (ds, _) = load(opts)?;
+    let (ds, _) = open(opts)?;
     let summary = stats::summarize(&ds);
     println!(
         "rows: {}   columns: {}   max support: {}",
@@ -263,7 +244,7 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
 /// plus the whole-sketch footprint). A dataset without a sketch (CSV
 /// input or a pre-sketch snapshot) degrades to `sketch: none`.
 fn cmd_inspect(opts: &Options) -> Result<(), String> {
-    let (ds, sketch) = load(opts)?;
+    let (ds, sketch) = open(opts)?;
     let summary = stats::summarize(&ds);
     println!(
         "rows: {}   columns: {}   max support: {}",
@@ -321,46 +302,48 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `<measure>-<rule>`: the subcommand names the measure (`entropy`, or
-/// `mi` against `--target`) and SWOPE's rule; `--algo rank` swaps in the
-/// comparator's rule for it, `--algo exact` a full scan.
-fn cmd_query(command: &str, opts: &Options) -> Result<(), String> {
-    let (measure, rule) = command.split_once('-').expect("a <measure>-<rule> subcommand");
-    let (ds, sketch) = load(opts)?;
-    let rule = match rule {
-        "topk" => Rule::TopK { k: opts.k.ok_or("-k is required")? },
-        "filter" => Rule::Filter { eta: opts.eta.ok_or("--eta is required")? },
-        _ => Rule::Profile { floor: 0.05 },
-    };
-    let adaptive_rule = match (opts.algo, rule) {
-        (Algo::Swope, _) => Some(rule),
-        (Algo::Rank, Rule::TopK { k }) => Some(Rule::Rank { k }),
-        (Algo::Rank, Rule::Filter { eta }) => Some(Rule::FilterExact { eta }),
-        (Algo::Exact, Rule::TopK { .. } | Rule::Filter { .. }) => None,
-        (algo, _) => {
-            let name = if algo == Algo::Rank { "rank" } else { "exact" };
-            return Err(format!(
-                "profile queries (entropy-profile/mi-profile) are not supported by --algo {name}"
-            ));
-        }
-    };
-    let target = if measure == "mi" { Some(resolve_target(&ds, opts)?) } else { None };
-    let plan = plan_from_opts(&ds, opts)?;
+/// `swope <segment> <file>`: the query `GET /query/<segment>` names,
+/// asked through the server's front door (the file loaded as a server
+/// registers it, the flags read as its parameters, the spec resolved as
+/// it resolves one). `--algo rank` swaps in the comparator's rule for
+/// SWOPE's, `--algo exact` a full scan, and `--shards` counts across
+/// in-process row shards.
+fn cmd_query(segment: &str, opts: &Options) -> Result<(), String> {
+    let entry = load(opts)?;
+    let spec = QuerySpec::parse(segment, &Flags { opts, dataset: &entry.name })?;
+    let profile = matches!(spec.shape, QueryShape::EntropyProfile | QueryShape::MiProfile { .. });
+    if profile && opts.algo != Algo::Swope {
+        let name = if opts.algo == Algo::Rank { "rank" } else { "exact" };
+        return Err(format!(
+            "profile queries (entropy-profile/mi-profile) are not supported by --algo {name}"
+        ));
+    }
+    if opts.algo == Algo::Exact && spec.is_scoped() {
+        return Err("scoped queries (--row-start/--row-end/--where) are not supported by \
+                    --algo exact"
+            .into());
+    }
+    let shards = shards_from_opts(opts, &spec)?;
+    let (shape, scope, cfg) = resolve(&entry, &spec)?;
     let mut obs = Observability::from_opts(opts)?;
-    let default_epsilon = match (target, rule) {
-        (Some(_), _) => 0.5,
-        (None, Rule::Filter { .. }) => 0.05,
-        (None, _) => 0.1,
+    let Shape { target, rule } = shape;
+    let adaptive_rule = match (opts.algo, rule) {
+        (Algo::Rank, Rule::TopK { k }) => Rule::Rank { k },
+        (Algo::Rank, Rule::Filter { eta }) => Rule::FilterExact { eta },
+        _ => rule,
     };
-    let cfg = query_config(opts, default_epsilon);
-    let answer = match adaptive_rule {
-        Some(rule) => adaptive(&ds, sketch.as_ref(), Shape { target, rule }, &plan, &cfg, &mut obs),
-        None => exact_answer(&ds, &Shape { target, rule }),
+    let answer = match opts.algo {
+        Algo::Exact => exact_answer(&entry.dataset, &shape),
+        _ => {
+            let shape = Shape { target, rule: adaptive_rule };
+            adaptive(&entry, shape, &scope, shards, &cfg, &mut obs)
+        }
     }
     .map_err(|e| e.to_string())?;
     // `mi-filter` has never printed its target.
     if let (Some(t), Rule::TopK { .. } | Rule::Profile { .. }) = (target, rule) {
-        println!("target: {} ({t})", ds.schema().field(t).map(|f| f.name()).unwrap_or("?"));
+        let name = entry.dataset.schema().field(t).map(|f| f.name()).unwrap_or("?");
+        println!("target: {name} ({t})");
     }
     let measure = if target.is_some() { "mutual information" } else { "entropy" };
     print_answer(measure, rule, &answer);
@@ -394,16 +377,19 @@ fn print_answer(measure: &str, rule: Rule, answer: &Answer) {
 /// speed/agreement trade-off — a quick way to validate the approximation
 /// on one's own data before trusting it in a pipeline.
 fn cmd_compare(opts: &Options) -> Result<(), String> {
-    let (ds, _) = load(opts)?;
+    let entry = load(opts)?;
+    let ds = &*entry.dataset;
     let k = opts.k.unwrap_or(5).min(ds.num_attrs());
-    let cfg = query_config(opts, 0.1);
+    let opts = Options { k: Some(k), ..opts.clone() };
+    let spec = QuerySpec::parse("entropy-topk", &Flags { opts: &opts, dataset: &entry.name })?;
+    let cfg = spec.config();
 
     let t0 = std::time::Instant::now();
-    let swope = entropy_top_k(&ds, k, &cfg).map_err(|e| e.to_string())?;
+    let swope = entropy_top_k(ds, k, &cfg).map_err(|e| e.to_string())?;
     let swope_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = std::time::Instant::now();
-    let exact = exact_answer(&ds, &Shape::entropy(Rule::TopK { k })).map_err(|e| e.to_string())?;
+    let exact = exact_answer(ds, &Shape::entropy(Rule::TopK { k })).map_err(|e| e.to_string())?;
     let exact_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let exact_set: std::collections::HashSet<usize> = exact.scores.iter().map(|s| s.attr).collect();
@@ -470,7 +456,8 @@ fn cmd_split(opts: &Options) -> Result<(), String> {
         return Err("split expects <in> <out-a> <out-b>".into());
     };
     let at = opts.at.ok_or("--at is required")?;
-    let (ds, _) = open_dataset(input, Residency::Heap)?;
+    let (ds, _) =
+        Dataset::open(input, Residency::Heap).map_err(|e| format!("loading {input}: {e}"))?;
     if at == 0 || at >= ds.num_rows() {
         return Err(format!("--at {at} must fall inside the {} rows", ds.num_rows()));
     }
@@ -491,7 +478,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         queue_capacity: opts.queue_depth.unwrap_or(64),
         cache_capacity: opts.cache_capacity.unwrap_or(256),
         deadline: std::time::Duration::from_millis(opts.deadline_ms.unwrap_or(10_000)),
-        max_support: opts.max_support.unwrap_or(1000),
+        max_support: max_support(opts),
         handle_signals: true,
         exec_threads: opts
             .exec_threads

@@ -23,7 +23,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
-            eprintln!("{}", args::USAGE);
+            eprintln!("{}", args::usage());
             ExitCode::FAILURE
         }
     }

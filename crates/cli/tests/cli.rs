@@ -3,6 +3,9 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use swope_obs::json::Json;
+use swope_server::{Server, ServerConfig, ServerHandle};
+
 fn swope(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_swope")).args(args).output().expect("binary runs")
 }
@@ -19,6 +22,36 @@ fn stdout(o: &Output) -> String {
 
 fn stderr(o: &Output) -> String {
     String::from_utf8_lossy(&o.stderr).into_owned()
+}
+
+/// An in-process `swope serve` of `files` under a `max_support` cap: its
+/// address, its remote control, and the thread serving.
+fn serve(files: &[&str], max_support: u32) -> (String, ServerHandle, std::thread::JoinHandle<()>) {
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 1,
+        exec_threads: 1,
+        max_support,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(config).unwrap();
+    for file in files {
+        server.registry().load_path(file).unwrap();
+    }
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = server.handle();
+    (addr, handle, std::thread::spawn(move || server.run()))
+}
+
+/// The JSON body `GET target` is answered with.
+fn get(addr: &str, target: &str) -> Json {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write!(stream, "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (_, body) = response.split_once("\r\n\r\n").expect("a complete response");
+    Json::parse(body).unwrap()
 }
 
 #[test]
@@ -207,6 +240,34 @@ fn scoped_queries_restrict_rows_and_validate_flags() {
     let o = swope(&["entropy-topk", p, "-k", "2", "--row-start", "300", "--row-end", "100"]);
     assert!(!o.status.success());
     assert!(stderr(&o).starts_with("error: "), "{}", stderr(&o));
+
+    // One `where` grammar: each way a clause can miss is worded alike by
+    // the CLI and over HTTP. A CSV's columns carry dictionaries, the
+    // generated snapshot's none.
+    let csv = tmp("scoped-labels.csv");
+    let c = csv.to_str().unwrap();
+    assert!(swope(&["convert", p, c]).status.success());
+    let (addr, handle, thread) = serve(&[p, c], 1000);
+    let labels = (c, "scoped-labels");
+    let cases = [
+        (labels, "0="),
+        (labels, "=3"),
+        (labels, "a=b=c"),
+        (labels, "9=1"),
+        (labels, "0=zz"),
+        ((p, "scoped"), "0=zz"),
+        ((p, "scoped"), "1"),
+    ];
+    for ((file, dataset), clause) in cases {
+        let o = swope(&["entropy-topk", file, "-k", "2", "--where", clause]);
+        let clause_param = clause.replace('=', "%3D");
+        let served =
+            get(&addr, &format!("/query/entropy-topk?dataset={dataset}&k=2&where={clause_param}"));
+        let message = served.get("error").unwrap().as_str().unwrap();
+        assert_eq!(stderr(&o).lines().next().unwrap(), format!("error: {message}"), "{clause}");
+    }
+    handle.shutdown();
+    thread.join().unwrap();
 }
 
 #[test]
@@ -728,6 +789,85 @@ fn serve_access_log_numbers_pipelined_requests_on_one_connection() {
     assert_eq!(field(lines[1], "path="), "/datasets");
     assert_eq!(field(lines[2], "path="), "/query/entropy-topk");
     std::fs::remove_file(&log_path).ok();
+}
+
+/// One query on one file gets one answer from `swope <query>` and from
+/// `GET /query/<query>`, compared at full precision: the bounds from
+/// `--events-out`, the sample size, the iterations and the rows scanned
+/// — on inputs where the server's load builds a sketch the file lacks.
+#[test]
+fn cli_and_server_give_one_answer() {
+    let swop = tmp("alike.swop");
+    let csv = tmp("alike.csv");
+    let (swop, csv) = (swop.to_str().unwrap(), csv.to_str().unwrap());
+    let o = swope(&["gen", "tiny", "--rows", "70000", "--cols", "4", "--out", swop]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(swope(&["convert", swop, csv]).status.success());
+    let events = tmp("alike.jsonl");
+    let mi = ["mi-topk", "--target", "0", "-k", "2", "--seed", "7"];
+    let cases: [(&str, u32, &[&str], &str); 3] = [
+        // One whole page against 3 464 fringe rows: the server's range
+        // path is the hybrid one.
+        (
+            csv,
+            1000,
+            &["entropy-topk", "-k", "2", "--seed", "7", "--row-start", "0", "--row-end", "69000"],
+            "entropy-topk?k=2&seed=7&row_start=0&row_end=69000",
+        ),
+        // MI takes exact marginals from the sketch.
+        (csv, 1000, &mi, "mi-topk?target=0&k=2&seed=7"),
+        // Column 3 (support 111) is capped away, so the file's sketch is.
+        (swop, 100, &mi, "mi-topk?target=0&k=2&seed=7"),
+    ];
+    for (file, cap, args, query) in cases {
+        let cap_flag = cap.to_string();
+        let flags = ["--max-support", &cap_flag, "--events-out", events.to_str().unwrap()];
+        let o = swope(&[&args[..1], &[file], &args[1..], &flags].concat());
+        assert!(o.status.success(), "{}", stderr(&o));
+        let (addr, handle, thread) = serve(&[file], cap);
+        let served = get(&addr, &format!("/query/{query}&dataset=alike"));
+        handle.shutdown();
+        thread.join().unwrap();
+
+        let log = std::fs::read_to_string(&events).unwrap();
+        let events: Vec<Json> = log.lines().map(|l| Json::parse(l).unwrap()).collect();
+        let event = |name: &'static str| {
+            events.iter().filter(move |e| e.get("event").unwrap().as_str() == Some(name))
+        };
+        let end = event("query_end").next().unwrap();
+        for stat in ["sample_size", "iterations", "rows_scanned"] {
+            let want = served.get("stats").unwrap().get(stat);
+            assert_eq!(end.get(stat), want, "{query}: {stat}");
+        }
+        let Json::Arr(scores) = served.get("scores").unwrap() else { panic!("{served:?}") };
+        let printed: Vec<String> = stdout(&o)
+            .lines()
+            .filter(|l| l.starts_with(char::is_numeric))
+            .map(|l| {
+                let words: Vec<&str> = l.split_whitespace().collect();
+                [words[0], words[2], words[3], words[4]].join(" ")
+            })
+            .collect();
+        assert_eq!(printed.len(), scores.len(), "{query}");
+        for (line, score) in printed.iter().zip(scores) {
+            let attr = score.get("attr").unwrap().as_u64().unwrap();
+            let bound = |b: &str| score.get(b).unwrap().as_f64().unwrap();
+            let want = format!(
+                "{attr} {:.4} {:.4} {:.4}",
+                bound("estimate"),
+                bound("lower"),
+                bound("upper")
+            );
+            assert_eq!(line, &want, "{query}");
+            let retired = event("attr_retired")
+                .find(|e| e.get("attr").unwrap().as_u64() == Some(attr))
+                .unwrap();
+            for b in ["lower", "upper"] {
+                let got = retired.get(b).unwrap().as_f64().unwrap();
+                assert_eq!(got.to_bits(), bound(b).to_bits(), "{query}: attr {attr} {b}");
+            }
+        }
+    }
 }
 
 #[test]

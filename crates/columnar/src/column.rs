@@ -108,26 +108,6 @@ impl Column {
             .map_err(|e| ColumnarError::Snapshot(e.to_string()))
     }
 
-    /// Builds a column by densely re-encoding arbitrary `u32` values.
-    ///
-    /// Values need not be dense; they are mapped to `0..u` in first-seen
-    /// order. Returns the column and the mapping (old value per new code).
-    pub fn from_raw_values(values: &[u32]) -> (Self, Vec<u32>) {
-        let mut map = std::collections::HashMap::new();
-        let mut order = Vec::new();
-        let codes: Vec<Code> = values
-            .iter()
-            .map(|&v| {
-                *map.entry(v).or_insert_with(|| {
-                    order.push(v);
-                    (order.len() - 1) as Code
-                })
-            })
-            .collect();
-        let support = order.len() as u32;
-        (Self::new_unchecked(codes, support), order)
-    }
-
     /// The physical representation — what the adaptive loops dispatch on.
     #[inline]
     pub fn storage(&self) -> ColumnStorage<'_> {
@@ -296,14 +276,6 @@ mod tests {
             Column::new(vec![0, 3], 3),
             Err(ColumnarError::CodeOutOfRange { code: 3, .. })
         ));
-    }
-
-    #[test]
-    fn from_raw_values_densifies() {
-        let (col, order) = Column::from_raw_values(&[10, 50, 10, 7]);
-        assert_eq!(col.to_codes(), vec![0, 1, 0, 2]);
-        assert_eq!(col.support(), 3);
-        assert_eq!(order, vec![10, 50, 7]);
     }
 
     #[test]

@@ -5,6 +5,10 @@ use swope_sampling::{PageLayout, Positions};
 use crate::snapshot::Residency;
 use crate::{AttrIndex, Code, Column, ColumnarError, PageGrouper, Schema};
 
+/// The paper's support cap (§6.1): the `max_support` the CLI, the server
+/// and the figure harness pass to [`Dataset::cap_support`] by default.
+pub const DEFAULT_MAX_SUPPORT: u32 = 1000;
+
 /// An immutable columnar dataset: `N` rows by `h` categorical attributes.
 ///
 /// This is the input type `D` of every SWOPE query. Columns are stored
@@ -166,9 +170,9 @@ impl Dataset {
     /// columns are moved, not copied: a loader caps every dataset it
     /// reads, and must not hold it twice to do so.
     ///
-    /// The paper removes columns with support > 1000 before querying, "since
-    /// they are usually not the preferred attributes for downstream data
-    /// mining tasks" (§6.1).
+    /// The paper removes columns with support > [`DEFAULT_MAX_SUPPORT`]
+    /// before querying, "since they are usually not the preferred
+    /// attributes for downstream data mining tasks" (§6.1).
     pub fn cap_support(self, cap: u32) -> (Dataset, Vec<AttrIndex>) {
         let (kept, columns): (Vec<AttrIndex>, Vec<Column>) =
             self.columns.into_iter().enumerate().filter(|(_, c)| c.support() <= cap).unzip();

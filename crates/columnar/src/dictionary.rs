@@ -87,11 +87,6 @@ impl Dictionary {
         }
         Some(Self { by_value, by_code: values })
     }
-
-    /// Consumes the dictionary, returning the code-ordered value list.
-    pub fn into_values(self) -> Vec<String> {
-        self.by_code
-    }
 }
 
 #[cfg(test)]
@@ -142,15 +137,6 @@ mod tests {
         d.intern("second");
         let pairs: Vec<_> = d.iter().collect();
         assert_eq!(pairs, vec![(0, "first"), (1, "second")]);
-    }
-
-    #[test]
-    fn into_values_round_trips() {
-        let mut d = Dictionary::new();
-        d.intern("p");
-        d.intern("q");
-        let vals = d.clone().into_values();
-        assert_eq!(Dictionary::from_values(vals).unwrap(), d);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod stats;
 
 pub use builder::DatasetBuilder;
 pub use column::{Column, ColumnStorage};
-pub use dataset::Dataset;
+pub use dataset::{Dataset, DEFAULT_MAX_SUPPORT};
 pub use dictionary::Dictionary;
 pub use error::ColumnarError;
 pub use schema::{Field, Schema};

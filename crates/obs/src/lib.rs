@@ -431,16 +431,6 @@ impl PhaseAccumulator {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Total nanoseconds recorded for `phase`.
-    pub fn nanos_for(&self, phase: Phase) -> u64 {
-        self.nanos[phase.index()]
-    }
-
-    /// Sum over all phases.
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
-    }
 }
 
 impl QueryObserver for PhaseAccumulator {
@@ -526,9 +516,9 @@ mod tests {
         acc.phase(Phase::Ingest, 1, 100);
         acc.phase(Phase::Ingest, 2, 50);
         acc.phase(Phase::Decide, 2, 25);
-        assert_eq!(acc.nanos_for(Phase::Ingest), 150);
-        assert_eq!(acc.nanos_for(Phase::Decide), 25);
-        assert_eq!(acc.total_nanos(), 175);
+        assert_eq!(acc.nanos[Phase::Ingest.index()], 150);
+        assert_eq!(acc.nanos[Phase::Decide.index()], 25);
+        assert_eq!(acc.nanos.iter().sum::<u64>(), 175);
         assert_eq!(acc.calls[Phase::Ingest.index()], 2);
     }
 

@@ -53,8 +53,9 @@
 //! | `GET /debug/slow` | slow-query flight recorder (wall ≥ `slow_ms`) |
 //!
 //! Query endpoints share optional `epsilon`, `pf`, `seed`, and `threads`
-//! parameters with the same defaults as the CLI, so the server is a
-//! transport around the exact same computation.
+//! parameters. [`query`] parses, checks and resolves every query, the
+//! CLI's included: `swope <query> <file>` is its second client, so both
+//! give one query on one file one answer.
 //!
 //! Any query request carrying an `X-Swope-Trace` header (or every query,
 //! when serving with tracing on) is recorded as a span tree of the path

@@ -1,22 +1,27 @@
-//! Query-endpoint plumbing: parse a `/query/<shape>` request into a
-//! [`QuerySpec`], derive its cache key, execute it against a dataset, and
-//! serialize the result as JSON.
+//! The query front door: parse a `/query/<shape>` request into a
+//! [`QuerySpec`], derive its cache key, resolve it against a dataset,
+//! execute it, and serialize the result as JSON.
 //!
-//! Parameter semantics deliberately mirror the CLI so the server is a
-//! drop-in transport: per-shape ε defaults (0.1 entropy top-k, 0.05
-//! entropy filter, 0.5 for MI), `p_f` defaulting to the paper's `1/N`,
-//! one worker thread, and the library's fixed default seed unless `seed`
-//! is given. Floats in responses use the same shortest-round-trip
+//! The CLI is this module's second client: `swope <shape> <file>` names
+//! the same [`QuerySpec`] through [`QueryParams`] (its subcommands are
+//! the path segments, its flags the parameters) and turns it into a
+//! shape, scope and config with the same [`resolve`], so one query on
+//! one file gets one answer from either side. The defaults live here:
+//! per-shape ε (0.1 entropy top-k, 0.05 entropy filter, 0.5 for MI),
+//! `p_f` defaulting to the paper's `1/N`, one worker thread, and the
+//! library's fixed default seed unless `seed` is given. Floats in
+//! responses use the same shortest-round-trip
 //! formatting as the JSONL event stream ([`swope_obs::json::f64_into`]),
 //! so a served score parses back to the exact bits the query computed —
 //! which is what lets integration tests assert bitwise identity with the
 //! direct library path.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use swope_cluster::{ClusterStats, PeerPool, PeerTimeouts, RemoteShardSource};
-use swope_columnar::ColumnarError;
+use swope_columnar::{ColumnarError, Dataset};
 use swope_core::{
     run, run_sharded, Answer, Executor, QueryObserver, Rule, Scope, Shape, ShardTransport,
     SwopeConfig, SwopeError,
@@ -26,8 +31,7 @@ use swope_obs::json::{escape_into, f64_into};
 use crate::http::Request;
 use crate::registry::DatasetEntry;
 
-/// The relative-error floor used by both profile endpoints (matches the
-/// CLI's hardcoded profile floor).
+/// The relative-error floor of both profile queries.
 const PROFILE_FLOOR: f64 = 0.05;
 
 /// Which of the six adaptive queries a request names, with its
@@ -93,11 +97,11 @@ impl QueryShape {
                 (Some(target), Rule::Profile { floor: PROFILE_FLOOR })
             }
         };
-        let target = target.map(|raw| resolve_target(names, raw)).transpose()?;
+        let target = target.map(|raw| resolve_attr(names, raw)).transpose()?;
         Ok(Shape { target, rule })
     }
 
-    /// The CLI-matching default ε for this shape.
+    /// The default ε for this shape.
     pub fn default_epsilon(&self) -> f64 {
         match self {
             QueryShape::EntropyTopK { .. } | QueryShape::EntropyProfile => 0.1,
@@ -123,7 +127,7 @@ pub struct QuerySpec {
     pub pf: Option<f64>,
     /// Sampling-seed override, `None` for the library default.
     pub seed: Option<u64>,
-    /// Worker threads (default 1, matching the CLI).
+    /// Worker threads (default 1).
     pub threads: usize,
     /// First row of the query scope (`row_start` parameter).
     pub row_start: Option<usize>,
@@ -135,17 +139,101 @@ pub struct QuerySpec {
     pub where_clause: Option<String>,
 }
 
+/// A client's query parameters, looked up by their HTTP names: a
+/// request's query string, or the CLI's flags.
+pub trait QueryParams {
+    /// The raw value given for parameter `name`, if any.
+    fn param(&self, name: &str) -> Option<Cow<'_, str>>;
+
+    /// The error for a required parameter `name` that was not given,
+    /// named the way this client's user spells it.
+    fn missing(&self, name: &str) -> String;
+}
+
+impl QueryParams for Request {
+    fn param(&self, name: &str) -> Option<Cow<'_, str>> {
+        Request::param(self, name).map(Cow::Borrowed)
+    }
+
+    fn missing(&self, name: &str) -> String {
+        format!("missing required parameter {name:?}")
+    }
+}
+
 impl QuerySpec {
+    /// Parses the query `segment` names (`entropy-topk`, ..., `mi-profile`)
+    /// with the parameters `params` gives, applies the defaults, and
+    /// checks what needs no dataset: k ≥ 1, a row range that does not
+    /// end before it starts, and a `where` clause of the form
+    /// `attr=value`. Errors are user-facing messages (a server's 400).
+    pub fn parse(segment: &str, params: &impl QueryParams) -> Result<Self, String> {
+        let shape = match segment {
+            "entropy-topk" => QueryShape::EntropyTopK { k: require_param(params, "k")? },
+            "entropy-filter" => QueryShape::EntropyFilter { eta: require_param(params, "eta")? },
+            "mi-topk" => QueryShape::MiTopK {
+                target: require_param(params, "target")?,
+                k: require_param(params, "k")?,
+            },
+            "mi-filter" => QueryShape::MiFilter {
+                target: require_param(params, "target")?,
+                eta: require_param(params, "eta")?,
+            },
+            "entropy-profile" => QueryShape::EntropyProfile,
+            "mi-profile" => QueryShape::MiProfile { target: require_param(params, "target")? },
+            other => return Err(format!("unknown query shape {other:?}")),
+        };
+        let spec = QuerySpec {
+            dataset: require_param(params, "dataset")?,
+            epsilon: parse_param(params, "epsilon")?.unwrap_or_else(|| shape.default_epsilon()),
+            pf: parse_param(params, "pf")?,
+            seed: parse_param(params, "seed")?,
+            threads: parse_param(params, "threads")?.unwrap_or(1),
+            row_start: parse_param(params, "row_start")?,
+            row_end: parse_param(params, "row_end")?,
+            where_clause: params.param("where").map(Cow::into_owned),
+            shape,
+        };
+        if let QueryShape::EntropyTopK { k } | QueryShape::MiTopK { k, .. } = spec.shape {
+            if k == 0 {
+                return Err("k must be at least 1".into());
+            }
+        }
+        if let (Some(s), Some(e)) = (spec.row_start, spec.row_end) {
+            if s > e {
+                return Err(format!("row range starts at {s} but ends at {e}"));
+            }
+        }
+        if let Some(w) = &spec.where_clause {
+            if !w.contains('=') {
+                return Err(format!("malformed where clause {w:?}: expected attr=value"));
+            }
+        }
+        Ok(spec)
+    }
+
     /// Whether this request names a scope at all, which the response
     /// echoes. Both kinds run through the one scoped entry point; an
     /// unscoped request is a full scope, the plain query bit for bit.
     pub fn is_scoped(&self) -> bool {
         self.row_start.is_some() || self.row_end.is_some() || self.where_clause.is_some()
     }
+
+    /// The run configuration this spec names.
+    pub fn config(&self) -> SwopeConfig {
+        let mut cfg = SwopeConfig::with_epsilon(self.epsilon).with_threads(self.threads);
+        cfg.failure_probability = self.pf;
+        if let Some(seed) = self.seed {
+            cfg = cfg.with_seed(seed);
+        }
+        cfg
+    }
 }
 
-fn parse_param<T: std::str::FromStr>(req: &Request, name: &str) -> Result<Option<T>, String> {
-    match req.param(name) {
+fn parse_param<T: std::str::FromStr>(
+    params: &impl QueryParams,
+    name: &str,
+) -> Result<Option<T>, String> {
+    match params.param(name) {
         None => Ok(None),
         Some(raw) => raw
             .parse()
@@ -154,55 +242,14 @@ fn parse_param<T: std::str::FromStr>(req: &Request, name: &str) -> Result<Option
     }
 }
 
-fn require_param<T: std::str::FromStr>(req: &Request, name: &str) -> Result<T, String> {
-    parse_param(req, name)?.ok_or_else(|| format!("missing required parameter {name:?}"))
+fn require_param<T: std::str::FromStr>(params: &impl QueryParams, name: &str) -> Result<T, String> {
+    parse_param(params, name)?.ok_or_else(|| params.missing(name))
 }
 
 /// Parses the `/query/<segment>` path segment plus the request's query
-/// parameters into a [`QuerySpec`]. Errors are user-facing 400 messages.
+/// parameters into a [`QuerySpec`] ([`QuerySpec::parse`]).
 pub fn parse_spec(segment: &str, req: &Request) -> Result<QuerySpec, String> {
-    let shape = match segment {
-        "entropy-topk" => QueryShape::EntropyTopK { k: require_param(req, "k")? },
-        "entropy-filter" => QueryShape::EntropyFilter { eta: require_param(req, "eta")? },
-        "mi-topk" => QueryShape::MiTopK {
-            target: require_param(req, "target")?,
-            k: require_param(req, "k")?,
-        },
-        "mi-filter" => QueryShape::MiFilter {
-            target: require_param(req, "target")?,
-            eta: require_param(req, "eta")?,
-        },
-        "entropy-profile" => QueryShape::EntropyProfile,
-        "mi-profile" => QueryShape::MiProfile { target: require_param(req, "target")? },
-        other => return Err(format!("unknown query shape {other:?}")),
-    };
-    let spec = QuerySpec {
-        dataset: require_param(req, "dataset")?,
-        epsilon: parse_param(req, "epsilon")?.unwrap_or_else(|| shape.default_epsilon()),
-        pf: parse_param(req, "pf")?,
-        seed: parse_param(req, "seed")?,
-        threads: parse_param(req, "threads")?.unwrap_or(1),
-        row_start: parse_param(req, "row_start")?,
-        row_end: parse_param(req, "row_end")?,
-        where_clause: req.param("where").map(str::to_owned),
-        shape,
-    };
-    if let QueryShape::EntropyTopK { k } | QueryShape::MiTopK { k, .. } = spec.shape {
-        if k == 0 {
-            return Err("k must be at least 1".into());
-        }
-    }
-    if let (Some(s), Some(e)) = (spec.row_start, spec.row_end) {
-        if s > e {
-            return Err(format!("row range starts at {s} but ends at {e}"));
-        }
-    }
-    if let Some(w) = &spec.where_clause {
-        if !w.contains('=') {
-            return Err(format!("malformed where clause {w:?}: expected attr=value"));
-        }
-    }
-    Ok(spec)
+    QuerySpec::parse(segment, req)
 }
 
 /// The result-cache key for `spec` against dataset generation
@@ -250,20 +297,10 @@ pub fn cache_key(spec: &QuerySpec, generation: u64) -> String {
     key
 }
 
-fn config_for(spec: &QuerySpec) -> SwopeConfig {
-    let mut cfg = SwopeConfig::with_epsilon(spec.epsilon);
-    cfg.failure_probability = spec.pf;
-    cfg = cfg.with_threads(spec.threads);
-    if let Some(seed) = spec.seed {
-        cfg = cfg.with_seed(seed);
-    }
-    cfg
-}
-
 /// Resolves an attribute given as index or name against the schema's
-/// attribute `names` — the CLI's rule, and the one resolver a single box
-/// and a coordinator share, so both word a bad target the same way.
-fn resolve_target<'a>(
+/// attribute `names`: a query's target, and the attribute of its `where`
+/// clause.
+fn resolve_attr<'a>(
     mut names: impl ExactSizeIterator<Item = &'a str>,
     raw: &str,
 ) -> Result<usize, String> {
@@ -278,24 +315,25 @@ fn resolve_target<'a>(
         .ok_or_else(|| ColumnarError::UnknownAttr(raw.into()).to_string())
 }
 
-/// The attribute names of a registered dataset, in attribute order.
-fn entry_names(entry: &DatasetEntry) -> impl ExactSizeIterator<Item = &str> {
-    entry.dataset.schema().fields().iter().map(|f| f.name())
+/// The attribute names of `dataset`, in attribute order.
+fn names(dataset: &Dataset) -> impl ExactSizeIterator<Item = &str> {
+    dataset.schema().fields().iter().map(|f| f.name())
 }
 
 /// Resolves a `where` clause `attr=value` into a predicate: the attribute
-/// by index or name (the target rule), the value by numeric code or, when
-/// the column carries a dictionary, by label.
-fn resolve_where(entry: &DatasetEntry, clause: &str) -> Result<(usize, u32), String> {
+/// by index or name, the value by numeric code or, when the column
+/// carries a dictionary, by label. The value is everything after the
+/// first `=`.
+fn resolve_where(dataset: &Dataset, clause: &str) -> Result<(usize, u32), String> {
     let (attr_raw, value_raw) = clause
         .split_once('=')
         .ok_or_else(|| format!("malformed where clause {clause:?}: expected attr=value"))?;
-    let attr = resolve_target(entry_names(entry), attr_raw)?;
+    let attr = resolve_attr(names(dataset), attr_raw)?;
     if let Ok(code) = value_raw.parse::<u32>() {
         return Ok((attr, code));
     }
     let dict =
-        entry.dataset.schema().field(attr).and_then(|f| f.dictionary()).ok_or_else(|| {
+        dataset.schema().field(attr).and_then(|f| f.dictionary()).ok_or_else(|| {
             format!("attribute {attr_raw:?} has no dictionary; use a numeric code")
         })?;
     let code = dict
@@ -304,14 +342,20 @@ fn resolve_where(entry: &DatasetEntry, clause: &str) -> Result<(usize, u32), Str
     Ok((attr, code))
 }
 
-/// Builds the [`Scope`] a spec names against a concrete dataset.
-fn resolve_spec_scope(entry: &DatasetEntry, spec: &QuerySpec) -> Result<Scope, String> {
+/// What `spec` names against a registered dataset: its shape (the target
+/// resolved), its scope (the `where` clause resolved) and its run
+/// configuration. [`run_query`] runs exactly this; the CLI runs it too,
+/// under its own `--algo` and `--shards`. Errors are a server's 422.
+pub fn resolve(
+    entry: &DatasetEntry,
+    spec: &QuerySpec,
+) -> Result<(Shape, Scope, SwopeConfig), String> {
     let mut scope = Scope { row_start: spec.row_start, row_end: spec.row_end, predicate: None };
     if let Some(clause) = &spec.where_clause {
-        let (attr, code) = resolve_where(entry, clause)?;
-        scope.predicate = Some((attr, code));
+        scope.predicate = Some(resolve_where(&entry.dataset, clause)?);
     }
-    Ok(scope)
+    let shape = spec.shape.resolve(names(&entry.dataset))?;
+    Ok((shape, scope, spec.config()))
 }
 
 /// Executes `spec` against `entry` on `exec` and returns the serialized
@@ -330,49 +374,11 @@ pub fn run_query<O: QueryObserver>(
 ) -> Result<String, (u16, String)> {
     // Every request runs through the one scoped entry point; a full scope
     // (the common unscoped request) is the plain query, bit for bit.
-    let scope = resolve_spec_scope(entry, spec).map_err(|m| (422, m))?;
-    answer(Counts::Local(entry, scope), entry.generation, spec, exec, obs)
-}
-
-/// Where a query's counts come from — the one thing a single box and a
-/// coordinator do differently.
-enum Counts<'a> {
-    /// A registered dataset, sampled over the spec's scope.
-    Local(&'a DatasetEntry, Scope),
-    /// The peer fleet, over the exact count-merge protocol (boxed: it
-    /// carries the query's sampler and count buffers).
-    Remote(Box<RemoteShardSource>),
-}
-
-/// The body [`run_query`] and [`run_query_cluster`] share: the config,
-/// the shape and its target's name resolved against the source's schema,
-/// the count, and the serialized answer.
-fn answer<O: QueryObserver>(
-    counts: Counts<'_>,
-    generation: u64,
-    spec: &QuerySpec,
-    exec: &Executor,
-    obs: &mut O,
-) -> Result<String, (u16, String)> {
-    let cfg = config_for(spec);
-    let names: Vec<&str> = match &counts {
-        Counts::Local(entry, _) => entry_names(entry).collect(),
-        Counts::Remote(src) => src.attrs().iter().map(|a| a.name.as_str()).collect(),
-    };
-    let shape = spec.shape.resolve(names.iter().copied()).map_err(|m| (422, m))?;
-    let target = shape.target.map(|t| (t, names.get(t).copied().unwrap_or("?").to_owned()));
-    let answer = match counts {
-        Counts::Local(entry, scope) => {
-            run(&entry.dataset, &shape, &scope, Some(&*entry.sketch), &cfg, obs, exec)
-                .map_err(|e| (422, e.to_string()))?
-        }
-        Counts::Remote(mut src) => {
-            let answer = run_sharded(&mut *src, &shape, &cfg, obs, exec).map_err(cluster_fail)?;
-            src.finish();
-            answer
-        }
-    };
-    Ok(serialize(generation, spec, target, &answer))
+    let (shape, scope, cfg) = resolve(entry, spec).map_err(|m| (422, m))?;
+    let answer = run(&entry.dataset, &shape, &scope, Some(&*entry.sketch), &cfg, obs, exec)
+        .map_err(|e| (422, e.to_string()))?;
+    let target = shape.target.map(|t| (t, names(&entry.dataset).nth(t).unwrap_or("?")));
+    Ok(serialize(entry.generation, spec, target, &answer))
 }
 
 /// Connection parameters for the coordinator query path: the peer fleet
@@ -436,25 +442,31 @@ pub fn run_query_cluster<O: QueryObserver>(
     } else {
         None
     };
-    let src = RemoteShardSource::connect(
+    let cfg = spec.config();
+    let mut src = RemoteShardSource::connect(
         &cluster.addrs,
         &spec.dataset,
-        config_for(spec).seed,
+        cfg.seed,
         scope,
         &cluster.timeouts,
         Arc::clone(stats),
         Some(Arc::clone(&cluster.pool)),
     )
     .map_err(cluster_fail)?;
+    let names = src.attrs().iter().map(|a| a.name.as_str());
+    let shape = spec.shape.resolve(names).map_err(|m| (422, m))?;
+    let answer = run_sharded(&mut src, &shape, &cfg, obs, exec).map_err(cluster_fail)?;
+    src.finish();
+    let target = shape.target.map(|t| (t, src.attrs().get(t).map_or("?", |a| a.name.as_str())));
     // Generation 1 matches a fresh single box's first insert, keeping the
     // coordinator's bytes diffable against a single-box run.
-    answer(Counts::Remote(Box::new(src)), 1, spec, exec, obs)
+    Ok(serialize(1, spec, target, &answer))
 }
 
 fn serialize(
     generation: u64,
     spec: &QuerySpec,
-    target: Option<(usize, String)>,
+    target: Option<(usize, &str)>,
     answer: &Answer,
 ) -> String {
     let Answer { scores, stats } = answer;
@@ -475,7 +487,7 @@ fn serialize(
     }
     if let Some((t, name)) = target {
         let _ = write!(out, ",\"target\":{{\"attr\":{t},\"name\":");
-        escape_into(&mut out, &name);
+        escape_into(&mut out, name);
         out.push('}');
     }
     out.push_str(",\"epsilon\":");
@@ -659,6 +671,29 @@ mod tests {
         assert!(parse_spec("entropy-topk", &req(&inverted)).unwrap_err().contains("row range"));
         let bad_where = [base[0], base[1], ("where", "noequals")];
         assert!(parse_spec("entropy-topk", &req(&bad_where)).unwrap_err().contains("attr=value"));
+
+        // The rest of the `where` grammar: the attribute by index or name,
+        // the value — everything after the first `=` — by code or, on a
+        // column with a dictionary, by label. Each way to miss is a 422.
+        let labelled = entry();
+        let tiny = swope_datagen::generate(&swope_datagen::corpus::tiny(400, 2), 1);
+        let coded = DatasetRegistry::new(1000).insert("c", tiny);
+        let no_dictionary = "attribute \"0\" has no dictionary; use a numeric code";
+        let cases = [
+            (&labelled, "0=", "value \"\" not found in attribute \"0\""),
+            (&labelled, "=3", "unknown attribute name \"\""),
+            (&labelled, "a=b=c", "unknown attribute name \"a\""),
+            (&labelled, "skewed=b=c", "value \"b=c\" not found in attribute \"skewed\""),
+            (&labelled, "2=0", "target index 2 out of range"),
+            (&labelled, "skewed=often", "value \"often\" not found in attribute \"skewed\""),
+            (&coded, "0=x", no_dictionary),
+            (&coded, "0=", no_dictionary),
+        ];
+        for (entry, clause, want) in cases {
+            let spec = parse_spec("entropy-topk", &req(&[base[0], base[1], ("where", clause)]));
+            let got = run_query(entry, &spec.unwrap(), &Executor::sequential(), &mut NoopObserver);
+            assert_eq!(got.unwrap_err(), (422, want.to_owned()), "{clause}");
+        }
     }
 
     #[test]

@@ -1,5 +1,12 @@
 //! Dataset registry: named, immutable, shareable datasets.
 //!
+//! It also holds the load policy — cap each column's support, keep the
+//! sketch a file carries unless the cap dropped a column, build one
+//! otherwise — for every client: `swope serve` registers its files here,
+//! and the CLI's query commands load theirs through the same
+//! [`DatasetRegistry::load_path`] (and `inspect` and `stats` through
+//! [`open_capped`]), so a file answers alike on both sides.
+//!
 //! The whole point of the server is amortization — load a dataset once,
 //! answer many cheap adaptive queries against it. The registry holds
 //! each dataset behind an `Arc` so worker threads answer queries against
@@ -44,9 +51,7 @@ pub struct DatasetRegistry {
 
 impl DatasetRegistry {
     /// An empty registry that loads files to the heap. Datasets are
-    /// capped to `max_support` at load, mirroring the CLI's
-    /// `--max-support` behaviour so the server path and the CLI path
-    /// answer queries over identical data.
+    /// capped to `max_support` at load.
     pub fn new(max_support: u32) -> Self {
         Self::with_pager(max_support, None)
     }
@@ -65,35 +70,23 @@ impl DatasetRegistry {
     /// Registers `dataset` under `name`, replacing any previous holder of
     /// the name. Returns the new entry.
     pub fn insert(&self, name: &str, dataset: Dataset) -> Arc<DatasetEntry> {
-        self.register(name, dataset, None)
+        self.register(name, cap(dataset, None, self.max_support))
     }
 
-    /// Caps `dataset` and registers it — the one place an entry comes
-    /// into being. A sketch read from the dataset's file is kept only
-    /// when support capping dropped no columns (its column indices would
-    /// be wrong otherwise); in every other case the sketch is rebuilt
-    /// from the capped dataset.
-    fn register(
-        &self,
-        name: &str,
-        dataset: Dataset,
-        file_sketch: Option<DatasetSketch>,
-    ) -> Arc<DatasetEntry> {
-        let before = dataset.num_attrs();
-        let (capped, kept) = dataset.cap_support(self.max_support);
-        let sketch = match file_sketch {
-            Some(sk) if kept.len() == before => sk,
-            // Rebuild through the snapshot module's paged-aware path: a
-            // capped out-of-core dataset sketches one faulted page at a
-            // time instead of materializing whole columns.
-            _ => swope_columnar::snapshot::build_sketch(&capped),
-        };
+    /// Registers a capped dataset — the one place an entry comes into
+    /// being — with the sketch its file carried, or else one built from
+    /// it.
+    fn register(&self, name: &str, (dataset, sketch, dropped): Capped) -> Arc<DatasetEntry> {
+        // Built through the snapshot module's paged-aware path: a capped
+        // out-of-core dataset sketches one faulted page at a time instead
+        // of materializing whole columns.
+        let sketch = sketch.unwrap_or_else(|| swope_columnar::snapshot::build_sketch(&dataset));
         let entry = Arc::new(DatasetEntry {
             name: name.to_owned(),
             generation: self.next_generation.fetch_add(1, Ordering::Relaxed),
-            dataset: Arc::new(capped),
+            dataset: Arc::new(dataset),
             sketch: Arc::new(sketch),
-            dropped_columns: before - kept.len(),
+            dropped_columns: dropped,
         });
         let mut map = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         map.insert(name.to_owned(), Arc::clone(&entry));
@@ -140,9 +133,7 @@ impl DatasetRegistry {
         let name = name
             .or_else(stem)
             .ok_or_else(|| format!("cannot derive a dataset name from {path:?}"))?;
-        let (dataset, sketch) =
-            Dataset::open(path, residency).map_err(|e| format!("loading {path}: {e}"))?;
-        Ok(self.register(name, dataset, sketch))
+        Ok(self.register(name, open_capped(path, residency, self.max_support)?))
     }
 
     /// The map, whether or not a thread panicked holding it: the one
@@ -207,6 +198,31 @@ impl DatasetRegistry {
         }
         agg
     }
+}
+
+/// A support-capped dataset, the sketch its file carried if that still
+/// fits it, and the number of columns the cap dropped.
+pub type Capped = (Dataset, Option<DatasetSketch>, usize);
+
+/// Opens the `.swop`/`.csv` file at `path` at `residency` and caps it to
+/// `max_support`: what every load does before registering.
+pub fn open_capped(
+    path: &str,
+    residency: Residency<'_>,
+    max_support: u32,
+) -> Result<Capped, String> {
+    let (dataset, sketch) =
+        Dataset::open(path, residency).map_err(|e| format!("loading {path}: {e}"))?;
+    Ok(cap(dataset, sketch, max_support))
+}
+
+/// Drops the columns whose support exceeds `max_support`, and with any
+/// of them `sketch`, whose column indices would no longer match.
+fn cap(dataset: Dataset, sketch: Option<DatasetSketch>, max_support: u32) -> Capped {
+    let before = dataset.num_attrs();
+    let (capped, kept) = dataset.cap_support(max_support);
+    let dropped = before - kept.len();
+    (capped, sketch.filter(|_| dropped == 0), dropped)
 }
 
 /// Registry-wide partition-sketch footprint

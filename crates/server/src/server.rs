@@ -114,7 +114,8 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Maximum accepted request-body size.
     pub max_body_bytes: usize,
-    /// Support cap applied to datasets at load (the CLI's default 1000).
+    /// Support cap applied to datasets at load (default
+    /// [`swope_columnar::DEFAULT_MAX_SUPPORT`]).
     pub max_support: u32,
     /// Install SIGINT/SIGTERM handlers and honour them in the event loop.
     pub handle_signals: bool,
@@ -187,7 +188,7 @@ impl Default for ServerConfig {
             deadline: Duration::from_secs(10),
             read_timeout: Duration::from_secs(5),
             max_body_bytes: 1 << 20,
-            max_support: 1000,
+            max_support: swope_columnar::DEFAULT_MAX_SUPPORT,
             handle_signals: false,
             exec_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             trace: false,

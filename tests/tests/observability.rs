@@ -256,7 +256,7 @@ fn observers_never_change_answers() {
     }
 
     // The filter pair ran through the accumulator: phases were timed.
-    assert!(acc.total_nanos() > 0);
+    assert!(acc.nanos.iter().sum::<u64>() > 0);
 }
 
 #[test]
@@ -287,7 +287,6 @@ fn phase_accumulator_covers_every_phase() {
     for p in Phase::ALL {
         assert!(acc.calls[p.index()] > 0, "phase {} never reported", p.name());
     }
-    assert_eq!(acc.total_nanos(), acc.nanos.iter().sum::<u64>());
 }
 
 /// One spelling per metric: every family name the server exports and
