@@ -270,6 +270,36 @@ fn scoped_queries_restrict_rows_and_validate_flags() {
     thread.join().unwrap();
 }
 
+/// A `where` value on a column with a dictionary is read as a label
+/// first: on a CSV, whose codes follow first appearance, `1=0` selects
+/// the rows whose value is "0", not the rows that got code 0 — in the
+/// CLI and over HTTP alike.
+#[test]
+fn where_values_on_a_csv_are_labels_before_codes() {
+    let csv = tmp("where-labels.csv");
+    let c = csv.to_str().unwrap();
+    let o = swope(&["gen", "tiny", "--rows", "5000", "--cols", "6", "--out", c]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let text = std::fs::read_to_string(&csv).unwrap();
+    let column = |v: &str| text.lines().skip(1).filter(|l| l.split(',').nth(1) == Some(v)).count();
+    // Code 0 is the first row's label, which is not "0".
+    let first = text.lines().nth(1).unwrap().split(',').nth(1).unwrap();
+    assert_ne!(first, "0");
+    let want = column("0");
+    assert_ne!(want, column(first));
+    let eps = ["--epsilon", "0.0005"];
+    let o = swope(&[&["entropy-profile", c, "--where", "1=0"][..], &eps].concat());
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(stdout(&o).contains(&format!("(sampled {want} rows in")), "{}", stdout(&o));
+    let (addr, handle, thread) = serve(&[c], 1000);
+    let served =
+        get(&addr, "/query/entropy-profile?dataset=where-labels&where=1%3D0&epsilon=0.0005");
+    handle.shutdown();
+    thread.join().unwrap();
+    let stats = served.get("stats").unwrap();
+    assert_eq!(stats.get("sample_size").unwrap().as_u64(), Some(want as u64), "{served:?}");
+}
+
 #[test]
 fn sharded_queries_match_unsharded_output_and_validate_flags() {
     let swop = tmp("sharded.swop");
@@ -806,8 +836,7 @@ fn cli_and_server_give_one_answer() {
     let events = tmp("alike.jsonl");
     let mi = ["mi-topk", "--target", "0", "-k", "2", "--seed", "7"];
     let cases: [(&str, u32, &[&str], &str); 3] = [
-        // One whole page against 3 464 fringe rows: the server's range
-        // path is the hybrid one.
+        // One whole page against 3 464 fringe rows.
         (
             csv,
             1000,

@@ -19,12 +19,11 @@
 //!   population ([`crate::scope::LocalSource`]), or the merged integer
 //!   histograms of a [`ShardTransport`] ([`crate::shard::ShardedSource`]).
 //!
-//! Argument validation, the query's [`Plan`] — population, sampler
-//! path, marginals, `M0`, `i_max` and `p′`, decided once before
-//! `query_start` — the observer lifecycle, score building, result
-//! ordering and the answer over an empty population each live here
-//! once, so every path — heap, paged, scoped, hybrid, sharded, remote —
-//! answers bit for bit alike.
+//! Argument validation, the query's [`Plan`] — population, marginals,
+//! `M0`, `i_max` and `p′`, decided once before `query_start` — the
+//! observer lifecycle, score building, result ordering and the answer
+//! over an empty population each live here once, so every path — heap,
+//! paged, scoped, sharded, remote — answers bit for bit alike.
 
 use std::time::Instant;
 
@@ -200,7 +199,7 @@ impl From<Answer> for ProfileResult {
 pub(crate) trait CountSource {
     /// What the source resolved to: the population `n` the guarantees
     /// hold over (`N`, or a scope's `n_s`) and, for a local scope, its
-    /// sampler path and scan rows. The driver decides the rest.
+    /// scan rows. The driver decides the rest.
     fn plan(&self) -> Plan;
 
     /// Attributes of the queried schema.
@@ -344,10 +343,10 @@ fn score<S: CountSource>(source: &S, st: &impl Candidate, retired_iteration: usi
 /// The sample is uniform without replacement *from the scope*, bounds
 /// use the scope's row count and `p_f` defaults to its reciprocal, so the
 /// paper's guarantees hold over the scoped rows; [`Scope::all`] is the
-/// plain query. A `sketch` that matches the dataset lets a row-range
-/// entropy query synthesize the fully covered pages from per-page
-/// histograms and lets a predicate skip pages without matches (see
-/// [`crate::Scope`]). Over a full scope it changes the MI shapes only:
+/// plain query. A `sketch` that matches the dataset lets a predicate
+/// skip pages without matches (see [`crate::Scope`]); a row range
+/// answers alike with or without one. Over a full scope it changes the
+/// MI shapes only:
 /// their marginal entropies are read exactly from the sketch, and only
 /// the joint is sampled — an interval of `2λ + b(α_t, α)` instead of
 /// `6λ + b′` (`swope_estimate::bounds::mi_bounds_exact_marginals`), with
@@ -379,13 +378,8 @@ pub fn run<O: QueryObserver>(
 ) -> Result<Answer, SwopeError> {
     config.validate()?;
     shape.check(dataset.num_attrs(), dataset.num_rows() == 0)?;
-    // Covered pages can stand in for marginal counts only: MI needs joint
-    // co-occurrences, which per-attribute histograms cannot synthesize,
-    // so an MI range samples its rows. (Over a full scope MI still takes
-    // the sketch's exact marginals: `CountSource::marginals`.)
-    let hybrid = shape.target.is_none();
     let started = observer.enabled().then(Instant::now);
-    let source = LocalSource::open(dataset, scope, sketch, config, hybrid)?;
+    let source = LocalSource::open(dataset, scope, sketch, config)?;
     // A full scope is the plain query; it reports no resolution span.
     let resolved = started.filter(|_| source.scoped()).map(|t| t.elapsed().as_nanos() as u64);
     plan_query(shape, source, resolved, config, observer, exec)

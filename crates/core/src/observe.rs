@@ -29,9 +29,6 @@ pub(crate) struct Instrumented<'a, O: QueryObserver> {
     /// Current 1-based doubling iteration (0 before the first
     /// [`begin_iteration`](Self::begin_iteration)).
     iter: usize,
-    /// Draws a hybrid range synthesized from sketch histograms, which
-    /// `rows_scanned` does not charge; reported at `query_end`.
-    pub covered_draws: u64,
 }
 
 impl<'a, O: QueryObserver> Instrumented<'a, O> {
@@ -48,7 +45,7 @@ impl<'a, O: QueryObserver> Instrumented<'a, O> {
         let (epsilon, threads) = (config.epsilon, config.threads);
         obs.query_start(&QueryMeta { kind, num_attrs, epsilon, threads, plan });
         let stats = QueryStats { rows_scanned: plan.scope_rows, ..QueryStats::default() };
-        Self { obs, stats, iter: 0, covered_draws: 0 }
+        Self { obs, stats, iter: 0 }
     }
 
     /// Emits work the plan timed before `query_start` — resolving a
@@ -121,7 +118,6 @@ impl<'a, O: QueryObserver> Instrumented<'a, O> {
             iterations: self.stats.iterations,
             rows_scanned: self.stats.rows_scanned,
             converged_early,
-            covered_draws: self.covered_draws,
         });
         self.stats
     }

@@ -194,42 +194,37 @@ fn scoped_queries_are_pager_invariant() {
     });
 }
 
-/// A range with one covered page and 44 464 fringe rows: under twice
-/// the fringe in whole pages, so every sampled row is read.
-const PHYSICAL_RANGE: (usize, usize) = (30_000, 140_000);
+/// A range with one whole page and 44 464 fringe rows.
+const FRINGE_RANGE: (usize, usize) = (30_000, 140_000);
 
-/// The same covered page with 9 464 fringe rows: the hybrid sampler.
-const HYBRID_RANGE: (usize, usize) = (60_000, 135_000);
+/// The same whole page with 9 464 fringe rows.
+const COVERING_RANGE: (usize, usize) = (60_000, 135_000);
 
 /// The scope shapes the combined scope above never reaches. A pure
-/// predicate materializes its row list by scanning *every* page the
-/// sketch cannot rule out — per-page slices of a paged column — and
-/// samples it through a list map. A pure range with a sketch is on one
-/// side or the other of the rule that picks its sampler: offset-mapped
-/// and read, or run through the hybrid sampler, whose physical rows are
-/// the two fringe pages — the shuffled two-page sample the page-grouped
-/// gather exists for — while MI offset-maps either range. The rule reads
-/// the range alone, so both ranges answer alike wherever the columns
-/// live and on any thread count. Entropy and MI shapes, threads 1/8.
+/// predicate materializes its members by scanning *every* page the
+/// sketch cannot rule out — per-page slices of a paged column. A pure
+/// range reads its whole pages and its two fringe pages, whatever share
+/// of it they hold, and a sketch changes nothing about it: both ranges
+/// answer alike wherever the columns live, on any thread count, and with
+/// or without a sketch. Entropy and MI shapes, threads 1/8.
 #[test]
 fn predicate_and_range_scopes_are_pager_invariant() {
     // Entropy top-k, MI top-k, MI filter.
     let picked = [0, 2, 3].map(|i| shapes()[i]);
-    let ranges = [PHYSICAL_RANGE, HYBRID_RANGE].map(|(start, end)| Scope::range(start, end));
+    let ranges = [FRINGE_RANGE, COVERING_RANGE].map(|(start, end)| Scope::range(start, end));
     assert_pager_invariant(40, |m, cfg| {
         let sk = m.sketch.as_ref();
         [Scope::all().with_predicate(1, 2), ranges[0].clone(), ranges[1].clone()]
             .map(|scope| picked.map(|shape| scoped(&m.dataset, &shape, &scope, sk, cfg)))
     });
-    // The two ranges did take different paths: the first answers as it
-    // does with no sketch at all, the second reads fewer rows than that.
+    // Neither range's answer depends on the sketch.
     let ds = dataset(40);
     let sk = common::sketch_of(&ds);
     let cfg = config(40, 1);
-    let [physical, hybrid] =
+    let [fringe, covering] =
         ranges.map(|scope| [Some(&sk), None].map(|sk| scoped(&ds, &picked[0], &scope, sk, &cfg)));
-    assert_eq!(physical[0], physical[1]);
-    assert!(hybrid[0].stats.rows_scanned < hybrid[1].stats.rows_scanned);
+    assert_eq!(fringe[0], fringe[1]);
+    assert_eq!(covering[0], covering[1]);
 }
 
 /// Flips one byte in the last column's final page payload (the byte

@@ -6,9 +6,8 @@
 //!   answers — and only MI reads the sketch there, for exact marginals;
 //! * at full sample (`m = n_s`) a range scope reproduces the exact
 //!   brute-force statistic over the scoped rows, whether the range is
-//!   page-aligned or straddles 65 536-row page boundaries — the hybrid
-//!   sketch-seeded path and the physical fringe path must agree with a
-//!   plain scan;
+//!   page-aligned or straddles 65 536-row page boundaries — whole pages
+//!   and fringe pages must agree with a plain scan;
 //! * an empty range is well-defined (zero scores, zero rows sampled),
 //!   not an error or a panic;
 //! * scoped answers are invariant to thread count (1 vs 8) and to the
@@ -194,7 +193,7 @@ fn empty_ranges_are_well_defined_across_all_six_loops() {
 #[test]
 fn scoped_answers_are_thread_and_width_invariant() {
     let ds = dataset(34, 2 * PAGE_ROWS + 4321);
-    // An unaligned range (hybrid path) and a predicate (row-list path).
+    // An unaligned range holding a whole page, and a predicate.
     let scopes = [
         Scope::range(PAGE_ROWS - 250, 2 * PAGE_ROWS + 250),
         Scope::range(0, ds.num_rows()).with_predicate(0, 0),

@@ -174,7 +174,6 @@ mod tests {
             iterations: 1,
             rows_scanned: 5248,
             converged_early: true,
-            covered_draws: 0,
         });
     }
 

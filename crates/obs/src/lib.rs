@@ -156,21 +156,6 @@ impl Phase {
     }
 }
 
-/// Which sampler a row-range scope was given, with the two row counts
-/// the choice is made from (`swope_core::scope`): a range runs the
-/// hybrid sampler when enough of it lies in whole sketch pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScopePath {
-    /// Covered pages are synthesized from sketch histograms and only the
-    /// fringe is read; `false` when every sampled row is read — too few
-    /// covered rows, an MI query, or no usable sketch.
-    pub hybrid: bool,
-    /// Rows of the range inside whole 65 536-row pages.
-    pub covered_rows: u64,
-    /// The range's other rows, at its two ends.
-    pub fringe_rows: u64,
-}
-
 /// Everything a query decided before its first doubling: the population
 /// it samples, how, and the ladder's constants. `swope_core`'s driver
 /// builds it once, before `query_start`; it is the only record of those
@@ -183,8 +168,6 @@ pub struct Plan {
     /// The population `n` the guarantees hold over: the dataset's `N`,
     /// or a scope's `n_s`.
     pub n: usize,
-    /// How a row-range scope is sampled; `None` for any other scope.
-    pub path: Option<ScopePath>,
     /// Physical rows the scope's resolution examined (a predicate's
     /// scan), charged to `rows_scanned`.
     pub scope_rows: u64,
@@ -232,9 +215,6 @@ pub struct RunStats {
     pub rows_scanned: u64,
     /// Whether the stopping rule fired before the sample reached `N`.
     pub converged_early: bool,
-    /// Draws a hybrid range synthesized from sketch histograms, summed
-    /// over attributes; `rows_scanned` charges them nothing.
-    pub covered_draws: u64,
 }
 
 /// Final confidence interval of a retiring attribute.

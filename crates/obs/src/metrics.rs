@@ -170,14 +170,9 @@ pub struct MetricsRegistry {
     iterations_per_query: Histogram,
     /// Counter-update work units per query.
     rows_scanned_per_query: Histogram,
-    /// Row-range queries by the sampler their plan gave them.
-    hybrid_ranges: AtomicU64,
-    physical_ranges: AtomicU64,
     /// MI queries by where their plan took the marginal entropies from.
     sketch_marginals: AtomicU64,
     sampled_marginals: AtomicU64,
-    /// Draws hybrid ranges synthesized from sketch histograms.
-    covered_draws: AtomicU64,
 }
 
 impl MetricsRegistry {
@@ -198,11 +193,8 @@ impl MetricsRegistry {
             iterations_per_query: Histogram::new(vec![1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32]),
             // Work units span orders of magnitude; powers of four from 4Ki.
             rows_scanned_per_query: Histogram::new((6..=15).map(|i| 1u64 << (2 * i)).collect()),
-            hybrid_ranges: AtomicU64::new(0),
-            physical_ranges: AtomicU64::new(0),
             sketch_marginals: AtomicU64::new(0),
             sampled_marginals: AtomicU64::new(0),
-            covered_draws: AtomicU64::new(0),
         }
     }
 
@@ -363,23 +355,11 @@ impl MetricsRegistry {
             hist.render_quantiles(name, "", &mut out);
         }
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        let hybrid = load(&self.hybrid_ranges);
-        let _ = writeln!(out, "# TYPE {} counter", names::SCOPE_PATH_TOTAL);
-        for (path, value) in [("hybrid", hybrid), ("physical", load(&self.physical_ranges))] {
-            let _ = writeln!(out, "{}{{path=\"{path}\"}} {value}", names::SCOPE_PATH_TOTAL);
-        }
         let _ = writeln!(out, "# TYPE {} counter", names::MI_MARGINALS_TOTAL);
         for (source, value) in
             [("sketch", load(&self.sketch_marginals)), ("sampled", load(&self.sampled_marginals))]
         {
             let _ = writeln!(out, "{}{{source=\"{source}\"}} {value}", names::MI_MARGINALS_TOTAL);
-        }
-        for (name, value) in [
-            (names::SKETCH_HYBRID_QUERIES_TOTAL, hybrid),
-            (names::SKETCH_COVERED_DRAWS_TOTAL, load(&self.covered_draws)),
-        ] {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
         }
         out
     }
@@ -415,10 +395,6 @@ impl QueryObserver for MetricsRegistry {
 impl QueryObserver for &MetricsRegistry {
     fn query_start(&mut self, meta: &QueryMeta) {
         self.queries[meta.kind.index()].fetch_add(1, Ordering::Relaxed);
-        if let Some(path) = meta.plan.path {
-            let ranges = if path.hybrid { &self.hybrid_ranges } else { &self.physical_ranges };
-            ranges.fetch_add(1, Ordering::Relaxed);
-        }
         if let Some(sketch) = meta.plan.sketch_marginals {
             let source = if sketch { &self.sketch_marginals } else { &self.sampled_marginals };
             source.fetch_add(1, Ordering::Relaxed);
@@ -437,7 +413,6 @@ impl QueryObserver for &MetricsRegistry {
 
     fn query_end(&mut self, stats: &RunStats) {
         self.rows_scanned.fetch_add(stats.rows_scanned, Ordering::Relaxed);
-        self.covered_draws.fetch_add(stats.covered_draws, Ordering::Relaxed);
         self.iterations.fetch_add(stats.iterations as u64, Ordering::Relaxed);
         self.sample_rows.fetch_add(stats.sample_size as u64, Ordering::Relaxed);
         if stats.converged_early {
@@ -559,7 +534,6 @@ mod tests {
             iterations: 2,
             rows_scanned: 512,
             converged_early: true,
-            covered_draws: 0,
         });
         assert_eq!(reg.queries_total(QueryKind::EntropyFilter), 1);
         assert_eq!(reg.queries_all_kinds(), 1);
@@ -580,7 +554,6 @@ mod tests {
             iterations: 1,
             rows_scanned: 40,
             converged_early: false,
-            covered_draws: 0,
         });
         let table = reg.render_table();
         assert!(table.contains("rows_scanned_total"));
@@ -595,30 +568,19 @@ mod tests {
 
     #[test]
     fn plan_families_count_each_observed_query_once() {
-        use crate::ScopePath;
         let reg = MetricsRegistry::new();
         let mut obs = &reg;
         let start = |obs: &mut &MetricsRegistry, plan: Plan| {
             let kind = QueryKind::MiTopK;
             obs.query_start(&QueryMeta { kind, num_attrs: 4, epsilon: 0.1, threads: 1, plan });
         };
-        let range = |hybrid| Some(ScopePath { hybrid, covered_rows: 65_536, fringe_rows: 10 });
-        start(&mut obs, Plan { path: range(true), ..Plan::default() });
-        start(
-            &mut obs,
-            Plan { path: range(false), sketch_marginals: Some(false), ..Plan::default() },
-        );
+        start(&mut obs, Plan { sketch_marginals: Some(false), ..Plan::default() });
         start(&mut obs, Plan { sketch_marginals: Some(true), ..Plan::default() });
         start(&mut obs, Plan::default());
-        obs.query_end(&RunStats { covered_draws: 96, ..RunStats::default() });
         let prom = reg.render_prometheus();
         for line in [
-            "swope_scope_path_total{path=\"hybrid\"} 1\n",
-            "swope_scope_path_total{path=\"physical\"} 1\n",
             "swope_mi_marginals_total{source=\"sketch\"} 1\n",
             "swope_mi_marginals_total{source=\"sampled\"} 1\n",
-            "swope_sketch_hybrid_queries_total 1\n",
-            "swope_sketch_covered_draws_total 96\n",
         ] {
             assert!(prom.contains(line), "{line}");
         }

@@ -83,26 +83,9 @@ pub const SKETCH_BYTES: &str = "swope_sketch_bytes";
 /// 65 536-row slab per column-set).
 pub const SKETCH_PAGES: &str = "swope_sketch_pages";
 
-/// Gauge: fraction of registered rows inside fully-covered sketch
-/// pages — range scopes aligned to those pages are answered from the
-/// sketch without touching the store.
+/// Gauge: fraction of registered rows inside whole 65 536-row sketch
+/// pages (every row but a partial last page's).
 pub const SKETCH_COVERAGE: &str = "swope_sketch_coverage";
-
-/// Counter: range-scoped entropy queries that ran the hybrid sampler —
-/// whole pages synthesized from sketch histograms, only the boundary
-/// fringe read from the store. Like the three families below, counted
-/// by [`crate::MetricsRegistry`] from each query it observes: from
-/// [`crate::QueryMeta::plan`] at `query_start`, covered draws from
-/// [`crate::RunStats::covered_draws`] at `query_end`.
-pub const SKETCH_HYBRID_QUERIES_TOTAL: &str = "swope_sketch_hybrid_queries_total";
-
-/// Counter with a `path` label: row-range scopes by the sampler they were
-/// given — `hybrid` (whole pages synthesized from the sketch; the same
-/// count as `swope_sketch_hybrid_queries_total`) or `physical` (every
-/// sampled row read: under `2 ×` as many covered rows as fringe rows, an
-/// MI query, or no usable sketch). A coordinator plans no path and
-/// counts no ranges.
-pub const SCOPE_PATH_TOTAL: &str = "swope_scope_path_total";
 
 /// Counter with a `source` label: MI queries by where their marginal
 /// entropies came from — `sketch` (every attribute's exact counts read
@@ -111,11 +94,6 @@ pub const SCOPE_PATH_TOTAL: &str = "swope_scope_path_total";
 /// predicate, no usable sketch, or a shard that declined: the paper's
 /// `6λ + b′`). A single box and a coordinator count the same way.
 pub const MI_MARGINALS_TOTAL: &str = "swope_mi_marginals_total";
-
-/// Counter: sample draws synthesized from sketch histograms instead of
-/// gathered from the store, summed over attributes — the unit of
-/// `rows_scanned`, which charges these draws zero.
-pub const SKETCH_COVERED_DRAWS_TOTAL: &str = "swope_sketch_covered_draws_total";
 
 /// Histogram with `endpoint` and `dataset` labels: wall-clock
 /// microseconds per request, broken out by what was served and against

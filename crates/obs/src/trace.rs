@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::ObjectWriter;
-use crate::{Phase, QueryMeta, QueryObserver, RunStats, ScopePath};
+use crate::{Phase, QueryMeta, QueryObserver, RunStats};
 
 /// Spans kept per trace before further opens are dropped (and counted).
 pub const MAX_SPANS: usize = 512;
@@ -245,15 +245,13 @@ impl SpanSink {
 ///   phase hook fires just before the `iteration` hook that reveals `m`),
 /// * `ingest` — ΔM × live counter updates,
 /// * `update_bounds` / `decide` — live candidates examined,
-/// * `store_sketch` — for a row range, named `store_sketch:hybrid` or
-///   `store_sketch:physical` after the sampler the range was given, with
-///   the rows inside whole pages as its items (the rest of the plan's
-///   `n` is fringe): the chooser's verdict and its two inputs.
+/// * `store_sketch` — scope resolution and an MI query's exact-marginal
+///   read, before the first doubling; a predicate's scanned rows are
+///   charged to the query's `rows_scanned`, so its items are 0.
 #[derive(Debug)]
 pub struct TraceObserver {
     sink: Arc<SpanSink>,
     parent: Option<u32>,
-    scope_path: Option<ScopePath>,
     query_span: u32,
     last_sample_grow: u32,
     prev_m: u64,
@@ -267,7 +265,6 @@ impl TraceObserver {
         TraceObserver {
             sink,
             parent,
-            scope_path: None,
             query_span: DROPPED,
             last_sample_grow: DROPPED,
             prev_m: 0,
@@ -280,7 +277,6 @@ impl TraceObserver {
 impl QueryObserver for TraceObserver {
     fn query_start(&mut self, meta: &QueryMeta) {
         self.query_span = self.sink.open(&format!("query:{}", meta.kind.name()), self.parent);
-        self.scope_path = meta.plan.path;
         self.prev_m = 0;
     }
 
@@ -306,17 +302,11 @@ impl QueryObserver for TraceObserver {
             // One merged count state is applied per live candidate.
             Phase::ShardMerge => self.live,
             // Scope setup fires before the first iteration; a predicate's
-            // setup rows are folded into rows_scanned, a range reports
-            // the rows it has in whole pages.
-            Phase::StoreSketch => self.scope_path.map_or(0, |path| path.covered_rows),
+            // setup rows are folded into rows_scanned.
+            Phase::StoreSketch => 0,
         };
         let parent = (self.query_span != DROPPED).then_some(self.query_span);
-        let name = match (phase, self.scope_path) {
-            (Phase::StoreSketch, Some(path)) if path.hybrid => "store_sketch:hybrid",
-            (Phase::StoreSketch, Some(_)) => "store_sketch:physical",
-            _ => phase.name(),
-        };
-        let id = self.sink.record(name, parent, start, end, iteration as u64, items);
+        let id = self.sink.record(phase.name(), parent, start, end, iteration as u64, items);
         if phase == Phase::SampleGrow {
             self.last_sample_grow = id;
         }
@@ -574,7 +564,6 @@ mod tests {
             iterations: 2,
             rows_scanned: 64 * 8 + 64 * 5,
             converged_early: true,
-            covered_draws: 0,
         });
         let (spans, dropped) = sink.drain();
         assert_eq!(dropped, 0);
@@ -602,29 +591,6 @@ mod tests {
             .map(|s| s.end_ns - s.start_ns)
             .sum();
         assert_eq!(phase_total, 2 * (10 + 20 + 5 + 5));
-    }
-
-    #[test]
-    fn trace_observer_tags_a_range_scopes_setup_span_with_its_path() {
-        let setup_span = |scope_path: Option<ScopePath>| {
-            let sink = SpanSink::new(TraceId(3));
-            let mut obs = TraceObserver::new(Arc::clone(&sink), None);
-            obs.query_start(&QueryMeta {
-                kind: QueryKind::EntropyTopK,
-                num_attrs: 8,
-                epsilon: 0.2,
-                threads: 1,
-                plan: Plan { n: 140_000, path: scope_path, ..Plan::default() },
-            });
-            obs.phase(Phase::StoreSketch, 0, 7);
-            let (spans, _) = sink.drain();
-            (spans[1].name.clone(), spans[1].items)
-        };
-        let path = |hybrid| ScopePath { hybrid, covered_rows: 131_072, fringe_rows: 8_928 };
-        assert_eq!(setup_span(Some(path(true))), ("store_sketch:hybrid".to_owned(), 131_072));
-        assert_eq!(setup_span(Some(path(false))), ("store_sketch:physical".to_owned(), 131_072));
-        // A predicate scope has no path to report.
-        assert_eq!(setup_span(None), ("store_sketch".to_owned(), 0));
     }
 
     #[test]

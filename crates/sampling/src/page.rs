@@ -246,11 +246,8 @@ impl<'a> From<&'a Vec<u32>> for Positions<'a> {
 /// A *whole* page has every slot a member and stores nothing. A range's
 /// *fringe* page keeps the bounds of its rows in the range, and its draws
 /// walk its slots through the layout. Any other *member* page keeps a
-/// bitmap of its member slots, one bit a slot. A *synthesised* page is a
-/// whole page whose draws [`PagePrefix`] only counts: its caller stands
-/// in for its rows (a scope's covered pages, from the sketch's
-/// histograms). Which rows are members depends only on the data and the
-/// scope; the layout only orders them.
+/// bitmap of its member slots, one bit a slot. Which rows are members
+/// depends only on the data and the scope; the layout only orders them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageMembers {
     pages: Vec<Cursor>,
@@ -276,7 +273,6 @@ struct Cursor {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Whole,
-    Synthesised,
     /// A fringe page: its rows in `lo..hi` (in-page) are the members.
     Rows(u32, u32),
     /// A member page, whose bitmap starts at this index of
@@ -306,16 +302,6 @@ impl PageMembers {
         members.layout =
             members.pages.iter().any(|c| c.kind != Kind::Whole).then(|| layout.clone());
         members
-    }
-
-    /// Marks the whole pages among `pages` synthesised.
-    pub fn synthesise(mut self, pages: Range<usize>) -> Self {
-        for cursor in &mut self.pages {
-            if cursor.kind == Kind::Whole && pages.contains(&(cursor.page as usize)) {
-                cursor.kind = Kind::Synthesised;
-            }
-        }
-        self
     }
 
     /// Adds page `page`, of `page_len` rows, after every page added so
@@ -379,8 +365,7 @@ impl PageMembers {
 /// draws start at; growth then draws only the splits. Growth is nested —
 /// every page's draws extend its earlier ones — and at `m = n` every
 /// member has been drawn exactly once. A whole page's draws are one or
-/// two runs of positions, a member page's a list of them, a synthesised
-/// page's only a count.
+/// two runs of positions, a member page's a list of them.
 #[derive(Debug, Clone)]
 pub struct PagePrefix {
     members: PageMembers,
@@ -388,7 +373,6 @@ pub struct PagePrefix {
     rng: Xoshiro256pp,
     runs: Vec<Range<u32>>,
     list: Vec<u32>,
-    synthesised: u64,
 }
 
 impl PagePrefix {
@@ -400,7 +384,7 @@ impl PagePrefix {
             let (kind, deltas) = (cursor.kind, fringe_deltas(layout.as_deref(), cursor));
             let word = |w| member_word(words, deltas, kind, w);
             cursor.next = match kind {
-                Kind::Whole | Kind::Synthesised => rng.next_below(u64::from(cursor.len)) as u32,
+                Kind::Whole => rng.next_below(u64::from(cursor.len)) as u32,
                 // A uniform slot that holds a member is a uniform member.
                 // Past as many misses as counting the page's members costs
                 // words, the member of a uniform rank is, all the same.
@@ -413,7 +397,7 @@ impl PagePrefix {
                     ),
             };
         }
-        Self { members, sampled: 0, rng, runs: Vec::new(), list: Vec::new(), synthesised: 0 }
+        Self { members, sampled: 0, rng, runs: Vec::new(), list: Vec::new() }
     }
 
     /// Members in the population, `n`.
@@ -421,7 +405,7 @@ impl PagePrefix {
         self.members.len
     }
 
-    /// Current sample size `M`, synthesised draws included.
+    /// Current sample size `M`.
     pub fn sampled(&self) -> usize {
         self.sampled
     }
@@ -429,12 +413,6 @@ impl PagePrefix {
     /// The positions the last [`PagePrefix::grow_to`] returned.
     pub fn positions(&self) -> Positions<'_> {
         Positions { runs: &self.runs, list: &self.list }
-    }
-
-    /// How many of the last [`PagePrefix::grow_to`]'s draws fell on
-    /// synthesised pages.
-    pub fn synthesised(&self) -> u64 {
-        self.synthesised
     }
 
     /// Grows the sample to `min(target, n)` members, never past it; a
@@ -446,7 +424,6 @@ impl PagePrefix {
     pub fn grow_to(&mut self, target: usize) -> Positions<'_> {
         self.runs.clear();
         self.list.clear();
-        self.synthesised = 0;
         let target = target.min(self.members.len);
         let mut left = target.saturating_sub(self.sampled) as u64;
         let mut remaining = (self.members.len - self.sampled) as u64;
@@ -477,10 +454,6 @@ impl PagePrefix {
                         self.runs.push(base..base + wrap);
                     }
                     (start + d) % cursor.len
-                }
-                Kind::Synthesised => {
-                    self.synthesised += u64::from(d);
-                    start
                 }
                 kind => {
                     let deltas = fringe_deltas(layout.as_deref(), cursor);
@@ -794,24 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn synthesised_pages_are_counted_not_returned() {
-        let n = 4 * P + 10;
-        let layout = PageLayout::of(n);
-        let rows = P - 300..3 * P + 5;
-        let members = PageMembers::range(&layout, rows.clone()).synthesise(1..3);
-        let (mut s, mut synthesised, mut seen) = (PagePrefix::new(members, 4), 0, 0);
-        for target in [10usize, 1_000, 50_000, rows.len()] {
-            let delta = s.grow_to(target);
-            assert!(delta.runs.is_empty(), "the whole pages are synthesised");
-            assert!(delta.list.iter().all(|&p| !(P as u32..3 * P as u32).contains(&p)));
-            seen += delta.list.len();
-            synthesised += s.synthesised();
-            assert_eq!(seen + synthesised as usize, s.sampled());
-        }
-        assert_eq!((seen, synthesised), (305, 2 * P as u64));
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let n = 2 * P + 50;
         let run = |seed| {
@@ -872,7 +827,7 @@ mod tests {
         for members in [PageMembers::range(&none, 0..0), PageMembers::range(&empty, 7..7)] {
             let mut s = PagePrefix::new(members, 1);
             assert!(s.grow_to(10).is_empty());
-            assert_eq!((s.sampled(), s.num_rows(), s.synthesised()), (0, 0, 0));
+            assert_eq!((s.sampled(), s.num_rows()), (0, 0));
         }
         assert_eq!(PageLayout::of(0).num_rows(), 0);
     }

@@ -495,8 +495,7 @@ mod tests {
         assert!(text.contains(&format!("{} 7\n", names::SKETCH_PAGES)));
         assert!(text.contains(&format!("{} 0.655360\n", names::SKETCH_COVERAGE)));
         // The query registry's plan families: present, at zero.
-        assert!(text.contains(&format!("{} 0\n", names::SKETCH_HYBRID_QUERIES_TOTAL)));
-        assert!(text.contains(&format!("{} 0\n", names::SKETCH_COVERED_DRAWS_TOTAL)));
+        assert!(text.contains(&format!("{}{{source=\"sketch\"}} 0\n", names::MI_MARGINALS_TOTAL)));
         assert!(text.contains(&format!("{}_count 2", names::HTTP_REQUEST_MICROS)));
         assert!(text.contains(&format!("{} 4\n", names::TRACES_RECORDED_TOTAL)));
         assert!(text.contains(&format!("{} 1\n", names::SLOW_QUERIES_TOTAL)));

@@ -233,8 +233,7 @@ pub struct SketchStats {
     pub bytes: u64,
     /// Total sketch pages across registered datasets.
     pub pages: u64,
-    /// Rows inside fully-covered pages (a range scope aligned to these
-    /// pages is answered entirely from sketch histograms).
+    /// Rows inside whole sketch pages.
     pub rows_covered: u64,
     /// Total rows across registered datasets.
     pub rows_total: u64,
@@ -274,8 +273,7 @@ impl StoreStats {
 }
 
 impl DatasetEntry {
-    /// Rows inside fully-covered sketch pages (the final partial page,
-    /// if any, cannot seed scoped queries exactly).
+    /// Rows inside whole sketch pages (all but a partial last page's).
     pub fn covered_rows(&self) -> u64 {
         let n = self.dataset.num_rows();
         (n - n % swope_columnar::PAGE_ROWS) as u64

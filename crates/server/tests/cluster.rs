@@ -94,7 +94,11 @@ fn metric(text: &str, name: &str) -> u64 {
 /// to them. Returned in drop order: coordinator last so its best-effort
 /// session teardown still finds the peers alive.
 fn start_cluster() -> (TestServer, TestServer, TestServer) {
-    let union = union_dataset();
+    cluster_of(union_dataset())
+}
+
+/// [`start_cluster`] over `union`, cut in half.
+fn cluster_of(union: swope_columnar::Dataset) -> (TestServer, TestServer, TestServer) {
     let cut = union.num_rows() / 2;
     let peer_a = TestServer::start(ServerConfig::default(), slice_rows(&union, 0, cut));
     let peer_b =
@@ -104,9 +108,23 @@ fn start_cluster() -> (TestServer, TestServer, TestServer) {
             peers: vec![peer_a.addr.to_string(), peer_b.addr.to_string()],
             ..ServerConfig::default()
         },
-        union_dataset(),
+        union,
     );
     (peer_a, peer_b, coordinator)
+}
+
+/// A range holding a whole page: the single box holds a sketch of it and
+/// the coordinator none, and both answer with the same bytes, because a
+/// sketch changes nothing about a range.
+#[test]
+fn a_page_covering_range_answers_alike_on_a_coordinator() {
+    let union = || swope_datagen::generate(&swope_datagen::corpus::tiny(140_000, 3), 0x5EED);
+    let single = TestServer::start(ServerConfig::default(), union());
+    let (_peer_a, _peer_b, coordinator) = cluster_of(union());
+    let path = "/query/entropy-topk?dataset=tiny&k=2&seed=7&epsilon=0.5&row_start=0&row_end=70000";
+    let want = get(single.addr, path);
+    assert_eq!(want.status, 200, "{}", want.body);
+    assert_eq!(get(coordinator.addr, path).body, want.body);
 }
 
 #[test]

@@ -756,28 +756,23 @@ fn paged_datasets_serve_identically_and_report_residency() {
         p_cols + pb.get("sketch").unwrap().as_u64().unwrap()
     );
 
-    // A range holding one whole page goes through the hybrid sampler on
-    // both servers (same body), and /metrics says how much was
-    // synthesized instead of scanned. Each server counts the queries it
-    // ran, from their plans: the heap server's one range.
-    let ranged = "/query/entropy-topk?dataset=pg&k=2&seed=7&epsilon=0.5&row_start=0&row_end=70000";
-    let a = get(heap.addr, ranged);
-    assert_eq!(a.status, 200, "{}", a.body);
-    assert_eq!(a.body, get(paged.addr, ranged).body);
+    // A range holding one whole page, with little fringe or with more,
+    // answers on both servers with the bytes `run` gives it without a
+    // sketch: the sketch each server holds changes nothing about a range.
+    let shape = Shape::entropy(Rule::TopK { k: 2 });
+    let cfg = SwopeConfig::with_epsilon(0.5).with_seed(7);
+    for row_end in [70_000, 99_000] {
+        let ranged = format!(
+            "/query/entropy-topk?dataset=pg&k=2&seed=7&epsilon=0.5&row_start=0&row_end={row_end}"
+        );
+        let a = get(heap.addr, &ranged);
+        assert_eq!(a.status, 200, "{}", a.body);
+        assert_eq!(a.body, get(paged.addr, &ranged).body);
+        let (scope, exec) = (Scope::range(0, row_end), Executor::sequential());
+        let want = run(&ds, &shape, &scope, None, &cfg, &mut NoopObserver, &exec).unwrap();
+        assert_scores_match(&Json::parse(&a.body).unwrap(), &want.scores, &want.stats);
+    }
     let metrics = get(heap.addr, "/metrics").body;
-    assert_eq!(metric(&metrics, "swope_sketch_hybrid_queries_total"), 1);
-    assert_eq!(metric(&metrics, "swope_scope_path_total{path=\"hybrid\"}"), 1);
-    // One whole page with more than half as many rows again in fringe:
-    // the chooser sends the range to the rows, on both servers.
-    let small = ranged.replace("row_end=70000", "row_end=99000");
-    assert_eq!(get(heap.addr, &small).body, get(paged.addr, &small).body);
-    // An empty range samples nothing, so it takes neither path.
-    let empty = "/query/mi-topk?dataset=pg&target=0&k=1&row_start=40000&row_end=40000";
-    assert_eq!(get(heap.addr, empty).status, 200);
-    let metrics = get(heap.addr, "/metrics").body;
-    assert_eq!(metric(&metrics, "swope_scope_path_total{path=\"physical\"}"), 1);
-    assert_eq!(metric(&metrics, "swope_scope_path_total{path=\"hybrid\"}"), 1);
-    assert!(metric(&metrics, "swope_sketch_covered_draws_total") > 0);
     // A heap load reads through a mapping too, but books nothing: the
     // pager families belong to out-of-core datasets alone.
     for family in ["faults_total", "crc_validations_total", "peak_resident_bytes"] {

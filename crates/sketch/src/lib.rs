@@ -8,14 +8,14 @@
 //! built at ingest time can be serialized next to the column pages and
 //! reloaded without touching row data.
 //!
-//! Scoped queries use the sketches two ways:
+//! Queries use the sketches two ways:
 //!
-//! * **Range scopes** — a row range `[a, b)` decomposes into fully covered
-//!   pages plus at most two partial *fringe* pages. Covered pages are
-//!   answered exactly from their histograms; only the fringe ever needs
-//!   a physical row scan (`swope_core`'s hybrid scoped sampler).
 //! * **Predicate scopes** — `WHERE col = code` materialization skips every
 //!   page whose histogram holds a zero count for `code` (page pruning).
+//! * **MI marginals** — over a full scope, every column's pages sum to its
+//!   exact whole-dataset counts, so an MI query samples only the joint.
+//!
+//! A row range reads its rows: it answers alike with or without a sketch.
 //!
 //! Two physical layouts keep the sketch small: columns whose support fits
 //! a `u8` (`support ≤ 256`) store a **compact** dense count array per

@@ -48,8 +48,6 @@ struct Cell {
     shapes: &'static [(Rule, f64)],
     runs: u64,
     p_f: f64,
-    /// The plan's `path.hybrid`: `None` if the scope is no range.
-    path: Option<bool>,
     also: &'static [Also],
     /// Lemma 4's `M*` falls below `n` on some run, so the cost check
     /// constrains the cell.
@@ -65,7 +63,7 @@ enum Also {
     /// A snapshot of the data opened paged under a budget of two pages.
     Paged,
     /// Two loopback peers cut at [`CUT`], on the cell's scope of this
-    /// index. A physical range answers as if no sketch were offered.
+    /// index. Their union has no sketch; a range answers alike without.
     Cluster(usize),
 }
 
@@ -76,8 +74,6 @@ const CUT: usize = 2 * P + 1_000;
 /// Rows of the page cells and of the range cells: 4 or 3 pages, then a part.
 const PAGED_ROWS: usize = 4 * P + 3_000;
 const N: usize = 3 * P + 5_000;
-const HYBRID: Option<bool> = Some(true);
-const PHYSICAL: Option<bool> = Some(false);
 
 const ALL: Scope = Scope { row_start: None, row_end: None, predicate: None };
 const fn rows(start: usize, end: usize) -> Scope {
@@ -93,7 +89,7 @@ const PAGES: &[Also] = &[Also::Paged, Also::Shards, Also::Cluster(0)];
 #[rustfmt::skip]
 const CELL: Cell = Cell {
     name: "", data: |_| uniform(N, 0xC0FE), fresh: false, scopes: &[ALL], sketch: true,
-    target: None, shapes: ENTROPY, runs: 40, p_f: 0.05, path: None, also: &[Also::Paged],
+    target: None, shapes: ENTROPY, runs: 40, p_f: 0.05, also: &[Also::Paged],
     constrained: true,
 };
 /// On 4 000 or 20 000 rows `M*` caps at `n`: the cost check holds trivially.
@@ -125,14 +121,13 @@ const CELLS: &[Cell] = &[
     ], ..CELL },
     // At least twice as many rows in whole pages as in the fringe: from
     // fringe pages of one row each to half the covered size.
-    Cell { name: "hybrid_ranges", path: HYBRID, scopes: &[
-        rows(P - 777, 2 * P + 1_234), rows(P - 60_000, N), rows(P - 5, N), rows(P, 3 * P + 4_000),
-        rows(P - 1, 2 * P + 1),
-    ], ..CELL },
-    // Ranges the sketch stands aside on: a whole page between two nearly
-    // whole ones, two pages less a row per side, part of one page, and a
-    // page with 20 000 rows either side.
-    Cell { name: "physical_ranges", path: PHYSICAL, also: &[Also::Paged, Also::Cluster(3)],
+    Cell { name: "covering_ranges", also: &[Also::Paged, Also::Cluster(0), Also::Cluster(3)],
+        scopes: &[rows(P - 777, 2 * P + 1_234), rows(P - 60_000, N), rows(P - 5, N),
+        rows(P, 3 * P + 4_000), rows(P - 1, 2 * P + 1)], ..CELL },
+    // Ranges with more fringe: a whole page between two nearly whole
+    // ones, two pages less a row per side, part of one page, and a page
+    // with 20 000 rows either side.
+    Cell { name: "physical_ranges", also: &[Also::Paged, Also::Cluster(3)],
         scopes: &[rows(300, 3 * P - 1), rows(1, 2 * P - 1), rows(70_000, 110_000), MID], ..CELL },
     // The rows whose two-valued c5 holds 1, everywhere and in two pages.
     Cell { name: "predicates", scopes: &[
@@ -142,7 +137,7 @@ const CELLS: &[Cell] = &[
     Cell { name: "mi_marginals", sketch: true, ..MI },
     // Two member pages, and a page of one member beside a whole one.
     Cell { name: "mi_range", data: |_| mi_dataset(P + 20_000, 0x3A26), fresh: false,
-        scopes: &[rows(P - 10_000, P + 10_000), rows(P - 1, P + 20_000)], path: PHYSICAL,
+        scopes: &[rows(P - 10_000, P + 10_000), rows(P - 1, P + 20_000)],
         also: &[Also::Paged], ..MI },
 ];
 
@@ -423,8 +418,7 @@ fn run_cell(cell: &Cell) -> Tally {
             let (answer, what) =
                 (answer.unwrap(), format!("{}: {shape:?} on {scope:?}, seed {seed}", cell.name));
             let plan = seen.0.unwrap_or_else(|| panic!("{what}: no plan reported"));
-            assert_eq!(plan.path.map(|p| p.hybrid), cell.path, "{what}: the sampler path");
-            let marginals = cell.target.map(|_| cell.sketch && cell.path.is_none());
+            let marginals = cell.target.map(|_| cell.sketch && *scope == ALL);
             assert_eq!(plan.sketch_marginals, marginals, "{what}: the marginals' source");
             tally.violations[j] += u64::from(!holds(rule, &answer, &env.exact[s], epsilon));
             if let Some(cost) = cost(&env.ds, &shape, epsilon, &plan, &answer, &env.exact[s]) {
@@ -434,7 +428,7 @@ fn run_cell(cell: &Cell) -> Tally {
                 }
                 tally.binds[cost.binds] += 1;
             }
-            if i < CHECKED && cell.sketch && cell.target.is_some() && cell.path.is_none() {
+            if i < CHECKED && marginals == Some(true) {
                 let sampled = run(&env.ds, &shape, scope, None, &cfg, &mut NoopObserver, &exec);
                 assert_ne!(sampled.unwrap(), answer, "{what}: the sketch's marginals went unread");
             }
@@ -462,13 +456,12 @@ fn check(name: &str) {
     let (mut tally, bound) = (run_cell(cell), envelope(cell.runs, cell.p_f));
     let shapes = cell.shapes.iter().zip(tally.violations.iter().zip(&tally.over));
     let counts = shapes.map(|((r, _), (v, o))| format!("{r:?} {v} (cost {o})"));
-    let path = cell.path.map_or("unranged", |hybrid| ["physical", "hybrid"][hybrid as usize]);
     let (runs, p_f, also) = (cell.runs, cell.p_f, cell.also);
     tally.ratios.sort_by(f64::total_cmp);
     let median = tally.ratios.get(tally.ratios.len() / 2).map_or("-".into(), |r| format!("{r:.2}"));
     let [lambda, bias, full] = tally.binds;
     print!("{name:<15} {runs:>3} runs at p_f {p_f}, envelope {bound:>2}: ");
-    print!("{}; {path}, also {also:?}; ", counts.collect::<Vec<_>>().join(", "));
+    print!("{}; also {also:?}; ", counts.collect::<Vec<_>>().join(", "));
     print!("M*<n {}, median M/M* {median}, ", tally.ratios.len());
     println!("stop wλ {lambda} b {bias} full {full}");
     assert!(tally.violations.iter().all(|&v| v <= bound), "{name}: over its envelope");
@@ -491,7 +484,7 @@ cell_tests! {
     comparator_exact_answer_failure_rates_within_budget => "full_exact",
     page_prefix_failure_rates_within_budget_on_page_sized_latent_blocks => "page_blocks",
     page_prefix_failure_rates_within_budget_on_a_sorted_table => "sorted",
-    sketch_hybrid_failure_rates_within_budget => "hybrid_ranges",
+    page_covering_range_failure_rates_within_budget => "covering_ranges",
     physical_range_failure_rates_within_budget => "physical_ranges",
     predicate_failure_rates_within_budget => "predicates",
     mi_failure_rates_within_budget => "mi_sampled",

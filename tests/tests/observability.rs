@@ -204,7 +204,6 @@ fn metrics_registry_totals_survive_concurrent_hammering() {
                         iterations: (round % 5 + 1) as usize,
                         rows_scanned: (t + 1) * 10,
                         converged_early: round % 2 == 0,
-                        covered_draws: 0,
                     });
                 }
             })
