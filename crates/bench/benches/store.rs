@@ -18,14 +18,27 @@
 //! 16 × 16 pairs). Both are ratios of two loops on the same machine in
 //! the same process, so CI gates them (≤ 0.6 and ≤ 0.35).
 //!
-//! Medians are persisted to `results/BENCH_store.json` so the numbers
-//! backing the DESIGN.md storage-layer notes are checked in and
-//! reproducible. The CI smoke step runs it with `SWOPE_MICRO_MS=1`;
+//! `count_runs_in_place_over_staged` measures what counting heap runs in
+//! place saves: `count_candidate` over the short runs a page-prefix
+//! sample hands over (96–1 024 rows, supports 16 to 1 000, `u8` and
+//! `u16` columns) against the staged loop it replaced, rebuilt here —
+//! every run copied into the block buffer a block at a time, then
+//! counted by the same kernels. The two alternate for a fixed number of
+//! rounds and the fastest of each is kept; CI gates their ratio at
+//! ≤ 1.0 (reading in place must never lose to copying first).
+//!
+//! Medians (fastest rounds for the runs) are persisted to
+//! `results/BENCH_store.json` so the numbers backing the DESIGN.md
+//! storage-layer notes are checked in and reproducible. The CI smoke step runs it with `SWOPE_MICRO_MS=1`;
 //! absolute numbers come from a default run.
 
+use std::ops::Range;
+use std::time::Instant;
 use swope_bench::micro::{black_box, Group};
+
 use swope_columnar::{
-    for_packed, gather, CodeBuf, CodeRepr, Column, ColumnStorage, Dataset, Field, Schema, Width,
+    for_packed, gather, CodeBuf, CodeRepr, Column, ColumnStorage, Dataset, Field, Positions,
+    Schema, Width,
 };
 use swope_core::count::INGEST_BLOCK_ROWS;
 use swope_core::{
@@ -172,6 +185,96 @@ fn bench_pairs(g: &mut Group) -> (f64, f64) {
     (runs, dense)
 }
 
+/// Rows of each column the run comparison reads runs from.
+const RUN_COLUMN_ROWS: usize = 1 << 20;
+
+/// The runs of one delta: 256 disjoint runs of 96–1 024 rows, one every
+/// 4 096 rows, as a page-prefix sample's short runs lie.
+fn short_runs() -> Vec<Range<u32>> {
+    let mut r = Xoshiro256pp::seed_from_u64(0x52E5);
+    (0..256u32)
+        .map(|i| {
+            let start = i * 4096 + r.next_below(2048) as u32;
+            start..start + 96 + r.next_below(1024 - 96 + 1) as u32
+        })
+        .collect()
+}
+
+/// The loop that counted runs before they were read in place: each run
+/// staged into the block buffer a block at a time (a slice copy), then
+/// counted. The copy is rebuilt here; the kernels after it are the ones
+/// `count_candidate` runs.
+fn count_staged(
+    column: &Column,
+    runs: &[Range<u32>],
+    out: &mut CountState,
+    pairs: &mut PairCountState,
+    buf: &mut CodeBuf,
+    scratch: &mut CountScratch,
+) {
+    let ColumnStorage::Heap(packed) = column.storage() else { unreachable!("heap column") };
+    for run in runs {
+        for start in (run.start as usize..run.end as usize).step_by(INGEST_BLOCK_ROWS) {
+            let block = start..(start + INGEST_BLOCK_ROWS).min(run.end as usize);
+            for_packed!(packed.codes(), |codes| {
+                let buf = CodeRepr::buf(buf);
+                buf.clear();
+                buf.extend_from_slice(&codes[block]);
+                black_box(buf.as_slice());
+            });
+        }
+    }
+    count_candidate(column, Positions { runs, list: &[] }, None, out, pairs, scratch);
+}
+
+/// Rounds of the run comparison. Each round counts the delta once
+/// staged and once in place for every case, alternating, and the fastest
+/// round of each is kept: a fixed count, not governed by
+/// `SWOPE_MICRO_MS`, so the CI smoke measures what a default run does
+/// (≈ 30 ms in all).
+const RUN_ROUNDS: usize = 31;
+
+/// Marginal counts of one delta of short runs, staged vs in place, summed
+/// over the `(support, width)` cases: the fastest round of each, in ns.
+fn bench_runs() -> (f64, f64) {
+    let runs = short_runs();
+    let cases = [(16, Width::U8), (16, Width::U16), (200, Width::U8), (1000, Width::U16)];
+    let columns = cases.map(|(support, width)| {
+        zipf_column(support, RUN_COLUMN_ROWS, 0x0D0E).with_width(width).unwrap()
+    });
+    let mut outs: Vec<CountState> = columns.iter().map(|c| CountState::new(c.support())).collect();
+    let (mut pairs, mut buf, mut scratch) =
+        (PairCountState::new(), CodeBuf::new(), CountScratch::new());
+    let (mut staged, mut in_place) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..RUN_ROUNDS {
+        let (mut round_staged, mut round_in_place) = (0.0, 0.0);
+        for (column, out) in columns.iter().zip(&mut outs) {
+            let started = Instant::now();
+            count_staged(column, &runs, out, &mut pairs, &mut buf, &mut scratch);
+            round_staged += started.elapsed().as_nanos() as f64;
+            black_box(out.total());
+            out.clear();
+            let started = Instant::now();
+            let rows = Positions { runs: &runs, list: &[] };
+            count_candidate(column, rows, None, out, &mut pairs, &mut scratch);
+            round_in_place += started.elapsed().as_nanos() as f64;
+            black_box(out.total());
+            out.clear();
+        }
+        staged = staged.min(round_staged);
+        in_place = in_place.min(round_in_place);
+    }
+    let rows: usize = runs.iter().map(|r| r.len()).sum();
+    println!(
+        "store_count/runs_{}_in_{}_cases  staged {:.1} µs  in place {:.1} µs  (fastest of {RUN_ROUNDS})",
+        rows,
+        cases.len(),
+        staged / 1e3,
+        in_place / 1e3
+    );
+    (in_place, staged)
+}
+
 fn main() {
     let mut g = Group::new("store_ingest");
     let (u8_ns, u8_bytes) = bench_width(&mut g, Width::U8);
@@ -181,6 +284,7 @@ fn main() {
     let mut g = Group::new("store_count");
     let (scalar_ns, lanes_ns) = bench_lanes(&mut g);
     let (runs_ns, dense_ns) = bench_pairs(&mut g);
+    let (in_place_ns, staged_ns) = bench_runs();
 
     let mut w = ObjectWriter::new();
     w.str_field("bench", "store")
@@ -199,7 +303,10 @@ fn main() {
         .usize_field("pair_delta_rows", PAIR_DELTA_ROWS)
         .f64_field("pair_runs_ns", runs_ns)
         .f64_field("pair_dense_ns", dense_ns)
-        .f64_field("pair_dense_over_runs", dense_ns / runs_ns);
+        .f64_field("pair_dense_over_runs", dense_ns / runs_ns)
+        .f64_field("runs_staged_ns", staged_ns)
+        .f64_field("runs_in_place_ns", in_place_ns)
+        .f64_field("count_runs_in_place_over_staged", in_place_ns / staged_ns);
     let json = w.finish();
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_store.json");

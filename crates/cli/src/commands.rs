@@ -8,7 +8,6 @@ use std::sync::Arc;
 use swope_baselines::exact_answer;
 use swope_columnar::{
     csv, snapshot, stats, Dataset, DatasetSketch, PageCache, Residency, DEFAULT_MAX_SUPPORT,
-    PAGE_ROWS,
 };
 use swope_core::{
     entropy_top_k, run, run_sharded, Answer, AttrScore, ComposedObserver, Executor, JsonlSink,
@@ -285,18 +284,12 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
         );
     }
     match &sketch {
-        Some(sk) => {
-            let covered = ds.num_rows() - ds.num_rows() % PAGE_ROWS;
-            let cov_pct =
-                if ds.num_rows() > 0 { covered as f64 / ds.num_rows() as f64 * 100.0 } else { 0.0 };
-            println!(
-                "sketch: {} page(s) x {} column(s), {} bytes encoded, \
-                 {cov_pct:.1}% of rows in fully-covered pages",
-                sk.num_pages(),
-                sk.num_columns(),
-                sk.encoded_len()
-            );
-        }
+        Some(sk) => println!(
+            "sketch: {} page(s) x {} column(s), {} bytes encoded",
+            sk.num_pages(),
+            sk.num_columns(),
+            sk.encoded_len()
+        ),
         None => println!("sketch: none (CSV input or snapshot without a sketch section)"),
     }
     Ok(())

@@ -62,9 +62,7 @@ pub use snapshot::Residency;
 // Storage-layer items callers of this crate routinely need: the width a
 // column is packed at, the packed storage the hot loops scan, and the
 // width dispatch + gather those loops are built from.
-pub use swope_store::{
-    for_packed, gather, gather_run, CodeBuf, CodeRepr, PackedCodes, PackedColumn, Width,
-};
+pub use swope_store::{for_packed, gather, CodeBuf, CodeRepr, PackedCodes, PackedColumn, Width};
 // The partition sketch a snapshot carries alongside its columns; scoped
 // queries in `swope-core` consume it.
 pub use swope_sketch::{ColumnSketch, DatasetSketch, SketchKind};

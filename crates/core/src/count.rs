@@ -1,4 +1,4 @@
-//! Integer count deltas and the two kernels that fill them.
+//! Integer count deltas and the kernels that fill them.
 //!
 //! Every source of counts in this crate — the unsharded loop over any
 //! scope, heap or paged, the in-process shards and the cluster peers
@@ -6,29 +6,43 @@
 //! one body, `Counter::count`, into the same two pure-integer deltas: a
 //! [`CountState`] histogram per attribute and, for MI, a
 //! [`PairCountState`] of joint `(target, candidate)` occurrences. Both
-//! are filled here, once, by [`count_target`] and [`count_candidate`]:
+//! are filled here, once, by [`count_target`] and [`count_candidate`] —
+//! or by [`gather_target`] and [`count_joint`], which leave the
+//! histograms out, when an MI query reads only the joint:
 //!
-//! 1. a block of at most [`INGEST_BLOCK_ROWS`] rows is staged at the
-//!    column's packed width into a reusable [`CodeBuf`] — a heap column
-//!    through [`swope_store::gather`], a paged one through
-//!    [`swope_columnar::PagedColumn::gather`], which looks a page up once
-//!    per run of adjacent rows it holds (deltas arrive grouped by page).
-//!    The kernels take a delta's rows as *positions*: where a heap
-//!    column's page layout stores them — one or two contiguous runs for
-//!    each whole page a sample drew from, a list for the rest — and the
-//!    rows themselves on a paged column (`Dataset::row_positions`,
+//! 1. a delta's rows arrive as *positions*: where a heap column's page
+//!    layout stores them — one or two contiguous runs for each whole page
+//!    a sample drew from, a list for the rest — and the rows themselves
+//!    on a paged column (`Dataset::row_positions`,
 //!    `Dataset::sample_positions`);
-//! 2. the **marginal kernel** (`CountState::add_block`) counts the staged
-//!    block. When the delta is at least twice the support and the support
-//!    at most `LANE_MAX_SUPPORT`, into four `u32` lane tables selected by
-//!    `i mod 4`, so a repeated code never waits on the store of its own
-//!    previous increment; otherwise by the scalar [`CountState::add`];
-//! 3. for MI the **joint kernel** (`PairCountState::add_block`) counts the
-//!    block's pairs. When the `u_t × u_a` key space has at most
-//!    `DENSE_MAX_CELLS` cells and the delta at least that many rows, into
-//!    a two-lane dense table indexed `t·u_a + a`; otherwise as one
-//!    `(key, 1)` run per row, sorted at canonicalisation;
-//! 4. after the last block the tables are folded into the deltas by one
+//! 2. the MI target's codes at those positions are widened once into a
+//!    [`TargetBuf`], runs first and then the list, the order every
+//!    candidate reads its own in. Every candidate pairs against all of
+//!    them, so this is a real copy, and it is booked in
+//!    [`swope_store::gather_stats`] like any staged row;
+//! 3. a heap run is counted **in place**: the kernels read the packed
+//!    slice the run names, at the column's width, however long it is. A
+//!    list is staged a block of at most [`INGEST_BLOCK_ROWS`] rows at a
+//!    time into a reusable [`CodeBuf`] — through [`swope_store::gather`]
+//!    on the heap, through [`swope_columnar::PagedColumn::gather`] on a
+//!    paged column, which looks a page up once per run of adjacent rows
+//!    it holds;
+//! 4. the **marginal kernel** (`CountState::add_block`) counts each run
+//!    or staged block. A support of at most `LANE_MAX_SUPPORT` counts
+//!    into a `u32` table: four lanes a code selected by `i mod 4` when the
+//!    delta has at least two rows per code, so a repeated code never
+//!    waits on the store of its own previous increment; one lane a code
+//!    for a shorter delta of at least a row per `ONE_LANE_CODES_PER_ROW`
+//!    codes. Anything else goes through the scalar [`CountState::add`];
+//! 5. for MI the **joint kernel** (`PairCountState::add_block`) counts the
+//!    same slice's pairs against the target codes at the same positions.
+//!    When the `u_t × u_a` key space has at most `DENSE_MAX_CELLS` cells
+//!    and the delta at least that many rows, into a two-lane dense table
+//!    indexed `t·u_a + a`; otherwise as one `(key, 1)` run per row, sorted
+//!    at canonicalisation. It checks the candidate codes against `u_a`
+//!    itself, because [`count_joint`] runs it without the marginal
+//!    kernel, whose table bounds would otherwise catch a bad code;
+//! 6. after the last slice the tables are folded into the deltas by one
 //!    ascending scan each. For the histogram that leaves the touched-code
 //!    list sorted, which [`CountState::apply_to`] only has to verify; for
 //!    the pairs `t·u_a + a` *is* ascending packed-key order, so the run
@@ -49,49 +63,73 @@
 //! ([`CountState::apply_to`]), ascending packed key
 //! ([`PairCountState::apply_to`]). The counter sees an update sequence
 //! that depends only on the *multiset* of rows a delta covers: not their
-//! order, not the lane a row fell in, not the shard that counted it.
+//! order, not the lane a row fell in, not whether it was staged, not the
+//! shard that counted it.
+
+use std::time::Instant;
 
 use swope_columnar::{Code, CodeBuf, CodeRepr, Column, ColumnStorage, Positions};
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::freq::{pack_pair, unpack_pair};
 use swope_estimate::joint::JointEntropyCounter;
-use swope_store::{for_buf, for_packed, gather, gather_run};
+use swope_store::{for_buf, for_packed, gather, gather_stats};
 
-/// Row-block granularity of every count path.
+/// Row-block granularity of a staged list.
 ///
-/// An iteration's ΔM rows are split into blocks of this many rows; one
-/// block of a column's codes is gathered into a reusable buffer, then
-/// counted as a sequential pass. The block bound keeps every block
+/// A delta's list of positions is split into blocks of this many rows;
+/// one block of a column's codes is gathered into a reusable buffer,
+/// then counted as a sequential pass. The block bound keeps every block
 /// buffer at most `4 · INGEST_BLOCK_ROWS` bytes (32 KiB — L1/L2
 /// resident; narrower columns use proportionally less) no matter how
 /// large ΔM grows under doubling, which is what makes the steady-state
 /// loop allocation-free: buffers reach block size once and are never
-/// regrown.
+/// regrown. Runs are not staged, so they are not split either.
 pub const INGEST_BLOCK_ROWS: usize = 8192;
 
-/// Lane tables per marginal count. Four `u32` lanes interleaved per code
-/// (`table[4·code + i mod 4]`) keep a code's lanes in one 16-byte line
-/// and put three other increments between two to the same address.
+/// Lanes of the marginal kernel's wide table. Four `u32` lanes
+/// interleaved per code (`table[4·code + i mod 4]`) keep a code's lanes
+/// in one 16-byte line and put three other increments between two to the
+/// same address.
 const LANES: usize = 4;
 
-/// The marginal kernel counts through lane tables when the delta has at
-/// least `LANE_MIN_ROWS_PER_CODE` rows per code of the support (the fold
-/// reads `4·support` lanes once per call, and has to be paid for) and
-/// the support is at most `LANE_MAX_SUPPORT` (a 16 KiB table beside the
-/// block, bounding what a scratch slot can grow to).
+/// The marginal kernel counts through a lane table when the support is
+/// at most `LANE_MAX_SUPPORT` (a 16 KiB table beside the block, bounding
+/// what a scratch slot can grow to): through [`LANES`] lanes when the
+/// delta has at least `LANE_MIN_ROWS_PER_CODE` rows per code of the
+/// support (the fold reads `4·support` lanes once per call, and has to be
+/// paid for), through one lane when it has fewer.
 ///
 /// Measured on the 2-vCPU 2.1 GHz reference box over staged `u16` codes,
 /// ns per code for one call of `ratio × support` codes including the
-/// drain, scalar → lanes. Uniform codes (the scalar loop's best case):
-/// ratio 1, 6.4 → 7.9 (lanes lose); ratio 2, 4.7 → 2.3; ratio 4,
-/// 3.7 → 1.2; ratio 64, 2.4 → 0.47 at support 1024 and 2.2 → 0.63 at
-/// support 16. Cubic-skewed codes: ratio 2, 2.9 → 2.4; ratio 64,
-/// 2.6 → 0.50. A constant stream: 2.7 → 0.77. Folding per block instead
-/// of per call lost at ratio 2 (2.2 → 2.6) and was dropped. Supports up
-/// to 8192 still win at ratio 64 (2.6 → 0.99) on a 128 KiB table; the
-/// bound is the table size, not a crossover.
+/// drain, scalar → four lanes. Uniform codes (the scalar loop's best
+/// case): ratio 1, 6.4 → 7.9 (four lanes lose); ratio 2, 4.7 → 2.3;
+/// ratio 4, 3.7 → 1.2; ratio 64, 2.4 → 0.47 at support 1024 and
+/// 2.2 → 0.63 at support 16. Cubic-skewed codes: ratio 2, 2.9 → 2.4;
+/// ratio 64, 2.6 → 0.50. A constant stream: 2.7 → 0.77. Folding per block
+/// instead of per call lost at ratio 2 (2.2 → 2.6) and was dropped.
+/// Supports up to 8192 still win at ratio 64 (2.6 → 0.99) on a 128 KiB
+/// table; the bound is the table size, not a crossover.
 const LANE_MAX_SUPPORT: usize = 1024;
 const LANE_MIN_ROWS_PER_CODE: usize = 2;
+
+/// Below [`LANE_MIN_ROWS_PER_CODE`] rows per code, a delta counts into
+/// one lane a code when it has at least a row per
+/// `ONE_LANE_CODES_PER_ROW` codes of the support, and by the scalar
+/// [`CountState::add`] when it is shorter still: the one-lane fold scans
+/// the whole support, which a handful of rows cannot pay for.
+///
+/// Same box, one pinned core, uniform `u16` codes, ns per code for one
+/// call including the drain, scalar → one lane (→ four lanes). The
+/// crossover sits at a row per four codes for every support measured:
+/// support 16, 4 rows 23.0 → 21.1 (25.9); support 64, 8 rows
+/// 21.8 → 23.3 and 16 rows 21.5 → 18.0; support 256, 32 rows
+/// 15.3 → 23.8 and 64 rows 20.7 → 17.7; support 1000, 128 rows
+/// 11.8 → 18.7 and 256 rows 16.2 → 13.4 (16.2); support 1024, 128 rows
+/// 11.5 → 18.5 and 256 rows 18.5 → 15.0. A row per code: 10.5 → 5.6
+/// (7.1) at support 1024. The tiny deltas a paged list hands over are
+/// where the fold cannot pay: support 1000, 1 row 4.7 → 378; 16 rows
+/// 12.6 → 41. Cubic-skewed codes move every crossover the same way.
+const ONE_LANE_CODES_PER_ROW: usize = 4;
 
 /// The joint kernel counts into a dense table when the `u_t × u_a` key
 /// space has at most `DENSE_MAX_CELLS` cells (two `u32` lanes a cell:
@@ -110,21 +148,17 @@ const DENSE_MAX_CELLS: usize = 1 << 14;
 const DENSE_LANES: usize = 2;
 
 /// The first `len` entries of a kernel table, grown (zeroed) on first
-/// use, if the kernel is to `take` it for this call. Tables are all-zero
-/// between calls: the folds zero what they read.
+/// use. Tables are all-zero between calls: the folds zero what they read.
 ///
-/// Lanes are `u32`. A marginal lane takes at most `⌈rows / 4⌉` increments
-/// per call and a dense cell's lane `⌈rows / 2⌉` (one pair may repeat
+/// Lanes are `u32`. A marginal lane takes at most `rows` increments per
+/// call and a dense cell's lane `⌈rows / 2⌉` (one pair may repeat
 /// through a whole delta), so they are exact for any delta
 /// [`check_delta_len`] lets through.
-fn table(take: bool, len: usize, table: &mut Vec<u32>) -> Option<&mut [u32]> {
-    if !take {
-        return None;
-    }
+fn table(len: usize, table: &mut Vec<u32>) -> &mut [u32] {
     if table.len() < len {
         table.resize(len, 0);
     }
-    Some(&mut table[..len])
+    &mut table[..len]
 }
 
 /// Rows are `u32` indexes into a population sampled without
@@ -137,6 +171,18 @@ fn check_delta_len(rows: usize) {
 /// Why a kernel refuses runs over a paged column: a paged dataset's
 /// sample reaches it as rows (`Dataset::sample_positions`).
 const RUNS_ARE_HEAP: &str = "runs of positions address heap storage; paged columns read row lists";
+
+/// What the marginal kernel counts one delta into (see
+/// [`CountState::lanes`]).
+#[derive(Debug)]
+enum Lanes<'t> {
+    /// No table: [`CountState::add`], code by code.
+    Scalar,
+    /// One `u32` lane a code: `table[code]`.
+    One(&'t mut [u32]),
+    /// [`LANES`] interleaved `u32` lanes a code: `table[4·code + i mod 4]`.
+    Four(&'t mut [u32]),
+}
 
 /// A pure-integer delta histogram over one attribute's codes.
 ///
@@ -195,48 +241,68 @@ impl CountState {
         self.total += k;
     }
 
-    /// Whether a delta of `rows` rows over this support is counted
-    /// through lane tables.
-    fn takes_lanes(&self, rows: usize) -> bool {
+    /// The table the marginal kernel counts a delta of `rows` rows over
+    /// this support into, cut from `table` (see the module docs).
+    fn lanes<'t>(&self, rows: usize, table: &'t mut Vec<u32>) -> Lanes<'t> {
         let support = self.counts.len();
-        support <= LANE_MAX_SUPPORT && rows >= LANE_MIN_ROWS_PER_CODE * support
+        if support > LANE_MAX_SUPPORT || rows * ONE_LANE_CODES_PER_ROW < support {
+            Lanes::Scalar
+        } else if rows >= LANE_MIN_ROWS_PER_CODE * support {
+            Lanes::Four(self::table(LANES * support, table))
+        } else {
+            Lanes::One(self::table(support, table))
+        }
     }
 
     /// The marginal kernel: records one occurrence of every code of a
-    /// staged block — into `lanes` (see the module docs), which
-    /// [`CountState::fold_lanes`] later drains, or by [`CountState::add`]
-    /// when the caller has none.
+    /// slice — into the lane table [`CountState::fold_lanes`] later
+    /// drains, or by [`CountState::add`] when there is none.
     ///
     /// # Panics
     ///
-    /// If a code is not below the histogram's support: the lane table is
+    /// If a code is not below the histogram's support: a lane table is
     /// sliced to exactly the support's lanes, so an out-of-range code is
     /// a bounds panic there as it is in `add`.
     #[inline(never)]
-    fn add_block<R: CodeRepr>(&mut self, codes: &[R], lanes: Option<&mut [u32]>) {
-        let Some(table) = lanes else {
-            for &c in codes {
-                self.add(c.widen());
+    fn add_block<R: CodeRepr>(&mut self, codes: &[R], lanes: &mut Lanes<'_>) {
+        // The tables are reborrowed as locals: indexed through the
+        // enum, every increment would reload the slice from memory.
+        match lanes {
+            Lanes::Scalar => codes.iter().for_each(|&c| self.add(c.widen())),
+            Lanes::One(table) => {
+                let table = &mut **table;
+                codes.iter().for_each(|&c| table[c.widen() as usize] += 1)
             }
-            return;
-        };
-        let mut quads = codes.chunks_exact(LANES);
-        for quad in &mut quads {
-            table[LANES * quad[0].widen() as usize] += 1;
-            table[LANES * quad[1].widen() as usize + 1] += 1;
-            table[LANES * quad[2].widen() as usize + 2] += 1;
-            table[LANES * quad[3].widen() as usize + 3] += 1;
-        }
-        for (lane, &c) in quads.remainder().iter().enumerate() {
-            table[LANES * c.widen() as usize + lane] += 1;
+            Lanes::Four(table) => {
+                let table = &mut **table;
+                let mut quads = codes.chunks_exact(LANES);
+                for quad in &mut quads {
+                    table[LANES * quad[0].widen() as usize] += 1;
+                    table[LANES * quad[1].widen() as usize + 1] += 1;
+                    table[LANES * quad[2].widen() as usize + 2] += 1;
+                    table[LANES * quad[3].widen() as usize + 3] += 1;
+                }
+                for (lane, &c) in quads.remainder().iter().enumerate() {
+                    table[LANES * c.widen() as usize + lane] += 1;
+                }
+            }
         }
     }
 
     /// Drains a lane table into the histogram in ascending code order —
     /// on an empty histogram that leaves `touched` sorted — zeroing the
     /// table on the way.
-    fn fold_lanes(&mut self, table: &mut [u32]) {
-        for (code, lanes) in table.chunks_exact_mut(LANES).enumerate() {
+    fn fold_lanes(&mut self, lanes: Lanes<'_>) {
+        match lanes {
+            Lanes::Scalar => {}
+            Lanes::One(table) => self.fold::<1>(table),
+            Lanes::Four(table) => self.fold::<LANES>(table),
+        }
+    }
+
+    /// [`CountState::fold_lanes`] over a table of `L` lanes a code.
+    fn fold<const L: usize>(&mut self, table: &mut [u32]) {
+        for (code, lanes) in table.chunks_exact_mut(L).enumerate() {
             let k: u64 = lanes.iter().map(|&n| u64::from(n)).sum();
             if k != 0 {
                 lanes.fill(0);
@@ -360,14 +426,17 @@ impl PairCountState {
     }
 
     /// The joint kernel: records the pair `(tcodes[i], codes[i])` for
-    /// every code of a staged block — into `dense`, a `u_t × u_a` table
-    /// of [`DENSE_LANES`] interleaved `u32` lanes a cell that
+    /// every code of a slice — into `dense`, a `u_t × u_a` table of
+    /// [`DENSE_LANES`] interleaved `u32` lanes a cell that
     /// [`PairCountState::fold_dense`] later drains, or as `(key, 1)` runs
     /// when the caller has none.
     ///
-    /// The marginal kernel has counted the same block first, so every
-    /// candidate code is known to be below `u_a`; a target code at or
-    /// beyond `u_t` indexes past the table and panics.
+    /// # Panics
+    ///
+    /// If a candidate code is not below `u_a`: checked here, since no
+    /// marginal kernel may have read the slice first, and such a code
+    /// would alias cell `(t + 1, c - u_a)` of the dense table. A target
+    /// code at or beyond `u_t` indexes past the table and panics there.
     #[inline(never)]
     fn add_block<R: CodeRepr>(
         &mut self,
@@ -377,6 +446,10 @@ impl PairCountState {
         u_a: usize,
     ) {
         debug_assert_eq!(tcodes.len(), codes.len());
+        // At the column's width, where the maximum vectorises.
+        if let Some(top) = codes.iter().copied().max().map(CodeRepr::widen) {
+            assert!((top as usize) < u_a, "candidate code {top} is not below its support {u_a}");
+        }
         let Some(table) = dense else {
             for (&tc, &c) in tcodes.iter().zip(codes) {
                 self.add(tc, c.widen());
@@ -463,9 +536,9 @@ impl PairCountState {
     }
 }
 
-/// Reusable scratch of one candidate's count: the block buffer its codes
-/// are staged in (at the column's width) and the marginal and joint
-/// kernels' tables. A counter holds one per slot of its candidate
+/// Reusable scratch of one candidate's count: the block buffer a list's
+/// codes are staged in (at the column's width) and the marginal and
+/// joint kernels' tables. A counter holds one per slot of its candidate
 /// fan-out; everything grows to its high-water mark once, so
 /// steady-state iterations allocate nothing.
 /// The tables are all-zero between calls. A call that unwinds (a corrupt
@@ -494,8 +567,8 @@ impl CountScratch {
 /// The MI target's codes at one iteration's rows — gathered once,
 /// widened to `u32` because candidates of any width pair against them —
 /// with the target's support and the lane table its own marginal count
-/// uses. Filled by [`count_target`], read through [`TargetBuf::codes`] /
-/// [`TargetBuf::target`].
+/// uses. Filled by [`count_target`] or [`gather_target`], read through
+/// [`TargetBuf::codes`] / [`TargetBuf::target`].
 #[derive(Debug, Default)]
 pub struct TargetBuf {
     codes: Vec<Code>,
@@ -510,7 +583,7 @@ impl TargetBuf {
     }
 
     /// The gathered codes: `codes()[i]` is the target's code at row `i`
-    /// of the delta last passed to [`count_target`].
+    /// of the delta last passed to [`count_target`] or [`gather_target`].
     pub fn codes(&self) -> &[Code] {
         &self.codes
     }
@@ -546,24 +619,21 @@ fn stage(column: &Column, block: &[u32], buf: &mut CodeBuf) {
     }
 }
 
-/// Counts the target column's codes at `rows` — storage positions, see
-/// the module docs — into `counts` and leaves them in `target`
-/// (replacing its contents): `target.codes()[i]` is the code at the
-/// delta's `i`-th position, which is what [`count_candidate`] pairs
+/// Widens the target column's codes at `rows` — storage positions, see
+/// the module docs — into `target` (replacing its contents):
+/// `target.codes()[i]` is the code at the delta's `i`-th position, runs
+/// first, which is what [`count_candidate`] and [`count_joint`] pair
 /// against. The whole delta is read, not a block at a time, because
-/// every candidate needs all of it.
+/// every candidate needs all of it; the copy is booked in
+/// [`gather_stats`] when it is on.
 ///
 /// # Panics
 ///
 /// If a position is out of range, or `rows` are runs and the column is
 /// paged.
-pub fn count_target<'a>(
-    column: &Column,
-    rows: impl Into<Positions<'a>>,
-    counts: &mut CountState,
-    target: &mut TargetBuf,
-) {
+pub fn gather_target<'a>(column: &Column, rows: impl Into<Positions<'a>>, target: &mut TargetBuf) {
     let Positions { runs, list } = rows.into();
+    let started = gather_stats::enabled().then(Instant::now);
     let codes = &mut target.codes;
     match column.storage() {
         ColumnStorage::Heap(packed) => {
@@ -581,22 +651,37 @@ pub fn count_target<'a>(
             paged.gather_widen(list, codes).unwrap_or_else(|e| panic!("{e}"))
         }
     }
-    target.support = column.support();
-    let lane_len = LANES * counts.counts.len();
-    let mut lanes = table(counts.takes_lanes(codes.len()), lane_len, &mut target.lanes);
-    counts.add_block(codes, lanes.as_deref_mut());
-    if let Some(lanes) = lanes {
-        counts.fold_lanes(lanes);
+    if let Some(started) = started {
+        gather_stats::record(codes.len(), started.elapsed().as_nanos() as u64);
     }
+    target.support = column.support();
+}
+
+/// [`gather_target`], then counts the codes into `counts`.
+///
+/// # Panics
+///
+/// As [`gather_target`].
+pub fn count_target<'a>(
+    column: &Column,
+    rows: impl Into<Positions<'a>>,
+    counts: &mut CountState,
+    target: &mut TargetBuf,
+) {
+    gather_target(column, rows, target);
+    let TargetBuf { codes, lanes, .. } = target;
+    let mut lanes = counts.lanes(codes.len(), lanes);
+    counts.add_block(codes, &mut lanes);
+    counts.fold_lanes(lanes);
 }
 
 /// Counts a candidate column's codes at `rows` — storage positions — into
 /// `out` and, when `target` carries the target's codes at the same
 /// positions, each row's `(target, candidate)` pair into `pairs`. Heap or
-/// paged, local, shard or peer: this is the one block loop that fills a
-/// candidate's deltas — stage a block, marginal kernel, joint kernel,
-/// then one fold per table. A list's block is gathered; a run's, on heap
-/// storage, is one slice copy.
+/// paged, local, shard or peer: this is the one loop that fills a
+/// candidate's deltas — each heap run read in place, each block of the
+/// list staged, through the marginal and joint kernels, then one fold
+/// per table.
 ///
 /// # Panics
 ///
@@ -611,52 +696,112 @@ pub fn count_candidate<'a>(
     pairs: &mut PairCountState,
     scratch: &mut CountScratch,
 ) {
-    let rows = rows.into();
+    count(column, rows.into(), target, Some(out), pairs, scratch);
+}
+
+/// [`count_candidate`] without the candidate's histogram: only the
+/// `(target, candidate)` pairs at `rows`, for an MI query whose
+/// marginals are exact and whose interval reads the joint alone.
+///
+/// # Panics
+///
+/// As [`count_candidate`]; the joint kernel checks the codes against the
+/// column's support itself.
+pub fn count_joint<'a>(
+    column: &Column,
+    rows: impl Into<Positions<'a>>,
+    target: TargetCodes<'_>,
+    pairs: &mut PairCountState,
+    scratch: &mut CountScratch,
+) {
+    count(column, rows.into(), Some(target), None, pairs, scratch);
+}
+
+/// The body of [`count_candidate`] and [`count_joint`].
+fn count(
+    column: &Column,
+    rows: Positions<'_>,
+    target: Option<TargetCodes<'_>>,
+    out: Option<&mut CountState>,
+    pairs: &mut PairCountState,
+    scratch: &mut CountScratch,
+) {
     let len = rows.len();
     check_delta_len(len);
     let CountScratch { buf, lanes, dense } = scratch;
-    let lane_len = LANES * out.counts.len();
-    let mut lanes = table(out.takes_lanes(len), lane_len, lanes);
     let u_a = column.support() as usize;
-    let cells = target.map_or(0, |t| t.support as usize * u_a);
-    let take_dense = (1..=DENSE_MAX_CELLS).contains(&cells) && len >= cells;
-    let mut dense = table(take_dense, DENSE_LANES * cells, dense);
-
-    // Counts the block staged in `buf`, the delta's rows `at..`.
-    let mut at = 0;
-    let mut count = |buf: &CodeBuf| {
-        let tcs = target.map(|t| &t.codes[at..][..buf.len()]);
-        at += buf.len();
-        for_buf!(buf, |codes| {
-            out.add_block(codes, lanes.as_deref_mut());
-            if let Some(tcs) = tcs {
-                pairs.add_block(tcs, codes, dense.as_deref_mut(), u_a);
+    let mut kernels = Kernels {
+        marginal: out.map(move |out| {
+            let lanes = out.lanes(len, lanes);
+            (out, lanes)
+        }),
+        joint: target.map(move |t| {
+            let cells = t.support as usize * u_a;
+            let take_dense = (1..=DENSE_MAX_CELLS).contains(&cells) && len >= cells;
+            let dense = take_dense.then(|| table(DENSE_LANES * cells, dense));
+            Joint { pairs, dense, tcodes: t.codes, u_a }
+        }),
+    };
+    if !rows.runs.is_empty() {
+        let ColumnStorage::Heap(packed) = column.storage() else { panic!("{RUNS_ARE_HEAP}") };
+        for_packed!(packed.codes(), |stored| {
+            for run in rows.runs {
+                kernels.count(&stored[run.start as usize..run.end as usize]);
             }
         });
-    };
-    for run in rows.runs {
-        let ColumnStorage::Heap(packed) = column.storage() else { panic!("{RUNS_ARE_HEAP}") };
-        for start in (run.start as usize..run.end as usize).step_by(INGEST_BLOCK_ROWS) {
-            let block = start..(start + INGEST_BLOCK_ROWS).min(run.end as usize);
-            for_packed!(packed.codes(), |codes| gather_run(codes, block, CodeRepr::buf(buf)));
-            count(buf);
-        }
     }
     for block in rows.list.chunks(INGEST_BLOCK_ROWS) {
         stage(column, block, buf);
-        count(buf);
+        for_buf!(&*buf, |codes| kernels.count(codes));
     }
-    if let Some(lanes) = lanes {
-        out.fold_lanes(lanes);
+    kernels.fold();
+}
+
+/// One call's kernels: the candidate's histogram with the lane table it
+/// counts into, unless only the joint is counted, and for MI the joint's.
+struct Kernels<'k> {
+    marginal: Option<(&'k mut CountState, Lanes<'k>)>,
+    joint: Option<Joint<'k>>,
+}
+
+/// The joint delta of one call, its dense table if it takes one, and the
+/// target codes at the positions not yet counted.
+struct Joint<'k> {
+    pairs: &'k mut PairCountState,
+    dense: Option<&'k mut [u32]>,
+    tcodes: &'k [Code],
+    u_a: usize,
+}
+
+impl Kernels<'_> {
+    /// Counts the codes at the delta's next `codes.len()` positions.
+    #[inline]
+    fn count<R: CodeRepr>(&mut self, codes: &[R]) {
+        if let Some((out, lanes)) = &mut self.marginal {
+            out.add_block(codes, lanes);
+        }
+        if let Some(joint) = &mut self.joint {
+            let (tcodes, rest) = joint.tcodes.split_at(codes.len());
+            joint.tcodes = rest;
+            joint.pairs.add_block(tcodes, codes, joint.dense.as_deref_mut(), joint.u_a);
+        }
     }
-    if let Some(dense) = dense {
-        pairs.fold_dense(dense, u_a);
+
+    /// Folds the tables into the deltas, zeroing them.
+    fn fold(self) {
+        if let Some((out, lanes)) = self.marginal {
+            out.fold_lanes(lanes);
+        }
+        if let Some(Joint { pairs, dense: Some(dense), u_a, .. }) = self.joint {
+            pairs.fold_dense(dense, u_a);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::slice;
     use swope_columnar::Width;
     use swope_datagen::Distribution;
     use swope_sampling::rng::Xoshiro256pp;
@@ -977,33 +1122,158 @@ mod tests {
         assert_eq!(short.canonical_runs(), want.canonical_runs());
     }
 
+    #[test]
+    fn one_lane_kernel_equals_per_element_add() {
+        // Every support the lane tables take, at the lengths on both
+        // sides of where one lane starts (a row per four codes) and ends
+        // (two rows a code), counted as runs read in place and as a list
+        // staged, at every width. One scratch serves every case, so a
+        // lane left dirty by one would show in the next.
+        let mut rng = Xoshiro256pp::seed_from_u64(0x1A4E);
+        let mut scratch = CountScratch::new();
+        for support in 1..=LANE_MAX_SUPPORT as u32 + 1 {
+            let s = support as usize;
+            let first = s.div_ceil(ONE_LANE_CODES_PER_ROW);
+            let (one, four) = match s <= LANE_MAX_SUPPORT {
+                true => ("one lane", "four lanes"),
+                false => ("scalar", "scalar"),
+            };
+            for (len, expected) in
+                [(first - 1, "scalar"), (first, one), (2 * s - 1, one), (2 * s, four)]
+            {
+                let mut want = CountState::new(support);
+                let kind = match want.lanes(len, &mut Vec::new()) {
+                    Lanes::Scalar => "scalar",
+                    Lanes::One(_) => "one lane",
+                    Lanes::Four(_) => "four lanes",
+                };
+                assert_eq!(kind, expected, "support {support} len {len}");
+                let codes: Vec<Code> = (0..len).map(|_| rng.next_below(s as u64) as Code).collect();
+                codes.iter().for_each(|&c| want.add(c));
+                let base = Column::new(codes, support).unwrap();
+                let list: Vec<u32> = positions(&base, 0..len);
+                let run = 0..len as u32;
+                for width in widths_holding(support) {
+                    let column = base.with_width(width).unwrap();
+                    for rows in [
+                        Positions::from(&list),
+                        Positions { runs: slice::from_ref(&run), list: &[] },
+                    ] {
+                        let mut got = CountState::new(support);
+                        let mut pairs = PairCountState::new();
+                        count_candidate(&column, rows, None, &mut got, &mut pairs, &mut scratch);
+                        let case = format!("support {support} len {len} {width} {kind}");
+                        assert_eq!(got.sorted_entries(), want.sorted_entries(), "{case}");
+                        assert_eq!(got.total(), len as u64, "{case}");
+                        assert!(scratch.lanes.iter().all(|&n| n == 0), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Runs over heap storage, alone or followed by a list, count what
     /// the list of the same positions counts, target pairs included,
-    /// whatever the runs' lengths against the block size.
+    /// whatever the runs' lengths against the block size and whatever
+    /// the columns' widths.
     #[test]
     fn runs_count_like_the_list_of_their_positions() {
         let mut rng = Xoshiro256pp::seed_from_u64(0x2C45);
         let n = 3 * INGEST_BLOCK_ROWS + 500;
-        let [tcodes_all, codes, _] = streams(16, n, &mut rng);
-        let target = Column::new(tcodes_all, 16).unwrap();
-        let column = Column::new(codes, 16).unwrap();
-        let runs = [5..9, 100..INGEST_BLOCK_ROWS as u32 + 300, 2..3, n as u32 - 40..n as u32];
+        let block = INGEST_BLOCK_ROWS as u32;
+        // Long runs, runs past a block, and the short ones a page-prefix
+        // sample mostly draws: one row, 96 rows, 1 024 rows.
+        let runs = [
+            5..9,
+            100..block + 300,
+            2..3,
+            9..10,
+            block + 400..block + 496,
+            2 * block..2 * block + 1024,
+            n as u32 - 40..n as u32,
+        ];
         let list: Vec<u32> = runs.iter().flat_map(Clone::clone).collect();
-        let count = |rows: Positions<'_>| {
-            let (mut tcounts, mut tbuf) = (CountState::new(16), TargetBuf::new());
-            count_target(&target, rows, &mut tcounts, &mut tbuf);
-            let (mut out, mut pairs) = (CountState::new(16), PairCountState::new());
-            let mut scratch = CountScratch::new();
-            count_candidate(&column, rows, Some(tbuf.target()), &mut out, &mut pairs, &mut scratch);
-            let codes = tbuf.codes().to_vec();
-            (codes, tcounts.sorted_entries(), out.sorted_entries(), pairs.canonical_runs().to_vec())
-        };
-        let want = count(Positions::from(&list));
-        assert_eq!(count(Positions { runs: &runs, list: &[] }), want);
-        // A delta of both, as a sample drawing whole and member pages
-        // hands over: its runs, then its list.
-        let tail: Vec<u32> = runs[2..].iter().flat_map(Clone::clone).collect();
-        assert_eq!(count(Positions { runs: &runs[..2], list: &tail }), want);
+        for (support, width) in [(16, Width::U8), (16, Width::U16), (1000, Width::U16)]
+            .into_iter()
+            .chain([(16, Width::U32), (1000, Width::U32)])
+        {
+            let [tcodes_all, codes, _] = streams(support, n, &mut rng);
+            let target = Column::new(tcodes_all, support).unwrap().with_width(width).unwrap();
+            let column = Column::new(codes, support).unwrap().with_width(width).unwrap();
+            let count = |rows: Positions<'_>| {
+                let (mut tcounts, mut tbuf) = (CountState::new(support), TargetBuf::new());
+                count_target(&target, rows, &mut tcounts, &mut tbuf);
+                let (mut out, mut pairs) = (CountState::new(support), PairCountState::new());
+                let mut scratch = CountScratch::new();
+                let t = Some(tbuf.target());
+                count_candidate(&column, rows, t, &mut out, &mut pairs, &mut scratch);
+                let codes = tbuf.codes().to_vec();
+                let pairs = pairs.canonical_runs().to_vec();
+                (codes, tcounts.sorted_entries(), out.sorted_entries(), pairs)
+            };
+            let want = count(Positions::from(&list));
+            let case = format!("support {support} {width}");
+            assert_eq!(count(Positions { runs: &runs, list: &[] }), want, "{case}");
+            // A delta of both, as a sample drawing whole and member pages
+            // hands over: its runs, then its list.
+            let tail: Vec<u32> = runs[2..].iter().flat_map(Clone::clone).collect();
+            assert_eq!(count(Positions { runs: &runs[..2], list: &tail }), want, "{case}");
+        }
+    }
+
+    #[test]
+    fn joint_only_count_fills_the_pairs_a_full_count_fills() {
+        // Runs and a list, dense shapes and the run path, short and long
+        // deltas: the joint is the same with or without the marginal.
+        let mut rng = Xoshiro256pp::seed_from_u64(0x7015);
+        for (u_t, u_a) in PAIR_SHAPES {
+            let n = 2 * INGEST_BLOCK_ROWS + 77;
+            let [tcodes, _, _] = streams(u_t, n, &mut rng);
+            let [codes, _, _] = streams(u_a, n, &mut rng);
+            let target = Column::new(tcodes, u_t).unwrap();
+            let column = Column::new(codes, u_a).unwrap();
+            for len in [0, 3, 500, n - 1000] {
+                let run = 0..len as u32 / 2;
+                let list: Vec<u32> = (n as u32 - len as u32 / 2..n as u32).collect();
+                let rows = Positions { runs: slice::from_ref(&run), list: &list };
+                let mut tbuf = TargetBuf::new();
+                gather_target(&target, rows, &mut tbuf);
+                let mut scratch = CountScratch::new();
+                let (mut out, mut want) = (CountState::new(u_a), PairCountState::new());
+                count_candidate(
+                    &column,
+                    rows,
+                    Some(tbuf.target()),
+                    &mut out,
+                    &mut want,
+                    &mut scratch,
+                );
+                let mut got = PairCountState::new();
+                count_joint(&column, rows, tbuf.target(), &mut got, &mut scratch);
+                let case = format!("{u_t}x{u_a} len {len}");
+                assert_eq!(got.canonical_runs(), want.canonical_runs(), "{case}");
+                assert!(scratch.dense.iter().all(|&n| n == 0), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn joint_kernel_refuses_a_candidate_code_past_its_support() {
+        // What the marginal kernel's table bounds caught before a count
+        // could skip it: code 5 of a support of 5 would alias cell
+        // (t + 1, 0) of the dense table. Both paths panic instead.
+        let (tcodes, codes) = ([0, 1, 0, 1], [4u8, 0, 5, 1]);
+        let (u_t, u_a) = (2, 5);
+        for dense in [true, false] {
+            let counted = std::panic::catch_unwind(|| {
+                let mut table = vec![0u32; DENSE_LANES * u_t * u_a];
+                let mut pairs = PairCountState::new();
+                pairs.add_block(&tcodes, &codes, dense.then_some(&mut table[..]), u_a);
+            });
+            let message = counted.expect_err("a code past its support was counted");
+            let message = message.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains("candidate code 5 is not below its support 5"), "{message}");
+        }
     }
 
     #[test]

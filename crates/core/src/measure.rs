@@ -123,6 +123,13 @@ pub(crate) trait Measure {
         req.live.extend(states.iter().map(Candidate::attr));
     }
 
+    /// Whether the states read the sampled marginal histograms. Only the
+    /// local source acts on it: shards and cluster peers count every
+    /// histogram a request shapes, since the wire carries no such flag.
+    fn reads_marginals(&self) -> bool {
+        true
+    }
+
     /// Drains one iteration's counts for [`Measure::request`] into the
     /// states in canonical order, leaving every histogram empty.
     fn apply(
@@ -206,6 +213,12 @@ impl Measure for Mi {
 
     fn target(&self) -> Option<AttrIndex> {
         Some(self.target.attr)
+    }
+
+    /// With exact marginals, [`MiState::update_bounds_exact`] and
+    /// [`Measure::exact_score`] read `H_D` and the joint alone.
+    fn reads_marginals(&self) -> bool {
+        self.exact.is_none()
     }
 
     fn apply(

@@ -70,7 +70,10 @@ pub enum WorkKind {
     EntropyMarginals,
     /// Single-target MI queries: one target-column scan per record plus a
     /// marginal and a joint update per (record, candidate) —
-    /// `Δ·(2c + 1)` units.
+    /// `Δ·(2c + 1)` units. This is the paper's unit, and it is charged
+    /// as such even when the marginals come exact from a sketch and the
+    /// local source counts only the joint: `rows_scanned` states the
+    /// algorithm's work, not which counters an implementation skips.
     MiPerTarget,
 }
 

@@ -363,7 +363,8 @@ impl CountSource for LocalSource<'_> {
         let span = round.it.phase_start();
         let (req, counts) = (&mut self.req, &mut self.counts);
         measure.request(states, req);
-        self.counter.count(self.dataset, delta, req, counts, exec);
+        let marginals = measure.reads_marginals();
+        self.counter.fill(self.dataset, delta, req, marginals, counts, exec);
         let applied = measure.apply(counts, states);
         self.counter.park(req, counts);
         round.it.phase_end(Phase::Ingest, span);

@@ -65,7 +65,8 @@ use swope_obs::{Phase, Plan, QueryObserver};
 use swope_sampling::{PageMembers, PagePrefix};
 
 use crate::count::{
-    count_candidate, count_target, CountScratch, CountState, PairCountState, TargetBuf,
+    count_candidate, count_joint, count_target, gather_target, CountScratch, CountState,
+    PairCountState, TargetBuf,
 };
 use crate::driver::{CountSource, Round};
 use crate::exec::Executor;
@@ -391,9 +392,9 @@ impl Counter {
     /// counter was made for — for `req` into `counts`, on parked
     /// histograms and joint deltas where there are some: groups a list of
     /// positions by page, so paged gathers pin each page once (runs read
-    /// heap slices in place); counts the target, gathering the codes
-    /// every candidate pairs against; then fans the live candidates out
-    /// on `exec`, one slot each.
+    /// heap slices in place); gathers the target's codes, which every
+    /// candidate pairs against; then fans the live candidates out on
+    /// `exec`, one slot each.
     ///
     /// # Panics
     ///
@@ -406,6 +407,23 @@ impl Counter {
         counts: &mut ShardCounts,
         exec: &Executor,
     ) {
+        self.fill(dataset, positions, req, true, counts, exec);
+    }
+
+    /// [`Counter::count`], filling the histograms only when `marginals`:
+    /// an MI request whose reader takes the marginals from elsewhere gets
+    /// its joint deltas alone, and the target's and the candidates'
+    /// histograms back empty.
+    pub(crate) fn fill(
+        &mut self,
+        dataset: &Dataset,
+        positions: Positions<'_>,
+        req: &CountRequest,
+        marginals: bool,
+        counts: &mut ShardCounts,
+        exec: &Executor,
+    ) {
+        debug_assert!(marginals || req.target.is_some(), "an entropy count is all marginals");
         let Self { grouper, target, slots, shelf } = self;
         shelf.shape(req, |a| dataset.support(a), counts);
         if slots.len() < req.live.len() {
@@ -418,12 +436,20 @@ impl Counter {
 
         let rows = Positions { list: grouper.group(positions.list), ..positions };
         if let (Some(t), Some(hist)) = (req.target, counts.target.as_mut()) {
-            count_target(dataset.column(t), rows, hist, target);
+            let column = dataset.column(t);
+            match marginals {
+                true => count_target(column, rows, hist, target),
+                false => gather_target(column, rows, target),
+            }
         }
         let paired = req.target.map(|_| target.target());
         exec.for_each2(slots, &mut counts.attrs, |slot, out| {
-            let column = dataset.column(slot.attr);
-            count_candidate(column, rows, paired, out, &mut slot.joint, &mut slot.scratch);
+            let (column, joint, scratch) =
+                (dataset.column(slot.attr), &mut slot.joint, &mut slot.scratch);
+            match paired {
+                Some(paired) if !marginals => count_joint(column, rows, paired, joint, scratch),
+                _ => count_candidate(column, rows, paired, out, joint, scratch),
+            }
         });
         counts.joints.clear();
         counts.joints.extend(slots.iter_mut().map(|slot| std::mem::take(&mut slot.joint)));

@@ -11,12 +11,16 @@
 //! * an empty range is well-defined (zero scores, zero rows sampled),
 //!   not an error or a panic;
 //! * scoped answers are invariant to thread count (1 vs 8) and to the
-//!   width columns are packed at (`u8`/`u16`/`u32`).
+//!   width columns are packed at (`u8`/`u16`/`u32`);
+//! * an MI query on exact marginals answers alike whether its source
+//!   counts only the joint (the local source) or every histogram too
+//!   (in-process shards, as cluster peers do).
 
 mod common;
 
 use common::{all_shapes, comparators_against, plain, repacked, scoped, sketch_of};
 use swope_columnar::{Column, Dataset, Field, Schema, Width, PAGE_ROWS};
+use swope_core::{run_sharded, Executor, LocalShardSource, NoopObserver};
 use swope_core::{Rule, Scope, Shape, SwopeConfig};
 use swope_estimate::entropy::entropy_from_counts;
 use swope_estimate::joint::mutual_information_over_rows;
@@ -113,6 +117,26 @@ fn full_scope_mi_takes_the_sketch_marginals() {
             let sampled = plain(&ds, &shape, &cfg);
             assert!(exact.stats.sample_size <= sampled.stats.sample_size, "{shape:?}");
         }
+    }
+}
+
+/// With the sketch's marginals the local source counts the joint alone
+/// and three in-process shards count the marginals as well; the states
+/// never read the sampled marginals, so both print the same answer, down
+/// to every bit of every bound, iteration and trace entry.
+#[test]
+fn exact_marginal_mi_answers_alike_with_or_without_counted_marginals() {
+    let ds = dataset(49, 2 * PAGE_ROWS + 1234);
+    let sk = sketch_of(&ds);
+    let exec = Executor::sequential();
+    for rule in [Rule::TopK { k: 2 }, Rule::Filter { eta: 0.05 }] {
+        let shape = Shape::mi(TARGET, rule);
+        let cfg = config_for(&shape, 49, 1);
+        let joint_only = scoped(&ds, &shape, &Scope::all(), Some(&sk), &cfg);
+        let mut shards = LocalShardSource::new(&ds, 3, &cfg, &exec).unwrap().with_sketch(Some(&sk));
+        let counted = run_sharded(&mut shards, &shape, &cfg, &mut NoopObserver, &exec).unwrap();
+        assert!(joint_only.stats.iterations > 1, "{rule:?} decided before sampling");
+        assert_eq!(format!("{joint_only:?}"), format!("{counted:?}"), "{rule:?}");
     }
 }
 

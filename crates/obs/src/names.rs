@@ -83,10 +83,6 @@ pub const SKETCH_BYTES: &str = "swope_sketch_bytes";
 /// 65 536-row slab per column-set).
 pub const SKETCH_PAGES: &str = "swope_sketch_pages";
 
-/// Gauge: fraction of registered rows inside whole 65 536-row sketch
-/// pages (every row but a partial last page's).
-pub const SKETCH_COVERAGE: &str = "swope_sketch_coverage";
-
 /// Counter with a `source` label: MI queries by where their marginal
 /// entropies came from — `sketch` (every attribute's exact counts read
 /// from the partition sketch over a full scope, so only the joint was

@@ -277,8 +277,6 @@ impl ServerMetrics {
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {value}");
         }
-        let _ = writeln!(out, "# TYPE {} gauge", names::SKETCH_COVERAGE);
-        let _ = writeln!(out, "{} {:.6}", names::SKETCH_COVERAGE, sketch.coverage());
         for (name, value) in [
             (names::TRACES_RECORDED_TOTAL, traces.recorded),
             (names::SLOW_QUERIES_TOTAL, traces.slow),
@@ -455,8 +453,7 @@ mod tests {
             columns_u16: 1,
             columns_u32: 0,
         };
-        let sketch =
-            SketchStats { bytes: 2048, pages: 7, rows_covered: 131072, rows_total: 200000 };
+        let sketch = SketchStats { bytes: 2048, pages: 7 };
         let text = m.render_prometheus(
             &cache,
             3,
@@ -493,7 +490,6 @@ mod tests {
         assert!(text.contains(&format!("{}{{width=\"u32\"}} 0", names::STORE_COLUMNS)));
         assert!(text.contains(&format!("{} 2048\n", names::SKETCH_BYTES)));
         assert!(text.contains(&format!("{} 7\n", names::SKETCH_PAGES)));
-        assert!(text.contains(&format!("{} 0.655360\n", names::SKETCH_COVERAGE)));
         // The query registry's plan families: present, at zero.
         assert!(text.contains(&format!("{}{{source=\"sketch\"}} 0\n", names::MI_MARGINALS_TOTAL)));
         assert!(text.contains(&format!("{}_count 2", names::HTTP_REQUEST_MICROS)));

@@ -193,8 +193,6 @@ impl DatasetRegistry {
         for entry in self.list() {
             agg.bytes += entry.sketch.encoded_len() as u64;
             agg.pages += entry.sketch.num_pages() as u64;
-            agg.rows_covered += entry.covered_rows();
-            agg.rows_total += entry.dataset.num_rows() as u64;
         }
         agg
     }
@@ -233,21 +231,6 @@ pub struct SketchStats {
     pub bytes: u64,
     /// Total sketch pages across registered datasets.
     pub pages: u64,
-    /// Rows inside whole sketch pages.
-    pub rows_covered: u64,
-    /// Total rows across registered datasets.
-    pub rows_total: u64,
-}
-
-impl SketchStats {
-    /// Fraction of registered rows inside fully-covered sketch pages.
-    pub fn coverage(&self) -> f64 {
-        if self.rows_total == 0 {
-            0.0
-        } else {
-            self.rows_covered as f64 / self.rows_total as f64
-        }
-    }
 }
 
 /// Registry-wide storage-layer footprint (see [`DatasetRegistry::store_stats`]).
@@ -273,12 +256,6 @@ impl StoreStats {
 }
 
 impl DatasetEntry {
-    /// Rows inside whole sketch pages (all but a partial last page's).
-    pub fn covered_rows(&self) -> u64 {
-        let n = self.dataset.num_rows();
-        (n - n % swope_columnar::PAGE_ROWS) as u64
-    }
-
     /// Whether any column is pager-backed (loaded out-of-core).
     pub fn is_paged(&self) -> bool {
         (0..self.dataset.num_attrs()).any(|a| self.dataset.column(a).is_paged())
@@ -312,15 +289,12 @@ impl DatasetEntry {
             summary.max_support,
             self.dropped_columns
         );
-        let rows = self.dataset.num_rows() as u64;
-        let coverage = if rows == 0 { 0.0 } else { self.covered_rows() as f64 / rows as f64 };
         let _ = write!(
             out,
-            ",\"sketch\":{{\"pages\":{},\"bytes\":{},\"coverage\":",
+            ",\"sketch\":{{\"pages\":{},\"bytes\":{}",
             self.sketch.num_pages(),
             self.sketch.encoded_len()
         );
-        f64_into(&mut out, coverage);
         // In-memory footprint: heap columns report their full packed
         // size, paged columns only their currently-resident page bytes
         // (also broken out under `resident_pages`), and the sketch's

@@ -46,7 +46,7 @@ pub mod section;
 mod width;
 
 pub use error::StoreError;
-pub use packed::{gather, gather_run, CodeBuf, PackedCodes, PackedColumn};
+pub use packed::{gather, CodeBuf, PackedCodes, PackedColumn};
 pub use reader::{ByteReader, ReadError};
 pub use width::{CodeRepr, Width};
 

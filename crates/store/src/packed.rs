@@ -98,35 +98,20 @@ impl PackedCodes {
 }
 
 /// Gathers `codes[r]` for each row in `rows` into `buf` (cleared first),
-/// staying at the slice's width.
+/// staying at the slice's width, and counts and times that in
+/// [`crate::gather_stats`] when it is on.
 ///
 /// This is the cache-miss-heavy half of a staged ingest; keeping it
 /// width-generic means a `u8` column's gather touches a quarter of the
 /// bytes the old `u32` path did.
 #[inline]
 pub fn gather<R: CodeRepr>(codes: &[R], rows: &[u32], buf: &mut Vec<R>) {
-    stage(rows.len(), buf, |buf| buf.extend(rows.iter().map(|&r| codes[r as usize])));
-}
-
-/// [`gather`] for a run of consecutive indexes: copies `codes[run]` into
-/// `buf` (cleared first), one slice copy instead of a load per row.
-#[inline]
-pub fn gather_run<R: CodeRepr>(codes: &[R], run: std::ops::Range<usize>, buf: &mut Vec<R>) {
-    stage(run.len(), buf, |buf| buf.extend_from_slice(&codes[run]));
-}
-
-/// Clears `buf`, lets `fill` stage `rows` codes into it, and counts and
-/// times that in [`crate::gather_stats`] when it is on.
-#[inline]
-fn stage<R: CodeRepr>(rows: usize, buf: &mut Vec<R>, fill: impl FnOnce(&mut Vec<R>)) {
     buf.clear();
     // One relaxed load when tracing is off; clock reads only when on.
-    if crate::gather_stats::enabled() {
-        let start = std::time::Instant::now();
-        fill(buf);
-        crate::gather_stats::record(rows, start.elapsed().as_nanos() as u64);
-    } else {
-        fill(buf);
+    let start = crate::gather_stats::enabled().then(std::time::Instant::now);
+    buf.extend(rows.iter().map(|&r| codes[r as usize]));
+    if let Some(start) = start {
+        crate::gather_stats::record(rows.len(), start.elapsed().as_nanos() as u64);
     }
 }
 

@@ -92,7 +92,7 @@ impl std::fmt::Display for Width {
 /// [`for_packed!`](crate::for_packed)), the inner loop runs on the
 /// narrow type, and [`CodeRepr::widen`] is a register zero-extension at
 /// the point a code indexes a counter.
-pub trait CodeRepr: Copy + Default + Send + Sync + std::fmt::Debug + 'static {
+pub trait CodeRepr: Copy + Default + Ord + Send + Sync + std::fmt::Debug + 'static {
     /// The width this element type stores.
     const WIDTH: Width;
 
