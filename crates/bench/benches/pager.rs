@@ -11,26 +11,27 @@
 //! a page that comes back: `evict_ns_avg` (the sweep, `madvise`
 //! included) and `refault_ns_avg` (touching a page the sweep released —
 //! admission plus the kernel's minor fault). Fourth, the read the
-//! adaptive loops actually do: a *shuffled* sample gathered block by
-//! block from every column, warm paged vs heap
-//! (`gather_paged_over_heap`) — the sequential scans above cannot see a
-//! per-row page-switch cost, which is how one hid here.
+//! adaptive loops actually do: a page-prefix sample's delta counted from
+//! every column of a warm paged dataset, in place from its pages as the
+//! count path does (`paged_runs_in_place_over_rows`), against the path a
+//! snapshot in row order needed — the delta's positions mapped to rows,
+//! grouped by page and gathered a block at a time — rebuilt here. The
+//! two alternate for a fixed number of rounds and the fastest of each is
+//! kept.
 //! Results persist to `results/BENCH_pager.json`; the CI pager-smoke
 //! step runs this with `SWOPE_MICRO_MS=1` and validates the fields,
-//! the budget invariant and the (machine-independent) gather ratio, not
+//! the budget invariant and the (machine-independent) count ratio, not
 //! the wall-clock numbers.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use swope_bench::micro::{black_box, Group};
 use swope_bench::rss_bytes;
-use swope_columnar::{
-    for_packed, gather, snapshot, stats, CodeBuf, CodeRepr, ColumnStorage, Dataset, PageCache,
-    Residency,
-};
-use swope_core::count::INGEST_BLOCK_ROWS;
+use swope_columnar::{snapshot, stats, Dataset, PageCache, Positions, Residency, PAGE_ROWS};
+use swope_core::{count_candidate, CountScratch, CountState, PairCountState};
 use swope_obs::json::ObjectWriter;
-use swope_sampling::PrefixShuffle;
+use swope_sampling::{PageLayout, PageMembers, PagePrefix};
 
 /// Four full 64Ki-row pages per column — no partial tail, so every page
 /// has identical plain bytes.
@@ -46,33 +47,96 @@ fn scan_all(ds: &Dataset) {
     }
 }
 
-/// Rows in the shuffled sample: several ingest blocks, every page hit.
+/// Rows in the sampled delta: several ingest blocks, every page hit.
 const SAMPLE: usize = 40_000;
 
-/// Columns of the dataset the shuffled gather runs over.
-const GATHER_COLS: usize = 16;
+/// Columns of the dataset the delta is counted from.
+const COUNT_COLS: usize = 16;
 
-/// Gathers `rows` from every column block by block, the way an
-/// iteration of an adaptive loop does: the list is page-grouped once
-/// (the identity on a heap dataset) and shared by all columns.
-fn gather_all(ds: &Dataset, rows: &[u32], buf: &mut CodeBuf) {
-    let mut grouper = ds.page_grouper();
-    let rows = grouper.group(rows);
+/// Rounds of the count comparison: a fixed number, not governed by
+/// `SWOPE_MICRO_MS`, so the CI smoke measures what a default run does.
+const COUNT_ROUNDS: usize = 31;
+
+/// Counts `delta` from every column of `ds`, the way an iteration of an
+/// adaptive loop does.
+fn count_all(ds: &Dataset, delta: Positions<'_>, out: &mut CountState, scratch: &mut Count) {
     for attr in 0..ds.num_attrs() {
-        for block in rows.chunks(INGEST_BLOCK_ROWS) {
-            match ds.column(attr).storage() {
-                ColumnStorage::Heap(packed) => {
-                    for_packed!(packed.codes(), |codes| { gather_block(codes, block, buf) })
-                }
-                ColumnStorage::Paged(paged) => paged.gather(block, buf).expect("warm page"),
-            }
-            black_box(buf.len());
-        }
+        let Count { kernels, pairs } = scratch;
+        count_candidate(ds.column(attr), delta, None, out, pairs, kernels);
+        black_box(out.total());
+        out.clear();
     }
 }
 
-fn gather_block<R: CodeRepr>(codes: &[R], block: &[u32], buf: &mut CodeBuf) {
-    gather(codes, block, R::buf(buf));
+/// The count scratch both paths share.
+#[derive(Default)]
+struct Count {
+    kernels: CountScratch,
+    pairs: PairCountState,
+}
+
+/// What a delta cost before it was counted while a snapshot kept its
+/// pages in row order: its positions mapped to rows
+/// (`PageLayout::rows_of`), then the rows grouped by page once for every
+/// column (a stable counting sort, as the grouper did) — a list each
+/// column then gathered a block at a time. The codes at those rows are
+/// other rows' in a v3 file, but the bytes touched and the work done
+/// are the same.
+#[derive(Default)]
+struct ByRows {
+    rows: Vec<u32>,
+    grouped: Vec<u32>,
+    next: Vec<usize>,
+}
+
+impl ByRows {
+    fn group(&mut self, ds: &Dataset, delta: Positions<'_>) -> Positions<'_> {
+        let Self { rows, grouped, next } = self;
+        rows.clear();
+        ds.layout().rows_of(delta, rows);
+        let page = |r: u32| r as usize / PAGE_ROWS;
+        next.clear();
+        next.resize(ds.num_rows().div_ceil(PAGE_ROWS) + 1, 0);
+        rows.iter().for_each(|&r| next[page(r) + 1] += 1);
+        for p in 1..next.len() {
+            next[p] += next[p - 1];
+        }
+        grouped.clear();
+        grouped.resize(rows.len(), 0);
+        for &r in rows.iter() {
+            grouped[next[page(r)]] = r;
+            next[page(r)] += 1;
+        }
+        Positions::from(&grouped[..])
+    }
+}
+
+/// The fastest of [`COUNT_ROUNDS`] alternating rounds of each path over
+/// one page-prefix delta of [`SAMPLE`] rows, in ns: (in place, by rows).
+fn bench_count(ds: &Dataset) -> (f64, f64) {
+    let members = PageMembers::range(&PageLayout::of(ds.num_rows()), 0..ds.num_rows());
+    let mut sampler = PagePrefix::new(members, 0x5A3F);
+    let delta = sampler.grow_to(SAMPLE);
+    assert!(!delta.runs.is_empty(), "a full-scope sample draws whole pages as runs");
+    let support = (0..ds.num_attrs()).map(|attr| ds.support(attr)).max().unwrap_or(1);
+    let mut out = CountState::new(support);
+    let (mut scratch, mut rows) = (Count::default(), ByRows::default());
+    let (mut in_place, mut by_rows) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..COUNT_ROUNDS {
+        let started = Instant::now();
+        count_all(ds, rows.group(ds, delta), &mut out, &mut scratch);
+        by_rows = by_rows.min(started.elapsed().as_nanos() as f64);
+        let started = Instant::now();
+        count_all(ds, delta, &mut out, &mut scratch);
+        in_place = in_place.min(started.elapsed().as_nanos() as f64);
+    }
+    println!(
+        "pager/count_{SAMPLE}_rows_{}_cols  by rows {:.1} µs  in place {:.1} µs  (fastest of {COUNT_ROUNDS})",
+        ds.num_attrs(),
+        by_rows / 1e3,
+        in_place / 1e3
+    );
+    (in_place, by_rows)
 }
 
 /// Growth of this process's RSS since `before`, in bytes; `-1` where
@@ -123,21 +187,16 @@ fn main() {
 
     drop(warm);
 
-    // The sampled read: the same shuffled rows out of heap and warm
-    // paged columns. Machine-independent as a ratio. A query gathers an
-    // iteration's rows from every live column and groups them once, so
-    // this runs over a dataset of a (modest) realistic width.
-    let wide = swope_datagen::generate(&swope_datagen::corpus::tiny(ROWS, GATHER_COLS), 0x7A6F);
+    // The sampled read: one page-prefix delta counted from every column
+    // of a warm paged dataset of a (modest) realistic width, in place
+    // and by rows. Machine-independent as a ratio.
+    let wide = swope_datagen::generate(&swope_datagen::corpus::tiny(ROWS, COUNT_COLS), 0x7A6F);
     let wide_path = path.with_extension("wide.swop");
-    snapshot::write_file(&wide, &wide_path).expect("writing gather snapshot");
+    snapshot::write_file(&wide, &wide_path).expect("writing count snapshot");
     let (warm, _) =
         snapshot::open(&wide_path, Residency::Paged(&Arc::new(PageCache::unbounded()))).unwrap();
     scan_all(&warm);
-    let sample = PrefixShuffle::new(ROWS, 0x5A3F).grow_to(SAMPLE).to_vec();
-    let mut buf = CodeBuf::new();
-    let gather_heap_ns = g.bench("gather_shuffled_heap", || gather_all(&wide, &sample, &mut buf));
-    let gather_paged_ns =
-        g.bench("gather_shuffled_warm_paged", || gather_all(&warm, &sample, &mut buf));
+    let (in_place_ns, by_rows_ns) = bench_count(&warm);
     drop(warm);
     std::fs::remove_file(&wide_path).ok();
 
@@ -204,11 +263,11 @@ fn main() {
         .f64_field("heap_scan_ns", heap_scan_ns)
         .f64_field("budget_scan_ns", budget_scan_ns)
         .f64_field("fault_ns_avg", fault_ns)
-        .usize_field("gather_cols", GATHER_COLS)
-        .usize_field("gather_rows", SAMPLE)
-        .f64_field("gather_heap_ns", gather_heap_ns)
-        .f64_field("gather_paged_ns", gather_paged_ns)
-        .f64_field("gather_paged_over_heap", gather_paged_ns / gather_heap_ns)
+        .usize_field("count_cols", COUNT_COLS)
+        .usize_field("count_rows", SAMPLE)
+        .f64_field("paged_runs_in_place_ns", in_place_ns)
+        .f64_field("paged_rows_staged_ns", by_rows_ns)
+        .f64_field("paged_runs_in_place_over_rows", in_place_ns / by_rows_ns)
         .f64_field("evict_ns_avg", evict_ns_avg)
         .f64_field("refault_ns_avg", refault_ns_avg)
         .u64_field("cold_faults", cold.faults)

@@ -236,12 +236,13 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `swope inspect <file>`: physical storage layout — which code width
-/// each column packed to, how many bytes it occupies, what the width
-/// packing saves over a uniform u32 representation, and the partition
-/// sketch a `.swop` v2 snapshot carries (per-column histogram layout
-/// plus the whole-sketch footprint). A dataset without a sketch (CSV
-/// input or a pre-sketch snapshot) degrades to `sketch: none`.
+/// `swope inspect <file>`: physical storage layout — a `.swop` file's
+/// format version and the layout seed its pages are ordered by, which
+/// code width each column packed to, how many bytes it occupies, what
+/// the width packing saves over a uniform u32 representation, and the
+/// partition sketch a snapshot carries (per-column histogram layout plus
+/// the whole-sketch footprint). A dataset without a sketch (CSV input or
+/// a pre-sketch snapshot) degrades to `sketch: none`.
 fn cmd_inspect(opts: &Options) -> Result<(), String> {
     let (ds, sketch) = open(opts)?;
     let summary = stats::summarize(&ds);
@@ -249,6 +250,13 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
         "rows: {}   columns: {}   max support: {}",
         summary.rows, summary.columns, summary.max_support
     );
+    if let Ok(format) = snapshot::format(file(opts)?) {
+        let order = match format.layout_seed {
+            Some(seed) => format!("layout order (seed {seed:#x})"),
+            None => format!("row order (`swope convert` rewrites it as v{})", snapshot::VERSION),
+        };
+        println!("snapshot: v{}, pages in {order}", format.version);
+    }
     println!("{:<24} {:>8} {:>6} {:>12} {:>8}", "column", "support", "width", "bytes", "sketch");
     for (attr, s) in stats::dataset_stats(&ds).iter().enumerate() {
         let kind =

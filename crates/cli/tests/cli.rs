@@ -1,5 +1,8 @@
 //! End-to-end tests driving the `swope` binary.
 
+#[path = "../../columnar/tests/support/snapshot_v2.rs"]
+mod snapshot_v2;
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -193,6 +196,43 @@ fn unreadable_snapshot_layouts_are_one_line_errors_naming_what_is_wrong() {
         }
     }
     assert!(stderr(&swope(&["entropy-topk", p])).contains("page size of 4096 rows"));
+}
+
+#[test]
+fn a_v2_snapshot_answers_as_its_v3_rewrite_and_converts_to_it() {
+    let v3 = tmp("layout-v3.swop");
+    let o =
+        swope(&["gen", "tiny", "--rows", "150000", "--cols", "4", "--out", v3.to_str().unwrap()]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let v2 = tmp("layout-v2.swop");
+    std::fs::write(&v2, snapshot_v2::v2_of(&std::fs::read(&v3).unwrap())).unwrap();
+    let (v3, v2) = (v3.to_str().unwrap(), v2.to_str().unwrap());
+
+    let inspect = stdout(&swope(&["inspect", v2]));
+    assert!(inspect.contains("snapshot: v2, pages in row order"), "{inspect}");
+    // One answer, wherever the columns live; a paged open of the v2 file
+    // says once, on stderr, how to make its in-memory rewrite last.
+    let query = ["entropy-topk", "-k", "2", "--seed", "5", "--row-start", "70000"];
+    let ask =
+        |file: &str, extra: &[&str]| swope(&[&query[..1], &[file], &query[1..], extra].concat());
+    let want = ask(v3, &[]);
+    assert!(want.status.success(), "{}", stderr(&want));
+    for (file, extra) in [(v2, &[][..]), (v2, &["--mmap"][..]), (v3, &["--mmap"][..])] {
+        let o = ask(file, extra);
+        assert_eq!(stdout(&o), stdout(&want), "{file} {extra:?}");
+        let notes: Vec<String> = stderr(&o).lines().map(str::to_owned).collect();
+        let upgraded = file == v2 && !extra.is_empty();
+        let convert = format!("`swope convert {v2} {v2}` rewrites the file");
+        assert_eq!(notes.len(), usize::from(upgraded), "{file} {extra:?}: {notes:?}");
+        assert!(!upgraded || notes[0].contains(&convert), "{notes:?}");
+    }
+
+    // `convert` writes the v3 bytes.
+    let converted = tmp("layout-converted.swop");
+    assert!(swope(&["convert", v2, converted.to_str().unwrap()]).status.success());
+    assert!(std::fs::read(&converted).unwrap() == std::fs::read(v3).unwrap());
+    let inspect = stdout(&swope(&["inspect", converted.to_str().unwrap()]));
+    assert!(inspect.contains("snapshot: v3, pages in layout order (seed 0x"), "{inspect}");
 }
 
 #[test]

@@ -130,7 +130,7 @@ struct Session {
 impl Session {
     fn new(served: PeerDataset) -> Self {
         Self {
-            counter: Counter::new(&served.dataset),
+            counter: Counter::new(),
             served,
             req: CountRequest { target: None, live: Vec::new() },
             rows: Vec::new(),

@@ -457,7 +457,7 @@ fn peer_counts_equal_in_process_shard_counts() {
                 .then(|| LocalShardSource::new(&union, 2, &config, &exec).unwrap());
             let members = PageMembers::range(union.layout(), rows.clone());
             let mut range = PagePrefix::new(members, config.seed);
-            let (mut counter, mut positions) = (Counter::new(&union), Vec::new());
+            let mut counter = Counter::new();
             let mut m = 32;
             while m < 2 * rows.len() {
                 let mut got = remote.advance(m, req).unwrap();
@@ -465,7 +465,7 @@ fn peer_counts_equal_in_process_shard_counts() {
                 let mut want = match &mut shards {
                     Some(shards) => shards.advance(m, req).unwrap(),
                     None => {
-                        let positions = union.sample_positions(range.grow_to(m), &mut positions);
+                        let positions = range.grow_to(m);
                         let mut counts = ShardCounts::empty(None, []);
                         counter.count(&union, positions, req, &mut counts, &exec);
                         vec![counts]

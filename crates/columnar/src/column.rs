@@ -13,39 +13,40 @@ use crate::{Code, ColumnarError};
 /// distinct codes (typically the number actually observed, when built via
 /// [`crate::DatasetBuilder`]).
 ///
-/// Physical storage has two representations:
+/// Physical storage has two representations, which hold the same bytes:
 ///
 /// * **Heap** — [`swope_store::PackedColumn`], the whole column decoded
 ///   at the narrowest width its support allows (`u8` up to support 256,
-///   `u16` up to 65536, `u32` beyond), stored in the [`PageLayout`] of
-///   its row count: within each 65 536-row page the codes sit in a
-///   fixed, seeded shuffle, so a sample reads a whole page's draws as
-///   contiguous runs (`swope_sampling::PagePrefix`). [`Column::from_packed`] applies the
-///   layout, and every heap column passes through it: a heap load and
-///   every in-memory constructor.
+///   `u16` up to 65536, `u32` beyond).
 /// * **Paged** — [`swope_pager::PagedColumn`], codes left in a mapped
-///   snapshot in row order and read there, page-by-page, under a
-///   byte-budget cache. `snapshot::open` at `Residency::Paged` produces
-///   this.
+///   snapshot and read there, page-by-page, under a byte-budget cache.
+///   `snapshot::open` at `Residency::Paged` produces this.
+///
+/// Both keep the codes in the [`PageLayout`] of the row count: within
+/// each 65 536-row page the codes sit in a fixed, seeded shuffle, so a
+/// sample reads a whole page's draws as contiguous runs
+/// (`swope_sampling::PagePrefix`). A v3 snapshot's pages are stored in
+/// that order, so a heap load decodes them as they are
+/// ([`Column::from_layout_order`]) and a paged column reads them in
+/// place; [`Column::from_packed`] lays out codes that arrive in row order
+/// (every in-memory constructor, and a v2 heap load).
 ///
 /// Every logical accessor — [`Column::code`], [`Column::to_codes`],
-/// equality — answers in row order on both. Hot loops dispatch once per
-/// call via [`Column::storage`] and then run width-monomorphized on
-/// either representation, indexing by *position*: the layout's position
-/// on the heap, the row itself when paged. Both decode the same bytes,
-/// so counts over the same rows are bitwise identical.
+/// equality — answers in row order on both, through the layout. Hot
+/// loops dispatch once per call via [`Column::storage`] and then run
+/// width-monomorphized on either representation, indexing by the same
+/// *position*: where the layout stores a row. Both decode the same
+/// bytes, so counts over the same rows are bitwise identical.
 #[derive(Debug, Clone)]
 pub struct Column {
     repr: Repr,
+    /// The order both representations keep the codes in.
+    layout: Arc<PageLayout>,
 }
 
 #[derive(Debug, Clone)]
 enum Repr {
-    /// Codes in `layout`'s position order.
-    Heap {
-        packed: PackedColumn,
-        layout: Arc<PageLayout>,
-    },
+    Heap(PackedColumn),
     Paged(Arc<PagedColumn>),
 }
 
@@ -55,7 +56,7 @@ pub enum ColumnStorage<'a> {
     /// Fully decoded in memory, indexed by layout position.
     Heap(&'a PackedColumn),
     /// Read in place, page-by-page, out of a mapped snapshot; indexed by
-    /// row.
+    /// layout position too.
     Paged(&'a PagedColumn),
 }
 
@@ -81,19 +82,26 @@ impl Column {
         Self::from_packed(PackedColumn::new_unchecked(codes, support))
     }
 
-    /// Wraps an already-validated packed column, codes in row order —
-    /// the snapshot reader's path, which decodes pages straight at their
-    /// stored width. The one heap constructor: it reorders the codes in
-    /// place, a page at a time, into the layout of their row count.
+    /// Wraps an already-validated packed column, codes in row order: it
+    /// reorders the codes in place, a page at a time, into the layout of
+    /// their row count.
     pub fn from_packed(mut packed: PackedColumn) -> Self {
         let layout = PageLayout::of(packed.len());
         packed.reorder(|codes| for_packed!(codes, |codes| layout.store(codes)));
-        Self { repr: Repr::Heap { packed, layout } }
+        Self { repr: Repr::Heap(packed), layout }
     }
 
-    /// Wraps a pager-backed column (the out-of-core loader's path).
+    /// Wraps an already-validated packed column whose codes are in the
+    /// layout of their row count already — a v3 snapshot's pages,
+    /// decoded as they are stored.
+    pub fn from_layout_order(packed: PackedColumn) -> Self {
+        Self { layout: PageLayout::of(packed.len()), repr: Repr::Heap(packed) }
+    }
+
+    /// Wraps a pager-backed column, its pages in layout order (the
+    /// out-of-core loader's path).
     pub fn from_paged(paged: Arc<PagedColumn>) -> Self {
-        Self { repr: Repr::Paged(paged) }
+        Self { layout: PageLayout::of(paged.len()), repr: Repr::Paged(paged) }
     }
 
     /// The same logical column re-packed at a forced (wider) `width`.
@@ -112,7 +120,7 @@ impl Column {
     #[inline]
     pub fn storage(&self) -> ColumnStorage<'_> {
         match &self.repr {
-            Repr::Heap { packed, .. } => ColumnStorage::Heap(packed),
+            Repr::Heap(packed) => ColumnStorage::Heap(packed),
             Repr::Paged(paged) => ColumnStorage::Paged(paged),
         }
     }
@@ -126,27 +134,24 @@ impl Column {
     #[inline]
     pub fn packed(&self) -> &PackedColumn {
         match &self.repr {
-            Repr::Heap { packed, .. } => packed,
+            Repr::Heap(packed) => packed,
             Repr::Paged(_) => {
                 panic!("column is paged (out-of-core); dispatch via Column::storage()")
             }
         }
     }
 
-    /// The layout a heap column stores its codes in; `None` when paged.
+    /// The layout the column stores its codes in.
     #[inline]
-    pub fn layout(&self) -> Option<&Arc<PageLayout>> {
-        match &self.repr {
-            Repr::Heap { layout, .. } => Some(layout),
-            Repr::Paged(_) => None,
-        }
+    pub fn layout(&self) -> &Arc<PageLayout> {
+        &self.layout
     }
 
     /// The pager-backed storage, when this column is paged.
     #[inline]
     pub fn paged(&self) -> Option<&Arc<PagedColumn>> {
         match &self.repr {
-            Repr::Heap { .. } => None,
+            Repr::Heap(_) => None,
             Repr::Paged(paged) => Some(paged),
         }
     }
@@ -161,7 +166,7 @@ impl Column {
     #[inline]
     pub fn width(&self) -> Width {
         match &self.repr {
-            Repr::Heap { packed, .. } => packed.width(),
+            Repr::Heap(packed) => packed.width(),
             Repr::Paged(paged) => paged.width(),
         }
     }
@@ -172,7 +177,7 @@ impl Column {
     #[inline]
     pub fn bytes_in_memory(&self) -> usize {
         match &self.repr {
-            Repr::Heap { packed, .. } => packed.bytes_in_memory(),
+            Repr::Heap(packed) => packed.bytes_in_memory(),
             Repr::Paged(paged) => paged.resident_bytes() as usize,
         }
     }
@@ -181,12 +186,15 @@ impl Column {
     /// paths only: exact baselines, concatenation, format conversion).
     /// For a paged column this is a full materializing scan.
     pub fn to_codes(&self) -> Vec<Code> {
+        let mut codes = self.stored_codes();
+        self.layout.restore(&mut codes);
+        codes
+    }
+
+    /// The codes in layout order, widened into a fresh vector.
+    fn stored_codes(&self) -> Vec<Code> {
         match &self.repr {
-            Repr::Heap { packed, layout } => {
-                let mut codes = packed.to_codes();
-                layout.restore(&mut codes);
-                codes
-            }
+            Repr::Heap(packed) => packed.to_codes(),
             Repr::Paged(paged) => paged.to_codes().unwrap_or_else(|e| panic!("{e}")),
         }
     }
@@ -195,7 +203,7 @@ impl Column {
     #[inline]
     pub fn support(&self) -> u32 {
         match &self.repr {
-            Repr::Heap { packed, .. } => packed.support(),
+            Repr::Heap(packed) => packed.support(),
             Repr::Paged(paged) => paged.support(),
         }
     }
@@ -204,7 +212,7 @@ impl Column {
     #[inline]
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Heap { packed, .. } => packed.len(),
+            Repr::Heap(packed) => packed.len(),
             Repr::Paged(paged) => paged.len(),
         }
     }
@@ -219,9 +227,10 @@ impl Column {
     /// column, on a corrupt page at first touch).
     #[inline]
     pub fn code(&self, row: usize) -> Code {
+        let position = self.layout.position_of(row as u32) as usize;
         match &self.repr {
-            Repr::Heap { packed, layout } => packed.code(layout.position_of(row as u32) as usize),
-            Repr::Paged(paged) => paged.code(row),
+            Repr::Heap(packed) => packed.code(position),
+            Repr::Paged(paged) => paged.code(position),
         }
     }
 
@@ -233,7 +242,7 @@ impl Column {
     /// budget.
     pub fn value_counts(&self) -> Vec<u64> {
         match &self.repr {
-            Repr::Heap { packed, .. } => packed.value_counts(),
+            Repr::Heap(packed) => packed.value_counts(),
             Repr::Paged(paged) => paged.value_counts().unwrap_or_else(|e| panic!("{e}")),
         }
     }
@@ -247,17 +256,17 @@ impl Column {
 impl PartialEq for Column {
     /// Logical equality: same support and the same code sequence,
     /// regardless of representation (heap vs paged) or storage width.
-    /// Two heap columns of one length share a layout, so their stored
-    /// orders compare directly; mixed-representation comparison
+    /// Two columns of one length share a layout, so their stored orders
+    /// compare directly; a comparison that is not heap against heap
     /// materializes both sides — equality is a test/assertion tool, not
     /// a hot path.
     fn eq(&self, other: &Self) -> bool {
         match (&self.repr, &other.repr) {
-            (Repr::Heap { packed: a, .. }, Repr::Heap { packed: b, .. }) => a == b,
+            (Repr::Heap(a), Repr::Heap(b)) => a == b,
             _ => {
                 self.support() == other.support()
                     && self.len() == other.len()
-                    && self.to_codes() == other.to_codes()
+                    && self.stored_codes() == other.stored_codes()
             }
         }
     }

@@ -3,7 +3,7 @@ use std::sync::Arc;
 use swope_sampling::{PageLayout, Positions};
 
 use crate::snapshot::Residency;
-use crate::{AttrIndex, Code, Column, ColumnarError, PageGrouper, Schema};
+use crate::{AttrIndex, Code, Column, ColumnarError, Schema};
 
 /// The paper's support cap (§6.1): the `max_support` the CLI, the server
 /// and the figure harness pass to [`Dataset::cap_support`] by default.
@@ -16,12 +16,13 @@ pub const DEFAULT_MAX_SUPPORT: u32 = 1000;
 /// columns — matching the paper's columnar layout assumption (§6.1).
 ///
 /// Its columns are all on the heap or all paged. The count kernels index
-/// them by *position*: on the heap the position the [`PageLayout`] of
-/// `N` stores a row at, paged the row itself.
-/// [`Dataset::row_positions`] and [`Dataset::sample_positions`] turn a
-/// sample into positions; every other accessor speaks rows. The dataset
-/// holds the layout of `N` on both residencies, so neither rebuilds a
-/// table while it lives.
+/// them by *position*, the slot the [`PageLayout`] of `N` stores a row
+/// at, and a position means the same on both residencies: a heap column
+/// and a v3 snapshot's pages keep one byte order. The positions a
+/// `swope_sampling::PagePrefix` draws are read as they are;
+/// [`Dataset::row_positions`] turns rows into positions, and every other
+/// accessor speaks rows. The dataset holds the layout of `N`, so no
+/// table is rebuilt while it lives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     schema: Schema,
@@ -106,48 +107,12 @@ impl Dataset {
             .ok_or(ColumnarError::AttrOutOfRange { index: attr, num_attrs: self.columns.len() })
     }
 
-    /// A row-list grouper for loops that gather the same sampled rows
-    /// from many columns: group an iteration's rows once, and every paged
-    /// column's gather pins each page it touches exactly once. A heap
-    /// dataset gets the identity grouper.
-    pub fn page_grouper(&self) -> PageGrouper {
-        PageGrouper::new(self.columns.iter().any(Column::is_paged))
-    }
-
-    /// Whether the columns are paged, and positions are rows.
-    fn is_paged(&self) -> bool {
-        self.columns.first().is_some_and(Column::is_paged)
-    }
-
-    /// The positions of `rows`: on the heap where the layout stores them,
-    /// written to `out`; paged, the rows themselves. How a scoped sample
-    /// or a cluster peer's rows reach the count kernels.
+    /// The positions of `rows`, where the layout stores them, written to
+    /// `out`: how a cluster peer's rows reach the count kernels.
     pub fn row_positions<'a>(&self, rows: &'a [u32], out: &'a mut Vec<u32>) -> Positions<'a> {
-        if self.is_paged() {
-            Positions::from(rows)
-        } else {
-            out.clear();
-            out.extend(rows.iter().map(|&r| self.layout.position_of(r)));
-            Positions::from(&out[..])
-        }
-    }
-
-    /// The storage positions of `drawn`, layout positions as
-    /// `swope_sampling::PagePrefix` draws them: on the heap `drawn`
-    /// itself, whose runs are each one slice of every column; paged, the
-    /// rows the layout puts there, written to `rows`.
-    pub fn sample_positions<'a>(
-        &self,
-        drawn: Positions<'a>,
-        rows: &'a mut Vec<u32>,
-    ) -> Positions<'a> {
-        if self.is_paged() {
-            rows.clear();
-            self.layout.rows_of(drawn, rows);
-            Positions::from(&rows[..])
-        } else {
-            drawn
-        }
+        out.clear();
+        out.extend(rows.iter().map(|&r| self.layout.position_of(r)));
+        Positions::from(&out[..])
     }
 
     /// The page layout of the dataset's rows.

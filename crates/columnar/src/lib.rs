@@ -78,13 +78,13 @@ pub use swope_store::crc32::crc32;
 
 // The pager types callers need to open datasets out-of-core: the page
 // cache a budget is configured on (plus its metrics snapshot), the
-// pager-backed column hot loops dispatch to via [`ColumnStorage`], the
-// row-list grouper [`Dataset::page_grouper`] hands those loops, and the
-// byte sources `snapshot::open_on` accepts.
-pub use swope_pager::{HeapMapping, Mapping, PageCache, PageGrouper, PagedColumn, PagerSnapshot};
+// pager-backed column hot loops dispatch to via [`ColumnStorage`] and the
+// view of a page it reads in place, and the byte sources
+// `snapshot::open_on` accepts.
+pub use swope_pager::{HeapMapping, Mapping, PageCache, PageView, PagedColumn, PagerSnapshot};
 
 // What the count kernels read a sample delta as: runs and a list of
-// storage positions ([`Dataset::sample_positions`]).
+// storage positions, as `swope_sampling::PagePrefix` draws them.
 pub use swope_sampling::Positions;
 
 /// Index of an attribute (column) within a dataset. Always in `0..h`.

@@ -1,6 +1,6 @@
 //! The `SWOP` binary on-disk format for datasets.
 //!
-//! Version 2 (the writer's format) is paged and checksummed so a reader
+//! Version 3 (the writer's format) is paged and checksummed so a reader
 //! can reject bit rot before trusting anything, and sectioned so the
 //! layout is validated against the file's real size before any payload
 //! byte is touched. All integers little-endian:
@@ -8,13 +8,14 @@
 //! ```text
 //! header (12 bytes):
 //!   magic         b"SWOP"      4 bytes
-//!   version       u16          2
+//!   version       u16          3 (2 still reads, see below)
 //!   flags         u16          reserved, 0
 //!   section_count u32          1 (schema) + h (one per column) [+ 1 sketch]
 //! section table (24 bytes per entry, see `swope_store::section`):
 //!   kind u32, attr u32, offset u64, len u64
 //! schema section payload:
 //!   h u32, N u64
+//!   layout_seed u64            v3 only: the seed the pages are ordered by
 //!   field*h:
 //!     name_len u32, name bytes (UTF-8)
 //!     support  u32
@@ -28,10 +29,29 @@
 //!   per-page code histograms   see `swope_sketch` (own trailing CRC32)
 //! ```
 //!
-//! The sketch section is *optional on read*: v2 files written before it
+//! A v3 page holds its codes in slot order: the order the
+//! `swope_sampling::PageLayout` of `N`, shuffled from `layout_seed`, puts
+//! the page's rows in — the bytes a heap column keeps. So a heap load is a
+//! plain decode, a paged column is read in place at the positions a
+//! sample draws, and the writer emits a heap column's bytes as they are.
+//! The seed sits beside `N` in the schema section, under its CRC, where
+//! the fixed header and the table offsets every reader locates sections
+//! by stay as they were. A v3 file recorded under another seed than this
+//! build's `swope_sampling::LAYOUT_SEED` does not open: its positions
+//! would name other rows.
+//!
+//! **Version 2** differs in two things: no `layout_seed`, and every page
+//! in row order. It still reads. A heap load lays each column out as it
+//! decodes it ([`Column::from_packed`]). A paged open decodes the file to
+//! the heap once, re-encodes it as v3 and serves that from memory, so
+//! there is one paged read path; `swope convert` rewrites the file as v3.
+//!
+//! The sketch section is *optional on read*: files written before it
 //! existed decode exactly as they always did, and [`open`] reports `None`
 //! for them. The writer always emits one so freshly written snapshots
-//! support scoped queries without a load-time rebuild.
+//! support scoped queries without a load-time rebuild. A page's
+//! histogram does not depend on the order of its codes, so a v2 sketch
+//! describes the same pages of a v3 file.
 //!
 //! Column codes are stored at their in-memory packed width, so a `u8`
 //! column costs one byte per row on disk too. Every section length is a
@@ -51,6 +71,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use swope_pager::{HeapMapping, Mapping, PageCache, PagedColumn};
+use swope_sampling::LAYOUT_SEED;
 use swope_sketch::{ColumnSketch, ColumnSketchBuilder, DatasetSketch};
 use swope_store::crc32::crc32;
 use swope_store::section::{
@@ -61,19 +82,24 @@ use swope_store::{page, ByteReader, PackedColumn, ReadError, Width};
 use crate::{Column, ColumnStorage, ColumnarError, Dataset, Dictionary, Field, Schema};
 
 const MAGIC: &[u8; 4] = b"SWOP";
-const VERSION: u16 = 2;
+
+/// The version [`write()`] emits.
+pub const VERSION: u16 = 3;
+
+/// The row-order version, still read.
+const V2: u16 = 2;
 
 /// Bytes before the section table: magic + version + flags + count.
 const HEADER_BYTES: usize = 12;
 
-/// Serializes `dataset` into a byte buffer (v2 format).
+/// Serializes `dataset` into a byte buffer (v3 format).
 pub fn encode(dataset: &Dataset) -> Vec<u8> {
     let mut buf = Vec::new();
     write(dataset, &mut buf).expect("Vec writes are infallible");
     buf
 }
 
-/// Streams `dataset` in v2 snapshot format to `writer`.
+/// Streams `dataset` in v3 snapshot format to `writer`.
 ///
 /// The header and section table are emitted first (every section length
 /// is computable up front), then columns are paged out through one
@@ -85,6 +111,7 @@ pub fn write<W: Write>(dataset: &Dataset, writer: &mut W) -> Result<(), Columnar
     let mut schema_payload = Vec::new();
     schema_payload.extend_from_slice(&(h as u32).to_le_bytes());
     schema_payload.extend_from_slice(&(n as u64).to_le_bytes());
+    schema_payload.extend_from_slice(&LAYOUT_SEED.to_le_bytes());
     for field in dataset.schema().fields() {
         put_str(&mut schema_payload, field.name());
         schema_payload.extend_from_slice(&field.support().to_le_bytes());
@@ -133,12 +160,10 @@ pub fn write<W: Write>(dataset: &Dataset, writer: &mut W) -> Result<(), Columnar
     for attr in 0..h {
         let column = dataset.column(attr);
         writer.write_all(&[column.width().tag()])?;
+        // Both residencies hold their pages in layout order: the bytes
+        // go out as they are.
         match column.storage() {
-            // Pages go out in row order, whatever order the heap keeps.
-            ColumnStorage::Heap(packed) => {
-                let from = column.layout().map(|layout| layout.position_deltas());
-                page::write_pages(packed.codes(), from, writer)?
-            }
+            ColumnStorage::Heap(packed) => page::write_pages(packed.codes(), writer)?,
             ColumnStorage::Paged(paged) => write_paged_column(paged, writer)?,
         }
     }
@@ -233,9 +258,33 @@ pub fn open_on(
     mapping: Arc<dyn Mapping>,
     residency: Residency<'_>,
 ) -> Result<(Dataset, Option<DatasetSketch>), ColumnarError> {
-    let bytes = mapping.bytes();
-    let parsed = parse(bytes)?;
-    let n = parsed.n;
+    let parsed = parse(mapping.bytes())?;
+    if parsed.format.version == V2 && matches!(residency, Residency::Paged(_)) {
+        // Row-order pages cannot be read by position: decode them once,
+        // and serve the v3 encoding of the result from memory.
+        let columns = load_columns(&mapping, &parsed, Residency::Heap)?;
+        let upgraded = encode(&Dataset::new(Schema::new(parsed.fields.clone()), columns)?);
+        let (dataset, _) = open_on(Arc::new(HeapMapping::from(upgraded)), residency)?;
+        return Ok((dataset, parsed.sketch));
+    }
+    let columns = load_columns(&mapping, &parsed, residency)?;
+    if matches!(residency, Residency::Paged(cache) if cache.budget_bytes().is_some()) {
+        // Parsing read the schema and sketch sections through the
+        // mapping; both now live decoded on the heap. Nothing of the
+        // file is counted resident yet, so nothing of it should be.
+        mapping.release(0..mapping.bytes().len());
+    }
+    Dataset::new(Schema::new(parsed.fields), columns).map(|dataset| (dataset, parsed.sketch))
+}
+
+/// Every column of a parsed snapshot at `residency`. A paged column
+/// reads its pages as they are stored, so it needs v3 pages.
+fn load_columns(
+    mapping: &Arc<dyn Mapping>,
+    parsed: &Parsed,
+    residency: Residency<'_>,
+) -> Result<Vec<Column>, ColumnarError> {
+    let (bytes, n) = (mapping.bytes(), parsed.n);
     let mut columns = Vec::with_capacity(parsed.fields.len());
     for (attr, ((width, range), field)) in parsed.columns.iter().zip(&parsed.fields).enumerate() {
         let column = match residency {
@@ -244,7 +293,10 @@ pub fn open_on(
                 let decoded = page::decode_pages(&bytes[range.clone()], n, *width)
                     .and_then(|codes| PackedColumn::from_packed(codes, field.support()));
                 mapping.release(range.clone());
-                decoded.map(Column::from_packed)
+                decoded.map(match parsed.format.version {
+                    V2 => Column::from_packed,
+                    _ => Column::from_layout_order,
+                })
             }
             Residency::Paged(cache) => PagedColumn::open(
                 mapping.clone(),
@@ -258,19 +310,31 @@ pub fn open_on(
         };
         columns.push(column.map_err(|e| ColumnarError::Snapshot(format!("column {attr}: {e}")))?);
     }
-    if matches!(residency, Residency::Paged(cache) if cache.budget_bytes().is_some()) {
-        // Parsing read the schema and sketch sections through the
-        // mapping; both now live decoded on the heap. Nothing of the
-        // file is counted resident yet, so nothing of it should be.
-        mapping.release(0..bytes.len());
-    }
-    Dataset::new(Schema::new(parsed.fields), columns).map(|dataset| (dataset, parsed.sketch))
+    Ok(columns)
+}
+
+/// What a snapshot says about its own encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Format {
+    /// The format version the file was written in: 2 or 3.
+    pub version: u16,
+    /// The seed of the layout its pages are ordered by; `None` for v2,
+    /// whose pages are in row order.
+    pub layout_seed: Option<u64>,
+}
+
+/// The [`Format`] of the snapshot at `path`, read from its header and
+/// schema section alone: no column or sketch byte is touched. Errors as
+/// [`open`] would on those parts.
+pub fn format(path: impl AsRef<Path>) -> Result<Format, ColumnarError> {
+    parse_schema(swope_pager::open_mapping(path.as_ref())?.bytes()).map(|schema| schema.format)
 }
 
 /// Everything a snapshot declares short of column payload decoding: the
-/// schema (CRC-checked), each column's stored width and payload byte
-/// range, and the decoded sketch.
+/// format, the schema (CRC-checked), each column's stored width and
+/// payload byte range, and the decoded sketch.
 struct Parsed {
+    format: Format,
     fields: Vec<Field>,
     n: usize,
     /// Per attribute: stored width and the paged-payload byte range in
@@ -279,16 +343,27 @@ struct Parsed {
     sketch: Option<DatasetSketch>,
 }
 
-/// Parses and validates the structure of the snapshot `bytes`.
-fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
+/// The header, section table and schema of a snapshot: what [`parse`]
+/// reads before any column or sketch section.
+struct SchemaPart {
+    format: Format,
+    fields: Vec<Field>,
+    n: usize,
+    /// The section table past the schema's entry.
+    sections: Vec<Section>,
+}
+
+/// Parses and validates the header, section table and schema section of
+/// the snapshot `bytes`.
+fn parse_schema(bytes: &[u8]) -> Result<SchemaPart, ColumnarError> {
     let mut r = ByteReader::new(bytes);
     if r.take(4)? != MAGIC {
         return Err(ColumnarError::Snapshot("bad magic".into()));
     }
     let version = r.u16()?;
-    if version != VERSION {
+    if version != VERSION && version != V2 {
         return Err(ColumnarError::Snapshot(format!(
-            "unsupported version {version} (expected {VERSION})"
+            "unsupported version {version} (reads {V2} and {VERSION})"
         )));
     }
     let _flags = r.u16()?;
@@ -302,14 +377,13 @@ fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
     }
     let body_start = (HEADER_BYTES + section_count * entry) as u64;
     validate_sections(&sections, body_start, bytes.len() as u64).map_err(store_err)?;
-
-    let (schema_section, column_sections) = sections
-        .split_first()
-        .filter(|(s, _)| s.kind == SECTION_SCHEMA)
-        .ok_or_else(|| ColumnarError::Snapshot("first section must be the schema".into()))?;
+    if !sections.first().is_some_and(|s| s.kind == SECTION_SCHEMA) {
+        return Err(ColumnarError::Snapshot("first section must be the schema".into()));
+    }
+    let schema_section = sections.remove(0);
 
     // Schema payload: body + trailing CRC32 of the body.
-    let slice = section_slice(bytes, schema_section);
+    let slice = section_slice(bytes, &schema_section);
     if slice.len() < 4 {
         return Err(truncated());
     }
@@ -321,6 +395,15 @@ fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
     let mut r = ByteReader::new(body);
     let h = r.u32()? as usize;
     let n = r.u64()? as usize;
+    let layout_seed = match version {
+        V2 => None,
+        _ => Some(r.u64()?),
+    };
+    if let Some(seed) = layout_seed.filter(|&seed| seed != LAYOUT_SEED) {
+        return Err(ColumnarError::Snapshot(format!(
+            "pages laid out by seed {seed:#x}, but this build reads seed {LAYOUT_SEED:#x}"
+        )));
+    }
     // Each field needs at least 9 bytes (name_len + support + has_dict);
     // check before the fields Vec is sized from h.
     if (h as u64).saturating_mul(9) > r.remaining() as u64 {
@@ -336,13 +419,20 @@ fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
             r.remaining()
         )));
     }
+    Ok(SchemaPart { format: Format { version, layout_seed }, fields, n, sections })
+}
+
+/// Parses and validates the structure of the snapshot `bytes`.
+fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
+    let SchemaPart { format, fields, n, sections } = parse_schema(bytes)?;
+    let h = fields.len();
 
     // The sketch section, when present, is exactly one entry after the
     // column sections. Anything else trailing the columns is a layout
     // error, not something to skip over.
-    let (column_sections, sketch_section) = match column_sections.split_last() {
+    let (column_sections, sketch_section) = match sections.split_last() {
         Some((last, rest)) if last.kind == SECTION_SKETCH => (rest, Some(last)),
-        _ => (column_sections, None),
+        _ => (&sections[..], None),
     };
     if column_sections.len() != h {
         return Err(ColumnarError::Snapshot(format!(
@@ -398,7 +488,7 @@ fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
         }
         None => None,
     };
-    Ok(Parsed { fields, n, columns, sketch })
+    Ok(Parsed { format, fields, n, columns, sketch })
 }
 
 /// Parses one schema field record.
@@ -480,9 +570,21 @@ impl From<ReadError> for ColumnarError {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/snapshot_v2.rs"]
+mod v2_encoder;
+
+#[cfg(test)]
 mod tests {
+    use super::v2_encoder::v2_of;
     use super::*;
     use crate::DatasetBuilder;
+
+    /// Where [`sample`]'s schema section starts in its v3 encoding:
+    /// after the header and a table of four sections.
+    const SCHEMA_AT: usize = HEADER_BYTES + 4 * 24;
+
+    /// Where its first field record starts: past `h`, `N` and the seed.
+    const FIELDS_AT: usize = SCHEMA_AT + 4 + 8 + 8;
 
     fn sample() -> Dataset {
         let mut b = DatasetBuilder::new(vec!["color".into(), "size".into()]);
@@ -610,7 +712,7 @@ mod tests {
     #[test]
     fn rejects_wrong_version() {
         // 1 was the flat pre-paging format; nothing reads it any more.
-        for version in [0u8, 1, 99] {
+        for version in [0u8, 1, 4, 99] {
             let mut bytes = encode(&sample()).to_vec();
             bytes[4] = version;
             let err = decode(&bytes).unwrap_err().to_string();
@@ -627,10 +729,12 @@ mod tests {
         // dataset. (Covers the section-table boundaries in particular:
         // with 4 sections the table spans bytes 12..108 — and every cut
         // inside the trailing sketch section, satisfying the
-        // truncated-sketch boundary requirement.)
-        let bytes = encode(&sample()).to_vec();
-        for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} should fail");
+        // truncated-sketch boundary requirement.) A v2 file as much as a
+        // v3 one.
+        for bytes in [encode(&sample()), v2_of(&encode(&sample()))] {
+            for cut in 0..bytes.len() {
+                assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} should fail");
+            }
         }
     }
 
@@ -638,12 +742,14 @@ mod tests {
     fn single_byte_corruption_never_panics() {
         // Flip every byte in turn: decode may reject or (for bytes that
         // don't affect meaning, like the reserved flags) accept, but it
-        // must always return rather than panic or over-allocate.
-        let bytes = encode(&sample()).to_vec();
-        for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0xff;
-            let _ = decode(&corrupt);
+        // must always return rather than panic or over-allocate. A v2
+        // file as much as a v3 one.
+        for bytes in [encode(&sample()), v2_of(&encode(&sample()))] {
+            for i in 0..bytes.len() {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= 0xff;
+                let _ = decode(&corrupt);
+            }
         }
     }
 
@@ -759,9 +865,8 @@ mod tests {
     fn schema_corruption_fails_checksum() {
         let ds = sample();
         let bytes = encode(&ds);
-        // First byte of the first field name: header (12) + table
-        // (4 sections × 24) + h (4) + n (8) + name_len (4).
-        let name_at = 12 + 4 * 24 + 4 + 8 + 4;
+        // First byte of the first field name: past its name_len.
+        let name_at = FIELDS_AT + 4;
         assert_eq!(bytes[name_at], b'c', "offset arithmetic drifted");
         let mut corrupt = bytes.clone();
         corrupt[name_at] = b'x';
@@ -773,10 +878,10 @@ mod tests {
     fn rejects_invalid_dictionary_flag() {
         let ds = sample();
         let mut bytes = encode(&ds);
-        // The first field's has_dict flag: header + table + h + n +
-        // (name_len + name) + support.
+        // The first field's has_dict flag: past (name_len + name) and
+        // support.
         let name_len = ds.schema().field(0).unwrap().name().len();
-        let flag_at = 12 + 4 * 24 + 4 + 8 + 4 + name_len + 4;
+        let flag_at = FIELDS_AT + 4 + name_len + 4;
         assert_eq!(bytes[flag_at], 1, "offset arithmetic drifted");
         bytes[flag_at] = 2;
         reseal_schema(&mut bytes); // so the flag check itself is reached
@@ -791,9 +896,8 @@ mod tests {
         let schema_len_at = 12 + 16; // first section entry's len field
         let len = u64::from_le_bytes(bytes[schema_len_at..schema_len_at + 8].try_into().unwrap())
             as usize;
-        let body_start = 12 + 4 * 24;
-        let crc = crc32(&bytes[body_start..body_start + len - 4]);
-        bytes[body_start + len - 4..body_start + len].copy_from_slice(&crc.to_le_bytes());
+        let crc = crc32(&bytes[SCHEMA_AT..SCHEMA_AT + len - 4]);
+        bytes[SCHEMA_AT + len - 4..SCHEMA_AT + len].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -802,7 +906,7 @@ mod tests {
         let ds = sample();
         let mut bytes = encode(&ds);
         let name_len = ds.schema().field(0).unwrap().name().len();
-        let support_at = 12 + 4 * 24 + 4 + 8 + 4 + name_len;
+        let support_at = FIELDS_AT + 4 + name_len;
         assert_eq!(bytes[support_at..support_at + 4], 3u32.to_le_bytes(), "offsets drifted");
         bytes[support_at] = 4;
         reseal_schema(&mut bytes);
@@ -816,7 +920,7 @@ mod tests {
         let mut bytes = encode(&ds);
         // Corrupt the first field-name byte and re-seal the schema CRC
         // so the UTF-8 check (not the checksum) is what rejects it.
-        let name_at = 12 + 4 * 24 + 4 + 8 + 4;
+        let name_at = FIELDS_AT + 4;
         bytes[name_at] = 0xff;
         reseal_schema(&mut bytes);
         let err = decode(&bytes).unwrap_err();
@@ -964,5 +1068,99 @@ mod tests {
         let back = decode(&encode(&ds)).unwrap();
         assert_eq!(back.num_rows(), 0);
         assert_eq!(back.num_attrs(), 1);
+    }
+
+    /// A dataset over two pages and a short third, in all three widths:
+    /// enough rows that the layout moves codes across a page.
+    fn paged_tri_width() -> Dataset {
+        tri_width_rows(0..(2 * page::PAGE_ROWS + 321) as u32)
+    }
+
+    #[test]
+    fn heap_page_bytes_are_the_stored_bytes() {
+        // The writer emits a heap column's stored bytes, layout order and
+        // all: concatenated, a column section's page payloads are them.
+        let ds = paged_tri_width();
+        let bytes = encode(&ds);
+        let parsed = parse(&bytes).unwrap();
+        for (attr, (width, range)) in parsed.columns.iter().enumerate() {
+            let stream = &bytes[range.clone()];
+            let mut payloads = Vec::new();
+            for index in 0..ds.num_rows().div_ceil(page::PAGE_ROWS) {
+                let at = page::page_offset(index, *width);
+                let rows = page::read_u32(stream, at) as usize;
+                let payload = at + page::PAGE_HEADER_BYTES;
+                payloads.extend_from_slice(&stream[payload..payload + rows * width.bytes()]);
+            }
+            let mut stored = Vec::new();
+            swope_store::for_packed!(ds.column(attr).packed().codes(), |codes| {
+                swope_store::CodeRepr::extend_le_bytes(codes, &mut stored)
+            });
+            assert!(payloads == stored, "column {attr}: pages are not the stored bytes");
+        }
+        // And a heap load takes them as they are.
+        let back = decode(&bytes).unwrap();
+        for attr in 0..ds.num_attrs() {
+            assert_eq!(back.column(attr).packed().codes(), ds.column(attr).packed().codes());
+        }
+    }
+
+    #[test]
+    fn v2_opens_on_the_heap_and_paged_equal_to_its_v3_rewrite() {
+        let ds = paged_tri_width();
+        let v3 = encode(&ds);
+        let v2 = v2_of(&v3);
+        assert_eq!(v2.len(), v3.len() - 8, "v2 has no seed");
+        assert_eq!(decode(&v2).unwrap(), ds);
+        // Its v3 rewrite is the v3 encoding, byte for byte.
+        let (heap, sketch) = open_bytes(&v2).unwrap();
+        assert!(encode(&heap) == v3, "a v2 heap load re-encodes to the v3 bytes");
+        assert_eq!(sketch, Some(build_sketch(&ds)), "page histograms ignore the page order");
+        let dir = std::env::temp_dir().join("swope-snapshot-paged-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes, sketched) in
+            [("v2.swop", v2.clone(), true), ("v2-bare.swop", strip_sketch(&v2), false)]
+        {
+            let path = dir.join(name);
+            std::fs::write(&path, &bytes).unwrap();
+            let want = Format { version: 2, layout_seed: None };
+            assert_eq!(format(&path).unwrap(), want, "{name}");
+            for budget in [None, Some(1)] {
+                let (paged, sketch) = open_paged(&path, Arc::new(PageCache::new(budget))).unwrap();
+                assert!(paged.column(0).is_paged());
+                assert_eq!(paged, ds, "{name} paged under {budget:?}");
+                assert!(encode(&paged) == v3, "{name}: paged rewrite is the v3 encoding");
+                assert_eq!(sketch.is_some(), sketched, "{name}: the file's own sketch or none");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_wrong_layout_seed_is_a_one_line_error() {
+        let mut bytes = encode(&sample());
+        let seed_at = SCHEMA_AT + 4 + 8;
+        assert_eq!(bytes[seed_at..seed_at + 8], LAYOUT_SEED.to_le_bytes(), "offsets drifted");
+        let other = LAYOUT_SEED ^ 1;
+        bytes[seed_at..seed_at + 8].copy_from_slice(&other.to_le_bytes());
+        reseal_schema(&mut bytes); // so the seed check itself is reached
+        let msg = decode(&bytes).unwrap_err().to_string();
+        assert!(msg.contains(&format!("seed {other:#x}")) && !msg.contains('\n'), "{msg}");
+        let path = std::env::temp_dir()
+            .join(format!("swope-snapshot-foreign-seed-{}.swop", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let paged = open_paged(&path, Arc::new(PageCache::unbounded())).map(|_| ());
+        let header = format(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(paged.unwrap_err().to_string(), msg);
+        assert_eq!(header.unwrap_err().to_string(), msg);
+    }
+
+    #[test]
+    fn format_reports_the_version_and_the_seed() {
+        let path = temp_snapshot(&sample(), "format.swop");
+        let want = Format { version: VERSION, layout_seed: Some(LAYOUT_SEED) };
+        assert_eq!(format(&path).unwrap(), want);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -10,23 +10,25 @@
 //! or by [`gather_target`] and [`count_joint`], which leave the
 //! histograms out, when an MI query reads only the joint:
 //!
-//! 1. a delta's rows arrive as *positions*: where a heap column's page
-//!    layout stores them — one or two contiguous runs for each whole page
-//!    a sample drew from, a list for the rest — and the rows themselves
-//!    on a paged column (`Dataset::row_positions`,
-//!    `Dataset::sample_positions`);
+//! 1. a delta's rows arrive as *positions*: where the page layout
+//!    stores them, on a heap column and in a v3 snapshot's pages alike —
+//!    one or two contiguous runs for each whole page a sample drew from,
+//!    a list for the rest (`swope_sampling::PagePrefix`;
+//!    `Dataset::row_positions` for a cluster peer's rows);
 //! 2. the MI target's codes at those positions are widened once into a
 //!    [`TargetBuf`], runs first and then the list, the order every
 //!    candidate reads its own in. Every candidate pairs against all of
 //!    them, so this is a real copy, and it is booked in
 //!    [`swope_store::gather_stats`] like any staged row;
-//! 3. a heap run is counted **in place**: the kernels read the packed
-//!    slice the run names, at the column's width, however long it is. A
-//!    list is staged a block of at most [`INGEST_BLOCK_ROWS`] rows at a
-//!    time into a reusable [`CodeBuf`] — through [`swope_store::gather`]
+//! 3. a run is counted **in place**: the kernels read the slice the run
+//!    names, at the column's width, however long it is — a heap column's
+//!    packed slice, or a paged column's page slice (`u8` as it is, `u16`
+//!    and `u32` decoded a block of at most [`INGEST_BLOCK_ROWS`] codes at
+//!    a time into the block buffer). A list is staged a block at a time
+//!    into that reusable [`CodeBuf`] — through [`swope_store::gather`]
 //!    on the heap, through [`swope_columnar::PagedColumn::gather`] on a
-//!    paged column, which looks a page up once per run of adjacent rows
-//!    it holds;
+//!    paged column, which looks a page up once per run of adjacent
+//!    positions it holds;
 //! 4. the **marginal kernel** (`CountState::add_block`) counts each run
 //!    or staged block. A support of at most `LANE_MAX_SUPPORT` counts
 //!    into a `u32` table: four lanes a code selected by `i mod 4` when the
@@ -64,11 +66,14 @@
 //! ([`PairCountState::apply_to`]). The counter sees an update sequence
 //! that depends only on the *multiset* of rows a delta covers: not their
 //! order, not the lane a row fell in, not whether it was staged, not the
-//! shard that counted it.
+//! shard that counted it, not where the column lives.
 
+use std::ops::Range;
 use std::time::Instant;
 
-use swope_columnar::{Code, CodeBuf, CodeRepr, Column, ColumnStorage, Positions};
+use swope_columnar::{
+    Code, CodeBuf, CodeRepr, Column, ColumnStorage, PageView, PagedColumn, Positions, Width,
+};
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::freq::{pack_pair, unpack_pair};
 use swope_estimate::joint::JointEntropyCounter;
@@ -167,10 +172,6 @@ fn table(len: usize, table: &mut Vec<u32>) -> &mut [u32] {
 fn check_delta_len(rows: usize) {
     assert!(rows <= u32::MAX as usize, "delta of {rows} rows overflows a lane");
 }
-
-/// Why a kernel refuses runs over a paged column: a paged dataset's
-/// sample reaches it as rows (`Dataset::sample_positions`).
-const RUNS_ARE_HEAP: &str = "runs of positions address heap storage; paged columns read row lists";
 
 /// What the marginal kernel counts one delta into (see
 /// [`CountState::lanes`]).
@@ -629,15 +630,14 @@ fn stage(column: &Column, block: &[u32], buf: &mut CodeBuf) {
 ///
 /// # Panics
 ///
-/// If a position is out of range, or `rows` are runs and the column is
-/// paged.
+/// If a position is out of range, or a paged column meets a corrupt page.
 pub fn gather_target<'a>(column: &Column, rows: impl Into<Positions<'a>>, target: &mut TargetBuf) {
     let Positions { runs, list } = rows.into();
     let started = gather_stats::enabled().then(Instant::now);
     let codes = &mut target.codes;
+    codes.clear();
     match column.storage() {
         ColumnStorage::Heap(packed) => {
-            codes.clear();
             for_packed!(packed.codes(), |stored| {
                 for run in runs {
                     let run = &stored[run.start as usize..run.end as usize];
@@ -647,8 +647,8 @@ pub fn gather_target<'a>(column: &Column, rows: impl Into<Positions<'a>>, target
             });
         }
         ColumnStorage::Paged(paged) => {
-            assert!(runs.is_empty(), "{RUNS_ARE_HEAP}");
-            paged.gather_widen(list, codes).unwrap_or_else(|e| panic!("{e}"))
+            for_each_slice(paged, runs, |view| view.for_each(|c| codes.push(c)));
+            paged.gather_widen(list, codes).unwrap_or_else(|e| panic!("{e}"));
         }
     }
     if let Some(started) = started {
@@ -742,19 +742,54 @@ fn count(
             Joint { pairs, dense, tcodes: t.codes, u_a }
         }),
     };
-    if !rows.runs.is_empty() {
-        let ColumnStorage::Heap(packed) = column.storage() else { panic!("{RUNS_ARE_HEAP}") };
-        for_packed!(packed.codes(), |stored| {
+    match column.storage() {
+        ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |stored| {
             for run in rows.runs {
                 kernels.count(&stored[run.start as usize..run.end as usize]);
             }
-        });
+        }),
+        ColumnStorage::Paged(paged) => count_paged_runs(paged, rows.runs, buf, &mut kernels),
     }
     for block in rows.list.chunks(INGEST_BLOCK_ROWS) {
         stage(column, block, buf);
         for_buf!(&*buf, |codes| kernels.count(codes));
     }
     kernels.fold();
+}
+
+/// Counts runs of positions of a paged column in place, one page slice
+/// at a time: a `u8` slice is the codes, a `u16` or `u32` one is decoded
+/// a block at a time into `buf`. Out of line, so the heap arm of
+/// [`count`] compiles as if this did not exist.
+#[inline(never)]
+fn count_paged_runs(
+    paged: &PagedColumn,
+    runs: &[Range<u32>],
+    buf: &mut CodeBuf,
+    kernels: &mut Kernels<'_>,
+) {
+    for_each_slice(paged, runs, |view| match paged.width() {
+        Width::U8 => kernels.count(view.payload()),
+        _ => {
+            for start in (0..view.len()).step_by(INGEST_BLOCK_ROWS) {
+                view.slice(start..view.len().min(start + INGEST_BLOCK_ROWS)).decode_into(buf);
+                for_buf!(&*buf, |codes| kernels.count(codes));
+            }
+        }
+    });
+}
+
+/// Calls `f` with the codes of `runs` of a paged column, one view per
+/// page a run crosses.
+///
+/// # Panics
+///
+/// On a corrupt page, with the store's one-line message (see [`stage`]).
+fn for_each_slice(paged: &PagedColumn, runs: &[Range<u32>], mut f: impl FnMut(PageView<'_>)) {
+    for run in runs {
+        let read = paged.try_for_each_slice(run.start as usize..run.end as usize, &mut f);
+        read.unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 /// One call's kernels: the candidate's histogram with the lane table it
@@ -1000,10 +1035,9 @@ mod tests {
         }
     }
 
-    /// Where a heap column stores `rows`: what the kernels index by.
+    /// Where a column stores `rows`: what the kernels index by.
     fn positions(column: &Column, rows: std::ops::Range<usize>) -> Vec<u32> {
-        let layout = column.layout().expect("a heap column");
-        rows.map(|r| layout.position_of(r as u32)).collect()
+        rows.map(|r| column.layout().position_of(r as u32)).collect()
     }
 
     #[test]

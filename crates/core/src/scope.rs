@@ -65,11 +65,13 @@
 
 use std::ops::Range;
 
-use swope_columnar::{AttrIndex, Code, CodeRepr, ColumnStorage, Dataset, DatasetSketch};
+use swope_columnar::{
+    AttrIndex, Code, CodeBuf, CodeRepr, ColumnStorage, Dataset, DatasetSketch, Width,
+};
 use swope_obs::{Phase, Plan, QueryObserver};
 use swope_sampling::{PageMembers, PagePrefix};
-use swope_store::for_packed;
 use swope_store::page::PAGE_ROWS;
+use swope_store::{for_buf, for_packed};
 
 use crate::driver::{run, CountSource, Round, Rule, Shape};
 use crate::exec::Executor;
@@ -206,10 +208,9 @@ pub(crate) fn resolve_scope(
 /// their pages, skipping pages the sketch proves empty of matches; and
 /// the number of rows examined.
 ///
-/// Slot `s` of a page holds its row `s ^ deltas[s]`. A heap page is read
-/// in storage order, slot by slot. A paged one is stored in row order: it
-/// is read once into a bitmap of its matching rows, which the slots then
-/// look their rows up in. Either way the members come out in slot order.
+/// Slot `s` of a page holds its row `s ^ deltas[s]`. Heap and paged
+/// pages alike are read in slot order, in one loop, so the members come
+/// out in slot order.
 fn scan_predicate(
     dataset: &Dataset,
     sketch: Option<&DatasetSketch>,
@@ -221,6 +222,7 @@ fn scan_predicate(
     let to_row = dataset.layout().row_deltas();
     let mut members = PageMembers::default();
     let mut scanned = 0u64;
+    let mut buf = CodeBuf::new();
     for page in range.start / PAGE_ROWS..range.end.div_ceil(PAGE_ROWS) {
         if let Some(sk) = sketch {
             if sk.column(attr).is_some_and(|c| c.page_count(page, code) == 0) {
@@ -236,32 +238,30 @@ fn scan_predicate(
         // whole page.
         let (whole, lo16, span) = (hi - lo == page_len, lo as u16, (hi - lo) as u16);
         let in_range = |s: usize, d: u16| whole | ((s as u16 ^ d).wrapping_sub(lo16) < span);
-        match column.storage() {
-            ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |codes| {
-                let codes = &codes[first..first + page_len];
+        macro_rules! push_matches {
+            ($codes:expr) => {
                 members.push_page(page, page_len, |slots, flags| {
-                    let stored = codes[slots.clone()].iter().zip(&deltas[slots.clone()]);
+                    let stored = $codes[slots.clone()].iter().zip(&deltas[slots.clone()]);
                     for ((flag, (c, &d)), s) in flags.iter_mut().zip(stored).zip(slots) {
                         *flag = (c.widen() == code) & in_range(s, d);
                     }
                 })
-            }),
+            };
+        }
+        match column.storage() {
+            ColumnStorage::Heap(packed) => {
+                for_packed!(packed.codes(), |codes| push_matches!(codes[first..first + page_len]))
+            }
             // Only pages that can hold matches are read: a sketch-skipped
             // page is never faulted (nor CRC-checked).
             ColumnStorage::Paged(paged) => {
                 let view = paged.page(page).unwrap_or_else(|e| panic!("{e}"));
-                let mut hits = [0u64; PAGE_ROWS / 64];
-                let mut row = lo;
-                view.slice(lo..hi).for_each(|c| {
-                    hits[row / 64] |= u64::from(c == code) << (row % 64);
-                    row += 1;
-                });
-                members.push_page(page, page_len, |slots, flags| {
-                    for ((flag, &d), s) in flags.iter_mut().zip(&deltas[slots.clone()]).zip(slots) {
-                        let row = s ^ usize::from(d);
-                        *flag = hits[row / 64] >> (row % 64) & 1 == 1;
-                    }
-                })
+                if paged.width() == Width::U8 {
+                    push_matches!(view.payload())
+                } else {
+                    view.decode_into(&mut buf);
+                    for_buf!(&buf, |codes| push_matches!(codes))
+                }
             }
         }
     }
@@ -279,8 +279,6 @@ pub(crate) struct LocalSource<'a> {
     /// Rows examined to resolve the scope.
     setup_rows: u64,
     sampler: PagePrefix,
-    /// A delta's rows, on a paged dataset; reused.
-    rows: Vec<u32>,
     counter: Counter,
     /// The iteration's request and counts, refilled in place.
     req: CountRequest,
@@ -310,8 +308,7 @@ impl<'a> LocalSource<'a> {
             scoped,
             setup_rows,
             sampler: PagePrefix::new(members, config.seed),
-            rows: Vec::new(),
-            counter: Counter::new(dataset),
+            counter: Counter::new(),
             req: CountRequest { target: None, live: Vec::new() },
             counts: ShardCounts::empty(None, []),
             full_sketch: sketch.filter(|_| !scoped),
@@ -355,8 +352,7 @@ impl CountSource for LocalSource<'_> {
     ) -> Result<(), SwopeError> {
         let span = round.it.phase_start();
         self.sampler.grow_to(m_target);
-        // The new rows' storage positions.
-        let delta = self.dataset.sample_positions(self.sampler.positions(), &mut self.rows);
+        let delta = self.sampler.positions();
         round.it.phase_end(Phase::SampleGrow, span);
         round.announce(self.sampler.sampled(), delta.len(), states.len(), M::WORK);
 

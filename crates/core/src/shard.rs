@@ -26,11 +26,10 @@
 //! population, the sample an unsharded run draws: a [`PagePrefix`] over
 //! the population's members in the dataset's page layout
 //! (`swope_sampling::PageLayout`). Each doubling returns positions — a
-//! run or two for every whole page it drew from, a list for the rest.
-//! [`LocalShardSource`] turns them into positions of its dataset
-//! ([`Dataset::sample_positions`]) and cuts those at the shards' row
-//! cuts: runs with [`ShardPlan::split_runs`], a list with
-//! [`ShardPlan::split`]. The layout only moves rows within a page, so a
+//! run or two for every whole page it drew from, a list for the rest —
+//! which name the same rows on a heap and a paged dataset.
+//! [`LocalShardSource`] cuts them at the shards' row cuts: runs with
+//! [`ShardPlan::split_runs`], a list with [`ShardPlan::split`]. The layout only moves rows within a page, so a
 //! shard may count a few rows near its cut that sit on the other side;
 //! every shard counts the same dataset, and any partition of the
 //! positions merges to the same counts. `swope-cluster`'s coordinator
@@ -42,8 +41,8 @@
 //! sampler over the range's members, on every path.
 //!
 //! Every shard counts its positions through a [`Counter`]: the one count
-//! body, which also counts the unsharded loop's rows. It groups the
-//! positions by page, counts the target and fans the live candidates out
+//! body, which also counts the unsharded loop's rows. It counts the
+//! target and fans the live candidates out
 //! through [`count_target`] / [`count_candidate`], on histograms
 //! ([`Shelf`]) and joint deltas it takes back from doubling to doubling.
 //! Every source's counts reach the states through one apply.
@@ -60,7 +59,7 @@
 
 use std::ops::Range;
 
-use swope_columnar::{AttrIndex, Dataset, DatasetSketch, PageGrouper, Positions};
+use swope_columnar::{AttrIndex, Dataset, DatasetSketch, Positions};
 use swope_obs::{Phase, Plan, QueryObserver};
 use swope_sampling::{PageMembers, PagePrefix};
 
@@ -292,8 +291,6 @@ pub struct LocalShardSource<'a> {
     plan: ShardPlan,
     meta: Vec<AttrMeta>,
     sampler: PagePrefix,
-    /// The current delta's rows, on a paged dataset.
-    rows: Vec<u32>,
     /// Each shard's positions of the current delta, and its counter.
     shards: Vec<Shard>,
     /// What the last `advance` counted: whose histograms `recycle` parks.
@@ -301,7 +298,7 @@ pub struct LocalShardSource<'a> {
 }
 
 /// One in-process shard: its positions of the current delta — runs and
-/// a list on a heap dataset, a list on a paged one — and its counter.
+/// a list — and its counter.
 struct Shard {
     list: Vec<u32>,
     runs: Vec<Range<u32>>,
@@ -355,12 +352,12 @@ impl Shelf {
 /// doubling to doubling. Every [`LocalShardSource`] shard owns one, and
 /// so do a cluster peer's session and the unsharded loop's source.
 ///
-/// It takes *positions* ([`Dataset::row_positions`],
-/// [`Dataset::sample_positions`]), so the kernels never see the layout:
-/// a heap column is indexed where the layout stores a row, a paged one by
-/// the row itself.
+/// It takes *positions* — as a sample draws them, or
+/// [`Dataset::row_positions`] of rows — so the kernels never see the
+/// layout: heap and paged columns alike are indexed where the layout
+/// stores a row.
+#[derive(Default)]
 pub struct Counter {
-    grouper: PageGrouper,
     target: TargetBuf,
     /// One per live candidate of the widest request so far.
     slots: Vec<Slot>,
@@ -378,23 +375,16 @@ struct Slot {
 }
 
 impl Counter {
-    /// A counter over `dataset`'s rows.
-    pub fn new(dataset: &Dataset) -> Self {
-        Self {
-            grouper: dataset.page_grouper(),
-            target: TargetBuf::new(),
-            slots: Vec::new(),
-            shelf: Shelf::default(),
-        }
+    /// A counter with no buffers yet: each grows on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Counts the rows at `positions` of `dataset` — the one this
     /// counter was made for — for `req` into `counts`, on parked
-    /// histograms and joint deltas where there are some: groups a list of
-    /// positions by page, so paged gathers pin each page once (runs read
-    /// heap slices in place); gathers the target's codes, which every
-    /// candidate pairs against; then fans the live candidates out on
-    /// `exec`, one slot each.
+    /// histograms and joint deltas where there are some: gathers the
+    /// target's codes, which every candidate pairs against; then fans the
+    /// live candidates out on `exec`, one slot each.
     ///
     /// # Panics
     ///
@@ -424,7 +414,7 @@ impl Counter {
         exec: &Executor,
     ) {
         debug_assert!(marginals || req.target.is_some(), "an entropy count is all marginals");
-        let Self { grouper, target, slots, shelf } = self;
+        let Self { target, slots, shelf } = self;
         shelf.shape(req, |a| dataset.support(a), counts);
         if slots.len() < req.live.len() {
             slots.resize_with(req.live.len(), Slot::default);
@@ -434,7 +424,7 @@ impl Counter {
             slot.attr = attr;
         }
 
-        let rows = Positions { list: grouper.group(positions.list), ..positions };
+        let rows = positions;
         if let (Some(t), Some(hist)) = (req.target, counts.target.as_mut()) {
             let column = dataset.column(t);
             match marginals {
@@ -493,13 +483,8 @@ impl<'a> LocalShardSource<'a> {
             exec,
             meta: dataset_meta(dataset),
             sampler: PagePrefix::new(PageMembers::range(dataset.layout(), 0..n), config.seed),
-            rows: Vec::new(),
             shards: (0..plan.num_shards())
-                .map(|_| Shard {
-                    list: Vec::new(),
-                    runs: Vec::new(),
-                    counter: Counter::new(dataset),
-                })
+                .map(|_| Shard { list: Vec::new(), runs: Vec::new(), counter: Counter::new() })
                 .collect(),
             last: CountRequest { target: None, live: Vec::new() },
             plan,
@@ -533,12 +518,12 @@ impl ShardTransport for LocalShardSource<'_> {
         m_target: usize,
         req: &CountRequest,
     ) -> Result<Vec<ShardCounts>, SwopeError> {
-        let Self { dataset, plan, sampler, rows, shards, .. } = self;
+        let Self { plan, sampler, shards, .. } = self;
         for shard in shards.iter_mut() {
             shard.list.clear();
             shard.runs.clear();
         }
-        let delta = dataset.sample_positions(sampler.grow_to(m_target), rows);
+        let delta = sampler.grow_to(m_target);
         plan.split_runs(delta.runs, |shard, run| shards[shard].runs.push(run));
         plan.split(delta.list, |shard, p| shards[shard].list.push(p));
 

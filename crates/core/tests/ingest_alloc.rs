@@ -10,8 +10,8 @@
 //!   kernel's lane tables and the joint kernel's dense pair table are
 //!   sized by the first delta that takes them, and the MI target buffer
 //!   only regrows past its largest delta. The same holds over paged
-//!   columns, whose gather adds a page grouper and page lookups but no
-//!   allocation once the pages are resident;
+//!   columns, whose gather adds page lookups but no allocation once the
+//!   pages are resident;
 //! * `LocalShardSource`, the counter of in-process shards and cluster
 //!   peers: an `advance` + `recycle` cycle counts into the histograms and
 //!   joint deltas the last one handed back, so it allocates as often
@@ -89,10 +89,9 @@ fn staged_ingest_allocates_nothing_in_steady_state() {
     };
     audit("heap", &ds, &rows);
 
-    // The same columns out-of-core: the page-grouped gather, its
-    // grouper and its in-place reads must be just as allocation-free once
-    // every page is resident (an unbounded cache never evicts, so no
-    // steady-state delta faults).
+    // The same columns out-of-core: the paged gather and its in-place
+    // reads must be just as allocation-free once every page is resident
+    // (an unbounded cache never evicts, so no steady-state delta faults).
     let path = std::env::temp_dir().join(format!("swope-ingest-alloc-{}.swop", std::process::id()));
     snapshot::write_file(&ds, &path).unwrap();
     let (paged, _) =
@@ -107,7 +106,6 @@ fn staged_ingest_allocates_nothing_in_steady_state() {
 fn audit(label: &str, ds: &Dataset, rows: &[u32]) {
     let cand = ds.column(0);
     let target = ds.column(1);
-    let mut grouper = ds.page_grouper();
     // Deltas emptied after every count, one scratch across attributes.
     let (mut t_counts, mut counts) =
         (CountState::new(ds.support(1)), CountState::new(ds.support(0)));
@@ -115,7 +113,6 @@ fn audit(label: &str, ds: &Dataset, rows: &[u32]) {
     let mut scratch = CountScratch::new();
 
     let mut ingest = |delta: &[u32]| {
-        let delta = grouper.group(delta);
         count_target(target, delta, &mut t_counts, &mut t_buf);
         let paired = Some(t_buf.target());
         count_candidate(cand, delta, paired, &mut counts, &mut pairs, &mut scratch);
@@ -130,9 +127,9 @@ fn audit(label: &str, ds: &Dataset, rows: &[u32]) {
     // Warm-up: the first delta grows every buffer to its high-water mark
     // (block buffers cap at INGEST_BLOCK_ROWS, lane and dense tables at
     // their support's size — 20 000 rows over supports 8 and 4 take both
-    // — and the target buffer and the grouper size to the largest
-    // delta), touches every page, and observes every (target, cand) pair
-    // so the counters' structures are fully built.
+    // — and the target buffer sizes to the largest delta), touches every
+    // page, and observes every (target, cand) pair so the counters'
+    // structures are fully built.
     ingest(&rows[..20_000]);
 
     // Steady state: more ingests of never-larger deltas (sizes chosen to

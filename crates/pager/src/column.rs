@@ -74,7 +74,7 @@ impl<'a> PageView<'a> {
         PageView { payload: &self.payload[rows.start * w..rows.end * w], width: self.width }
     }
 
-    /// Calls `f` with every code, in row order. The width is dispatched
+    /// Calls `f` with every code, in stored order. The width is dispatched
     /// once, outside the loop.
     pub fn for_each(&self, mut f: impl FnMut(Code)) {
         match self.width {
@@ -89,11 +89,27 @@ impl<'a> PageView<'a> {
         }
     }
 
+    /// The codes, decoded into `out` at their width, replacing its
+    /// contents.
+    pub fn decode_into(&self, out: &mut CodeBuf) {
+        match self.width {
+            Width::U8 => cleared(u8::buf(out)).extend_from_slice(self.payload),
+            Width::U16 => u16::extend_from_le_bytes(self.payload, cleared(u16::buf(out))),
+            Width::U32 => u32::extend_from_le_bytes(self.payload, cleared(u32::buf(out))),
+        }
+    }
+
     fn max_code(&self) -> Option<Code> {
         let mut max = None;
         self.for_each(|c| max = max.max(Some(c)));
         max
     }
+}
+
+/// `v`, emptied.
+fn cleared<T>(v: &mut Vec<T>) -> &mut Vec<T> {
+    v.clear();
+    v
 }
 
 /// The first `W` bytes of `bytes`, by value.
@@ -298,9 +314,9 @@ impl PagedColumn {
         Ok(())
     }
 
-    /// A single-row read paying one page fault at worst. Anything
-    /// iterative wants [`gather`](Self::gather) (sampled rows) or
-    /// [`try_for_each_page`](Self::try_for_each_page) (scans).
+    /// A single-position read paying one page fault at worst. Anything
+    /// iterative wants [`gather`](Self::gather) (sampled positions) or
+    /// [`try_for_each_slice`](Self::try_for_each_slice) (scans).
     pub fn try_code(&self, row: usize) -> Result<Code, StoreError> {
         assert!(row < self.len(), "row {row} out of range for {} rows", self.len());
         let page = self.page(row / PAGE_ROWS)?;
@@ -312,35 +328,31 @@ impl PagedColumn {
         self.try_code(row).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Gathers `rows` into `out` at the column's native width, replacing
-    /// its contents: `out[i]` is the code at `rows[i]` — the paged twin
-    /// of [`swope_store::gather`], booked into the same
-    /// [`gather_stats`] counters.
+    /// Gathers the codes at `positions` into `out` at the column's native
+    /// width, replacing its contents: `out[i]` is the code at
+    /// `positions[i]` — the paged twin of [`swope_store::gather`], booked
+    /// into the same [`gather_stats`] counters.
     ///
-    /// A page is looked up once per run of adjacent rows it holds, and
-    /// the width is dispatched once per call. Any row order is correct;
-    /// a list reordered by [`PageGrouper`] touches every page exactly
-    /// once and reads it front to back, which is what makes a shuffled
-    /// sample read at heap speed. A corrupt page is an `Err` naming the
-    /// page.
-    ///
-    /// [`PageGrouper`]: crate::PageGrouper
-    pub fn gather(&self, rows: &[u32], out: &mut CodeBuf) -> Result<(), StoreError> {
+    /// A page is looked up once per run of adjacent positions it holds,
+    /// and the width is dispatched once per call. Any order is correct; a
+    /// sample's list, drawn page by page, touches each page once. A
+    /// corrupt page is an `Err` naming the page.
+    pub fn gather(&self, positions: &[u32], out: &mut CodeBuf) -> Result<(), StoreError> {
         let start = gather_stats::enabled().then(Instant::now);
         let gathered = match self.width {
-            Width::U8 => self.gather_with(rows, u8::buf(out), |[b]: [u8; 1]| b),
-            Width::U16 => self.gather_with(rows, u16::buf(out), u16::from_le_bytes),
-            Width::U32 => self.gather_with(rows, u32::buf(out), u32::from_le_bytes),
+            Width::U8 => self.gather_with(positions, cleared(u8::buf(out)), |[b]: [u8; 1]| b),
+            Width::U16 => self.gather_with(positions, cleared(u16::buf(out)), u16::from_le_bytes),
+            Width::U32 => self.gather_with(positions, cleared(u32::buf(out)), u32::from_le_bytes),
         };
         if let Some(start) = start {
-            gather_stats::record(rows.len(), start.elapsed().as_nanos() as u64);
+            gather_stats::record(positions.len(), start.elapsed().as_nanos() as u64);
         }
         gathered
     }
 
-    /// [`gather`](Self::gather) widened to `u32`, for a buffer that
-    /// outlives the column's width (the MI target's codes, read by every
-    /// candidate).
+    /// [`gather`](Self::gather) widened to `u32` and appended to `out`,
+    /// for a buffer that outlives the column's width (the MI target's
+    /// codes, read by every candidate).
     pub fn gather_widen(&self, rows: &[u32], out: &mut Vec<Code>) -> Result<(), StoreError> {
         match self.width {
             Width::U8 => self.gather_with(rows, out, |[b]: [u8; 1]| b as Code),
@@ -349,17 +361,19 @@ impl PagedColumn {
         }
     }
 
-    /// The run walk under both gathers: finds the page of the first
-    /// unread row, decodes every adjacent row that page also holds from
-    /// its `W`-byte little-endian codes in one pass, repeats.
+    /// The run walk under both gathers, appending to `out`: finds the page
+    /// of the first unread position, decodes every adjacent position that
+    /// page also holds from its `W`-byte little-endian codes in one pass,
+    /// repeats.
     fn gather_with<const W: usize, T: Copy + Default>(
         &self,
         rows: &[u32],
         out: &mut Vec<T>,
         decode: impl Fn([u8; W]) -> T,
     ) -> Result<(), StoreError> {
-        out.clear();
-        out.resize(rows.len(), T::default());
+        let from = out.len();
+        out.resize(from + rows.len(), T::default());
+        let out = &mut out[from..];
         let mut done = 0;
         while let Some(&first) = rows.get(done) {
             let first = first as usize;
@@ -385,20 +399,19 @@ impl PagedColumn {
         Ok(())
     }
 
-    /// Runs `f` over every page overlapping `rows`, in order, passing
-    /// the page's first row and its codes. A full scan admits one page
-    /// at a time, so it stays within budget.
-    pub fn try_for_each_page<F>(&self, rows: Range<usize>, mut f: F) -> Result<(), StoreError>
+    /// Runs `f` over the codes at `positions`, in order, one view per
+    /// page they cross. A full scan admits one page at a time, so it
+    /// stays within budget.
+    pub fn try_for_each_slice<F>(&self, positions: Range<usize>, mut f: F) -> Result<(), StoreError>
     where
-        F: FnMut(usize, PageView<'_>),
+        F: FnMut(PageView<'_>),
     {
-        if rows.start >= rows.end {
-            return Ok(());
-        }
-        let first = rows.start / PAGE_ROWS;
-        let last = (rows.end - 1) / PAGE_ROWS;
-        for index in first..=last {
-            f(index * PAGE_ROWS, self.page(index)?);
+        let mut at = positions.start;
+        while at < positions.end {
+            let first = at / PAGE_ROWS * PAGE_ROWS;
+            let end = positions.end.min(first + PAGE_ROWS);
+            f(self.page(at / PAGE_ROWS)?.slice(at - first..end - first));
+            at = end;
         }
         Ok(())
     }
@@ -407,16 +420,14 @@ impl PagedColumn {
     /// only for cold paths (equality checks, snapshot rewrite).
     pub fn to_codes(&self) -> Result<Vec<Code>, StoreError> {
         let mut out = Vec::with_capacity(self.len());
-        self.try_for_each_page(0..self.len(), |_, page| page.for_each(|c| out.push(c)))?;
+        self.try_for_each_slice(0..self.len(), |page| page.for_each(|c| out.push(c)))?;
         Ok(out)
     }
 
     /// Occurrences of every code, one full scan, one page at a time.
     pub fn value_counts(&self) -> Result<Vec<u64>, StoreError> {
         let mut counts = vec![0u64; self.support as usize];
-        self.try_for_each_page(0..self.len(), |_, page| {
-            page.for_each(|c| counts[c as usize] += 1)
-        })?;
+        self.try_for_each_slice(0..self.len(), |page| page.for_each(|c| counts[c as usize] += 1))?;
         Ok(counts)
     }
 }
@@ -591,14 +602,11 @@ pub(crate) mod tests {
             want[c as usize] += 1;
         }
         assert_eq!(counts, want);
-        let mut seen = 0usize;
-        col.try_for_each_page(10..rows - 10, |first, page| {
-            assert_eq!(first % PAGE_ROWS, 0);
-            seen += page.len();
-        })
-        .unwrap();
-        // The range overlaps both pages, so both are visited in full.
-        assert_eq!(seen, rows);
+        let mut seen = Vec::new();
+        col.try_for_each_slice(10..rows - 10, |page| page.for_each(|c| seen.push(c))).unwrap();
+        // The range crosses into the second page: one view per page, of
+        // exactly the codes in the range.
+        assert_eq!(seen, codes[10..rows - 10]);
     }
 
     #[test]
@@ -615,6 +623,11 @@ pub(crate) mod tests {
             let mut got = Vec::new();
             mid.for_each(|c| got.push(c));
             assert_eq!(got, codes[PAGE_ROWS + 10..PAGE_ROWS + 20]);
+            let mut decoded = CodeBuf::new();
+            mid.decode_into(&mut decoded);
+            let decoded: Vec<Code> =
+                swope_store::for_buf!(&decoded, |c| c.iter().map(|&c| c.widen()).collect());
+            assert_eq!(got, decoded, "{}", col.width());
             assert!(tail.slice(7..7).is_empty());
         }
     }

@@ -1,12 +1,12 @@
 //! # swope-pager
 //!
-//! Out-of-core storage for `SWOP` v2 snapshots: memory-map the file,
+//! Out-of-core storage for `SWOP` snapshots: memory-map the file,
 //! read CRC'd 64Ki-row pages in place, and bound how much of the
 //! mapping stays resident with a process-wide byte-budget page cache.
 //!
 //! SWOPE's sampling loops touch a sublinear fraction of rows per query,
 //! but the eager loader decodes whole snapshots into heap memory,
-//! capping a server at RAM-sized datasets. This crate makes the SWOP v2
+//! capping a server at RAM-sized datasets. This crate makes the SWOP
 //! *page* — already length-delimited and individually checksummed — the
 //! unit of residency instead, and the mapping the only copy of it:
 //!
@@ -18,11 +18,9 @@
 //! * [`mod@column`] — [`PagedColumn`]: an arithmetic page directory over
 //!   the mapped payload, lazy first-touch CRC validation, and gathers
 //!   and scans that decode little-endian codes straight out of a
-//!   borrowed [`PageView`] — no decoded copy of any page anywhere.
-//! * [`group`] — [`PageGrouper`]: reorders a sampled row list so each
-//!   page's rows are adjacent, once per iteration for every attribute,
-//!   so a gather looks each touched page up exactly once and walks it
-//!   front to back.
+//!   borrowed [`PageView`] — no decoded copy of any page anywhere. A v3
+//!   page holds its codes in layout slot order, so the column is indexed
+//!   by the positions a sample draws, as a heap column is.
 //! * [`cache`] — [`PageCache`]: which pages count as resident, CLOCK
 //!   second-chance eviction over them against a configurable byte
 //!   budget (`--store-budget-bytes`), and the release of every evicted
@@ -42,10 +40,8 @@
 
 pub mod cache;
 pub mod column;
-pub mod group;
 pub mod mapping;
 
 pub use cache::{PageCache, PagerSnapshot};
 pub use column::{PageView, PagedColumn};
-pub use group::PageGrouper;
 pub use mapping::{open_mapping, HeapMapping, Mapping};

@@ -1,12 +1,13 @@
-//! Property tests for the page-grouped gather: whatever the row list,
+//! Property tests for the paged gather: whatever the position list,
 //! `PagedColumn::gather` must return exactly what per-row `try_code`
-//! returns, at every width, grouped or not, at any file offset, with or
+//! returns, at every width, grouped by page or not (a sample's list is
+//! drawn page by page), at any file offset, with or
 //! without eviction going on underneath (from the same thread or from
 //! others) — and must fail, not panic, on a corrupt page.
 
 use std::sync::Arc;
 
-use swope_pager::{Mapping, PageCache, PageGrouper, PagedColumn};
+use swope_pager::{Mapping, PageCache, PagedColumn};
 use swope_sampling::rng::Xoshiro256pp;
 use swope_store::page::{encode_pages, PAGE_HEADER_BYTES, PAGE_ROWS, STREAM_HEADER_BYTES};
 use swope_store::{Code, CodeBuf, PackedCodes, Width};
@@ -63,6 +64,14 @@ fn widened(buf: &CodeBuf) -> Vec<Code> {
     }
 }
 
+/// `rows` in ascending page order, each page's rows in list order: the
+/// shape of a sample drawn page by page.
+fn by_page(rows: &[u32]) -> Vec<u32> {
+    let mut grouped = rows.to_vec();
+    grouped.sort_by_key(|&row| row / PAGE_ROWS as u32);
+    grouped
+}
+
 /// The row lists the issue names: duplicates, empty, one page, the
 /// short last page, and longer than an ingest block.
 fn row_lists(r: &mut Xoshiro256pp) -> Vec<(&'static str, Vec<u32>)> {
@@ -98,18 +107,18 @@ fn gather_equals_per_row_reads_at_every_width_grouped_or_not() {
         let (col, codes) = column(pad, support, width, Arc::clone(&cache), support as u64);
         let mut buf = CodeBuf::new();
         let mut wide = Vec::new();
-        let mut grouper = PageGrouper::new(true);
         for (label, rows) in row_lists(&mut r) {
             let want: Vec<Code> =
                 rows.iter().map(|&row| col.try_code(row as usize).unwrap()).collect();
             assert!(rows.iter().zip(&want).all(|(&row, &c)| c == codes[row as usize]));
             col.gather(&rows, &mut buf).unwrap();
             assert_eq!(widened(&buf), want, "{width} +{pad} {label}");
+            wide.clear();
             col.gather_widen(&rows, &mut wide).unwrap();
             assert_eq!(wide, want, "{width} +{pad} {label} widened");
 
             // Grouped: the same multiset, out[i] still the code of rows[i].
-            let grouped = grouper.group(&rows).to_vec();
+            let grouped = by_page(&rows);
             let want: Vec<Code> = grouped.iter().map(|&row| codes[row as usize]).collect();
             col.gather(&grouped, &mut buf).unwrap();
             assert_eq!(widened(&buf), want, "{width} +{pad} {label} grouped");
@@ -144,13 +153,12 @@ fn gather_under_a_budget_that_evicts_mid_gather_stays_within_it() {
     let (col, _) = column(0, 40_000, Width::U16, Arc::clone(&cache), 11);
     let (reference, _) = column(0, 40_000, Width::U16, Arc::new(PageCache::unbounded()), 11);
     let mut r = Xoshiro256pp::seed_from_u64(0xB0D6);
-    let mut grouper = PageGrouper::new(true);
     let (mut got, mut want) = (CodeBuf::new(), CodeBuf::new());
     for _ in 0..4 {
         let rows: Vec<u32> = (0..LONG_LIST).map(|_| r.next_below(ROWS as u64) as u32).collect();
-        let rows = grouper.group(&rows);
-        col.gather(rows, &mut got).unwrap();
-        reference.gather(rows, &mut want).unwrap();
+        let rows = by_page(&rows);
+        col.gather(&rows, &mut got).unwrap();
+        reference.gather(&rows, &mut want).unwrap();
         assert_eq!(got, want);
     }
     let snap = cache.snapshot();
@@ -218,20 +226,20 @@ fn gathers_racing_the_eviction_sweep_from_other_threads_read_the_heap_codes() {
                 let (columns, start) = (&columns, &start);
                 scope.spawn(move || {
                     let mut r = Xoshiro256pp::seed_from_u64(0xACE + thread);
-                    let mut grouper = PageGrouper::new(true);
                     let (mut buf, mut wide) = (CodeBuf::new(), Vec::new());
                     start.wait();
                     for round in 0..12 {
                         let rows: Vec<u32> =
                             (0..3_000).map(|_| r.next_below(ROWS as u64) as u32).collect();
                         // Shuffled on even rounds, page-grouped on odd ones.
-                        let rows = if round % 2 == 0 { &rows[..] } else { grouper.group(&rows) };
+                        let rows = if round % 2 == 0 { rows } else { by_page(&rows) };
                         for (col, heap) in columns {
                             let want: Vec<Code> =
                                 rows.iter().map(|&row| heap[row as usize]).collect();
-                            col.gather(rows, &mut buf).unwrap();
+                            col.gather(&rows, &mut buf).unwrap();
                             assert_eq!(widened(&buf), want, "thread {thread} round {round}");
-                            col.gather_widen(rows, &mut wide).unwrap();
+                            wide.clear();
+                            col.gather_widen(&rows, &mut wide).unwrap();
                             assert_eq!(wide, want, "thread {thread} round {round} widened");
                         }
                     }

@@ -38,6 +38,6 @@ mod schedule;
 mod shuffle;
 
 pub use hypergeometric::{hypergeometric, ln_factorial};
-pub use page::{PageLayout, PageMembers, PagePrefix, Positions};
+pub use page::{PageLayout, PageMembers, PagePrefix, Positions, LAYOUT_SEED};
 pub use schedule::DoublingSchedule;
 pub use shuffle::PrefixShuffle;

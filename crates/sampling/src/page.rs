@@ -24,7 +24,9 @@ use crate::rng::Xoshiro256pp;
 
 /// Seed of every page's layout shuffle; page `j` draws from its
 /// `fork(j)`. Compiled in, so every process lays a row count out alike.
-const LAYOUT_SEED: u64 = 0x5EED_1A70_9A6E_0016;
+/// A snapshot records the seed its pages were ordered by, and a reader
+/// refuses one written under another.
+pub const LAYOUT_SEED: u64 = 0x5EED_1A70_9A6E_0016;
 
 /// The rows of `0..num_rows` in a fixed, seeded order within each
 /// 65 536-row page.
@@ -131,12 +133,6 @@ impl PageLayout {
             out.extend(run.clone().zip(deltas).map(|(p, &d)| p ^ u32::from(d)));
         }
         out.extend(positions.list.iter().map(|&p| p ^ u32::from(to_row[p as usize])));
-    }
-
-    /// The row → position table: row `r` is stored at `r ^ deltas[r]`,
-    /// in its own page. How a writer reads a column back in row order.
-    pub fn position_deltas(&self) -> &[u16] {
-        self.to_position()
     }
 
     /// The position → row table: position `p` holds row `p ^ deltas[p]`,
@@ -638,7 +634,7 @@ mod tests {
     #[test]
     fn a_page_depends_only_on_its_index_and_length() {
         let (a, b) = (PageLayout::of(2 * P + 100), PageLayout::of(P + 100));
-        let d = |l: &PageLayout, pages: Range<usize>| l.position_deltas()[pages].to_vec();
+        let d = |l: &PageLayout, pages: Range<usize>| l.row_deltas()[pages].to_vec();
         assert_eq!(d(&a, 0..P), d(&b, 0..P));
         let c = PageLayout::of(100);
         assert_ne!(d(&a, 2 * P..2 * P + 100), d(&c, 0..100), "page 2 is not page 0 of one length");

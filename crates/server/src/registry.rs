@@ -20,7 +20,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
-use swope_columnar::{stats, Dataset, DatasetSketch, PageCache, Residency, Width};
+use swope_columnar::{snapshot, stats, Dataset, DatasetSketch, PageCache, Residency, Width};
 
 /// One registered dataset plus its identity metadata.
 pub struct DatasetEntry {
@@ -203,7 +203,9 @@ impl DatasetRegistry {
 pub type Capped = (Dataset, Option<DatasetSketch>, usize);
 
 /// Opens the `.swop`/`.csv` file at `path` at `residency` and caps it to
-/// `max_support`: what every load does before registering.
+/// `max_support`: what every load does before registering. A v2 snapshot
+/// opened paged was rewritten as v3 in memory to be read by position;
+/// that is logged, with the command that makes the rewrite last.
 pub fn open_capped(
     path: &str,
     residency: Residency<'_>,
@@ -211,6 +213,16 @@ pub fn open_capped(
 ) -> Result<Capped, String> {
     let (dataset, sketch) =
         Dataset::open(path, residency).map_err(|e| format!("loading {path}: {e}"))?;
+    let paged_swop = matches!(residency, Residency::Paged(_)) && path.ends_with(".swop");
+    let format = paged_swop.then(|| snapshot::format(path).ok()).flatten();
+    if let Some(older) = format.filter(|f| f.version < snapshot::VERSION) {
+        eprintln!(
+            "swope: {path} is a v{} snapshot, rewritten as v{} in memory to open paged; \
+             `swope convert {path} {path}` rewrites the file",
+            older.version,
+            snapshot::VERSION
+        );
+    }
     Ok(cap(dataset, sketch, max_support))
 }
 

@@ -1,6 +1,6 @@
 //! IEEE CRC32 (the zlib/gzip polynomial), hand-rolled on const tables.
 //!
-//! Every page of a `SWOP` v2 column section, the sketch section and
+//! Every page of a `SWOP` column section, the sketch section and
 //! every `SWPC` cluster frame carry this checksum. Pages are validated
 //! at heap load and on a pager's first touch, frames once by each side
 //! of every exchange, so the kernel sits on the serving path: a

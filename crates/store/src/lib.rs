@@ -2,7 +2,7 @@
 //!
 //! The physical storage layer under `swope-columnar`: dictionary codes
 //! packed at the narrowest integer width their support allows, plus the
-//! paged, checksummed primitives of the `SWOP` v2 on-disk format.
+//! paged, checksummed primitives of the `SWOP` on-disk format (v2 and v3).
 //!
 //! SWOPE's adaptive loops are memory-bandwidth bound: every sampling
 //! iteration gathers permuted codes out of a column, so the bytes each
@@ -24,7 +24,7 @@
 //! * [`crc32`] — the IEEE CRC32 guarding every on-disk page.
 //! * [`page`] — the paged column payload codec (per-page checksums,
 //!   length-validated before any allocation).
-//! * [`section`] — the `SWOP` v2 section table (offsets/lengths
+//! * [`section`] — the `SWOP` section table (offsets/lengths
 //!   validated against the actual byte count before anything is
 //!   trusted).
 //! * [`ByteReader`] — the bounds-checked cursor every decoder reads

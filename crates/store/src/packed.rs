@@ -73,27 +73,9 @@ impl PackedCodes {
     }
 
     /// Appends the little-endian bytes of the `rows` codes starting at
-    /// `start` to `out` (the page writer's copy step): in stored order,
-    /// or, with `from`, code `start + (i ^ from[start + i])` as the
-    /// `i`-th.
-    pub(crate) fn extend_le_range(
-        &self,
-        start: usize,
-        rows: usize,
-        from: Option<&[u16]>,
-        out: &mut Vec<u8>,
-    ) {
-        for_packed!(self, |codes| {
-            let page = &codes[start..start + rows];
-            match from {
-                None => CodeRepr::extend_le_bytes(page, out),
-                Some(from) => {
-                    let from = from[start..start + rows].iter().enumerate();
-                    let ordered: Vec<_> = from.map(|(i, &d)| page[i ^ d as usize]).collect();
-                    CodeRepr::extend_le_bytes(&ordered, out)
-                }
-            }
-        });
+    /// `start`, in stored order, to `out` (the page writer's copy step).
+    pub(crate) fn extend_le_range(&self, start: usize, rows: usize, out: &mut Vec<u8>) {
+        for_packed!(self, |codes| CodeRepr::extend_le_bytes(&codes[start..start + rows], out));
     }
 }
 
@@ -207,7 +189,7 @@ impl PackedColumn {
         Self { codes: PackedCodes::pack(&codes, Width::for_support(support)), support }
     }
 
-    /// Adopts already-packed codes (the v2 snapshot reader's path),
+    /// Adopts already-packed codes (the snapshot reader's path),
     /// validating the width holds the support and every code is in
     /// range — a width-generic max scan, not a per-code branch.
     pub fn from_packed(codes: PackedCodes, support: u32) -> Result<Self, StoreError> {

@@ -1,4 +1,4 @@
-//! Paged column payload codec for `SWOP` v2 column sections.
+//! Paged column payload codec for `SWOP` column sections.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The encoded length is a pure function of `(rows, width)`, which is
-//! what lets the v2 writer emit a complete section table *before*
+//! what lets the snapshot writer emit a complete section table *before*
 //! streaming any page. Readers check that arithmetic against the actual
 //! byte count before allocating or touching anything ([`check_stream`]).
 
@@ -38,18 +38,10 @@ pub fn encoded_len(rows: usize, width: Width) -> usize {
     STREAM_HEADER_BYTES + pages * PAGE_HEADER_BYTES + rows * width.bytes()
 }
 
-/// Streams `codes` as a paged payload to `w`, reusing one page-sized
-/// scratch buffer; emits exactly [`encoded_len`] bytes.
-///
-/// Each page's codes go out in stored order or, with `from`, in the
-/// order it names: the `i`-th code of the page at `start` is
-/// `codes[start + (i ^ from[start + i])]`. A column stored in a page
-/// layout writes its rows in row order this way.
-pub fn write_pages<W: Write>(
-    codes: &PackedCodes,
-    from: Option<&[u16]>,
-    w: &mut W,
-) -> io::Result<()> {
+/// Streams `codes` as a paged payload to `w`, each page's codes in
+/// stored order, reusing one page-sized scratch buffer; emits exactly
+/// [`encoded_len`] bytes.
+pub fn write_pages<W: Write>(codes: &PackedCodes, w: &mut W) -> io::Result<()> {
     let n = codes.len();
     let pages = n.div_ceil(PAGE_ROWS);
     w.write_all(&(PAGE_ROWS as u32).to_le_bytes())?;
@@ -58,7 +50,7 @@ pub fn write_pages<W: Write>(
     for start in (0..n).step_by(PAGE_ROWS) {
         let rows = (n - start).min(PAGE_ROWS);
         payload.clear();
-        codes.extend_le_range(start, rows, from, &mut payload);
+        codes.extend_le_range(start, rows, &mut payload);
         w.write_all(&(rows as u32).to_le_bytes())?;
         w.write_all(&crc32(&payload).to_le_bytes())?;
         w.write_all(&payload)?;
@@ -69,7 +61,7 @@ pub fn write_pages<W: Write>(
 /// Encodes `codes` as a paged payload into a fresh buffer.
 pub fn encode_pages(codes: &PackedCodes) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoded_len(codes.len(), codes.width()));
-    write_pages(codes, None, &mut out).expect("Vec writes are infallible");
+    write_pages(codes, &mut out).expect("Vec writes are infallible");
     out
 }
 

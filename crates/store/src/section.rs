@@ -1,6 +1,6 @@
-//! The `SWOP` v2 section table.
+//! The `SWOP` section table.
 //!
-//! A v2 snapshot is a fixed header, a table of section descriptors, and
+//! A snapshot (v2 or v3) is a fixed header, a table of section descriptors, and
 //! the section payloads laid out contiguously after the table. Each
 //! descriptor is 24 bytes:
 //!
