@@ -65,7 +65,7 @@ pub fn snapshot() -> GatherSnapshot {
 
 /// Books one gather of `rows` rows that took `nanos`. Callers check
 /// [`enabled`] first, so the clock is only read while tracing is on.
-/// Public for the pager's page-grouped gather, which is the same layer
+/// Public for the pager's gather of position lists, which is the same layer
 /// over a different physical representation.
 #[inline]
 pub fn record(rows: usize, nanos: u64) {
