@@ -20,13 +20,14 @@
 //! holding a row (its [`PeerPool`] keeps it between queries). Over the
 //! whole union every page is whole; a row range lists the slots of its
 //! rows in the pages it only partly covers, exactly as a single box's
-//! range scope does. The layout turns each doubling's positions into
-//! union rows; the coordinator splits them by owning peer
-//! ([`ShardPlan::split`]) and sends every peer its own rows as local row
-//! indexes. A peer stores its slice in its own layout and maps the rows
-//! it is sent to its own positions, so no peer needs the union's. The
-//! replies are added into one reused [`ShardCounts`] as they are
-//! decoded, which is the whole merge.
+//! range scope does. Each doubling's positions go out as they are drawn:
+//! every peer gets the runs and the listed positions that fall on the
+//! union pages its slice overlaps, so a page that straddles a cut goes to
+//! both of its owners, with the union's row count and the slice's first
+//! union row. No position is turned into a row here. The peer maps them
+//! to its own positions through a table of the pages it overlaps
+//! ([`crate::peer`]). The replies are added into one reused
+//! [`ShardCounts`] as they are decoded, which is the whole merge.
 //!
 //! A row-range query is routed only to peers whose slices intersect
 //! it — non-intersecting peers never hear about the query, and an empty
@@ -43,10 +44,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use swope_core::shard::Shelf;
-use swope_core::{
-    AttrMeta, CountRequest, PairCountState, ShardCounts, ShardPlan, ShardTransport, SwopeError,
-};
-use swope_sampling::{PageLayout, PageMembers, PagePrefix};
+use swope_core::{AttrMeta, CountRequest, PairCountState, ShardCounts, ShardTransport, SwopeError};
+use swope_sampling::{PageLayout, PageMembers, PagePrefix, Positions};
+use swope_store::page::PAGE_ROWS;
 
 use crate::frame::{Frame, FrameReader, FrameWriter, Hello, ResultFrame, PROTOCOL_VERSION};
 use crate::stats::ClusterStats;
@@ -87,7 +87,8 @@ impl Default for PeerTimeouts {
 ///
 /// The pool also keeps the union's [`PageLayout`] from one query to the
 /// next: a coordinator holds no dataset that would keep it alive, and
-/// its position → row table costs a pass over the union's rows to build.
+/// the position → row table a range's fringe pages walk costs a pass over
+/// the union's rows to build.
 pub struct PeerPool {
     per_peer: usize,
     idle: Mutex<HashMap<String, Vec<TcpStream>>>,
@@ -150,6 +151,8 @@ struct PeerConn {
     stream: TcpStream,
     /// This peer's slice of the union, in union row coordinates.
     slice: Range<u64>,
+    /// The union pages the slice overlaps.
+    pages: Range<u32>,
     /// The session's frame buffers, reused for every exchange.
     reader: FrameReader,
     writer: FrameWriter,
@@ -161,6 +164,7 @@ impl PeerConn {
             addr: addr.to_owned(),
             stream,
             slice: 0..0,
+            pages: 0..0,
             reader: FrameReader::new(),
             writer: FrameWriter::new(),
         }
@@ -292,6 +296,7 @@ fn recv_counts(
             return Ok(None);
         }
         if envelope.is_count_merge() {
+            stats.record_count_merge(envelope.wire_len());
             return envelope.count_merge_into(counts).map(Some).map_err(|e| e.to_string());
         }
         Err(match envelope.decode() {
@@ -306,6 +311,19 @@ fn recv_counts(
             Ok(entries.is_some())
         }
         Err(reason) => Err(fail(peer, stats, reason)),
+    }
+}
+
+/// The positions of `delta` on union pages `pages`: the runs and listed
+/// positions a peer whose slice overlaps those pages counts from. Both
+/// come in page order, so each is one stretch.
+fn window<'a>(delta: Positions<'a>, pages: &Range<u32>) -> Positions<'a> {
+    let page = |position: u32| position / PAGE_ROWS as u32;
+    let runs = |bound| delta.runs.partition_point(|run| page(run.start) < bound);
+    let list = |bound| delta.list.partition_point(|&position| page(position) < bound);
+    Positions {
+        runs: &delta.runs[runs(pages.start)..runs(pages.end)],
+        list: &delta.list[list(pages.start)..list(pages.end)],
     }
 }
 
@@ -367,17 +385,9 @@ pub fn probe(
 pub struct RemoteShardSource {
     peers: Vec<PeerConn>,
     meta: Vec<AttrMeta>,
-    /// The population's first union row.
-    base: u64,
-    /// The query's sample over the population, the union's layout that
-    /// names its rows, the union rows of the current delta, and where
-    /// each participant's slice lies in the population.
+    /// Rows in the union, and the query's sample over the population.
+    union_rows: u64,
     sampler: PagePrefix,
-    layout: Arc<PageLayout>,
-    delta: Vec<u32>,
-    plan: ShardPlan,
-    /// Each participant's rows of the current delta.
-    rows: Vec<Vec<u32>>,
     /// The replies' sum, handed out by `advance` and back by `recycle`,
     /// and the histograms it parks in between.
     acc: ShardCounts,
@@ -453,6 +463,8 @@ impl RemoteShardSource {
                 return Err(peer_err(addr, reason));
             }
             peer.slice = offset..offset + reply.num_rows;
+            let page_rows = PAGE_ROWS as u64;
+            peer.pages = (offset / page_rows) as u32..peer.slice.end.div_ceil(page_rows) as u32;
             offset += reply.num_rows;
             peers.push(peer);
         }
@@ -496,14 +508,10 @@ impl RemoteShardSource {
         let layout = pool.as_ref().map_or_else(|| PageLayout::of(rows), |p| p.union_layout(rows));
         let members = PageMembers::range(&layout, scope.start as usize..scope.end as usize);
         Ok(Self {
-            plan: ShardPlan::scoped(peers.iter().map(|p| p.slice.clone()), scope.clone()),
-            rows: vec![Vec::new(); peers.len()],
             peers,
             meta: meta.unwrap_or_default(),
-            base: scope.start,
+            union_rows,
             sampler: PagePrefix::new(members, seed),
-            layout,
-            delta: Vec::new(),
             acc: ShardCounts::empty(None, []),
             shelf: Shelf::default(),
             last: CountRequest { target: None, live: Vec::new() },
@@ -546,7 +554,7 @@ impl std::fmt::Debug for RemoteShardSource {
         f.debug_struct("RemoteShardSource")
             .field("peers", &self.peers.len())
             .field("population", &self.sampler.num_rows())
-            .field("base", &self.base)
+            .field("union_rows", &self.union_rows)
             .field("finished", &self.finished)
             .finish()
     }
@@ -573,22 +581,24 @@ impl ShardTransport for RemoteShardSource {
         if self.finished {
             return Err(SwopeError::Transport("query already finished".into()));
         }
-        let Self { peers, rows, plan, sampler, layout, delta, stats, .. } = self;
-        for list in rows.iter_mut() {
-            list.clear();
-        }
-        delta.clear();
-        layout.rows_of(sampler.grow_to(m_target), delta);
-        // The plan numbers the population from the scope's first row.
-        let base = self.base as u32;
-        delta.iter_mut().for_each(|row| *row -= base);
-        plan.split(delta, |peer, row| rows[peer].push(row));
+        let Self { peers, sampler, stats, union_rows, .. } = self;
+        let delta = sampler.grow_to(m_target);
         // Scatter to every participant first, then gather: peers count
         // their deltas concurrently while we read replies in order.
-        for (peer, rows) in peers.iter_mut().zip(rows.iter()) {
-            let span = (peer.slice.end - peer.slice.start) as u32;
-            match peer.writer.write_grow_delta(&mut peer.stream, m_target as u64, req, rows, span) {
-                Ok(n) => stats.record_sent(n),
+        for peer in peers.iter_mut() {
+            let positions = window(delta, &peer.pages);
+            let frame = (*union_rows, peer.slice.start);
+            match peer.writer.write_grow_delta(
+                &mut peer.stream,
+                m_target as u64,
+                req,
+                frame,
+                positions,
+            ) {
+                Ok(n) => {
+                    stats.record_sent(n);
+                    stats.record_grow_delta(n);
+                }
                 Err(e) => return Err(fail(peer, stats, e)),
             }
         }
@@ -626,7 +636,7 @@ impl ShardTransport for RemoteShardSource {
         if self.finished {
             return Err(SwopeError::Transport("query already finished".into()));
         }
-        if self.sampler.num_rows() != self.layout.num_rows() {
+        if self.sampler.num_rows() as u64 != self.union_rows {
             return Ok(None);
         }
         for peer in &mut self.peers {

@@ -7,7 +7,7 @@
 //! offset  size  field
 //! 0       4     magic "SWPC"
 //! 4       1     frame tag (1=Hello, 3=GrowDelta … 6=Error, 7=Marginals)
-//! 5       4     payload length (u32; ≤ 512 MiB + 1 MiB for GrowDelta,
+//! 5       4     payload length (u32; ≤ 2 MiB + 1 MiB for GrowDelta,
 //!               ≤ 64 MiB for CountMerge, ≤ 1 MiB otherwise)
 //! 9       len   payload
 //! 9+len   4     CRC32 over bytes [4, 9+len)  (tag + length + payload)
@@ -21,23 +21,41 @@
 //!
 //! The control frames use fixed-width fields: `u32` length + UTF-8
 //! bytes for strings, `u32` element counts for lists; `Marginals` has an
-//! empty payload. `GrowDelta` carries the rows the peer counts:
+//! empty payload. `GrowDelta` carries the positions the peer counts: the
+//! windows of the query's one page-prefix sample on the union pages the
+//! peer's slice overlaps, and where that slice sits in the union.
 //!
 //! ```text
-//! GrowDelta = u64 m_target, u8 has_target, u32 target
-//!             u32 n, n × u32                live attributes
-//!             u8 form
-//!   form 0:   u32 rows, rows × u32          local rows, in draw order
-//!   form 1:   u32 span, ⌈span / 8⌉ bytes    bit r % 8 of byte r / 8 set
-//!                                           iff local row r is new
+//! GrowDelta   = u64 m_target, u8 has_target, u32 target
+//!               u32 n, n × u32              live attributes
+//!               u64 union_rows, u64 base    the union's rows; the slice's
+//!                                           first union row
+//!               u32 runs, runs × (u32 page, u32 start, u32 len)
+//!                                           slots start..start+len of a
+//!                                           whole union page
+//!               u32 pages, pages × fringe   a range's fringe pages
+//! fringe      = u32 page, u8 form
+//!   form 0:     u32 k, k × u16 slot         the page's drawn slots, in
+//!                                           draw order
+//!   form 1:     u16 from, u32 span,         bit i % 8 of byte i / 8 set
+//!               ⌈span / 8⌉ bytes            iff slot (from + i) mod rows
+//!                                           was drawn
 //! ```
 //!
-//! The sender picks the smaller form: the bitmap, over the peer's whole
-//! slice (`span` = its row count), iff `32 × rows > span`, a tie going to
-//! the list. A receiver refuses a bitmap the rule would not pick or with
-//! bits past its span, and a peer a list it would not pick, so the
-//! encoding of a delta is unique.
-//! The bitmap's 512 MiB (a slice of `u32::MAX` rows) bounds the frame.
+//! A union page holds `PAGE_ROWS` slots, the last one what is left of
+//! `union_rows`. Runs go in page order, each inside its page's rows, and
+//! fringe pages ascend. A fringe page's *window* starts at the first slot
+//! listed and runs, wrapping past the page's end, to the furthest one: a
+//! doubling draws a page's next members in slot order, so the window is
+//! the stretch of slots it swept, and a query's windows on a page add up
+//! to at most the page. The sender writes the window as a bitmap iff that
+//! takes fewer bytes than the list, `6 + ⌈span / 8⌉ < 4 + 2k`, a tie
+//! going to the list. A receiver refuses a form the rule would not pick,
+//! a bitmap whose first or last bit is clear, bits or slots past the
+//! page, and a window past the union, so re-encoding a decoded delta is
+//! byte-identical. Runs take two a page at most, 1.5 MiB over the 65 536
+//! pages of `u32::MAX` rows, and a range has two fringe pages: that
+//! bounds the frame.
 //!
 //! `CountMerge` — one per peer per doubling, most of a query's reply
 //! bytes — is LEB128 varints over the histograms' canonical form:
@@ -69,18 +87,22 @@
 //! attributes at all (payload `00 00`), which declines.
 //!
 //! Versions: 2 made `CountMerge` varints (1 had fixed-width entries), 3
-//! added `Marginals`, and 4 moved sampling to the coordinator — the
+//! added `Marginals`, 4 moved sampling to the coordinator — the
 //! `QuerySpec` frame (tag 2), from which every peer replayed the union's
-//! shuffle, is gone, and `GrowDelta` carries each peer's rows.
+//! shuffle, is gone — and 5 sends each peer union positions in page
+//! windows, where 4 sent it its own rows.
 //!
 //! [`FrameWriter`] and [`FrameReader`] each own one buffer that a session
 //! reuses for every frame; [`write_frame`] and [`read_frame`] are the
 //! same code over a throwaway buffer.
 
 use std::io::{Read, Write};
+use std::ops::Range;
 
 use swope_core::{AttrMeta, CountRequest, CountState, ShardCounts};
+use swope_sampling::Positions;
 use swope_store::crc32::{crc32, Crc32};
+use swope_store::page::PAGE_ROWS;
 use swope_store::{ByteReader, ReadError};
 
 /// Connection-sniffing magic: the first four bytes of every frame.
@@ -89,7 +111,7 @@ pub const MAGIC: [u8; 4] = *b"SWPC";
 /// Wire protocol version carried in [`Hello`] frames; peers reject
 /// mismatches rather than guessing (see the module docs for what each
 /// version changed).
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Upper bound on a `CountMerge` payload. One over the widest supported
 /// attribute set stays far below this; anything larger is a corrupt or
@@ -100,10 +122,11 @@ pub const MAX_PAYLOAD: u32 = 64 << 20;
 /// tens of thousands of attributes fits, and nothing else comes close.
 pub const MAX_CONTROL_PAYLOAD: u32 = 1 << 20;
 
-/// Upper bound on a `GrowDelta` payload: the bitmap of a slice of
-/// `u32::MAX` rows, plus a control frame's worth of attribute list. No
-/// delta is ever split across frames.
-pub const MAX_GROW_PAYLOAD: u32 = (512 << 20) + MAX_CONTROL_PAYLOAD;
+/// Upper bound on a `GrowDelta` payload: two runs on every page of
+/// `u32::MAX` rows and two fringe bitmaps (see the module docs), plus a
+/// control frame's worth of attribute list. No delta is ever split
+/// across frames.
+pub const MAX_GROW_PAYLOAD: u32 = (2 << 20) + MAX_CONTROL_PAYLOAD;
 
 const HEADER_LEN: usize = 9;
 const TAG_GROW_DELTA: u8 = 3;
@@ -186,9 +209,10 @@ pub struct Hello {
     pub attrs: Vec<AttrMeta>,
 }
 
-/// `GrowDelta`: one doubling iteration's counting request — the rows
-/// the sample grew by on this peer, to count for the still-live
-/// attributes (paired against `target` for MI queries).
+/// `GrowDelta`: one doubling iteration's counting request — the union
+/// positions the sample grew by on the pages this peer's slice overlaps,
+/// to count for the still-live attributes (paired against `target` for
+/// MI queries).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GrowDelta {
     /// Cumulative sample-size target over the union (absolute, not a
@@ -198,72 +222,31 @@ pub struct GrowDelta {
     pub target: Option<u32>,
     /// Still-live attribute indexes, in engine state order.
     pub live: Vec<u32>,
-    /// The peer's new rows.
-    pub rows: DeltaRows,
+    /// Rows in the union, whose layout the positions are drawn in.
+    pub union_rows: u64,
+    /// The union row the peer's slice starts at.
+    pub base: u64,
+    /// Whole-page windows: runs of union positions, each inside one page,
+    /// in page order.
+    pub runs: Vec<Range<u32>>,
+    /// Fringe-page positions, page by page in page order, in draw order:
+    /// a page that travelled as a bitmap reads back in window order,
+    /// ascending from its first slot and wrapping past the page's end.
+    pub list: Vec<u32>,
 }
 
-/// The rows one doubling adds to a peer's sample, as its local row
-/// indexes, in whichever form is smaller (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeltaRows {
-    /// The rows in draw order.
-    List(Vec<u32>),
-    /// One bit per row of the peer's slice of `span` rows — bit `r % 8`
-    /// of byte `r / 8` for local row `r` — so the rows read ascending.
-    Bitmap {
-        /// The slice's row count.
-        span: u32,
-        /// `⌈span / 8⌉` bytes.
-        bits: Vec<u8>,
-    },
+/// The rows of union page `page`, the last one's short count, or 0 past
+/// the union.
+fn page_len(union_rows: u64, page: u32) -> u32 {
+    let first = u64::from(page) * PAGE_ROWS as u64;
+    union_rows.saturating_sub(first).min(PAGE_ROWS as u64) as u32
 }
 
-impl DeltaRows {
-    /// `rows` of a slice of `span` rows, in the form the wire rule picks.
-    pub fn new(rows: &[u32], span: u32) -> Self {
-        if travels_as_bitmap(rows.len(), u64::from(span)) {
-            let mut bits = vec![0; bitmap_len(span)];
-            set_bits(&mut bits, rows);
-            DeltaRows::Bitmap { span, bits }
-        } else {
-            DeltaRows::List(rows.to_vec())
-        }
-    }
-
-    /// Appends the rows to `out` in the order a peer counts them: draw
-    /// order from a list, ascending from a bitmap.
-    pub fn append_to(&self, out: &mut Vec<u32>) {
-        let bits = match self {
-            DeltaRows::List(rows) => return out.extend_from_slice(rows),
-            DeltaRows::Bitmap { bits, .. } => bits,
-        };
-        for (i, chunk) in bits.chunks(8).enumerate() {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let mut word = u64::from_le_bytes(word);
-            while word != 0 {
-                out.push(64 * i as u32 + word.trailing_zeros());
-                word &= word - 1;
-            }
-        }
-    }
-}
-
-/// The wire rule: a delta of `rows` rows travels as a bitmap over its
-/// slice of `span` rows iff that is smaller than the list — a tie goes to
-/// the list.
-pub(crate) fn travels_as_bitmap(rows: usize, span: u64) -> bool {
-    32 * rows as u64 > span
-}
-
-fn bitmap_len(span: u32) -> usize {
-    (span as usize).div_ceil(8)
-}
-
-fn set_bits(bits: &mut [u8], rows: &[u32]) {
-    for &r in rows {
-        bits[r as usize / 8] |= 1 << (r % 8);
-    }
+/// The wire rule: `k` drawn slots of a fringe page whose window spans
+/// `span` slots travel as a bitmap of the window iff that takes fewer
+/// bytes than the list of `u16` slots — a tie goes to the list.
+fn fringe_as_bitmap(k: usize, span: u32) -> bool {
+    6 + u64::from(span).div_ceil(8) < 4 + 2 * k as u64
 }
 
 /// `CountMerge`: a peer's integer count deltas for one `GrowDelta`, held
@@ -423,12 +406,15 @@ fn put_count_merge(out: &mut Vec<u8>, counts: &mut ShardCounts) -> u64 {
 const FORM_LIST: u8 = 0;
 const FORM_BITMAP: u8 = 1;
 
-/// A `GrowDelta`'s fields before its rows.
-fn put_grow_head(
+/// A whole `GrowDelta` payload: its head, then `positions` — runs as page
+/// windows, the list as fringe pages in the form the wire rule picks.
+fn put_grow_delta(
     out: &mut Vec<u8>,
     m_target: u64,
     target: Option<u32>,
     live: impl ExactSizeIterator<Item = u32>,
+    (union_rows, base): (u64, u64),
+    positions: Positions<'_>,
 ) {
     put_u64(out, m_target);
     out.push(target.is_some() as u8);
@@ -437,28 +423,51 @@ fn put_grow_head(
     for a in live {
         put_u32(out, a);
     }
-}
-
-fn put_list(out: &mut Vec<u8>, rows: &[u32]) {
-    out.push(FORM_LIST);
-    put_u32(out, rows.len() as u32);
-    let at = out.len();
-    out.resize(at + 4 * rows.len(), 0);
-    for (bytes, &r) in out[at..].chunks_exact_mut(4).zip(rows) {
-        bytes.copy_from_slice(&r.to_le_bytes());
+    put_u64(out, union_rows);
+    put_u64(out, base);
+    let page_rows = PAGE_ROWS as u32;
+    put_u32(out, positions.runs.len() as u32);
+    for run in positions.runs {
+        debug_assert!(!run.is_empty() && (run.end - 1) / page_rows == run.start / page_rows);
+        put_u32(out, run.start / page_rows);
+        put_u32(out, run.start % page_rows);
+        put_u32(out, run.end - run.start);
     }
-}
-
-/// A `GrowDelta`'s rows, in the form the wire rule picks, built in place.
-fn put_rows(out: &mut Vec<u8>, rows: &[u32], span: u32) {
-    if !travels_as_bitmap(rows.len(), u64::from(span)) {
-        return put_list(out, rows);
+    let count_at = out.len();
+    put_u32(out, 0);
+    let mut pages = 0u32;
+    let mut rest = positions.list;
+    while let Some(&first) = rest.first() {
+        let page = first / page_rows;
+        let k = rest.iter().position(|&p| p / page_rows != page).unwrap_or(rest.len());
+        let (slots, tail) = rest.split_at(k);
+        rest = tail;
+        let rows = page_len(union_rows, page);
+        put_u32(out, page);
+        // The window starts at the first slot listed and runs, wrapping
+        // past the page's end, to the furthest one.
+        let from = first % page_rows;
+        let offset = |p: u32| (p % page_rows + rows - from) % rows;
+        let span = slots.iter().map(|&p| offset(p)).max().unwrap_or(0) + 1;
+        if fringe_as_bitmap(k, span) {
+            out.push(FORM_BITMAP);
+            out.extend_from_slice(&(from as u16).to_le_bytes());
+            put_u32(out, span);
+            let at = out.len();
+            out.resize(at + (span as usize).div_ceil(8), 0);
+            for i in slots.iter().map(|&p| offset(p) as usize) {
+                out[at + i / 8] |= 1 << (i % 8);
+            }
+        } else {
+            out.push(FORM_LIST);
+            put_u32(out, k as u32);
+            for &p in slots {
+                out.extend_from_slice(&((p % page_rows) as u16).to_le_bytes());
+            }
+        }
+        pages += 1;
     }
-    out.push(FORM_BITMAP);
-    put_u32(out, span);
-    let at = out.len();
-    out.resize(at + bitmap_len(span), 0);
-    set_bits(&mut out[at..], rows);
+    out[count_at..count_at + 4].copy_from_slice(&pages.to_le_bytes());
 }
 
 fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
@@ -473,18 +482,14 @@ fn put_payload(out: &mut Vec<u8>, frame: &Frame) {
                 put_u32(out, a.support);
             }
         }
-        Frame::GrowDelta(g) => {
-            put_grow_head(out, g.m_target, g.target, g.live.iter().copied());
-            match &g.rows {
-                DeltaRows::List(rows) => put_list(out, rows),
-                DeltaRows::Bitmap { span, bits } => {
-                    debug_assert_eq!(bits.len(), bitmap_len(*span));
-                    out.push(FORM_BITMAP);
-                    put_u32(out, *span);
-                    out.extend_from_slice(bits);
-                }
-            }
-        }
+        Frame::GrowDelta(g) => put_grow_delta(
+            out,
+            g.m_target,
+            g.target,
+            g.live.iter().copied(),
+            (g.union_rows, g.base),
+            Positions { runs: &g.runs, list: &g.list },
+        ),
         Frame::CountMerge(c) => out.extend_from_slice(&c.payload),
         Frame::Result(r) => put_u64(out, r.sampled),
         Frame::Error(e) => put_str(out, &e.message),
@@ -564,6 +569,103 @@ fn histogram(
     Ok((support, n))
 }
 
+/// A `GrowDelta`'s windows over a union of `union_rows` rows: its runs,
+/// then its fringe pages' positions, each checked against the rules that
+/// make the encoding unique (see the module docs).
+fn windows(
+    c: &mut ByteReader<'_>,
+    union_rows: u64,
+) -> Result<(Vec<Range<u32>>, Vec<u32>), FrameError> {
+    let page_rows = PAGE_ROWS as u32;
+    let n = c.list_len(12)?;
+    let mut runs = Vec::with_capacity(n);
+    let mut last = 0;
+    for _ in 0..n {
+        let (page, start, len) = (c.u32()?, c.u32()?, c.u32()?);
+        if page < last {
+            return Err(FrameError::Malformed("windows are not in page order"));
+        }
+        last = page;
+        let rows = page_len(union_rows, page);
+        if len == 0 || start >= rows || len > rows - start {
+            return Err(FrameError::Malformed("a window past its page's rows"));
+        }
+        let first = page * page_rows + start;
+        runs.push(first..first + len);
+    }
+    let pages = c.list_len(5)?;
+    let mut list = Vec::new();
+    let mut after = None;
+    for _ in 0..pages {
+        let page = c.u32()?;
+        if after.is_some_and(|before| page <= before) {
+            return Err(FrameError::Malformed("fringe pages do not ascend"));
+        }
+        after = Some(page);
+        let rows = page_len(union_rows, page);
+        if rows == 0 {
+            return Err(FrameError::Malformed("a fringe page past the union's rows"));
+        }
+        let first = page * page_rows;
+        match c.u8()? {
+            FORM_LIST => {
+                let k = c.list_len(2)?;
+                let mut slots = Vec::with_capacity(k);
+                for _ in 0..k {
+                    let slot = u32::from(c.u16()?);
+                    if slot >= rows {
+                        return Err(FrameError::Malformed("a slot past its page's rows"));
+                    }
+                    slots.push(slot);
+                }
+                let Some(&from) = slots.first() else {
+                    return Err(FrameError::Malformed("a fringe page with no slot"));
+                };
+                let span = slots.iter().map(|&s| (s + rows - from) % rows).max().unwrap_or(0) + 1;
+                if fringe_as_bitmap(k, span) {
+                    return Err(FrameError::Malformed(
+                        "a fringe page this dense travels as a bitmap",
+                    ));
+                }
+                list.extend(slots.iter().map(|&slot| first + slot));
+            }
+            FORM_BITMAP => {
+                let from = u32::from(c.u16()?);
+                let span = c.u32()?;
+                if from >= rows || span == 0 || span > rows {
+                    return Err(FrameError::Malformed("a window past its page's rows"));
+                }
+                let bits = c.take((span as usize).div_ceil(8))?;
+                if span % 8 != 0 && bits[bits.len() - 1] >> (span % 8) != 0 {
+                    return Err(FrameError::Malformed("a bitmap sets a bit past its window"));
+                }
+                let bit = |i: u32| bits[i as usize / 8] >> (i % 8) & 1 == 1;
+                if !bit(0) || !bit(span - 1) {
+                    return Err(FrameError::Malformed("a bitmap window wider than its slots"));
+                }
+                let k = bits.iter().map(|b| b.count_ones() as usize).sum();
+                if !fringe_as_bitmap(k, span) {
+                    return Err(FrameError::Malformed(
+                        "a fringe page this sparse travels as a list",
+                    ));
+                }
+                for (i, chunk) in bits.chunks(8).enumerate() {
+                    let mut word = [0u8; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    let mut word = u64::from_le_bytes(word);
+                    while word != 0 {
+                        let offset = 64 * i as u32 + word.trailing_zeros();
+                        list.push(first + (from + offset) % rows);
+                        word &= word - 1;
+                    }
+                }
+            }
+            _ => return Err(FrameError::Malformed("fringe form is neither list nor bitmap")),
+        }
+    }
+    Ok((runs, list))
+}
+
 fn finish(c: &ByteReader<'_>) -> Result<(), FrameError> {
     if c.remaining() > 0 {
         return Err(FrameError::Malformed("trailing bytes after payload"));
@@ -639,27 +741,19 @@ fn decode_payload(tag: u8, bytes: &[u8]) -> Result<Frame, FrameError> {
         }
         TAG_GROW_DELTA => {
             let m_target = c.u64()?;
-            let has_target = c.u8()? != 0;
-            let target_raw = c.u32()?;
-            let live = u32_list(&mut c)?;
-            let rows = match c.u8()? {
-                FORM_LIST => DeltaRows::List(u32_list(&mut c)?),
-                FORM_BITMAP => {
-                    let span = c.u32()?;
-                    let bits = c.take(bitmap_len(span))?;
-                    if span % 8 != 0 && bits[bits.len() - 1] >> (span % 8) != 0 {
-                        return Err(FrameError::Malformed("bitmap sets a bit past its span"));
-                    }
-                    let rows = bits.iter().map(|b| b.count_ones() as usize).sum();
-                    if !travels_as_bitmap(rows, u64::from(span)) {
-                        return Err(FrameError::Malformed("a delta this sparse travels as a list"));
-                    }
-                    DeltaRows::Bitmap { span, bits: bits.to_vec() }
-                }
-                _ => return Err(FrameError::Malformed("row form is neither list nor bitmap")),
+            let target = match (c.u8()?, c.u32()?) {
+                (0, 0) => None,
+                (1, t) => Some(t),
+                (0, _) => return Err(FrameError::Malformed("a target index without a target")),
+                _ => return Err(FrameError::Malformed("target flag is neither 0 nor 1")),
             };
-            let target = has_target.then_some(target_raw);
-            Frame::GrowDelta(GrowDelta { m_target, target, live, rows })
+            let live = u32_list(&mut c)?;
+            let (union_rows, base) = (c.u64()?, c.u64()?);
+            if union_rows > u64::from(u32::MAX) {
+                return Err(FrameError::Malformed("a union of more rows than a position names"));
+            }
+            let (runs, list) = windows(&mut c, union_rows)?;
+            Frame::GrowDelta(GrowDelta { m_target, target, live, union_rows, base, runs, list })
         }
         5 => Frame::Result(ResultFrame { sampled: c.u64()? }),
         6 => Frame::Error(ErrorFrame { message: c.str()?.to_owned() }),
@@ -706,21 +800,21 @@ impl FrameWriter {
         self.finish(w)
     }
 
-    /// Writes a `GrowDelta` for `req` straight from a peer's new `rows`
-    /// of its slice of `span` rows, in the form the wire rule picks,
-    /// returning the bytes put on the wire.
+    /// Writes a `GrowDelta` for `req` straight from the union `positions`
+    /// a peer counts, for a slice that starts at union row `base` of
+    /// `union_rows`, returning the bytes put on the wire.
     pub fn write_grow_delta<W: Write>(
         &mut self,
         w: &mut W,
         m_target: u64,
         req: &CountRequest,
-        rows: &[u32],
-        span: u32,
+        (union_rows, base): (u64, u64),
+        positions: Positions<'_>,
     ) -> Result<usize, FrameError> {
         self.begin(TAG_GROW_DELTA);
         let live = req.live.iter().map(|&a| a as u32);
-        put_grow_head(&mut self.buf, m_target, req.target.map(|t| t as u32), live);
-        put_rows(&mut self.buf, rows, span);
+        let target = req.target.map(|t| t as u32);
+        put_grow_delta(&mut self.buf, m_target, target, live, (union_rows, base), positions);
         self.finish(w)
     }
 
@@ -891,17 +985,27 @@ mod tests {
         counts
     }
 
-    /// A sparse delta of a 1 000-row slice: three rows, in draw order.
-    fn grow_list() -> Frame {
-        let rows = DeltaRows::new(&[617, 3, 250], 1_000);
-        Frame::GrowDelta(GrowDelta { m_target: 4096, target: Some(3), live: vec![0, 1, 5], rows })
+    const P: u32 = PAGE_ROWS as u32;
+
+    /// A `GrowDelta` over a union of three pages and 1 000 rows, for a
+    /// slice that starts inside page 1.
+    fn grow(target: Option<u32>, live: Vec<u32>, runs: Vec<Range<u32>>, list: Vec<u32>) -> Frame {
+        let (union_rows, base) = (3 * u64::from(P) + 1_000, u64::from(P) + 17);
+        Frame::GrowDelta(GrowDelta { m_target: 4096, target, live, union_rows, base, runs, list })
     }
 
-    /// A dense delta of a 1 000-row slice: every third row.
+    /// Runs on two pages, one of them wrapping, and a sparse fringe page:
+    /// three slots, in draw order.
+    fn grow_list() -> Frame {
+        let runs = vec![P + 9..P + 40, 2 * P + 60_000..3 * P, 2 * P..2 * P + 3];
+        grow(Some(3), vec![0, 1, 5], runs, vec![3 * P + 617, 3 * P + 3, 3 * P + 250])
+    }
+
+    /// A dense fringe page: every third slot of the short last page,
+    /// ascending, after a sparse one.
     fn grow_bitmap() -> Frame {
-        let rows: Vec<u32> = (0..1_000).step_by(3).collect();
-        let rows = DeltaRows::new(&rows, 1_000);
-        Frame::GrowDelta(GrowDelta { m_target: 64, target: None, live: vec![2], rows })
+        let list = [2 * P + 5].into_iter().chain((3 * P..3 * P + 1_000).step_by(3)).collect();
+        grow(None, vec![2], Vec::new(), list)
     }
 
     /// One frame of every kind with a payload layout to break, `GrowDelta`
@@ -1015,69 +1119,139 @@ mod tests {
         }
     }
 
-    /// The bitmap iff `32 × rows > span`, a tie going to the list; the
-    /// session path writes what the frame value does, and a bitmap reads
-    /// back ascending.
+    /// A fringe page travels as a bitmap of its window iff that takes
+    /// fewer bytes than the list, a tie going to the list; the session
+    /// path writes what the frame value does, and a bitmap reads back in
+    /// window order.
     #[test]
     fn grow_delta_takes_the_smaller_form() {
         let req = CountRequest { target: Some(1), live: vec![0, 2] };
-        for (n, bitmap) in [(0, false), (10, false), (11, true), (320, true)] {
-            let rows: Vec<u32> = (0..n).map(|i| (i * 97) % 320).rev().collect();
-            let delta = DeltaRows::new(&rows, 320);
-            assert_eq!(matches!(delta, DeltaRows::Bitmap { .. }), bitmap, "{n} rows");
-            let frame = Frame::GrowDelta(GrowDelta {
-                m_target: 9,
-                target: Some(1),
-                live: vec![0, 2],
-                rows: delta,
-            });
+        let frame = (320, 0);
+        let cases: [(&[u32], u32, bool); 7] = [
+            (&[5], 1, false),
+            (&[5, 6], 2, true),
+            (&[318, 319, 0, 1], 4, true),
+            (&[0, 100, 200], 201, false),
+            // Ten bytes either way: the list.
+            (&[0, 16, 32, 48, 63], 64, false),
+            (&[0, 14, 28, 42, 55], 56, true),
+            (&[300, 10, 299], 320, false),
+        ];
+        for (list, span, bitmap) in cases {
+            let positions = Positions { runs: &[], list };
             let mut direct = Vec::new();
-            FrameWriter::new().write_grow_delta(&mut direct, 9, &req, &rows, 320).unwrap();
-            assert_eq!(direct, encode(&frame), "{n} rows");
-            let Ok(Frame::GrowDelta(back)) = decode(&direct) else { panic!("{n} rows") };
-            let mut read = Vec::new();
-            back.rows.append_to(&mut read);
-            if bitmap {
-                let mut ascending = rows.clone();
-                ascending.sort_unstable();
-                assert_eq!(read, ascending);
-            } else {
-                assert_eq!(read, rows);
-            }
+            FrameWriter::new().write_grow_delta(&mut direct, 9, &req, frame, positions).unwrap();
+            let Ok(Frame::GrowDelta(back)) = decode(&direct) else { panic!("{list:?}") };
+            // Head 41, runs 4, pages 4, page and form 5.
+            let size = if bitmap { 6 + span.div_ceil(8) } else { 4 + 2 * list.len() as u32 };
+            assert_eq!(direct.len() as u32, 9 + 41 + 4 + 4 + 5 + size + 4, "{list:?}");
+            assert_eq!(back.list, list, "{list:?}");
+            assert_eq!(encode(&Frame::GrowDelta(back)), direct, "{list:?}");
         }
     }
 
-    #[test]
-    fn hostile_bitmaps_are_errors() {
-        // A GrowDelta over no attributes with `rows` as its row part.
-        let grow = |rows: &[u8]| {
-            let mut body = Vec::new();
-            put_grow_head(&mut body, 8, None, std::iter::empty());
-            body.extend_from_slice(rows);
-            body
-        };
-        // 12 rows of a 20-row slice: three bytes, the last with 4 spare bits.
-        let bitmap = |last: u8| [&[FORM_BITMAP, 20, 0, 0, 0, 0xFF, 0x0F][..], &[last]].concat();
-        assert!(decode_payload(TAG_GROW_DELTA, &grow(&bitmap(0x00))).is_ok());
-        let hostile: Vec<(&str, Vec<u8>)> = vec![
-            ("bitmap sets a bit past its span", grow(&bitmap(0x10))),
-            ("bitmap sets a bit past its span", grow(&bitmap(0x80))),
-            (
-                "a delta this sparse travels as a list",
-                grow(&[FORM_BITMAP, 64, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]),
-            ),
-            ("a delta this sparse travels as a list", grow(&[FORM_BITMAP, 0, 0, 0, 0])),
-            ("payload shorter than its layout", grow(&bitmap(0)[..7])),
-            ("row form is neither list nor bitmap", grow(&[2, 0, 0, 0, 0])),
-            ("list count exceeds payload size", grow(&[FORM_LIST, 2, 0, 0, 0, 1, 0, 0, 0])),
-            ("trailing bytes after payload", grow(&[FORM_LIST, 0, 0, 0, 0, 0])),
-        ];
+    /// A `GrowDelta` payload over no attributes and a union of
+    /// `union_rows` rows, with `windows` as its runs and fringe pages.
+    fn grow_body(union_rows: u64, windows: &[&[u8]]) -> Vec<u8> {
+        let mut body = Vec::new();
+        let frame = (union_rows, 0);
+        put_grow_delta(&mut body, 8, None, std::iter::empty(), frame, Positions::default());
+        body.truncate(body.len() - 8);
+        body.extend_from_slice(&windows.concat());
+        body
+    }
+
+    /// Each body fails to parse for its reason, so a case cannot pass by
+    /// being broken in some way other than the one it is here for.
+    fn refuses(hostile: Vec<(&str, Vec<u8>)>) {
         for (why, body) in hostile {
             match decode_payload(TAG_GROW_DELTA, &body) {
                 Err(FrameError::Malformed(reason)) => assert_eq!(reason, why, "{body:02x?}"),
                 other => panic!("{why}: parsed {body:02x?} as {other:?}"),
             }
         }
+    }
+
+    const NONE: [u8; 4] = [0; 4];
+    const ONE: [u8; 4] = [1, 0, 0, 0];
+
+    #[test]
+    fn hostile_bitmaps_are_errors() {
+        let grow = |windows: &[&[u8]]| grow_body(20, windows);
+        // A window of page 0's 20 slots, from slot `from`, `span` long.
+        let bitmap = |from: u8, span: u8, bits: &[u8]| {
+            grow(&[&NONE, &ONE, &NONE, &[FORM_BITMAP, from, 0, span, 0, 0, 0], bits])
+        };
+        let list =
+            |k: u8, slots: &[u8]| grow(&[&NONE, &ONE, &NONE, &[FORM_LIST, k, 0, 0, 0], slots]);
+        // 12 slots from 0, and slots 18, 19, 0 and 1.
+        assert!(decode_payload(TAG_GROW_DELTA, &bitmap(0, 12, &[0xFF, 0x0F])).is_ok());
+        assert!(decode_payload(TAG_GROW_DELTA, &bitmap(18, 4, &[0x0F])).is_ok());
+        assert!(decode_payload(TAG_GROW_DELTA, &list(1, &[19, 0])).is_ok());
+        let fringe = [FORM_LIST, 1, 0, 0, 0, 0, 0];
+        refuses(vec![
+            ("a bitmap sets a bit past its window", bitmap(0, 12, &[0xFF, 0x1F])),
+            ("a bitmap sets a bit past its window", bitmap(0, 12, &[0xFF, 0x8F])),
+            ("a bitmap window wider than its slots", bitmap(0, 12, &[0xFE, 0x0F])),
+            ("a bitmap window wider than its slots", bitmap(0, 12, &[0xFF, 0x07])),
+            ("a fringe page this sparse travels as a list", bitmap(0, 9, &[0x01, 0x01])),
+            ("a window past its page's rows", bitmap(20, 1, &[0x01])),
+            ("a window past its page's rows", bitmap(0, 21, &[0xFF, 0xFF, 0x1F])),
+            ("a window past its page's rows", bitmap(0, 0, &[])),
+            ("payload shorter than its layout", bitmap(0, 12, &[0xFF])),
+            ("a fringe page this dense travels as a bitmap", list(2, &[1, 0, 2, 0])),
+            ("a fringe page with no slot", list(0, &[])),
+            ("a slot past its page's rows", list(1, &[20, 0])),
+            (
+                "fringe form is neither list nor bitmap",
+                grow(&[&NONE, &ONE, &NONE, &[2, 1, 0, 0, 0, 1, 0]]),
+            ),
+            ("a fringe page past the union's rows", grow(&[&NONE, &ONE, &ONE, &fringe])),
+            (
+                "fringe pages do not ascend",
+                grow_body(
+                    u64::from(P) + 20,
+                    &[&NONE, &[2, 0, 0, 0], &ONE, &fringe, &NONE, &fringe],
+                ),
+            ),
+            ("list count exceeds payload size", grow(&[&NONE, &[2, 0, 0, 0, 0]])),
+        ]);
+    }
+
+    #[test]
+    fn hostile_windows_are_errors() {
+        let run = |page: u8, start: u8, len: u8| {
+            grow_body(20, &[&ONE, &[page, 0, 0, 0, start, 0, 0, 0, len, 0, 0, 0], &NONE])
+        };
+        assert!(decode_payload(TAG_GROW_DELTA, &run(0, 4, 16)).is_ok());
+        let two_pages = u64::from(P) + 20;
+        refuses(vec![
+            ("a window past its page's rows", run(0, 4, 17)),
+            ("a window past its page's rows", run(0, 20, 1)),
+            ("a window past its page's rows", run(0, 3, 0)),
+            ("a window past its page's rows", run(1, 0, 1)),
+            (
+                "windows are not in page order",
+                grow_body(
+                    two_pages,
+                    &[&[2, 0, 0, 0], &ONE, &NONE, &ONE, &NONE, &NONE, &ONE, &NONE],
+                ),
+            ),
+            ("list count exceeds payload size", grow_body(20, &[&[1, 0, 0, 0, 0]])),
+            ("trailing bytes after payload", grow_body(20, &[&NONE, &NONE, &[0]])),
+            ("a union of more rows than a position names", grow_body(1 << 32, &[&NONE, &NONE])),
+        ]);
+        // The target flag and index, right after `m_target`.
+        let with_target = |flag: u8, index: u8| {
+            let mut body = grow_body(20, &[&NONE, &NONE]);
+            body[8..13].copy_from_slice(&[flag, index, 0, 0, 0]);
+            body
+        };
+        assert!(decode_payload(TAG_GROW_DELTA, &with_target(1, 7)).is_ok());
+        refuses(vec![
+            ("target flag is neither 0 nor 1", with_target(2, 0)),
+            ("a target index without a target", with_target(0, 7)),
+        ]);
     }
 
     #[test]

@@ -4,47 +4,59 @@
 //! A peer session is a tiny state machine on one connection:
 //!
 //! ```text
-//! coordinator                         peer
-//! -----------                         ----
-//! Hello(dataset) ────────────────────▶
-//!            ◀──────────────────────── Hello(num_rows, attrs)
-//! [Marginals] ───────────────────────▶          ┐ per
-//!            ◀──────────────────────── CountMerge │ query (MI over
-//! GrowDelta(live, rows₁) ────────────▶          │ the whole union)
-//!            ◀──────────────────────── CountMerge │ (repeats
-//! GrowDelta(live′, rows₂) ───────────▶          │  per
-//!            ◀──────────────────────── CountMerge │  iteration)
-//! Result(sampled) ───────────────────▶          ┘
+//! coordinator                                  peer
+//! -----------                                  ----
+//! Hello(dataset) ─────────────────────────────▶
+//!            ◀───────────────────────────────── Hello(num_rows, attrs)
+//! [Marginals] ────────────────────────────────▶          ┐ per
+//!            ◀───────────────────────────────── CountMerge │ query (MI over
+//! GrowDelta(live, N, base, windows₁) ─────────▶          │ the whole union)
+//!            ◀───────────────────────────────── CountMerge │ (repeats
+//! GrowDelta(live′, N, base, windows₂) ────────▶          │  per
+//!            ◀───────────────────────────────── CountMerge │  iteration)
+//! Result(sampled) ────────────────────────────▶          ┘
 //! ```
 //!
 //! The peer never sees scores, bounds or the sampler — only integer count
-//! work. The coordinator draws the query's one sample and sends each peer
-//! the rows that fell in its slice, as local row indexes; the peer maps
-//! them to its own storage positions ([`Dataset::row_positions`]) and
-//! counts exactly those through the session's [`Counter`], the body every shard
-//! counts with, parking each reply's histograms and joint deltas for the
-//! next doubling. Its work is `O(rows sent)`, and nothing it allocates is
-//! sized by the population. Asked for `Marginals`, it gives its slice's
+//! work. The coordinator draws the query's one sample over the union's
+//! page layout and sends each peer the windows of it on the union pages
+//! its slice overlaps: runs of whole pages as `(page, start, len)` and a
+//! range's fringe pages as slots. Each `GrowDelta` also names its frame:
+//! the union's row count `N` and the union row `base` the slice starts
+//! at. From the frame the peer builds a slot table once and keeps it
+//! across sessions (one per dataset): for every slot of every union page
+//! it overlaps, its own position of the row there, or "not mine". A
+//! window is a slice of that table, filtered only on a page that
+//! straddles a cut; on a page the peer stores in the union's order — every
+//! whole page of a slice whose base is 0 — the table is the identity,
+//! stores nothing, and a run stays a run that the [`Counter`] reads in
+//! place. The peer counts exactly those positions through the session's
+//! [`Counter`], the body every shard counts with, parking each reply's
+//! histograms and joint deltas for the next doubling. Its work is
+//! `O(positions sent)`. Asked for `Marginals`, it gives its slice's
 //! partition-sketch totals, or, without a usable sketch, declines; summed,
 //! they are the union's marginals.
 //!
-//! Protocol violations — a row past the slice, a bitmap over another row
-//! count, an attribute out of range, a frame out of order — and unknown
-//! datasets are answered with an [`ErrorFrame`] and end the session; a
-//! clean EOF or an `Error` from the coordinator ends it silently. All
-//! counting here is single-threaded: a peer's parallelism across queries
-//! comes from serving many connections.
+//! Protocol violations — a frame whose slice runs past the union, a
+//! window on a page the slice does not overlap, an attribute out of
+//! range, a frame out of order — and unknown datasets are answered with
+//! an [`ErrorFrame`] and end the session; a clean EOF or an `Error` from
+//! the coordinator ends it silently. All counting here is
+//! single-threaded: a peer's parallelism across queries comes from
+//! serving many connections.
 
 use std::io::{Read, Write};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Mutex, Weak};
 
 use swope_columnar::{Dataset, DatasetSketch};
 use swope_core::shard::{dataset_meta, Counter};
 use swope_core::{sketch_marginals, CountRequest, Executor, ShardCounts};
+use swope_sampling::{PageLayout, Positions};
+use swope_store::page::PAGE_ROWS;
 
 use crate::frame::{
-    travels_as_bitmap, DeltaRows, ErrorFrame, Frame, FrameError, FrameReader, FrameWriter,
-    GrowDelta, Hello, PROTOCOL_VERSION,
+    ErrorFrame, Frame, FrameError, FrameReader, FrameWriter, GrowDelta, Hello, PROTOCOL_VERSION,
 };
 use crate::stats::ClusterStats;
 
@@ -80,12 +92,16 @@ impl<S: Read + Write> Wire<'_, S> {
     fn send_counts(&mut self, counts: &mut ShardCounts) -> Result<(), FrameError> {
         let n = self.writer.write_count_merge(self.io, counts)?;
         self.stats.record_sent(n);
+        self.stats.record_count_merge(n);
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Frame, FrameError> {
         let (frame, n) = self.reader.read(self.io)?;
         self.stats.record_received(n);
+        if let Frame::GrowDelta(_) = frame {
+            self.stats.record_grow_delta(n);
+        }
         Ok(frame)
     }
 
@@ -118,65 +134,49 @@ pub enum SessionEnd {
 /// until the next `Hello`.
 struct Session {
     served: PeerDataset,
+    /// The slot table of the frame the last `GrowDelta` named.
+    table: Option<Arc<SlotTable>>,
     counter: Counter,
     req: CountRequest,
-    /// A bitmap's rows, ascending.
-    rows: Vec<u32>,
-    /// The delta's rows' positions in the dataset's storage.
-    positions: Vec<u32>,
+    /// The delta's positions in the dataset's storage: runs of pages the
+    /// peer stores in the union's order, and the rest one by one.
+    runs: Vec<Range<u32>>,
+    list: Vec<u32>,
     counts: ShardCounts,
 }
 
 impl Session {
     fn new(served: PeerDataset) -> Self {
         Self {
-            counter: Counter::new(),
             served,
+            table: None,
+            counter: Counter::new(),
             req: CountRequest { target: None, live: Vec::new() },
-            rows: Vec::new(),
-            positions: Vec::new(),
+            runs: Vec::new(),
+            list: Vec::new(),
             counts: ShardCounts::empty(None, []),
         }
     }
 
-    /// Counts `grow`'s rows, or says in one line why they are not this
-    /// slice's to count.
+    /// Counts `grow`'s positions that hold this slice's rows, or says in
+    /// one line why they are not this slice's to count.
     fn count(&mut self, grow: &GrowDelta) -> Result<&mut ShardCounts, String> {
-        let ds = &*self.served.dataset;
+        let ds = &self.served.dataset;
         let attrs = ds.num_attrs() as u32;
         if grow.live.iter().chain(grow.target.iter()).any(|&a| a >= attrs) {
             return Err(format!("GrowDelta names an attribute beyond the dataset's {attrs}"));
         }
-        let held = ds.num_rows() as u64;
-        let Self { counter, req, rows: bitmap_rows, positions, counts, .. } = self;
-        let rows = match &grow.rows {
-            DeltaRows::List(rows) => {
-                if let Some(&row) = rows.iter().find(|&&row| u64::from(row) >= held) {
-                    return Err(format!("GrowDelta row {row} is past this peer's {held} rows"));
-                }
-                if travels_as_bitmap(rows.len(), held) {
-                    return Err(format!(
-                        "GrowDelta lists {} of this peer's {held} rows; that many travel as a bitmap",
-                        rows.len()
-                    ));
-                }
-                rows
-            }
-            DeltaRows::Bitmap { span, .. } if u64::from(*span) != held => {
-                return Err(format!(
-                    "GrowDelta bitmap spans {span} rows, but this peer holds {held}"
-                ));
-            }
-            bitmap => {
-                bitmap_rows.clear();
-                bitmap.append_to(bitmap_rows);
-                bitmap_rows
-            }
+        let frame = (grow.union_rows, grow.base);
+        let table = match &self.table {
+            Some(table) if table.frame() == frame => table,
+            _ => self.table.insert(slot_table(ds, frame)?),
         };
+        let Self { counter, req, runs, list, counts, .. } = self;
+        table.window(grow, runs, list)?;
         req.target = grow.target.map(|t| t as usize);
         req.live.clear();
         req.live.extend(grow.live.iter().map(|&a| a as usize));
-        let positions = ds.row_positions(rows, positions);
+        let positions = Positions { runs, list };
         counter.count(ds, positions, req, counts, &Executor::sequential());
         Ok(counts)
     }
@@ -185,6 +185,159 @@ impl Session {
     fn park(&mut self) {
         self.counter.park(&self.req, &mut self.counts);
     }
+}
+
+/// A slot that holds another peer's row.
+const NOT_MINE: u32 = u32::MAX;
+
+/// Where a peer's rows sit among the union's positions: for every union
+/// page its slice overlaps, the peer's own position of the row at each
+/// slot, or [`NOT_MINE`]. Built once per dataset and frame — the union's
+/// row count and the slice's first union row — it turns a `GrowDelta`'s
+/// windows into positions the [`Counter`] reads, at most 4 bytes a slot.
+#[derive(Debug)]
+struct SlotTable {
+    union_rows: u64,
+    base: u64,
+    /// The first union page the slice overlaps.
+    first_page: u32,
+    /// One entry per overlapping union page, from `first_page` on.
+    pages: Vec<PageSlots>,
+    /// The mapped pages' slots, a page's worth each.
+    slots: Vec<u32>,
+}
+
+/// What a union page's slots are to a peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PageSlots {
+    /// Slot `s` holds the peer's position `first + s`: the peer stores the
+    /// page's rows in the union's order, and a window of it is a run.
+    Identity { first: u32 },
+    /// The page's slots are [`SlotTable::slots`] from `from` on;
+    /// `straddles` iff some hold another peer's row.
+    Mapped { from: u32, straddles: bool },
+}
+
+impl SlotTable {
+    /// The table of `ds`'s rows placed at union row `base` of a union of
+    /// `union_rows` rows, or why they cannot be.
+    fn build(ds: &Dataset, (union_rows, base): (u64, u64)) -> Result<Self, String> {
+        let held = ds.num_rows() as u64;
+        if base.checked_add(held).map_or(true, |end| end > union_rows) {
+            return Err(format!(
+                "GrowDelta places this peer's {held} rows at union row {base}, past the union's {union_rows}"
+            ));
+        }
+        let page_rows = PAGE_ROWS as u64;
+        let first_page = base / page_rows;
+        let (mut pages, mut slots, mut order) = (Vec::new(), Vec::new(), Vec::new());
+        for page in first_page..(base + held).div_ceil(page_rows) {
+            let first = page * page_rows;
+            PageLayout::slot_rows(
+                page as usize,
+                (union_rows - first).min(page_rows) as usize,
+                &mut order,
+            );
+            let from = slots.len();
+            let (mut identity, mut straddles) = (true, false);
+            for (s, &r) in order.iter().enumerate() {
+                let row = first + u64::from(r);
+                let position = if (base..base + held).contains(&row) {
+                    ds.layout().position_of((row - base) as u32)
+                } else {
+                    straddles = true;
+                    NOT_MINE
+                };
+                identity &= u64::from(position) + base == first + s as u64;
+                slots.push(position);
+            }
+            pages.push(if identity && !straddles {
+                slots.truncate(from);
+                PageSlots::Identity { first: (first - base) as u32 }
+            } else {
+                PageSlots::Mapped { from: from as u32, straddles }
+            });
+        }
+        Ok(Self { union_rows, base, first_page: first_page as u32, pages, slots })
+    }
+
+    /// The frame the table was built for.
+    fn frame(&self) -> (u64, u64) {
+        (self.union_rows, self.base)
+    }
+
+    /// The slots of union page `page`, if the slice overlaps it.
+    fn page(&self, page: u32) -> Option<PageSlots> {
+        self.pages.get(page.checked_sub(self.first_page)? as usize).copied()
+    }
+
+    /// Turns `grow`'s windows, drawn over the union this table was built
+    /// for, into this peer's positions: a run on an identity page stays a
+    /// run, any other window is a slice of the table, filtered only on a
+    /// page that straddles a cut.
+    fn window(
+        &self,
+        grow: &GrowDelta,
+        runs: &mut Vec<Range<u32>>,
+        list: &mut Vec<u32>,
+    ) -> Result<(), String> {
+        runs.clear();
+        list.clear();
+        let page_rows = PAGE_ROWS as u32;
+        for run in &grow.runs {
+            let (page, slot) = (run.start / page_rows, run.start % page_rows);
+            match self.page(page).ok_or_else(|| {
+                let pages = self.first_page..self.first_page + self.pages.len() as u32;
+                format!("GrowDelta window on union page {page} is past this peer's pages {pages:?}")
+            })? {
+                PageSlots::Identity { first } => {
+                    runs.push(first + slot..first + slot + run.len() as u32)
+                }
+                PageSlots::Mapped { from, straddles } => {
+                    let slots = &self.slots[(from + slot) as usize..][..run.len()];
+                    if straddles {
+                        list.extend(slots.iter().copied().filter(|&p| p != NOT_MINE));
+                    } else {
+                        list.extend_from_slice(slots);
+                    }
+                }
+            }
+        }
+        for &position in &grow.list {
+            let (page, slot) = (position / page_rows, position % page_rows);
+            match self.page(page).ok_or_else(|| {
+                format!("GrowDelta position {position} is on union page {page}, where this peer holds no slot")
+            })? {
+                PageSlots::Identity { first } => list.push(first + slot),
+                PageSlots::Mapped { from, .. } => {
+                    let mine = self.slots[(from + slot) as usize];
+                    if mine != NOT_MINE {
+                        list.push(mine);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The slot table of `ds` under `frame`, kept across sessions while the
+/// dataset lives: one per dataset, that of the frame it was last asked
+/// for, since a peer serves one union at a time.
+fn slot_table(ds: &Arc<Dataset>, frame: (u64, u64)) -> Result<Arc<SlotTable>, String> {
+    static KEPT: Mutex<Vec<(Weak<Dataset>, Arc<SlotTable>)>> = Mutex::new(Vec::new());
+    let mut kept = KEPT.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    kept.retain(|(held, _)| held.strong_count() > 0);
+    let at = kept.iter().position(|(held, _)| held.as_ptr() == Arc::as_ptr(ds));
+    if let Some(table) = at.map(|i| &kept[i].1).filter(|table| table.frame() == frame) {
+        return Ok(Arc::clone(table));
+    }
+    let table = Arc::new(SlotTable::build(ds, frame)?);
+    match at {
+        Some(i) => kept[i].1 = Arc::clone(&table),
+        None => kept.push((Arc::downgrade(ds), Arc::clone(&table))),
+    }
+    Ok(table)
 }
 
 /// Serves one coordinator connection until EOF or a protocol error.
@@ -343,12 +496,24 @@ mod tests {
         })
     }
 
-    fn grow(target: Option<u32>, live: Vec<u32>, rows: DeltaRows) -> Frame {
-        Frame::GrowDelta(GrowDelta { m_target: 64, target, live, rows })
+    const P: u32 = PAGE_ROWS as u32;
+
+    /// A `GrowDelta` for a slice at union row `base` of `union_rows`.
+    fn grow(
+        target: Option<u32>,
+        live: Vec<u32>,
+        (union_rows, base): (u64, u64),
+        runs: Vec<Range<u32>>,
+        list: Vec<u32>,
+    ) -> Frame {
+        Frame::GrowDelta(GrowDelta { m_target: 64, target, live, union_rows, base, runs, list })
     }
 
-    /// Every fifth row of the 500: dense enough to travel as a bitmap.
-    fn dense_rows() -> Vec<u32> {
+    /// The 500-row dataset as a union of its own.
+    const ALONE: (u64, u64) = (500, 0);
+
+    /// Every fifth slot of the 500: dense enough to travel as a bitmap.
+    fn dense_slots() -> Vec<u32> {
         (0..500).step_by(5).collect()
     }
 
@@ -359,7 +524,7 @@ mod tests {
         let sampled: Vec<u32> = (0..64).map(|i| (i * 7) % 500).collect();
         let mut pipe = Pipe::scripted(&[
             hello("t"),
-            grow(None, vec![0, 1, 2, 3], DeltaRows::new(&sampled, n as u32)),
+            grow(None, vec![0, 1, 2, 3], ALONE, Vec::new(), sampled),
             Frame::Result(ResultFrame { sampled: 64 }),
         ]);
         let stats = ClusterStats::new();
@@ -371,7 +536,7 @@ mod tests {
         assert_eq!(h.num_rows, n);
         assert_eq!(h.attrs.len(), 4);
         let Frame::CountMerge(c) = &replies[1] else { panic!("expected CountMerge") };
-        // All 64 rows sent are counted for each of the 4 live attributes.
+        // All 64 positions sent are counted for each of the 4 live attributes.
         let mut counts = ShardCounts::empty(None, (0..4).map(|a| ds.support(a)));
         c.decode_into(&mut counts).unwrap();
         assert!(counts.target.is_none());
@@ -383,6 +548,11 @@ mod tests {
         assert_eq!(snap.frames_received, 3);
         assert_eq!(snap.frames_sent, 2);
         assert_eq!(snap.peer_errors, 0);
+        // The typed byte counters see the one GrowDelta and its reply.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::CountMerge(c.clone())).unwrap();
+        assert_eq!(snap.count_merge_bytes, wire.len() as u64);
+        assert!(snap.grow_delta_bytes > 0 && snap.grow_delta_bytes < snap.bytes_received);
     }
 
     /// `Marginals` is answered with the slice's code counts (from its
@@ -399,7 +569,7 @@ mod tests {
         let script = [
             hello("t"),
             Frame::Marginals,
-            grow(Some(0), vec![1], DeltaRows::new(&[4, 2], n as u32)),
+            grow(Some(0), vec![1], ALONE, Vec::new(), vec![4, 2]),
             Frame::Result(ResultFrame { sampled: 64 }),
         ];
         let stats = ClusterStats::new();
@@ -437,25 +607,29 @@ mod tests {
         assert_eq!(stats.snapshot().peer_errors, 0);
     }
 
-    /// A peer counts exactly the rows it is sent, in either form, over
-    /// doublings whose requests change: nothing more of its slice.
+    /// A peer counts exactly its rows among the positions it is sent —
+    /// runs and fringe slots, listed or as a bitmap — over doublings whose
+    /// requests change: its 500 rows sit at union row 700 of 1 500, so the
+    /// one union page straddles both of its cuts.
     #[test]
     fn peer_counts_only_its_slice() {
         let ds = dataset();
-        let n = ds.num_rows() as u32;
-        let deltas = [vec![17, 3, 411], dense_rows()];
+        let frame = (1_500, 700);
+        let union = PageLayout::of(1_500);
+        let deltas = [(vec![100..900, 1_400..1_500], vec![17, 3, 411]), (vec![], dense_slots())];
         let mut pipe = Pipe::scripted(&[
             hello("t"),
-            grow(Some(0), vec![1, 2], DeltaRows::new(&deltas[0], n)),
-            grow(Some(0), vec![2], DeltaRows::new(&deltas[1], n)),
+            grow(Some(0), vec![1, 2], frame, deltas[0].0.clone(), deltas[0].1.clone()),
+            grow(Some(0), vec![2], frame, deltas[1].0.clone(), deltas[1].1.clone()),
             Frame::Result(ResultFrame { sampled: 103 }),
         ]);
-        assert!(matches!(DeltaRows::new(&deltas[1], n), DeltaRows::Bitmap { .. }));
         let stats = ClusterStats::new();
         let resolve = |_: &str| Some(served(&ds));
         assert_eq!(serve_connection(&mut pipe, &resolve, &stats), SessionEnd::Closed);
         let replies = pipe.replies();
-        for (reply, (rows, live)) in replies[1..].iter().zip(deltas.iter().zip([&[1, 2][..], &[2]]))
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        for (reply, ((runs, list), live)) in
+            replies[1..].iter().zip(deltas.iter().zip([&[1, 2][..], &[2]]))
         {
             let Frame::CountMerge(c) = reply else { panic!("expected CountMerge") };
             let mut got =
@@ -463,11 +637,19 @@ mod tests {
             c.decode_into(&mut got).unwrap();
             let mut want =
                 ShardCounts::empty(Some(ds.support(0)), live.iter().map(|&a| ds.support(a)));
-            for &r in rows {
-                let t = ds.column(0).code(r as usize);
+            let mut rows = Vec::new();
+            union.rows_of(Positions { runs, list }, &mut rows);
+            let mine: Vec<usize> = rows
+                .iter()
+                .filter(|&&r| (700..1_200).contains(&r))
+                .map(|&r| r as usize - 700)
+                .collect();
+            assert!(!mine.is_empty() && mine.len() < rows.len(), "both sides of the cuts drawn");
+            for &r in &mine {
+                let t = ds.column(0).code(r);
                 want.target.as_mut().unwrap().add(t);
                 for ((cs, joint), &a) in want.attrs.iter_mut().zip(&mut want.joints).zip(live) {
-                    let code = ds.column(a).code(r as usize);
+                    let code = ds.column(a).code(r);
                     cs.add(code);
                     joint.add(t, code);
                 }
@@ -478,6 +660,120 @@ mod tests {
                 assert_eq!(got.joints[i].canonical_runs(), want.joints[i].canonical_runs());
             }
         }
+    }
+
+    /// A dataset of `rows` rows: only its row count and layout matter to a
+    /// slot table.
+    fn of_rows(rows: usize) -> Dataset {
+        let schema = swope_columnar::Schema::new(vec![swope_columnar::Field::new("a", 1)]);
+        let column = swope_columnar::Column::new_unchecked(vec![0; rows], 1);
+        Dataset::new(schema, vec![column]).unwrap()
+    }
+
+    /// The union rows page `page`'s slots hold, slot by slot, read through
+    /// the union's own tables.
+    fn union_rows_on(union: &PageLayout, page: u32) -> Vec<u32> {
+        let slots = page * P..((page + 1) * P).min(union.num_rows() as u32);
+        let mut rows = Vec::new();
+        union.rows_of(Positions { runs: std::slice::from_ref(&slots), list: &[] }, &mut rows);
+        rows
+    }
+
+    /// Whether a peer of `ds` at union row `base` stores union page `page`
+    /// in the union's order: every slot holds one of its rows, at the
+    /// peer's position `page·P + slot − base`.
+    fn stored_in_union_order(union: &PageLayout, ds: &Dataset, base: u64, page: u32) -> bool {
+        union_rows_on(union, page).iter().zip(page * P..).all(|(&row, position)| {
+            let mine = u64::from(row).checked_sub(base).filter(|&r| r < ds.num_rows() as u64);
+            mine.is_some_and(|r| {
+                u64::from(ds.layout().position_of(r as u32)) + base == u64::from(position)
+            })
+        })
+    }
+
+    /// The slot table maps every slot to the peer's position of the row
+    /// there, or to "not mine", and is the identity — a run — for exactly
+    /// the pages the peer stores in the union's order: every whole page
+    /// of a slice whose base is 0, and no other.
+    #[test]
+    fn the_slot_table_is_the_identity_for_exactly_the_pages_stored_in_union_order() {
+        let n = 2 * P as usize + 1_000;
+        let union = PageLayout::of(n);
+        let (p, n) = (P as u64, n as u64);
+        // (base, rows, which overlapped pages are identities)
+        let cases: [(u64, u64, &[bool]); 6] = [
+            (0, n, &[true, true, true]),
+            (0, 2 * p, &[true, true]),
+            (0, p + 5, &[true, false]),
+            (p, p, &[false]),
+            (p, n - p, &[false, false]),
+            (5, 2 * p, &[false, false, false]),
+        ];
+        for (base, rows, identities) in cases {
+            let ds = of_rows(rows as usize);
+            let table = SlotTable::build(&ds, (n, base)).unwrap();
+            assert_eq!(table.pages.len(), identities.len(), "base {base}, {rows} rows");
+            for (i, &identity) in identities.iter().enumerate() {
+                let page = table.first_page + i as u32;
+                let slots = table.page(page).unwrap();
+                assert_eq!(
+                    matches!(slots, PageSlots::Identity { .. }),
+                    identity,
+                    "base {base}, {rows} rows, page {page}"
+                );
+                assert_eq!(stored_in_union_order(&union, &ds, base, page), identity, "page {page}");
+                // Every slot, through the table, against the two layouts.
+                let first = page * P;
+                let end = (first + P).min(n as u32);
+                let union_rows = union_rows_on(&union, page);
+                let grow = GrowDelta {
+                    m_target: 0,
+                    target: None,
+                    live: Vec::new(),
+                    union_rows: n,
+                    base,
+                    runs: Vec::new(),
+                    list: (first..end).collect(),
+                };
+                let (mut runs, mut list) = (Vec::new(), Vec::new());
+                table.window(&grow, &mut runs, &mut list).unwrap();
+                let want: Vec<u32> = union_rows
+                    .iter()
+                    .filter_map(|&row| u64::from(row).checked_sub(base).filter(|&r| r < rows))
+                    .map(|r| ds.layout().position_of(r as u32))
+                    .collect();
+                assert_eq!(list, want, "base {base}, {rows} rows, page {page}");
+                assert!(runs.is_empty());
+                // The page as one window: a run in place on an identity
+                // page, the same positions listed on any other.
+                let whole = first..end;
+                let grow = GrowDelta { runs: vec![whole], list: Vec::new(), ..grow };
+                table.window(&grow, &mut runs, &mut list).unwrap();
+                assert_eq!(runs.is_empty(), !identity);
+                list.extend(runs.iter().flat_map(Clone::clone));
+                assert_eq!(list, want, "base {base}, {rows} rows, page {page} as a run");
+            }
+            // An identity page stores nothing.
+            let mapped = identities.iter().filter(|&&id| !id).count();
+            assert!(table.slots.len() <= mapped * P as usize);
+        }
+    }
+
+    /// One table per dataset, shared by every session under the same
+    /// frame, rebuilt for a new frame and let go with the dataset.
+    #[test]
+    fn slot_tables_are_kept_across_sessions() {
+        let ds = Arc::new(of_rows(900));
+        let first = slot_table(&ds, (2_000, 100)).unwrap();
+        assert!(Arc::ptr_eq(&first, &slot_table(&ds, (2_000, 100)).unwrap()));
+        let moved = slot_table(&ds, (2_000, 0)).unwrap();
+        assert!(!Arc::ptr_eq(&first, &moved));
+        assert!(Arc::ptr_eq(&moved, &slot_table(&ds, (2_000, 0)).unwrap()));
+        let weak = Arc::downgrade(&moved);
+        drop((first, moved, ds));
+        // The next lookup, for any dataset, lets the dead one's table go.
+        slot_table(&Arc::new(of_rows(1)), (1, 0)).unwrap();
+        assert_eq!(weak.strong_count(), 0);
     }
 
     #[test]
@@ -494,20 +790,23 @@ mod tests {
         assert_eq!(e.message, msg);
 
         // A GrowDelta before any Hello is a protocol violation.
-        let mut pipe = Pipe::scripted(&[grow(None, vec![0], DeltaRows::List(vec![1]))]);
+        let mut pipe = Pipe::scripted(&[grow(None, vec![0], ALONE, Vec::new(), vec![1])]);
         let SessionEnd::Error(msg) = serve_connection(&mut pipe, &resolve, &stats) else {
             panic!("expected an error end");
         };
         assert_eq!(msg, "expected Hello, got GrowDelta");
     }
 
-    /// `rows` sent to a 500-row peer end its session with one `Error`
-    /// line, which is returned.
-    fn refused(rows: DeltaRows) -> String {
+    /// `script`, after a `Hello`, sent to a 500-row peer ends its session
+    /// with one `Error` line, which is returned.
+    fn refused_bytes(script: &[u8]) -> String {
         let ds = dataset();
         let stats = ClusterStats::new();
         let resolve = |_: &str| Some(served(&ds));
-        let mut pipe = Pipe::scripted(&[hello("t"), grow(None, vec![0], rows)]);
+        let mut input = Vec::new();
+        write_frame(&mut input, &hello("t")).unwrap();
+        input.extend_from_slice(script);
+        let mut pipe = Pipe { input: std::io::Cursor::new(input), output: Vec::new() };
         let SessionEnd::Error(msg) = serve_connection(&mut pipe, &resolve, &stats) else {
             panic!("expected an error end");
         };
@@ -521,30 +820,61 @@ mod tests {
         msg
     }
 
+    /// [`refused_bytes`] of one frame.
+    fn refused(frame: Frame) -> String {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &frame).unwrap();
+        refused_bytes(&bytes)
+    }
+
     #[test]
     fn mismatched_shard_range_is_rejected() {
-        let rows: Vec<u32> = (0..600).step_by(5).collect();
-        let msg = refused(DeltaRows::new(&rows, 600));
-        assert_eq!(msg, "GrowDelta bitmap spans 600 rows, but this peer holds 500");
+        // The 500 rows placed past the end of a union of 600.
+        let msg = refused(grow(None, vec![0], (600, 101), Vec::new(), vec![3]));
+        assert_eq!(
+            msg,
+            "GrowDelta places this peer's 500 rows at union row 101, past the union's 600"
+        );
+        let msg = refused(grow(None, vec![0], (400, 0), Vec::new(), vec![3]));
+        assert_eq!(
+            msg,
+            "GrowDelta places this peer's 500 rows at union row 0, past the union's 400"
+        );
     }
 
     #[test]
     fn a_row_past_the_slice_is_an_error_frame() {
-        let msg = refused(DeltaRows::List(vec![3, 500, 7]));
-        assert_eq!(msg, "GrowDelta row 500 is past this peer's 500 rows");
-        // A list that should have been a bitmap is refused as well.
-        let msg = refused(DeltaRows::List(dense_rows()));
-        assert!(msg.contains("travel as a bitmap"), "{msg}");
+        // The 500 rows are union rows P − 100 .. P + 400: pages 0 and 1 of 3.
+        let frame = (3 * u64::from(P), u64::from(P) - 100);
+        let (past, mine) = (2 * P + 5..2 * P + 9, P..P + 9);
+        let msg = refused(grow(None, vec![0], frame, vec![past], Vec::new()));
+        assert_eq!(msg, "GrowDelta window on union page 2 is past this peer's pages 0..2");
+        let msg = refused(grow(None, vec![0], frame, vec![mine], vec![2 * P + 7]));
+        assert_eq!(
+            msg,
+            "GrowDelta position 131079 is on union page 2, where this peer holds no slot"
+        );
+        let frame = (3 * u64::from(P), u64::from(P) + 100);
+        let before = 5..9;
+        let msg = refused(grow(None, vec![0], frame, vec![before], Vec::new()));
+        assert_eq!(msg, "GrowDelta window on union page 0 is past this peer's pages 1..2");
     }
 
     #[test]
     fn stray_bits_past_the_span_are_an_error_frame() {
-        let DeltaRows::Bitmap { span, mut bits } = DeltaRows::new(&dense_rows(), 500) else {
-            panic!("expected a bitmap")
-        };
-        *bits.last_mut().unwrap() |= 0x80; // row 503 of a 500-row span
-        let msg = refused(DeltaRows::Bitmap { span, bits });
-        assert_eq!(msg, "malformed frame payload: bitmap sets a bit past its span");
+        // Every fourth slot of 0..=496: a bitmap whose window spans 497
+        // slots, so its last byte holds slot 496 and seven spare bits.
+        let slots = (0..=496).step_by(4).collect();
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &grow(None, vec![0], ALONE, Vec::new(), slots)).unwrap();
+        // Set the last spare bit. The CRC is recomputed: the payload
+        // itself lies.
+        let trailer = bytes.len() - 4;
+        bytes[trailer - 1] |= 0x80;
+        let crc = swope_store::crc32::crc32(&bytes[4..trailer]);
+        bytes[trailer..].copy_from_slice(&crc.to_le_bytes());
+        let msg = refused_bytes(&bytes);
+        assert_eq!(msg, "malformed frame payload: a bitmap sets a bit past its window");
     }
 
     #[test]
@@ -552,8 +882,9 @@ mod tests {
         let ds = dataset();
         let stats = ClusterStats::new();
         let resolve = |_: &str| Some(served(&ds));
-        // v1's fixed-width counts, and v3, whose peers replayed the shuffle.
-        for version in [1, 3] {
+        // v1's fixed-width counts, v3, whose peers replayed the shuffle,
+        // and v4, which sent each peer its own rows.
+        for version in [1, 3, 4] {
             let hello = Hello { version, dataset: "t".into(), num_rows: 0, attrs: Vec::new() };
             let mut pipe = Pipe::scripted(&[Frame::Hello(hello)]);
             let end = serve_connection(&mut pipe, &resolve, &stats);

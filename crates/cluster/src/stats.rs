@@ -16,6 +16,8 @@ pub struct ClusterStats {
     frames_received: AtomicU64,
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
+    grow_delta_bytes: AtomicU64,
+    count_merge_bytes: AtomicU64,
     count_entries: AtomicU64,
     peer_errors: AtomicU64,
     conns_opened: AtomicU64,
@@ -37,6 +39,12 @@ pub struct ClusterSnapshot {
     pub bytes_sent: u64,
     /// Wire bytes read.
     pub bytes_received: u64,
+    /// Wire bytes of the `GrowDelta` frames among them, written or read:
+    /// the positions a coordinator sends its peers.
+    pub grow_delta_bytes: u64,
+    /// Wire bytes of the `CountMerge` frames among them, written or read:
+    /// the counts peers send back.
+    pub count_merge_bytes: u64,
     /// Histogram entries and joint runs decoded from `CountMerge` frames
     /// — what the received bytes carried.
     pub count_entries: u64,
@@ -76,6 +84,18 @@ impl ClusterStats {
         self.bytes_received.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
+    /// Counts one `GrowDelta` of `bytes` on the wire, already counted as
+    /// sent or received.
+    pub fn record_grow_delta(&self, bytes: usize) {
+        self.grow_delta_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// Counts one `CountMerge` of `bytes` on the wire, already counted as
+    /// sent or received.
+    pub fn record_count_merge(&self, bytes: usize) {
+        self.count_merge_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
     /// Counts the entries of one decoded `CountMerge`.
     pub fn record_entries(&self, entries: u64) {
         self.count_entries.fetch_add(entries, Ordering::Relaxed);
@@ -105,6 +125,8 @@ impl ClusterStats {
             frames_received: self.frames_received.load(Ordering::Relaxed),
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
+            grow_delta_bytes: self.grow_delta_bytes.load(Ordering::Relaxed),
+            count_merge_bytes: self.count_merge_bytes.load(Ordering::Relaxed),
             count_entries: self.count_entries.load(Ordering::Relaxed),
             peer_errors: self.peer_errors.load(Ordering::Relaxed),
             conns_opened: self.conns_opened.load(Ordering::Relaxed),

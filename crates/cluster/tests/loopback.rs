@@ -492,10 +492,10 @@ fn peer_counts_equal_in_process_shard_counts() {
 }
 
 /// A union of more than one page, cut off a page boundary: the
-/// coordinator turns its windows into union rows through the union's
-/// layout, past page 0 too, and each peer maps the rows it is sent to
-/// its own layout. Entropy and MI answers, and the summed counts at
-/// every doubling, equal the single box's.
+/// coordinator sends each peer its windows of the union's pages, past
+/// page 0 too, and each peer maps them to its own layout. Entropy and MI
+/// answers, and the summed counts at every doubling, equal the single
+/// box's.
 #[test]
 fn a_multi_page_union_answers_like_the_single_box() {
     let union = swope_datagen::generate(&swope_datagen::corpus::tiny(2 * PAGE_ROWS + 9_000, 4), 7);
@@ -527,6 +527,90 @@ fn a_multi_page_union_answers_like_the_single_box() {
         }
         remote.finish();
     }
+}
+
+/// Three peers over a union of two pages and 9 000 rows, one cut on a
+/// page boundary and one inside a page: the first peer counts its page as
+/// runs in place, the others through slot tables, and page 1 straddles
+/// the second cut. Unscoped and over a range that straddles both cuts —
+/// fringe pages 0 and 2, page 1 whole — the summed counts at every
+/// doubling equal what a single box counts, with three in-process shards
+/// or one counter over the range, and entropy and MI answer alike.
+#[test]
+fn three_peers_cut_on_and_inside_a_page_count_like_the_single_box() {
+    let union = swope_datagen::generate(&swope_datagen::corpus::tiny(2 * PAGE_ROWS + 9_000, 4), 11);
+    let n = union.num_rows();
+    let cuts = [PAGE_ROWS, PAGE_ROWS + 30_000];
+    let addrs = vec![
+        spawn_peer(slice_rows(&union, 0..cuts[0])),
+        spawn_peer(slice_rows(&union, cuts[0]..cuts[1])),
+        spawn_peer(slice_rows(&union, cuts[1]..n)),
+    ];
+    let config = cfg(0x3C07);
+    let range = cuts[0] - 3_000..n - 1_000;
+    let scope = Some(range.start as u64..range.end as u64);
+    let stats = Arc::new(ClusterStats::new());
+    let timeouts = PeerTimeouts::default();
+    let dial = |scope: Option<std::ops::Range<u64>>| {
+        let stats = Arc::clone(&stats);
+        RemoteShardSource::connect(&addrs, "t", config.seed, scope, &timeouts, stats, None).unwrap()
+    };
+    for shape in [all_shapes()[0], Shape::mi(0, Rule::TopK { k: 2 })] {
+        let mut src = dial(None);
+        assert_eq!(src.peer_count(), 3);
+        assert_eq!(wire(&mut src, &shape, &config).unwrap(), plain(&union, &shape, &config));
+        let mut src = dial(scope.clone());
+        let direct = scoped(&union, &shape, &Scope::range(range.start, range.end), None, &config);
+        assert_eq!(wire(&mut src, &shape, &config).unwrap(), direct, "{shape:?} over {range:?}");
+    }
+    let h = union.num_attrs();
+    let requests = [
+        CountRequest { target: None, live: (0..h).collect() },
+        CountRequest { target: Some(0), live: (1..h).collect() },
+    ];
+    let exec = Executor::sequential();
+    for req in &requests {
+        for rows in [0..n, range.clone()] {
+            let mut remote = dial(Some(rows.start as u64..rows.end as u64));
+            let mut shards = (rows.len() == n)
+                .then(|| LocalShardSource::new(&union, 3, &config, &exec).unwrap());
+            let members = PageMembers::range(union.layout(), rows.clone());
+            let mut single = PagePrefix::new(members, config.seed);
+            let mut counter = Counter::new();
+            let mut m = 32;
+            while m < 2 * rows.len() {
+                let mut got = remote.advance(m, req).unwrap();
+                let mut want = match &mut shards {
+                    Some(shards) => shards.advance(m, req).unwrap(),
+                    None => {
+                        let mut counts = ShardCounts::empty(None, []);
+                        counter.count(&union, single.grow_to(m), req, &mut counts, &exec);
+                        vec![counts]
+                    }
+                };
+                let (sum, rest) = want.split_first_mut().unwrap();
+                for shard in rest {
+                    if let (Some(t), Some(o)) = (sum.target.as_mut(), &shard.target) {
+                        t.merge(o);
+                    }
+                    sum.attrs.iter_mut().zip(&shard.attrs).for_each(|(a, b)| a.merge(b));
+                    sum.joints.iter_mut().zip(&shard.joints).for_each(|(a, b)| a.merge(b));
+                }
+                assert_eq!(
+                    canonical(&mut got[0]),
+                    canonical(sum),
+                    "rows {rows:?}, {req:?}, m = {m}"
+                );
+                m *= 2;
+            }
+            remote.finish();
+        }
+    }
+    // The work travelled as GrowDelta and CountMerge frames, part of all
+    // the bytes the coordinator sent and received.
+    let snap = stats.snapshot();
+    assert!(snap.grow_delta_bytes > 0 && snap.grow_delta_bytes < snap.bytes_sent);
+    assert!(snap.count_merge_bytes > 0 && snap.count_merge_bytes < snap.bytes_received);
 }
 
 /// Two peers of 2³¹ rows each make a union one row past what a sample
@@ -610,11 +694,11 @@ fn a_peer_lying_about_support_is_a_transport_error() {
     assert!(!msg.contains('\n'), "{msg}");
 }
 
-/// A peer still speaking protocol v1 or v3 is named as such at connect
-/// time; none of its frames is parsed as v4.
+/// A peer still speaking protocol v1, v3 or v4 is named as such at
+/// connect time; none of its frames is parsed as v5.
 #[test]
 fn an_older_peer_is_refused_by_version() {
-    for version in [1, 3] {
+    for version in [1, 3, 4] {
         let union = union_dataset();
         let addr = scripted_peer(move |mut stream| {
             let _ = read_frame(&mut stream).unwrap(); // Hello

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use swope_sampling::{PageLayout, Positions};
+use swope_sampling::PageLayout;
 
 use crate::snapshot::Residency;
 use crate::{AttrIndex, Code, Column, ColumnarError, Schema};
@@ -19,9 +19,8 @@ pub const DEFAULT_MAX_SUPPORT: u32 = 1000;
 /// them by *position*, the slot the [`PageLayout`] of `N` stores a row
 /// at, and a position means the same on both residencies: a heap column
 /// and a v3 snapshot's pages keep one byte order. The positions a
-/// `swope_sampling::PagePrefix` draws are read as they are;
-/// [`Dataset::row_positions`] turns rows into positions, and every other
-/// accessor speaks rows. The dataset holds the layout of `N`, so no
+/// `swope_sampling::PagePrefix` draws are read as they are, and every
+/// other accessor speaks rows. The dataset holds the layout of `N`, so no
 /// table is rebuilt while it lives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
@@ -105,14 +104,6 @@ impl Dataset {
         self.columns
             .get(attr)
             .ok_or(ColumnarError::AttrOutOfRange { index: attr, num_attrs: self.columns.len() })
-    }
-
-    /// The positions of `rows`, where the layout stores them, written to
-    /// `out`: how a cluster peer's rows reach the count kernels.
-    pub fn row_positions<'a>(&self, rows: &'a [u32], out: &'a mut Vec<u32>) -> Positions<'a> {
-        out.clear();
-        out.extend(rows.iter().map(|&r| self.layout.position_of(r)));
-        Positions::from(&out[..])
     }
 
     /// The page layout of the dataset's rows.

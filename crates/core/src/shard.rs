@@ -29,16 +29,16 @@
 //! run or two for every whole page it drew from, a list for the rest —
 //! which name the same rows on a heap and a paged dataset.
 //! [`LocalShardSource`] cuts them at the shards' row cuts: runs with
-//! [`ShardPlan::split_runs`], a list with [`ShardPlan::split`]. The layout only moves rows within a page, so a
-//! shard may count a few rows near its cut that sit on the other side;
-//! every shard counts the same dataset, and any partition of the
-//! positions merges to the same counts. `swope-cluster`'s coordinator
-//! holds no rows: it turns the positions into union rows through the
-//! union's layout, splits them by owning peer with the same
-//! [`ShardPlan::split`] and sends each peer its own rows, which the peer
-//! maps to its own positions ([`Dataset::row_positions`]). A peer
-//! samples nothing, and its work is `O(m_i)`. A row range is the same
-//! sampler over the range's members, on every path.
+//! [`ShardPlan::split_runs`], a list with [`ShardPlan::split`]. The
+//! layout only moves rows within a page, so a shard may count a few rows
+//! near its cut that sit on the other side; every shard counts the same
+//! dataset, and any partition of the positions merges to the same
+//! counts. `swope-cluster`'s coordinator holds no rows: it sends each
+//! peer the positions on the union pages its slice overlaps, and the
+//! peer maps them to its own through a slot table of those pages,
+//! keeping only the slots that hold its rows. A peer samples nothing, and
+//! its work is `O(m_i)`. A row range is the same sampler over the range's
+//! members, on every path.
 //!
 //! Every shard counts its positions through a [`Counter`]: the one count
 //! body, which also counts the unsharded loop's rows. It counts the
@@ -52,7 +52,8 @@
 //! * [`ShardTransport`] — the engine's view of "somewhere that counts":
 //!   [`LocalShardSource`] fans shards out on an [`Executor`];
 //!   `swope-cluster`'s wire transport drives remote peers, each counting
-//!   the rows it is sent through a [`Counter`], behind the same trait.
+//!   the positions it is sent through a [`Counter`], behind the same
+//!   trait.
 //! * `ShardedSource` — the driver's count source over any transport:
 //!   one `advance` per doubling, the exact merge, then `recycle`.
 //! * [`crate::run_sharded`] — all six query shapes over a transport.
@@ -73,19 +74,12 @@ use crate::measure::Measure;
 use crate::scope::sketch_marginals;
 use crate::{SwopeConfig, SwopeError};
 
-/// A contiguous partition of a population's rows into shards.
-///
-/// Shard `i` owns `range(i)` and numbers those rows as its dataset does.
-/// [`ShardPlan::new`] cuts one dataset evenly, so every shard keeps the
-/// dataset's row numbers; [`ShardPlan::scoped`] cuts a row range of a
-/// union where its slices meet, so each shard counts from 0 at its
-/// slice's start.
+/// A contiguous partition of a dataset's rows into shards, cut evenly:
+/// shard `i` owns `range(i)`.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     // starts[i]..starts[i+1] is shard i's row range; len = shards + 1.
     starts: Vec<u32>,
-    // firsts[i] is shard i's own number for row starts[i]; len = shards.
-    firsts: Vec<u32>,
 }
 
 impl ShardPlan {
@@ -103,28 +97,7 @@ impl ShardPlan {
             at += base + usize::from(i < extra);
             starts.push(at as u32);
         }
-        Self { firsts: starts[..shards].to_vec(), starts }
-    }
-
-    /// The plan of the union rows `scope`, cut where `slices` — the union
-    /// row ranges of the slices that meet the scope, in union order —
-    /// meet it: one shard per slice, numbering its rows from 0 at the
-    /// slice's start.
-    ///
-    /// # Panics
-    ///
-    /// If the scope or a slice holds more than `u32::MAX` rows.
-    pub fn scoped(slices: impl IntoIterator<Item = Range<u64>>, scope: Range<u64>) -> Self {
-        let index = |rows: u64| u32::try_from(rows).expect("shard rows are u32-indexed");
-        let (mut starts, mut firsts) = (Vec::new(), Vec::new());
-        for slice in slices {
-            debug_assert!(slice.start < scope.end && slice.end > scope.start);
-            let from = slice.start.max(scope.start);
-            starts.push(index(from - scope.start));
-            firsts.push(index(from - slice.start));
-        }
-        starts.push(index(scope.end - scope.start));
-        Self { starts, firsts }
+        Self { starts }
     }
 
     /// Number of shards in the plan.
@@ -143,27 +116,24 @@ impl ShardPlan {
     }
 
     /// Hands each row of a sample delta to the shard whose range holds
-    /// it, as `push(shard, row)` in that shard's own numbering: how every
-    /// sharded source splits a doubling's rows by owner.
+    /// it, as `push(shard, row)`: how a sharded source splits a
+    /// doubling's list by owner.
     #[inline]
     pub fn split(&self, delta: &[u32], mut push: impl FnMut(usize, u32)) {
         for &row in delta {
-            let shard = self.shard_of(row);
-            push(shard, row - self.starts[shard] + self.firsts[shard]);
+            push(self.shard_of(row), row);
         }
     }
 
     /// [`ShardPlan::split`] for runs of consecutive rows: cuts each run
-    /// where the shards meet, as `push(shard, run)` in that shard's own
-    /// numbering.
+    /// where the shards meet, as `push(shard, run)`.
     pub fn split_runs(&self, runs: &[Range<u32>], mut push: impl FnMut(usize, Range<u32>)) {
         for run in runs {
             let mut start = run.start;
             while start < run.end {
                 let shard = self.shard_of(start);
                 let end = run.end.min(self.starts[shard + 1]);
-                let first = self.firsts[shard];
-                push(shard, start - self.starts[shard] + first..end - self.starts[shard] + first);
+                push(shard, start..end);
                 start = end;
             }
         }
@@ -352,10 +322,9 @@ impl Shelf {
 /// doubling to doubling. Every [`LocalShardSource`] shard owns one, and
 /// so do a cluster peer's session and the unsharded loop's source.
 ///
-/// It takes *positions* — as a sample draws them, or
-/// [`Dataset::row_positions`] of rows — so the kernels never see the
-/// layout: heap and paged columns alike are indexed where the layout
-/// stores a row.
+/// It takes *positions* — as a sample draws them, or as a cluster peer's
+/// slot table maps a window — so the kernels never see the layout: heap
+/// and paged columns alike are indexed where the layout stores a row.
 #[derive(Default)]
 pub struct Counter {
     target: TargetBuf,

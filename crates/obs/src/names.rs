@@ -133,6 +133,14 @@ pub const CLUSTER_BYTES_SENT_TOTAL: &str = "swope_cluster_bytes_sent_total";
 /// Counter: payload bytes received from peers (frame headers included).
 pub const CLUSTER_BYTES_RECEIVED_TOTAL: &str = "swope_cluster_bytes_received_total";
 
+/// Counter: wire bytes of `GrowDelta` frames, sent by a coordinator or
+/// received by a peer: the sample windows the count work travels as.
+pub const CLUSTER_GROW_DELTA_BYTES_TOTAL: &str = "swope_cluster_grow_delta_bytes_total";
+
+/// Counter: wire bytes of `CountMerge` frames, received by a coordinator
+/// or sent by a peer: the count deltas the replies carry.
+pub const CLUSTER_COUNT_MERGE_BYTES_TOTAL: &str = "swope_cluster_count_merge_bytes_total";
+
 /// Counter: histogram entries and joint runs decoded from the
 /// `CountMerge` frames a coordinator received — what the bytes carried
 /// (`bytes_received / count_entries` ≈ 2–3 on wire protocol v2).

@@ -86,23 +86,30 @@ impl PageLayout {
     /// A table of one XOR delta per row: `entry(slot, row)` gives the
     /// entry's index and value for in-page row `row` at in-page `slot`.
     fn table(&self, entry: impl Fn(u16, u16) -> (u16, u16)) -> Vec<u16> {
-        let base = Xoshiro256pp::seed_from_u64(LAYOUT_SEED);
         let mut rows: Vec<u16> = Vec::with_capacity(self.num_rows.min(PAGE_ROWS));
         let mut table = vec![0u16; self.num_rows];
         for (page, table) in table.chunks_mut(PAGE_ROWS).enumerate() {
-            let mut rng = base.fork(page as u64);
-            rows.clear();
-            rows.extend((0..table.len()).map(|r| r as u16));
-            for i in (1..rows.len()).rev() {
-                rows.swap(i, rng.next_below(i as u64 + 1) as usize);
-            }
-            // Slot `s` holds in-page row `rows[s]`.
+            Self::slot_rows(page, table.len(), &mut rows);
             for (s, &r) in rows.iter().enumerate() {
                 let (at, delta) = entry(s as u16, r);
                 table[at as usize] = delta;
             }
         }
         table
+    }
+
+    /// Writes to `out` the in-page row each slot of page `page`, of `len`
+    /// rows, holds: slot `s` holds row `page·PAGE_ROWS + out[s]`. This is
+    /// the shuffle the tables are built from, one page at a time, for a
+    /// caller that needs a few pages of a layout it does not hold.
+    pub fn slot_rows(page: usize, len: usize, out: &mut Vec<u16>) {
+        debug_assert!(len <= PAGE_ROWS);
+        let mut rng = Xoshiro256pp::seed_from_u64(LAYOUT_SEED).fork(page as u64);
+        out.clear();
+        out.extend((0..len).map(|r| r as u16));
+        for i in (1..len).rev() {
+            out.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
     }
 
     fn to_position(&self) -> &[u16] {

@@ -337,6 +337,8 @@ impl ServerMetrics {
             (names::CLUSTER_FRAMES_RECEIVED_TOTAL, wire.frames_received),
             (names::CLUSTER_BYTES_SENT_TOTAL, wire.bytes_sent),
             (names::CLUSTER_BYTES_RECEIVED_TOTAL, wire.bytes_received),
+            (names::CLUSTER_GROW_DELTA_BYTES_TOTAL, wire.grow_delta_bytes),
+            (names::CLUSTER_COUNT_MERGE_BYTES_TOTAL, wire.count_merge_bytes),
             (names::CLUSTER_COUNT_ENTRIES_TOTAL, wire.count_entries),
             (names::CLUSTER_PEER_ERRORS_TOTAL, wire.peer_errors),
             (names::CLUSTER_CONNS_OPENED_TOTAL, wire.conns_opened),
@@ -463,7 +465,12 @@ mod tests {
             sketch,
             TraceCounters { recorded: 4, slow: 1 },
             Some((2, 131072)),
-            ClusterSnapshot { queries: 3, ..Default::default() },
+            ClusterSnapshot {
+                queries: 3,
+                grow_delta_bytes: 640,
+                count_merge_bytes: 9000,
+                ..Default::default()
+            },
             PagerSnapshot {
                 faults: 11,
                 fault_nanos: 2_500_000_000,
@@ -499,6 +506,8 @@ mod tests {
         assert!(text.contains(&format!("{} 131072\n", names::CLUSTER_UNION_ROWS)));
         assert!(text.contains(&format!("{} 3\n", names::CLUSTER_QUERIES_TOTAL)));
         assert!(text.contains(&format!("{} 0\n", names::CLUSTER_PEER_ERRORS_TOTAL)));
+        assert!(text.contains(&format!("{} 640\n", names::CLUSTER_GROW_DELTA_BYTES_TOTAL)));
+        assert!(text.contains(&format!("{} 9000\n", names::CLUSTER_COUNT_MERGE_BYTES_TOTAL)));
         // Latency quantile gauges ride along with the histogram.
         assert!(text.contains(&format!(
             "{}_approx_quantile{{quantile=\"0.99\"}}",

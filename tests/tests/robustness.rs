@@ -1,9 +1,13 @@
 //! Robustness: malformed inputs must produce errors, never panics or
 //! silent corruption. Fixed-seed randomized loops over the workspace RNG.
 
+use swope_cluster::frame::{read_frame, write_frame, Frame, GrowDelta};
 use swope_columnar::csv::{read_csv, write_csv, CsvOptions};
 use swope_columnar::{snapshot, DatasetBuilder};
 use swope_sampling::rng::Xoshiro256pp;
+use swope_sampling::{PageLayout, PageMembers, PagePrefix};
+use swope_store::crc32::crc32;
+use swope_store::page::PAGE_ROWS;
 
 const CASES: usize = 200;
 
@@ -132,4 +136,99 @@ fn snapshot_header_field_corruption_cases() {
     let mut huge_n = bytes.clone();
     huge_n[12..20].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
     assert!(snapshot::decode(&huge_n).is_err());
+}
+
+/// A v5 `GrowDelta` as a coordinator writes one: a doubling's new
+/// positions of a page-prefix sample over a random range of a union of up
+/// to two pages and a bit (or of a few thousand rows), on the union pages
+/// a random peer slice overlaps.
+fn grow_delta(r: &mut Xoshiro256pp) -> GrowDelta {
+    let page_rows = PAGE_ROWS as u64;
+    let union_rows = match r.next_below(2) {
+        0 => 1 + r.next_below(5_000),
+        _ => page_rows + r.next_below(page_rows + 5_000),
+    };
+    let a = r.next_below(union_rows);
+    let b = a + 1 + r.next_below(union_rows - a);
+    let layout = PageLayout::of(union_rows as usize);
+    let mut sampler =
+        PagePrefix::new(PageMembers::range(&layout, a as usize..b as usize), r.next_u64());
+    let m = 1 + r.next_below(b - a) as usize;
+    sampler.grow_to(m / 2);
+    let delta = sampler.grow_to(m);
+    let base = r.next_below(union_rows);
+    let end = base + 1 + r.next_below(union_rows - base);
+    let pages = base / page_rows..end.div_ceil(page_rows);
+    let on_slice = |position: u32| pages.contains(&(u64::from(position) / page_rows));
+    let runs = delta.runs.iter().filter(|run| on_slice(run.start)).cloned().collect();
+    let list = delta.list.iter().copied().filter(|&p| on_slice(p)).collect();
+    let target = (r.next_below(2) == 1).then(|| r.next_below(8) as u32);
+    let live = (0..r.next_below(4)).map(|_| r.next_below(8) as u32).collect();
+    GrowDelta { m_target: m as u64, target, live, union_rows, base, runs, list }
+}
+
+/// `payload` in a `GrowDelta` envelope with a correct checksum: what a
+/// payload parser sees when the sender itself is hostile.
+fn grow_envelope(payload: &[u8]) -> Vec<u8> {
+    let mut out = b"SWPC".to_vec();
+    out.push(3);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    let crc = crc32(&out[4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+fn encode(frame: &Frame) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, frame).unwrap();
+    bytes
+}
+
+/// A coordinator's `GrowDelta`s read back as the value written, and
+/// re-encode byte for byte.
+#[test]
+fn grow_delta_frames_round_trip() {
+    let mut r = rng(5);
+    for case in 0..CASES / 4 {
+        let frame = Frame::GrowDelta(grow_delta(&mut r));
+        let bytes = encode(&frame);
+        let (back, n) = read_frame(&mut bytes.as_slice()).unwrap();
+        assert_eq!(n, bytes.len(), "case {case}");
+        assert_eq!(back, frame, "case {case}");
+        assert_eq!(encode(&back), bytes, "case {case}");
+    }
+}
+
+/// Whatever a hostile sender puts in a `GrowDelta`'s payload — a flipped
+/// bit, a random byte, a cut — under a valid checksum, the peer's parser
+/// answers an error or a frame that re-encodes to exactly those bytes:
+/// never a panic, never a frame that means something else.
+#[test]
+fn grow_delta_payload_corruption_is_contained() {
+    let mut r = rng(6);
+    let started = std::time::Instant::now();
+    for case in 0..CASES / 4 {
+        let clean = encode(&Frame::GrowDelta(grow_delta(&mut r)));
+        let payload = &clean[9..clean.len() - 4];
+        for cut in 0..payload.len() {
+            let bytes = grow_envelope(&payload[..cut]);
+            assert!(read_frame(&mut bytes.as_slice()).is_err(), "case {case}: cut at {cut} parsed");
+        }
+        for _ in 0..64 {
+            let mut bad = payload.to_vec();
+            let at = r.next_below(bad.len() as u64) as usize;
+            match r.next_below(2) {
+                0 => bad[at] ^= 1 << r.next_below(8),
+                _ => bad[at] = r.next_below(256) as u8,
+            }
+            let bytes = grow_envelope(&bad);
+            if let Ok((frame, _)) = read_frame(&mut bytes.as_slice()) {
+                assert_eq!(encode(&frame), bytes, "case {case}: byte {at} misparsed");
+            }
+        }
+        if started.elapsed() > std::time::Duration::from_secs(2) {
+            break;
+        }
+    }
 }
