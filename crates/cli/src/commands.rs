@@ -256,6 +256,10 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
             None => format!("row order (`swope convert` rewrites it as v{})", snapshot::VERSION),
         };
         println!("snapshot: v{}, pages in {order}", format.version);
+        if let Some((union_rows, base)) = format.frame {
+            let end = base + ds.num_rows();
+            println!("frame: rows {base}..{end} of a {union_rows}-row table, in its layout");
+        }
     }
     println!("{:<24} {:>8} {:>6} {:>12} {:>8}", "column", "support", "width", "bytes", "sketch");
     for (attr, s) in stats::dataset_stats(&ds).iter().enumerate() {
@@ -451,7 +455,9 @@ fn cmd_convert(opts: &Options) -> Result<(), String> {
 /// into `[0, n)` and `[n, end)`. Schema (dictionaries included) and
 /// per-column supports carry over unchanged, so two shard servers
 /// serving the halves form exactly the union a single box serving the
-/// input would answer for — the property `serve --peer` relies on.
+/// input would answer for — the property `serve --peer` relies on. Each
+/// half keeps the input's layout and records its frame (a v4 snapshot),
+/// so a peer counts every window a coordinator sends it in place.
 fn cmd_split(opts: &Options) -> Result<(), String> {
     let [input, out_a, out_b] = opts.positional.as_slice() else {
         return Err("split expects <in> <out-a> <out-b>".into());

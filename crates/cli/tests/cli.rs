@@ -534,6 +534,13 @@ fn split_outputs_carry_sketches() {
         assert!(out.contains("sketch: 1 page(s) x 4 column(s)"), "{half}: {out}");
         assert!(!out.contains("sketch: none"), "{half}: {out}");
     }
+    // Each half keeps the union's layout: a v4 snapshot that names its
+    // frame. The union itself is a dataset of its own, and names none.
+    let [ia, ib, iu] = [a_s, b_s, u_s].map(|path| stdout(&swope(&["inspect", path])));
+    assert!(ia.contains("snapshot: v4, pages in layout order"), "{ia}");
+    assert!(ia.contains("frame: rows 0..1000 of a 3000-row table"), "{ia}");
+    assert!(ib.contains("frame: rows 1000..3000 of a 3000-row table"), "{ib}");
+    assert!(iu.contains("snapshot: v3") && !iu.contains("frame:"), "{iu}");
 }
 
 #[test]

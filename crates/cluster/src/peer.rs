@@ -24,13 +24,25 @@
 //! range's fringe pages as slots. Each `GrowDelta` also names its frame:
 //! the union's row count `N` and the union row `base` the slice starts
 //! at. From the frame the peer builds a slot table once and keeps it
-//! across sessions (one per dataset): for every slot of every union page
-//! it overlaps, its own position of the row there, or "not mine". A
-//! window is a slice of that table, filtered only on a page that
-//! straddles a cut; on a page the peer stores in the union's order — every
-//! whole page of a slice whose base is 0 — the table is the identity,
-//! stores nothing, and a run stays a run that the [`Counter`] reads in
-//! place. The peer counts exactly those positions through the session's
+//! across sessions (one per dataset).
+//!
+//! A half cut by `swope split` keeps the union's layout and records the
+//! same frame (`Dataset::frame`, snapshot v4). Then the table stores
+//! nothing for a union page the peer holds whole — slot `s` is its
+//! position `s` shifted by the base — and a `u16` rank a slot for each of
+//! its at most two fringe pages, whose rows it keeps in the union's slot
+//! order: a window `[s, s + len)` there is the run
+//! `[rank(s), rank(s + len))`. Every window is a run the [`Counter`]
+//! reads in place. A dataset laid out in another frame — a v3 half, or
+//! halves served in another order than they were cut in — gets a mapped
+//! table instead: for every slot of every union page it overlaps, its
+//! own position of the row there, or "not mine". A window is a slice of
+//! that table, filtered on a page that straddles a cut and counted as a
+//! list: as exact, and slower. The peer logs one line per dataset and
+//! frame when it builds such a table, and books every position it counts
+//! as a run or a list (`swope_cluster_peer_positions_total`).
+//!
+//! The peer counts exactly those positions through the session's
 //! [`Counter`], the body every shard counts with, parking each reply's
 //! histograms and joint deltas for the next doubling. Its work is
 //! `O(positions sent)`. Asked for `Marginals`, it gives its slice's
@@ -159,8 +171,13 @@ impl Session {
     }
 
     /// Counts `grow`'s positions that hold this slice's rows, or says in
-    /// one line why they are not this slice's to count.
-    fn count(&mut self, grow: &GrowDelta) -> Result<&mut ShardCounts, String> {
+    /// one line why they are not this slice's to count; books how it read
+    /// them in `stats`.
+    fn count(
+        &mut self,
+        grow: &GrowDelta,
+        stats: &ClusterStats,
+    ) -> Result<&mut ShardCounts, String> {
         let ds = &self.served.dataset;
         let attrs = ds.num_attrs() as u32;
         if grow.live.iter().chain(grow.target.iter()).any(|&a| a >= attrs) {
@@ -177,6 +194,7 @@ impl Session {
         req.live.clear();
         req.live.extend(grow.live.iter().map(|&a| a as usize));
         let positions = Positions { runs, list };
+        stats.record_positions((positions.len() - list.len()) as u64, list.len() as u64);
         counter.count(ds, positions, req, counts, &Executor::sequential());
         Ok(counts)
     }
@@ -190,11 +208,16 @@ impl Session {
 /// A slot that holds another peer's row.
 const NOT_MINE: u32 = u32::MAX;
 
-/// Where a peer's rows sit among the union's positions: for every union
-/// page its slice overlaps, the peer's own position of the row at each
-/// slot, or [`NOT_MINE`]. Built once per dataset and frame — the union's
-/// row count and the slice's first union row — it turns a `GrowDelta`'s
-/// windows into positions the [`Counter`] reads, at most 4 bytes a slot.
+/// Where a peer's rows sit among the union's positions, for every union
+/// page its slice overlaps. Built once per dataset and frame — the
+/// union's row count and the slice's first union row — it turns a
+/// `GrowDelta`'s windows into positions the [`Counter`] reads.
+///
+/// A peer whose dataset is laid out in that frame (a slice that keeps
+/// the union's layout) stores nothing for a page it holds whole, and a
+/// `u16` rank a slot for each of its at most two fringe pages: every
+/// window is a run. Any other peer maps every slot of a page it does not
+/// store in the union's order, at most 4 bytes a slot.
 #[derive(Debug)]
 struct SlotTable {
     union_rows: u64,
@@ -203,6 +226,8 @@ struct SlotTable {
     first_page: u32,
     /// One entry per overlapping union page, from `first_page` on.
     pages: Vec<PageSlots>,
+    /// The ranked pages' ranks, a page's slots and one more each.
+    ranks: Vec<u16>,
     /// The mapped pages' slots, a page's worth each.
     slots: Vec<u32>,
 }
@@ -213,6 +238,12 @@ enum PageSlots {
     /// Slot `s` holds the peer's position `first + s`: the peer stores the
     /// page's rows in the union's order, and a window of it is a run.
     Identity { first: u32 },
+    /// The peer holds some of the page's rows, in the union's slot order
+    /// from position `first` on: slots `s..e` hold its positions
+    /// `first + rank(s) .. first + rank(e)`, a run, with `rank(s)` the
+    /// peer's rows at slots below `s`, [`SlotTable::ranks`] from `from`
+    /// on.
+    Ranked { first: u32, from: u32 },
     /// The page's slots are [`SlotTable::slots`] from `from` on;
     /// `straddles` iff some hold another peer's row.
     Mapped { from: u32, straddles: bool },
@@ -228,37 +259,80 @@ impl SlotTable {
                 "GrowDelta places this peer's {held} rows at union row {base}, past the union's {union_rows}"
             ));
         }
+        let in_frame = ds.frame() == (union_rows as usize, base as usize);
         let page_rows = PAGE_ROWS as u64;
         let first_page = base / page_rows;
-        let (mut pages, mut slots, mut order) = (Vec::new(), Vec::new(), Vec::new());
+        let mut table = Self {
+            union_rows,
+            base,
+            first_page: first_page as u32,
+            pages: Vec::new(),
+            ranks: Vec::new(),
+            slots: Vec::new(),
+        };
+        let mut order = Vec::new();
         for page in first_page..(base + held).div_ceil(page_rows) {
             let first = page * page_rows;
-            PageLayout::slot_rows(
-                page as usize,
-                (union_rows - first).min(page_rows) as usize,
-                &mut order,
-            );
-            let from = slots.len();
-            let (mut identity, mut straddles) = (true, false);
-            for (s, &r) in order.iter().enumerate() {
-                let row = first + u64::from(r);
-                let position = if (base..base + held).contains(&row) {
-                    ds.layout().position_of((row - base) as u32)
-                } else {
-                    straddles = true;
-                    NOT_MINE
-                };
-                identity &= u64::from(position) + base == first + s as u64;
-                slots.push(position);
+            let len = (union_rows - first).min(page_rows);
+            let mine = base.max(first)..(base + held).min(first + len);
+            // The peer's position of the page's first row it holds.
+            let at = (mine.start - base) as u32;
+            if in_frame && mine.end - mine.start == len {
+                table.pages.push(PageSlots::Identity { first: at });
+                continue;
             }
-            pages.push(if identity && !straddles {
-                slots.truncate(from);
-                PageSlots::Identity { first: (first - base) as u32 }
+            PageLayout::slot_rows(page as usize, len as usize, &mut order);
+            let slot_rows = order.iter().map(|&r| first + u64::from(r));
+            let entry = if in_frame {
+                table.rank(slot_rows.map(|row| mine.contains(&row)), at)
             } else {
-                PageSlots::Mapped { from: from as u32, straddles }
-            });
+                table.map(slot_rows, ds, base, first)
+            };
+            table.pages.push(entry);
         }
-        Ok(Self { union_rows, base, first_page: first_page as u32, pages, slots })
+        Ok(table)
+    }
+
+    /// The ranks of a page whose slots `mine` says are the peer's, held
+    /// in slot order from position `first` on.
+    fn rank(&mut self, mine: impl Iterator<Item = bool>, first: u32) -> PageSlots {
+        let from = self.ranks.len() as u32;
+        let mut rank = 0u16;
+        self.ranks.push(rank);
+        for mine in mine {
+            rank += u16::from(mine);
+            self.ranks.push(rank);
+        }
+        PageSlots::Ranked { first, from }
+    }
+
+    /// The peer's position of each row `slot_rows` names, slot by slot,
+    /// or [`NOT_MINE`]; stored only where that is not the identity.
+    fn map(
+        &mut self,
+        slot_rows: impl Iterator<Item = u64>,
+        ds: &Dataset,
+        base: u64,
+        first: u64,
+    ) -> PageSlots {
+        let from = self.slots.len();
+        let (mut identity, mut straddles) = (true, false);
+        for (s, row) in slot_rows.enumerate() {
+            let position = if (base..base + ds.num_rows() as u64).contains(&row) {
+                ds.layout().position_of((row - base) as u32)
+            } else {
+                straddles = true;
+                NOT_MINE
+            };
+            identity &= u64::from(position) + base == first + s as u64;
+            self.slots.push(position);
+        }
+        if identity && !straddles {
+            self.slots.truncate(from);
+            PageSlots::Identity { first: (first - base) as u32 }
+        } else {
+            PageSlots::Mapped { from: from as u32, straddles }
+        }
     }
 
     /// The frame the table was built for.
@@ -272,9 +346,9 @@ impl SlotTable {
     }
 
     /// Turns `grow`'s windows, drawn over the union this table was built
-    /// for, into this peer's positions: a run on an identity page stays a
-    /// run, any other window is a slice of the table, filtered only on a
-    /// page that straddles a cut.
+    /// for, into this peer's positions: a run on an identity or ranked
+    /// page stays a run, any other window is a slice of the table,
+    /// filtered only on a page that straddles a cut.
     fn window(
         &self,
         grow: &GrowDelta,
@@ -293,6 +367,13 @@ impl SlotTable {
                 PageSlots::Identity { first } => {
                     runs.push(first + slot..first + slot + run.len() as u32)
                 }
+                PageSlots::Ranked { first, from } => {
+                    let rank = |s: u32| first + u32::from(self.ranks[(from + s) as usize]);
+                    let mine = rank(slot)..rank(slot + run.len() as u32);
+                    if !mine.is_empty() {
+                        runs.push(mine);
+                    }
+                }
                 PageSlots::Mapped { from, straddles } => {
                     let slots = &self.slots[(from + slot) as usize..][..run.len()];
                     if straddles {
@@ -309,6 +390,12 @@ impl SlotTable {
                 format!("GrowDelta position {position} is on union page {page}, where this peer holds no slot")
             })? {
                 PageSlots::Identity { first } => list.push(first + slot),
+                PageSlots::Ranked { first, from } => {
+                    let at = (from + slot) as usize;
+                    if self.ranks[at + 1] > self.ranks[at] {
+                        list.push(first + u32::from(self.ranks[at]));
+                    }
+                }
                 PageSlots::Mapped { from, .. } => {
                     let mine = self.slots[(from + slot) as usize];
                     if mine != NOT_MINE {
@@ -323,7 +410,9 @@ impl SlotTable {
 
 /// The slot table of `ds` under `frame`, kept across sessions while the
 /// dataset lives: one per dataset, that of the frame it was last asked
-/// for, since a peer serves one union at a time.
+/// for, since a peer serves one union at a time. A dataset laid out in
+/// another frame is served through a mapped table, which is logged once
+/// per dataset and frame.
 fn slot_table(ds: &Arc<Dataset>, frame: (u64, u64)) -> Result<Arc<SlotTable>, String> {
     static KEPT: Mutex<Vec<(Weak<Dataset>, Arc<SlotTable>)>> = Mutex::new(Vec::new());
     let mut kept = KEPT.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -333,6 +422,13 @@ fn slot_table(ds: &Arc<Dataset>, frame: (u64, u64)) -> Result<Arc<SlotTable>, St
         return Ok(Arc::clone(table));
     }
     let table = Arc::new(SlotTable::build(ds, frame)?);
+    let own = ds.frame();
+    if (own.0 as u64, own.1 as u64) != frame {
+        eprintln!(
+            "swope peer: {} rows laid out in frame {own:?} serve frame {frame:?} through a mapped slot table; `swope split` the union again to count in place",
+            ds.num_rows()
+        );
+    }
     match at {
         Some(i) => kept[i].1 = Arc::clone(&table),
         None => kept.push((Arc::downgrade(ds), Arc::clone(&table))),
@@ -389,7 +485,7 @@ pub fn serve_connection<S: Read + Write>(
                 session = Some(Session::new(resolved));
             }
             (Frame::GrowDelta(grow), Some(open)) => {
-                let counts = match open.count(&grow) {
+                let counts = match open.count(&grow, wire.stats) {
                     Ok(counts) => counts,
                     Err(msg) => return wire.bail(msg),
                 };
@@ -548,6 +644,8 @@ mod tests {
         assert_eq!(snap.frames_received, 3);
         assert_eq!(snap.frames_sent, 2);
         assert_eq!(snap.peer_errors, 0);
+        // The 64 listed positions, on a dataset of its own: a list.
+        assert_eq!((snap.peer_run_positions, snap.peer_list_positions), (0, 64));
         // The typed byte counters see the one GrowDelta and its reply.
         let mut wire = Vec::new();
         write_frame(&mut wire, &Frame::CountMerge(c.clone())).unwrap();
@@ -563,7 +661,7 @@ mod tests {
         let ds = dataset();
         let n = ds.num_rows() as u64;
         let sketch = swope_columnar::DatasetSketch::build(
-            ds.num_rows(),
+            ds.layout().grid(),
             (0..4).map(|a| ds.column(a).packed()),
         );
         let script = [
@@ -756,6 +854,62 @@ mod tests {
             // An identity page stores nothing.
             let mapped = identities.iter().filter(|&&id| !id).count();
             assert!(table.slots.len() <= mapped * P as usize);
+        }
+    }
+
+    /// A slice that keeps the union's layout — its frame the
+    /// `GrowDelta`'s — counts every window as one run: a page it holds
+    /// whole stores nothing, a fringe page one rank a slot, and the runs
+    /// hold exactly its rows among the window's slots, in slot order. A
+    /// listed slot is the same position, one by one.
+    #[test]
+    fn a_slice_in_the_unions_frame_counts_every_window_as_a_run() {
+        let n = 2 * P as usize + 1_000;
+        let (table_ds, union) = (of_rows(n), PageLayout::of(n));
+        let p = P as usize;
+        for (base, rows) in
+            [(0, n), (0, p + 5), (p, p), (5, 2 * p), (40_000, n - 40_000), (p + 3, 10)]
+        {
+            let ds = table_ds.take_rows(&(base..base + rows).collect::<Vec<_>>());
+            let table = SlotTable::build(&ds, (n as u64, base as u64)).unwrap();
+            assert!(table.slots.is_empty(), "base {base}, {rows} rows: nothing mapped");
+            let fringes = table.pages.iter().filter(|s| matches!(s, PageSlots::Ranked { .. }));
+            assert!(fringes.count() <= 2 && table.ranks.len() <= 2 * (p + 1));
+            for i in 0..table.pages.len() {
+                let page = table.first_page + i as u32;
+                let first = page * P;
+                let len = (n as u32 - first).min(P);
+                let want: Vec<(u32, u32)> = union_rows_on(&union, page)
+                    .iter()
+                    .zip(0..)
+                    .filter(|&(&row, _)| (base..base + rows).contains(&(row as usize)))
+                    .map(|(&row, slot)| (slot, ds.layout().position_of(row - base as u32)))
+                    .collect();
+                for window in [0..len, 7..len / 2, len / 3..len, 100..101] {
+                    let grow = GrowDelta {
+                        m_target: 0,
+                        target: None,
+                        live: Vec::new(),
+                        union_rows: n as u64,
+                        base: base as u64,
+                        runs: std::iter::once(first + window.start..first + window.end).collect(),
+                        list: Vec::new(),
+                    };
+                    let (mut runs, mut list) = (Vec::new(), Vec::new());
+                    table.window(&grow, &mut runs, &mut list).unwrap();
+                    assert!(list.is_empty() && runs.len() <= 1, "base {base}, page {page}");
+                    let got: Vec<u32> = runs.iter().flat_map(Clone::clone).collect();
+                    let mine = want.iter().filter(|(slot, _)| window.contains(slot));
+                    assert_eq!(got, mine.map(|&(_, at)| at).collect::<Vec<_>>(), "{window:?}");
+                    let grow = GrowDelta {
+                        runs: Vec::new(),
+                        list: (first..first + len).collect(),
+                        ..grow
+                    };
+                    table.window(&grow, &mut runs, &mut list).unwrap();
+                    assert_eq!(list, want.iter().map(|&(_, at)| at).collect::<Vec<_>>());
+                }
+            }
         }
     }
 

@@ -22,6 +22,8 @@ pub struct ClusterStats {
     peer_errors: AtomicU64,
     conns_opened: AtomicU64,
     conn_reuses: AtomicU64,
+    peer_run_positions: AtomicU64,
+    peer_list_positions: AtomicU64,
 }
 
 /// A point-in-time copy of [`ClusterStats`].
@@ -54,6 +56,10 @@ pub struct ClusterSnapshot {
     pub conns_opened: u64,
     /// Pooled peer connections reused for a new query.
     pub conn_reuses: u64,
+    /// Positions a peer counted as runs of its storage, read in place.
+    pub peer_run_positions: u64,
+    /// Positions a peer counted one by one.
+    pub peer_list_positions: u64,
 }
 
 impl ClusterStats {
@@ -116,6 +122,13 @@ impl ClusterStats {
         self.conn_reuses.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts the positions one peer count read: `run` of them in runs,
+    /// `list` one by one.
+    pub fn record_positions(&self, run: u64, list: u64) {
+        self.peer_run_positions.fetch_add(run, Ordering::Relaxed);
+        self.peer_list_positions.fetch_add(list, Ordering::Relaxed);
+    }
+
     /// A consistent-enough copy for metrics scrapes.
     pub fn snapshot(&self) -> ClusterSnapshot {
         ClusterSnapshot {
@@ -131,6 +144,8 @@ impl ClusterStats {
             peer_errors: self.peer_errors.load(Ordering::Relaxed),
             conns_opened: self.conns_opened.load(Ordering::Relaxed),
             conn_reuses: self.conn_reuses.load(Ordering::Relaxed),
+            peer_run_positions: self.peer_run_positions.load(Ordering::Relaxed),
+            peer_list_positions: self.peer_list_positions.load(Ordering::Relaxed),
         }
     }
 }

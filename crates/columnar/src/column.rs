@@ -22,13 +22,15 @@ use crate::{Code, ColumnarError};
 ///   snapshot and read there, page-by-page, under a byte-budget cache.
 ///   `snapshot::open` at `Residency::Paged` produces this.
 ///
-/// Both keep the codes in the [`PageLayout`] of the row count: within
-/// each 65 536-row page the codes sit in a fixed, seeded shuffle, so a
-/// sample reads a whole page's draws as contiguous runs
-/// (`swope_sampling::PagePrefix`). A v3 snapshot's pages are stored in
-/// that order, so a heap load decodes them as they are
-/// ([`Column::from_layout_order`]) and a paged column reads them in
-/// place; [`Column::from_packed`] lays out codes that arrive in row order
+/// Both keep the codes in one [`PageLayout`]: within each 65 536-row
+/// page the codes sit in a fixed, seeded shuffle, so a sample reads a
+/// whole page's draws as contiguous runs (`swope_sampling::PagePrefix`).
+/// A column of its own is in the layout of its row count; a slice of a
+/// larger table's rows stays in the table's ([`PageLayout::slice`]). A
+/// v3 or v4 snapshot's pages are stored in that order, so a heap load
+/// decodes them as they are ([`Column::from_layout_order`]) and a paged
+/// column reads them in place; [`Column::from_packed`] and
+/// [`Column::from_packed_in`] lay out codes that arrive in row order
 /// (every in-memory constructor, and a v2 heap load).
 ///
 /// Every logical accessor — [`Column::code`], [`Column::to_codes`],
@@ -85,23 +87,31 @@ impl Column {
     /// Wraps an already-validated packed column, codes in row order: it
     /// reorders the codes in place, a page at a time, into the layout of
     /// their row count.
-    pub fn from_packed(mut packed: PackedColumn) -> Self {
+    pub fn from_packed(packed: PackedColumn) -> Self {
         let layout = PageLayout::of(packed.len());
+        Self::from_packed_in(packed, layout)
+    }
+
+    /// [`Column::from_packed`] into `layout`, whose row count must be the
+    /// column's: how a slice keeps its table's layout.
+    pub fn from_packed_in(mut packed: PackedColumn, layout: Arc<PageLayout>) -> Self {
         packed.reorder(|codes| for_packed!(codes, |codes| layout.store(codes)));
         Self { repr: Repr::Heap(packed), layout }
     }
 
-    /// Wraps an already-validated packed column whose codes are in the
-    /// layout of their row count already — a v3 snapshot's pages,
-    /// decoded as they are stored.
-    pub fn from_layout_order(packed: PackedColumn) -> Self {
-        Self { layout: PageLayout::of(packed.len()), repr: Repr::Heap(packed) }
+    /// Wraps an already-validated packed column whose codes are in
+    /// `layout` already — a v3 or v4 snapshot's pages, decoded as they
+    /// are stored.
+    pub fn from_layout_order(packed: PackedColumn, layout: Arc<PageLayout>) -> Self {
+        assert_eq!(packed.len(), layout.num_rows(), "one code per laid-out row");
+        Self { layout, repr: Repr::Heap(packed) }
     }
 
-    /// Wraps a pager-backed column, its pages in layout order (the
+    /// Wraps a pager-backed column, its pages in `layout`'s order (the
     /// out-of-core loader's path).
-    pub fn from_paged(paged: Arc<PagedColumn>) -> Self {
-        Self { layout: PageLayout::of(paged.len()), repr: Repr::Paged(paged) }
+    pub fn from_paged(paged: Arc<PagedColumn>, layout: Arc<PageLayout>) -> Self {
+        assert_eq!(paged.grid(), layout.grid(), "pages on the layout's grid");
+        Self { layout, repr: Repr::Paged(paged) }
     }
 
     /// The same logical column re-packed at a forced (wider) `width`.
@@ -110,9 +120,10 @@ impl Column {
     /// byte traffic of identical data at `u8`/`u16`/`u32`; errors if the
     /// width cannot hold the support. A paged column materializes to heap
     /// storage here — re-widening is a test/bench tool, not a hot path.
+    /// The layout stays.
     pub fn with_width(&self, width: Width) -> Result<Self, ColumnarError> {
         PackedColumn::with_width(self.to_codes(), self.support(), width)
-            .map(Self::from_packed)
+            .map(|packed| Self::from_packed_in(packed, self.layout.clone()))
             .map_err(|e| ColumnarError::Snapshot(e.to_string()))
     }
 
@@ -254,20 +265,20 @@ impl Column {
 }
 
 impl PartialEq for Column {
-    /// Logical equality: same support and the same code sequence,
-    /// regardless of representation (heap vs paged) or storage width.
-    /// Two columns of one length share a layout, so their stored orders
-    /// compare directly; a comparison that is not heap against heap
+    /// Logical equality: same support and the same code sequence in row
+    /// order, regardless of representation (heap vs paged), storage width
+    /// or layout. Two columns of one layout compare their stored orders
+    /// directly; any other comparison that is not heap against heap
     /// materializes both sides — equality is a test/assertion tool, not
     /// a hot path.
     fn eq(&self, other: &Self) -> bool {
+        if self.support() != other.support() || self.len() != other.len() {
+            return false;
+        }
         match (&self.repr, &other.repr) {
+            _ if self.layout != other.layout => self.to_codes() == other.to_codes(),
             (Repr::Heap(a), Repr::Heap(b)) => a == b,
-            _ => {
-                self.support() == other.support()
-                    && self.len() == other.len()
-                    && self.stored_codes() == other.stored_codes()
-            }
+            _ => self.stored_codes() == other.stored_codes(),
         }
     }
 }

@@ -3,7 +3,7 @@ use std::sync::Arc;
 use swope_sampling::PageLayout;
 
 use crate::snapshot::Residency;
-use crate::{AttrIndex, Code, Column, ColumnarError, Schema};
+use crate::{AttrIndex, Code, Column, ColumnarError, PackedColumn, Schema};
 
 /// The paper's support cap (§6.1): the `max_support` the CLI, the server
 /// and the figure harness pass to [`Dataset::cap_support`] by default.
@@ -15,19 +15,31 @@ pub const DEFAULT_MAX_SUPPORT: u32 = 1000;
 /// independently so a query over a candidate subset only touches those
 /// columns — matching the paper's columnar layout assumption (§6.1).
 ///
-/// Its columns are all on the heap or all paged. The count kernels index
-/// them by *position*, the slot the [`PageLayout`] of `N` stores a row
-/// at, and a position means the same on both residencies: a heap column
-/// and a v3 snapshot's pages keep one byte order. The positions a
-/// `swope_sampling::PagePrefix` draws are read as they are, and every
-/// other accessor speaks rows. The dataset holds the layout of `N`, so no
-/// table is rebuilt while it lives.
+/// Its columns are all on the heap or all paged, and all in one
+/// [`PageLayout`]. The count kernels index them by *position*, the slot
+/// the layout stores a row at, and a position means the same on both
+/// residencies: a heap column and a v3 or v4 snapshot's pages keep one
+/// byte order. The positions a `swope_sampling::PagePrefix` draws are
+/// read as they are, and every other accessor speaks rows. The dataset
+/// holds its layout, so no table is rebuilt while it lives.
+///
+/// A dataset of its own is laid out as its row count is. A *slice* —
+/// one ascending run of another dataset's rows ([`Dataset::take_rows`]) —
+/// keeps its table's layout and records its frame
+/// ([`Dataset::frame`]), so a cluster peer serving it counts the
+/// windows a coordinator draws over the table in place. Its own queries
+/// still draw their samples in its row count's layout
+/// ([`Dataset::sample_layout`]), so a slice answers every query as the
+/// same rows loaded on their own do.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     schema: Schema,
     columns: Vec<Column>,
     num_rows: usize,
     layout: Arc<PageLayout>,
+    /// The layout of `num_rows`, which queries draw their samples in:
+    /// `layout` itself unless the dataset is a slice.
+    sample_layout: Arc<PageLayout>,
 }
 
 impl Dataset {
@@ -41,6 +53,10 @@ impl Dataset {
         }
         if columns.iter().any(Column::is_paged) && !columns.iter().all(Column::is_paged) {
             return Err(ColumnarError::MixedResidency);
+        }
+        let layout = columns.first().map_or_else(|| PageLayout::of(0), |c| c.layout().clone());
+        if columns.iter().any(|c| *c.layout() != layout) {
+            return Err(ColumnarError::MixedLayout);
         }
         let num_rows = columns.first().map_or(0, Column::len);
         for (i, col) in columns.iter().enumerate() {
@@ -56,7 +72,17 @@ impl Dataset {
                 });
             }
         }
-        Ok(Self { schema, columns, num_rows, layout: PageLayout::of(num_rows) })
+        Ok(Self::assemble(schema, columns, layout))
+    }
+
+    /// The dataset of `columns`, all in `layout`.
+    fn assemble(schema: Schema, columns: Vec<Column>, layout: Arc<PageLayout>) -> Self {
+        let num_rows = layout.num_rows();
+        let sample_layout = match layout.frame() {
+            (union_rows, 0) if union_rows == num_rows => layout.clone(),
+            _ => PageLayout::of(num_rows),
+        };
+        Self { schema, columns, num_rows, layout, sample_layout }
     }
 
     /// Loads a dataset from `path`, dispatching on the extension: `.swop`
@@ -106,9 +132,24 @@ impl Dataset {
             .ok_or(ColumnarError::AttrOutOfRange { index: attr, num_attrs: self.columns.len() })
     }
 
-    /// The page layout of the dataset's rows.
+    /// The page layout the dataset stores its rows in: the positions its
+    /// columns are indexed by.
     pub fn layout(&self) -> &Arc<PageLayout> {
         &self.layout
+    }
+
+    /// The layout a query over the dataset draws its sample in: that of
+    /// its row count. A dataset of its own stores its rows in it too; a
+    /// slice stores them in its table's layout, and reads a sample drawn
+    /// here through `PageLayout::positions_in`.
+    pub fn sample_layout(&self) -> &Arc<PageLayout> {
+        &self.sample_layout
+    }
+
+    /// The dataset's frame: the rows of the table it was cut from and the
+    /// first of them it holds. `(N, 0)` for a dataset of its own.
+    pub fn frame(&self) -> (usize, usize) {
+        self.layout.frame()
     }
 
     /// The support size `u_alpha` of attribute `attr`.
@@ -199,17 +240,33 @@ impl Dataset {
     ///
     /// Supports are preserved (not re-densified) so bound computations using
     /// `u_alpha` stay comparable with the parent dataset.
+    ///
+    /// One ascending run of rows `a..b` is a *slice*: it keeps this
+    /// dataset's table's layout ([`PageLayout::slice`]), and its frame is
+    /// this one's moved on by `a`. That is how `swope split` cuts halves,
+    /// so that a peer counts a coordinator's windows over the table in
+    /// place. Any other selection is laid out as a dataset of its own.
     pub fn take_rows(&self, rows: &[usize]) -> Dataset {
+        let ascending = rows.windows(2).all(|w| w[1] == w[0] + 1);
+        let layout = match rows.first() {
+            Some(&first) if ascending => {
+                let (union_rows, base) = self.frame();
+                PageLayout::slice(union_rows, base + first, rows.len())
+            }
+            _ => PageLayout::of(rows.len()),
+        };
         let columns: Vec<Column> = self
             .columns
             .iter()
             .map(|c| {
                 let codes = rows.iter().map(|&r| c.code(r)).collect();
-                Column::new_unchecked(codes, c.support())
+                Column::from_packed_in(
+                    PackedColumn::new_unchecked(codes, c.support()),
+                    layout.clone(),
+                )
             })
             .collect();
-        let num_rows = rows.len();
-        Dataset { schema: self.schema.clone(), columns, num_rows, layout: PageLayout::of(num_rows) }
+        Self::assemble(self.schema.clone(), columns, layout)
     }
 }
 
@@ -306,6 +363,25 @@ mod tests {
         )
         .unwrap();
         assert!(a.concat(&renamed).is_err());
+    }
+
+    /// One ascending run of rows is a slice in its table's frame, also
+    /// cut from a slice; any other selection is a dataset of its own.
+    #[test]
+    fn take_rows_of_a_run_is_a_slice_of_the_table() {
+        let ds = small();
+        let half = ds.take_rows(&[1, 2, 3]);
+        assert_eq!(half.frame(), (4, 1));
+        assert_eq!(half.take_rows(&[1, 2]).frame(), (4, 2));
+        assert_eq!(half.column(0).to_codes(), vec![1, 2, 0]);
+        assert_eq!(ds.take_rows(&[0, 1, 2, 3]).frame(), (4, 0));
+        assert_eq!(ds.take_rows(&[0, 1, 2, 3]), ds);
+        assert_eq!(ds.take_rows(&[3, 0]).frame(), (2, 0));
+        assert_eq!(ds.take_rows(&[]).frame(), (0, 0));
+        // Columns of different frames make no dataset.
+        let mixed = vec![half.column(0).clone(), small().take_rows(&[1, 3, 2]).column(1).clone()];
+        let schema = Schema::new(vec![Field::new("x", 3), Field::new("y", 2)]);
+        assert!(matches!(Dataset::new(schema, mixed), Err(ColumnarError::MixedLayout)));
     }
 
     #[test]

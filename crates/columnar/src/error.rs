@@ -34,6 +34,9 @@ pub enum ColumnarError {
     /// Some of a dataset's columns are on the heap and some are paged, so
     /// no one position numbers a row in all of them.
     MixedResidency,
+    /// A dataset's columns lay their rows out in different frames, so no
+    /// one position numbers a row in all of them.
+    MixedLayout,
     /// A CSV document was malformed.
     Csv {
         /// 1-based line number of the offending record.
@@ -62,6 +65,7 @@ impl fmt::Display for ColumnarError {
             }
             Self::RaggedColumns => write!(f, "columns have differing row counts"),
             Self::MixedResidency => write!(f, "columns mix heap and paged storage"),
+            Self::MixedLayout => write!(f, "columns lay their rows out in different frames"),
             Self::Csv { line, message } => write!(f, "CSV error at line {line}: {message}"),
             Self::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
             Self::Io(e) => write!(f, "I/O error: {e}"),

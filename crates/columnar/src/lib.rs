@@ -70,7 +70,7 @@ pub use swope_sketch::{ColumnSketch, DatasetSketch, SketchKind};
 // The sketch/scope page granularity, re-exported so downstream crates
 // (server, CLI, benches) can reason about page alignment without a
 // direct swope-store dependency.
-pub use swope_store::page::PAGE_ROWS;
+pub use swope_store::page::{PageGrid, PAGE_ROWS};
 
 // The checksum over every snapshot page and section (and every cluster
 // frame), for the same callers: layer benches time the kernel itself.

@@ -1,21 +1,23 @@
 //! The `SWOP` binary on-disk format for datasets.
 //!
-//! Version 3 (the writer's format) is paged and checksummed so a reader
-//! can reject bit rot before trusting anything, and sectioned so the
-//! layout is validated against the file's real size before any payload
-//! byte is touched. All integers little-endian:
+//! Version 3 (the writer's format for a dataset of its own) is paged and
+//! checksummed so a reader can reject bit rot before trusting anything,
+//! and sectioned so the layout is validated against the file's real size
+//! before any payload byte is touched. Version 4 is the same format for a
+//! slice of a larger table's rows. All integers little-endian:
 //!
 //! ```text
 //! header (12 bytes):
 //!   magic         b"SWOP"      4 bytes
-//!   version       u16          3 (2 still reads, see below)
+//!   version       u16          3, or 4 for a slice (2 still reads, see below)
 //!   flags         u16          reserved, 0
 //!   section_count u32          1 (schema) + h (one per column) [+ 1 sketch]
 //! section table (24 bytes per entry, see `swope_store::section`):
 //!   kind u32, attr u32, offset u64, len u64
 //! schema section payload:
 //!   h u32, N u64
-//!   layout_seed u64            v3 only: the seed the pages are ordered by
+//!   layout_seed u64            v3, v4: the seed the pages are ordered by
+//!   union_rows u64, base u64   v4 only: the slice's frame
 //!   field*h:
 //!     name_len u32, name bytes (UTF-8)
 //!     support  u32
@@ -39,6 +41,15 @@
 //! by stay as they were. A v3 file recorded under another seed than this
 //! build's `swope_sampling::LAYOUT_SEED` does not open: its positions
 //! would name other rows.
+//!
+//! **Version 4** is a slice ([`Dataset::take_rows`] of one ascending run
+//! of rows, which is how `swope split` cuts halves). It keeps its table's
+//! layout, so its schema section records its *frame* after the seed: the
+//! table's row count and the first table row it holds. Its pages are the
+//! table's pages over its rows: the first holds `PAGE_ROWS − base mod
+//! PAGE_ROWS` of them ([`swope_store::page::PageGrid`]), and its sketch
+//! has the same pages. A dataset of its own still writes v3, byte for
+//! byte, and a reader of v3 alone refuses a v4 file by its version.
 //!
 //! **Version 2** differs in two things: no `layout_seed`, and every page
 //! in row order. It still reads. A heap load lays each column out as it
@@ -71,7 +82,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use swope_pager::{HeapMapping, Mapping, PageCache, PagedColumn};
-use swope_sampling::LAYOUT_SEED;
+use swope_sampling::{PageLayout, LAYOUT_SEED};
 use swope_sketch::{ColumnSketch, ColumnSketchBuilder, DatasetSketch};
 use swope_store::crc32::crc32;
 use swope_store::section::{
@@ -83,8 +94,11 @@ use crate::{Column, ColumnStorage, ColumnarError, Dataset, Dictionary, Field, Sc
 
 const MAGIC: &[u8; 4] = b"SWOP";
 
-/// The version [`write()`] emits.
+/// The version [`write()`] emits for a dataset of its own.
 pub const VERSION: u16 = 3;
+
+/// The version [`write()`] emits for a slice: v3 and its frame.
+pub const SLICE_VERSION: u16 = 4;
 
 /// The row-order version, still read.
 const V2: u16 = 2;
@@ -92,14 +106,15 @@ const V2: u16 = 2;
 /// Bytes before the section table: magic + version + flags + count.
 const HEADER_BYTES: usize = 12;
 
-/// Serializes `dataset` into a byte buffer (v3 format).
+/// Serializes `dataset` into a byte buffer (v3, or v4 for a slice).
 pub fn encode(dataset: &Dataset) -> Vec<u8> {
     let mut buf = Vec::new();
     write(dataset, &mut buf).expect("Vec writes are infallible");
     buf
 }
 
-/// Streams `dataset` in v3 snapshot format to `writer`.
+/// Streams `dataset` in v3 snapshot format to `writer`, or v4 for a
+/// slice.
 ///
 /// The header and section table are emitted first (every section length
 /// is computable up front), then columns are paged out through one
@@ -107,11 +122,18 @@ pub fn encode(dataset: &Dataset) -> Vec<u8> {
 pub fn write<W: Write>(dataset: &Dataset, writer: &mut W) -> Result<(), ColumnarError> {
     let h = dataset.num_attrs();
     let n = dataset.num_rows();
+    let grid = dataset.layout().grid();
+    let (union_rows, base) = dataset.frame();
+    let version = if (union_rows, base) == (n, 0) { VERSION } else { SLICE_VERSION };
 
     let mut schema_payload = Vec::new();
     schema_payload.extend_from_slice(&(h as u32).to_le_bytes());
     schema_payload.extend_from_slice(&(n as u64).to_le_bytes());
     schema_payload.extend_from_slice(&LAYOUT_SEED.to_le_bytes());
+    if version == SLICE_VERSION {
+        schema_payload.extend_from_slice(&(union_rows as u64).to_le_bytes());
+        schema_payload.extend_from_slice(&(base as u64).to_le_bytes());
+    }
     for field in dataset.schema().fields() {
         put_str(&mut schema_payload, field.name());
         schema_payload.extend_from_slice(&field.support().to_le_bytes());
@@ -144,7 +166,7 @@ pub fn write<W: Write>(dataset: &Dataset, writer: &mut W) -> Result<(), Columnar
     offset += schema_section.len;
     for attr in 0..h {
         let width = dataset.column(attr).width();
-        let len = 1 + page::encoded_len(n, width) as u64;
+        let len = 1 + page::encoded_len(grid, width) as u64;
         Section { kind: SECTION_COLUMN, attr: attr as u32, offset, len }.write_into(&mut table);
         offset += len;
     }
@@ -152,7 +174,7 @@ pub fn write<W: Write>(dataset: &Dataset, writer: &mut W) -> Result<(), Columnar
         .write_into(&mut table);
 
     writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
+    writer.write_all(&version.to_le_bytes())?;
     writer.write_all(&0u16.to_le_bytes())?;
     writer.write_all(&(section_count as u32).to_le_bytes())?;
     writer.write_all(&table)?;
@@ -163,7 +185,7 @@ pub fn write<W: Write>(dataset: &Dataset, writer: &mut W) -> Result<(), Columnar
         // Both residencies hold their pages in layout order: the bytes
         // go out as they are.
         match column.storage() {
-            ColumnStorage::Heap(packed) => page::write_pages(packed.codes(), writer)?,
+            ColumnStorage::Heap(packed) => page::write_pages(packed.codes(), grid, writer)?,
             ColumnStorage::Paged(paged) => write_paged_column(paged, writer)?,
         }
     }
@@ -192,13 +214,14 @@ fn write_paged_column<W: Write>(paged: &PagedColumn, writer: &mut W) -> Result<(
 /// columns are sketched one page at a time, in place, so the build stays
 /// within the pager's byte budget.
 pub fn build_sketch(dataset: &Dataset) -> DatasetSketch {
+    let grid = dataset.layout().grid();
     let columns = (0..dataset.num_attrs())
         .map(|attr| match dataset.column(attr).storage() {
-            ColumnStorage::Heap(packed) => ColumnSketch::build(packed),
+            ColumnStorage::Heap(packed) => ColumnSketch::build(packed, grid.lead()),
             ColumnStorage::Paged(paged) => sketch_paged(paged),
         })
         .collect();
-    DatasetSketch::new(dataset.num_rows(), columns)
+    DatasetSketch::new(grid, columns)
 }
 
 /// Sketches a pager-backed column page-by-page. Panics on a corrupt
@@ -284,29 +307,32 @@ fn load_columns(
     parsed: &Parsed,
     residency: Residency<'_>,
 ) -> Result<Vec<Column>, ColumnarError> {
-    let (bytes, n) = (mapping.bytes(), parsed.n);
+    let bytes = mapping.bytes();
+    let (union_rows, base) = parsed.format.frame.unwrap_or((parsed.n, 0));
+    let layout = PageLayout::slice(union_rows, base, parsed.n);
+    let grid = layout.grid();
     let mut columns = Vec::with_capacity(parsed.fields.len());
     for (attr, ((width, range), field)) in parsed.columns.iter().zip(&parsed.fields).enumerate() {
         let column = match residency {
             Residency::Heap => {
                 mapping.will_need(range.clone());
-                let decoded = page::decode_pages(&bytes[range.clone()], n, *width)
+                let decoded = page::decode_pages(&bytes[range.clone()], grid, *width)
                     .and_then(|codes| PackedColumn::from_packed(codes, field.support()));
                 mapping.release(range.clone());
-                decoded.map(match parsed.format.version {
-                    V2 => Column::from_packed,
-                    _ => Column::from_layout_order,
+                decoded.map(|packed| match parsed.format.version {
+                    V2 => Column::from_packed(packed),
+                    _ => Column::from_layout_order(packed, layout.clone()),
                 })
             }
             Residency::Paged(cache) => PagedColumn::open(
                 mapping.clone(),
                 cache.clone(),
                 range.clone(),
-                n,
+                grid,
                 field.support(),
                 *width,
             )
-            .map(Column::from_paged),
+            .map(|paged| Column::from_paged(paged, layout.clone())),
         };
         columns.push(column.map_err(|e| ColumnarError::Snapshot(format!("column {attr}: {e}")))?);
     }
@@ -316,11 +342,16 @@ fn load_columns(
 /// What a snapshot says about its own encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Format {
-    /// The format version the file was written in: 2 or 3.
+    /// The format version the file was written in: 2, 3, or 4 for a
+    /// slice.
     pub version: u16,
     /// The seed of the layout its pages are ordered by; `None` for v2,
     /// whose pages are in row order.
     pub layout_seed: Option<u64>,
+    /// A slice's frame, `(union_rows, base)`: the rows of the table it
+    /// was cut from and the first of them it holds. `None` for a dataset
+    /// of its own.
+    pub frame: Option<(usize, usize)>,
 }
 
 /// The [`Format`] of the snapshot at `path`, read from its header and
@@ -361,9 +392,9 @@ fn parse_schema(bytes: &[u8]) -> Result<SchemaPart, ColumnarError> {
         return Err(ColumnarError::Snapshot("bad magic".into()));
     }
     let version = r.u16()?;
-    if version != VERSION && version != V2 {
+    if !(V2..=SLICE_VERSION).contains(&version) {
         return Err(ColumnarError::Snapshot(format!(
-            "unsupported version {version} (reads {V2} and {VERSION})"
+            "unsupported version {version} (reads {V2} to {SLICE_VERSION})"
         )));
     }
     let _flags = r.u16()?;
@@ -404,6 +435,19 @@ fn parse_schema(bytes: &[u8]) -> Result<SchemaPart, ColumnarError> {
             "pages laid out by seed {seed:#x}, but this build reads seed {LAYOUT_SEED:#x}"
         )));
     }
+    let frame = match version {
+        SLICE_VERSION => Some((r.u64()?, r.u64()?)),
+        _ => None,
+    };
+    // A frame names a table whose positions a u32 indexes, holding the
+    // slice: anything else is no layout a reader can build.
+    let (union_rows, base) = frame.unwrap_or((n as u64, 0));
+    if union_rows > u64::from(u32::MAX) || base.saturating_add(n as u64) > union_rows {
+        return Err(ColumnarError::Snapshot(format!(
+            "frame places {n} rows at row {base} of a table of {union_rows}"
+        )));
+    }
+    let frame = frame.map(|(union_rows, base)| (union_rows as usize, base as usize));
     // Each field needs at least 9 bytes (name_len + support + has_dict);
     // check before the fields Vec is sized from h.
     if (h as u64).saturating_mul(9) > r.remaining() as u64 {
@@ -419,7 +463,7 @@ fn parse_schema(bytes: &[u8]) -> Result<SchemaPart, ColumnarError> {
             r.remaining()
         )));
     }
-    Ok(SchemaPart { format: Format { version, layout_seed }, fields, n, sections })
+    Ok(SchemaPart { format: Format { version, layout_seed, frame }, fields, n, sections })
 }
 
 /// Parses and validates the structure of the snapshot `bytes`.
@@ -460,7 +504,8 @@ fn parse(bytes: &[u8]) -> Result<Parsed, ColumnarError> {
     }
     let sketch = match sketch_section {
         Some(section) => {
-            let sketch = DatasetSketch::decode(section_slice(bytes, section))
+            let lead = format.frame.map_or(0, |(_, base)| base % page::PAGE_ROWS);
+            let sketch = DatasetSketch::decode(section_slice(bytes, section), lead)
                 .map_err(|e| ColumnarError::Snapshot(format!("sketch section: {e}")))?;
             if sketch.num_rows() != n || sketch.num_columns() != h {
                 return Err(ColumnarError::Snapshot(format!(
@@ -712,7 +757,7 @@ mod tests {
     #[test]
     fn rejects_wrong_version() {
         // 1 was the flat pre-paging format; nothing reads it any more.
-        for version in [0u8, 1, 4, 99] {
+        for version in [0u8, 1, 5, 99] {
             let mut bytes = encode(&sample()).to_vec();
             bytes[4] = version;
             let err = decode(&bytes).unwrap_err().to_string();
@@ -730,8 +775,8 @@ mod tests {
         // with 4 sections the table spans bytes 12..108 — and every cut
         // inside the trailing sketch section, satisfying the
         // truncated-sketch boundary requirement.) A v2 file as much as a
-        // v3 one.
-        for bytes in [encode(&sample()), v2_of(&encode(&sample()))] {
+        // v3 one, and a v4 slice.
+        for bytes in [encode(&sample()), v2_of(&encode(&sample())), encode(&slice())] {
             for cut in 0..bytes.len() {
                 assert!(decode(&bytes[..cut]).is_err(), "cut at {cut} should fail");
             }
@@ -743,8 +788,8 @@ mod tests {
         // Flip every byte in turn: decode may reject or (for bytes that
         // don't affect meaning, like the reserved flags) accept, but it
         // must always return rather than panic or over-allocate. A v2
-        // file as much as a v3 one.
-        for bytes in [encode(&sample()), v2_of(&encode(&sample()))] {
+        // file as much as a v3 one, and a v4 slice.
+        for bytes in [encode(&sample()), v2_of(&encode(&sample())), encode(&slice())] {
             for i in 0..bytes.len() {
                 let mut corrupt = bytes.clone();
                 corrupt[i] ^= 0xff;
@@ -831,7 +876,10 @@ mod tests {
         // dataset shape (0 rows, 0 columns): the cross-check against
         // the schema must fail even though the sketch's own CRC passes.
         let ds = sample();
-        let out = with_sketch(&encode(&ds), &DatasetSketch::build(0, std::iter::empty()));
+        let out = with_sketch(
+            &encode(&ds),
+            &DatasetSketch::build(page::PageGrid::whole(0), std::iter::empty()),
+        );
         let err = decode(&out).unwrap_err();
         assert!(err.to_string().contains("sketch covers"), "{err}");
     }
@@ -849,7 +897,8 @@ mod tests {
                 PackedColumn::new(ds.column(a).to_codes(), ds.support(a) + bump).unwrap()
             })
             .collect();
-        let out = with_sketch(&encode(&ds), &DatasetSketch::build(ds.num_rows(), wider.iter()));
+        let out =
+            with_sketch(&encode(&ds), &DatasetSketch::build(ds.layout().grid(), wider.iter()));
         let msg = decode(&out).unwrap_err().to_string();
         assert!(msg.contains("sketch section: column 0"), "{msg}");
         assert!(!msg.contains('\n'), "{msg}");
@@ -893,11 +942,15 @@ mod tests {
     /// the section in place, so the edited field itself is what the
     /// reader trips over.
     fn reseal_schema(bytes: &mut [u8]) {
-        let schema_len_at = 12 + 16; // first section entry's len field
-        let len = u64::from_le_bytes(bytes[schema_len_at..schema_len_at + 8].try_into().unwrap())
-            as usize;
-        let crc = crc32(&bytes[SCHEMA_AT..SCHEMA_AT + len - 4]);
-        bytes[SCHEMA_AT + len - 4..SCHEMA_AT + len].copy_from_slice(&crc.to_le_bytes());
+        let (at, len) = schema_section(bytes);
+        let crc = crc32(&bytes[at..at + len - 4]);
+        bytes[at + len - 4..at + len].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Offset and length of the schema section: the first table entry's.
+    fn schema_section(bytes: &[u8]) -> (usize, usize) {
+        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        (field(HEADER_BYTES + 8), field(HEADER_BYTES + 16))
     }
 
     #[test]
@@ -1086,8 +1139,9 @@ mod tests {
         for (attr, (width, range)) in parsed.columns.iter().enumerate() {
             let stream = &bytes[range.clone()];
             let mut payloads = Vec::new();
-            for index in 0..ds.num_rows().div_ceil(page::PAGE_ROWS) {
-                let at = page::page_offset(index, *width);
+            let grid = ds.layout().grid();
+            for index in 0..grid.count() {
+                let at = page::page_offset(grid, index, *width);
                 let rows = page::read_u32(stream, at) as usize;
                 let payload = at + page::PAGE_HEADER_BYTES;
                 payloads.extend_from_slice(&stream[payload..payload + rows * width.bytes()]);
@@ -1123,7 +1177,7 @@ mod tests {
         {
             let path = dir.join(name);
             std::fs::write(&path, &bytes).unwrap();
-            let want = Format { version: 2, layout_seed: None };
+            let want = Format { version: 2, layout_seed: None, frame: None };
             assert_eq!(format(&path).unwrap(), want, "{name}");
             for budget in [None, Some(1)] {
                 let (paged, sketch) = open_paged(&path, Arc::new(PageCache::new(budget))).unwrap();
@@ -1159,8 +1213,54 @@ mod tests {
     #[test]
     fn format_reports_the_version_and_the_seed() {
         let path = temp_snapshot(&sample(), "format.swop");
-        let want = Format { version: VERSION, layout_seed: Some(LAYOUT_SEED) };
+        let want = Format { version: VERSION, layout_seed: Some(LAYOUT_SEED), frame: None };
         assert_eq!(format(&path).unwrap(), want);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A slice of [`sample`]: rows 1..4, so its grid leads with a slot.
+    fn slice() -> Dataset {
+        sample().take_rows(&[1, 2, 3])
+    }
+
+    /// A slice cut inside a page past page 0 writes v4 — its frame after
+    /// the seed, its pages and sketch on its table's grid — and reads back
+    /// as that slice on the heap and paged, under any budget; re-encoded
+    /// from its pages it is the same bytes.
+    #[test]
+    fn a_slice_writes_v4_and_reads_back_in_its_frame() {
+        let table = paged_tri_width();
+        let base = page::PAGE_ROWS + 4_000;
+        let ds = table.take_rows(&(base..table.num_rows()).collect::<Vec<_>>());
+        assert_eq!(ds.frame(), (table.num_rows(), base));
+        let bytes = encode(&ds);
+        assert_eq!(bytes[4..6], SLICE_VERSION.to_le_bytes());
+        let frame_at = schema_section(&bytes).0 + 4 + 8 + 8;
+        assert_eq!(bytes[frame_at..frame_at + 8], (table.num_rows() as u64).to_le_bytes());
+        assert_eq!(bytes[frame_at + 8..frame_at + 16], (base as u64).to_le_bytes());
+        let (heap, sketch) = open_bytes(&bytes).unwrap();
+        assert_eq!((heap.frame(), &heap), (ds.frame(), &ds));
+        for attr in 0..ds.num_attrs() {
+            assert_eq!(heap.column(attr).packed().codes(), ds.column(attr).packed().codes());
+        }
+        let sketch = sketch.expect("writer emits a sketch");
+        assert_eq!(sketch, build_sketch(&ds));
+        assert_eq!((sketch.num_pages(), sketch.grid().lead()), (2, 4_000));
+        let path = temp_snapshot(&ds, "slice.swop");
+        let want = Some((table.num_rows(), base));
+        assert_eq!(format(&path).unwrap().frame, want);
+        for budget in [None, Some(1)] {
+            let (paged, sketch) = open_paged(&path, Arc::new(PageCache::new(budget))).unwrap();
+            assert_eq!((paged.frame(), &paged), (ds.frame(), &ds), "paged under {budget:?}");
+            assert_eq!(sketch.as_ref(), Some(&build_sketch(&paged)));
+            assert!(encode(&paged) == bytes, "paged rewrite is the v4 encoding");
+        }
+        std::fs::remove_file(&path).ok();
+        // A frame that does not hold the slice is a one-line error.
+        let mut bad = bytes.clone();
+        bad[frame_at + 8..frame_at + 16].copy_from_slice(&(base as u64 + 1).to_le_bytes());
+        reseal_schema(&mut bad);
+        let msg = decode(&bad).unwrap_err().to_string();
+        assert!(msg.contains("frame places") && !msg.contains('\n'), "{msg}");
     }
 }

@@ -95,7 +95,14 @@ fn split_halves_hold_their_rows_in_order() {
             assert_eq!(halves[0].column(attr).to_codes(), codes[..at]);
             assert_eq!(halves[1].column(attr).to_codes(), codes[at..]);
         }
-        // Each half is a heap dataset in its own row count's layout.
+        // Each half keeps the union's layout: a union page it holds
+        // whole — page 2 of the tail — is that page shifted by its base.
+        assert_eq!((halves[0].frame(), halves[1].frame()), ((ROWS, 0), (ROWS, at)));
+        let (union, tail) = (source.layout(), halves[1].layout());
+        for row in 2 * PAGE_ROWS..3 * PAGE_ROWS {
+            let mine = tail.position_of((row - at) as u32) as usize;
+            assert_eq!(mine + at, union.position_of(row as u32) as usize, "row {row}");
+        }
         assert!(halves[1].column(0).code(0) == codes()[0].1[at]);
     }
     std::fs::remove_file(path).ok();

@@ -62,7 +62,7 @@ fn in_row_order(section: &[u8], layout: &PageLayout) -> Vec<u8> {
     let mut out = section.to_vec();
     let deltas = layout.row_deltas();
     for page in 0..read_u32(section, 1 + 4) as usize {
-        let at = 1 + page_offset(page, width);
+        let at = 1 + page_offset(layout.grid(), page, width);
         let rows = read_u32(section, at) as usize;
         let payload = at + PAGE_HEADER_BYTES;
         for slot in 0..rows {

@@ -64,13 +64,13 @@
 //! source that reports `n = 0`, charging only the scope-resolution scan.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use swope_columnar::{
     AttrIndex, Code, CodeBuf, CodeRepr, ColumnStorage, Dataset, DatasetSketch, Width,
 };
 use swope_obs::{Phase, Plan, QueryObserver};
-use swope_sampling::{PageMembers, PagePrefix};
-use swope_store::page::PAGE_ROWS;
+use swope_sampling::{PageMembers, PagePrefix, Positions};
 use swope_store::{for_buf, for_packed};
 
 use crate::driver::{run, CountSource, Round, Rule, Shape};
@@ -134,7 +134,7 @@ fn usable_sketch<'a>(
     sketch: Option<&'a DatasetSketch>,
 ) -> Option<&'a DatasetSketch> {
     sketch.filter(|sk| {
-        sk.num_rows() == dataset.num_rows()
+        sk.grid() == dataset.layout().grid()
             && sk.num_columns() == dataset.num_attrs()
             && (0..dataset.num_attrs())
                 .all(|attr| sk.column(attr).is_some_and(|c| c.support() == dataset.support(attr)))
@@ -199,7 +199,7 @@ pub(crate) fn resolve_scope(
             }
             let sketch = usable_sketch(dataset, sketch);
             let (members, scanned) = scan_predicate(dataset, sketch, start..end, attr, code);
-            Ok(ResolvedScope::Members(members, scanned))
+            Ok(ResolvedScope::Members(in_sample_layout(dataset, members), scanned))
         }
     }
 }
@@ -208,9 +208,9 @@ pub(crate) fn resolve_scope(
 /// their pages, skipping pages the sketch proves empty of matches; and
 /// the number of rows examined.
 ///
-/// Slot `s` of a page holds its row `s ^ deltas[s]`. Heap and paged
-/// pages alike are read in slot order, in one loop, so the members come
-/// out in slot order.
+/// Slot `s` of a page holds its in-page row `s ^ deltas[s − first]`,
+/// `first` the page's first slot. Heap and paged pages alike are read in
+/// slot order, in one loop, so the members come out in slot order.
 fn scan_predicate(
     dataset: &Dataset,
     sketch: Option<&DatasetSketch>,
@@ -219,29 +219,30 @@ fn scan_predicate(
     code: Code,
 ) -> (PageMembers, u64) {
     let column = dataset.column(attr);
-    let to_row = dataset.layout().row_deltas();
-    let mut members = PageMembers::default();
+    let (to_row, grid) = (dataset.layout().row_deltas(), dataset.layout().grid());
+    let mut members = PageMembers::new(grid);
     let mut scanned = 0u64;
     let mut buf = CodeBuf::new();
-    for page in range.start / PAGE_ROWS..range.end.div_ceil(PAGE_ROWS) {
+    for page in grid.pages_of(range.clone()) {
         if let Some(sk) = sketch {
             if sk.column(attr).is_some_and(|c| c.page_count(page, code) == 0) {
                 continue;
             }
         }
-        let first = page * PAGE_ROWS;
-        let page_len = (dataset.num_rows() - first).min(PAGE_ROWS);
-        let (lo, hi) = (range.start.max(first) - first, range.end.min(first + page_len) - first);
+        let (span, first) = (grid.span(page), grid.first_slot(page));
+        let (lo, hi) =
+            (range.start.max(span.start) - span.start, range.end.min(span.end) - span.start);
         scanned += (hi - lo) as u64;
-        let deltas = &to_row[first..first + page_len];
-        // In 16-bit lanes: the span only overflows one when it is the
-        // whole page.
-        let (whole, lo16, span) = (hi - lo == page_len, lo as u16, (hi - lo) as u16);
-        let in_range = |s: usize, d: u16| whole | ((s as u16 ^ d).wrapping_sub(lo16) < span);
+        let deltas = &to_row[span.clone()];
+        // In 16-bit lanes, on the page's slots: the span only overflows
+        // one when it is the whole page.
+        let (whole, lo16, len) = (hi - lo == span.len(), (lo + first) as u16, (hi - lo) as u16);
+        let in_range = |s: usize, d: u16| whole | ((s as u16 ^ d).wrapping_sub(lo16) < len);
         macro_rules! push_matches {
             ($codes:expr) => {
-                members.push_page(page, page_len, |slots, flags| {
-                    let stored = $codes[slots.clone()].iter().zip(&deltas[slots.clone()]);
+                members.push_page(page, |slots, flags| {
+                    let at = slots.start - first..slots.end - first;
+                    let stored = $codes[at.clone()].iter().zip(&deltas[at]);
                     for ((flag, (c, &d)), s) in flags.iter_mut().zip(stored).zip(slots) {
                         *flag = (c.widen() == code) & in_range(s, d);
                     }
@@ -250,7 +251,7 @@ fn scan_predicate(
         }
         match column.storage() {
             ColumnStorage::Heap(packed) => {
-                for_packed!(packed.codes(), |codes| push_matches!(codes[first..first + page_len]))
+                for_packed!(packed.codes(), |codes| push_matches!(codes[span.clone()]))
             }
             // Only pages that can hold matches are read: a sketch-skipped
             // page is never faulted (nor CRC-checked).
@@ -268,6 +269,54 @@ fn scan_predicate(
     (members, scanned)
 }
 
+/// `members`, found in the layout `dataset` stores its rows in, as members
+/// of the layout it draws samples in: themselves for a dataset of its
+/// own; for a slice, every member's row at its position in its row
+/// count's layout.
+fn in_sample_layout(dataset: &Dataset, members: PageMembers) -> PageMembers {
+    let own = dataset.sample_layout();
+    if Arc::ptr_eq(own, dataset.layout()) {
+        return members;
+    }
+    // Every member once: a full draw.
+    let mut all = PagePrefix::new(members, 0);
+    let mut at = Vec::with_capacity(all.num_rows());
+    dataset.layout().positions_in(all.grow_to(all.num_rows()), own, &mut at);
+    let mut bits = vec![0u64; own.num_rows().div_ceil(64)];
+    for q in at {
+        bits[q as usize / 64] |= 1 << (q % 64);
+    }
+    // The grid has no lead: slot `s` of a page is its first position + s.
+    let grid = own.grid();
+    let mut out = PageMembers::new(grid);
+    for page in 0..grid.count() {
+        let first = grid.span(page).start;
+        out.push_page(page, |slots, flags| {
+            for (flag, q) in flags.iter_mut().zip(slots.start + first..) {
+                *flag = bits[q / 64] >> (q % 64) & 1 == 1;
+            }
+        });
+    }
+    out
+}
+
+/// `delta`, drawn in `dataset`'s sample layout, as positions of its
+/// storage: itself for a dataset of its own; for a slice, which stores
+/// its rows in its table's layout, the positions it keeps them at,
+/// written to `stored`.
+pub(crate) fn in_storage<'a>(
+    dataset: &Dataset,
+    delta: Positions<'a>,
+    stored: &'a mut Vec<u32>,
+) -> Positions<'a> {
+    if Arc::ptr_eq(dataset.sample_layout(), dataset.layout()) {
+        return delta;
+    }
+    stored.clear();
+    dataset.sample_layout().positions_in(delta, dataset.layout(), stored);
+    Positions::from(&*stored)
+}
+
 /// The local [`CountSource`]: a dataset's rows, sampled from the
 /// population its scope resolved to — the scope's rows as members of
 /// their pages, drawn by one [`PagePrefix`] — and counted the way a shard
@@ -279,6 +328,8 @@ pub(crate) struct LocalSource<'a> {
     /// Rows examined to resolve the scope.
     setup_rows: u64,
     sampler: PagePrefix,
+    /// The delta's positions in a slice's storage.
+    stored: Vec<u32>,
     counter: Counter,
     /// The iteration's request and counts, refilled in place.
     req: CountRequest,
@@ -298,9 +349,10 @@ impl<'a> LocalSource<'a> {
     ) -> Result<Self, SwopeError> {
         let resolved = resolve_scope(dataset, sketch, scope)?;
         let scoped = !matches!(resolved, ResolvedScope::Full);
+        let own = dataset.sample_layout();
         let (members, setup_rows) = match resolved {
-            ResolvedScope::Full => (PageMembers::range(dataset.layout(), 0..dataset.num_rows()), 0),
-            ResolvedScope::RowRange(range) => (PageMembers::range(dataset.layout(), range), 0),
+            ResolvedScope::Full => (PageMembers::range(own, 0..dataset.num_rows()), 0),
+            ResolvedScope::RowRange(range) => (PageMembers::range(own, range), 0),
             ResolvedScope::Members(members, scanned) => (members, scanned),
         };
         Ok(Self {
@@ -308,6 +360,7 @@ impl<'a> LocalSource<'a> {
             scoped,
             setup_rows,
             sampler: PagePrefix::new(members, config.seed),
+            stored: Vec::new(),
             counter: Counter::new(),
             req: CountRequest { target: None, live: Vec::new() },
             counts: ShardCounts::empty(None, []),
@@ -352,7 +405,7 @@ impl CountSource for LocalSource<'_> {
     ) -> Result<(), SwopeError> {
         let span = round.it.phase_start();
         self.sampler.grow_to(m_target);
-        let delta = self.sampler.positions();
+        let delta = in_storage(self.dataset, self.sampler.positions(), &mut self.stored);
         round.it.phase_end(Phase::SampleGrow, span);
         round.announce(self.sampler.sampled(), delta.len(), states.len(), M::WORK);
 
@@ -411,6 +464,7 @@ mod tests {
     use crate::driver::Answer;
     use swope_columnar::{Column, Field, Schema};
     use swope_estimate::entropy::entropy_from_counts;
+    use swope_store::page::PAGE_ROWS;
 
     /// `shape` over `scope`, unobserved, on `cfg.threads` workers.
     fn scoped(
@@ -443,7 +497,7 @@ mod tests {
     }
 
     fn sketch_of(ds: &Dataset) -> DatasetSketch {
-        DatasetSketch::build(ds.num_rows(), (0..ds.num_attrs()).map(|a| ds.column(a).packed()))
+        DatasetSketch::build(ds.layout().grid(), (0..ds.num_attrs()).map(|a| ds.column(a).packed()))
     }
 
     /// The members a predicate scope resolves to.
@@ -457,11 +511,14 @@ mod tests {
     /// The population of `rows` of `ds`, as a range's members are built:
     /// each page's slots whose rows are in `rows`, in slot order.
     fn members_of_rows(ds: &Dataset, rows: &[usize]) -> PageMembers {
-        let mut members = PageMembers::default();
-        for (page, deltas) in ds.layout().row_deltas().chunks(PAGE_ROWS).enumerate() {
-            members.push_page(page, deltas.len(), |slots, flags| {
+        let grid = ds.layout().grid();
+        let mut members = PageMembers::new(grid);
+        for page in 0..grid.count() {
+            let (span, first) = (grid.span(page), grid.first_slot(page));
+            let deltas = &ds.layout().row_deltas()[span.clone()];
+            members.push_page(page, |slots, flags| {
                 for (flag, s) in flags.iter_mut().zip(slots) {
-                    let row = page * PAGE_ROWS + (s ^ usize::from(deltas[s]));
+                    let row = span.start + (s ^ usize::from(deltas[s - first])) - first;
                     *flag = rows.binary_search(&row).is_ok();
                 }
             })
@@ -837,9 +894,9 @@ mod tests {
             })
             .collect();
         let crafted = DatasetSketch::new(
-            n,
+            swope_store::page::PageGrid::whole(n),
             vec![
-                ColumnSketch::build(ds.column(0).packed()),
+                ColumnSketch::build(ds.column(0).packed(), 0),
                 ColumnSketch::build_from_pages(12, short_page.iter().map(|p| p.codes())),
             ],
         );

@@ -71,7 +71,7 @@ use crate::count::{
 use crate::driver::{CountSource, Round};
 use crate::exec::Executor;
 use crate::measure::Measure;
-use crate::scope::sketch_marginals;
+use crate::scope::{in_storage, sketch_marginals};
 use crate::{SwopeConfig, SwopeError};
 
 /// A contiguous partition of a dataset's rows into shards, cut evenly:
@@ -261,6 +261,8 @@ pub struct LocalShardSource<'a> {
     plan: ShardPlan,
     meta: Vec<AttrMeta>,
     sampler: PagePrefix,
+    /// For a slice, the delta's positions in its storage.
+    stored: Vec<u32>,
     /// Each shard's positions of the current delta, and its counter.
     shards: Vec<Shard>,
     /// What the last `advance` counted: whose histograms `recycle` parks.
@@ -451,7 +453,11 @@ impl<'a> LocalShardSource<'a> {
             sketch: None,
             exec,
             meta: dataset_meta(dataset),
-            sampler: PagePrefix::new(PageMembers::range(dataset.layout(), 0..n), config.seed),
+            sampler: PagePrefix::new(
+                PageMembers::range(dataset.sample_layout(), 0..n),
+                config.seed,
+            ),
+            stored: Vec::new(),
             shards: (0..plan.num_shards())
                 .map(|_| Shard { list: Vec::new(), runs: Vec::new(), counter: Counter::new() })
                 .collect(),
@@ -487,12 +493,12 @@ impl ShardTransport for LocalShardSource<'_> {
         m_target: usize,
         req: &CountRequest,
     ) -> Result<Vec<ShardCounts>, SwopeError> {
-        let Self { plan, sampler, shards, .. } = self;
+        let Self { plan, sampler, shards, stored, dataset, .. } = self;
         for shard in shards.iter_mut() {
             shard.list.clear();
             shard.runs.clear();
         }
-        let delta = sampler.grow_to(m_target);
+        let delta = in_storage(dataset, sampler.grow_to(m_target), stored);
         plan.split_runs(delta.runs, |shard, run| shards[shard].runs.push(run));
         plan.split(delta.list, |shard, p| shards[shard].list.push(p));
 

@@ -102,7 +102,7 @@ pub fn repacked(ds: &Dataset, width: Width) -> Dataset {
 
 /// The partition sketch a snapshot of `ds` would carry.
 pub fn sketch_of(ds: &Dataset) -> DatasetSketch {
-    DatasetSketch::build(ds.num_rows(), (0..ds.num_attrs()).map(|a| ds.column(a).packed()))
+    swope_columnar::snapshot::build_sketch(ds)
 }
 
 /// `shape` over the whole of `ds`: unobserved, on `cfg.threads` workers.

@@ -158,6 +158,13 @@ pub const CLUSTER_CONNS_OPENED_TOTAL: &str = "swope_cluster_conns_opened_total";
 /// successful re-handshake health check.
 pub const CLUSTER_CONN_REUSES_TOTAL: &str = "swope_cluster_conn_reuses_total";
 
+/// Counter, labelled `how="run"|"list"`: positions a peer counted, as
+/// runs of its storage read in place or one by one. A peer serving a
+/// slice in the union's frame counts every window a coordinator sends
+/// as a run; `list` grows on a scope's fringe slots, or on a peer whose
+/// dataset is laid out in another frame.
+pub const CLUSTER_PEER_POSITIONS_TOTAL: &str = "swope_cluster_peer_positions_total";
+
 /// Gauge: client connections currently open on the event loop (every
 /// state: reading, dispatched, writing, keep-alive idle).
 pub const CONN_OPEN: &str = "swope_conn_open";

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-use swope_store::page::{self, read_u32, PAGE_HEADER_BYTES, PAGE_ROWS};
+use swope_store::page::{self, read_u32, PageGrid, PAGE_HEADER_BYTES};
 use swope_store::{crc32::crc32, gather_stats, Code, CodeBuf, CodeRepr, StoreError, Width};
 
 use crate::cache::{PageCache, REFERENCED, RESIDENT, VALIDATED};
@@ -131,7 +131,8 @@ pub struct PagedColumn {
     payload_start: usize,
     width: Width,
     support: u32,
-    rows: usize,
+    /// Which positions each page holds.
+    grid: PageGrid,
     /// Per page: the `cache::{VALIDATED, RESIDENT, REFERENCED, ..}` bits.
     flags: Vec<AtomicU8>,
 }
@@ -148,7 +149,7 @@ impl Drop for PagedColumn {
 impl std::fmt::Debug for PagedColumn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PagedColumn")
-            .field("rows", &self.rows)
+            .field("rows", &self.grid.rows())
             .field("support", &self.support)
             .field("width", &self.width)
             .field("pages", &self.flags.len())
@@ -159,7 +160,7 @@ impl std::fmt::Debug for PagedColumn {
 
 impl PagedColumn {
     /// Opens the column payload at `payload` (byte range within
-    /// `mapping`) holding `rows` codes of `width`. Validates the page
+    /// `mapping`) holding `grid`'s codes at `width`. Validates the page
     /// stream's structure ([`page::check_stream`]) — but no payload
     /// bytes — so a corrupt page surfaces on first touch, not here.
     ///
@@ -172,7 +173,7 @@ impl PagedColumn {
         mapping: Arc<dyn Mapping>,
         cache: Arc<PageCache>,
         payload: Range<usize>,
-        rows: usize,
+        grid: PageGrid,
         support: u32,
         width: Width,
     ) -> Result<Arc<Self>, StoreError> {
@@ -180,7 +181,7 @@ impl PagedColumn {
             .bytes()
             .get(payload.clone())
             .ok_or_else(|| StoreError::Corrupt("column payload out of file bounds".into()))?;
-        let page_count = page::check_stream(stream, rows, width)?;
+        let page_count = page::check_stream(stream, grid, width)?;
         let column = Arc::new_cyclic(|me| Self {
             me: me.clone(),
             mapping,
@@ -188,7 +189,7 @@ impl PagedColumn {
             payload_start: payload.start,
             width,
             support,
-            rows,
+            grid,
             flags: (0..page_count).map(|_| AtomicU8::new(0)).collect(),
         });
         if column.cache.budget_bytes().is_some() {
@@ -208,12 +209,12 @@ impl PagedColumn {
     }
 
     fn header_offset(&self, page: usize) -> usize {
-        self.payload_start + page::page_offset(page, self.width)
+        self.payload_start + page::page_offset(self.grid, page, self.width)
     }
 
     /// The byte range of `page`'s payload within the mapping.
     pub(crate) fn payload_range(&self, page: usize) -> Range<usize> {
-        let rows = (self.rows - page * PAGE_ROWS).min(PAGE_ROWS);
+        let rows = self.grid.span(page).len();
         let start = self.header_offset(page) + PAGE_HEADER_BYTES;
         start..start + rows * self.width.bytes()
     }
@@ -225,12 +226,17 @@ impl PagedColumn {
 
     /// Rows in the column.
     pub fn len(&self) -> usize {
-        self.rows
+        self.grid.rows()
     }
 
     /// Whether the column is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.grid.rows() == 0
+    }
+
+    /// Which positions each page holds.
+    pub fn grid(&self) -> PageGrid {
+        self.grid
     }
 
     /// Dictionary support (codes are `0..support`).
@@ -256,7 +262,7 @@ impl PagedColumn {
 
     /// Bytes the column would occupy fully decoded (the heap-mode cost).
     pub fn plain_bytes(&self) -> u64 {
-        (self.rows * self.width.bytes()) as u64
+        (self.len() * self.width.bytes()) as u64
     }
 
     /// Bytes of this column's pages the cache currently counts resident.
@@ -319,8 +325,8 @@ impl PagedColumn {
     /// [`try_for_each_slice`](Self::try_for_each_slice) (scans).
     pub fn try_code(&self, row: usize) -> Result<Code, StoreError> {
         assert!(row < self.len(), "row {row} out of range for {} rows", self.len());
-        let page = self.page(row / PAGE_ROWS)?;
-        Ok(page.code(row % PAGE_ROWS))
+        let index = self.grid.page_of(row);
+        Ok(self.page(index)?.code(row - self.grid.span(index).start))
     }
 
     /// Panicking [`try_code`](Self::try_code) for cold single-row reads.
@@ -378,8 +384,8 @@ impl PagedColumn {
         while let Some(&first) = rows.get(done) {
             let first = first as usize;
             assert!(first < self.len(), "row {first} out of range for {} rows", self.len());
-            let index = first / PAGE_ROWS;
-            let base = index * PAGE_ROWS;
+            let index = self.grid.page_of(first);
+            let base = self.grid.span(index).start;
             let payload = self.page(index)?.payload;
             let held = payload.len() / W;
             // A row below `base` wraps to a huge offset, so the one
@@ -408,9 +414,10 @@ impl PagedColumn {
     {
         let mut at = positions.start;
         while at < positions.end {
-            let first = at / PAGE_ROWS * PAGE_ROWS;
-            let end = positions.end.min(first + PAGE_ROWS);
-            f(self.page(at / PAGE_ROWS)?.slice(at - first..end - first));
+            let index = self.grid.page_of(at);
+            let span = self.grid.span(index);
+            let end = positions.end.min(span.end);
+            f(self.page(index)?.slice(at - span.start..end - span.start));
             at = end;
         }
         Ok(())
@@ -437,7 +444,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::mapping::HeapMapping;
     use std::sync::Mutex;
-    use swope_store::page::{encode_pages, STREAM_HEADER_BYTES};
+    use swope_store::page::{encode_pages, PAGE_ROWS, STREAM_HEADER_BYTES};
     use swope_store::PackedCodes;
 
     /// A heap-backed mapping that logs the length of every range it is
@@ -470,7 +477,7 @@ pub(crate) mod tests {
         let codes: Vec<Code> =
             (0..rows as u32).map(|i| i.wrapping_mul(2654435761) % support).collect();
         let packed = PackedCodes::pack(&codes, Width::for_support(support));
-        (encode_pages(&packed), codes)
+        (encode_pages(&packed, PageGrid::whole(rows)), codes)
     }
 
     /// `bytes` opened as one column at the narrowest width for `support`,
@@ -484,7 +491,7 @@ pub(crate) mod tests {
         let len = bytes.len();
         let mapping = Arc::new(CountingMapping { bytes, released: Mutex::default() });
         let width = Width::for_support(support);
-        PagedColumn::open(mapping.clone(), cache, 0..len, rows, support, width)
+        PagedColumn::open(mapping.clone(), cache, 0..len, PageGrid::whole(rows), support, width)
             .map(|col| (col, mapping))
     }
 
@@ -506,6 +513,33 @@ pub(crate) mod tests {
         for (i, &want) in codes.iter().enumerate().step_by(977) {
             assert_eq!(col.code(i), want, "row {i}");
         }
+        assert_eq!(col.to_codes().unwrap(), codes);
+    }
+
+    /// A column that leads with a short first page reads every position
+    /// where its grid puts it: one at a time, gathered and scanned.
+    #[test]
+    fn a_leading_grid_reads_every_position_in_place() {
+        let (rows, lead) = (2 * PAGE_ROWS + 99, 40_000);
+        let grid = PageGrid::new(rows, lead);
+        let codes: Vec<Code> = (0..rows as u32).map(|i| i.wrapping_mul(2654435761) % 300).collect();
+        let bytes = encode_pages(&PackedCodes::pack(&codes, Width::U16), grid);
+        let len = bytes.len();
+        let mapping = Arc::new(HeapMapping::from(bytes));
+        let cache = Arc::new(PageCache::unbounded());
+        let col = PagedColumn::open(mapping, cache, 0..len, grid, 300, Width::U16).unwrap();
+        assert_eq!(col.num_pages(), 3);
+        for at in [0, PAGE_ROWS - lead - 1, PAGE_ROWS - lead, 2 * PAGE_ROWS - lead, rows - 1] {
+            assert_eq!(col.code(at), codes[at], "position {at}");
+        }
+        let positions: Vec<u32> = (0..rows as u32).step_by(331).collect();
+        let mut got = Vec::new();
+        col.gather_widen(&positions, &mut got).unwrap();
+        assert_eq!(got, positions.iter().map(|&p| codes[p as usize]).collect::<Vec<_>>());
+        let mut scanned = Vec::new();
+        let across = PAGE_ROWS - lead - 7..2 * PAGE_ROWS - lead + 7;
+        col.try_for_each_slice(across.clone(), |view| view.for_each(|c| scanned.push(c))).unwrap();
+        assert_eq!(scanned, codes[across]);
         assert_eq!(col.to_codes().unwrap(), codes);
     }
 
@@ -584,7 +618,7 @@ pub(crate) mod tests {
         let rows = 100;
         let codes: Vec<Code> = vec![90; rows];
         let packed = PackedCodes::pack(&codes, Width::U8);
-        let bytes = encode_pages(&packed);
+        let bytes = encode_pages(&packed, PageGrid::whole(packed.len()));
         // Declare a support smaller than the stored codes.
         let col = open(bytes, rows, 50, Arc::new(PageCache::unbounded())).unwrap();
         let err = col.try_code(0).unwrap_err();
@@ -643,7 +677,7 @@ pub(crate) mod tests {
             mapping,
             Arc::new(PageCache::unbounded()),
             0..bytes.len(),
-            rows,
+            PageGrid::whole(rows),
             70_000,
             Width::U32,
         )

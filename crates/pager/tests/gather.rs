@@ -9,7 +9,9 @@ use std::sync::Arc;
 
 use swope_pager::{Mapping, PageCache, PagedColumn};
 use swope_sampling::rng::Xoshiro256pp;
-use swope_store::page::{encode_pages, PAGE_HEADER_BYTES, PAGE_ROWS, STREAM_HEADER_BYTES};
+use swope_store::page::{
+    encode_pages, PageGrid, PAGE_HEADER_BYTES, PAGE_ROWS, STREAM_HEADER_BYTES,
+};
 use swope_store::{Code, CodeBuf, PackedCodes, Width};
 
 /// More than `swope_core::count::INGEST_BLOCK_ROWS` (8192).
@@ -41,7 +43,7 @@ fn column(
     let mut r = Xoshiro256pp::seed_from_u64(seed);
     let codes: Vec<Code> = (0..ROWS).map(|_| r.next_below(support as u64) as u32).collect();
     let mut bytes = vec![0xAB; pad];
-    bytes.extend(encode_pages(&PackedCodes::pack(&codes, width)));
+    bytes.extend(encode_pages(&PackedCodes::pack(&codes, width), PageGrid::whole(ROWS)));
     (open(pad, bytes, support, width, cache), codes)
 }
 
@@ -53,7 +55,15 @@ fn open(
     cache: Arc<PageCache>,
 ) -> Arc<PagedColumn> {
     let len = bytes.len();
-    PagedColumn::open(Arc::new(VecMapping(bytes)), cache, pad..len, ROWS, support, width).unwrap()
+    PagedColumn::open(
+        Arc::new(VecMapping(bytes)),
+        cache,
+        pad..len,
+        PageGrid::whole(ROWS),
+        support,
+        width,
+    )
+    .unwrap()
 }
 
 fn widened(buf: &CodeBuf) -> Vec<Code> {
@@ -175,7 +185,8 @@ fn gather_under_a_budget_that_evicts_mid_gather_stays_within_it() {
 
 #[test]
 fn corrupt_page_is_an_error_naming_the_page() {
-    let mut bytes = encode_pages(&PackedCodes::pack(&vec![5; ROWS], Width::U8));
+    let mut bytes =
+        encode_pages(&PackedCodes::pack(&vec![5; ROWS], Width::U8), PageGrid::whole(ROWS));
     // One payload byte of page 1.
     bytes[STREAM_HEADER_BYTES + 2 * PAGE_HEADER_BYTES + PAGE_ROWS + 99] ^= 0x01;
     let col = open(0, bytes, 200, Width::U8, Arc::new(PageCache::unbounded()));

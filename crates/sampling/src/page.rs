@@ -8,16 +8,20 @@
 //! unchanged.
 //!
 //! Terms: the *layout* is one permutation of every page's rows. Slot `s`
-//! of page `j` holds one of its rows. A *position* is `j·PAGE_ROWS + s`,
-//! the index a heap column stores that row's code at. A population's
-//! *members* in page `j` are the slots of its rows there
+//! of page `j` holds one of its rows. A *position* is the index a heap
+//! column stores that row's code at: `j·PAGE_ROWS + s` for a dataset of
+//! its own. A slice of a larger table's rows keeps the table's pages, so
+//! its positions and rows sit on a virtual origin its grid's lead before
+//! 0 ([`PageGrid`]): page `j` is then the table's page `⌊base/P⌋ + j`,
+//! and slot `s` of it is position `j·PAGE_ROWS + s − lead`. A
+//! population's *members* in page `j` are the slots of its rows there
 //! ([`PageMembers`]): all of them for the whole dataset, the slots of a
 //! range's or a predicate's rows for a scope.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-use swope_store::page::PAGE_ROWS;
+use swope_store::page::{PageGrid, PAGE_ROWS};
 
 use crate::hypergeometric;
 use crate::rng::Xoshiro256pp;
@@ -41,41 +45,78 @@ pub const LAYOUT_SEED: u64 = 0x5EED_1A70_9A6E_0016;
 /// paged dataset, a cluster coordinator) or scans a heap column's pages
 /// for the rows whose codes match.
 ///
+/// A layout has a *frame*: the rows `union_rows` of the table it was cut
+/// from and the first of them, `base`, that it holds. A dataset of its
+/// own is the frame `(N, 0)`. A slice ([`PageLayout::slice`]) lays its
+/// rows out as its table does: its page `j` is the table's page
+/// `⌊base/P⌋ + j` restricted to the slice's rows, in the table's slot
+/// order, on a [`PageGrid`] that leads with `base mod P` slots. So a
+/// table page the slice holds whole is that page, slot for slot, and any
+/// window of the table's slots is one run of the slice's positions.
+///
 /// A table holds, for each index, the XOR of its in-page offset and the
-/// other side's: row `r` is at position `r ^ to_position[r]`, and
-/// position `p` holds row `p ^ to_row[p]`. An XOR keeps the page bits and
+/// other side's, both on the virtual origin: row `r` is at position
+/// `((r + lead) ^ to_position[r]) − lead`, and position `p` holds row
+/// `((p + lead) ^ to_row[p]) − lead`. An XOR keeps the page bits and
 /// swaps the offset in one operation. It is also the form x86 code
 /// generation gets right: rustc 1.95 compiles `(r & !0xFFFF) | t[r]`, with
 /// `t` a `u16` table indexed by `r`, to a lone zero-extending load that
 /// drops the page bits in release builds.
 pub struct PageLayout {
     num_rows: usize,
+    union_rows: usize,
+    base: usize,
+    /// `base mod PAGE_ROWS`: the grid's lead, as positions are typed.
+    lead: u32,
     to_position: OnceLock<Vec<u16>>,
     to_row: OnceLock<Vec<u16>>,
 }
 
 impl PageLayout {
-    /// The layout of `num_rows` rows. While a layout of that count is
-    /// alive, every call returns it, so the columns of a dataset share
-    /// one set of tables. A layout lives as long as its holders: a
-    /// caller that needs it across queries keeps its `Arc`, as a
-    /// dataset and a cluster coordinator do.
+    /// The layout of a dataset of `num_rows` rows of its own: the frame
+    /// `(num_rows, 0)`. While a layout of that frame is alive, every call
+    /// returns it, so the columns of a dataset share one set of tables. A
+    /// layout lives as long as its holders: a caller that needs it across
+    /// queries keeps its `Arc`, as a dataset and a cluster coordinator
+    /// do.
     ///
     /// # Panics
     ///
     /// If `num_rows` exceeds `u32::MAX`.
     pub fn of(num_rows: usize) -> Arc<PageLayout> {
-        assert!(num_rows <= u32::MAX as usize, "row count exceeds u32 index space");
+        Self::slice(num_rows, 0, num_rows)
+    }
+
+    /// The layout of rows `base .. base + num_rows` of a table of
+    /// `union_rows` rows, as the table lays them out. An empty slice is
+    /// the empty dataset's layout, and the whole table its own.
+    ///
+    /// # Panics
+    ///
+    /// If the slice ends past the table, or the table has more than
+    /// `u32::MAX` rows.
+    pub fn slice(union_rows: usize, base: usize, num_rows: usize) -> Arc<PageLayout> {
+        assert!(union_rows <= u32::MAX as usize, "row count exceeds u32 index space");
+        assert!(
+            base.checked_add(num_rows).is_some_and(|end| end <= union_rows),
+            "rows {base}..+{num_rows} run past a table of {union_rows}"
+        );
+        let (union_rows, base) = if num_rows == 0 { (0, 0) } else { (union_rows, base) };
         static LIVE: Mutex<Vec<Weak<PageLayout>>> = Mutex::new(Vec::new());
         let mut live = LIVE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         live.retain(|w| w.strong_count() > 0);
-        if let Some(layout) =
-            live.iter().find_map(|w| w.upgrade().filter(|l| l.num_rows == num_rows))
+        let key = (num_rows, union_rows, base);
+        if let Some(layout) = live
+            .iter()
+            .find_map(|w| w.upgrade().filter(|l| (l.num_rows, l.union_rows, l.base) == key))
         {
             return layout;
         }
         let layout = Arc::new(PageLayout {
             num_rows,
+            union_rows,
+            base,
+            lead: (base % PAGE_ROWS) as u32,
             to_position: OnceLock::new(),
             to_row: OnceLock::new(),
         });
@@ -84,15 +125,25 @@ impl PageLayout {
     }
 
     /// A table of one XOR delta per row: `entry(slot, row)` gives the
-    /// entry's index and value for in-page row `row` at in-page `slot`.
+    /// entry's in-page index and value for in-page row `row` at in-page
+    /// `slot`, both on the virtual origin. Each page is its table page's
+    /// shuffle, restricted to the rows the layout holds.
     fn table(&self, entry: impl Fn(u16, u16) -> (u16, u16)) -> Vec<u16> {
-        let mut rows: Vec<u16> = Vec::with_capacity(self.num_rows.min(PAGE_ROWS));
+        let grid = self.grid();
+        let first_page = self.base / PAGE_ROWS;
+        let mut rows: Vec<u16> = Vec::with_capacity(self.union_rows.min(PAGE_ROWS));
         let mut table = vec![0u16; self.num_rows];
-        for (page, table) in table.chunks_mut(PAGE_ROWS).enumerate() {
-            Self::slot_rows(page, table.len(), &mut rows);
-            for (s, &r) in rows.iter().enumerate() {
+        for page in 0..grid.count() {
+            let (span, lo) = (grid.span(page), grid.first_slot(page));
+            let union_page = first_page + page;
+            let union_len = (self.union_rows - union_page * PAGE_ROWS).min(PAGE_ROWS);
+            Self::slot_rows(union_page, union_len, &mut rows);
+            let held = lo..lo + span.len();
+            let table = &mut table[span];
+            let mine = rows.iter().filter(|&&r| held.contains(&usize::from(r)));
+            for (s, &r) in (lo..).zip(mine) {
                 let (at, delta) = entry(s as u16, r);
-                table[at as usize] = delta;
+                table[usize::from(at) - lo] = delta;
             }
         }
         table
@@ -125,25 +176,49 @@ impl PageLayout {
         self.num_rows
     }
 
+    /// The frame: the rows of the table the layout was cut from, and the
+    /// first of them it holds. `(N, 0)` for a dataset of its own.
+    pub fn frame(&self) -> (usize, usize) {
+        (self.union_rows, self.base)
+    }
+
+    /// Which positions each page holds.
+    pub fn grid(&self) -> PageGrid {
+        PageGrid::new(self.num_rows, self.lead as usize)
+    }
+
     /// The position row `row` is stored at.
     #[inline]
     pub fn position_of(&self, row: u32) -> u32 {
-        row ^ u32::from(self.to_position()[row as usize])
+        ((row + self.lead) ^ u32::from(self.to_position()[row as usize])) - self.lead
     }
 
     /// Appends the rows stored at `positions` to `out`, runs first, in
     /// order: how a sample drawn by [`PagePrefix`] names rows.
     pub fn rows_of(&self, positions: Positions<'_>, out: &mut Vec<u32>) {
-        let to_row = self.to_row();
+        let (to_row, lead) = (self.to_row(), self.lead);
+        let row = |p: u32, d: u16| ((p + lead) ^ u32::from(d)) - lead;
         for run in positions.runs {
             let deltas = &to_row[run.start as usize..run.end as usize];
-            out.extend(run.clone().zip(deltas).map(|(p, &d)| p ^ u32::from(d)));
+            out.extend(run.clone().zip(deltas).map(|(p, &d)| row(p, d)));
         }
-        out.extend(positions.list.iter().map(|&p| p ^ u32::from(to_row[p as usize])));
+        out.extend(positions.list.iter().map(|&p| row(p, to_row[p as usize])));
     }
 
-    /// The position → row table: position `p` holds row `p ^ deltas[p]`,
-    /// in its own page. How a scan of stored codes names their rows.
+    /// Appends where `stored` keeps the rows this layout stores at
+    /// `positions`, in the same order: how a sample drawn in one layout
+    /// reads rows stored in another.
+    pub fn positions_in(&self, positions: Positions<'_>, stored: &PageLayout, out: &mut Vec<u32>) {
+        let from = out.len();
+        self.rows_of(positions, out);
+        for at in &mut out[from..] {
+            *at = stored.position_of(*at);
+        }
+    }
+
+    /// The position → row table: position `p`, at slot `s` of its page,
+    /// holds that page's row of in-page offset `s ^ deltas[p]`. How a scan
+    /// of stored codes names their rows.
     pub fn row_deltas(&self) -> &[u16] {
         self.to_row()
     }
@@ -155,9 +230,9 @@ impl PageLayout {
     ///
     /// If `values` does not hold one value per row.
     pub fn store<T: Copy>(&self, values: &mut [T]) {
-        self.each_page(values, |rows, stored, deltas| {
-            for (r, (&v, &d)) in rows.iter().zip(deltas).enumerate() {
-                stored[r ^ d as usize] = v;
+        self.each_page(values, |rows, stored, deltas, lo| {
+            for (r, (&v, &d)) in (lo..).zip(rows.iter().zip(deltas)) {
+                stored[(r ^ usize::from(d)) - lo] = v;
             }
         });
     }
@@ -169,32 +244,33 @@ impl PageLayout {
     ///
     /// If `values` does not hold one value per row.
     pub fn restore<T: Copy>(&self, values: &mut [T]) {
-        self.each_page(values, |stored, rows, deltas| {
-            for (r, (v, &d)) in rows.iter_mut().zip(deltas).enumerate() {
-                *v = stored[r ^ d as usize];
+        self.each_page(values, |stored, rows, deltas, lo| {
+            for (r, (v, &d)) in (lo..).zip(rows.iter_mut().zip(deltas)) {
+                *v = stored[(r ^ usize::from(d)) - lo];
             }
         });
     }
 
-    /// Runs `f(copy, page, deltas)` on every page of `values`, with a copy
-    /// of the page's values to read while `f` rewrites it in place, and
-    /// the page's row → position deltas.
-    fn each_page<T: Copy>(&self, values: &mut [T], f: impl Fn(&[T], &mut [T], &[u16])) {
+    /// Runs `f(copy, page, deltas, lo)` on every page of `values`, with a
+    /// copy of the page's values to read while `f` rewrites it in place,
+    /// the page's row → position deltas, and its first slot.
+    fn each_page<T: Copy>(&self, values: &mut [T], f: impl Fn(&[T], &mut [T], &[u16], usize)) {
         assert_eq!(values.len(), self.num_rows(), "one value per laid-out row");
+        let (grid, deltas) = (self.grid(), self.to_position());
         let mut copy = Vec::with_capacity(values.len().min(PAGE_ROWS));
-        let deltas = self.to_position().chunks(PAGE_ROWS);
-        for (page, deltas) in values.chunks_mut(PAGE_ROWS).zip(deltas) {
+        for page in 0..grid.count() {
+            let span = grid.span(page);
             copy.clear();
-            copy.extend_from_slice(page);
-            f(&copy, page, deltas);
+            copy.extend_from_slice(&values[span.clone()]);
+            f(&copy, &mut values[span.clone()], &deltas[span], grid.first_slot(page));
         }
     }
 }
 
-/// Two layouts of one row count are the same layout.
+/// Two layouts of one frame and row count are the same layout.
 impl PartialEq for PageLayout {
     fn eq(&self, other: &Self) -> bool {
-        self.num_rows == other.num_rows
+        (self.num_rows, self.frame()) == (other.num_rows, other.frame())
     }
 }
 
@@ -202,7 +278,10 @@ impl Eq for PageLayout {}
 
 impl std::fmt::Debug for PageLayout {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PageLayout").field("num_rows", &self.num_rows()).finish()
+        f.debug_struct("PageLayout")
+            .field("num_rows", &self.num_rows())
+            .field("frame", &self.frame())
+            .finish()
     }
 }
 
@@ -253,6 +332,8 @@ impl<'a> From<&'a Vec<u32>> for Positions<'a> {
 /// depends only on the data and the scope; the layout only orders them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageMembers {
+    /// The layout's pages.
+    grid: PageGrid,
     pages: Vec<Cursor>,
     /// The member pages' bitmaps, `PAGE_ROWS / 64` words each.
     words: Vec<u64>,
@@ -276,7 +357,8 @@ struct Cursor {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Whole,
-    /// A fringe page: its rows in `lo..hi` (in-page) are the members.
+    /// A fringe page: its rows in `lo..hi` (in-page, on the virtual
+    /// origin) are the members.
     Rows(u32, u32),
     /// A member page, whose bitmap starts at this index of
     /// [`PageMembers::words`].
@@ -284,6 +366,11 @@ enum Kind {
 }
 
 impl PageMembers {
+    /// A population with no page yet, over a layout of pages `grid`.
+    pub fn new(grid: PageGrid) -> Self {
+        Self { grid, ..Self::default() }
+    }
+
     /// The rows of `rows` as `layout` lays them out: a page the range
     /// holds whole is whole, any other a fringe page of the range's rows.
     ///
@@ -292,14 +379,14 @@ impl PageMembers {
     /// If `rows` ends past the layout's rows.
     pub fn range(layout: &Arc<PageLayout>, rows: Range<usize>) -> Self {
         assert!(rows.end <= layout.num_rows(), "range {rows:?} past the layout's rows");
-        let mut members = Self::default();
-        let pages = rows.start / PAGE_ROWS..rows.end.div_ceil(PAGE_ROWS);
-        for page in pages.filter(|_| !rows.is_empty()) {
-            let first = page * PAGE_ROWS;
-            let page_len = (layout.num_rows() - first).min(PAGE_ROWS);
-            let (lo, hi) = (rows.start.max(first) - first, rows.end.min(first + page_len) - first);
+        let grid = layout.grid();
+        let mut members = Self::new(grid);
+        for page in grid.pages_of(rows.clone()) {
+            let (span, first) = (grid.span(page), grid.first_slot(page));
+            let lo = rows.start.max(span.start) - span.start + first;
+            let hi = rows.end.min(span.end) - span.start + first;
             let kind =
-                if hi - lo == page_len { Kind::Whole } else { Kind::Rows(lo as u32, hi as u32) };
+                if hi - lo == span.len() { Kind::Whole } else { Kind::Rows(lo as u32, hi as u32) };
             members.push(page, hi - lo, kind);
         }
         members.layout =
@@ -307,27 +394,25 @@ impl PageMembers {
         members
     }
 
-    /// Adds page `page`, of `page_len` rows, after every page added so
-    /// far. `fill(slots, flags)` sets `flags[i]` iff slot `slots.start + i`
-    /// is a member, for the page's slots 64 at a time. A page with no
+    /// Adds page `page` of the grid after every page added so far.
+    /// `fill(slots, flags)` sets `flags[i]` iff slot `slots.start + i` is
+    /// a member, for the page's slots at most 64 at a time. A page with no
     /// member is left out, one with every slot a member is whole.
     ///
     /// # Panics
     ///
     /// If `page` does not follow the last page added.
-    pub fn push_page(
-        &mut self,
-        page: usize,
-        page_len: usize,
-        mut fill: impl FnMut(Range<usize>, &mut [bool]),
-    ) {
+    pub fn push_page(&mut self, page: usize, mut fill: impl FnMut(Range<usize>, &mut [bool])) {
+        let first_slot = self.grid.first_slot(page);
+        let page_len = self.grid.span(page).len();
+        let slots = first_slot..first_slot + page_len;
         let from = self.words.len();
         let mut members = 0;
         for first in (0..PAGE_ROWS).step_by(64) {
             let mut flags = [false; 64];
-            let n = page_len.saturating_sub(first).min(64);
-            if n > 0 {
-                fill(first..first + n, &mut flags[..n]);
+            let (lo, hi) = (slots.start.max(first), slots.end.min(first + 64));
+            if lo < hi {
+                fill(lo..hi, &mut flags[lo - first..hi - first]);
             }
             let word = pack(flags.iter().copied());
             members += word.count_ones() as usize;
@@ -382,9 +467,9 @@ impl PagePrefix {
     /// A sampler over `members`, drawing with `seed`.
     pub fn new(mut members: PageMembers, seed: u64) -> Self {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let PageMembers { pages, words, layout, .. } = &mut members;
+        let PageMembers { pages, words, layout, grid, .. } = &mut members;
         for cursor in pages.iter_mut() {
-            let (kind, deltas) = (cursor.kind, fringe_deltas(layout.as_deref(), cursor));
+            let (kind, deltas) = (cursor.kind, fringe_deltas(layout.as_deref(), *grid, cursor));
             let word = |w| member_word(words, deltas, kind, w);
             cursor.next = match kind {
                 Kind::Whole => rng.next_below(u64::from(cursor.len)) as u32,
@@ -431,7 +516,7 @@ impl PagePrefix {
         let mut left = target.saturating_sub(self.sampled) as u64;
         let mut remaining = (self.members.len - self.sampled) as u64;
         self.sampled = self.sampled.max(target);
-        let PageMembers { pages, words, layout, .. } = &mut self.members;
+        let PageMembers { pages, words, layout, grid, .. } = &mut self.members;
         for cursor in pages.iter_mut() {
             if left == 0 {
                 break;
@@ -445,7 +530,10 @@ impl PagePrefix {
             if d == 0 {
                 continue;
             }
-            let (base, start) = (cursor.page * PAGE_ROWS as u32, cursor.next);
+            // The page's first position, and the slot it is at.
+            let page = cursor.page as usize;
+            let (base, first_slot) = (grid.span(page).start as u32, grid.first_slot(page) as u32);
+            let start = cursor.next;
             cursor.next = match cursor.kind {
                 Kind::Whole => {
                     // The draws are `start..end` and, past the page's
@@ -459,8 +547,9 @@ impl PagePrefix {
                     (start + d) % cursor.len
                 }
                 kind => {
-                    let deltas = fringe_deltas(layout.as_deref(), cursor);
-                    take(|w| member_word(words, deltas, kind, w), start, d, base, &mut self.list)
+                    let deltas = fringe_deltas(layout.as_deref(), *grid, cursor);
+                    let word = |w| member_word(words, deltas, kind, w);
+                    take(word, start, d, (base, first_slot), &mut self.list)
                 }
             };
             cursor.taken += d;
@@ -476,11 +565,18 @@ fn pack(flags: impl Iterator<Item = bool>) -> u64 {
     bits.iter().enumerate().fold(0, |word, (i, &bit)| word | u64::from(bit) << i)
 }
 
+/// A fringe page's slot → row table, from its first slot on.
+#[derive(Clone, Copy)]
+struct Fringe<'a> {
+    deltas: &'a [u16],
+    first_slot: usize,
+}
+
 /// Which of slots `64·w .. 64·w + 64` of `cursor`'s page, a member or a
 /// fringe page, are members, as bits of a word: read from its bitmap in
-/// `words`, or worked out from the page's `deltas` (its slot → row
-/// table) for the fringe's rows.
-fn member_word(words: &[u64], deltas: &[u16], kind: Kind, w: usize) -> u64 {
+/// `words`, or worked out from the page's `fringe` table for the
+/// fringe's rows.
+fn member_word(words: &[u64], fringe: Fringe<'_>, kind: Kind, w: usize) -> u64 {
     let Kind::Rows(lo, hi) = kind else {
         let Kind::Bits(from) = kind else { unreachable!("a whole page has no member words") };
         return words[from as usize + w];
@@ -489,6 +585,12 @@ fn member_word(words: &[u64], deltas: &[u16], kind: Kind, w: usize) -> u64 {
     // the range does not hold whole: 16-bit lanes.
     let (lo, span, first) = (lo as u16, (hi - lo) as u16, w * 64);
     let member = |(s, &d): (usize, &u16)| (s as u16 ^ d).wrapping_sub(lo) < span;
+    let Fringe { deltas, first_slot } = fringe;
+    if first_slot > 0 {
+        // A page that leads: no slot below its first.
+        let slot = |s: usize| s.checked_sub(first_slot).and_then(|i| deltas.get(i));
+        return pack((first..first + 64).map(|s| slot(s).is_some_and(|d| member((s, d)))));
+    }
     match deltas.get(first..first + 64) {
         Some(chunk) => {
             let chunk: &[u16; 64] = chunk.try_into().expect("64 slots");
@@ -499,13 +601,18 @@ fn member_word(words: &[u64], deltas: &[u16], kind: Kind, w: usize) -> u64 {
 }
 
 /// The slot → row table of `cursor`'s page, if it is a fringe page.
-fn fringe_deltas<'a>(layout: Option<&'a PageLayout>, cursor: &Cursor) -> &'a [u16] {
+fn fringe_deltas<'a>(
+    layout: Option<&'a PageLayout>,
+    grid: PageGrid,
+    cursor: &Cursor,
+) -> Fringe<'a> {
+    let page = cursor.page as usize;
     match (layout, cursor.kind) {
-        (Some(layout), Kind::Rows(..)) => {
-            let first = cursor.page as usize * PAGE_ROWS;
-            &layout.row_deltas()[first..(first + PAGE_ROWS).min(layout.num_rows())]
-        }
-        _ => &[],
+        (Some(layout), Kind::Rows(..)) => Fringe {
+            deltas: &layout.row_deltas()[grid.span(page)],
+            first_slot: grid.first_slot(page),
+        },
+        _ => Fringe { deltas: &[], first_slot: 0 },
     }
 }
 
@@ -525,21 +632,27 @@ fn select(word: impl Fn(usize) -> u64, mut rank: u32) -> u32 {
 }
 
 /// Appends the positions of the `d ≥ 1` members of a page whose
-/// membership words `word(w)` gives, and whose first position is `base`,
-/// that follow slot `next` (itself included) cyclically; returns the
-/// slot past the last.
-fn take(word: impl Fn(usize) -> u64, next: u32, mut d: u32, base: u32, out: &mut Vec<u32>) -> u32 {
+/// membership words `word(w)` gives, and whose first position `base` is
+/// at slot `first_slot`, that follow slot `next` (itself included)
+/// cyclically; returns the slot past the last.
+fn take(
+    word: impl Fn(usize) -> u64,
+    next: u32,
+    mut d: u32,
+    (base, first_slot): (u32, u32),
+    out: &mut Vec<u32>,
+) -> u32 {
     let mut slot = next as usize % PAGE_ROWS;
     loop {
         let w = slot / 64;
         let mut word = word(w) & (!0 << (slot % 64));
         while word != 0 {
-            let at = w * 64 + word.trailing_zeros() as usize;
-            out.push(base + at as u32);
+            let at = (w * 64) as u32 + word.trailing_zeros();
+            out.push(base + (at - first_slot));
             word &= word - 1;
             d -= 1;
             if d == 0 {
-                return at as u32 + 1;
+                return at + 1;
             }
         }
         slot = (w + 1) * 64 % PAGE_ROWS;
@@ -566,15 +679,25 @@ mod tests {
     /// The population of `layout`'s rows that satisfy `member`, built as
     /// a predicate scan builds one: each page's slots in slot order.
     fn of_rows(layout: &PageLayout, member: impl Fn(usize) -> bool) -> PageMembers {
-        let mut members = PageMembers::default();
-        for (page, deltas) in layout.row_deltas().chunks(P).enumerate() {
-            members.push_page(page, deltas.len(), |slots, flags| {
-                for ((flag, &d), s) in flags.iter_mut().zip(&deltas[slots.clone()]).zip(slots) {
-                    *flag = member(page * P + (s ^ usize::from(d)));
+        let grid = layout.grid();
+        let mut members = PageMembers::new(grid);
+        for page in 0..grid.count() {
+            let (span, first) = (grid.span(page), grid.first_slot(page));
+            let deltas = &layout.row_deltas()[span.clone()];
+            members.push_page(page, |slots, flags| {
+                for (flag, s) in flags.iter_mut().zip(slots) {
+                    let row = s ^ usize::from(deltas[s - first]);
+                    *flag = member(span.start + row - first);
                 }
             });
         }
         members
+    }
+
+    /// A dataset's own layout of `n` rows, and a slice of as many rows
+    /// cut from a larger table past its page 0, off a page boundary.
+    fn layouts(n: usize) -> [Arc<PageLayout>; 2] {
+        [PageLayout::of(n), PageLayout::slice(n + 2 * P, P + 40_000, n)]
     }
 
     /// Populations over `layout`, each with the membership of every
@@ -659,22 +782,59 @@ mod tests {
     #[test]
     fn store_then_restore_is_the_identity() {
         let n = P + 4_321;
-        let layout = PageLayout::of(n);
-        let rows: Vec<u32> = (0..n as u32).collect();
-        let mut stored = rows.clone();
-        layout.store(&mut stored);
-        for (p, &r) in stored.iter().enumerate() {
-            assert_eq!(r, row_at(&layout, p as u32));
+        for layout in layouts(n) {
+            let rows: Vec<u32> = (0..n as u32).collect();
+            let mut stored = rows.clone();
+            layout.store(&mut stored);
+            for (p, &r) in stored.iter().enumerate() {
+                assert_eq!(r, row_at(&layout, p as u32));
+            }
+            layout.restore(&mut stored);
+            assert_eq!(stored, rows);
         }
-        layout.restore(&mut stored);
-        assert_eq!(stored, rows);
+    }
+
+    /// A slice keeps its table's layout: each of its pages is a page of
+    /// the table, in the table's slot order over the slice's rows, and a
+    /// page the slice holds whole is the table's, shifted by the base.
+    /// So a window of a table page's slots is one run of the slice's
+    /// positions.
+    #[test]
+    fn a_slice_keeps_its_tables_layout() {
+        let n = 3 * P + 1_234;
+        let union = PageLayout::of(n);
+        for (base, len) in [(0, P + 5), (40_000, 2 * P), (P + 9, n - P - 9), (5, 100), (2 * P, P)] {
+            let slice = PageLayout::slice(n, base, len);
+            let grid = slice.grid();
+            assert_eq!((slice.frame(), grid.lead()), ((n, base), base % P));
+            let mut seen = vec![false; len];
+            let mut last: Option<(usize, u32)> = None;
+            for p in 0..len as u32 {
+                let r = row_at(&slice, p);
+                assert_eq!(slice.position_of(r), p);
+                assert!(!std::mem::replace(&mut seen[r as usize], true), "row {r} twice");
+                let at = union.position_of(r + base as u32);
+                let page = grid.page_of(p as usize);
+                assert_eq!(page + base / P, at as usize / P, "position {p} left its table page");
+                if let Some((_, before)) = last.filter(|&(last, _)| last == page) {
+                    assert!(before < at, "position {p} out of the table's slot order");
+                }
+                last = Some((page, at));
+                let table_page = (at as usize / P * P)..(at as usize / P * P + P).min(n);
+                if grid.span(page).len() == table_page.len() {
+                    assert_eq!(at, p + base as u32, "a whole page shifts by the base");
+                }
+            }
+        }
+        // The whole table and an empty slice are datasets of their own.
+        assert!(Arc::ptr_eq(&PageLayout::slice(n, 0, n), &union));
+        assert_eq!(PageLayout::slice(n, 77, 0).frame(), (0, 0));
     }
 
     #[test]
     fn growth_is_nested_and_returns_exactly_the_new_rows() {
         let n = 3 * P + 1_234;
-        let layout = PageLayout::of(n);
-        for (members, member) in populations(&layout) {
+        for (members, member) in layouts(n).iter().flat_map(populations) {
             let size = members.len();
             let mut s = PagePrefix::new(members, 9);
             let mut seen = vec![false; n];
@@ -696,32 +856,34 @@ mod tests {
     #[test]
     fn page_draws_sum_to_the_delta_and_stay_in_their_page() {
         let n = 4 * P + 17;
-        let layout = PageLayout::of(n);
-        for (members, member) in populations(&layout) {
-            let size = members.len();
-            let mut s = PagePrefix::new(members, 3);
-            let mut taken = vec![0usize; n.div_ceil(P)];
-            for target in [64usize, 128, 256, 1 << 12, 1 << 15, 1 << 17, n] {
-                let before = s.sampled();
-                let delta = s.grow_to(target);
-                let mut per_page = vec![0usize; taken.len()];
-                for w in delta.runs {
-                    let page = w.start as usize / P;
-                    assert!(w.start < w.end, "empty window {w:?}");
-                    assert_eq!((w.end as usize - 1) / P, page, "window {w:?} crosses a page");
-                    per_page[page] += w.len();
-                }
-                for &p in delta.list {
-                    per_page[p as usize / P] += 1;
-                }
-                assert_eq!(per_page.iter().sum::<usize>(), target.min(size) - before);
-                for (page, d) in per_page.into_iter().enumerate() {
-                    taken[page] += d;
-                    let in_page = member[page * P..n.min((page + 1) * P)].iter();
-                    assert!(
-                        taken[page] <= in_page.filter(|&&m| m).count(),
-                        "page {page} overdrawn"
-                    );
+        for layout in layouts(n) {
+            let grid = layout.grid();
+            let page = |p: u32| grid.page_of(p as usize);
+            for (members, member) in populations(&layout) {
+                let size = members.len();
+                let mut s = PagePrefix::new(members, 3);
+                let mut taken = vec![0usize; grid.count()];
+                for target in [64usize, 128, 256, 1 << 12, 1 << 15, 1 << 17, n] {
+                    let before = s.sampled();
+                    let delta = s.grow_to(target);
+                    let mut per_page = vec![0usize; taken.len()];
+                    for w in delta.runs {
+                        assert!(w.start < w.end, "empty window {w:?}");
+                        assert_eq!(page(w.end - 1), page(w.start), "window {w:?} crosses a page");
+                        per_page[page(w.start)] += w.len();
+                    }
+                    for &p in delta.list {
+                        per_page[page(p)] += 1;
+                    }
+                    assert_eq!(per_page.iter().sum::<usize>(), target.min(size) - before);
+                    for (page, d) in per_page.into_iter().enumerate() {
+                        taken[page] += d;
+                        let in_page = member[grid.span(page)].iter();
+                        assert!(
+                            taken[page] <= in_page.filter(|&&m| m).count(),
+                            "page {page} overdrawn"
+                        );
+                    }
                 }
             }
         }
@@ -755,17 +917,17 @@ mod tests {
     #[test]
     fn a_range_draws_the_members_a_scan_of_its_rows_finds() {
         let n = 3 * P + 1_234;
-        let layout = PageLayout::of(n);
-        for rows in [0..n, P - 1..2 * P + 1, 1_000..P + 777, 3 * P..n, 5..5, 2 * P + 9..2 * P + 10]
-        {
+        let ranges =
+            [0..n, P - 1..2 * P + 1, 1_000..P + 777, 3 * P..n, 5..5, 2 * P + 9..2 * P + 10];
+        for (layout, rows) in layouts(n).iter().flat_map(|l| ranges.clone().map(|r| (l, r))) {
             let all = |members| {
                 let mut drawn = positions(PagePrefix::new(members, 7).grow_to(n));
                 drawn.sort_unstable();
                 drawn
             };
-            let want = of_rows(&layout, |r| rows.contains(&r));
+            let want = of_rows(layout, |r| rows.contains(&r));
             assert_eq!(want.len(), rows.len());
-            assert_eq!(all(PageMembers::range(&layout, rows.clone())), all(want), "{rows:?}");
+            assert_eq!(all(PageMembers::range(layout, rows.clone())), all(want), "{rows:?}");
         }
     }
 

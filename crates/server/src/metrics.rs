@@ -347,6 +347,11 @@ impl ServerMetrics {
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name} {value}");
         }
+        let positions = names::CLUSTER_PEER_POSITIONS_TOTAL;
+        let _ = writeln!(out, "# TYPE {positions} counter");
+        for (how, value) in [("run", wire.peer_run_positions), ("list", wire.peer_list_positions)] {
+            let _ = writeln!(out, "{positions}{{how=\"{how}\"}} {value}");
+        }
         for (name, value) in [
             (names::PAGER_FAULTS_TOTAL, pager.faults),
             (names::PAGER_EVICTIONS_TOTAL, pager.evictions),
@@ -469,6 +474,7 @@ mod tests {
                 queries: 3,
                 grow_delta_bytes: 640,
                 count_merge_bytes: 9000,
+                peer_run_positions: 4096,
                 ..Default::default()
             },
             PagerSnapshot {
@@ -508,6 +514,9 @@ mod tests {
         assert!(text.contains(&format!("{} 0\n", names::CLUSTER_PEER_ERRORS_TOTAL)));
         assert!(text.contains(&format!("{} 640\n", names::CLUSTER_GROW_DELTA_BYTES_TOTAL)));
         assert!(text.contains(&format!("{} 9000\n", names::CLUSTER_COUNT_MERGE_BYTES_TOTAL)));
+        let positions = names::CLUSTER_PEER_POSITIONS_TOTAL;
+        assert!(text.contains(&format!("{positions}{{how=\"run\"}} 4096\n")));
+        assert!(text.contains(&format!("{positions}{{how=\"list\"}} 0\n")));
         // Latency quantile gauges ride along with the histogram.
         assert!(text.contains(&format!(
             "{}_approx_quantile{{quantile=\"0.99\"}}",

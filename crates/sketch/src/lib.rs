@@ -6,7 +6,9 @@
 //! the **exact** histogram of that page's codes. The per-page unit matches
 //! the SWOP v2 on-disk page (`swope_store::page::PAGE_ROWS`), so a sketch
 //! built at ingest time can be serialized next to the column pages and
-//! reloaded without touching row data.
+//! reloaded without touching row data. A slice of a larger table's rows
+//! has the table's pages: its sketch's first page holds the rows its
+//! [`PageGrid`] leads with.
 //!
 //! Queries use the sketches two ways:
 //!
@@ -36,7 +38,7 @@
 #![warn(clippy::all)]
 
 use swope_store::crc32::crc32;
-use swope_store::page::PAGE_ROWS;
+use swope_store::page::{PageGrid, PAGE_ROWS};
 use swope_store::{for_packed, ByteReader, CodeRepr, PackedColumn, ReadError, StoreError};
 
 /// Magic bytes opening an encoded [`DatasetSketch`].
@@ -97,21 +99,22 @@ pub struct ColumnSketch {
 
 impl ColumnSketch {
     /// Builds the sketch from a packed column: one exact histogram per
-    /// [`PAGE_ROWS`]-row page. Width-generic — the result depends only on
-    /// the logical codes, not the storage width.
-    pub fn build(column: &PackedColumn) -> Self {
+    /// page of the column's grid, which leads with `lead` positions.
+    /// Width-generic — the result depends only on the logical codes, not
+    /// the storage width.
+    pub fn build(column: &PackedColumn, lead: usize) -> Self {
+        let grid = PageGrid::new(column.len(), lead);
         let mut b = ColumnSketchBuilder::new(column.support());
         for_packed!(column.codes(), |codes| {
-            for page in codes.chunks(PAGE_ROWS) {
-                b.push_page(|counts| tally(page, counts));
+            for page in 0..grid.count() {
+                b.push_page(|counts| tally(&codes[grid.span(page)], counts));
             }
         });
         b.finish()
     }
 
     /// Builds the sketch from already-paged codes: one histogram per
-    /// yielded page, which must be the column's [`PAGE_ROWS`]-row pages
-    /// in order (every page full except possibly the last).
+    /// yielded page, which must be the column's pages in order.
     pub fn build_from_pages<'a>(
         support: u32,
         pages: impl IntoIterator<Item = &'a swope_store::PackedCodes>,
@@ -222,7 +225,7 @@ impl ColumnSketchBuilder {
     /// per-code table (one zeroed entry per code of the support) and
     /// adds one to a code's entry for each row of the page holding it —
     /// however the caller's storage wants to be walked. Pages must arrive
-    /// in order and be [`PAGE_ROWS`] rows each except possibly the last.
+    /// in order, each the positions its column's [`PageGrid`] puts on it.
     pub fn push_page(&mut self, tally: impl FnOnce(&mut [u32])) {
         self.counts.fill(0);
         tally(&mut self.counts);
@@ -267,33 +270,39 @@ impl ColumnSketchBuilder {
 /// Per-page count sketches for every column of a dataset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetSketch {
-    num_rows: usize,
+    grid: PageGrid,
     columns: Vec<ColumnSketch>,
 }
 
 impl DatasetSketch {
     /// Assembles a dataset sketch from per-column sketches.
     ///
-    /// `num_rows` is the dataset's row count; all columns must sketch the
-    /// same number of pages (`ceil(num_rows / PAGE_ROWS)`).
-    pub fn new(num_rows: usize, columns: Vec<ColumnSketch>) -> Self {
-        debug_assert!(columns.iter().all(|c| c.num_pages() == num_rows.div_ceil(PAGE_ROWS)));
-        Self { num_rows, columns }
+    /// `grid` is the dataset's pages; all columns must sketch every one.
+    pub fn new(grid: PageGrid, columns: Vec<ColumnSketch>) -> Self {
+        debug_assert!(columns.iter().all(|c| c.num_pages() == grid.count()));
+        Self { grid, columns }
     }
 
-    /// Builds sketches for an iterator of packed columns.
-    pub fn build<'a>(num_rows: usize, columns: impl IntoIterator<Item = &'a PackedColumn>) -> Self {
-        Self::new(num_rows, columns.into_iter().map(ColumnSketch::build).collect())
+    /// Builds sketches for an iterator of packed columns, stored on the
+    /// pages `grid` cuts.
+    pub fn build<'a>(grid: PageGrid, columns: impl IntoIterator<Item = &'a PackedColumn>) -> Self {
+        let columns = columns.into_iter().map(|c| ColumnSketch::build(c, grid.lead())).collect();
+        Self::new(grid, columns)
     }
 
     /// Number of rows the sketch covers.
     pub fn num_rows(&self) -> usize {
-        self.num_rows
+        self.grid.rows()
+    }
+
+    /// The pages the sketch covers.
+    pub fn grid(&self) -> PageGrid {
+        self.grid
     }
 
     /// Number of pages per column.
     pub fn num_pages(&self) -> usize {
-        self.num_rows.div_ceil(PAGE_ROWS)
+        self.grid.count()
     }
 
     /// Number of sketched columns.
@@ -327,7 +336,7 @@ impl DatasetSketch {
         out.extend_from_slice(&SKETCH_VERSION.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes()); // flags
         out.extend_from_slice(&(PAGE_ROWS as u32).to_le_bytes());
-        out.extend_from_slice(&(self.num_rows as u64).to_le_bytes());
+        out.extend_from_slice(&(self.num_rows() as u64).to_le_bytes());
         out.extend_from_slice(&(self.columns.len() as u32).to_le_bytes());
         for col in &self.columns {
             out.extend_from_slice(&col.support.to_le_bytes());
@@ -358,9 +367,11 @@ impl DatasetSketch {
         out
     }
 
-    /// Decodes an encoded sketch, validating the CRC and every length
-    /// field before trusting (or allocating for) any content.
-    pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
+    /// Decodes an encoded sketch of pages whose grid leads with `lead`
+    /// positions (the snapshot it sits in records it), validating the CRC
+    /// and every length field before trusting (or allocating for) any
+    /// content.
+    pub fn decode(bytes: &[u8], lead: usize) -> Result<Self, StoreError> {
         let corrupt = |msg: &str| StoreError::Corrupt(format!("sketch: {msg}"));
         if bytes.len() < 24 + 4 {
             return Err(corrupt("truncated header"));
@@ -386,7 +397,8 @@ impl DatasetSketch {
         }
         let num_rows = r.u64().map_err(truncated)? as usize;
         let column_count = r.u32().map_err(truncated)? as usize;
-        let expect_pages = num_rows.div_ceil(PAGE_ROWS);
+        let grid = PageGrid::new(num_rows, lead);
+        let expect_pages = grid.count();
         let mut columns = Vec::with_capacity(column_count.min(r.remaining()));
         for _ in 0..column_count {
             let support = r.u32().map_err(truncated)?;
@@ -406,10 +418,8 @@ impl DatasetSketch {
                 return Err(corrupt("compact sketch with support > 256"));
             }
             let mut column = ColumnSketchBuilder::with_kind(support, kind);
-            let mut remaining_rows = num_rows as u64;
-            for _ in 0..page_count {
-                let page_rows_here = remaining_rows.min(PAGE_ROWS as u64);
-                remaining_rows -= page_rows_here;
+            for page in 0..page_count {
+                let page_rows_here = grid.span(page).len() as u64;
                 let rows: u64 = match kind {
                     SketchKind::Compact => {
                         let raw = r.take(support as usize * 4).map_err(truncated)?;
@@ -453,7 +463,7 @@ impl DatasetSketch {
         if r.remaining() > 0 {
             return Err(corrupt("trailing bytes after sketch payload"));
         }
-        Ok(Self { num_rows, columns })
+        Ok(Self { grid, columns })
     }
 }
 
@@ -468,9 +478,9 @@ mod tests {
 
     #[test]
     fn kind_follows_support() {
-        let small = ColumnSketch::build(&packed(vec![0, 1, 2], 3));
+        let small = ColumnSketch::build(&packed(vec![0, 1, 2], 3), 0);
         assert_eq!(small.kind(), SketchKind::Compact);
-        let wide = ColumnSketch::build(&packed(vec![0, 300], 500));
+        let wide = ColumnSketch::build(&packed(vec![0, 300], 500), 0);
         assert_eq!(wide.kind(), SketchKind::Sparse);
     }
 
@@ -479,7 +489,7 @@ mod tests {
         // Two full pages plus a partial third.
         let n = 2 * PAGE_ROWS + 100;
         let codes: Vec<u32> = (0..n as u32).map(|i| i % 5).collect();
-        let sk = ColumnSketch::build(&packed(codes.clone(), 5));
+        let sk = ColumnSketch::build(&packed(codes.clone(), 5), 0);
         assert_eq!(sk.num_pages(), 3);
         for page in 0..3 {
             let lo = page * PAGE_ROWS;
@@ -505,7 +515,7 @@ mod tests {
         let n = 4 * PAGE_ROWS + 4321;
         for support in [7u32, 256, 700] {
             let codes = (0..n as u32).map(|i| (i / 3).wrapping_mul(2654435761) % support);
-            let sk = ColumnSketch::build(&packed(codes.collect(), support));
+            let sk = ColumnSketch::build(&packed(codes.collect(), support), 0);
             assert_eq!(sk.num_pages(), 5);
             for first in 0..=5 {
                 for last in first..=5 {
@@ -525,7 +535,7 @@ mod tests {
         use swope_store::PackedCodes;
         let n = 2 * PAGE_ROWS + 321;
         let codes: Vec<u32> = (0..n as u32).map(|i| (i * 17) % 900).collect();
-        let whole = ColumnSketch::build(&packed(codes.clone(), 900));
+        let whole = ColumnSketch::build(&packed(codes.clone(), 900), 0);
         let pages: Vec<PackedCodes> =
             codes.chunks(PAGE_ROWS).map(|chunk| PackedCodes::pack(chunk, Width::U16)).collect();
         let paged = ColumnSketch::build_from_pages(900, pages.iter());
@@ -536,9 +546,9 @@ mod tests {
     fn sketch_is_width_invariant() {
         let codes: Vec<u32> = (0..1000u32).map(|i| (i * 31) % 200).collect();
         let base = packed(codes, 200);
-        let a = ColumnSketch::build(&base);
+        let a = ColumnSketch::build(&base, 0);
         for w in [Width::U16, Width::U32] {
-            let b = ColumnSketch::build(&base.repacked(w).unwrap());
+            let b = ColumnSketch::build(&base.repacked(w).unwrap(), 0);
             assert_eq!(a, b, "width {w}");
         }
     }
@@ -549,19 +559,38 @@ mod tests {
         let c0: Vec<u32> = (0..n as u32).map(|i| i % 7).collect();
         let c1: Vec<u32> = (0..n as u32).map(|i| (i * 13) % 1000).collect();
         let cols = [packed(c0, 7), packed(c1, 1000)];
-        let sk = DatasetSketch::build(n, cols.iter());
+        let sk = DatasetSketch::build(PageGrid::whole(n), cols.iter());
         assert_eq!(sk.column(0).unwrap().kind(), SketchKind::Compact);
         assert_eq!(sk.column(1).unwrap().kind(), SketchKind::Sparse);
         let bytes = sk.encode();
         assert_eq!(bytes.len(), sk.encoded_len());
-        let back = DatasetSketch::decode(&bytes).unwrap();
+        let back = DatasetSketch::decode(&bytes, 0).unwrap();
         assert_eq!(sk, back);
+    }
+
+    /// A slice's sketch has its table's pages: the first holds what its
+    /// grid leads with, and it decodes only on that grid.
+    #[test]
+    fn a_leading_grid_sketches_the_tables_pages() {
+        let (n, lead) = (PAGE_ROWS + 77, 30_000);
+        let codes: Vec<u32> = (0..n as u32).map(|i| u32::from(i >= 1_000)).collect();
+        let cols = [packed(codes, 2), packed((0..n as u32).map(|i| i % 300).collect(), 300)];
+        let grid = PageGrid::new(n, lead);
+        let sk =
+            DatasetSketch::new(grid, cols.iter().map(|c| ColumnSketch::build(c, lead)).collect());
+        assert_eq!((sk.num_pages(), sk.grid()), (2, grid));
+        assert_eq!(sk.column(0).unwrap().page_count(0, 1), (PAGE_ROWS - lead - 1_000) as u64);
+        assert_eq!(sk.column(0).unwrap().page_count(1, 1), (n - (PAGE_ROWS - lead)) as u64);
+        let bytes = sk.encode();
+        assert_eq!(DatasetSketch::decode(&bytes, lead).unwrap(), sk);
+        let err = DatasetSketch::decode(&bytes, 0).unwrap_err().to_string();
+        assert!(err.contains("row total mismatch"), "{err}");
     }
 
     #[test]
     fn empty_dataset_roundtrips() {
-        let sk = DatasetSketch::build(0, std::iter::empty());
-        let back = DatasetSketch::decode(&sk.encode()).unwrap();
+        let sk = DatasetSketch::build(PageGrid::whole(0), std::iter::empty());
+        let back = DatasetSketch::decode(&sk.encode(), 0).unwrap();
         assert_eq!(back.num_rows(), 0);
         assert_eq!(back.num_pages(), 0);
     }
@@ -569,10 +598,10 @@ mod tests {
     #[test]
     fn truncation_at_every_prefix_errors_cleanly() {
         let codes: Vec<u32> = (0..300u32).map(|i| i % 9).collect();
-        let sk = DatasetSketch::build(300, [packed(codes, 9)].iter());
+        let sk = DatasetSketch::build(PageGrid::whole(300), [packed(codes, 9)].iter());
         let bytes = sk.encode();
         for len in 0..bytes.len() {
-            let r = DatasetSketch::decode(&bytes[..len]);
+            let r = DatasetSketch::decode(&bytes[..len], 0);
             assert!(r.is_err(), "truncation to {len} bytes must fail");
         }
     }
@@ -580,14 +609,14 @@ mod tests {
     #[test]
     fn single_byte_corruption_never_decodes_silently() {
         let codes: Vec<u32> = (0..500u32).map(|i| (i * 3) % 400).collect();
-        let sk = DatasetSketch::build(500, [packed(codes, 400)].iter());
+        let sk = DatasetSketch::build(PageGrid::whole(500), [packed(codes, 400)].iter());
         let bytes = sk.encode();
         for pos in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[pos] ^= 0xFF;
             // Either a clean error or (never) the original — a flipped byte
             // must not produce a silently different sketch.
-            if let Ok(decoded) = DatasetSketch::decode(&bad) {
+            if let Ok(decoded) = DatasetSketch::decode(&bad, 0) {
                 assert_eq!(decoded, sk, "byte {pos}");
             }
         }
@@ -595,11 +624,11 @@ mod tests {
 
     #[test]
     fn crc_guards_payload() {
-        let sk = DatasetSketch::build(10, [packed(vec![0; 10], 2)].iter());
+        let sk = DatasetSketch::build(PageGrid::whole(10), [packed(vec![0; 10], 2)].iter());
         let mut bytes = sk.encode();
         let last = bytes.len() - 5;
         bytes[last] ^= 1;
-        let err = DatasetSketch::decode(&bytes).unwrap_err();
+        let err = DatasetSketch::decode(&bytes, 0).unwrap_err();
         assert!(err.to_string().contains("CRC"), "{err}");
     }
 }
