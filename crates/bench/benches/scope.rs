@@ -14,12 +14,18 @@
 //! query and `over_full`, its time over the full scope's; and
 //! `range95_over_full`, the heap 95 % cell's, which the CI scope-smoke
 //! step gates at ≤ 1.3: a range must read like a full scope.
+//!
+//! It also times a `swope split` half on its own: the rows past a cut
+//! inside a page, as the slice `Dataset::take_rows` cuts (its table's
+//! layout, which it reads its samples through) and as the same rows
+//! loaded on their own, on the heap and paged. `slices` holds each
+//! residency's `slice_over_own`; nothing gates it.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use swope_bench::micro::black_box;
-use swope_columnar::{snapshot, stats, Dataset, DatasetSketch, PageCache, Residency};
+use swope_columnar::{snapshot, stats, Column, Dataset, DatasetSketch, PageCache, Residency};
 use swope_core::{run, Answer, Executor, NoopObserver, Rule, Scope, Shape, SwopeConfig};
 use swope_obs::json::ObjectWriter;
 
@@ -31,6 +37,10 @@ const SEED: u64 = 0x5170;
 /// Queries per cell: top-k and filter alternate, each at its own seed
 /// and its own position in the dataset.
 const QUERIES: usize = 8;
+
+/// The first row of the split half: inside page 7, as `swope split`
+/// cuts anywhere.
+const SLICE_AT: usize = 7 * 65_536 + 12_345;
 
 /// Seeded queries, each over its own scope.
 type Queries = Vec<(Shape, Scope, SwopeConfig)>;
@@ -67,12 +77,12 @@ fn run_all(ds: &Dataset, sketch: Option<&DatasetSketch>, cell: &Queries) -> Vec<
 /// sides that do the same work as equal.
 const ROUNDS: usize = 7;
 
-/// The range's queries and the same queries over the whole dataset, timed
-/// in alternating rounds: each side's fastest round, in nanoseconds a query.
-fn fastest(ds: &Dataset, range: &Queries, full: &Queries) -> [f64; 2] {
+/// Two sides' queries, each over its dataset, timed in alternating
+/// rounds: each side's fastest round, in nanoseconds a query.
+fn fastest(sides: [(&Dataset, &Queries); 2]) -> [f64; 2] {
     let mut best = [f64::INFINITY; 2];
     for _ in 0..ROUNDS {
-        for (queries, best) in [range, full].into_iter().zip(&mut best) {
+        for ((ds, queries), best) in sides.into_iter().zip(&mut best) {
             let started = Instant::now();
             run_all(ds, None, queries);
             *best = best.min(started.elapsed().as_nanos() as f64 / QUERIES as f64);
@@ -81,14 +91,18 @@ fn fastest(ds: &Dataset, range: &Queries, full: &Queries) -> [f64; 2] {
     best
 }
 
+/// `cell`'s queries over the whole dataset.
+fn unscoped(cell: &Queries) -> Queries {
+    cell.iter().map(|(shape, _, cfg)| (*shape, Scope::all(), cfg.clone())).collect()
+}
+
 /// One cell as a JSON object, and its `over_full`.
 fn cell(residency: &str, pct: usize, ds: &Dataset, sketch: &DatasetSketch) -> (String, f64) {
     let range = queries(pct);
     assert!(run_all(ds, Some(sketch), &range) == run_all(ds, None, &range), "a sketch moved");
-    let full: Queries =
-        range.iter().map(|(shape, _, cfg)| (*shape, Scope::all(), cfg.clone())).collect();
+    let full = unscoped(&range);
     run_all(ds, None, &full);
-    let [range_ns, full_ns] = fastest(ds, &range, &full);
+    let [range_ns, full_ns] = fastest([(ds, &range), (ds, &full)]);
     println!(
         "scope/{residency}_{pct}pct  range {:>9.1} us  full {:>9.1} us  ratio {:.3}",
         range_ns / 1e3,
@@ -101,6 +115,36 @@ fn cell(residency: &str, pct: usize, ds: &Dataset, sketch: &DatasetSketch) -> (S
         .f64_field("us_per_query", range_ns / 1e3)
         .f64_field("over_full", range_ns / full_ns);
     (w.finish(), range_ns / full_ns)
+}
+
+/// The split half past [`SLICE_AT`]: the slice `take_rows` cuts, and
+/// the same rows as a dataset of their own.
+fn halves(ds: &Dataset) -> [Dataset; 2] {
+    let slice = ds.take_rows(&(SLICE_AT..ds.num_rows()).collect::<Vec<_>>());
+    let columns = (0..slice.num_attrs())
+        .map(|a| Column::new(slice.column(a).to_codes(), slice.support(a)).expect("valid codes"))
+        .collect();
+    let own = Dataset::new(slice.schema().clone(), columns).expect("the slice's schema");
+    [slice, own]
+}
+
+/// The half's unscoped queries on `slice` and on `own`, which answer
+/// alike, as a JSON object.
+fn slice_cell(residency: &str, slice: &Dataset, own: &Dataset) -> String {
+    let full = unscoped(&queries(5));
+    assert!(run_all(slice, None, &full) == run_all(own, None, &full), "a slice moved");
+    let [slice_ns, own_ns] = fastest([(slice, &full), (own, &full)]);
+    println!(
+        "scope/{residency}_half  slice {:>9.1} us  own {:>9.1} us  ratio {:.3}",
+        slice_ns / 1e3,
+        own_ns / 1e3,
+        slice_ns / own_ns
+    );
+    let mut w = ObjectWriter::new();
+    w.str_field("residency", residency)
+        .f64_field("us_per_query", slice_ns / 1e3)
+        .f64_field("slice_over_own", slice_ns / own_ns);
+    w.finish()
 }
 
 fn main() {
@@ -127,13 +171,26 @@ fn main() {
     }
     std::fs::remove_file(&path).ok();
 
+    let [slice, own] = halves(&ds);
+    let mut slices = vec![slice_cell("heap", &slice, &own)];
+    let unbounded = Arc::new(PageCache::new(None));
+    let [slice, own] = [("slice", &slice), ("own", &own)].map(|(name, half)| {
+        let path = path.with_extension(format!("{name}.swop"));
+        snapshot::write_file(half, &path).expect("writing bench snapshot");
+        let opened = snapshot::open(&path, Residency::Paged(&unbounded)).expect("bench snapshot");
+        std::fs::remove_file(&path).ok();
+        opened.0
+    });
+    slices.push(slice_cell("paged", &slice, &own));
+
     let mut w = ObjectWriter::new();
     w.str_field("bench", "scope")
         .usize_field("rows", ROWS)
         .usize_field("columns", COLS)
         .u64_field("budget_bytes", budget)
         .f64_field("range95_over_full", range95_over_full)
-        .raw_field("ranges", &format!("[{}]", cells.join(",")));
+        .raw_field("ranges", &format!("[{}]", cells.join(",")))
+        .raw_field("slices", &format!("[{}]", slices.join(",")));
     let json = w.finish();
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_scope.json");
