@@ -19,6 +19,47 @@ use swope_server::{DatasetEntry, DatasetRegistry};
 
 use crate::args::{parse_options, Algo, Options};
 
+/// Why a command stopped short of success.
+#[derive(Debug)]
+pub enum Stop {
+    /// A one-line failure, printed with the usage.
+    Failed(String),
+    /// Whoever read stdout closed it (`swope inspect f | head -3`): the
+    /// command has nothing left to say, which is no failure.
+    StdoutClosed,
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Self {
+        Stop::Failed(e)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(e: &str) -> Self {
+        Stop::Failed(e.to_owned())
+    }
+}
+
+/// Writes one line to stdout: a closed stdout stops the command as
+/// [`Stop::StdoutClosed`] where `println!` would panic.
+fn write_out(line: std::fmt::Arguments<'_>) -> Result<(), Stop> {
+    use std::io::Write as _;
+    match writeln!(std::io::stdout().lock(), "{line}") {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(Stop::StdoutClosed),
+        Err(e) => Err(Stop::Failed(format!("writing to stdout: {e}"))),
+    }
+}
+
+/// `println!` through [`write_out`], returning from the command when
+/// stdout is closed.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_out(format_args!($($arg)*))?
+    };
+}
+
 /// Per-command observability wiring for `--events-out` / `--metrics`.
 ///
 /// Both sinks are optional; with neither flag the composed observer
@@ -54,12 +95,12 @@ impl Observability {
 
     /// Flushes the event sink (surfacing any sticky I/O error) and prints
     /// the metrics table.
-    fn finish(self) -> Result<(), String> {
+    fn finish(self) -> Result<(), Stop> {
         if let Some(sink) = self.sink {
             sink.finish().map_err(|e| format!("writing events: {e}"))?;
         }
         if let Some(metrics) = self.metrics {
-            println!(
+            outln!(
                 "
 {}",
                 metrics.render_table()
@@ -70,7 +111,7 @@ impl Observability {
 }
 
 /// Dispatches a full argv (after the binary name).
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+pub fn dispatch(argv: &[String]) -> Result<(), Stop> {
     let (command, rest) = argv.split_first().ok_or("no command given")?;
     let opts = parse_options(rest)?;
     match command.as_str() {
@@ -84,10 +125,10 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "split" => cmd_split(&opts),
         "serve" => cmd_serve(&opts),
         "help" | "--help" | "-h" => {
-            println!("{}", crate::args::usage());
+            outln!("{}", crate::args::usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(format!("unknown command {other:?}").into()),
     }
 }
 
@@ -215,16 +256,18 @@ fn adaptive(
     }
 }
 
-fn cmd_stats(opts: &Options) -> Result<(), String> {
+fn cmd_stats(opts: &Options) -> Result<(), Stop> {
     let (ds, _) = open(opts)?;
     let summary = stats::summarize(&ds);
-    println!(
+    outln!(
         "rows: {}   columns: {}   max support: {}",
-        summary.rows, summary.columns, summary.max_support
+        summary.rows,
+        summary.columns,
+        summary.max_support
     );
-    println!("{:<24} {:>8} {:>10} {:>10} {:>8}", "column", "support", "distinct", "mode", "mode%");
+    outln!("{:<24} {:>8} {:>10} {:>10} {:>8}", "column", "support", "distinct", "mode", "mode%");
     for s in stats::dataset_stats(&ds) {
-        println!(
+        outln!(
             "{:<24} {:>8} {:>10} {:>10} {:>7.1}%",
             truncate(&s.name, 24),
             s.support,
@@ -243,29 +286,31 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
 /// partition sketch a snapshot carries (per-column histogram layout plus
 /// the whole-sketch footprint). A dataset without a sketch (CSV input or
 /// a pre-sketch snapshot) degrades to `sketch: none`.
-fn cmd_inspect(opts: &Options) -> Result<(), String> {
+fn cmd_inspect(opts: &Options) -> Result<(), Stop> {
     let (ds, sketch) = open(opts)?;
     let summary = stats::summarize(&ds);
-    println!(
+    outln!(
         "rows: {}   columns: {}   max support: {}",
-        summary.rows, summary.columns, summary.max_support
+        summary.rows,
+        summary.columns,
+        summary.max_support
     );
     if let Ok(format) = snapshot::format(file(opts)?) {
         let order = match format.layout_seed {
             Some(seed) => format!("layout order (seed {seed:#x})"),
             None => format!("row order (`swope convert` rewrites it as v{})", snapshot::VERSION),
         };
-        println!("snapshot: v{}, pages in {order}", format.version);
+        outln!("snapshot: v{}, pages in {order}", format.version);
         if let Some((union_rows, base)) = format.frame {
             let end = base + ds.num_rows();
-            println!("frame: rows {base}..{end} of a {union_rows}-row table, in its layout");
+            outln!("frame: rows {base}..{end} of a {union_rows}-row table, in its layout");
         }
     }
-    println!("{:<24} {:>8} {:>6} {:>12} {:>8}", "column", "support", "width", "bytes", "sketch");
+    outln!("{:<24} {:>8} {:>6} {:>12} {:>8}", "column", "support", "width", "bytes", "sketch");
     for (attr, s) in stats::dataset_stats(&ds).iter().enumerate() {
         let kind =
             sketch.as_ref().and_then(|sk| sk.column(attr)).map(|c| c.kind().name()).unwrap_or("-");
-        println!(
+        outln!(
             "{:<24} {:>8} {:>5}b {:>12} {:>8}",
             truncate(&s.name, 24),
             s.support,
@@ -278,7 +323,7 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
     let unpacked = stats::bytes_unpacked(&ds);
     let saved = unpacked.saturating_sub(packed);
     let pct = if unpacked > 0 { saved as f64 / unpacked as f64 * 100.0 } else { 0.0 };
-    println!("total: {packed} bytes packed ({unpacked} at u32; saves {saved} bytes, {pct:.1}%)");
+    outln!("total: {packed} bytes packed ({unpacked} at u32; saves {saved} bytes, {pct:.1}%)");
     // Residency: with --mmap the columns above were scanned through the
     // page cache, so "resident" is what survived eviction, not the file.
     let paged_cols: Vec<_> = (0..ds.num_attrs()).filter_map(|a| ds.column(a).paged()).collect();
@@ -289,20 +334,20 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
             Some(b) => format!("{b} byte budget"),
             None => "unbounded".into(),
         };
-        println!(
+        outln!(
             "paged: {} column(s) via {}, {resident} of {plain} bytes resident ({budget})",
             paged_cols.len(),
             first.mapping_kind()
         );
     }
     match &sketch {
-        Some(sk) => println!(
+        Some(sk) => outln!(
             "sketch: {} page(s) x {} column(s), {} bytes encoded",
             sk.num_pages(),
             sk.num_columns(),
             sk.encoded_len()
         ),
-        None => println!("sketch: none (CSV input or snapshot without a sketch section)"),
+        None => outln!("sketch: none (CSV input or snapshot without a sketch section)"),
     }
     Ok(())
 }
@@ -313,7 +358,7 @@ fn cmd_inspect(opts: &Options) -> Result<(), String> {
 /// it resolves one). `--algo rank` swaps in the comparator's rule for
 /// SWOPE's, `--algo exact` a full scan, and `--shards` counts across
 /// in-process row shards.
-fn cmd_query(segment: &str, opts: &Options) -> Result<(), String> {
+fn cmd_query(segment: &str, opts: &Options) -> Result<(), Stop> {
     let entry = load(opts)?;
     let spec = QuerySpec::parse(segment, &Flags { opts, dataset: &entry.name })?;
     let profile = matches!(spec.shape, QueryShape::EntropyProfile | QueryShape::MiProfile { .. });
@@ -321,7 +366,8 @@ fn cmd_query(segment: &str, opts: &Options) -> Result<(), String> {
         let name = if opts.algo == Algo::Rank { "rank" } else { "exact" };
         return Err(format!(
             "profile queries (entropy-profile/mi-profile) are not supported by --algo {name}"
-        ));
+        )
+        .into());
     }
     if opts.algo == Algo::Exact && spec.is_scoped() {
         return Err("scoped queries (--row-start/--row-end/--where) are not supported by \
@@ -348,40 +394,38 @@ fn cmd_query(segment: &str, opts: &Options) -> Result<(), String> {
     // `mi-filter` has never printed its target.
     if let (Some(t), Rule::TopK { .. } | Rule::Profile { .. }) = (target, rule) {
         let name = entry.dataset.schema().field(t).map(|f| f.name()).unwrap_or("?");
-        println!("target: {name} ({t})");
+        outln!("target: {name} ({t})");
     }
     let measure = if target.is_some() { "mutual information" } else { "entropy" };
-    print_answer(measure, rule, &answer);
+    print_answer(measure, rule, &answer)?;
     obs.finish()
 }
 
 /// A header naming what `rule` returned, then one line per score.
-fn print_answer(measure: &str, rule: Rule, answer: &Answer) {
+fn print_answer(measure: &str, rule: Rule, answer: &Answer) -> Result<(), Stop> {
     let Answer { scores, stats } = answer;
     let sampled =
         format!("sampled {} rows in {} iteration(s)", stats.sample_size, stats.iterations);
     match rule {
         Rule::TopK { .. } | Rule::Rank { .. } => {
-            println!("top-{} by empirical {measure} ({sampled}):", scores.len());
+            outln!("top-{} by empirical {measure} ({sampled}):", scores.len());
         }
         Rule::Filter { eta } | Rule::FilterExact { eta } => {
-            println!(
-                "{} attribute(s) with empirical {measure} >= {eta} ({sampled}):",
-                scores.len()
-            );
+            outln!("{} attribute(s) with empirical {measure} >= {eta} ({sampled}):", scores.len());
         }
-        Rule::Profile { .. } => println!("{measure} estimate per attribute ({sampled}):"),
+        Rule::Profile { .. } => outln!("{measure} estimate per attribute ({sampled}):"),
     }
-    println!("{:<6} {:<24} {:>10} {:>10} {:>10}", "attr", "name", "estimate", "lower", "upper");
+    outln!("{:<6} {:<24} {:>10} {:>10} {:>10}", "attr", "name", "estimate", "lower", "upper");
     for s in scores {
-        print_score(s);
+        print_score(s)?;
     }
+    Ok(())
 }
 
 /// Runs SWOPE and the exact scan on the same top-k query and reports the
 /// speed/agreement trade-off — a quick way to validate the approximation
 /// on one's own data before trusting it in a pipeline.
-fn cmd_compare(opts: &Options) -> Result<(), String> {
+fn cmd_compare(opts: &Options) -> Result<(), Stop> {
     let entry = load(opts)?;
     let ds = &*entry.dataset;
     let k = opts.k.unwrap_or(5).min(ds.num_attrs());
@@ -400,18 +444,18 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
     let exact_set: std::collections::HashSet<usize> = exact.scores.iter().map(|s| s.attr).collect();
     let hits = swope.attr_indices().iter().filter(|a| exact_set.contains(a)).count();
 
-    println!("entropy top-{k} comparison (epsilon = {}):", cfg.epsilon);
-    println!(
+    outln!("entropy top-{k} comparison (epsilon = {}):", cfg.epsilon);
+    outln!(
         "  SWOPE: {swope_ms:.2} ms, sampled {} of {} rows",
         swope.stats.sample_size,
         ds.num_rows()
     );
-    println!("  Exact: {exact_ms:.2} ms (full scan)");
-    println!("  speedup: {:.1}x   agreement: {hits}/{k} attributes", exact_ms / swope_ms.max(1e-9));
-    println!("\n{:<6} {:<24} {:>10} {:>10}", "attr", "name", "SWOPE est", "exact");
+    outln!("  Exact: {exact_ms:.2} ms (full scan)");
+    outln!("  speedup: {:.1}x   agreement: {hits}/{k} attributes", exact_ms / swope_ms.max(1e-9));
+    outln!("\n{:<6} {:<24} {:>10} {:>10}", "attr", "name", "SWOPE est", "exact");
     for s in &swope.top {
         let exact_score = exact.scores.iter().find(|e| e.attr == s.attr).map(|e| e.estimate);
-        println!(
+        outln!(
             "{:<6} {:<24} {:>10.4} {:>10}",
             s.attr,
             truncate(&s.name, 24),
@@ -422,7 +466,7 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_gen(opts: &Options) -> Result<(), String> {
+fn cmd_gen(opts: &Options) -> Result<(), Stop> {
     let profile_name =
         opts.positional.first().ok_or("expected a profile name (cdc hus pus enem tiny)")?;
     let scale = opts.scale.unwrap_or(0.01);
@@ -432,22 +476,22 @@ fn cmd_gen(opts: &Options) -> Result<(), String> {
         "pus" => swope_datagen::corpus::pus(scale),
         "enem" => swope_datagen::corpus::enem(scale),
         "tiny" => swope_datagen::corpus::tiny(opts.rows.unwrap_or(10_000), opts.cols.unwrap_or(20)),
-        other => return Err(format!("unknown profile {other:?}")),
+        other => return Err(format!("unknown profile {other:?}").into()),
     };
     let out = opts.out.as_deref().ok_or("--out is required")?;
     let ds = swope_datagen::generate(&profile, opts.seed.unwrap_or(0x5170));
     write_dataset(&ds, out)?;
-    println!("wrote {} ({} rows x {} columns)", out, ds.num_rows(), ds.num_attrs());
+    outln!("wrote {} ({} rows x {} columns)", out, ds.num_rows(), ds.num_attrs());
     Ok(())
 }
 
-fn cmd_convert(opts: &Options) -> Result<(), String> {
+fn cmd_convert(opts: &Options) -> Result<(), Stop> {
     let [input, output] = opts.positional.as_slice() else {
         return Err("convert expects <in> <out>".into());
     };
     let (ds, _) = Dataset::open(input, Residency::Heap).map_err(|e| e.to_string())?;
     write_dataset(&ds, output)?;
-    println!("wrote {output}");
+    outln!("wrote {output}");
     Ok(())
 }
 
@@ -458,7 +502,7 @@ fn cmd_convert(opts: &Options) -> Result<(), String> {
 /// input would answer for — the property `serve --peer` relies on. Each
 /// half keeps the input's layout and records its frame (a v4 snapshot),
 /// so a peer counts every window a coordinator sends it in place.
-fn cmd_split(opts: &Options) -> Result<(), String> {
+fn cmd_split(opts: &Options) -> Result<(), Stop> {
     let [input, out_a, out_b] = opts.positional.as_slice() else {
         return Err("split expects <in> <out-a> <out-b>".into());
     };
@@ -466,19 +510,19 @@ fn cmd_split(opts: &Options) -> Result<(), String> {
     let (ds, _) =
         Dataset::open(input, Residency::Heap).map_err(|e| format!("loading {input}: {e}"))?;
     if at == 0 || at >= ds.num_rows() {
-        return Err(format!("--at {at} must fall inside the {} rows", ds.num_rows()));
+        return Err(format!("--at {at} must fall inside the {} rows", ds.num_rows()).into());
     }
     let head: Vec<usize> = (0..at).collect();
     let tail: Vec<usize> = (at..ds.num_rows()).collect();
     write_dataset(&ds.take_rows(&head), out_a)?;
     write_dataset(&ds.take_rows(&tail), out_b)?;
-    println!("wrote {out_a} ({at} rows) and {out_b} ({} rows)", ds.num_rows() - at);
+    outln!("wrote {out_a} ({at} rows) and {out_b} ({} rows)", ds.num_rows() - at);
     Ok(())
 }
 
 /// `swope serve [<file>...]`: load the given datasets, bind, and serve
 /// until SIGINT/SIGTERM.
-fn cmd_serve(opts: &Options) -> Result<(), String> {
+fn cmd_serve(opts: &Options) -> Result<(), Stop> {
     let config = swope_server::ServerConfig {
         addr: opts.addr.clone().unwrap_or_else(|| "127.0.0.1:7878".into()),
         threads: opts.threads.unwrap_or(4),
@@ -513,7 +557,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     let server = swope_server::Server::bind(config).map_err(|e| format!("binding: {e}"))?;
     for path in &opts.positional {
         let entry = server.registry().load_path(path)?;
-        println!(
+        outln!(
             "loaded {:?} as {:?} ({} rows x {} columns)",
             path,
             entry.name,
@@ -522,13 +566,13 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         );
     }
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    println!("listening on http://{addr}");
+    outln!("listening on http://{addr}");
     // Scripts (and the CI smoke test) wait for the line above before
     // sending requests; make sure it is visible before we block serving.
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.run();
-    println!("shut down cleanly");
+    outln!("shut down cleanly");
     Ok(())
 }
 
@@ -542,8 +586,8 @@ fn write_dataset(ds: &Dataset, path: &str) -> Result<(), String> {
     }
 }
 
-fn print_score(s: &AttrScore) {
-    println!(
+fn print_score(s: &AttrScore) -> Result<(), Stop> {
+    outln!(
         "{:<6} {:<24} {:>10.4} {:>10.4} {:>10.4}",
         s.attr,
         truncate(&s.name, 24),
@@ -551,6 +595,7 @@ fn print_score(s: &AttrScore) {
         s.lower,
         s.upper
     );
+    Ok(())
 }
 
 fn truncate(s: &str, max: usize) -> String {

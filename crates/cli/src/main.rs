@@ -19,8 +19,8 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(&argv) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Ok(()) | Err(commands::Stop::StdoutClosed) => ExitCode::SUCCESS,
+        Err(commands::Stop::Failed(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", args::usage());

@@ -4,7 +4,7 @@
 mod snapshot_v2;
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use swope_obs::json::Json;
 use swope_server::{Server, ServerConfig, ServerHandle};
@@ -55,6 +55,33 @@ fn get(addr: &str, target: &str) -> Json {
     stream.read_to_string(&mut response).unwrap();
     let (_, body) = response.split_once("\r\n\r\n").expect("a complete response");
     Json::parse(body).unwrap()
+}
+
+/// `swope inspect <f> | head -1` over a file whose listing outgrows a
+/// pipe's buffer: once the reader closes its end after one line, the
+/// command ends quietly — no panic on stderr, a clean exit.
+#[test]
+fn a_closed_stdout_ends_a_command_quietly() {
+    use std::io::BufRead;
+    let path = tmp("wide.swop");
+    let path = path.to_str().unwrap();
+    let gen = swope(&["gen", "tiny", "--rows", "64", "--cols", "2000", "--out", path]);
+    assert!(gen.status.success(), "{}", stderr(&gen));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_swope"))
+        .args(["inspect", path])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut out = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    out.read_line(&mut line).unwrap();
+    assert!(line.starts_with("rows: 64 "), "{line}");
+    drop(out);
+    let done = child.wait_with_output().unwrap();
+    let err = stderr(&done);
+    assert!(!err.contains("panicked") && !err.contains("Broken pipe"), "{err}");
+    assert!(done.status.success(), "{:?}: {err}", done.status);
 }
 
 #[test]

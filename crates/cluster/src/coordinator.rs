@@ -26,8 +26,12 @@
 //! both of its owners, with the union's row count and the slice's first
 //! union row. No position is turned into a row here. The peer maps them
 //! to its own positions through a table of the pages it overlaps
-//! ([`crate::peer`]). The replies are added into one reused
-//! [`ShardCounts`] as they are decoded, which is the whole merge.
+//! ([`crate::peer`]). Each reply stays in its session's [`FrameReader`]
+//! buffer as it arrived, CRC-checked; once every peer has answered, one
+//! k-way merge ([`merge_replies`]) reads them all in place, checks each
+//! against the request and the session's `Hello` as it goes, and hands
+//! the summed counts straight to the query's states. No reply is decoded
+//! into histograms first, and no merged histogram is built.
 //!
 //! A row-range query is routed only to peers whose slices intersect
 //! it — non-intersecting peers never hear about the query, and an empty
@@ -43,12 +47,14 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use swope_core::shard::Shelf;
-use swope_core::{AttrMeta, CountRequest, PairCountState, ShardCounts, ShardTransport, SwopeError};
+use swope_core::shard::{merge_replies, CountSink, ShardReply, Step};
+use swope_core::{AttrMeta, CountRequest, ShardCounts, ShardTransport, SwopeError};
 use swope_sampling::{PageLayout, PageMembers, PagePrefix, Positions};
 use swope_store::page::PAGE_ROWS;
 
-use crate::frame::{Frame, FrameReader, FrameWriter, Hello, ResultFrame, PROTOCOL_VERSION};
+use crate::frame::{
+    Frame, FrameError, FrameReader, FrameWriter, Hello, ResultFrame, PROTOCOL_VERSION,
+};
 use crate::stats::ClusterStats;
 
 /// Explicit wire deadlines; both paths must be bounded for the dead-peer
@@ -156,6 +162,25 @@ struct PeerConn {
     /// The session's frame buffers, reused for every exchange.
     reader: FrameReader,
     writer: FrameWriter,
+}
+
+/// A peer's last reply, as its reader holds it.
+impl ShardReply for PeerConn {
+    type Error = FrameError;
+
+    fn step(&mut self, step: Step) -> Result<(), FrameError> {
+        self.reader.step(step)
+    }
+
+    #[inline]
+    fn head(&self) -> Option<(u64, u64)> {
+        self.reader.head()
+    }
+
+    #[inline]
+    fn next(&mut self) -> Result<(), FrameError> {
+        self.reader.next()
+    }
 }
 
 impl PeerConn {
@@ -277,27 +302,25 @@ fn recv(peer: &mut PeerConn, stats: &ClusterStats) -> Result<Frame, SwopeError> 
     }
 }
 
-/// Receives one `CountMerge` straight into `counts`, which the caller
-/// shaped from its own request and the supports the session's `Hello`
-/// announced: a reply with any other shape or support is this peer's
-/// one-line error, never a histogram the engine would index out of range.
-/// With `may_decline`, a `CountMerge` over no attributes is a decline
-/// (`Ok(false)`) rather than a wrong shape.
-fn recv_counts(
+/// Receives one peer's reply to a count request: a `CountMerge` stays in
+/// the peer's reader, CRC-checked and unparsed, for [`merge_replies`] to
+/// read where it lies; anything else is this peer's one-line error. With
+/// `may_decline`, a `CountMerge` over no attributes is a decline
+/// (`Ok(false)`).
+fn recv_reply(
     peer: &mut PeerConn,
     stats: &ClusterStats,
-    counts: &mut ShardCounts,
     may_decline: bool,
 ) -> Result<bool, SwopeError> {
     let read = peer.reader.read_envelope(&mut peer.stream).map_err(|e| e.to_string());
     let result = read.and_then(|envelope| {
         stats.record_received(envelope.wire_len());
         if may_decline && envelope.is_decline() {
-            return Ok(None);
+            return Ok(false);
         }
         if envelope.is_count_merge() {
             stats.record_count_merge(envelope.wire_len());
-            return envelope.count_merge_into(counts).map(Some).map_err(|e| e.to_string());
+            return Ok(true);
         }
         Err(match envelope.decode() {
             Ok(Frame::Error(e)) => e.message,
@@ -305,13 +328,24 @@ fn recv_counts(
             Err(e) => e.to_string(),
         })
     });
-    match result {
-        Ok(entries) => {
-            stats.record_entries(entries.unwrap_or(0));
-            Ok(entries.is_some())
-        }
-        Err(reason) => Err(fail(peer, stats, reason)),
-    }
+    result.map_err(|reason| fail(peer, stats, reason))
+}
+
+/// Merges the replies every peer in `peers` holds, of the shape a
+/// request with a target of support `target` (if any) and live attributes
+/// of supports `live` asks for, into `sink`: a reply that breaks a rule
+/// is its peer's one-line error, never a count past the supports the
+/// session's `Hello` announced.
+fn merge_peers<S: CountSink>(
+    peers: &mut [PeerConn],
+    stats: &ClusterStats,
+    target: Option<u32>,
+    live: impl ExactSizeIterator<Item = u32>,
+    sink: &mut S,
+) -> Result<(), SwopeError> {
+    let merged = merge_replies(peers, target, live, sink);
+    stats.record_entries(peers.iter().map(|peer| peer.reader.entries()).sum());
+    merged.map_err(|(i, e)| fail(&peers[i], stats, e))
 }
 
 /// The positions of `delta` on union pages `pages`: the runs and listed
@@ -388,12 +422,6 @@ pub struct RemoteShardSource {
     /// Rows in the union, and the query's sample over the population.
     union_rows: u64,
     sampler: PagePrefix,
-    /// The replies' sum, handed out by `advance` and back by `recycle`,
-    /// and the histograms it parks in between.
-    acc: ShardCounts,
-    shelf: Shelf,
-    /// What the last `advance` counted.
-    last: CountRequest,
     sampled: u64,
     finished: bool,
     stats: Arc<ClusterStats>,
@@ -512,9 +540,6 @@ impl RemoteShardSource {
             meta: meta.unwrap_or_default(),
             union_rows,
             sampler: PagePrefix::new(members, seed),
-            acc: ShardCounts::empty(None, []),
-            shelf: Shelf::default(),
-            last: CountRequest { target: None, live: Vec::new() },
             sampled: 0,
             finished: false,
             stats,
@@ -573,18 +598,15 @@ impl ShardTransport for RemoteShardSource {
         self.peers.len()
     }
 
-    fn advance(
-        &mut self,
-        m_target: usize,
-        req: &CountRequest,
-    ) -> Result<Vec<ShardCounts>, SwopeError> {
+    /// Sends every participant its windows of the delta, then reads
+    /// every reply into its session's reader: peers count concurrently
+    /// while the replies are read in order.
+    fn count(&mut self, m_target: usize, req: &CountRequest) -> Result<(), SwopeError> {
         if self.finished {
             return Err(SwopeError::Transport("query already finished".into()));
         }
         let Self { peers, sampler, stats, union_rows, .. } = self;
         let delta = sampler.grow_to(m_target);
-        // Scatter to every participant first, then gather: peers count
-        // their deltas concurrently while we read replies in order.
         for peer in peers.iter_mut() {
             let positions = window(delta, &peer.pages);
             let frame = (*union_rows, peer.slice.start);
@@ -602,29 +624,19 @@ impl ShardTransport for RemoteShardSource {
                 Err(e) => return Err(fail(peer, stats, e)),
             }
         }
-        let mut acc = std::mem::replace(&mut self.acc, ShardCounts::empty(None, []));
-        let meta = &self.meta;
-        self.shelf.shape(req, |a| meta[a].support, &mut acc);
-        acc.joints.resize_with(req.live.len(), PairCountState::new);
-        for peer in &mut self.peers {
-            recv_counts(peer, &self.stats, &mut acc, false)?;
+        for peer in peers.iter_mut() {
+            recv_reply(peer, stats, false)?;
         }
-        self.last.clone_from(req);
         self.sampled = m_target.min(self.sampler.num_rows()) as u64;
-        self.stats.record_merge();
-        Ok(vec![acc])
+        Ok(())
     }
 
-    /// Parks the spent sum's histograms and keeps its emptied joint
-    /// deltas for the next doubling.
-    fn recycle(&mut self, spent: Vec<ShardCounts>) {
-        if let Some(mut acc) = spent.into_iter().next() {
-            self.shelf.park(&self.last, &mut acc);
-            for joint in &mut acc.joints {
-                joint.clear();
-            }
-            self.acc = acc;
-        }
+    fn merge<S: CountSink>(&mut self, req: &CountRequest, sink: &mut S) -> Result<(), SwopeError> {
+        let support = |a: usize| self.meta[a].support;
+        let live = req.live.iter().map(|&a| support(a));
+        merge_peers(&mut self.peers, &self.stats, req.target.map(support), live, sink)?;
+        self.stats.record_merge();
+        Ok(())
     }
 
     /// Asks every peer for its sketch totals — only when the query's
@@ -646,11 +658,14 @@ impl ShardTransport for RemoteShardSource {
             self.meta.iter().map(|m| vec![0; m.support as usize]).collect();
         let mut every_peer_answered = true;
         for peer in &mut self.peers {
-            let mut counts = ShardCounts::empty(None, self.meta.iter().map(|m| m.support));
-            if !recv_counts(peer, &self.stats, &mut counts, true)? {
+            if !recv_reply(peer, &self.stats, true)? {
                 every_peer_answered = false;
                 continue;
             }
+            let supports = || self.meta.iter().map(|m| m.support);
+            let mut counts = ShardCounts::empty(None, supports());
+            let one = std::slice::from_mut(peer);
+            merge_peers(one, &self.stats, None, supports(), &mut counts)?;
             let rows = peer.slice.end - peer.slice.start;
             for (attr, (total, cs)) in sum.iter_mut().zip(&mut counts.attrs).enumerate() {
                 if cs.total() != rows {

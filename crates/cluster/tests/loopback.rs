@@ -7,6 +7,7 @@
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
 
+use std::io::Write as _;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -415,6 +416,110 @@ fn a_failed_query_pools_no_session() {
     assert_eq!(wire(&mut src, &shape, &config).unwrap(), plain(&rest, &shape, &config));
     src.finish();
     assert_eq!(pool.idle_count(), 1);
+}
+
+/// A peer whose second `CountMerge` carries a valid CRC but, in its last
+/// histogram, an entry whose code does not ascend: the merge has handed
+/// the earlier lists to the states when it meets the entry. The query
+/// fails with that peer's one-line error, pools no session, and the next
+/// query answers as the single box.
+#[test]
+fn a_reply_broken_mid_merge_fails_the_query_and_pools_nothing() {
+    let union = union_dataset();
+    let n = union.num_rows();
+    let (first, rest) = (slice_rows(&union, 0..n / 2), slice_rows(&union, n / 2..n));
+    let supports: Vec<u32> = dataset_meta(&first).iter().map(|m| m.support).collect();
+    let honest = spawn_peer(first.clone());
+    let upstream = honest.clone();
+    // Relays every frame to an honest peer and its replies back, until
+    // the second doubling's reply, which it breaks.
+    let liar = scripted_peer(move |mut stream| {
+        let mut real = std::net::TcpStream::connect(&upstream).unwrap();
+        let mut doublings = 0;
+        while let Ok((frame, _)) = read_frame(&mut stream) {
+            write_frame(&mut real, &frame).unwrap();
+            let live = match &frame {
+                Frame::Result(_) => continue,
+                Frame::GrowDelta(grow) => grow.live.clone(),
+                _ => Vec::new(),
+            };
+            let (reply, _) = read_frame(&mut real).unwrap();
+            doublings += usize::from(matches!(frame, Frame::GrowDelta(_)));
+            if doublings < 2 {
+                write_frame(&mut stream, &reply).unwrap();
+                continue;
+            }
+            let Frame::CountMerge(reply) = reply else { panic!("expected CountMerge") };
+            let mut counts = ShardCounts::empty(None, live.iter().map(|&a| supports[a as usize]));
+            reply.decode_into(&mut counts).unwrap();
+            stream.write_all(&out_of_order(&mut counts)).unwrap();
+            let _ = read_frame(&mut stream); // hold the socket until the coordinator hangs up
+            return;
+        }
+    });
+    let rest_addr = spawn_peer(rest);
+    let (config, shape) = (cfg(0xB0B), all_shapes()[0]);
+    let pool = Arc::new(PeerPool::new(2));
+    let pooled = |addrs: &[String]| {
+        let stats = Arc::new(ClusterStats::new());
+        let timeouts = PeerTimeouts::default();
+        let pool = Some(Arc::clone(&pool));
+        RemoteShardSource::connect(addrs, "t", config.seed, None, &timeouts, stats, pool).unwrap()
+    };
+
+    let mut src = pooled(&[liar.clone(), rest_addr.clone()]);
+    let err = wire(&mut src, &shape, &config).unwrap_err();
+    let SwopeError::Transport(msg) = err else { panic!("expected a transport error, got {err}") };
+    assert!(msg.starts_with(&format!("peer {liar}: ")), "{msg}");
+    assert!(msg.contains("count entries are not ascending"), "{msg}");
+    assert!(!msg.contains('\n'), "{msg}");
+    drop(src);
+    assert_eq!(pool.idle_count(), 0, "a failed query pooled its sessions");
+
+    let mut src = pooled(&[honest, rest_addr]);
+    assert_eq!(wire(&mut src, &shape, &config).unwrap(), plain(&union, &shape, &config));
+    src.finish();
+    assert_eq!(pool.idle_count(), 2);
+}
+
+/// A `CountMerge` frame of an entropy reply's `counts`, checksummed,
+/// whose last histogram repeats its last code (or code 0, twice).
+fn out_of_order(counts: &mut ShardCounts) -> Vec<u8> {
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let mut payload = vec![0];
+    varint(&mut payload, counts.attrs.len() as u64);
+    let last = counts.attrs.len() - 1;
+    for (i, cs) in counts.attrs.iter_mut().enumerate() {
+        varint(&mut payload, cs.support().into());
+        let mut entries: Vec<(u32, u64)> = cs.canonical_entries().collect();
+        if i == last {
+            entries.push(entries.last().copied().unwrap_or((0, 1)));
+            if entries.len() == 1 {
+                entries.push((0, 1));
+            }
+        }
+        varint(&mut payload, entries.len() as u64);
+        let mut prev = 0;
+        for (code, k) in entries {
+            varint(&mut payload, (code - prev).into());
+            varint(&mut payload, k);
+            prev = code;
+        }
+        varint(&mut payload, 0); // no joint runs
+    }
+    let mut frame = b"SWPC".to_vec();
+    frame.push(4);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let crc = swope_store::crc32::crc32(&frame[4..]);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    frame
 }
 
 /// A shard's counts in canonical form: the target's entries, then each

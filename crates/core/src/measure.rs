@@ -10,12 +10,12 @@
 //! of the query's plan. [`crate::driver`] runs the one doubling loop over
 //! it.
 
-use swope_columnar::AttrIndex;
+use swope_columnar::{AttrIndex, Code};
 
 use crate::driver::CountSource;
 use crate::exec::Executor;
 use crate::report::WorkKind;
-use crate::shard::{CountRequest, ShardCounts};
+use crate::shard::{CountRequest, CountSink, ShardCounts};
 use crate::state::{EntropyState, MiState, TargetState};
 use crate::SwopeError;
 
@@ -143,6 +143,18 @@ pub(crate) trait Measure {
 
     /// The exact score of `st` once the sample is the whole population.
     fn exact_score(&self, st: &Self::State) -> f64;
+
+    /// Adds one entry of a merged delta: `k` occurrences of the target's
+    /// `code`. Entries reach a counter in canonical order, as
+    /// [`Measure::apply`] drains them.
+    fn add_target(&mut self, _code: Code, _k: u64) {}
+
+    /// Adds `k` occurrences of `code` to a candidate's marginal.
+    fn add_marginal(st: &mut Self::State, code: Code, k: u64);
+
+    /// Adds `k` co-occurrences of a packed pair `key` to a candidate's
+    /// joint.
+    fn add_joint(_st: &mut Self::State, _key: u64, _k: u64) {}
 }
 
 /// Empirical entropy of every attribute.
@@ -173,6 +185,11 @@ impl Measure for Entropy {
 
     fn exact_score(&self, st: &EntropyState) -> f64 {
         st.sample_entropy()
+    }
+
+    #[inline]
+    fn add_marginal(st: &mut EntropyState, code: Code, k: u64) {
+        st.add_count(code, k);
     }
 }
 
@@ -258,5 +275,45 @@ impl Measure for Mi {
             None => (self.target.sample_entropy(), st.sample_entropy()),
         };
         (h_t + h_a - st.sample_joint_entropy()).max(0.0)
+    }
+
+    #[inline]
+    fn add_target(&mut self, code: Code, k: u64) {
+        self.target.add_count(code, k);
+    }
+
+    #[inline]
+    fn add_marginal(st: &mut MiState, code: Code, k: u64) {
+        st.add_count(code, k);
+    }
+
+    #[inline]
+    fn add_joint(st: &mut MiState, key: u64, k: u64) {
+        st.add_joint(key, k);
+    }
+}
+
+/// A query's states as the place a merge hands its summed counts: the
+/// `i`th live attribute is the `i`th state, as [`Measure::request`]
+/// lists them.
+pub(crate) struct States<'a, M: Measure> {
+    pub measure: &'a mut M,
+    pub states: &'a mut [M::State],
+}
+
+impl<M: Measure> CountSink for States<'_, M> {
+    #[inline]
+    fn target(&mut self, code: Code, k: u64) {
+        self.measure.add_target(code, k);
+    }
+
+    #[inline]
+    fn marginal(&mut self, i: usize, code: Code, k: u64) {
+        M::add_marginal(&mut self.states[i], code, k);
+    }
+
+    #[inline]
+    fn joint(&mut self, i: usize, key: u64, k: u64) {
+        M::add_joint(&mut self.states[i], key, k);
     }
 }

@@ -12,11 +12,12 @@
 //! counter's running `f64` sum depends only on the *multiset* of rows a
 //! delta covers, never on their order (see the module docs there).
 
-use swope_columnar::AttrIndex;
+use swope_columnar::{AttrIndex, Code};
 use swope_estimate::bounds::{
     entropy_bounds, mi_bounds, mi_bounds_exact_marginals, EntropyBounds, MiBounds,
 };
 use swope_estimate::entropy::EntropyCounter;
+use swope_estimate::freq::unpack_pair;
 use swope_estimate::joint::JointEntropyCounter;
 
 use crate::count::{CountState, PairCountState};
@@ -185,6 +186,40 @@ impl TargetState {
     /// The target's sample entropy `H_S(α_t)`.
     pub fn sample_entropy(&self) -> f64 {
         self.counter.entropy()
+    }
+}
+
+/// Taking a merged delta entry by entry, in the canonical order the
+/// shard merge hands it over (see `crate::shard::CountSink`).
+impl EntropyState {
+    /// Adds `k` occurrences of `code`.
+    #[inline]
+    pub fn add_count(&mut self, code: Code, k: u64) {
+        self.counter.add_count(code, k);
+    }
+}
+
+impl MiState {
+    /// Adds `k` occurrences of the candidate's `code`.
+    #[inline]
+    pub fn add_count(&mut self, code: Code, k: u64) {
+        self.counter.add_count(code, k);
+    }
+
+    /// Adds `k` co-occurrences of the packed pair `key`
+    /// (`target << 32 | candidate`).
+    #[inline]
+    pub fn add_joint(&mut self, key: u64, k: u64) {
+        let (t, a) = unpack_pair(key);
+        self.joint.add_count(t, a, k);
+    }
+}
+
+impl TargetState {
+    /// Adds `k` occurrences of the target's `code`.
+    #[inline]
+    pub fn add_count(&mut self, code: Code, k: u64) {
+        self.counter.add_count(code, k);
     }
 }
 
