@@ -44,7 +44,10 @@
 //!
 //! The peer counts exactly those positions through the session's
 //! [`Counter`], the body every shard counts with, parking each reply's
-//! histograms and joint deltas for the next doubling. Its work is
+//! histograms and joint deltas for the next doubling. The counter is the
+//! connection thread's spare ([`Counter::warm`]): a `Hello` closes the
+//! last session before it opens the next, so a pooled connection counts
+//! every query on one counter. Its work is
 //! `O(positions sent)`. Asked for `Marginals`, it gives its slice's
 //! partition-sketch totals, or, without a usable sketch, declines; summed,
 //! they are the union's marginals.
@@ -62,7 +65,7 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, Weak};
 
 use swope_columnar::{Dataset, DatasetSketch};
-use swope_core::shard::{dataset_meta, Counter};
+use swope_core::shard::{dataset_meta, Counter, WarmCounter};
 use swope_core::{sketch_marginals, CountRequest, Executor, ShardCounts};
 use swope_sampling::{PageLayout, Positions};
 use swope_store::page::PAGE_ROWS;
@@ -148,7 +151,8 @@ struct Session {
     served: PeerDataset,
     /// The slot table of the frame the last `GrowDelta` named.
     table: Option<Arc<SlotTable>>,
-    counter: Counter,
+    /// The connection thread's spare counter while the session is open.
+    counter: WarmCounter,
     req: CountRequest,
     /// The delta's positions in the dataset's storage: runs of pages the
     /// peer stores in the union's order, and the rest one by one.
@@ -162,7 +166,7 @@ impl Session {
         Self {
             served,
             table: None,
-            counter: Counter::new(),
+            counter: Counter::warm(),
             req: CountRequest { target: None, live: Vec::new() },
             runs: Vec::new(),
             list: Vec::new(),
@@ -482,6 +486,9 @@ pub fn serve_connection<S: Read + Write>(
                 if let Err(e) = wire.send(&Frame::Hello(reply)) {
                     return wire.lost(e);
                 }
+                // The old session hands its counter back to the thread
+                // first, so a pooled connection counts every query on one.
+                drop(session.take());
                 session = Some(Session::new(resolved));
             }
             (Frame::GrowDelta(grow), Some(open)) => {

@@ -50,10 +50,17 @@
 //!    the pairs `t·u_a + a` *is* ascending packed-key order, so the run
 //!    list is born canonical — no push per row and no sort.
 //!
-//! The lane and dense tables are scratch ([`CountScratch`],
-//! [`TargetBuf`]): they sit beside the block buffer, are all-zero
-//! between calls, reach their high-water mark once, and are no part of
-//! a delta's value, equality or wire form.
+//! The block buffer and the lane and dense tables are scratch
+//! ([`CountScratch`]), one per thread: a count takes the calling
+//! thread's for the kernel call and puts it back when the call returns
+//! (a call that unwinds drops it), so it is all-zero between calls,
+//! reaches its high-water mark once per thread, and is no part of a
+//! delta's value, equality or wire form. The MI target's own lane table
+//! sits in its [`TargetBuf`], which the [`crate::shard::Counter`] keeps.
+//! Between queries a thread holds at most one scratch — a block buffer
+//! for each width it counted (8, 16 and 32 KiB), a 16 KiB lane table and
+//! a 128 KiB dense table at their limits — and one spare counter
+//! ([`crate::shard::WarmCounter`]).
 //!
 //! ## Why any fill order is the same answer
 //!
@@ -68,6 +75,7 @@
 //! order, not the lane a row fell in, not whether it was staged, not the
 //! shard that counted it, not where the column lives.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -537,19 +545,31 @@ impl PairCountState {
     }
 }
 
-/// Reusable scratch of one candidate's count: the block buffer a list's
-/// codes are staged in (at the column's width) and the marginal and
-/// joint kernels' tables. A counter holds one per slot of its candidate
-/// fan-out; everything grows to its high-water mark once, so
-/// steady-state iterations allocate nothing.
-/// The tables are all-zero between calls. A call that unwinds (a corrupt
-/// page) leaves them dirty, which is why every owner lives and dies with
-/// one query.
+/// Reusable scratch of one kernel call: the block buffers a list's codes
+/// are staged in (one a width, since one thread counts columns of every
+/// width in turn) and the marginal and joint kernels' tables. Everything
+/// grows to its high-water mark once, so steady-state iterations
+/// allocate nothing.
+///
+/// The count sources keep one per thread, not one per candidate: the
+/// calling thread's (the query thread's, or the `ExecPool` worker's
+/// that claimed the candidate) is lent to each call and returned only
+/// when the call returns. The tables are all-zero between calls; a call
+/// that unwinds (a corrupt page) leaves them dirty, and its scratch is
+/// dropped with it instead of being returned, so the thread's next count
+/// starts on a new one.
 #[derive(Debug, Default)]
 pub struct CountScratch {
-    buf: CodeBuf,
+    /// The `u8`, `u16` and `u32` block buffers.
+    bufs: [CodeBuf; 3],
     lanes: Vec<u32>,
     dense: Vec<u32>,
+}
+
+thread_local! {
+    /// The calling thread's scratch, while no kernel call holds it (boxed,
+    /// so lending it out moves a pointer).
+    static SCRATCH: Cell<Option<Box<CountScratch>>> = const { Cell::new(None) };
 }
 
 impl CountScratch {
@@ -558,10 +578,20 @@ impl CountScratch {
         Self::default()
     }
 
-    /// Element capacity of the block buffer (it must stay block-sized
-    /// however large a delta grows).
+    /// Element capacity of the largest block buffer (each must stay
+    /// block-sized however large a delta grows).
     pub fn block_capacity(&self) -> usize {
-        self.buf.capacity()
+        self.bufs.iter().map(CodeBuf::capacity).max().unwrap_or(0)
+    }
+
+    /// Runs `f` on the calling thread's scratch, a new one if the thread
+    /// has none, and keeps it for the thread's next call only if `f`
+    /// returns: unwinding drops it with its half-filled tables.
+    pub(crate) fn with_thread<R>(f: impl FnOnce(&mut Self) -> R) -> R {
+        let mut scratch = SCRATCH.take().unwrap_or_default();
+        let out = f(&mut scratch);
+        SCRATCH.set(Some(scratch));
+        out
     }
 }
 
@@ -728,7 +758,8 @@ fn count(
 ) {
     let len = rows.len();
     check_delta_len(len);
-    let CountScratch { buf, lanes, dense } = scratch;
+    let CountScratch { bufs, lanes, dense } = scratch;
+    let buf = &mut bufs[column.width() as usize];
     let u_a = column.support() as usize;
     let mut kernels = Kernels {
         marginal: out.map(move |out| {

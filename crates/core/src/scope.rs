@@ -77,7 +77,7 @@ use crate::driver::{run, CountSource, Round, Rule, Shape};
 use crate::exec::Executor;
 use crate::measure::Measure;
 use crate::report::{FilterResult, TopKResult};
-use crate::shard::{CountRequest, Counter, ShardCounts};
+use crate::shard::{CountRequest, Counter, ShardCounts, WarmCounter};
 use crate::{SwopeConfig, SwopeError};
 
 /// A restriction of a query to part of the dataset: a row range
@@ -330,7 +330,8 @@ pub(crate) struct LocalSource<'a> {
     sampler: PagePrefix,
     /// The delta's positions in a slice's storage.
     stored: Vec<u32>,
-    counter: Counter,
+    /// The thread's spare counter while the source is open.
+    counter: WarmCounter,
     /// The iteration's request and counts, refilled in place.
     req: CountRequest,
     counts: ShardCounts,
@@ -361,7 +362,7 @@ impl<'a> LocalSource<'a> {
             setup_rows,
             sampler: PagePrefix::new(members, config.seed),
             stored: Vec::new(),
-            counter: Counter::new(),
+            counter: Counter::warm(),
             req: CountRequest { target: None, live: Vec::new() },
             counts: ShardCounts::empty(None, []),
             full_sketch: sketch.filter(|_| !scoped),

@@ -49,7 +49,11 @@
 //! body, which also counts the unsharded loop's rows. It counts the
 //! target and fans the live candidates out
 //! through [`count_target`] / [`count_candidate`], on histograms
-//! (`Shelf`) and joint deltas it takes back from doubling to doubling.
+//! (`Shelf`) and joint deltas it takes back from doubling to doubling,
+//! and on the counting thread's [`CountScratch`]. A source borrows its
+//! counters from the thread that opens it ([`Counter::warm`]) and gives
+//! them back when it closes, so the next query on that thread counts on
+//! buffers already grown.
 //!
 //! ## Layers
 //!
@@ -62,7 +66,8 @@
 //!   one `count` per doubling, then one `merge` into the states.
 //! * [`crate::run_sharded`] — all six query shapes over a transport.
 
-use std::ops::Range;
+use std::cell::Cell;
+use std::ops::{Deref, DerefMut, Range};
 
 use swope_columnar::{AttrIndex, Code, Dataset, DatasetSketch, Positions};
 use swope_obs::{Phase, Plan, QueryObserver};
@@ -289,11 +294,10 @@ pub struct LocalShardSource<'a> {
 
 /// One in-process shard: its positions of the current delta — runs and
 /// a list — its counter, and the counts it made of them.
-#[derive(Default)]
 struct Shard {
     list: Vec<u32>,
     runs: Vec<Range<u32>>,
-    counter: Counter,
+    counter: WarmCounter,
     counts: ShardCounts,
 }
 
@@ -341,12 +345,22 @@ impl Shelf {
 
 /// The one count body: turns a delta's positions into the
 /// [`ShardCounts`] a [`CountRequest`] asks for, on buffers it keeps from
-/// doubling to doubling. Every [`LocalShardSource`] shard owns one, and
-/// so do a cluster peer's session and the unsharded loop's source.
+/// doubling to doubling. Every [`LocalShardSource`] shard borrows one
+/// ([`Counter::warm`]), and so do a cluster peer's session and the
+/// unsharded loop's source.
 ///
 /// It takes *positions* — as a sample draws them, or as a cluster peer's
 /// slot table maps a window — so the kernels never see the layout: heap
 /// and paged columns alike are indexed where the layout stores a row.
+///
+/// A counter whose calls all returned is as empty as a new one: its
+/// parked histograms and joint deltas are cleared, and `Shelf::shape`
+/// never hands out a parked histogram of another support. That is what
+/// lets one outlive its query. It holds at most a histogram per
+/// attribute it has counted (`8 B` a code of each support), a joint
+/// delta per slot of its widest request and the MI target's codes of its
+/// largest delta; the kernels' tables are the thread's
+/// ([`CountScratch`]).
 #[derive(Default)]
 pub struct Counter {
     target: TargetBuf,
@@ -356,13 +370,47 @@ pub struct Counter {
     shelf: Shelf,
 }
 
-/// What one candidate's count uses besides its histogram: the attribute,
-/// the kernels' scratch and an emptied joint delta to fill.
+/// What one candidate's count uses besides its histogram and the
+/// thread's scratch: the attribute and an emptied joint delta to fill.
 #[derive(Default)]
 struct Slot {
     attr: AttrIndex,
-    scratch: CountScratch,
     joint: PairCountState,
+}
+
+thread_local! {
+    /// The counter the last [`WarmCounter`] dropped on this thread left.
+    static SPARE: Cell<Option<Counter>> = const { Cell::new(None) };
+}
+
+/// A [`Counter`] borrowed from the calling thread: the thread's spare,
+/// or a new one. Dropped, it becomes the thread's spare — unless
+/// the drop unwinds, since a count that panicked may have left a joint
+/// delta half filled. A thread keeps one spare; a later drop replaces it.
+pub struct WarmCounter(Counter);
+
+impl Deref for WarmCounter {
+    type Target = Counter;
+
+    fn deref(&self) -> &Counter {
+        &self.0
+    }
+}
+
+impl DerefMut for WarmCounter {
+    fn deref_mut(&mut self) -> &mut Counter {
+        &mut self.0
+    }
+}
+
+impl Drop for WarmCounter {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let counter = std::mem::take(&mut self.0);
+            // A thread being torn down has no spare to keep.
+            let _ = SPARE.try_with(|spare| spare.set(Some(counter)));
+        }
+    }
 }
 
 impl Counter {
@@ -371,9 +419,16 @@ impl Counter {
         Self::default()
     }
 
-    /// Counts the rows at `positions` of `dataset` — the one this
-    /// counter was made for — for `req` into `counts`, on parked
-    /// histograms and joint deltas where there are some: gathers the
+    /// The calling thread's spare counter, or a new one when it has
+    /// none: what a count source opens with, so a thread's queries count
+    /// on the buffers its last one grew.
+    pub fn warm() -> WarmCounter {
+        WarmCounter(SPARE.take().unwrap_or_default())
+    }
+
+    /// Counts the rows at `positions` of `dataset` for `req` into
+    /// `counts`, on parked histograms of the same supports and joint
+    /// deltas where there are some: gathers the
     /// target's codes, which every candidate pairs against; then fans the
     /// live candidates out on `exec`, one slot each.
     ///
@@ -425,12 +480,11 @@ impl Counter {
         }
         let paired = req.target.map(|_| target.target());
         exec.for_each2(slots, &mut counts.attrs, |slot, out| {
-            let (column, joint, scratch) =
-                (dataset.column(slot.attr), &mut slot.joint, &mut slot.scratch);
-            match paired {
+            let (column, joint) = (dataset.column(slot.attr), &mut slot.joint);
+            CountScratch::with_thread(|scratch| match paired {
                 Some(paired) if !marginals => count_joint(column, rows, paired, joint, scratch),
                 _ => count_candidate(column, rows, paired, out, joint, scratch),
-            }
+            });
         });
         counts.joints.clear();
         counts.joints.extend(slots.iter_mut().map(|slot| std::mem::take(&mut slot.joint)));
@@ -478,7 +532,14 @@ impl<'a> LocalShardSource<'a> {
                 config.seed,
             ),
             stored: Vec::new(),
-            shards: (0..plan.num_shards()).map(|_| Shard::default()).collect(),
+            shards: (0..plan.num_shards())
+                .map(|_| Shard {
+                    list: Vec::new(),
+                    runs: Vec::new(),
+                    counter: Counter::warm(),
+                    counts: ShardCounts::default(),
+                })
+                .collect(),
             last: CountRequest { target: None, live: Vec::new() },
             plan,
         })
