@@ -7,40 +7,31 @@
 //! coordinator                                  peer
 //! -----------                                  ----
 //! Hello(dataset) ─────────────────────────────▶
-//!            ◀───────────────────────────────── Hello(num_rows, attrs)
+//!            ◀───────────────────────────────── Hello(num_rows, frame, attrs)
 //! [Marginals] ────────────────────────────────▶          ┐ per
 //!            ◀───────────────────────────────── CountMerge │ query (MI over
-//! GrowDelta(live, N, base, windows₁) ─────────▶          │ the whole union)
+//! GrowDelta(live, windows₁) ──────────────────▶          │ the whole union)
 //!            ◀───────────────────────────────── CountMerge │ (repeats
-//! GrowDelta(live′, N, base, windows₂) ────────▶          │  per
+//! GrowDelta(live′, windows₂) ─────────────────▶          │  per
 //!            ◀───────────────────────────────── CountMerge │  iteration)
 //! Result(sampled) ────────────────────────────▶          ┘
 //! ```
 //!
 //! The peer never sees scores, bounds or the sampler — only integer count
-//! work. The coordinator draws the query's one sample over the union's
-//! page layout and sends each peer the windows of it on the union pages
-//! its slice overlaps: runs of whole pages as `(page, start, len)` and a
-//! range's fringe pages as slots. Each `GrowDelta` also names its frame:
-//! the union's row count `N` and the union row `base` the slice starts
-//! at. From the frame the peer builds a slot table once and keeps it
-//! across sessions (one per dataset).
+//! work. Its `Hello` names its frame ([`Dataset::frame`]): the table its
+//! rows were cut from, which lays them out, and the first row of it they
+//! hold. A coordinator whose peers tile one stretch of one frame draws
+//! the query's one sample in that frame's layout and sends each peer the
+//! windows of it on the union pages its slice overlaps: runs of whole
+//! pages as `(page, start, len)` and a range's fringe pages as slots.
 //!
-//! A half cut by `swope split` keeps the union's layout and records the
-//! same frame (`Dataset::frame`, snapshot v4). Then the table stores
-//! nothing for a union page the peer holds whole — slot `s` is its
-//! position `s` shifted by the base — and a `u16` rank a slot for each of
-//! its at most two fringe pages, whose rows it keeps in the union's slot
-//! order: a window `[s, s + len)` there is the run
-//! `[rank(s), rank(s + len))`. Every window is a run the [`Counter`]
-//! reads in place. A dataset laid out in another frame — a v3 half, or
-//! halves served in another order than they were cut in — gets a mapped
-//! table instead: for every slot of every union page it overlaps, its
-//! own position of the row there, or "not mine". A window is a slice of
-//! that table, filtered on a page that straddles a cut and counted as a
-//! list: as exact, and slower. The peer logs one line per dataset and
-//! frame when it builds such a table, and books every position it counts
-//! as a run or a list (`swope_cluster_peer_positions_total`).
+//! A `swope split` half keeps the union's layout (snapshot v4), and a
+//! dataset of its own is its own frame, so its layout finds its rows in
+//! every window as one run of its storage (`PageLayout::from_table`): a
+//! union page it holds whole is the window shifted by the base, and each
+//! of its at most two fringe pages keeps a `u16` rank a slot, built once.
+//! The peer books every position it counts as a run or a list
+//! (`swope_cluster_peer_positions_total`).
 //!
 //! The peer counts exactly those positions through the session's
 //! [`Counter`], the body every shard counts with, parking each reply's
@@ -52,23 +43,22 @@
 //! partition-sketch totals, or, without a usable sketch, declines; summed,
 //! they are the union's marginals.
 //!
-//! Protocol violations — a frame whose slice runs past the union, a
-//! window on a page the slice does not overlap, an attribute out of
-//! range, a frame out of order — and unknown datasets are answered with
-//! an [`ErrorFrame`] and end the session; a clean EOF or an `Error` from
+//! Protocol violations — a window on a page the slice does not overlap
+//! or past the rows of its frame's page, an attribute out of range, a
+//! frame out of order — and unknown datasets are answered with an
+//! [`ErrorFrame`] and end the session; a clean EOF or an `Error` from
 //! the coordinator ends it silently. All counting here is
 //! single-threaded: a peer's parallelism across queries comes from
 //! serving many connections.
 
 use std::io::{Read, Write};
 use std::ops::Range;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 
 use swope_columnar::{Dataset, DatasetSketch};
 use swope_core::shard::{dataset_meta, Counter, WarmCounter};
 use swope_core::{sketch_marginals, CountRequest, Executor, ShardCounts};
-use swope_sampling::{PageLayout, Positions};
-use swope_store::page::PAGE_ROWS;
+use swope_sampling::Positions;
 
 use crate::frame::{
     ErrorFrame, Frame, FrameError, FrameReader, FrameWriter, GrowDelta, Hello, PROTOCOL_VERSION,
@@ -149,13 +139,11 @@ pub enum SessionEnd {
 /// until the next `Hello`.
 struct Session {
     served: PeerDataset,
-    /// The slot table of the frame the last `GrowDelta` named.
-    table: Option<Arc<SlotTable>>,
     /// The connection thread's spare counter while the session is open.
     counter: WarmCounter,
     req: CountRequest,
-    /// The delta's positions in the dataset's storage: runs of pages the
-    /// peer stores in the union's order, and the rest one by one.
+    /// The delta's positions in the dataset's storage: runs, and the
+    /// listed slots one by one.
     runs: Vec<Range<u32>>,
     list: Vec<u32>,
     counts: ShardCounts,
@@ -165,7 +153,6 @@ impl Session {
     fn new(served: PeerDataset) -> Self {
         Self {
             served,
-            table: None,
             counter: Counter::warm(),
             req: CountRequest { target: None, live: Vec::new() },
             runs: Vec::new(),
@@ -187,13 +174,9 @@ impl Session {
         if grow.live.iter().chain(grow.target.iter()).any(|&a| a >= attrs) {
             return Err(format!("GrowDelta names an attribute beyond the dataset's {attrs}"));
         }
-        let frame = (grow.union_rows, grow.base);
-        let table = match &self.table {
-            Some(table) if table.frame() == frame => table,
-            _ => self.table.insert(slot_table(ds, frame)?),
-        };
         let Self { counter, req, runs, list, counts, .. } = self;
-        table.window(grow, runs, list)?;
+        let windows = Positions { runs: &grow.runs, list: &grow.list };
+        ds.layout().from_table(windows, runs, list).map_err(|e| format!("GrowDelta {e}"))?;
         req.target = grow.target.map(|t| t as usize);
         req.live.clear();
         req.live.extend(grow.live.iter().map(|&a| a as usize));
@@ -207,237 +190,6 @@ impl Session {
     fn park(&mut self) {
         self.counter.park(&self.req, &mut self.counts);
     }
-}
-
-/// A slot that holds another peer's row.
-const NOT_MINE: u32 = u32::MAX;
-
-/// Where a peer's rows sit among the union's positions, for every union
-/// page its slice overlaps. Built once per dataset and frame — the
-/// union's row count and the slice's first union row — it turns a
-/// `GrowDelta`'s windows into positions the [`Counter`] reads.
-///
-/// A peer whose dataset is laid out in that frame (a slice that keeps
-/// the union's layout) stores nothing for a page it holds whole, and a
-/// `u16` rank a slot for each of its at most two fringe pages: every
-/// window is a run. Any other peer maps every slot of a page it does not
-/// store in the union's order, at most 4 bytes a slot.
-#[derive(Debug)]
-struct SlotTable {
-    union_rows: u64,
-    base: u64,
-    /// The first union page the slice overlaps.
-    first_page: u32,
-    /// One entry per overlapping union page, from `first_page` on.
-    pages: Vec<PageSlots>,
-    /// The ranked pages' ranks, a page's slots and one more each.
-    ranks: Vec<u16>,
-    /// The mapped pages' slots, a page's worth each.
-    slots: Vec<u32>,
-}
-
-/// What a union page's slots are to a peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageSlots {
-    /// Slot `s` holds the peer's position `first + s`: the peer stores the
-    /// page's rows in the union's order, and a window of it is a run.
-    Identity { first: u32 },
-    /// The peer holds some of the page's rows, in the union's slot order
-    /// from position `first` on: slots `s..e` hold its positions
-    /// `first + rank(s) .. first + rank(e)`, a run, with `rank(s)` the
-    /// peer's rows at slots below `s`, [`SlotTable::ranks`] from `from`
-    /// on.
-    Ranked { first: u32, from: u32 },
-    /// The page's slots are [`SlotTable::slots`] from `from` on;
-    /// `straddles` iff some hold another peer's row.
-    Mapped { from: u32, straddles: bool },
-}
-
-impl SlotTable {
-    /// The table of `ds`'s rows placed at union row `base` of a union of
-    /// `union_rows` rows, or why they cannot be.
-    fn build(ds: &Dataset, (union_rows, base): (u64, u64)) -> Result<Self, String> {
-        let held = ds.num_rows() as u64;
-        if base.checked_add(held).map_or(true, |end| end > union_rows) {
-            return Err(format!(
-                "GrowDelta places this peer's {held} rows at union row {base}, past the union's {union_rows}"
-            ));
-        }
-        let in_frame = ds.frame() == (union_rows as usize, base as usize);
-        let page_rows = PAGE_ROWS as u64;
-        let first_page = base / page_rows;
-        let mut table = Self {
-            union_rows,
-            base,
-            first_page: first_page as u32,
-            pages: Vec::new(),
-            ranks: Vec::new(),
-            slots: Vec::new(),
-        };
-        let mut order = Vec::new();
-        for page in first_page..(base + held).div_ceil(page_rows) {
-            let first = page * page_rows;
-            let len = (union_rows - first).min(page_rows);
-            let mine = base.max(first)..(base + held).min(first + len);
-            // The peer's position of the page's first row it holds.
-            let at = (mine.start - base) as u32;
-            if in_frame && mine.end - mine.start == len {
-                table.pages.push(PageSlots::Identity { first: at });
-                continue;
-            }
-            PageLayout::slot_rows(page as usize, len as usize, &mut order);
-            let slot_rows = order.iter().map(|&r| first + u64::from(r));
-            let entry = if in_frame {
-                table.rank(slot_rows.map(|row| mine.contains(&row)), at)
-            } else {
-                table.map(slot_rows, ds, base, first)
-            };
-            table.pages.push(entry);
-        }
-        Ok(table)
-    }
-
-    /// The ranks of a page whose slots `mine` says are the peer's, held
-    /// in slot order from position `first` on.
-    fn rank(&mut self, mine: impl Iterator<Item = bool>, first: u32) -> PageSlots {
-        let from = self.ranks.len() as u32;
-        let mut rank = 0u16;
-        self.ranks.push(rank);
-        for mine in mine {
-            rank += u16::from(mine);
-            self.ranks.push(rank);
-        }
-        PageSlots::Ranked { first, from }
-    }
-
-    /// The peer's position of each row `slot_rows` names, slot by slot,
-    /// or [`NOT_MINE`]; stored only where that is not the identity.
-    fn map(
-        &mut self,
-        slot_rows: impl Iterator<Item = u64>,
-        ds: &Dataset,
-        base: u64,
-        first: u64,
-    ) -> PageSlots {
-        let from = self.slots.len();
-        let (mut identity, mut straddles) = (true, false);
-        for (s, row) in slot_rows.enumerate() {
-            let position = if (base..base + ds.num_rows() as u64).contains(&row) {
-                ds.layout().position_of((row - base) as u32)
-            } else {
-                straddles = true;
-                NOT_MINE
-            };
-            identity &= u64::from(position) + base == first + s as u64;
-            self.slots.push(position);
-        }
-        if identity && !straddles {
-            self.slots.truncate(from);
-            PageSlots::Identity { first: (first - base) as u32 }
-        } else {
-            PageSlots::Mapped { from: from as u32, straddles }
-        }
-    }
-
-    /// The frame the table was built for.
-    fn frame(&self) -> (u64, u64) {
-        (self.union_rows, self.base)
-    }
-
-    /// The slots of union page `page`, if the slice overlaps it.
-    fn page(&self, page: u32) -> Option<PageSlots> {
-        self.pages.get(page.checked_sub(self.first_page)? as usize).copied()
-    }
-
-    /// Turns `grow`'s windows, drawn over the union this table was built
-    /// for, into this peer's positions: a run on an identity or ranked
-    /// page stays a run, any other window is a slice of the table,
-    /// filtered only on a page that straddles a cut.
-    fn window(
-        &self,
-        grow: &GrowDelta,
-        runs: &mut Vec<Range<u32>>,
-        list: &mut Vec<u32>,
-    ) -> Result<(), String> {
-        runs.clear();
-        list.clear();
-        let page_rows = PAGE_ROWS as u32;
-        for run in &grow.runs {
-            let (page, slot) = (run.start / page_rows, run.start % page_rows);
-            match self.page(page).ok_or_else(|| {
-                let pages = self.first_page..self.first_page + self.pages.len() as u32;
-                format!("GrowDelta window on union page {page} is past this peer's pages {pages:?}")
-            })? {
-                PageSlots::Identity { first } => {
-                    runs.push(first + slot..first + slot + run.len() as u32)
-                }
-                PageSlots::Ranked { first, from } => {
-                    let rank = |s: u32| first + u32::from(self.ranks[(from + s) as usize]);
-                    let mine = rank(slot)..rank(slot + run.len() as u32);
-                    if !mine.is_empty() {
-                        runs.push(mine);
-                    }
-                }
-                PageSlots::Mapped { from, straddles } => {
-                    let slots = &self.slots[(from + slot) as usize..][..run.len()];
-                    if straddles {
-                        list.extend(slots.iter().copied().filter(|&p| p != NOT_MINE));
-                    } else {
-                        list.extend_from_slice(slots);
-                    }
-                }
-            }
-        }
-        for &position in &grow.list {
-            let (page, slot) = (position / page_rows, position % page_rows);
-            match self.page(page).ok_or_else(|| {
-                format!("GrowDelta position {position} is on union page {page}, where this peer holds no slot")
-            })? {
-                PageSlots::Identity { first } => list.push(first + slot),
-                PageSlots::Ranked { first, from } => {
-                    let at = (from + slot) as usize;
-                    if self.ranks[at + 1] > self.ranks[at] {
-                        list.push(first + u32::from(self.ranks[at]));
-                    }
-                }
-                PageSlots::Mapped { from, .. } => {
-                    let mine = self.slots[(from + slot) as usize];
-                    if mine != NOT_MINE {
-                        list.push(mine);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The slot table of `ds` under `frame`, kept across sessions while the
-/// dataset lives: one per dataset, that of the frame it was last asked
-/// for, since a peer serves one union at a time. A dataset laid out in
-/// another frame is served through a mapped table, which is logged once
-/// per dataset and frame.
-fn slot_table(ds: &Arc<Dataset>, frame: (u64, u64)) -> Result<Arc<SlotTable>, String> {
-    static KEPT: Mutex<Vec<(Weak<Dataset>, Arc<SlotTable>)>> = Mutex::new(Vec::new());
-    let mut kept = KEPT.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    kept.retain(|(held, _)| held.strong_count() > 0);
-    let at = kept.iter().position(|(held, _)| held.as_ptr() == Arc::as_ptr(ds));
-    if let Some(table) = at.map(|i| &kept[i].1).filter(|table| table.frame() == frame) {
-        return Ok(Arc::clone(table));
-    }
-    let table = Arc::new(SlotTable::build(ds, frame)?);
-    let own = ds.frame();
-    if (own.0 as u64, own.1 as u64) != frame {
-        eprintln!(
-            "swope peer: {} rows laid out in frame {own:?} serve frame {frame:?} through a mapped slot table; `swope split` the union again to count in place",
-            ds.num_rows()
-        );
-    }
-    match at {
-        Some(i) => kept[i].1 = Arc::clone(&table),
-        None => kept.push((Arc::downgrade(ds), Arc::clone(&table))),
-    }
-    Ok(table)
 }
 
 /// Serves one coordinator connection until EOF or a protocol error.
@@ -477,11 +229,15 @@ pub fn serve_connection<S: Read + Write>(
                 let Some(resolved) = resolve(&hello.dataset) else {
                     return wire.bail(format!("no dataset named {:?} is loaded", hello.dataset));
                 };
+                let ds = &resolved.dataset;
+                let ((union_rows, base), num_rows) = (ds.frame(), ds.num_rows());
                 let reply = Hello {
                     version: PROTOCOL_VERSION,
                     dataset: hello.dataset,
-                    num_rows: resolved.dataset.num_rows() as u64,
-                    attrs: dataset_meta(&resolved.dataset),
+                    num_rows: num_rows as u64,
+                    before: base as u64,
+                    after: (union_rows - base - num_rows) as u64,
+                    attrs: dataset_meta(ds),
                 };
                 if let Err(e) = wire.send(&Frame::Hello(reply)) {
                     return wire.lost(e);
@@ -538,6 +294,8 @@ fn marginal_totals(totals: Option<Vec<Vec<u64>>>) -> ShardCounts {
 mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame, CountMergeFrame, ResultFrame};
+    use swope_sampling::PageLayout;
+    use swope_store::page::PAGE_ROWS;
 
     fn dataset() -> Arc<Dataset> {
         Arc::new(swope_datagen::generate(&swope_datagen::corpus::tiny(500, 4), 0xC1))
@@ -595,25 +353,18 @@ mod tests {
             version: PROTOCOL_VERSION,
             dataset: dataset.into(),
             num_rows: 0,
+            before: 0,
+            after: 0,
             attrs: Vec::new(),
         })
     }
 
     const P: u32 = PAGE_ROWS as u32;
 
-    /// A `GrowDelta` for a slice at union row `base` of `union_rows`.
-    fn grow(
-        target: Option<u32>,
-        live: Vec<u32>,
-        (union_rows, base): (u64, u64),
-        runs: Vec<Range<u32>>,
-        list: Vec<u32>,
-    ) -> Frame {
-        Frame::GrowDelta(GrowDelta { m_target: 64, target, live, union_rows, base, runs, list })
+    /// A `GrowDelta` of union positions.
+    fn grow(target: Option<u32>, live: Vec<u32>, runs: Vec<Range<u32>>, list: Vec<u32>) -> Frame {
+        Frame::GrowDelta(GrowDelta { m_target: 64, target, live, runs, list })
     }
-
-    /// The 500-row dataset as a union of its own.
-    const ALONE: (u64, u64) = (500, 0);
 
     /// Every fifth slot of the 500: dense enough to travel as a bitmap.
     fn dense_slots() -> Vec<u32> {
@@ -627,7 +378,7 @@ mod tests {
         let sampled: Vec<u32> = (0..64).map(|i| (i * 7) % 500).collect();
         let mut pipe = Pipe::scripted(&[
             hello("t"),
-            grow(None, vec![0, 1, 2, 3], ALONE, Vec::new(), sampled),
+            grow(None, vec![0, 1, 2, 3], Vec::new(), sampled),
             Frame::Result(ResultFrame { sampled: 64 }),
         ]);
         let stats = ClusterStats::new();
@@ -674,7 +425,7 @@ mod tests {
         let script = [
             hello("t"),
             Frame::Marginals,
-            grow(Some(0), vec![1], ALONE, Vec::new(), vec![4, 2]),
+            grow(Some(0), vec![1], Vec::new(), vec![4, 2]),
             Frame::Result(ResultFrame { sampled: 64 }),
         ];
         let stats = ClusterStats::new();
@@ -714,18 +465,19 @@ mod tests {
 
     /// A peer counts exactly its rows among the positions it is sent —
     /// runs and fringe slots, listed or as a bitmap — over doublings whose
-    /// requests change: its 500 rows sit at union row 700 of 1 500, so the
-    /// one union page straddles both of its cuts.
+    /// requests change: its 500 rows are rows 700.. of a 1 500-row table,
+    /// so the one union page straddles both of its cuts.
     #[test]
     fn peer_counts_only_its_slice() {
-        let ds = dataset();
-        let frame = (1_500, 700);
+        let table = swope_datagen::generate(&swope_datagen::corpus::tiny(1_500, 4), 0xC1);
+        let ds = Arc::new(table.take_rows(&(700..1_200).collect::<Vec<_>>()));
+        assert_eq!(ds.frame(), (1_500, 700));
         let union = PageLayout::of(1_500);
         let deltas = [(vec![100..900, 1_400..1_500], vec![17, 3, 411]), (vec![], dense_slots())];
         let mut pipe = Pipe::scripted(&[
             hello("t"),
-            grow(Some(0), vec![1, 2], frame, deltas[0].0.clone(), deltas[0].1.clone()),
-            grow(Some(0), vec![2], frame, deltas[1].0.clone(), deltas[1].1.clone()),
+            grow(Some(0), vec![1, 2], deltas[0].0.clone(), deltas[0].1.clone()),
+            grow(Some(0), vec![2], deltas[1].0.clone(), deltas[1].1.clone()),
             Frame::Result(ResultFrame { sampled: 103 }),
         ]);
         let stats = ClusterStats::new();
@@ -767,8 +519,8 @@ mod tests {
         }
     }
 
-    /// A dataset of `rows` rows: only its row count and layout matter to a
-    /// slot table.
+    /// A dataset of `rows` rows: only its row count and layout matter to
+    /// the windows it counts.
     fn of_rows(rows: usize) -> Dataset {
         let schema = swope_columnar::Schema::new(vec![swope_columnar::Field::new("a", 1)]);
         let column = swope_columnar::Column::new_unchecked(vec![0; rows], 1);
@@ -784,91 +536,10 @@ mod tests {
         rows
     }
 
-    /// Whether a peer of `ds` at union row `base` stores union page `page`
-    /// in the union's order: every slot holds one of its rows, at the
-    /// peer's position `page·P + slot − base`.
-    fn stored_in_union_order(union: &PageLayout, ds: &Dataset, base: u64, page: u32) -> bool {
-        union_rows_on(union, page).iter().zip(page * P..).all(|(&row, position)| {
-            let mine = u64::from(row).checked_sub(base).filter(|&r| r < ds.num_rows() as u64);
-            mine.is_some_and(|r| {
-                u64::from(ds.layout().position_of(r as u32)) + base == u64::from(position)
-            })
-        })
-    }
-
-    /// The slot table maps every slot to the peer's position of the row
-    /// there, or to "not mine", and is the identity — a run — for exactly
-    /// the pages the peer stores in the union's order: every whole page
-    /// of a slice whose base is 0, and no other.
-    #[test]
-    fn the_slot_table_is_the_identity_for_exactly_the_pages_stored_in_union_order() {
-        let n = 2 * P as usize + 1_000;
-        let union = PageLayout::of(n);
-        let (p, n) = (P as u64, n as u64);
-        // (base, rows, which overlapped pages are identities)
-        let cases: [(u64, u64, &[bool]); 6] = [
-            (0, n, &[true, true, true]),
-            (0, 2 * p, &[true, true]),
-            (0, p + 5, &[true, false]),
-            (p, p, &[false]),
-            (p, n - p, &[false, false]),
-            (5, 2 * p, &[false, false, false]),
-        ];
-        for (base, rows, identities) in cases {
-            let ds = of_rows(rows as usize);
-            let table = SlotTable::build(&ds, (n, base)).unwrap();
-            assert_eq!(table.pages.len(), identities.len(), "base {base}, {rows} rows");
-            for (i, &identity) in identities.iter().enumerate() {
-                let page = table.first_page + i as u32;
-                let slots = table.page(page).unwrap();
-                assert_eq!(
-                    matches!(slots, PageSlots::Identity { .. }),
-                    identity,
-                    "base {base}, {rows} rows, page {page}"
-                );
-                assert_eq!(stored_in_union_order(&union, &ds, base, page), identity, "page {page}");
-                // Every slot, through the table, against the two layouts.
-                let first = page * P;
-                let end = (first + P).min(n as u32);
-                let union_rows = union_rows_on(&union, page);
-                let grow = GrowDelta {
-                    m_target: 0,
-                    target: None,
-                    live: Vec::new(),
-                    union_rows: n,
-                    base,
-                    runs: Vec::new(),
-                    list: (first..end).collect(),
-                };
-                let (mut runs, mut list) = (Vec::new(), Vec::new());
-                table.window(&grow, &mut runs, &mut list).unwrap();
-                let want: Vec<u32> = union_rows
-                    .iter()
-                    .filter_map(|&row| u64::from(row).checked_sub(base).filter(|&r| r < rows))
-                    .map(|r| ds.layout().position_of(r as u32))
-                    .collect();
-                assert_eq!(list, want, "base {base}, {rows} rows, page {page}");
-                assert!(runs.is_empty());
-                // The page as one window: a run in place on an identity
-                // page, the same positions listed on any other.
-                let whole = first..end;
-                let grow = GrowDelta { runs: vec![whole], list: Vec::new(), ..grow };
-                table.window(&grow, &mut runs, &mut list).unwrap();
-                assert_eq!(runs.is_empty(), !identity);
-                list.extend(runs.iter().flat_map(Clone::clone));
-                assert_eq!(list, want, "base {base}, {rows} rows, page {page} as a run");
-            }
-            // An identity page stores nothing.
-            let mapped = identities.iter().filter(|&&id| !id).count();
-            assert!(table.slots.len() <= mapped * P as usize);
-        }
-    }
-
-    /// A slice that keeps the union's layout — its frame the
-    /// `GrowDelta`'s — counts every window as one run: a page it holds
-    /// whole stores nothing, a fringe page one rank a slot, and the runs
-    /// hold exactly its rows among the window's slots, in slot order. A
-    /// listed slot is the same position, one by one.
+    /// A slice that keeps the union's layout counts every window as one
+    /// run, whose positions hold exactly its rows among the window's
+    /// slots, in slot order. A listed slot is the same position, one by
+    /// one.
     #[test]
     fn a_slice_in_the_unions_frame_counts_every_window_as_a_run() {
         let n = 2 * P as usize + 1_000;
@@ -878,12 +549,8 @@ mod tests {
             [(0, n), (0, p + 5), (p, p), (5, 2 * p), (40_000, n - 40_000), (p + 3, 10)]
         {
             let ds = table_ds.take_rows(&(base..base + rows).collect::<Vec<_>>());
-            let table = SlotTable::build(&ds, (n as u64, base as u64)).unwrap();
-            assert!(table.slots.is_empty(), "base {base}, {rows} rows: nothing mapped");
-            let fringes = table.pages.iter().filter(|s| matches!(s, PageSlots::Ranked { .. }));
-            assert!(fringes.count() <= 2 && table.ranks.len() <= 2 * (p + 1));
-            for i in 0..table.pages.len() {
-                let page = table.first_page + i as u32;
+            let pages = base as u32 / P..(base + rows).div_ceil(p) as u32;
+            for page in pages {
                 let first = page * P;
                 let len = (n as u32 - first).min(P);
                 let want: Vec<(u32, u32)> = union_rows_on(&union, page)
@@ -892,49 +559,25 @@ mod tests {
                     .filter(|&(&row, _)| (base..base + rows).contains(&(row as usize)))
                     .map(|(&row, slot)| (slot, ds.layout().position_of(row - base as u32)))
                     .collect();
+                let (mut runs, mut list) = (Vec::new(), Vec::new());
+                let mut windows = |runs_in: &[Range<u32>], list_in: &[u32]| {
+                    let window = Positions { runs: runs_in, list: list_in };
+                    ds.layout().from_table(window, &mut runs, &mut list).unwrap();
+                    (runs.clone(), list.clone())
+                };
                 for window in [0..len, 7..len / 2, len / 3..len, 100..101] {
-                    let grow = GrowDelta {
-                        m_target: 0,
-                        target: None,
-                        live: Vec::new(),
-                        union_rows: n as u64,
-                        base: base as u64,
-                        runs: std::iter::once(first + window.start..first + window.end).collect(),
-                        list: Vec::new(),
-                    };
-                    let (mut runs, mut list) = (Vec::new(), Vec::new());
-                    table.window(&grow, &mut runs, &mut list).unwrap();
+                    let run = first + window.start..first + window.end;
+                    let (runs, list) = windows(std::slice::from_ref(&run), &[]);
                     assert!(list.is_empty() && runs.len() <= 1, "base {base}, page {page}");
                     let got: Vec<u32> = runs.iter().flat_map(Clone::clone).collect();
                     let mine = want.iter().filter(|(slot, _)| window.contains(slot));
                     assert_eq!(got, mine.map(|&(_, at)| at).collect::<Vec<_>>(), "{window:?}");
-                    let grow = GrowDelta {
-                        runs: Vec::new(),
-                        list: (first..first + len).collect(),
-                        ..grow
-                    };
-                    table.window(&grow, &mut runs, &mut list).unwrap();
-                    assert_eq!(list, want.iter().map(|&(_, at)| at).collect::<Vec<_>>());
                 }
+                let (runs, list) = windows(&[], &(first..first + len).collect::<Vec<_>>());
+                assert!(runs.is_empty());
+                assert_eq!(list, want.iter().map(|&(_, at)| at).collect::<Vec<_>>());
             }
         }
-    }
-
-    /// One table per dataset, shared by every session under the same
-    /// frame, rebuilt for a new frame and let go with the dataset.
-    #[test]
-    fn slot_tables_are_kept_across_sessions() {
-        let ds = Arc::new(of_rows(900));
-        let first = slot_table(&ds, (2_000, 100)).unwrap();
-        assert!(Arc::ptr_eq(&first, &slot_table(&ds, (2_000, 100)).unwrap()));
-        let moved = slot_table(&ds, (2_000, 0)).unwrap();
-        assert!(!Arc::ptr_eq(&first, &moved));
-        assert!(Arc::ptr_eq(&moved, &slot_table(&ds, (2_000, 0)).unwrap()));
-        let weak = Arc::downgrade(&moved);
-        drop((first, moved, ds));
-        // The next lookup, for any dataset, lets the dead one's table go.
-        slot_table(&Arc::new(of_rows(1)), (1, 0)).unwrap();
-        assert_eq!(weak.strong_count(), 0);
     }
 
     #[test]
@@ -951,7 +594,7 @@ mod tests {
         assert_eq!(e.message, msg);
 
         // A GrowDelta before any Hello is a protocol violation.
-        let mut pipe = Pipe::scripted(&[grow(None, vec![0], ALONE, Vec::new(), vec![1])]);
+        let mut pipe = Pipe::scripted(&[grow(None, vec![0], Vec::new(), vec![1])]);
         let SessionEnd::Error(msg) = serve_connection(&mut pipe, &resolve, &stats) else {
             panic!("expected an error end");
         };
@@ -961,9 +604,13 @@ mod tests {
     /// `script`, after a `Hello`, sent to a 500-row peer ends its session
     /// with one `Error` line, which is returned.
     fn refused_bytes(script: &[u8]) -> String {
-        let ds = dataset();
+        refused_by(&dataset(), script)
+    }
+
+    /// [`refused_bytes`] by a peer of `ds`.
+    fn refused_by(ds: &Arc<Dataset>, script: &[u8]) -> String {
         let stats = ClusterStats::new();
-        let resolve = |_: &str| Some(served(&ds));
+        let resolve = |_: &str| Some(served(ds));
         let mut input = Vec::new();
         write_frame(&mut input, &hello("t")).unwrap();
         input.extend_from_slice(script);
@@ -981,44 +628,53 @@ mod tests {
         msg
     }
 
-    /// [`refused_bytes`] of one frame.
-    fn refused(frame: Frame) -> String {
+    /// [`refused_by`] of one frame.
+    fn refused_from(ds: &Arc<Dataset>, frame: Frame) -> String {
         let mut bytes = Vec::new();
         write_frame(&mut bytes, &frame).unwrap();
-        refused_bytes(&bytes)
+        refused_by(ds, &bytes)
     }
 
+    /// [`refused_bytes`] of one frame.
+    fn refused(frame: Frame) -> String {
+        refused_from(&dataset(), frame)
+    }
+
+    /// A window or a slot past the rows of the peer's frame: the codec
+    /// reads every page as `PAGE_ROWS` slots, the peer knows its 500.
     #[test]
     fn mismatched_shard_range_is_rejected() {
-        // The 500 rows placed past the end of a union of 600.
-        let msg = refused(grow(None, vec![0], (600, 101), Vec::new(), vec![3]));
-        assert_eq!(
-            msg,
-            "GrowDelta places this peer's 500 rows at union row 101, past the union's 600"
-        );
-        let msg = refused(grow(None, vec![0], (400, 0), Vec::new(), vec![3]));
-        assert_eq!(
-            msg,
-            "GrowDelta places this peer's 500 rows at union row 0, past the union's 400"
-        );
+        let (past, mine) = (490..510, 3..9);
+        let msg = refused(grow(None, vec![0], vec![past], Vec::new()));
+        assert_eq!(msg, "GrowDelta window 490..510 goes past the 500 rows of table page 0");
+        let msg = refused(grow(None, vec![0], vec![mine], vec![4, 503]));
+        assert_eq!(msg, "GrowDelta position 503 goes past the 500 rows of table page 0");
     }
 
     #[test]
     fn a_row_past_the_slice_is_an_error_frame() {
+        let table = of_rows(3 * P as usize);
+        let slice = |rows: Range<u32>| {
+            Arc::new(table.take_rows(&rows.map(|r| r as usize).collect::<Vec<_>>()))
+        };
         // The 500 rows are union rows P − 100 .. P + 400: pages 0 and 1 of 3.
-        let frame = (3 * u64::from(P), u64::from(P) - 100);
+        let ds = slice(P - 100..P + 400);
         let (past, mine) = (2 * P + 5..2 * P + 9, P..P + 9);
-        let msg = refused(grow(None, vec![0], frame, vec![past], Vec::new()));
-        assert_eq!(msg, "GrowDelta window on union page 2 is past this peer's pages 0..2");
-        let msg = refused(grow(None, vec![0], frame, vec![mine], vec![2 * P + 7]));
+        let msg = refused_from(&ds, grow(None, vec![0], vec![past], Vec::new()));
+        let window = 2 * P + 5..2 * P + 9;
         assert_eq!(
             msg,
-            "GrowDelta position 131079 is on union page 2, where this peer holds no slot"
+            format!("GrowDelta window {window:?} is on table page 2, past this slice's pages 0..2")
         );
-        let frame = (3 * u64::from(P), u64::from(P) + 100);
+        let msg = refused_from(&ds, grow(None, vec![0], vec![mine], vec![2 * P + 7]));
+        assert_eq!(
+            msg,
+            "GrowDelta position 131079 is on table page 2, past this slice's pages 0..2"
+        );
+        let ds = slice(P + 100..P + 600);
         let before = 5..9;
-        let msg = refused(grow(None, vec![0], frame, vec![before], Vec::new()));
-        assert_eq!(msg, "GrowDelta window on union page 0 is past this peer's pages 1..2");
+        let msg = refused_from(&ds, grow(None, vec![0], vec![before], Vec::new()));
+        assert_eq!(msg, "GrowDelta window 5..9 is on table page 0, past this slice's pages 1..2");
     }
 
     #[test]
@@ -1027,7 +683,7 @@ mod tests {
         // slots, so its last byte holds slot 496 and seven spare bits.
         let slots = (0..=496).step_by(4).collect();
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, &grow(None, vec![0], ALONE, Vec::new(), slots)).unwrap();
+        write_frame(&mut bytes, &grow(None, vec![0], Vec::new(), slots)).unwrap();
         // Set the last spare bit. The CRC is recomputed: the payload
         // itself lies.
         let trailer = bytes.len() - 4;
@@ -1044,9 +700,11 @@ mod tests {
         let stats = ClusterStats::new();
         let resolve = |_: &str| Some(served(&ds));
         // v1's fixed-width counts, v3, whose peers replayed the shuffle,
-        // and v4, which sent each peer its own rows.
-        for version in [1, 3, 4] {
-            let hello = Hello { version, dataset: "t".into(), num_rows: 0, attrs: Vec::new() };
+        // v4, which sent each peer its own rows, and v5, whose `GrowDelta`
+        // named the frame its `Hello` did not.
+        for version in [1, 3, 4, 5] {
+            let (dataset, attrs) = ("t".into(), Vec::new());
+            let hello = Hello { version, dataset, num_rows: 0, before: 0, after: 0, attrs };
             let mut pipe = Pipe::scripted(&[Frame::Hello(hello)]);
             let end = serve_connection(&mut pipe, &resolve, &stats);
             let msg =

@@ -1,10 +1,11 @@
-//! Halves over real loopback TCP, in the union's frame and out of it. A
-//! `swope split` half keeps the union's layout (snapshot v4), so each
-//! window a coordinator sends is a run its peer counts in place. A half
-//! laid out as a dataset of its own — a v3 half, or halves served in
-//! another order than they were cut in — is counted through a mapped
-//! slot table: slower, and just as exact. Either way the coordinator
-//! answers with the single box's bytes.
+//! Halves over real loopback TCP. A `swope split` half keeps the union's
+//! layout (snapshot v4) and names its frame in its `Hello`. Halves that
+//! tile their union answer with the single box's bytes, every window a
+//! run their peers count in place; a half alone answers as the half
+//! itself does, which samples where it stores its rows. Halves that do
+//! not tile one frame — v3 halves, laid out as datasets of their own, or
+//! halves listed in another order than they were cut in — are refused at
+//! `Hello`, in one line that names the peer and `swope split`.
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
@@ -107,29 +108,62 @@ fn halves_in_the_unions_frame_count_every_unscoped_window_as_a_run() {
     assert!(peers.iter().any(|(_, stats)| stats.snapshot().peer_list_positions > 0));
 }
 
-/// Halves in their own layout (v3), and halves served in the other
-/// order: each peer maps the union's windows through its slot table and
-/// counts a list, and the coordinator still answers with the bytes of a
-/// single box holding the union it was given.
+/// Each half alone, read back from its v4 snapshot, answers through a
+/// one-peer coordinator as the half does on its own, over the whole half
+/// and over a range: the coordinator draws in the half's frame, where
+/// the half samples its rows. Unscoped, its peer counts every window as
+/// a run, on the page the half shares with the other one too.
 #[test]
-fn halves_in_their_own_layout_answer_through_the_mapped_table() {
-    let (union, [head, tail]) = halves();
-    let config = SwopeConfig::with_epsilon(0.15).with_seed(0x3A3D);
+fn a_half_answers_as_a_one_peer_coordinator_over_it() {
+    let (_, halves) = halves();
+    let config = SwopeConfig::with_epsilon(0.15).with_seed(0x0E4A);
+    for half in &halves {
+        let (addr, stats) = spawn_peer(snapshot::decode(&snapshot::encode(half)).unwrap());
+        let n = half.num_rows();
+        for scope in [Scope::all(), Scope::range(1_000, n - 2_000)] {
+            for shape in shapes() {
+                let want = scoped(half, &shape, &scope, None, &config);
+                let got = wire(std::slice::from_ref(&addr), &shape, &scope, &config);
+                assert_eq!(got, want, "{shape:?} over {scope:?} of {:?}", half.frame());
+            }
+            if scope == Scope::all() {
+                let snap = stats.snapshot();
+                assert!(snap.peer_run_positions > 0 && snap.peer_list_positions == 0, "{snap:?}");
+            }
+        }
+    }
+}
+
+/// The one-line error a coordinator over the peers at `addrs` refuses
+/// to connect with.
+fn refusal(addrs: &[String]) -> String {
+    let timeouts = PeerTimeouts::default();
+    let stats = Arc::new(ClusterStats::new());
+    match RemoteShardSource::connect(addrs, "t", 1, None, &timeouts, stats, None) {
+        Ok(_) => panic!("{addrs:?} connected"),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// Halves in their own layout (v3), each a table of its own, and halves
+/// served in the other order than they were cut in do not tile one
+/// frame: the coordinator refuses each fleet at `Hello`, in one line
+/// that names the peer out of place and says to `swope split` the union
+/// again.
+#[test]
+fn halves_out_of_their_frame_are_refused_at_hello() {
+    let (_, [head, tail]) = halves();
     let v3 = |half: &Dataset| {
         let ds = snapshot::decode(&snapshot_v3::v3_of(half)).unwrap();
         assert_eq!(ds.frame(), (half.num_rows(), 0), "a dataset of its own");
         ds
     };
-    let own: Vec<_> = [&head, &tail].map(|half| spawn_peer(v3(half))).into();
-    let swapped: Vec<_> = [&tail, &head].map(|half| spawn_peer(half.clone())).into();
-    let swapped_union = tail.concat(&head).unwrap();
-    for (peers, union) in [(&own, &union), (&swapped, &swapped_union)] {
-        let addrs: Vec<String> = peers.iter().map(|(addr, _)| addr.clone()).collect();
-        for shape in shapes() {
-            let want = plain(union, &shape, &config);
-            assert_eq!(wire(&addrs, &shape, &Scope::all(), &config), want, "{shape:?}");
-        }
-        // The second peer's pages all lie past a cut of another layout.
-        assert!(peers[1].1.snapshot().peer_list_positions > 0);
+    let own = [&head, &tail].map(|half| spawn_peer(v3(half)).0);
+    let swapped = [&tail, &head].map(|half| spawn_peer(half.clone()).0);
+    for addrs in [own, swapped] {
+        let msg = refusal(&addrs);
+        assert!(msg.starts_with(&format!("shard transport error: peer {}: ", addrs[1])), "{msg}");
+        assert!(msg.contains("`swope split` the union again"), "{msg}");
+        assert!(!msg.contains('\n'), "{msg}");
     }
 }

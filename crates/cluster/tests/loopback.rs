@@ -718,6 +718,26 @@ fn three_peers_cut_on_and_inside_a_page_count_like_the_single_box() {
     assert!(snap.count_merge_bytes > 0 && snap.count_merge_bytes < snap.bytes_received);
 }
 
+/// A peer of no rows names no frame and tiles anywhere: between two
+/// halves cut inside a page it hears about no query, and the fleet
+/// answers as the single box.
+#[test]
+fn an_empty_peer_between_two_halves_changes_nothing() {
+    let union = union_dataset();
+    let n = union.num_rows();
+    let addrs = vec![
+        spawn_peer(slice_rows(&union, 0..n / 2)),
+        spawn_peer(slice_rows(&union, n / 2..n / 2)),
+        spawn_peer(slice_rows(&union, n / 2..n)),
+    ];
+    let config = cfg(0xE3);
+    for shape in all_shapes() {
+        let mut src = connect(&addrs, &config, None);
+        assert_eq!(src.peer_count(), 2);
+        assert_eq!(wire(&mut src, &shape, &config).unwrap(), plain(&union, &shape, &config));
+    }
+}
+
 /// Two peers of 2³¹ rows each make a union one row past what a sample
 /// can index: `connect` says so in one line, before it builds a sampler
 /// that would panic the worker.
@@ -725,13 +745,15 @@ fn three_peers_cut_on_and_inside_a_page_count_like_the_single_box() {
 fn an_oversized_population_is_refused_before_sampling() {
     let union = union_dataset();
     let addrs: Vec<String> = (0..2)
-        .map(|_| {
+        .map(|half| {
             let meta = dataset_meta(&union);
             scripted_peer(move |mut stream| {
                 let _ = read_frame(&mut stream).unwrap(); // Hello
                 let num_rows = 1 << 31;
-                let reply =
-                    Hello { version: PROTOCOL_VERSION, dataset: "t".into(), num_rows, attrs: meta };
+                // The two halves of a 2³²-row table, in order.
+                let (before, after) = (half * num_rows, (1 - half) * num_rows);
+                let (version, dataset, attrs) = (PROTOCOL_VERSION, "t".into(), meta);
+                let reply = Hello { version, dataset, num_rows, before, after, attrs };
                 write_frame(&mut stream, &Frame::Hello(reply)).unwrap();
                 let _ = read_frame(&mut stream); // hold the socket until the coordinator hangs up
             })
@@ -763,8 +785,10 @@ fn scripted_peer(script: impl FnOnce(std::net::TcpStream) + Send + 'static) -> S
 }
 
 fn hello_reply(version: u32, ds: &Dataset) -> Frame {
-    let num_rows = ds.num_rows() as u64;
-    Frame::Hello(Hello { version, dataset: "t".into(), num_rows, attrs: dataset_meta(ds) })
+    let ((union_rows, base), num_rows) = (ds.frame(), ds.num_rows());
+    let (before, after) = (base as u64, (union_rows - base - num_rows) as u64);
+    let (dataset, attrs, num_rows) = ("t".into(), dataset_meta(ds), num_rows as u64);
+    Frame::Hello(Hello { version, dataset, num_rows, before, after, attrs })
 }
 
 /// A peer whose `CountMerge` claims a larger support than its `Hello`
@@ -799,11 +823,11 @@ fn a_peer_lying_about_support_is_a_transport_error() {
     assert!(!msg.contains('\n'), "{msg}");
 }
 
-/// A peer still speaking protocol v1, v3 or v4 is named as such at
-/// connect time; none of its frames is parsed as v5.
+/// A peer still speaking protocol v1, v3, v4 or v5 is named as such at
+/// connect time; none of its frames is parsed as v6.
 #[test]
 fn an_older_peer_is_refused_by_version() {
-    for version in [1, 3, 4] {
+    for version in [1, 3, 4, 5] {
         let union = union_dataset();
         let addr = scripted_peer(move |mut stream| {
             let _ = read_frame(&mut stream).unwrap(); // Hello

@@ -26,20 +26,18 @@ pub const DEFAULT_MAX_SUPPORT: u32 = 1000;
 /// A dataset of its own is laid out as its row count is. A *slice* —
 /// one ascending run of another dataset's rows ([`Dataset::take_rows`]) —
 /// keeps its table's layout and records its frame
-/// ([`Dataset::frame`]), so a cluster peer serving it counts the
-/// windows a coordinator draws over the table in place. Its own queries
-/// still draw their samples in its row count's layout
-/// ([`Dataset::sample_layout`]), so a slice answers every query as the
-/// same rows loaded on their own do.
+/// ([`Dataset::frame`]). Its queries draw their samples where it stores
+/// its rows, as a range of its table draws them: each page of its grid
+/// is its table's page restricted to its rows, which is uniform on them.
+/// So a slice answers as a coordinator over peers that tile it does, and
+/// a cluster peer serving it counts the windows a coordinator draws in
+/// place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     schema: Schema,
     columns: Vec<Column>,
     num_rows: usize,
     layout: Arc<PageLayout>,
-    /// The layout of `num_rows`, which queries draw their samples in:
-    /// `layout` itself unless the dataset is a slice.
-    sample_layout: Arc<PageLayout>,
 }
 
 impl Dataset {
@@ -77,12 +75,7 @@ impl Dataset {
 
     /// The dataset of `columns`, all in `layout`.
     fn assemble(schema: Schema, columns: Vec<Column>, layout: Arc<PageLayout>) -> Self {
-        let num_rows = layout.num_rows();
-        let sample_layout = match layout.frame() {
-            (union_rows, 0) if union_rows == num_rows => layout.clone(),
-            _ => PageLayout::of(num_rows),
-        };
-        Self { schema, columns, num_rows, layout, sample_layout }
+        Self { schema, columns, num_rows: layout.num_rows(), layout }
     }
 
     /// Loads a dataset from `path`, dispatching on the extension: `.swop`
@@ -133,17 +126,9 @@ impl Dataset {
     }
 
     /// The page layout the dataset stores its rows in: the positions its
-    /// columns are indexed by.
+    /// columns are indexed by, and the ones its queries draw.
     pub fn layout(&self) -> &Arc<PageLayout> {
         &self.layout
-    }
-
-    /// The layout a query over the dataset draws its sample in: that of
-    /// its row count. A dataset of its own stores its rows in it too; a
-    /// slice stores them in its table's layout, and reads a sample drawn
-    /// here through `PageLayout::positions_in`.
-    pub fn sample_layout(&self) -> &Arc<PageLayout> {
-        &self.sample_layout
     }
 
     /// The dataset's frame: the rows of the table it was cut from and the

@@ -1,8 +1,9 @@
 //! A test-only writer of a slice as the v3 snapshot it was before slices
 //! kept their table's layout: the same rows, laid out as a dataset of
 //! its own row count, with no frame. The writer emits v4 for every slice
-//! now; a peer still serves such a v3 half, through a mapped slot table,
-//! and these bytes are what that is tested on.
+//! now. A v3 half is its own frame, so two of them tile no frame, and a
+//! coordinator refuses them at `Hello`; these bytes are what that
+//! refusal is tested on.
 //!
 //! Included by path wherever a test needs a half in its own layout, so it
 //! names only `swope_columnar`, which every includer depends on.

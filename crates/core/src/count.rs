@@ -14,7 +14,7 @@
 //!    stores them, on a heap column and in a v3 snapshot's pages alike —
 //!    one or two contiguous runs for each whole page a sample drew from,
 //!    a list for the rest (`swope_sampling::PagePrefix`; a cluster
-//!    peer's slot table, for the windows it is sent);
+//!    peer's layout, for the windows it is sent);
 //! 2. the MI target's codes at those positions are widened once into a
 //!    [`TargetBuf`], runs first and then the list, the order every
 //!    candidate reads its own in. Every candidate pairs against all of

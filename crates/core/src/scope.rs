@@ -64,13 +64,12 @@
 //! source that reports `n = 0`, charging only the scope-resolution scan.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use swope_columnar::{
     AttrIndex, Code, CodeBuf, CodeRepr, ColumnStorage, Dataset, DatasetSketch, Width,
 };
 use swope_obs::{Phase, Plan, QueryObserver};
-use swope_sampling::{PageMembers, PagePrefix, Positions};
+use swope_sampling::{PageMembers, PagePrefix};
 use swope_store::{for_buf, for_packed};
 
 use crate::driver::{run, CountSource, Round, Rule, Shape};
@@ -199,7 +198,7 @@ pub(crate) fn resolve_scope(
             }
             let sketch = usable_sketch(dataset, sketch);
             let (members, scanned) = scan_predicate(dataset, sketch, start..end, attr, code);
-            Ok(ResolvedScope::Members(in_sample_layout(dataset, members), scanned))
+            Ok(ResolvedScope::Members(members, scanned))
         }
     }
 }
@@ -269,54 +268,6 @@ fn scan_predicate(
     (members, scanned)
 }
 
-/// `members`, found in the layout `dataset` stores its rows in, as members
-/// of the layout it draws samples in: themselves for a dataset of its
-/// own; for a slice, every member's row at its position in its row
-/// count's layout.
-fn in_sample_layout(dataset: &Dataset, members: PageMembers) -> PageMembers {
-    let own = dataset.sample_layout();
-    if Arc::ptr_eq(own, dataset.layout()) {
-        return members;
-    }
-    // Every member once: a full draw.
-    let mut all = PagePrefix::new(members, 0);
-    let mut at = Vec::with_capacity(all.num_rows());
-    dataset.layout().positions_in(all.grow_to(all.num_rows()), own, &mut at);
-    let mut bits = vec![0u64; own.num_rows().div_ceil(64)];
-    for q in at {
-        bits[q as usize / 64] |= 1 << (q % 64);
-    }
-    // The grid has no lead: slot `s` of a page is its first position + s.
-    let grid = own.grid();
-    let mut out = PageMembers::new(grid);
-    for page in 0..grid.count() {
-        let first = grid.span(page).start;
-        out.push_page(page, |slots, flags| {
-            for (flag, q) in flags.iter_mut().zip(slots.start + first..) {
-                *flag = bits[q / 64] >> (q % 64) & 1 == 1;
-            }
-        });
-    }
-    out
-}
-
-/// `delta`, drawn in `dataset`'s sample layout, as positions of its
-/// storage: itself for a dataset of its own; for a slice, which stores
-/// its rows in its table's layout, the positions it keeps them at,
-/// written to `stored`.
-pub(crate) fn in_storage<'a>(
-    dataset: &Dataset,
-    delta: Positions<'a>,
-    stored: &'a mut Vec<u32>,
-) -> Positions<'a> {
-    if Arc::ptr_eq(dataset.sample_layout(), dataset.layout()) {
-        return delta;
-    }
-    stored.clear();
-    dataset.sample_layout().positions_in(delta, dataset.layout(), stored);
-    Positions::from(&*stored)
-}
-
 /// The local [`CountSource`]: a dataset's rows, sampled from the
 /// population its scope resolved to — the scope's rows as members of
 /// their pages, drawn by one [`PagePrefix`] — and counted the way a shard
@@ -328,8 +279,6 @@ pub(crate) struct LocalSource<'a> {
     /// Rows examined to resolve the scope.
     setup_rows: u64,
     sampler: PagePrefix,
-    /// The delta's positions in a slice's storage.
-    stored: Vec<u32>,
     /// The thread's spare counter while the source is open.
     counter: WarmCounter,
     /// The iteration's request and counts, refilled in place.
@@ -350,10 +299,10 @@ impl<'a> LocalSource<'a> {
     ) -> Result<Self, SwopeError> {
         let resolved = resolve_scope(dataset, sketch, scope)?;
         let scoped = !matches!(resolved, ResolvedScope::Full);
-        let own = dataset.sample_layout();
+        let layout = dataset.layout();
         let (members, setup_rows) = match resolved {
-            ResolvedScope::Full => (PageMembers::range(own, 0..dataset.num_rows()), 0),
-            ResolvedScope::RowRange(range) => (PageMembers::range(own, range), 0),
+            ResolvedScope::Full => (PageMembers::range(layout, 0..dataset.num_rows()), 0),
+            ResolvedScope::RowRange(range) => (PageMembers::range(layout, range), 0),
             ResolvedScope::Members(members, scanned) => (members, scanned),
         };
         Ok(Self {
@@ -361,7 +310,6 @@ impl<'a> LocalSource<'a> {
             scoped,
             setup_rows,
             sampler: PagePrefix::new(members, config.seed),
-            stored: Vec::new(),
             counter: Counter::warm(),
             req: CountRequest { target: None, live: Vec::new() },
             counts: ShardCounts::empty(None, []),
@@ -406,7 +354,7 @@ impl CountSource for LocalSource<'_> {
     ) -> Result<(), SwopeError> {
         let span = round.it.phase_start();
         self.sampler.grow_to(m_target);
-        let delta = in_storage(self.dataset, self.sampler.positions(), &mut self.stored);
+        let delta = self.sampler.positions();
         round.it.phase_end(Phase::SampleGrow, span);
         round.announce(self.sampler.sampled(), delta.len(), states.len(), M::WORK);
 

@@ -40,8 +40,8 @@
 //! dataset, and any partition of the positions merges to the same
 //! counts. `swope-cluster`'s coordinator holds no rows: it sends each
 //! peer the positions on the union pages its slice overlaps, and the
-//! peer maps them to its own through a slot table of those pages,
-//! keeping only the slots that hold its rows. A peer samples nothing, and
+//! peer finds its own among them through its layout
+//! (`PageLayout::from_table`), keeping only the slots that hold its rows. A peer samples nothing, and
 //! its work is `O(m_i)`. A row range is the same sampler over the range's
 //! members, on every path.
 //!
@@ -80,7 +80,7 @@ use crate::count::{
 use crate::driver::{CountSource, Round};
 use crate::exec::Executor;
 use crate::measure::{Measure, States};
-use crate::scope::{in_storage, sketch_marginals};
+use crate::scope::sketch_marginals;
 use crate::{SwopeConfig, SwopeError};
 
 /// A contiguous partition of a dataset's rows into shards, cut evenly:
@@ -283,8 +283,6 @@ pub struct LocalShardSource<'a> {
     plan: ShardPlan,
     meta: Vec<AttrMeta>,
     sampler: PagePrefix,
-    /// For a slice, the delta's positions in its storage.
-    stored: Vec<u32>,
     /// Each shard's positions of the current delta, its counter and its
     /// counts.
     shards: Vec<Shard>,
@@ -350,7 +348,7 @@ impl Shelf {
 /// unsharded loop's source.
 ///
 /// It takes *positions* — as a sample draws them, or as a cluster peer's
-/// slot table maps a window — so the kernels never see the layout: heap
+/// layout maps a window — so the kernels never see the layout: heap
 /// and paged columns alike are indexed where the layout stores a row.
 ///
 /// A counter whose calls all returned is as empty as a new one: its
@@ -527,11 +525,7 @@ impl<'a> LocalShardSource<'a> {
             sketch: None,
             exec,
             meta: dataset_meta(dataset),
-            sampler: PagePrefix::new(
-                PageMembers::range(dataset.sample_layout(), 0..n),
-                config.seed,
-            ),
-            stored: Vec::new(),
+            sampler: PagePrefix::new(PageMembers::range(dataset.layout(), 0..n), config.seed),
             shards: (0..plan.num_shards())
                 .map(|_| Shard {
                     list: Vec::new(),
@@ -580,12 +574,12 @@ impl ShardTransport for LocalShardSource<'_> {
     }
 
     fn count(&mut self, m_target: usize, req: &CountRequest) -> Result<(), SwopeError> {
-        let Self { plan, sampler, shards, stored, dataset, .. } = self;
+        let Self { plan, sampler, shards, .. } = self;
         for shard in shards.iter_mut() {
             shard.list.clear();
             shard.runs.clear();
         }
-        let delta = in_storage(dataset, sampler.grow_to(m_target), stored);
+        let delta = sampler.grow_to(m_target);
         plan.split_runs(delta.runs, |shard, run| shards[shard].runs.push(run));
         plan.split(delta.list, |shard, p| shards[shard].list.push(p));
 

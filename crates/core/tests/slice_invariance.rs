@@ -1,19 +1,23 @@
 //! A slice — a `swope split` half, one ascending run of a table's rows —
-//! stores its rows in its table's layout (snapshot v4), but answers every
-//! query as the same rows loaded on their own do: its queries draw their
-//! samples in its own row count's layout and read its storage through
-//! the layout it keeps. This holds on the heap, paged, and paged under a
-//! one-page budget, with and without its sketch, over the whole slice, a
-//! range across its page boundaries and a predicate.
+//! stores its rows in its table's layout (snapshot v4), and its queries
+//! draw their samples where it stores them: each page of its grid is its
+//! table's page restricted to its rows, a uniform order of them. Its
+//! answers agree on the heap, paged, paged under a one-page budget and
+//! in in-process shards, with and without its sketch, over the whole
+//! slice, a range across its page boundaries and a predicate. Every
+//! unscoped draw is a run counted in place, so an entropy query over it
+//! gathers no row. That a slice answers as a one-peer coordinator over
+//! it does is checked where a peer can serve it, in
+//! `crates/cluster/tests/halves.rs`.
 
 #[macro_use]
 mod common;
 
 use std::sync::Arc;
 
-use common::{scoped, sketch_of};
-use swope_columnar::{snapshot, Column, Dataset, PageCache, Residency, PAGE_ROWS};
-use swope_core::{Rule, Scope, Shape, SwopeConfig};
+use common::{scoped, sharded, sketch_of};
+use swope_columnar::{snapshot, Dataset, PageCache, Residency, PAGE_ROWS};
+use swope_core::{gather_stats, Executor, Rule, Scope, Shape, SwopeConfig};
 
 /// Rows 40 000 into page 1 of a 3-page-and-a-bit table, to its end: the
 /// slice's grid leads with 40 000 slots.
@@ -25,16 +29,8 @@ fn slice() -> Dataset {
     slice
 }
 
-/// The slice's rows as a dataset of their own.
-fn own(ds: &Dataset) -> Dataset {
-    let columns = (0..ds.num_attrs())
-        .map(|a| Column::new(ds.column(a).to_codes(), ds.support(a)).unwrap())
-        .collect();
-    Dataset::new(ds.schema().clone(), columns).unwrap()
-}
-
 #[test]
-fn a_slice_answers_alike_on_heap_and_paged_and_as_its_rows_alone() {
+fn a_slice_answers_alike_on_heap_and_paged_and_counts_its_draws_in_place() {
     let ds = slice();
     let path = std::env::temp_dir().join(format!("swope-slice-{}.swop", std::process::id()));
     snapshot::write_file(&ds, &path).unwrap();
@@ -51,7 +47,6 @@ fn a_slice_answers_alike_on_heap_and_paged_and_as_its_rows_alone() {
     let sketch = heap_sketch.expect("the writer emits a sketch");
     assert_eq!(paged_sketch.as_ref(), Some(&sketch));
     assert_eq!(sketch, sketch_of(&ds));
-    let alone = own(&ds);
     let n = ds.num_rows();
     let scopes = [
         Scope::all(),
@@ -71,14 +66,21 @@ fn a_slice_answers_alike_on_heap_and_paged_and_as_its_rows_alone() {
                     "{name} {shape:?} {scope:?}"
                 );
             }
-            // A predicate's sketch prunes the slice's own pages, which are
-            // not its rows' pages alone; with no sketch, or none to use,
-            // the rows alone give the same bytes.
-            if scope.predicate.is_none() || sk.is_none() {
-                let own_sketch = sk.map(|_| sketch_of(&alone));
-                let alone = scoped(&alone, shape, scope, own_sketch.as_ref(), &cfg);
-                assert_eq!(alone, want, "alone {shape:?} {scope:?} {}", sk.is_some());
-            }
+        }
+        // In-process shards draw the one sample the slice draws.
+        if *scope == Scope::all() {
+            let want = scoped(&ds, shape, scope, None, &cfg);
+            let exec = Executor::sequential();
+            assert_eq!(sharded(&ds, shape, 3, &cfg, &exec), want, "shards {shape:?}");
         }
     }
+    // An unscoped entropy query gathers the codes of listed positions
+    // only: over the slice, on the heap and paged, none.
+    gather_stats::set_enabled(true);
+    for copy in [&heap, &paged] {
+        let before = gather_stats::snapshot();
+        scoped(copy, &shapes[0], &Scope::all(), None, &cfg);
+        assert_eq!(gather_stats::snapshot().since(before).rows, 0, "a draw was listed");
+    }
+    gather_stats::set_enabled(false);
 }

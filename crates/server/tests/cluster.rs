@@ -355,6 +355,27 @@ fn coordinator_refuses_to_start_against_an_older_fleet() {
     assert!(!msg.contains('\n'), "error must be one line: {msg:?}");
 }
 
+/// The startup probe checks the fleet's frames as a query would: halves
+/// listed in the order they were cut start, and the same halves swapped
+/// refuse to, in one line that names the peer out of place and says to
+/// `swope split` the union again, not a 503 a query at a time.
+#[test]
+fn coordinator_refuses_to_start_over_swapped_halves() {
+    let union = union_dataset();
+    let (n, cut) = (union.num_rows(), union.num_rows() / 2);
+    let head = TestServer::start(ServerConfig::default(), slice_rows(&union, 0, cut));
+    let tail = TestServer::start(ServerConfig::default(), slice_rows(&union, cut, n));
+    let bind = |peers: [&TestServer; 2]| {
+        let peers = peers.iter().map(|p| p.addr.to_string()).collect();
+        Server::bind(ServerConfig { addr: "127.0.0.1:0".into(), peers, ..ServerConfig::default() })
+    };
+    assert!(bind([&head, &tail]).is_ok(), "halves in order must start");
+    let msg = bind([&tail, &head]).err().expect("swapped halves must not start").to_string();
+    assert!(msg.contains(&format!("peer {}: ", head.addr)), "{msg}");
+    assert!(msg.contains("`swope split` the union again"), "{msg}");
+    assert!(!msg.contains('\n'), "error must be one line: {msg:?}");
+}
+
 #[test]
 fn coordinator_refuses_to_start_when_a_peer_is_down() {
     // Reserve a port that refuses connections by binding and dropping.

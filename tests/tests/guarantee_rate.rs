@@ -139,6 +139,10 @@ const CELLS: &[Cell] = &[
     Cell { name: "mi_range", data: |_| mi_dataset(P + 20_000, 0x3A26), fresh: false,
         scopes: &[rows(P - 10_000, P + 10_000), rows(P - 1, P + 20_000)],
         also: &[Also::Paged], ..MI },
+    // A split half queried on its own, where it stores its rows: on the
+    // heap, paged, and through two peers that tile it.
+    Cell { name: "half", data: half, also: &[Also::Paged, Also::Cluster(0)],
+        scopes: &[ALL, rows(5_000, N - 7_000)], ..CELL },
 ];
 
 /// Supports whose uniform columns have deliberately close entropies.
@@ -166,6 +170,16 @@ fn blocks(_: u64) -> Dataset {
     let classes: Vec<u32> = (0..PAGED_ROWS.div_ceil(P)).map(|_| rng.next_below(4) as u32).collect();
     let mut code = |u: u32, r: usize| classes[r / P] * u / 4 + rng.next_below(u as u64 / 2) as u32;
     dataset_of(&SUPPORTS, SUPPORTS.map(|u| (0..PAGED_ROWS).map(|r| code(u, r) % u).collect()))
+}
+
+/// `N` rows of uniform columns cut from a larger table 40 000 rows into
+/// its page 1, as `swope split` cuts a half: a slice whose grid leads
+/// with 40 000 slots and whose first and last pages are parts of its
+/// table's.
+fn half(_: u64) -> Dataset {
+    let start = P + 40_000;
+    let table = uniform(start + N + 20_000, 0x4A1F);
+    table.take_rows(&(start..start + N).collect::<Vec<_>>())
 }
 
 /// Uniform columns sorted by the first: a page holds one or two of its values.
@@ -490,6 +504,7 @@ cell_tests! {
     mi_failure_rates_within_budget => "mi_sampled",
     sketch_marginal_mi_failure_rates_within_budget => "mi_marginals",
     mi_range_failure_rates_within_budget => "mi_range",
+    half_failure_rates_within_budget => "half",
 }
 
 /// Every cell has its test, and every envelope is at most a quarter of

@@ -1,10 +1,12 @@
 //! Robustness: malformed inputs must produce errors, never panics or
 //! silent corruption. Fixed-seed randomized loops over the workspace RNG.
 
-use swope_cluster::frame::{read_frame, write_frame, CountMergeFrame, Frame, GrowDelta};
+use swope_cluster::frame::{
+    read_frame, write_frame, CountMergeFrame, Frame, GrowDelta, Hello, PROTOCOL_VERSION,
+};
 use swope_columnar::csv::{read_csv, write_csv, CsvOptions};
 use swope_columnar::{snapshot, DatasetBuilder};
-use swope_core::ShardCounts;
+use swope_core::{AttrMeta, ShardCounts};
 use swope_sampling::rng::Xoshiro256pp;
 use swope_sampling::{PageLayout, PageMembers, PagePrefix};
 use swope_store::crc32::crc32;
@@ -139,10 +141,11 @@ fn snapshot_header_field_corruption_cases() {
     assert!(snapshot::decode(&huge_n).is_err());
 }
 
-/// A v5 `GrowDelta` as a coordinator writes one: a doubling's new
+/// A v6 `GrowDelta` as a coordinator writes one: a doubling's new
 /// positions of a page-prefix sample over a random range of a union of up
 /// to two pages and a bit (or of a few thousand rows), on the union pages
-/// a random peer slice overlaps.
+/// a random peer slice overlaps. The frame it is drawn in travels in the
+/// peer's `Hello`, not here.
 fn grow_delta(r: &mut Xoshiro256pp) -> GrowDelta {
     let page_rows = PAGE_ROWS as u64;
     let union_rows = match r.next_below(2) {
@@ -165,7 +168,31 @@ fn grow_delta(r: &mut Xoshiro256pp) -> GrowDelta {
     let list = delta.list.iter().copied().filter(|&p| on_slice(p)).collect();
     let target = (r.next_below(2) == 1).then(|| r.next_below(8) as u32);
     let live = (0..r.next_below(4)).map(|_| r.next_below(8) as u32).collect();
-    GrowDelta { m_target: m as u64, target, live, union_rows, base, runs, list }
+    GrowDelta { m_target: m as u64, target, live, runs, list }
+}
+
+/// A v6 `Hello`: a peer's, a slice of a random frame (a dataset of its
+/// own names no rows before or after its own), or of no rows and so of
+/// no frame, as a coordinator's request is; and up to three attributes.
+fn hello(r: &mut Xoshiro256pp) -> Hello {
+    let mut rows = || match r.next_below(3) {
+        0 => 0,
+        1 => r.next_below(1 << 20),
+        _ => r.next_u64() >> r.next_below(64),
+    };
+    let (num_rows, before, after) = (rows(), rows(), rows());
+    let (before, after) = if num_rows == 0 { (0, 0) } else { (before, after) };
+    let attrs = (0..r.next_below(4))
+        .map(|i| AttrMeta { name: format!("a{i}"), support: 1 + r.next_below(1_000) as u32 })
+        .collect();
+    Hello {
+        version: PROTOCOL_VERSION,
+        dataset: "t".repeat(r.next_below(3) as usize),
+        num_rows,
+        before,
+        after,
+        attrs,
+    }
 }
 
 /// `payload` in an envelope of frame tag `tag` with a correct checksum:
@@ -257,6 +284,19 @@ fn grow_delta_payload_corruption_is_contained() {
         if started.elapsed() > std::time::Duration::from_secs(2) {
             break;
         }
+    }
+}
+
+/// A peer's `Hello`s, frame and all, read back as the value written,
+/// re-encode byte for byte, and contain any corruption of their
+/// payloads.
+#[test]
+fn hello_frames_round_trip_and_contain_payload_corruption() {
+    let mut r = rng(8);
+    for case in 0..CASES / 4 {
+        let frame = Frame::Hello(hello(&mut r));
+        assert_round_trips(&frame, &format!("case {case}"));
+        assert_payload_corruption_is_contained(&frame, &mut r, &format!("case {case}"));
     }
 }
 
