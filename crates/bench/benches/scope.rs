@@ -17,9 +17,11 @@
 //!
 //! It also times a `swope split` half on its own: the rows past a cut
 //! inside a page, as the slice `Dataset::take_rows` cuts (its table's
-//! layout, which it reads its samples through) and as the same rows
-//! loaded on their own, on the heap and paged. `slices` holds each
-//! residency's `slice_over_own`; nothing gates it.
+//! layout, where it draws its samples) and as the same rows loaded on
+//! their own, on the heap and paged. The two draw other samples of the
+//! same rows, so their answers may differ; their times should not.
+//! `slices` holds each residency's `slice_over_own`, which the CI
+//! scope-smoke step gates at ≤ 1.5: a half must read like its rows.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -128,11 +130,10 @@ fn halves(ds: &Dataset) -> [Dataset; 2] {
     [slice, own]
 }
 
-/// The half's unscoped queries on `slice` and on `own`, which answer
-/// alike, as a JSON object.
+/// The half's unscoped queries timed on `slice` and on `own`, as a JSON
+/// object.
 fn slice_cell(residency: &str, slice: &Dataset, own: &Dataset) -> String {
     let full = unscoped(&queries(5));
-    assert!(run_all(slice, None, &full) == run_all(own, None, &full), "a slice moved");
     let [slice_ns, own_ns] = fastest([(slice, &full), (own, &full)]);
     println!(
         "scope/{residency}_half  slice {:>9.1} us  own {:>9.1} us  ratio {:.3}",
