@@ -37,8 +37,7 @@ use std::time::Instant;
 use swope_bench::micro::{black_box, Group};
 
 use swope_columnar::{
-    for_packed, gather, CodeBuf, CodeRepr, Column, ColumnStorage, Dataset, Field, Positions,
-    Schema, Width,
+    for_buf, CodeBuf, CodeRepr, CodeVisitor, Column, Dataset, Field, Positions, Schema, Width,
 };
 use swope_core::count::INGEST_BLOCK_ROWS;
 use swope_core::{
@@ -117,11 +116,9 @@ fn count_per_element(
     pairs: &mut PairCountState,
     buf: &mut CodeBuf,
 ) {
-    let ColumnStorage::Heap(packed) = column.storage() else { unreachable!("heap column") };
     for (i, block) in rows.chunks(INGEST_BLOCK_ROWS).enumerate() {
-        for_packed!(packed.codes(), |codes| {
-            let buf = CodeRepr::buf(buf);
-            gather(codes, block, buf);
+        column.gather(block, buf);
+        for_buf!(&*buf, |buf| {
             match tcodes {
                 Some(tcodes) => {
                     for (&c, &tc) in buf.iter().zip(&tcodes[i * INGEST_BLOCK_ROWS..]) {
@@ -231,19 +228,25 @@ fn count_staged(
     buf: &mut CodeBuf,
     scratch: &mut CountScratch,
 ) {
-    let ColumnStorage::Heap(packed) = column.storage() else { unreachable!("heap column") };
     for run in runs {
-        for start in (run.start as usize..run.end as usize).step_by(INGEST_BLOCK_ROWS) {
-            let block = start..(start + INGEST_BLOCK_ROWS).min(run.end as usize);
-            for_packed!(packed.codes(), |codes| {
-                let buf = CodeRepr::buf(buf);
-                buf.clear();
-                buf.extend_from_slice(&codes[block]);
-                black_box(buf.as_slice());
-            });
+        for start in (run.start..run.end).step_by(INGEST_BLOCK_ROWS) {
+            let block = start..(start + INGEST_BLOCK_ROWS as u32).min(run.end);
+            column.read(std::iter::once(block), &mut CodeBuf::new(), &mut Stage(buf));
         }
     }
     count_candidate(column, Positions { runs, list: &[] }, None, out, pairs, scratch);
+}
+
+/// A read that copies each slice into a block buffer.
+struct Stage<'a>(&'a mut CodeBuf);
+
+impl CodeVisitor for Stage<'_> {
+    fn codes<R: CodeRepr>(&mut self, codes: &[R]) {
+        let buf = R::buf(self.0);
+        buf.clear();
+        buf.extend_from_slice(codes);
+        black_box(buf.as_slice());
+    }
 }
 
 /// Rounds of the run and lane comparisons. Each round counts the delta

@@ -22,7 +22,13 @@ use crate::args::{parse_options, Algo, Options};
 /// Why a command stopped short of success.
 #[derive(Debug)]
 pub enum Stop {
-    /// A one-line failure, printed with the usage.
+    /// An argv that names no command the CLI can run — no or an unknown
+    /// command, a malformed flag or value, a missing argument: printed
+    /// with the usage.
+    Usage(String),
+    /// A failure of what the arguments asked for (a file that does not
+    /// open, a value a query refuses, an address that does not bind):
+    /// printed as its one line.
     Failed(String),
     /// Whoever read stdout closed it (`swope inspect f | head -3`): the
     /// command has nothing left to say, which is no failure.
@@ -39,6 +45,11 @@ impl From<&str> for Stop {
     fn from(e: &str) -> Self {
         Stop::Failed(e.to_owned())
     }
+}
+
+/// A [`Stop::Usage`] saying `what`.
+fn usage(what: &str) -> Stop {
+    Stop::Usage(what.to_owned())
 }
 
 /// Writes one line to stdout: a closed stdout stops the command as
@@ -112,8 +123,8 @@ impl Observability {
 
 /// Dispatches a full argv (after the binary name).
 pub fn dispatch(argv: &[String]) -> Result<(), Stop> {
-    let (command, rest) = argv.split_first().ok_or("no command given")?;
-    let opts = parse_options(rest)?;
+    let (command, rest) = argv.split_first().ok_or_else(|| usage("no command given"))?;
+    let opts = parse_options(rest).map_err(Stop::Usage)?;
     match command.as_str() {
         "stats" => cmd_stats(&opts),
         "inspect" => cmd_inspect(&opts),
@@ -128,7 +139,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), Stop> {
             outln!("{}", crate::args::usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}").into()),
+        other => Err(Stop::Usage(format!("unknown command {other:?}"))),
     }
 }
 
@@ -467,8 +478,10 @@ fn cmd_compare(opts: &Options) -> Result<(), Stop> {
 }
 
 fn cmd_gen(opts: &Options) -> Result<(), Stop> {
-    let profile_name =
-        opts.positional.first().ok_or("expected a profile name (cdc hus pus enem tiny)")?;
+    let profile_name = opts
+        .positional
+        .first()
+        .ok_or_else(|| usage("expected a profile name (cdc hus pus enem tiny)"))?;
     let scale = opts.scale.unwrap_or(0.01);
     let profile = match profile_name.as_str() {
         "cdc" => swope_datagen::corpus::cdc(scale),
@@ -478,7 +491,7 @@ fn cmd_gen(opts: &Options) -> Result<(), Stop> {
         "tiny" => swope_datagen::corpus::tiny(opts.rows.unwrap_or(10_000), opts.cols.unwrap_or(20)),
         other => return Err(format!("unknown profile {other:?}").into()),
     };
-    let out = opts.out.as_deref().ok_or("--out is required")?;
+    let out = opts.out.as_deref().ok_or_else(|| usage("--out is required"))?;
     let ds = swope_datagen::generate(&profile, opts.seed.unwrap_or(0x5170));
     write_dataset(&ds, out)?;
     outln!("wrote {} ({} rows x {} columns)", out, ds.num_rows(), ds.num_attrs());
@@ -487,7 +500,7 @@ fn cmd_gen(opts: &Options) -> Result<(), Stop> {
 
 fn cmd_convert(opts: &Options) -> Result<(), Stop> {
     let [input, output] = opts.positional.as_slice() else {
-        return Err("convert expects <in> <out>".into());
+        return Err(usage("convert expects <in> <out>"));
     };
     let (ds, _) = Dataset::open(input, Residency::Heap).map_err(|e| e.to_string())?;
     write_dataset(&ds, output)?;
@@ -504,9 +517,9 @@ fn cmd_convert(opts: &Options) -> Result<(), Stop> {
 /// so a peer counts every window a coordinator sends it in place.
 fn cmd_split(opts: &Options) -> Result<(), Stop> {
     let [input, out_a, out_b] = opts.positional.as_slice() else {
-        return Err("split expects <in> <out-a> <out-b>".into());
+        return Err(usage("split expects <in> <out-a> <out-b>"));
     };
-    let at = opts.at.ok_or("--at is required")?;
+    let at = opts.at.ok_or_else(|| usage("--at is required"))?;
     let (ds, _) =
         Dataset::open(input, Residency::Heap).map_err(|e| format!("loading {input}: {e}"))?;
     if at == 0 || at >= ds.num_rows() {

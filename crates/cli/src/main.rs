@@ -20,10 +20,14 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(&argv) {
         Ok(()) | Err(commands::Stop::StdoutClosed) => ExitCode::SUCCESS,
-        Err(commands::Stop::Failed(e)) => {
+        Err(commands::Stop::Usage(e)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", args::usage());
+            ExitCode::FAILURE
+        }
+        Err(commands::Stop::Failed(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

@@ -678,6 +678,36 @@ fn malformed_flags_fail_with_one_line_error_and_usage() {
     assert!(lines.next().unwrap().starts_with("usage:"));
 }
 
+/// A failure of what the arguments ask for — a file that does not open,
+/// before or after `serve` binds — is its one `error:` line; an argv
+/// that cannot be parsed still prints the usage after it.
+#[test]
+fn runtime_failures_print_one_line_and_argument_errors_the_usage() {
+    let missing = tmp("no-such-file.swop");
+    let _ = std::fs::remove_file(&missing);
+    let m = missing.to_str().unwrap();
+    for args in [
+        vec!["entropy-topk", m, "-k", "2"],
+        vec!["inspect", m],
+        vec!["serve", m, "--addr", "127.0.0.1:0", "--threads", "1"],
+    ] {
+        let o = swope(&args);
+        assert!(!o.status.success(), "{args:?}");
+        let err = stderr(&o);
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(err.starts_with("error: ") && !err.contains("usage:"), "{args:?}: {err}");
+    }
+    for args in [vec!["entropy-topk", m, "--nope"], vec!["convert", m], vec![]] {
+        let o = swope(&args);
+        assert!(!o.status.success(), "{args:?}");
+        let err = stderr(&o);
+        let mut lines = err.lines();
+        assert!(lines.next().unwrap().starts_with("error: "), "{args:?}: {err}");
+        assert_eq!(lines.next(), Some(""), "{args:?}");
+        assert!(lines.next().unwrap().starts_with("usage:"), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn serve_answers_health_and_queries() {
     use std::io::{BufRead, BufReader, Read, Write};

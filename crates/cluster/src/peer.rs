@@ -418,10 +418,7 @@ mod tests {
     fn marginals_are_the_sketch_totals_or_a_decline() {
         let ds = dataset();
         let n = ds.num_rows() as u64;
-        let sketch = swope_columnar::DatasetSketch::build(
-            ds.layout().grid(),
-            (0..4).map(|a| ds.column(a).packed()),
-        );
+        let sketch = swope_columnar::snapshot::build_sketch(&ds);
         let script = [
             hello("t"),
             Frame::Marginals,

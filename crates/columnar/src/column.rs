@@ -1,8 +1,10 @@
+use std::ops::Range;
 use std::sync::Arc;
 
 use swope_pager::PagedColumn;
 use swope_sampling::PageLayout;
-use swope_store::{for_packed, PackedColumn, StoreError, Width};
+use swope_store::{for_packed, gather, CodeBuf, CodeRepr, CodeVisitor, PackedColumn};
+use swope_store::{StoreError, Width};
 
 use crate::{Code, ColumnarError};
 
@@ -35,9 +37,10 @@ use crate::{Code, ColumnarError};
 ///
 /// Every logical accessor — [`Column::code`], [`Column::to_codes`],
 /// equality — answers in row order on both, through the layout. Hot
-/// loops dispatch once per call via [`Column::storage`] and then run
-/// width-monomorphized on either representation, indexing by the same
-/// *position*: where the layout stores a row. Both decode the same
+/// loops read by *position*, where the layout stores a row, and never
+/// see the residency: [`Column::read`], [`Column::gather`] and
+/// [`Column::gather_widen`] dispatch once per call and run
+/// width-monomorphized on either representation. Both decode the same
 /// bytes, so counts over the same rows are bitwise identical.
 #[derive(Debug, Clone)]
 pub struct Column {
@@ -50,16 +53,6 @@ pub struct Column {
 enum Repr {
     Heap(PackedColumn),
     Paged(Arc<PagedColumn>),
-}
-
-/// A borrowed view of a column's physical representation — the one
-/// `match` a hot loop makes before its width-generic inner loop.
-pub enum ColumnStorage<'a> {
-    /// Fully decoded in memory, indexed by layout position.
-    Heap(&'a PackedColumn),
-    /// Read in place, page-by-page, out of a mapped snapshot; indexed by
-    /// layout position too.
-    Paged(&'a PagedColumn),
 }
 
 impl Column {
@@ -127,31 +120,6 @@ impl Column {
             .map_err(|e| ColumnarError::Snapshot(e.to_string()))
     }
 
-    /// The physical representation — what the adaptive loops dispatch on.
-    #[inline]
-    pub fn storage(&self) -> ColumnStorage<'_> {
-        match &self.repr {
-            Repr::Heap(packed) => ColumnStorage::Heap(packed),
-            Repr::Paged(paged) => ColumnStorage::Paged(paged),
-        }
-    }
-
-    /// The width-packed heap storage, in layout order.
-    ///
-    /// Panics for paged columns: callers that can meet a paged column
-    /// must dispatch through [`Column::storage`] instead. Kept for the
-    /// heap-only paths that read every code whatever its order (sketch
-    /// builds, benches).
-    #[inline]
-    pub fn packed(&self) -> &PackedColumn {
-        match &self.repr {
-            Repr::Heap(packed) => packed,
-            Repr::Paged(_) => {
-                panic!("column is paged (out-of-core); dispatch via Column::storage()")
-            }
-        }
-    }
-
     /// The layout the column stores its codes in.
     #[inline]
     pub fn layout(&self) -> &Arc<PageLayout> {
@@ -203,10 +171,61 @@ impl Column {
     }
 
     /// The codes in layout order, widened into a fresh vector.
-    fn stored_codes(&self) -> Vec<Code> {
+    pub fn stored_codes(&self) -> Vec<Code> {
+        let mut codes = Vec::with_capacity(self.len());
+        self.read(std::iter::once(0..self.len() as u32), &mut CodeBuf::new(), &mut codes);
+        codes
+    }
+
+    /// Hands the codes of each run of positions to `visitor`, in order
+    /// and in place: slices of the packed vector on the heap, page
+    /// slices paged (`u16` and `u32` ones decoded into `buf` a block at
+    /// a time).
+    ///
+    /// # Panics
+    ///
+    /// If a run is out of range, or a paged column meets a corrupt page:
+    /// the store's one-line `page N: checksum mismatch`, which the
+    /// executor or the server's dispatch guard turns into a query error.
+    #[inline]
+    pub fn read<V: CodeVisitor>(
+        &self,
+        runs: impl IntoIterator<Item = Range<u32>>,
+        buf: &mut CodeBuf,
+        visitor: &mut V,
+    ) {
         match &self.repr {
-            Repr::Heap(packed) => packed.to_codes(),
-            Repr::Paged(paged) => paged.to_codes().unwrap_or_else(|e| panic!("{e}")),
+            Repr::Heap(packed) => for_packed!(packed.codes(), |stored| {
+                for run in runs {
+                    visitor.codes(&stored[run.start as usize..run.end as usize]);
+                }
+            }),
+            Repr::Paged(paged) => paged.read(runs, buf, visitor).unwrap_or_else(|e| panic!("{e}")),
+        }
+    }
+
+    /// Stages the codes at `list` into `buf` at the column's width,
+    /// replacing its contents, booked in [`swope_store::gather_stats`].
+    /// Panics as [`Column::read`] does.
+    #[inline]
+    pub fn gather(&self, list: &[u32], buf: &mut CodeBuf) {
+        match &self.repr {
+            Repr::Heap(packed) => {
+                for_packed!(packed.codes(), |stored| gather(stored, list, CodeRepr::buf(buf)))
+            }
+            Repr::Paged(paged) => paged.gather(list, buf).unwrap_or_else(|e| panic!("{e}")),
+        }
+    }
+
+    /// Appends the codes at `list`, widened, to `out` (the MI target's).
+    /// Panics as [`Column::read`] does.
+    #[inline]
+    pub fn gather_widen(&self, list: &[u32], out: &mut Vec<Code>) {
+        match &self.repr {
+            Repr::Heap(packed) => for_packed!(packed.codes(), |stored| {
+                out.extend(list.iter().map(|&p| stored[p as usize].widen()))
+            }),
+            Repr::Paged(paged) => paged.gather_widen(list, out).unwrap_or_else(|e| panic!("{e}")),
         }
     }
 
@@ -347,7 +366,5 @@ mod tests {
         let col = Column::new(vec![0, 1], 2).unwrap();
         assert!(!col.is_paged());
         assert!(col.paged().is_none());
-        assert!(matches!(col.storage(), ColumnStorage::Heap(_)));
-        let _ = col.packed(); // must not panic for heap storage
     }
 }

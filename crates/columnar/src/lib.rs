@@ -53,19 +53,20 @@ pub mod snapshot;
 pub mod stats;
 
 pub use builder::DatasetBuilder;
-pub use column::{Column, ColumnStorage};
+pub use column::Column;
 pub use dataset::{Dataset, DEFAULT_MAX_SUPPORT};
 pub use dictionary::Dictionary;
 pub use error::ColumnarError;
 pub use schema::{Field, Schema};
 pub use snapshot::Residency;
 // Storage-layer items callers of this crate routinely need: the width a
-// column is packed at, the packed storage the hot loops scan, and the
-// width dispatch + gather those loops are built from.
-pub use swope_store::{for_packed, gather, CodeBuf, CodeRepr, PackedCodes, PackedColumn, Width};
+// column is packed at, the packed storage a heap column holds, and the
+// width-generic pieces a column read is built from.
+pub use swope_store::{for_buf, for_packed, CodeBuf, CodeRepr, CodeVisitor, PackedCodes};
+pub use swope_store::{PackedColumn, Width};
 // The partition sketch a snapshot carries alongside its columns; scoped
 // queries in `swope-core` consume it.
-pub use swope_sketch::{ColumnSketch, DatasetSketch, SketchKind};
+pub use swope_sketch::{ColumnSketch, ColumnSketchBuilder, DatasetSketch, SketchKind};
 
 // The sketch/scope page granularity, re-exported so downstream crates
 // (server, CLI, benches) can reason about page alignment without a
@@ -78,10 +79,9 @@ pub use swope_store::crc32::crc32;
 
 // The pager types callers need to open datasets out-of-core: the page
 // cache a budget is configured on (plus its metrics snapshot), the
-// pager-backed column hot loops dispatch to via [`ColumnStorage`] and the
-// view of a page it reads in place, and the byte sources
-// `snapshot::open_on` accepts.
-pub use swope_pager::{HeapMapping, Mapping, PageCache, PageView, PagedColumn, PagerSnapshot};
+// pager-backed column a paged [`Column`] reads through, and the byte
+// sources `snapshot::open_on` accepts.
+pub use swope_pager::{HeapMapping, Mapping, PageCache, PagedColumn, PagerSnapshot};
 
 // What the count kernels read a sample delta as: runs and a list of
 // storage positions, as `swope_sampling::PagePrefix` draws them.

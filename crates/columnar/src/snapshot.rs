@@ -78,19 +78,21 @@
 //! mapping and read page by page under a [`PageCache`].
 
 use std::io::Write;
+use std::iter;
 use std::path::Path;
 use std::sync::Arc;
 
 use swope_pager::{HeapMapping, Mapping, PageCache, PagedColumn};
 use swope_sampling::{PageLayout, LAYOUT_SEED};
-use swope_sketch::{ColumnSketch, ColumnSketchBuilder, DatasetSketch};
+use swope_sketch::{ColumnSketchBuilder, DatasetSketch};
 use swope_store::crc32::crc32;
 use swope_store::section::{
     validate_sections, Section, SECTION_COLUMN, SECTION_SCHEMA, SECTION_SKETCH,
 };
-use swope_store::{page, ByteReader, PackedColumn, ReadError, Width};
+use swope_store::Width;
+use swope_store::{page, ByteReader, CodeBuf, CodeRepr, CodeVisitor, PackedColumn, ReadError};
 
-use crate::{Column, ColumnStorage, ColumnarError, Dataset, Dictionary, Field, Schema};
+use crate::{Column, ColumnarError, Dataset, Dictionary, Field, Schema};
 
 const MAGIC: &[u8; 4] = b"SWOP";
 
@@ -179,60 +181,49 @@ pub fn write<W: Write>(dataset: &Dataset, writer: &mut W) -> Result<(), Columnar
     writer.write_all(&(section_count as u32).to_le_bytes())?;
     writer.write_all(&table)?;
     writer.write_all(&schema_payload)?;
+    let mut buf = CodeBuf::new();
     for attr in 0..h {
         let column = dataset.column(attr);
         writer.write_all(&[column.width().tag()])?;
-        // Both residencies hold their pages in layout order: the bytes
-        // go out as they are.
-        match column.storage() {
-            ColumnStorage::Heap(packed) => page::write_pages(packed.codes(), grid, writer)?,
-            ColumnStorage::Paged(paged) => write_paged_column(paged, writer)?,
-        }
+        // Both residencies hold their codes in layout order: they go out
+        // as they are read, a paged column's page by page.
+        page::write_pages(grid, column.width(), writer, |span, payload| {
+            let run = iter::once(span.start as u32..span.end as u32);
+            column.read(run, &mut buf, &mut LeBytes(payload))
+        })?;
     }
     writer.write_all(&sketch_payload)?;
     Ok(())
 }
 
-/// Streams a pager-backed column's page payload one page at a time,
-/// straight from the bytes the mapping holds — re-snapshotting an
-/// out-of-core dataset copies nothing but the output, and every page's
-/// CRC is verified (once, on first touch) on the way through.
-fn write_paged_column<W: Write>(paged: &PagedColumn, writer: &mut W) -> Result<(), ColumnarError> {
-    writer.write_all(&(page::PAGE_ROWS as u32).to_le_bytes())?;
-    writer.write_all(&(paged.num_pages() as u32).to_le_bytes())?;
-    for index in 0..paged.num_pages() {
-        let codes = paged.page(index).map_err(store_err)?;
-        writer.write_all(&(codes.len() as u32).to_le_bytes())?;
-        writer.write_all(&crc32(codes.payload()).to_le_bytes())?;
-        writer.write_all(codes.payload())?;
+/// A read into little-endian bytes, as a page stores its codes.
+struct LeBytes<'a>(&'a mut Vec<u8>);
+
+impl CodeVisitor for LeBytes<'_> {
+    fn codes<R: CodeRepr>(&mut self, codes: &[R]) {
+        R::extend_le_bytes(codes, self.0);
     }
-    Ok(())
 }
 
-/// Builds the per-page partition sketch for `dataset` from its packed
-/// columns (exact per-page code histograms; see `swope_sketch`). Paged
-/// columns are sketched one page at a time, in place, so the build stays
-/// within the pager's byte budget.
+/// Builds the per-page partition sketch for `dataset` (exact per-page
+/// code histograms; see `swope_sketch`), every page read into a
+/// [`ColumnSketchBuilder`] in place, so a paged build stays within the
+/// pager's byte budget. Panics on a corrupt page, as every read does.
 pub fn build_sketch(dataset: &Dataset) -> DatasetSketch {
     let grid = dataset.layout().grid();
+    let mut buf = CodeBuf::new();
     let columns = (0..dataset.num_attrs())
-        .map(|attr| match dataset.column(attr).storage() {
-            ColumnStorage::Heap(packed) => ColumnSketch::build(packed, grid.lead()),
-            ColumnStorage::Paged(paged) => sketch_paged(paged),
+        .map(|attr| {
+            let column = dataset.column(attr);
+            let mut builder = ColumnSketchBuilder::new(column.support());
+            for span in (0..grid.count()).map(|page| grid.span(page)) {
+                column.read(iter::once(span.start as u32..span.end as u32), &mut buf, &mut builder);
+                builder.end_page();
+            }
+            builder.finish()
         })
         .collect();
     DatasetSketch::new(grid, columns)
-}
-
-/// Sketches a pager-backed column page-by-page. Panics on a corrupt
-/// page, matching the heap column accessors' contract.
-fn sketch_paged(paged: &PagedColumn) -> ColumnSketch {
-    let mut builder = ColumnSketchBuilder::new(paged.support());
-    for index in 0..paged.num_pages() {
-        let codes = paged.page(index).unwrap_or_else(|e| panic!("{e}"));
-        builder.push_page(|counts| codes.for_each(|c| counts[c as usize] += 1));
-    }
-    builder.finish()
 }
 
 /// Where [`open`] leaves a snapshot's column codes.
@@ -878,7 +869,7 @@ mod tests {
         let ds = sample();
         let out = with_sketch(
             &encode(&ds),
-            &DatasetSketch::build(page::PageGrid::whole(0), std::iter::empty()),
+            &build_sketch(&Dataset::new(Schema::new(vec![]), vec![]).unwrap()),
         );
         let err = decode(&out).unwrap_err();
         assert!(err.to_string().contains("sketch covers"), "{err}");
@@ -891,14 +882,15 @@ mod tests {
         // would index past every counter sized from the schema, so the
         // snapshot must not load — heap or paged — and must say why.
         let ds = sample();
-        let wider: Vec<PackedColumn> = (0..ds.num_attrs())
+        let (fields, columns) = (0..ds.num_attrs())
             .map(|a| {
-                let bump = if a == 0 { 5 } else { 0 };
-                PackedColumn::new(ds.column(a).to_codes(), ds.support(a) + bump).unwrap()
+                let support = ds.support(a) + if a == 0 { 5 } else { 0 };
+                let column = Column::new(ds.column(a).to_codes(), support).unwrap();
+                (Field::new(format!("c{a}"), support), column)
             })
-            .collect();
-        let out =
-            with_sketch(&encode(&ds), &DatasetSketch::build(ds.layout().grid(), wider.iter()));
+            .unzip();
+        let wider = Dataset::new(Schema::new(fields), columns).unwrap();
+        let out = with_sketch(&encode(&ds), &build_sketch(&wider));
         let msg = decode(&out).unwrap_err().to_string();
         assert!(msg.contains("sketch section: column 0"), "{msg}");
         assert!(!msg.contains('\n'), "{msg}");
@@ -1147,15 +1139,19 @@ mod tests {
                 payloads.extend_from_slice(&stream[payload..payload + rows * width.bytes()]);
             }
             let mut stored = Vec::new();
-            swope_store::for_packed!(ds.column(attr).packed().codes(), |codes| {
-                swope_store::CodeRepr::extend_le_bytes(codes, &mut stored)
-            });
+            let column = ds.column(attr);
+            let codes = swope_store::PackedCodes::pack(&column.stored_codes(), column.width());
+            swope_store::for_packed!(&codes, |codes| CodeRepr::extend_le_bytes(codes, &mut stored));
             assert!(payloads == stored, "column {attr}: pages are not the stored bytes");
         }
         // And a heap load takes them as they are.
         let back = decode(&bytes).unwrap();
         for attr in 0..ds.num_attrs() {
-            assert_eq!(back.column(attr).packed().codes(), ds.column(attr).packed().codes());
+            let (back, column) = (back.column(attr), ds.column(attr));
+            assert_eq!(
+                (back.width(), back.stored_codes()),
+                (column.width(), column.stored_codes())
+            );
         }
     }
 
@@ -1241,7 +1237,11 @@ mod tests {
         let (heap, sketch) = open_bytes(&bytes).unwrap();
         assert_eq!((heap.frame(), &heap), (ds.frame(), &ds));
         for attr in 0..ds.num_attrs() {
-            assert_eq!(heap.column(attr).packed().codes(), ds.column(attr).packed().codes());
+            let (heap, column) = (heap.column(attr), ds.column(attr));
+            assert_eq!(
+                (heap.width(), heap.stored_codes()),
+                (column.width(), column.stored_codes())
+            );
         }
         let sketch = sketch.expect("writer emits a sketch");
         assert_eq!(sketch, build_sketch(&ds));

@@ -16,19 +16,19 @@
 //!    a list for the rest (`swope_sampling::PagePrefix`; a cluster
 //!    peer's layout, for the windows it is sent);
 //! 2. the MI target's codes at those positions are widened once into a
-//!    [`TargetBuf`], runs first and then the list, the order every
-//!    candidate reads its own in. Every candidate pairs against all of
-//!    them, so this is a real copy, and it is booked in
-//!    [`swope_store::gather_stats`] like any staged row;
-//! 3. a run is counted **in place**: the kernels read the slice the run
-//!    names, at the column's width, however long it is — a heap column's
-//!    packed slice, or a paged column's page slice (`u8` as it is, `u16`
-//!    and `u32` decoded a block of at most [`INGEST_BLOCK_ROWS`] codes at
-//!    a time into the block buffer). A list is staged a block at a time
-//!    into that reusable [`CodeBuf`] — through [`swope_store::gather`]
-//!    on the heap, through [`swope_columnar::PagedColumn::gather`] on a
-//!    paged column, which looks a page up once per run of adjacent
-//!    positions it holds;
+//!    [`TargetBuf`], runs first ([`Column::read`]) and then the list
+//!    ([`Column::gather_widen`]), the order every candidate reads its
+//!    own in. Every candidate pairs against all of them, so this is a
+//!    real copy, and it is booked in [`swope_store::gather_stats`] like
+//!    any staged row;
+//! 3. a run is counted **in place**: [`Column::read`] hands the kernels
+//!    the codes the run names at the column's width, however many — on
+//!    the heap the packed slice, paged the page slices, a `u8` one as it
+//!    is and a `u16` or `u32` one a block of at most
+//!    [`INGEST_BLOCK_ROWS`] codes at a time, decoded into the block
+//!    buffer. A list is staged a block at a time into that reusable
+//!    [`CodeBuf`] ([`Column::gather`]). Where the column lives is the
+//!    column's business: nothing here branches on it;
 //! 4. the **marginal kernel** (`CountState::add_block`) counts each run
 //!    or staged block. A support of at most `LANE_MAX_SUPPORT` counts
 //!    into a `u32` table: four lanes a code selected by `i mod 4` when the
@@ -76,16 +76,13 @@
 //! shard that counted it, not where the column lives.
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::time::Instant;
 
-use swope_columnar::{
-    Code, CodeBuf, CodeRepr, Column, ColumnStorage, PageView, PagedColumn, Positions, Width,
-};
+use swope_columnar::{Code, CodeBuf, CodeRepr, CodeVisitor, Column, Positions};
 use swope_estimate::entropy::EntropyCounter;
 use swope_estimate::freq::{pack_pair, unpack_pair};
 use swope_estimate::joint::JointEntropyCounter;
-use swope_store::{for_buf, for_packed, gather, gather_stats};
+use swope_store::{for_buf, gather_stats, BLOCK_ROWS};
 
 /// Row-block granularity of a staged list.
 ///
@@ -97,7 +94,7 @@ use swope_store::{for_buf, for_packed, gather, gather_stats};
 /// large ΔM grows under doubling, which is what makes the steady-state
 /// loop allocation-free: buffers reach block size once and are never
 /// regrown. Runs are not staged, so they are not split either.
-pub const INGEST_BLOCK_ROWS: usize = 8192;
+pub const INGEST_BLOCK_ROWS: usize = BLOCK_ROWS;
 
 /// Lanes of the marginal kernel's wide table. Four `u32` lanes
 /// interleaved per code (`table[4·code + i mod 4]`) keep a code's lanes
@@ -605,6 +602,8 @@ pub struct TargetBuf {
     codes: Vec<Code>,
     support: u32,
     lanes: Vec<u32>,
+    /// Where a paged target's `u16` and `u32` runs are decoded.
+    block: CodeBuf,
 }
 
 impl TargetBuf {
@@ -635,21 +634,6 @@ pub struct TargetCodes<'a> {
     pub support: u32,
 }
 
-/// Stages one block of a column's codes into `buf` at the column's
-/// width. A corrupt page panics with the store's one-line
-/// `page N: checksum mismatch` message, which the executor (or the
-/// server's dispatch guard) turns back into a query error — the loops
-/// have no error channel of their own.
-#[inline]
-fn stage(column: &Column, block: &[u32], buf: &mut CodeBuf) {
-    match column.storage() {
-        ColumnStorage::Heap(packed) => {
-            for_packed!(packed.codes(), |codes| gather(codes, block, CodeRepr::buf(buf)))
-        }
-        ColumnStorage::Paged(paged) => paged.gather(block, buf).unwrap_or_else(|e| panic!("{e}")),
-    }
-}
-
 /// Widens the target column's codes at `rows` — storage positions, see
 /// the module docs — into `target` (replacing its contents):
 /// `target.codes()[i]` is the code at the delta's `i`-th position, runs
@@ -664,23 +648,10 @@ fn stage(column: &Column, block: &[u32], buf: &mut CodeBuf) {
 pub fn gather_target<'a>(column: &Column, rows: impl Into<Positions<'a>>, target: &mut TargetBuf) {
     let Positions { runs, list } = rows.into();
     let started = gather_stats::enabled().then(Instant::now);
-    let codes = &mut target.codes;
+    let TargetBuf { codes, block, .. } = target;
     codes.clear();
-    match column.storage() {
-        ColumnStorage::Heap(packed) => {
-            for_packed!(packed.codes(), |stored| {
-                for run in runs {
-                    let run = &stored[run.start as usize..run.end as usize];
-                    codes.extend(run.iter().map(|&c| c.widen()));
-                }
-                codes.extend(list.iter().map(|&p| stored[p as usize].widen()));
-            });
-        }
-        ColumnStorage::Paged(paged) => {
-            for_each_slice(paged, runs, |view| view.for_each(|c| codes.push(c)));
-            paged.gather_widen(list, codes).unwrap_or_else(|e| panic!("{e}"));
-        }
-    }
+    column.read(runs.iter().cloned(), block, codes);
+    column.gather_widen(list, codes);
     if let Some(started) = started {
         gather_stats::record(codes.len(), started.elapsed().as_nanos() as u64);
     }
@@ -773,54 +744,12 @@ fn count(
             Joint { pairs, dense, tcodes: t.codes, u_a }
         }),
     };
-    match column.storage() {
-        ColumnStorage::Heap(packed) => for_packed!(packed.codes(), |stored| {
-            for run in rows.runs {
-                kernels.count(&stored[run.start as usize..run.end as usize]);
-            }
-        }),
-        ColumnStorage::Paged(paged) => count_paged_runs(paged, rows.runs, buf, &mut kernels),
-    }
+    column.read(rows.runs.iter().cloned(), buf, &mut kernels);
     for block in rows.list.chunks(INGEST_BLOCK_ROWS) {
-        stage(column, block, buf);
-        for_buf!(&*buf, |codes| kernels.count(codes));
+        column.gather(block, buf);
+        for_buf!(&*buf, |codes| kernels.codes(codes));
     }
     kernels.fold();
-}
-
-/// Counts runs of positions of a paged column in place, one page slice
-/// at a time: a `u8` slice is the codes, a `u16` or `u32` one is decoded
-/// a block at a time into `buf`. Out of line, so the heap arm of
-/// [`count`] compiles as if this did not exist.
-#[inline(never)]
-fn count_paged_runs(
-    paged: &PagedColumn,
-    runs: &[Range<u32>],
-    buf: &mut CodeBuf,
-    kernels: &mut Kernels<'_>,
-) {
-    for_each_slice(paged, runs, |view| match paged.width() {
-        Width::U8 => kernels.count(view.payload()),
-        _ => {
-            for start in (0..view.len()).step_by(INGEST_BLOCK_ROWS) {
-                view.slice(start..view.len().min(start + INGEST_BLOCK_ROWS)).decode_into(buf);
-                for_buf!(&*buf, |codes| kernels.count(codes));
-            }
-        }
-    });
-}
-
-/// Calls `f` with the codes of `runs` of a paged column, one view per
-/// page a run crosses.
-///
-/// # Panics
-///
-/// On a corrupt page, with the store's one-line message (see [`stage`]).
-fn for_each_slice(paged: &PagedColumn, runs: &[Range<u32>], mut f: impl FnMut(PageView<'_>)) {
-    for run in runs {
-        let read = paged.try_for_each_slice(run.start as usize..run.end as usize, &mut f);
-        read.unwrap_or_else(|e| panic!("{e}"));
-    }
 }
 
 /// One call's kernels: the candidate's histogram with the lane table it
@@ -839,10 +768,10 @@ struct Joint<'k> {
     u_a: usize,
 }
 
-impl Kernels<'_> {
+impl CodeVisitor for Kernels<'_> {
     /// Counts the codes at the delta's next `codes.len()` positions.
     #[inline]
-    fn count<R: CodeRepr>(&mut self, codes: &[R]) {
+    fn codes<R: CodeRepr>(&mut self, codes: &[R]) {
         if let Some((out, lanes)) = &mut self.marginal {
             out.add_block(codes, lanes);
         }
@@ -852,7 +781,9 @@ impl Kernels<'_> {
             joint.pairs.add_block(tcodes, codes, joint.dense.as_deref_mut(), joint.u_a);
         }
     }
+}
 
+impl Kernels<'_> {
     /// Folds the tables into the deltas, zeroing them.
     fn fold(self) {
         if let Some((out, lanes)) = self.marginal {

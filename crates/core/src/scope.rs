@@ -63,14 +63,12 @@
 //! `converged_early = true`. The driver builds that answer for any
 //! source that reports `n = 0`, charging only the scope-resolution scan.
 
+use std::iter;
 use std::ops::Range;
 
-use swope_columnar::{
-    AttrIndex, Code, CodeBuf, CodeRepr, ColumnStorage, Dataset, DatasetSketch, Width,
-};
+use swope_columnar::{AttrIndex, Code, CodeBuf, Dataset, DatasetSketch};
 use swope_obs::{Phase, Plan, QueryObserver};
 use swope_sampling::{PageMembers, PagePrefix};
-use swope_store::{for_buf, for_packed};
 
 use crate::driver::{run, CountSource, Round, Rule, Shape};
 use crate::exec::Executor;
@@ -140,29 +138,24 @@ fn usable_sketch<'a>(
     })
 }
 
-/// Every column's counts over `pages`, or `None` unless each adds up to
-/// `rows`.
-fn page_counts(sketch: &DatasetSketch, pages: Range<usize>, rows: u64) -> Option<Vec<Vec<u64>>> {
-    (0..sketch.num_columns())
-        .map(|attr| {
-            let counts = sketch.column(attr)?.range_counts(pages.clone());
-            (counts.iter().sum::<u64>() == rows).then_some(counts)
-        })
-        .collect()
-}
-
-/// Every attribute's exact code counts over the whole of `dataset`, read
-/// from `sketch`'s page histograms: the marginals an MI query over a full
-/// scope takes instead of sampling them. `None` unless a sketch matches
-/// the dataset (rows, attributes, supports) and every column's
-/// histograms add up to its rows — a sketch that disagrees costs the
-/// query its exact marginals, never its correctness.
+/// Every attribute's exact code counts over the whole of `dataset`: the
+/// totals of `sketch`'s page histograms, the marginals an MI query over
+/// a full scope takes instead of sampling them. `None` unless a sketch
+/// matches the dataset (rows, attributes, supports) and every column's
+/// totals add up to its rows — a sketch that disagrees costs the query
+/// its exact marginals, never its correctness.
 pub fn sketch_marginals(
     dataset: &Dataset,
     sketch: Option<&DatasetSketch>,
 ) -> Option<Vec<Vec<u64>>> {
     let sketch = usable_sketch(dataset, sketch)?;
-    page_counts(sketch, 0..sketch.num_pages(), dataset.num_rows() as u64)
+    let rows = dataset.num_rows() as u64;
+    (0..sketch.num_columns())
+        .map(|attr| {
+            let totals = sketch.column(attr)?.totals();
+            (totals.iter().sum::<u64>() == rows).then(|| totals.to_vec())
+        })
+        .collect()
 }
 
 /// Validates `scope` against `dataset` and materializes predicate scopes
@@ -208,8 +201,8 @@ pub(crate) fn resolve_scope(
 /// the number of rows examined.
 ///
 /// Slot `s` of a page holds its in-page row `s ^ deltas[s − first]`,
-/// `first` the page's first slot. Heap and paged pages alike are read in
-/// slot order, in one loop, so the members come out in slot order.
+/// `first` the page's first slot. Each page is read in slot order, so
+/// the members come out in slot order.
 fn scan_predicate(
     dataset: &Dataset,
     sketch: Option<&DatasetSketch>,
@@ -221,7 +214,7 @@ fn scan_predicate(
     let (to_row, grid) = (dataset.layout().row_deltas(), dataset.layout().grid());
     let mut members = PageMembers::new(grid);
     let mut scanned = 0u64;
-    let mut buf = CodeBuf::new();
+    let (mut buf, mut codes) = (CodeBuf::new(), Vec::new());
     for page in grid.pages_of(range.clone()) {
         if let Some(sk) = sketch {
             if sk.column(attr).is_some_and(|c| c.page_count(page, code) == 0) {
@@ -237,33 +230,17 @@ fn scan_predicate(
         // one when it is the whole page.
         let (whole, lo16, len) = (hi - lo == span.len(), (lo + first) as u16, (hi - lo) as u16);
         let in_range = |s: usize, d: u16| whole | ((s as u16 ^ d).wrapping_sub(lo16) < len);
-        macro_rules! push_matches {
-            ($codes:expr) => {
-                members.push_page(page, |slots, flags| {
-                    let at = slots.start - first..slots.end - first;
-                    let stored = $codes[at.clone()].iter().zip(&deltas[at]);
-                    for ((flag, (c, &d)), s) in flags.iter_mut().zip(stored).zip(slots) {
-                        *flag = (c.widen() == code) & in_range(s, d);
-                    }
-                })
-            };
-        }
-        match column.storage() {
-            ColumnStorage::Heap(packed) => {
-                for_packed!(packed.codes(), |codes| push_matches!(codes[span.clone()]))
+        // Only pages that can hold matches are read: a sketch-skipped
+        // page is never faulted (nor CRC-checked).
+        codes.clear();
+        column.read(iter::once(span.start as u32..span.end as u32), &mut buf, &mut codes);
+        members.push_page(page, |slots, flags| {
+            let at = slots.start - first..slots.end - first;
+            let stored = codes[at.clone()].iter().zip(&deltas[at]);
+            for ((flag, (&c, &d)), s) in flags.iter_mut().zip(stored).zip(slots) {
+                *flag = (c == code) & in_range(s, d);
             }
-            // Only pages that can hold matches are read: a sketch-skipped
-            // page is never faulted (nor CRC-checked).
-            ColumnStorage::Paged(paged) => {
-                let view = paged.page(page).unwrap_or_else(|e| panic!("{e}"));
-                if paged.width() == Width::U8 {
-                    push_matches!(view.payload())
-                } else {
-                    view.decode_into(&mut buf);
-                    for_buf!(&buf, |codes| push_matches!(codes))
-                }
-            }
-        }
+        })
     }
     (members, scanned)
 }
@@ -446,7 +423,7 @@ mod tests {
     }
 
     fn sketch_of(ds: &Dataset) -> DatasetSketch {
-        DatasetSketch::build(ds.layout().grid(), (0..ds.num_attrs()).map(|a| ds.column(a).packed()))
+        swope_columnar::snapshot::build_sketch(ds)
     }
 
     /// The members a predicate scope resolves to.
@@ -754,33 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn covered_counts_equal_the_page_by_page_sum_over_every_page_range() {
-        // Five pages, a compact and a sparse column.
-        let ds = dataset(4 * PAGE_ROWS + 999, &[11, 300]);
-        let sk = sketch_of(&ds);
-        for first in 0..4 {
-            for last in first + 1..=4 {
-                let summed: Vec<Vec<u64>> = (0..2)
-                    .map(|attr| {
-                        let col = sk.column(attr).unwrap();
-                        (0..col.support())
-                            .map(|code| (first..last).map(|p| col.page_count(p, code)).sum())
-                            .collect()
-                    })
-                    .collect();
-                assert_eq!(
-                    page_counts(&sk, first..last, ((last - first) * PAGE_ROWS) as u64),
-                    Some(summed),
-                    "{first}..{last}"
-                );
-            }
-        }
-        // The partial last page is never a covered page; asking for it
-        // comes up short of whole pages and is refused.
-        assert!(page_counts(&sk, 3..5, 2 * PAGE_ROWS as u64).is_none());
-    }
-
-    #[test]
     fn mismatched_sketch_is_ignored() {
         let ds = dataset(2_000, &[4, 8]);
         let other = dataset(500, &[4, 8]);
@@ -827,37 +777,32 @@ mod tests {
 
     #[test]
     fn sketch_whose_pages_do_not_add_up_samples_physically() {
-        use swope_columnar::{ColumnSketch, PackedColumn};
+        use swope_columnar::{CodeVisitor, ColumnSketchBuilder};
         // Right shape, right supports, but column 1's second page
         // histogram is ten rows short: its pages cannot stand in for the
         // rows. Every range samples its rows all the same.
         let n = 4 * PAGE_ROWS;
         let ds = dataset(n, &[5, 12]);
-        let short_page: Vec<PackedColumn> = (0..4)
-            .map(|page| {
-                let rows = if page == 1 { PAGE_ROWS - 10 } else { PAGE_ROWS };
-                let codes = (page * PAGE_ROWS..page * PAGE_ROWS + rows)
-                    .map(|r| ds.column(1).code(r))
-                    .collect();
-                PackedColumn::new(codes, 12).unwrap()
-            })
-            .collect();
+        let mut short_page = ColumnSketchBuilder::new(12);
+        for page in 0..4 {
+            let rows = if page == 1 { PAGE_ROWS - 10 } else { PAGE_ROWS };
+            let codes: Vec<Code> =
+                (page * PAGE_ROWS..page * PAGE_ROWS + rows).map(|r| ds.column(1).code(r)).collect();
+            short_page.codes(&codes);
+            short_page.end_page();
+        }
         let crafted = DatasetSketch::new(
             swope_store::page::PageGrid::whole(n),
-            vec![
-                ColumnSketch::build(ds.column(0).packed(), 0),
-                ColumnSketch::build_from_pages(12, short_page.iter().map(|p| p.codes())),
-            ],
+            vec![sketch_of(&ds).column(0).unwrap().clone(), short_page.finish()],
         );
         assert!(usable_sketch(&ds, Some(&crafted)).is_some());
+        assert!(sketch_marginals(&ds, Some(&crafted)).is_none());
         let over_bad = Scope::range(PAGE_ROWS - 5, 3 * PAGE_ROWS + 5);
-        assert!(page_counts(&crafted, 1..3, 2 * PAGE_ROWS as u64).is_none());
         assert_eq!(
             entropy_answers(&ds, &over_bad, Some(&crafted)),
             entropy_answers(&ds, &over_bad, None)
         );
         let past_bad = Scope::range(2 * PAGE_ROWS - 5, 4 * PAGE_ROWS);
-        assert!(page_counts(&crafted, 2..4, 2 * PAGE_ROWS as u64).is_some());
         assert_eq!(
             entropy_answers(&ds, &past_bad, Some(&crafted)),
             entropy_answers(&ds, &past_bad, Some(&sketch_of(&ds)))

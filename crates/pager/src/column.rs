@@ -22,13 +22,15 @@
 //! admitted (evicting others if need be) before it is read, and an
 //! evicted page's bytes are released to the OS.
 
+use std::iter;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use swope_store::page::{self, read_u32, PageGrid, PAGE_HEADER_BYTES};
-use swope_store::{crc32::crc32, gather_stats, Code, CodeBuf, CodeRepr, StoreError, Width};
+use swope_store::{crc32::crc32, for_buf, gather_stats, Code, CodeBuf, CodeRepr, CodeVisitor};
+use swope_store::{StoreError, Width, BLOCK_ROWS};
 
 use crate::cache::{PageCache, REFERENCED, RESIDENT, VALIDATED};
 use crate::mapping::Mapping;
@@ -322,7 +324,7 @@ impl PagedColumn {
 
     /// A single-position read paying one page fault at worst. Anything
     /// iterative wants [`gather`](Self::gather) (sampled positions) or
-    /// [`try_for_each_slice`](Self::try_for_each_slice) (scans).
+    /// [`read`](Self::read) (runs and scans).
     pub fn try_code(&self, row: usize) -> Result<Code, StoreError> {
         assert!(row < self.len(), "row {row} out of range for {} rows", self.len());
         let index = self.grid.page_of(row);
@@ -405,20 +407,37 @@ impl PagedColumn {
         Ok(())
     }
 
-    /// Runs `f` over the codes at `positions`, in order, one view per
-    /// page they cross. A full scan admits one page at a time, so it
-    /// stays within budget.
-    pub fn try_for_each_slice<F>(&self, positions: Range<usize>, mut f: F) -> Result<(), StoreError>
-    where
-        F: FnMut(PageView<'_>),
-    {
-        let mut at = positions.start;
-        while at < positions.end {
-            let index = self.grid.page_of(at);
-            let span = self.grid.span(index);
-            let end = positions.end.min(span.end);
-            f(self.page(index)?.slice(at - span.start..end - span.start));
-            at = end;
+    /// Hands the codes of each run of positions to `visitor`, in order,
+    /// one page slice at a time: a `u8` slice as it is stored, a `u16`
+    /// or `u32` one decoded into `buf` at most [`BLOCK_ROWS`] codes at a
+    /// time. A full scan admits one page at a time, so it stays within
+    /// budget; a corrupt page is an `Err` naming the page. Out of line,
+    /// so a caller's heap path compiles as if this did not exist.
+    #[inline(never)]
+    pub fn read(
+        &self,
+        runs: impl IntoIterator<Item = Range<u32>>,
+        buf: &mut CodeBuf,
+        visitor: &mut impl CodeVisitor,
+    ) -> Result<(), StoreError> {
+        for run in runs {
+            let (mut at, end) = (run.start as usize, run.end as usize);
+            while at < end {
+                let index = self.grid.page_of(at);
+                let span = self.grid.span(index);
+                let stop = end.min(span.end);
+                let view = self.page(index)?.slice(at - span.start..stop - span.start);
+                match self.width {
+                    Width::U8 => visitor.codes(view.payload),
+                    width => {
+                        for block in view.payload.chunks(BLOCK_ROWS * width.bytes()) {
+                            PageView { payload: block, width }.decode_into(buf);
+                            for_buf!(&*buf, |codes| visitor.codes(codes));
+                        }
+                    }
+                }
+                at = stop;
+            }
         }
         Ok(())
     }
@@ -427,14 +446,16 @@ impl PagedColumn {
     /// only for cold paths (equality checks, snapshot rewrite).
     pub fn to_codes(&self) -> Result<Vec<Code>, StoreError> {
         let mut out = Vec::with_capacity(self.len());
-        self.try_for_each_slice(0..self.len(), |page| page.for_each(|c| out.push(c)))?;
+        self.read(iter::once(0..self.len() as u32), &mut CodeBuf::new(), &mut out)?;
         Ok(out)
     }
 
     /// Occurrences of every code, one full scan, one page at a time.
     pub fn value_counts(&self) -> Result<Vec<u64>, StoreError> {
         let mut counts = vec![0u64; self.support as usize];
-        self.try_for_each_slice(0..self.len(), |page| page.for_each(|c| counts[c as usize] += 1))?;
+        for index in 0..self.num_pages() {
+            self.page(index)?.for_each(|c| counts[c as usize] += 1);
+        }
         Ok(counts)
     }
 }
@@ -504,16 +525,41 @@ pub(crate) mod tests {
         open_on(bytes, rows, support, cache).map(|(col, _)| col)
     }
 
+    /// The longest slice a read handed over.
+    #[derive(Default)]
+    struct Longest(usize);
+
+    impl CodeVisitor for Longest {
+        fn codes<R: CodeRepr>(&mut self, codes: &[R]) {
+            self.0 = self.0.max(codes.len());
+        }
+    }
+
     #[test]
     fn reads_match_eager_decode_across_pages() {
         let rows = 2 * PAGE_ROWS + 1234;
-        let (bytes, codes) = column_bytes(rows, 300);
-        let col = open(bytes, rows, 300, Arc::new(PageCache::unbounded())).unwrap();
-        assert_eq!(col.num_pages(), 3);
-        for (i, &want) in codes.iter().enumerate().step_by(977) {
-            assert_eq!(col.code(i), want, "row {i}");
+        for support in [100u32, 300, 70_000] {
+            let (bytes, codes) = column_bytes(rows, support);
+            let col = open(bytes, rows, support, Arc::new(PageCache::unbounded())).unwrap();
+            assert_eq!(col.num_pages(), 3);
+            for (i, &want) in codes.iter().enumerate().step_by(977) {
+                assert_eq!(col.code(i), want, "row {i}");
+            }
+            assert_eq!(col.to_codes().unwrap(), codes);
+            // Runs that cross page boundaries, read in place: a `u8` page
+            // slice whole, a wider one in blocks.
+            let mut buf = CodeBuf::new();
+            for run in [0..1, 7..7, PAGE_ROWS - 5..PAGE_ROWS + 5, 10..rows - 10, rows - 1..rows] {
+                let mut got = Vec::new();
+                let positions = run.start as u32..run.end as u32;
+                col.read(iter::once(positions), &mut buf, &mut got).unwrap();
+                assert_eq!(got, codes[run.clone()], "support {support}, {run:?}");
+            }
+            let mut longest = Longest::default();
+            col.read(iter::once(0..rows as u32), &mut buf, &mut longest).unwrap();
+            let most = if col.width() == Width::U8 { PAGE_ROWS } else { BLOCK_ROWS };
+            assert_eq!(longest.0, most, "support {support}");
         }
-        assert_eq!(col.to_codes().unwrap(), codes);
     }
 
     /// A column that leads with a short first page reads every position
@@ -538,7 +584,8 @@ pub(crate) mod tests {
         assert_eq!(got, positions.iter().map(|&p| codes[p as usize]).collect::<Vec<_>>());
         let mut scanned = Vec::new();
         let across = PAGE_ROWS - lead - 7..2 * PAGE_ROWS - lead + 7;
-        col.try_for_each_slice(across.clone(), |view| view.for_each(|c| scanned.push(c))).unwrap();
+        let positions = across.start as u32..across.end as u32;
+        col.read(iter::once(positions), &mut CodeBuf::new(), &mut scanned).unwrap();
         assert_eq!(scanned, codes[across]);
         assert_eq!(col.to_codes().unwrap(), codes);
     }
@@ -637,7 +684,7 @@ pub(crate) mod tests {
         }
         assert_eq!(counts, want);
         let mut seen = Vec::new();
-        col.try_for_each_slice(10..rows - 10, |page| page.for_each(|c| seen.push(c))).unwrap();
+        col.read(iter::once(10..rows as u32 - 10), &mut CodeBuf::new(), &mut seen).unwrap();
         // The range crosses into the second page: one view per page, of
         // exactly the codes in the range.
         assert_eq!(seen, codes[10..rows - 10]);

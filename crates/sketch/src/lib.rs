@@ -22,12 +22,13 @@
 //! Two physical layouts keep the sketch small: columns whose support fits
 //! a `u8` (`support ≤ 256`) store a **compact** dense count array per
 //! page; wider supports store a **sparse** sorted `(code, count)` list, so
-//! a page never costs more than `min(support, PAGE_ROWS)` entries. In
-//! memory a compact column holds its pages *cumulatively* — built once,
-//! when the sketch is built or decoded — so the counts of any page range
-//! are `prefix[last] − prefix[first]`, one subtraction per code whatever
-//! the range's length; sparse columns sum the lists of the pages asked
-//! for. The encoding stores plain per-page counts either way.
+//! a page never costs more than `min(support, PAGE_ROWS)` entries. Memory
+//! holds the pages as they are encoded, plus each column's exact
+//! whole-dataset counts, summed once when the sketch is built or decoded.
+//!
+//! A sketch is built by a column read: [`ColumnSketchBuilder`] is a
+//! [`CodeVisitor`] that tallies the codes of the page being read, and
+//! [`ColumnSketchBuilder::end_page`] closes the page.
 //!
 //! The on-disk encoding (see [`DatasetSketch::encode`]) carries its own
 //! trailing CRC32 and validates every length field before allocating, so
@@ -39,7 +40,7 @@
 
 use swope_store::crc32::crc32;
 use swope_store::page::{PageGrid, PAGE_ROWS};
-use swope_store::{for_packed, ByteReader, CodeRepr, PackedColumn, ReadError, StoreError};
+use swope_store::{ByteReader, CodeRepr, CodeVisitor, ReadError, StoreError};
 
 /// Magic bytes opening an encoded [`DatasetSketch`].
 pub const SKETCH_MAGIC: [u8; 4] = *b"SKCH";
@@ -78,54 +79,24 @@ impl SketchKind {
 /// One column's page histograms, in the layout its [`SketchKind`] names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Pages {
-    /// Compact, stored *cumulatively*: row `p` of `support` entries holds
-    /// the rows of pages `..p` carrying each code (`pages + 1` rows, the
-    /// first all zero). A page's count and a page range's counts are both
-    /// one subtraction per code, whatever the range's length.
-    Cumulative(Vec<u64>),
+    /// Compact: `support` counts a page, page after page, as encoded.
+    Dense(Vec<u32>),
     /// Sparse: per page, `(code, count)` sorted by code, zero counts
-    /// omitted. Kept page by page: a cumulative row would cost `8·support`
-    /// bytes a page, which is what this layout exists to avoid.
+    /// omitted.
     Lists(Vec<Vec<(u32, u32)>>),
 }
 
-/// Per-page exact code histograms for one packed column.
+/// Per-page exact code histograms for one column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnSketch {
     support: u32,
     num_pages: usize,
     pages: Pages,
+    /// Every code's count over all pages.
+    totals: Vec<u64>,
 }
 
 impl ColumnSketch {
-    /// Builds the sketch from a packed column: one exact histogram per
-    /// page of the column's grid, which leads with `lead` positions.
-    /// Width-generic — the result depends only on the logical codes, not
-    /// the storage width.
-    pub fn build(column: &PackedColumn, lead: usize) -> Self {
-        let grid = PageGrid::new(column.len(), lead);
-        let mut b = ColumnSketchBuilder::new(column.support());
-        for_packed!(column.codes(), |codes| {
-            for page in 0..grid.count() {
-                b.push_page(|counts| tally(&codes[grid.span(page)], counts));
-            }
-        });
-        b.finish()
-    }
-
-    /// Builds the sketch from already-paged codes: one histogram per
-    /// yielded page, which must be the column's pages in order.
-    pub fn build_from_pages<'a>(
-        support: u32,
-        pages: impl IntoIterator<Item = &'a swope_store::PackedCodes>,
-    ) -> Self {
-        let mut b = ColumnSketchBuilder::new(support);
-        for page in pages {
-            for_packed!(page, |codes| b.push_page(|counts| tally(codes, counts)));
-        }
-        b.finish()
-    }
-
     /// The column's support size.
     pub fn support(&self) -> u32 {
         self.support
@@ -134,7 +105,7 @@ impl ColumnSketch {
     /// The histogram layout in use.
     pub fn kind(&self) -> SketchKind {
         match self.pages {
-            Pages::Cumulative(_) => SketchKind::Compact,
+            Pages::Dense(_) => SketchKind::Compact,
             Pages::Lists(_) => SketchKind::Sparse,
         }
     }
@@ -150,10 +121,7 @@ impl ColumnSketch {
             return 0;
         }
         match &self.pages {
-            Pages::Cumulative(prefix) => {
-                let at = page * self.support as usize + code as usize;
-                prefix[at + self.support as usize] - prefix[at]
-            }
+            Pages::Dense(counts) => u64::from(counts[page * self.support as usize + code as usize]),
             Pages::Lists(lists) => {
                 let entries = &lists[page];
                 entries
@@ -163,40 +131,18 @@ impl ColumnSketch {
         }
     }
 
-    /// Exact per-code counts summed over the page range `pages`, clamped
-    /// to the pages sketched (returned vector has `support` entries).
-    pub fn range_counts(&self, pages: std::ops::Range<usize>) -> Vec<u64> {
-        let u = self.support as usize;
-        let end = pages.end.min(self.num_pages);
-        let start = pages.start.min(end);
-        match &self.pages {
-            Pages::Cumulative(prefix) => {
-                let (first, last) = (&prefix[start * u..][..u], &prefix[end * u..][..u]);
-                last.iter().zip(first).map(|(l, f)| l - f).collect()
-            }
-            Pages::Lists(lists) => {
-                let mut acc = vec![0u64; u];
-                for &(code, count) in lists[start..end].iter().flatten() {
-                    acc[code as usize] += u64::from(count);
-                }
-                acc
-            }
-        }
-    }
-}
-
-/// Adds one to `counts[code]` for every code of a page.
-fn tally<R: CodeRepr>(codes: &[R], counts: &mut [u32]) {
-    for &c in codes {
-        counts[c.widen() as usize] += 1;
+    /// Exact per-code counts over every page (`support` entries).
+    pub fn totals(&self) -> &[u64] {
+        &self.totals
     }
 }
 
 /// Incremental [`ColumnSketch`] construction, one page at a time.
 ///
-/// The out-of-core sketch rebuild drives this from the pager, reading
-/// each page in place; [`ColumnSketch::build_from_pages`] is a
-/// convenience wrapper over it for pages already on the heap.
+/// A column read hands the builder a page's codes, in as many slices as
+/// it likes; [`ColumnSketchBuilder::end_page`] then appends the page's
+/// histogram. Pages must arrive in order, each the positions its
+/// column's [`PageGrid`] puts on it.
 #[derive(Debug)]
 pub struct ColumnSketchBuilder {
     counts: Vec<u32>,
@@ -212,44 +158,30 @@ impl ColumnSketchBuilder {
 
     fn with_kind(support: u32, kind: SketchKind) -> Self {
         let pages = match kind {
-            SketchKind::Compact => Pages::Cumulative(vec![0; support as usize]),
+            SketchKind::Compact => Pages::Dense(Vec::new()),
             SketchKind::Sparse => Pages::Lists(Vec::new()),
         };
+        let totals = vec![0; support as usize];
         Self {
             counts: vec![0u32; support as usize],
-            sketch: ColumnSketch { support, num_pages: 0, pages },
+            sketch: ColumnSketch { support, num_pages: 0, pages, totals },
         }
     }
 
-    /// Appends the histogram for the next page: `tally` gets the
-    /// per-code table (one zeroed entry per code of the support) and
-    /// adds one to a code's entry for each row of the page holding it —
-    /// however the caller's storage wants to be walked. Pages must arrive
-    /// in order, each the positions its column's [`PageGrid`] puts on it.
-    pub fn push_page(&mut self, tally: impl FnOnce(&mut [u32])) {
-        self.counts.fill(0);
-        tally(&mut self.counts);
+    /// Appends the histogram of the codes visited since the last page.
+    pub fn end_page(&mut self) {
+        let nonzero = self.counts.iter().enumerate().filter(|&(_, &v)| v > 0);
         match &mut self.sketch.pages {
-            Pages::Cumulative(_) => self.push_counts(),
-            Pages::Lists(_) => {
-                let nonzero = self.counts.iter().enumerate().filter(|&(_, &v)| v > 0);
-                self.push_list(nonzero.map(|(code, &v)| (code as u32, v)).collect())
+            Pages::Dense(pages) => {
+                pages.extend_from_slice(&self.counts);
+                for (code, &count) in nonzero {
+                    self.sketch.totals[code] += u64::from(count);
+                }
+                self.sketch.num_pages += 1;
             }
+            Pages::Lists(_) => self.push_list(nonzero.map(|(code, &v)| (code as u32, v)).collect()),
         }
-    }
-
-    /// Appends a compact page whose histogram is in `self.counts`: the
-    /// next cumulative row is the last one plus this page.
-    fn push_counts(&mut self) {
-        let Pages::Cumulative(prefix) = &mut self.sketch.pages else {
-            unreachable!("compact pages are pushed onto a compact sketch")
-        };
-        let last = prefix.len() - self.counts.len();
-        prefix.extend_from_within(last..);
-        for (through, &count) in prefix[last + self.counts.len()..].iter_mut().zip(&self.counts) {
-            *through += u64::from(count);
-        }
-        self.sketch.num_pages += 1;
+        self.counts.fill(0);
     }
 
     /// Appends a sparse page's sorted nonzero `(code, count)` entries.
@@ -257,6 +189,9 @@ impl ColumnSketchBuilder {
         let Pages::Lists(lists) = &mut self.sketch.pages else {
             unreachable!("sparse pages are pushed onto a sparse sketch")
         };
+        for &(code, count) in &entries {
+            self.sketch.totals[code as usize] += u64::from(count);
+        }
         lists.push(entries);
         self.sketch.num_pages += 1;
     }
@@ -264,6 +199,15 @@ impl ColumnSketchBuilder {
     /// Finishes the sketch.
     pub fn finish(self) -> ColumnSketch {
         self.sketch
+    }
+}
+
+/// Tallies the codes of the page being read.
+impl CodeVisitor for ColumnSketchBuilder {
+    fn codes<R: CodeRepr>(&mut self, codes: &[R]) {
+        for &c in codes {
+            self.counts[c.widen() as usize] += 1;
+        }
     }
 }
 
@@ -281,13 +225,6 @@ impl DatasetSketch {
     pub fn new(grid: PageGrid, columns: Vec<ColumnSketch>) -> Self {
         debug_assert!(columns.iter().all(|c| c.num_pages() == grid.count()));
         Self { grid, columns }
-    }
-
-    /// Builds sketches for an iterator of packed columns, stored on the
-    /// pages `grid` cuts.
-    pub fn build<'a>(grid: PageGrid, columns: impl IntoIterator<Item = &'a PackedColumn>) -> Self {
-        let columns = columns.into_iter().map(|c| ColumnSketch::build(c, grid.lead())).collect();
-        Self::new(grid, columns)
     }
 
     /// Number of rows the sketch covers.
@@ -321,7 +258,7 @@ impl DatasetSketch {
         for col in &self.columns {
             len += 4 + 1 + 4; // support, kind, page_count
             len += match &col.pages {
-                Pages::Cumulative(_) => col.num_pages * col.support as usize * 4,
+                Pages::Dense(counts) => counts.len() * 4,
                 Pages::Lists(lists) => lists.iter().map(|e| 4 + e.len() * 8).sum(),
             };
         }
@@ -343,13 +280,8 @@ impl DatasetSketch {
             out.push(col.kind().tag());
             out.extend_from_slice(&(col.num_pages as u32).to_le_bytes());
             match &col.pages {
-                // A page's counts are the difference of the cumulative
-                // rows either side of it (≤ PAGE_ROWS, so they fit).
-                Pages::Cumulative(prefix) => {
-                    let u = col.support as usize;
-                    for (before, through) in prefix.iter().zip(&prefix[u..]) {
-                        out.extend_from_slice(&((through - before) as u32).to_le_bytes());
-                    }
+                Pages::Dense(counts) => {
+                    counts.iter().for_each(|count| out.extend_from_slice(&count.to_le_bytes()))
                 }
                 Pages::Lists(lists) => {
                     for entries in lists {
@@ -426,8 +358,9 @@ impl DatasetSketch {
                         for (count, c) in column.counts.iter_mut().zip(raw.chunks_exact(4)) {
                             *count = u32::from_le_bytes(c.try_into().expect("4 bytes"));
                         }
-                        column.push_counts();
-                        column.counts.iter().map(|&v| u64::from(v)).sum()
+                        let rows = column.counts.iter().map(|&v| u64::from(v)).sum();
+                        column.end_page();
+                        rows
                     }
                     SketchKind::Sparse => {
                         let entry_count = r.u32().map_err(truncated)? as usize;
@@ -470,86 +403,84 @@ impl DatasetSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swope_store::Width;
+    use swope_store::{for_packed, PackedCodes, Width};
 
-    fn packed(codes: Vec<u32>, support: u32) -> PackedColumn {
-        PackedColumn::new(codes, support).unwrap()
+    /// The sketch of `codes` on the pages of a grid that leads with
+    /// `lead` positions, each page visited whole.
+    fn sketch(codes: &[u32], support: u32, lead: usize) -> ColumnSketch {
+        let grid = PageGrid::new(codes.len(), lead);
+        let mut b = ColumnSketchBuilder::new(support);
+        for page in 0..grid.count() {
+            b.codes(&codes[grid.span(page)]);
+            b.end_page();
+        }
+        b.finish()
+    }
+
+    /// The sketch of columns of `(codes, support)` on whole pages.
+    fn dataset(rows: usize, columns: &[(Vec<u32>, u32)]) -> DatasetSketch {
+        let columns = columns.iter().map(|(codes, support)| sketch(codes, *support, 0)).collect();
+        DatasetSketch::new(PageGrid::whole(rows), columns)
     }
 
     #[test]
     fn kind_follows_support() {
-        let small = ColumnSketch::build(&packed(vec![0, 1, 2], 3), 0);
+        let small = sketch(&[0, 1, 2], 3, 0);
         assert_eq!(small.kind(), SketchKind::Compact);
-        let wide = ColumnSketch::build(&packed(vec![0, 300], 500), 0);
+        let wide = sketch(&[0, 300], 500, 0);
         assert_eq!(wide.kind(), SketchKind::Sparse);
     }
 
     #[test]
     fn page_counts_are_exact() {
-        // Two full pages plus a partial third.
+        // Two full pages plus a partial third, a compact and a sparse
+        // column.
         let n = 2 * PAGE_ROWS + 100;
-        let codes: Vec<u32> = (0..n as u32).map(|i| i % 5).collect();
-        let sk = ColumnSketch::build(&packed(codes.clone(), 5), 0);
-        assert_eq!(sk.num_pages(), 3);
-        for page in 0..3 {
-            let lo = page * PAGE_ROWS;
-            let hi = ((page + 1) * PAGE_ROWS).min(n);
-            for code in 0..5u32 {
-                let expect = codes[lo..hi].iter().filter(|&&c| c == code).count() as u64;
-                assert_eq!(sk.page_count(page, code), expect, "page {page} code {code}");
-            }
-        }
-        // Range sums.
-        let all = sk.range_counts(0..3);
-        for code in 0..5u32 {
-            let expect = codes.iter().filter(|&&c| c == code).count() as u64;
-            assert_eq!(all[code as usize], expect);
-        }
-    }
-
-    #[test]
-    fn range_counts_equal_the_page_by_page_sum_for_every_range() {
-        // Five pages (the last partial), one compact and one sparse
-        // column: a range's counts, read as a difference of cumulative
-        // rows or summed from lists, are the per-page counts added up.
-        let n = 4 * PAGE_ROWS + 4321;
-        for support in [7u32, 256, 700] {
-            let codes = (0..n as u32).map(|i| (i / 3).wrapping_mul(2654435761) % support);
-            let sk = ColumnSketch::build(&packed(codes.collect(), support), 0);
-            assert_eq!(sk.num_pages(), 5);
-            for first in 0..=5 {
-                for last in first..=5 {
-                    let summed: Vec<u64> = (0..support)
-                        .map(|code| (first..last).map(|p| sk.page_count(p, code)).sum())
-                        .collect();
-                    assert_eq!(sk.range_counts(first..last), summed, "{support}: {first}..{last}");
+        for support in [5u32, 700] {
+            let codes: Vec<u32> = (0..n as u32).map(|i| i % support).collect();
+            let sk = sketch(&codes, support, 0);
+            assert_eq!(sk.num_pages(), 3);
+            for page in 0..3 {
+                let lo = page * PAGE_ROWS;
+                let hi = ((page + 1) * PAGE_ROWS).min(n);
+                for code in [0, 1, 4, support - 1] {
+                    let expect = codes[lo..hi].iter().filter(|&&c| c == code).count() as u64;
+                    assert_eq!(sk.page_count(page, code), expect, "page {page} code {code}");
                 }
             }
-            assert_eq!(sk.range_counts(3..9), sk.range_counts(3..5), "clamped to the pages held");
-            assert_eq!(sk.page_count(5, 0) + sk.page_count(0, support), 0);
+            assert_eq!(sk.page_count(3, 0) + sk.page_count(0, support), 0, "out of range");
+            // The totals are every page's counts added up.
+            let mut totals = vec![0u64; support as usize];
+            codes.iter().for_each(|&c| totals[c as usize] += 1);
+            assert_eq!(sk.totals(), totals, "support {support}");
         }
     }
 
     #[test]
-    fn build_from_pages_matches_whole_column_build() {
-        use swope_store::PackedCodes;
+    fn a_page_visited_in_blocks_sketches_like_one_visited_whole() {
+        // A paged column's read hands a wide page over in blocks: the
+        // page's histogram must not depend on where they split.
         let n = 2 * PAGE_ROWS + 321;
         let codes: Vec<u32> = (0..n as u32).map(|i| (i * 17) % 900).collect();
-        let whole = ColumnSketch::build(&packed(codes.clone(), 900), 0);
-        let pages: Vec<PackedCodes> =
-            codes.chunks(PAGE_ROWS).map(|chunk| PackedCodes::pack(chunk, Width::U16)).collect();
-        let paged = ColumnSketch::build_from_pages(900, pages.iter());
-        assert_eq!(paged, whole);
+        let whole = sketch(&codes, 900, 0);
+        let grid = PageGrid::whole(n);
+        let mut b = ColumnSketchBuilder::new(900);
+        for page in 0..grid.count() {
+            codes[grid.span(page)].chunks(8192).for_each(|block| b.codes(block));
+            b.end_page();
+        }
+        assert_eq!(b.finish(), whole);
     }
 
     #[test]
     fn sketch_is_width_invariant() {
         let codes: Vec<u32> = (0..1000u32).map(|i| (i * 31) % 200).collect();
-        let base = packed(codes, 200);
-        let a = ColumnSketch::build(&base, 0);
-        for w in [Width::U16, Width::U32] {
-            let b = ColumnSketch::build(&base.repacked(w).unwrap(), 0);
-            assert_eq!(a, b, "width {w}");
+        let a = sketch(&codes, 200, 0);
+        for w in [Width::U8, Width::U16, Width::U32] {
+            let mut b = ColumnSketchBuilder::new(200);
+            for_packed!(&PackedCodes::pack(&codes, w), |packed| b.codes(packed));
+            b.end_page();
+            assert_eq!(a, b.finish(), "width {w}");
         }
     }
 
@@ -558,8 +489,7 @@ mod tests {
         let n = PAGE_ROWS + 77;
         let c0: Vec<u32> = (0..n as u32).map(|i| i % 7).collect();
         let c1: Vec<u32> = (0..n as u32).map(|i| (i * 13) % 1000).collect();
-        let cols = [packed(c0, 7), packed(c1, 1000)];
-        let sk = DatasetSketch::build(PageGrid::whole(n), cols.iter());
+        let sk = dataset(n, &[(c0, 7), (c1, 1000)]);
         assert_eq!(sk.column(0).unwrap().kind(), SketchKind::Compact);
         assert_eq!(sk.column(1).unwrap().kind(), SketchKind::Sparse);
         let bytes = sk.encode();
@@ -574,10 +504,9 @@ mod tests {
     fn a_leading_grid_sketches_the_tables_pages() {
         let (n, lead) = (PAGE_ROWS + 77, 30_000);
         let codes: Vec<u32> = (0..n as u32).map(|i| u32::from(i >= 1_000)).collect();
-        let cols = [packed(codes, 2), packed((0..n as u32).map(|i| i % 300).collect(), 300)];
+        let wide: Vec<u32> = (0..n as u32).map(|i| i % 300).collect();
         let grid = PageGrid::new(n, lead);
-        let sk =
-            DatasetSketch::new(grid, cols.iter().map(|c| ColumnSketch::build(c, lead)).collect());
+        let sk = DatasetSketch::new(grid, vec![sketch(&codes, 2, lead), sketch(&wide, 300, lead)]);
         assert_eq!((sk.num_pages(), sk.grid()), (2, grid));
         assert_eq!(sk.column(0).unwrap().page_count(0, 1), (PAGE_ROWS - lead - 1_000) as u64);
         assert_eq!(sk.column(0).unwrap().page_count(1, 1), (n - (PAGE_ROWS - lead)) as u64);
@@ -589,7 +518,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_roundtrips() {
-        let sk = DatasetSketch::build(PageGrid::whole(0), std::iter::empty());
+        let sk = dataset(0, &[]);
         let back = DatasetSketch::decode(&sk.encode(), 0).unwrap();
         assert_eq!(back.num_rows(), 0);
         assert_eq!(back.num_pages(), 0);
@@ -598,7 +527,7 @@ mod tests {
     #[test]
     fn truncation_at_every_prefix_errors_cleanly() {
         let codes: Vec<u32> = (0..300u32).map(|i| i % 9).collect();
-        let sk = DatasetSketch::build(PageGrid::whole(300), [packed(codes, 9)].iter());
+        let sk = dataset(300, &[(codes, 9)]);
         let bytes = sk.encode();
         for len in 0..bytes.len() {
             let r = DatasetSketch::decode(&bytes[..len], 0);
@@ -609,7 +538,7 @@ mod tests {
     #[test]
     fn single_byte_corruption_never_decodes_silently() {
         let codes: Vec<u32> = (0..500u32).map(|i| (i * 3) % 400).collect();
-        let sk = DatasetSketch::build(PageGrid::whole(500), [packed(codes, 400)].iter());
+        let sk = dataset(500, &[(codes, 400)]);
         let bytes = sk.encode();
         for pos in 0..bytes.len() {
             let mut bad = bytes.clone();
@@ -624,7 +553,7 @@ mod tests {
 
     #[test]
     fn crc_guards_payload() {
-        let sk = DatasetSketch::build(PageGrid::whole(10), [packed(vec![0; 10], 2)].iter());
+        let sk = dataset(10, &[(vec![0; 10], 2)]);
         let mut bytes = sk.encode();
         let last = bytes.len() - 5;
         bytes[last] ^= 1;

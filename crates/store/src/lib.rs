@@ -17,6 +17,8 @@
 //! * [`CodeRepr`] — the per-width element trait the hot loops
 //!   monomorphize over: one `match` per ingest call, zero per-row
 //!   branching, widening to [`Code`] (`u32`) only at counter update.
+//! * [`CodeVisitor`] — what a column read hands its codes to, a slice at
+//!   a time at the column's width, wherever the column lives.
 //! * [`PackedCodes`] / [`PackedColumn`] — the width-tagged code vector
 //!   and the validated column (`code < support`) built on it.
 //! * [`CodeBuf`] — a width-tagged scratch vector for gather staging, so
@@ -48,7 +50,7 @@ mod width;
 pub use error::StoreError;
 pub use packed::{gather, CodeBuf, PackedCodes, PackedColumn};
 pub use reader::{ByteReader, ReadError};
-pub use width::{CodeRepr, Width};
+pub use width::{CodeRepr, CodeVisitor, Width, BLOCK_ROWS};
 
 /// A dictionary-encoded attribute value, widened for arithmetic.
 /// Always in `0..support`.

@@ -71,12 +71,6 @@ impl PackedCodes {
         for_packed!(self, |codes| out.extend(codes.iter().map(|&c| c.widen())));
         out
     }
-
-    /// Appends the little-endian bytes of the `rows` codes starting at
-    /// `start`, in stored order, to `out` (the page writer's copy step).
-    pub(crate) fn extend_le_range(&self, start: usize, rows: usize, out: &mut Vec<u8>) {
-        for_packed!(self, |codes| CodeRepr::extend_le_bytes(&codes[start..start + rows], out));
-    }
 }
 
 /// Gathers `codes[r]` for each row in `rows` into `buf` (cleared first),

@@ -26,7 +26,7 @@ use std::io::{self, Write};
 use std::ops::Range;
 
 use crate::crc32::crc32;
-use crate::{CodeRepr, PackedCodes, StoreError, Width};
+use crate::{for_packed, CodeRepr, PackedCodes, StoreError, Width};
 
 /// Rows per full page: 64Ki rows is 64 KiB at `u8` and 256 KiB at
 /// `u32` — big enough that the per-page 8-byte header and CRC pass are
@@ -124,22 +124,28 @@ pub fn encoded_len(grid: PageGrid, width: Width) -> usize {
     STREAM_HEADER_BYTES + grid.count() * PAGE_HEADER_BYTES + grid.rows() * width.bytes()
 }
 
-/// Streams `codes` as a paged payload on `grid` to `w`, each page's
-/// codes in stored order, reusing one page-sized scratch buffer; emits
-/// exactly [`encoded_len`] bytes.
+/// Streams a paged payload of `grid`'s positions at `width` to `w`,
+/// reusing one page-sized scratch buffer: `fill(span, payload)` appends
+/// the little-endian codes at positions `span`, one page at a time, in
+/// order. Emits exactly [`encoded_len`] bytes.
 ///
 /// # Panics
 ///
-/// If `grid` does not hold one position per code.
-pub fn write_pages<W: Write>(codes: &PackedCodes, grid: PageGrid, w: &mut W) -> io::Result<()> {
-    assert_eq!(grid.rows(), codes.len(), "one position per code");
+/// If `fill` appends other than one code of `width` per position.
+pub fn write_pages<W: Write>(
+    grid: PageGrid,
+    width: Width,
+    w: &mut W,
+    mut fill: impl FnMut(Range<usize>, &mut Vec<u8>),
+) -> io::Result<()> {
     w.write_all(&(PAGE_ROWS as u32).to_le_bytes())?;
     w.write_all(&(grid.count() as u32).to_le_bytes())?;
-    let mut payload = Vec::with_capacity(PAGE_ROWS.min(grid.rows()) * codes.width().bytes());
+    let mut payload = Vec::with_capacity(PAGE_ROWS.min(grid.rows()) * width.bytes());
     for page in 0..grid.count() {
         let span = grid.span(page);
         payload.clear();
-        codes.extend_le_range(span.start, span.len(), &mut payload);
+        fill(span.clone(), &mut payload);
+        assert_eq!(payload.len(), span.len() * width.bytes(), "page {page}: one code a position");
         w.write_all(&(span.len() as u32).to_le_bytes())?;
         w.write_all(&crc32(&payload).to_le_bytes())?;
         w.write_all(&payload)?;
@@ -148,9 +154,17 @@ pub fn write_pages<W: Write>(codes: &PackedCodes, grid: PageGrid, w: &mut W) -> 
 }
 
 /// Encodes `codes` as a paged payload on `grid` into a fresh buffer.
+///
+/// # Panics
+///
+/// If `grid` does not hold one position per code.
 pub fn encode_pages(codes: &PackedCodes, grid: PageGrid) -> Vec<u8> {
+    assert_eq!(grid.rows(), codes.len(), "one position per code");
     let mut out = Vec::with_capacity(encoded_len(grid, codes.width()));
-    write_pages(codes, grid, &mut out).expect("Vec writes are infallible");
+    write_pages(grid, codes.width(), &mut out, |span, payload| {
+        for_packed!(codes, |codes| CodeRepr::extend_le_bytes(&codes[span], payload))
+    })
+    .expect("Vec writes are infallible");
     out
 }
 

@@ -192,6 +192,23 @@ impl_code_repr!(u8, Width::U8, U8);
 impl_code_repr!(u16, Width::U16, U16);
 impl_code_repr!(u32, Width::U32, U32);
 
+/// What a column read hands its codes to, a slice at a time at the
+/// column's width, in stored order — never where they live.
+pub trait CodeVisitor {
+    /// Visits the next `codes.len()` codes of the read.
+    fn codes<R: CodeRepr>(&mut self, codes: &[R]);
+}
+
+/// Widening append: a read into a `Vec<Code>` collects its codes.
+impl CodeVisitor for Vec<Code> {
+    fn codes<R: CodeRepr>(&mut self, codes: &[R]) {
+        self.extend(codes.iter().map(|&c| c.widen()));
+    }
+}
+
+/// The most codes a staged or decoded block holds (32 KiB at `u32`).
+pub const BLOCK_ROWS: usize = 8192;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -355,8 +355,7 @@ struct Env {
 impl Env {
     fn new(cell: &Cell, ds: Dataset) -> Self {
         let n = ds.num_rows();
-        let packed = (0..ds.num_attrs()).map(|a| ds.column(a).packed());
-        let sketch = cell.sketch.then(|| DatasetSketch::build(ds.layout().grid(), packed));
+        let sketch = cell.sketch.then(|| snapshot::build_sketch(&ds));
         let exact = cell.scopes.iter().map(|s| oracle(&ds, &scoped_rows(&ds, s), cell.target));
         let cache = Arc::new(PageCache::new(Some(2 * P as u64)));
         let paged = cell.also.iter().any(|a| matches!(a, Also::Paged)).then(|| {
