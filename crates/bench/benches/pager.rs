@@ -1,6 +1,6 @@
 //! Pager benchmark: what out-of-core costs and what the budget holds.
 //!
-//! Four questions, one JSON. First, cold fault latency: admitting a
+//! Five questions, one JSON. First, cold fault latency: admitting a
 //! 64Ki-row page of the mapped snapshot on its first touch (CRC and
 //! support check included), measured both as a scan median and as the
 //! pager's own `fault_nanos / faults` average. Second, residency under a
@@ -8,8 +8,8 @@
 //! repeatedly, and the peak resident gauge must stay at or under the
 //! budget while evictions churn; opening it must not leave the file
 //! resident (`paged_open_rss_delta_bytes`). Third, what the budget costs
-//! a page that comes back: `evict_ns_avg` (the sweep, `madvise`
-//! included) and `refault_ns_avg` (touching a page the sweep released —
+//! a page that comes back: `evict_ns_avg` (the victim search, `madvise`
+//! included) and `refault_ns_avg` (touching a page eviction released —
 //! admission plus the kernel's minor fault). Fourth, the read the
 //! adaptive loops actually do: a page-prefix sample's delta counted from
 //! every column of a warm paged dataset, in place from its pages as the
@@ -17,11 +17,15 @@
 //! snapshot in row order needed — the delta's positions mapped to rows,
 //! grouped by page and gathered a block at a time — rebuilt here. The
 //! two alternate for a fixed number of rounds and the fastest of each is
-//! kept.
+//! kept. Fifth, what the eviction policy saves the adaptive loop: a fixed
+//! list of hot-window and cold range queries run through
+//! `swope_core::run` on one thread over a budgeted snapshot, and the
+//! pages it faults a query (`hotcold_faults_per_query`) — a count, the
+//! same on every machine.
 //! Results persist to `results/BENCH_pager.json`; the CI pager-smoke
 //! step runs this with `SWOPE_MICRO_MS=1` and validates the fields,
-//! the budget invariant and the (machine-independent) count ratio, not
-//! the wall-clock numbers.
+//! the budget invariant, the (machine-independent) count ratio and the
+//! fault count against the recorded one, not the wall-clock numbers.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,6 +34,7 @@ use swope_bench::micro::{black_box, Group};
 use swope_bench::rss_bytes;
 use swope_columnar::{snapshot, stats, Dataset, PageCache, Positions, Residency, PAGE_ROWS};
 use swope_core::{count_candidate, CountScratch, CountState, PairCountState};
+use swope_core::{run, Executor, NoopObserver, Rule, Scope, Shape, SwopeConfig};
 use swope_obs::json::ObjectWriter;
 use swope_sampling::{PageLayout, PageMembers, PagePrefix};
 
@@ -137,6 +142,71 @@ fn bench_count(ds: &Dataset) -> (f64, f64) {
         in_place / 1e3
     );
     (in_place, by_rows)
+}
+
+/// Pages a column of the hot/cold snapshot.
+const HOTCOLD_PAGES: usize = 8;
+
+/// Columns of the hot/cold snapshot, all u8.
+const HOTCOLD_COLS: usize = 16;
+
+/// Queries in the hot/cold list.
+const HOTCOLD_QUERIES: usize = 40;
+
+/// The hot/cold list: three ranges inside a hot window (rows 30–45 % of
+/// the table, which outgrows a quarter-size budget by a little) to one
+/// range of 5–25 % of the rows anywhere, alternating top-k and filter —
+/// `paged_hotcold`'s shape at a size a smoke run affords.
+fn hotcold_queries(rows: usize) -> Vec<(Shape, Scope)> {
+    let (hot_lo, hot_hi) = (rows * 30 / 100, rows * 45 / 100);
+    let span = hot_hi - hot_lo;
+    (0..HOTCOLD_QUERIES)
+        .map(|i| {
+            let (len, start) = match i % 4 {
+                3 => {
+                    let len = rows * (5 + i % 21) / 100;
+                    (len, (rows - len) * (i * 7 % 32) / 32)
+                }
+                _ => {
+                    let len = span * (25 + i * 3 % 76) / 100;
+                    (len, hot_lo + (span - len) * (i * 5 % 32) / 32)
+                }
+            };
+            let rule = match i % 2 {
+                0 => Rule::TopK { k: 1 + i % 10 },
+                _ => Rule::Filter { eta: 1.5 + (i % 9) as f64 / 2.0 },
+            };
+            (Shape::entropy(rule), Scope::range(start, start + len))
+        })
+        .collect()
+}
+
+/// Pages the hot/cold list faults a query on a fresh quarter-size cache,
+/// counted on one thread of its own (a thread keeps its counter, and
+/// with it the order of its next count, from query to query).
+fn hotcold_faults_per_query() -> f64 {
+    let rows = HOTCOLD_PAGES * PAGE_ROWS;
+    let ds = swope_datagen::generate(&swope_datagen::corpus::tiny(rows, HOTCOLD_COLS), 0x7A70);
+    let path =
+        std::env::temp_dir().join(format!("swope-bench-hotcold-{}.swop", std::process::id()));
+    snapshot::write_file(&ds, &path).expect("writing hot/cold snapshot");
+    let budget = stats::bytes_in_memory(&ds) as u64 / 4;
+    let cache = Arc::new(PageCache::new(Some(budget)));
+    let (paged, sketch) = snapshot::open(&path, Residency::Paged(&cache)).unwrap();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for (i, (shape, scope)) in hotcold_queries(rows).iter().enumerate() {
+                let cfg = SwopeConfig::with_epsilon(0.2).with_seed(0x40 + i as u64);
+                let exec = Executor::sequential();
+                run(&paged, shape, scope, sketch.as_ref(), &cfg, &mut NoopObserver, &exec)
+                    .expect("hot/cold query");
+            }
+        });
+    });
+    std::fs::remove_file(&path).ok();
+    let faults = cache.snapshot().faults as f64 / HOTCOLD_QUERIES as f64;
+    println!("pager/hotcold_faults_per_query  {faults:.3}  ({HOTCOLD_QUERIES} queries)");
+    faults
 }
 
 /// Growth of this process's RSS since `before`, in bytes; `-1` where
@@ -252,6 +322,8 @@ fn main() {
     let refault_ns_avg = round_ns / pages as f64;
     drop(paged_r);
 
+    let hotcold_faults = hotcold_faults_per_query();
+
     let mut w = ObjectWriter::new();
     w.str_field("bench", "pager")
         .usize_field("rows", ROWS)
@@ -278,7 +350,9 @@ fn main() {
         .u64_field("resident_bytes", snap.resident_bytes)
         .f64_field("paged_open_rss_delta_bytes", open_rss_delta)
         .f64_field("paged_cold_rss_delta_bytes", paged_rss_delta)
-        .f64_field("heap_load_rss_delta_bytes", heap_rss_delta);
+        .f64_field("heap_load_rss_delta_bytes", heap_rss_delta)
+        .usize_field("hotcold_queries", HOTCOLD_QUERIES)
+        .f64_field("hotcold_faults_per_query", hotcold_faults);
     let json = w.finish();
 
     std::fs::remove_file(&path).ok();

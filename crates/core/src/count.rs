@@ -577,7 +577,8 @@ impl CountScratch {
 
     /// Element capacity of the largest block buffer (each must stay
     /// block-sized however large a delta grows).
-    pub fn block_capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn block_capacity(&self) -> usize {
         self.bufs.iter().map(CodeBuf::capacity).max().unwrap_or(0)
     }
 

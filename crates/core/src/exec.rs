@@ -393,9 +393,11 @@ impl Executor {
     }
 
     /// Applies `f` to every `(a[i], b[i])` pair exactly once; the slices
-    /// must have equal lengths. Used to pair each candidate state with
-    /// its private gather buffer in the staged ingest path.
-    pub fn for_each2<A, B, F>(&self, a: &mut [A], b: &mut [B], f: F)
+    /// must have equal lengths. Pairs are started in index order, or last
+    /// to first when `backward` — on one thread that is the order they
+    /// run in. Used to pair each candidate's count slot with its
+    /// histogram.
+    pub fn for_each2<A, B, F>(&self, a: &mut [A], b: &mut [B], backward: bool, f: F)
     where
         A: Send,
         B: Send,
@@ -408,9 +410,11 @@ impl Executor {
                 let start_ns = self.trace.as_ref().map(|t| t.sink.now_ns());
                 let pa = SendPtr(a.as_mut_ptr());
                 let pb = SendPtr(b.as_mut_ptr());
-                pool.dispatch(len, |i| {
+                pool.dispatch(len, |claim| {
+                    let i = if backward { len - 1 - claim } else { claim };
                     // SAFETY: as in `for_each_mut`; the two slices are
-                    // distinct borrows, so pair `i` is touched once.
+                    // distinct borrows, and claims map one to one onto
+                    // indices, so pair `i` is touched once.
                     f(unsafe { &mut *pa.get().add(i) }, unsafe { &mut *pb.get().add(i) });
                 });
                 if let (Some(t), Some(start)) = (&self.trace, start_ns) {
@@ -419,8 +423,10 @@ impl Executor {
                 return;
             }
         }
-        for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-            f(x, y);
+        let pairs = a.iter_mut().zip(b.iter_mut());
+        match backward {
+            false => pairs.for_each(|(x, y)| f(x, y)),
+            true => pairs.rev().for_each(|(x, y)| f(x, y)),
         }
     }
 }
@@ -534,26 +540,35 @@ mod tests {
 
     #[test]
     fn for_each2_pairs_by_index() {
-        for threads in [1usize, 4] {
+        for (threads, backward) in [(1usize, false), (1, true), (4, false), (4, true)] {
             let exec = Executor::new(threads);
             let mut a: Vec<u64> = (0..300).collect();
             let mut b: Vec<u64> = (0..300).map(|i| i * 2).collect();
-            exec.for_each2(&mut a, &mut b, |x, y| {
+            exec.for_each2(&mut a, &mut b, backward, |x, y| {
                 *y += *x;
                 *x = 0;
             });
             assert!(a.iter().all(|&x| x == 0));
             for (i, &v) in b.iter().enumerate() {
-                assert_eq!(v, i as u64 * 3, "threads = {threads}");
+                assert_eq!(v, i as u64 * 3, "threads = {threads}, backward = {backward}");
             }
         }
+    }
+
+    #[test]
+    fn for_each2_backward_runs_last_to_first_on_one_thread() {
+        let exec = Executor::sequential();
+        let seen = Mutex::new(Vec::new());
+        let (mut a, mut b) = ([0, 1, 2], [(); 3]);
+        exec.for_each2(&mut a, &mut b, true, |x, _| seen.lock().unwrap().push(*x));
+        assert_eq!(seen.into_inner().unwrap(), [2, 1, 0]);
     }
 
     #[test]
     #[should_panic(expected = "equal lengths")]
     fn for_each2_rejects_mismatched_lengths() {
         let exec = Executor::sequential();
-        exec.for_each2(&mut [1], &mut [1, 2], |_: &mut i32, _: &mut i32| {});
+        exec.for_each2(&mut [1], &mut [1, 2], false, |_: &mut i32, _: &mut i32| {});
     }
 
     #[test]

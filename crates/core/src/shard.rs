@@ -366,6 +366,8 @@ pub struct Counter {
     slots: Vec<Slot>,
     /// Emptied histograms handed back by [`Counter::park`].
     shelf: Shelf,
+    /// Whether the next call counts its candidates last to first.
+    backward: bool,
 }
 
 /// What one candidate's count uses besides its histogram and the
@@ -430,6 +432,13 @@ impl Counter {
     /// target's codes, which every candidate pairs against; then fans the
     /// live candidates out on `exec`, one slot each.
     ///
+    /// Every other call starts the candidates last to first. A doubling
+    /// reads the same columns' pages as the one before it, so under a
+    /// page budget each count then begins on the pages the last one
+    /// touched last — the ones a least-recently-touched cache still
+    /// holds. Each candidate's counts are its own, so the order moves no
+    /// answer.
+    ///
     /// # Panics
     ///
     /// If a position or an attribute is out of `dataset`'s range.
@@ -458,7 +467,8 @@ impl Counter {
         exec: &Executor,
     ) {
         debug_assert!(marginals || req.target.is_some(), "an entropy count is all marginals");
-        let Self { target, slots, shelf } = self;
+        let Self { target, slots, shelf, backward } = self;
+        let reversed = std::mem::replace(backward, !*backward);
         shelf.shape(req, |a| dataset.support(a), counts);
         if slots.len() < req.live.len() {
             slots.resize_with(req.live.len(), Slot::default);
@@ -477,7 +487,7 @@ impl Counter {
             }
         }
         let paired = req.target.map(|_| target.target());
-        exec.for_each2(slots, &mut counts.attrs, |slot, out| {
+        exec.for_each2(slots, &mut counts.attrs, reversed, |slot, out| {
             let (column, joint) = (dataset.column(slot.attr), &mut slot.joint);
             CountScratch::with_thread(|scratch| match paired {
                 Some(paired) if !marginals => count_joint(column, rows, paired, joint, scratch),

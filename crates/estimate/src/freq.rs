@@ -268,9 +268,10 @@ impl PairCounter {
         }
     }
 
-    /// Forces the sparse representation regardless of key-space size
-    /// (the tests use it to reach the sparse arm with small supports).
-    pub fn new_sparse() -> Self {
+    /// Forces the sparse representation regardless of key-space size, to
+    /// reach the sparse arm with small supports.
+    #[cfg(test)]
+    fn new_sparse() -> Self {
         Self::Sparse { map: FxPairMap::with_expected(1024), total: 0 }
     }
 

@@ -204,12 +204,13 @@ pub const PAGER_FAULTS_TOTAL: &str = "swope_pager_faults_total";
 /// admission forces is `swope_pager_evict_seconds_total`.
 pub const PAGER_FAULT_SECONDS_TOTAL: &str = "swope_pager_fault_seconds_total";
 
-/// Counter: seconds the CLOCK hand spent walking the ring and releasing
-/// pages to the OS.
+/// Counter: seconds the page cache spent finding its least recently
+/// touched pages and releasing them to the OS.
 pub const PAGER_EVICT_SECONDS_TOTAL: &str = "swope_pager_evict_seconds_total";
 
-/// Counter: pages released by the CLOCK sweep to honour the byte budget
-/// (`--store-budget-bytes`). Zero on an unbounded cache.
+/// Counter: pages evicted, least recently touched first, and released to
+/// honour the byte budget (`--store-budget-bytes`). Zero on an unbounded
+/// cache.
 pub const PAGER_EVICTIONS_TOTAL: &str = "swope_pager_evictions_total";
 
 /// Counter: per-page CRC validations performed — exactly one per page

@@ -24,7 +24,7 @@
 
 use std::iter;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -32,7 +32,7 @@ use swope_store::page::{self, read_u32, PageGrid, PAGE_HEADER_BYTES};
 use swope_store::{crc32::crc32, for_buf, gather_stats, Code, CodeBuf, CodeRepr, CodeVisitor};
 use swope_store::{StoreError, Width, BLOCK_ROWS};
 
-use crate::cache::{PageCache, REFERENCED, RESIDENT, VALIDATED};
+use crate::cache::{PageCache, RESIDENT, VALIDATED};
 use crate::mapping::Mapping;
 
 /// One page's codes, borrowed in place from the mapping: the page's
@@ -123,9 +123,9 @@ fn le_bytes<const W: usize>(bytes: &[u8]) -> [u8; W] {
 /// A read-only column whose pages are read in place from a [`Mapping`]
 /// and accounted resident in a shared [`PageCache`] on demand.
 pub struct PagedColumn {
-    /// This column, for the cache's clock ring: to evict a page the hand
-    /// must reach its state and byte range, without keeping an unloaded
-    /// dataset's mapping alive.
+    /// This column, for the cache's eviction heap: to evict a page the
+    /// cache must reach its state and byte range, without keeping an
+    /// unloaded dataset's mapping alive.
     me: Weak<PagedColumn>,
     mapping: Arc<dyn Mapping>,
     cache: Arc<PageCache>,
@@ -135,8 +135,11 @@ pub struct PagedColumn {
     support: u32,
     /// Which positions each page holds.
     grid: PageGrid,
-    /// Per page: the `cache::{VALIDATED, RESIDENT, REFERENCED, ..}` bits.
+    /// Per page: the `cache::{VALIDATED, RESIDENT}` bits.
     flags: Vec<AtomicU8>,
+    /// Per page: the cache's tick at its last touch. Empty on an
+    /// unbounded cache, which never asks.
+    stamps: Vec<AtomicU64>,
 }
 
 impl Drop for PagedColumn {
@@ -184,6 +187,8 @@ impl PagedColumn {
             .get(payload.clone())
             .ok_or_else(|| StoreError::Corrupt("column payload out of file bounds".into()))?;
         let page_count = page::check_stream(stream, grid, width)?;
+        let budgeted = cache.budget_bytes().is_some();
+        let stamped = if budgeted { page_count } else { 0 };
         let column = Arc::new_cyclic(|me| Self {
             me: me.clone(),
             mapping,
@@ -193,14 +198,15 @@ impl PagedColumn {
             support,
             grid,
             flags: (0..page_count).map(|_| AtomicU8::new(0)).collect(),
+            stamps: (0..stamped).map(|_| AtomicU64::new(0)).collect(),
         });
-        if column.cache.budget_bytes().is_some() {
+        if budgeted {
             column.mapping.release(payload);
         }
         Ok(column)
     }
 
-    /// This column as the clock ring holds it.
+    /// This column as the eviction heap holds it.
     pub(crate) fn weak(&self) -> Weak<PagedColumn> {
         self.me.clone()
     }
@@ -208,6 +214,11 @@ impl PagedColumn {
     /// The state bits of `page`.
     pub(crate) fn flags(&self, page: usize) -> &AtomicU8 {
         &self.flags[page]
+    }
+
+    /// The tick of `page`'s last touch. Budgeted caches only.
+    pub(crate) fn stamp(&self, page: usize) -> &AtomicU64 {
+        &self.stamps[page]
     }
 
     fn header_offset(&self, page: usize) -> usize {
@@ -277,19 +288,16 @@ impl PagedColumn {
 
     /// The codes of page `index`, in place. A cold page is admitted to
     /// the cache first (and, on its first touch ever, CRC- and
-    /// support-checked); a resident one costs a flag load. The view
+    /// support-checked); a resident one costs a flag load, and on a
+    /// budgeted cache a stamp of the touch — no lock either way. The view
     /// borrows the mapping, not the cache: it stays valid, and keeps
     /// reading the same codes, even if the page is evicted meanwhile.
     pub fn page(&self, index: usize) -> Result<PageView<'_>, StoreError> {
-        const HOT: u8 = RESIDENT | REFERENCED;
-        let flags = &self.flags[index];
-        let seen = flags.load(Ordering::Relaxed);
-        if seen & HOT != HOT {
-            if seen & RESIDENT == 0 {
-                self.fault(index, seen)?;
-            } else {
-                flags.fetch_or(REFERENCED, Ordering::Relaxed);
-            }
+        let seen = self.flags[index].load(Ordering::Relaxed);
+        if seen & RESIDENT == 0 {
+            self.fault(index, seen)?;
+        } else if let Some(stamp) = self.stamps.get(index) {
+            self.cache.touch(stamp);
         }
         let payload = &self.mapping.bytes()[self.payload_range(index)];
         Ok(PageView { payload, width: self.width })
@@ -468,16 +476,16 @@ pub(crate) mod tests {
     use swope_store::page::{encode_pages, PAGE_ROWS, STREAM_HEADER_BYTES};
     use swope_store::PackedCodes;
 
-    /// A heap-backed mapping that logs the length of every range it is
-    /// asked to release.
+    /// A heap-backed mapping that logs every range it is asked to
+    /// release.
     pub(crate) struct CountingMapping {
         bytes: Vec<u8>,
-        released: Mutex<Vec<usize>>,
+        released: Mutex<Vec<Range<usize>>>,
     }
 
     impl CountingMapping {
-        /// The lengths released since the last call.
-        pub(crate) fn released(&self) -> Vec<usize> {
+        /// The ranges released since the last call, in order.
+        pub(crate) fn released(&self) -> Vec<Range<usize>> {
             std::mem::take(&mut *self.released.lock().unwrap())
         }
     }
@@ -490,7 +498,7 @@ pub(crate) mod tests {
             "read"
         }
         fn release(&self, range: Range<usize>) {
-            self.released.lock().unwrap().push(range.len());
+            self.released.lock().unwrap().push(range);
         }
     }
 
@@ -652,10 +660,10 @@ pub(crate) mod tests {
         let rows = 2 * PAGE_ROWS;
         let (bytes, _) = column_bytes(rows, 100);
         let len = bytes.len();
-        for (budget, want) in [(Some(1 << 20), vec![len]), (None, vec![])] {
+        for (budget, want) in [(Some(1 << 20), Some(0..len)), (None, None)] {
             let cache = Arc::new(PageCache::new(budget));
             let (col, mapping) = open_on(bytes.clone(), rows, 100, cache).unwrap();
-            assert_eq!(mapping.released(), want, "budget {budget:?}");
+            assert_eq!(mapping.released(), Vec::from_iter(want), "budget {budget:?}");
             assert_eq!(col.resident_bytes(), 0);
         }
     }

@@ -21,8 +21,8 @@
 //!   borrowed [`PageView`] — no decoded copy of any page anywhere. A v3
 //!   page holds its codes in layout slot order, so the column is indexed
 //!   by the positions a sample draws, as a heap column is.
-//! * [`cache`] — [`PageCache`]: which pages count as resident, CLOCK
-//!   second-chance eviction over them against a configurable byte
+//! * [`cache`] — [`PageCache`]: which pages count as resident, eviction
+//!   of the least recently touched one against a configurable byte
 //!   budget (`--store-budget-bytes`), and the release of every evicted
 //!   page's bytes — so the budget bounds the snapshots' share of the
 //!   process's resident set.

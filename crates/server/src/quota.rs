@@ -81,7 +81,8 @@ impl TenantQuotas {
     }
 
     /// Number of distinct tenant buckets currently tracked.
-    pub fn tenant_count(&self) -> usize {
+    #[cfg(test)]
+    fn tenant_count(&self) -> usize {
         self.buckets.lock().expect("quota lock").len()
     }
 }

@@ -167,8 +167,8 @@ pub struct ServerConfig {
     /// loading every column eagerly.
     pub mmap: bool,
     /// Byte budget for the page cache (`--store-budget-bytes`): bytes of
-    /// the mapped snapshots kept resident; past it a CLOCK sweep
-    /// releases the coldest pages to the OS. `None` means unbounded.
+    /// the mapped snapshots kept resident; past it the least recently
+    /// touched pages are released to the OS. `None` means unbounded.
     pub store_budget_bytes: Option<u64>,
     /// Test aid (never exposed on the CLI): enables `GET
     /// /debug/sleep?ms=N`, which parks a worker thread for `ms`
